@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.adaptive.diff import MigrationDiff, diff_deployments
 from repro.core.cost import RateModel
+from repro.errors import InfeasiblePlacementError
 from repro.query.deployment import Deployment, DeploymentState
 from repro.query.plan import Join
 
@@ -160,7 +161,13 @@ class ReoptPolicy:
             )
         shadow = state.clone()
         shadow.undeploy(name)
-        candidate = self.optimizer.plan(deployment.query, shadow)
+        try:
+            candidate = self.optimizer.plan(deployment.query, shadow)
+        except InfeasiblePlacementError as exc:
+            # A resource-constrained planner may find no room to move to.
+            return ReoptDecision(
+                query=name, migrate=False, reason=str(exc), current_cost=current
+            )
         candidate_cost = shadow.cost_of(candidate)
         diff = diff_deployments(
             deployment, candidate, self.rates, self.config.bytes_per_tuple

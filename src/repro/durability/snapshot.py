@@ -9,9 +9,11 @@ can never leave a half-written file under the final name -- except when
 a seeded ``mid_snapshot`` crash point deliberately does exactly that,
 which is how the torn-snapshot recovery path stays tested.
 
-The envelope carries a whole-document CRC-32; :func:`load_latest`
-validates candidates newest-first and falls back to older snapshots,
-reporting every file it had to skip.
+The envelope carries a whole-document CRC-32 and is written as compact
+canonical JSON (sorted keys, no whitespace; pretty-print one with
+``python -m json.tool``); :func:`load_latest` validates candidates
+newest-first and falls back to older snapshots, reporting every file it
+had to skip.
 """
 
 from __future__ import annotations
@@ -57,26 +59,29 @@ def write_snapshot(
     """
     state_dir = Path(state_dir)
     state_dir.mkdir(parents=True, exist_ok=True)
-    doc = {
-        "kind": SNAPSHOT_KIND,
-        "version": SNAPSHOT_VERSION,
-        "lsn": lsn,
-        "scope": scope,
-        "time": time,
-        "state": state,
-    }
-    doc["crc"] = snapshot_crc(doc)
-    payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # One encoder pass: the canonical form the CRC is defined over is
+    # also the file body, with the ``crc`` member spliced in front.
+    body = canonical_json(
+        {
+            "kind": SNAPSHOT_KIND,
+            "version": SNAPSHOT_VERSION,
+            "lsn": lsn,
+            "scope": scope,
+            "time": time,
+            "state": state,
+        }
+    ).encode("utf-8")
+    payload = b'{"crc":%d,' % zlib.crc32(body) + body[1:] + b"\n"
     path = snapshot_path(state_dir, lsn)
     if journal is not None:
         point = journal.pending_snapshot_crash()
         if point is not None:
-            path.write_text(payload[: len(payload) // 2], encoding="utf-8")
+            path.write_bytes(payload[: len(payload) // 2])
             raise SimulatedCrash(
                 f"crash point fired mid-snapshot at lsn={lsn}"
             )
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(payload, encoding="utf-8")
+    tmp.write_bytes(payload)
     tmp.replace(path)
     _prune(state_dir, retain)
     return path

@@ -164,26 +164,45 @@ def _producer_from_doc(doc: dict[str, Any]):
 # ----------------------------------------------------------------------
 # DeploymentState (operators, flows, deployments)
 # ----------------------------------------------------------------------
+def _origin_to_doc(state, origin) -> dict[str, Any]:
+    query, left, right = origin
+    live = state.deployment(query.name)
+    return {
+        # The installer is usually still deployed: name it instead of
+        # repeating its query document.
+        "query": (
+            query.name
+            if live is not None and live.query is query
+            else _query_to_dict(query)
+        ),
+        "left": sorted(left),
+        "right": sorted(right),
+    }
+
+
 def capture_deployment_state(state) -> dict[str, Any]:
     """Capture a :class:`~repro.query.deployment.DeploymentState`.
 
     Operator records are captured in *insertion order*: containment
     reuse (`find_reusable`) falls back to a linear scan, so the order
-    operators were installed in is decision state.
+    operators were installed in is decision state.  A record's install
+    ``origin`` is kept too -- it is what prices an operator that
+    outlived its installer (:mod:`repro.resources.ledger`).
     """
+    operators = []
+    for rec in state.operator_records():
+        entry = {
+            "sig": sig_to_doc(rec.signature),
+            "node": rec.node,
+            "rate": rec.rate,
+            "queries": sorted(rec.queries),
+        }
+        if rec.origin is not None:
+            entry["origin"] = _origin_to_doc(state, rec.origin)
+        operators.append(entry)
     return {
-        "deployments": [
-            deployment_to_doc(d) for d in state._deployments.values()
-        ],
-        "operators": [
-            {
-                "sig": sig_to_doc(sig),
-                "node": node,
-                "rate": rec.rate,
-                "queries": sorted(rec.queries),
-            }
-            for (sig, node), rec in state._operators.items()
-        ],
+        "deployments": [deployment_to_doc(d) for d in state.deployments],
+        "operators": operators,
         "flows": [
             {
                 "query": f.query,
@@ -191,34 +210,51 @@ def capture_deployment_state(state) -> dict[str, Any]:
                 "dest": f.dest,
                 "rate": f.rate,
             }
-            for f in state._flows
+            for f in state.flows()
         ],
     }
 
 
 def restore_deployment_state(state, doc: dict[str, Any]) -> None:
     """Assign a captured document back into a pristine state object."""
-    from repro.query.deployment import FlowEdge, _OperatorRecord
+    from repro.query.deployment import FlowEdge
 
-    state._deployments = {
-        d["query"]["name"]: deployment_from_doc(d) for d in doc["deployments"]
-    }
-    operators = {}
-    for entry in doc["operators"]:
-        sig = sig_from_doc(entry["sig"])
-        operators[(sig, entry["node"])] = _OperatorRecord(
-            sig, entry["node"], entry["rate"], set(entry["queries"])
+    deployments = [deployment_from_doc(d) for d in doc["deployments"]]
+    queries = {d.query.name: d.query for d in deployments}
+
+    def origin_of(entry):
+        origin = entry.get("origin")
+        if origin is None:
+            return None
+        query = origin["query"]
+        return (
+            queries[query] if isinstance(query, str) else _query_from_dict(query),
+            frozenset(origin["left"]),
+            frozenset(origin["right"]),
         )
-    state._operators = operators
-    state._flows = [
-        FlowEdge(
-            query=f["query"],
-            producer=_producer_from_doc(f["producer"]),
-            dest=f["dest"],
-            rate=f["rate"],
-        )
-        for f in doc["flows"]
-    ]
+
+    state.restore(
+        deployments,
+        (
+            (
+                sig_from_doc(entry["sig"]),
+                entry["node"],
+                entry["rate"],
+                entry["queries"],
+                origin_of(entry),
+            )
+            for entry in doc["operators"]
+        ),
+        (
+            FlowEdge(
+                query=f["query"],
+                producer=_producer_from_doc(f["producer"]),
+                dest=f["dest"],
+                rate=f["rate"],
+            )
+            for f in doc["flows"]
+        ),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -158,7 +158,10 @@ class ReuseFederation:
                 if key in current:
                     continue
                 sig, node = key
-                state.register_external_view(sig, node, rate, FEDERATION_OWNER)
+                origin = self.shards[fleet[key][0]].engine.state.view_origin(sig, node)
+                state.register_external_view(
+                    sig, node, rate, FEDERATION_OWNER, origin=origin
+                )
                 if service.ads is not None:
                     service.ads.advertise_view(sig, node)
                 current.add(key)

@@ -275,7 +275,9 @@ def _case_resource_overhead() -> OpProfiler:
     gates nothing, so its planner op counts (plans, probes, ticks) must
     match ``service_churn`` exactly -- the case exists so the 25% gate
     catches the resource layer ever leaking work into the planner path,
-    and its wall samples price the ledger/gauge bookkeeping.
+    and its wall samples price the ledger/gauge bookkeeping.  Its one
+    count of its own, ``ledger_ops_priced``, is the ledger pricing each
+    installed join once; the same gate catches it re-deriving instead.
     """
     from repro.core import make_optimizer
     from repro.resources import ResourceConfig

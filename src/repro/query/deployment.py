@@ -21,7 +21,7 @@ curves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -112,12 +112,20 @@ class Deployment:
 
 @dataclass
 class _OperatorRecord:
-    """Book-keeping for one deployed operator instance."""
+    """Book-keeping for one deployed operator instance.
+
+    ``origin`` is the ``(query, left sources, right sources)`` of the
+    first join installed under this key.  It is written once, at install
+    time, so what an operator that outlives its installer computes (and
+    therefore what it loads its node with) never depends on who asked
+    when; records created for external or filter-only views have none.
+    """
 
     signature: ViewSignature
     node: int
     rate: float
     queries: set[str] = field(default_factory=set)
+    origin: tuple[Query, frozenset[str], frozenset[str]] | None = None
 
 
 class DeploymentState:
@@ -151,6 +159,9 @@ class DeploymentState:
         self._operators: dict[tuple[ViewSignature, int], _OperatorRecord] = {}
         self._flows: list[FlowEdge] = []
         self._deployments: dict[str, Deployment] = {}
+        #: Monotone change counter, bumped by every mutator: readers that
+        #: keep anything derived from this state compare it to skip work.
+        self.revision = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -159,6 +170,10 @@ class DeploymentState:
     def deployments(self) -> list[Deployment]:
         """All live deployments, in application order."""
         return list(self._deployments.values())
+
+    def deployment(self, name: str) -> Deployment | None:
+        """The live deployment of query ``name``, if any."""
+        return self._deployments.get(name)
 
     @property
     def num_operators(self) -> int:
@@ -172,6 +187,10 @@ class DeploymentState:
     def operators(self) -> list[tuple[ViewSignature, int]]:
         """(signature, node) of every live operator instance."""
         return list(self._operators)
+
+    def operator_records(self) -> list[_OperatorRecord]:
+        """Every live operator record, in install order (read-only)."""
+        return list(self._operators.values())
 
     def advertised_views(self) -> dict[ViewSignature, set[int]]:
         """Derived-stream advertisements: signature -> nodes offering it."""
@@ -212,6 +231,7 @@ class DeploymentState:
         query = deployment.query
         if query.name in self._deployments:
             raise DeploymentError(f"query {query.name!r} is already deployed")
+        self.revision += 1
         added: list[FlowEdge] = []
         for subtree in deployment.plan.subtrees():
             if isinstance(subtree, Leaf):
@@ -220,7 +240,9 @@ class DeploymentState:
             assert isinstance(subtree, Join)
             node = deployment.placement[subtree]
             sig = query.view_signature(subtree.sources)
-            self._ensure_operator(sig, node, query)
+            rec = self._ensure_operator(sig, node, query)
+            if rec.origin is None:
+                rec.origin = (query, subtree.left.sources, subtree.right.sources)
             for child in (subtree.left, subtree.right):
                 src = deployment.placement[child]
                 if src != node:
@@ -262,6 +284,7 @@ class DeploymentState:
         """
         if name not in self._deployments:
             raise UnknownQueryError(f"query {name!r} is not deployed")
+        self.revision += 1
         deployment = self._deployments.pop(name)
         reclaimed = 0.0
         kept: list[FlowEdge] = []
@@ -301,15 +324,40 @@ class DeploymentState:
             self._costs, self._rate_fn, self._source_fn, self._reuse_inflation
         )
         other._operators = {
-            key: _OperatorRecord(rec.signature, rec.node, rec.rate, set(rec.queries))
+            key: _OperatorRecord(
+                rec.signature, rec.node, rec.rate, set(rec.queries), rec.origin
+            )
             for key, rec in self._operators.items()
         }
         other._flows = list(self._flows)
         other._deployments = dict(self._deployments)
         return other
 
+    def restore(
+        self,
+        deployments: Iterable[Deployment],
+        operators: Iterable[tuple],
+        flows: Iterable[FlowEdge],
+    ) -> None:
+        """Replace the whole state with a captured one (crash recovery).
+
+        Args:
+            deployments: Live deployments, in application order.
+            operators: ``(signature, node, rate, queries, origin)`` per
+                operator record, in install order.
+            flows: Live flows, in creation order.
+        """
+        self.revision += 1
+        self._deployments = {d.query.name: d for d in deployments}
+        self._operators = {
+            (sig, node): _OperatorRecord(sig, node, rate, set(queries), origin)
+            for sig, node, rate, queries, origin in operators
+        }
+        self._flows = list(flows)
+
     def recompute_costs(self, costs: np.ndarray) -> float:
         """Swap in a new cost matrix (network change); return new total."""
+        self.revision += 1
         self._costs = costs
         return self.total_cost()
 
@@ -330,6 +378,7 @@ class DeploymentState:
         (alive only through reuse) keep their recorded rate: their
         production flows are gone, so the stale rate prices nothing.
         """
+        self.revision += 1
         for deployment in self._deployments.values():
             query = deployment.query
             for subtree in deployment.plan.subtrees():
@@ -382,7 +431,12 @@ class DeploymentState:
     # External views (cross-control-plane federation)
     # ------------------------------------------------------------------
     def register_external_view(
-        self, signature: ViewSignature, node: int, rate: float, owner: str
+        self,
+        signature: ViewSignature,
+        node: int,
+        rate: float,
+        owner: str,
+        origin: tuple[Query, frozenset[str], frozenset[str]] | None = None,
     ) -> None:
         """Make a view deployed by *another* control plane reusable here.
 
@@ -392,11 +446,15 @@ class DeploymentState:
         operator.  ``owner`` is a book-keeping sentinel (e.g. the
         federation layer's reserved name), not a deployed query; it keeps
         the record alive until :meth:`unregister_external_view`.
+        ``origin`` is the exporting plane's :meth:`view_origin`: the
+        operator is the same physical instance, and the record may
+        outlive the exporter's once local queries reuse it.
         """
+        self.revision += 1
         key = (signature, node)
         rec = self._operators.get(key)
         if rec is None:
-            rec = _OperatorRecord(signature, node, rate)
+            rec = _OperatorRecord(signature, node, rate, origin=origin)
             self._operators[key] = rec
         rec.queries.add(owner)
 
@@ -414,6 +472,7 @@ class DeploymentState:
         rec = self._operators.get(key)
         if rec is None:
             return False
+        self.revision += 1
         rec.queries.discard(owner)
         if not rec.queries:
             del self._operators[key]
@@ -424,6 +483,14 @@ class DeploymentState:
         """Recorded output rate of a deployed operator, if present."""
         rec = self._operators.get((signature, node))
         return rec.rate if rec is not None else None
+
+    def view_origin(
+        self, signature: ViewSignature, node: int
+    ) -> tuple[Query, frozenset[str], frozenset[str]] | None:
+        """``(query, left, right)`` of the join first installed as this
+        operator; ``None`` for an absent or never-joined record."""
+        rec = self._operators.get((signature, node))
+        return rec.origin if rec is not None else None
 
     # ------------------------------------------------------------------
     # Internals
@@ -496,10 +563,13 @@ class DeploymentState:
             return base * self._reuse_inflation
         return self._rate_fn(query, child.sources)
 
-    def _ensure_operator(self, sig: ViewSignature, node: int, query: Query) -> None:
+    def _ensure_operator(
+        self, sig: ViewSignature, node: int, query: Query
+    ) -> _OperatorRecord:
         key = (sig, node)
         rec = self._operators.get(key)
         if rec is None:
             rec = _OperatorRecord(sig, node, self._rate_fn(query, sig.sources))
             self._operators[key] = rec
         rec.queries.add(query.name)
+        return rec

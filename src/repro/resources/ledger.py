@@ -1,31 +1,103 @@
 """Fleet-wide per-node utilization accounting.
 
 The :class:`ResourceLedger` answers "how loaded is node *n* right now,
-across every control plane deploying onto this network".  It does not
-keep incremental books: it *derives* node loads from the attached
+across every control plane deploying onto this network".  The attached
 :class:`~repro.query.deployment.DeploymentState` instances (one per
-service shard) every time it is asked.  Deriving instead of mutating
-keeps the ledger trivially consistent with reality no matter how a
-deployment changed -- admission, retirement, live migration, node
-failover, crash recovery -- because the deployment state is always the
-single source of truth.
+service shard) stay the single source of truth: the ledger keeps *books*
+-- one priced :class:`~repro.resources.capacity.Load` per live operator
+and one sum per node -- and reconciles them against the states at the
+top of every read.  Nothing is wired into the code that mutates a
+state (admission, retirement, live migration, node failover, crash
+recovery); each state carries a monotone ``revision`` and each rate
+model a ``version``, so a read costs
+
+* O(1) when neither moved since the last read;
+* one cheap identity diff of the state's deployments and operator
+  records when the revision moved, pricing only the operators of
+  deployments that appeared and re-summing only the nodes they or the
+  vanished ones touch;
+* one re-pricing of every booked operator when statistics were
+  published.
 
 Reuse is credited once: operator instances are identified by their
 ``(view signature, node)`` key exactly as the deployment state keys
 them, so a view shared by five queries (locally or across shards via
 the federation's external records) is charged to its node exactly one
-time, by the deployment that owns it.  Reused-view *leaves* never carry
-load at all -- see :mod:`repro.resources.footprint`.
+time.  The *pricer* of a key is the first deployment, in
+attach-then-application order, that holds a join with that key (the
+join's split decides cpu and memory, so who prices matters); the other
+holders ride free and the next one takes over when the pricer leaves.
+An operator that outlived every holder -- reusers keep it running -- is
+priced from the ``origin`` its state recorded at install time.
+Reused-view *leaves* never carry load at all -- see
+:mod:`repro.resources.footprint`.
+
+A node's load is always re-summed from its operators' loads in one
+fixed order (pricers in walk order, then orphans in install order)
+instead of adding and subtracting deltas: float addition is not
+associative, and the sums feed gauges and reports that are compared
+byte for byte.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+import itertools
+from operator import attrgetter
+from typing import Container, Mapping, NamedTuple
 
-from repro.query.deployment import DeploymentState
+from repro.perf import profiler
+from repro.query.deployment import Deployment, DeploymentState
 from repro.query.plan import Join
 from repro.resources.capacity import UNBOUNDED, Load, NodeCapacity, ZERO_LOAD
 from repro.resources.footprint import OperatorFootprint
+
+
+class _Source:
+    """One attached state and what the books last saw of it."""
+
+    __slots__ = ("state", "footprint", "order", "seen", "deployments", "records", "seq")
+
+    def __init__(
+        self, state: DeploymentState, footprint: OperatorFootprint, order: int
+    ) -> None:
+        self.state = state
+        self.footprint = footprint
+        self.order = order
+        # (state.revision, id(rates), rates.version) at the last reconcile.
+        self.seen: tuple | None = None
+        # name -> (deployment, seq, join keys); seq grows in application
+        # order because a state only ever appends deployments.
+        self.deployments: dict[str, tuple[Deployment, int, list[tuple]]] = {}
+        # key -> (operator record, seq); seq grows in install order.
+        self.records: dict[tuple, tuple[object, int]] = {}
+        self.seq = itertools.count()
+
+
+class _Holder(NamedTuple):
+    """One deployment's join under an operator key; the first three
+    fields are its position in the attach-then-application walk."""
+
+    order: int
+    seq: int
+    index: int
+    source: _Source
+    deployment: Deployment
+    join: Join
+
+
+class _Operator:
+    """One booked ``(signature, node)`` operator."""
+
+    __slots__ = ("holders", "struct", "load", "rank")
+
+    def __init__(self) -> None:
+        # Sorted in walk order: the first holder prices the operator.
+        self.holders: list[_Holder] = []
+        # (query, left sources, right sources, footprint) behind ``load``.
+        self.struct: tuple | None = None
+        self.load: Load = ZERO_LOAD
+        # Position in the summation order of its node.
+        self.rank: tuple = ()
 
 
 class ResourceLedger:
@@ -38,26 +110,35 @@ class ResourceLedger:
 
     def __init__(self, capacities: Mapping[int, NodeCapacity] | None = None) -> None:
         self.capacities: dict[int, NodeCapacity] = dict(capacities or {})
-        self._sources: list[tuple[DeploymentState, OperatorFootprint]] = []
-        # (signature, node) -> (query, left sources, right sources,
-        # footprint): remembers each operator's join structure so an
-        # operator that outlives its owning deployment (owner retired,
-        # reusers remain) keeps being charged at current rates.
-        self._op_structs: dict[tuple, tuple] = {}
+        self._sources: list[_Source] = []
+        self._attach_order = itertools.count()
+        self._clear_books()
+
+    def _clear_books(self) -> None:
+        self._operators: dict[tuple, _Operator] = {}
+        self._on_node: dict[int, dict[tuple, _Operator]] = {}
+        self._loads: dict[int, Load] = {}
+        self._dirty: set[int] = set()
+        # Union of the sources' live record keys; None = rebuild on demand.
+        self._live_keys: frozenset[tuple] | None = None
 
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
     def attach(self, state: DeploymentState, footprint: OperatorFootprint) -> None:
         """Track a deployment state's operators (idempotent)."""
-        for existing, _ in self._sources:
-            if existing is state:
-                return
-        self._sources.append((state, footprint))
+        if any(source.state is state for source in self._sources):
+            return
+        self._sources.append(_Source(state, footprint, next(self._attach_order)))
 
     def detach(self, state: DeploymentState) -> None:
         """Stop tracking a deployment state."""
-        self._sources = [(s, f) for (s, f) in self._sources if s is not state]
+        self._sources = [
+            _Source(source.state, source.footprint, source.order)
+            for source in self._sources
+            if source.state is not state
+        ]
+        self._clear_books()
 
     @property
     def constrained(self) -> bool:
@@ -69,71 +150,188 @@ class ResourceLedger:
         return self.capacities.get(node, UNBOUNDED)
 
     # ------------------------------------------------------------------
+    # Reconciliation
+    # ------------------------------------------------------------------
+    def _sync(self) -> None:
+        """Bring the books up to date with every attached state."""
+        stale: list[_Source] = []
+        reprice = False
+        for source in self._sources:
+            rates = source.footprint.rates
+            seen = (source.state.revision, id(rates), rates.version)
+            if seen == source.seen:
+                continue
+            if source.seen is not None and seen[1:] != source.seen[1:]:
+                reprice = True
+            if source.seen is None or seen[0] != source.seen[0]:
+                stale.append(source)
+            source.seen = seen
+        if not (stale or reprice):
+            return
+        priced = 0
+        if reprice:
+            for op in self._operators.values():
+                self._price(op)
+            priced += len(self._operators)
+            self._dirty.update(self._on_node)
+        touched: dict[tuple, None] = {}
+        for source in stale:
+            self._diff(source, touched)
+        for key in touched:
+            priced += self._elect(key)
+        if priced:
+            prof = profiler.active()
+            if prof is not None:
+                prof.count("ledger_ops_priced", priced)
+
+    def _diff(self, source: _Source, touched: dict[tuple, None]) -> None:
+        """Fold what appeared in / vanished from one state into the books.
+
+        Deployments are matched by name *and* identity: a migration
+        re-installs a new deployment under the old name.
+        """
+        state = source.state
+        known = source.deployments
+        for name in [n for n, entry in known.items() if state.deployment(n) is not entry[0]]:
+            deployment, _seq, keys = known.pop(name)
+            for key in keys:
+                op = self._operators[key]
+                op.holders = [h for h in op.holders if h.deployment is not deployment]
+                touched[key] = None
+        for deployment in state.deployments:
+            query = deployment.query
+            if query.name in known:
+                continue
+            seq = next(source.seq)
+            keys = []
+            for index, join in enumerate(deployment.plan.joins()):
+                key = (query.view_signature(join.sources), deployment.placement[join])
+                op = self._operators.get(key) or self._book(key)
+                op.holders.append(
+                    _Holder(source.order, seq, index, source, deployment, join)
+                )
+                op.holders.sort(key=_walk_order)
+                keys.append(key)
+                touched[key] = None
+            known[query.name] = (deployment, seq, keys)
+
+        records = source.records
+        current = state.operator_records()
+        for rec in current:
+            key = (rec.signature, rec.node)
+            entry = records.get(key)
+            if entry is not None and entry[0] is rec:
+                continue
+            # A re-created record moved to the end of the install order.
+            records[key] = (rec, next(source.seq))
+            touched[key] = None
+            self._live_keys = None
+        if len(records) > len(current):
+            alive = {id(rec) for rec in current}
+            for key in [k for k, entry in records.items() if id(entry[0]) not in alive]:
+                del records[key]
+                touched[key] = None
+            self._live_keys = None
+
+    def _book(self, key: tuple) -> _Operator:
+        op = self._operators[key] = _Operator()
+        self._on_node.setdefault(key[1], {})[key] = op
+        return op
+
+    def _elect(self, key: tuple) -> int:
+        """Re-elect the pricer of one operator; returns 1 if it was priced."""
+        op = self._operators.get(key)
+        struct = rank = None
+        if op is not None and op.holders:
+            first = op.holders[0]
+            struct = (
+                first.deployment.query,
+                first.join.left.sources,
+                first.join.right.sources,
+                first.source.footprint,
+            )
+            rank = (0, *_walk_order(first))
+        else:
+            # No deployment's plan walks it anymore: charge it from the
+            # origin recorded at install time, while it stays live.
+            for source in self._sources:
+                entry = source.records.get(key)
+                if entry is not None and entry[0].origin is not None:
+                    struct = (*entry[0].origin, source.footprint)
+                    rank = (1, source.order, entry[1])
+                    break
+        node = key[1]
+        if struct is None:
+            # Dead, or never a join (external and filter-only view
+            # records carry no load).
+            if op is not None:
+                del self._operators[key]
+                del self._on_node[node][key]
+                self._dirty.add(node)
+            return 0
+        if op is None:
+            op = self._book(key)
+        self._dirty.add(node)
+        op.rank = rank
+        if op.struct is not None and _same_struct(op.struct, struct):
+            return 0
+        op.struct = struct
+        self._price(op)
+        return 1
+
+    @staticmethod
+    def _price(op: _Operator) -> None:
+        query, left, right, footprint = op.struct
+        op.load = footprint.join_load(query, left, right)
+
+    def _resum(self, node: int) -> None:
+        """Re-sum one node from its operators, in the fixed order."""
+        self._dirty.discard(node)
+        ops = self._on_node.get(node)
+        if not ops:
+            self._on_node.pop(node, None)
+            self._loads.pop(node, None)
+            return
+        total = ZERO_LOAD
+        for op in sorted(ops.values(), key=attrgetter("rank")):
+            total = total + op.load
+        self._loads[node] = total
+
+    def _settled_loads(self) -> dict[int, Load]:
+        self._sync()
+        for node in list(self._dirty):
+            self._resum(node)
+        return self._loads
+
+    # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
-    def operator_keys(self) -> set[tuple]:
+    def operator_keys(self) -> frozenset[tuple]:
         """Live ``(signature, node)`` operator keys across all sources."""
-        keys: set[tuple] = set()
-        for state, _ in self._sources:
-            keys.update(state.operators())
-        return keys
+        self._sync()
+        if self._live_keys is None:
+            self._live_keys = frozenset().union(
+                *(source.records for source in self._sources)
+            )
+        return self._live_keys
 
     def node_loads(self) -> dict[int, Load]:
         """Current load per node, shared operators charged once.
 
-        Walks every attached state's deployments in application order
-        and charges each distinct ``(signature, node)`` join operator
-        the first time it is seen -- the deployment that owns the
-        operator prices it, reusers ride free.
+        Returns a fresh dict the caller may mutate.
         """
-        loads: dict[int, Load] = {}
-        seen: set[tuple] = set()
-        for state, footprint in self._sources:
-            for deployment in state.deployments:
-                query = deployment.query
-                for join in deployment.plan.joins():
-                    node = deployment.placement[join]
-                    key = (query.view_signature(join.sources), node)
-                    self._op_structs[key] = (
-                        query,
-                        join.left.sources,
-                        join.right.sources,
-                        footprint,
-                    )
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    load = footprint.join_load(
-                        query, join.left.sources, join.right.sources
-                    )
-                    loads[node] = loads.get(node, ZERO_LOAD) + load
-        # Operators that outlived their owning deployment: the record is
-        # still live (reusers keep it running) but no deployment's plan
-        # walks it anymore.  Charge them from the remembered structure.
-        live = self.operator_keys()
-        for key in live - seen:
-            struct = self._op_structs.get(key)
-            if struct is None:
-                # Never saw the owner (e.g. filter-only view operators,
-                # which carry no join load anyway).
-                continue
-            query, left, right, footprint = struct
-            node = key[1]
-            loads[node] = loads.get(node, ZERO_LOAD) + footprint.join_load(
-                query, left, right
-            )
-        self._op_structs = {
-            k: v for k, v in self._op_structs.items() if k in live
-        }
-        return loads
+        return dict(self._settled_loads())
 
     def load(self, node: int) -> Load:
         """Current load of one node."""
-        return self.node_loads().get(node, ZERO_LOAD)
+        self._sync()
+        if node in self._dirty:
+            self._resum(node)
+        return self._loads.get(node, ZERO_LOAD)
 
     def utilizations(self) -> dict[int, float]:
         """Utilization ratio of every node with a capacity or a load."""
-        loads = self.node_loads()
+        loads = self._settled_loads()
         nodes = set(self.capacities) | set(loads)
         return {
             node: loads.get(node, ZERO_LOAD).utilization(self.capacity(node))
@@ -178,15 +376,12 @@ class ResourceLedger:
 
     def queries_on(self, node: int) -> list[str]:
         """Names of queries with a join operator placed on ``node``."""
-        names: list[str] = []
-        for state, _ in self._sources:
-            for deployment in state.deployments:
-                if any(
-                    deployment.placement[j] == node
-                    for j in deployment.plan.joins()
-                ) and deployment.query.name not in names:
-                    names.append(deployment.query.name)
-        return names
+        self._sync()
+        holders = sorted(
+            (h for op in self._on_node.get(node, {}).values() for h in op.holders),
+            key=_walk_order,
+        )
+        return list(dict.fromkeys(h.deployment.query.name for h in holders))
 
     def summary(self, top: int = 5) -> dict:
         """JSON-able snapshot for reports and the CLI."""
@@ -209,12 +404,20 @@ class ResourceLedger:
         }
 
 
+def _walk_order(holder: _Holder) -> tuple:
+    return holder[:3]
+
+
+def _same_struct(a: tuple, b: tuple) -> bool:
+    return a[0] is b[0] and a[3] is b[3] and a[1] == b[1] and a[2] == b[2]
+
+
 def plan_node_loads(
     footprint: OperatorFootprint,
     query,
     plan,
     placement: Mapping,
-    skip_keys: Iterable[tuple] = (),
+    skip_keys: Container[tuple] = (),
 ) -> dict[int, Load]:
     """Per-node load a deployment would *add*, reuse credited.
 
@@ -223,12 +426,11 @@ def plan_node_loads(
     the admission gate and the planners' joint-feasibility check both
     use this to price a candidate placement against the ledger.
     """
-    skip = set(skip_keys)
     out: dict[int, Load] = {}
     for join in plan.joins():
         assert isinstance(join, Join)
         node = placement[join]
-        if (query.view_signature(join.sources), node) in skip:
+        if (query.view_signature(join.sources), node) in skip_keys:
             continue
         load = footprint.join_load(query, join.left.sources, join.right.sources)
         out[node] = out.get(node, ZERO_LOAD) + load

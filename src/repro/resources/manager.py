@@ -179,7 +179,7 @@ class ResourceManager:
             footprint=self.footprint,
             capacities=self.ledger.capacities,
             base_loads=base,
-            live_keys=frozenset(self.ledger.operator_keys()),
+            live_keys=self.ledger.operator_keys(),
             bound=self.config.utilization_bound,
             load_weight=self.config.load_weight,
         )
@@ -317,9 +317,7 @@ class ResourceManager:
         """Evict a live query and park it for later re-admission."""
         expiry = service._expiry.get(name)
         remaining = None if expiry is None else max(1.0, expiry - service.clock)
-        victim = next(
-            d.query for d in service.engine.state.deployments if d.query.name == name
-        )
+        victim = service.engine.state.deployment(name).query
         service._retire_live(name)
         self.parked[name] = ParkedQuery(
             query=victim,
@@ -362,10 +360,12 @@ class ResourceManager:
             if not violations:
                 break
             hottest = violations[0][0]
+            # The ledger may be fleet-wide; a shard sheds only its own.
+            state = service.engine.state
             occupants = [
                 name
                 for name in self.ledger.queries_on(hottest)
-                if name not in self.parked
+                if name not in self.parked and state.deployment(name) is not None
             ]
             if not occupants:
                 break

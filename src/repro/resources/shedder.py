@@ -76,9 +76,7 @@ class LoadShedder:
         name: str,
     ) -> dict[int, Load]:
         """Per-node load that retiring ``name`` would actually free."""
-        deployment = next(
-            (d for d in state.deployments if d.query.name == name), None
-        )
+        deployment = state.deployment(name)
         if deployment is None:
             return {}
         freed: dict[int, Load] = {}

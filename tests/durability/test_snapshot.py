@@ -4,10 +4,11 @@ import json
 
 import pytest
 
-from repro.durability.journal import Journal, SimulatedCrash
+from repro.durability.journal import Journal, SimulatedCrash, canonical_json
 from repro.durability.snapshot import (
     list_snapshots,
     load_latest,
+    snapshot_crc,
     snapshot_path,
     write_snapshot,
 )
@@ -28,6 +29,16 @@ class TestRoundTrip:
         assert doc is not None and doc["lsn"] == 25
         assert doc["state"] == {"lsn": 25}
         assert rejected == []
+
+    def test_file_is_compact_canonical_json_with_the_contract_crc(self, tmp_path):
+        state = {"b": [1.5, None, "x"], "a": {"z": float("inf"), "y": True}}
+        path = _write(tmp_path, 7, state=state, time=2.0)
+        raw = path.read_text()
+        doc = json.loads(raw)
+        assert raw == canonical_json(doc) + "\n"  # one line, sorted, no spaces
+        assert doc["crc"] == snapshot_crc(doc)
+        assert doc["state"] == state and doc["time"] == 2.0
+        assert load_latest(tmp_path) == (doc, [])
 
     def test_empty_directory_loads_none(self, tmp_path):
         doc, rejected = load_latest(tmp_path)

@@ -243,3 +243,63 @@ class TestStateUtilities:
             DeploymentState(
                 small_net.cost_matrix(), abc_rates.rate_for, abc_rates.source, 0.5
             )
+
+
+class TestRevisionAndOrigin:
+    def test_every_mutator_bumps_the_revision(self, small_net, abc_rates, ab_query):
+        costs = small_net.cost_matrix()
+        state = DeploymentState(costs, abc_rates.rate_for, abc_rates.source)
+        sig = ab_query.view_signature()
+        mutators = [
+            lambda: state.apply(_manual_deployment(ab_query, {"join": 2})),
+            lambda: state.recompute_rates(),
+            lambda: state.recompute_costs(costs),
+            lambda: state.register_external_view(sig, 4, 1.0, "fed"),
+            lambda: state.unregister_external_view(sig, 4, "fed"),
+            lambda: state.undeploy("qab"),
+            lambda: state.restore([], [], []),
+        ]
+        seen = [state.revision]
+        for mutate in mutators:
+            mutate()
+            assert state.revision > seen[-1]
+            seen.append(state.revision)
+        # Reads leave it alone.
+        state.total_cost(), state.operators(), state.deployments, state.clone()
+        assert state.revision == seen[-1]
+
+    def test_origin_is_the_first_installed_join(self, small_net, abc_rates):
+        costs = small_net.cost_matrix()
+        state = DeploymentState(costs, abc_rates.rate_for, abc_rates.source)
+        q1 = Query("q1", ["A", "B"], sink=7, predicates=[JoinPredicate("A", "B", 0.01)])
+        q2 = Query("q2", ["A", "B"], sink=5, predicates=[JoinPredicate("A", "B", 0.01)])
+        first = _manual_deployment(q1, {"join": 2})
+        state.apply(first)
+        state.apply(_manual_deployment(q2, {"join": 2}))
+        sig = q1.view_signature()
+        assert state.view_origin(sig, 2) == (q1, frozenset("A"), frozenset("B"))
+        state.undeploy("q1")  # the record survives for q2, and so does its origin
+        assert state.view_origin(sig, 2)[0] is q1
+        assert state.clone().view_origin(sig, 2)[0] is q1
+        assert state.view_origin(sig, 3) is None
+        state.register_external_view(sig, 4, 1.0, "fed", origin=state.view_origin(sig, 2))
+        assert state.view_origin(sig, 4)[0] is q1
+
+    def test_restore_replaces_the_state(self, small_net, abc_rates, ab_query):
+        costs = small_net.cost_matrix()
+        source = DeploymentState(costs, abc_rates.rate_for, abc_rates.source)
+        source.apply(_manual_deployment(ab_query, {"join": 2}))
+        target = DeploymentState(costs, abc_rates.rate_for, abc_rates.source)
+        target.restore(
+            source.deployments,
+            [
+                (rec.signature, rec.node, rec.rate, rec.queries, rec.origin)
+                for rec in source.operator_records()
+            ],
+            source.flows(),
+        )
+        assert target.deployment("qab") is source.deployment("qab")
+        assert target.operators() == source.operators()
+        assert target.total_cost() == source.total_cost()
+        assert target.undeploy("qab") == pytest.approx(source.total_cost())
+        assert target.num_operators == 0 and source.num_operators == 1

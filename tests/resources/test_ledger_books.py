@@ -1,0 +1,571 @@
+"""The ledger's incremental books against the derive-everything model.
+
+Three layers of evidence that :class:`repro.resources.ResourceLedger`
+(O(delta) books, reconciled lazily) is the same function of the attached
+deployment states as ``reference_ledger.ReferenceLedger`` (walks and
+prices everything on every call):
+
+* pinned regressions for the pricing rules the old derive-on-call
+  ledger got wrong (orphan pricing depended on call history and on the
+  hash seed);
+* hypothesis state machines over the whole command surface -- a
+  service under tight capacities with adaptivity, and a 2-shard fleet
+  sharing one ledger through the federation -- asserting exact equality
+  after every command;
+* a work-count gate: idle ticks price nothing and a submit prices at
+  most its own joins, so an O(live) regression fails without a clock.
+"""
+
+import itertools
+from collections import Counter
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import settings
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    rule,
+    run_state_machine_as_test,
+)
+
+import repro
+from repro.adaptive import AdaptivityConfig
+from repro.core.cost import RateModel
+from repro.durability import DurabilityConfig, recover
+from repro.fleet import FleetController
+from repro.perf.profiler import profiled
+from repro.query.deployment import Deployment, DeploymentState
+from repro.query.plan import Join, Leaf
+from repro.query.query import JoinPredicate, Query
+from repro.query.stream import StreamSpec
+from repro.resources import (
+    OperatorFootprint,
+    ResourceConfig,
+    ResourceLedger,
+    uniform_capacities,
+)
+from repro.service import StreamQueryService
+
+from tests.fleet.conftest import renamed
+from tests.resources.reference_ledger import ReferenceLedger
+
+
+def assert_books_match(ledger: ResourceLedger, reference: ReferenceLedger) -> None:
+    want = reference.node_loads()
+    assert ledger.node_loads() == want  # exact: Loads compare float by float
+    assert ledger.operator_keys() == reference.operator_keys()
+    for node, load in want.items():
+        assert ledger.load(node) == load
+        assert ledger.queries_on(node) == reference.queries_on(node)
+
+
+# ----------------------------------------------------------------------
+# Pinned pricing rules (hand-built deployments on the 8-node network)
+# ----------------------------------------------------------------------
+A, B, C = Leaf.of("A"), Leaf.of("B"), Leaf.of("C")
+AB_C = Join(Join(A, B), C)
+A_BC = Join(A, Join(B, C))
+ABC_VIEW = Leaf(frozenset("ABC"))
+#: The node every root operator below is placed on.
+HUB = 5
+
+
+def abc(name: str) -> Query:
+    return Query(
+        name,
+        ["A", "B", "C"],
+        sink=7,
+        predicates=[JoinPredicate("A", "B", 0.01), JoinPredicate("B", "C", 0.02)],
+    )
+
+
+def left_deep(name: str) -> Deployment:
+    """(A x B) x C with the root on HUB."""
+    return Deployment(abc(name), AB_C, {A: 0, B: 3, C: 6, AB_C.left: 2, AB_C: HUB})
+
+
+def right_deep(name: str) -> Deployment:
+    """A x (B x C): the same root operator key, a different split."""
+    return Deployment(abc(name), A_BC, {A: 0, B: 3, C: 6, A_BC.right: 4, A_BC: HUB})
+
+
+def reuser(name: str) -> Deployment:
+    """Consumes the deployed A-B-C view on HUB; holds no join."""
+    return Deployment(abc(name), ABC_VIEW, {ABC_VIEW: HUB})
+
+
+@pytest.fixture()
+def books(small_net, abc_rates):
+    state = DeploymentState(
+        small_net.cost_matrix(), abc_rates.rate_for, abc_rates.source
+    )
+    footprint = OperatorFootprint(abc_rates)
+    ledger = ResourceLedger()
+    ledger.attach(state, footprint)
+    return state, footprint, ledger, ReferenceLedger.shadowing(ledger)
+
+
+class TestOrphanPricing:
+    """An operator that outlived its installer is priced from the origin
+    its state recorded at install time -- nothing else."""
+
+    def test_first_installer_prices_the_orphan_not_the_last_holder(self, books):
+        state, footprint, ledger, reference = books
+        first, second = left_deep("first"), right_deep("second")
+        for deployment in (first, second, reuser("rider")):
+            state.apply(deployment)
+            assert_books_match(ledger, reference)
+        by_first = footprint.join_load(first.query, AB_C.left.sources, AB_C.right.sources)
+        by_second = footprint.join_load(second.query, A_BC.left.sources, A_BC.right.sources)
+        assert by_first != by_second, "the split must matter for this test"
+        assert ledger.load(HUB) == by_first
+
+        # The pricer leaves: the next holder takes over with its split.
+        state.undeploy("first")
+        assert ledger.load(HUB) == by_second
+        assert_books_match(ledger, reference)
+        # Only the reuser remains: back to what was installed.
+        state.undeploy("second")
+        assert ledger.load(HUB) == by_first
+        assert ledger.queries_on(HUB) == []
+        assert_books_match(ledger, reference)
+
+        state.undeploy("rider")
+        assert ledger.node_loads() == {} and ledger.operator_keys() == frozenset()
+
+    def test_installer_retired_before_any_read_is_still_charged(self, books):
+        state, footprint, ledger, reference = books
+        owner = left_deep("owner")
+        state.apply(owner)
+        state.apply(reuser("rider"))
+        state.undeploy("owner")
+        # First read ever: the books never saw the owner's plan.
+        assert ledger.node_loads() == {
+            HUB: footprint.join_load(owner.query, AB_C.left.sources, AB_C.right.sources)
+        }
+        assert_books_match(ledger, reference)
+
+    def test_answers_do_not_depend_on_when_the_ledger_was_read(self, small_net, abc_rates):
+        def run(read_every_step: bool):
+            state = DeploymentState(
+                small_net.cost_matrix(), abc_rates.rate_for, abc_rates.source
+            )
+            ledger = ResourceLedger()
+            ledger.attach(state, OperatorFootprint(abc_rates))
+            steps = [
+                lambda: state.apply(left_deep("first")),
+                lambda: state.apply(right_deep("second")),
+                lambda: state.apply(reuser("rider")),
+                lambda: state.undeploy("second"),
+                lambda: state.undeploy("first"),
+            ]
+            for step in steps:
+                step()
+                if read_every_step:
+                    ledger.node_loads()
+            return ledger.node_loads()
+
+        assert run(read_every_step=True) == run(read_every_step=False)
+
+    def test_orphans_sum_in_install_order(self, small_net):
+        # Rates chosen so the float sum of the three loads depends on
+        # the order they are added in.
+        rates = RateModel(
+            {
+                "A": StreamSpec("A", 0, 50.1),
+                "B": StreamSpec("B", 3, 80.3),
+                "C": StreamSpec("C", 6, 30.7),
+            }
+        )
+        state = DeploymentState(small_net.cost_matrix(), rates.rate_for, rates.source)
+        footprint = OperatorFootprint(rates)
+        ledger = ResourceLedger()
+        ledger.attach(state, footprint)
+        reference = ReferenceLedger.shadowing(ledger)
+
+        def pair(name, x, y, selectivity):
+            query = Query(
+                name, [x.stream, y.stream], sink=7,
+                predicates=[JoinPredicate(x.stream, y.stream, selectivity)],
+            )
+            join = Join(x, y)
+            sources = {A: 0, B: 3, C: 6}
+            owner = Deployment(query, join, {x: sources[x], y: sources[y], join: HUB})
+            view = Leaf(join.sources)
+            rider = Deployment(renamed(query, name + ".rider"), view, {view: HUB})
+            return owner, rider
+
+        owners = []
+        for name, x, y, sel in (("ab", A, B, 0.013), ("bc", B, C, 0.027), ("ac", A, C, 0.019)):
+            owner, rider = pair(name, x, y, sel)
+            state.apply(owner)
+            state.apply(rider)
+            owners.append(owner)
+        loads = [
+            footprint.join_load(o.query, o.plan.left.sources, o.plan.right.sources)
+            for o in owners
+        ]
+        sums = {
+            (loads[i] + loads[j]) + loads[k]
+            for i, j, k in itertools.permutations(range(3))
+        }
+        assert len(sums) > 1, "the order must matter for this test"
+        # Retire the owners newest-first: install order is not retire order.
+        for owner in reversed(owners):
+            state.undeploy(owner.query.name)
+        assert ledger.node_loads() == {HUB: (loads[0] + loads[1]) + loads[2]}
+        assert_books_match(ledger, reference)
+
+
+class TestReads:
+    def test_statistics_publication_reprices_every_booked_operator(self, books, abc_rates):
+        state, footprint, ledger, reference = books
+        state.apply(left_deep("q"))
+        before = ledger.node_loads()
+        streams = abc_rates.streams
+        streams["A"] = StreamSpec("A", 0, 500.0)
+        with profiled() as prof:
+            abc_rates.update_streams(streams)
+            after = ledger.node_loads()
+        assert prof.ops["ledger_ops_priced"] == 2
+        assert after != before
+        assert_books_match(ledger, reference)
+
+    def test_node_loads_hands_out_a_private_dict(self, books):
+        state, _, ledger, reference = books
+        state.apply(left_deep("q"))
+        ledger.node_loads().clear()
+        assert_books_match(ledger, reference)
+
+    def test_detach_forgets_a_state(self, books):
+        state, _, ledger, _ = books
+        state.apply(left_deep("q"))
+        assert ledger.node_loads()
+        ledger.detach(state)
+        assert ledger.node_loads() == {} and ledger.operator_keys() == frozenset()
+
+
+# ----------------------------------------------------------------------
+# Differential state machines
+# ----------------------------------------------------------------------
+_CAPS = dict(cpu=600.0, memory=400.0, bandwidth=800.0)
+_POOL = 10
+#: Publish on the first breaching tick and migrate on any gain.
+_ADAPT = AdaptivityConfig(
+    alpha=1.0,
+    hysteresis_ticks=1,
+    publish_cooldown=0.0,
+    query_cooldown=0.0,
+    min_relative_gain=0.0,
+    horizon=1e9,
+    simulate_cutover=False,
+)
+
+
+def build_world():
+    net = repro.transit_stub_by_size(32, seed=47)
+    hierarchy = repro.build_hierarchy(net, max_cs=4, seed=0)
+    workload = repro.generate_workload(
+        net,
+        repro.WorkloadParams(
+            num_streams=6, num_queries=_POOL, joins_per_query=(1, 3)
+        ),
+        seed=48,
+    )
+    # Three sinks in all, so that operators also land on nodes that are
+    # neither a source nor a sink and may fail without losing a query.
+    sinks = sorted({query.sink for query in workload})[:3]
+    pool = [
+        renamed(query, query.name, sink=sinks[index % 3])
+        for index, query in enumerate(workload)
+    ]
+    return net, hierarchy, workload.rate_model(), pool
+
+
+def bounded(net, pool) -> ResourceConfig:
+    # Three weight classes, so heavier arrivals shed lighter queries and
+    # the victims park and re-admit.
+    weights = {
+        f"{query.name}#{serial}": 1.0 + index % 3
+        for index, query in enumerate(pool)
+        for serial in range(64)
+    }
+    return ResourceConfig(
+        capacities=uniform_capacities(net, **_CAPS), query_weights=weights
+    )
+
+
+def orphaned(state) -> int:
+    """Live operators no deployment's plan holds a join for anymore."""
+    held = {
+        (d.query.view_signature(join.sources), d.placement[join])
+        for d in state.deployments
+        for join in d.plan.joins()
+    }
+    return sum(
+        rec.origin is not None and (rec.signature, rec.node) not in held
+        for rec in state.operator_records()
+    )
+
+
+class LedgerMachine(RuleBasedStateMachine):
+    """Rules shared by the service and the fleet machine."""
+
+    #: What the explored examples exercised, summed over a whole run.
+    seen: Counter
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.net, self.hierarchy, self.rates, self.pool = build_world()
+        self.serial = itertools.count()
+        self.build()
+        self.reference = ReferenceLedger.shadowing(self.ledger)
+        # Every example starts from a busy plane, so the first drawn
+        # rules already have something to shed, fail or migrate.
+        for index in range(_POOL):
+            self.submit(index, None if index % 2 else 6.0)
+            self.books_match_the_reference()
+
+    def build(self) -> None:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    @rule(index=st.integers(0, _POOL - 1), lifetime=st.sampled_from([None, 2.0, 6.0]))
+    def submit(self, index, lifetime):
+        # A fresh name every time: same-shape resubmissions hit the plan
+        # cache and reuse deployed views, which is where orphans come from.
+        query = renamed(self.pool[index], f"{self.pool[index].name}#{next(self.serial) % 64}")
+        if not self.plane.is_live(query.name):
+            self.plane.submit(query, lifetime=lifetime)
+
+    @rule(data=st.data())
+    def retire(self, data):
+        live = sorted(self.plane.live_queries)
+        if live:
+            self.plane.retire(data.draw(st.sampled_from(live)))
+
+    @rule()
+    def tick(self):
+        self.plane.tick()
+
+    @rule(stream=st.integers(0, 5), factor=st.sampled_from([0.5, 2.0]))
+    def publish_drift(self, stream, factor):
+        samples = {name: spec.rate for name, spec in self.rates.streams.items()}
+        samples[sorted(samples)[stream]] *= factor
+        for service in self.services:
+            service.observe_rates(samples)
+        self.plane.tick()
+
+    @invariant()
+    def books_match_the_reference(self):
+        assert_books_match(self.ledger, self.reference)
+        self.seen["orphans"] += sum(orphaned(s.engine.state) for s in self.services)
+
+    def teardown(self):
+        managers = [service.resources for service in self.services]
+        self.seen["shed"] += sum(m.shed_total for m in managers)
+        self.seen["readmitted"] += sum(m.readmitted_total for m in managers)
+        self.seen["publications"] += self.rates.version
+        self.seen["migrations"] += sum(
+            s.adaptivity.summary()["migrations_committed"] for s in self.services
+        )
+
+
+class ServiceLedgerMachine(LedgerMachine):
+    """One service: tight capacities (shed, park, re-admit), adaptivity
+    (publication, migration) and node failover."""
+
+    def build(self) -> None:
+        ads = repro.AdvertisementIndex(self.hierarchy)
+        optimizer = repro.TopDownOptimizer(self.hierarchy, self.rates, ads=ads)
+        self.plane = StreamQueryService(
+            optimizer,
+            self.net,
+            self.rates,
+            hierarchy=self.hierarchy,
+            ads=ads,
+            adaptivity=_ADAPT,
+            resources=bounded(self.net, self.pool),
+        )
+        self.services = [self.plane]
+        self.ledger = self.plane.resources.ledger
+        self.failures = 0
+
+    @rule(data=st.data())
+    def fail_node(self, data):
+        # Sources and sinks stay up, so every pool query stays plannable.
+        pinned = {spec.source for spec in self.rates.streams.values()}
+        pinned |= {query.sink for query in self.pool}
+        hosts = sorted(set(self.ledger.node_loads()) - pinned)
+        if hosts and self.failures < 2:
+            self.failures += 1
+            self.seen["failovers"] += 1
+            self.plane.handle_node_failure(data.draw(st.sampled_from(hosts)))
+
+
+class FleetLedgerMachine(LedgerMachine):
+    """Two hash-routed shards on one ledger; the federation plants one
+    shard's views in the other as external records."""
+
+    def build(self) -> None:
+        self.plane = FleetController(
+            2,
+            self.net,
+            self.rates,
+            self.hierarchy,
+            policy="hash",
+            federation=True,
+            service_kwargs={"adaptivity": _ADAPT},
+            resources=bounded(self.net, self.pool),
+        )
+        self.services = self.plane.shards
+        self.ledger = self.plane.resource_ledger
+
+    @rule(data=st.data())
+    def rebalance(self, data):
+        live = sorted(self.plane.live_queries)
+        if live:
+            name = data.draw(st.sampled_from(live))
+            self.plane.rebalance(name, 1 - self.plane.shard_of(name))
+
+    def teardown(self):
+        super().teardown()
+        self.seen["imports"] += self.plane.federation.imported_total
+        self.seen["promotions"] += self.plane.federation.promoted_total
+
+
+#: Derandomized: the same examples every run, so the mechanisms the
+#: tests below insist on having been exercised are exercised every run.
+_MACHINE = settings(
+    max_examples=10, stateful_step_count=25, deadline=None, derandomize=True
+)
+
+
+def test_service_books_match_the_reference_after_every_command():
+    ServiceLedgerMachine.seen = seen = Counter()
+    run_state_machine_as_test(ServiceLedgerMachine, settings=_MACHINE)
+    for mechanism in (
+        "shed", "readmitted", "publications", "migrations", "failovers", "orphans",
+    ):
+        assert seen[mechanism], f"no example exercised {mechanism}: {dict(seen)}"
+
+
+def test_fleet_books_match_the_reference_after_every_command():
+    FleetLedgerMachine.seen = seen = Counter()
+    run_state_machine_as_test(FleetLedgerMachine, settings=_MACHINE)
+    for mechanism in (
+        "shed", "readmitted", "publications", "imports", "promotions", "orphans",
+    ):
+        assert seen[mechanism], f"no example exercised {mechanism}: {dict(seen)}"
+
+
+# ----------------------------------------------------------------------
+# Work counts
+# ----------------------------------------------------------------------
+class TestWorkCounts:
+    def test_idle_ticks_price_nothing_and_a_submit_prices_its_own_joins(self):
+        net = repro.transit_stub_by_size(64, seed=3)
+        hierarchy = repro.build_hierarchy(net, max_cs=6, seed=0)
+        workload = repro.generate_workload(
+            net,
+            repro.WorkloadParams(
+                num_streams=10, num_queries=201, joins_per_query=(1, 3)
+            ),
+            seed=4,
+        )
+        rates = workload.rate_model()
+        ads = repro.AdvertisementIndex(hierarchy)
+        service = StreamQueryService(
+            repro.TopDownOptimizer(hierarchy, rates, ads=ads),
+            net,
+            rates,
+            hierarchy=hierarchy,
+            ads=ads,
+            admission=repro.AdmissionController(budget=256),
+            resources=ResourceConfig(
+                capacities=uniform_capacities(net, cpu=1e9, memory=1e9, bandwidth=1e9)
+            ),
+        )
+        *fill, last = workload
+        with profiled() as prof:
+            for query in fill:
+                service.submit(query)
+        state = service.engine.state
+        assert len(state.deployments) == 200
+        installed = sum(len(d.plan.joins()) for d in state.deployments)
+        assert 0 < prof.ops["ledger_ops_priced"] <= installed
+
+        with profiled() as prof:
+            for _ in range(50):
+                service.tick()
+        assert prof.ops.get("ledger_ops_priced", 0) == 0
+
+        with profiled() as prof:
+            service.submit(last)
+        own = len(state.deployment(last.name).plan.joins())
+        assert prof.ops.get("ledger_ops_priced", 0) <= own
+        assert_books_match(
+            service.resources.ledger,
+            ReferenceLedger.shadowing(service.resources.ledger),
+        )
+
+
+# ----------------------------------------------------------------------
+# Resources x durability
+# ----------------------------------------------------------------------
+class TestRecoveredLedger:
+    def test_recovered_books_equal_the_live_ones(self, tmp_path):
+        state_dir = tmp_path / "state"
+
+        def factory():
+            net, hierarchy, rates, _ = build_world()
+            ads = repro.AdvertisementIndex(hierarchy)
+            return StreamQueryService(
+                repro.TopDownOptimizer(hierarchy, rates, ads=ads),
+                net,
+                rates,
+                hierarchy=hierarchy,
+                ads=ads,
+                durability=DurabilityConfig(
+                    state_dir=str(state_dir), snapshot_interval=4
+                ),
+                # Roomy: parked queries are not part of a snapshot.
+                resources=ResourceConfig(
+                    capacities=uniform_capacities(net, cpu=1e6, memory=1e6, bandwidth=1e6)
+                ),
+            )
+
+        live = factory()
+        pool = build_world()[3]
+        for query in pool:
+            live.submit(query)
+        state = live.engine.state
+        # Retire a query whose operator another query's plan reuses, and
+        # let a snapshot capture the operator outliving it.
+        installer = next(
+            d.query.name
+            for d in state.deployments
+            for join in d.plan.joins()
+            if state.queries_using(
+                d.query.view_signature(join.sources), d.placement[join]
+            )
+            - {d.query.name}
+        )
+        live.retire(installer)
+        assert orphaned(state)
+        for _ in range(5):
+            live.tick()
+        live.submit(renamed(pool[0], "late"))  # lands in the replayed suffix
+        live.tick()
+        ledger = live.resources.ledger
+        live.durability.journal.close()
+
+        recovered, report = recover(state_dir, factory)
+        try:
+            assert report.snapshot_lsn > 0 and report.replayed_records > 0
+            got = recovered.resources.ledger
+            assert got.node_loads() == ledger.node_loads()
+            assert got.operator_keys() == ledger.operator_keys()
+            assert_books_match(got, ReferenceLedger.shadowing(got))
+        finally:
+            recovered.durability.journal.close()
