@@ -9,6 +9,9 @@ The algorithms here implement the paper's Section 2:
 * :mod:`repro.core.placement` -- optimal placement of a fixed tree on a
   candidate node set (tree-structured dynamic program; cost-equivalent
   to the paper's exhaustive per-cluster assignment search).
+* :mod:`repro.core.search` -- the per-task search over trees and
+  placements both hierarchical algorithms run (pruned enumeration,
+  placement rows shared between trees).
 * :mod:`repro.core.exhaustive` -- the optimal joint plan+placement
   search (subset DP, cross-validated by literal brute force).
 * :mod:`repro.core.top_down` -- the Top-Down hierarchical algorithm.

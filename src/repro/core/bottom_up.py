@@ -31,14 +31,15 @@ while giving large-``max_cs`` configurations real placement choices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from repro.core.cost import RateModel
-from repro.core.enumeration import all_join_trees, tree_is_connected
-from repro.core.placement import nominal_assignments, optimal_tree_placement
+from repro.core.placement import PlacementResult
 from repro.errors import InfeasiblePlacementError
 from repro.core.reuse import input_partitions, substitute_views
+from repro.core.search import TreeSearch
 from repro.hierarchy.advertisements import AdvertisementIndex
 from repro.hierarchy.hierarchy import Cluster, Hierarchy
 from repro.obs.explain import build_explanation
@@ -176,6 +177,8 @@ class BottomUpOptimizer:
             if self.resources is not None
             else None
         )
+        # Every source set of the query is priced once for the whole climb.
+        flow = self.rates.flow_pricer(query)
 
         start_cluster = self.hierarchy.cluster_of(query.sink, 1)
         # Bottom-Up registration: the sink informs only its own leaf
@@ -213,7 +216,7 @@ class BottomUpOptimizer:
                     # Everything is local: plan the final join and stop.
                     final = self._plan_component(
                         cluster, candidates, remaining, query.sink, query, costs,
-                        stats, built, tracer, constraint=constraint,
+                        stats, built, flow, tracer, constraint=constraint,
                     )
                     trace_entry["plans"] = stats["plans_examined"] - plans_before
                     climb.tag(outcome="final")
@@ -221,7 +224,7 @@ class BottomUpOptimizer:
                 if len(local) >= 2:
                     remaining = self._deploy_local_views(
                         cluster, candidates, local, remaining, query, costs,
-                        stats, built, tracer, constraint=constraint,
+                        stats, built, flow, tracer, constraint=constraint,
                     )
                     climb.tag(outcome="partial-deploy")
                 else:
@@ -246,6 +249,7 @@ class BottomUpOptimizer:
         costs: np.ndarray,
         stats: dict,
         built: dict,
+        flow: Callable[[PlanNode], float],
         tracer: Tracer = NULL_TRACER,
         constraint=None,
     ) -> list[_Input]:
@@ -260,7 +264,7 @@ class BottomUpOptimizer:
                 continue
             tree, placement = self._plan_component(
                 cluster, candidates, component, cluster.coordinator, query, costs,
-                stats, built, tracer, constraint=constraint,
+                stats, built, flow, tracer, constraint=constraint,
             )
             root_node = placement[tree]
             view = tree.sources
@@ -280,6 +284,7 @@ class BottomUpOptimizer:
         costs: np.ndarray,
         stats: dict,
         built: dict,
+        flow: Callable[[PlanNode], float],
         tracer: Tracer = NULL_TRACER,
         constraint=None,
     ) -> tuple[PlanNode, dict[PlanNode, int]]:
@@ -305,59 +310,37 @@ class BottomUpOptimizer:
                 span.incr("candidates_dropped", len(candidates) - self.hierarchy.max_cs)
                 candidates = sorted(candidates, key=relevance)[: self.hierarchy.max_cs]
             span.tag(candidates=len(candidates))
-            best: tuple[float, PlanNode, dict[PlanNode, int]] | None = None
+            search = TreeSearch(
+                query, candidates, costs, flow, target, self.connected_only,
+                stats, span, tracer, constraint=constraint,
+            )
             leaf_sets = self._candidate_leaf_sets(cluster, inputs, query)
             span.incr("leaf_set_alternatives", len(leaf_sets))
             if len(leaf_sets) > 1:
                 span.incr("reuse_groupings", len(leaf_sets) - 1)
             for leaf_inputs in leaf_sets:
-                positions = {inp.view: inp.positions for inp in leaf_inputs}
                 if len(leaf_inputs) == 1:
                     only = leaf_inputs[0]
                     leaf = Leaf(only.view)
-                    rate = self.rates.flow_rates(query, leaf)[leaf]
-                    cand_cost = min(
+                    rate = flow(leaf)
+                    cost, node = min(
                         (rate * float(costs[p, target]), p) for p in only.positions
                     )
                     # A lone leaf deploys no join operator, so a resource
                     # constraint has nothing to price or forbid here.
-                    if best is None or cand_cost[0] < best[0] - 1e-12:
-                        best = (cand_cost[0], cand_cost[0], leaf, {leaf: cand_cost[1]})
+                    search.offer(
+                        PlacementResult(placement={leaf: node}, cost=cost, tree=leaf)
+                    )
                     stats["trees_examined"] += 1
                     stats["plans_examined"] += 1
                     span.incr("trees_enumerated")
                     span.incr("plans_examined")
                     continue
-                trees = all_join_trees([inp.view for inp in leaf_inputs])
-                span.incr("trees_enumerated", len(trees))
-                if self.connected_only:
-                    connected = [t for t in trees if tree_is_connected(query, t)]
-                    if connected:
-                        span.incr("pruned_cross_trees", len(trees) - len(connected))
-                        trees = connected
-                for tree in trees:
-                    rates = self.rates.flow_rates(query, tree)
-                    leaf_positions = {leaf: positions[leaf.view] for leaf in tree.leaves()}
-                    try:
-                        result = optimal_tree_placement(
-                            tree, candidates, costs, leaf_positions, rates,
-                            sink=target, tracer=tracer, constraint=constraint,
-                        )
-                    except InfeasiblePlacementError:
-                        stats["plans_examined"] += nominal_assignments(tree, len(candidates))
-                        stats["trees_examined"] += 1
-                        span.incr("infeasible_trees")
-                        continue
-                    stats["plans_examined"] += nominal_assignments(tree, len(candidates))
-                    stats["trees_examined"] += 1
-                    span.incr("plans_examined", nominal_assignments(tree, len(candidates)))
-                    if constraint is not None and not constraint.validate(
-                        tree, result.placement
-                    ):
-                        span.incr("infeasible_trees")
-                        continue
-                    if best is None or result.objective < best[0] - 1e-12:
-                        best = (result.objective, result.cost, tree, result.placement)
+                search.add_leaf_set(
+                    [inp.view for inp in leaf_inputs],
+                    {inp.view: inp.positions for inp in leaf_inputs},
+                )
+            best = search.best
             if best is None:
                 if constraint is not None:
                     raise InfeasiblePlacementError(
@@ -367,7 +350,7 @@ class BottomUpOptimizer:
                     )
                 # pragma: no cover - identity partition always exists
                 raise RuntimeError("no feasible component plan")
-            _objective, cost, tree, placement = best
+            cost, tree, placement = best.cost, best.tree, best.placement
             span.tag(chosen=tree.pretty(), est_cost=cost)
             reused = sum(1 for l in tree.leaves() if not l.is_base_stream)
             if reused:

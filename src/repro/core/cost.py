@@ -14,7 +14,7 @@ which makes a query's final output rate independent of join order (only
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -99,6 +99,14 @@ class RateModel:
         """Source node of one base stream."""
         return self.stream(name).source
 
+    def endpoints(self, query: Query) -> set[int]:
+        """Nodes ``query`` is anchored at: its sink and its streams' sources.
+
+        A query can be planned only while all of them are in the
+        hierarchy.
+        """
+        return {query.sink, *(self.source(name) for name in query.sources)}
+
     def rate(self, signature: ViewSignature) -> float:
         """Output rate of the view identified by ``signature``.
 
@@ -150,20 +158,34 @@ class RateModel:
         """Output rate of every subtree of ``plan`` under ``query``."""
         return {sub: self.rate_for(query, sub.sources) for sub in plan.subtrees()}
 
-    def flow_rates(self, query: Query, plan: PlanNode) -> dict[PlanNode, float]:
-        """Shipping rate of every subtree's output under ``query``.
+    def flow_pricer(self, query: Query) -> Callable[[PlanNode], float]:
+        """Shipping rate of any sub-plan of ``query``: a function of the node.
 
         Like :meth:`plan_rates` but applies ``reuse_rate_inflation`` to
         reused-view leaves (their output may carry extra projected
-        columns).  This is what placement cost calculations should use.
+        columns) -- what placement cost calculations should use.  Each
+        distinct source set is priced once however many candidate trees
+        contain it, so a pricer must not outlive the statistics
+        :attr:`version` it was made under (the planners make one per
+        ``plan()`` call).
         """
-        rates = {}
-        for sub in plan.subtrees():
-            rate = self.rate_for(query, sub.sources)
-            if isinstance(sub, Leaf) and not sub.is_base_stream:
+        priced: dict[frozenset[str], float] = {}
+
+        def flow_rate(node: PlanNode) -> float:
+            sources = node.sources
+            rate = priced.get(sources)
+            if rate is None:
+                rate = priced[sources] = self.rate_for(query, sources)
+            if isinstance(node, Leaf) and not node.is_base_stream:
                 rate *= self.reuse_rate_inflation
-            rates[sub] = rate
-        return rates
+            return rate
+
+        return flow_rate
+
+    def flow_rates(self, query: Query, plan: PlanNode) -> dict[PlanNode, float]:
+        """:meth:`flow_pricer` applied to every subtree of ``plan``."""
+        flow_rate = self.flow_pricer(query)
+        return {sub: flow_rate(sub) for sub in plan.subtrees()}
 
     def intermediate_volume(self, query: Query, plan: PlanNode) -> float:
         """Sum of rates flowing along plan edges (a network-oblivious
@@ -189,13 +211,7 @@ def deployment_cost(
     reuse (which the empty state would reject).
     """
     query = deployment.query
-
-    def flow_rate(node_tree: PlanNode) -> float:
-        rate = rates.rate_for(query, node_tree.sources)
-        if isinstance(node_tree, Leaf) and not node_tree.is_base_stream:
-            rate *= rates.reuse_rate_inflation
-        return rate
-
+    flow_rate = rates.flow_pricer(query)
     total = 0.0
     for join in deployment.plan.joins():
         node = deployment.placement[join]

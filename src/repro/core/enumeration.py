@@ -10,7 +10,7 @@ be already-deployed derived views covering several base streams.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.perf import profiler as _perf
 from repro.query.plan import Join, Leaf, PlanNode
@@ -28,12 +28,26 @@ def count_bushy_trees(num_leaves: int) -> int:
     return double_factorial_odd(num_leaves)
 
 
-def all_join_trees(views: Sequence[frozenset[str] | Iterable[str]]) -> list[PlanNode]:
+#: Split test of the pruned enumeration: ``(left, right)`` leaf bitmasks
+#: (bit ``i`` = the ``i``-th view) -> whether the join may be built.
+SplitTest = Callable[[int, int], bool]
+
+
+def all_join_trees(
+    views: Sequence[frozenset[str] | Iterable[str]],
+    split_ok: SplitTest | None = None,
+) -> list[PlanNode]:
     """All unordered bushy trees whose leaves are the given views.
 
     Views must be pairwise disjoint stream sets.  The result has exactly
     ``count_bushy_trees(len(views))`` trees (duplicates are impossible
     because :class:`Join` children are canonically ordered).
+
+    With ``split_ok`` only joins whose split passes the test are ever
+    built, at any depth: the result is the unrestricted enumeration
+    filtered to the trees all of whose joins pass, in the same relative
+    order, and may be empty.  Trees share their common subtrees as
+    *objects* either way.
     """
     leaves = [Leaf(frozenset(v)) for v in views]
     if not leaves:
@@ -43,7 +57,8 @@ def all_join_trees(views: Sequence[frozenset[str] | Iterable[str]]) -> list[Plan
         if union & leaf.view:
             raise ValueError("views must be pairwise disjoint")
         union |= leaf.view
-    trees = _trees_over(tuple(range(len(leaves))), leaves, {})
+    memo: dict[int, list[PlanNode]] = {1 << i: [leaf] for i, leaf in enumerate(leaves)}
+    trees = _trees_over((1 << len(leaves)) - 1, memo, split_ok)
     prof = _perf.active()
     if prof is not None:
         prof.count("trees_enumerated", len(trees))
@@ -51,30 +66,54 @@ def all_join_trees(views: Sequence[frozenset[str] | Iterable[str]]) -> list[Plan
 
 
 def _trees_over(
-    indices: tuple[int, ...],
-    leaves: list[Leaf],
-    memo: dict[tuple[int, ...], list[PlanNode]],
+    subset: int,
+    memo: dict[int, list[PlanNode]],
+    split_ok: SplitTest | None,
 ) -> list[PlanNode]:
-    if indices in memo:
-        return memo[indices]
-    if len(indices) == 1:
-        result: list[PlanNode] = [leaves[indices[0]]]
-        memo[indices] = result
+    result = memo.get(subset)
+    if result is not None:
         return result
-    anchor = indices[0]
-    rest = indices[1:]
+    anchor = subset & -subset
+    rest = subset ^ anchor
     result = []
-    # Every split is generated once by requiring the anchor on the left.
-    for mask in range(1 << len(rest)):
-        left = (anchor,) + tuple(rest[i] for i in range(len(rest)) if mask >> i & 1)
-        right = tuple(rest[i] for i in range(len(rest)) if not mask >> i & 1)
-        if not right:
+    # Every split is generated once by requiring the anchor (the lowest
+    # leaf) on the left; ``(part - rest) & rest`` steps through the
+    # sub-masks of ``rest`` in increasing order.
+    part = 0
+    while part != rest:
+        left, right = anchor | part, rest ^ part
+        part = (part - rest) & rest
+        if split_ok is not None and not split_ok(left, right):
             continue
-        for l_tree in _trees_over(left, leaves, memo):
-            for r_tree in _trees_over(right, leaves, memo):
+        for l_tree in _trees_over(left, memo, split_ok):
+            for r_tree in _trees_over(right, memo, split_ok):
                 result.append(Join(l_tree, r_tree))
-    memo[indices] = result
+    memo[subset] = result
     return result
+
+
+def crossing_splits(
+    query: Query, views: Sequence[frozenset[str] | Iterable[str]]
+) -> SplitTest:
+    """The split test that rejects cross products under ``query``.
+
+    A split passes when at least one of the query's predicates has an
+    endpoint in a view on each side -- :func:`tree_is_connected`'s rule,
+    decided per split from one adjacency bitmask per view.
+    """
+    index = {stream: i for i, view in enumerate(views) for stream in view}
+    adjacent = [0] * len(views)
+    for pred in query.predicates:
+        a, b = index.get(pred.left), index.get(pred.right)
+        if a is not None and b is not None and a != b:
+            adjacent[a] |= 1 << b
+            adjacent[b] |= 1 << a
+    # reach[mask]: every view adjacent to some view of ``mask``.
+    reach = [0] * (1 << len(views))
+    for mask in range(1, len(reach)):
+        low = mask & -mask
+        reach[mask] = reach[mask ^ low] | adjacent[low.bit_length() - 1]
+    return lambda left, right: bool(reach[left] & right)
 
 
 def tree_is_connected(query: Query, tree: PlanNode) -> bool:
@@ -108,9 +147,9 @@ def connected_join_trees(
     """
     if views is None:
         views = [frozenset((s,)) for s in query.sources]
-    trees = all_join_trees(views)
-    connected = [t for t in trees if tree_is_connected(query, t)]
-    return connected if connected else trees
+    else:
+        views = [frozenset(v) for v in views]
+    return all_join_trees(views, crossing_splits(query, views)) or all_join_trees(views)
 
 
 def reuse_partitions(
@@ -161,12 +200,13 @@ def trees_with_reuse(
     default), cross-product trees are dropped unless that would leave no
     candidates.
     """
-    sources = frozenset(query.sources)
-    trees: list[PlanNode] = []
-    for partition in reuse_partitions(sources, reusable):
-        trees.extend(all_join_trees(partition))
+    partitions = reuse_partitions(frozenset(query.sources), reusable)
     if connected_only:
-        connected = [t for t in trees if tree_is_connected(query, t)]
-        if connected:
-            return connected
-    return trees
+        trees = [
+            tree
+            for partition in partitions
+            for tree in all_join_trees(partition, crossing_splits(query, partition))
+        ]
+        if trees:
+            return trees
+    return [tree for partition in partitions for tree in all_join_trees(partition)]

@@ -13,7 +13,7 @@ paper counts in its scalability experiment) is reported separately by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -56,6 +56,173 @@ def nominal_assignments(tree: PlanNode, num_candidates: int) -> int:
     return max(1, num_candidates) ** tree.num_joins
 
 
+class PlacementTable:
+    """Placement DP rows shared by every tree priced on one task.
+
+    One table is fixed to a candidate set, a cost matrix, the leaves'
+    allowed positions, a sink and (optionally) a resource constraint.  A
+    row -- the cost of producing a subtree's output at each of its
+    positions -- and the "ship the output to every candidate" vector
+    derived from it are computed once per distinct subtree *object*, so
+    trees that share subtrees (as the trees of one
+    :func:`~repro.core.enumeration.all_join_trees` call do) pay only for
+    the joins no earlier tree had.  Every row is built by the same
+    operations in the same order whichever tree asks first, so an
+    objective does not depend on what was priced before it.
+
+    Args:
+        candidates, costs, leaf_positions, sink, tracer, constraint: As
+            for :func:`optimal_tree_placement`.
+        rate_of: Output rate of a subtree (``rates.__getitem__`` of a
+            :meth:`RateModel.flow_rates` mapping, or a
+            :meth:`RateModel.flow_pricer`).
+    """
+
+    def __init__(
+        self,
+        candidates: Sequence[int],
+        costs: np.ndarray,
+        leaf_positions: Mapping[Leaf, Sequence[int]],
+        rate_of: Callable[[PlanNode], float],
+        sink: int | None,
+        tracer=None,
+        constraint=None,
+    ) -> None:
+        cand = np.asarray(list(candidates), dtype=np.intp)
+        if cand.size == 0:
+            raise ValueError("need at least one candidate node")
+        self._cand = cand
+        self._costs = costs
+        self._leaf_positions = leaf_positions
+        self._rate_of = rate_of
+        self._sink = sink
+        self._tracer = tracer
+        self._constraint = constraint
+        self._columns = np.arange(cand.size)
+        # Cost of shipping between candidates: every join's output sits
+        # on a candidate, so one slice serves every join-to-join edge.
+        self._between = costs[cand[:, None], cand]
+        # Keyed by id(); each entry holds its node, which keeps the id unique.
+        # id(sub) -> (sub, positions, costs[positions x candidates], dp row)
+        self._rows: dict[int, tuple] = {}
+        # id(sub) -> (sub, cost of the output arriving at each candidate,
+        #             the position index it is best shipped from)
+        self._ships: dict[int, tuple] = {}
+        # id(tree) -> (tree, best root position index, objective there)
+        self._priced: dict[int, tuple] = {}
+
+    def _row(self, sub: PlanNode) -> tuple:
+        row = self._rows.get(id(sub))
+        if row is not None:
+            return row
+        if isinstance(sub, Leaf):
+            try:
+                pos = np.asarray(list(self._leaf_positions[sub]), dtype=np.intp)
+            except KeyError:
+                raise KeyError(f"no positions given for leaf {sub.label}") from None
+            if pos.size == 0:
+                raise ValueError(f"leaf {sub.label} has an empty position set")
+            row = (sub, pos, self._costs[pos[:, None], self._cand], np.zeros(pos.size))
+        else:
+            assert isinstance(sub, Join)
+            total = np.zeros(self._cand.size)
+            total += self._ship(sub.left)[1]
+            total += self._ship(sub.right)[1]
+            constraint = self._constraint
+            if constraint is not None:
+                penalty = constraint.join_penalty(sub, self._cand)
+                if penalty is not None:
+                    total = total + penalty
+                mask = constraint.join_mask(sub, self._cand)
+                if not mask.all():
+                    total = np.where(mask, total, np.inf)
+            prof = _perf.active()
+            if prof is not None:
+                prof.count("cost_evaluations", self._cand.size)
+            row = (sub, self._cand, self._between, total)
+        self._rows[id(sub)] = row
+        return row
+
+    def _ship(self, child: PlanNode) -> tuple:
+        ship = self._ships.get(id(child))
+        if ship is None:
+            _, _, block, dp = self._row(child)
+            # arrival[p, v]: produce at position p then ship to candidate v.
+            arrival = dp[:, None] + self._rate_of(child) * block
+            best = arrival.argmin(axis=0)
+            ship = self._ships[id(child)] = (child, arrival[best, self._columns], best)
+        return ship
+
+    def objective(self, tree: PlanNode) -> float:
+        """Cost of ``tree``'s optimal assignment (what the DP minimizes).
+
+        ``inf`` when a constraint forbids every assignment.  Pricing a
+        tree for the first time counts one placement on the tracer's
+        current span and the profiler.
+        """
+        return self._price(tree)[2]
+
+    def _price(self, tree: PlanNode) -> tuple:
+        priced = self._priced.get(id(tree))
+        if priced is not None:
+            return priced
+        states = tree.num_joins * self._cand.size
+        if self._tracer is not None:
+            self._tracer.incr("placements")
+            self._tracer.incr("placement_dp_states", states)
+        prof = _perf.active()
+        if prof is not None:
+            prof.count("placements")
+        _, pos, _, dp = self._row(tree)
+        if self._sink is not None:
+            final = dp + self._rate_of(tree) * self._costs[pos, self._sink]
+        else:
+            final = dp
+        best_idx = int(final.argmin())
+        priced = self._priced[id(tree)] = (tree, best_idx, float(final[best_idx]))
+        return priced
+
+    def place(self, tree: PlanNode) -> PlacementResult:
+        """The optimal assignment of ``tree`` itself.
+
+        Raises:
+            InfeasiblePlacementError: A constraint was given and no
+                assignment keeps every operator's node under its bound.
+        """
+        _, best_idx, best_cost = self._price(tree)
+        constraint = self._constraint
+        if constraint is not None and not np.isfinite(best_cost):
+            raise InfeasiblePlacementError(
+                f"no placement of {tree.pretty()} keeps every node under its "
+                f"utilization bound"
+            )
+        placement: dict[PlanNode, int] = {}
+
+        def reconstruct(sub: PlanNode, pos_idx: int) -> None:
+            placement[sub] = int(self._rows[id(sub)][1][pos_idx])
+            if isinstance(sub, Join):
+                for child in (sub.left, sub.right):
+                    reconstruct(child, int(self._ships[id(child)][2][pos_idx]))
+
+        reconstruct(tree, best_idx)
+        if constraint is None:
+            return PlacementResult(placement=placement, cost=best_cost, tree=tree)
+        # Under a constraint the DP total may carry a load penalty; re-derive
+        # the pure communication cost of the chosen assignment so downstream
+        # accounting (deployment pricing, explanations) is unaffected.
+        costs, rate_of = self._costs, self._rate_of
+        comm = 0.0
+        for join in tree.joins():
+            node = placement[join]
+            for child in (join.left, join.right):
+                comm += rate_of(child) * float(costs[placement[child], node])
+        if self._sink is not None:
+            comm += rate_of(tree) * float(costs[placement[tree], self._sink])
+        return PlacementResult(
+            placement=placement, cost=comm, tree=tree, objective=best_cost
+        )
+
+
 def optimal_tree_placement(
     tree: PlanNode,
     candidates: Sequence[int],
@@ -67,6 +234,9 @@ def optimal_tree_placement(
     constraint=None,
 ) -> PlacementResult:
     """Optimally assign ``tree``'s operators to ``candidates``.
+
+    A one-tree use of :class:`PlacementTable`; searches over many trees
+    of one leaf set share a table instead (:mod:`repro.core.search`).
 
     Args:
         tree: The join tree to place.
@@ -90,8 +260,7 @@ def optimal_tree_placement(
             Candidates that would push a node past its utilization
             bound cost ``inf`` (whole subtrees route around them) and a
             bi-criteria load penalty joins the objective; the reported
-            ``cost`` stays pure communication.  With ``None`` (the
-            default) this code path is untouched.
+            ``cost`` stays pure communication.
 
     Returns:
         The optimal :class:`PlacementResult`.
@@ -100,94 +269,11 @@ def optimal_tree_placement(
         InfeasiblePlacementError: ``constraint`` was given and no
             assignment keeps every operator's node under its bound.
     """
-    cand = np.asarray(list(candidates), dtype=np.intp)
-    if cand.size == 0:
-        raise ValueError("need at least one candidate node")
-    if tracer is not None:
-        tracer.incr("placements")
-        tracer.incr("placement_dp_states", tree.num_joins * cand.size)
-    prof = _perf.active()
-    if prof is not None:
-        prof.count("placements")
-        prof.count("cost_evaluations", tree.num_joins * cand.size)
-
-    # dp[node] over that node's *position set*: cost of producing the
-    # subtree's output at the position (excluding shipment to parent).
-    positions: dict[PlanNode, np.ndarray] = {}
-    dp: dict[PlanNode, np.ndarray] = {}
-    # For reconstruction: per join, per candidate index, the chosen
-    # position index of each child.
-    choice: dict[tuple[Join, int], np.ndarray] = {}
-
-    for sub in tree.subtrees():
-        if isinstance(sub, Leaf):
-            try:
-                pos = np.asarray(list(leaf_positions[sub]), dtype=np.intp)
-            except KeyError:
-                raise KeyError(f"no positions given for leaf {sub.label}") from None
-            if pos.size == 0:
-                raise ValueError(f"leaf {sub.label} has an empty position set")
-            positions[sub] = pos
-            dp[sub] = np.zeros(pos.size)
-            continue
-        assert isinstance(sub, Join)
-        total = np.zeros(cand.size)
-        for side, child in ((0, sub.left), (1, sub.right)):
-            child_pos = positions[child]
-            rate = rates[child]
-            # arrival[p, v]: produce at position p then ship to candidate v.
-            arrival = dp[child][:, None] + rate * costs[np.ix_(child_pos, cand)]
-            best = arrival.argmin(axis=0)
-            total += arrival[best, np.arange(cand.size)]
-            choice[(sub, side)] = best
-        if constraint is not None:
-            penalty = constraint.join_penalty(sub, cand)
-            if penalty is not None:
-                total = total + penalty
-            mask = constraint.join_mask(sub, cand)
-            if not mask.all():
-                total = np.where(mask, total, np.inf)
-        positions[sub] = cand
-        dp[sub] = total
-
-    root_pos = positions[tree]
-    root_dp = dp[tree]
-    if sink is not None:
-        final = root_dp + rates[tree] * costs[root_pos, sink]
-    else:
-        final = root_dp
-    best_idx = int(final.argmin())
-    best_cost = float(final[best_idx])
-    if constraint is not None and not np.isfinite(best_cost):
-        raise InfeasiblePlacementError(
-            f"no placement of {tree.pretty()} keeps every node under its "
-            f"utilization bound"
-        )
-
-    placement: dict[PlanNode, int] = {}
-
-    def reconstruct(sub: PlanNode, pos_idx: int) -> None:
-        placement[sub] = int(positions[sub][pos_idx])
-        if isinstance(sub, Join):
-            for side, child in ((0, sub.left), (1, sub.right)):
-                reconstruct(child, int(choice[(sub, side)][pos_idx]))
-
-    reconstruct(tree, best_idx)
-    if constraint is None:
-        return PlacementResult(placement=placement, cost=best_cost, tree=tree)
-    # Under a constraint the DP total may carry a load penalty; re-derive
-    # the pure communication cost of the chosen assignment so downstream
-    # accounting (deployment pricing, explanations) is unaffected.
-    comm = 0.0
-    for join in tree.joins():
-        node = placement[join]
-        for child in (join.left, join.right):
-            comm += rates[child] * float(costs[placement[child], node])
-    if sink is not None:
-        comm += rates[tree] * float(costs[placement[tree], sink])
-    return PlacementResult(
-        placement=placement, cost=comm, tree=tree, objective=best_cost
+    table = PlacementTable(
+        candidates, costs, leaf_positions, rates.__getitem__, sink,
+        tracer=tracer, constraint=constraint,
     )
+    return table.place(tree)
 
 
 def brute_force_tree_placement(

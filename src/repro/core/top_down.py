@@ -20,13 +20,14 @@ Theorem 3 bounds the gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
 from repro.core.cost import RateModel
-from repro.core.enumeration import all_join_trees, tree_is_connected
 from repro.errors import InfeasiblePlacementError
-from repro.core.placement import nominal_assignments, optimal_tree_placement
 from repro.core.reuse import resolve_reuse_leaves, substitute_views
+from repro.core.search import TreeSearch
 from repro.hierarchy.advertisements import AdvertisementIndex
 from repro.hierarchy.hierarchy import Cluster, Hierarchy
 from repro.obs.explain import build_explanation
@@ -199,7 +200,7 @@ class TopDownOptimizer:
         )
         task = self._plan_task(
             root, tuple(inputs), query.sink, query, costs, stats, tracer,
-            parent_task=-1, constraint=constraint,
+            self.rates.flow_pricer(query), parent_task=-1, constraint=constraint,
         )
 
         tree, placement = task.tree, dict(task.placement)
@@ -220,10 +221,15 @@ class TopDownOptimizer:
         costs: np.ndarray,
         stats: dict,
         tracer: Tracer,
+        flow: Callable[[PlanNode], float],
         parent_task: int = -1,
         constraint=None,
     ) -> _TaskPlan:
-        """Plan the join over ``inputs`` within ``cluster``, recursively."""
+        """Plan the join over ``inputs`` within ``cluster``, recursively.
+
+        ``flow`` is the ``plan()`` call's one
+        :meth:`~repro.core.cost.RateModel.flow_pricer`.
+        """
         stats["tasks"] += 1
         stats["levels_visited"].append(cluster.level)
         task_idx = len(stats["task_trace"])
@@ -243,58 +249,27 @@ class TopDownOptimizer:
             "task", level=cluster.level, coordinator=cluster.coordinator,
             inputs=len(inputs),
         ) as span:
-            best: tuple[float, PlanNode, dict[PlanNode, int], dict[PlanNode, _Input]] | None = None
+            search = TreeSearch(
+                query, members, costs, flow, target_pos, self.connected_only,
+                stats, span, tracer, constraint=constraint,
+            )
             leaf_sets = self._candidate_leaf_sets(cluster, inputs, query)
             span.incr("leaf_set_alternatives", len(leaf_sets))
             if len(leaf_sets) > 1:
                 span.incr("reuse_groupings", len(leaf_sets) - 1)
+            # A view names the same input in every leaf set it appears in.
+            by_view: dict[frozenset[str], _Input] = {}
             for leaf_inputs in leaf_sets:
-                positions = {}
-                by_view: dict[frozenset[str], _Input] = {}
-                feasible = True
-                for inp in leaf_inputs:
-                    pos = self._resolve_positions(cluster, inp, query)
-                    if not pos:
-                        feasible = False
-                        break
-                    positions[inp.view] = pos
-                    by_view[inp.view] = inp
-                if not feasible:
+                positions = {
+                    inp.view: self._resolve_positions(cluster, inp, query)
+                    for inp in leaf_inputs
+                }
+                if not all(positions.values()):
                     span.incr("infeasible_leaf_sets")
                     continue
-                trees = all_join_trees([inp.view for inp in leaf_inputs])
-                span.incr("trees_enumerated", len(trees))
-                if self.connected_only:
-                    connected = [t for t in trees if tree_is_connected(query, t)]
-                    if connected:
-                        span.incr("pruned_cross_trees", len(trees) - len(connected))
-                        trees = connected
-                for tree in trees:
-                    rates = self.rates.flow_rates(query, tree)
-                    leaf_positions = {leaf: positions[leaf.view] for leaf in tree.leaves()}
-                    try:
-                        result = optimal_tree_placement(
-                            tree, members, costs, leaf_positions, rates,
-                            sink=target_pos, tracer=tracer, constraint=constraint,
-                        )
-                    except InfeasiblePlacementError:
-                        stats["plans_examined"] += nominal_assignments(tree, len(members))
-                        stats["trees_examined"] += 1
-                        span.incr("infeasible_trees")
-                        continue
-                    stats["plans_examined"] += nominal_assignments(tree, len(members))
-                    stats["trees_examined"] += 1
-                    span.incr("plans_examined", nominal_assignments(tree, len(members)))
-                    if constraint is not None and not constraint.validate(
-                        tree, result.placement
-                    ):
-                        # Independently feasible operators can still jointly
-                        # overload a node; the per-plan check is the contract.
-                        span.incr("infeasible_trees")
-                        continue
-                    if best is None or result.objective < best[0] - 1e-12:
-                        leaf_meta = {leaf: by_view[leaf.view] for leaf in tree.leaves()}
-                        best = (result.objective, result.cost, tree, result.placement, leaf_meta)
+                by_view.update((inp.view, inp) for inp in leaf_inputs)
+                search.add_leaf_set([inp.view for inp in leaf_inputs], positions)
+            best = search.best
             if best is None:
                 if constraint is not None:
                     raise InfeasiblePlacementError(
@@ -303,7 +278,8 @@ class TopDownOptimizer:
                         f"utilization bound"
                     )
                 raise RuntimeError(f"no feasible plan for task over {[i.view for i in inputs]}")
-            _objective, est_cost, tree, placement, leaf_meta = best
+            est_cost, tree, placement = best.cost, best.tree, best.placement
+            leaf_meta = {leaf: by_view[leaf.view] for leaf in tree.leaves()}
             trace_entry["plans"] = stats["plans_examined"] - plans_before
             span.tag(chosen=tree.pretty(), est_cost=est_cost)
             reused = sum(1 for meta in leaf_meta.values() if meta.kind == "reuse")
@@ -317,7 +293,7 @@ class TopDownOptimizer:
                 return _TaskPlan(tree=tree, placement=dict(placement), est_cost=est_cost)
             return self._recurse_fragments(
                 cluster, tree, placement, leaf_meta, out_target, query, costs, stats,
-                est_cost, task_idx, tracer, constraint=constraint,
+                est_cost, task_idx, tracer, flow, constraint=constraint,
             )
 
     # ------------------------------------------------------------------
@@ -334,6 +310,7 @@ class TopDownOptimizer:
         est_cost: float,
         task_idx: int,
         tracer: Tracer,
+        flow: Callable[[PlanNode], float],
         constraint=None,
     ) -> _TaskPlan:
         """Split the chosen tree into per-member fragments and recurse."""
@@ -393,7 +370,7 @@ class TopDownOptimizer:
             child_cluster = cluster.children[member]
             fragment_plans[frag_id] = self._plan_task(
                 child_cluster, tuple(frag_inputs), frag_target, query, costs, stats,
-                tracer, parent_task=task_idx, constraint=constraint,
+                tracer, flow, parent_task=task_idx, constraint=constraint,
             )
 
         # Stitch: substitute fragment outputs into their consumers.

@@ -14,6 +14,10 @@ Two metric classes, two rules:
 * **Wall-clock medians** vary with the machine, so their findings are
   ``advisory`` only -- reported, never failing.
 
+An op counter that **every** baseline entry of a case has and the latest
+entry lacks is a blocking finding of its own: a refactor that drops a
+hook site must not read as "no regression".
+
 A trajectory with a single entry compares it against itself and is
 trivially clean, so a freshly initialized lab always starts green.
 """
@@ -45,6 +49,8 @@ class Finding:
         regressed: Whether the ratio exceeded the threshold.
         blocking: Whether a regression here should fail CI (op counts
             yes, wall clock no).
+        missing: The latest entry has no such counter although every
+            baseline entry does (``current`` and ``ratio`` are then 0).
     """
 
     case: str
@@ -55,6 +61,7 @@ class Finding:
     ratio: float
     regressed: bool
     blocking: bool
+    missing: bool = False
 
     def to_dict(self) -> dict[str, Any]:
         """Plain-dict (JSON-ready) form."""
@@ -67,6 +74,7 @@ class Finding:
             "ratio": self.ratio,
             "regressed": self.regressed,
             "blocking": self.blocking,
+            "missing": self.missing,
         }
 
 
@@ -111,9 +119,10 @@ class ComparisonReport:
             if f.regressed:
                 marker = "!" if f.blocking else "~"
             name = f"{f.case}.{f.metric}"
+            current = "absent" if f.missing else f"{f.current:g}"
             lines.append(
                 f"{marker} {name:<{width}}  "
-                f"baseline={f.baseline:<12g} current={f.current:<12g} "
+                f"baseline={f.baseline:<12g} current={current:<12} "
                 f"x{f.ratio:.3f}"
             )
         status = "OK" if self.ok else (
@@ -179,6 +188,19 @@ def compare_trajectory(
                 baseline=baseline, current=float(value), ratio=ratio,
                 regressed=ratio > 1.0 + op_threshold, blocking=True,
             ))
+        # -- counters that vanished (blocking) --------------------------
+        baselines = [
+            e["cases"][case].get("ops", {}) for e in prior if case in e.get("cases", {})
+        ]
+        if baselines:
+            vanished = set.intersection(*map(set, baselines)) - set(data.get("ops", {}))
+            for metric in sorted(vanished):
+                report.findings.append(Finding(
+                    case=case, metric=metric, kind="ops",
+                    baseline=_median([float(ops[metric]) for ops in baselines]),
+                    current=0.0, ratio=0.0,
+                    regressed=True, blocking=True, missing=True,
+                ))
         # -- wall clock (advisory) -------------------------------------
         wall = data.get("wall_seconds", {})
         if "median" in wall:

@@ -56,9 +56,9 @@ class PlanNode:
         return out
 
     @property
-    def num_joins(self) -> int:
+    def num_joins(self) -> int:  # pragma: no cover - abstract
         """Number of join operators in the subtree."""
-        return len(self.joins())
+        raise NotImplementedError
 
     def pretty(self) -> str:
         """Parenthesized rendering, e.g. ``((A*B) x C)``."""
@@ -99,6 +99,10 @@ class Leaf(PlanNode):
             raise ValueError("leaf must cover at least one stream")
         if not isinstance(self.view, frozenset):
             object.__setattr__(self, "view", frozenset(self.view))
+        object.__setattr__(self, "_hash", hash((self.view,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def of(cls, *streams: str) -> "Leaf":
@@ -108,6 +112,10 @@ class Leaf(PlanNode):
     @property
     def sources(self) -> frozenset[str]:
         return self.view
+
+    @property
+    def num_joins(self) -> int:
+        return 0
 
     @property
     def is_base_stream(self) -> bool:
@@ -148,6 +156,22 @@ class Join(PlanNode):
             l, r = self.right, self.left
             object.__setattr__(self, "left", l)
             object.__setattr__(self, "right", r)
+        # Plan nodes key dicts and sets throughout planning; the generated
+        # field-tuple hash would walk the whole subtree on every use.  The
+        # same value, computed once here from the children's kept hashes
+        # (measured cheaper than a lazy ``cached_property``, whose first
+        # access takes a lock).
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+        object.__setattr__(
+            self, "_num_joins", 1 + self.left.num_joins + self.right.num_joins
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @property
+    def num_joins(self) -> int:
+        return self._num_joins
 
     @cached_property
     def _sources(self) -> frozenset[str]:

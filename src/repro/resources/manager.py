@@ -380,10 +380,15 @@ class ResourceManager:
         self.repair(service)
         if not self.parked:
             return []
-        order = sorted(
-            self.parked.values(),
-            key=lambda p: (-p.weight, p.parked_at, p.query.name),
-        )
+        retry = self.parked.values()
+        if service.hierarchy is not None:
+            # A query whose sink or a source has left the hierarchy cannot
+            # be planned at all (the planners raise lookup errors, not
+            # PlanningError): it waits, without using up a re-admission
+            # slot, until the node rejoins.
+            alive = service.hierarchy.root.subtree_nodes()
+            retry = [p for p in retry if service.rates.endpoints(p.query) <= alive]
+        order = sorted(retry, key=lambda p: (-p.weight, p.parked_at, p.query.name))
         deployed: list[str] = []
         for entry in order[: self.config.max_readmits_per_tick]:
             try:

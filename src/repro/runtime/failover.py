@@ -127,10 +127,7 @@ def fail_node(
         query = by_name[name]
         engine.undeploy(name)
         alive = hierarchy.root.subtree_nodes()
-        sources_alive = all(
-            engine.rates.source(s) in alive for s in query.sources
-        )
-        if query.sink not in alive or not sources_alive:
+        if not engine.rates.endpoints(query) <= alive:
             report.failed_queries.append(name)
             continue
         try:

@@ -729,10 +729,7 @@ class StreamQueryService:
             alive = self.hierarchy.root.subtree_nodes()
             for name in failure.affected_queries:
                 query = by_name[name]
-                sources_alive = all(
-                    self.rates.source(s) in alive for s in query.sources
-                )
-                if query.sink not in alive or not sources_alive:
+                if not self.rates.endpoints(query) <= alive:
                     report.lost.append(name)
                     continue
                 decision = self.submit(query, lifetime=remaining[name])

@@ -56,6 +56,10 @@ class TestRateModel:
     def test_source_lookup(self, rates):
         assert rates.source("B") == 1
 
+    def test_endpoints_are_sink_and_source_nodes(self, rates):
+        q = Query("q", ["A", "C"], sink=7, predicates=[JoinPredicate("A", "C", 0.1)])
+        assert rates.endpoints(q) == {0, 2, 7}
+
     def test_rate_cached_by_signature(self, rates):
         q = Query("q", ["A", "B"], sink=0, predicates=[JoinPredicate("A", "B", 0.01)])
         r1 = rates.rate_for(q, {"A", "B"})
@@ -128,6 +132,19 @@ class TestFlowRates:
         q = Query("q", ["A"], sink=0)
         leaf = Leaf.of("A")
         assert rates.flow_rates(q, leaf)[leaf] == 100.0
+
+    def test_pricer_prices_a_source_set_once(self, streams, monkeypatch):
+        rates = RateModel(streams, reuse_rate_inflation=2.0)
+        q = Query("q", ["A", "B"], sink=0, predicates=[JoinPredicate("A", "B", 0.01)])
+        priced = []
+        rate_for = rates.rate_for
+        monkeypatch.setattr(
+            rates, "rate_for", lambda query, subset: priced.append(subset) or rate_for(query, subset)
+        )
+        flow = rates.flow_pricer(q)
+        join, reuse = Join(Leaf.of("A"), Leaf.of("B")), Leaf.of("A", "B")
+        assert flow(reuse) == 2.0 * flow(join) == 2.0 * flow(Join(Leaf.of("B"), Leaf.of("A")))
+        assert priced == [frozenset("AB")]
 
 
 class TestDeploymentCost:

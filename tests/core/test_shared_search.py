@@ -1,0 +1,347 @@
+"""The shared-subplan search against the literal per-tree loop.
+
+:mod:`repro.core.search` must choose what ``reference_search`` (the
+planners' loop before it, verbatim) chooses -- the same tree, the same
+placement, bit-equal cost and objective, the same nominal counters --
+while doing a fraction of the work.  The first half draws single tasks;
+the second runs both planners end to end with the reference swapped in.
+"""
+
+from functools import partial
+from itertools import count
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro
+from repro.core import bottom_up, enumeration, top_down
+from repro.core.cost import RateModel
+from repro.core.enumeration import all_join_trees, count_bushy_trees, crossing_splits
+from repro.core.search import TreeSearch
+from repro.obs.tracer import Tracer
+from repro.perf.profiler import profiled
+from repro.query.deployment import DeploymentState
+from repro.query.plan import Join
+from repro.query.query import JoinPredicate, Query
+from repro.query.stream import StreamSpec
+from repro.resources import Load, NodeCapacity, OperatorFootprint, PlacementConstraint
+
+from tests.core.reference_search import ReferenceTreeSearch
+
+NUM_NODES = 10
+
+#: Predicate graphs over the task's leaves; the last two have no
+#: connected tree, so the search must fall back to every cross product.
+SHAPES = ("chain", "star", "clique", "two-islands", "no-predicates")
+CONSTRAINTS = (None, "bound", "weighted")
+
+
+def _leaf_edges(shape: str, k: int) -> list[tuple[int, int]]:
+    if shape == "chain":
+        return [(i, i + 1) for i in range(k - 1)]
+    if shape == "star":
+        return [(0, i) for i in range(1, k)]
+    if shape == "clique":
+        return [(i, j) for i in range(k) for j in range(i + 1, k)]
+    if shape == "two-islands":
+        half = k // 2
+        return [(i, i + 1) for i in range(k - 1) if i + 1 != half]
+    return []
+
+
+@st.composite
+def tasks(draw, leaves=st.sampled_from((2, 3, 3, 4, 4, 5, 5, 6))):
+    """One planning task: a query, leaf sets with positions, candidates, a
+    sink and a constraint recipe.  ``integral`` draws small-integer rates
+    and costs so that distinct trees tie exactly and the first-wins
+    tie-break is exercised."""
+    k = draw(leaves)
+    sizes = draw(st.lists(st.sampled_from((1, 1, 2)), min_size=k, max_size=k))
+    shape = draw(st.sampled_from(SHAPES))
+    integral = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**20)))
+
+    def number(low, high):
+        return float(rng.integers(low, high)) if integral else float(rng.uniform(low, high))
+
+    names = iter(f"S{i:02d}" for i in count())
+    views = [tuple(next(names) for _ in range(size)) for size in sizes]
+    streams = {
+        name: StreamSpec(name, int(rng.integers(NUM_NODES)), number(1, 9))
+        for view in views for name in view
+    }
+
+    def selectivity():
+        return 0.5 if integral else float(rng.uniform(0.05, 0.9))
+
+    predicates = [
+        JoinPredicate(views[i][0], views[j][-1], selectivity())
+        for i, j in _leaf_edges(shape, k)
+    ] + [JoinPredicate(v[0], v[1], selectivity()) for v in views if len(v) == 2]
+    sink = draw(st.one_of(st.none(), st.integers(0, NUM_NODES - 1)))
+    query = Query(
+        "q", list(streams), sink=sink if sink is not None else 0,
+        predicates=predicates, allow_cross_products=True,
+    )
+
+    def positions(view):
+        if len(view) == 1:
+            return (streams[view[0]].source,)
+        n = int(rng.integers(1, 4))
+        return tuple(sorted(int(p) for p in rng.choice(NUM_NODES, n, replace=False)))
+
+    identity = {frozenset(v): positions(v) for v in views}
+    leaf_sets = [identity]
+    if k >= 3 and draw(st.booleans()):
+        # A reuse grouping: the first two inputs served by one advertised view.
+        merged = frozenset(views[0]) | frozenset(views[1])
+        grouped = {merged: positions(tuple(merged) + ("x",))}
+        grouped.update(list(identity.items())[2:])
+        leaf_sets.append(grouped)
+
+    half = rng.uniform(0, 4, (NUM_NODES, NUM_NODES))
+    if integral:
+        half = np.floor(half)
+    costs = half + half.T
+    np.fill_diagonal(costs, 0.0)
+    candidates = sorted(
+        int(c) for c in rng.choice(NUM_NODES, int(rng.integers(1, 6)), replace=False)
+    )
+    return SimpleNamespace(
+        query=query, rates=RateModel(streams), leaf_sets=leaf_sets, costs=costs,
+        candidates=candidates, sink=sink,
+        constraint=draw(st.sampled_from(CONSTRAINTS)),
+        connected_only=draw(st.sampled_from((True, True, False))),
+        capacity_draws=rng.uniform(0.3, 2.5, NUM_NODES),
+        background=rng.uniform(0.0, 3.0, NUM_NODES),
+    )
+
+
+def _constraint(task):
+    """A fresh constraint per run (it memoizes loads internally)."""
+    if task.constraint is None:
+        return None
+    total = sum(spec.rate for spec in task.rates.streams.values())
+    scale = {"bound": total, "weighted": 4 * total, "all-infeasible": 1e-9}[task.constraint]
+    return PlacementConstraint(
+        query=task.query,
+        footprint=OperatorFootprint(task.rates),
+        capacities={
+            node: NodeCapacity(cpu=scale * float(task.capacity_draws[node]))
+            for node in range(NUM_NODES)
+        },
+        base_loads={
+            node: Load(cpu=float(task.background[node])) for node in range(0, NUM_NODES, 2)
+        },
+        load_weight=2.5 if task.constraint == "weighted" else 0.0,
+    )
+
+
+def _run(make_search, task):
+    tracer = Tracer()
+    stats = {"plans_examined": 0, "trees_examined": 0}
+    with profiled() as prof, tracer.span("task") as span:
+        search = make_search(
+            task.query, task.candidates, task.costs,
+            task.rates.flow_pricer(task.query), task.sink, task.connected_only,
+            stats, span, tracer, constraint=_constraint(task),
+        )
+        for positions in task.leaf_sets:
+            search.add_leaf_set(list(positions), positions)
+    return search.best, stats, list(span.counters.items()), prof.ops
+
+
+def _assert_same_choice(task):
+    best, stats, counters, ops = _run(TreeSearch, task)
+    ref, ref_stats, ref_counters, ref_ops = _run(
+        partial(ReferenceTreeSearch, task.rates), task
+    )
+    assert stats == ref_stats
+    assert counters == ref_counters  # values and first-increment order
+    assert ops["placements"] == ref_ops["placements"]
+    if ref is None:
+        assert best is None
+        return best
+    assert best.tree == ref.tree
+    assert best.placement == ref.placement
+    assert best.cost == ref.cost  # bit-equal, not approx
+    assert best.objective == ref.objective
+    return best
+
+
+class TestTaskDifferential:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(tasks())
+    def test_same_tree_placement_cost_and_counters(self, task):
+        _assert_same_choice(task)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(tasks(leaves=st.just(1)))
+    def test_leaf_set_of_one_view(self, task):
+        best = _assert_same_choice(task)
+        assert best is not None and best.tree.is_leaf
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(tasks())
+    def test_all_infeasible_task_finds_nothing(self, task):
+        task.constraint = "all-infeasible"
+        assert _assert_same_choice(task) is None
+
+
+class TestWorkCounts:
+    """What the search *does*, as opposed to what it accounts for."""
+
+    @staticmethod
+    def _search(shape, k=5, num_candidates=4):
+        names = [f"S{i}" for i in range(k)]
+        streams = {n: StreamSpec(n, i, 10.0 + i) for i, n in enumerate(names)}
+        query = Query(
+            "q", names, sink=0,
+            predicates=[
+                JoinPredicate(names[i], names[j], 0.1) for i, j in _leaf_edges(shape, k)
+            ],
+        )
+        rates = RateModel(streams)
+        rng = np.random.default_rng(3)
+        costs = rng.uniform(1, 5, (NUM_NODES, NUM_NODES))
+        tracer = Tracer()
+        stats = {"plans_examined": 0, "trees_examined": 0}
+        with profiled() as prof, tracer.span("task") as span:
+            search = TreeSearch(
+                query, list(range(num_candidates)), costs, rates.flow_pricer(query),
+                0, True, stats, span, tracer,
+            )
+            search.add_leaf_set(
+                [frozenset((n,)) for n in names],
+                {frozenset((n,)): (streams[n].source,) for n in names},
+            )
+        return prof.ops, span.counters, stats, search.best
+
+    def test_clique_builds_one_row_per_distinct_subtree(self):
+        ops, counters, stats, _ = self._search("clique")
+        # 10 pairs x 1 + 10 triples x 3 + 5 quads x 15 + 105 full trees
+        assert ops["cost_evaluations"] == 220 * 4
+        assert ops["trees_enumerated"] == ops["placements"] == 105
+        # ... while the nominal accounting still reads 105 trees x 4 joins.
+        assert counters["placement_dp_states"] == 105 * 4 * 4
+        assert counters["trees_enumerated"] == stats["trees_examined"] == 105
+        assert stats["plans_examined"] == 105 * 4**4
+
+    def test_chain_builds_no_cross_product(self, monkeypatch):
+        built = []
+
+        def recording_join(left, right):
+            built.append(Join(left, right))
+            return built[-1]
+
+        monkeypatch.setattr(enumeration, "Join", recording_join)
+        ops, counters, stats, best = self._search("chain")
+        # The connected trees of a 5-chain: Catalan(4).
+        assert ops["trees_enumerated"] == ops["placements"] == 14
+        assert counters["trees_enumerated"] == 105
+        assert counters["pruned_cross_trees"] == 105 - 14
+        assert stats["trees_examined"] == 14
+        # Adjacent runs only: every join built joins two touching intervals.
+        assert built
+        for join in built:
+            ids = sorted(int(s[1:]) for s in join.sources)
+            assert ids == list(range(ids[0], ids[-1] + 1))
+
+
+class TestPrunedEnumeration:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(tasks())
+    def test_is_the_filtered_enumeration_in_order(self, task):
+        views = list(task.leaf_sets[0])
+        everything = all_join_trees(views)
+        assert len(everything) == count_bushy_trees(len(views))
+        pruned = all_join_trees(views, crossing_splits(task.query, views))
+        assert pruned == [
+            t for t in everything if enumeration.tree_is_connected(task.query, t)
+        ]
+
+
+# ----------------------------------------------------------------------
+# Both planners end to end
+# ----------------------------------------------------------------------
+def _ticking_clock():
+    ticks = count()
+    return lambda: float(next(ticks))
+
+
+def _world(seed, nodes=48, max_cs=5, queries=14):
+    net = repro.transit_stub_by_size(nodes, seed=seed)
+    hierarchy = repro.build_hierarchy(net, max_cs=max_cs, seed=0)
+    workload = repro.generate_workload(
+        net,
+        repro.WorkloadParams(num_streams=8, num_queries=queries, joins_per_query=(1, 5)),
+        seed=seed + 1,
+    )
+    return net, hierarchy, workload
+
+
+def _capped(net, rates):
+    """Stands in for a ResourceManager: a fixed bound plus a load penalty."""
+    footprint = OperatorFootprint(rates)
+    capacities = {
+        node: NodeCapacity(cpu=400.0 + 150.0 * (node % 5)) for node in net.nodes()
+    }
+    return SimpleNamespace(
+        constraint_for=lambda query: PlacementConstraint(
+            query=query, footprint=footprint, capacities=capacities,
+            base_loads={}, load_weight=0.5,
+        )
+    )
+
+
+def _plan_all(optimizer_cls, seed, constrained, swap_search=None):
+    net, hierarchy, workload = _world(seed)
+    rates = workload.rate_model()
+    if swap_search is not None:
+        swap_search(partial(ReferenceTreeSearch, rates))
+    optimizer = optimizer_cls(
+        hierarchy, rates, tracer=Tracer(clock=_ticking_clock()),
+        resources=_capped(net, rates) if constrained else None,
+    )
+    state = DeploymentState(net.cost_matrix(), rates.rate_for, rates.source)
+    out = []
+    for query in workload:
+        try:
+            deployment = optimizer.plan(query, state, explain=True)
+        except repro.errors.InfeasiblePlacementError as exc:
+            out.append(str(exc))
+            continue
+        state.apply(deployment)
+        out.append(deployment)
+    return out
+
+
+@pytest.mark.parametrize("constrained", (False, True), ids=("free", "capped"))
+@pytest.mark.parametrize("seed", (5, 23))
+@pytest.mark.parametrize(
+    "module, optimizer_cls",
+    [(top_down, repro.TopDownOptimizer), (bottom_up, repro.BottomUpOptimizer)],
+    ids=("top-down", "bottom-up"),
+)
+def test_planner_end_to_end(monkeypatch, module, optimizer_cls, seed, constrained):
+    shipped = _plan_all(optimizer_cls, seed, constrained)
+    literal = _plan_all(
+        optimizer_cls, seed, constrained,
+        swap_search=lambda search: monkeypatch.setattr(module, "TreeSearch", search),
+    )
+    assert len(shipped) == len(literal)
+    assert any(not isinstance(d, str) for d in shipped)
+    for ours, theirs in zip(shipped, literal):
+        if isinstance(theirs, str):
+            assert ours == theirs
+            continue
+        assert ours.plan == theirs.plan
+        assert ours.placement == theirs.placement
+        # stats carry the whole span tree (ticking clock: equal durations)
+        assert ours.stats == theirs.stats
+        assert ours.explanation.to_dict() == theirs.explanation.to_dict()
+        assert ours.explanation.render() == theirs.explanation.render()
+

@@ -79,10 +79,44 @@ class TestCompare:
         assert report.ok  # the ancient cheap entries aged out
 
     def test_new_metric_without_history_is_skipped(self):
-        doc = {"entries": [entry({"messages": 100}), entry({"brand_new": 7})]}
+        doc = {
+            "entries": [
+                entry({"messages": 100}),
+                entry({"messages": 100, "brand_new": 7}),
+            ]
+        }
         report = compare_trajectory(doc)
-        assert report.findings == []
+        assert [f.metric for f in report.findings] == ["messages"]
         assert report.ok
+
+    def test_vanished_counter_is_blocking(self):
+        # A refactor dropped the hook site: the counter is simply gone.
+        doc = {
+            "entries": [
+                entry({"messages": 100, "trees": 30}),
+                entry({"messages": 100, "trees": 34}),
+                entry({"messages": 100}),
+            ]
+        }
+        report = compare_trajectory(doc)
+        assert not report.ok
+        (finding,) = report.blocking_regressions
+        assert (finding.metric, finding.missing) == ("trees", True)
+        assert finding.baseline == 32.0
+        assert "! plan.trees" in report.render()
+        assert "current=absent" in report.render()
+        assert report.to_dict()["findings"][-1]["missing"] is True
+
+    def test_counter_absent_from_some_baseline_entry_is_not_vanished(self):
+        # Present only in part of the history: not yet an established hook.
+        doc = {
+            "entries": [
+                entry({"messages": 100}),
+                entry({"messages": 100, "trees": 30}),
+                entry({"messages": 100}),
+            ]
+        }
+        assert compare_trajectory(doc).ok
 
     def test_zero_baseline_does_not_divide(self):
         doc = {"entries": [entry({"messages": 0}), entry({"messages": 0})]}

@@ -53,6 +53,20 @@ class TestJoin:
         t1 = Join(Join(Leaf.of("A"), Leaf.of("B")), Leaf.of("C"))
         t2 = Join(Leaf.of("C"), Join(Leaf.of("B"), Leaf.of("A")))
         assert t1 == t2
+        assert t1 is not t2 and hash(t1) == hash(t2)
+        assert {t1: "same key"}[t2] == "same key"
+
+    def test_hash_is_computed_once_per_node(self, monkeypatch):
+        tree = Join(Join(Leaf.of("A"), Leaf.of("B")), Join(Leaf.of("C"), Leaf.of("D")))
+        below: list[object] = []
+        for cls in (Leaf, Join):
+            original = cls.__hash__
+            monkeypatch.setattr(
+                cls, "__hash__",
+                lambda self, original=original: below.append(self) or original(self),
+            )
+        assert {tree: 1}[tree] == 1
+        assert below == [tree, tree]  # the root's own hash, never its subtree's
 
     def test_different_shapes_not_equal(self):
         t1 = Join(Join(Leaf.of("A"), Leaf.of("B")), Leaf.of("C"))

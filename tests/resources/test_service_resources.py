@@ -83,6 +83,38 @@ class TestParkAndReadmit:
         assert service.retire(name) is False
         assert name not in service.resources.parked
 
+    @pytest.mark.parametrize("endpoint", ("sink", "source"))
+    def test_parked_query_waits_out_a_failed_endpoint(self, endpoint):
+        # Re-admission used to let the planner's lookup error (the sink or
+        # a source is no longer in the hierarchy) escape from tick().
+        net = repro.transit_stub_by_size(32, seed=47)
+        service, workload, _ = build_service(bounded_config(net))
+        queries = list(workload)
+        for i, query in enumerate(queries):
+            service.submit(query, lifetime=100.0, time=float(i))
+        manager = service.resources
+        assert manager.parked, "capacities must force at least one park"
+        query = next(iter(manager.parked.values())).query
+        node = (
+            query.sink if endpoint == "sink"
+            else service.rates.source(query.sources[0])
+        )
+        service.handle_node_failure(node)
+        # Capacity is back, but the query cannot be planned yet.
+        for other in queries:
+            if service.is_live(other.name):
+                service.retire(other.name)
+        report = service.tick(20.0)
+        assert query.name not in report.deployed
+        assert query.name in manager.parked
+
+        assert service.rejoin_node(node)
+        report = service.tick(21.0)
+        assert query.name in report.deployed
+        assert query.name not in manager.parked
+        assert service.is_live(query.name)
+        assert_feasible(service)
+
     def test_unconstrained_infeasible_error_propagates(self):
         # A plain service (no resource layer) must never see the
         # exception type swallowed.
