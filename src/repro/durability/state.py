@@ -25,7 +25,7 @@ exclude wall-clock planning latencies.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from typing import Any
 
 from repro.adaptive.stats import DriftEvent, EwmaEstimator, StreamDrift
@@ -449,17 +449,22 @@ def _capture_cache(cache) -> dict[str, Any]:
 def _restore_cache(cache, doc: dict[str, Any]) -> None:
     from repro.service.cache import CachedPlan
 
-    entries: OrderedDict = OrderedDict()
+    entries = []
     for e in doc["entries"]:
         plan = plan_from_doc(e["plan"])
         key = (e["fingerprint"], e["statistics_epoch"], e["topology_epoch"])
-        entries[key] = CachedPlan(
-            plan=plan,
-            placement=placement_from_doc(plan, e["placement"]),
-            planning_latency=e["planning_latency"],
-            stats=dict(e["stats"]),
+        entries.append(
+            (
+                key,
+                CachedPlan(
+                    plan=plan,
+                    placement=placement_from_doc(plan, e["placement"]),
+                    planning_latency=e["planning_latency"],
+                    stats=dict(e["stats"]),
+                ),
+            )
         )
-    cache._entries = entries
+    cache.restore(entries)
     cache.hits = doc["hits"]
     cache.misses = doc["misses"]
     cache.evictions = doc["evictions"]
@@ -888,7 +893,9 @@ def restore_fleet(fleet, doc: dict[str, Any]) -> None:
         fleet.federation.imported_total = fed["imported_total"]
         fleet.federation.withdrawn_total = fed["withdrawn_total"]
         fleet.federation.promoted_total = fed["promoted_total"]
-        fleet.federation._imports = [
-            {(sig_from_doc(e["sig"]), e["node"]) for e in imports}
-            for imports in fed["imports"]
-        ]
+        fleet.federation.restore_imports(
+            [
+                {(sig_from_doc(e["sig"]), e["node"]) for e in imports}
+                for imports in fed["imports"]
+            ]
+        )

@@ -48,6 +48,11 @@ class ReuseFederation:
     def __init__(self, shards: Sequence["StreamQueryService"]) -> None:
         self.shards = list(shards)
         self._imports: list[set[ViewKey]] = [set() for _ in self.shards]
+        # Per shard: the locally owned keys it offers the fleet, kept up
+        # to date from its state's operator-set feed, and where that
+        # feed was last read.
+        self._exports: list[set[ViewKey]] = [set() for _ in self.shards]
+        self._cursors: list[tuple[object, int] | None] = [None] * len(self.shards)
         self.epoch = 0
         self.syncs = 0
         self.imported_total = 0
@@ -92,18 +97,29 @@ class ReuseFederation:
         the federation itself planted there -- re-exporting an import
         would let a view outlive its owner through a cycle of shards.
         """
-        service = self.shards[shard]
-        state = service.engine.state
-        out: dict[ViewKey, float] = {}
-        for sig, nodes in state.advertised_views().items():
-            for node in nodes:
-                key = (sig, node)
-                if key in self._imports[shard]:
-                    continue
-                rate = state.view_rate(sig, node)
-                if rate is not None:
-                    out[key] = rate
-        return out
+        state = self.shards[shard].engine.state
+        return {key: state.view_rate(*key) for key in self._read_exports(shard)}
+
+    def restore_imports(self, imports: Sequence[set[ViewKey]]) -> None:
+        """Replace every shard's import set (crash recovery)."""
+        self._imports = [set(keys) for keys in imports]
+        self._cursors = [None] * len(self.shards)  # exports depend on imports
+
+    def _read_exports(self, shard: int) -> set[ViewKey]:
+        """A shard's export set, brought up to date with its state."""
+        state = self.shards[shard].engine.state
+        exports, imports = self._exports[shard], self._imports[shard]
+        changed = state.changes_since(self._cursors[shard])
+        if changed is None:  # first read of this state: every operator
+            exports.clear()
+            changed = state.operators()
+        self._cursors[shard] = state.feed_cursor()
+        for key in changed:
+            if key not in imports and state.has_view(*key):
+                exports.add(key)
+            else:
+                exports.discard(key)
+        return exports
 
     # ------------------------------------------------------------------
     # Synchronization
@@ -111,34 +127,36 @@ class ReuseFederation:
     def sync(self) -> dict[str, int]:
         """One reconciliation round; returns what changed.
 
-        Three phases: snapshot every shard's exports into the fleet
-        index, then per shard compute the desired import set (everything
-        some *other* shard exports that this shard does not already own
-        locally) and apply additions and removals.  Removals either
-        withdraw (no local consumers) or promote (local queries still
-        reuse the view).  The federation epoch advances whenever a
-        withdrawal invalidated state, mirroring the service's epoch
-        discipline.
+        Three phases: collect every shard's exports into the fleet
+        index (key -> the lowest shard offering it), then per shard
+        compute the desired import set (everything some *other* shard
+        exports that this shard does not already own locally) and apply
+        removals and additions.  Removals either withdraw (no local
+        consumers) or promote (local queries still reuse the view).  The
+        federation epoch advances whenever a withdrawal invalidated
+        state, mirroring the service's epoch discipline.
         """
-        fleet: dict[ViewKey, tuple[int, float]] = {}
+        fleet: dict[ViewKey, int] = {}
         for sid in range(len(self.shards)):
-            for key, rate in self.exports(sid).items():
-                fleet.setdefault(key, (sid, rate))
+            for key in self._read_exports(sid):
+                fleet.setdefault(key, sid)
+
+        def import_order(key: ViewKey) -> tuple:
+            owner = self.shards[fleet[key]].engine.state
+            return (key[0].label(), key[1], fleet[key], owner.operator_serial(*key))
 
         imported = withdrawn = promoted = 0
         for sid, service in enumerate(self.shards):
             state = service.engine.state
             current = self._imports[sid]
-            desired: dict[ViewKey, float] = {
-                key: rate
-                for key, (owner, rate) in fleet.items()
+            desired = {
+                key
+                for key, owner in fleet.items()
                 # skip views this shard owns locally (its own operators);
                 # existing imports are desired as long as an owner remains
                 if owner != sid and (key in current or not state.has_view(*key))
             }
-            for key in sorted(
-                current - set(desired), key=lambda k: (k[0].label(), k[1])
-            ):
+            for key in sorted(current - desired, key=lambda k: (k[0].label(), k[1])):
                 sig, node = key
                 removed = state.unregister_external_view(sig, node, FEDERATION_OWNER)
                 current.discard(key)
@@ -151,16 +169,17 @@ class ReuseFederation:
                 else:
                     # Local queries still consume the view: the record is
                     # promoted to local ownership and exported next sync.
+                    self._exports[sid].add(key)
                     promoted += 1
-            for key, rate in sorted(
-                desired.items(), key=lambda kv: (kv[0][0].label(), kv[0][1])
-            ):
-                if key in current:
-                    continue
+            for key in sorted(desired - current, key=import_order):
                 sig, node = key
-                origin = self.shards[fleet[key][0]].engine.state.view_origin(sig, node)
+                owner = self.shards[fleet[key]].engine.state
                 state.register_external_view(
-                    sig, node, rate, FEDERATION_OWNER, origin=origin
+                    sig,
+                    node,
+                    owner.view_rate(sig, node),
+                    FEDERATION_OWNER,
+                    origin=owner.view_origin(sig, node),
                 )
                 if service.ads is not None:
                     service.ads.advertise_view(sig, node)

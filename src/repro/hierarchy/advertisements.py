@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from repro.hierarchy.hierarchy import Cluster, Hierarchy
 from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.perf import profiler as _perf
 from repro.query.query import ViewSignature
 
 
@@ -35,6 +36,10 @@ class AdvertisementIndex:
         self._base_nodes: dict[str, int] = {}
         self._view_nodes: dict[ViewSignature, set[int]] = {}
         self.messages_sent = 0
+        # Where the last sync stopped reading its state's operator-set
+        # feed, and the keys advertised or withdrawn since.
+        self._cursor: tuple[object, int] | None = None
+        self._touched: set[tuple[ViewSignature, int]] = set()
 
     # ------------------------------------------------------------------
     # Publishing
@@ -60,6 +65,7 @@ class AdvertisementIndex:
         nodes = self._view_nodes.setdefault(signature, set())
         if node not in nodes:
             nodes.add(node)
+            self._touched.add((signature, node))
             self.messages_sent += self.hierarchy.height
             self.tracer.incr("ads_views_published")
             self.tracer.incr("ads_messages", self.hierarchy.height)
@@ -72,6 +78,7 @@ class AdvertisementIndex:
         nodes.discard(node)
         if not nodes:
             del self._view_nodes[signature]
+        self._touched.add((signature, node))
         self.messages_sent += self.hierarchy.height
         self.tracer.incr("ads_views_withdrawn")
         self.tracer.incr("ads_messages", self.hierarchy.height)
@@ -81,18 +88,46 @@ class AdvertisementIndex:
 
         Publishes every live view and withdraws ads whose operators no
         longer exist (undeployed queries), so planners never chase stale
-        advertisements.
+        advertisements.  Syncing again from the same state looks only at
+        the keys its operator-set feed reports changed, plus the keys
+        advertised or withdrawn here directly since; either way the
+        index ends up exactly as if every live view had been visited.
         """
         with self.tracer.span("ads_sync"):
-            live = state.advertised_views()
-            for signature, nodes in live.items():
-                for node in nodes:
-                    self.advertise_view(signature, node)
-            for signature, nodes in list(self._view_nodes.items()):
-                live_nodes = live.get(signature, set())
-                for node in list(nodes):
-                    if node not in live_nodes:
-                        self.withdraw_view(signature, node)
+            changed = state.changes_since(self._cursor)
+            if changed is None:  # first sync from this state: visit it all
+                live = state.advertised_views()
+                publish = [(sig, node) for sig, nodes in live.items() for node in nodes]
+                stale = [
+                    (sig, node)
+                    for sig, nodes in self._view_nodes.items()
+                    for node in nodes
+                    if node not in live.get(sig, ())
+                ]
+                examined = len(publish) + sum(map(len, self._view_nodes.values()))
+            else:
+                keys = self._touched.union(changed)
+                live = {key for key in keys if state.has_view(*key)}
+                # Install order, the order the visit above publishes in:
+                # it decides where a new signature lands in the index.
+                publish = sorted(live, key=lambda key: state.operator_serial(*key))
+                stale = [
+                    (sig, node)
+                    for sig, node in keys - live
+                    if node in self._view_nodes.get(sig, ())
+                ]
+                examined = len(keys)
+            # Advertise first: withdrawing a signature's last node before
+            # publishing its new one would move it to the end of the index.
+            for key in publish:
+                self.advertise_view(*key)
+            for key in stale:
+                self.withdraw_view(*key)
+            self._cursor = state.feed_cursor()
+            self._touched.clear()
+            prof = _perf.active()
+            if prof is not None:
+                prof.count("ads_keys_examined", examined)
 
     # ------------------------------------------------------------------
     # Lookup

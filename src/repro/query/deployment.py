@@ -21,6 +21,7 @@ curves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterable
 
 import numpy as np
@@ -33,6 +34,13 @@ from repro.query.query import Query, ViewSignature
 # A producer is either a base stream at its source node or a deployed
 # view (operator output) at the operator's node.
 ProducerKey = tuple  # ("base", stream_name, node) | ("view", ViewSignature, node)
+
+OperatorKey = tuple[ViewSignature, int]  # (signature, node)
+
+#: Entries the operator-set feed keeps.  The log keeps the signatures of
+#: retired operators alive, so it is small; a reader further behind than
+#: this reconciles in full.
+_FEED_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -110,7 +118,7 @@ class Deployment:
         return [leaf for leaf in self.plan.leaves() if not leaf.is_base_stream]
 
 
-@dataclass
+@dataclass(slots=True)
 class _OperatorRecord:
     """Book-keeping for one deployed operator instance.
 
@@ -119,6 +127,7 @@ class _OperatorRecord:
     time, so what an operator that outlives its installer computes (and
     therefore what it loads its node with) never depends on who asked
     when; records created for external or filter-only views have none.
+    ``serial`` numbers records in install order.
     """
 
     signature: ViewSignature
@@ -126,6 +135,7 @@ class _OperatorRecord:
     rate: float
     queries: set[str] = field(default_factory=set)
     origin: tuple[Query, frozenset[str], frozenset[str]] | None = None
+    serial: int = 0
 
 
 class DeploymentState:
@@ -156,12 +166,23 @@ class DeploymentState:
         self._rate_fn = rate_fn
         self._source_fn = source_fn
         self._reuse_inflation = reuse_inflation
-        self._operators: dict[tuple[ViewSignature, int], _OperatorRecord] = {}
-        self._flows: list[FlowEdge] = []
+        self._operators: dict[OperatorKey, _OperatorRecord] = {}
+        self._views: dict[ViewSignature, int] = {}  # live operators per signature
+        # Flows and their prices, per paying query in application order.
+        # A flow is priced once, when it is created or the matrix swapped.
+        self._flows: dict[str, list[FlowEdge]] = {}
+        self._flow_costs: dict[str, list[float]] = {}
         self._deployments: dict[str, Deployment] = {}
         #: Monotone change counter, bumped by every mutator: readers that
         #: keep anything derived from this state compare it to skip work.
         self.revision = 0
+        self._serial = 0
+        # The operator-set feed: every key created or dropped, oldest
+        # first, from position ``_feed_base``.  ``_feed_id`` names this
+        # log; a clone has its own and ``restore`` starts a new one.
+        self._feed: list[OperatorKey] = []
+        self._feed_base = 0
+        self._feed_id = object()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -176,13 +197,18 @@ class DeploymentState:
         return self._deployments.get(name)
 
     @property
+    def num_deployments(self) -> int:
+        """Number of live deployments."""
+        return len(self._deployments)
+
+    @property
     def num_operators(self) -> int:
         """Number of distinct live operator instances."""
         return len(self._operators)
 
     def flows(self) -> list[FlowEdge]:
         """All live flows (one entry per paying query per edge)."""
-        return list(self._flows)
+        return list(chain.from_iterable(self._flows.values()))
 
     def operators(self) -> list[tuple[ViewSignature, int]]:
         """(signature, node) of every live operator instance."""
@@ -203,7 +229,7 @@ class DeploymentState:
         """Whether a view is deployed (optionally: at a specific node)."""
         if node is not None:
             return (signature, node) in self._operators
-        return any(sig == signature for (sig, _) in self._operators)
+        return signature in self._views
 
     def queries_using(self, signature: ViewSignature, node: int) -> set[str]:
         """Names of queries consuming the operator instance."""
@@ -211,12 +237,47 @@ class DeploymentState:
         return set(rec.queries) if rec else set()
 
     def total_cost(self) -> float:
-        """Current total communication cost per unit time."""
-        return sum(flow.cost(self._costs) for flow in self._flows)
+        """Current total communication cost per unit time.
+
+        A fresh sum over every live flow's price in :meth:`flows` order,
+        never a running total: totals are compared for identity.
+        """
+        return sum(chain.from_iterable(self._flow_costs.values()))
 
     def query_cost(self, name: str) -> float:
         """Communication cost attributed to one query's subscriptions."""
-        return sum(f.cost(self._costs) for f in self._flows if f.query == name)
+        return sum(self._flow_costs.get(name, ()))
+
+    # ------------------------------------------------------------------
+    # Operator-set feed
+    # ------------------------------------------------------------------
+    def feed_cursor(self) -> tuple[object, int]:
+        """The feed position after the latest operator-set change.
+
+        Keep it and hand it to :meth:`changes_since` later; the value is
+        opaque and only meaningful to the state that issued it.
+        """
+        return (self._feed_id, self._feed_base + len(self._feed))
+
+    def changes_since(self, cursor: tuple[object, int] | None) -> list[OperatorKey] | None:
+        """Every ``(signature, node)`` created or dropped since ``cursor``.
+
+        Keys come oldest change first, repeat when touched repeatedly
+        and say nothing about the outcome: ask :meth:`has_view`.  Returns
+        ``None`` when the feed cannot answer -- the cursor is from
+        another state (a clone included), predates a :meth:`restore`, or
+        is further behind than the feed keeps -- and the reader must
+        look at the whole operator set instead.
+        """
+        if cursor is None or cursor[0] is not self._feed_id:
+            return None
+        start = cursor[1] - self._feed_base
+        return self._feed[start:] if start >= 0 else None
+
+    def operator_serial(self, signature: ViewSignature, node: int) -> int:
+        """Install serial of a live operator; :meth:`operators` lists
+        them in increasing serial order."""
+        return self._operators[(signature, node)].serial
 
     # ------------------------------------------------------------------
     # Mutation
@@ -265,9 +326,11 @@ class DeploymentState:
                     rate=self._flow_rate(query, root, root_node),
                 )
             )
-        self._flows.extend(added)
+        prices = [f.cost(self._costs) for f in added]
+        self._flows[query.name] = added
+        self._flow_costs[query.name] = prices
         self._deployments[query.name] = deployment
-        return sum(f.cost(self._costs) for f in added)
+        return sum(prices)
 
     def undeploy(self, name: str) -> float:
         """Remove a query's deployment; return the cost reclaimed.
@@ -286,14 +349,10 @@ class DeploymentState:
             raise UnknownQueryError(f"query {name!r} is not deployed")
         self.revision += 1
         deployment = self._deployments.pop(name)
+        self._flows.pop(name, None)
         reclaimed = 0.0
-        kept: list[FlowEdge] = []
-        for flow in self._flows:
-            if flow.query == name:
-                reclaimed += flow.cost(self._costs)
-            else:
-                kept.append(flow)
-        self._flows = kept
+        for price in self._flow_costs.pop(name, ()):
+            reclaimed += price
         query = deployment.query
         for subtree in deployment.plan.subtrees():
             sig_node: tuple[ViewSignature, int] | None = None
@@ -310,7 +369,7 @@ class DeploymentState:
                 rec = self._operators[sig_node]
                 rec.queries.discard(name)
                 if not rec.queries:
-                    del self._operators[sig_node]
+                    self._drop(sig_node)
         return reclaimed
 
     def cost_of(self, deployment: Deployment) -> float:
@@ -325,11 +384,14 @@ class DeploymentState:
         )
         other._operators = {
             key: _OperatorRecord(
-                rec.signature, rec.node, rec.rate, set(rec.queries), rec.origin
+                rec.signature, rec.node, rec.rate, set(rec.queries), rec.origin, rec.serial
             )
             for key, rec in self._operators.items()
         }
-        other._flows = list(self._flows)
+        other._views = dict(self._views)
+        other._serial = self._serial
+        other._flows = {name: list(flows) for name, flows in self._flows.items()}
+        other._flow_costs = {name: list(prices) for name, prices in self._flow_costs.items()}
         other._deployments = dict(self._deployments)
         return other
 
@@ -345,20 +407,27 @@ class DeploymentState:
             deployments: Live deployments, in application order.
             operators: ``(signature, node, rate, queries, origin)`` per
                 operator record, in install order.
-            flows: Live flows, in creation order.
+            flows: Live flows, in creation order (each query's together).
         """
         self.revision += 1
         self._deployments = {d.query.name: d for d in deployments}
-        self._operators = {
-            (sig, node): _OperatorRecord(sig, node, rate, set(queries), origin)
-            for sig, node, rate, queries, origin in operators
-        }
-        self._flows = list(flows)
+        self._operators = {}
+        self._views = {}
+        for sig, node, rate, queries, origin in operators:
+            self._install(sig, node, rate, origin).queries.update(queries)
+        # A new log: no cursor issued before this call can be answered.
+        self._feed = []
+        self._feed_id = object()
+        self._flows = {}
+        for flow in flows:
+            self._flows.setdefault(flow.query, []).append(flow)
+        self._price_flows()
 
     def recompute_costs(self, costs: np.ndarray) -> float:
         """Swap in a new cost matrix (network change); return new total."""
         self.revision += 1
         self._costs = costs
+        self._price_flows()
         return self.total_cost()
 
     def recompute_rates(self) -> float:
@@ -394,9 +463,10 @@ class DeploymentState:
                 rec = self._operators.get((sig, deployment.placement[subtree]))
                 if rec is not None:
                     rec.rate = self._rate_fn(query, sig.sources)
-        rebuilt: list[FlowEdge] = []
+        self._flows = {}
         for deployment in self._deployments.values():
             query = deployment.query
+            rebuilt = self._flows[query.name] = []
             for subtree in deployment.plan.subtrees():
                 if isinstance(subtree, Leaf):
                     continue
@@ -424,7 +494,7 @@ class DeploymentState:
                         rate=self._flow_rate(query, root, root_node),
                     )
                 )
-        self._flows = rebuilt
+        self._price_flows()
         return self.total_cost()
 
     # ------------------------------------------------------------------
@@ -454,8 +524,7 @@ class DeploymentState:
         key = (signature, node)
         rec = self._operators.get(key)
         if rec is None:
-            rec = _OperatorRecord(signature, node, rate, origin=origin)
-            self._operators[key] = rec
+            rec = self._install(signature, node, rate, origin)
         rec.queries.add(owner)
 
     def unregister_external_view(
@@ -475,7 +544,7 @@ class DeploymentState:
         self.revision += 1
         rec.queries.discard(owner)
         if not rec.queries:
-            del self._operators[key]
+            self._drop(key)
             return True
         return False
 
@@ -566,10 +635,45 @@ class DeploymentState:
     def _ensure_operator(
         self, sig: ViewSignature, node: int, query: Query
     ) -> _OperatorRecord:
-        key = (sig, node)
-        rec = self._operators.get(key)
+        rec = self._operators.get((sig, node))
         if rec is None:
-            rec = _OperatorRecord(sig, node, self._rate_fn(query, sig.sources))
-            self._operators[key] = rec
+            rec = self._install(sig, node, self._rate_fn(query, sig.sources))
         rec.queries.add(query.name)
         return rec
+
+    def _install(
+        self, sig: ViewSignature, node: int, rate: float, origin=None
+    ) -> _OperatorRecord:
+        """Create an operator record: the one place the set grows."""
+        key = (sig, node)
+        self._serial += 1
+        rec = self._operators[key] = _OperatorRecord(
+            sig, node, rate, origin=origin, serial=self._serial
+        )
+        self._views[sig] = self._views.get(sig, 0) + 1
+        self._log_change(key)
+        return rec
+
+    def _drop(self, key: OperatorKey) -> None:
+        """Remove an operator record: the one place the set shrinks."""
+        del self._operators[key]
+        sig = key[0]
+        if self._views[sig] == 1:
+            del self._views[sig]
+        else:
+            self._views[sig] -= 1
+        self._log_change(key)
+
+    def _log_change(self, key: OperatorKey) -> None:
+        feed = self._feed
+        feed.append(key)
+        if len(feed) > _FEED_LIMIT:
+            del feed[: _FEED_LIMIT // 2]
+            self._feed_base += _FEED_LIMIT // 2
+
+    def _price_flows(self) -> None:
+        costs = self._costs
+        self._flow_costs = {
+            name: [flow.cost(costs) for flow in flows]
+            for name, flows in self._flows.items()
+        }

@@ -11,7 +11,7 @@ the paper's operator reuse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.query.stream import Filter
@@ -66,7 +66,7 @@ classical ``sigma * r_L * r_R`` (each arrival probes the opposite
 window; the two sides contribute ``2 W sigma r_L r_R``)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ViewSignature:
     """Canonical identity of a (sub)query result.
 
@@ -90,6 +90,7 @@ class ViewSignature:
     predicates: frozenset[JoinPredicate]
     filters: frozenset[Filter]
     window: float = DEFAULT_WINDOW
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.sources:
@@ -106,6 +107,17 @@ class ViewSignature:
         for flt in self.filters:
             if flt.stream not in self.sources:
                 raise ValueError(f"filter {flt} references a stream outside the view")
+        # Signatures key every operator, advertisement and federation
+        # dict; hash the four fields once (same value the generated
+        # ``__hash__`` computed per lookup).
+        object.__setattr__(
+            self,
+            "_hash",
+            hash((self.sources, self.predicates, self.filters, self.window)),
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_base(self) -> bool:

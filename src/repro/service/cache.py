@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.perf import profiler as _perf
 from repro.query.plan import PlanNode
@@ -40,6 +41,14 @@ class CachedPlan:
     planning_latency: float = 0.0
     stats: dict = field(default_factory=dict)
 
+    def reused_views(self) -> set[tuple[frozenset[str], int | None]]:
+        """``(view, node)`` of every derived view the plan reuses."""
+        return {
+            (leaf.view, self.placement.get(leaf))
+            for leaf in self.plan.leaves()
+            if not leaf.is_base_stream
+        }
+
 
 class PlanCache:
     """LRU plan cache keyed on (fingerprint, stats epoch, topology epoch).
@@ -54,6 +63,9 @@ class PlanCache:
             raise ValueError("capacity must be positive (or None for unbounded)")
         self.capacity = capacity
         self._entries: "OrderedDict[CacheKey, CachedPlan]" = OrderedDict()
+        # (view, node) -> keys of the entries reusing it; every path that
+        # adds or removes an entry goes through _store / _remove.
+        self._referencing: dict[tuple, list[CacheKey]] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -79,11 +91,11 @@ class PlanCache:
 
     def put(self, key: CacheKey, entry: CachedPlan) -> None:
         """Insert (or refresh) a plan, evicting LRU entries over capacity."""
-        self._entries[key] = entry
-        self._entries.move_to_end(key)
+        self._remove(key)
+        self._store(key, entry)
         if self.capacity is not None:
             while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+                self._remove(next(iter(self._entries)))
                 self.evictions += 1
 
     def demote(self, key: CacheKey) -> None:
@@ -92,7 +104,7 @@ class PlanCache:
         The earlier :meth:`get` already counted a hit; the caller should
         treat the lookup as a miss, so the hit is re-booked accordingly.
         """
-        if self._entries.pop(key, None) is not None:
+        if self._remove(key):
             self.invalidations += 1
         self.hits -= 1
         self.misses += 1
@@ -105,7 +117,7 @@ class PlanCache:
             if key[1] != statistics_epoch or key[2] != topology_epoch
         ]
         for key in stale:
-            del self._entries[key]
+            self._remove(key)
         self.invalidations += len(stale)
         return len(stale)
 
@@ -117,18 +129,9 @@ class PlanCache:
         reference it die -- resubmissions of unrelated queries keep their
         hits.  Returns the eviction count.
         """
-        stale = [
-            key
-            for key, entry in self._entries.items()
-            if any(
-                not leaf.is_base_stream
-                and leaf.view == view
-                and entry.placement.get(leaf) == node
-                for leaf in entry.plan.leaves()
-            )
-        ]
+        stale = list(self._referencing.get((view, node), ()))
         for key in stale:
-            del self._entries[key]
+            self._remove(key)
         self.invalidations += len(stale)
         return len(stale)
 
@@ -136,6 +139,31 @@ class PlanCache:
         """Drop every entry (counters are preserved)."""
         self.invalidations += len(self._entries)
         self._entries.clear()
+        self._referencing.clear()
+
+    def restore(self, entries: Iterable[tuple[CacheKey, CachedPlan]]) -> None:
+        """Replace the contents with captured ``(key, entry)`` pairs,
+        least recently used first (crash recovery; counters untouched)."""
+        self._entries.clear()
+        self._referencing.clear()
+        for key, entry in entries:
+            self._store(key, entry)
+
+    def _store(self, key: CacheKey, entry: CachedPlan) -> None:
+        self._entries[key] = entry
+        for ref in entry.reused_views():
+            self._referencing.setdefault(ref, []).append(key)
+
+    def _remove(self, key: CacheKey) -> bool:
+        entry = self._entries.pop(key, None)
+        if entry is None:
+            return False
+        for ref in entry.reused_views():
+            keys = self._referencing[ref]
+            keys.remove(key)
+            if not keys:
+                del self._referencing[ref]
+        return True
 
     # ------------------------------------------------------------------
     @property

@@ -374,7 +374,7 @@ class StreamQueryService:
 
     def is_live(self, name: str) -> bool:
         """Whether a query of that name is currently deployed."""
-        return any(d.query.name == name for d in self.engine.state.deployments)
+        return self.engine.state.deployment(name) is not None
 
     def total_cost(self) -> float:
         """Instantaneous communication cost of everything deployed."""
@@ -465,7 +465,7 @@ class StreamQueryService:
                 decision = self._validate(query, lifetime)
                 if decision is None:
                     decision = self.admission.request(
-                        query, len(self._live_names()), time=self.clock
+                        query, self.engine.state.num_deployments, time=self.clock
                     )
                     if decision.status is AdmissionStatus.ADMITTED:
                         try:
@@ -596,7 +596,7 @@ class StreamQueryService:
             self._retire_live(name)
             report.retired.append(name)
 
-        for query in self.admission.drain(len(self._live_names()), time=now):
+        for query in self.admission.drain(self.engine.state.num_deployments, time=now):
             lifetime = self._pending_lifetimes.pop(query.name, None)
             try:
                 self._deploy(query, lifetime)
@@ -945,7 +945,7 @@ class StreamQueryService:
                     self.deployed_total / wall if wall > 0 else float("inf")
                 ),
                 "final_cost": self.total_cost(),
-                "final_live": len(self._live_names()),
+                "final_live": self.engine.state.num_deployments,
             },
         )
         if self.resilience is not None:
@@ -960,9 +960,6 @@ class StreamQueryService:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _live_names(self) -> list[str]:
-        return self.live_queries
-
     def _deploy(self, query: Query, lifetime: float | None) -> None:
         if self.resilience is not None:
             deployment = self.resilience.plan(self, query)
@@ -999,7 +996,7 @@ class StreamQueryService:
     def _record_gauges(self) -> None:
         now = self.clock
         self._queue_gauge.set(float(self.admission.queue_depth), time=now)
-        self._live_gauge.set(float(len(self._live_names())), time=now)
+        self._live_gauge.set(float(self.engine.state.num_deployments), time=now)
         self._hit_rate_gauge.set(self.cache.hit_rate, time=now)
         self._admitted_counter.sync_total(
             float(self.admission.admitted_total), time=now

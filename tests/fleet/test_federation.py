@@ -1,6 +1,9 @@
 """Cross-shard view reuse: federation, invalidation, promotion."""
 
+import pytest
+
 import repro
+from repro.durability import DurabilityConfig, recover
 from repro.fleet import FEDERATION_OWNER
 
 from tests.fleet.conftest import ByNamePolicy, build_fleet, renamed
@@ -170,3 +173,111 @@ class TestInvalidation:
         fleet.tick()
         exports = fleet.federation.exports(1)
         assert any(key in exports for key in consumed)
+
+
+# ----------------------------------------------------------------------
+# Exports are read from each shard's operator-set feed
+# ----------------------------------------------------------------------
+def scanned_exports(fleet, shard):
+    """The scan ``exports`` used to be: every advertised view of the
+    shard's state, minus what the federation planted there."""
+    state = fleet.shards[shard].engine.state
+    imports = fleet.federation.imports(shard)
+    out = {}
+    for sig, nodes in state.advertised_views().items():
+        for node in nodes:
+            if (sig, node) not in imports:
+                out[(sig, node)] = state.view_rate(sig, node)
+    return out
+
+
+class TestExportsFromTheFeed:
+    @pytest.mark.parametrize("every", [1, 5])
+    def test_exports_match_the_full_scan_under_churn(self, fleet_env, every):
+        _, _, workload, _ = fleet_env
+        fleet = build_fleet(fleet_env, num_shards=3)
+        pool = list(workload)
+        step = 0
+
+        def check():
+            nonlocal step
+            step += 1
+            if step % every == 0:
+                for shard in range(3):
+                    assert fleet.federation.exports(shard) == scanned_exports(fleet, shard)
+
+        for serial in range(60):
+            base = pool[serial % len(pool)]
+            fleet.submit(renamed(base, f"{base.name}#{serial}"), lifetime=2.0 + serial % 5)
+            check()
+            if serial % 3 == 0:
+                fleet.tick()
+                check()
+            if serial % 7 == 0 and fleet.live_queries:
+                name = sorted(fleet.live_queries)[0]
+                fleet.rebalance(name, (fleet.shard_of(name) + 1) % 3)
+                check()
+        for _ in range(8):
+            fleet.tick()
+            check()
+        summary = fleet.federation.summary()
+        assert summary["imported_total"] and summary["withdrawn_total"]
+        assert summary["promoted_total"]
+        assert fleet.check_invariants() == []
+
+    def test_restored_imports_stop_being_exports(self, fleet_env):
+        q1, q2 = reuse_pair(fleet_env)
+        fleet = split_fleet(fleet_env, q1, q2)
+        fleet.submit(q1)
+        fleet.tick()
+        owned = fleet.federation.exports(0)
+        assert owned
+        fleet.federation.restore_imports([set(owned), fleet.federation.imports(1)])
+        assert fleet.federation.exports(0) == scanned_exports(fleet, 0) == {}
+
+
+class TestRecoveredCache:
+    def test_withdrawal_evicts_a_cached_plan_restored_by_recovery(
+        self, fleet_env, tmp_path
+    ):
+        """The recovered plan cache is written through its one writer,
+        so a restored entry is as evictable as one put there live."""
+        q1, q2 = reuse_pair(fleet_env)
+        state_dir = tmp_path / "state"
+
+        def factory():
+            return split_fleet(
+                fleet_env,
+                q1,
+                q2,
+                durability=DurabilityConfig(state_dir=str(state_dir), snapshot_interval=1),
+            )
+
+        live = factory()
+        live.submit(q1)
+        live.tick()
+        live.submit(q2)  # caches a plan on shard 1 referencing the import
+        live.retire(q2.name)
+        live.tick()  # snapshot: the cached plan and the import are in it
+        live.durability.journal.close()
+
+        recovered, report = recover(state_dir, factory)
+        try:
+            assert report.snapshot_lsn > 0
+            cache = recovered.shards[1].cache
+            imported = recovered.federation.imports(1)
+            restored = [
+                key
+                for key, cached in cache._entries.items()
+                if any(
+                    (sig.sources, node) in cached.reused_views() for sig, node in imported
+                )
+            ]
+            assert restored, "the snapshot must carry a plan reusing the import"
+            invalidations = cache.invalidations
+            recovered.retire(q1.name)  # import withdrawn -> restored plan evicted
+            assert recovered.federation.active_imports == 0
+            assert cache.invalidations == invalidations + len(restored)
+            assert not any(key in cache for key in restored)
+        finally:
+            recovered.durability.journal.close()

@@ -1,0 +1,30 @@
+"""The literal reconcile the advertisement index is checked against.
+
+:func:`reference_sync` is ``AdvertisementIndex.sync_from_state`` as it
+was before the index learned to read the deployment state's operator-set
+feed: it asks the state for every live view, advertises each, then walks
+every advertised view and withdraws the dead ones.  It keeps no cursor
+and reads no feed, so it is right by construction however the state
+changed -- and O(live) per call, which is why the shipped method only
+works this way the first time it meets a state.
+
+Drive it on an index of its own (same hierarchy, its own tracer) beside
+the index under test, mirroring every direct ``advertise_view`` /
+``withdraw_view`` call on both.
+"""
+
+from __future__ import annotations
+
+
+def reference_sync(ads, state) -> None:
+    """Reconcile ``ads`` with ``state`` by visiting everything."""
+    with ads.tracer.span("ads_sync"):
+        live = state.advertised_views()
+        for signature, nodes in live.items():
+            for node in nodes:
+                ads.advertise_view(signature, node)
+        for signature, nodes in list(ads._view_nodes.items()):
+            live_nodes = live.get(signature, set())
+            for node in list(nodes):
+                if node not in live_nodes:
+                    ads.withdraw_view(signature, node)

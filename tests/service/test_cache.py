@@ -1,4 +1,6 @@
-"""Plan cache: LRU bounds, hit accounting, epoch eviction."""
+"""Plan cache: LRU bounds, hit accounting, epoch eviction, the reuse index."""
+
+import random
 
 from repro.query.plan import Join, Leaf
 from repro.service.cache import CachedPlan, PlanCache
@@ -77,3 +79,91 @@ class TestEviction:
         cache.put(cache.key("fp", 0, 0), entry())
         cache.clear()
         assert len(cache) == 0
+
+
+# ----------------------------------------------------------------------
+# evict_referencing answers from an index every writer maintains
+# ----------------------------------------------------------------------
+VIEWS = [frozenset("AB"), frozenset("CD"), frozenset("FGH")]  # disjoint
+
+
+def reusing(*refs):
+    """A plan reusing each ``(view, node)`` of ``refs`` beside base stream E."""
+    plan = Leaf.of("E")
+    placement = {plan: 9}
+    for view, node in refs:
+        leaf = Leaf(view)
+        plan = Join(plan, leaf)
+        placement.update({leaf: node, plan: 9})
+    return CachedPlan(plan=plan, placement=placement)
+
+
+def literal_referencing(cache, view, node):
+    """The scan ``evict_referencing`` used to be: every entry's leaves."""
+    return [
+        key
+        for key, cached in cache._entries.items()
+        if any(
+            not leaf.is_base_stream
+            and leaf.view == view
+            and cached.placement.get(leaf) == node
+            for leaf in cached.plan.leaves()
+        )
+    ]
+
+
+class TestReferencingIndex:
+    def test_every_writer_keeps_the_index_equal_to_the_literal_scan(self):
+        rng = random.Random(7)
+        cache = PlanCache(capacity=12)
+        keys = [cache.key(f"fp{i}", epoch, 0) for i in range(20) for epoch in (0, 1)]
+        refs = [(view, node) for view in VIEWS for node in (0, 1)]
+        done = set()
+        for _ in range(600):
+            op = rng.choice(
+                ["put"] * 6 + ["get", "demote", "evict_stale", "evict", "clear", "restore"]
+            )
+            if op == "put":
+                views = rng.sample(VIEWS, rng.randint(0, 3))
+                cache.put(rng.choice(keys), reusing(*((v, rng.randint(0, 1)) for v in views)))
+            elif op == "get":
+                cache.get(rng.choice(keys))
+            elif op == "demote":
+                cache.demote(rng.choice(keys))
+            elif op == "evict_stale":
+                cache.evict_stale(rng.randint(0, 1), 0)
+            elif op == "evict":
+                ref = rng.choice(refs)
+                want = literal_referencing(cache, *ref)
+                if not want:
+                    continue
+                before = cache.invalidations
+                assert cache.evict_referencing(*ref) == len(want)
+                assert cache.invalidations == before + len(want)
+                assert not any(key in cache for key in want)
+            elif op == "clear":
+                cache.clear()
+            else:
+                kept = list(cache._entries.items())[::2]
+                cache.restore(kept)
+                assert list(cache._entries.items()) == kept
+            done.add(op)
+            for ref in refs:
+                assert sorted(cache._referencing.get(ref, ())) == sorted(
+                    literal_referencing(cache, *ref)
+                )
+            assert all(cache._referencing.values()), "an emptied bucket was kept"
+        assert len(done) == 7
+
+    def test_only_the_plans_reusing_the_view_at_that_node_die(self):
+        cache = PlanCache()
+        ab0, ab1, cd0 = (cache.key(name, 0, 0) for name in ("ab0", "ab1", "cd0"))
+        cache.put(ab0, reusing((VIEWS[0], 0)))
+        cache.put(ab1, reusing((VIEWS[0], 1)))
+        cache.put(cd0, reusing((VIEWS[1], 0), (VIEWS[2], 0)))
+        cache.put(cache.key("plain", 0, 0), entry())
+        assert cache.evict_referencing(VIEWS[0], 0) == 1
+        assert ab0 not in cache and ab1 in cache and cd0 in cache
+        assert cache.evict_referencing(VIEWS[2], 0) == 1
+        assert cache.evict_referencing(VIEWS[1], 0) == 0  # went with the other view
+        assert len(cache) == 2
