@@ -15,7 +15,9 @@ enforce.  Passing a :class:`DurabilityConfig` (or a pre-built
   tenant accounting) that give crash points a boundary between every
   two state changes;
 * every ``snapshot_interval`` ticks the full control-plane state is
-  snapshotted as a ``repro.state`` envelope keyed by journal LSN;
+  snapshotted as a ``repro.state`` envelope keyed by journal LSN (the
+  capture re-encodes only what changed since the previous snapshot;
+  the file is the same bytes either way);
 * :func:`repro.durability.recovery.recover` rebuilds a crashed
   controller from the newest valid snapshot plus a deterministic
   replay of the command suffix.
@@ -45,6 +47,7 @@ from repro.durability.snapshot import (
     load_latest,
     write_snapshot,
 )
+from repro.perf import profiler as _perf
 
 
 @dataclass(frozen=True)
@@ -104,11 +107,12 @@ class Durability:
     # ------------------------------------------------------------------
     def bind_service(self, service) -> None:
         """Attach to a standalone :class:`StreamQueryService`."""
-        from repro.durability.state import capture_service
+        from repro.durability.state import FragmentMemo, capture_service
 
         self.scope = "service"
         self._controller = service
-        self._capture = lambda: capture_service(service)
+        self._capture = capture_service
+        self._memo = FragmentMemo()
         self._bind_instruments(service.registry)
         self._persist_flight(getattr(service, "telemetry", None))
 
@@ -120,11 +124,12 @@ class Durability:
         paths, so per-shard journals would only record every mutation
         twice.
         """
-        from repro.durability.state import capture_fleet
+        from repro.durability.state import FragmentMemo, capture_fleet
 
         self.scope = "fleet"
         self._controller = fleet
-        self._capture = lambda: capture_fleet(fleet)
+        self._capture = capture_fleet
+        self._memo = FragmentMemo()
         self._bind_instruments(fleet.registry)
         self._persist_flight(getattr(fleet, "telemetry", None))
 
@@ -200,14 +205,24 @@ class Durability:
         return self.snapshot(time)
 
     def snapshot(self, time: float) -> Path:
-        """Capture and write one snapshot at the current journal LSN."""
+        """Capture and write one snapshot at the current journal LSN.
+
+        The first snapshot of a process encodes everything; each later
+        one re-encodes only the items that changed since (the memo then
+        holds about one snapshot body of text).
+        """
         self._ticks_since_snapshot = 0
         lsn = self.journal.lsn
+        state = self._capture(self._controller, self._memo)
+        encoded = self._memo.roll()
+        prof = _perf.active()
+        if prof is not None:
+            prof.count("snapshot_items_encoded", encoded)
         path = write_snapshot(
             self.state_dir,
             lsn,
             self.scope,
-            self._capture(),
+            state,
             time=time,
             retain=self.config.retain_snapshots,
             journal=self.journal,

@@ -14,6 +14,13 @@ canonical JSON (sorted keys, no whitespace; pretty-print one with
 ``python -m json.tool``); :func:`load_latest` validates candidates
 newest-first and falls back to older snapshots, reporting every file it
 had to skip.
+
+The state handed to :func:`write_snapshot` may hold :class:`Fragment`
+values -- canonical JSON text the capture made at an earlier snapshot
+and kept (:mod:`repro.durability.state`).  :func:`splice_json` puts them
+into the envelope as they are, so the file is byte for byte what
+``canonical_json`` would have written for the same state as plain
+values.
 """
 
 from __future__ import annotations
@@ -28,6 +35,53 @@ from repro.durability.journal import SimulatedCrash, canonical_json
 SNAPSHOT_KIND = "repro.state"
 SNAPSHOT_VERSION = 1
 SNAPSHOT_GLOB = "snapshot-*.json"
+
+
+class Fragment:
+    """Canonical JSON text of one value, spliced into a document as is."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+
+def splice_json(doc: Any) -> str:
+    """:func:`canonical_json` of ``doc`` with its fragments emitted raw.
+
+    A value holding no :class:`Fragment` goes through the C encoder
+    whole, which is also how a fragment is found: the C encoder refuses
+    one, and only then is that container put together here (sorted
+    keys, no whitespace) from its members' own encodings.
+    """
+    parts: list[str] = []
+    _emit(doc, parts.append)
+    return "".join(parts)
+
+
+def _emit(doc: Any, out) -> None:
+    if type(doc) is Fragment:
+        out(doc.text)
+        return
+    try:
+        out(canonical_json(doc))
+    except TypeError:
+        if isinstance(doc, dict) and all(type(key) is str for key in doc):
+            opener = "{"
+            for key in sorted(doc):
+                out(f"{opener}{canonical_json(key)}:")
+                _emit(doc[key], out)
+                opener = ","
+            out("}")
+        elif isinstance(doc, (list, tuple)):
+            opener = "["
+            for item in doc:
+                out(opener)
+                _emit(item, out)
+                opener = ","
+            out("]")
+        else:
+            raise
 
 
 def snapshot_path(state_dir: str | Path, lsn: int) -> Path:
@@ -45,7 +99,7 @@ def write_snapshot(
     state_dir: str | Path,
     lsn: int,
     scope: str,
-    state: dict[str, Any],
+    state: Any,
     time: float = 0.0,
     retain: int = 2,
     journal=None,
@@ -61,7 +115,7 @@ def write_snapshot(
     state_dir.mkdir(parents=True, exist_ok=True)
     # One encoder pass: the canonical form the CRC is defined over is
     # also the file body, with the ``crc`` member spliced in front.
-    body = canonical_json(
+    body = splice_json(
         {
             "kind": SNAPSHOT_KIND,
             "version": SNAPSHOT_VERSION,
@@ -93,6 +147,10 @@ def _prune(state_dir: Path, retain: int) -> None:
     snapshots = sorted(state_dir.glob(SNAPSHOT_GLOB))
     for stale in snapshots[:-retain]:
         stale.unlink()
+    # A crash between write and rename leaves its temp file behind; the
+    # snapshot that just landed makes it garbage.
+    for orphan in state_dir.glob(SNAPSHOT_GLOB + ".tmp"):
+        orphan.unlink()
 
 
 def list_snapshots(state_dir: str | Path) -> list[dict[str, Any]]:

@@ -16,6 +16,18 @@ records), and the network/hierarchy are restored *in place* because
 optimizers, engines and routing policies all hold references to the
 same objects.
 
+Capture is incremental.  The items of the big homogeneous lists --
+deployments, operator records, flows, cached plans, federation imports
+-- and the network section are captured as canonical-JSON text
+:class:`~repro.durability.snapshot.Fragment` values, and a
+:class:`FragmentMemo` carries each item's text from one snapshot to the
+next for as long as everything the text reads is unchanged.  The small
+sections with no identity or version to key on (hierarchy, resilience,
+adaptivity, admission, rates, counters) are plain values, encoded at
+every snapshot.  ``tests/durability/reference_capture.py`` keeps the
+literal build-every-dict capture these functions are held to, byte for
+byte.
+
 Deliberately *not* captured: metric instrument values, telemetry
 stores, causal traces and flight-recorder rings -- observability
 output, not decision state.  The crash-equivalence digests in
@@ -29,6 +41,8 @@ from collections import deque
 from typing import Any
 
 from repro.adaptive.stats import DriftEvent, EwmaEstimator, StreamDrift
+from repro.durability.journal import canonical_json
+from repro.durability.snapshot import Fragment
 from repro.query.plan import Join, Leaf, PlanNode
 from repro.query.query import JoinPredicate, ViewSignature
 from repro.query.stream import Filter, StreamSpec
@@ -36,6 +50,49 @@ from repro.resilience.policy import BreakerState, CircuitBreaker
 from repro.serialization import _query_from_dict, _query_to_dict
 
 STATE_VERSION = 1
+
+
+class FragmentMemo:
+    """Each captured item's canonical JSON text, kept between snapshots.
+
+    Entries are keyed on the item's identity and hold the item, so an id
+    is never another object's.  ``reads`` is whatever the text depends
+    on that can change while the item stays the same object (nothing,
+    for a frozen item): :meth:`get` hands the kept text back only while
+    it compares equal.  A capture touches every live item through
+    :meth:`get` or :meth:`put`; :meth:`roll` then drops the entries it
+    did not touch, so the memo is always one snapshot's items.
+    """
+
+    def __init__(self) -> None:
+        self._kept: dict[int, tuple[Any, Any, str]] = {}
+        self._touched: dict[int, tuple[Any, Any, str]] = {}
+        self._encoded = 0
+
+    def get(self, item: Any, reads: Any = None) -> str | None:
+        """The text kept for ``item``, if what it read still holds."""
+        entry = self._kept.get(id(item))
+        if entry is None or entry[1] != reads:
+            return None
+        self._touched[id(item)] = entry
+        return entry[2]
+
+    def put(self, item: Any, reads: Any, doc: Any) -> str:
+        """Encode ``doc`` as ``item``'s text and keep it."""
+        text = canonical_json(doc)
+        self._touched[id(item)] = (item, reads, text)
+        self._encoded += 1
+        return text
+
+    def roll(self) -> int:
+        """End one capture; returns how many items it had to encode."""
+        self._kept, self._touched = self._touched, {}
+        encoded, self._encoded = self._encoded, 0
+        return encoded
+
+
+def _array(texts) -> Fragment:
+    return Fragment("[%s]" % ",".join(texts))
 
 
 def _jsonable(value: Any) -> Any:
@@ -164,23 +221,47 @@ def _producer_from_doc(doc: dict[str, Any]):
 # ----------------------------------------------------------------------
 # DeploymentState (operators, flows, deployments)
 # ----------------------------------------------------------------------
-def _origin_to_doc(state, origin) -> dict[str, Any]:
-    query, left, right = origin
-    live = state.deployment(query.name)
+def _origin_is_live(state, origin) -> bool:
+    """Whether the installer of ``origin`` is still deployed."""
+    if origin is None:
+        return False
+    live = state.deployment(origin[0].name)
+    return live is not None and live.query is origin[0]
+
+
+def _operator_to_doc(state, rec) -> dict[str, Any]:
+    entry = {
+        "sig": sig_to_doc(rec.signature),
+        "node": rec.node,
+        "rate": rec.rate,
+        "queries": sorted(rec.queries),
+    }
+    if rec.origin is not None:
+        query, left, right = rec.origin
+        entry["origin"] = {
+            # The installer is usually still deployed: name it instead of
+            # repeating its query document.
+            "query": (
+                query.name
+                if _origin_is_live(state, rec.origin)
+                else _query_to_dict(query)
+            ),
+            "left": sorted(left),
+            "right": sorted(right),
+        }
+    return entry
+
+
+def _flow_to_doc(flow) -> dict[str, Any]:
     return {
-        # The installer is usually still deployed: name it instead of
-        # repeating its query document.
-        "query": (
-            query.name
-            if live is not None and live.query is query
-            else _query_to_dict(query)
-        ),
-        "left": sorted(left),
-        "right": sorted(right),
+        "query": flow.query,
+        "producer": _producer_to_doc(flow.producer),
+        "dest": flow.dest,
+        "rate": flow.rate,
     }
 
 
-def capture_deployment_state(state) -> dict[str, Any]:
+def capture_deployment_state(state, memo: FragmentMemo) -> dict[str, Any]:
     """Capture a :class:`~repro.query.deployment.DeploymentState`.
 
     Operator records are captured in *insertion order*: containment
@@ -188,30 +269,26 @@ def capture_deployment_state(state) -> dict[str, Any]:
     operators were installed in is decision state.  A record's install
     ``origin`` is kept too -- it is what prices an operator that
     outlived its installer (:mod:`repro.resources.ledger`).
+
+    An installed deployment and a flow never change, so their text is
+    kept by identity.  An operator record's text also reads its rate,
+    its holders and whether its installer is still deployed.
     """
     operators = []
     for rec in state.operator_records():
-        entry = {
-            "sig": sig_to_doc(rec.signature),
-            "node": rec.node,
-            "rate": rec.rate,
-            "queries": sorted(rec.queries),
-        }
-        if rec.origin is not None:
-            entry["origin"] = _origin_to_doc(state, rec.origin)
-        operators.append(entry)
+        reads = (rec.rate, frozenset(rec.queries), _origin_is_live(state, rec.origin))
+        operators.append(
+            memo.get(rec, reads) or memo.put(rec, reads, _operator_to_doc(state, rec))
+        )
     return {
-        "deployments": [deployment_to_doc(d) for d in state.deployments],
-        "operators": operators,
-        "flows": [
-            {
-                "query": f.query,
-                "producer": _producer_to_doc(f.producer),
-                "dest": f.dest,
-                "rate": f.rate,
-            }
-            for f in state.flows()
-        ],
+        "deployments": _array(
+            memo.get(d) or memo.put(d, None, deployment_to_doc(d))
+            for d in state.deployments
+        ),
+        "operators": _array(operators),
+        "flows": _array(
+            memo.get(f) or memo.put(f, None, _flow_to_doc(f)) for f in state.flows()
+        ),
     }
 
 
@@ -260,8 +337,19 @@ def restore_deployment_state(state, doc: dict[str, Any]) -> None:
 # ----------------------------------------------------------------------
 # Network / hierarchy / rates (shared infrastructure, restored in place)
 # ----------------------------------------------------------------------
-def capture_network(network) -> dict[str, Any]:
-    """Capture topology + version of a :class:`~repro.network.graph.Network`."""
+def capture_network(network, memo: FragmentMemo) -> Fragment:
+    """Capture topology + version of a :class:`~repro.network.graph.Network`.
+
+    Every mutator of the network bumps its version, so the text is kept
+    for as long as the version stands.
+    """
+    version = network._version
+    return Fragment(
+        memo.get(network, version) or memo.put(network, version, _network_to_doc(network))
+    )
+
+
+def _network_to_doc(network) -> dict[str, Any]:
     return {
         "nodes": [
             {"id": node, "kind": network._node_kind.get(node, "")}
@@ -425,20 +513,25 @@ def _restore_admission(admission, doc: dict[str, Any]) -> None:
     admission.rejected_total = doc["rejected_total"]
 
 
-def _capture_cache(cache) -> dict[str, Any]:
+def _cache_entry_to_doc(key, entry) -> dict[str, Any]:
     return {
-        "entries": [
-            {
-                "fingerprint": key[0],
-                "statistics_epoch": key[1],
-                "topology_epoch": key[2],
-                "plan": plan_to_doc(entry.plan),
-                "placement": placement_to_doc(entry.plan, entry.placement),
-                "planning_latency": entry.planning_latency,
-                "stats": _jsonable(dict(entry.stats)),
-            }
+        "fingerprint": key[0],
+        "statistics_epoch": key[1],
+        "topology_epoch": key[2],
+        "plan": plan_to_doc(entry.plan),
+        "placement": placement_to_doc(entry.plan, entry.placement),
+        "planning_latency": entry.planning_latency,
+        "stats": _jsonable(dict(entry.stats)),
+    }
+
+
+def _capture_cache(cache, memo: FragmentMemo) -> dict[str, Any]:
+    return {
+        # A cached plan is frozen; its text also reads the key it is under.
+        "entries": _array(
+            memo.get(entry, key) or memo.put(entry, key, _cache_entry_to_doc(key, entry))
             for key, entry in cache._entries.items()  # LRU order
-        ],
+        ),
         "hits": cache.hits,
         "misses": cache.misses,
         "evictions": cache.evictions,
@@ -651,12 +744,16 @@ def _restore_faults(injector, doc: dict[str, Any] | None) -> None:
 # ----------------------------------------------------------------------
 # Service
 # ----------------------------------------------------------------------
-def capture_service(service, include_shared: bool = True) -> dict[str, Any]:
+def capture_service(
+    service, memo: FragmentMemo, include_shared: bool = True
+) -> dict[str, Any]:
     """Capture one :class:`~repro.service.service.StreamQueryService`.
 
     With ``include_shared`` (standalone services) the shared
     network/rates/hierarchy are embedded; fleet capture sets it False
-    and captures them once at fleet scope instead.
+    and captures them once at fleet scope instead.  The document holds
+    fragments: encode it with
+    :func:`~repro.durability.snapshot.splice_json`.
     """
     doc: dict[str, Any] = {
         "version": STATE_VERSION,
@@ -676,8 +773,8 @@ def capture_service(service, include_shared: bool = True) -> dict[str, Any]:
             "planning_seconds": service.planning_seconds,
         },
         "admission": _capture_admission(service.admission),
-        "cache": _capture_cache(service.cache),
-        "state": capture_deployment_state(service.engine.state),
+        "cache": _capture_cache(service.cache, memo),
+        "state": capture_deployment_state(service.engine.state, memo),
         "resilience": (
             _capture_resilience(service.resilience)
             if service.resilience is not None
@@ -691,7 +788,7 @@ def capture_service(service, include_shared: bool = True) -> dict[str, Any]:
         "faults": _capture_faults(service.faults),
     }
     if include_shared:
-        doc["network"] = capture_network(service.network)
+        doc["network"] = capture_network(service.network, memo)
         doc["rates"] = capture_rates(service.rates)
         doc["hierarchy"] = (
             capture_hierarchy(service.hierarchy)
@@ -746,8 +843,16 @@ def restore_service(service, doc: dict[str, Any], include_shared: bool = True) -
 # ----------------------------------------------------------------------
 # Fleet
 # ----------------------------------------------------------------------
-def capture_fleet(fleet) -> dict[str, Any]:
-    """Capture a :class:`~repro.fleet.controller.FleetController`."""
+def _import_to_doc(key) -> dict[str, Any]:
+    sig, node = key
+    return {"sig": sig_to_doc(sig), "node": node}
+
+
+def capture_fleet(fleet, memo: FragmentMemo) -> dict[str, Any]:
+    """Capture a :class:`~repro.fleet.controller.FleetController`.
+
+    Like :func:`capture_service`, the document holds fragments.
+    """
     scheduler_doc = None
     if fleet.scheduler is not None:
         scheduler_doc = {
@@ -777,13 +882,15 @@ def capture_fleet(fleet) -> dict[str, Any]:
             "imported_total": fleet.federation.imported_total,
             "withdrawn_total": fleet.federation.withdrawn_total,
             "promoted_total": fleet.federation.promoted_total,
+            # An import is a (signature, node) tuple the federation keeps
+            # for as long as the import stands: its text goes by identity.
             "imports": [
-                sorted(
-                    (
-                        {"sig": sig_to_doc(sig), "node": node}
-                        for sig, node in imports
-                    ),
-                    key=lambda d: ("|".join(d["sig"]["sources"]), d["node"]),
+                _array(
+                    memo.get(key) or memo.put(key, None, _import_to_doc(key))
+                    for key in sorted(
+                        imports,
+                        key=lambda key: ("|".join(sorted(key[0].sources)), key[1]),
+                    )
                 )
                 for imports in fleet.federation._imports
             ],
@@ -799,11 +906,12 @@ def capture_fleet(fleet) -> dict[str, Any]:
         "version": STATE_VERSION,
         "scope": "fleet",
         "clock": fleet.clock,
-        "network": capture_network(fleet.network),
+        "network": capture_network(fleet.network, memo),
         "rates": capture_rates(fleet.rates),
         "hierarchy": capture_hierarchy(fleet.hierarchy),
         "shards": [
-            capture_service(shard, include_shared=False) for shard in fleet.shards
+            capture_service(shard, memo, include_shared=False)
+            for shard in fleet.shards
         ],
         "router": {
             "owner": dict(fleet.router._owner),

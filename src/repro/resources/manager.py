@@ -298,6 +298,9 @@ class ResourceManager:
             if plan is not None:
                 for victim in plan.victims:
                     self.shed(service, victim, displaced_by=query.name)
+                if not service._revalidate(query, deployment):
+                    # A victim took a view this plan reuses with it.
+                    deployment, _ = service.plan(query)
                 violations = self.check(query, deployment)
         if violations:
             self.infeasible_total += 1

@@ -6,6 +6,7 @@ import pytest
 
 from repro.durability.journal import Journal, SimulatedCrash, canonical_json
 from repro.durability.snapshot import (
+    Fragment,
     list_snapshots,
     load_latest,
     snapshot_crc,
@@ -40,6 +41,27 @@ class TestRoundTrip:
         assert doc["state"] == state and doc["time"] == 2.0
         assert load_latest(tmp_path) == (doc, [])
 
+    def test_fragments_are_spliced_as_the_bytes_of_their_plain_values(self, tmp_path):
+        plain = {
+            "b": [[1.5, None], {"k": "\u00e9"}],
+            "a": {"y": True, "z": [{"n": 1}, {"n": 2}]},
+            "c": {"deep": 1},
+        }
+        spliced = {
+            "b": [Fragment("[1.5,null]"), {"k": "\u00e9"}],
+            "a": {"y": True, "z": Fragment('[{"n":1},{"n":2}]')},
+            "c": Fragment(canonical_json({"deep": 1})),
+        }
+        want = _write(tmp_path / "plain", 7, state=plain, time=2.0).read_bytes()
+        got = _write(tmp_path / "spliced", 7, state=spliced, time=2.0).read_bytes()
+        assert got == want
+        assert load_latest(tmp_path / "spliced")[0]["state"] == plain
+
+    def test_a_state_that_json_cannot_encode_is_still_refused(self, tmp_path):
+        for state in ({"a": {1, 2}}, {1: Fragment("1")}, [Fragment("1"), object()]):
+            with pytest.raises(TypeError):
+                _write(tmp_path, 7, state=state)
+
     def test_empty_directory_loads_none(self, tmp_path):
         doc, rejected = load_latest(tmp_path)
         assert doc is None and rejected == []
@@ -49,6 +71,19 @@ class TestRoundTrip:
             _write(tmp_path, lsn, retain=2)
         files = [s["file"] for s in list_snapshots(tmp_path)]
         assert files == ["snapshot-000000000015.json", "snapshot-000000000020.json"]
+
+    def test_next_snapshot_removes_a_temp_file_a_crash_left_behind(self, tmp_path):
+        _write(tmp_path, 10)
+        # Died between writing the temp file and renaming it.
+        orphan = tmp_path / (snapshot_path(tmp_path, 25).name + ".tmp")
+        orphan.write_bytes(b'{"crc":1,"kind":"repro.state"')
+        assert load_latest(tmp_path)[0]["lsn"] == 10  # never a candidate
+        _write(tmp_path, 30)
+        assert not orphan.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "snapshot-000000000010.json",
+            "snapshot-000000000030.json",
+        ]
 
 
 class TestCorruption:

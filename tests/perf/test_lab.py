@@ -75,10 +75,11 @@ class TestDurabilityOverhead:
         )
         churn = lab.run_case("service_churn")["ops"]
         durable = lab.run_case("durability_overhead")["ops"]
-        wal_only = {"journal_records", "snapshots"}
+        wal_only = {"journal_records", "snapshots", "snapshot_items_encoded"}
         assert {k: v for k, v in durable.items() if k not in wal_only} == churn
         assert durable["journal_records"] > 0
         assert durable["snapshots"] > 0
+        assert durable["snapshot_items_encoded"] > 0
 
 
 class TestResourceOverhead:

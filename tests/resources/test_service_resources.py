@@ -181,6 +181,54 @@ class TestShedding:
             assert 0 < entry.lifetime <= 50.0
 
 
+    def test_gate_replans_when_a_victim_took_a_reused_view_with_it(self):
+        """With resilience armed the baseline rung plans unconstrained, so
+        the gate is what sheds; a victim that held a view the plan reuses
+        used to leave ``apply`` a plan over an operator that was gone."""
+        from repro.adaptive import AdaptivityConfig
+        from repro.resilience.degradation import ResilienceConfig
+        from tests.fleet.conftest import renamed
+
+        net = repro.transit_stub_by_size(32, seed=47)
+        hierarchy = repro.build_hierarchy(net, max_cs=4, seed=0)
+        workload = repro.generate_workload(
+            net,
+            repro.WorkloadParams(num_streams=6, num_queries=10, joins_per_query=(1, 3)),
+            seed=48,
+        )
+        sinks = sorted({query.sink for query in workload})[:3]
+        pool = [
+            renamed(query, query.name, sink=sinks[index % 3])
+            for index, query in enumerate(workload)
+        ]
+        rates = workload.rate_model()
+        ads = repro.AdvertisementIndex(hierarchy)
+        service = StreamQueryService(
+            repro.TopDownOptimizer(hierarchy, rates, ads=ads),
+            net,
+            rates,
+            hierarchy=hierarchy,
+            ads=ads,
+            resilience=ResilienceConfig(),
+            adaptivity=AdaptivityConfig(
+                alpha=1.0, hysteresis_ticks=1, publish_cooldown=0.0, query_cooldown=0.0
+            ),
+            resources=bounded_config(
+                net,
+                query_weights={q.name: 1.0 + i % 3 for i, q in enumerate(pool)},
+            ),
+        )
+        for index, query in enumerate(pool):
+            service.submit(query, lifetime=None if index % 2 else 6.0)
+        samples = {name: spec.rate for name, spec in rates.streams.items()}
+        samples[sorted(samples)[1]] *= 0.5
+        service.observe_rates(samples)
+        service.tick()
+        service.tick()  # re-admits a parked query through the gate
+        assert service.resources.shed_total >= 1
+        assert_feasible(service)
+
+
 class TestInstruments:
     def test_gauges_and_counters_reflect_activity(self):
         net = repro.transit_stub_by_size(32, seed=47)
