@@ -3,7 +3,8 @@
 :func:`capture_service` / :func:`capture_fleet` walk every piece of
 control-plane state that influences *future decisions* -- deployments,
 operator/flow records, plan cache (in LRU order), admission queue,
-parked queries, circuit breakers (including the resilience RNG state),
+parked queries (the resilience layer's and the resource manager's, with
+its shed/readmit/infeasible counters), circuit breakers (including the resilience RNG state),
 EWMA estimators, migration cooldowns, fault-injector cursors, routing
 tables, tenant accounting, scheduler backlogs and federation imports --
 into one JSON-ready document.  :func:`restore_service` /
@@ -634,6 +635,44 @@ def _restore_resilience(control, doc: dict[str, Any]) -> None:
         board._breakers[node] = breaker
 
 
+def _capture_resources(manager) -> dict[str, Any]:
+    return {
+        "parked": [
+            {
+                "query": _query_to_dict(p.query),
+                "lifetime": p.lifetime,
+                "weight": p.weight,
+                "reason": p.reason,
+                "parked_at": p.parked_at,
+                "shed": p.shed,
+            }
+            for p in manager.parked.values()
+        ],
+        "shed_total": manager.shed_total,
+        "readmitted_total": manager.readmitted_total,
+        "infeasible_total": manager.infeasible_total,
+    }
+
+
+def _restore_resources(manager, doc: dict[str, Any]) -> None:
+    from repro.resources.shedder import ParkedQuery
+
+    manager.parked = {}
+    for p in doc["parked"]:
+        query = _query_from_dict(p["query"])
+        manager.parked[query.name] = ParkedQuery(
+            query=query,
+            lifetime=p["lifetime"],
+            weight=p["weight"],
+            reason=p["reason"],
+            parked_at=p["parked_at"],
+            shed=p["shed"],
+        )
+    manager.shed_total = doc["shed_total"]
+    manager.readmitted_total = doc["readmitted_total"]
+    manager.infeasible_total = doc["infeasible_total"]
+
+
 def _capture_estimator(est: EwmaEstimator) -> dict[str, Any]:
     return {"alpha": est.alpha, "value": est.value, "samples": est.samples}
 
@@ -787,6 +826,9 @@ def capture_service(
         ),
         "faults": _capture_faults(service.faults),
     }
+    if service.resources is not None:
+        # Only when the layer is armed: every other snapshot is unchanged.
+        doc["resources"] = _capture_resources(service.resources)
     if include_shared:
         doc["network"] = capture_network(service.network, memo)
         doc["rates"] = capture_rates(service.rates)
@@ -834,6 +876,8 @@ def restore_service(service, doc: dict[str, Any], include_shared: bool = True) -
     if service.adaptivity is not None and doc["adaptivity"] is not None:
         _restore_adaptivity(service.adaptivity, doc["adaptivity"])
     _restore_faults(service.faults, doc["faults"])
+    if service.resources is not None and doc.get("resources") is not None:
+        _restore_resources(service.resources, doc["resources"])
     # Ads indexes are derived state: base advertisements were recreated
     # by the factory; view/federation records rebuild from deployments.
     if service.ads is not None:

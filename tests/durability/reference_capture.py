@@ -11,7 +11,8 @@ process.
 
 The per-value documents (signatures, plans, placements, deployments,
 producers) and the small sections that are still encoded at every
-snapshot (admission, resilience, adaptivity, faults, rates, hierarchy)
+snapshot (admission, resilience, adaptivity, resources, faults, rates,
+hierarchy)
 are the shipped functions: the incremental capture did not change them.
 """
 
@@ -28,6 +29,7 @@ from repro.durability.state import (
     _capture_admission,
     _capture_faults,
     _capture_resilience,
+    _capture_resources,
     _jsonable,
     _producer_to_doc,
     capture_hierarchy,
@@ -196,6 +198,8 @@ def capture_service(service, include_shared: bool = True) -> dict[str, Any]:
         ),
         "faults": _capture_faults(service.faults),
     }
+    if service.resources is not None:
+        doc["resources"] = _capture_resources(service.resources)
     if include_shared:
         doc["network"] = capture_network(service.network)
         doc["rates"] = capture_rates(service.rates)

@@ -2,6 +2,7 @@
 shedding, and hot-node introspection for rebalancing."""
 
 import json
+import shutil
 
 import pytest
 
@@ -10,7 +11,7 @@ from repro.fleet import FleetController, Tenant
 from repro.resources import ResourceConfig, uniform_capacities
 
 
-def build_fleet(resources, tenants=None, seed=47, num_queries=8, budget=16):
+def build_fleet(resources, tenants=None, seed=47, num_queries=8, budget=16, **layers):
     net = repro.transit_stub_by_size(32, seed=seed)
     hierarchy = repro.build_hierarchy(net, max_cs=4, seed=0)
     workload = repro.generate_workload(
@@ -29,6 +30,7 @@ def build_fleet(resources, tenants=None, seed=47, num_queries=8, budget=16):
         budget=budget,
         tenants=tenants,
         resources=resources,
+        **layers,
     )
     return fleet, workload, net
 
@@ -157,6 +159,55 @@ class TestTenantWeightedShedding:
         bronze_gauge = fleet.registry.get("tenant_live_bronze").value
         assert gold_gauge == float(live_by_tenant["gold"])
         assert bronze_gauge == float(live_by_tenant["bronze"])
+
+
+class TestDurableParking:
+    def test_each_shards_parked_queries_survive_a_crash(self, tmp_path):
+        from repro.durability import DurabilityConfig, recover
+
+        net = repro.transit_stub_by_size(32, seed=47)
+
+        def factory(state_dir):
+            return build_fleet(
+                # Half of bounded(): tight enough that each shard parks.
+                ResourceConfig(
+                    capacities=uniform_capacities(
+                        net, cpu=300.0, memory=200.0, bandwidth=400.0
+                    )
+                ),
+                durability=DurabilityConfig(
+                    state_dir=str(state_dir), snapshot_interval=2
+                ),
+            )[0]
+
+        live = factory(tmp_path / "state")
+        for query in build_fleet(None)[1]:
+            live.submit(query, lifetime=100.0)
+        live.tick()
+        live.tick()  # snapshot: nothing after it but its own marker
+        managers = live.resource_managers
+        assert all(m.parked for m in managers)
+
+        crashed = shutil.copytree(tmp_path / "state", tmp_path / "crashed")
+        recovered, report = recover(crashed, lambda: factory(crashed))
+        try:
+            assert report.snapshot_lsn > 0 and report.replayed_records == 0
+            for got, want in zip(recovered.resource_managers, managers):
+                assert got.parked == want.parked
+                assert (got.shed_total, got.readmitted_total, got.infeasible_total) == (
+                    want.shed_total, want.readmitted_total, want.infeasible_total
+                )
+            # And both planes go on making the same decisions about them.
+            for fleet in (live, recovered):
+                for name in sorted(fleet.live_queries)[:3]:
+                    fleet.retire(name)
+            assert recovered.tick().deployed == live.tick().deployed
+            for got, want in zip(recovered.resource_managers, managers):
+                assert got.parked == want.parked
+                assert got.infeasible_total == want.infeasible_total
+        finally:
+            live.durability.journal.close()
+            recovered.durability.journal.close()
 
 
 class TestUnarmedSurface:

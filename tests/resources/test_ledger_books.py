@@ -529,7 +529,7 @@ class TestRecoveredLedger:
                 durability=DurabilityConfig(
                     state_dir=str(state_dir), snapshot_interval=4
                 ),
-                # Roomy: parked queries are not part of a snapshot.
+                # Roomy: nothing parks, this test is about the books.
                 resources=ResourceConfig(
                     capacities=uniform_capacities(net, cpu=1e6, memory=1e6, bandwidth=1e6)
                 ),

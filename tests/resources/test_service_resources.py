@@ -2,6 +2,8 @@
 fleet-feasibility property (no accepted placement ever exceeds its
 bound -- even under statistics drift)."""
 
+import shutil
+
 import pytest
 
 import repro
@@ -13,7 +15,7 @@ from repro.service import AdmissionStatus, StreamQueryService, churn_trace
 _CAPS = dict(cpu=600.0, memory=400.0, bandwidth=800.0)
 
 
-def build_service(resources, seed=47, num_queries=8):
+def build_service(resources, seed=47, num_queries=8, **layers):
     net = repro.transit_stub_by_size(32, seed=seed)
     hierarchy = repro.build_hierarchy(net, max_cs=4, seed=0)
     workload = repro.generate_workload(
@@ -27,7 +29,8 @@ def build_service(resources, seed=47, num_queries=8):
     ads = repro.AdvertisementIndex(hierarchy)
     optimizer = repro.TopDownOptimizer(hierarchy, rates, ads=ads)
     service = StreamQueryService(
-        optimizer, net, rates, hierarchy=hierarchy, ads=ads, resources=resources
+        optimizer, net, rates, hierarchy=hierarchy, ads=ads, resources=resources,
+        **layers,
     )
     return service, workload, net
 
@@ -69,6 +72,54 @@ class TestParkAndReadmit:
         assert set(parked) & set(report.deployed)
         assert manager.readmitted_total >= 1
         assert_feasible(service)
+
+    def test_parked_queries_survive_a_crash(self, tmp_path):
+        # The snapshot used to leave the manager's parked set and counters
+        # out: a query parked for capacity was gone after recovery.
+        from repro.durability import DurabilityConfig, recover
+
+        net = repro.transit_stub_by_size(32, seed=47)
+
+        def factory(state_dir):
+            service, _, _ = build_service(
+                bounded_config(net),
+                durability=DurabilityConfig(
+                    state_dir=str(state_dir), snapshot_interval=2
+                ),
+            )
+            return service
+
+        live = factory(tmp_path / "state")
+        for i, query in enumerate(build_service(None)[1]):
+            live.submit(query, lifetime=100.0, time=float(i))
+        live.tick(10.0)
+        live.tick(11.0)  # snapshot: nothing after it but its own marker
+        manager = live.resources
+        assert manager.parked and manager.infeasible_total >= 1
+
+        # The crash: recover from what is on disk while ``live`` goes on.
+        crashed = shutil.copytree(tmp_path / "state", tmp_path / "crashed")
+        recovered, report = recover(crashed, lambda: factory(crashed))
+        try:
+            assert report.snapshot_lsn > 0 and report.replayed_records == 0
+            got = recovered.resources
+            assert got.parked == manager.parked  # ParkedQuery is a dataclass
+            assert (got.shed_total, got.readmitted_total, got.infeasible_total) == (
+                manager.shed_total, manager.readmitted_total, manager.infeasible_total
+            )
+            # Free capacity on both: the same parked queries come back.
+            for service in (live, recovered):
+                for name in sorted(service.live_queries):
+                    service.retire(name)
+            parked = sorted(manager.parked)
+            assert live.tick(20.0).deployed == parked
+            assert recovered.tick(20.0).deployed == parked
+            assert got.readmitted_total == manager.readmitted_total == len(parked)
+            assert not got.parked
+            assert_feasible(recovered)
+        finally:
+            live.durability.journal.close()
+            recovered.durability.journal.close()
 
     def test_retire_drops_a_parked_query(self):
         net = repro.transit_stub_by_size(32, seed=47)
