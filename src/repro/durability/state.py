@@ -4,7 +4,8 @@
 control-plane state that influences *future decisions* -- deployments,
 operator/flow records, plan cache (in LRU order), admission queue,
 parked queries (the resilience layer's and the resource manager's, with
-its shed/readmit/infeasible counters), circuit breakers (including the resilience RNG state),
+its shed/readmit/infeasible counters), circuit breakers (including the
+resilience RNG state),
 EWMA estimators, migration cooldowns, fault-injector cursors, routing
 tables, tenant accounting, scheduler backlogs and federation imports --
 into one JSON-ready document.  :func:`restore_service` /
@@ -59,10 +60,10 @@ class FragmentMemo:
     Entries are keyed on the item's identity and hold the item, so an id
     is never another object's.  ``reads`` is whatever the text depends
     on that can change while the item stays the same object (nothing,
-    for a frozen item): :meth:`get` hands the kept text back only while
-    it compares equal.  A capture touches every live item through
-    :meth:`get` or :meth:`put`; :meth:`roll` then drops the entries it
-    did not touch, so the memo is always one snapshot's items.
+    for a frozen item): the kept text is handed back only while it
+    compares equal.  A capture asks :meth:`text` for every live item;
+    :meth:`roll` then drops the entries it did not ask for, so the memo
+    is always one snapshot's items.
     """
 
     def __init__(self) -> None:
@@ -70,20 +71,15 @@ class FragmentMemo:
         self._touched: dict[int, tuple[Any, Any, str]] = {}
         self._encoded = 0
 
-    def get(self, item: Any, reads: Any = None) -> str | None:
-        """The text kept for ``item``, if what it read still holds."""
+    def text(self, item: Any, reads: Any, to_doc, *args: Any) -> str:
+        """``item``'s text: the kept one if what it read still holds,
+        else ``to_doc(*args)`` encoded now."""
         entry = self._kept.get(id(item))
         if entry is None or entry[1] != reads:
-            return None
+            entry = (item, reads, canonical_json(to_doc(*args)))
+            self._encoded += 1
         self._touched[id(item)] = entry
         return entry[2]
-
-    def put(self, item: Any, reads: Any, doc: Any) -> str:
-        """Encode ``doc`` as ``item``'s text and keep it."""
-        text = canonical_json(doc)
-        self._touched[id(item)] = (item, reads, text)
-        self._encoded += 1
-        return text
 
     def roll(self) -> int:
         """End one capture; returns how many items it had to encode."""
@@ -230,7 +226,7 @@ def _origin_is_live(state, origin) -> bool:
     return live is not None and live.query is origin[0]
 
 
-def _operator_to_doc(state, rec) -> dict[str, Any]:
+def _operator_to_doc(rec, installer_live: bool) -> dict[str, Any]:
     entry = {
         "sig": sig_to_doc(rec.signature),
         "node": rec.node,
@@ -242,11 +238,7 @@ def _operator_to_doc(state, rec) -> dict[str, Any]:
         entry["origin"] = {
             # The installer is usually still deployed: name it instead of
             # repeating its query document.
-            "query": (
-                query.name
-                if _origin_is_live(state, rec.origin)
-                else _query_to_dict(query)
-            ),
+            "query": query.name if installer_live else _query_to_dict(query),
             "left": sorted(left),
             "right": sorted(right),
         }
@@ -277,19 +269,15 @@ def capture_deployment_state(state, memo: FragmentMemo) -> dict[str, Any]:
     """
     operators = []
     for rec in state.operator_records():
-        reads = (rec.rate, frozenset(rec.queries), _origin_is_live(state, rec.origin))
-        operators.append(
-            memo.get(rec, reads) or memo.put(rec, reads, _operator_to_doc(state, rec))
-        )
+        live = _origin_is_live(state, rec.origin)
+        reads = (rec.rate, frozenset(rec.queries), live)
+        operators.append(memo.text(rec, reads, _operator_to_doc, rec, live))
     return {
         "deployments": _array(
-            memo.get(d) or memo.put(d, None, deployment_to_doc(d))
-            for d in state.deployments
+            memo.text(d, None, deployment_to_doc, d) for d in state.deployments
         ),
         "operators": _array(operators),
-        "flows": _array(
-            memo.get(f) or memo.put(f, None, _flow_to_doc(f)) for f in state.flows()
-        ),
+        "flows": _array(memo.text(f, None, _flow_to_doc, f) for f in state.flows()),
     }
 
 
@@ -344,10 +332,7 @@ def capture_network(network, memo: FragmentMemo) -> Fragment:
     Every mutator of the network bumps its version, so the text is kept
     for as long as the version stands.
     """
-    version = network._version
-    return Fragment(
-        memo.get(network, version) or memo.put(network, version, _network_to_doc(network))
-    )
+    return Fragment(memo.text(network, network._version, _network_to_doc, network))
 
 
 def _network_to_doc(network) -> dict[str, Any]:
@@ -530,7 +515,7 @@ def _capture_cache(cache, memo: FragmentMemo) -> dict[str, Any]:
     return {
         # A cached plan is frozen; its text also reads the key it is under.
         "entries": _array(
-            memo.get(entry, key) or memo.put(entry, key, _cache_entry_to_doc(key, entry))
+            memo.text(entry, key, _cache_entry_to_doc, key, entry)
             for key, entry in cache._entries.items()  # LRU order
         ),
         "hits": cache.hits,
@@ -930,7 +915,7 @@ def capture_fleet(fleet, memo: FragmentMemo) -> dict[str, Any]:
             # for as long as the import stands: its text goes by identity.
             "imports": [
                 _array(
-                    memo.get(key) or memo.put(key, None, _import_to_doc(key))
+                    memo.text(key, None, _import_to_doc, key)
                     for key in sorted(
                         imports,
                         key=lambda key: ("|".join(sorted(key[0].sources)), key[1]),
