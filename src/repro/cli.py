@@ -35,7 +35,17 @@ FIGURES = {
     "fig11": ("figure11_prototype_cumulative_cost", {}),
 }
 
-DEMOS = ("quickstart", "ois", "sharing", "adaptive")
+#: Demo name -> the ``examples/`` script it runs.
+DEMOS = {
+    "quickstart": "quickstart",
+    "ois": "airline_ois",
+    "sharing": "multi_query_sharing",
+    "adaptive": "adaptive_runtime",
+}
+
+ALGORITHMS = ("top-down", "bottom-up", "optimal", "relaxation",
+              "in-network", "plan-then-deploy")
+HIERARCHICAL = ALGORITHMS[:2]
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
@@ -57,36 +67,18 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    mapping = {
-        "quickstart": "examples.quickstart",
-        "ois": "examples.airline_ois",
-        "sharing": "examples.multi_query_sharing",
-        "adaptive": "examples.adaptive_runtime",
-    }
-    import importlib
-    import importlib.util
     import pathlib
+    import runpy
 
     # examples/ is shipped alongside the repo, not inside the package;
     # locate it relative to this file's repository checkout if possible.
-    here = pathlib.Path(__file__).resolve()
-    candidates = [p / "examples" for p in here.parents]
-    example_file = None
-    stem = mapping[args.name].split(".")[-1]
-    for candidate in candidates:
-        path = candidate / f"{stem}.py"
-        if path.exists():
-            example_file = path
-            break
-    if example_file is None:
-        print("examples/ directory not found next to the package; run from a checkout")
-        return 2
-    spec = importlib.util.spec_from_file_location(stem, example_file)
-    assert spec and spec.loader
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    module.main()
-    return 0
+    for parent in pathlib.Path(__file__).resolve().parents:
+        example = parent / "examples" / f"{DEMOS[args.name]}.py"
+        if example.exists():
+            runpy.run_path(str(example))["main"]()
+            return 0
+    print("examples/ directory not found next to the package; run from a checkout")
+    return 2
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
@@ -131,24 +123,33 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import pathlib
+def _write(path: str, text: str) -> None:
+    """Write one output artifact and say so."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    print(f"wrote {path}")
+
+
+def _fail(message: str) -> int:
+    """Report a usage error on stderr; the exit code to return."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+# ----------------------------------------------------------------------
+# The world every service-driving subcommand builds, built once
+# ----------------------------------------------------------------------
+def _world(args, workload=None):
+    """Network, workload, rate model and hierarchy a subcommand runs on.
+
+    Generated from ``--nodes --streams --queries --seed`` unless a
+    loaded ``workload`` (``serve --trace``) brings its own network.
+    """
+    import types
 
     import repro
-    from repro.service import AdmissionController, PlanCache, StreamQueryService, churn_trace
 
-    if args.trace:
-        path = pathlib.Path(args.trace)
-        if not path.is_file():
-            print(f"error: trace file not found: {path}", file=sys.stderr)
-            return 2
-        try:
-            workload = repro.workload_from_json(path.read_text())
-        except (ValueError, KeyError, AttributeError, TypeError) as exc:
-            print(f"error: {path} is not a workload manifest: {exc}", file=sys.stderr)
-            return 2
-        network = workload.network
-    else:
+    if workload is None:
         network = repro.transit_stub_by_size(args.nodes, seed=args.seed or 0)
         workload = repro.generate_workload(
             network,
@@ -159,12 +160,104 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             ),
             seed=args.seed or 0,
         )
-    rates = workload.rate_model()
-    hierarchy = repro.build_hierarchy(network, max_cs=args.max_cs, seed=0)
-    ads = repro.AdvertisementIndex(hierarchy)
-    optimizer = repro.make_optimizer(
-        args.algorithm, network, rates, hierarchy=hierarchy, ads=ads
+    network = workload.network
+    return types.SimpleNamespace(
+        network=network,
+        workload=workload,
+        rates=workload.rate_model(),
+        hierarchy=repro.build_hierarchy(network, max_cs=args.max_cs, seed=0),
     )
+
+
+def _planner(world, args, ads=True, **kwargs):
+    """``(ads, optimizer)``: the ``--algorithm`` planner over a fresh
+    advertisement index that knows every base stream (``ads=False``:
+    no shared index, the planner reads the deployment state alone)."""
+    import repro
+
+    index = None
+    if ads:
+        index = repro.AdvertisementIndex(world.hierarchy)
+        for stream, spec in world.rates.streams.items():
+            index.advertise_base(stream, spec.source)
+        kwargs["ads"] = index
+    optimizer = repro.make_optimizer(
+        args.algorithm, world.network, world.rates, hierarchy=world.hierarchy, **kwargs
+    )
+    return index, optimizer
+
+
+def _service(world, args, ads=True, **layers):
+    """A lifecycle service over ``world``; ``layers`` are the service's
+    own keyword arguments (admission, cache, resilience, ...)."""
+    from repro.service import StreamQueryService
+
+    index, optimizer = _planner(world, args, ads=ads)
+    return StreamQueryService(
+        optimizer,
+        world.network,
+        world.rates,
+        hierarchy=world.hierarchy,
+        ads=index,
+        **layers,
+    )
+
+
+def _churn(world, args):
+    """The churn trace ``--lifetime --arrivals --repeats`` describe."""
+    from repro.service import churn_trace
+
+    return churn_trace(
+        world.workload,
+        lifetime=args.lifetime,
+        # ``metrics`` has no --arrivals flag; it replays at the default.
+        arrivals_per_tick=getattr(args, "arrivals", 2),
+        repeats=args.repeats,
+    )
+
+
+def _durability(args):
+    """``--state-dir`` as a durability config (``None`` when omitted)."""
+    if not args.state_dir:
+        return None
+    from repro.durability import DurabilityConfig
+
+    return DurabilityConfig(state_dir=args.state_dir)
+
+
+def _print_replay(report, world, args) -> None:
+    """The two replay summary lines serve / fleet / resources share."""
+    s = report.summary
+    print(f"  trace: {s['submitted']} submissions over {report.ticks} ticks "
+          f"({args.repeats}x {len(world.workload)} queries, lifetime {args.lifetime})")
+    print(f"  admitted {s['admitted']}  rejected {s['rejected']}  "
+          f"deployed {s['deployed_total']}  retired {s['retired_total']}")
+
+
+def _print_durability(controller) -> None:
+    if controller.durability is not None:
+        d = controller.durability.summary()
+        print(f"  durability: {d['journal_records']} journal records "
+              f"(lsn {d['journal_lsn']}), {d['snapshots']} snapshots "
+              f"-> {d['state_dir']}")
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    import pathlib
+
+    import repro
+    from repro.service import AdmissionController, PlanCache
+
+    workload = None
+    if args.trace:
+        path = pathlib.Path(args.trace)
+        if not path.is_file():
+            return _fail(f"trace file not found: {path}")
+        try:
+            workload = repro.workload_from_json(path.read_text())
+        except (ValueError, KeyError, AttributeError, TypeError) as exc:
+            return _fail(f"{path} is not a workload manifest: {exc}")
+    world = _world(args, workload)
     try:
         admission = AdmissionController(
             budget=args.budget,
@@ -172,37 +265,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_per_tick=args.per_tick,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    durability = None
-    if args.state_dir:
-        from repro.durability import DurabilityConfig
-
-        durability = DurabilityConfig(state_dir=args.state_dir)
-    service = StreamQueryService(
-        optimizer,
-        network,
-        rates,
-        hierarchy=hierarchy,
-        ads=ads,
+        return _fail(str(exc))
+    service = _service(
+        world,
+        args,
         admission=admission,
         cache=PlanCache(capacity=args.cache_capacity),
-        durability=durability,
+        durability=_durability(args),
     )
-    trace = churn_trace(
-        workload,
-        lifetime=args.lifetime,
-        arrivals_per_tick=args.arrivals,
-        repeats=args.repeats,
-    )
-    report = service.replay(trace)
+    report = service.replay(_churn(world, args))
 
     s = report.summary
-    print(f"query lifecycle service: {args.algorithm} on {len(network.nodes())} nodes")
-    print(f"  trace: {s['submitted']} submissions over {report.ticks} ticks "
-          f"({args.repeats}x {len(workload)} queries, lifetime {args.lifetime})")
-    print(f"  admitted {s['admitted']}  rejected {s['rejected']}  "
-          f"deployed {s['deployed_total']}  retired {s['retired_total']}")
+    print(f"query lifecycle service: {args.algorithm} "
+          f"on {len(world.network.nodes())} nodes")
+    _print_replay(report, world, args)
     print(f"  plan cache: {s['cache_hits']} hits / {s['cache_misses']} misses "
           f"(hit rate {s['cache_hit_rate']:.1%}), {s['plans_computed']} plans computed")
     print(f"  planning: {s['planning_seconds'] * 1000:.1f} ms total, "
@@ -225,11 +301,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             continue
         value = instrument.value
         print(f"    {name} = {0.0 if value is None else value:g}")
-    if service.durability is not None:
-        d = service.durability.summary()
-        print(f"  durability: {d['journal_records']} journal records "
-              f"(lsn {d['journal_lsn']}), {d['snapshots']} snapshots "
-              f"-> {d['state_dir']}")
+    _print_durability(service)
     return 0
 
 
@@ -254,23 +326,15 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
     import repro
     from repro.fleet import FleetController
-    from repro.service import churn_trace
 
-    network, workload = _generated_workload(args)
-    rates = workload.rate_model()
-    hierarchy = repro.build_hierarchy(network, max_cs=args.max_cs, seed=0)
-    durability = None
-    if args.state_dir:
-        from repro.durability import DurabilityConfig
-
-        durability = DurabilityConfig(state_dir=args.state_dir)
+    world = _world(args)
     try:
         tenants = _parse_tenants(args.tenant)
         fleet = FleetController(
             args.shards,
-            network,
-            rates,
-            hierarchy,
+            world.network,
+            world.rates,
+            world.hierarchy,
             algorithm=args.algorithm,
             policy=args.policy,
             budget=args.budget,
@@ -278,17 +342,11 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             max_per_tick=args.per_tick,
             tenants=tenants,
             federation=not args.no_federation,
-            durability=durability,
+            durability=_durability(args),
         )
     except (ValueError, repro.ReproError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    trace = churn_trace(
-        workload,
-        lifetime=args.lifetime,
-        arrivals_per_tick=args.arrivals,
-        repeats=args.repeats,
-    )
+        return _fail(str(exc))
+    trace = _churn(world, args)
     tenant_for = None
     if tenants:
         cycle = itertools.cycle([t.name for t in tenants])
@@ -310,11 +368,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         return 0 if not violations else 1
 
     print(f"fleet control plane: {fleet.num_shards} shards "
-          f"({fleet.router.policy.name} routing) on {len(network.nodes())} nodes")
-    print(f"  trace: {s['submitted']} submissions over {report.ticks} ticks "
-          f"({args.repeats}x {len(workload)} queries, lifetime {args.lifetime})")
-    print(f"  admitted {s['admitted']}  rejected {s['rejected']}  "
-          f"deployed {s['deployed_total']}  retired {s['retired_total']}")
+          f"({fleet.router.policy.name} routing) on {len(world.network.nodes())} nodes")
+    _print_replay(report, world, args)
     print(f"  plan caches: {s['cache_hits']} hits / {s['cache_misses']} misses, "
           f"{s['plans_computed']} plans computed")
     print(f"  throughput: {s['queries_per_second']:,.0f} deployments/s wall-clock")
@@ -333,11 +388,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
               f"submitted {t.get('submitted', 0):.0f}, "
               f"admitted {t.get('admitted', 0):.0f}, "
               f"rejected {t.get('rejected', 0):.0f}")
-    if fleet.durability is not None:
-        d = fleet.durability.summary()
-        print(f"  durability: {d['journal_records']} journal records "
-              f"(lsn {d['journal_lsn']}), {d['snapshots']} snapshots "
-              f"-> {d['state_dir']}")
+    _print_durability(fleet)
     if violations:
         print("  INVARIANT VIOLATIONS:")
         for violation in violations:
@@ -376,38 +427,20 @@ def _capacity_profile(args, network):
 def _cmd_resources(args: argparse.Namespace) -> int:
     import json
 
-    import repro
     from repro.resources import ResourceConfig
-    from repro.service import StreamQueryService, churn_trace
 
-    network, workload = _generated_workload(args)
-    rates = workload.rate_model()
-    hierarchy = repro.build_hierarchy(network, max_cs=args.max_cs, seed=0)
-    ads = repro.AdvertisementIndex(hierarchy)
-    optimizer = repro.make_optimizer(
-        args.algorithm, network, rates, hierarchy=hierarchy, ads=ads
-    )
+    world = _world(args)
     try:
         config = ResourceConfig(
-            capacities=_capacity_profile(args, network),
+            capacities=_capacity_profile(args, world.network),
             utilization_bound=args.utilization_bound,
             load_weight=args.load_weight,
             shed=not args.no_shed,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    service = StreamQueryService(
-        optimizer, network, rates, hierarchy=hierarchy, ads=ads,
-        resources=config,
-    )
-    trace = churn_trace(
-        workload,
-        lifetime=args.lifetime,
-        arrivals_per_tick=args.arrivals,
-        repeats=args.repeats,
-    )
-    report = service.replay(trace)
+        return _fail(str(exc))
+    service = _service(world, args, resources=config)
+    report = service.replay(_churn(world, args))
 
     manager = service.resources
     resources = manager.summary()
@@ -419,7 +452,7 @@ def _cmd_resources(args: argparse.Namespace) -> int:
         payload = {
             "capacity_profile": args.capacity_profile,
             "algorithm": args.algorithm,
-            "nodes": len(network.nodes()),
+            "nodes": len(world.network.nodes()),
             "ticks": report.ticks,
             "infeasible": infeasible,
             "resources": resources,
@@ -434,11 +467,8 @@ def _cmd_resources(args: argparse.Namespace) -> int:
 
     s = report.summary
     print(f"resource-aware placement: {args.algorithm} on "
-          f"{len(network.nodes())} nodes, profile {args.capacity_profile}")
-    print(f"  trace: {s['submitted']} submissions over {report.ticks} ticks "
-          f"({args.repeats}x {len(workload)} queries, lifetime {args.lifetime})")
-    print(f"  admitted {s['admitted']}  rejected {s['rejected']}  "
-          f"deployed {s['deployed_total']}  retired {s['retired_total']}")
+          f"{len(world.network.nodes())} nodes, profile {args.capacity_profile}")
+    _print_replay(report, world, args)
     if manager.constrained:
         print(f"  bound {config.utilization_bound:g} "
               f"(load weight {config.load_weight:g}): "
@@ -468,46 +498,20 @@ def _cmd_resources(args: argparse.Namespace) -> int:
     return 0
 
 
-def _generated_workload(args):
-    """Synthetic (network, workload) pair shared by trace/metrics."""
-    import repro
-
-    network = repro.transit_stub_by_size(args.nodes, seed=args.seed or 0)
-    workload = repro.generate_workload(
-        network,
-        repro.WorkloadParams(
-            num_streams=args.streams,
-            num_queries=args.queries,
-            joins_per_query=(2, min(4, args.streams - 1)),
-        ),
-        seed=args.seed or 0,
-    )
-    return network, workload
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     import json
 
-    import repro
     from repro.obs import Tracer
     from repro.serialization import explanation_to_json, trace_to_json
 
-    network, workload = _generated_workload(args)
-    queries = list(workload)
+    world = _world(args)
+    queries = list(world.workload)
     if not 0 <= args.query < len(queries):
-        print(f"error: --query must be in [0, {len(queries) - 1}]", file=sys.stderr)
-        return 2
+        return _fail(f"--query must be in [0, {len(queries) - 1}]")
     if args.causal or args.chrome:
-        return _cmd_trace_causal(args, network, workload, queries)
-    rates = workload.rate_model()
-    hierarchy = repro.build_hierarchy(network, max_cs=args.max_cs, seed=0)
-    ads = repro.AdvertisementIndex(hierarchy)
-    for stream, spec in rates.streams.items():
-        ads.advertise_base(stream, spec.source)
+        return _cmd_trace_causal(args, world, queries[args.query])
     tracer = Tracer()
-    optimizer = repro.make_optimizer(
-        args.algorithm, network, rates, hierarchy=hierarchy, ads=ads, tracer=tracer
-    )
+    _ads, optimizer = _planner(world, args, tracer=tracer)
     query = queries[args.query]
     deployment = optimizer.plan(query, None, explain=True)
     root = tracer.last_root
@@ -520,7 +524,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(json.dumps(doc, indent=2))
         return 0
     print(f"optimizer trace: {args.algorithm} planning {query.name!r} "
-          f"on {len(network.nodes())} nodes")
+          f"on {len(world.network.nodes())} nodes")
     print()
     print(root.render())
     print()
@@ -528,27 +532,18 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace_causal(args, network, workload, queries) -> int:
+def _cmd_trace_causal(args, world, query) -> int:
     """``repro trace --causal``: one deployment's causal hop tree."""
-    import repro
     from repro.obs import CausalTracer
     from repro.runtime import simulate_deployment
     from repro.serialization import causal_trace_to_json, chrome_trace_to_json
 
     if args.algorithm not in ("top-down", "bottom-up"):
-        print("error: --causal requires a hierarchical algorithm "
-              "(top-down / bottom-up); only their deployments replay as "
-              "protocol traffic", file=sys.stderr)
-        return 2
-    rates = workload.rate_model()
-    hierarchy = repro.build_hierarchy(network, max_cs=args.max_cs, seed=0)
-    ads = repro.AdvertisementIndex(hierarchy)
-    for stream, spec in rates.streams.items():
-        ads.advertise_base(stream, spec.source)
-    optimizer = repro.make_optimizer(
-        args.algorithm, network, rates, hierarchy=hierarchy, ads=ads
-    )
-    query = queries[args.query]
+        return _fail("--causal requires a hierarchical algorithm "
+                     "(top-down / bottom-up); only their deployments replay as "
+                     "protocol traffic")
+    network, rates = world.network, world.rates
+    _ads, optimizer = _planner(world, args)
     deployment = optimizer.plan(query, None)
     causal = CausalTracer()
     timeline = simulate_deployment(network, deployment, trace=causal, rates=rates)
@@ -583,8 +578,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         try:
             lab = PerfLab(cases=args.cases or None, repeats=args.repeats)
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _fail(str(exc))
         entry = lab.run(label=args.label)
         doc = append_entry(args.trajectory, entry)
         print(f"perf lab: ran {len(entry['cases'])} case(s) x "
@@ -599,8 +593,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     try:
         doc = load_trajectory(args.trajectory)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(str(exc))
 
     if args.perf_command == "report":
         entries = doc.get("entries", [])
@@ -620,9 +613,8 @@ def _cmd_perf(args: argparse.Namespace) -> int:
 
     # compare
     if not doc.get("entries"):
-        print(f"error: {args.trajectory} has no entries; "
-              "run `repro perf run` first", file=sys.stderr)
-        return 2
+        return _fail(f"{args.trajectory} has no entries; "
+                     "run `repro perf run` first")
     report = compare_trajectory(
         doc,
         op_threshold=args.op_threshold,
@@ -668,14 +660,9 @@ def _cmd_dash(args: argparse.Namespace) -> int:
             with open(args.from_file, "r", encoding="utf-8") as fh:
                 envelope = telemetry_from_json(fh.read())
         except OSError as exc:
-            print(f"error: cannot read {args.from_file}: {exc}", file=sys.stderr)
-            return 2
+            return _fail(f"cannot read {args.from_file}: {exc}")
         except (ValueError, KeyError) as exc:
-            print(
-                f"error: {args.from_file} is not a telemetry envelope: {exc}",
-                file=sys.stderr,
-            )
-            return 2
+            return _fail(f"{args.from_file} is not a telemetry envelope: {exc}")
     else:
         from repro.fleet.scenario import chaos_telemetry_scenario
 
@@ -689,15 +676,11 @@ def _cmd_dash(args: argparse.Namespace) -> int:
         envelope = result.telemetry.envelope()
 
     if args.html:
-        with open(args.html, "w", encoding="utf-8") as fh:
-            fh.write(render_html(envelope))
-        print(f"wrote {args.html}")
+        _write(args.html, render_html(envelope))
     if args.csv:
         from repro.obs.timeseries import series_to_csv
 
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(series_to_csv(envelope.get("series", {})))
-        print(f"wrote {args.csv}")
+        _write(args.csv, series_to_csv(envelope.get("series", {})))
     if args.json:
         print(json.dumps(envelope, indent=2, sort_keys=True))
     elif not args.html and not args.csv:
@@ -749,28 +732,17 @@ def _cmd_lab(args: argparse.Namespace) -> int:
             with open(args.envelope, "r", encoding="utf-8") as fh:
                 envelope = lab_envelope_from_json(json.load(fh))
         except OSError as exc:
-            print(f"error: cannot read {args.envelope}: {exc}",
-                  file=sys.stderr)
-            return 2
+            return _fail(f"cannot read {args.envelope}: {exc}")
         except (ValueError, KeyError) as exc:
-            print(f"error: {args.envelope} is not a lab envelope: {exc}",
-                  file=sys.stderr)
-            return 2
+            return _fail(f"{args.envelope} is not a lab envelope: {exc}")
         report = LabReport(envelope)
-        wrote = False
         if args.html:
-            with open(args.html, "w", encoding="utf-8") as fh:
-                fh.write(render_lab_html(report))
-            print(f"wrote {args.html}")
-            wrote = True
+            _write(args.html, render_lab_html(report))
         if args.csv:
-            with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write(lab_envelope_to_csv(envelope))
-            print(f"wrote {args.csv}")
-            wrote = True
+            _write(args.csv, lab_envelope_to_csv(envelope))
         if args.json:
             print(json.dumps(report.summary(), indent=2, sort_keys=True))
-        elif not wrote:
+        elif not (args.html or args.csv):
             print(render_lab_terminal(report), end="")
         return 0
 
@@ -778,16 +750,13 @@ def _cmd_lab(args: argparse.Namespace) -> int:
     try:
         spec = load_scenario(args.scenario)
     except OSError as exc:
-        print(f"error: cannot read {args.scenario}: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"cannot read {args.scenario}: {exc}")
     except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(str(exc))
     try:
         result = run_lab(spec)
     except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(str(exc))
     envelope = result.envelope()
     report = LabReport(envelope)
     if not args.quiet:
@@ -795,50 +764,22 @@ def _cmd_lab(args: argparse.Namespace) -> int:
     if args.json == "-":
         print(lab_to_json(envelope), end="")
     elif args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(lab_to_json(envelope))
-        print(f"wrote {args.json}")
+        _write(args.json, lab_to_json(envelope))
     if args.html:
-        with open(args.html, "w", encoding="utf-8") as fh:
-            fh.write(render_lab_html(report))
-        print(f"wrote {args.html}")
+        _write(args.html, render_lab_html(report))
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(lab_envelope_to_csv(envelope))
-        print(f"wrote {args.csv}")
+        _write(args.csv, lab_envelope_to_csv(envelope))
     return 0
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     import json
 
-    import repro
-    from repro.service import (
-        AdmissionController,
-        PlanCache,
-        StreamQueryService,
-        churn_trace,
-    )
+    from repro.service import AdmissionController
 
-    network, workload = _generated_workload(args)
-    rates = workload.rate_model()
-    hierarchy = repro.build_hierarchy(network, max_cs=args.max_cs, seed=0)
-    ads = repro.AdvertisementIndex(hierarchy)
-    optimizer = repro.make_optimizer(
-        args.algorithm, network, rates, hierarchy=hierarchy, ads=ads
-    )
-    service = StreamQueryService(
-        optimizer,
-        network,
-        rates,
-        hierarchy=hierarchy,
-        ads=ads,
-        admission=AdmissionController(budget=args.budget),
-        cache=PlanCache(),
-    )
-    service.replay(
-        churn_trace(workload, lifetime=args.lifetime, repeats=args.repeats)
-    )
+    world = _world(args)
+    service = _service(world, args, admission=AdmissionController(budget=args.budget))
+    service.replay(_churn(world, args))
     if args.format == "json":
         print(json.dumps(service.registry.snapshot(), indent=2))
     else:
@@ -854,14 +795,12 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 
     state_dir = pathlib.Path(args.state_dir)
     if not state_dir.is_dir():
-        print(f"error: state directory not found: {state_dir}", file=sys.stderr)
-        return 2
+        return _fail(f"state directory not found: {state_dir}")
     if not args.inspect:
-        print("error: offline recovery needs the owning process's "
-              "deterministic factory; use --inspect for the read-only "
-              "report, or recover() from the library "
-              "(see docs/durability.md)", file=sys.stderr)
-        return 2
+        return _fail("offline recovery needs the owning process's "
+                     "deterministic factory; use --inspect for the read-only "
+                     "report, or recover() from the library "
+                     "(see docs/durability.md)")
     doc = inspect_state_dir(state_dir)
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -963,31 +902,21 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         NodeCrash,
         StaleStatistics,
     )
-    from repro.service import (
-        AdmissionController,
-        PlanCache,
-        StreamQueryService,
-        churn_trace,
-    )
+    from repro.service import AdmissionController
 
-    network, workload = _generated_workload(args)
-    rates = workload.rate_model()
-    hierarchy = repro.build_hierarchy(network, max_cs=args.max_cs, seed=0)
-    ads = repro.AdvertisementIndex(hierarchy)
-    optimizer = repro.make_optimizer(
-        args.algorithm, network, rates, hierarchy=hierarchy, ads=ads
+    world = _world(args)
+    network, workload, rates, hierarchy = (
+        world.network, world.workload, world.rates, world.hierarchy
     )
 
     if args.plan:
         path = pathlib.Path(args.plan)
         if not path.is_file():
-            print(f"error: fault plan not found: {path}", file=sys.stderr)
-            return 2
+            return _fail(f"fault plan not found: {path}")
         try:
             plan = repro.fault_plan_from_json(path.read_text())
         except (ValueError, KeyError, TypeError) as exc:
-            print(f"error: {path} is not a fault plan: {exc}", file=sys.stderr)
-            return 2
+            return _fail(f"{path} is not a fault plan: {exc}")
     else:
         # Keep source and sink nodes crash-free so the workload stays
         # plannable; everything else is fair game.  Concentrate the
@@ -1013,29 +942,17 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         return 0
 
     faults = FaultInjector(plan)
-    service = StreamQueryService(
-        optimizer,
-        network,
-        rates,
-        hierarchy=hierarchy,
-        ads=ads,
+    service = _service(
+        world,
+        args,
         admission=AdmissionController(budget=args.budget),
-        cache=PlanCache(),
         resilience=ResilienceConfig(),
         faults=faults,
     )
-    trace = churn_trace(
-        workload,
-        lifetime=args.lifetime,
-        arrivals_per_tick=args.arrivals,
-        repeats=args.repeats,
-    )
-    report = service.replay(trace)
+    report = service.replay(_churn(world, args))
     # Keep ticking past the trace so every scripted fault fires.
-    clock = service.clock
-    while clock < args.duration:
-        clock += 1.0
-        service.tick(clock)
+    while service.clock < args.duration:
+        service.tick()
 
     s = report.summary
     res = service.resilience.summary()
@@ -1090,18 +1007,16 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 def _cmd_adapt(args: argparse.Namespace) -> int:
     import json
 
-    import repro
     from repro.adaptive import AdaptivityConfig
     from repro.core.cost import RateModel, deployment_cost
-    from repro.service import AdmissionController, StreamQueryService
+    from repro.service import AdmissionController
     from repro.workload import drift_timeline
 
-    network, workload = _generated_workload(args)
-    rates = workload.rate_model()
+    world = _world(args)
+    network, rates = world.network, world.rates
     if args.stream is not None and args.stream not in rates.streams:
-        print(f"error: unknown stream {args.stream!r} "
-              f"(catalog: {', '.join(sorted(rates.streams))})", file=sys.stderr)
-        return 2
+        return _fail(f"unknown stream {args.stream!r} "
+                     f"(catalog: {', '.join(sorted(rates.streams))})")
     try:
         timeline = drift_timeline(
             rates.streams,
@@ -1114,8 +1029,7 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
             amplitude=args.amplitude,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(str(exc))
 
     config = AdaptivityConfig(
         horizon=args.horizon, bytes_per_tuple=args.bytes_per_tuple,
@@ -1123,23 +1037,18 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
     )
 
     def build(adaptivity):
-        # Each twin gets its own rate model: the adaptive loop publishes
-        # revised statistics into it, which must not leak to the static
-        # control.
-        own_rates = workload.rate_model()
-        hierarchy = repro.build_hierarchy(network, max_cs=args.max_cs, seed=0)
-        optimizer = repro.make_optimizer(
-            args.algorithm, network, own_rates, hierarchy=hierarchy
-        )
-        service = StreamQueryService(
-            optimizer,
-            network,
-            own_rates,
-            hierarchy=hierarchy,
-            admission=AdmissionController(budget=len(workload.queries)),
+        # Each twin gets its own world: the adaptive loop publishes
+        # revised statistics into its rate model, which must not leak
+        # to the static control.
+        twin = _world(args)
+        service = _service(
+            twin,
+            args,
+            ads=False,
+            admission=AdmissionController(budget=len(twin.workload.queries)),
             adaptivity=adaptivity,
         )
-        for query in workload:
+        for query in twin.workload:
             service.submit(query)
         return service
 
@@ -1217,6 +1126,51 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Flags of the subcommands that replay a churn trace through a
+#: controller (trace shape, admission, durability); each asks
+#: :func:`_world_args` for the ones it takes.  Budget and queue bounds are
+#: per shard in a fleet.
+_REPLAY_FLAGS = {
+    "--budget": dict(type=int, default=8,
+                     help="concurrent-deployment budget"),
+    "--lifetime": dict(type=float, default=5.0,
+                       help="ticks each query stays deployed"),
+    "--arrivals": dict(type=int, default=2,
+                       help="submissions per tick in the trace"),
+    "--repeats": dict(type=int, default=2,
+                      help="times the query sequence is replayed "
+                           "(exercises the plan cache)"),
+    "--max-queue": dict(type=int, default=None,
+                        help="submission-queue bound (default unbounded)"),
+    "--per-tick": dict(type=int, default=None,
+                       help="max queue admissions per tick"),
+    "--state-dir": dict(default=None, metavar="DIR",
+                        help="durable mode: journal every command and cut "
+                             "periodic snapshots into DIR (opt-in; default "
+                             "is fully in-memory)"),
+}
+
+
+def _json_flag(parser, what: str) -> None:
+    parser.add_argument("--json", action="store_true", help=f"emit {what} as JSON")
+
+
+def _world_args(parser, queries, algorithms=HIERARCHICAL, algorithm_help=None,
+                max_cs=8, seed=None, seed_help=None, replay=()) -> None:
+    """Declare the flags :func:`_world` reads (``--nodes --streams
+    --queries --max-cs --algorithm --seed``) with this subcommand's
+    defaults and planner choices, plus the ``replay`` flags it takes."""
+    parser.add_argument("--nodes", type=int, default=32)
+    parser.add_argument("--streams", type=int, default=8)
+    parser.add_argument("--queries", type=int, default=queries)
+    parser.add_argument("--max-cs", type=int, default=max_cs)
+    parser.add_argument("--algorithm", default="top-down",
+                        choices=list(algorithms), help=algorithm_help)
+    parser.add_argument("--seed", type=int, default=seed, help=seed_help)
+    for flag in replay:
+        parser.add_argument(flag, **_REPLAY_FLAGS[flag])
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -1225,107 +1179,59 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    figures = sub.add_parser("figures", help="regenerate paper figures")
+    def subcommand(name, func, help, parent=sub):
+        """One subparser, bound to the function that runs it."""
+        subparser = parent.add_parser(name, help=help)
+        subparser.set_defaults(func=func)
+        return subparser
+
+    figures = subcommand("figures", _cmd_figures, "regenerate paper figures")
     figures.add_argument("names", nargs="*", help=f"figures to run ({', '.join(FIGURES)})")
     figures.add_argument("--all", action="store_true", help="run every figure")
     figures.add_argument("--seed", type=int, default=None)
-    figures.set_defaults(func=_cmd_figures)
 
-    demo = sub.add_parser("demo", help="run a built-in demo")
-    demo.add_argument("name", choices=DEMOS)
-    demo.set_defaults(func=_cmd_demo)
+    demo = subcommand("demo", _cmd_demo, "run a built-in demo")
+    demo.add_argument("name", choices=list(DEMOS))
 
-    bounds = sub.add_parser("bounds", help="print the analytical search-space bounds")
+    bounds = subcommand("bounds", _cmd_bounds,
+                        "print the analytical search-space bounds")
     bounds.add_argument("-k", "--streams", type=int, default=4)
     bounds.add_argument("-n", "--nodes", type=int, default=128)
     bounds.add_argument("--max-cs", type=int, default=32)
-    bounds.set_defaults(func=_cmd_bounds)
 
-    plan = sub.add_parser("plan", help="plan a SQL query on a synthetic network")
+    plan = subcommand("plan", _cmd_plan, "plan a SQL query on a synthetic network")
     plan.add_argument("sql", help="SELECT ... FROM ... WHERE ... text")
     plan.add_argument("--nodes", type=int, default=32)
     plan.add_argument("--sink", type=int, default=0)
     plan.add_argument("--max-cs", type=int, default=8)
-    plan.add_argument("--algorithm", default="top-down",
-                      choices=["top-down", "bottom-up", "optimal", "relaxation",
-                               "in-network", "plan-then-deploy"])
+    plan.add_argument("--algorithm", default="top-down", choices=list(ALGORITHMS))
     plan.add_argument("--seed", type=int, default=None)
-    plan.set_defaults(func=_cmd_plan)
 
-    serve = sub.add_parser(
-        "serve",
-        help="run the query lifecycle service over a churning workload trace",
-    )
+    serve = subcommand("serve", _cmd_serve,
+                       "run the query lifecycle service over a churning workload trace")
     serve.add_argument("--trace", default=None,
                        help="workload JSON (from repro.workload_to_json); "
                             "omit to generate one")
-    serve.add_argument("--nodes", type=int, default=32)
-    serve.add_argument("--streams", type=int, default=8)
-    serve.add_argument("--queries", type=int, default=20)
-    serve.add_argument("--budget", type=int, default=8,
-                       help="concurrent-deployment budget")
-    serve.add_argument("--max-queue", type=int, default=None,
-                       help="submission-queue bound (default unbounded)")
-    serve.add_argument("--per-tick", type=int, default=None,
-                       help="max queue admissions per tick")
-    serve.add_argument("--lifetime", type=float, default=5.0,
-                       help="ticks each query stays deployed")
-    serve.add_argument("--arrivals", type=int, default=2,
-                       help="submissions per tick in the trace")
-    serve.add_argument("--repeats", type=int, default=2,
-                       help="times the query sequence is replayed "
-                            "(exercises the plan cache)")
+    _world_args(serve, queries=20, algorithms=ALGORITHMS, replay=_REPLAY_FLAGS)
     serve.add_argument("--cache-capacity", type=int, default=256)
-    serve.add_argument("--max-cs", type=int, default=8)
-    serve.add_argument("--algorithm", default="top-down",
-                       choices=["top-down", "bottom-up", "optimal", "relaxation",
-                                "in-network", "plan-then-deploy"])
-    serve.add_argument("--seed", type=int, default=None)
-    serve.add_argument("--state-dir", default=None, metavar="DIR",
-                       help="durable mode: journal every command and cut "
-                            "periodic snapshots into DIR (opt-in; default "
-                            "is fully in-memory)")
-    serve.set_defaults(func=_cmd_serve)
 
-    fleet = sub.add_parser(
-        "fleet",
-        help="run the sharded multi-tenant fleet control plane over a churn trace",
-    )
+    fleet = subcommand("fleet", _cmd_fleet,
+                       "run the sharded multi-tenant fleet control plane "
+                       "over a churn trace")
     fleet.add_argument("--shards", type=int, default=4)
     fleet.add_argument("--policy", default="subtree", choices=["subtree", "hash"],
                        help="shard-assignment policy")
-    fleet.add_argument("--nodes", type=int, default=32)
-    fleet.add_argument("--streams", type=int, default=8)
-    fleet.add_argument("--queries", type=int, default=20)
-    fleet.add_argument("--budget", type=int, default=8,
-                       help="per-shard concurrent-deployment budget")
-    fleet.add_argument("--max-queue", type=int, default=None,
-                       help="per-shard submission-queue bound")
-    fleet.add_argument("--per-tick", type=int, default=None,
-                       help="per-shard max queue admissions per tick")
+    _world_args(fleet, queries=20, replay=_REPLAY_FLAGS)
     fleet.add_argument("--tenant", action="append", metavar="NAME:WEIGHT[:QUOTA]",
                        help="add a tenant (repeatable); submissions round-robin "
                             "across tenants")
     fleet.add_argument("--no-federation", action="store_true",
                        help="disable cross-shard view reuse")
-    fleet.add_argument("--lifetime", type=float, default=5.0)
-    fleet.add_argument("--arrivals", type=int, default=2)
-    fleet.add_argument("--repeats", type=int, default=2)
-    fleet.add_argument("--max-cs", type=int, default=8)
-    fleet.add_argument("--algorithm", default="top-down",
-                       choices=["top-down", "bottom-up"])
-    fleet.add_argument("--seed", type=int, default=None)
-    fleet.add_argument("--json", action="store_true",
-                       help="emit the full fleet summary as JSON")
-    fleet.add_argument("--state-dir", default=None, metavar="DIR",
-                       help="durable mode: journal fleet commands and cut "
-                            "periodic snapshots into DIR")
-    fleet.set_defaults(func=_cmd_fleet)
+    _json_flag(fleet, "the full fleet summary")
 
-    resources = sub.add_parser(
-        "resources",
-        help="run the capacity-bounded lifecycle service over a churn trace",
-    )
+    resources = subcommand("resources", _cmd_resources,
+                           "run the capacity-bounded lifecycle service "
+                           "over a churn trace")
     resources.add_argument("--capacity-profile", default="uniform",
                            choices=["unbounded", "uniform", "heterogeneous",
                                     "hotspot"],
@@ -1335,46 +1241,25 @@ def build_parser() -> argparse.ArgumentParser:
     resources.add_argument("--load-weight", type=float, default=0.0,
                            help="bi-criteria weight on projected utilization "
                                 "(0 = pure communication cost under the bound)")
-    resources.add_argument("--cpu", type=float, default=600.0,
-                           help="per-node cpu capacity (uniform/hotspot)")
-    resources.add_argument("--memory", type=float, default=400.0,
-                           help="per-node memory capacity (uniform/hotspot)")
-    resources.add_argument("--bandwidth", type=float, default=800.0,
-                           help="per-node bandwidth capacity (uniform/hotspot)")
+    for kind, default in (("cpu", 600.0), ("memory", 400.0), ("bandwidth", 800.0)):
+        resources.add_argument(f"--{kind}", type=float, default=default,
+                               help=f"per-node {kind} capacity (uniform/hotspot)")
     resources.add_argument("--weak-fraction", type=float, default=0.25,
                            help="hotspot profile: fraction of weak nodes")
     resources.add_argument("--no-shed", action="store_true",
                            help="park infeasible queries instead of shedding "
                                 "lighter ones")
-    resources.add_argument("--nodes", type=int, default=32)
-    resources.add_argument("--streams", type=int, default=8)
-    resources.add_argument("--queries", type=int, default=12)
-    resources.add_argument("--lifetime", type=float, default=5.0)
-    resources.add_argument("--arrivals", type=int, default=2)
-    resources.add_argument("--repeats", type=int, default=2)
-    resources.add_argument("--max-cs", type=int, default=8)
-    resources.add_argument("--algorithm", default="top-down",
-                           choices=["top-down", "bottom-up"])
-    resources.add_argument("--seed", type=int, default=None)
-    resources.add_argument("--json", action="store_true",
-                           help="emit the full report as JSON")
-    resources.set_defaults(func=_cmd_resources)
+    _world_args(resources, queries=12,
+                replay=("--lifetime", "--arrivals", "--repeats"))
+    _json_flag(resources, "the full report")
 
-    trace = sub.add_parser(
-        "trace",
-        help="trace one optimization: span tree + exportable plan explanation",
-    )
+    trace = subcommand("trace", _cmd_trace,
+                       "trace one optimization: span tree + exportable plan explanation")
     trace.add_argument("--query", type=int, default=0,
                        help="index of the generated query to trace")
-    trace.add_argument("--nodes", type=int, default=32)
-    trace.add_argument("--streams", type=int, default=8)
-    trace.add_argument("--queries", type=int, default=8)
-    trace.add_argument("--max-cs", type=int, default=8)
-    trace.add_argument("--algorithm", default="top-down",
-                       choices=["top-down", "bottom-up", "optimal"],
-                       help="planners with span tracing + explain support")
-    trace.add_argument("--json", action="store_true",
-                       help="emit the trace and explanation as JSON")
+    _world_args(trace, queries=8, algorithms=ALGORITHMS[:3],
+                algorithm_help="planners with span tracing + explain support")
+    _json_flag(trace, "the trace and explanation")
     trace.add_argument("--causal", action="store_true",
                        help="replay the deployment protocol with causal "
                             "tracing and show the cross-coordinator hop tree")
@@ -1384,48 +1269,24 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--max-depth", type=int, default=None,
                        help="depth bound for the rendered hop tree "
                             "(pruned subtrees are marked)")
-    trace.add_argument("--seed", type=int, default=None)
-    trace.set_defaults(func=_cmd_trace)
 
-    metrics = sub.add_parser(
-        "metrics",
-        help="replay a churn trace and export the typed metric registry",
-    )
+    metrics = subcommand("metrics", _cmd_metrics,
+                         "replay a churn trace and export the typed metric registry")
     metrics.add_argument("--format", default="prom", choices=["prom", "json"],
                          help="Prometheus text exposition or JSON snapshot")
-    metrics.add_argument("--nodes", type=int, default=32)
-    metrics.add_argument("--streams", type=int, default=8)
-    metrics.add_argument("--queries", type=int, default=12)
-    metrics.add_argument("--budget", type=int, default=8)
-    metrics.add_argument("--lifetime", type=float, default=5.0)
-    metrics.add_argument("--repeats", type=int, default=2)
-    metrics.add_argument("--max-cs", type=int, default=8)
-    metrics.add_argument("--algorithm", default="top-down",
-                         choices=["top-down", "bottom-up", "optimal", "relaxation",
-                                  "in-network", "plan-then-deploy"])
-    metrics.add_argument("--seed", type=int, default=None)
-    metrics.set_defaults(func=_cmd_metrics)
+    _world_args(metrics, queries=12, algorithms=ALGORITHMS,
+                replay=("--budget", "--lifetime", "--repeats"))
 
-    chaos = sub.add_parser(
-        "chaos",
-        help="run a seeded fault-injection drill against the resilient service",
-    )
-    chaos.add_argument("--seed", type=int, default=0,
-                       help="seed for the workload and the fault plan")
+    chaos = subcommand("chaos", _cmd_chaos,
+                       "run a seeded fault-injection drill "
+                       "against the resilient service")
     chaos.add_argument("--duration", type=float, default=40.0,
                        help="virtual ticks the drill covers")
-    chaos.add_argument("--nodes", type=int, default=32)
-    chaos.add_argument("--streams", type=int, default=8)
-    chaos.add_argument("--queries", type=int, default=12)
-    chaos.add_argument("--budget", type=int, default=8)
-    chaos.add_argument("--lifetime", type=float, default=5.0)
-    chaos.add_argument("--arrivals", type=int, default=2)
-    chaos.add_argument("--repeats", type=int, default=2)
-    chaos.add_argument("--max-cs", type=int, default=8)
-    chaos.add_argument("--algorithm", default="top-down",
-                       choices=["top-down", "bottom-up"],
-                       help="hierarchical planners (the ladder degrades "
-                            "from them)")
+    _world_args(chaos, queries=12, seed=0,
+                seed_help="seed for the workload and the fault plan",
+                algorithm_help="hierarchical planners (the ladder degrades "
+                               "from them)",
+                replay=("--budget", "--lifetime", "--arrivals", "--repeats"))
     chaos.add_argument("--plan", default=None,
                        help="fault-plan JSON (from --emit-plan); "
                             "overrides generation")
@@ -1443,62 +1304,43 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--state-dir", default=None, metavar="DIR",
                        help="root directory for the matrix's per-point "
                             "state dirs (default: a temp dir)")
-    chaos.add_argument("--json", action="store_true",
-                       help="emit the crash matrix report as JSON")
-    chaos.set_defaults(func=_cmd_chaos)
+    _json_flag(chaos, "the crash matrix report")
 
-    recover = sub.add_parser(
-        "recover",
-        help="inspect a durability state directory: journal health, "
-             "snapshots, and what a recovery would replay",
-    )
+    recover = subcommand("recover", _cmd_recover,
+                         "inspect a durability state directory: journal health, "
+                         "snapshots, and what a recovery would replay")
     recover.add_argument("state_dir", help="durability state directory")
     recover.add_argument("--inspect", action="store_true",
                          help="read-only report (journal tail, snapshot "
                               "validity, replay suffix, in-flight "
                               "migrations); required -- recovery itself "
                               "is a library call")
-    recover.add_argument("--json", action="store_true",
-                         help="emit the inspection report as JSON")
-    recover.set_defaults(func=_cmd_recover)
+    _json_flag(recover, "the inspection report")
 
-    adapt = sub.add_parser(
-        "adapt",
-        help="run a seeded rate-drift drill against the adaptive loop",
-    )
-    adapt.add_argument("--seed", type=int, default=2,
-                       help="seed for the network and workload")
+    adapt = subcommand("adapt", _cmd_adapt,
+                       "run a seeded rate-drift drill against the adaptive loop")
     adapt.add_argument("--ticks", type=int, default=30,
                        help="virtual ticks the drill covers")
-    adapt.add_argument("--nodes", type=int, default=32)
-    adapt.add_argument("--streams", type=int, default=8)
-    adapt.add_argument("--queries", type=int, default=6)
-    adapt.add_argument("--max-cs", type=int, default=4)
-    adapt.add_argument("--algorithm", default="top-down",
-                       choices=["top-down", "bottom-up"],
-                       help="hierarchical planners (re-planning reuses them)")
+    _world_args(adapt, queries=6, max_cs=4, seed=2,
+                seed_help="seed for the network and workload",
+                algorithm_help="hierarchical planners (re-planning reuses them)")
     adapt.add_argument("--drift", default="step",
                        choices=["step", "ramp", "periodic"],
                        help="shape of the scheduled rate change")
     adapt.add_argument("--stream", default=None,
                        help="drifting stream (default: the lowest-rate one)")
-    adapt.add_argument("--at", type=float, default=5.0,
-                       help="step time / ramp start")
-    adapt.add_argument("--ramp", type=float, default=10.0,
-                       help="ramp duration (--drift ramp)")
-    adapt.add_argument("--factor", type=float, default=6.0,
-                       help="rate multiplier after the step/ramp")
-    adapt.add_argument("--period", type=float, default=24.0,
-                       help="oscillation period (--drift periodic)")
-    adapt.add_argument("--amplitude", type=float, default=0.5,
-                       help="oscillation amplitude (--drift periodic)")
-    adapt.add_argument("--horizon", type=float, default=30.0,
-                       help="ticks a migration's saving is amortized over")
-    adapt.add_argument("--bytes-per-tuple", type=float, default=16.0,
-                       help="window-state size per buffered tuple")
+    for flag, default, text in (
+        ("--at", 5.0, "step time / ramp start"),
+        ("--ramp", 10.0, "ramp duration (--drift ramp)"),
+        ("--factor", 6.0, "rate multiplier after the step/ramp"),
+        ("--period", 24.0, "oscillation period (--drift periodic)"),
+        ("--amplitude", 0.5, "oscillation amplitude (--drift periodic)"),
+        ("--horizon", 30.0, "ticks a migration's saving is amortized over"),
+        ("--bytes-per-tuple", 16.0, "window-state size per buffered tuple"),
+    ):
+        adapt.add_argument(flag, type=float, default=default, help=text)
     adapt.add_argument("--emit-timeline", action="store_true",
                        help="emit the per-tick cost/migration timeline as JSON")
-    adapt.set_defaults(func=_cmd_adapt)
 
     perf = sub.add_parser(
         "perf",
@@ -1506,9 +1348,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf_sub = perf.add_subparsers(dest="perf_command", required=True)
 
-    perf_run = perf_sub.add_parser(
-        "run", help="run the benchmark suite and append to the trajectory"
-    )
+    perf_run = subcommand("run", _cmd_perf, parent=perf_sub,
+                          help="run the benchmark suite and append to the trajectory")
     perf_run.add_argument("--label", default="",
                           help="free-form label stored on the entry "
                                "(e.g. a commit id)")
@@ -1516,15 +1357,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="repeats per case (op counts must agree)")
     perf_run.add_argument("--cases", nargs="*", default=None,
                           help="case names to run (default: the quick subset)")
-    perf_run.add_argument("--trajectory", default="BENCH_trajectory.json",
-                          help="trajectory file to append to")
-    perf_run.set_defaults(func=_cmd_perf)
 
-    perf_compare = perf_sub.add_parser(
-        "compare",
-        help="compare the latest entry against the median-of-N baseline",
-    )
-    perf_compare.add_argument("--trajectory", default="BENCH_trajectory.json")
+    perf_compare = subcommand("compare", _cmd_perf, parent=perf_sub,
+                              help="compare the latest entry against the "
+                                   "median-of-N baseline")
     perf_compare.add_argument("--op-threshold", type=float, default=0.25,
                               help="relative op-count increase that fails "
                                    "(0.25 = +25%%)")
@@ -1533,23 +1369,18 @@ def build_parser() -> argparse.ArgumentParser:
                                    "(advisory only, never fails)")
     perf_compare.add_argument("--window", type=int, default=5,
                               help="prior entries in the median baseline")
-    perf_compare.add_argument("--json", action="store_true",
-                              help="emit the comparison report as JSON")
-    perf_compare.set_defaults(func=_cmd_perf)
+    _json_flag(perf_compare, "the comparison report")
 
-    perf_report = perf_sub.add_parser(
-        "report", help="summarize the stored trajectory"
-    )
-    perf_report.add_argument("--trajectory", default="BENCH_trajectory.json")
-    perf_report.add_argument("--json", action="store_true",
-                             help="emit the full trajectory document")
-    perf_report.set_defaults(func=_cmd_perf)
+    perf_report = subcommand("report", _cmd_perf, parent=perf_sub,
+                             help="summarize the stored trajectory")
+    _json_flag(perf_report, "the full trajectory document")
+    for perf_command in (perf_run, perf_compare, perf_report):
+        perf_command.add_argument("--trajectory", default="BENCH_trajectory.json",
+                                  help="trajectory file to append to / read")
 
-    dash = sub.add_parser(
-        "dash",
-        help="telemetry control tower: render a dashboard from a "
-             "repro.telemetry envelope or a seeded chaos drill",
-    )
+    dash = subcommand("dash", _cmd_dash,
+                      "telemetry control tower: render a dashboard from a "
+                      "repro.telemetry envelope or a seeded chaos drill")
     dash.add_argument("--from", dest="from_file", default=None,
                       metavar="FILE",
                       help="render a saved repro.telemetry JSON envelope "
@@ -1561,9 +1392,7 @@ def build_parser() -> argparse.ArgumentParser:
     dash.add_argument("--shards", type=int, default=2)
     dash.add_argument("--ticks", type=int, default=24,
                       help="virtual ticks the scenario drives")
-    dash.add_argument("--json", action="store_true",
-                      help="emit the telemetry envelope as JSON instead of "
-                           "the terminal dashboard")
+    _json_flag(dash, "the telemetry envelope (instead of the dashboard)")
     dash.add_argument("--html", default=None, metavar="PATH",
                       help="also write a static HTML report")
     dash.add_argument("--csv", default=None, metavar="PATH",
@@ -1572,7 +1401,6 @@ def build_parser() -> argparse.ArgumentParser:
     dash.add_argument("--once", action="store_true",
                       help="always exit 0 (default: exit 1 while any alert "
                            "is firing, for scripting)")
-    dash.set_defaults(func=_cmd_dash)
 
     lab = sub.add_parser(
         "lab",
@@ -1581,9 +1409,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lab_sub = lab.add_subparsers(dest="lab_command", required=True)
 
-    lab_run = lab_sub.add_parser(
-        "run", help="step a scenario's candidate panel and report"
-    )
+    lab_run = subcommand("run", _cmd_lab, parent=lab_sub,
+                         help="step a scenario's candidate panel and report")
     lab_run.add_argument("scenario", metavar="SCENARIO",
                          help="scenario file (.json, or .toml on "
                               "Python >= 3.11)")
@@ -1597,11 +1424,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "as long-form CSV")
     lab_run.add_argument("--quiet", action="store_true",
                          help="suppress the terminal report")
-    lab_run.set_defaults(func=_cmd_lab)
 
-    lab_report = lab_sub.add_parser(
-        "report", help="re-render a saved repro.lab envelope"
-    )
+    lab_report = subcommand("report", _cmd_lab, parent=lab_sub,
+                            help="re-render a saved repro.lab envelope")
     lab_report.add_argument("envelope", metavar="ENVELOPE",
                             help="a repro.lab JSON file written by "
                                  "`repro lab run --json`")
@@ -1609,21 +1434,15 @@ def build_parser() -> argparse.ArgumentParser:
                             help="write the comparative HTML report")
     lab_report.add_argument("--csv", default=None, metavar="PATH",
                             help="write the telemetry series as CSV")
-    lab_report.add_argument("--json", action="store_true",
-                            help="emit the comparison summary as JSON "
-                                 "instead of the terminal report")
-    lab_report.set_defaults(func=_cmd_lab)
+    _json_flag(lab_report, "the comparison summary (instead of the report)")
 
-    lab_list = lab_sub.add_parser(
-        "list", help="list the scenario files in a directory"
-    )
+    lab_list = subcommand("list", _cmd_lab, parent=lab_sub,
+                          help="list the scenario files in a directory")
     lab_list.add_argument("--dir", dest="directory",
                           default="benchmarks/scenarios",
                           help="directory to scan for .json/.toml "
                                "scenarios")
-    lab_list.add_argument("--json", action="store_true",
-                          help="emit the listing as JSON")
-    lab_list.set_defaults(func=_cmd_lab)
+    _json_flag(lab_list, "the listing")
     return parser
 
 

@@ -107,14 +107,9 @@ class Durability:
     # ------------------------------------------------------------------
     def bind_service(self, service) -> None:
         """Attach to a standalone :class:`StreamQueryService`."""
-        from repro.durability.state import FragmentMemo, capture_service
+        from repro.durability.state import capture_service
 
-        self.scope = "service"
-        self._controller = service
-        self._capture = capture_service
-        self._memo = FragmentMemo()
-        self._bind_instruments(service.registry)
-        self._persist_flight(getattr(service, "telemetry", None))
+        self._bind("service", service, capture_service)
 
     def bind_fleet(self, fleet) -> None:
         """Attach to a :class:`FleetController` (fleet-scope journal).
@@ -124,14 +119,19 @@ class Durability:
         paths, so per-shard journals would only record every mutation
         twice.
         """
-        from repro.durability.state import FragmentMemo, capture_fleet
+        from repro.durability.state import capture_fleet
 
-        self.scope = "fleet"
-        self._controller = fleet
-        self._capture = capture_fleet
+        self._bind("fleet", fleet, capture_fleet)
+
+    def _bind(self, scope: str, controller, capture) -> None:
+        from repro.durability.state import FragmentMemo
+
+        self.scope = scope
+        self._controller = controller
+        self._capture = capture
         self._memo = FragmentMemo()
-        self._bind_instruments(fleet.registry)
-        self._persist_flight(getattr(fleet, "telemetry", None))
+        self._bind_instruments(controller.registry)
+        self._persist_flight(getattr(controller, "telemetry", None))
 
     def _persist_flight(self, telemetry) -> None:
         # Satellite: alert-frozen debug bundles survive a crash by

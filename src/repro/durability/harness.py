@@ -62,15 +62,14 @@ class Scenario:
             with durability bound to ``state_dir``.  Calling it twice
             with different directories yields behaviorally identical
             controllers (same seeds, same workload).
-        steps: Script of command steps; each executes exactly one
-            journaled command against the controller.
-        queries: The workload catalog the script's submit steps index.
+        steps: Script of ``(command method, keyword arguments)`` steps;
+            each executes exactly one journaled command against the
+            controller.
     """
 
     scope: str
     factory: Callable[[str | Path], Any]
-    steps: list[dict[str, Any]] = field(default_factory=list)
-    queries: list[Any] = field(default_factory=list)
+    steps: list[tuple[str, dict[str, Any]]] = field(default_factory=list)
 
 
 def _service_env(state_dir: str | Path):
@@ -133,26 +132,19 @@ def service_scenario() -> Scenario:
         for i, s in enumerate(sorted(service.rates.streams))
     }
     failed = service.hierarchy.leaf_cluster(queries[0].sink).coordinator
-    steps: list[dict[str, Any]] = []
-    for i in range(len(queries)):
-        steps.append({"op": "submit", "query": i, "lifetime": None})
-    steps += [{"op": "tick"}] * 3
-    steps.append({"op": "observe", "samples": dict(drift)})
-    steps.append({"op": "tick"})
-    steps.append({"op": "observe", "samples": dict(drift)})
-    steps += [{"op": "tick"}] * 2
-    steps.append({"op": "retire", "name": queries[1].name})
-    steps.append({"op": "tick"})
-    steps.append({"op": "node_failure", "node": failed})
-    steps += [{"op": "tick"}] * 2
-    steps.append({"op": "rejoin", "node": failed})
-    steps += [{"op": "tick"}] * 3
+    tick = ("tick", {})
+    observe = ("observe_rates", {"samples": drift})
+    steps = [("submit", {"query": query, "lifetime": None}) for query in queries]
+    steps += [tick] * 3 + [observe, tick, observe] + [tick] * 2
+    steps += [("retire", {"name": queries[1].name}), tick]
+    steps += [("handle_node_failure", {"node": failed})] + [tick] * 2
+    steps += [("rejoin_node", {"node": failed})] + [tick] * 3
 
     def factory(state_dir):
         built, _ = _service_env(state_dir)
         return built
 
-    return Scenario("service", factory, steps, queries)
+    return Scenario("service", factory, steps)
 
 
 def _fleet_env(state_dir: str | Path):
@@ -194,29 +186,23 @@ def fleet_scenario() -> Scenario:
     fleet, workload = _fleet_env(None)
     queries = list(workload)
     tenants = ["acme", "umbrella"]
-    steps: list[dict[str, Any]] = []
-    for i in range(len(queries)):
-        steps.append(
-            {
-                "op": "submit",
-                "query": i,
-                "lifetime": None,
-                "tenant": tenants[i % 2],
-            }
-        )
-    steps += [{"op": "tick"}] * 4
-    steps.append({"op": "retire", "name": queries[2].name})
-    steps += [{"op": "tick"}] * 2
+    tick = ("tick", {})
+    steps = [
+        ("submit", {"query": query, "lifetime": None, "tenant": tenants[i % 2]})
+        for i, query in enumerate(queries)
+    ]
+    steps += [tick] * 4 + [("retire", {"name": queries[2].name})] + [tick] * 2
     # Move one live query to the other shard: the rebalance path emits
     # the same migrate_* barrier ladder the in-service migrator does.
-    steps.append({"op": "rebalance", "query": 0, "target_shard": 1})
-    steps += [{"op": "tick"}] * 4
+    other = (fleet.router.route(queries[0]) + 1) % fleet.num_shards
+    steps += [("rebalance", {"name": queries[0].name, "target_shard": other})]
+    steps += [tick] * 4
 
     def factory(state_dir):
         built, _ = _fleet_env(state_dir)
         return built
 
-    return Scenario("fleet", factory, steps, queries)
+    return Scenario("fleet", factory, steps)
 
 
 SCENARIOS: dict[str, Callable[[], Scenario]] = {
@@ -228,35 +214,10 @@ SCENARIOS: dict[str, Callable[[], Scenario]] = {
 # ----------------------------------------------------------------------
 # Script execution
 # ----------------------------------------------------------------------
-def execute_step(scenario: Scenario, controller, step: dict[str, Any]) -> None:
+def execute_step(controller, step: tuple[str, dict[str, Any]]) -> None:
     """Run one script step (= one journaled command) on ``controller``."""
-    op = step["op"]
-    if op == "submit":
-        query = scenario.queries[step["query"]]
-        if scenario.scope == "fleet":
-            controller.submit(
-                query, lifetime=step["lifetime"], tenant=step.get("tenant")
-            )
-        else:
-            controller.submit(query, lifetime=step["lifetime"])
-    elif op == "tick":
-        controller.tick()
-    elif op == "retire":
-        controller.retire(step["name"])
-    elif op == "observe":
-        controller.observe_rates(step["samples"])
-    elif op == "node_failure":
-        controller.handle_node_failure(step["node"])
-    elif op == "rejoin":
-        controller.rejoin_node(step["node"])
-    elif op == "rebalance":
-        name = scenario.queries[step["query"]].name
-        target = step["target_shard"]
-        if controller.shard_of(name) == target:
-            target = (target + 1) % controller.num_shards
-        controller.rebalance(name, target)
-    else:
-        raise ValueError(f"unknown script op {op!r}")
+    method, arguments = step
+    getattr(controller, method)(**arguments)
 
 
 def run_steps(
@@ -271,7 +232,7 @@ def run_steps(
     """
     for i in range(start, len(scenario.steps)):
         try:
-            execute_step(scenario, controller, scenario.steps[i])
+            execute_step(controller, scenario.steps[i])
         except SimulatedCrash:
             return True, i
     return False, len(scenario.steps)
@@ -362,10 +323,8 @@ def invariant_violations(scenario: Scenario, controller) -> list[str]:
     violations: list[str] = []
     if scenario.scope == "fleet":
         violations += controller.check_invariants()
+    if controller.hierarchy is not None:
         violations += controller.hierarchy.invariant_violations()
-    else:
-        if controller.hierarchy is not None:
-            violations += controller.hierarchy.invariant_violations()
     return violations
 
 

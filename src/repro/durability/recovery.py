@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
+from repro.commands import replay
 from repro.durability.journal import (
     COMMAND_KINDS,
     JOURNAL_FILE,
@@ -113,8 +114,12 @@ def classify_in_flight_migrations(records: list[dict[str, Any]]) -> list[dict[st
 # ----------------------------------------------------------------------
 # Command dispatch
 # ----------------------------------------------------------------------
-def _replay_command(controller, scope: str, rec: dict[str, Any]) -> None:
+def _replay_command(controller, rec: dict[str, Any]) -> None:
     """Re-execute one command record through the ordinary code paths.
+
+    The record's kind names the method the controller's class declared
+    with :func:`repro.commands.command`; its data are that method's
+    arguments.
 
     Exceptions are swallowed: a command that failed validation when it
     was first journaled (duplicate name, unknown stream, planning
@@ -122,36 +127,8 @@ def _replay_command(controller, scope: str, rec: dict[str, Any]) -> None:
     both runs the caller saw the error while the control plane kept
     its state.
     """
-    from repro.serialization import _query_from_dict
-
-    kind = rec["kind"]
-    data = rec["data"]
     try:
-        if kind == "cmd_submit":
-            query = _query_from_dict(data["query"])
-            if scope == "fleet":
-                controller.submit(
-                    query,
-                    lifetime=data["lifetime"],
-                    time=data["time"],
-                    tenant=data.get("tenant"),
-                )
-            else:
-                controller.submit(query, lifetime=data["lifetime"], time=data["time"])
-        elif kind == "cmd_tick":
-            controller.tick(data["time"])
-        elif kind == "cmd_retire":
-            controller.retire(data["name"])
-        elif kind == "cmd_node_failure":
-            controller.handle_node_failure(data["node"])
-        elif kind == "cmd_rejoin":
-            controller.rejoin_node(data["node"])
-        elif kind == "cmd_observe":
-            controller.observe_rates(data["samples"], time=data.get("time"))
-        elif kind == "cmd_rebalance":
-            controller.rebalance(data["name"], data["target_shard"])
-        else:  # pragma: no cover - COMMAND_KINDS is closed
-            raise ValueError(f"unknown command kind {kind!r}")
+        replay(controller, rec["kind"], rec["data"])
     except Exception:
         pass
 
@@ -216,7 +193,7 @@ def recover(
                 continue
             if rec["kind"] not in COMMAND_KINDS:
                 continue
-            _replay_command(controller, durability.scope, rec)
+            _replay_command(controller, rec)
             report.replayed_records += 1
             if rec["kind"] == "cmd_tick":
                 report.replayed_ticks += 1

@@ -24,12 +24,12 @@ regression test pins down.
 from __future__ import annotations
 
 import re
-import time as _time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from repro.adaptive.diff import diff_deployments
 from repro.adaptive.migrate import Migrator
+from repro.commands import command, next_tick_time
 from repro.core.cost import RateModel
 from repro.core.optimizer import Optimizer, make_optimizer
 from repro.errors import ReproError, UnknownQueryError
@@ -55,6 +55,7 @@ from repro.service.service import (
     StreamQueryService,
     SubmitEvent,
     TickReport,
+    drive_trace,
 )
 
 
@@ -399,6 +400,9 @@ class FleetController:
             out.extend(shard.live_queries)
         return out
 
+    def _num_live(self) -> int:
+        return sum(shard.engine.state.num_deployments for shard in self.shards)
+
     def shard_of(self, name: str) -> int | None:
         """Owning shard of a query (live or queued), or ``None``."""
         return self.router.owner(name)
@@ -430,15 +434,18 @@ class FleetController:
     # ------------------------------------------------------------------
     # Resource layer
     # ------------------------------------------------------------------
+    def _ledger(self):
+        if self.resource_ledger is None:
+            raise ReproError("fleet was built without resources=")
+        return self.resource_ledger
+
     def hot_nodes(self, k: int = 3) -> list[tuple[int, float]]:
         """The ``k`` most utilized physical nodes, fleet-wide.
 
         Raises:
             ReproError: The fleet has no resource layer.
         """
-        if self.resource_ledger is None:
-            raise ReproError("fleet was built without resources=")
-        return self.resource_ledger.hot_nodes(k)
+        return self._ledger().hot_nodes(k)
 
     def queries_on(self, node: int) -> list[str]:
         """Queries (any shard) with an operator on ``node``; feed these
@@ -447,9 +454,7 @@ class FleetController:
         Raises:
             ReproError: The fleet has no resource layer.
         """
-        if self.resource_ledger is None:
-            raise ReproError("fleet was built without resources=")
-        return self.resource_ledger.queries_on(node)
+        return self._ledger().queries_on(node)
 
     def resource_summary(self) -> dict:
         """Fleet-wide resource snapshot (ledger + per-shard managers).
@@ -457,10 +462,8 @@ class FleetController:
         Raises:
             ReproError: The fleet has no resource layer.
         """
-        if self.resource_ledger is None:
-            raise ReproError("fleet was built without resources=")
         return {
-            "ledger": self.resource_ledger.summary(),
+            "ledger": self._ledger().summary(),
             "parked": sorted(
                 name for m in self.resource_managers for name in m.parked
             ),
@@ -515,6 +518,7 @@ class FleetController:
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
+    @command("cmd_submit")
     def submit(
         self,
         query: Query,
@@ -530,63 +534,41 @@ class FleetController:
         first; when the shards are over budget the submission parks in
         the tenant's weighted-fair backlog instead of a shard queue.
         """
-        journal = self.durability is not None and not self._in_command
-        if journal:
-            from repro.serialization import _query_to_dict
+        if time is not None:
+            self.clock = time
+        self.submitted_total += 1
+        self._submitted_counter.inc(time=self.clock)
 
-            self._in_command = True
-            self.durability.command(
-                "cmd_submit",
-                float(time) if time is not None else self.clock,
-                {
-                    "query": _query_to_dict(query),
-                    "lifetime": lifetime,
-                    "time": time,
-                    "tenant": tenant,
-                },
-            )
-        try:
-            if time is not None:
-                self.clock = time
-            self.submitted_total += 1
-            self._submitted_counter.inc(time=self.clock)
+        if self.scheduler is None:
+            shard = self.router.route(query)
+            decision = self.shards[shard].submit(query, lifetime=lifetime, time=time)
+            self._book_decision(decision, shard, "")
+            fleet_decision = FleetDecision(decision=decision, shard=shard)
+        else:
+            fleet_decision = self._submit_tenant(query, lifetime, tenant)
+        self._mark(
+            "admit",
+            query=query.name,
+            status=fleet_decision.status.value,
+            shard=fleet_decision.shard,
+            tenant=fleet_decision.tenant,
+        )
+        if fleet_decision.tenant:
+            self._mark_tenant_accounting(fleet_decision.tenant)
+        return fleet_decision
 
-            if self.scheduler is None:
-                shard = self.router.route(query)
-                decision = self.shards[shard].submit(
-                    query, lifetime=lifetime, time=time
-                )
-                self._book_decision(decision, shard, "")
-                fleet_decision = FleetDecision(decision=decision, shard=shard)
-            else:
-                fleet_decision = self._submit_tenant(query, lifetime, tenant)
-            if self.durability is not None:
-                self.durability.marker(
-                    "admit",
-                    self.clock,
-                    {
-                        "query": query.name,
-                        "status": fleet_decision.status.value,
-                        "shard": fleet_decision.shard,
-                        "tenant": fleet_decision.tenant,
-                    },
-                )
-                if fleet_decision.tenant:
-                    self._mark_tenant_accounting(fleet_decision.tenant)
-            return fleet_decision
-        finally:
-            if journal:
-                self._in_command = False
+    def _mark(self, kind: str, **data) -> None:
+        """Journal one marker at the current clock (nothing when the
+        durability layer is off)."""
+        if self.durability is not None:
+            self.durability.marker(kind, self.clock, data)
 
     def _mark_tenant_accounting(self, tenant: str) -> None:
-        self.durability.marker(
+        self._mark(
             "tenant_accounting",
-            self.clock,
-            {
-                "tenant": tenant,
-                "in_flight": self._tenant_charge.get(tenant, 0),
-                "live": self._tenant_live.get(tenant, 0),
-            },
+            tenant=tenant,
+            in_flight=self._tenant_charge.get(tenant, 0),
+            live=self._tenant_live.get(tenant, 0),
         )
 
     def _submit_tenant(
@@ -635,13 +617,8 @@ class FleetController:
             return rejected(f"sink {query.sink} is not a network node")
 
         shard = self.router.route(query)
-        service = self.shards[shard]
-        has_capacity = (
-            len(service.live_queries) < service.admission.budget
-            and service.admission.queue_depth == 0
-        )
-        if has_capacity and self.scheduler.total_backlog == 0:
-            decision = service.submit(query, lifetime=lifetime)
+        if self._has_capacity(shard) and self.scheduler.total_backlog == 0:
+            decision = self.shards[shard].submit(query, lifetime=lifetime)
             self._book_decision(decision, shard, record.name)
             if not decision.rejected:
                 self._charge(record.name, query.name)
@@ -670,8 +647,17 @@ class FleetController:
             reason=f"fleet backlog (tenant {record.name!r})",
             queue_position=position,
         )
-        self._admitted_like(decision)
+        self._admitted_counter.inc(time=self.clock)
         return FleetDecision(decision=decision, shard=shard, tenant=record.name)
+
+    def _has_capacity(self, shard: int) -> bool:
+        """Whether a submission to ``shard`` would deploy at once: free
+        admission budget and nothing queued ahead of it."""
+        service = self.shards[shard]
+        return (
+            service.engine.state.num_deployments < service.admission.budget
+            and service.admission.queue_depth == 0
+        )
 
     def _book_decision(
         self, decision: AdmissionDecision, shard: int, tenant: str
@@ -682,14 +668,11 @@ class FleetController:
                 self._tenant_instruments[tenant]["rejected"].inc(time=self.clock)
             return
         self.router.bind(decision.query, shard)
-        self._admitted_like(decision)
+        self._admitted_counter.inc(time=self.clock)
         if tenant:
             self._tenant_instruments[tenant]["admitted"].inc(time=self.clock)
         if decision.admitted:
             self._after_deploy(shard, decision.query)
-
-    def _admitted_like(self, decision: AdmissionDecision) -> None:
-        self._admitted_counter.inc(time=self.clock)
 
     def _charge(self, tenant: str, name: str) -> None:
         self._tenant_of[name] = tenant
@@ -704,6 +687,20 @@ class FleetController:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
+    def _tick_end(self, report: FleetTickReport) -> None:
+        """Tail of a journaled tick: its boundary marker, then the
+        snapshot cadence (snapshots are only cut between ticks)."""
+        self.durability.marker(
+            "tick_end",
+            report.time,
+            {
+                "deployed": [list(d) for d in report.deployed],
+                "retired": [list(r) for r in report.retired],
+            },
+        )
+        self.durability.maybe_snapshot(report.time)
+
+    @command("cmd_tick", resolve_time=next_tick_time, tail=_tick_end)
     def tick(self, time: float | None = None) -> FleetTickReport:
         """Advance the whole fleet one step.
 
@@ -713,82 +710,54 @@ class FleetController:
         invalidated), then drains the tenant backlog into freed shard
         capacity under weighted fairness.
         """
-        journal = self.durability is not None and not self._in_command
-        now = float(time) if time is not None else self.clock + 1.0
-        if journal:
-            self._in_command = True
-            self.durability.command("cmd_tick", now, {"time": now})
-        try:
-            self.clock = now
-            reports = [shard.tick(now) for shard in self.shards]
-            report = FleetTickReport(time=now, shard_reports=reports)
-            for sid, shard_report in enumerate(reports):
-                for name in shard_report.retired:
-                    self._forget(name)
-                    report.retired.append((name, sid))
-                for name in shard_report.deployed:
-                    self._after_deploy(sid, name)
-                    if self.scheduler is not None:
-                        tenant = self._tenant_of.get(name)
-                        if tenant is not None:
-                            self._mark_live(tenant)
-                    report.deployed.append((name, sid))
-            if self.federation is not None:
-                report.federation = self._sync_federation()
-            if self.scheduler is not None:
-                report.deployed.extend(self._drain_backlog())
-            self._record_gauges()
-            if self.telemetry is not None:
-                self.telemetry.on_fleet_tick(self, report)
-            if journal:
-                self.durability.marker(
-                    "tick_end",
-                    now,
-                    {
-                        "deployed": [list(d) for d in report.deployed],
-                        "retired": [list(r) for r in report.retired],
-                    },
-                )
-                self.durability.maybe_snapshot(now)
-            return report
-        finally:
-            if journal:
-                self._in_command = False
+        now = next_tick_time(self, time)
+        self.clock = now
+        reports = [shard.tick(now) for shard in self.shards]
+        report = FleetTickReport(time=now, shard_reports=reports)
+        for sid, shard_report in enumerate(reports):
+            for name in shard_report.retired:
+                self._forget(name)
+                report.retired.append((name, sid))
+            for name in shard_report.deployed:
+                self._after_deploy(sid, name)
+                if self.scheduler is not None:
+                    tenant = self._tenant_of.get(name)
+                    if tenant is not None:
+                        self._mark_live(tenant)
+                report.deployed.append((name, sid))
+        if self.federation is not None:
+            report.federation = self._sync_federation()
+        if self.scheduler is not None:
+            report.deployed.extend(self._drain_backlog())
+        self._record_gauges()
+        if self.telemetry is not None:
+            self.telemetry.on_fleet_tick(self, report)
+        return report
 
     def _sync_federation(self) -> dict[str, int]:
         """One federation sync, journaled as publish/withdraw markers."""
         result = self.federation.sync()
-        if self.durability is not None:
-            if result["imported"]:
-                self.durability.marker(
-                    "federation_publish",
-                    self.clock,
-                    {"imported": result["imported"], "epoch": self.federation.epoch},
-                )
-            if result["withdrawn"] or result["promoted"]:
-                self.durability.marker(
-                    "federation_withdraw",
-                    self.clock,
-                    {
-                        "withdrawn": result["withdrawn"],
-                        "promoted": result["promoted"],
-                        "epoch": self.federation.epoch,
-                    },
-                )
+        if result["imported"]:
+            self._mark(
+                "federation_publish",
+                imported=result["imported"],
+                epoch=self.federation.epoch,
+            )
+        if result["withdrawn"] or result["promoted"]:
+            self._mark(
+                "federation_withdraw",
+                withdrawn=result["withdrawn"],
+                promoted=result["promoted"],
+                epoch=self.federation.epoch,
+            )
         return result
 
     def _drain_backlog(self) -> list[tuple[str, int]]:
         deployed: list[tuple[str, int]] = []
-
-        def eligible(_tenant: str, item: _PendingSubmit) -> bool:
-            service = self.shards[item.shard]
-            return (
-                len(service.live_queries) < service.admission.budget
-                and service.admission.queue_depth == 0
-            )
-
         while True:
-            picked = self.scheduler.pick(eligible)
+            picked = self.scheduler.pick(
+                lambda _tenant, item: self._has_capacity(item.shard)
+            )
             if picked is None:
                 break
             tenant, item = picked
@@ -808,6 +777,7 @@ class FleetController:
                 self._rejected_counter.inc(time=self.clock)
         return deployed
 
+    @command("cmd_retire")
     def retire(self, name: str) -> bool:
         """Retire a query wherever it is (deployed, shard- or
         fleet-queued).
@@ -817,40 +787,28 @@ class FleetController:
         Raises:
             UnknownQueryError: Nothing in the fleet has that name.
         """
-        journal = self.durability is not None and not self._in_command
-        if journal:
-            self._in_command = True
-            self.durability.command("cmd_retire", self.clock, {"name": name})
-        try:
-            tenant = self._tenant_of.get(name)
-            if self.scheduler is not None and tenant is not None:
-                item = self.scheduler.withdraw(
-                    tenant, lambda it: it.query.name == name
-                )
-                if item is not None:
-                    self.router.release(name)
-                    self._tenant_of.pop(name, None)
-                    self._tenant_charge[tenant] -= 1
-                    self._record_gauges()
-                    if self.durability is not None:
-                        self._mark_tenant_accounting(tenant)
-                    return False
-            shard = self.router.owner(name)
-            if shard is None:
-                raise UnknownQueryError(f"query {name!r} is not in the fleet")
-            was_live = self.shards[shard].retire(name)
-            self._forget(name, live=was_live)
-            if self.federation is not None:
-                self._sync_federation()
-            self._record_gauges()
-            if self.durability is not None:
-                self.durability.marker("retire", self.clock, {"query": name})
-                if tenant is not None:
-                    self._mark_tenant_accounting(tenant)
-            return was_live
-        finally:
-            if journal:
-                self._in_command = False
+        tenant = self._tenant_of.get(name)
+        if self.scheduler is not None and tenant is not None:
+            item = self.scheduler.withdraw(tenant, lambda it: it.query.name == name)
+            if item is not None:
+                self.router.release(name)
+                self._tenant_of.pop(name, None)
+                self._tenant_charge[tenant] -= 1
+                self._record_gauges()
+                self._mark_tenant_accounting(tenant)
+                return False
+        shard = self.router.owner(name)
+        if shard is None:
+            raise UnknownQueryError(f"query {name!r} is not in the fleet")
+        was_live = self.shards[shard].retire(name)
+        self._forget(name, live=was_live)
+        if self.federation is not None:
+            self._sync_federation()
+        self._record_gauges()
+        self._mark("retire", query=name)
+        if tenant is not None:
+            self._mark_tenant_accounting(tenant)
+        return was_live
 
     def _forget(self, name: str, live: bool = True) -> None:
         self.router.release(name)
@@ -866,6 +824,7 @@ class FleetController:
     # ------------------------------------------------------------------
     # Rebalancing
     # ------------------------------------------------------------------
+    @command("cmd_rebalance")
     def rebalance(self, name: str, target_shard: int) -> RebalanceReport:
         """Move one live query to another shard.
 
@@ -876,21 +835,6 @@ class FleetController:
         (:func:`diff_deployments` + :meth:`Migrator.simulate_cutover`).
         A move that cannot be admitted rolls back onto the source shard.
         """
-        journal = self.durability is not None and not self._in_command
-        if journal:
-            self._in_command = True
-            self.durability.command(
-                "cmd_rebalance",
-                self.clock,
-                {"name": name, "target_shard": target_shard},
-            )
-        try:
-            return self._rebalance(name, target_shard)
-        finally:
-            if journal:
-                self._in_command = False
-
-    def _rebalance(self, name: str, target_shard: int) -> RebalanceReport:
         if not 0 <= target_shard < self.num_shards:
             raise ReproError(f"no shard {target_shard} in a {self.num_shards}-shard fleet")
         source_shard = self.router.owner(name)
@@ -906,10 +850,7 @@ class FleetController:
             )
         source = self.shards[source_shard]
         target = self.shards[target_shard]
-        if (
-            len(target.live_queries) >= target.admission.budget
-            or target.admission.queue_depth > 0
-        ):
+        if not self._has_capacity(target_shard):
             return RebalanceReport(
                 query=name,
                 source_shard=source_shard,
@@ -918,23 +859,17 @@ class FleetController:
                 reason="target shard has no free admission budget",
             )
 
-        old = next(
-            d for d in source.engine.state.deployments if d.query.name == name
-        )
+        old = source.engine.state.deployment(name)
         expiry = source._expiry.get(name)
         remaining = None if expiry is None else max(1.0, expiry - self.clock)
         cost_before = self.total_cost()
 
-        if self.durability is not None:
-            self.durability.marker(
-                "migrate_begin",
-                self.clock,
-                {
-                    "query": name,
-                    "source_shard": source_shard,
-                    "target_shard": target_shard,
-                },
-            )
+        self._mark(
+            "migrate_begin",
+            query=name,
+            source_shard=source_shard,
+            target_shard=target_shard,
+        )
         source.retire(name)
         if self.federation is not None:
             self._sync_federation()
@@ -943,12 +878,7 @@ class FleetController:
             source.submit(old.query, lifetime=remaining)
             if self.federation is not None:
                 self._sync_federation()
-            if self.durability is not None:
-                self.durability.marker(
-                    "migrate_abort",
-                    self.clock,
-                    {"query": name, "reason": "target admission refused"},
-                )
+            self._mark("migrate_abort", query=name, reason="target admission refused")
             return RebalanceReport(
                 query=name,
                 source_shard=source_shard,
@@ -961,36 +891,24 @@ class FleetController:
 
         self.router.rebind(name, target_shard)
         self._after_deploy(target_shard, name)
-        new = next(
-            d for d in target.engine.state.deployments if d.query.name == name
-        )
+        new = target.engine.state.deployment(name)
         diff = diff_deployments(old, new, self.rates)
         timeline = Migrator(self.network).simulate_cutover(
             diff, coordinator=self.hierarchy.root.coordinator, start_time=self.clock
         )
-        if self.durability is not None:
-            for phase, stamp in (
-                ("pause", timeline.pause_done),
-                ("transfer", timeline.transfer_done),
-                ("resume", timeline.completed),
-            ):
-                if stamp is not None:
-                    self.durability.marker(
-                        "migrate_phase",
-                        self.clock,
-                        {"query": name, "phase": phase},
-                    )
+        for phase, stamp in (
+            ("pause", timeline.pause_done),
+            ("transfer", timeline.transfer_done),
+            ("resume", timeline.completed),
+        ):
+            if stamp is not None:
+                self._mark("migrate_phase", query=name, phase=phase)
         if self.federation is not None:
             self._sync_federation()
         self.rebalances_total += 1
         self._rebalance_counter.inc(time=self.clock)
         self._record_gauges()
-        if self.durability is not None:
-            self.durability.marker(
-                "migrate_commit",
-                self.clock,
-                {"query": name, "target_shard": target_shard},
-            )
+        self._mark("migrate_commit", query=name, target_shard=target_shard)
         return RebalanceReport(
             query=name,
             source_shard=source_shard,
@@ -1021,33 +939,17 @@ class FleetController:
         and every finite-lifetime query retired.  ``tenant_for`` maps an
         event to a tenant name (``None`` = untenanted submission).
         """
-        ordered = sorted(events, key=lambda e: e.time)
-        decisions: list[FleetDecision] = []
-        wall_start = _time.perf_counter()
-        ticks = 0
-        clock = self.clock
-        i = 0
-        while i < len(ordered):
-            clock += 1.0
-            self.tick(clock)
-            ticks += 1
-            while i < len(ordered) and ordered[i].time <= clock:
-                event = ordered[i]
-                decisions.append(
-                    self.submit(
-                        event.query,
-                        lifetime=event.lifetime,
-                        tenant=tenant_for(event) if tenant_for else None,
-                    )
-                )
-                i += 1
-            if ticks >= max_ticks:  # pragma: no cover - defensive
-                break
-        while drain and ticks < max_ticks and self._has_pending_work():
-            clock += 1.0
-            self.tick(clock)
-            ticks += 1
-        wall = _time.perf_counter() - wall_start
+        decisions, ticks, wall = drive_trace(
+            self,
+            events,
+            lambda event: self.submit(
+                event.query,
+                lifetime=event.lifetime,
+                tenant=tenant_for(event) if tenant_for else None,
+            ),
+            drain,
+            max_ticks,
+        )
         deployed_total = sum(s.deployed_total for s in self.shards)
         summary = {
             "submitted": len(decisions),
@@ -1063,21 +965,16 @@ class FleetController:
                 deployed_total / wall if wall > 0 else float("inf")
             ),
             "final_cost": self.total_cost(),
-            "final_live": len(self.live_queries),
+            "final_live": self._num_live(),
             "shards": [self._shard_summary(sid) for sid in range(self.num_shards)],
+            **self._layer_summaries(),
         }
-        if self.federation is not None:
-            summary["federation"] = self.federation.summary()
-        if self.scheduler is not None:
-            summary["tenants"] = self.tenant_summary()
-        if self.resource_ledger is not None:
-            summary["resources"] = self.resource_summary()
         return FleetReplayReport(
             decisions=decisions, ticks=ticks, wall_seconds=wall, summary=summary
         )
 
     def _has_pending_work(self) -> bool:
-        if any(s.admission.queue_depth > 0 or s._expiry for s in self.shards):
+        if any(shard._has_pending_work() for shard in self.shards):
             return True
         return self.scheduler is not None and self.scheduler.total_backlog > 0
 
@@ -1088,7 +985,7 @@ class FleetController:
         shard = self.shards[sid]
         return {
             "shard": sid,
-            "live": len(shard.live_queries),
+            "live": shard.engine.state.num_deployments,
             "queued": shard.admission.queue_depth,
             "deployed_total": shard.deployed_total,
             "retired_total": shard.retired_total,
@@ -1121,16 +1018,21 @@ class FleetController:
 
     def summary(self) -> dict:
         """Fleet-wide snapshot for the CLI and reports."""
-        out = {
+        return {
             "shards": self.num_shards,
             "policy": self.router.policy.name,
-            "live": len(self.live_queries),
+            "live": self._num_live(),
             "submitted_total": self.submitted_total,
             "rebalances_total": self.rebalances_total,
             "cross_shard_reuse_total": self.cross_shard_reuse_total,
             "total_cost": self.total_cost(),
             "per_shard": [self._shard_summary(sid) for sid in range(self.num_shards)],
+            **self._layer_summaries(),
         }
+
+    def _layer_summaries(self) -> dict:
+        """The optional sections both fleet summaries end with."""
+        out = {}
         if self.federation is not None:
             out["federation"] = self.federation.summary()
         if len(self.tenants):
@@ -1145,14 +1047,7 @@ class FleetController:
     def _after_deploy(self, shard: int, name: str) -> None:
         if self.federation is None:
             return
-        deployment = next(
-            (
-                d
-                for d in self.shards[shard].engine.state.deployments
-                if d.query.name == name
-            ),
-            None,
-        )
+        deployment = self.shards[shard].engine.state.deployment(name)
         if deployment is None:  # pragma: no cover - defensive
             return
         for leaf in deployment.reused_leaves():
@@ -1178,7 +1073,7 @@ class FleetController:
                     self._tenant_instruments[tenant]["live"].set(
                         float(live), time=now
                     )
-        self._live_gauge.set(float(len(self.live_queries)), time=now)
+        self._live_gauge.set(float(self._num_live()), time=now)
         backlog = sum(s.admission.queue_depth for s in self.shards)
         if self.scheduler is not None:
             backlog += self.scheduler.total_backlog

@@ -143,7 +143,7 @@ class CapacitySpec:
             raise ScenarioError("capacity.bound must be positive")
 
     def capacities(self, network) -> dict[int, Any]:
-        from repro.resources.capacity import NodeCapacity
+        from repro.resources.capacity import NodeCapacity, uniform_capacities
         from repro.workload.profiles import (
             HeterogeneousFleetProfile,
             HotspotProfile,
@@ -168,10 +168,9 @@ class CapacitySpec:
             return HeterogeneousFleetProfile(
                 by_kind={"transit": transit, "stub": stub}, seed=self.seed
             ).capacities(network)
-        uniform = NodeCapacity(
-            cpu=self.cpu, memory=self.memory, bandwidth=self.bandwidth
+        return uniform_capacities(
+            network, cpu=self.cpu, memory=self.memory, bandwidth=self.bandwidth
         )
-        return {node: uniform for node in network.nodes()}
 
 
 @dataclass(frozen=True)
@@ -382,8 +381,6 @@ class BuiltScenario:
 
 
 def _build_trace(spec: ScenarioSpec, env: EvalEnv) -> list[SubmitEvent]:
-    from repro.query.query import Query
-
     trace = spec.trace
     lifetime = trace.effective_lifetime()
     if trace.mode == "churn":
@@ -400,13 +397,9 @@ def _build_trace(spec: ScenarioSpec, env: EvalEnv) -> list[SubmitEvent]:
         for q in env.workload
     ]
     for query in env.workload:
-        twin = Query(
+        twin = query.renamed(
             query.name + trace.twin_suffix,
-            sources=query.sources,
             sink=(query.sink + trace.sink_shift) % num_nodes,
-            predicates=query.predicates,
-            filters=query.filters,
-            window=query.window,
         )
         events.append(SubmitEvent(time=2.0, query=twin, lifetime=lifetime))
     return events

@@ -51,7 +51,6 @@ DEFAULT_TRAJECTORY = "BENCH_trajectory.json"
 # Benchmark cases (each builds its own seeded environment per repeat)
 # ----------------------------------------------------------------------
 def _hier_env(num_nodes: int = 32, num_queries: int = 8, seed: int = 7):
-    from repro.core.cost import RateModel  # noqa: F401 - typing aid
     from repro.hierarchy import build_hierarchy
     from repro.network.topology import transit_stub_by_size
     from repro.workload import WorkloadParams, generate_workload
@@ -120,7 +119,9 @@ def _case_deploy_protocol() -> OpProfiler:
     return prof
 
 
-def _case_service_churn() -> OpProfiler:
+def _churn_service(**layers):
+    """``(service, workload)``: the budget-4 top-down service every
+    churn case drives, with the given layers armed."""
     from repro.core import make_optimizer
     from repro.service import AdmissionController, StreamQueryService
 
@@ -132,28 +133,39 @@ def _case_service_churn() -> OpProfiler:
         rates,
         hierarchy=hierarchy,
         admission=AdmissionController(budget=4, max_per_tick=2),
+        **layers,
     )
+    return service, workload
+
+
+def _churn(submit, tick, workload, sample=None, resubmit=True) -> OpProfiler:
+    """Replay the churn script under a fresh profiler.
+
+    Ten submissions with 4-6 tick lifetimes, 30 ticks (each timed as
+    ``sample`` when given), then -- unless ``resubmit`` is off -- four
+    renamed twins and 10 more ticks.
+    """
     with profiled() as prof:
         for i, query in enumerate(workload):
-            service.submit(query, lifetime=4.0 + (i % 3))
+            submit(query, lifetime=4.0 + (i % 3))
         for _ in range(30):
-            service.tick()
-        # Resubmissions hit the plan cache: probe traffic without plans.
-        from repro.query.query import Query
-
-        for query in list(workload)[:4]:
-            renamed = Query(
-                query.name + "_again",
-                sources=query.sources,
-                sink=query.sink,
-                predicates=query.predicates,
-                filters=query.filters,
-                window=query.window,
-            )
-            service.submit(renamed, lifetime=2.0)
-        for _ in range(10):
-            service.tick()
+            if sample is None:
+                tick()
+            else:
+                with prof.sample(sample):
+                    tick()
+        if resubmit:
+            # Resubmissions hit the plan cache: probe traffic without plans.
+            for query in list(workload)[:4]:
+                submit(query.renamed(query.name + "_again"), lifetime=2.0)
+            for _ in range(10):
+                tick()
     return prof
+
+
+def _case_service_churn() -> OpProfiler:
+    service, workload = _churn_service()
+    return _churn(service.submit, service.tick, workload)
 
 
 def _case_fleet_churn() -> OpProfiler:
@@ -169,14 +181,9 @@ def _case_fleet_churn() -> OpProfiler:
         budget=4,
         max_per_tick=2,
     )
-    with profiled() as prof:
-        for i, query in enumerate(workload):
-            fleet.submit(query, lifetime=4.0 + (i % 3))
-        for _ in range(30):
-            with prof.sample("fleet_tick"):
-                fleet.tick()
-        prof.count("federation_syncs", fleet.federation.syncs)
-        prof.count("federation_imports", fleet.federation.imported_total)
+    prof = _churn(fleet.submit, fleet.tick, workload, "fleet_tick", resubmit=False)
+    prof.count("federation_syncs", fleet.federation.syncs)
+    prof.count("federation_imports", fleet.federation.imported_total)
     return prof
 
 
@@ -188,30 +195,14 @@ def _case_telemetry_overhead() -> OpProfiler:
     exists so the 25% gate catches telemetry ever leaking work into
     the planner path, and its wall samples price the scrape loop.
     """
-    from repro.core import make_optimizer
     from repro.obs.telemetry import TelemetryConfig
-    from repro.service import AdmissionController, StreamQueryService
 
-    net, workload, rates, hierarchy = _hier_env(num_queries=10)
-    optimizer = make_optimizer("top-down", net, rates, hierarchy=hierarchy)
-    service = StreamQueryService(
-        optimizer,
-        net,
-        rates,
-        hierarchy=hierarchy,
-        admission=AdmissionController(budget=4, max_per_tick=2),
-        telemetry=TelemetryConfig(),
+    service, workload = _churn_service(telemetry=TelemetryConfig())
+    prof = _churn(
+        service.submit, service.tick, workload, "telemetry_tick", resubmit=False
     )
-    with profiled() as prof:
-        for i, query in enumerate(workload):
-            service.submit(query, lifetime=4.0 + (i % 3))
-        for _ in range(30):
-            with prof.sample("telemetry_tick"):
-                service.tick()
-        prof.count(
-            "telemetry_samples", service.telemetry.scraper.samples_total
-        )
-        prof.count("telemetry_series", len(service.telemetry.store))
+    prof.count("telemetry_samples", service.telemetry.scraper.samples_total)
+    prof.count("telemetry_series", len(service.telemetry.store))
     return prof
 
 
@@ -226,45 +217,15 @@ def _case_durability_overhead() -> OpProfiler:
     """
     import tempfile
 
-    from repro.core import make_optimizer
     from repro.durability import DurabilityConfig
-    from repro.service import AdmissionController, StreamQueryService
 
-    net, workload, rates, hierarchy = _hier_env(num_queries=10)
-    optimizer = make_optimizer("top-down", net, rates, hierarchy=hierarchy)
     with tempfile.TemporaryDirectory(prefix="repro-perf-wal-") as tmp:
-        service = StreamQueryService(
-            optimizer,
-            net,
-            rates,
-            hierarchy=hierarchy,
-            admission=AdmissionController(budget=4, max_per_tick=2),
-            durability=DurabilityConfig(state_dir=tmp, snapshot_interval=10),
+        service, workload = _churn_service(
+            durability=DurabilityConfig(state_dir=tmp, snapshot_interval=10)
         )
-        with profiled() as prof:
-            for i, query in enumerate(workload):
-                service.submit(query, lifetime=4.0 + (i % 3))
-            for _ in range(30):
-                with prof.sample("durable_tick"):
-                    service.tick()
-            from repro.query.query import Query
-
-            for query in list(workload)[:4]:
-                renamed = Query(
-                    query.name + "_again",
-                    sources=query.sources,
-                    sink=query.sink,
-                    predicates=query.predicates,
-                    filters=query.filters,
-                    window=query.window,
-                )
-                service.submit(renamed, lifetime=2.0)
-            for _ in range(10):
-                service.tick()
-            prof.count(
-                "journal_records", service.durability.journal.records_total
-            )
-            prof.count("snapshots", service.durability.snapshots_total)
+        prof = _churn(service.submit, service.tick, workload, "durable_tick")
+        prof.count("journal_records", service.durability.journal.records_total)
+        prof.count("snapshots", service.durability.snapshots_total)
     return prof
 
 
@@ -279,41 +240,10 @@ def _case_resource_overhead() -> OpProfiler:
     count of its own, ``ledger_ops_priced``, is the ledger pricing each
     installed join once; the same gate catches it re-deriving instead.
     """
-    from repro.core import make_optimizer
     from repro.resources import ResourceConfig
-    from repro.service import AdmissionController, StreamQueryService
 
-    net, workload, rates, hierarchy = _hier_env(num_queries=10)
-    optimizer = make_optimizer("top-down", net, rates, hierarchy=hierarchy)
-    service = StreamQueryService(
-        optimizer,
-        net,
-        rates,
-        hierarchy=hierarchy,
-        admission=AdmissionController(budget=4, max_per_tick=2),
-        resources=ResourceConfig(),
-    )
-    with profiled() as prof:
-        for i, query in enumerate(workload):
-            service.submit(query, lifetime=4.0 + (i % 3))
-        for _ in range(30):
-            with prof.sample("resource_tick"):
-                service.tick()
-        from repro.query.query import Query
-
-        for query in list(workload)[:4]:
-            renamed = Query(
-                query.name + "_again",
-                sources=query.sources,
-                sink=query.sink,
-                predicates=query.predicates,
-                filters=query.filters,
-                window=query.window,
-            )
-            service.submit(renamed, lifetime=2.0)
-        for _ in range(10):
-            service.tick()
-    return prof
+    service, workload = _churn_service(resources=ResourceConfig())
+    return _churn(service.submit, service.tick, workload, "resource_tick")
 
 
 def _case_lab_overhead() -> OpProfiler:
@@ -335,7 +265,6 @@ def _case_lab_overhead() -> OpProfiler:
         TopologySpec,
         WorkloadSpec,
     )
-    from repro.query.query import Query
 
     net, workload, rates, hierarchy = _hier_env(num_queries=10)
     # Hand-built scenario around the exact service_churn environment
@@ -366,26 +295,9 @@ def _case_lab_overhead() -> OpProfiler:
         name="churn", ads=False, reuse=True, budget=4, max_per_tick=2
     )
     run = CandidateRun(candidate, built)
-    with profiled() as prof:
-        for i, query in enumerate(workload):
-            run.submit(query, lifetime=4.0 + (i % 3))
-        for _ in range(30):
-            with prof.sample("lab_tick"):
-                run.tick()
-        for query in list(workload)[:4]:
-            renamed = Query(
-                query.name + "_again",
-                sources=query.sources,
-                sink=query.sink,
-                predicates=query.predicates,
-                filters=query.filters,
-                window=query.window,
-            )
-            run.submit(renamed, lifetime=2.0)
-        for _ in range(10):
-            run.tick()
-        prof.count("telemetry_samples", run.telemetry.scraper.samples_total)
-        prof.count("telemetry_series", len(run.telemetry.store))
+    prof = _churn(run.submit, run.tick, workload, "lab_tick")
+    prof.count("telemetry_samples", run.telemetry.scraper.samples_total)
+    prof.count("telemetry_series", len(run.telemetry.store))
     return prof
 
 

@@ -209,6 +209,20 @@ class Query:
             )
 
     # ------------------------------------------------------------------
+    def renamed(self, name: str, sink: int | None = None) -> "Query":
+        """The same query under another name (and sink, when given):
+        a resubmission, or the twin that reuses this query's views."""
+        return Query(
+            name=name,
+            sources=self.sources,
+            sink=self.sink if sink is None else sink,
+            predicates=self.predicates,
+            filters=self.filters,
+            projection=self.projection,
+            allow_cross_products=self.allow_cross_products,
+            window=self.window,
+        )
+
     @property
     def num_joins(self) -> int:
         """Number of binary join operators any plan for this query has."""

@@ -352,10 +352,12 @@ class ResilientControl:
         self._set("parked", float(len(self.parked)), time=service.clock)
         return parked
 
-    def unpark(self, name: str) -> bool:
-        """Drop a parked query (e.g. explicit retirement)."""
+    def unpark(self, name: str, time: float) -> bool:
+        """Drop a parked query (e.g. explicit retirement) at ``time``;
+        True if it was parked."""
         found = self.parked.pop(name, None) is not None
-        self._set("parked", float(len(self.parked)))
+        if found:
+            self._set("parked", float(len(self.parked)), time=time)
         return found
 
     def readmit_parked(self, service: "StreamQueryService", deployed: list[str]) -> None:

@@ -36,9 +36,10 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.adaptive.loop import AdaptivityConfig, AdaptivityLoop
+from repro.commands import command, next_tick_time
 from repro.core.cost import RateModel
 from repro.core.optimizer import Optimizer
 from repro.errors import (
@@ -423,6 +424,7 @@ class StreamQueryService:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
+    @command("cmd_submit")
     def submit(
         self,
         query: Query,
@@ -441,84 +443,36 @@ class StreamQueryService:
         Returns:
             The typed admission decision.
         """
-        journal = self.durability is not None and not self._in_command
-        if journal:
-            from repro.serialization import _query_to_dict
+        if time is not None:
+            self.engine.clock = time
+        with self.tracer.span("submit", query=query.name) as span:
+            self._refresh_epochs()
+            self.submitted_total += 1
 
-            self._in_command = True
-            self.durability.command(
-                "cmd_submit",
-                float(time) if time is not None else self.clock,
-                {
-                    "query": _query_to_dict(query),
-                    "lifetime": lifetime,
-                    "time": time,
-                },
-            )
-        try:
-            if time is not None:
-                self.engine.clock = time
-            with self.tracer.span("submit", query=query.name) as span:
-                self._refresh_epochs()
-                self.submitted_total += 1
-
-                decision = self._validate(query, lifetime)
-                if decision is None:
-                    decision = self.admission.request(
-                        query, self.engine.state.num_deployments, time=self.clock
-                    )
-                    if decision.status is AdmissionStatus.ADMITTED:
-                        try:
-                            self._deploy(query, lifetime)
-                        except InfeasiblePlacementError as exc:
-                            if self.resources is None:
-                                raise
-                            self.resources.park(self, query, lifetime, str(exc))
-                            if self.durability is not None:
-                                self.durability.marker(
-                                    "park",
-                                    self.clock,
-                                    {"query": query.name, "reason": str(exc)},
-                                )
-                            decision = AdmissionDecision(
-                                query=query.name,
-                                status=AdmissionStatus.QUEUED,
-                                reason=f"parked: {exc}",
-                            )
-                            span.incr("parked")
-                        except PlanningError as exc:
-                            if self.resilience is None:
-                                raise
-                            self.resilience.park(self, query, lifetime, str(exc))
-                            if self.durability is not None:
-                                self.durability.marker(
-                                    "park",
-                                    self.clock,
-                                    {"query": query.name, "reason": str(exc)},
-                                )
-                            decision = AdmissionDecision(
-                                query=query.name,
-                                status=AdmissionStatus.QUEUED,
-                                reason=f"parked: {exc}",
-                            )
-                            span.incr("parked")
-                    elif decision.status is AdmissionStatus.QUEUED:
-                        self._pending_lifetimes[query.name] = lifetime
-                span.tag(decision=decision.status.value)
-                self._record_gauges()
-            if self.durability is not None:
-                self.durability.marker(
-                    "admit",
-                    self.clock,
-                    {
-                        "query": query.name,
-                        "status": decision.status.value,
-                        "reason": decision.reason,
-                    },
+            decision = self._validate(query, lifetime)
+            if decision is None:
+                decision = self.admission.request(
+                    query, self.engine.state.num_deployments, time=self.clock
                 )
-        finally:
-            if journal:
-                self._in_command = False
+                if decision.status is AdmissionStatus.ADMITTED:
+                    reason = self._deploy_or_park(query, lifetime)
+                    if reason is not None:
+                        decision = AdmissionDecision(
+                            query=query.name,
+                            status=AdmissionStatus.QUEUED,
+                            reason=f"parked: {reason}",
+                        )
+                        span.incr("parked")
+                elif decision.status is AdmissionStatus.QUEUED:
+                    self._pending_lifetimes[query.name] = lifetime
+            span.tag(decision=decision.status.value)
+            self._record_gauges()
+        self._mark(
+            "admit",
+            query=query.name,
+            status=decision.status.value,
+            reason=decision.reason,
+        )
         return decision
 
     def _validate(self, query: Query, lifetime: float | None) -> AdmissionDecision | None:
@@ -547,6 +501,21 @@ class StreamQueryService:
                 )
         return None
 
+    def _tick_end(self, report: TickReport) -> None:
+        """Tail of a journaled tick: its boundary marker, then the
+        snapshot cadence (snapshots are only cut between ticks)."""
+        self.durability.marker(
+            "tick_end",
+            report.time,
+            {
+                "deployed": list(report.deployed),
+                "retired": list(report.retired),
+                "migrated": list(report.migrated),
+            },
+        )
+        self.durability.maybe_snapshot(report.time)
+
+    @command("cmd_tick", resolve_time=next_tick_time, tail=_tick_end)
     def tick(self, time: float | None = None) -> TickReport:
         """Advance the service one step.
 
@@ -554,37 +523,15 @@ class StreamQueryService:
         submission queue into freed capacity (FIFO, bounded by the
         controller's per-tick limit), then records the service gauges.
         """
-        journal = self.durability is not None and not self._in_command
-        if journal:
-            now = float(time) if time is not None else self.engine.clock + 1.0
-            self._in_command = True
-            self.durability.command("cmd_tick", now, {"time": now})
-        try:
-            prof = _perf.active()
-            if prof is None:
-                report = self._tick(time)
-            else:
-                prof.count("service_ticks")
-                with prof.sample("service_tick"):
-                    report = self._tick(time)
-            if journal:
-                self.durability.marker(
-                    "tick_end",
-                    report.time,
-                    {
-                        "deployed": list(report.deployed),
-                        "retired": list(report.retired),
-                        "migrated": list(report.migrated),
-                    },
-                )
-                self.durability.maybe_snapshot(report.time)
-        finally:
-            if journal:
-                self._in_command = False
-        return report
+        prof = _perf.active()
+        if prof is None:
+            return self._tick(time)
+        prof.count("service_ticks")
+        with prof.sample("service_tick"):
+            return self._tick(time)
 
     def _tick(self, time: float | None = None) -> TickReport:
-        now = float(time) if time is not None else self.engine.clock + 1.0
+        now = next_tick_time(self, time)
         self.engine.clock = now
         if self.resilience is not None:
             self.resilience.apply_due_faults(self, now)
@@ -598,33 +545,10 @@ class StreamQueryService:
 
         for query in self.admission.drain(self.engine.state.num_deployments, time=now):
             lifetime = self._pending_lifetimes.pop(query.name, None)
-            try:
-                self._deploy(query, lifetime)
-            except InfeasiblePlacementError as exc:
-                if self.resources is None:
-                    raise
-                self.resources.park(self, query, lifetime, str(exc))
-                if self.durability is not None:
-                    self.durability.marker(
-                        "park",
-                        now,
-                        {"query": query.name, "reason": str(exc)},
-                    )
+            if self._deploy_or_park(query, lifetime) is None:
+                report.deployed.append(query.name)
+            else:
                 report.parked.append(query.name)
-                continue
-            except PlanningError as exc:
-                if self.resilience is None:
-                    raise
-                self.resilience.park(self, query, lifetime, str(exc))
-                if self.durability is not None:
-                    self.durability.marker(
-                        "park",
-                        now,
-                        {"query": query.name, "reason": str(exc)},
-                    )
-                report.parked.append(query.name)
-                continue
-            report.deployed.append(query.name)
 
         if self.resilience is not None:
             self.resilience.readmit_parked(self, report.deployed)
@@ -640,6 +564,7 @@ class StreamQueryService:
             self.telemetry.on_service_tick(self, report)
         return report
 
+    @command("cmd_retire")
     def retire(self, name: str) -> bool:
         """Retire a query by name (deployed or still queued).
 
@@ -650,32 +575,25 @@ class StreamQueryService:
             UnknownQueryError: The name is neither deployed, queued nor
                 parked (also catchable as ``KeyError``).
         """
-        journal = self.durability is not None and not self._in_command
-        if journal:
-            self._in_command = True
-            self.durability.command("cmd_retire", self.clock, {"name": name})
-        try:
-            if self.admission.withdraw(name, time=self.clock):
-                self._pending_lifetimes.pop(name, None)
-                self._record_gauges()
-                return False
-            if self.resilience is not None and self.resilience.unpark(name):
-                self._record_gauges()
-                return False
-            if self.resources is not None and self.resources.unpark(name):
-                self._record_gauges()
-                return False
-            if not self.is_live(name):
-                raise UnknownQueryError(
-                    f"query {name!r} is neither deployed nor queued"
-                )
-            self._retire_live(name)
+        if self.admission.withdraw(name, time=self.clock):
+            self._pending_lifetimes.pop(name, None)
             self._record_gauges()
-            return True
-        finally:
-            if journal:
-                self._in_command = False
+            return False
+        if self.resilience is not None and self.resilience.unpark(name, self.clock):
+            self._record_gauges()
+            return False
+        if self.resources is not None and self.resources.unpark(name):
+            self._record_gauges()
+            return False
+        if not self.is_live(name):
+            raise UnknownQueryError(
+                f"query {name!r} is neither deployed nor queued"
+            )
+        self._retire_live(name)
+        self._record_gauges()
+        return True
 
+    @command("cmd_node_failure")
     def handle_node_failure(self, node: int) -> ServiceFailureReport:
         """Route a node failure through retire/re-admit.
 
@@ -693,33 +611,20 @@ class StreamQueryService:
             raise HierarchyError("handle_node_failure requires a hierarchy")
         from repro.runtime.failover import fail_node
 
-        journal = self.durability is not None and not self._in_command
-        if journal:
-            self._in_command = True
-            self.durability.command("cmd_node_failure", self.clock, {"node": node})
-        try:
-            return self._handle_node_failure(node, fail_node)
-        finally:
-            if journal:
-                self._in_command = False
-
-    def _handle_node_failure(self, node: int, fail_node) -> ServiceFailureReport:
         with self.tracer.span("node_failure", node=node) as span:
             failure = fail_node(self.hierarchy, node, engine=self.engine)
             report = ServiceFailureReport(node=node)
-            by_name = {d.query.name: d.query for d in self.engine.state.deployments}
             self.bump_topology_epoch()
 
             # Undeploy every affected query before the single ads re-sync:
             # their operators on the dead node must all be gone first, or
             # the sync would try to advertise views at a node the hierarchy
             # no longer contains.
-            remaining: dict[str, float | None] = {}
+            affected: list[tuple[Query, float | None]] = []
             for name in failure.affected_queries:
                 expiry = self._expiry.pop(name, None)
-                remaining[name] = (
-                    None if expiry is None else max(1.0, expiry - self.clock)
-                )
+                remaining = None if expiry is None else max(1.0, expiry - self.clock)
+                affected.append((self.engine.state.deployment(name).query, remaining))
                 self.engine.undeploy(name, time=self.clock)
                 self.retired_total += 1
                 report.retired.append(name)
@@ -727,23 +632,23 @@ class StreamQueryService:
                 self.ads.sync_from_state(self.engine.state)
 
             alive = self.hierarchy.root.subtree_nodes()
-            for name in failure.affected_queries:
-                query = by_name[name]
+            for query, remaining in affected:
                 if not self.rates.endpoints(query) <= alive:
-                    report.lost.append(name)
+                    report.lost.append(query.name)
                     continue
-                decision = self.submit(query, lifetime=remaining[name])
+                decision = self.submit(query, lifetime=remaining)
                 report.decisions.append(decision)
                 if not decision.rejected:
-                    report.resubmitted.append(name)
+                    report.resubmitted.append(query.name)
                 else:  # pragma: no cover - bounded-queue configurations only
-                    report.lost.append(name)
+                    report.lost.append(query.name)
             span.incr("queries_retired", len(report.retired))
             span.incr("queries_resubmitted", len(report.resubmitted))
             span.incr("queries_lost", len(report.lost))
             self._record_gauges()
         return report
 
+    @command("cmd_rejoin")
     def rejoin_node(self, node: int) -> bool:
         """Re-admit a node into the hierarchy (recovery or end of
         quarantine).
@@ -758,27 +663,20 @@ class StreamQueryService:
         """
         if self.hierarchy is None:
             raise HierarchyError("rejoin_node requires a hierarchy")
-        journal = self.durability is not None and not self._in_command
-        if journal:
-            self._in_command = True
-            self.durability.command("cmd_rejoin", self.clock, {"node": node})
+        if not self.network.has_node(node):
+            return False
+        from repro.hierarchy.maintenance import add_node
+
         try:
-            if not self.network.has_node(node):
-                return False
-            from repro.hierarchy.maintenance import add_node
+            # Seeded by the node id: any split the insertion triggers
+            # is reproducible across same-plan chaos runs.
+            add_node(self.hierarchy, node, seed=node)
+        except ValueError:
+            return False  # already a member
+        self.bump_topology_epoch()
+        return True
 
-            try:
-                # Seeded by the node id: any split the insertion triggers
-                # is reproducible across same-plan chaos runs.
-                add_node(self.hierarchy, node, seed=node)
-            except ValueError:
-                return False  # already a member
-            self.bump_topology_epoch()
-            return True
-        finally:
-            if journal:
-                self._in_command = False
-
+    @command("cmd_observe")
     def observe_rates(self, samples, time: float | None = None) -> None:
         """Feed dataplane rate samples to the adaptivity monitor.
 
@@ -786,22 +684,10 @@ class StreamQueryService:
         decisions, so recovery must replay it).  A no-op without the
         adaptivity layer.
         """
-        journal = self.durability is not None and not self._in_command
-        if journal:
-            self._in_command = True
-            self.durability.command(
-                "cmd_observe",
-                float(time) if time is not None else self.clock,
-                {"samples": dict(samples), "time": time},
-            )
-        try:
-            if time is not None:
-                self.engine.clock = float(time)
-            if self.adaptivity is not None:
-                self.adaptivity.observe_rates(samples)
-        finally:
-            if journal:
-                self._in_command = False
+        if time is not None:
+            self.engine.clock = float(time)
+        if self.adaptivity is not None:
+            self.adaptivity.observe_rates(samples)
 
     # ------------------------------------------------------------------
     # Planning
@@ -898,41 +784,20 @@ class StreamQueryService:
             A :class:`ReplayReport` with every admission decision and a
             summary (cache hit rate, queries/second of planning, ...).
         """
-        ordered = sorted(events, key=lambda e: e.time)
-        decisions: list[AdmissionDecision] = []
-        wall_start = _time.perf_counter()
-        ticks = 0
-        clock = self.clock
-        i = 0
-        while i < len(ordered):
-            clock += 1.0
-            self.tick(clock)
-            ticks += 1
-            while i < len(ordered) and ordered[i].time <= clock:
-                event = ordered[i]
-                decisions.append(
-                    self.submit(event.query, lifetime=event.lifetime)
-                )
-                i += 1
-            if ticks >= max_ticks:  # pragma: no cover - defensive
-                break
-        while (
-            drain
-            and ticks < max_ticks
-            and (self.admission.queue_depth > 0 or self._expiry)
-        ):
-            clock += 1.0
-            self.tick(clock)
-            ticks += 1
-        wall = _time.perf_counter() - wall_start
-        admitted = sum(1 for d in decisions if not d.rejected)
+        decisions, ticks, wall = drive_trace(
+            self,
+            events,
+            lambda event: self.submit(event.query, lifetime=event.lifetime),
+            drain,
+            max_ticks,
+        )
         report = ReplayReport(
             decisions=decisions,
             ticks=ticks,
             wall_seconds=wall,
             summary={
                 "submitted": len(decisions),
-                "admitted": admitted,
+                "admitted": sum(1 for d in decisions if not d.rejected),
                 "rejected": sum(1 for d in decisions if d.rejected),
                 "deployed_total": self.deployed_total,
                 "retired_total": self.retired_total,
@@ -960,6 +825,11 @@ class StreamQueryService:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _has_pending_work(self) -> bool:
+        """Whether ticking on would still do something: a queued
+        submission to drain or a finite lifetime to expire."""
+        return self.admission.queue_depth > 0 or bool(self._expiry)
+
     def _deploy(self, query: Query, lifetime: float | None) -> None:
         if self.resilience is not None:
             deployment = self.resilience.plan(self, query)
@@ -977,12 +847,28 @@ class StreamQueryService:
         if lifetime is not None:
             self._expiry[query.name] = self.clock + lifetime
         self.deployed_total += 1
-        if self.durability is not None:
-            self.durability.marker(
-                "deploy",
-                self.clock,
-                {"query": query.name, "lifetime": lifetime},
-            )
+        self._mark("deploy", query=query.name, lifetime=lifetime)
+
+    def _deploy_or_park(self, query: Query, lifetime: float | None) -> str | None:
+        """Deploy ``query``, or park it with the layer that owns the
+        planning error; returns the park reason (``None`` = deployed).
+
+        No feasible placement is the resource layer's to wait out, any
+        other planning failure the resilience layer's; with the owning
+        layer off the error reaches the caller.
+        """
+        try:
+            self._deploy(query, lifetime)
+        except PlanningError as exc:
+            infeasible = isinstance(exc, InfeasiblePlacementError)
+            owner = self.resources if infeasible else self.resilience
+            if owner is None:
+                raise
+            reason = str(exc)
+            owner.park(self, query, lifetime, reason)
+            self._mark("park", query=query.name, reason=reason)
+            return reason
+        return None
 
     def _retire_live(self, name: str) -> None:
         self.engine.undeploy(name, time=self.clock)
@@ -990,8 +876,13 @@ class StreamQueryService:
             self.ads.sync_from_state(self.engine.state)
         self._expiry.pop(name, None)
         self.retired_total += 1
+        self._mark("retire", query=name)
+
+    def _mark(self, kind: str, **data) -> None:
+        """Journal one marker at the current clock (nothing when the
+        durability layer is off)."""
         if self.durability is not None:
-            self.durability.marker("retire", self.clock, {"query": name})
+            self.durability.marker(kind, self.clock, data)
 
     def _record_gauges(self) -> None:
         now = self.clock
@@ -1006,6 +897,35 @@ class StreamQueryService:
         )
         if self.resources is not None:
             self.resources.record_gauges(self)
+
+
+def drive_trace(
+    controller,
+    events: Iterable[SubmitEvent],
+    submit: Callable[[SubmitEvent], Any],
+    drain: bool,
+    max_ticks: int,
+) -> tuple[list, int, float]:
+    """The replay loop the service and the fleet share.
+
+    Ticks ``controller`` one step at a time, hands each event to
+    ``submit`` at its tick and, with ``drain``, keeps ticking while the
+    controller ``_has_pending_work()``.  Returns ``(decisions, ticks,
+    wall_seconds)``.
+    """
+    ordered = sorted(events, key=lambda e: e.time)
+    decisions = []
+    wall_start = _time.perf_counter()
+    ticks = i = 0
+    while ticks < max_ticks and (
+        i < len(ordered) or (drain and controller._has_pending_work())
+    ):
+        controller.tick()
+        ticks += 1
+        while i < len(ordered) and ordered[i].time <= controller.clock:
+            decisions.append(submit(ordered[i]))
+            i += 1
+    return decisions, ticks, _time.perf_counter() - wall_start
 
 
 def churn_trace(
@@ -1035,16 +955,8 @@ def churn_trace(
             if slot == 0:
                 tick += 1.0
             name = query.name if round_no == 0 else f"{query.name}.r{round_no}"
-            resubmission = Query(
-                name=name,
-                sources=query.sources,
-                sink=query.sink,
-                predicates=query.predicates,
-                filters=query.filters,
-                projection=query.projection,
-                allow_cross_products=query.allow_cross_products,
-                window=query.window,
+            events.append(
+                SubmitEvent(time=tick, query=query.renamed(name), lifetime=lifetime)
             )
-            events.append(SubmitEvent(time=tick, query=resubmission, lifetime=lifetime))
             slot = (slot + 1) % arrivals_per_tick
     return events
