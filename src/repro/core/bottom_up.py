@@ -40,7 +40,7 @@ from repro.core.placement import PlacementResult
 from repro.errors import InfeasiblePlacementError
 from repro.core.reuse import input_partitions, substitute_views
 from repro.core.search import TreeSearch
-from repro.hierarchy.advertisements import AdvertisementIndex
+from repro.hierarchy.advertisements import AdvertisementIndex, ViewLookup
 from repro.hierarchy.hierarchy import Cluster, Hierarchy
 from repro.obs.explain import build_explanation
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -177,8 +177,10 @@ class BottomUpOptimizer:
             if self.resources is not None
             else None
         )
-        # Every source set of the query is priced once for the whole climb.
+        # Every source set of the query is priced once for the whole climb,
+        # and its candidate sub-views are listed once.
         flow = self.rates.flow_pricer(query)
+        reusable = self.ads.reusable_views(query)
 
         start_cluster = self.hierarchy.cluster_of(query.sink, 1)
         # Bottom-Up registration: the sink informs only its own leaf
@@ -203,7 +205,7 @@ class BottomUpOptimizer:
             stats["task_trace"].append(trace_entry)
             chain_candidates |= set(cluster.members)
             candidates = sorted(chain_candidates)
-            subtree = cluster.subtree_nodes()
+            subtree = self.hierarchy.subtree(cluster)
             local = [
                 inp for inp in remaining if all(p in subtree for p in inp.positions)
             ]
@@ -216,7 +218,7 @@ class BottomUpOptimizer:
                     # Everything is local: plan the final join and stop.
                     final = self._plan_component(
                         cluster, candidates, remaining, query.sink, query, costs,
-                        stats, built, flow, tracer, constraint=constraint,
+                        stats, built, flow, reusable, tracer, constraint=constraint,
                     )
                     trace_entry["plans"] = stats["plans_examined"] - plans_before
                     climb.tag(outcome="final")
@@ -224,7 +226,7 @@ class BottomUpOptimizer:
                 if len(local) >= 2:
                     remaining = self._deploy_local_views(
                         cluster, candidates, local, remaining, query, costs,
-                        stats, built, flow, tracer, constraint=constraint,
+                        stats, built, flow, reusable, tracer, constraint=constraint,
                     )
                     climb.tag(outcome="partial-deploy")
                 else:
@@ -250,6 +252,7 @@ class BottomUpOptimizer:
         stats: dict,
         built: dict,
         flow: Callable[[PlanNode], float],
+        reusable: ViewLookup,
         tracer: Tracer = NULL_TRACER,
         constraint=None,
     ) -> list[_Input]:
@@ -264,7 +267,7 @@ class BottomUpOptimizer:
                 continue
             tree, placement = self._plan_component(
                 cluster, candidates, component, cluster.coordinator, query, costs,
-                stats, built, flow, tracer, constraint=constraint,
+                stats, built, flow, reusable, tracer, constraint=constraint,
             )
             root_node = placement[tree]
             view = tree.sources
@@ -285,6 +288,7 @@ class BottomUpOptimizer:
         stats: dict,
         built: dict,
         flow: Callable[[PlanNode], float],
+        reusable: ViewLookup,
         tracer: Tracer = NULL_TRACER,
         constraint=None,
     ) -> tuple[PlanNode, dict[PlanNode, int]]:
@@ -314,7 +318,7 @@ class BottomUpOptimizer:
                 query, candidates, costs, flow, target, self.connected_only,
                 stats, span, tracer, constraint=constraint,
             )
-            leaf_sets = self._candidate_leaf_sets(cluster, inputs, query)
+            leaf_sets = self._candidate_leaf_sets(cluster, inputs, reusable)
             span.incr("leaf_set_alternatives", len(leaf_sets))
             if len(leaf_sets) > 1:
                 span.incr("reuse_groupings", len(leaf_sets) - 1)
@@ -371,20 +375,15 @@ class BottomUpOptimizer:
         self,
         cluster: Cluster,
         inputs: list[_Input],
-        query: Query,
+        reusable: ViewLookup,
     ) -> list[tuple[_Input, ...]]:
         """The inputs as-is, plus reuse groupings advertised in-cluster."""
         identity = tuple(inputs)
         if not self.reuse or len(inputs) < 2:
             return [identity]
-        subtree = cluster.subtree_nodes()
-        advertised: dict[frozenset[str], tuple[int, ...]] = {}
-        for sig, nodes in self.ads.views_in(cluster).items():
-            if sig.sources <= frozenset(query.sources) and len(sig.sources) > 1:
-                if sig == query.view_signature(sig.sources):
-                    advertised[sig.sources] = tuple(
-                        sorted(n for n in nodes if n in subtree)
-                    )
+        advertised = {
+            sig.sources: tuple(sorted(nodes)) for sig, nodes in reusable(cluster).items()
+        }
         if not advertised:
             return [identity]
         partitions = input_partitions([inp.view for inp in inputs], set(advertised))

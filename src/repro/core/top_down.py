@@ -26,9 +26,9 @@ import numpy as np
 
 from repro.core.cost import RateModel
 from repro.errors import InfeasiblePlacementError
-from repro.core.reuse import resolve_reuse_leaves, substitute_views
+from repro.core.reuse import input_partitions, resolve_reuse_leaves, substitute_views
 from repro.core.search import TreeSearch
-from repro.hierarchy.advertisements import AdvertisementIndex
+from repro.hierarchy.advertisements import AdvertisementIndex, ViewLookup
 from repro.hierarchy.hierarchy import Cluster, Hierarchy
 from repro.obs.explain import build_explanation
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -200,14 +200,19 @@ class TopDownOptimizer:
         )
         task = self._plan_task(
             root, tuple(inputs), query.sink, query, costs, stats, tracer,
-            self.rates.flow_pricer(query), parent_task=-1, constraint=constraint,
+            self.rates.flow_pricer(query), self.ads.reusable_views(query),
+            parent_task=-1, constraint=constraint,
         )
 
         tree, placement = task.tree, dict(task.placement)
         self._pin_base_leaves(tree, placement)
-        resolve_reuse_leaves(
-            query, tree, placement, self.ads.views(), costs, tracer=tracer
-        )
+        # Only the plan's own reused leaves are looked up, not the index.
+        providers = {}
+        for leaf in tree.leaves():
+            if not leaf.is_base_stream:
+                sig = query.view_signature(leaf.view)
+                providers[sig] = self.ads.view_nodes(sig)
+        resolve_reuse_leaves(query, tree, placement, providers, costs, tracer=tracer)
         stats["est_cost"] = task.est_cost
         return Deployment(query=query, plan=tree, placement=placement, stats=stats)
 
@@ -222,13 +227,15 @@ class TopDownOptimizer:
         stats: dict,
         tracer: Tracer,
         flow: Callable[[PlanNode], float],
+        reusable: ViewLookup,
         parent_task: int = -1,
         constraint=None,
     ) -> _TaskPlan:
         """Plan the join over ``inputs`` within ``cluster``, recursively.
 
         ``flow`` is the ``plan()`` call's one
-        :meth:`~repro.core.cost.RateModel.flow_pricer`.
+        :meth:`~repro.core.cost.RateModel.flow_pricer`, ``reusable`` its
+        one :meth:`AdvertisementIndex.reusable_views` lookup.
         """
         stats["tasks"] += 1
         stats["levels_visited"].append(cluster.level)
@@ -253,7 +260,7 @@ class TopDownOptimizer:
                 query, members, costs, flow, target_pos, self.connected_only,
                 stats, span, tracer, constraint=constraint,
             )
-            leaf_sets = self._candidate_leaf_sets(cluster, inputs, query)
+            leaf_sets = self._candidate_leaf_sets(cluster, inputs, reusable)
             span.incr("leaf_set_alternatives", len(leaf_sets))
             if len(leaf_sets) > 1:
                 span.incr("reuse_groupings", len(leaf_sets) - 1)
@@ -293,7 +300,7 @@ class TopDownOptimizer:
                 return _TaskPlan(tree=tree, placement=dict(placement), est_cost=est_cost)
             return self._recurse_fragments(
                 cluster, tree, placement, leaf_meta, out_target, query, costs, stats,
-                est_cost, task_idx, tracer, flow, constraint=constraint,
+                est_cost, task_idx, tracer, flow, reusable, constraint=constraint,
             )
 
     # ------------------------------------------------------------------
@@ -311,6 +318,7 @@ class TopDownOptimizer:
         task_idx: int,
         tracer: Tracer,
         flow: Callable[[PlanNode], float],
+        reusable: ViewLookup,
         constraint=None,
     ) -> _TaskPlan:
         """Split the chosen tree into per-member fragments and recurse."""
@@ -370,7 +378,7 @@ class TopDownOptimizer:
             child_cluster = cluster.children[member]
             fragment_plans[frag_id] = self._plan_task(
                 child_cluster, tuple(frag_inputs), frag_target, query, costs, stats,
-                tracer, flow, parent_task=task_idx, constraint=constraint,
+                tracer, flow, reusable, parent_task=task_idx, constraint=constraint,
             )
 
         # Stitch: substitute fragment outputs into their consumers.
@@ -417,7 +425,7 @@ class TopDownOptimizer:
         self,
         cluster: Cluster,
         inputs: tuple[_Input, ...],
-        query: Query,
+        reusable: ViewLookup,
     ) -> list[tuple[_Input, ...]]:
         """Leaf-set alternatives: the inputs as-is, plus reuse groupings."""
         identity = tuple(inputs)
@@ -426,15 +434,9 @@ class TopDownOptimizer:
         groupable = [inp for inp in inputs if inp.kind != "extern"]
         if len(groupable) < 2:
             return [identity]
-        advertised: set[frozenset[str]] = set()
-        for sig in self.ads.views_in(cluster):
-            if sig.sources <= frozenset(query.sources) and len(sig.sources) > 1:
-                if sig == query.view_signature(sig.sources):
-                    advertised.add(sig.sources)
+        advertised = {sig.sources for sig in reusable(cluster)}
         if not advertised:
             return [identity]
-        from repro.core.reuse import input_partitions
-
         fixed = [inp for inp in inputs if inp.kind == "extern"]
         partitions = input_partitions([g.view for g in groupable], advertised)
         by_view = {g.view: g for g in groupable}
@@ -465,8 +467,7 @@ class TopDownOptimizer:
 
     def _resolve_target(self, cluster: Cluster, out_target: int) -> int:
         """Represent the output target at this cluster's level."""
-        subtree = cluster.subtree_nodes()
-        if out_target in subtree:
+        if out_target in self.hierarchy.subtree(cluster):
             for member in cluster.members:
                 if out_target in self.hierarchy.member_subtree(cluster, member):
                     return member

@@ -38,6 +38,15 @@ FEDERATION_OWNER = "__fleet_federation__"
 ViewKey = tuple  # (ViewSignature, node)
 
 
+def _import_rank(key: ViewKey) -> tuple:
+    """Orders the imports one ``(sources, node)`` lookup can match."""
+    signature = key[0]
+    return (
+        signature.label(),
+        sorted((f.stream, f.predicate, f.selectivity) for f in signature.filters),
+    )
+
+
 class ReuseFederation:
     """Fleet-wide derived-view index synchronized into every shard.
 
@@ -48,6 +57,11 @@ class ReuseFederation:
     def __init__(self, shards: Sequence["StreamQueryService"]) -> None:
         self.shards = list(shards)
         self._imports: list[set[ViewKey]] = [set() for _ in self.shards]
+        # The same imports per shard, by (sources, node): what a reused
+        # leaf knows about the view it bound to.
+        self._imports_at: list[dict[tuple[frozenset[str], int], list[ViewKey]]] = [
+            {} for _ in self.shards
+        ]
         # Per shard: the locally owned keys it offers the fleet, kept up
         # to date from its state's operator-set feed, and where that
         # feed was last read.
@@ -73,13 +87,16 @@ class ReuseFederation:
 
         Matched by source set (not full signature): a reused leaf's view
         is a source set, and containment reuse may bind it to an import
-        whose signature carries fewer filters.
+        whose signature carries fewer filters.  Where several imports
+        share the source set and the node (they differ in filters), the
+        answer is the one with the smallest ``(label, filters)`` key,
+        filters compared as their sorted ``(stream, predicate,
+        selectivity)`` triples.
         """
-        for key in self._imports[shard]:
-            sig, at = key
-            if at == node and sig.sources == sources:
-                return key
-        return None
+        keys = self._imports_at[shard].get((sources, node))
+        if not keys:
+            return None
+        return min(keys, key=_import_rank)
 
     def imports(self, shard: int) -> set[ViewKey]:
         """The (signature, node) keys currently imported by a shard."""
@@ -102,8 +119,24 @@ class ReuseFederation:
 
     def restore_imports(self, imports: Sequence[set[ViewKey]]) -> None:
         """Replace every shard's import set (crash recovery)."""
-        self._imports = [set(keys) for keys in imports]
+        self._imports = [set() for _ in imports]
+        self._imports_at = [{} for _ in imports]
+        for shard, keys in enumerate(imports):
+            for key in keys:
+                self._add_import(shard, key)
         self._cursors = [None] * len(self.shards)  # exports depend on imports
+
+    def _add_import(self, shard: int, key: ViewKey) -> None:
+        self._imports[shard].add(key)
+        self._imports_at[shard].setdefault((key[0].sources, key[1]), []).append(key)
+
+    def _drop_import(self, shard: int, key: ViewKey) -> None:
+        self._imports[shard].discard(key)
+        at = (key[0].sources, key[1])
+        keys = self._imports_at[shard][at]
+        keys.remove(key)
+        if not keys:
+            del self._imports_at[shard][at]
 
     def _read_exports(self, shard: int) -> set[ViewKey]:
         """A shard's export set, brought up to date with its state."""
@@ -159,7 +192,7 @@ class ReuseFederation:
             for key in sorted(current - desired, key=lambda k: (k[0].label(), k[1])):
                 sig, node = key
                 removed = state.unregister_external_view(sig, node, FEDERATION_OWNER)
-                current.discard(key)
+                self._drop_import(sid, key)
                 if removed:
                     ads = service.ads
                     if ads is not None and node in ads.view_nodes(sig):
@@ -183,7 +216,7 @@ class ReuseFederation:
                 )
                 if service.ads is not None:
                     service.ads.advertise_view(sig, node)
-                current.add(key)
+                self._add_import(sid, key)
                 imported += 1
 
         self.syncs += 1

@@ -74,7 +74,7 @@ class SubtreeLocalityPolicy:
         """(level, coordinator) of the query's covering cluster."""
         nodes = {self.rates.source(s) for s in query.sources}
         cluster = self.hierarchy.leaf_cluster(min(nodes))
-        while not nodes <= cluster.subtree_nodes():
+        while not nodes <= self.hierarchy.subtree(cluster):
             if cluster.parent is None:
                 break
             cluster = cluster.parent

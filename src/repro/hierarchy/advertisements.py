@@ -12,10 +12,17 @@ which the paper observes is negligible next to the data streams).
 
 from __future__ import annotations
 
+from itertools import combinations, count
+from typing import Callable
+
 from repro.hierarchy.hierarchy import Cluster, Hierarchy
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.perf import profiler as _perf
-from repro.query.query import ViewSignature
+from repro.query.query import Query, ViewSignature
+
+#: One ``plan()`` call's question to the index, asked per cluster:
+#: see :meth:`AdvertisementIndex.reusable_views`.
+ViewLookup = Callable[[Cluster], dict[ViewSignature, set[int]]]
 
 
 class AdvertisementIndex:
@@ -35,6 +42,12 @@ class AdvertisementIndex:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._base_nodes: dict[str, int] = {}
         self._view_nodes: dict[ViewSignature, set[int]] = {}
+        # When each advertised signature entered ``_view_nodes`` (so a
+        # handful of hits can be put back in index order), and how many
+        # of them join each set of streams.
+        self._view_serial: dict[ViewSignature, int] = {}
+        self._serials = count()
+        self._joining: dict[frozenset[str], int] = {}
         self.messages_sent = 0
         # Where the last sync stopped reading its state's operator-set
         # feed, and the keys advertised or withdrawn since.
@@ -62,7 +75,12 @@ class AdvertisementIndex:
         are one-time messages at operator instantiation.
         """
         self.hierarchy.leaf_cluster(node)
-        nodes = self._view_nodes.setdefault(signature, set())
+        nodes = self._view_nodes.get(signature)
+        if nodes is None:
+            nodes = self._view_nodes[signature] = set()
+            self._view_serial[signature] = next(self._serials)
+            sources = signature.sources
+            self._joining[sources] = self._joining.get(sources, 0) + 1
         if node not in nodes:
             nodes.add(node)
             self._touched.add((signature, node))
@@ -78,6 +96,12 @@ class AdvertisementIndex:
         nodes.discard(node)
         if not nodes:
             del self._view_nodes[signature]
+            del self._view_serial[signature]
+            sources = signature.sources
+            if self._joining[sources] == 1:
+                del self._joining[sources]
+            else:
+                self._joining[sources] -= 1
         self._touched.add((signature, node))
         self.messages_sent += self.hierarchy.height
         self.tracer.incr("ads_views_withdrawn")
@@ -156,7 +180,7 @@ class AdvertisementIndex:
     # ------------------------------------------------------------------
     def streams_in(self, cluster: Cluster) -> set[str]:
         """Base streams available somewhere in ``cluster``'s subtree."""
-        subtree = cluster.subtree_nodes()
+        subtree = self.hierarchy.subtree(cluster)
         return {s for s, n in self._base_nodes.items() if n in subtree}
 
     def base_member(self, cluster: Cluster, stream: str) -> int | None:
@@ -172,20 +196,52 @@ class AdvertisementIndex:
                 return member
         return None
 
-    def views_in(self, cluster: Cluster) -> dict[ViewSignature, set[int]]:
-        """Derived views advertised within ``cluster``'s subtree.
+    def reusable_views(self, query: Query) -> ViewLookup:
+        """What the coordinators planning ``query`` ask the index.
 
-        Maps signature -> the advertising *physical nodes* inside the
-        subtree (planning at a level resolves them to members via
-        :meth:`view_members`).
+        Returns a lookup for one ``plan()`` call: given a cluster, the
+        advertised views that are sub-views of ``query`` (two or more of
+        its streams, with exactly its predicates, filters and window on
+        them) and have an advertising node in the cluster's subtree,
+        mapped to those *physical nodes* (planning at a level resolves
+        them to members via :meth:`view_members`).
+
+        The lookup asks by signature: it walks the query's own stream
+        subsets, ``2^n - n - 1`` of them and listed once for all the
+        plan's tasks, builds a signature only for a subset some
+        advertised view joins, and never visits the rest of the index.
+        The views come back in the order they entered the index, the
+        order a scan of it would find them in, because the planners
+        break cost ties by the order of their leaf sets.
         """
-        subtree = cluster.subtree_nodes()
-        out: dict[ViewSignature, set[int]] = {}
-        for sig, nodes in self._view_nodes.items():
-            inside = nodes & subtree
-            if inside:
-                out[sig] = inside
-        return out
+        sources = query.sources
+        subsets = [
+            frozenset(subset)
+            for size in range(2, len(sources) + 1)
+            for subset in combinations(sources, size)
+        ]
+
+        def lookup(cluster: Cluster) -> dict[ViewSignature, set[int]]:
+            subtree = self.hierarchy.subtree(cluster)
+            probed = 0
+            found = []
+            for subset in subsets:
+                if subset not in self._joining:
+                    continue
+                signature = query.view_signature(subset)
+                probed += 1
+                nodes = self._view_nodes.get(signature)
+                if nodes is not None:
+                    inside = nodes & subtree
+                    if inside:
+                        found.append((self._view_serial[signature], signature, inside))
+            found.sort()  # serials are unique: signatures are never compared
+            prof = _perf.active()
+            if prof is not None:
+                prof.count("ads_views_probed", probed)
+            return {signature: inside for _, signature, inside in found}
+
+        return lookup
 
     def view_members(self, cluster: Cluster, signature: ViewSignature) -> set[int]:
         """Members of ``cluster`` whose subtrees advertise ``signature``."""

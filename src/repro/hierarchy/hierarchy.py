@@ -93,7 +93,8 @@ class Hierarchy:
         self.levels = levels
         self._leaf_of: dict[int, Cluster] = {}
         self._member_cluster: list[dict[int, Cluster]] = []
-        self._subtree_cache: dict[tuple[int, int], frozenset[int]] = {}
+        # id(cluster) -> its subtree, (id(cluster), member) -> the member's.
+        self._subtree_cache: dict[int | tuple[int, int], frozenset[int]] = {}
         self.reindex()
 
     # ------------------------------------------------------------------
@@ -149,11 +150,28 @@ class Hierarchy:
             return node
         return self.cluster_of(node, level - 1).coordinator
 
+    def subtree(self, cluster: Cluster) -> frozenset[int]:
+        """All physical nodes beneath ``cluster`` (inclusive), remembered.
+
+        :meth:`Cluster.subtree_nodes` walks the tree on every call; this
+        is that walk done once per cluster.  The answer (like
+        :meth:`member_subtree`'s) stands until :meth:`reindex`, which
+        everything that edits the cluster tree (:mod:`.maintenance`,
+        snapshot restore) calls when it is done: a tree edited by hand
+        without a ``reindex()`` is not supported and reads stale here.
+        """
+        key = id(cluster)
+        cached = self._subtree_cache.get(key)
+        if cached is None:
+            cached = self._subtree_cache[key] = frozenset(cluster.subtree_nodes())
+        return cached
+
     def member_subtree(self, cluster: Cluster, member: int) -> frozenset[int]:
         """Physical nodes represented by ``member`` within ``cluster``.
 
         At level 1 a member represents only itself; above, it represents
-        every node beneath its child cluster.
+        every node beneath its child cluster.  Remembered until
+        :meth:`reindex`, on the same terms as :meth:`subtree`.
         """
         key = (id(cluster), member)
         cached = self._subtree_cache.get(key)
@@ -164,7 +182,7 @@ class Hierarchy:
         if cluster.level == 1:
             result = frozenset((member,))
         else:
-            result = frozenset(cluster.children[member].subtree_nodes())
+            result = self.subtree(cluster.children[member])
         self._subtree_cache[key] = result
         return result
 

@@ -139,7 +139,7 @@ class ResilientControl:
 
         hierarchy = service.hierarchy
         if hierarchy is not None:
-            candidates_fn = lambda: sorted(hierarchy.root.subtree_nodes())  # noqa: E731
+            candidates_fn = lambda: sorted(hierarchy.subtree(hierarchy.root))  # noqa: E731
         else:
             candidates_fn = None
         self._fallback = PlanThenDeploy(
@@ -385,7 +385,7 @@ class ResilientControl:
                 continue
             if not self._in_hierarchy(service, node):
                 continue
-            if len(service.hierarchy.root.subtree_nodes()) <= 1:
+            if len(service.hierarchy.subtree(service.hierarchy.root)) <= 1:
                 continue
             from repro.hierarchy.maintenance import remove_node
 
@@ -449,7 +449,7 @@ class ResilientControl:
     def _can_fail(self, service: "StreamQueryService", node: int) -> bool:
         if service.hierarchy is None or not self._in_hierarchy(service, node):
             return False
-        return len(service.hierarchy.root.subtree_nodes()) > 1
+        return len(service.hierarchy.subtree(service.hierarchy.root)) > 1
 
     # ------------------------------------------------------------------
     # Reporting

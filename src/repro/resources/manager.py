@@ -389,7 +389,7 @@ class ResourceManager:
             # be planned at all (the planners raise lookup errors, not
             # PlanningError): it waits, without using up a re-admission
             # slot, until the node rejoins.
-            alive = service.hierarchy.root.subtree_nodes()
+            alive = service.hierarchy.subtree(service.hierarchy.root)
             retry = [p for p in retry if service.rates.endpoints(p.query) <= alive]
         order = sorted(retry, key=lambda p: (-p.weight, p.parked_at, p.query.name))
         deployed: list[str] = []

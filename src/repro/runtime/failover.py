@@ -126,7 +126,7 @@ def fail_node(
     for name in report.affected_queries:
         query = by_name[name]
         engine.undeploy(name)
-        alive = hierarchy.root.subtree_nodes()
+        alive = hierarchy.subtree(hierarchy.root)
         if not engine.rates.endpoints(query) <= alive:
             report.failed_queries.append(name)
             continue

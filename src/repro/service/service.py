@@ -495,7 +495,7 @@ class StreamQueryService:
                 query, f"sink {query.sink} is not a network node"
             )
         if self.resilience is not None and self.hierarchy is not None:
-            if query.sink not in self.hierarchy.root.subtree_nodes():
+            if query.sink not in self.hierarchy.subtree(self.hierarchy.root):
                 return self.admission.reject(
                     query, f"sink {query.sink} is not a live hierarchy node"
                 )
@@ -631,7 +631,7 @@ class StreamQueryService:
             if self.ads is not None:
                 self.ads.sync_from_state(self.engine.state)
 
-            alive = self.hierarchy.root.subtree_nodes()
+            alive = self.hierarchy.subtree(self.hierarchy.root)
             for query, remaining in affected:
                 if not self.rates.endpoints(query) <= alive:
                     report.lost.append(query.name)

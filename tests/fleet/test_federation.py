@@ -42,6 +42,40 @@ class TestCrossShardReuse:
         assert fleet.cross_shard_reuse_total >= 1
         assert fleet.federation.active_imports >= 1
 
+    def test_import_for_follows_the_imports_and_breaks_ties_by_filters(self, fleet_env):
+        q1, q2 = reuse_pair(fleet_env)
+        fleet = split_fleet(fleet_env, q1, q2)
+        federation = fleet.federation
+        fleet.submit(q1)
+        fleet.tick()
+        imported = federation.imports(1)
+        assert imported
+        for sig, node in imported:
+            assert federation.import_for(1, sig.sources, node) == (sig, node)
+            assert federation.import_for(0, sig.sources, node) is None
+        fleet.retire(q1.name)
+        fleet.tick()  # nobody consumed them: withdrawn
+        assert not federation.imports(1)
+        for sig, node in imported:
+            assert federation.import_for(1, sig.sources, node) is None
+
+        # Same streams at the same node, told apart by filters only: the
+        # smallest (label, filters) key, whichever was imported first.
+        plain = q1.view_signature()
+        first, second = (
+            repro.Query(
+                "f", q1.sources, q1.sink, q1.predicates,
+                [repro.Filter(q1.sources[0], text, 0.5)],
+            ).view_signature()
+            for text in ("x > 1", "x > 2")
+        )
+        for order in ([second, plain, first], [first, second, plain]):
+            federation.restore_imports([set(), [(sig, 3) for sig in order]])
+            assert federation.import_for(1, plain.sources, 3) == (plain, 3)
+        federation.restore_imports([set(), [(second, 3), (first, 3)]])
+        assert federation.import_for(1, plain.sources, 3) == (first, 3)
+        assert federation.import_for(1, plain.sources, 4) is None
+
     def test_reuse_cost_parity_with_single_service(self, fleet_env):
         net, hierarchy, _, rates = fleet_env
         q1, q2 = reuse_pair(fleet_env)

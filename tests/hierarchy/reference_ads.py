@@ -11,6 +11,14 @@ works this way the first time it meets a state.
 Drive it on an index of its own (same hierarchy, its own tracer) beside
 the index under test, mirroring every direct ``advertise_view`` /
 ``withdraw_view`` call on both.
+
+:func:`reference_reusable` is what a planning task did before the index
+could be asked by signature: ``AdvertisementIndex.views_in`` (every
+advertised view intersected with a subtree walked afresh) followed by
+the filter both planners' ``_candidate_leaf_sets`` applied to it.  It
+reads the index under test and answers in the index's own order, so
+``AdvertisementIndex.reusable_views`` must return exactly its items, in
+its order.
 """
 
 from __future__ import annotations
@@ -28,3 +36,24 @@ def reference_sync(ads, state) -> None:
             for node in list(nodes):
                 if node not in live_nodes:
                     ads.withdraw_view(signature, node)
+
+
+def views_in(ads, cluster):
+    """Derived views advertised within ``cluster``'s subtree, by scan."""
+    subtree = cluster.subtree_nodes()
+    out = {}
+    for sig, nodes in ads._view_nodes.items():
+        inside = nodes & subtree
+        if inside:
+            out[sig] = inside
+    return out
+
+
+def reference_reusable(ads, cluster, query):
+    """The advertised sub-views of ``query`` under ``cluster``, by scan."""
+    out = {}
+    for sig, nodes in views_in(ads, cluster).items():
+        if sig.sources <= frozenset(query.sources) and len(sig.sources) > 1:
+            if sig == query.view_signature(sig.sources):
+                out[sig] = nodes
+    return out

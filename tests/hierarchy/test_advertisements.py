@@ -16,9 +16,12 @@ def setup():
     return net, hierarchy, ads
 
 
+def _query(sink=0, sel=0.01):
+    return Query("q", ["A", "B"], sink=sink, predicates=[JoinPredicate("A", "B", sel)])
+
+
 def _sig(sink=0, sel=0.01):
-    q = Query("q", ["A", "B"], sink=sink, predicates=[JoinPredicate("A", "B", sel)])
-    return q.view_signature()
+    return _query(sink, sel).view_signature()
 
 
 class TestBaseAdvertisements:
@@ -105,10 +108,13 @@ class TestViewAdvertisements:
         net, hierarchy, ads = setup
         sig = _sig()
         ads.advertise_view(sig, 7)
-        leaf = hierarchy.leaf_cluster(7)
-        assert sig in ads.views_in(leaf)
+        reusable = ads.reusable_views(_query())
+        assert reusable(hierarchy.leaf_cluster(7)) == {sig: {7}}
+        assert reusable(hierarchy.root) == {sig: {7}}
         other = next(c for c in hierarchy.levels[0] if 7 not in c.members)
-        assert sig not in ads.views_in(other)
+        assert reusable(other) == {}
+        # Same streams, another predicate: not this query's sub-view.
+        assert ads.reusable_views(_query(sel=0.02))(hierarchy.root) == {}
 
     def test_view_members(self, setup):
         net, hierarchy, ads = setup

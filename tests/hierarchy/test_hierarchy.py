@@ -125,6 +125,23 @@ class TestQueries:
             total = sum(len(s) for s in subtrees)
             assert total == len(union)  # disjoint
 
+    def test_subtree_is_remembered_until_reindex(self, net128):
+        """The documented contract: whoever edits the cluster tree calls
+        ``reindex()``; until then ``subtree`` answers from memory."""
+        hierarchy = build_hierarchy(net128, max_cs=8, seed=0)
+        leaf = hierarchy.levels[0][0]
+        before, everyone = hierarchy.subtree(leaf), hierarchy.subtree(hierarchy.root)
+        assert before == leaf.subtree_nodes()
+        assert hierarchy.subtree(leaf) is before
+        assert hierarchy.member_subtree(leaf.parent, leaf.coordinator) is before
+        gone = next(m for m in leaf.members if m != leaf.coordinator)
+        leaf.members.remove(gone)  # by hand, not through maintenance
+        assert hierarchy.subtree(leaf) is before
+        assert hierarchy.subtree(hierarchy.root) is everyone
+        hierarchy.reindex()
+        assert hierarchy.subtree(leaf) == before - {gone}
+        assert hierarchy.subtree(hierarchy.root) == everyone - {gone}
+
     def test_estimated_cost_level1_exact(self, hier128, net128):
         c = net128.cost_matrix()
         assert hier128.estimated_cost(3, 77, 1) == pytest.approx(c[3, 77])
