@@ -905,6 +905,8 @@ def capture_fleet(fleet, memo: FragmentMemo) -> dict[str, Any]:
         }
     federation_doc = None
     if fleet.federation is not None:
+        from repro.fleet.federation import import_rank
+
         federation_doc = {
             "epoch": fleet.federation.epoch,
             "syncs": fleet.federation.syncs,
@@ -917,11 +919,18 @@ def capture_fleet(fleet, memo: FragmentMemo) -> dict[str, Any]:
                 _array(
                     memo.text(key, None, _import_to_doc, key)
                     for key in sorted(
-                        imports,
-                        key=lambda key: ("|".join(sorted(key[0].sources)), key[1]),
+                        fleet.federation.imports(sid),
+                        # The sources first, as written since the section
+                        # exists ("|" and the rank's "*" sort stream names
+                        # that prefix one another differently); the
+                        # rank settles what that leaves tied.
+                        key=lambda key: (
+                            "|".join(sorted(key[0].sources)),
+                            import_rank(key),
+                        ),
                     )
                 )
-                for imports in fleet.federation._imports
+                for sid in range(len(fleet.shards))
             ],
         }
     policy = fleet.router.policy

@@ -10,6 +10,11 @@ deployment state, so the hierarchical planners fold the remote view into
 their plans and :meth:`DeploymentState.apply` accepts the resulting
 reused leaf.
 
+The fleet-wide index is kept per key, not rebuilt per sync: each shard's
+operator-set feed says which keys entered or left its export set, a
+``key -> shards offering it`` map follows, and a sync decides only on
+the keys whose offer set changed since the last one.
+
 Invalidation is epoch-consistent: when the owning shard retires a view,
 the next sync withdraws the import everywhere -- withdrawing the
 advertisement, dropping the external record, and surgically evicting
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
+from repro.perf import profiler as _perf
 from repro.query.query import ViewSignature
 
 if TYPE_CHECKING:
@@ -38,12 +44,22 @@ FEDERATION_OWNER = "__fleet_federation__"
 ViewKey = tuple  # (ViewSignature, node)
 
 
-def _import_rank(key: ViewKey) -> tuple:
-    """Orders the imports one ``(sources, node)`` lookup can match."""
-    signature = key[0]
+def import_rank(key: ViewKey) -> tuple:
+    """The one total order on imports: ``(label, node)``, then what else
+    tells two signatures apart.  Withdrawals are applied in it, a
+    ``(sources, node)`` lookup answers its minimum and the snapshot
+    lists imports by it, so none of them depends on set iteration order.
+    """
+    signature, node = key
     return (
         signature.label(),
+        node,
         sorted((f.stream, f.predicate, f.selectivity) for f in signature.filters),
+        sorted(
+            (p.left, p.right, p.selectivity, p.left_attr, p.right_attr)
+            for p in signature.predicates
+        ),
+        signature.window,
     )
 
 
@@ -67,6 +83,11 @@ class ReuseFederation:
         # feed was last read.
         self._exports: list[set[ViewKey]] = [set() for _ in self.shards]
         self._cursors: list[tuple[object, int] | None] = [None] * len(self.shards)
+        # The same exports by key: the shards offering it (never empty;
+        # the lowest is the owner imports are read from), and the keys
+        # whose entry changed since the last sync decided on them.
+        self._offers: dict[ViewKey, set[int]] = {}
+        self._dirty: set[ViewKey] = set()
         self.epoch = 0
         self.syncs = 0
         self.imported_total = 0
@@ -91,12 +112,12 @@ class ReuseFederation:
         share the source set and the node (they differ in filters), the
         answer is the one with the smallest ``(label, filters)`` key,
         filters compared as their sorted ``(stream, predicate,
-        selectivity)`` triples.
+        selectivity)`` triples (:func:`import_rank`).
         """
         keys = self._imports_at[shard].get((sources, node))
         if not keys:
             return None
-        return min(keys, key=_import_rank)
+        return min(keys, key=import_rank)
 
     def imports(self, shard: int) -> set[ViewKey]:
         """The (signature, node) keys currently imported by a shard."""
@@ -118,13 +139,19 @@ class ReuseFederation:
         return {key: state.view_rate(*key) for key in self._read_exports(shard)}
 
     def restore_imports(self, imports: Sequence[set[ViewKey]]) -> None:
-        """Replace every shard's import set (crash recovery)."""
+        """Replace every shard's import set (crash recovery).
+
+        The next sync is a full reconcile: exports depend on imports, so
+        every shard's feed is read from the start, and every import is
+        up for review whether or not anyone still offers it.
+        """
         self._imports = [set() for _ in imports]
         self._imports_at = [{} for _ in imports]
         for shard, keys in enumerate(imports):
             for key in keys:
                 self._add_import(shard, key)
-        self._cursors = [None] * len(self.shards)  # exports depend on imports
+        self._cursors = [None] * len(self.shards)
+        self._dirty.update(*self._imports)
 
     def _add_import(self, shard: int, key: ViewKey) -> None:
         self._imports[shard].add(key)
@@ -138,58 +165,105 @@ class ReuseFederation:
         if not keys:
             del self._imports_at[shard][at]
 
+    def _offer(self, shard: int, key: ViewKey) -> None:
+        self._exports[shard].add(key)
+        self._offers.setdefault(key, set()).add(shard)
+        self._dirty.add(key)
+
+    def _retract(self, shard: int, key: ViewKey) -> None:
+        self._exports[shard].discard(key)
+        offered = self._offers[key]
+        offered.discard(shard)
+        if not offered:
+            del self._offers[key]
+        self._dirty.add(key)
+
     def _read_exports(self, shard: int) -> set[ViewKey]:
         """A shard's export set, brought up to date with its state."""
         state = self.shards[shard].engine.state
         exports, imports = self._exports[shard], self._imports[shard]
         changed = state.changes_since(self._cursors[shard])
-        if changed is None:  # first read of this state: every operator
-            exports.clear()
-            changed = state.operators()
+        if changed is None:
+            # The feed cannot say what changed: look at every operator
+            # and every key offered so far, and let the next sync decide
+            # on all of them.
+            changed = [*exports, *state.operators()]
+            self._dirty.update(changed)
         self._cursors[shard] = state.feed_cursor()
         for key in changed:
-            if key not in imports and state.has_view(*key):
-                exports.add(key)
-            else:
-                exports.discard(key)
+            offered = key not in imports and state.has_view(*key)
+            if offered and key not in exports:
+                self._offer(shard, key)
+            elif not offered and key in exports:
+                self._retract(shard, key)
+        prof = _perf.active()
+        if prof is not None:
+            prof.count("federation_keys_examined", len(changed))
         return exports
 
     # ------------------------------------------------------------------
     # Synchronization
     # ------------------------------------------------------------------
+    def _plan(self) -> list[tuple[list[ViewKey], list[tuple[ViewKey, int]]]]:
+        """What a sync would do now: per shard, the imports to drop and
+        the ``(key, owner shard)`` pairs to import, in application order.
+
+        Only the keys whose offers changed since the last sync are
+        looked at.  A shard's import set is exactly the offered keys it
+        does not offer itself, so an import goes when nobody offers its
+        key any more and one is added where a shard neither offers nor
+        imports an offered key.
+        """
+        shards = range(len(self.shards))
+        for sid in shards:
+            self._read_exports(sid)
+        imports = self._imports
+        drops: list[list[ViewKey]] = [[] for _ in shards]
+        adds: list[list[tuple[ViewKey, int]]] = [[] for _ in shards]
+        for key in self._dirty:
+            offered = self._offers.get(key)
+            if offered is None:
+                for sid in shards:
+                    if key in imports[sid]:
+                        drops[sid].append(key)
+            else:
+                owner = min(offered)
+                for sid in shards:
+                    if sid not in offered and key not in imports[sid]:
+                        adds[sid].append((key, owner))
+        prof = _perf.active()
+        if prof is not None:
+            prof.count("federation_keys_examined", len(self._dirty) * len(shards))
+
+        def add_order(pair: tuple[ViewKey, int]) -> tuple:
+            (sig, node), owner = pair
+            serial = self.shards[owner].engine.state.operator_serial(sig, node)
+            return (sig.label(), node, owner, serial)
+
+        for sid in shards:
+            drops[sid].sort(key=import_rank)
+            adds[sid].sort(key=add_order)
+        return list(zip(drops, adds))
+
     def sync(self) -> dict[str, int]:
         """One reconciliation round; returns what changed.
 
-        Three phases: collect every shard's exports into the fleet
-        index (key -> the lowest shard offering it), then per shard
-        compute the desired import set (everything some *other* shard
-        exports that this shard does not already own locally) and apply
-        removals and additions.  Removals either withdraw (no local
-        consumers) or promote (local queries still reuse the view).  The
-        federation epoch advances whenever a withdrawal invalidated
+        Reads every shard's feed into the offer map, decides on the keys
+        whose offers changed (:meth:`_plan`) and applies that per shard:
+        removals, then additions read from the key's owner, the lowest
+        shard offering it.  Removals either withdraw (no local
+        consumers) or promote (local queries still reuse the view); a
+        promoted view is offered to the other shards by the *next* sync.
+        The federation epoch advances whenever a withdrawal invalidated
         state, mirroring the service's epoch discipline.
         """
-        fleet: dict[ViewKey, int] = {}
-        for sid in range(len(self.shards)):
-            for key in self._read_exports(sid):
-                fleet.setdefault(key, sid)
-
-        def import_order(key: ViewKey) -> tuple:
-            owner = self.shards[fleet[key]].engine.state
-            return (key[0].label(), key[1], fleet[key], owner.operator_serial(*key))
-
+        plan = self._plan()
+        self._dirty.clear()
         imported = withdrawn = promoted = 0
-        for sid, service in enumerate(self.shards):
+        for sid, (drops, adds) in enumerate(plan):
+            service = self.shards[sid]
             state = service.engine.state
-            current = self._imports[sid]
-            desired = {
-                key
-                for key, owner in fleet.items()
-                # skip views this shard owns locally (its own operators);
-                # existing imports are desired as long as an owner remains
-                if owner != sid and (key in current or not state.has_view(*key))
-            }
-            for key in sorted(current - desired, key=lambda k: (k[0].label(), k[1])):
+            for key in drops:
                 sig, node = key
                 removed = state.unregister_external_view(sig, node, FEDERATION_OWNER)
                 self._drop_import(sid, key)
@@ -201,12 +275,13 @@ class ReuseFederation:
                     withdrawn += 1
                 else:
                     # Local queries still consume the view: the record is
-                    # promoted to local ownership and exported next sync.
-                    self._exports[sid].add(key)
+                    # promoted to local ownership, which the feed does
+                    # not report, and exported next sync.
+                    self._offer(sid, key)
                     promoted += 1
-            for key in sorted(desired - current, key=import_order):
+            for key, owner_sid in adds:
                 sig, node = key
-                owner = self.shards[fleet[key]].engine.state
+                owner = self.shards[owner_sid].engine.state
                 state.register_external_view(
                     sig,
                     node,

@@ -169,6 +169,9 @@ def _case_service_churn() -> OpProfiler:
 
 
 def _case_fleet_churn() -> OpProfiler:
+    """The churn script on a 3-shard fleet: besides the planner counts,
+    what the federation's 30 syncs examined (``federation_keys_examined``,
+    counted at the hook site) and imported."""
     from repro.fleet import FleetController
 
     net, workload, rates, hierarchy = _hier_env(num_queries=10)

@@ -247,11 +247,17 @@ def capture_fleet(fleet) -> dict[str, Any]:
                 sorted(
                     (
                         {"sig": sig_to_doc(sig), "node": node}
-                        for sig, node in imports
+                        for sig, node in fleet.federation.imports(sid)
                     ),
-                    key=lambda d: ("|".join(d["sig"]["sources"]), d["node"]),
+                    key=lambda d: (
+                        "|".join(d["sig"]["sources"]),
+                        d["node"],
+                        [list(f.values()) for f in d["sig"]["filters"]],
+                        [list(p.values()) for p in d["sig"]["predicates"]],
+                        d["sig"]["window"],
+                    ),
                 )
-                for imports in fleet.federation._imports
+                for sid in range(len(fleet.shards))
             ],
         }
     policy = fleet.router.policy

@@ -5,8 +5,7 @@ import pytest
 import repro
 
 
-@pytest.fixture(scope="module")
-def fleet_env():
+def build_env():
     """Deterministic (network, hierarchy, workload, rates) quadruple."""
     net = repro.transit_stub_by_size(32, seed=7)
     hierarchy = repro.build_hierarchy(net, max_cs=4, seed=0)
@@ -16,6 +15,12 @@ def fleet_env():
         seed=8,
     )
     return net, hierarchy, workload, workload.rate_model()
+
+
+@pytest.fixture(scope="module")
+def fleet_env():
+    """One :func:`build_env` world per test module."""
+    return build_env()
 
 
 class ByNamePolicy:
