@@ -15,8 +15,9 @@ place-each-tree loop returns (that loop lives on as the oracle
 * all trees of a leaf set are priced on one
   :class:`~repro.core.placement.PlacementTable`, so a subtree shared by
   many trees is priced once, and
-* a placement is reconstructed for the winner only -- for every tree
-  just while a resource constraint needs the joint ``validate``.
+* a placement is reconstructed for the winner only -- under a resource
+  constraint, for each tree that beats the incumbent and so owes the
+  joint ``validate`` (the two tests commute: same decisions, same order).
 
 The counters written to ``stats`` and the span are the paper's *nominal*
 search-space accounting (trees that exist, assignments they span), not
@@ -125,14 +126,16 @@ class TreeSearch:
                 span.incr("infeasible_trees")
                 continue
             span.incr("plans_examined", nominal)
-            if constraint is not None and not constraint.validate(
-                tree, table.place(tree).placement
-            ):
+            if incumbent is not None and not objective < incumbent - _TIE:
+                continue
+            if constraint is not None:
                 # Independently feasible operators can still jointly
                 # overload a node; the per-plan check is the contract.
-                span.incr("infeasible_trees")
-                continue
-            if incumbent is None or objective < incumbent - _TIE:
-                incumbent, winner = objective, tree
-        if winner is not None:
+                result = table.place(tree)
+                if not constraint.validate(tree, result.placement):
+                    span.incr("infeasible_trees")
+                    continue
+                self.best = result
+            incumbent, winner = objective, tree
+        if winner is not None and constraint is None:
             self.best = table.place(winner)

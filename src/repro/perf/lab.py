@@ -239,14 +239,19 @@ def _case_resource_overhead() -> OpProfiler:
     gates nothing, so its planner op counts (plans, probes, ticks) must
     match ``service_churn`` exactly -- the case exists so the 25% gate
     catches the resource layer ever leaking work into the planner path,
-    and its wall samples price the ledger/gauge bookkeeping.  Its one
-    count of its own, ``ledger_ops_priced``, is the ledger pricing each
-    installed join once; the same gate catches it re-deriving instead.
+    and its wall samples price the ledger/gauge bookkeeping.  Of its
+    own counts, ``ledger_ops_priced`` is the ledger pricing each
+    installed join once (the same gate catches it re-deriving instead);
+    ``joint_validations`` and ``join_loads_priced`` are the constrained
+    search's work and read 0 here, because no constraint exists.
     """
     from repro.resources import ResourceConfig
 
     service, workload = _churn_service(resources=ResourceConfig())
-    return _churn(service.submit, service.tick, workload, "resource_tick")
+    prof = _churn(service.submit, service.tick, workload, "resource_tick")
+    for key in ("joint_validations", "join_loads_priced"):
+        prof.count(key, 0)
+    return prof
 
 
 def _case_lab_overhead() -> OpProfiler:

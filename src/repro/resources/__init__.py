@@ -24,7 +24,7 @@ from repro.resources.capacity import (
     uniform_capacities,
 )
 from repro.resources.constraint import PlacementConstraint
-from repro.resources.footprint import OperatorFootprint
+from repro.resources.footprint import JoinPricer, OperatorFootprint
 from repro.resources.ledger import ResourceLedger, plan_node_loads
 from repro.resources.manager import ResourceConfig, ResourceManager, ensure_resources
 from repro.resources.shedder import LoadShedder, ParkedQuery, ShedPlan
@@ -38,6 +38,7 @@ __all__ = [
     "uniform_capacities",
     "PlacementConstraint",
     "OperatorFootprint",
+    "JoinPricer",
     "ResourceLedger",
     "plan_node_loads",
     "ResourceConfig",

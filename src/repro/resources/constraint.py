@@ -2,7 +2,9 @@
 
 A :class:`PlacementConstraint` is built per ``plan()`` call from a
 snapshot of the ledger (background load per node, live operator keys for
-reuse credit) and prices one query's join operators:
+reuse credit), is that call's :class:`~repro.resources.footprint.JoinPricer`
+(signatures, rates and join loads derived once however many trees and
+joint checks ask) and prices one query's join operators:
 
 * **Feasibility mask** -- per join, per candidate node: would placing
   this operator there push the node past ``bound x capacity`` given the
@@ -30,16 +32,17 @@ from typing import Mapping
 
 import numpy as np
 
+from repro.perf import profiler
 from repro.query.plan import Join, PlanNode
 from repro.query.query import Query
 from repro.resources.capacity import Load, NodeCapacity, UNBOUNDED, ZERO_LOAD
-from repro.resources.footprint import OperatorFootprint
+from repro.resources.footprint import JoinPricer, OperatorFootprint
 from repro.resources.ledger import plan_node_loads
 
 _EPS = 1e-9
 
 
-class PlacementConstraint:
+class PlacementConstraint(JoinPricer):
     """Capacity/bound pricing of one query's candidate placements.
 
     Args:
@@ -70,61 +73,52 @@ class PlacementConstraint:
             raise ValueError("utilization bound must be positive")
         if load_weight < 0:
             raise ValueError("load_weight must be >= 0")
-        self.query = query
-        self.footprint = footprint
+        super().__init__(footprint, query)
         self.capacities = capacities
         self.base_loads = base_loads
         self.live_keys = frozenset(live_keys)
         self.bound = bound
         self.load_weight = load_weight
-        self._load_cache: dict[tuple[frozenset, frozenset], Load] = {}
+        # (candidates, base[n x 3], capacity[n x 3], unbounded[n x 3])
+        # of the array asked about last: a PlacementTable always asks with one.
+        self._arrays: tuple | None = None
 
     # ------------------------------------------------------------------
-    def _join_load(self, sub: Join) -> Load:
-        key = (sub.left.sources, sub.right.sources)
-        load = self._load_cache.get(key)
-        if load is None:
-            load = self.footprint.join_load(
-                self.query, sub.left.sources, sub.right.sources
-            )
-            self._load_cache[key] = load
-        return load
-
-    def _capacity(self, node: int) -> NodeCapacity:
-        return self.capacities.get(node, UNBOUNDED)
-
     def _projected(self, node: int, load: Load) -> float:
         base = self.base_loads.get(node, ZERO_LOAD)
-        return (base + load).utilization(self._capacity(node))
+        return (base + load).utilization(self.capacities.get(node, UNBOUNDED))
+
+    def _projected_all(self, sub: Join, candidates: np.ndarray) -> np.ndarray:
+        """:meth:`_projected` of ``sub``'s load at every candidate: the
+        IEEE operations of ``Load.__add__`` and ``Load.utilization`` in
+        their order (add, divide, unbounded reads 0, max), so bit-equal."""
+        arrays = self._arrays
+        if arrays is None or arrays[0] is not candidates:
+            nodes = candidates.tolist()
+            base = np.array(
+                [_dimensions(self.base_loads.get(node, ZERO_LOAD)) for node in nodes]
+            )
+            capacity = np.array(
+                [_dimensions(self.capacities.get(node, UNBOUNDED)) for node in nodes]
+            )
+            arrays = self._arrays = (candidates, base, capacity, np.isinf(capacity))
+        _, base, capacity, unbounded = arrays
+        ratios = (base + _dimensions(self.join_load(sub))) / capacity
+        ratios[unbounded] = 0.0
+        return ratios.max(axis=1)
 
     # ------------------------------------------------------------------
     # DP interface
     # ------------------------------------------------------------------
     def join_mask(self, sub: Join, candidates: np.ndarray) -> np.ndarray:
         """Boolean feasibility of placing ``sub``'s operator per candidate."""
-        load = self._join_load(sub)
-        return np.fromiter(
-            (
-                self._projected(int(node), load) <= self.bound + _EPS
-                for node in candidates
-            ),
-            dtype=bool,
-            count=candidates.size,
-        )
+        return self._projected_all(sub, candidates) <= self.bound + _EPS
 
     def join_penalty(self, sub: Join, candidates: np.ndarray) -> np.ndarray | None:
         """Bi-criteria penalty per candidate, or ``None`` when weight is 0."""
         if self.load_weight == 0.0:
             return None
-        load = self._join_load(sub)
-        return np.fromiter(
-            (
-                self.load_weight * self._projected(int(node), load)
-                for node in candidates
-            ),
-            dtype=float,
-            count=candidates.size,
-        )
+        return self.load_weight * self._projected_all(sub, candidates)
 
     # ------------------------------------------------------------------
     # Joint checks
@@ -134,12 +128,20 @@ class PlacementConstraint:
     ) -> dict[int, Load]:
         """Per-node load the full placement adds, reuse credited."""
         return plan_node_loads(
-            self.footprint, self.query, plan, placement, skip_keys=self.live_keys
+            self.footprint, self.query, plan, placement,
+            skip_keys=self.live_keys, pricer=self,
         )
 
     def validate(self, plan: PlanNode, placement: Mapping[PlanNode, int]) -> bool:
         """Whether the complete placement keeps every node under the bound."""
+        prof = profiler.active()
+        if prof is not None:
+            prof.count("joint_validations")
         for node, load in self.added_loads(plan, placement).items():
             if self._projected(node, load) > self.bound + _EPS:
                 return False
         return True
+
+
+def _dimensions(value: Load | NodeCapacity) -> tuple[float, float, float]:
+    return value.cpu, value.memory, value.bandwidth

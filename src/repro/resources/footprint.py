@@ -20,6 +20,10 @@ exactly how shared operators end up credited once in the ledger.
 
 from __future__ import annotations
 
+from functools import cache, partial
+from typing import Callable
+
+from repro.perf import profiler
 from repro.query.plan import Join, PlanNode
 from repro.query.query import Query
 from repro.resources.capacity import Load
@@ -29,8 +33,7 @@ class OperatorFootprint:
     """Estimates the :class:`Load` of each join operator of a plan.
 
     Args:
-        rates: The rate model (``rate_for(query, subset)``) loads derive
-            from.
+        rates: The :class:`~repro.core.cost.RateModel` loads derive from.
         bytes_per_tuple: State-size scale applied to the memory
             dimension (same knob the migration planner uses to price
             window-state transfers).
@@ -47,8 +50,10 @@ class OperatorFootprint:
         query: Query,
         left: frozenset[str],
         right: frozenset[str],
+        rate_of: Callable[[frozenset[str]], float] | None = None,
     ) -> Load:
-        """Load of the join combining ``left`` and ``right`` subsets.
+        """Load of the join combining ``left`` and ``right`` subsets
+        (``rate_of``: a caller's memo of ``rates.rate_for(query, .)``).
 
         * cpu -- total input tuple rate the operator must process;
         * memory -- window state: input rate x the query's window x
@@ -56,10 +61,10 @@ class OperatorFootprint:
         * bandwidth -- input plus output tuple rate through the node
           (conservative: assumes no input is co-located).
         """
-        in_left = self.rates.rate_for(query, left)
-        in_right = self.rates.rate_for(query, right)
-        out = self.rates.rate_for(query, left | right)
-        inputs = in_left + in_right
+        if rate_of is None:
+            rate_of = partial(self.rates.rate_for, query)
+        inputs = rate_of(left) + rate_of(right)
+        out = rate_of(left | right)
         return Load(
             cpu=inputs,
             memory=inputs * query.window * self.bytes_per_tuple,
@@ -72,3 +77,29 @@ class OperatorFootprint:
             join: self.join_load(query, join.left.sources, join.right.sources)
             for join in plan.joins()
         }
+
+
+class JoinPricer:
+    """One query's view signatures, rates and join loads, each derived
+    once.  Good for one statistics version: one ``plan()``, one gate pass."""
+
+    def __init__(self, footprint: OperatorFootprint, query: Query) -> None:
+        self.footprint = footprint
+        self.query = query
+        #: Source set -> view signature, and -> output rate of its join.
+        self.signature = signature = cache(query.view_signature)
+        self.rate = cache(lambda sources: footprint.rates.rate(signature(sources)))
+        self._loads: dict[tuple[frozenset[str], frozenset[str]], Load] = {}
+
+    def join_load(self, join: Join) -> Load:
+        """Load of ``join``'s operator, priced once per distinct split."""
+        key = (join.left.sources, join.right.sources)
+        load = self._loads.get(key)
+        if load is None:
+            load = self._loads[key] = self.footprint.join_load(
+                self.query, *key, rate_of=self.rate
+            )
+            prof = profiler.active()
+            if prof is not None:
+                prof.count("join_loads_priced")
+        return load

@@ -49,7 +49,7 @@ from repro.perf import profiler
 from repro.query.deployment import Deployment, DeploymentState
 from repro.query.plan import Join
 from repro.resources.capacity import UNBOUNDED, Load, NodeCapacity, ZERO_LOAD
-from repro.resources.footprint import OperatorFootprint
+from repro.resources.footprint import JoinPricer, OperatorFootprint
 
 
 class _Source:
@@ -119,6 +119,10 @@ class ResourceLedger:
         self._on_node: dict[int, dict[tuple, _Operator]] = {}
         self._loads: dict[int, Load] = {}
         self._dirty: set[int] = set()
+        # node -> utilization in node order, kept current by _resum (None =
+        # rebuild), and the capacities they were computed under.
+        self._utils: dict[int, float] | None = None
+        self._utils_capacities: dict[int, NodeCapacity] = {}
         # Union of the sources' live record keys; None = rebuild on demand.
         self._live_keys: frozenset[tuple] | None = None
 
@@ -288,14 +292,20 @@ class ResourceLedger:
         """Re-sum one node from its operators, in the fixed order."""
         self._dirty.discard(node)
         ops = self._on_node.get(node)
-        if not ops:
+        total = ZERO_LOAD
+        for op in sorted((ops or {}).values(), key=attrgetter("rank")):
+            total = total + op.load
+        if ops:
+            self._loads[node] = total
+        else:
             self._on_node.pop(node, None)
             self._loads.pop(node, None)
-            return
-        total = ZERO_LOAD
-        for op in sorted(ops.values(), key=attrgetter("rank")):
-            total = total + op.load
-        self._loads[node] = total
+        if self._utils is not None:
+            if node in self._utils and node in self.capacities:
+                self._utils[node] = total.utilization(self.capacities[node])
+            else:
+                # The tracked set may change: rebuild, in node order.
+                self._utils = None
 
     def _settled_loads(self) -> dict[int, Load]:
         self._sync()
@@ -329,14 +339,21 @@ class ResourceLedger:
             self._resum(node)
         return self._loads.get(node, ZERO_LOAD)
 
+    def _settled_utils(self) -> dict[int, float]:
+        """Every tracked node's utilization in node order, remembered until
+        the node is re-summed or ``capacities`` is edited (do not mutate)."""
+        loads = self._settled_loads()
+        if self._utils is None or self._utils_capacities != self.capacities:
+            self._utils_capacities = dict(self.capacities)
+            self._utils = {
+                node: loads.get(node, ZERO_LOAD).utilization(self.capacity(node))
+                for node in sorted(set(self.capacities) | set(loads))
+            }
+        return self._utils
+
     def utilizations(self) -> dict[int, float]:
         """Utilization ratio of every node with a capacity or a load."""
-        loads = self._settled_loads()
-        nodes = set(self.capacities) | set(loads)
-        return {
-            node: loads.get(node, ZERO_LOAD).utilization(self.capacity(node))
-            for node in sorted(nodes)
-        }
+        return dict(self._settled_utils())
 
     def utilization(self, node: int) -> float:
         """Utilization ratio of one node (0 when unbounded)."""
@@ -344,8 +361,7 @@ class ResourceLedger:
 
     def max_utilization(self) -> float:
         """The hottest node's utilization ratio (0 on an empty fleet)."""
-        utils = self.utilizations()
-        return max(utils.values()) if utils else 0.0
+        return max(self._settled_utils().values(), default=0.0)
 
     def violations(
         self,
@@ -357,21 +373,21 @@ class ResourceLedger:
         Returns ``[(node, projected_utilization), ...]`` sorted hottest
         first; empty means the (projected) fleet is feasible.
         """
-        loads = self.node_loads()
+        utils = self._settled_utils()
         if extra:
-            for node, load in extra.items():
-                loads[node] = loads.get(node, ZERO_LOAD) + load
-        out = [
-            (node, util)
-            for node in set(self.capacities) | set(loads)
-            if (util := loads.get(node, ZERO_LOAD).utilization(self.capacity(node)))
-            > bound + 1e-9
-        ]
+            # Only the nodes ``extra`` names are re-priced.
+            utils = utils | {
+                node: (self._loads.get(node, ZERO_LOAD) + load).utilization(
+                    self.capacity(node)
+                )
+                for node, load in extra.items()
+            }
+        out = [(node, util) for node, util in utils.items() if util > bound + 1e-9]
         return sorted(out, key=lambda item: (-item[1], item[0]))
 
     def hot_nodes(self, k: int = 3) -> list[tuple[int, float]]:
         """The ``k`` hottest nodes as ``(node, utilization)``, descending."""
-        ranked = sorted(self.utilizations().items(), key=lambda kv: (-kv[1], kv[0]))
+        ranked = sorted(self._settled_utils().items(), key=lambda kv: (-kv[1], kv[0]))
         return ranked[: max(0, k)]
 
     def queries_on(self, node: int) -> list[str]:
@@ -385,7 +401,7 @@ class ResourceLedger:
 
     def summary(self, top: int = 5) -> dict:
         """JSON-able snapshot for reports and the CLI."""
-        utils = self.utilizations()
+        utils = self._settled_utils()
         return {
             "nodes_tracked": len(utils),
             "constrained": self.constrained,
@@ -418,20 +434,24 @@ def plan_node_loads(
     plan,
     placement: Mapping,
     skip_keys: Container[tuple] = (),
+    pricer: JoinPricer | None = None,
 ) -> dict[int, Load]:
     """Per-node load a deployment would *add*, reuse credited.
 
     Join operators whose ``(signature, node)`` key appears in
     ``skip_keys`` (already live somewhere in the fleet) add nothing --
     the admission gate and the planners' joint-feasibility check both
-    use this to price a candidate placement against the ledger.
+    use this to price a candidate placement against the ledger.  A
+    caller pricing many placements of one query hands in its ``pricer``
+    so signatures and loads are derived once across them.
     """
+    if pricer is None:
+        pricer = JoinPricer(footprint, query)
     out: dict[int, Load] = {}
     for join in plan.joins():
         assert isinstance(join, Join)
         node = placement[join]
-        if (query.view_signature(join.sources), node) in skip_keys:
+        if (pricer.signature(join.sources), node) in skip_keys:
             continue
-        load = footprint.join_load(query, join.left.sources, join.right.sources)
-        out[node] = out.get(node, ZERO_LOAD) + load
+        out[node] = out.get(node, ZERO_LOAD) + pricer.join_load(join)
     return out

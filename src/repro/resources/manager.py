@@ -234,17 +234,20 @@ class ResourceManager:
     # ------------------------------------------------------------------
     # Admission gate
     # ------------------------------------------------------------------
-    def check(self, query: Query, deployment) -> list[tuple[int, float]]:
-        """Projected bound violations of installing ``deployment`` now."""
+    def check(
+        self, query: Query, deployment
+    ) -> tuple[list[tuple[int, float]], dict[int, Load]]:
+        """Projected bound violations of installing ``deployment`` now,
+        and the per-node load it adds (priced once, for both)."""
         assert self.footprint is not None
-        extra = plan_node_loads(
+        added = plan_node_loads(
             self.footprint,
             query,
             deployment.plan,
             deployment.placement,
             skip_keys=self.ledger.operator_keys(),
         )
-        return self.ledger.violations(self.config.utilization_bound, extra)
+        return self.ledger.violations(self.config.utilization_bound, added), added
 
     def gate(self, service, query: Query, deployment):
         """Authoritative pre-deploy feasibility gate.
@@ -256,7 +259,7 @@ class ResourceManager:
         """
         if not self.constrained:
             return deployment
-        violations = self.check(query, deployment)
+        violations, added = self.check(query, deployment)
         if violations and deployment.stats.get("plan_cache") == "hit":
             # The cached placement was priced under an older background
             # load; evict it and let the constrained planner try fresh.
@@ -269,15 +272,8 @@ class ResourceManager:
             )
             service.cache.demote(key)
             deployment, _ = service.plan(query)
-            violations = self.check(query, deployment)
+            violations, added = self.check(query, deployment)
         if violations and self.config.shed:
-            added = plan_node_loads(
-                self.footprint,
-                query,
-                deployment.plan,
-                deployment.placement,
-                skip_keys=self.ledger.operator_keys(),
-            )
 
             def feasible_with(freed: Mapping[int, Load]) -> bool:
                 extra = dict(added)
@@ -301,7 +297,7 @@ class ResourceManager:
                 if not service._revalidate(query, deployment):
                     # A victim took a view this plan reuses with it.
                     deployment, _ = service.plan(query)
-                violations = self.check(query, deployment)
+                violations, _ = self.check(query, deployment)
         if violations:
             self.infeasible_total += 1
             hottest = ", ".join(

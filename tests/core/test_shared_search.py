@@ -5,8 +5,21 @@ planners' loop before it, verbatim) chooses -- the same tree, the same
 placement, bit-equal cost and objective, the same nominal counters --
 while doing a fraction of the work.  The first half draws single tasks;
 the second runs both planners end to end with the reference swapped in.
+
+One counter is carved out.  The reference runs the joint ``validate`` on
+every mask-feasible tree and counts each refusal in ``infeasible_trees``;
+the search owes the check only to a tree about to become the incumbent,
+so its ``infeasible_trees`` counts the trees it *checked and refused*:
+every mask-infeasible tree, plus every tree that beat the incumbent of
+its moment and then failed ``validate``.  That is never more than the
+reference's count, equal to it whenever every refused tree was such an
+incumbent candidate, and :func:`_refusals_by_rule` replays the rule tree
+by tree to say exactly what it must be.  Every other counter, and the
+order counters first appear in, is compared as is.
 """
 
+import math
+import re
 from functools import partial
 from itertools import count
 from types import SimpleNamespace
@@ -20,11 +33,12 @@ import repro
 from repro.core import bottom_up, enumeration, top_down
 from repro.core.cost import RateModel
 from repro.core.enumeration import all_join_trees, count_bushy_trees, crossing_splits
+from repro.core.placement import PlacementTable
 from repro.core.search import TreeSearch
 from repro.obs.tracer import Tracer
 from repro.perf.profiler import profiled
 from repro.query.deployment import DeploymentState
-from repro.query.plan import Join
+from repro.query.plan import Join, Leaf
 from repro.query.query import JoinPredicate, Query
 from repro.query.stream import StreamSpec
 from repro.resources import Load, NodeCapacity, OperatorFootprint, PlacementConstraint
@@ -154,13 +168,57 @@ def _run(make_search, task):
     return search.best, stats, list(span.counters.items()), prof.ops
 
 
+def _refusals_by_rule(task):
+    """``infeasible_trees`` as the module docstring defines it, and how
+    many trees owed a joint check (one per incumbent change or refusal).
+
+    Written in the reference's order (validate every mask-feasible tree,
+    then compare), so it shares no control flow with the search.
+    """
+    constraint = _constraint(task)
+    flow = task.rates.flow_pricer(task.query)
+    incumbent, refused, owed = None, 0, 0
+    for positions in task.leaf_sets:
+        views = list(positions)
+        trees = []
+        if task.connected_only:
+            trees = all_join_trees(views, crossing_splits(task.query, views))
+        trees = trees or all_join_trees(views)
+        table = PlacementTable(
+            task.candidates, task.costs, {Leaf(v): positions[v] for v in views},
+            flow, task.sink, constraint=constraint,
+        )
+        for tree in trees:
+            objective = table.objective(tree)
+            if not math.isfinite(objective):
+                refused += 1
+                continue
+            feasible = constraint.validate(tree, table.place(tree).placement)
+            if incumbent is None or objective < incumbent - 1e-12:
+                owed += 1
+                if feasible:
+                    incumbent = objective
+                else:
+                    refused += 1
+    return refused, owed
+
+
 def _assert_same_choice(task):
     best, stats, counters, ops = _run(TreeSearch, task)
     ref, ref_stats, ref_counters, ref_ops = _run(
         partial(ReferenceTreeSearch, task.rates), task
     )
     assert stats == ref_stats
-    assert counters == ref_counters  # values and first-increment order
+    refused = dict(counters).pop("infeasible_trees", 0)
+    assert refused <= dict(ref_counters).get("infeasible_trees", 0)
+    if task.constraint is None:
+        assert "joint_validations" not in ops and "join_loads_priced" not in ops
+    else:
+        assert (refused, ops.get("joint_validations", 0)) == _refusals_by_rule(task)
+        # ... where the reference pays one per mask-feasible tree.
+        assert ops.get("joint_validations", 0) <= ref_ops.get("joint_validations", 0)
+    # values and first-increment order
+    assert _sans_refusals(counters) == _sans_refusals(ref_counters)
     assert ops["placements"] == ref_ops["placements"]
     if ref is None:
         assert best is None
@@ -172,8 +230,33 @@ def _assert_same_choice(task):
     return best
 
 
+def _sans_refusals(doc):
+    """``doc`` with every ``infeasible_trees`` counter dropped."""
+    if isinstance(doc, dict):
+        return {
+            k: _sans_refusals(v) for k, v in doc.items() if k != "infeasible_trees"
+        }
+    if isinstance(doc, (list, tuple)):
+        return [
+            _sans_refusals(item) for item in doc
+            if not (isinstance(item, tuple) and item[0] == "infeasible_trees")
+        ]
+    if isinstance(doc, str):
+        return re.sub(r"infeasible trees \d+(, )?", "", doc)
+    return doc
+
+
+def _refusals(doc) -> int:
+    """Sum of the ``infeasible_trees`` counters of a span tree."""
+    return doc["counters"].get("infeasible_trees", 0) + sum(
+        _refusals(child) for child in doc["children"]
+    )
+
+
 class TestTaskDifferential:
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    # 150: enough draws that adopting an incumbent before validating it
+    # changes a *choice*, not only the validation count.
+    @settings(max_examples=150, deadline=None, derandomize=True)
     @given(tasks())
     def test_same_tree_placement_cost_and_counters(self, task):
         _assert_same_choice(task)
@@ -249,6 +332,109 @@ class TestWorkCounts:
         for join in built:
             ids = sorted(int(s[1:]) for s in join.sources)
             assert ids == list(range(ids[0], ids[-1] + 1))
+
+
+class TestConstrainedWorkCounts:
+    """The joint check and the load pricing at 200 live, resources armed."""
+
+    def test_validations_follow_the_incumbent_and_loads_are_priced_once(
+        self, monkeypatch
+    ):
+        net = repro.transit_stub_by_size(64, seed=3)
+        hierarchy = repro.build_hierarchy(net, max_cs=6, seed=0)
+        workload = repro.generate_workload(
+            net,
+            repro.WorkloadParams(num_streams=10, num_queries=201, joins_per_query=(1, 4)),
+            seed=4,
+        )
+        rates = workload.rate_model()
+        ads = repro.AdvertisementIndex(hierarchy)
+        service = repro.StreamQueryService(
+            repro.TopDownOptimizer(hierarchy, rates, ads=ads), net, rates,
+            hierarchy=hierarchy, ads=ads,
+            admission=repro.AdmissionController(budget=256),
+            resources=repro.ResourceConfig(
+                capacities={
+                    node: NodeCapacity(cpu=3000.0 + 1500.0 * (node % 5))
+                    for node in net.nodes()
+                },
+                load_weight=0.5,
+            ),
+        )
+        objectives, verdicts, splits = [], {}, set()
+        searches, plans = [], []
+
+        def spy(owner, name, after):
+            original = getattr(owner, name)
+
+            def wrapper(self, *args, **kwargs):
+                out = original(self, *args, **kwargs)
+                after(out, *args)
+                return out
+
+            monkeypatch.setattr(owner, name, wrapper)
+            return original
+
+        spy(PlacementTable, "objective", lambda out, tree: objectives.append((id(tree), out)))
+        spy(PlacementConstraint, "validate",
+            lambda ok, plan, placement: verdicts.__setitem__(id(plan), ok))
+        spy(PlacementConstraint, "join_mask",
+            lambda out, sub, cand: splits.add((sub.left.sources, sub.right.sources)))
+        add_leaf_set = TreeSearch.add_leaf_set
+        plan = repro.TopDownOptimizer.plan
+
+        def counted_leaf_set(self, views, positions):
+            incumbent = self.best.objective if self.best is not None else None
+            validated = prof.ops.get("joint_validations", 0)
+            # Tree ids are only unique while the call's trees are alive.
+            objectives.clear()
+            verdicts.clear()
+            add_leaf_set(self, views, positions)
+            owed = refused = 0
+            for tree, objective in objectives:
+                if math.isfinite(objective) and (
+                    incumbent is None or objective < incumbent - 1e-12
+                ):
+                    owed += 1
+                    if verdicts[tree]:  # KeyError: an incumbent never validated
+                        incumbent = objective
+                    else:
+                        refused += 1
+            searches.append((
+                len(objectives), owed, refused,
+                prof.ops.get("joint_validations", 0) - validated,
+            ))
+
+        def counted_plan(self, *args, **kwargs):
+            splits.clear()
+            priced = prof.ops.get("join_loads_priced", 0)
+            try:
+                return plan(self, *args, **kwargs)
+            finally:
+                plans.append((prof.ops.get("join_loads_priced", 0) - priced, len(splits)))
+
+        monkeypatch.setattr(TreeSearch, "add_leaf_set", counted_leaf_set)
+        monkeypatch.setattr(repro.TopDownOptimizer, "plan", counted_plan)
+        *fill, last = workload
+        with profiled() as prof:
+            for query in fill:
+                service.submit(query)
+        assert len(service.engine.state.deployments) == 200
+
+        # incumbent changes + refusals, and not one check more
+        assert all(validated == owed for _, owed, _, validated in searches)
+        trees, validations, refusals = (
+            sum(column) for column in list(zip(*searches))[:3]
+        )
+        assert refusals > 0, "capacities too roomy to refuse anything"
+        assert validations < trees / 2, "one joint check per tree is the old price"
+        assert plans and all(0 < priced <= distinct for priced, distinct in plans)
+
+        monkeypatch.undo()
+        free = repro.TopDownOptimizer(hierarchy, rates)
+        with profiled() as prof:
+            free.plan(last, DeploymentState(net.cost_matrix(), rates.rate_for, rates.source))
+        assert "joint_validations" not in prof.ops and "join_loads_priced" not in prof.ops
 
 
 class TestPrunedEnumeration:
@@ -340,8 +526,14 @@ def test_planner_end_to_end(monkeypatch, module, optimizer_cls, seed, constraine
             continue
         assert ours.plan == theirs.plan
         assert ours.placement == theirs.placement
-        # stats carry the whole span tree (ticking clock: equal durations)
-        assert ours.stats == theirs.stats
-        assert ours.explanation.to_dict() == theirs.explanation.to_dict()
-        assert ours.explanation.render() == theirs.explanation.render()
+        # stats carry the whole span tree (ticking clock: equal durations);
+        # infeasible_trees is the carve-out of the module docstring.
+        assert _sans_refusals(ours.stats) == _sans_refusals(theirs.stats)
+        assert _sans_refusals(ours.explanation.to_dict()) == _sans_refusals(
+            theirs.explanation.to_dict()
+        )
+        assert _sans_refusals(ours.explanation.render()) == _sans_refusals(
+            theirs.explanation.render()
+        )
+        assert _refusals(ours.stats["trace"]) <= _refusals(theirs.stats["trace"])
 

@@ -87,13 +87,15 @@ class TestResourceOverhead:
         """resource_overhead must do the exact planner work of
         service_churn -- with all capacities infinite the manager
         injects no constraint and gates nothing.  The ledger's own work
-        is the one operator pricing per installed join."""
+        is the one operator pricing per installed join; the constrained
+        search's two work counts are carried and read 0."""
         lab = PerfLab(cases=["service_churn", "resource_overhead"], repeats=1)
         churn = lab.run_case("service_churn")["ops"]
         armed = lab.run_case("resource_overhead")["ops"]
-        ledger_only = {"ledger_ops_priced"}
-        assert {k: v for k, v in armed.items() if k not in ledger_only} == churn
+        layer_only = {"ledger_ops_priced", "joint_validations", "join_loads_priced"}
+        assert {k: v for k, v in armed.items() if k not in layer_only} == churn
         assert armed["ledger_ops_priced"] > 0
+        assert armed["joint_validations"] == armed["join_loads_priced"] == 0
 
 
 class TestLabOverhead:

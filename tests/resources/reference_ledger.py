@@ -13,11 +13,16 @@ It is a pure function of the attached states and rate models:
 * then every live operator record no deployment's plan walks anymore is
   charged from the ``origin`` its state recorded at install time, states
   in attach order and records in install order.
+
+The utilization reports (``utilizations`` ... ``summary``) are the
+ledger's own methods as they stood before it remembered ratios between
+reads: every ratio of every node recomputed on every call, ``summary``
+deriving them three times over.
 """
 
 from __future__ import annotations
 
-from repro.resources.capacity import ZERO_LOAD, Load
+from repro.resources.capacity import UNBOUNDED, ZERO_LOAD, Load
 
 
 class ReferenceLedger:
@@ -81,3 +86,62 @@ class ReferenceLedger:
                 ) and deployment.query.name not in names:
                     names.append(deployment.query.name)
         return names
+
+    # ------------------------------------------------------------------
+    # Utilization reports, from scratch, against ``capacities``
+    # ------------------------------------------------------------------
+    def utilizations(self, capacities) -> dict[int, float]:
+        loads = self.node_loads()
+        nodes = set(capacities) | set(loads)
+        return {
+            node: loads.get(node, ZERO_LOAD).utilization(
+                capacities.get(node, UNBOUNDED)
+            )
+            for node in sorted(nodes)
+        }
+
+    def max_utilization(self, capacities) -> float:
+        utils = self.utilizations(capacities)
+        return max(utils.values()) if utils else 0.0
+
+    def violations(self, capacities, bound=1.0, extra=None) -> list[tuple[int, float]]:
+        loads = self.node_loads()
+        if extra:
+            for node, load in extra.items():
+                loads[node] = loads.get(node, ZERO_LOAD) + load
+        out = [
+            (node, util)
+            for node in set(capacities) | set(loads)
+            if (
+                util := loads.get(node, ZERO_LOAD).utilization(
+                    capacities.get(node, UNBOUNDED)
+                )
+            )
+            > bound + 1e-9
+        ]
+        return sorted(out, key=lambda item: (-item[1], item[0]))
+
+    def hot_nodes(self, capacities, k=3) -> list[tuple[int, float]]:
+        ranked = sorted(
+            self.utilizations(capacities).items(), key=lambda kv: (-kv[1], kv[0])
+        )
+        return ranked[: max(0, k)]
+
+    def summary(self, capacities, top=5) -> dict:
+        utils = self.utilizations(capacities)
+        return {
+            "nodes_tracked": len(utils),
+            "constrained": any(not cap.unbounded for cap in capacities.values()),
+            "max_utilization": max(utils.values()) if utils else 0.0,
+            "mean_utilization": (
+                sum(utils.values()) / len(utils) if utils else 0.0
+            ),
+            "hot_nodes": [
+                {"node": node, "utilization": util}
+                for node, util in self.hot_nodes(capacities, top)
+            ],
+            "overloaded": [
+                {"node": node, "utilization": util}
+                for node, util in self.violations(capacities)
+            ],
+        }

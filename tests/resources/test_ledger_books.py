@@ -40,6 +40,8 @@ from repro.query.plan import Join, Leaf
 from repro.query.query import JoinPredicate, Query
 from repro.query.stream import StreamSpec
 from repro.resources import (
+    Load,
+    NodeCapacity,
     OperatorFootprint,
     ResourceConfig,
     ResourceLedger,
@@ -58,6 +60,34 @@ def assert_books_match(ledger: ResourceLedger, reference: ReferenceLedger) -> No
     for node, load in want.items():
         assert ledger.load(node) == load
         assert ledger.queries_on(node) == reference.queries_on(node)
+    assert_reports_match(ledger, reference)
+
+
+def assert_reports_match(ledger: ResourceLedger, reference: ReferenceLedger) -> None:
+    """The remembered ratios against a from-scratch recomputation: same
+    floats, same node order, same hottest-first order."""
+    caps = ledger.capacities
+    utils = ledger.utilizations()
+    assert list(utils.items()) == list(reference.utilizations(caps).items())
+    assert ledger.max_utilization() == reference.max_utilization(caps)
+    assert ledger.hot_nodes(4) == reference.hot_nodes(caps, 4)
+    for node, util in utils.items():
+        assert ledger.utilization(node) == util
+    # Extra load on the hottest node and on one the books never met; the
+    # runner-up relieved of everything it carries (a shed trial).
+    hot = [node for node, _ in reference.hot_nodes(caps, 2)]
+    extra = {10_000: Load(cpu=1.0)}
+    for node, load in zip(hot, (Load(cpu=40.0, memory=3.0), None)):
+        extra[node] = load or ledger.load(node).scaled(-1.0)
+    # The default bound, and one a third of the fleet is over.
+    ranked = sorted(utils.values())
+    for bound in (1.0, ranked[2 * len(ranked) // 3] if ranked else 0.5):
+        assert ledger.violations(bound) == reference.violations(caps, bound)
+        assert ledger.violations(bound, extra) == reference.violations(
+            caps, bound, extra
+        )
+    assert ledger.summary() == reference.summary(caps)
+    assert ledger.summary(top=2) == reference.summary(caps, top=2)
 
 
 # ----------------------------------------------------------------------
@@ -402,6 +432,34 @@ class ServiceLedgerMachine(LedgerMachine):
             self.seen["failovers"] += 1
             self.plane.handle_node_failure(data.draw(st.sampled_from(hosts)))
 
+    @rule(data=st.data(), factor=st.sampled_from([None, 0.5, 2.0, float("inf")]))
+    def edit_capacity(self, data, factor):
+        # Public and mutable: dropped, scaled or lifted under a live fleet.
+        caps = self.ledger.capacities
+        node = data.draw(st.sampled_from(sorted(self.net.nodes())))
+        if factor is None:
+            caps.pop(node, None)
+        elif factor == float("inf"):
+            caps[node] = NodeCapacity()
+        else:
+            caps[node] = caps.get(node, NodeCapacity(**_CAPS)).scaled(factor)
+        self.seen["capacity_edits"] += 1
+
+    @rule()
+    def restore(self):
+        # What crash recovery does to a state: same content, new records.
+        for service in self.services:
+            state = service.engine.state
+            state.restore(
+                state.deployments,
+                [
+                    (rec.signature, rec.node, rec.rate, set(rec.queries), rec.origin)
+                    for rec in state.operator_records()
+                ],
+                state.flows(),
+            )
+        self.seen["restores"] += 1
+
 
 class FleetLedgerMachine(LedgerMachine):
     """Two hash-routed shards on one ledger; the federation plants one
@@ -446,6 +504,7 @@ def test_service_books_match_the_reference_after_every_command():
     run_state_machine_as_test(ServiceLedgerMachine, settings=_MACHINE)
     for mechanism in (
         "shed", "readmitted", "publications", "migrations", "failovers", "orphans",
+        "capacity_edits", "restores",
     ):
         assert seen[mechanism], f"no example exercised {mechanism}: {dict(seen)}"
 

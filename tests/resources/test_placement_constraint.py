@@ -5,12 +5,19 @@ operator individually fits its node (the per-operator mask), it finds
 the communication-cost optimum -- or raises when no candidate fits.
 The joint per-plan check (:meth:`PlacementConstraint.validate`) is the
 optimizers' responsibility and is tested at the service level.
+
+The per-candidate mask and penalty are numpy expressions; the scalar
+``_projected`` loop they replaced is kept here as their oracle, bit for
+bit.
 """
 
+import math
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cost import RateModel
 from repro.core.placement import optimal_tree_placement
@@ -222,3 +229,119 @@ class TestConstrainedDP:
                 )
         comm += flow_rates[tree] * float(costs[result.placement[tree], query.sink])
         assert result.cost == pytest.approx(comm)
+
+
+# ----------------------------------------------------------------------
+# Vectorized mask / penalty against the scalar loop
+# ----------------------------------------------------------------------
+NODES = 9
+_dimension = st.one_of(st.just(math.inf), st.floats(0.5, 5e3))
+_capacity = st.builds(
+    NodeCapacity, cpu=_dimension, memory=_dimension, bandwidth=_dimension
+)
+#: Background load; negative parts are a shed trial's relief.
+_part = st.one_of(st.just(0.0), st.floats(-300.0, 3e3))
+_load = st.builds(Load, cpu=_part, memory=_part, bandwidth=_part)
+
+
+def _scalar_mask(constraint, sub, candidates):
+    load = constraint.join_load(sub)
+    return np.fromiter(
+        (
+            constraint._projected(int(node), load) <= constraint.bound + 1e-9
+            for node in candidates
+        ),
+        dtype=bool,
+        count=candidates.size,
+    )
+
+
+def _scalar_penalty(constraint, sub, candidates):
+    if constraint.load_weight == 0.0:
+        return None
+    load = constraint.join_load(sub)
+    return np.fromiter(
+        (
+            constraint.load_weight * constraint._projected(int(node), load)
+            for node in candidates
+        ),
+        dtype=float,
+        count=candidates.size,
+    )
+
+
+class TestVectorizedMask:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 7),
+        # Nodes may be missing from either mapping.
+        capacities=st.dictionaries(st.integers(0, NODES - 1), _capacity),
+        base_loads=st.dictionaries(st.integers(0, NODES - 1), _load),
+        bound=st.sampled_from((0.25, 1.0, 1.5)),
+        load_weight=st.sampled_from((0.0, 0.5, 1000.0)),
+        candidates=st.lists(
+            st.integers(0, NODES - 1), min_size=1, max_size=NODES, unique=True
+        ),
+        edge=st.dictionaries(
+            st.integers(0, NODES - 1),
+            st.tuples(
+                st.sampled_from(("cpu", "memory", "bandwidth")),
+                st.integers(-2, 2),
+            ),
+        ),
+    )
+    def test_equals_the_scalar_loop_bit_for_bit(
+        self, seed, capacities, base_loads, bound, load_weight, candidates, edge
+    ):
+        net, rates, query, tree, _ = _setup(seed, num_nodes=NODES)
+        joins = tree.joins()
+        probe = OperatorFootprint(rates).join_load(
+            query, joins[0].left.sources, joins[0].right.sources
+        )
+        # Put some nodes right at bound + 1e-9 for the first join, a few
+        # ulps either side, in one dimension (the others unbounded).
+        for node, (dim, ulps) in edge.items():
+            total = getattr(base_loads.get(node, Load()), dim) + getattr(probe, dim)
+            if total <= 0:
+                continue
+            cap = total / (bound + 1e-9)
+            for _ in range(abs(ulps)):
+                cap = math.nextafter(cap, math.inf if ulps > 0 else 0.0)
+            capacities[node] = NodeCapacity(**{dim: cap})
+        constraint = _constraint(
+            net, rates, query, capacities, bound=bound, load_weight=load_weight,
+            base_loads=base_loads,
+        )
+        cand = np.asarray(candidates, dtype=np.intp)
+        for sub in joins + joins:  # the second round reads the memo
+            mask = constraint.join_mask(sub, cand)
+            want = _scalar_mask(constraint, sub, cand)
+            assert mask.dtype == want.dtype and mask.tobytes() == want.tobytes()
+            penalty = constraint.join_penalty(sub, cand)
+            want = _scalar_penalty(constraint, sub, cand)
+            if want is None:
+                assert penalty is None
+            else:
+                assert penalty.dtype == want.dtype
+                assert penalty.tobytes() == want.tobytes()
+        # Another candidate array (another PlacementTable) gets its own rows.
+        other = cand[::-1].copy()
+        assert (
+            constraint.join_mask(joins[0], other).tobytes()
+            == _scalar_mask(constraint, joins[0], other).tobytes()
+        )
+
+    def test_relief_on_an_unbounded_node_reads_plus_zero(self):
+        # -x / inf is -0.0; the scalar loop never divides by an unbounded
+        # dimension and reads +0.0, and a penalty carries the sign bit.
+        net, rates, query, tree, _ = _setup(1, num_nodes=NODES)
+        relief = Load(cpu=-1e6, memory=-1e6, bandwidth=-1e6)
+        constraint = _constraint(
+            net, rates, query, {1: NodeCapacity(cpu=50.0)},
+            load_weight=2.0, base_loads={0: relief, 1: relief},
+        )
+        cand = np.asarray([0, 1, 2], dtype=np.intp)
+        for sub in tree.joins():
+            penalty = constraint.join_penalty(sub, cand)
+            assert penalty.tobytes() == _scalar_penalty(constraint, sub, cand).tobytes()
+            assert not np.signbit(penalty).any()
