@@ -355,7 +355,8 @@ class BottomUpOptimizer:
                 # pragma: no cover - identity partition always exists
                 raise RuntimeError("no feasible component plan")
             cost, tree, placement = best.cost, best.tree, best.placement
-            span.tag(chosen=tree.pretty(), est_cost=cost)
+            if tracer.enabled:
+                span.tag(chosen=tree.pretty(), est_cost=cost)
             reused = sum(1 for l in tree.leaves() if not l.is_base_stream)
             if reused:
                 span.incr("reuse_leaves_chosen", reused)

@@ -13,13 +13,13 @@ paper counts in its scalability experiment) is reported separately by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import InfeasiblePlacementError
 from repro.perf import profiler as _perf
-from repro.query.plan import Join, Leaf, PlanNode
+from repro.query.plan import Leaf, PlanNode
 
 
 @dataclass
@@ -56,34 +56,28 @@ def nominal_assignments(tree: PlanNode, num_candidates: int) -> int:
     return max(1, num_candidates) ** tree.num_joins
 
 
-class PlacementTable:
-    """Placement DP rows shared by every tree priced on one task.
+class LevelDP:
+    """The placement DP of many trees at once, a level at a time.
 
-    One table is fixed to a candidate set, a cost matrix, the leaves'
-    allowed positions, a sink and (optionally) a resource constraint.  A
-    row -- the cost of producing a subtree's output at each of its
-    positions -- and the "ship the output to every candidate" vector
-    derived from it are computed once per distinct subtree *object*, so
-    trees that share subtrees (as the trees of one
-    :func:`~repro.core.enumeration.all_join_trees` call do) pay only for
-    the joins no earlier tree had.  Every row is built by the same
-    operations in the same order whichever tree asks first, so an
-    objective does not depend on what was priced before it.
+    The trees come as *rows* (:class:`~repro.core.enumeration.JoinProgram`):
+    rows ``0 .. n - 1`` are the leaves, every later row joins two earlier
+    ones, the rows of the last level are the roots.  A level is priced by
+    a few array expressions, each the one-tree recurrence with a leading
+    row axis: the same IEEE operations on the same operands, so every
+    objective is bit-equal to the one-tree DP's
+    (``tests/core/reference_search.py``), and a subtree many trees share
+    is one row, priced once.  :meth:`price` fills the tables for one leaf
+    set, :meth:`place` reads them.
 
     Args:
-        candidates, costs, leaf_positions, sink, tracer, constraint: As
-            for :func:`optimal_tree_placement`.
-        rate_of: Output rate of a subtree (``rates.__getitem__`` of a
-            :meth:`RateModel.flow_rates` mapping, or a
-            :meth:`RateModel.flow_pricer`).
+        candidates, costs, sink, tracer, constraint: As for
+            :func:`optimal_tree_placement`.
     """
 
     def __init__(
         self,
         candidates: Sequence[int],
         costs: np.ndarray,
-        leaf_positions: Mapping[Leaf, Sequence[int]],
-        rate_of: Callable[[PlanNode], float],
         sink: int | None,
         tracer=None,
         constraint=None,
@@ -93,103 +87,101 @@ class PlacementTable:
             raise ValueError("need at least one candidate node")
         self._cand = cand
         self._costs = costs
-        self._leaf_positions = leaf_positions
-        self._rate_of = rate_of
         self._sink = sink
         self._tracer = tracer
         self._constraint = constraint
-        self._columns = np.arange(cand.size)
         # Cost of shipping between candidates: every join's output sits
         # on a candidate, so one slice serves every join-to-join edge.
         self._between = costs[cand[:, None], cand]
-        # Keyed by id(); each entry holds its node, which keeps the id unique.
-        # id(sub) -> (sub, positions, costs[positions x candidates], dp row)
-        self._rows: dict[int, tuple] = {}
-        # id(sub) -> (sub, cost of the output arriving at each candidate,
-        #             the position index it is best shipped from)
-        self._ships: dict[int, tuple] = {}
-        # id(tree) -> (tree, best root position index, objective there)
-        self._priced: dict[int, tuple] = {}
 
-    def _row(self, sub: PlanNode) -> tuple:
-        row = self._rows.get(id(sub))
-        if row is not None:
-            return row
-        if isinstance(sub, Leaf):
-            try:
-                pos = np.asarray(list(self._leaf_positions[sub]), dtype=np.intp)
-            except KeyError:
-                raise KeyError(f"no positions given for leaf {sub.label}") from None
-            if pos.size == 0:
-                raise ValueError(f"leaf {sub.label} has an empty position set")
-            row = (sub, pos, self._costs[pos[:, None], self._cand], np.zeros(pos.size))
-        else:
-            assert isinstance(sub, Join)
-            total = np.zeros(self._cand.size)
-            total += self._ship(sub.left)[1]
-            total += self._ship(sub.right)[1]
-            constraint = self._constraint
-            if constraint is not None:
-                penalty = constraint.join_penalty(sub, self._cand)
-                if penalty is not None:
-                    total = total + penalty
-                mask = constraint.join_mask(sub, self._cand)
-                if not mask.all():
-                    total = np.where(mask, total, np.inf)
-            prof = _perf.active()
-            if prof is not None:
-                prof.count("cost_evaluations", self._cand.size)
-            row = (sub, self._cand, self._between, total)
-        self._rows[id(sub)] = row
-        return row
+    def price(
+        self,
+        positions: Sequence[Sequence[int]],
+        levels: Sequence[tuple],
+        rates: np.ndarray,
+        root_rate: float | None,
+    ) -> np.ndarray:
+        """Fill the tables for one leaf set; the objective of every root
+        (``inf``: no assignment keeps it under the constraint's bound).
 
-    def _ship(self, child: PlanNode) -> tuple:
-        ship = self._ships.get(id(child))
-        if ship is None:
-            _, _, block, dp = self._row(child)
-            # arrival[p, v]: produce at position p then ship to candidate v.
-            arrival = dp[:, None] + self._rate_of(child) * block
-            best = arrival.argmin(axis=0)
-            ship = self._ships[id(child)] = (child, arrival[best, self._columns], best)
-        return ship
+        Args:
+            positions: Allowed nodes of each leaf (a list), in row order.
+            levels: ``(left rows, right rows, joins, sizes)`` per level;
+                ``joins`` is read under a constraint only: what it prices,
+                one per ``sizes`` consecutive rows (rows joining the same
+                two source sets carry the same load).
+            rates: Output rate of every row below the roots.
+            root_rate: Output rate of a root (``None`` without a sink).
 
-    def objective(self, tree: PlanNode) -> float:
-        """Cost of ``tree``'s optimal assignment (what the DP minimizes).
-
-        ``inf`` when a constraint forbids every assignment.  Pricing a
-        tree for the first time counts one placement on the tracer's
-        current span and the profiler.
+        Counts one placement per root on the tracer's current span and
+        the profiler.
         """
-        return self._price(tree)[2]
-
-    def _price(self, tree: PlanNode) -> tuple:
-        priced = self._priced.get(id(tree))
-        if priced is not None:
-            return priced
-        states = tree.num_joins * self._cand.size
+        cand, costs, constraint = self._cand, self._costs, self._constraint
+        leaves = len(positions)
+        width = max(map(len, positions))
+        # Padded with the leaf's last node: no minimum moves, and no
+        # first-minimum index either.
+        pos = np.array(
+            [nodes + nodes[-1:] * (width - len(nodes)) for nodes in positions], dtype=np.intp
+        )
+        roots = len(levels[-1][0]) if levels else 1
+        joined = len(rates) - leaves + roots
         if self._tracer is not None:
-            self._tracer.incr("placements")
-            self._tracer.incr("placement_dp_states", states)
+            self._tracer.incr("placements", roots)
+            self._tracer.incr("placement_dp_states", roots * (leaves - 1) * cand.size)
         prof = _perf.active()
         if prof is not None:
-            prof.count("placements")
-        _, pos, _, dp = self._row(tree)
+            prof.count("placements", roots)
+            if joined:
+                prof.count("cost_evaluations", joined * cand.size)
+        # dp[v, row - leaves]: cost of producing a join row's output at
+        # candidate v; ship[v, row]: of that output (a leaf's too) arriving
+        # at v from wherever it is best produced.  Rows run along the last
+        # axis, the long one, so the element-wise passes stay contiguous.
+        dp = np.empty((cand.size, joined))
+        ship = np.empty((cand.size, len(rates)))
+        if levels:
+            nodes = cand
+            # arrival[p, v, row]: produce at position p, ship to candidate v.
+            ship[:, :leaves] = (
+                costs[pos.T[:, None, :], cand[None, :, None]] * rates[:leaves]
+            ).min(axis=0)
+        else:  # a lone leaf is its own root
+            total, nodes = np.zeros((width, 1)), pos[0]
+        low = leaves
+        for left, right, joins, sizes in levels:
+            high = low + len(left)
+            total = dp[:, low - leaves : high - leaves]
+            np.add(ship.take(left, axis=1), ship.take(right, axis=1), out=total)
+            if constraint is not None:
+                penalties = [constraint.join_penalty(join, cand) for join in joins]
+                if penalties[0] is not None:
+                    total += np.repeat(np.transpose(penalties), sizes, axis=1)
+                feasible = [constraint.join_mask(join, cand) for join in joins]
+                total[~np.repeat(np.transpose(feasible), sizes, axis=1)] = np.inf
+            if high <= len(rates):
+                ship[:, low:high] = (
+                    total[:, None, :] + self._between[:, :, None] * rates[low:high]
+                ).min(axis=0)
+            low = high
         if self._sink is not None:
-            final = dp + self._rate_of(tree) * self._costs[pos, self._sink]
-        else:
-            final = dp
-        best_idx = int(final.argmin())
-        priced = self._priced[id(tree)] = (tree, best_idx, float(final[best_idx]))
-        return priced
+            total = total + root_rate * costs[nodes, self._sink][:, None]
+        self._tables = (positions, rates, root_rate, dp, total)
+        return total.min(axis=0)
 
-    def place(self, tree: PlanNode) -> PlacementResult:
-        """The optimal assignment of ``tree`` itself.
+    def place(self, tree: PlanNode, rows: Mapping[PlanNode, int], root: int = 0) -> PlacementResult:
+        """The optimal assignment of ``tree``, root number ``root`` of the
+        leaf set priced last, whose subtrees are the rows ``rows``.
 
         Raises:
             InfeasiblePlacementError: A constraint was given and no
                 assignment keeps every operator's node under its bound.
         """
-        _, best_idx, best_cost = self._price(tree)
+        positions, rates, root_rate, dp, final = self._tables
+        leaves = len(positions)
+        cand, costs, between = self._cand, self._costs, self._between
+        best_idx = int(final[:, root].argmin())
+        best_cost = float(final[best_idx, root])
         constraint = self._constraint
         if constraint is not None and not np.isfinite(best_cost):
             raise InfeasiblePlacementError(
@@ -199,10 +191,22 @@ class PlacementTable:
         placement: dict[PlanNode, int] = {}
 
         def reconstruct(sub: PlanNode, pos_idx: int) -> None:
-            placement[sub] = int(self._rows[id(sub)][1][pos_idx])
-            if isinstance(sub, Join):
-                for child in (sub.left, sub.right):
-                    reconstruct(child, int(self._ships[id(child)][2][pos_idx]))
+            if isinstance(sub, Leaf):
+                placement[sub] = int(positions[rows[sub]][pos_idx])
+                return
+            placement[sub] = node = int(cand[pos_idx])
+            for child in (sub.left, sub.right):
+                row = rows[child]
+                # The column of the level pass's ``arrival`` that ends at
+                # ``node``; a leaf with one position has nothing to choose.
+                if row >= leaves:
+                    arrival = dp[:, row - leaves] + rates[row] * between[:, pos_idx]
+                    reconstruct(child, int(arrival.argmin()))
+                elif len(positions[row]) == 1:
+                    reconstruct(child, 0)
+                else:
+                    arrival = rates[row] * costs[positions[row], node]
+                    reconstruct(child, int(arrival.argmin()))
 
         reconstruct(tree, best_idx)
         if constraint is None:
@@ -210,14 +214,13 @@ class PlacementTable:
         # Under a constraint the DP total may carry a load penalty; re-derive
         # the pure communication cost of the chosen assignment so downstream
         # accounting (deployment pricing, explanations) is unaffected.
-        costs, rate_of = self._costs, self._rate_of
         comm = 0.0
         for join in tree.joins():
             node = placement[join]
             for child in (join.left, join.right):
-                comm += rate_of(child) * float(costs[placement[child], node])
+                comm += float(rates[rows[child]]) * float(costs[placement[child], node])
         if self._sink is not None:
-            comm += rate_of(tree) * float(costs[placement[tree], self._sink])
+            comm += root_rate * float(costs[placement[tree], self._sink])
         return PlacementResult(
             placement=placement, cost=comm, tree=tree, objective=best_cost
         )
@@ -235,8 +238,9 @@ def optimal_tree_placement(
 ) -> PlacementResult:
     """Optimally assign ``tree``'s operators to ``candidates``.
 
-    A one-tree use of :class:`PlacementTable`; searches over many trees
-    of one leaf set share a table instead (:mod:`repro.core.search`).
+    A one-tree use of :class:`LevelDP` (a level per join, in post-order);
+    searches over all trees of a leaf set price them together
+    (:mod:`repro.core.search`).
 
     Args:
         tree: The join tree to place.
@@ -269,11 +273,25 @@ def optimal_tree_placement(
         InfeasiblePlacementError: ``constraint`` was given and no
             assignment keeps every operator's node under its bound.
     """
-    table = PlacementTable(
-        candidates, costs, leaf_positions, rates.__getitem__, sink,
-        tracer=tracer, constraint=constraint,
+    table = LevelDP(candidates, costs, sink, tracer=tracer, constraint=constraint)
+    leaves, joins = tree.leaves(), tree.joins()
+    positions = []
+    for leaf in leaves:
+        try:
+            positions.append(list(leaf_positions[leaf]))
+        except KeyError:
+            raise KeyError(f"no positions given for leaf {leaf.label}") from None
+        if not positions[-1]:
+            raise ValueError(f"leaf {leaf.label} has an empty position set")
+    subtrees = [*leaves, *joins]
+    rows = {sub: row for row, sub in enumerate(subtrees)}
+    table.price(
+        positions,
+        [(np.array([rows[j.left]]), np.array([rows[j.right]]), [j], 1) for j in joins],
+        np.array([rates[sub] for sub in subtrees[:-1]]),
+        None if sink is None else rates[tree],
     )
-    return table.place(tree)
+    return table.place(tree, rows)
 
 
 def brute_force_tree_placement(

@@ -9,15 +9,15 @@ trees and returns exactly the optimum the literal enumerate -> filter ->
 place-each-tree loop returns (that loop lives on as the oracle
 ``tests/core/reference_search.py``), but
 
-* cross-product joins are never built when a connected tree exists
-  (:func:`~repro.core.enumeration.crossing_splits` prunes per split
-  while enumerating),
-* all trees of a leaf set are priced on one
-  :class:`~repro.core.placement.PlacementTable`, so a subtree shared by
-  many trees is priced once, and
-* a placement is reconstructed for the winner only -- under a resource
-  constraint, for each tree that beats the incumbent and so owes the
-  joint ``validate`` (the two tests commute: same decisions, same order).
+* no tree is built to be priced: the enumeration is an index program
+  (:func:`~repro.core.enumeration.join_program`, one per predicate-graph
+  shape, cross-product splits pruned when a connected tree exists) that
+  :class:`~repro.core.placement.LevelDP` prices a subset size at a time,
+  a subtree shared by many trees being one row, and
+* ``Join`` nodes and a placement are built for the winner only -- under
+  a resource constraint, for each tree that beats the incumbent and so
+  owes the joint ``validate`` (the two tests commute: same decisions,
+  same order).
 
 The counters written to ``stats`` and the span are the paper's *nominal*
 search-space accounting (trees that exist, assignments they span), not
@@ -31,14 +31,31 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.enumeration import all_join_trees, count_bushy_trees, crossing_splits
-from repro.core.placement import PlacementResult, PlacementTable, nominal_assignments
+from repro.core.enumeration import count_bushy_trees, join_program, view_adjacency
+from repro.core.placement import LevelDP, PlacementResult
+from repro.perf import profiler as _perf
 from repro.query.plan import Leaf, PlanNode
 from repro.query.query import Query
 
 #: An objective must beat the incumbent by more than this to replace it,
 #: so the first tree in enumeration order wins a tie.
 _TIE = 1e-12
+
+
+class _Unbuilt:
+    """What rate and load pricing read of a join nobody has built: its
+    sides in :class:`~repro.query.plan.Join`'s canonical order and their
+    union taken as ``Join`` takes it (``RateModel.rate`` multiplies in the
+    set's iteration order: any other union is an ulp away)."""
+
+    __slots__ = ("left", "right", "sources")
+
+    def __init__(self, left, right) -> None:
+        # ``sorted(a) > sorted(b)`` of disjoint sets is decided by the minima.
+        if min(left.sources) > min(right.sources):
+            left, right = right, left
+        self.left, self.right = left, right
+        self.sources = left.sources | right.sources
 
 
 class TreeSearch:
@@ -87,6 +104,7 @@ class TreeSearch:
         self.tracer = tracer
         self.constraint = constraint
         self.best: PlacementResult | None = None
+        self._table = LevelDP(candidates, costs, sink, tracer=tracer, constraint=constraint)
 
     def offer(self, result: PlacementResult) -> None:
         """Let a result priced by the caller compete with the incumbent."""
@@ -99,43 +117,75 @@ class TreeSearch:
         positions: Mapping[frozenset[str], Sequence[int]],
     ) -> None:
         """Search every tree over ``views`` (placed at ``positions``)."""
-        span, stats, constraint = self.span, self.stats, self.constraint
+        span, stats, constraint, flow = self.span, self.stats, self.constraint, self.flow
         total = count_bushy_trees(len(views))
         span.incr("trees_enumerated", total)
-        trees: list[PlanNode] = []
+        program = None
         if self.connected_only:
-            trees = all_join_trees(views, crossing_splits(self.query, views))
-            if trees:
-                span.incr("pruned_cross_trees", total - len(trees))
-        if not trees:
-            trees = all_join_trees(views)
-        table = PlacementTable(
-            self.candidates, self.costs,
-            {Leaf(view): positions[view] for view in views},
-            self.flow, self.sink, tracer=self.tracer, constraint=constraint,
-        )
-        # Every tree over these leaves has the same number of joins.
-        nominal = nominal_assignments(trees[0], len(self.candidates))
-        incumbent = self.best.objective if self.best is not None else None
-        winner: PlanNode | None = None
-        for tree in trees:
-            objective = table.objective(tree)
-            stats["plans_examined"] += nominal
-            stats["trees_examined"] += 1
-            if constraint is not None and not math.isfinite(objective):
-                span.incr("infeasible_trees")
-                continue
-            span.incr("plans_examined", nominal)
-            if incumbent is not None and not objective < incumbent - _TIE:
+            program = join_program(len(views), view_adjacency(self.query, views))
+        if program is not None and program.trees:
+            span.incr("pruned_cross_trees", total - program.trees)
+        else:
+            program = join_program(len(views))
+        prof = _perf.active()
+        if prof is not None:
+            prof.count("trees_enumerated", program.trees)
+        # cover[mask]: the first tree over the mask, as far as pricing looks
+        # -- the one whose ``sources`` the per-tree loop asks a rate for first.
+        leaves = [Leaf(view) for view in views]
+        cover: dict[int, object] = {1 << i: leaf for i, leaf in enumerate(leaves)}
+        for mask, splits in program.blocks.items():
+            left, right = splits[0]
+            cover[mask] = _Unbuilt(cover[left], cover[right])
+        levels = program.levels
+        if constraint is not None:
+            levels = [
+                (left, right, [_Unbuilt(cover[a], cover[b]) for a, b in splits], sizes)
+                for left, right, splits, sizes in levels
+            ]
+        objectives = self._table.price(
+            [list(positions[view]) for view in views],
+            levels,
+            np.array([flow(cover[mask]) for mask in program.below]).take(program.row_mask),
+            flow(cover[(1 << len(views)) - 1]) if self.sink is not None else None,
+        ).tolist()
+        if prof is not None:
+            prof.count("search_array_passes", len(levels) + 1)
+
+        def place(index: int) -> PlacementResult:
+            rows: dict[PlanNode, int] = {}
+            tree = program.tree(leaves, index, rows)
+            if prof is not None:
+                prof.count("joins_built", len(views) - 1)
+            return self._table.place(tree, rows, index)
+
+        # Every tree over these leaves has the same number of joins.  A tree
+        # the constraint's masks leave no assignment reads ``inf``; the
+        # counters appear in the order the per-tree loop first meets them.
+        nominal = max(1, len(self.candidates)) ** (len(views) - 1)
+        stats["plans_examined"] += nominal * len(objectives)
+        stats["trees_examined"] += len(objectives)
+        refused = objectives.count(math.inf)
+        counted = [
+            ("plans_examined", nominal * (len(objectives) - refused)),
+            ("infeasible_trees", refused),
+        ]
+        for key, amount in reversed(counted) if objectives[0] == math.inf else counted:
+            if amount:
+                span.incr(key, amount)
+        bound = self.best.objective - _TIE if self.best is not None else math.inf
+        winner: int | None = None
+        for index, objective in enumerate(objectives):
+            if not objective < bound:
                 continue
             if constraint is not None:
                 # Independently feasible operators can still jointly
                 # overload a node; the per-plan check is the contract.
-                result = table.place(tree)
-                if not constraint.validate(tree, result.placement):
+                result = place(index)
+                if not constraint.validate(result.tree, result.placement):
                     span.incr("infeasible_trees")
                     continue
                 self.best = result
-            incumbent, winner = objective, tree
+            bound, winner = objective - _TIE, index
         if winner is not None and constraint is None:
-            self.best = table.place(winner)
+            self.best = place(winner)

@@ -288,7 +288,8 @@ class TopDownOptimizer:
             est_cost, tree, placement = best.cost, best.tree, best.placement
             leaf_meta = {leaf: by_view[leaf.view] for leaf in tree.leaves()}
             trace_entry["plans"] = stats["plans_examined"] - plans_before
-            span.tag(chosen=tree.pretty(), est_cost=est_cost)
+            if tracer.enabled:
+                span.tag(chosen=tree.pretty(), est_cost=est_cost)
             reused = sum(1 for meta in leaf_meta.values() if meta.kind == "reuse")
             if reused:
                 span.incr("reuse_leaves_chosen", reused)

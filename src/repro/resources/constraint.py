@@ -80,7 +80,7 @@ class PlacementConstraint(JoinPricer):
         self.bound = bound
         self.load_weight = load_weight
         # (candidates, base[n x 3], capacity[n x 3], unbounded[n x 3])
-        # of the array asked about last: a PlacementTable always asks with one.
+        # of the array asked about last: a placement DP always asks with one.
         self._arrays: tuple | None = None
 
     # ------------------------------------------------------------------
@@ -111,7 +111,8 @@ class PlacementConstraint(JoinPricer):
     # DP interface
     # ------------------------------------------------------------------
     def join_mask(self, sub: Join, candidates: np.ndarray) -> np.ndarray:
-        """Boolean feasibility of placing ``sub``'s operator per candidate."""
+        """Boolean feasibility of placing ``sub``'s operator per candidate
+        (``sub``: a ``Join``, or whatever :meth:`join_load` can read)."""
         return self._projected_all(sub, candidates) <= self.bound + _EPS
 
     def join_penalty(self, sub: Join, candidates: np.ndarray) -> np.ndarray | None:

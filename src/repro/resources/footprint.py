@@ -92,7 +92,11 @@ class JoinPricer:
         self._loads: dict[tuple[frozenset[str], frozenset[str]], Load] = {}
 
     def join_load(self, join: Join) -> Load:
-        """Load of ``join``'s operator, priced once per distinct split."""
+        """Load of ``join``'s operator, priced once per distinct split.
+
+        Only ``join.left.sources`` and ``join.right.sources`` are read:
+        the task search asks about splits it has built no ``Join`` for.
+        """
         key = (join.left.sources, join.right.sources)
         load = self._loads.get(key)
         if load is None:

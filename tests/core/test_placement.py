@@ -16,6 +16,8 @@ from repro.query.plan import Join, Leaf
 from repro.query.query import JoinPredicate, Query
 from repro.query.stream import StreamSpec
 
+from tests.core.reference_search import reference_tree_placement
+
 
 def _setup(seed, num_nodes=7):
     net = random_geometric(num_nodes, seed=seed)
@@ -157,6 +159,47 @@ class TestAgainstBruteForce:
         bf = brute_force_tree_placement(tree, net.nodes(), costs, leaf_positions, flow_rates, sink=q.sink)
         assert dp.cost == pytest.approx(bf.cost)
         assert dp.placement[ab] in (1, 4)
+
+
+class _ForbidsOneNode:
+    """A constraint whose mask forbids one node and whose penalty is NaN
+    exactly there: the mask has to have the last word."""
+
+    def __init__(self, node):
+        self.node = node
+
+    def join_mask(self, sub, candidates):
+        return candidates != self.node
+
+    def join_penalty(self, sub, candidates):
+        return np.where(candidates == self.node, np.nan, 0.25 * len(sub.sources))
+
+
+class TestAgainstTheOneTreeReference:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2000), forbidden=st.integers(0, 6))
+    def test_penalty_then_mask_bit_for_bit(self, seed, forbidden):
+        net, rates, q = _setup(seed)
+        ab, c = Leaf.of("A", "B"), Leaf.of("C")
+        for tree, positions in (
+            (Join(Join(Leaf.of("A"), Leaf.of("B")), c),
+             {leaf: [rates.source(leaf.stream)] for leaf in map(Leaf.of, "ABC")}),
+            (Join(ab, c), {ab: [1, 4, 2], c: [rates.source("C")]}),
+        ):
+            args = (tree, net.nodes(), net.cost_matrix(), positions, rates.flow_rates(q, tree))
+            for sink in (q.sink, None):
+                ours = optimal_tree_placement(
+                    *args, sink=sink, constraint=_ForbidsOneNode(forbidden)
+                )
+                ref = reference_tree_placement(
+                    *args, sink=sink, constraint=_ForbidsOneNode(forbidden)
+                )
+                assert np.isfinite(ours.objective)
+                assert forbidden not in {ours.placement[j] for j in tree.joins()}
+                assert (ours.placement, ours.cost, ours.objective) == (
+                    ref.placement, ref.cost, ref.objective
+                )
+                assert list(ours.placement) == list(ref.placement)  # same key order
 
 
 class TestNominalAssignments:

@@ -33,7 +33,7 @@ import repro
 from repro.core import bottom_up, enumeration, top_down
 from repro.core.cost import RateModel
 from repro.core.enumeration import all_join_trees, count_bushy_trees, crossing_splits
-from repro.core.placement import PlacementTable
+from repro.core.placement import LevelDP
 from repro.core.search import TreeSearch
 from repro.obs.tracer import Tracer
 from repro.perf.profiler import profiled
@@ -43,7 +43,11 @@ from repro.query.query import JoinPredicate, Query
 from repro.query.stream import StreamSpec
 from repro.resources import Load, NodeCapacity, OperatorFootprint, PlacementConstraint
 
-from tests.core.reference_search import ReferenceTreeSearch
+from tests.core.reference_search import (
+    ReferenceTreeSearch,
+    reference_flow_rates,
+    reference_tree_placement,
+)
 
 NUM_NODES = 10
 
@@ -176,7 +180,6 @@ def _refusals_by_rule(task):
     then compare), so it shares no control flow with the search.
     """
     constraint = _constraint(task)
-    flow = task.rates.flow_pricer(task.query)
     incumbent, refused, owed = None, 0, 0
     for positions in task.leaf_sets:
         views = list(positions)
@@ -184,20 +187,22 @@ def _refusals_by_rule(task):
         if task.connected_only:
             trees = all_join_trees(views, crossing_splits(task.query, views))
         trees = trees or all_join_trees(views)
-        table = PlacementTable(
-            task.candidates, task.costs, {Leaf(v): positions[v] for v in views},
-            flow, task.sink, constraint=constraint,
-        )
         for tree in trees:
-            objective = table.objective(tree)
-            if not math.isfinite(objective):
+            try:
+                result = reference_tree_placement(
+                    tree, task.candidates, task.costs,
+                    {Leaf(v): positions[v] for v in views},
+                    reference_flow_rates(task.rates, task.query, tree),
+                    task.sink, constraint=constraint,
+                )
+            except repro.errors.InfeasiblePlacementError:
                 refused += 1
                 continue
-            feasible = constraint.validate(tree, table.place(tree).placement)
-            if incumbent is None or objective < incumbent - 1e-12:
+            feasible = constraint.validate(tree, result.placement)
+            if incumbent is None or result.objective < incumbent - 1e-12:
                 owed += 1
                 if feasible:
-                    incumbent = objective
+                    incumbent = result.objective
                 else:
                     refused += 1
     return refused, owed
@@ -211,9 +216,15 @@ def _assert_same_choice(task):
     assert stats == ref_stats
     refused = dict(counters).pop("infeasible_trees", 0)
     assert refused <= dict(ref_counters).get("infeasible_trees", 0)
+    # one numpy pass per subset size, whatever the number of trees ...
+    assert ops["search_array_passes"] == sum(len(ls) for ls in task.leaf_sets)
+    most_joins = max(len(ls) for ls in task.leaf_sets) - 1
     if task.constraint is None:
         assert "joint_validations" not in ops and "join_loads_priced" not in ops
+        # ... and Join nodes for at most one tree per leaf set.
+        assert ops.get("joins_built", 0) <= sum(len(ls) - 1 for ls in task.leaf_sets)
     else:
+        assert ops.get("joins_built", 0) <= most_joins * ops.get("joint_validations", 0)
         assert (refused, ops.get("joint_validations", 0)) == _refusals_by_rule(task)
         # ... where the reference pays one per mask-feasible tree.
         assert ops.get("joint_validations", 0) <= ref_ops.get("joint_validations", 0)
@@ -278,7 +289,7 @@ class TestWorkCounts:
     """What the search *does*, as opposed to what it accounts for."""
 
     @staticmethod
-    def _search(shape, k=5, num_candidates=4):
+    def _search(shape, k=5, num_candidates=4, repeats=1):
         names = [f"S{i}" for i in range(k)]
         streams = {n: StreamSpec(n, i, 10.0 + i) for i, n in enumerate(names)}
         query = Query(
@@ -297,10 +308,11 @@ class TestWorkCounts:
                 query, list(range(num_candidates)), costs, rates.flow_pricer(query),
                 0, True, stats, span, tracer,
             )
-            search.add_leaf_set(
-                [frozenset((n,)) for n in names],
-                {frozenset((n,)): (streams[n].source,) for n in names},
-            )
+            for _ in range(repeats):
+                search.add_leaf_set(
+                    [frozenset((n,)) for n in names],
+                    {frozenset((n,)): (streams[n].source,) for n in names},
+                )
         return prof.ops, span.counters, stats, search.best
 
     def test_clique_builds_one_row_per_distinct_subtree(self):
@@ -313,25 +325,37 @@ class TestWorkCounts:
         assert counters["trees_enumerated"] == stats["trees_examined"] == 105
         assert stats["plans_examined"] == 105 * 4**4
 
-    def test_chain_builds_no_cross_product(self, monkeypatch):
-        built = []
+    @pytest.mark.parametrize("shape, trees", [("chain", 42), ("clique", 945)])
+    def test_passes_follow_the_views_and_joins_the_winner(self, shape, trees):
+        ops, _, stats, best = self._search(shape, k=6)
+        assert ops["placements"] == stats["trees_examined"] == trees
+        # leaves, sizes 2..5, roots (<= views + 1): as many for 945 trees as for 42
+        assert ops["search_array_passes"] == 6
+        assert ops["joins_built"] == best.tree.num_joins == 5
+        # The same leaf set again ties with the incumbent everywhere:
+        # priced (another 6 passes), nothing built.
+        again, _, stats, same = self._search(shape, k=6, repeats=2)
+        assert stats["trees_examined"] == 2 * trees
+        assert again["search_array_passes"] == 12 and again["joins_built"] == 5
+        assert same.tree == best.tree and same.cost == best.cost
 
-        def recording_join(left, right):
-            built.append(Join(left, right))
-            return built[-1]
-
-        monkeypatch.setattr(enumeration, "Join", recording_join)
+    def test_chain_builds_no_cross_product(self):
         ops, counters, stats, best = self._search("chain")
         # The connected trees of a 5-chain: Catalan(4).
         assert ops["trees_enumerated"] == ops["placements"] == 14
         assert counters["trees_enumerated"] == 105
         assert counters["pruned_cross_trees"] == 105 - 14
         assert stats["trees_examined"] == 14
-        # Adjacent runs only: every join built joins two touching intervals.
-        assert built
-        for join in built:
-            ids = sorted(int(s[1:]) for s in join.sources)
-            assert ids == list(range(ids[0], ids[-1] + 1))
+        # Adjacent runs only: every split of the program the search ran
+        # joins two touching intervals, so no row is a cross product.
+        program = enumeration.join_program(5, (0b10, 0b101, 0b1010, 0b10100, 0b1000))
+        assert program.trees == 14 and len(program.blocks) == 4 + 3 + 2 + 1
+        for mask, splits in program.blocks.items():
+            for left, right in splits:
+                for side in (left, right, left | right):
+                    ids = [i for i in range(5) if side >> i & 1]
+                    assert ids == list(range(ids[0], ids[-1] + 1))
+                assert left | right == mask
 
 
 class TestConstrainedWorkCounts:
@@ -361,7 +385,7 @@ class TestConstrainedWorkCounts:
                 load_weight=0.5,
             ),
         )
-        objectives, verdicts, splits = [], {}, set()
+        objectives, verdicts, splits = [], [], set()
         searches, plans = [], []
 
         def spy(owner, name, after):
@@ -375,9 +399,9 @@ class TestConstrainedWorkCounts:
             monkeypatch.setattr(owner, name, wrapper)
             return original
 
-        spy(PlacementTable, "objective", lambda out, tree: objectives.append((id(tree), out)))
+        spy(LevelDP, "price", lambda out, *args: objectives.extend(out.tolist()))
         spy(PlacementConstraint, "validate",
-            lambda ok, plan, placement: verdicts.__setitem__(id(plan), ok))
+            lambda ok, plan, placement: verdicts.append(ok))
         spy(PlacementConstraint, "join_mask",
             lambda out, sub, cand: splits.add((sub.left.sources, sub.right.sources)))
         add_leaf_set = TreeSearch.add_leaf_set
@@ -386,17 +410,17 @@ class TestConstrainedWorkCounts:
         def counted_leaf_set(self, views, positions):
             incumbent = self.best.objective if self.best is not None else None
             validated = prof.ops.get("joint_validations", 0)
-            # Tree ids are only unique while the call's trees are alive.
             objectives.clear()
             verdicts.clear()
             add_leaf_set(self, views, positions)
             owed = refused = 0
-            for tree, objective in objectives:
+            # Objectives in enumeration order, verdicts in the order given.
+            for objective in objectives:
                 if math.isfinite(objective) and (
                     incumbent is None or objective < incumbent - 1e-12
                 ):
                     owed += 1
-                    if verdicts[tree]:  # KeyError: an incumbent never validated
+                    if verdicts[owed - 1]:  # IndexError: an incumbent never validated
                         incumbent = objective
                     else:
                         refused += 1

@@ -324,7 +324,7 @@ class TestVectorizedMask:
             else:
                 assert penalty.dtype == want.dtype
                 assert penalty.tobytes() == want.tobytes()
-        # Another candidate array (another PlacementTable) gets its own rows.
+        # Another candidate array (another task's DP) gets its own rows.
         other = cand[::-1].copy()
         assert (
             constraint.join_mask(joins[0], other).tobytes()
