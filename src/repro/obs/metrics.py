@@ -25,6 +25,8 @@ import math
 import re
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
+from repro.utils import ChangeFeed
+
 if TYPE_CHECKING:  # circular at runtime: runtime.metrics lazy-imports us
     from repro.runtime.metrics import MetricsLog
 
@@ -40,10 +42,11 @@ class _Instrument:
 
     kind = ""
 
-    def __init__(self, name: str, help: str, log: MetricsLog, series: str) -> None:
+    def __init__(self, name: str, help: str, registry: MetricRegistry, series: str):
         self.name = name
         self.help = help
-        self._log = log
+        self._log = registry.log
+        self._touch = registry._feed.touch
         #: Name the instrument records under in the backing MetricsLog
         #: (defaults to the metric name; used to keep legacy series
         #: names stable while exposing a scheme-conforming metric name).
@@ -51,6 +54,7 @@ class _Instrument:
 
     def _record(self, time: float, value: float) -> None:
         self._log.record(time, self.series_name, value)
+        self._touch(self.name)
 
 
 class Counter(_Instrument):
@@ -58,9 +62,7 @@ class Counter(_Instrument):
 
     kind = "counter"
 
-    def __init__(self, name: str, help: str, log: MetricsLog, series: str) -> None:
-        super().__init__(name, help, log, series)
-        self.total = 0.0
+    total = 0.0
 
     def inc(self, amount: float = 1.0, time: float = 0.0) -> None:
         """Add ``amount`` (>= 0) to the total; logs the new total."""
@@ -94,9 +96,7 @@ class Gauge(_Instrument):
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str, log: MetricsLog, series: str) -> None:
-        super().__init__(name, help, log, series)
-        self._value: float | None = None
+    _value: float | None = None
 
     def set(self, value: float, time: float = 0.0) -> None:
         """Set the gauge and log the new value."""
@@ -133,11 +133,11 @@ class Histogram(_Instrument):
         self,
         name: str,
         help: str,
-        log: MetricsLog,
+        registry: MetricRegistry,
         series: str,
         buckets: Sequence[float] | None = None,
     ) -> None:
-        super().__init__(name, help, log, series)
+        super().__init__(name, help, registry, series)
         # Dedupe and drop non-finite bounds: the +Inf bucket is implicit,
         # so a caller-supplied inf would double it in the exposition.
         bounds = tuple(
@@ -228,6 +228,7 @@ class MetricRegistry:
             log = MetricsLog()
         self.log = log
         self._instruments: dict[str, _Instrument] = {}
+        self._feed = ChangeFeed()  # instruments declared or updated
 
     # -- declaration --------------------------------------------------
     def counter(self, name: str, help: str = "", series: str | None = None) -> Counter:
@@ -248,8 +249,9 @@ class MetricRegistry:
         """Get or create the :class:`Histogram` called ``name``."""
         existing = self._instruments.get(name)
         if existing is None:
-            instrument = Histogram(name, help, self.log, series or name, buckets)
+            instrument = Histogram(name, help, self, series or name, buckets)
             self._instruments[name] = instrument
+            self._feed.touch(name)
             return instrument
         if not isinstance(existing, Histogram):
             raise TypeError(
@@ -260,8 +262,9 @@ class MetricRegistry:
     def _declare(self, cls: type, name: str, help: str, series: str | None):
         existing = self._instruments.get(name)
         if existing is None:
-            instrument = cls(name, help, self.log, series or name)
+            instrument = cls(name, help, self, series or name)
             self._instruments[name] = instrument
+            self._feed.touch(name)
             return instrument
         if type(existing) is not cls:
             raise TypeError(
@@ -277,6 +280,19 @@ class MetricRegistry:
     def get(self, name: str) -> _Instrument | None:
         """The instrument called ``name``, or ``None``."""
         return self._instruments.get(name)
+
+    # -- change feed --------------------------------------------------
+    def feed_cursor(self) -> int:
+        """The feed position after the latest declaration or update, for
+        :meth:`changes_since`; any number of readers may hold one."""
+        return self._feed.cursor
+
+    def changes_since(self, cursor: int | None) -> list[str]:
+        """Names of the instruments declared or updated since ``cursor``
+        (``None``: all of them), oldest change first, each once; an
+        update to the value it already had counts."""
+        names = self._feed.since(cursor)
+        return list(self._instruments) if names is None else names
 
     # -- export -------------------------------------------------------
     def snapshot(self) -> dict[str, Any]:

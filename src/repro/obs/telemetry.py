@@ -6,9 +6,10 @@ observability primitives in this package.  Pass a
 ``telemetry=`` argument of :class:`~repro.service.service.StreamQueryService`
 or :class:`~repro.fleet.controller.FleetController` and every tick:
 
-1. the :class:`~repro.obs.timeseries.TelemetryScraper` pulls all bound
+1. the :class:`~repro.obs.timeseries.TelemetryScraper` samples all bound
    metric registries into the :class:`~repro.obs.timeseries.TimeSeriesStore`
-   (service/shard/fleet/tenant/resilience/adaptive instruments alike);
+   (service/shard/fleet/tenant/resilience/adaptive instruments alike),
+   re-reading only the instruments touched since the last scrape;
 2. the :class:`~repro.obs.rules.RulesEngine` evaluates its recording and
    alerting rules over the fresh samples;
 3. the :class:`~repro.obs.flight.FlightRecorder` logs the tick (and any

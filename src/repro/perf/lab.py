@@ -197,6 +197,7 @@ def _case_telemetry_overhead() -> OpProfiler:
     probes, ticks) must match ``service_churn`` exactly -- the case
     exists so the 25% gate catches telemetry ever leaking work into
     the planner path, and its wall samples price the scrape loop.
+    ``telemetry_series_held`` is what the scrapes re-read.
     """
     from repro.obs.telemetry import TelemetryConfig
 
@@ -243,7 +244,9 @@ def _case_resource_overhead() -> OpProfiler:
     own counts, ``ledger_ops_priced`` is the ledger pricing each
     installed join once (the same gate catches it re-deriving instead);
     ``joint_validations`` and ``join_loads_priced`` are the constrained
-    search's work and read 0 here, because no constraint exists.
+    search's work and read 0 here, because no constraint exists;
+    ``node_gauges_written`` is one write per re-derived node ratio
+    (all 32 whenever the set of loaded nodes changes: no capacities).
     """
     from repro.resources import ResourceConfig
 

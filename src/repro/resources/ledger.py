@@ -50,6 +50,7 @@ from repro.query.deployment import Deployment, DeploymentState
 from repro.query.plan import Join
 from repro.resources.capacity import UNBOUNDED, Load, NodeCapacity, ZERO_LOAD
 from repro.resources.footprint import JoinPricer, OperatorFootprint
+from repro.utils import ChangeFeed
 
 
 class _Source:
@@ -112,6 +113,8 @@ class ResourceLedger:
         self.capacities: dict[int, NodeCapacity] = dict(capacities or {})
         self._sources: list[_Source] = []
         self._attach_order = itertools.count()
+        # Nodes re-summed since the last rebuild of ``_utils`` (a reset).
+        self._moved = ChangeFeed()
         self._clear_books()
 
     def _clear_books(self) -> None:
@@ -303,6 +306,7 @@ class ResourceLedger:
         if self._utils is not None:
             if node in self._utils and node in self.capacities:
                 self._utils[node] = total.utilization(self.capacities[node])
+                self._moved.touch(node)
             else:
                 # The tracked set may change: rebuild, in node order.
                 self._utils = None
@@ -349,7 +353,19 @@ class ResourceLedger:
                 node: loads.get(node, ZERO_LOAD).utilization(self.capacity(node))
                 for node in sorted(set(self.capacities) | set(loads))
             }
+            self._moved.reset()
         return self._utils
+
+    def utilization_changes(
+        self, cursor: int | None
+    ) -> tuple[int, list[int] | None, dict[int, float]]:
+        """``(next cursor, nodes, ratios)``: the nodes re-summed since
+        ``cursor`` in node order -- ``None`` when any may have moved (no
+        cursor yet, ``capacities`` edited, tracked set rebuilt) -- and the
+        ratios of :meth:`utilizations` (do not mutate)."""
+        utils = self._settled_utils()
+        nodes = self._moved.since(cursor)
+        return self._moved.cursor, nodes and sorted(nodes), utils
 
     def utilizations(self) -> dict[int, float]:
         """Utilization ratio of every node with a capacity or a load."""

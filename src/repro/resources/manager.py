@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from repro.errors import InfeasiblePlacementError, PlanningError
+from repro.perf import profiler
 from repro.query.query import Query
 from repro.resources.capacity import Load, NodeCapacity, ZERO_LOAD
 from repro.resources.constraint import PlacementConstraint
@@ -104,6 +105,7 @@ class ResourceManager:
         self.readmitted_total = 0
         self.infeasible_total = 0
         self._node_gauges: dict[int, object] = {}
+        self._cursor: int | None = None  # into the ledger's moved nodes
 
     # ------------------------------------------------------------------
     @property
@@ -405,13 +407,18 @@ class ResourceManager:
     def record_gauges(self, service) -> None:
         """Refresh the ``resource_*`` gauges and counters."""
         now = service.clock
-        utils = self.ledger.utilizations()
-        peak = 0.0
-        for node, gauge in self._node_gauges.items():
-            util = utils.get(node, 0.0)
-            peak = max(peak, util)
-            gauge.set(util, time=now)
-        self._max_gauge.set(peak, time=now)
+        gauges = self._node_gauges
+        # One settle and one capacity compare; unmoved gauges stay as set.
+        self._cursor, moved, utils = self.ledger.utilization_changes(self._cursor)
+        moved = [n for n in (gauges if moved is None else moved) if n in gauges]
+        for node in moved:
+            gauges[node].set(utils.get(node, 0.0), time=now)
+        prof = profiler.active()
+        if prof is not None:
+            prof.count("node_gauges_written", len(moved))
+        # The peak over this network's nodes; a shared ledger may track others.
+        hot = utils if utils.keys() <= gauges.keys() else utils.keys() & gauges.keys()
+        self._max_gauge.set(max(map(utils.get, hot), default=0.0), time=now)
         self._parked_gauge.set(float(len(self.parked)), time=now)
         self._shed_counter.sync_total(float(self.shed_total), time=now)
         self._readmitted_counter.sync_total(float(self.readmitted_total), time=now)

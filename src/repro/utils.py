@@ -2,11 +2,43 @@
 
 from __future__ import annotations
 
-from typing import Union
+from itertools import takewhile
+from typing import Hashable, Union
 
 import numpy as np
 
 SeedLike = Union[int, None, np.random.Generator]
+
+
+class ChangeFeed:
+    """Which keys changed since a reader last looked: ``key -> serial of
+    its latest touch``, oldest first.  A touch moves the key to the end; a
+    reader that kept the :attr:`cursor` it read at walks back from the
+    newest entry down to it.  Any number of readers, one entry per key."""
+
+    def __init__(self) -> None:
+        self._serials: dict[Hashable, int] = {}
+        self.cursor = 0  # serial of the latest touch or reset
+        self._floor = 0
+
+    def touch(self, key: Hashable) -> None:
+        self.cursor += 1
+        self._serials.pop(key, None)
+        self._serials[key] = self.cursor
+
+    def reset(self) -> None:
+        """Everything changed: readers of earlier cursors are told to look."""
+        self.cursor += 1
+        self._floor = self.cursor
+        self._serials.clear()
+
+    def since(self, cursor: int | None) -> list | None:
+        """Keys touched after ``cursor``, oldest touch first, each once;
+        ``None`` (look at everything) without a cursor or across a reset."""
+        if cursor is None or cursor < self._floor:
+            return None
+        newest = takewhile(lambda kv: kv[1] > cursor, reversed(self._serials.items()))
+        return [key for key, _ in newest][::-1]
 
 
 def as_generator(seed: SeedLike) -> np.random.Generator:

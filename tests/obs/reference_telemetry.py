@@ -1,61 +1,35 @@
-"""Continuous telemetry: a bounded time-series store and a registry scraper.
+"""The eager telemetry path the lazy one is checked against.
 
-Everything observability built so far -- :class:`~repro.obs.metrics.MetricRegistry`
-snapshots, resilience counters, adaptive instruments -- is *pull on
-demand*: a caller asks for the current totals after a run.  This module
-adds the continuous half of the loop:
-
-* :class:`TimeSeriesStore` keeps the last ``capacity`` samples of every
-  series in a bounded ring buffer (old samples fall off the back), with
-  windowed **rate**, **delta**, **EWMA** and **bucketed-quantile**
-  aggregation -- the vocabulary the alerting rules in
-  :mod:`repro.obs.rules` evaluate over.
-* :class:`TelemetryScraper` reads one or more metric registries on a
-  configurable tick cadence and samples every typed instrument's current
-  value into the store under a ``scope.metric`` series name, so a fleet
-  of shard registries becomes one queryable corpus.  Only instruments
-  touched since the last scrape are re-read; the rest are carried forward.
-
-Both are deliberately wall-clock free: samples are stamped with the
-*virtual* service tick they were scraped at, and instruments whose
-values depend on host wall clock (:data:`WALL_CLOCK_SERIES`) are dropped
-by default so two runs of the same seeded scenario produce identical
-stores.
+These are :class:`repro.obs.timeseries.TimeSeriesStore` and
+:class:`repro.obs.timeseries.TelemetryScraper` as they stood before the
+scraper read a change feed: every scrape walks every instrument of every
+registry in name order, formats its series names and appends one sample
+per series to that series' ring, whether or not the value moved.  They
+keep nothing between scrapes but the rings, so they are right by
+construction whatever was declared or updated since the last scrape --
+and O(series) per scrape, which is why the shipped pair does not work
+this way.  The class bodies are unedited.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from itertools import takewhile
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
-from repro.perf import profiler
+from repro.obs.timeseries import (
+    SCRAPED_QUANTILES,
+    WALL_CLOCK_SERIES,
+    scoped_name,
+    series_to_csv,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricRegistry
 
-#: Registry series whose values depend on host wall clock.  The scraper
-#: skips them by default so telemetry stays deterministic under a fixed
-#: seed; pass ``include_wall_clock=True`` to keep them.
-WALL_CLOCK_SERIES: frozenset[str] = frozenset({"service_planning_seconds"})
-
-#: Histogram percentiles the scraper materializes as derived series
-#: (``<name>_p50`` / ``<name>_p95``).
-SCRAPED_QUANTILES: tuple[tuple[str, float], ...] = (("p50", 0.50), ("p95", 0.95))
-
-
-def scoped_name(scope: str, metric: str) -> str:
-    """The store series name of ``metric`` scraped under ``scope``."""
-    return f"{scope}.{metric}" if scope else metric
-
 
 class TimeSeriesStore:
     """Bounded per-series ring buffers of ``(time, value)`` samples.
-
-    A series is appended to sample by sample (:meth:`append`) or *held*
-    at a value (:meth:`hold`) and sampled at every :meth:`mark`; held
-    samples reach the ring on the series' next read.
 
     Args:
         capacity: Samples kept per series; appending past it drops the
@@ -68,48 +42,17 @@ class TimeSeriesStore:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._series: dict[str, deque[tuple[float, float]]] = {}
-        # The newest ``capacity`` of the ``_marked`` scrape times so far,
-        # kept once; a held series is ``[value, marks already in its ring]``
-        # and is owed one sample per mark since, paid on its next read.
-        self._marks: deque[float] = deque(maxlen=capacity)
-        self._marked = 0
-        self._held: dict[str, list] = {}
 
     # ------------------------------------------------------------------
     # Recording and lookup
     # ------------------------------------------------------------------
     def append(self, series: str, time: float, value: float) -> None:
         """Append one sample to ``series`` (evicting the oldest at capacity)."""
-        ring = self._ring(series)
+        ring = self._series.get(series)
         if ring is None:
-            ring = self._series[series] = deque(maxlen=self.capacity)
+            ring = deque(maxlen=self.capacity)
+            self._series[series] = ring
         ring.append((float(time), float(value)))
-
-    def hold(self, series: str, value: float) -> bool:
-        """Carry ``value`` forward: one ``(time, value)`` sample per
-        :meth:`mark` until the next ``hold``.  True if newly held."""
-        if self._ring(series) is None:  # paid up: earlier marks keep the old value
-            self._series[series] = deque(maxlen=self.capacity)
-        newly = series not in self._held
-        self._held[series] = [float(value), self._marked]
-        return newly
-
-    def mark(self, now: float) -> None:
-        """Stamp one sample of every held series at ``now``."""
-        self._marks.append(float(now))
-        self._marked += 1
-
-    def _ring(self, name: str) -> deque[tuple[float, float]] | None:
-        """The series' ring with every sample it is owed appended."""
-        ring = self._series.get(name)
-        entry = self._held.get(name)
-        if entry is not None and entry[1] != self._marked:
-            value, marks = entry[0], self._marks
-            # At most ``capacity`` samples survive, and as many marks.
-            owed = min(self._marked - entry[1], len(marks))
-            ring.extend((marks[i], value) for i in range(-owed, 0))
-            entry[1] = self._marked
-        return ring
 
     def names(self) -> list[str]:
         """All series names, sorted."""
@@ -117,16 +60,16 @@ class TimeSeriesStore:
 
     def series(self, name: str) -> list[tuple[float, float]]:
         """The retained ``(time, value)`` samples of one series."""
-        return list(self._ring(name) or ())
+        return list(self._series.get(name, ()))
 
     def last(self, name: str) -> float | None:
         """Most recent value of a series, or ``None``."""
-        ring = self._ring(name)
+        ring = self._series.get(name)
         return ring[-1][1] if ring else None
 
     def last_time(self, name: str) -> float | None:
         """Time of the most recent sample, or ``None``."""
-        ring = self._ring(name)
+        ring = self._series.get(name)
         return ring[-1][0] if ring else None
 
     def window(
@@ -134,17 +77,14 @@ class TimeSeriesStore:
     ) -> list[tuple[float, float]]:
         """Samples with ``time >= now - duration`` (all with ``duration=None``).
 
-        ``now`` defaults to the series' newest sample time.  Samples are
-        taken to be in time order: the walk back from the newest stops
-        at the first one older than the window.
+        ``now`` defaults to the series' newest sample time.
         """
-        ring = self._ring(name)
-        if not ring or duration is None:
-            return list(ring or ())
-        end = now if now is not None else ring[-1][0]
+        points = self.series(name)
+        if not points or duration is None:
+            return points
+        end = now if now is not None else points[-1][0]
         start = end - duration
-        recent = list(takewhile(lambda point: point[0] >= start, reversed(ring)))
-        return [point for point in reversed(recent) if point[0] <= end]
+        return [(t, v) for t, v in points if start <= t <= end]
 
     def __len__(self) -> int:
         return len(self._series)
@@ -290,7 +230,10 @@ class TimeSeriesStore:
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, list[list[float]]]:
         """JSON-ready ``{series: [[time, value], ...]}``, sorted by name."""
-        return {name: [[t, v] for t, v in self._ring(name)] for name in self.names()}
+        return {
+            name: [[t, v] for t, v in self._series[name]]
+            for name in self.names()
+        }
 
     @classmethod
     def from_dict(
@@ -315,13 +258,12 @@ class TimeSeriesStore:
         return series_to_csv(self.to_dict())
 
 
+
 class TelemetryScraper:
     """Scrapes typed metric registries into a :class:`TimeSeriesStore`.
 
-    Every due tick (:meth:`scrape`) gives every scraped series one
-    sample.  The scraper re-reads only the instruments each registry's
-    change feed names since its last scrape and hands the store their
-    values to carry forward (:meth:`TimeSeriesStore.hold`):
+    On every due tick (:meth:`scrape`) the scraper walks each registered
+    registry's instruments and appends:
 
     * counters -- the running total, under ``scope.name``;
     * gauges -- the current level (skipped while never set);
@@ -353,21 +295,18 @@ class TelemetryScraper:
         self._drop = set(drop)
         if not include_wall_clock:
             self._drop |= WALL_CLOCK_SERIES
-        # [scope, registry, feed cursor (None = never scraped)] each.
-        self._registries: list[list] = []
+        self._registries: list[tuple[str, "MetricRegistry"]] = []
         self._sources: list[tuple[str, Callable[[], Mapping[str, float]]]] = []
         self._last_scrape: float | None = None
-        self._carried = 0  # series this scraper holds in the store
         self.scrapes_total = 0
         self.samples_total = 0
 
     # ------------------------------------------------------------------
     def register(self, scope: str, registry: "MetricRegistry") -> None:
-        """Add a registry to the scrape set (idempotent per scope+object);
-        two under one scope must not share an instrument name."""
-        if any(s == scope and r is registry for s, r, _ in self._registries):
+        """Add a registry to the scrape set (idempotent per scope+object)."""
+        if any(s == scope and r is registry for s, r in self._registries):
             return
-        self._registries.append([scope, registry, None])
+        self._registries.append((scope, registry))
 
     def add_source(
         self, scope: str, source: Callable[[], Mapping[str, float]]
@@ -378,7 +317,7 @@ class TelemetryScraper:
     def scopes(self) -> list[str]:
         """Scopes with at least one registered registry or source."""
         out: list[str] = []
-        for scope, *_ in [*self._registries, *self._sources]:
+        for scope, _ in [*self._registries, *self._sources]:
             if scope not in out:
                 out.append(scope)
         return out
@@ -396,13 +335,9 @@ class TelemetryScraper:
             return 0
         self._last_scrape = now
         self.scrapes_total += 1
-        held = sum(map(self._scrape_registry, self._registries))
-        prof = profiler.active()
-        if prof is not None:
-            prof.count("telemetry_series_held", held)
-        # Held before marked: this scrape's sample carries the new value.
-        self.store.mark(now)
-        appended = self._carried
+        appended = 0
+        for scope, registry in self._registries:
+            appended += self._scrape_registry(scope, registry, now)
         for scope, source in self._sources:
             for metric, value in sorted(source().items()):
                 if metric in self._drop or value is None:
@@ -412,28 +347,34 @@ class TelemetryScraper:
         self.samples_total += appended
         return appended
 
-    def _scrape_registry(self, entry: list) -> int:
-        """Hold what the registry's feed names since the entry's cursor."""
+    def _scrape_registry(
+        self, scope: str, registry: "MetricRegistry", now: float
+    ) -> int:
         from repro.obs.metrics import Histogram
 
-        scope, registry, cursor = entry
-        entry[2] = registry.feed_cursor()
-        held = 0
-        for name in registry.changes_since(cursor):
+        appended = 0
+        for name in registry.names():
             if name in self._drop:
                 continue
             instrument = registry.get(name)
             base = scoped_name(scope, name)
             if isinstance(instrument, Histogram):
-                values = {"_count": instrument.count, "_sum": instrument.sum}
-                for suffix, q in SCRAPED_QUANTILES if instrument.count else ():
-                    values[f"_{suffix}"] = instrument.percentile(q)
-            else:  # a gauge never set has no sample yet
-                values = {} if instrument.value is None else {"": instrument.value}
-            for suffix, value in values.items():
-                self._carried += self.store.hold(base + suffix, value)
-            held += len(values)
-        return held
+                self.store.append(f"{base}_count", now, float(instrument.count))
+                self.store.append(f"{base}_sum", now, float(instrument.sum))
+                appended += 2
+                if instrument.count:
+                    for suffix, q in SCRAPED_QUANTILES:
+                        self.store.append(
+                            f"{base}_{suffix}", now, instrument.percentile(q)
+                        )
+                        appended += 1
+            else:
+                value = instrument.value
+                if value is None:
+                    continue
+                self.store.append(base, now, float(value))
+                appended += 1
+        return appended
 
     # ------------------------------------------------------------------
     def summary(self) -> dict[str, Any]:
@@ -445,38 +386,3 @@ class TelemetryScraper:
             "samples": self.samples_total,
             "series": len(self.store),
         }
-
-
-# ----------------------------------------------------------------------
-# CSV interchange
-# ----------------------------------------------------------------------
-def series_to_csv(
-    series: Mapping[str, Iterable[Sequence[float]]],
-    prefix: Mapping[str, str] | None = None,
-) -> str:
-    """Long-form CSV of an envelope's series table.
-
-    Works straight off the ``series`` section of a ``repro.telemetry``
-    (or per-candidate ``repro.lab``) envelope -- the same
-    ``{name: [[time, value], ...]}`` shape :meth:`TimeSeriesStore.to_dict`
-    produces.  With ``prefix``, the optional extra columns (e.g. a
-    ``candidate`` column for lab envelopes) lead each row; column order
-    is the sorted prefix keys, then ``series,time,value``.
-    """
-    prefix = dict(prefix or {})
-    keys = sorted(prefix)
-    lines = [",".join([*keys, "series", "time", "value"])]
-    for name in sorted(series):
-        label = _csv_field(name)
-        lead = "".join(_csv_field(prefix[k]) + "," for k in keys)
-        for point in series[name]:
-            lines.append(f"{lead}{label},{point[0]!r},{point[1]!r}")
-    return "\n".join(lines) + "\n"
-
-
-def _csv_field(value: str) -> str:
-    """Quote a CSV field only when it needs it (RFC 4180)."""
-    text = str(value)
-    if any(c in text for c in ',"\n\r'):
-        return '"' + text.replace('"', '""') + '"'
-    return text

@@ -88,14 +88,21 @@ class TestResourceOverhead:
         service_churn -- with all capacities infinite the manager
         injects no constraint and gates nothing.  The ledger's own work
         is the one operator pricing per installed join; the constrained
-        search's two work counts are carried and read 0."""
+        search's two work counts are carried and read 0; node gauges
+        are written when a node's ratio is re-derived, never per call."""
         lab = PerfLab(cases=["service_churn", "resource_overhead"], repeats=1)
         churn = lab.run_case("service_churn")["ops"]
         armed = lab.run_case("resource_overhead")["ops"]
-        layer_only = {"ledger_ops_priced", "joint_validations", "join_loads_priced"}
+        layer_only = {
+            "ledger_ops_priced", "joint_validations", "join_loads_priced",
+            "node_gauges_written",
+        }
         assert {k: v for k, v in armed.items() if k not in layer_only} == churn
         assert armed["ledger_ops_priced"] > 0
         assert armed["joint_validations"] == armed["join_loads_priced"] == 0
+        # 32 node gauges: one write each per gauge refresh was 32 x (14
+        # submits + 40 ticks) = 1728 before gauges followed the ledger.
+        assert 32 <= armed["node_gauges_written"] < 1728 // 2
 
 
 class TestLabOverhead:
@@ -106,10 +113,12 @@ class TestLabOverhead:
         lab = PerfLab(cases=["service_churn", "lab_overhead"], repeats=1)
         churn = lab.run_case("service_churn")["ops"]
         wrapped = lab.run_case("lab_overhead")["ops"]
-        lab_only = {"telemetry_samples", "telemetry_series"}
+        lab_only = {"telemetry_samples", "telemetry_series", "telemetry_series_held"}
         assert {k: v for k, v in wrapped.items() if k not in lab_only} == churn
         assert wrapped["telemetry_samples"] > 0
         assert wrapped["telemetry_series"] > 0
+        # The scraper re-read what changed, not every series every tick.
+        assert 0 < wrapped["telemetry_series_held"] < wrapped["telemetry_samples"] // 2
 
 
 class TestTrajectoryIO:

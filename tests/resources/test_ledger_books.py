@@ -391,6 +391,41 @@ class LedgerMachine(RuleBasedStateMachine):
         assert_books_match(self.ledger, self.reference)
         self.seen["orphans"] += sum(orphaned(s.engine.state) for s in self.services)
 
+    #: Set by the rules that move the ledger without a service command
+    #: (which would refresh that service's gauges on its way out).
+    edited_out_of_band = False
+
+    @property
+    def gauges_behind(self) -> bool:
+        # On a shared ledger one shard's command moves every shard's nodes.
+        return self.edited_out_of_band or len(self.services) > 1
+
+    @rule()
+    def refresh_gauges_again(self):
+        for service in self.services:
+            with profiled() as prof:
+                service.resources.record_gauges(service)
+            if not self.gauges_behind:
+                assert prof.ops["node_gauges_written"] == 0
+
+    @invariant()
+    def gauges_match_the_reference(self):
+        """Written on change, every gauge still shows what writing all of
+        them on every refresh would: the reference ratio, or 0.0."""
+        want = self.reference.utilizations(self.ledger.capacities)
+        for service in self.services:
+            if self.gauges_behind:
+                service.resources.record_gauges(service)
+            registry = service.registry
+            shown = {
+                node: registry.get(f"resource_node_utilization_n{node}").value
+                for node in self.net.nodes()
+            }
+            assert shown == {node: want.get(node, 0.0) for node in self.net.nodes()}
+            assert registry.get("resource_max_utilization").value == max(shown.values())
+            self.seen["gauges_nonzero"] += any(shown.values())
+        self.edited_out_of_band = False
+
     def teardown(self):
         managers = [service.resources for service in self.services]
         self.seen["shed"] += sum(m.shed_total for m in managers)
@@ -444,6 +479,7 @@ class ServiceLedgerMachine(LedgerMachine):
         else:
             caps[node] = caps.get(node, NodeCapacity(**_CAPS)).scaled(factor)
         self.seen["capacity_edits"] += 1
+        self.edited_out_of_band = True
 
     @rule()
     def restore(self):
@@ -459,6 +495,7 @@ class ServiceLedgerMachine(LedgerMachine):
                 state.flows(),
             )
         self.seen["restores"] += 1
+        self.edited_out_of_band = True
 
 
 class FleetLedgerMachine(LedgerMachine):
@@ -504,7 +541,7 @@ def test_service_books_match_the_reference_after_every_command():
     run_state_machine_as_test(ServiceLedgerMachine, settings=_MACHINE)
     for mechanism in (
         "shed", "readmitted", "publications", "migrations", "failovers", "orphans",
-        "capacity_edits", "restores",
+        "capacity_edits", "restores", "gauges_nonzero",
     ):
         assert seen[mechanism], f"no example exercised {mechanism}: {dict(seen)}"
 
@@ -514,6 +551,7 @@ def test_fleet_books_match_the_reference_after_every_command():
     run_state_machine_as_test(FleetLedgerMachine, settings=_MACHINE)
     for mechanism in (
         "shed", "readmitted", "publications", "imports", "promotions", "orphans",
+        "gauges_nonzero",
     ):
         assert seen[mechanism], f"no example exercised {mechanism}: {dict(seen)}"
 
@@ -567,6 +605,111 @@ class TestWorkCounts:
             service.resources.ledger,
             ReferenceLedger.shadowing(service.resources.ledger),
         )
+
+
+# ----------------------------------------------------------------------
+# Node gauges follow the ledger
+# ----------------------------------------------------------------------
+def gauge_of(service, node: int):
+    return service.registry.get(f"resource_node_utilization_n{node}")
+
+
+def hand_placed(rates, name: str, inner: int, root: int, right_deep: bool = False) -> Deployment:
+    """A three-stream chain query with its two joins where the test says."""
+    x, y, z = (Leaf.of(stream) for stream in sorted(rates.streams)[:3])
+    query = Query(
+        name,
+        [x.stream, y.stream, z.stream],
+        sink=root,
+        predicates=[
+            JoinPredicate(x.stream, y.stream, 0.01),
+            JoinPredicate(y.stream, z.stream, 0.02),
+        ],
+    )
+    plan = Join(x, Join(y, z)) if right_deep else Join(Join(x, y), z)
+    placement = {leaf: rates.source(leaf.stream) for leaf in (x, y, z)}
+    placement[plan.right if right_deep else plan.left] = inner
+    placement[plan] = root
+    return Deployment(query, plan, placement)
+
+
+class TestNodeGauges:
+    @pytest.fixture()
+    def service(self):
+        net, hierarchy, rates, _ = build_world()
+        return StreamQueryService(
+            repro.TopDownOptimizer(hierarchy, rates),
+            net,
+            rates,
+            hierarchy=hierarchy,
+            resources=ResourceConfig(
+                capacities=uniform_capacities(net, cpu=1e6, memory=1e6, bandwidth=1e6)
+            ),
+        )
+
+    def written(self, service, cursor) -> list[str]:
+        """Node gauges written since ``cursor``, in the order written."""
+        return [
+            name
+            for name in service.registry.changes_since(cursor)
+            if name.startswith("resource_node_utilization_n")
+        ]
+
+    def test_moved_gauges_are_written_in_node_order(self, service):
+        service.tick()  # the first refresh writes every gauge, at 0.0
+        assert {gauge_of(service, n).value for n in service.network.nodes()} == {0.0}
+        state, ledger = service.engine.state, service.resources.ledger
+        cursor = service.registry.feed_cursor()
+        # Nodes whose set order and reversed set order are both unsorted.
+        state.apply(hand_placed(service.rates, "first", inner=2, root=9))
+        state.apply(hand_placed(service.rates, "second", inner=20, root=9, right_deep=True))
+        with profiled() as prof:
+            service.resources.record_gauges(service)
+        assert self.written(service, cursor) == [
+            f"resource_node_utilization_n{node}" for node in (2, 9, 20)
+        ]
+        assert prof.ops["node_gauges_written"] == 3
+        for node in service.network.nodes():
+            assert gauge_of(service, node).value == ledger.utilization(node)
+        assert gauge_of(service, 9).value > 0.0
+        # The log has one point per change, not per refresh.
+        service.resources.record_gauges(service)
+        service.tick()
+        log = service.metrics
+        assert len(log.series("resource_node_utilization_n9")) == 2
+        assert len(log.series("resource_node_utilization_n3")) == 1
+
+    def test_a_capacities_edit_rewrites_every_gauge(self, service):
+        state, ledger = service.engine.state, service.resources.ledger
+        state.apply(hand_placed(service.rates, "first", inner=2, root=9))
+        service.resources.record_gauges(service)
+        before = gauge_of(service, 9).value
+        # No call tells the ledger, and no node is re-summed.
+        ledger.capacities[9] = ledger.capacities[9].scaled(0.5)
+        cursor = service.registry.feed_cursor()
+        with profiled() as prof:
+            service.resources.record_gauges(service)
+        assert prof.ops["node_gauges_written"] == service.network.num_nodes
+        assert len(self.written(service, cursor)) == service.network.num_nodes
+        assert gauge_of(service, 9).value == ledger.utilization(9) == 2 * before
+        assert service.registry.get("resource_max_utilization").value == (
+            ledger.max_utilization()
+        )
+
+    def test_the_peak_gauge_ignores_nodes_outside_the_network(self, service):
+        ledger = service.resources.ledger
+        service.engine.state.apply(hand_placed(service.rates, "inside", inner=2, root=9))
+        # Another plane on a larger network shares the ledger.
+        wide = repro.transit_stub_by_size(64, seed=1)
+        rates = service.rates
+        other = DeploymentState(wide.cost_matrix(), rates.rate_for, rates.source)
+        ledger.attach(other, OperatorFootprint(rates))
+        other.apply(hand_placed(rates, "outside", inner=40, root=41))
+        ledger.capacities[40] = NodeCapacity(cpu=1.0, memory=1.0, bandwidth=1.0)
+        service.resources.record_gauges(service)
+        inside = max(ledger.utilization(node) for node in service.network.nodes())
+        assert ledger.max_utilization() == ledger.utilization(40) > inside > 0.0
+        assert service.registry.get("resource_max_utilization").value == inside
 
 
 # ----------------------------------------------------------------------
