@@ -113,6 +113,7 @@ from repro.errors import (
     NodeNotFoundError,
     PlanningError,
     ReproError,
+    StateMismatchError,
     UnknownQueryError,
 )
 from repro.resilience import (
@@ -302,6 +303,7 @@ __all__ = [
     "NodeNotFoundError",
     "UnknownQueryError",
     "FaultInjectionError",
+    "StateMismatchError",
     "InfeasiblePlacementError",
     # resources
     "Load",

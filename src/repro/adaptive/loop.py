@@ -293,6 +293,28 @@ class AdaptivityLoop:
                 span.incr("migrations_aborted")
 
     # ------------------------------------------------------------------
+    def capture(self) -> dict[str, Any]:
+        """The loop's section of a ``repro.state`` snapshot: migration
+        cooldowns, the pending re-evaluation flag and the monitor."""
+        assert self.monitor is not None and self.policy is not None
+        return {
+            "last_migration": dict(self._last_migration),
+            "dirty": self._dirty,
+            "seen_topology": self._seen_topology,
+            "evaluations": self.policy.evaluations,
+            "monitor": self.monitor.capture(),
+        }
+
+    def restore(self, doc: dict[str, Any]) -> None:
+        """Inverse of :meth:`capture`, into a pristine bound loop."""
+        assert self.monitor is not None and self.policy is not None
+        self._last_migration = dict(doc["last_migration"])
+        self._dirty = doc["dirty"]
+        self._seen_topology = doc["seen_topology"]
+        self.policy.evaluations = doc["evaluations"]
+        self.monitor.restore(doc["monitor"])
+
+    # ------------------------------------------------------------------
     def summary(self) -> dict[str, Any]:
         """Roll-up for replay reports and the adapt CLI."""
         assert self.monitor is not None and self.policy is not None

@@ -62,6 +62,14 @@ class EwmaEstimator:
         self.samples += 1
         return self.value
 
+    def capture(self) -> dict[str, Any]:
+        """The estimator as a ``repro.state`` snapshot writes it."""
+        return {"alpha": self.alpha, "value": self.value, "samples": self.samples}
+
+    def restore(self, doc: dict[str, Any]) -> None:
+        """Inverse of :meth:`capture`."""
+        self.alpha, self.value, self.samples = doc["alpha"], doc["value"], doc["samples"]
+
 
 @dataclass(frozen=True)
 class StreamDrift:
@@ -293,6 +301,51 @@ class StatsMonitor:
         )
         self.events.append(event)
         return event
+
+    # ------------------------------------------------------------------
+    # Snapshot section
+    # ------------------------------------------------------------------
+    def capture(self) -> dict[str, Any]:
+        """The monitor's part of the adaptivity section: estimators,
+        published rates, breach streaks and the publication log."""
+        return {
+            "estimators": [
+                [name, est.capture()] for name, est in self._estimators.items()
+            ],
+            "published": dict(self._published),
+            "breaches": dict(self._breaches),
+            "selectivities": [
+                [sorted(pair), est.capture()]
+                for pair, est in self._selectivities.items()
+            ],
+            "last_publish": self._last_publish,
+            "samples_total": self.samples_total,
+            "events": [
+                {**vars(ev), "drifts": [vars(d) for d in ev.drifts]}
+                for ev in self.events
+            ],
+        }
+
+    def restore(self, doc: dict[str, Any]) -> None:
+        """Inverse of :meth:`capture`, into a pristine monitor."""
+
+        def estimator(doc: dict[str, Any]) -> EwmaEstimator:
+            revived = EwmaEstimator()
+            revived.restore(doc)
+            return revived
+
+        self._estimators = {name: estimator(e) for name, e in doc["estimators"]}
+        self._published = dict(doc["published"])
+        self._breaches = dict(doc["breaches"])
+        self._selectivities = {
+            frozenset(pair): estimator(e) for pair, e in doc["selectivities"]
+        }
+        self._last_publish = doc["last_publish"]
+        self.samples_total = doc["samples_total"]
+        self.events = [
+            DriftEvent(**{**ev, "drifts": [StreamDrift(**d) for d in ev["drifts"]]})
+            for ev in doc["events"]
+        ]
 
     # ------------------------------------------------------------------
     # Reporting

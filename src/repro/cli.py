@@ -792,6 +792,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     import pathlib
 
     from repro.durability import inspect_state_dir
+    from repro.errors import StateMismatchError
 
     state_dir = pathlib.Path(args.state_dir)
     if not state_dir.is_dir():
@@ -801,7 +802,10 @@ def _cmd_recover(args: argparse.Namespace) -> int:
                      "deterministic factory; use --inspect for the read-only "
                      "report, or recover() from the library "
                      "(see docs/durability.md)")
-    doc = inspect_state_dir(state_dir)
+    try:
+        doc = inspect_state_dir(state_dir)
+    except StateMismatchError as exc:
+        return _fail(str(exc))
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
         return 0

@@ -126,6 +126,16 @@ class Durability:
     def _bind(self, scope: str, controller, capture) -> None:
         from repro.durability.state import FragmentMemo
 
+        # A layer that cannot write its own snapshot section would lose
+        # its state in a crash: refuse to arm over it, now.
+        for owner in (controller, *getattr(controller, "shards", ())):
+            for name, layer in owner.layers():
+                for method in ("capture", "restore"):
+                    if not callable(getattr(layer, method, None)):
+                        raise TypeError(
+                            f"durability= cannot be armed over the {name!r} "
+                            f"layer: {type(layer).__name__} has no {method}()"
+                        )
         self.scope = scope
         self._controller = controller
         self._capture = capture

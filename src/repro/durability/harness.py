@@ -72,7 +72,7 @@ class Scenario:
     steps: list[tuple[str, dict[str, Any]]] = field(default_factory=list)
 
 
-def _service_env(state_dir: str | Path):
+def _service_env(state_dir: str | Path, layers=None):
     from repro.adaptive.loop import AdaptivityConfig
     from repro.core import make_optimizer
     from repro.durability import DurabilityConfig
@@ -114,6 +114,7 @@ def _service_env(state_dir: str | Path):
             max_migrations_per_tick=2,
         ),
         durability=durability,
+        **(layers(net) if layers is not None else {}),
     )
     return service, workload
 
@@ -145,6 +146,37 @@ def service_scenario() -> Scenario:
         return built
 
     return Scenario("service", factory, steps)
+
+
+def layered_scenario() -> Scenario:
+    """The service script with resilience, adaptivity and resources armed
+    together: the fault injector crashes a node mid-script (and rejoins
+    it), and capacities are tight enough that arrivals shed lighter
+    queries and one parks for capacity -- so breakers, both parking
+    lots, the injector cursor and the drift monitor all hold state at
+    the crash points.
+    """
+    from repro.resilience.degradation import ResilienceConfig
+    from repro.resilience.faults import FaultInjector, FaultPlan, NodeCrash
+    from repro.resources import ResourceConfig, uniform_capacities
+
+    def layers(net):
+        crash = NodeCrash(time=6.0, node=1, rejoin_after=4.0)
+        tight = uniform_capacities(net, cpu=3500.0, memory=3500.0, bandwidth=3500.0)
+        return {
+            "resilience": ResilienceConfig(),
+            "faults": FaultInjector(FaultPlan([crash], seed=3)),
+            "resources": ResourceConfig(capacities=tight),
+        }
+
+    base = service_scenario()
+    # The injector fails the node; the script's own failure/rejoin
+    # commands become plain ticks.
+    steps = [
+        step if step[0] not in ("handle_node_failure", "rejoin_node") else ("tick", {})
+        for step in base.steps
+    ]
+    return Scenario("service", lambda d: _service_env(d, layers)[0], steps)
 
 
 def _fleet_env(state_dir: str | Path):
@@ -208,6 +240,7 @@ def fleet_scenario() -> Scenario:
 SCENARIOS: dict[str, Callable[[], Scenario]] = {
     "service": service_scenario,
     "fleet": fleet_scenario,
+    "layers": layered_scenario,
 }
 
 
@@ -280,41 +313,24 @@ def _service_digest(service) -> dict[str, Any]:
         "deployments": deployments,
         "total_cost": round(service.total_cost(), 9),
         "queued": service.admission.queued_names(),
-        "expiry": {k: v for k, v in sorted(service._expiry.items())},
+        "expiry": dict(sorted(service.capture()["expiry"].items())),
+        # Every armed layer's own snapshot section, whole.
+        "layers": {name: layer.capture() for name, layer in service.layers()},
     }
 
 
 def _fleet_digest(fleet) -> dict[str, Any]:
-    import json
-
-    from repro.durability.state import sig_to_doc
-
-    shards = [_service_digest(shard) for shard in fleet.shards]
-    federation = None
-    if fleet.federation is not None:
-        federation = {
-            "epoch": fleet.federation.epoch,
-            "imports": {
-                str(sid): sorted(
-                    json.dumps([sig_to_doc(sig), node], sort_keys=True)
-                    for sig, node in fleet.federation.imports(sid)
-                )
-                for sid in range(fleet.num_shards)
-            },
-        }
     return {
         "clock": fleet.clock,
         "live": sorted(fleet.live_queries),
         "total_cost": round(fleet.total_cost(), 9),
-        "owners": {
-            name: fleet.shard_of(name) for name in sorted(fleet.live_queries)
-        },
         "tenants": {
             t: dict(sorted(summary.items()))
             for t, summary in sorted(fleet.tenant_summary().items())
         },
-        "shards": shards,
-        "federation": federation,
+        "shards": [_service_digest(shard) for shard in fleet.shards],
+        # Router (owners), scheduler and federation (imports) sections.
+        "layers": {name: layer.capture() for name, layer in fleet.layers()},
     }
 
 

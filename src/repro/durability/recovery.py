@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.commands import replay
+from repro.errors import StateMismatchError
 from repro.durability.journal import (
     COMMAND_KINDS,
     JOURNAL_FILE,
@@ -150,6 +151,11 @@ def recover(
     Returns:
         ``(controller, report)`` -- the recovered controller, ready to
         serve, with its journal positioned after the last valid record.
+
+    Raises:
+        StateMismatchError: The snapshot does not fit the controller the
+            factory built: another scope or state version, a section for
+            a layer the factory did not arm, or none for one it did.
     """
     state_dir = Path(state_dir)
     controller = factory()
@@ -175,7 +181,7 @@ def recover(
         from repro.durability.state import restore_fleet, restore_service
 
         if snapshot["scope"] != durability.scope:
-            raise ValueError(
+            raise StateMismatchError(
                 f"snapshot scope {snapshot['scope']!r} does not match "
                 f"controller scope {durability.scope!r}"
             )
@@ -214,10 +220,18 @@ def inspect_state_dir(state_dir: str | Path) -> dict[str, Any]:
     kind, the snapshot inventory, in-flight migrations and which
     snapshot + replay suffix a recovery would use.  Touches nothing on
     disk.
+
+    Raises:
+        StateMismatchError: The snapshot a recovery would restore was
+            written by another state version.
     """
+    from repro.durability.state import check_version
+
     state_dir = Path(state_dir)
     records, journal_drop = scan_journal(state_dir / JOURNAL_FILE)
     snapshot, rejected = load_latest(state_dir)
+    if snapshot is not None:
+        check_version(snapshot["state"])  # a recovery would refuse it too
     kinds: dict[str, int] = {}
     for rec in records:
         kinds[rec["kind"]] = kinds.get(rec["kind"], 0) + 1

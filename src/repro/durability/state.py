@@ -1,54 +1,50 @@
-"""Full-state capture/restore for the service and fleet control planes.
+"""The ``repro.state`` document: value formats, core structures, one loop.
 
-:func:`capture_service` / :func:`capture_fleet` walk every piece of
-control-plane state that influences *future decisions* -- deployments,
-operator/flow records, plan cache (in LRU order), admission queue,
-parked queries (the resilience layer's and the resource manager's, with
-its shed/readmit/infeasible counters), circuit breakers (including the
-resilience RNG state),
-EWMA estimators, migration cooldowns, fault-injector cursors, routing
-tables, tenant accounting, scheduler backlogs and federation imports --
-into one JSON-ready document.  :func:`restore_service` /
-:func:`restore_fleet` assign it back into a *pristine* controller built
-by the same deterministic factory, leaving the controller
-epoch-consistent: cache keys still match ``(fingerprint,
+A snapshot holds every piece of control-plane state that influences
+*future decisions*.  Every layer and both controllers write and read
+**their own section** with one pair of methods, ``capture() -> dict |
+None`` and ``restore(doc)``, next to the fields the section describes
+(``docs/durability.md`` has the table); :func:`capture_service` /
+:func:`capture_fleet` walk ``controller.layers()`` and nothing here
+reads a layer's fields.  This module keeps the **formats** the sections
+share (signature, plan, placement, deployment, operator, flow and
+view-key documents, RNG state) and the codecs of the **core structures**
+every layer stands on: deployment state, plan cache (in LRU order),
+network, hierarchy and rate model.
+
+:func:`restore_service` / :func:`restore_fleet` assign a document back
+into a *pristine* controller built by the same deterministic factory,
+leaving it epoch-consistent: cache keys still match ``(fingerprint,
 statistics_epoch, topology_epoch)``, ads indexes are rebuilt with
 ``sync_from_state`` (which also revives federation-owned external-view
 records), and the network/hierarchy are restored *in place* because
-optimizers, engines and routing policies all hold references to the
-same objects.
+optimizers, engines and routing policies hold references to them.  A
+document whose layer sections do not fit the layers the controller arms
+is refused (:func:`restore_section`).
 
-Capture is incremental.  The items of the big homogeneous lists --
-deployments, operator records, flows, cached plans, federation imports
--- and the network section are captured as canonical-JSON text
+Capture is incremental: the items of the long homogeneous lists
+(deployments, operator records, flows, cached plans, federation imports)
+and the network section are canonical-JSON text
 :class:`~repro.durability.snapshot.Fragment` values, and a
 :class:`FragmentMemo` carries each item's text from one snapshot to the
-next for as long as everything the text reads is unchanged.  The small
-sections with no identity or version to key on (hierarchy, resilience,
-adaptivity, admission, rates, counters) are plain values, encoded at
-every snapshot.  ``tests/durability/reference_capture.py`` keeps the
-literal build-every-dict capture these functions are held to, byte for
-byte.
-
-Deliberately *not* captured: metric instrument values, telemetry
-stores, causal traces and flight-recorder rings -- observability
-output, not decision state.  The crash-equivalence digests in
-:mod:`repro.durability.harness` exclude them for the same reason they
-exclude wall-clock planning latencies.
+next while everything the text reads is unchanged.
+``tests/durability/reference_capture.py`` keeps the literal
+build-every-dict capture, layer sections included, that all of this is
+held to byte for byte.  Not captured, on purpose: metric instrument
+values, telemetry stores, causal traces and flight-recorder rings
+(:meth:`repro.obs.telemetry.Telemetry.capture` says why).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any
 
-from repro.adaptive.stats import DriftEvent, EwmaEstimator, StreamDrift
 from repro.durability.journal import canonical_json
 from repro.durability.snapshot import Fragment
+from repro.errors import StateMismatchError
 from repro.query.plan import Join, Leaf, PlanNode
 from repro.query.query import JoinPredicate, ViewSignature
 from repro.query.stream import Filter, StreamSpec
-from repro.resilience.policy import BreakerState, CircuitBreaker
 from repro.serialization import _query_from_dict, _query_to_dict
 
 STATE_VERSION = 1
@@ -80,6 +76,10 @@ class FragmentMemo:
             self._encoded += 1
         self._touched[id(item)] = entry
         return entry[2]
+
+    def array(self, items, to_doc) -> Fragment:
+        """A JSON array of frozen ``items``, each one's text by identity."""
+        return _array(self.text(item, None, to_doc, item) for item in items)
 
     def roll(self) -> int:
         """End one capture; returns how many items it had to encode."""
@@ -215,6 +215,17 @@ def _producer_from_doc(doc: dict[str, Any]):
     return ("view", sig_from_doc(doc["view"]), doc["node"])
 
 
+def view_key_to_doc(key) -> dict[str, Any]:
+    """JSON document for a ``(signature, node)`` view key."""
+    sig, node = key
+    return {"sig": sig_to_doc(sig), "node": node}
+
+
+def view_key_from_doc(doc: dict[str, Any]):
+    """Inverse of :func:`view_key_to_doc`."""
+    return (sig_from_doc(doc["sig"]), doc["node"])
+
+
 # ----------------------------------------------------------------------
 # DeploymentState (operators, flows, deployments)
 # ----------------------------------------------------------------------
@@ -273,11 +284,9 @@ def capture_deployment_state(state, memo: FragmentMemo) -> dict[str, Any]:
         reads = (rec.rate, frozenset(rec.queries), live)
         operators.append(memo.text(rec, reads, _operator_to_doc, rec, live))
     return {
-        "deployments": _array(
-            memo.text(d, None, deployment_to_doc, d) for d in state.deployments
-        ),
+        "deployments": memo.array(state.deployments, deployment_to_doc),
         "operators": _array(operators),
-        "flows": _array(memo.text(f, None, _flow_to_doc, f) for f in state.flows()),
+        "flows": memo.array(state.flows(), _flow_to_doc),
     }
 
 
@@ -325,6 +334,7 @@ def restore_deployment_state(state, doc: dict[str, Any]) -> None:
 
 # ----------------------------------------------------------------------
 # Network / hierarchy / rates (shared infrastructure, restored in place)
+# and RNG state
 # ----------------------------------------------------------------------
 def capture_network(network, memo: FragmentMemo) -> Fragment:
     """Capture topology + version of a :class:`~repro.network.graph.Network`.
@@ -379,9 +389,7 @@ def restore_network(network, doc: dict[str, Any]) -> None:
     network._node_kind = kinds
     network._links = links
     network._version = doc["version"]
-    network._cost_cache = None
-    network._delay_cache = None
-    network._pred_cache = None
+    network._cost_cache = network._delay_cache = network._pred_cache = None
 
 
 def capture_hierarchy(hierarchy) -> dict[str, Any]:
@@ -465,9 +473,6 @@ def restore_rates(rates, doc: dict[str, Any]) -> None:
     rates._cache.clear()
 
 
-# ----------------------------------------------------------------------
-# RNG state
-# ----------------------------------------------------------------------
 def capture_rng(rng) -> dict[str, Any]:
     """The bit-generator state dict of a numpy Generator (JSON-safe)."""
     return rng.bit_generator.state
@@ -479,26 +484,8 @@ def restore_rng(rng, doc: dict[str, Any]) -> None:
 
 
 # ----------------------------------------------------------------------
-# Service-layer components
+# Plan cache
 # ----------------------------------------------------------------------
-def _capture_admission(admission) -> dict[str, Any]:
-    return {
-        "queue": [_query_to_dict(q) for q in admission._queue],
-        "enqueued_at": dict(admission._enqueued_at),
-        "admitted_total": admission.admitted_total,
-        "queued_total": admission.queued_total,
-        "rejected_total": admission.rejected_total,
-    }
-
-
-def _restore_admission(admission, doc: dict[str, Any]) -> None:
-    admission._queue = deque(_query_from_dict(d) for d in doc["queue"])
-    admission._enqueued_at = dict(doc["enqueued_at"])
-    admission.admitted_total = doc["admitted_total"]
-    admission.queued_total = doc["queued_total"]
-    admission.rejected_total = doc["rejected_total"]
-
-
 def _cache_entry_to_doc(key, entry) -> dict[str, Any]:
     return {
         "fingerprint": key[0],
@@ -528,520 +515,184 @@ def _capture_cache(cache, memo: FragmentMemo) -> dict[str, Any]:
 def _restore_cache(cache, doc: dict[str, Any]) -> None:
     from repro.service.cache import CachedPlan
 
-    entries = []
-    for e in doc["entries"]:
+    def keyed(e):
         plan = plan_from_doc(e["plan"])
-        key = (e["fingerprint"], e["statistics_epoch"], e["topology_epoch"])
-        entries.append(
-            (
-                key,
-                CachedPlan(
-                    plan=plan,
-                    placement=placement_from_doc(plan, e["placement"]),
-                    planning_latency=e["planning_latency"],
-                    stats=dict(e["stats"]),
-                ),
-            )
+        entry = CachedPlan(
+            plan=plan,
+            placement=placement_from_doc(plan, e["placement"]),
+            planning_latency=e["planning_latency"],
+            stats=dict(e["stats"]),
         )
-    cache.restore(entries)
+        return (e["fingerprint"], e["statistics_epoch"], e["topology_epoch"]), entry
+
+    cache.restore([keyed(e) for e in doc["entries"]])
     cache.hits = doc["hits"]
     cache.misses = doc["misses"]
     cache.evictions = doc["evictions"]
     cache.invalidations = doc["invalidations"]
 
 
-def _capture_resilience(control) -> dict[str, Any]:
-    return {
-        "parked": [
-            {
-                "name": name,
-                "query": _query_to_dict(p.query),
-                "lifetime": p.lifetime,
-                "epoch": p.epoch,
-                "reason": p.reason,
-            }
-            for name, p in control.parked.items()
-        ],
-        "quarantined": [[node, t] for node, t in sorted(control.quarantined.items())],
-        "degraded": sorted(control.degraded_queries),
-        "retries_total": control.retries_total,
-        "fallbacks_total": control.fallbacks_total,
-        "parked_total": control.parked_total,
-        "quarantined_total": control.quarantined_total,
-        "rng": capture_rng(control.rng),
-        "breakers": [
-            [
-                node,
-                {
-                    "state": breaker.state.value,
-                    "consecutive_failures": breaker.consecutive_failures,
-                    "opened_at": breaker.opened_at,
-                    "opened_count": breaker.opened_count,
-                    "probes_in_flight": breaker._probes_in_flight,
-                },
-            ]
-            for node, breaker in sorted(control.breakers._breakers.items())
-        ],
-    }
+# ----------------------------------------------------------------------
+# Layer sections
+# ----------------------------------------------------------------------
+#: The sections this module encodes itself; the rest of a document is
+#: the controller's own scalars and one section per layer.
+_CORE = frozenset(
+    "version scope admission cache state shards network rates hierarchy".split()
+)
 
 
-def _restore_resilience(control, doc: dict[str, Any]) -> None:
-    from repro.resilience.degradation import ParkedQuery
-
-    control.parked = {
-        p["name"]: ParkedQuery(
-            query=_query_from_dict(p["query"]),
-            lifetime=p["lifetime"],
-            epoch=p["epoch"],
-            reason=p["reason"],
+def check_version(doc: dict[str, Any]) -> None:
+    """Refuse a state document another :data:`STATE_VERSION` wrote."""
+    if doc.get("version") != STATE_VERSION:
+        raise StateMismatchError(
+            f"snapshot state version is {doc.get('version')!r}, "
+            f"this build restores version {STATE_VERSION}"
         )
-        for p in doc["parked"]
-    }
-    control.quarantined = {node: t for node, t in doc["quarantined"]}
-    control.degraded_queries = set(doc["degraded"])
-    control.retries_total = doc["retries_total"]
-    control.fallbacks_total = doc["fallbacks_total"]
-    control.parked_total = doc["parked_total"]
-    control.quarantined_total = doc["quarantined_total"]
-    restore_rng(control.rng, doc["rng"])
-    board = control.breakers
-    board._breakers = {}
-    for node, b in doc["breakers"]:
-        breaker = CircuitBreaker(
-            failure_threshold=board.failure_threshold,
-            recovery_time=board.recovery_time,
-            half_open_probes=board.half_open_probes,
+
+
+def restore_section(name: str, layer, section, optional: bool = False) -> None:
+    """Hand ``section`` to ``layer.restore``, or refuse the mismatch.
+
+    ``layer`` is ``None`` for a layer the controller was built without,
+    and a layer whose pristine ``capture()`` is ``None`` keeps no state
+    (the null fault injector, a hash routing policy): both count as off.
+    A section for a layer that is off, or none for a layer that keeps
+    state (unless ``optional``), means the recovery factory and the
+    snapshot disagree about the layer configuration, and restoring
+    anyway would silently drop that state.
+    """
+    stateful = layer is not None and layer.capture() is not None
+    if section is not None and stateful:
+        layer.restore(section)
+    elif section is not None:
+        raise StateMismatchError(
+            f"snapshot has a {name!r} section, but the controller it is "
+            "restored into was built without that layer"
         )
-        breaker.state = BreakerState(b["state"])
-        breaker.consecutive_failures = b["consecutive_failures"]
-        breaker.opened_at = b["opened_at"]
-        breaker.opened_count = b["opened_count"]
-        breaker._probes_in_flight = b["probes_in_flight"]
-        board._breakers[node] = breaker
-
-
-def _capture_resources(manager) -> dict[str, Any]:
-    return {
-        "parked": [
-            {
-                "query": _query_to_dict(p.query),
-                "lifetime": p.lifetime,
-                "weight": p.weight,
-                "reason": p.reason,
-                "parked_at": p.parked_at,
-                "shed": p.shed,
-            }
-            for p in manager.parked.values()
-        ],
-        "shed_total": manager.shed_total,
-        "readmitted_total": manager.readmitted_total,
-        "infeasible_total": manager.infeasible_total,
-    }
-
-
-def _restore_resources(manager, doc: dict[str, Any]) -> None:
-    from repro.resources.shedder import ParkedQuery
-
-    manager.parked = {}
-    for p in doc["parked"]:
-        query = _query_from_dict(p["query"])
-        manager.parked[query.name] = ParkedQuery(
-            query=query,
-            lifetime=p["lifetime"],
-            weight=p["weight"],
-            reason=p["reason"],
-            parked_at=p["parked_at"],
-            shed=p["shed"],
+    elif stateful and not optional:
+        raise StateMismatchError(
+            f"snapshot has no {name!r} section for the armed "
+            f"{type(layer).__name__}: it was written without that layer"
         )
-    manager.shed_total = doc["shed_total"]
-    manager.readmitted_total = doc["readmitted_total"]
-    manager.infeasible_total = doc["infeasible_total"]
 
 
-def _capture_estimator(est: EwmaEstimator) -> dict[str, Any]:
-    return {"alpha": est.alpha, "value": est.value, "samples": est.samples}
+def _restore_layers(controller, doc: dict[str, Any]) -> None:
+    """Every armed layer from its section of ``doc``; a section nobody
+    is armed for is refused."""
+    armed = dict(controller.layers())
+    sections = doc.keys() - _CORE - controller.capture().keys()
+    for name in [*armed, *sorted(sections - armed.keys())]:
+        # The resource manager got its section in PR 16: a file from
+        # before has none, and the manager starts empty.
+        old_file = name == "resources" and name not in doc
+        restore_section(name, armed.get(name), doc.get(name), optional=old_file)
 
 
-def _restore_estimator(doc: dict[str, Any]) -> EwmaEstimator:
-    est = EwmaEstimator(doc["alpha"])
-    est.value = doc["value"]
-    est.samples = doc["samples"]
-    return est
-
-
-def _capture_monitor(monitor) -> dict[str, Any]:
+def _capture_shared(controller, memo: FragmentMemo) -> dict[str, Any]:
+    hierarchy = controller.hierarchy
     return {
-        "estimators": [
-            [name, _capture_estimator(est)]
-            for name, est in monitor._estimators.items()
-        ],
-        "published": dict(monitor._published),
-        "breaches": dict(monitor._breaches),
-        "selectivities": [
-            [sorted(pair), _capture_estimator(est)]
-            for pair, est in monitor._selectivities.items()
-        ],
-        "last_publish": monitor._last_publish,
-        "samples_total": monitor.samples_total,
-        "events": [
-            {
-                "time": ev.time,
-                "rates_version": ev.rates_version,
-                "drifts": [
-                    {"stream": d.stream, "published": d.published, "observed": d.observed}
-                    for d in ev.drifts
-                ],
-            }
-            for ev in monitor.events
-        ],
+        "network": capture_network(controller.network, memo),
+        "rates": capture_rates(controller.rates),
+        "hierarchy": None if hierarchy is None else capture_hierarchy(hierarchy),
     }
 
 
-def _restore_monitor(monitor, doc: dict[str, Any]) -> None:
-    monitor._estimators = {
-        name: _restore_estimator(e) for name, e in doc["estimators"]
-    }
-    monitor._published = dict(doc["published"])
-    monitor._breaches = dict(doc["breaches"])
-    monitor._selectivities = {
-        frozenset(pair): _restore_estimator(e) for pair, e in doc["selectivities"]
-    }
-    monitor._last_publish = doc["last_publish"]
-    monitor.samples_total = doc["samples_total"]
-    monitor.events = [
-        DriftEvent(
-            time=ev["time"],
-            drifts=[StreamDrift(**d) for d in ev["drifts"]],
-            rates_version=ev["rates_version"],
-        )
-        for ev in doc["events"]
-    ]
-
-
-def _capture_adaptivity(loop) -> dict[str, Any]:
-    doc: dict[str, Any] = {
-        "last_migration": dict(loop._last_migration),
-        "dirty": loop._dirty,
-        "seen_topology": loop._seen_topology,
-        "evaluations": loop.policy.evaluations if loop.policy is not None else 0,
-        "monitor": _capture_monitor(loop.monitor) if loop.monitor is not None else None,
-    }
-    return doc
-
-
-def _restore_adaptivity(loop, doc: dict[str, Any]) -> None:
-    loop._last_migration = dict(doc["last_migration"])
-    loop._dirty = doc["dirty"]
-    loop._seen_topology = doc["seen_topology"]
-    if loop.policy is not None:
-        loop.policy.evaluations = doc["evaluations"]
-    if loop.monitor is not None and doc["monitor"] is not None:
-        _restore_monitor(loop.monitor, doc["monitor"])
-
-
-def _capture_faults(injector) -> dict[str, Any] | None:
-    if not getattr(injector, "enabled", False):
-        return None
-    return {
-        "crashed": sorted(injector.crashed),
-        "cursor": injector._cursor,
-        "applied": _jsonable(list(injector.applied)),
-        "messages_dropped": injector.messages_dropped,
-        "messages_delayed": injector.messages_delayed,
-        "messages_duplicated": injector.messages_duplicated,
-        "rng": capture_rng(injector.rng),
-    }
-
-
-def _restore_faults(injector, doc: dict[str, Any] | None) -> None:
-    if doc is None or not getattr(injector, "enabled", False):
-        return
-    injector.crashed = set(doc["crashed"])
-    injector._cursor = doc["cursor"]
-    injector.applied = list(doc["applied"])
-    injector.messages_dropped = doc["messages_dropped"]
-    injector.messages_delayed = doc["messages_delayed"]
-    injector.messages_duplicated = doc["messages_duplicated"]
-    restore_rng(injector.rng, doc["rng"])
+def _restore_shared(controller, doc: dict[str, Any]) -> None:
+    restore_network(controller.network, doc["network"])
+    restore_rates(controller.rates, doc["rates"])
+    if doc.get("hierarchy") is not None and controller.hierarchy is not None:
+        restore_hierarchy(controller.hierarchy, doc["hierarchy"])
 
 
 # ----------------------------------------------------------------------
-# Service
+# Service and fleet
 # ----------------------------------------------------------------------
 def capture_service(
     service, memo: FragmentMemo, include_shared: bool = True
 ) -> dict[str, Any]:
     """Capture one :class:`~repro.service.service.StreamQueryService`.
 
-    With ``include_shared`` (standalone services) the shared
-    network/rates/hierarchy are embedded; fleet capture sets it False
-    and captures them once at fleet scope instead.  The document holds
-    fragments: encode it with
-    :func:`~repro.durability.snapshot.splice_json`.
+    The service writes its own scalars and every armed layer its own
+    section; the plan cache and the deployment state are encoded here.
+    ``include_shared`` embeds the shared network/rates/hierarchy; fleet
+    capture writes them once at fleet scope instead.  The document
+    holds fragments: :func:`~repro.durability.snapshot.splice_json`.
     """
     doc: dict[str, Any] = {
         "version": STATE_VERSION,
-        "clock": service.engine.clock,
-        "statistics_epoch": service.statistics_epoch,
-        "topology_epoch": service.topology_epoch,
-        "rates_version_seen": service._rates_version,
-        "network_version_seen": service._network_version,
-        "priced_version": service.engine._priced_version,
-        "expiry": dict(service._expiry),
-        "pending_lifetimes": dict(service._pending_lifetimes),
-        "counters": {
-            "submitted_total": service.submitted_total,
-            "deployed_total": service.deployed_total,
-            "retired_total": service.retired_total,
-            "plans_computed": service.plans_computed,
-            "planning_seconds": service.planning_seconds,
-        },
-        "admission": _capture_admission(service.admission),
+        **service.capture(),
+        "admission": service.admission.capture(),
         "cache": _capture_cache(service.cache, memo),
         "state": capture_deployment_state(service.engine.state, memo),
-        "resilience": (
-            _capture_resilience(service.resilience)
-            if service.resilience is not None
-            else None
-        ),
-        "adaptivity": (
-            _capture_adaptivity(service.adaptivity)
-            if service.adaptivity is not None
-            else None
-        ),
-        "faults": _capture_faults(service.faults),
+        # Named even while off; a layer that got its section later
+        # (``resources``) is absent while off.
+        "resilience": None,
+        "adaptivity": None,
+        "faults": None,
     }
-    if service.resources is not None:
-        # Only when the layer is armed: every other snapshot is unchanged.
-        doc["resources"] = _capture_resources(service.resources)
+    for name, layer in service.layers():
+        doc[name] = layer.capture()
     if include_shared:
-        doc["network"] = capture_network(service.network, memo)
-        doc["rates"] = capture_rates(service.rates)
-        doc["hierarchy"] = (
-            capture_hierarchy(service.hierarchy)
-            if service.hierarchy is not None
-            else None
-        )
+        doc.update(_capture_shared(service, memo))
     return doc
 
 
 def restore_service(service, doc: dict[str, Any], include_shared: bool = True) -> None:
     """Restore a captured service document into a pristine service.
 
-    The service must have been built by the same deterministic factory
-    (same optimizer/config/seeds); only the mutable state is assigned.
+    The service must come from the same deterministic factory (same
+    optimizer/config/seeds, same layers armed); only state is assigned.
+
+    Raises:
+        StateMismatchError: Another state version wrote ``doc``, or its
+            layer sections do not fit the layers ``service`` arms.
     """
+    check_version(doc)
     if include_shared:
-        restore_network(service.network, doc["network"])
-        restore_rates(service.rates, doc["rates"])
-        if doc.get("hierarchy") is not None and service.hierarchy is not None:
-            restore_hierarchy(service.hierarchy, doc["hierarchy"])
-    service.engine.clock = doc["clock"]
-    service.statistics_epoch = doc["statistics_epoch"]
-    service.topology_epoch = doc["topology_epoch"]
-    service._rates_version = doc["rates_version_seen"]
-    service._network_version = doc["network_version_seen"]
-    service._expiry = dict(doc["expiry"])
-    service._pending_lifetimes = dict(doc["pending_lifetimes"])
-    counters = doc["counters"]
-    service.submitted_total = counters["submitted_total"]
-    service.deployed_total = counters["deployed_total"]
-    service.retired_total = counters["retired_total"]
-    service.plans_computed = counters["plans_computed"]
-    service.planning_seconds = counters["planning_seconds"]
-    _restore_admission(service.admission, doc["admission"])
+        _restore_shared(service, doc)
+    service.restore(doc)
+    service.admission.restore(doc["admission"])
     _restore_cache(service.cache, doc["cache"])
     restore_deployment_state(service.engine.state, doc["state"])
-    # Re-price flows against the (restored) network and adopt the priced
-    # version the snapshot recorded, keeping epoch bookkeeping exact.
+    # Re-price the restored flows against the (restored) network.
     service.engine.state.recompute_costs(service.network.cost_matrix())
-    service.engine._priced_version = doc["priced_version"]
-    if service.resilience is not None and doc["resilience"] is not None:
-        _restore_resilience(service.resilience, doc["resilience"])
-    if service.adaptivity is not None and doc["adaptivity"] is not None:
-        _restore_adaptivity(service.adaptivity, doc["adaptivity"])
-    _restore_faults(service.faults, doc["faults"])
-    if service.resources is not None and doc.get("resources") is not None:
-        _restore_resources(service.resources, doc["resources"])
+    _restore_layers(service, doc)
     # Ads indexes are derived state: base advertisements were recreated
     # by the factory; view/federation records rebuild from deployments.
     if service.ads is not None:
         service.ads.sync_from_state(service.engine.state)
 
 
-# ----------------------------------------------------------------------
-# Fleet
-# ----------------------------------------------------------------------
-def _import_to_doc(key) -> dict[str, Any]:
-    sig, node = key
-    return {"sig": sig_to_doc(sig), "node": node}
-
-
 def capture_fleet(fleet, memo: FragmentMemo) -> dict[str, Any]:
-    """Capture a :class:`~repro.fleet.controller.FleetController`.
-
-    Like :func:`capture_service`, the document holds fragments.
-    """
-    scheduler_doc = None
-    if fleet.scheduler is not None:
-        scheduler_doc = {
-            "queues": [
-                [
-                    tenant,
-                    [
-                        {
-                            "query": _query_to_dict(p.query),
-                            "lifetime": p.lifetime,
-                            "shard": p.shard,
-                        }
-                        for p in queue
-                    ],
-                ]
-                for tenant, queue in fleet.scheduler._queues.items()
-            ],
-            "credit": dict(fleet.scheduler._credit),
-            "enqueued_total": fleet.scheduler.enqueued_total,
-            "picked_total": fleet.scheduler.picked_total,
-        }
-    federation_doc = None
-    if fleet.federation is not None:
-        from repro.fleet.federation import import_rank
-
-        federation_doc = {
-            "epoch": fleet.federation.epoch,
-            "syncs": fleet.federation.syncs,
-            "imported_total": fleet.federation.imported_total,
-            "withdrawn_total": fleet.federation.withdrawn_total,
-            "promoted_total": fleet.federation.promoted_total,
-            # An import is a (signature, node) tuple the federation keeps
-            # for as long as the import stands: its text goes by identity.
-            "imports": [
-                _array(
-                    memo.text(key, None, _import_to_doc, key)
-                    for key in sorted(
-                        fleet.federation.imports(sid),
-                        # The sources first, as written since the section
-                        # exists ("|" and the rank's "*" sort stream names
-                        # that prefix one another differently); the
-                        # rank settles what that leaves tied.
-                        key=lambda key: (
-                            "|".join(sorted(key[0].sources)),
-                            import_rank(key),
-                        ),
-                    )
-                )
-                for sid in range(len(fleet.shards))
-            ],
-        }
-    policy = fleet.router.policy
-    policy_doc = None
-    if hasattr(policy, "_shard_of_key"):
-        policy_doc = [
-            [level, coordinator, shard]
-            for (level, coordinator), shard in sorted(policy._shard_of_key.items())
-        ]
-    return {
+    """Capture a :class:`~repro.fleet.controller.FleetController`; like
+    :func:`capture_service`, the document holds fragments."""
+    doc: dict[str, Any] = {
         "version": STATE_VERSION,
         "scope": "fleet",
-        "clock": fleet.clock,
-        "network": capture_network(fleet.network, memo),
-        "rates": capture_rates(fleet.rates),
-        "hierarchy": capture_hierarchy(fleet.hierarchy),
+        **fleet.capture(),
+        **_capture_shared(fleet, memo),
         "shards": [
             capture_service(shard, memo, include_shared=False)
             for shard in fleet.shards
         ],
-        "router": {
-            "owner": dict(fleet.router._owner),
-            "routed_total": fleet.router.routed_total,
-            "policy_keys": policy_doc,
-        },
-        "tenants": {
-            "tenant_of": dict(fleet._tenant_of),
-            "tenant_live": dict(fleet._tenant_live),
-            "tenant_charge": dict(fleet._tenant_charge),
-            # Per-tenant accounting counters live in the metric registry;
-            # tenant_summary() reports them, so recovery must carry them.
-            "instruments": {
-                tenant: {
-                    name: inst.total
-                    for name, inst in instruments.items()
-                    if hasattr(inst, "total")
-                }
-                for tenant, instruments in fleet._tenant_instruments.items()
-            },
-        },
-        "scheduler": scheduler_doc,
-        "counters": {
-            "submitted_total": fleet.submitted_total,
-            "rebalances_total": fleet.rebalances_total,
-            "cross_shard_reuse_total": fleet.cross_shard_reuse_total,
-        },
-        "federation": federation_doc,
+        "scheduler": None,  # named even while off
+        "federation": None,
     }
+    for name, layer in fleet.layers():
+        # The federation's imports are the one long list of frozen items
+        # in a layer's section: it keeps their text in the memo.
+        doc[name] = layer.capture(memo) if name == "federation" else layer.capture()
+    return doc
 
 
 def restore_fleet(fleet, doc: dict[str, Any]) -> None:
-    """Restore a captured fleet document into a pristine fleet."""
-    from repro.fleet.controller import _PendingSubmit
-
-    restore_network(fleet.network, doc["network"])
-    restore_rates(fleet.rates, doc["rates"])
-    restore_hierarchy(fleet.hierarchy, doc["hierarchy"])
-    fleet.clock = doc["clock"]
+    """Restore a captured fleet document into a pristine fleet; raises
+    :class:`StateMismatchError` as :func:`restore_service` does, at fleet
+    scope or in any shard."""
+    check_version(doc)
+    _restore_shared(fleet, doc)
+    fleet.restore(doc)
     for shard, shard_doc in zip(fleet.shards, doc["shards"]):
         restore_service(shard, shard_doc, include_shared=False)
-    fleet.router._owner = {
-        name: shard for name, shard in doc["router"]["owner"].items()
-    }
-    fleet.router.routed_total = doc["router"]["routed_total"]
-    if doc["router"]["policy_keys"] is not None and hasattr(
-        fleet.router.policy, "_shard_of_key"
-    ):
-        fleet.router.policy._shard_of_key = {
-            (level, coordinator): shard
-            for level, coordinator, shard in doc["router"]["policy_keys"]
-        }
-    tenants = doc["tenants"]
-    fleet._tenant_of = dict(tenants["tenant_of"])
-    fleet._tenant_live = dict(tenants["tenant_live"])
-    fleet._tenant_charge = dict(tenants["tenant_charge"])
-    for tenant, totals in tenants.get("instruments", {}).items():
-        instruments = fleet._tenant_instruments.get(tenant, {})
-        for name, total in totals.items():
-            inst = instruments.get(name)
-            if inst is not None and hasattr(inst, "sync_total"):
-                inst.sync_total(total, time=fleet.clock)
-    if fleet.scheduler is not None and doc["scheduler"] is not None:
-        sched = doc["scheduler"]
-        fleet.scheduler._queues = {
-            tenant: deque(
-                _PendingSubmit(
-                    query=_query_from_dict(p["query"]),
-                    lifetime=p["lifetime"],
-                    shard=p["shard"],
-                )
-                for p in queue
-            )
-            for tenant, queue in sched["queues"]
-        }
-        fleet.scheduler._credit = dict(sched["credit"])
-        fleet.scheduler.enqueued_total = sched["enqueued_total"]
-        fleet.scheduler.picked_total = sched["picked_total"]
-    counters = doc["counters"]
-    fleet.submitted_total = counters["submitted_total"]
-    fleet.rebalances_total = counters["rebalances_total"]
-    fleet.cross_shard_reuse_total = counters["cross_shard_reuse_total"]
-    if fleet.federation is not None and doc["federation"] is not None:
-        fed = doc["federation"]
-        fleet.federation.epoch = fed["epoch"]
-        fleet.federation.syncs = fed["syncs"]
-        fleet.federation.imported_total = fed["imported_total"]
-        fleet.federation.withdrawn_total = fed["withdrawn_total"]
-        fleet.federation.promoted_total = fed["promoted_total"]
-        fleet.federation.restore_imports(
-            [
-                {(sig_from_doc(e["sig"]), e["node"]) for e in imports}
-                for imports in fed["imports"]
-            ]
-        )
+    _restore_layers(fleet, doc)

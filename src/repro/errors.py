@@ -77,3 +77,10 @@ class UnknownQueryError(ReproError, KeyError):
 
 class FaultInjectionError(ReproError, ValueError):
     """A fault plan is malformed or cannot be applied."""
+
+
+class StateMismatchError(ReproError, ValueError):
+    """A snapshot does not fit the controller it is restored into: it
+    was written by another state version, it has a section for a layer
+    the recovery factory did not arm, or an armed layer's section is
+    missing.  Recovering anyway would silently drop that state."""

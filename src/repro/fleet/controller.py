@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.adaptive.diff import diff_deployments
 from repro.adaptive.migrate import Migrator
@@ -36,6 +36,7 @@ from repro.errors import ReproError, UnknownQueryError
 from repro.fleet.federation import ReuseFederation
 from repro.fleet.routing import QueryRouter, ShardPolicy, make_policy
 from repro.fleet.tenancy import (
+    PendingSubmit,
     Tenant,
     TenantDirectory,
     WeightedFairScheduler,
@@ -124,15 +125,6 @@ class FleetReplayReport:
     ticks: int
     wall_seconds: float
     summary: dict = field(default_factory=dict)
-
-
-@dataclass
-class _PendingSubmit:
-    """One submission parked in the fleet's weighted-fair backlog."""
-
-    query: Query
-    lifetime: float | None
-    shard: int
 
 
 def _metric_suffix(name: str) -> str:
@@ -420,6 +412,64 @@ class FleetController:
         """Tenant a query was submitted under."""
         return self._tenant_of.get(name)
 
+    def layers(self) -> list[tuple[str, Any]]:
+        """The fleet-level layers as ``(section name, layer)``, in the one
+        order snapshots, recovery and summaries walk them; each has
+        ``capture()`` / ``restore(doc)``.  The shards' own layers are
+        theirs (:meth:`StreamQueryService.layers`)."""
+        named = (
+            ("router", self.router),
+            ("scheduler", self.scheduler),
+            ("federation", self.federation),
+        )
+        return [(name, layer) for name, layer in named if layer is not None]
+
+    def capture(self) -> dict[str, Any]:
+        """The fleet's own scalars in a ``repro.state`` snapshot: clock,
+        tenant accounting, counters.  Shards and layers write their own
+        sections (:func:`repro.durability.state.capture_fleet`)."""
+        return {
+            "clock": self.clock,
+            "tenants": {
+                "tenant_of": dict(self._tenant_of),
+                "tenant_live": dict(self._tenant_live),
+                "tenant_charge": dict(self._tenant_charge),
+                # Per-tenant accounting counters live in the metric registry;
+                # tenant_summary() reports them, so recovery must carry them.
+                "instruments": {
+                    tenant: {
+                        name: inst.total
+                        for name, inst in instruments.items()
+                        if hasattr(inst, "total")
+                    }
+                    for tenant, instruments in self._tenant_instruments.items()
+                },
+            },
+            "counters": {
+                "submitted_total": self.submitted_total,
+                "rebalances_total": self.rebalances_total,
+                "cross_shard_reuse_total": self.cross_shard_reuse_total,
+            },
+        }
+
+    def restore(self, doc: dict[str, Any]) -> None:
+        """Inverse of :meth:`capture`, into a pristine fleet."""
+        self.clock = doc["clock"]
+        tenants = doc["tenants"]
+        self._tenant_of = dict(tenants["tenant_of"])
+        self._tenant_live = dict(tenants["tenant_live"])
+        self._tenant_charge = dict(tenants["tenant_charge"])
+        for tenant, totals in tenants.get("instruments", {}).items():
+            instruments = self._tenant_instruments.get(tenant, {})
+            for name, total in totals.items():
+                inst = instruments.get(name)
+                if hasattr(inst, "sync_total"):
+                    inst.sync_total(total, time=self.clock)
+        counters = doc["counters"]
+        self.submitted_total = counters["submitted_total"]
+        self.rebalances_total = counters["rebalances_total"]
+        self.cross_shard_reuse_total = counters["cross_shard_reuse_total"]
+
     def _query_weight(self, name: str) -> float:
         """Shedding weight of a query: its tenant's weight when known."""
         tenant = self._tenant_of.get(name)
@@ -637,7 +687,7 @@ class FleetController:
                 f"({self.scheduler.backlog(record.name)}/{record.max_queue})"
             )
         position = self.scheduler.enqueue(
-            record.name, _PendingSubmit(query=query, lifetime=lifetime, shard=shard)
+            record.name, PendingSubmit(query=query, lifetime=lifetime, shard=shard)
         )
         self.router.bind(query.name, shard)
         self._charge(record.name, query.name)
@@ -1032,12 +1082,13 @@ class FleetController:
 
     def _layer_summaries(self) -> dict:
         """The optional sections both fleet summaries end with."""
+        armed = dict(self.layers())
         out = {}
-        if self.federation is not None:
-            out["federation"] = self.federation.summary()
-        if len(self.tenants):
+        if "federation" in armed:
+            out["federation"] = armed["federation"].summary()
+        if "scheduler" in armed:  # armed exactly when tenants are configured
             out["tenants"] = self.tenant_summary()
-        if self.resource_ledger is not None:
+        if self.resource_managers:
             out["resources"] = self.resource_summary()
         return out
 

@@ -28,8 +28,9 @@ view's exporter from then on.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
+from repro.durability.state import FragmentMemo, view_key_from_doc, view_key_to_doc
 from repro.perf import profiler as _perf
 from repro.query.query import ViewSignature
 
@@ -301,6 +302,50 @@ class ReuseFederation:
         if withdrawn or promoted:
             self.epoch += 1
         return {"imported": imported, "withdrawn": withdrawn, "promoted": promoted}
+
+    # ------------------------------------------------------------------
+    # Snapshot section
+    # ------------------------------------------------------------------
+    def capture(self, memo: FragmentMemo | None = None) -> dict[str, Any]:
+        """The federation's section of a ``repro.state`` snapshot.
+
+        An import is a (signature, node) tuple the federation keeps for
+        as long as the import stands: given the snapshot's ``memo`` its
+        text goes by identity, so a snapshot encodes only new imports.
+        """
+
+        def listed(keys: set[ViewKey]):
+            # The sources first, as written since the section exists
+            # ("|" and the rank's "*" sort stream names that prefix one
+            # another differently); the rank settles what that leaves tied.
+            ordered = sorted(
+                keys,
+                key=lambda key: ("|".join(sorted(key[0].sources)), import_rank(key)),
+            )
+            if memo is None:
+                return [view_key_to_doc(key) for key in ordered]
+            return memo.array(ordered, view_key_to_doc)
+
+        return {
+            "epoch": self.epoch,
+            "syncs": self.syncs,
+            "imported_total": self.imported_total,
+            "withdrawn_total": self.withdrawn_total,
+            "promoted_total": self.promoted_total,
+            "imports": [listed(keys) for keys in self._imports],
+        }
+
+    def restore(self, doc: dict[str, Any]) -> None:
+        """Inverse of :meth:`capture`, into a pristine federation; the
+        next sync is a full reconcile (:meth:`restore_imports`)."""
+        self.epoch = doc["epoch"]
+        self.syncs = doc["syncs"]
+        self.imported_total = doc["imported_total"]
+        self.withdrawn_total = doc["withdrawn_total"]
+        self.promoted_total = doc["promoted_total"]
+        self.restore_imports(
+            [{view_key_from_doc(e) for e in imports} for imports in doc["imports"]]
+        )
 
     # ------------------------------------------------------------------
     def summary(self) -> dict[str, int]:

@@ -16,9 +16,10 @@ shard a *new* query lands on is the pluggable part:
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence
+from typing import Any, Protocol, Sequence
 
 from repro.core.cost import RateModel
+from repro.durability.state import restore_section
 from repro.errors import ReproError
 from repro.hierarchy.hierarchy import Hierarchy
 from repro.query.query import Query
@@ -41,6 +42,12 @@ class ShardPolicy(Protocol):
         """
         ...
 
+    def capture(self) -> Any:
+        """What the policy remembers between assignments, JSON-ready, for
+        the router's snapshot section (``None``: nothing); a policy that
+        answers adds ``restore(doc)``, the inverse."""
+        ...
+
 
 class HashShardPolicy:
     """Fingerprint-hash assignment: uniform and resubmission-sticky."""
@@ -49,6 +56,10 @@ class HashShardPolicy:
 
     def assign(self, query: Query, num_shards: int, loads: Sequence[int]) -> int:
         return int(query_fingerprint(query), 16) % num_shards
+
+    def capture(self) -> None:
+        """A hash remembers nothing."""
+        return None
 
 
 class SubtreeLocalityPolicy:
@@ -87,6 +98,19 @@ class SubtreeLocalityPolicy:
             shard = min(range(num_shards), key=lambda i: (loads[i], i))
             self._shard_of_key[key] = shard
         return shard
+
+    def capture(self) -> list[list[int]]:
+        """``[level, coordinator, shard]`` per locality key seen, sorted."""
+        return [
+            [level, coordinator, shard]
+            for (level, coordinator), shard in sorted(self._shard_of_key.items())
+        ]
+
+    def restore(self, doc: list[list[int]]) -> None:
+        """Inverse of :meth:`capture`."""
+        self._shard_of_key = {
+            (level, coordinator): shard for level, coordinator, shard in doc
+        }
 
 
 def make_policy(
@@ -173,3 +197,19 @@ class QueryRouter:
         for shard in self._owner.values():
             loads[shard] += 1
         return loads
+
+    # ------------------------------------------------------------------
+    def capture(self) -> dict[str, Any]:
+        """The router's section of a ``repro.state`` snapshot: the
+        ownership map and what its policy remembers."""
+        return {
+            "owner": dict(self._owner),
+            "routed_total": self.routed_total,
+            "policy_keys": self.policy.capture(),
+        }
+
+    def restore(self, doc: dict[str, Any]) -> None:
+        """Inverse of :meth:`capture`, into a pristine router."""
+        self._owner = dict(doc["owner"])
+        self.routed_total = doc["routed_total"]
+        restore_section("router.policy_keys", self.policy, doc["policy_keys"])

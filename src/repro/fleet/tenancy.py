@@ -17,9 +17,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import AdmissionError
+from repro.query.query import Query
+from repro.serialization import _query_from_dict, _query_to_dict
 
 
 @dataclass(frozen=True)
@@ -92,6 +94,15 @@ class TenantDirectory:
         return name in self._tenants
 
 
+@dataclass
+class PendingSubmit:
+    """One submission parked in the fleet's weighted-fair backlog."""
+
+    query: Query
+    lifetime: float | None
+    shard: int
+
+
 class WeightedFairScheduler:
     """Deficit weighted round-robin over per-tenant FIFO backlogs.
 
@@ -101,10 +112,10 @@ class WeightedFairScheduler:
     a long overload the dequeue rates converge to the weight ratios, and
     an idle tenant accumulates no credit (no banked bursts).
 
-    Items are opaque to the scheduler; :meth:`pick` takes an optional
-    eligibility predicate so the caller can skip tenants whose head item
-    cannot run yet (e.g. its target shard has no free budget) without
-    charging them credit.
+    Items are :class:`PendingSubmit` records the scheduler only reads to
+    snapshot them; :meth:`pick` takes an optional eligibility predicate
+    so the caller can skip tenants whose head item cannot run yet (e.g.
+    its target shard has no free budget) without charging them credit.
     """
 
     def __init__(self, directory: TenantDirectory) -> None:
@@ -172,3 +183,30 @@ class WeightedFairScheduler:
     def backlogs(self) -> dict[str, int]:
         """Per-tenant backlog sizes."""
         return {name: len(queue) for name, queue in self._queues.items()}
+
+    # ------------------------------------------------------------------
+    def capture(self) -> dict[str, Any]:
+        """The scheduler's section of a ``repro.state`` snapshot:
+        per-tenant backlogs in FIFO order, credit and counters."""
+        return {
+            "queues": [
+                [tenant, [{**vars(p), "query": _query_to_dict(p.query)} for p in queue]]
+                for tenant, queue in self._queues.items()
+            ],
+            "credit": dict(self._credit),
+            "enqueued_total": self.enqueued_total,
+            "picked_total": self.picked_total,
+        }
+
+    def restore(self, doc: dict[str, Any]) -> None:
+        """Inverse of :meth:`capture`, into a pristine scheduler."""
+        self._queues = {
+            tenant: deque(
+                PendingSubmit(**{**p, "query": _query_from_dict(p["query"])})
+                for p in queue
+            )
+            for tenant, queue in doc["queues"]
+        }
+        self._credit = dict(doc["credit"])
+        self.enqueued_total = doc["enqueued_total"]
+        self.picked_total = doc["picked_total"]

@@ -260,6 +260,15 @@ class Telemetry:
             "flight": self.recorder.snapshot(),
         }
 
+    def capture(self) -> None:
+        """Telemetry has no section in a ``repro.state`` snapshot, on
+        purpose: it is observability output, not decision state.  After
+        a recovery the series are scraped again from the restored
+        registries, rule and alert state restart from inactive, and the
+        flight recorder's frozen bundles are already on disk under the
+        state directory."""
+        return None
+
 
 def ensure_telemetry(
     telemetry: "Telemetry | TelemetryConfig | None",

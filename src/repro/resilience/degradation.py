@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.durability.state import capture_rng, restore_rng
 from repro.errors import (
     CoordinatorTimeout,
     CoordinatorUnreachable,
@@ -41,6 +42,7 @@ from repro.query.deployment import Deployment
 from repro.query.query import Query
 from repro.resilience.faults import NULL_FAULTS
 from repro.resilience.policy import BreakerBoard, BreakerState, RetryPolicy
+from repro.serialization import _query_from_dict, _query_to_dict
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.metrics import MetricRegistry
@@ -450,6 +452,42 @@ class ResilientControl:
         if service.hierarchy is None or not self._in_hierarchy(service, node):
             return False
         return len(service.hierarchy.subtree(service.hierarchy.root)) > 1
+
+    # ------------------------------------------------------------------
+    # Snapshot section
+    # ------------------------------------------------------------------
+    def capture(self) -> dict[str, Any]:
+        """The layer's section of a ``repro.state`` snapshot: parked
+        queries, quarantine, breakers, counters and the jitter RNG."""
+        return {
+            "parked": [
+                {**vars(p), "name": name, "query": _query_to_dict(p.query)}
+                for name, p in self.parked.items()
+            ],
+            "quarantined": [[node, t] for node, t in sorted(self.quarantined.items())],
+            "degraded": sorted(self.degraded_queries),
+            "retries_total": self.retries_total,
+            "fallbacks_total": self.fallbacks_total,
+            "parked_total": self.parked_total,
+            "quarantined_total": self.quarantined_total,
+            "rng": capture_rng(self.rng),
+            "breakers": self.breakers.capture(),
+        }
+
+    def restore(self, doc: dict[str, Any]) -> None:
+        """Inverse of :meth:`capture`, into a pristine control."""
+        self.parked = {}
+        for p in doc["parked"]:
+            fields = {**p, "query": _query_from_dict(p["query"])}
+            self.parked[fields.pop("name")] = ParkedQuery(**fields)
+        self.quarantined = {node: t for node, t in doc["quarantined"]}
+        self.degraded_queries = set(doc["degraded"])
+        self.retries_total = doc["retries_total"]
+        self.fallbacks_total = doc["fallbacks_total"]
+        self.parked_total = doc["parked_total"]
+        self.quarantined_total = doc["quarantined_total"]
+        restore_rng(self.rng, doc["rng"])
+        self.breakers.restore(doc["breakers"])
 
     # ------------------------------------------------------------------
     # Reporting

@@ -39,6 +39,7 @@ from typing import Any, Iterable, Union
 
 import numpy as np
 
+from repro.durability.state import _jsonable, capture_rng, restore_rng
 from repro.errors import FaultInjectionError
 from repro.utils import SeedLike, as_generator
 
@@ -494,6 +495,29 @@ class FaultInjector:
         """Register this injector as a send middleware on a simulator."""
         simulator.add_send_middleware(self.message_action)
 
+    def capture(self) -> dict[str, Any]:
+        """The injector's section of a ``repro.state`` snapshot: where
+        the plan's timeline stands, what it did, and its RNG."""
+        return {
+            "crashed": sorted(self.crashed),
+            "cursor": self._cursor,
+            "applied": _jsonable(list(self.applied)),
+            "messages_dropped": self.messages_dropped,
+            "messages_delayed": self.messages_delayed,
+            "messages_duplicated": self.messages_duplicated,
+            "rng": capture_rng(self.rng),
+        }
+
+    def restore(self, doc: dict[str, Any]) -> None:
+        """Inverse of :meth:`capture`, into an injector over the same plan."""
+        self.crashed = set(doc["crashed"])
+        self._cursor = doc["cursor"]
+        self.applied = list(doc["applied"])
+        self.messages_dropped = doc["messages_dropped"]
+        self.messages_delayed = doc["messages_delayed"]
+        self.messages_duplicated = doc["messages_duplicated"]
+        restore_rng(self.rng, doc["rng"])
+
     def summary(self) -> dict[str, Any]:
         """Counters for reports."""
         return {
@@ -539,6 +563,13 @@ class NullFaultInjector:
         pass
 
     def note_applied(self, kind: str, time: float, **fields: Any) -> None:
+        pass
+
+    def capture(self) -> None:
+        """Nothing to keep: a snapshot's ``faults`` section is null."""
+        return None
+
+    def restore(self, doc: None) -> None:
         pass
 
     def summary(self) -> dict[str, Any]:

@@ -279,3 +279,30 @@ class BreakerBoard:
     def total_opens(self) -> int:
         """Breaker-open transitions across the board."""
         return sum(b.opened_count for b in self._breakers.values())
+
+    def capture(self) -> list:
+        """``[node, breaker fields]`` per instantiated breaker, by node."""
+        return [
+            [
+                node,
+                {
+                    "state": breaker.state.value,
+                    "consecutive_failures": breaker.consecutive_failures,
+                    "opened_at": breaker.opened_at,
+                    "opened_count": breaker.opened_count,
+                    "probes_in_flight": breaker._probes_in_flight,
+                },
+            ]
+            for node, breaker in sorted(self._breakers.items())
+        ]
+
+    def restore(self, doc: list) -> None:
+        """Inverse of :meth:`capture`: exactly the captured breakers."""
+        self._breakers = {}
+        for node, fields in doc:
+            breaker = self.breaker(node)
+            breaker.state = BreakerState(fields["state"])
+            breaker.consecutive_failures = fields["consecutive_failures"]
+            breaker.opened_at = fields["opened_at"]
+            breaker.opened_count = fields["opened_count"]
+            breaker._probes_in_flight = fields["probes_in_flight"]

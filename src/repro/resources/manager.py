@@ -36,6 +36,7 @@ from repro.resources.constraint import PlacementConstraint
 from repro.resources.footprint import OperatorFootprint
 from repro.resources.ledger import ResourceLedger, plan_node_loads
 from repro.resources.shedder import LoadShedder, ParkedQuery
+from repro.serialization import _query_from_dict, _query_to_dict
 
 
 @dataclass
@@ -423,6 +424,32 @@ class ResourceManager:
         self._shed_counter.sync_total(float(self.shed_total), time=now)
         self._readmitted_counter.sync_total(float(self.readmitted_total), time=now)
         self._infeasible_counter.sync_total(float(self.infeasible_total), time=now)
+
+    def capture(self) -> dict:
+        """The manager's section of a ``repro.state`` snapshot: parked
+        and shed queries, oldest first, and the counters.  The ledger is
+        derived state: it re-reads the restored deployment state."""
+        return {
+            # Every field of the record, so a new one round-trips unasked.
+            "parked": [
+                {**vars(p), "query": _query_to_dict(p.query)}
+                for p in self.parked.values()
+            ],
+            "shed_total": self.shed_total,
+            "readmitted_total": self.readmitted_total,
+            "infeasible_total": self.infeasible_total,
+        }
+
+    def restore(self, doc: dict) -> None:
+        """Inverse of :meth:`capture`, into a pristine manager."""
+        parked = [
+            ParkedQuery(**{**p, "query": _query_from_dict(p["query"])})
+            for p in doc["parked"]
+        ]
+        self.parked = {p.query.name: p for p in parked}
+        self.shed_total = doc["shed_total"]
+        self.readmitted_total = doc["readmitted_total"]
+        self.infeasible_total = doc["infeasible_total"]
 
     def summary(self) -> dict:
         """JSON-able layer summary for replay reports and the CLI."""

@@ -14,10 +14,11 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.errors import AdmissionError
 from repro.query.query import Query
+from repro.serialization import _query_from_dict, _query_to_dict
 
 if TYPE_CHECKING:  # import cycle: obs.metrics is registry-side plumbing
     from repro.obs.metrics import MetricRegistry
@@ -221,3 +222,22 @@ class AdmissionController:
                 self._record_depth(time)
                 return True
         return False
+
+    # ------------------------------------------------------------------
+    def capture(self) -> dict[str, Any]:
+        """The controller's section of a ``repro.state`` snapshot."""
+        return {
+            "queue": [_query_to_dict(q) for q in self._queue],
+            "enqueued_at": dict(self._enqueued_at),
+            "admitted_total": self.admitted_total,
+            "queued_total": self.queued_total,
+            "rejected_total": self.rejected_total,
+        }
+
+    def restore(self, doc: dict[str, Any]) -> None:
+        """Inverse of :meth:`capture`, into a pristine controller."""
+        self._queue = deque(_query_from_dict(d) for d in doc["queue"])
+        self._enqueued_at = dict(doc["enqueued_at"])
+        self.admitted_total = doc["admitted_total"]
+        self.queued_total = doc["queued_total"]
+        self.rejected_total = doc["rejected_total"]

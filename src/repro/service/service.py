@@ -331,6 +331,13 @@ class StreamQueryService:
         if self.telemetry is not None:
             self.telemetry.bind_service(self)
 
+        # Resource layer, same contract: ledger, admission gate, shedder
+        # and the resource_* instruments exist only when asked for.  Built
+        # here so that durability sees it among layers(), bound last.
+        from repro.resources.manager import ensure_resources
+
+        self.resources = ensure_resources(resources)
+
         # Durability layer, same contract: journal, snapshots and the
         # durability_* instruments exist only when asked for.
         from repro.durability import ensure_durability
@@ -342,11 +349,6 @@ class StreamQueryService:
             if self.adaptivity is not None and self.adaptivity.migrator is not None:
                 self.adaptivity.migrator.durability = self.durability
 
-        # Resource layer, same contract: ledger, admission gate, shedder
-        # and the resource_* instruments exist only when asked for.
-        from repro.resources.manager import ensure_resources
-
-        self.resources = ensure_resources(resources)
         if self.resources is not None:
             self.resources.bind_service(self)
 
@@ -380,6 +382,64 @@ class StreamQueryService:
     def total_cost(self) -> float:
         """Instantaneous communication cost of everything deployed."""
         return self.engine.total_cost()
+
+    def layers(self) -> list[tuple[str, Any]]:
+        """The armed optional layers as ``(section name, layer)``, in the
+        one order snapshots, recovery and replay summaries walk them.
+
+        Every member has ``capture()`` / ``restore(doc)`` / ``summary()``.
+        The fault injector rides with the resilience layer (a real
+        injector arms it; the null one keeps no state).
+        """
+        named = (
+            ("resilience", self.resilience),
+            ("faults", self.faults if self.resilience is not None else None),
+            ("adaptivity", self.adaptivity),
+            ("resources", self.resources),
+        )
+        return [(name, layer) for name, layer in named if layer is not None]
+
+    def capture(self) -> dict[str, Any]:
+        """The service's own scalars in a ``repro.state`` snapshot: clock,
+        epochs, the versions they were last read at, lifetimes, counters.
+        Layers, plan cache and deployment state write their own sections
+        (:func:`repro.durability.state.capture_service`)."""
+        return {
+            "clock": self.engine.clock,
+            "statistics_epoch": self.statistics_epoch,
+            "topology_epoch": self.topology_epoch,
+            "rates_version_seen": self._rates_version,
+            "network_version_seen": self._network_version,
+            "priced_version": self.engine.priced_version,
+            "expiry": dict(self._expiry),
+            "pending_lifetimes": dict(self._pending_lifetimes),
+            "counters": {
+                "submitted_total": self.submitted_total,
+                "deployed_total": self.deployed_total,
+                "retired_total": self.retired_total,
+                "plans_computed": self.plans_computed,
+                "planning_seconds": self.planning_seconds,
+            },
+        }
+
+    def restore(self, doc: dict[str, Any]) -> None:
+        """Inverse of :meth:`capture`, into a pristine service."""
+        self.engine.clock = doc["clock"]
+        self.statistics_epoch = doc["statistics_epoch"]
+        self.topology_epoch = doc["topology_epoch"]
+        self._rates_version = doc["rates_version_seen"]
+        self._network_version = doc["network_version_seen"]
+        # Adopt the priced version the snapshot recorded (the caller
+        # re-prices the restored flows), keeping epoch bookkeeping exact.
+        self.engine._priced_version = doc["priced_version"]
+        self._expiry = dict(doc["expiry"])
+        self._pending_lifetimes = dict(doc["pending_lifetimes"])
+        counters = doc["counters"]
+        self.submitted_total = counters["submitted_total"]
+        self.deployed_total = counters["deployed_total"]
+        self.retired_total = counters["retired_total"]
+        self.plans_computed = counters["plans_computed"]
+        self.planning_seconds = counters["planning_seconds"]
 
     # ------------------------------------------------------------------
     # Epochs
@@ -813,13 +873,8 @@ class StreamQueryService:
                 "final_live": self.engine.state.num_deployments,
             },
         )
-        if self.resilience is not None:
-            report.summary["resilience"] = self.resilience.summary()
-            report.summary["faults"] = self.faults.summary()
-        if self.adaptivity is not None:
-            report.summary["adaptivity"] = self.adaptivity.summary()
-        if self.resources is not None:
-            report.summary["resources"] = self.resources.summary()
+        for name, layer in self.layers():
+            report.summary[name] = layer.summary()
         return report
 
     # ------------------------------------------------------------------

@@ -10,10 +10,14 @@ the shipped capture only works this way for the first snapshot of a
 process.
 
 The per-value documents (signatures, plans, placements, deployments,
-producers) and the small sections that are still encoded at every
-snapshot (admission, resilience, adaptivity, resources, faults, rates,
-hierarchy)
-are the shipped functions: the incremental capture did not change them.
+producers) and the shared infrastructure's sections (rates, hierarchy,
+RNG state) are the shipped functions: they are formats
+``repro.durability.state`` still owns.  The layers' sections (admission,
+resilience, adaptivity, resources, faults, and the fleet's scheduler,
+router, tenants and federation) are encoded here from the layers'
+private fields, the way the shipped codec did before every layer got
+its own ``capture()`` -- so a layer's ``capture()`` is checked against
+what it replaced, not against itself.
 """
 
 from __future__ import annotations
@@ -22,18 +26,15 @@ import json
 import zlib
 from typing import Any
 
+from repro.adaptive.stats import EwmaEstimator
 from repro.durability.snapshot import SNAPSHOT_KIND, SNAPSHOT_VERSION
 from repro.durability.state import (
     STATE_VERSION,
-    _capture_adaptivity,
-    _capture_admission,
-    _capture_faults,
-    _capture_resilience,
-    _capture_resources,
     _jsonable,
     _producer_to_doc,
     capture_hierarchy,
     capture_rates,
+    capture_rng,
     deployment_to_doc,
     placement_to_doc,
     plan_to_doc,
@@ -157,6 +158,132 @@ def _capture_cache(cache) -> dict[str, Any]:
         "invalidations": cache.invalidations,
     }
 
+
+
+# ----------------------------------------------------------------------
+# The layers' sections, as ``repro.durability.state`` encoded them from
+# outside before each layer wrote its own (a reference may read private
+# fields; the shipped codec may not)
+# ----------------------------------------------------------------------
+def _capture_admission(admission) -> dict[str, Any]:
+    return {
+        "queue": [_query_to_dict(q) for q in admission._queue],
+        "enqueued_at": dict(admission._enqueued_at),
+        "admitted_total": admission.admitted_total,
+        "queued_total": admission.queued_total,
+        "rejected_total": admission.rejected_total,
+    }
+
+
+def _capture_resilience(control) -> dict[str, Any]:
+    return {
+        "parked": [
+            {
+                "name": name,
+                "query": _query_to_dict(p.query),
+                "lifetime": p.lifetime,
+                "epoch": p.epoch,
+                "reason": p.reason,
+            }
+            for name, p in control.parked.items()
+        ],
+        "quarantined": [[node, t] for node, t in sorted(control.quarantined.items())],
+        "degraded": sorted(control.degraded_queries),
+        "retries_total": control.retries_total,
+        "fallbacks_total": control.fallbacks_total,
+        "parked_total": control.parked_total,
+        "quarantined_total": control.quarantined_total,
+        "rng": capture_rng(control.rng),
+        "breakers": [
+            [
+                node,
+                {
+                    "state": breaker.state.value,
+                    "consecutive_failures": breaker.consecutive_failures,
+                    "opened_at": breaker.opened_at,
+                    "opened_count": breaker.opened_count,
+                    "probes_in_flight": breaker._probes_in_flight,
+                },
+            ]
+            for node, breaker in sorted(control.breakers._breakers.items())
+        ],
+    }
+
+
+def _capture_resources(manager) -> dict[str, Any]:
+    return {
+        "parked": [
+            {
+                "query": _query_to_dict(p.query),
+                "lifetime": p.lifetime,
+                "weight": p.weight,
+                "reason": p.reason,
+                "parked_at": p.parked_at,
+                "shed": p.shed,
+            }
+            for p in manager.parked.values()
+        ],
+        "shed_total": manager.shed_total,
+        "readmitted_total": manager.readmitted_total,
+        "infeasible_total": manager.infeasible_total,
+    }
+
+
+def _capture_estimator(est: EwmaEstimator) -> dict[str, Any]:
+    return {"alpha": est.alpha, "value": est.value, "samples": est.samples}
+
+
+def _capture_monitor(monitor) -> dict[str, Any]:
+    return {
+        "estimators": [
+            [name, _capture_estimator(est)]
+            for name, est in monitor._estimators.items()
+        ],
+        "published": dict(monitor._published),
+        "breaches": dict(monitor._breaches),
+        "selectivities": [
+            [sorted(pair), _capture_estimator(est)]
+            for pair, est in monitor._selectivities.items()
+        ],
+        "last_publish": monitor._last_publish,
+        "samples_total": monitor.samples_total,
+        "events": [
+            {
+                "time": ev.time,
+                "rates_version": ev.rates_version,
+                "drifts": [
+                    {"stream": d.stream, "published": d.published, "observed": d.observed}
+                    for d in ev.drifts
+                ],
+            }
+            for ev in monitor.events
+        ],
+    }
+
+
+def _capture_adaptivity(loop) -> dict[str, Any]:
+    doc: dict[str, Any] = {
+        "last_migration": dict(loop._last_migration),
+        "dirty": loop._dirty,
+        "seen_topology": loop._seen_topology,
+        "evaluations": loop.policy.evaluations if loop.policy is not None else 0,
+        "monitor": _capture_monitor(loop.monitor) if loop.monitor is not None else None,
+    }
+    return doc
+
+
+def _capture_faults(injector) -> dict[str, Any] | None:
+    if not getattr(injector, "enabled", False):
+        return None
+    return {
+        "crashed": sorted(injector.crashed),
+        "cursor": injector._cursor,
+        "applied": _jsonable(list(injector.applied)),
+        "messages_dropped": injector.messages_dropped,
+        "messages_delayed": injector.messages_delayed,
+        "messages_duplicated": injector.messages_duplicated,
+        "rng": capture_rng(injector.rng),
+    }
 
 
 def capture_service(service, include_shared: bool = True) -> dict[str, Any]:

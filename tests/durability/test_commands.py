@@ -325,7 +325,7 @@ def test_park_table(tmp_path, error, owner, other, armed, site):
 
 
 # ----------------------------------------------------------------------
-# (d) golden marker sequence of the two crash-harness scenarios
+# (d) golden marker sequence of the crash-harness scenarios
 # ----------------------------------------------------------------------
 # ``kind keys*repeat`` per journal record, generated at the commit before
 # the command declaration landed.  The crash matrix derives its crash
@@ -453,6 +453,80 @@ GOLDEN = {
         tick_end deployed,retired
         cmd_tick time
         tick_end deployed,retired
+    """,
+    # Resilience + adaptivity + resources armed together (PR 24): the
+    # injector's crash at t=6 retires a query whose resubmission parks
+    # for capacity, drift repair sheds, and the parked one comes back.
+    "layers": """
+        cmd_submit lifetime,query,time
+        deploy lifetime,query
+        admit query,reason,status
+        cmd_submit lifetime,query,time
+        deploy lifetime,query
+        admit query,reason,status
+        cmd_submit lifetime,query,time
+        deploy lifetime,query
+        admit query,reason,status
+        cmd_submit lifetime,query,time
+        deploy lifetime,query
+        admit query,reason,status
+        cmd_submit lifetime,query,time
+        deploy lifetime,query
+        admit query,reason,status
+        cmd_submit lifetime,query,time
+        deploy lifetime,query
+        admit query,reason,status
+        cmd_tick time
+        tick_end deployed,migrated,retired
+        cmd_tick time
+        tick_end deployed,migrated,retired
+        cmd_tick time
+        tick_end deployed,migrated,retired
+        cmd_observe samples,time
+        cmd_tick time
+        migrate_begin operators,query,state_bytes
+        migrate_phase phase,query *4
+        migrate_commit operators,query
+        migrate_begin operators,query,state_bytes
+        migrate_phase phase,query *4
+        migrate_commit operators,query
+        tick_end deployed,migrated,retired
+        cmd_observe samples,time
+        cmd_tick time
+        migrate_begin operators,query,state_bytes
+        migrate_phase phase,query *4
+        migrate_commit operators,query
+        tick_end deployed,migrated,retired
+        cmd_tick time
+        park query,reason
+        admit query,reason,status
+        retire query *3
+        deploy lifetime,query *2
+        tick_end deployed,migrated,retired
+        snapshot file,lsn
+        cmd_retire name
+        retire query
+        cmd_tick time
+        deploy lifetime,query
+        tick_end deployed,migrated,retired
+        cmd_tick time
+        tick_end deployed,migrated,retired
+        cmd_tick time
+        tick_end deployed,migrated,retired
+        cmd_tick time
+        migrate_begin operators,query,state_bytes
+        migrate_phase phase,query *4
+        migrate_commit operators,query
+        tick_end deployed,migrated,retired
+        cmd_tick time
+        tick_end deployed,migrated,retired
+        cmd_tick time
+        tick_end deployed,migrated,retired
+        snapshot file,lsn
+        cmd_tick time
+        tick_end deployed,migrated,retired
+        cmd_tick time
+        tick_end deployed,migrated,retired
     """,
 }
 

@@ -13,6 +13,7 @@ from repro.durability.harness import (
     crash_restart_matrix,
     default_crash_points,
     fleet_scenario,
+    layered_scenario,
     run_steps,
     service_scenario,
 )
@@ -105,3 +106,38 @@ class TestFleetMatrix:
     def test_invariants_clean_after_every_recovery(self, report):
         for point in report["points"]:
             assert point["invariant_violations"] == []
+
+
+class TestLayeredMatrix:
+    """Resilience, adaptivity and resources armed together, faults on:
+    the injector crashes a node, a resubmission parks for capacity, and
+    every layer's own section is part of the digest."""
+
+    @pytest.fixture(scope="class")
+    def report(self, tmp_path_factory):
+        return crash_restart_matrix(
+            layered_scenario(), tmp_path_factory.mktemp("layered-matrix"), extra_ticks=4
+        )
+
+    def test_every_point_converges_with_clean_invariants(self, report):
+        assert report["converged"], [
+            p for p in report["points"]
+            if not p.get("digest_match") or p.get("invariant_violations")
+        ]
+        assert report["points_matched"] == len(report["points"]) >= 10
+        assert all(p["invariant_violations"] == [] for p in report["points"])
+
+    def test_the_script_parks_for_capacity_and_fails_a_node(self, tmp_path):
+        scenario = layered_scenario()
+        service = scenario.factory(tmp_path / "probe")
+        run_steps(scenario, service)
+        records, _ = scan_journal(tmp_path / "probe" / JOURNAL_FILE)
+        parks = [r["data"] for r in records if r["kind"] == "park"]
+        assert len(parks) == 1 and "no feasible placement" in parks[0]["reason"]
+        crash, rejoin = service.faults.applied
+        assert crash["kind"] == "crash" and crash["retired"] == [parks[0]["query"]]
+        assert rejoin["kind"] == "rejoin" and rejoin["rejoined"]
+        assert [name for name, _ in service.layers()] == [
+            "resilience", "faults", "adaptivity", "resources",
+        ]
+        assert service.resources.shed_total and service.resilience.breakers.total_opens()

@@ -35,6 +35,9 @@ class ByNamePolicy:
     def assign(self, query, num_shards, loads):
         return self.mapping.get(query.name, self.default)
 
+    def capture(self):
+        return None  # the pins are configuration, not state
+
 
 def build_fleet(env, num_shards=2, **kwargs):
     net, hierarchy, workload, rates = env

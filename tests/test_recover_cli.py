@@ -50,6 +50,23 @@ class TestRecoverCli:
         assert rc == 2
         assert "--inspect" in capsys.readouterr().err
 
+    def test_a_snapshot_of_another_state_version_is_an_error_line(self, tmp_path, capsys):
+        from repro.durability import load_latest, write_snapshot
+
+        state_dir = _crashed_state_dir(tmp_path)
+        snapshot, _ = load_latest(state_dir)
+        snapshot["state"]["version"] = 7
+        write_snapshot(
+            state_dir, snapshot["lsn"], snapshot["scope"], snapshot["state"],
+            time=snapshot["time"],
+        )
+        rc = main(["recover", str(state_dir), "--inspect"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == (
+            "error: snapshot state version is 7, this build restores version 1\n"
+        )
+
     def test_missing_directory_fails_cleanly(self, tmp_path, capsys):
         rc = main(["recover", str(tmp_path / "absent"), "--inspect"])
         assert rc == 2
