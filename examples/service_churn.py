@@ -114,10 +114,14 @@ def main() -> None:
     print(f"   lost (sink/source died): {report.lost or '-'}")
     print(f"   topology epoch: {service.topology_epoch}")
 
-    print("\n== service metrics (recorded via MetricsLog) ==")
-    for metric in sorted(service.metrics.metrics()):
-        if metric.startswith("service_"):
-            print(f"   {metric:30s} last={service.metrics.last(metric):8.3f}")
+    print("\n== service metrics (from the metric registry) ==")
+    for metric in service.registry.names():
+        instrument = service.registry.get(metric)
+        if metric.startswith("service_") and instrument.kind != "histogram":
+            print(f"   {metric:32s} value={instrument.value:8.3f}")
+    planning = service.registry.get("service_planning_seconds").summary()
+    print(f"   {'service_planning_seconds':32s} count={planning['count']:.0f} "
+          f"p50={planning['p50'] * 1000:.2f} ms")
 
 
 if __name__ == "__main__":

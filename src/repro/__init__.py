@@ -148,7 +148,6 @@ from repro.serialization import (
 from repro.runtime import (
     AdaptiveMiddleware,
     FlowEngine,
-    MetricsLog,
     Simulator,
     fail_node,
     run_dataplane,
@@ -253,7 +252,6 @@ __all__ = [
     "simulate_deployment",
     "FlowEngine",
     "AdaptiveMiddleware",
-    "MetricsLog",
     "fail_node",
     "run_dataplane",
     # lifecycle service

@@ -218,10 +218,8 @@ class AdaptivityLoop:
                 if event is not None:
                     report.drift = event
                     self._dirty = True
-                    self._instruments["drift_events"].inc(time=now)
-                    self._instruments["streams_published"].inc(
-                        float(len(event.drifts)), time=now
-                    )
+                    self._instruments["drift_events"].inc()
+                    self._instruments["streams_published"].inc(float(len(event.drifts)))
                     span.incr("drift_streams", len(event.drifts))
                     # Live flows now ship at the published rates; the
                     # epoch bump kills stale cached plans.
@@ -252,7 +250,7 @@ class AdaptivityLoop:
                 ev_span.tag(migrate=decision.migrate)
             report.evaluated += 1
             report.decisions.append(decision)
-            self._instruments["evaluations"].inc(time=now)
+            self._instruments["evaluations"].inc()
             if not decision.migrate:
                 continue
             if len(report.migrations) >= cfg.max_migrations_per_tick:
@@ -275,21 +273,17 @@ class AdaptivityLoop:
             # cutover will likely kill an immediate retry.
             self._last_migration[name] = now
             if outcome.committed:
-                self._instruments["migrations"].inc(time=now)
-                self._instruments["operators_moved"].inc(
-                    float(outcome.operators_moved), time=now
-                )
-                self._instruments["bytes_moved"].inc(outcome.bytes_moved, time=now)
-                self._instruments["saving"].set(
-                    outcome.old_cost - outcome.new_cost, time=now
-                )
+                self._instruments["migrations"].inc()
+                self._instruments["operators_moved"].inc(float(outcome.operators_moved))
+                self._instruments["bytes_moved"].inc(outcome.bytes_moved)
+                self._instruments["saving"].set(outcome.old_cost - outcome.new_cost)
                 if outcome.timeline is not None:
                     self._instruments["cutover_seconds"].observe(
-                        outcome.timeline.duration, time=now
+                        outcome.timeline.duration
                     )
                 span.incr("migrations_committed")
             else:
-                self._instruments["aborts"].inc(time=now)
+                self._instruments["aborts"].inc()
                 span.incr("migrations_aborted")
 
     # ------------------------------------------------------------------

@@ -286,14 +286,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(f"  epochs: statistics {service.statistics_epoch}, "
           f"topology {service.topology_epoch}")
     print(f"  final: {s['final_live']} live queries, cost {s['final_cost']:,.1f}/unit-time")
-    try:
-        depth = service.metrics.series_stats("service_queue_depth")
-        print(f"  queue: peak depth {depth['max']:.0f} (p95 {depth['p95']:.1f})")
-        lat = service.metrics.series_stats("service_planning_seconds")
+    wait = service.registry.get("admission_queue_wait_ticks").summary()
+    if wait["count"]:
+        print(f"  queue: {wait['count']:.0f} waited, p50 {wait['p50']:.1f} ticks, "
+              f"max {wait['max']:.0f} ticks")
+    lat = service.registry.get("service_planning_seconds").summary()
+    if lat["count"]:
         print(f"  planning latency: p50 {lat['p50'] * 1000:.2f} ms, "
               f"p95 {lat['p95'] * 1000:.2f} ms, max {lat['max'] * 1000:.2f} ms")
-    except KeyError:  # pragma: no cover - nothing ever submitted
-        pass
     print("  final gauges:")
     for name in service.registry.names():
         instrument = service.registry.get(name)

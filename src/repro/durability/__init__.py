@@ -127,15 +127,26 @@ class Durability:
         from repro.durability.state import FragmentMemo
 
         # A layer that cannot write its own snapshot section would lose
-        # its state in a crash: refuse to arm over it, now.
-        for owner in (controller, *getattr(controller, "shards", ())):
-            for name, layer in owner.layers():
-                for method in ("capture", "restore"):
-                    if not callable(getattr(layer, method, None)):
-                        raise TypeError(
-                            f"durability= cannot be armed over the {name!r} "
-                            f"layer: {type(layer).__name__} has no {method}()"
-                        )
+        # its state in a crash: refuse to arm over it, now.  A routing
+        # policy owes restore() only if it remembers something.
+        owed = [
+            (name, layer, ("capture", "restore"))
+            for owner in (controller, *getattr(controller, "shards", ()))
+            for name, layer in owner.layers()
+        ]
+        router = getattr(controller, "router", None)
+        if router is not None:
+            policy, methods = router.policy, ("capture",)
+            if callable(getattr(policy, "capture", None)) and policy.capture() is not None:
+                methods += ("restore",)
+            owed.append(("router.policy", policy, methods))
+        for name, layer, methods in owed:
+            for method in methods:
+                if not callable(getattr(layer, method, None)):
+                    raise TypeError(
+                        f"durability= cannot be armed over the {name!r} "
+                        f"layer: {type(layer).__name__} has no {method}()"
+                    )
         self.scope = scope
         self._controller = controller
         self._capture = capture
@@ -196,13 +207,9 @@ class Durability:
             return None
         lsn = self.journal.append(kind, time, data)
         if self._instruments:
-            self._instruments["records"].sync_total(
-                self.journal.records_total, time=time
-            )
-            self._instruments["bytes"].sync_total(self.journal.bytes_total, time=time)
-            self._instruments["fsyncs"].sync_total(
-                self.journal.fsyncs_total, time=time
-            )
+            self._instruments["records"].sync_total(self.journal.records_total)
+            self._instruments["bytes"].sync_total(self.journal.bytes_total)
+            self._instruments["fsyncs"].sync_total(self.journal.fsyncs_total)
         return lsn
 
     def maybe_snapshot(self, time: float) -> Path | None:
@@ -239,7 +246,7 @@ class Durability:
         )
         self.snapshots_total += 1
         if self._instruments:
-            self._instruments["snapshots"].inc(time=time)
+            self._instruments["snapshots"].inc()
         self.marker("snapshot", time, {"lsn": lsn, "file": path.name})
         return path
 
@@ -264,14 +271,12 @@ class Durability:
         self.journal.arm(points)
         return len(points)
 
-    def note_recovery(self, replayed_records: int, replayed_ticks: int, time: float) -> None:
+    def note_recovery(self, replayed_records: int, replayed_ticks: int) -> None:
         """Record recovery metrics after a successful :func:`recover`."""
         self.recovered = True
         if self._instruments:
-            self._instruments["recovery_records"].inc(
-                float(replayed_records), time=time
-            )
-            self._instruments["recovery_ticks"].inc(float(replayed_ticks), time=time)
+            self._instruments["recovery_records"].inc(float(replayed_records))
+            self._instruments["recovery_ticks"].inc(float(replayed_ticks))
 
     def summary(self) -> dict[str, Any]:
         """Counters for replay summaries and the CLI."""

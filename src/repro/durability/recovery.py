@@ -207,8 +207,7 @@ def recover(
         durability.journal.replaying = False
     durability.journal.lsn = report.last_lsn
     durability.journal.records_total = len(records)
-    now = getattr(controller, "clock", 0.0)
-    durability.note_recovery(report.replayed_records, report.replayed_ticks, now)
+    durability.note_recovery(report.replayed_records, report.replayed_ticks)
     return controller, report
 
 

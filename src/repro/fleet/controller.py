@@ -464,7 +464,7 @@ class FleetController:
             for name, total in totals.items():
                 inst = instruments.get(name)
                 if hasattr(inst, "sync_total"):
-                    inst.sync_total(total, time=self.clock)
+                    inst.sync_total(total)
         counters = doc["counters"]
         self.submitted_total = counters["submitted_total"]
         self.rebalances_total = counters["rebalances_total"]
@@ -587,7 +587,7 @@ class FleetController:
         if time is not None:
             self.clock = time
         self.submitted_total += 1
-        self._submitted_counter.inc(time=self.clock)
+        self._submitted_counter.inc()
 
         if self.scheduler is None:
             shard = self.router.route(query)
@@ -633,18 +633,18 @@ class FleetController:
                 status=AdmissionStatus.REJECTED,
                 reason=f"unknown tenant {tenant!r}",
             )
-            self._rejected_counter.inc(time=self.clock)
+            self._rejected_counter.inc()
             return FleetDecision(decision=decision, shard=None, tenant=tenant or "")
 
         instruments = self._tenant_instruments[record.name]
-        instruments["submitted"].inc(time=self.clock)
+        instruments["submitted"].inc()
 
         def rejected(reason: str) -> FleetDecision:
             decision = AdmissionDecision(
                 query=query.name, status=AdmissionStatus.REJECTED, reason=reason
             )
-            self._rejected_counter.inc(time=self.clock)
-            instruments["rejected"].inc(time=self.clock)
+            self._rejected_counter.inc()
+            instruments["rejected"].inc()
             return FleetDecision(
                 decision=decision, shard=None, tenant=record.name
             )
@@ -697,7 +697,7 @@ class FleetController:
             reason=f"fleet backlog (tenant {record.name!r})",
             queue_position=position,
         )
-        self._admitted_counter.inc(time=self.clock)
+        self._admitted_counter.inc()
         return FleetDecision(decision=decision, shard=shard, tenant=record.name)
 
     def _has_capacity(self, shard: int) -> bool:
@@ -713,14 +713,14 @@ class FleetController:
         self, decision: AdmissionDecision, shard: int, tenant: str
     ) -> None:
         if decision.rejected:
-            self._rejected_counter.inc(time=self.clock)
+            self._rejected_counter.inc()
             if tenant:
-                self._tenant_instruments[tenant]["rejected"].inc(time=self.clock)
+                self._tenant_instruments[tenant]["rejected"].inc()
             return
         self.router.bind(decision.query, shard)
-        self._admitted_counter.inc(time=self.clock)
+        self._admitted_counter.inc()
         if tenant:
-            self._tenant_instruments[tenant]["admitted"].inc(time=self.clock)
+            self._tenant_instruments[tenant]["admitted"].inc()
         if decision.admitted:
             self._after_deploy(shard, decision.query)
 
@@ -730,9 +730,7 @@ class FleetController:
 
     def _mark_live(self, tenant: str) -> None:
         self._tenant_live[tenant] += 1
-        self._tenant_instruments[tenant]["live"].set(
-            float(self._tenant_live[tenant]), time=self.clock
-        )
+        self._tenant_instruments[tenant]["live"].set(float(self._tenant_live[tenant]))
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -816,15 +814,15 @@ class FleetController:
             )
             if decision.admitted:
                 self._mark_live(tenant)
-                self._tenant_instruments[tenant]["admitted"].inc(time=self.clock)
+                self._tenant_instruments[tenant]["admitted"].inc()
                 self._after_deploy(item.shard, item.query.name)
                 deployed.append((item.query.name, item.shard))
             elif decision.rejected:  # pragma: no cover - defensive
                 self.router.release(item.query.name)
                 self._tenant_of.pop(item.query.name, None)
                 self._tenant_charge[tenant] -= 1
-                self._tenant_instruments[tenant]["rejected"].inc(time=self.clock)
-                self._rejected_counter.inc(time=self.clock)
+                self._tenant_instruments[tenant]["rejected"].inc()
+                self._rejected_counter.inc()
         return deployed
 
     @command("cmd_retire")
@@ -868,7 +866,7 @@ class FleetController:
             if live:
                 self._tenant_live[tenant] -= 1
                 self._tenant_instruments[tenant]["live"].set(
-                    float(self._tenant_live[tenant]), time=self.clock
+                    float(self._tenant_live[tenant])
                 )
 
     # ------------------------------------------------------------------
@@ -956,7 +954,7 @@ class FleetController:
         if self.federation is not None:
             self._sync_federation()
         self.rebalances_total += 1
-        self._rebalance_counter.inc(time=self.clock)
+        self._rebalance_counter.inc()
         self._record_gauges()
         self._mark("migrate_commit", query=name, target_shard=target_shard)
         return RebalanceReport(
@@ -1105,10 +1103,9 @@ class FleetController:
             node = deployment.placement[leaf]
             if self.federation.import_for(shard, leaf.view, node) is not None:
                 self.cross_shard_reuse_total += 1
-                self._reuse_counter.inc(time=self.clock)
+                self._reuse_counter.inc()
 
     def _record_gauges(self) -> None:
-        now = self.clock
         if self.resource_ledger is not None and len(self.tenants):
             # The load shedder retires/re-admits queries outside the
             # tick-report path the incremental tenant counters follow;
@@ -1121,21 +1118,16 @@ class FleetController:
             for tenant, live in counts.items():
                 if self._tenant_live[tenant] != live:
                     self._tenant_live[tenant] = live
-                    self._tenant_instruments[tenant]["live"].set(
-                        float(live), time=now
-                    )
-        self._live_gauge.set(float(self._num_live()), time=now)
+                    self._tenant_instruments[tenant]["live"].set(float(live))
+        self._live_gauge.set(float(self._num_live()))
         backlog = sum(s.admission.queue_depth for s in self.shards)
         if self.scheduler is not None:
             backlog += self.scheduler.total_backlog
-        self._queue_gauge.set(float(backlog), time=now)
+        self._queue_gauge.set(float(backlog))
         if self.federation is not None:
-            self._imports_gauge.set(float(self.federation.active_imports), time=now)
+            self._imports_gauge.set(float(self.federation.active_imports))
         if self.resource_ledger is not None:
-            self._fleet_util_gauge.set(
-                self.resource_ledger.max_utilization(), time=now
-            )
+            self._fleet_util_gauge.set(self.resource_ledger.max_utilization())
             self._fleet_parked_gauge.set(
-                float(sum(len(m.parked) for m in self.resource_managers)),
-                time=now,
+                float(sum(len(m.parked) for m in self.resource_managers))
             )

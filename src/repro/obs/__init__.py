@@ -11,9 +11,8 @@ Four layers, usable independently:
   form per-query causal hop trees with per-link cost/delay accounting;
   exportable as span trees, tagged JSON and Chrome trace events.
 * :mod:`repro.obs.metrics` -- a typed :class:`MetricRegistry`
-  (:class:`Counter` / :class:`Gauge` / :class:`Histogram`) over the
-  runtime's :class:`~repro.runtime.metrics.MetricsLog`, with Prometheus
-  text exposition and JSON snapshots.
+  (:class:`Counter` / :class:`Gauge` / :class:`Histogram`) holding
+  current values, with Prometheus text exposition and JSON snapshots.
 * :mod:`repro.obs.explain` -- :class:`PlanExplanation` reports built
   from a deployment plus its span trace (``explain=True`` on the
   optimizer entry points, ``repro trace`` on the CLI).
@@ -44,7 +43,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricRegistry,
-    series_summary,
 )
 from repro.obs.flight import FlightRecorder
 from repro.obs.rules import (
@@ -76,7 +74,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricRegistry",
-    "series_summary",
     "PlanExplanation",
     "build_explanation",
     "TimeSeriesStore",

@@ -1,16 +1,14 @@
-"""Typed metrics: counters, gauges and histograms over a MetricsLog.
+"""Typed metrics: counters, gauges and histograms in one registry.
 
-:class:`MetricRegistry` supersedes scattering raw
-:meth:`repro.runtime.metrics.MetricsLog.record` calls around the service
-and runtime: call sites declare a *typed* instrument once (a
-:class:`Counter` that can only go up, a :class:`Gauge` that tracks a
-level, a :class:`Histogram` with bucketed percentiles) and update it.
-Every update still feeds the registry's backing
-:class:`~repro.runtime.metrics.MetricsLog` under the instrument's series
-name, so the existing time-series consumers (experiment reporting,
-``service.metrics.series(...)``) keep working unchanged.
+Call sites declare a *typed* instrument once (a :class:`Counter` that
+can only go up, a :class:`Gauge` that tracks a level, a
+:class:`Histogram` with bucketed percentiles) and update it.  The
+:class:`MetricRegistry` holds each instrument's current value and a
+change feed of the instruments updated since a cursor; history lives in
+the telemetry layer's :class:`~repro.obs.timeseries.TimeSeriesStore`,
+which scrapes the registry.
 
-On top of the log the registry adds two export formats:
+The registry exports in two formats:
 
 * :meth:`MetricRegistry.exposition` -- Prometheus text exposition
   (``# TYPE`` / ``# HELP`` comments, ``_bucket{le=...}`` /
@@ -23,12 +21,9 @@ from __future__ import annotations
 
 import math
 import re
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from repro.utils import ChangeFeed
-
-if TYPE_CHECKING:  # circular at runtime: runtime.metrics lazy-imports us
-    from repro.runtime.metrics import MetricsLog
 
 #: Default latency-ish histogram buckets (seconds), Prometheus-style.
 DEFAULT_BUCKETS: tuple[float, ...] = (
@@ -38,23 +33,14 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
 
 
 class _Instrument:
-    """Shared plumbing: identity, help text, backing log series."""
+    """Shared plumbing: identity, help text, the registry's change feed."""
 
     kind = ""
 
-    def __init__(self, name: str, help: str, registry: MetricRegistry, series: str):
+    def __init__(self, name: str, help: str, registry: MetricRegistry):
         self.name = name
         self.help = help
-        self._log = registry.log
         self._touch = registry._feed.touch
-        #: Name the instrument records under in the backing MetricsLog
-        #: (defaults to the metric name; used to keep legacy series
-        #: names stable while exposing a scheme-conforming metric name).
-        self.series_name = series
-
-    def _record(self, time: float, value: float) -> None:
-        self._log.record(time, self.series_name, value)
-        self._touch(self.name)
 
 
 class Counter(_Instrument):
@@ -64,14 +50,14 @@ class Counter(_Instrument):
 
     total = 0.0
 
-    def inc(self, amount: float = 1.0, time: float = 0.0) -> None:
-        """Add ``amount`` (>= 0) to the total; logs the new total."""
+    def inc(self, amount: float = 1.0) -> None:
+        """Add ``amount`` (>= 0) to the total."""
         if amount < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease (inc {amount})")
         self.total += amount
-        self._record(time, self.total)
+        self._touch(self.name)
 
-    def sync_total(self, total: float, time: float = 0.0) -> None:
+    def sync_total(self, total: float) -> None:
         """Adopt an externally maintained monotonic total.
 
         For call sites where another object is the source of truth
@@ -83,7 +69,7 @@ class Counter(_Instrument):
                 f"counter {self.name!r} cannot decrease ({self.total} -> {total})"
             )
         self.total = float(total)
-        self._record(time, self.total)
+        self._touch(self.name)
 
     @property
     def value(self) -> float:
@@ -98,18 +84,18 @@ class Gauge(_Instrument):
 
     _value: float | None = None
 
-    def set(self, value: float, time: float = 0.0) -> None:
-        """Set the gauge and log the new value."""
+    def set(self, value: float) -> None:
+        """Set the gauge."""
         self._value = float(value)
-        self._record(time, self._value)
+        self._touch(self.name)
 
-    def inc(self, amount: float = 1.0, time: float = 0.0) -> None:
+    def inc(self, amount: float = 1.0) -> None:
         """Adjust the gauge by ``amount`` (may be negative)."""
-        self.set((self._value or 0.0) + amount, time)
+        self.set((self._value or 0.0) + amount)
 
-    def dec(self, amount: float = 1.0, time: float = 0.0) -> None:
+    def dec(self, amount: float = 1.0) -> None:
         """Adjust the gauge down by ``amount``."""
-        self.inc(-amount, time)
+        self.inc(-amount)
 
     @property
     def value(self) -> float | None:
@@ -134,10 +120,9 @@ class Histogram(_Instrument):
         name: str,
         help: str,
         registry: MetricRegistry,
-        series: str,
         buckets: Sequence[float] | None = None,
     ) -> None:
-        super().__init__(name, help, registry, series)
+        super().__init__(name, help, registry)
         # Dedupe and drop non-finite bounds: the +Inf bucket is implicit,
         # so a caller-supplied inf would double it in the exposition.
         bounds = tuple(
@@ -158,8 +143,8 @@ class Histogram(_Instrument):
         self.min = math.inf
         self.max = -math.inf
 
-    def observe(self, value: float, time: float = 0.0) -> None:
-        """Record one observation; logs the raw value."""
+    def observe(self, value: float) -> None:
+        """Record one observation."""
         value = float(value)
         self.count += 1
         self.sum += value
@@ -171,7 +156,7 @@ class Histogram(_Instrument):
                 break
         else:
             self.bucket_counts[-1] += 1
-        self._record(time, value)
+        self._touch(self.name)
 
     @property
     def mean(self) -> float:
@@ -211,58 +196,38 @@ class Histogram(_Instrument):
 
 
 class MetricRegistry:
-    """Named, typed instruments over one shared :class:`MetricsLog`.
+    """Named, typed instruments and their current values.
 
     Instruments are get-or-create: asking for the same name with the
     same kind returns the existing instrument; a kind mismatch raises.
-
-    Args:
-        log: Backing time-series log (a fresh one when omitted),
-            exposed as :attr:`log`.
     """
 
-    def __init__(self, log: MetricsLog | None = None) -> None:
-        if log is None:
-            from repro.runtime.metrics import MetricsLog
-
-            log = MetricsLog()
-        self.log = log
+    def __init__(self) -> None:
         self._instruments: dict[str, _Instrument] = {}
         self._feed = ChangeFeed()  # instruments declared or updated
 
     # -- declaration --------------------------------------------------
-    def counter(self, name: str, help: str = "", series: str | None = None) -> Counter:
+    def counter(self, name: str, help: str = "") -> Counter:
         """Get or create the :class:`Counter` called ``name``."""
-        return self._declare(Counter, name, help, series)
+        return self._declare(Counter, name, help)
 
-    def gauge(self, name: str, help: str = "", series: str | None = None) -> Gauge:
+    def gauge(self, name: str, help: str = "") -> Gauge:
         """Get or create the :class:`Gauge` called ``name``."""
-        return self._declare(Gauge, name, help, series)
+        return self._declare(Gauge, name, help)
 
     def histogram(
         self,
         name: str,
         help: str = "",
-        series: str | None = None,
         buckets: Sequence[float] | None = None,
     ) -> Histogram:
         """Get or create the :class:`Histogram` called ``name``."""
-        existing = self._instruments.get(name)
-        if existing is None:
-            instrument = Histogram(name, help, self, series or name, buckets)
-            self._instruments[name] = instrument
-            self._feed.touch(name)
-            return instrument
-        if not isinstance(existing, Histogram):
-            raise TypeError(
-                f"metric {name!r} is a {existing.kind}, not a histogram"
-            )
-        return existing
+        return self._declare(Histogram, name, help, buckets=buckets)
 
-    def _declare(self, cls: type, name: str, help: str, series: str | None):
+    def _declare(self, cls: type, name: str, help: str, **options):
         existing = self._instruments.get(name)
         if existing is None:
-            instrument = cls(name, help, self, series or name)
+            instrument = cls(name, help, self, **options)
             self._instruments[name] = instrument
             self._feed.touch(name)
             return instrument
@@ -379,35 +344,3 @@ def _fmt_value(value: float) -> str:
         return str(int(value))
     return f"{value:g}"
 
-
-def series_summary(points: Sequence[tuple[float, float]] | Mapping) -> dict[str, float]:
-    """Exact min/mean/p50/p95/max over raw ``(time, value)`` samples.
-
-    The exact-sample counterpart of :meth:`Histogram.summary`, shared by
-    :meth:`repro.runtime.metrics.MetricsLog.series_stats` and ad-hoc
-    consumers that kept a full series.
-    """
-    values = sorted(v for _, v in points)
-    if not values:
-        return {
-            "count": 0.0, "min": math.nan, "mean": math.nan,
-            "p50": math.nan, "p95": math.nan, "max": math.nan,
-        }
-
-    def quantile(q: float) -> float:
-        # linear interpolation between closest ranks
-        pos = q * (len(values) - 1)
-        lo = int(math.floor(pos))
-        hi = int(math.ceil(pos))
-        if lo == hi:
-            return values[lo]
-        return values[lo] + (pos - lo) * (values[hi] - values[lo])
-
-    return {
-        "count": float(len(values)),
-        "min": values[0],
-        "mean": sum(values) / len(values),
-        "p50": quantile(0.50),
-        "p95": quantile(0.95),
-        "max": values[-1],
-    }

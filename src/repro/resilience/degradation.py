@@ -190,7 +190,7 @@ class ResilientControl:
         }
         self.sync_breaker_gauges()
 
-    def sync_breaker_gauges(self, now: float = 0.0) -> None:
+    def sync_breaker_gauges(self) -> None:
         """Refresh the per-coordinator breaker-state gauges."""
         if self._registry is None:
             return
@@ -202,17 +202,17 @@ class ResilientControl:
             )
             value = BREAKER_STATE_VALUES[state]
             if gauge.value != value:
-                gauge.set(value, time=now)
+                gauge.set(value)
 
-    def _inc(self, name: str, amount: float = 1.0, time: float = 0.0) -> None:
+    def _inc(self, name: str, amount: float = 1.0) -> None:
         instrument = self._instruments.get(name)
         if instrument is not None:
-            instrument.inc(amount, time=time)
+            instrument.inc(amount)
 
-    def _set(self, name: str, value: float, time: float = 0.0) -> None:
+    def _set(self, name: str, value: float) -> None:
         instrument = self._instruments.get(name)
         if instrument is not None:
-            instrument.set(value, time=time)
+            instrument.set(value)
 
     # ------------------------------------------------------------------
     # The degradation ladder
@@ -256,16 +256,16 @@ class ResilientControl:
                     continue
                 if coordinator is not None:
                     self.breakers.record_success(coordinator, now)
-                    self.sync_breaker_gauges(now)
+                    self.sync_breaker_gauges()
                 if rung != "hierarchical":
                     deployment.stats = {**deployment.stats, "resilience_rung": rung}
                     self.degraded_queries.add(query.name)
                     self.fallbacks_total += 1
-                    self._inc("fallbacks", time=now)
+                    self._inc("fallbacks")
                 span.tag(rung=rung, attempts=attempts)
                 return deployment
             self._quarantine_flapping(service, now)
-            self.sync_breaker_gauges(now)
+            self.sync_breaker_gauges()
             span.tag(outcome="exhausted")
         raise PlanningError(
             f"no rung could plan {query.name!r}: " + "; ".join(failures)
@@ -292,10 +292,10 @@ class ResilientControl:
 
         def on_retry(attempt: int, error: BaseException, delay: float) -> None:
             self.retries_total += 1
-            self._inc("retries", time=now)
+            self._inc("retries")
             backoff = self._instruments.get("backoff")
             if backoff is not None:
-                backoff.observe(delay, time=now)
+                backoff.observe(delay)
             if coordinator is not None:
                 self._record_failure(coordinator, now)
 
@@ -314,8 +314,8 @@ class ResilientControl:
         opens_before = breaker.opened_count
         breaker.record_failure(now)
         if breaker.opened_count > opens_before:
-            self._inc("breaker_opens", time=now)
-        self.sync_breaker_gauges(now)
+            self._inc("breaker_opens")
+        self.sync_breaker_gauges()
 
     def _check_coordinator(self, query: Query, coordinator: int, now: float) -> None:
         """Simulated RPC admission: unreachable/slow coordinators fail."""
@@ -351,15 +351,15 @@ class ResilientControl:
         )
         self.parked[query.name] = parked
         self.parked_total += 1
-        self._set("parked", float(len(self.parked)), time=service.clock)
+        self._set("parked", float(len(self.parked)))
         return parked
 
-    def unpark(self, name: str, time: float) -> bool:
-        """Drop a parked query (e.g. explicit retirement) at ``time``;
-        True if it was parked."""
+    def unpark(self, name: str) -> bool:
+        """Drop a parked query (e.g. explicit retirement); True if it was
+        parked."""
         found = self.parked.pop(name, None) is not None
         if found:
-            self._set("parked", float(len(self.parked)), time=time)
+            self._set("parked", float(len(self.parked)))
         return found
 
     def readmit_parked(self, service: "StreamQueryService", deployed: list[str]) -> None:
@@ -373,7 +373,7 @@ class ResilientControl:
                 deployed.append(name)
             except PlanningError as exc:
                 self.park(service, parked.query, parked.lifetime, str(exc))
-        self._set("parked", float(len(self.parked)), time=service.clock)
+        self._set("parked", float(len(self.parked)))
 
     # ------------------------------------------------------------------
     # Quarantine
@@ -396,7 +396,7 @@ class ResilientControl:
             self.quarantined[node] = now + self.config.quarantine_ticks
             self.quarantined_total += 1
             service.bump_topology_epoch()
-            self._set("quarantined", float(len(self.quarantined)), time=now)
+            self._set("quarantined", float(len(self.quarantined)))
 
     def release_quarantined(self, service: "StreamQueryService", now: float) -> list[int]:
         """Re-admit nodes whose quarantine expired (and are healthy)."""
@@ -408,7 +408,7 @@ class ResilientControl:
             if service.rejoin_node(node):
                 released.append(node)
         if released:
-            self._set("quarantined", float(len(self.quarantined)), time=now)
+            self._set("quarantined", float(len(self.quarantined)))
         return released
 
     @staticmethod
@@ -427,7 +427,7 @@ class ResilientControl:
         for kind, payload in self.faults.due_events(now):
             if kind == "crash":
                 node = payload.node
-                self._inc("faults", time=now)
+                self._inc("faults")
                 self.faults.crashed.add(node)
                 if not self._can_fail(service, node):
                     self.faults.note_applied("crash_skipped", now, node=node)
@@ -443,7 +443,7 @@ class ResilientControl:
                 )
             elif kind == "rejoin":
                 node = payload
-                self._inc("faults", time=now)
+                self._inc("faults")
                 self.faults.crashed.discard(node)
                 rejoined = node not in self.quarantined and service.rejoin_node(node)
                 self.faults.note_applied("rejoin", now, node=node, rejoined=rejoined)

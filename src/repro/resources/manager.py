@@ -407,23 +407,22 @@ class ResourceManager:
     # ------------------------------------------------------------------
     def record_gauges(self, service) -> None:
         """Refresh the ``resource_*`` gauges and counters."""
-        now = service.clock
         gauges = self._node_gauges
         # One settle and one capacity compare; unmoved gauges stay as set.
         self._cursor, moved, utils = self.ledger.utilization_changes(self._cursor)
         moved = [n for n in (gauges if moved is None else moved) if n in gauges]
         for node in moved:
-            gauges[node].set(utils.get(node, 0.0), time=now)
+            gauges[node].set(utils.get(node, 0.0))
         prof = profiler.active()
         if prof is not None:
             prof.count("node_gauges_written", len(moved))
         # The peak over this network's nodes; a shared ledger may track others.
         hot = utils if utils.keys() <= gauges.keys() else utils.keys() & gauges.keys()
-        self._max_gauge.set(max(map(utils.get, hot), default=0.0), time=now)
-        self._parked_gauge.set(float(len(self.parked)), time=now)
-        self._shed_counter.sync_total(float(self.shed_total), time=now)
-        self._readmitted_counter.sync_total(float(self.readmitted_total), time=now)
-        self._infeasible_counter.sync_total(float(self.infeasible_total), time=now)
+        self._max_gauge.set(max(map(utils.get, hot), default=0.0))
+        self._parked_gauge.set(float(len(self.parked)))
+        self._shed_counter.sync_total(float(self.shed_total))
+        self._readmitted_counter.sync_total(float(self.readmitted_total))
+        self._infeasible_counter.sync_total(float(self.infeasible_total))
 
     def capture(self) -> dict:
         """The manager's section of a ``repro.state`` snapshot: parked

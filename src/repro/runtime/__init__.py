@@ -16,7 +16,6 @@ discrete-event simulation:
 * :mod:`repro.runtime.middleware` -- self-adaptivity: monitors network
   condition changes and re-triggers optimization (IFLOW's Middleware
   Layer).
-* :mod:`repro.runtime.metrics` -- time-series metric recording.
 """
 
 from repro.runtime.events import Event, EventQueue
@@ -32,7 +31,6 @@ from repro.runtime.protocol import DeploymentTimeline, simulate_deployment
 from repro.runtime.engine import FlowEngine
 from repro.runtime.middleware import AdaptiveMiddleware, MigrationReport
 from repro.runtime.failover import FailureReport, backup_coordinator, fail_node
-from repro.runtime.metrics import MetricsLog
 from repro.runtime.dataplane import DataPlaneReport, run_dataplane
 
 __all__ = [
@@ -53,7 +51,6 @@ __all__ = [
     "FailureReport",
     "fail_node",
     "backup_coordinator",
-    "MetricsLog",
     "DataPlaneReport",
     "run_dataplane",
 ]

@@ -18,7 +18,6 @@ from repro.network.graph import Network
 from repro.network.routing import path_links
 from repro.obs.metrics import MetricRegistry
 from repro.query.deployment import Deployment, DeploymentState
-from repro.runtime.metrics import MetricsLog
 
 
 @dataclass
@@ -49,21 +48,13 @@ class FlowEngine:
     Args:
         network: The physical network.
         rates: Rate model over the stream catalog.
-        metrics: Optional metrics log; the engine records the total cost
-            after every deploy/undeploy/cost-change event.
-        registry: Optional typed :class:`MetricRegistry`.  When omitted
-            one is created over ``metrics``; when given and ``metrics``
-            is not, the registry's backing log becomes the engine's log.
-            Passing both with different logs is an error.
+
+    The engine owns a :class:`MetricRegistry` (:attr:`registry`) whose
+    ``runtime_total_cost`` / ``runtime_operators`` gauges it sets after
+    every deploy/undeploy/cost-change event.
     """
 
-    def __init__(
-        self,
-        network: Network,
-        rates: RateModel,
-        metrics: MetricsLog | None = None,
-        registry: MetricRegistry | None = None,
-    ) -> None:
+    def __init__(self, network: Network, rates: RateModel) -> None:
         self.network = network
         self.rates = rates
         self.state = DeploymentState(
@@ -72,23 +63,14 @@ class FlowEngine:
             rates.source,
             reuse_inflation=rates.reuse_rate_inflation,
         )
-        if registry is not None and metrics is not None and registry.log is not metrics:
-            raise ValueError("registry.log and metrics must be the same MetricsLog")
-        if registry is None:
-            registry = MetricRegistry(metrics)
-        self.registry = registry
-        self.metrics = registry.log
-        # Legacy series names ("total_cost"/"operators") are preserved
-        # via the instruments' series aliases.
+        self.registry = registry = MetricRegistry()
         self._cost_gauge = registry.gauge(
             "runtime_total_cost",
             "Instantaneous total communication cost per unit time.",
-            series="total_cost",
         )
         self._ops_gauge = registry.gauge(
             "runtime_operators",
             "Live join operators across all deployments.",
-            series="operators",
         )
         self.clock = 0.0
         self._priced_version = network.version
@@ -185,5 +167,5 @@ class FlowEngine:
     def _tick(self, time: float | None) -> None:
         if time is not None:
             self.clock = time
-        self._cost_gauge.set(self.total_cost(), time=self.clock)
-        self._ops_gauge.set(float(self.state.num_operators), time=self.clock)
+        self._cost_gauge.set(self.total_cost())
+        self._ops_gauge.set(float(self.state.num_operators))

@@ -128,9 +128,9 @@ class AdmissionController:
         )
         self._depth_gauge.set(float(len(self._queue)))
 
-    def _record_depth(self, time: float) -> None:
+    def _record_depth(self) -> None:
         if self._depth_gauge is not None:
-            self._depth_gauge.set(float(len(self._queue)), time=time)
+            self._depth_gauge.set(float(len(self._queue)))
 
     # ------------------------------------------------------------------
     @property
@@ -174,7 +174,7 @@ class AdmissionController:
         self._queue.append(query)
         self._enqueued_at[query.name] = time
         self.queued_total += 1
-        self._record_depth(time)
+        self._record_depth()
         return AdmissionDecision(
             query=query.name,
             status=AdmissionStatus.QUEUED,
@@ -205,21 +205,21 @@ class AdmissionController:
             query = self._queue.popleft()
             enqueued = self._enqueued_at.pop(query.name, None)
             if self._wait_hist is not None and enqueued is not None:
-                self._wait_hist.observe(max(0.0, time - enqueued), time=time)
+                self._wait_hist.observe(max(0.0, time - enqueued))
             admitted.append(query)
             self.admitted_total += 1
             free -= 1
         if admitted:
-            self._record_depth(time)
+            self._record_depth()
         return admitted
 
-    def withdraw(self, name: str, time: float = 0.0) -> bool:
+    def withdraw(self, name: str) -> bool:
         """Remove a queued query by name (e.g. client cancellation)."""
         for i, query in enumerate(self._queue):
             if query.name == name:
                 del self._queue[i]
                 self._enqueued_at.pop(name, None)
-                self._record_depth(time)
+                self._record_depth()
                 return True
         return False
 

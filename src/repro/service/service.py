@@ -27,9 +27,8 @@ Three mechanisms make it cheap under heavy traffic:
   the queue itself is bounded.
 
 Service-level metrics (cache hit rate, planning latency, queue depth,
-admitted/rejected counts) are recorded in the engine's
-:class:`~repro.runtime.metrics.MetricsLog` under ``service_*`` names so
-the experiment reporting stack can plot them.
+admitted/rejected counts) are instruments under ``service_*`` names in
+the engine's :class:`~repro.obs.metrics.MetricRegistry`.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from repro.errors import (
 from repro.hierarchy.advertisements import AdvertisementIndex
 from repro.hierarchy.hierarchy import Hierarchy
 from repro.network.graph import Network
-from repro.obs.metrics import MetricRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.perf import profiler as _perf
 from repro.query.deployment import Deployment
@@ -59,7 +57,6 @@ from repro.query.query import Query
 from repro.resilience.degradation import ResilienceConfig, ResilientControl
 from repro.resilience.faults import NULL_FAULTS
 from repro.runtime.engine import FlowEngine
-from repro.runtime.metrics import MetricsLog
 from repro.service.admission import (
     AdmissionController,
     AdmissionDecision,
@@ -145,10 +142,6 @@ class StreamQueryService:
         admission: Admission controller (default: budget 16, unbounded
             queue).
         cache: Plan cache (default: 256-entry LRU).
-        metrics: Metrics log (default: a fresh one, exposed as
-            ``service.metrics``).
-        registry: Optional typed :class:`MetricRegistry` shared with the
-            engine; one is built over ``metrics`` when omitted.
         tracer: Span tracer for control-plane operations (submit, plan,
             node failure).  Disabled (:data:`NULL_TRACER`) by default.
             When enabled it is also installed on the optimizer (if the
@@ -218,8 +211,6 @@ class StreamQueryService:
         ads: AdvertisementIndex | None = None,
         admission: AdmissionController | None = None,
         cache: PlanCache | None = None,
-        metrics: MetricsLog | None = None,
-        registry: MetricRegistry | None = None,
         tracer: Tracer | None = None,
         resilience: ResilienceConfig | None = None,
         faults=None,
@@ -244,7 +235,7 @@ class StreamQueryService:
                     pass
             if ads is not None:
                 ads.tracer = self.tracer
-        self.engine = FlowEngine(network, rates, metrics, registry=registry)
+        self.engine = FlowEngine(network, rates)
         self.registry = self.engine.registry
         if ads is not None:
             # The hierarchical planners resolve sources through the ads
@@ -267,9 +258,6 @@ class StreamQueryService:
         self.plans_computed = 0
         self.planning_seconds = 0.0
 
-        # Typed instruments over the shared log.  Series aliases keep
-        # the legacy ``service_*`` series names intact for existing
-        # time-series consumers.
         reg = self.registry
         self._queue_gauge = reg.gauge(
             "service_queue_depth", "Queries waiting in the admission queue."
@@ -359,11 +347,6 @@ class StreamQueryService:
     def network(self) -> Network:
         """The physical network the service deploys onto."""
         return self.engine.network
-
-    @property
-    def metrics(self) -> MetricsLog:
-        """The service's metrics log."""
-        return self.engine.metrics
 
     @property
     def clock(self) -> float:
@@ -635,11 +618,11 @@ class StreamQueryService:
             UnknownQueryError: The name is neither deployed, queued nor
                 parked (also catchable as ``KeyError``).
         """
-        if self.admission.withdraw(name, time=self.clock):
+        if self.admission.withdraw(name):
             self._pending_lifetimes.pop(name, None)
             self._record_gauges()
             return False
-        if self.resilience is not None and self.resilience.unpark(name, self.clock):
+        if self.resilience is not None and self.resilience.unpark(name):
             self._record_gauges()
             return False
         if self.resources is not None and self.resources.unpark(name):
@@ -781,8 +764,8 @@ class StreamQueryService:
                     },
                 )
                 span.tag(cache="hit")
-                self._cache_hit_counter.inc(time=self.clock)
-                self._planning_hist.observe(0.0, time=self.clock)
+                self._cache_hit_counter.inc()
+                self._planning_hist.observe(0.0)
                 return deployment, True
             start = _time.perf_counter()
             deployment = self.optimizer.plan(query, self.engine.state)
@@ -804,11 +787,11 @@ class StreamQueryService:
                 ),
             )
             span.tag(cache="miss")
-            self._cache_miss_counter.inc(time=self.clock)
+            self._cache_miss_counter.inc()
             examined = deployment.stats.get("plans_examined")
             if examined:
-                self._plans_examined_counter.inc(float(examined), time=self.clock)
-            self._planning_hist.observe(elapsed, time=self.clock)
+                self._plans_examined_counter.inc(float(examined))
+            self._planning_hist.observe(elapsed)
         return deployment, False
 
     def _revalidate(self, query: Query, entry: CachedPlan) -> bool:
@@ -940,16 +923,11 @@ class StreamQueryService:
             self.durability.marker(kind, self.clock, data)
 
     def _record_gauges(self) -> None:
-        now = self.clock
-        self._queue_gauge.set(float(self.admission.queue_depth), time=now)
-        self._live_gauge.set(float(self.engine.state.num_deployments), time=now)
-        self._hit_rate_gauge.set(self.cache.hit_rate, time=now)
-        self._admitted_counter.sync_total(
-            float(self.admission.admitted_total), time=now
-        )
-        self._rejected_counter.sync_total(
-            float(self.admission.rejected_total), time=now
-        )
+        self._queue_gauge.set(float(self.admission.queue_depth))
+        self._live_gauge.set(float(self.engine.state.num_deployments))
+        self._hit_rate_gauge.set(self.cache.hit_rate)
+        self._admitted_counter.sync_total(float(self.admission.admitted_total))
+        self._rejected_counter.sync_total(float(self.admission.rejected_total))
         if self.resources is not None:
             self.resources.record_gauges(self)
 

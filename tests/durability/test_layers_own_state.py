@@ -3,8 +3,9 @@
 * an ``ast`` walk keeps ``src/repro/durability/`` from touching another
   object's underscore attributes again (outside the core structures
   whose format ``state.py`` owns) and from importing the layer packages;
-* arming ``durability=`` over a layer without ``capture`` / ``restore``
-  fails at construction;
+* arming ``durability=`` over a layer without ``capture`` / ``restore``,
+  or a fleet whose routing policy has no ``capture``, fails at
+  construction;
 * a snapshot that does not fit the controller the recovery factory
   built -- a section for a layer it forgot, no section for one it added,
   another state version -- is refused with one typed error instead of
@@ -111,6 +112,34 @@ class DeafInjector(type(NULL_FAULTS)):
 def test_arming_durability_over_a_layer_without_the_pair_is_a_type_error(tmp_path):
     with pytest.raises(TypeError, match=r"'faults' layer: DeafInjector has no capture\(\)"):
         build(tmp_path, faults=DeafInjector())
+
+
+class FirstShardPolicy:
+    """A custom routing policy that cannot write its section."""
+
+    name = "first"
+
+    def assign(self, query, num_shards, loads):
+        return 0
+
+
+def test_arming_durability_over_a_policy_without_capture_is_a_type_error(tmp_path):
+    net = repro.transit_stub_by_size(24, seed=7)
+    hierarchy = repro.build_hierarchy(net, max_cs=6, seed=0)
+    workload = repro.generate_workload(
+        net, repro.WorkloadParams(num_streams=8, num_queries=4), seed=8
+    )
+    rates = workload.rate_model()
+    durability = DurabilityConfig(state_dir=str(tmp_path))
+    with pytest.raises(
+        TypeError, match=r"'router.policy' layer: FirstShardPolicy has no capture\(\)"
+    ):
+        repro.FleetController(
+            2, net, rates, hierarchy, policy=FirstShardPolicy(), durability=durability
+        )
+    # Without durability the policy routes as before.
+    fleet = repro.FleetController(2, net, rates, hierarchy, policy=FirstShardPolicy())
+    assert fleet.router.route(workload.queries[0]) == 0
 
 
 def test_telemetry_says_it_is_not_captured():

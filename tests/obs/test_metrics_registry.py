@@ -1,4 +1,4 @@
-"""Typed metric registry: instrument semantics, export formats, log compat."""
+"""Typed metric registry: instrument semantics and export formats."""
 
 import json
 import math
@@ -6,8 +6,6 @@ import math
 import pytest
 
 from repro.obs import Counter, Gauge, Histogram, MetricRegistry
-from repro.obs.metrics import series_summary
-from repro.runtime.metrics import MetricsLog
 
 
 class TestCounter:
@@ -85,24 +83,6 @@ class TestRegistry:
             reg.histogram("x_total")
         assert reg.names() == ["x_total"]
 
-    def test_instruments_record_into_the_backing_log(self):
-        log = MetricsLog()
-        reg = MetricRegistry(log)
-        reg.counter("hits_total").inc(time=1.0)
-        reg.gauge("depth").set(3.0, time=2.0)
-        reg.histogram("lat").observe(0.25, time=3.0)
-        assert log.series("hits_total") == [(1.0, 1.0)]
-        assert log.series("depth") == [(2.0, 3.0)]
-        assert log.series("lat") == [(3.0, 0.25)]
-
-    def test_series_alias_keeps_legacy_names(self):
-        log = MetricsLog()
-        reg = MetricRegistry(log)
-        g = reg.gauge("runtime_total_cost", series="total_cost")
-        g.set(42.0, time=5.0)
-        assert log.last("total_cost") == 42.0
-        assert log.series("runtime_total_cost") == []
-
     def test_exposition_format(self):
         reg = MetricRegistry()
         reg.counter("reqs_total", help="Total requests.").inc(3)
@@ -133,29 +113,6 @@ class TestRegistry:
         assert doc["g"]["value"] is None
         assert doc["h"]["p95"] is None
         assert doc["h"]["count"] == 0
-
-
-class TestSeriesStats:
-    def test_series_stats_matches_exact_samples(self):
-        log = MetricsLog()
-        for i, v in enumerate([5.0, 1.0, 3.0, 2.0, 4.0]):
-            log.record(float(i), "depth", v)
-        stats = log.series_stats("depth")
-        assert stats["count"] == 5
-        assert stats["min"] == 1.0
-        assert stats["max"] == 5.0
-        assert stats["mean"] == 3.0
-        assert stats["p50"] == 3.0
-        assert stats["p95"] == pytest.approx(4.8)
-
-    def test_series_stats_unknown_metric_raises(self):
-        with pytest.raises(KeyError):
-            MetricsLog().series_stats("nope")
-
-    def test_series_summary_empty_is_nan(self):
-        s = series_summary([])
-        assert s["count"] == 0
-        assert math.isnan(s["min"])
 
     def test_instrument_classes_are_exported(self):
         reg = MetricRegistry()

@@ -120,10 +120,10 @@ class TestTelemetryScraper:
         store = TimeSeriesStore()
         scraper = TelemetryScraper(store)
         scraper.register("svc", registry)
-        counter.inc(3, time=0.5)
-        gauge.set(7, time=0.5)
+        counter.inc(3)
+        gauge.set(7)
         for v in (0.5, 2.0, 8.0):
-            hist.observe(v, time=0.5)
+            hist.observe(v)
         appended = scraper.scrape(1.0)
         assert appended > 0
         assert store.last("svc.reqs_total") == 3.0
@@ -138,7 +138,7 @@ class TestTelemetryScraper:
         store = TimeSeriesStore()
         scraper = TelemetryScraper(store)
         scraper.register("svc", registry)
-        counter.inc(time=0.0)
+        counter.inc()
         scraper.scrape(1.0)
         assert store.last("svc.depth") is None  # never set
         assert store.last("svc.wait_count") == 0.0  # count/sum always emit
@@ -149,7 +149,7 @@ class TestTelemetryScraper:
         store = TimeSeriesStore()
         scraper = TelemetryScraper(store, cadence=2.0)
         scraper.register("svc", registry)
-        counter.inc(time=0.0)
+        counter.inc()
         assert scraper.due(1.0)
         assert scraper.scrape(1.0) > 0
         assert not scraper.due(2.0)
@@ -162,7 +162,7 @@ class TestTelemetryScraper:
     def test_wall_clock_series_dropped_by_default(self):
         registry = MetricRegistry()
         wall = registry.histogram("service_planning_seconds", help="wall")
-        wall.observe(0.01, time=0.0)
+        wall.observe(0.01)
         assert "service_planning_seconds" in WALL_CLOCK_SERIES
 
         store = TimeSeriesStore()
@@ -185,7 +185,7 @@ class TestTelemetryScraper:
         scraper.register("svc", registry)
         scraper.add_source("extra", lambda: {"custom": 42.0})
         assert scraper.scopes() == ["svc", "extra"]
-        counter.inc(time=0.0)
+        counter.inc()
         scraper.scrape(1.0)
         assert store.series("svc.reqs_total") == [(1.0, 3.0)] or store.series(
             "svc.reqs_total"

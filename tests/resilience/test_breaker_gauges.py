@@ -49,11 +49,11 @@ class TestBreakerStateGauges:
 
         # recovery_time elapses -> allow() moves it to half-open
         assert control.breakers.allow(5, now=8.0)
-        control.sync_breaker_gauges(now=8.0)
+        control.sync_breaker_gauges()
         assert gauge.value == BREAKER_STATE_VALUES[BreakerState.HALF_OPEN]
 
         control.breakers.record_success(5, now=8.5)
-        control.sync_breaker_gauges(now=8.5)
+        control.sync_breaker_gauges()
         assert gauge.value == BREAKER_STATE_VALUES[BreakerState.CLOSED]
 
     def test_sync_without_registry_is_a_noop(self):

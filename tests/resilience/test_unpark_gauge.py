@@ -1,9 +1,8 @@
-"""``ResilientControl.unpark`` stamps the parked gauge with the caller's time.
+"""``ResilientControl.unpark`` writes the parked gauge only when it unparks.
 
-Regression: ``unpark`` used to set ``resilience_parked_queries`` with no
-time, so every ``retire`` of a live query on a resilience-armed service
-appended a ``t = 0.0`` sample to the (unbounded) series -- out of order,
-and one per retire whether or not anything had been parked.
+Regression: every ``retire`` of a live query on a resilience-armed
+service used to write ``resilience_parked_queries`` whether or not
+anything had been parked.
 """
 
 import repro
@@ -11,7 +10,7 @@ from repro.errors import PlanningError
 from repro.resilience import ResilienceConfig
 from repro.service import AdmissionController, StreamQueryService, churn_trace
 
-SERIES = "resilience_parked_queries"
+GAUGE = "resilience_parked_queries"
 
 
 def build_service():
@@ -34,23 +33,19 @@ def build_service():
     return service, workload
 
 
-def test_parked_series_is_time_ordered_over_a_churn_replay_with_retires():
+def test_a_retire_with_nothing_parked_leaves_the_parked_gauge_alone():
     service, workload = build_service()
     service.replay(churn_trace(workload, lifetime=None), drain=False)
     live = list(service.live_queries)
     assert live
-    samples_before = len(service.metrics.series(SERIES))
     for name in live:
-        service.tick()
+        cursor = service.registry.feed_cursor()
         assert service.retire(name) is True
-    series = service.metrics.series(SERIES)
-    times = [time for time, _value in series]
-    assert times == sorted(times)
-    # Nothing was parked: each tick sampled the gauge once, no retire did.
-    assert len(series) == samples_before + len(live)
+        assert GAUGE not in service.registry.changes_since(cursor)
+    assert service.registry.get(GAUGE).value == 0.0
 
 
-def test_retiring_a_parked_query_records_the_gauge_at_the_clock():
+def test_retiring_a_parked_query_writes_the_parked_gauge():
     service, workload = build_service()
     victim = next(iter(workload))
 
@@ -60,8 +55,8 @@ def test_retiring_a_parked_query_records_the_gauge_at_the_clock():
     service._deploy = failing
     service.tick(time=4.0)
     assert service.submit(victim).reason == "parked: coordinator down"
-    service.tick(time=9.0)
+    assert service.registry.get(GAUGE).value == 1.0
+    cursor = service.registry.feed_cursor()
     assert service.retire(victim.name) is False
-    series = service.metrics.series(SERIES)
-    assert series[-1] == (9.0, 0.0)
-    assert [time for time, _ in series] == sorted(time for time, _ in series)
+    assert GAUGE in service.registry.changes_since(cursor)
+    assert service.registry.get(GAUGE).value == 0.0

@@ -9,7 +9,6 @@ from repro.network.topology import transit_stub_by_size
 from repro.runtime import (
     AdaptiveMiddleware,
     FlowEngine,
-    MetricsLog,
     simulate_deployment,
 )
 from repro.workload import WorkloadParams, generate_workload
@@ -106,15 +105,15 @@ class TestFlowEngine:
 
     def test_metrics_recorded(self, env):
         net, w, rates, h = env
-        metrics = MetricsLog()
-        engine = FlowEngine(net, rates, metrics=metrics)
+        engine = FlowEngine(net, rates)
         opt = BottomUpOptimizer(h, rates)
         engine.deploy(opt.plan(w.queries[0], engine.state), time=1.0)
+        first = engine.registry.get("runtime_total_cost").value
         engine.deploy(opt.plan(w.queries[1], engine.state), time=2.0)
-        series = metrics.series("total_cost")
-        assert len(series) == 2
-        assert series[1][1] >= series[0][1]
-        assert metrics.last("operators") >= 1
+        assert engine.registry.get("runtime_total_cost").value >= first
+        assert engine.registry.get("runtime_total_cost").value == engine.total_cost()
+        assert engine.registry.get("runtime_operators").value >= 1
+        assert engine.clock == 2.0
 
     def test_link_loads_match_cost(self, env):
         """Sum of per-link rate x cost must equal the flow-cost total."""

@@ -71,7 +71,7 @@ class TestGaugeTracksDepth:
         controller.request(queries[1], live_count=1, time=0.0)
         controller.request(queries[2], live_count=1, time=0.0)
         assert gauge.value == 2.0 == float(controller.queue_depth)
-        assert controller.withdraw(queries[2].name, time=1.0)
+        assert controller.withdraw(queries[2].name)
         assert gauge.value == 1.0
         controller.drain(live_count=0, time=2.0)
         assert gauge.value == 0.0
@@ -103,7 +103,7 @@ class TestWaitHistogram:
         controller.bind_instruments(registry)
         queries = workload.queries
         controller.request(queries[0], live_count=1, time=0.0)
-        controller.withdraw(queries[0].name, time=3.0)
+        controller.withdraw(queries[0].name)
         controller.drain(live_count=0, time=5.0)
         assert registry.get("admission_queue_wait_ticks").count == 0
 

@@ -30,7 +30,7 @@ class CountingOptimizer:
         return self.inner.plan(query, state)
 
 
-def build_service(budget=8, max_queue=None, max_per_tick=None, seed=31):
+def build_service(budget=8, max_queue=None, max_per_tick=None, seed=31, cache_capacity=256):
     net = repro.transit_stub_by_size(32, seed=seed)
     hierarchy = repro.build_hierarchy(net, max_cs=4, seed=0)
     workload = repro.generate_workload(
@@ -50,6 +50,7 @@ def build_service(budget=8, max_queue=None, max_per_tick=None, seed=31):
         admission=AdmissionController(
             budget=budget, max_queue=max_queue, max_per_tick=max_per_tick
         ),
+        cache=PlanCache(capacity=cache_capacity),
     )
     return service, workload, optimizer
 
@@ -280,7 +281,7 @@ class TestLifecycle:
         service, workload, _ = build_service()
         service.submit(workload.queries[0])
         service.tick()
-        names = service.metrics.metrics()
+        names = service.registry.names()
         for metric in (
             "service_queue_depth",
             "service_live_queries",
@@ -290,7 +291,7 @@ class TestLifecycle:
             "service_rejected_total",
         ):
             assert metric in names
-        assert service.metrics.last("service_live_queries") == 1.0
+        assert service.registry.get("service_live_queries").value == 1.0
 
 
 class TestReplay:
@@ -305,8 +306,15 @@ class TestReplay:
         assert s["final_live"] == 0
         # second round is served from the cache
         assert s["cache_hits"] > 0
+        assert s["cache_hit_rate"] > 0.3
         assert optimizer.calls == s["plans_computed"]
         assert s["plans_computed"] < s["submitted"]
+        # A cache too small to hit (LRU-evicted before any resubmission
+        # comes around again) re-plans every submission, and deploys the same.
+        control, _, _ = build_service(budget=4, cache_capacity=1)
+        c = control.replay(trace).summary
+        assert c["cache_hits"] == 0 and c["plans_computed"] == c["deployed_total"]
+        assert c["deployed_total"] == s["deployed_total"]
 
     def test_repeated_rounds_reuse_plans(self):
         service, workload, optimizer = build_service(budget=16)
