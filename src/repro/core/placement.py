@@ -72,6 +72,10 @@ class LevelDP:
     Args:
         candidates, costs, sink, tracer, constraint: As for
             :func:`optimal_tree_placement`.
+
+    Attributes:
+        binds: Whether the constraint can refuse or penalize anything on
+            these candidates; if not, :meth:`price` runs the free DP.
     """
 
     def __init__(
@@ -90,6 +94,7 @@ class LevelDP:
         self._sink = sink
         self._tracer = tracer
         self._constraint = constraint
+        self.binds = constraint is not None and constraint.binds(cand.tolist())
         # Cost of shipping between candidates: every join's output sits
         # on a candidate, so one slice serves every join-to-join edge.
         self._between = costs[cand[:, None], cand]
@@ -107,7 +112,7 @@ class LevelDP:
         Args:
             positions: Allowed nodes of each leaf (a list), in row order.
             levels: ``(left rows, right rows, joins, sizes)`` per level;
-                ``joins`` is read under a constraint only: what it prices,
+                ``joins`` is read only when :attr:`binds`: what it prices,
                 one per ``sizes`` consecutive rows (rows joining the same
                 two source sets carry the same load).
             rates: Output rate of every row below the roots.
@@ -153,7 +158,7 @@ class LevelDP:
             high = low + len(left)
             total = dp[:, low - leaves : high - leaves]
             np.add(ship.take(left, axis=1), ship.take(right, axis=1), out=total)
-            if constraint is not None:
+            if self.binds:
                 penalties = [constraint.join_penalty(join, cand) for join in joins]
                 if penalties[0] is not None:
                     total += np.repeat(np.transpose(penalties), sizes, axis=1)

@@ -15,9 +15,11 @@ place-each-tree loop returns (that loop lives on as the oracle
   :class:`~repro.core.placement.LevelDP` prices a subset size at a time,
   a subtree shared by many trees being one row, and
 * ``Join`` nodes and a placement are built for the winner only -- under
-  a resource constraint, for each tree that beats the incumbent and so
-  owes the joint ``validate`` (the two tests commute: same decisions,
-  same order).
+  a resource constraint that can bind on the task's candidates, for each
+  tree that beats the incumbent and so owes the joint ``validate`` (the
+  two tests commute: same decisions, same order).  On candidates the
+  constraint certifies cold the masks, penalties and joint checks could
+  refuse nothing, so none is built or run.
 
 The counters written to ``stats`` and the span are the paper's *nominal*
 search-space accounting (trees that exist, assignments they span), not
@@ -117,7 +119,8 @@ class TreeSearch:
         positions: Mapping[frozenset[str], Sequence[int]],
     ) -> None:
         """Search every tree over ``views`` (placed at ``positions``)."""
-        span, stats, constraint, flow = self.span, self.stats, self.constraint, self.flow
+        span, stats, flow = self.span, self.stats, self.flow
+        constraint = self.constraint if self._table.binds else None
         total = count_bushy_trees(len(views))
         span.incr("trees_enumerated", total)
         program = None

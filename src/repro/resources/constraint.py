@@ -24,11 +24,18 @@ joint checks ask) and prices one query's join operators:
 The per-operator mask is therefore a pruning heuristic and the joint
 check is the contract: nothing a constrained planner returns ever
 violates the bound.
+
+A node is *cold* when its background load plus the most the whole query
+could add to it stays under the bound: there every mask reads ``True``
+and every placement passes :meth:`validate`, so :meth:`binds` lets the
+task search skip both on candidates that are all cold.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+import math
+from functools import cached_property
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -40,6 +47,9 @@ from repro.resources.footprint import JoinPricer, OperatorFootprint
 from repro.resources.ledger import plan_node_loads
 
 _EPS = 1e-9
+#: Relative slack of the cold certificate: covers the multiplication and
+#: summation orders the certified loads are computed in.
+_SLACK = 1e-6
 
 
 class PlacementConstraint(JoinPricer):
@@ -82,6 +92,8 @@ class PlacementConstraint(JoinPricer):
         # (candidates, base[n x 3], capacity[n x 3], unbounded[n x 3])
         # of the array asked about last: a placement DP always asks with one.
         self._arrays: tuple | None = None
+        # node -> whether it is cold (:meth:`_cold`).
+        self._cold_nodes: dict[int, bool] = {}
 
     # ------------------------------------------------------------------
     def _projected(self, node: int, load: Load) -> float:
@@ -106,6 +118,61 @@ class PlacementConstraint(JoinPricer):
         ratios = (base + _dimensions(self.join_load(sub))) / capacity
         ratios[unbounded] = 0.0
         return ratios.max(axis=1)
+
+    @cached_property
+    def _worst(self) -> tuple[float, float, float]:
+        """Per dimension, the most the query's ``k - 1`` joins add to one
+        node, each at most cpu ``2M``, memory ``2M x window x bytes`` and
+        bandwidth ``3M``: ``M`` is the largest rate of any stream subset."""
+        query = self.query
+        names = list(query.sources)
+        rates = self.footprint.rates
+        base = [rates.stream(name).rate for name in names]
+        for flt in dict.fromkeys(query.filters):  # a signature's sets of them
+            base[names.index(flt.stream)] *= flt.selectivity
+        # peak[mask]: rate of the stream subset ``mask``, built up by
+        # adding its highest-numbered stream to the rest.
+        links: list[list[tuple[int, float]]] = [[] for _ in names]
+        for pred in dict.fromkeys(query.predicates):
+            a, b = names.index(pred.left), names.index(pred.right)
+            links[max(a, b)].append((1 << min(a, b), pred.selectivity))
+        step = 2.0 * query.window
+        peak = [1.0] * (1 << len(names))
+        for mask in range(1, len(peak)):
+            i = mask.bit_length() - 1
+            rest = mask ^ (1 << i)
+            rate = peak[rest] * base[i]
+            for bit, selectivity in links[i]:
+                if rest & bit:
+                    rate *= selectivity
+            peak[mask] = rate * step if rest else rate
+        top = max(peak[1:]) * (1.0 + _SLACK) * (len(names) - 1)
+        return (
+            2.0 * top,
+            2.0 * top * query.window * self.footprint.bytes_per_tuple,
+            3.0 * top,
+        )
+
+    def _cold(self, node: int) -> bool:
+        """Whether nothing this query places on ``node`` can push it past
+        the bound."""
+        cold = self._cold_nodes.get(node)
+        if cold is None:
+            limit = self.bound * (1.0 - _SLACK)
+            cold = self._cold_nodes[node] = all(
+                math.isinf(cap) or base + worst <= limit * cap
+                for base, worst, cap in zip(
+                    _dimensions(self.base_loads.get(node, ZERO_LOAD)),
+                    self._worst,
+                    _dimensions(self.capacities.get(node, UNBOUNDED)),
+                )
+            )
+        return cold
+
+    def binds(self, candidates: Iterable[int]) -> bool:
+        """Whether a search over ``candidates`` needs the masks, penalties
+        and joint checks: a load penalty is weighed, or a node is hot."""
+        return self.load_weight > 0 or not all(map(self._cold, candidates))
 
     # ------------------------------------------------------------------
     # DP interface
@@ -138,6 +205,8 @@ class PlacementConstraint(JoinPricer):
         prof = profiler.active()
         if prof is not None:
             prof.count("joint_validations")
+        if all(self._cold(placement[join]) for join in plan.joins()):
+            return True
         for node, load in self.added_loads(plan, placement).items():
             if self._projected(node, load) > self.bound + _EPS:
                 return False

@@ -168,6 +168,9 @@ class _ForbidsOneNode:
     def __init__(self, node):
         self.node = node
 
+    def binds(self, candidates):
+        return True
+
     def join_mask(self, sub, candidates):
         return candidates != self.node
 

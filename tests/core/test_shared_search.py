@@ -143,7 +143,9 @@ def _constraint(task):
     if task.constraint is None:
         return None
     total = sum(spec.rate for spec in task.rates.streams.values())
-    scale = {"bound": total, "weighted": 4 * total, "all-infeasible": 1e-9}[task.constraint]
+    scale = {
+        "bound": total, "weighted": 4 * total, "all-infeasible": 1e-9, "loose": 1e9,
+    }[task.constraint]
     return PlacementConstraint(
         query=task.query,
         footprint=OperatorFootprint(task.rates),
@@ -174,7 +176,8 @@ def _run(make_search, task):
 
 def _refusals_by_rule(task):
     """``infeasible_trees`` as the module docstring defines it, and how
-    many trees owed a joint check (one per incumbent change or refusal).
+    many trees owed a joint check (one per incumbent change or refusal,
+    on candidates the constraint binds on).
 
     Written in the reference's order (validate every mask-feasible tree,
     then compare), so it shares no control flow with the search.
@@ -205,7 +208,7 @@ def _refusals_by_rule(task):
                     incumbent = result.objective
                 else:
                     refused += 1
-    return refused, owed
+    return refused, owed if constraint.binds(task.candidates) else 0
 
 
 def _assert_same_choice(task):
@@ -219,7 +222,9 @@ def _assert_same_choice(task):
     # one numpy pass per subset size, whatever the number of trees ...
     assert ops["search_array_passes"] == sum(len(ls) for ls in task.leaf_sets)
     most_joins = max(len(ls) for ls in task.leaf_sets) - 1
-    if task.constraint is None:
+    constraint = _constraint(task)
+    if constraint is None or not constraint.binds(task.candidates):
+        # A constraint that cannot bind on these candidates costs nothing ...
         assert "joint_validations" not in ops and "join_loads_priced" not in ops
         # ... and Join nodes for at most one tree per leaf set.
         assert ops.get("joins_built", 0) <= sum(len(ls) - 1 for ls in task.leaf_sets)
@@ -283,6 +288,15 @@ class TestTaskDifferential:
     def test_all_infeasible_task_finds_nothing(self, task):
         task.constraint = "all-infeasible"
         assert _assert_same_choice(task) is None
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(tasks())
+    def test_cold_task_does_no_constraint_work(self, task):
+        task.constraint = "loose"
+        assert not _constraint(task).binds(task.candidates)
+        _assert_same_choice(task)
+        ops = _run(TreeSearch, task)[3]
+        assert ops.get("joint_validations", 0) == ops.get("join_loads_priced", 0) == 0
 
 
 class TestWorkCounts:
