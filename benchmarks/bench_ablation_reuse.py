@@ -23,7 +23,7 @@ def test_reuse_value_vs_inflation(benchmark):
     def run(inflation, reuse):
         rates = RateModel(env.workload.streams, reuse_rate_inflation=inflation)
         state = DeploymentState(
-            env.network.cost_matrix(), rates.rate_for, rates.source, inflation
+            env.network.cost_matrix(), rates.rate, rates.source, inflation
         )
         optimizer = make_optimizer(
             "top-down", env.network, rates, hierarchy=env.hierarchy(16), reuse=reuse

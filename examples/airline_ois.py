@@ -52,7 +52,7 @@ def main() -> None:
     print(f"selectivity-only (network-oblivious) plan: {static_tree.pretty()}")
 
     planner = repro.OptimalPlanner(sc.network, sc.rates)
-    state = repro.DeploymentState(costs, sc.rates.rate_for, sc.rates.source)
+    state = repro.DeploymentState(costs, sc.rates.rate, sc.rates.source)
     d1 = planner.plan(sc.q1, state)
     print(f"network-aware joint plan:                  {d1.plan.pretty()}")
     print(f"   placements: {describe(d1, ids)}")
@@ -62,7 +62,7 @@ def main() -> None:
     )
 
     print("== 2. Operator reuse ==")
-    state = repro.DeploymentState(costs, sc.rates.rate_for, sc.rates.source)
+    state = repro.DeploymentState(costs, sc.rates.rate, sc.rates.source)
     d2 = planner.plan(sc.q2, state)
     c2 = state.apply(d2)
     print(f"deploy Q2 first: {d2.plan.pretty()}  [{describe(d2, ids)}]  cost {c2:.1f}")

@@ -33,7 +33,7 @@ def main() -> None:
     rates = workload.rate_model()
 
     def fresh_state():
-        return repro.DeploymentState(net.cost_matrix(), rates.rate_for, rates.source)
+        return repro.DeploymentState(net.cost_matrix(), rates.rate, rates.source)
 
     print(f"workload: {len(workload)} queries over {len(workload.streams)} streams\n")
 

@@ -30,7 +30,7 @@ def main() -> None:
     hierarchy = repro.build_hierarchy(sc.network, max_cs=6, seed=0)
     optimizer = repro.TopDownOptimizer(hierarchy, sc.rates)
     state = repro.DeploymentState(
-        sc.network.cost_matrix(), sc.rates.rate_for, sc.rates.source
+        sc.network.cost_matrix(), sc.rates.rate, sc.rates.source
     )
 
     print("\n== deploying the dashboards in arrival order ==")
@@ -47,7 +47,7 @@ def main() -> None:
 
     # Counterfactual: the same workload without reuse.
     state_no = repro.DeploymentState(
-        sc.network.cost_matrix(), sc.rates.rate_for, sc.rates.source
+        sc.network.cost_matrix(), sc.rates.rate, sc.rates.source
     )
     optimizer_no = repro.TopDownOptimizer(hierarchy, sc.rates, reuse=False)
     for query in sc.queries:

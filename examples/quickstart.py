@@ -38,7 +38,7 @@ def main() -> None:
         "optimal": repro.OptimalPlanner(net, rates),
     }
     states = {
-        name: repro.DeploymentState(net.cost_matrix(), rates.rate_for, rates.source)
+        name: repro.DeploymentState(net.cost_matrix(), rates.rate, rates.source)
         for name in planners
     }
     costs = net.cost_matrix()

@@ -17,7 +17,7 @@ Quickstart::
     rates = workload.rate_model()
 
     optimizer = repro.TopDownOptimizer(hierarchy, rates)
-    state = repro.DeploymentState(net.cost_matrix(), rates.rate_for, rates.source)
+    state = repro.DeploymentState(net.cost_matrix(), rates.rate, rates.source)
     for query in workload:
         deployment = optimizer.plan(query, state)
         print(query.name, deployment.plan.pretty(), state.apply(deployment))

@@ -124,20 +124,17 @@ def _operator_map(deployment: Deployment) -> dict[ViewSignature, tuple[int, Join
     Signatures are unique within one query's plan: each join subtree
     covers a distinct source set.
     """
-    query = deployment.query
-    out: dict[ViewSignature, tuple[int, Join]] = {}
-    for join in deployment.plan.joins():
-        sig = query.view_signature(join.sources)
-        out[sig] = (deployment.placement[join], join)
-    return out
+    return {
+        deployment.signature(join.sources): (deployment.placement[join], join)
+        for join in deployment.plan.joins()
+    }
 
 
 def _window_state_tuples(join: Join, deployment: Deployment, rates: RateModel) -> float:
     """Expected tuples resident in the join's sliding windows."""
-    query = deployment.query
-    window = query.view_signature(join.sources).window
+    window = deployment.signature(join.sources).window
     return sum(
-        rates.rate_for(query, child.sources) * window
+        rates.rate(deployment.signature(child.sources)) * window
         for child in (join.left, join.right)
     )
 
@@ -185,11 +182,7 @@ def diff_deployments(
             diff.removed.append((sig, old_ops[sig][0]))
         else:
             diff.added.append((sig, new_ops[sig][0]))
-    old_reused = {
-        old.query.view_signature(leaf.view) for leaf in old.reused_leaves()
-    }
-    new_reused = {
-        new.query.view_signature(leaf.view) for leaf in new.reused_leaves()
-    }
+    old_reused = {old.signature(leaf.view) for leaf in old.reused_leaves()}
+    new_reused = {new.signature(leaf.view) for leaf in new.reused_leaves()}
     diff.reused_kept = sorted(old_reused & new_reused, key=lambda s: s.label())
     return diff

@@ -37,7 +37,6 @@ from repro.adaptive.diff import MigrationDiff, diff_deployments
 from repro.core.cost import RateModel
 from repro.errors import InfeasiblePlacementError
 from repro.query.deployment import Deployment, DeploymentState
-from repro.query.plan import Join
 
 
 @dataclass(frozen=True)
@@ -127,13 +126,10 @@ class ReoptPolicy:
 
     def pinned_by_reuse(self, state: DeploymentState, deployment: Deployment) -> bool:
         """Whether other queries consume operators this query created."""
-        query = deployment.query
-        for subtree in deployment.plan.subtrees():
-            if not isinstance(subtree, Join):
-                continue
-            sig = query.view_signature(subtree.sources)
-            users = state.queries_using(sig, deployment.placement[subtree])
-            if users - {query.name}:
+        name = deployment.query.name
+        for join in deployment.plan.joins():
+            sig = deployment.signature(join.sources)
+            if state.queries_using(sig, deployment.placement[join]) - {name}:
                 return True
         return False
 

@@ -114,7 +114,8 @@ class RateModel:
         contributes a factor ``2 * window``: an arrival probes the
         opposite window (expected ``r * W`` tuples) from both sides.
         With the default ``W = 1/2`` this reduces to the classical
-        ``sigma * r_L * r_R``.
+        ``sigma * r_L * r_R``.  This is the ``rate_of``
+        :class:`repro.query.deployment.DeploymentState` prices by.
         """
         cached = self._cache.get(signature)
         if cached is not None:
@@ -133,11 +134,7 @@ class RateModel:
         return rate
 
     def rate_for(self, query: Query, subset: Iterable[str]) -> float:
-        """Output rate of the join over ``subset`` of ``query``'s streams.
-
-        This is the ``rate_fn`` signature
-        :class:`repro.query.deployment.DeploymentState` expects.
-        """
+        """Output rate of the join over ``subset`` of ``query``'s streams."""
         return self.rate(query.view_signature(frozenset(subset)))
 
     def split_selectivity(self, query: Query, left: frozenset[str], right: frozenset[str]) -> float:

@@ -49,7 +49,7 @@ class EvalEnv:
         """A new empty deployment state priced at current network costs."""
         return DeploymentState(
             self.network.cost_matrix(),
-            self.rates.rate_for,
+            self.rates.rate,
             self.rates.source,
             reuse_inflation=self.rates.reuse_rate_inflation,
         )

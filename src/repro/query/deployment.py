@@ -43,6 +43,10 @@ OperatorKey = tuple[ViewSignature, int]  # (signature, node)
 _FEED_LIMIT = 256
 
 
+def _is_base(node: PlanNode) -> bool:
+    return isinstance(node, Leaf) and node.is_base_stream
+
+
 @dataclass(frozen=True)
 class FlowEdge:
     """One materialized data flow (a subscription).
@@ -94,6 +98,10 @@ class Deployment:
     placement: dict[PlanNode, int]
     stats: dict = field(default_factory=dict)
     explanation: object | None = None
+    # Derived, filled by :meth:`signature`: never captured, compared or shown.
+    _signatures: dict[frozenset[str], ViewSignature] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         for node in self.plan.subtrees():
@@ -107,6 +115,17 @@ class Deployment:
                 f"plan covers {sorted(self.plan.sources)} but query "
                 f"{self.query.name!r} needs {sorted(self.query.sources)}"
             )
+
+    def signature(self, view: frozenset[str]) -> ViewSignature:
+        """The query's signature over ``view``, derived once per deployment.
+
+        Pass a plan node's own ``sources`` (or a leaf's ``view``): the
+        signature is built from the first set it is asked with.
+        """
+        sig = self._signatures.get(view)
+        if sig is None:
+            sig = self._signatures[view] = self.query.view_signature(view)
+        return sig
 
     @property
     def operator_nodes(self) -> dict[PlanNode, int]:
@@ -143,9 +162,8 @@ class DeploymentState:
 
     Args:
         costs: All-pairs traversal-cost matrix of the physical network.
-        rate_fn: ``rate_fn(query, subset) -> float`` giving the output
-            rate of the join over ``subset`` of ``query``'s streams
-            (normally :meth:`repro.core.cost.RateModel.rate_for`).
+        rate_of: ``rate_of(signature) -> float`` giving the output rate
+            of a view (normally :meth:`repro.core.cost.RateModel.rate`).
         source_fn: ``source_fn(stream_name) -> node`` giving each base
             stream's source node.
         reuse_inflation: Multiplier (>= 1) on the shipping rate of reused
@@ -156,14 +174,14 @@ class DeploymentState:
     def __init__(
         self,
         costs: np.ndarray,
-        rate_fn: Callable[[Query, frozenset[str]], float],
+        rate_of: Callable[[ViewSignature], float],
         source_fn: Callable[[str], int],
         reuse_inflation: float = 1.0,
     ) -> None:
         if reuse_inflation < 1.0:
             raise ValueError("reuse_inflation must be >= 1")
         self._costs = costs
-        self._rate_fn = rate_fn
+        self._rate_of = rate_of
         self._source_fn = source_fn
         self._reuse_inflation = reuse_inflation
         self._operators: dict[OperatorKey, _OperatorRecord] = {}
@@ -173,6 +191,9 @@ class DeploymentState:
         self._flows: dict[str, list[FlowEdge]] = {}
         self._flow_costs: dict[str, list[float]] = {}
         self._deployments: dict[str, Deployment] = {}
+        # Per live query, the records ``apply`` added its name to, in
+        # order: ``undeploy`` releases exactly these.
+        self._claims: dict[str, list[OperatorKey]] = {}
         #: Monotone change counter, bumped by every mutator: readers that
         #: keep anything derived from this state compare it to skip work.
         self.revision = 0
@@ -287,49 +308,46 @@ class DeploymentState:
 
         Creates operator instances for every join of the plan, charges
         their input flows to this query, and validates that every reused
-        leaf references an operator some earlier query deployed.
+        leaf references an operator some earlier query deployed.  Every
+        record the query's name is added to is claimed, in that order; a
+        refused deployment releases what it claimed before raising.
         """
         query = deployment.query
-        if query.name in self._deployments:
-            raise DeploymentError(f"query {query.name!r} is already deployed")
+        name = query.name
+        if name in self._deployments:
+            raise DeploymentError(f"query {name!r} is already deployed")
         self.revision += 1
+        placement = deployment.placement
+        claims: list[OperatorKey] = []
+        adopted: list[_OperatorRecord] = []
         added: list[FlowEdge] = []
-        for subtree in deployment.plan.subtrees():
-            if isinstance(subtree, Leaf):
-                self._check_leaf(query, subtree, deployment.placement[subtree])
-                continue
-            assert isinstance(subtree, Join)
-            node = deployment.placement[subtree]
-            sig = query.view_signature(subtree.sources)
-            rec = self._ensure_operator(sig, node, query)
-            if rec.origin is None:
-                rec.origin = (query, subtree.left.sources, subtree.right.sources)
-            for child in (subtree.left, subtree.right):
-                src = deployment.placement[child]
-                if src != node:
-                    added.append(
-                        FlowEdge(
-                            query=query.name,
-                            producer=self._producer_key(query, child, src),
-                            dest=node,
-                            rate=self._flow_rate(query, child, src),
-                        )
-                    )
-        root = deployment.plan
-        root_node = deployment.placement[root]
-        if root_node != query.sink:
-            added.append(
-                FlowEdge(
-                    query=query.name,
-                    producer=self._producer_key(query, root, root_node),
-                    dest=query.sink,
-                    rate=self._flow_rate(query, root, root_node),
-                )
-            )
+        try:
+            for subtree in deployment.plan.subtrees():
+                node = placement[subtree]
+                if isinstance(subtree, Leaf):
+                    self._check_leaf(deployment, subtree, node, claims)
+                    continue
+                rec = self._claim(deployment.signature(subtree.sources), node, name, claims)
+                if rec.origin is None:
+                    rec.origin = (query, subtree.left.sources, subtree.right.sources)
+                    adopted.append(rec)
+                for child in (subtree.left, subtree.right):
+                    src = placement[child]
+                    if src != node:
+                        added.append(self._flow(deployment, child, src, node, claims))
+            root = deployment.plan
+            if placement[root] != query.sink:
+                added.append(self._flow(deployment, root, placement[root], query.sink, claims))
+        except BaseException:
+            for rec in adopted:
+                rec.origin = None
+            self._release(name, claims)
+            raise
         prices = [f.cost(self._costs) for f in added]
-        self._flows[query.name] = added
-        self._flow_costs[query.name] = prices
-        self._deployments[query.name] = deployment
+        self._flows[name] = added
+        self._flow_costs[name] = prices
+        self._deployments[name] = deployment
+        self._claims[name] = claims
         return sum(prices)
 
     def undeploy(self, name: str) -> float:
@@ -348,28 +366,12 @@ class DeploymentState:
         if name not in self._deployments:
             raise UnknownQueryError(f"query {name!r} is not deployed")
         self.revision += 1
-        deployment = self._deployments.pop(name)
+        del self._deployments[name]
         self._flows.pop(name, None)
         reclaimed = 0.0
         for price in self._flow_costs.pop(name, ()):
             reclaimed += price
-        query = deployment.query
-        for subtree in deployment.plan.subtrees():
-            sig_node: tuple[ViewSignature, int] | None = None
-            if isinstance(subtree, Join):
-                sig_node = (query.view_signature(subtree.sources), deployment.placement[subtree])
-            elif not subtree.is_base_stream:
-                node = deployment.placement[subtree]
-                rec = self.find_reusable(query, subtree.view, node)
-                if rec is not None:
-                    sig_node = (rec.signature, node)
-                else:
-                    sig_node = (query.view_signature(subtree.view), node)
-            if sig_node and sig_node in self._operators:
-                rec = self._operators[sig_node]
-                rec.queries.discard(name)
-                if not rec.queries:
-                    self._drop(sig_node)
+        self._release(name, self._claims.pop(name))
         return reclaimed
 
     def cost_of(self, deployment: Deployment) -> float:
@@ -380,7 +382,7 @@ class DeploymentState:
     def clone(self) -> "DeploymentState":
         """Independent copy sharing the immutable cost matrix."""
         other = DeploymentState(
-            self._costs, self._rate_fn, self._source_fn, self._reuse_inflation
+            self._costs, self._rate_of, self._source_fn, self._reuse_inflation
         )
         other._operators = {
             key: _OperatorRecord(
@@ -393,6 +395,7 @@ class DeploymentState:
         other._flows = {name: list(flows) for name, flows in self._flows.items()}
         other._flow_costs = {name: list(prices) for name, prices in self._flow_costs.items()}
         other._deployments = dict(self._deployments)
+        other._claims = dict(self._claims)  # a claim list never changes
         return other
 
     def restore(
@@ -415,6 +418,16 @@ class DeploymentState:
         self._views = {}
         for sig, node, rate, queries, origin in operators:
             self._install(sig, node, rate, origin).queries.update(queries)
+        # A query holds at most one record per source set: its plan nodes'.
+        held = {
+            (name, key[0].sources, key[1]): key
+            for key, rec in self._operators.items()
+            for name in rec.queries
+        }
+        self._claims = {
+            name: [held[k] for k in self._claim_order(d) if k in held]
+            for name, d in self._deployments.items()
+        }
         # A new log: no cursor issued before this call can be answered.
         self._feed = []
         self._feed_id = object()
@@ -449,50 +462,28 @@ class DeploymentState:
         """
         self.revision += 1
         for deployment in self._deployments.values():
-            query = deployment.query
             for subtree in deployment.plan.subtrees():
-                sig: ViewSignature | None = None
-                if isinstance(subtree, Join):
-                    sig = query.view_signature(subtree.sources)
-                elif subtree.is_base_stream:
-                    candidate = query.view_signature(subtree.view)
-                    if candidate.filters:  # filtered base leaf = a view operator
-                        sig = candidate
-                if sig is None:
+                if isinstance(subtree, Leaf) and not subtree.is_base_stream:
                     continue
+                sig = deployment.signature(subtree.sources)
+                if isinstance(subtree, Leaf) and not sig.filters:
+                    continue  # only a filtered base leaf is a view operator
                 rec = self._operators.get((sig, deployment.placement[subtree]))
                 if rec is not None:
-                    rec.rate = self._rate_fn(query, sig.sources)
+                    rec.rate = self._rate_of(sig)
         self._flows = {}
         for deployment in self._deployments.values():
-            query = deployment.query
-            rebuilt = self._flows[query.name] = []
-            for subtree in deployment.plan.subtrees():
-                if isinstance(subtree, Leaf):
-                    continue
-                assert isinstance(subtree, Join)
-                node = deployment.placement[subtree]
-                for child in (subtree.left, subtree.right):
-                    src = deployment.placement[child]
-                    if src != node:
-                        rebuilt.append(
-                            FlowEdge(
-                                query=query.name,
-                                producer=self._producer_key(query, child, src),
-                                dest=node,
-                                rate=self._flow_rate(query, child, src),
-                            )
-                        )
+            placement = deployment.placement
+            rebuilt = self._flows[deployment.query.name] = []
+            for join in deployment.plan.joins():
+                node = placement[join]
+                for child in (join.left, join.right):
+                    if placement[child] != node:
+                        rebuilt.append(self._flow(deployment, child, placement[child], node))
             root = deployment.plan
-            root_node = deployment.placement[root]
-            if root_node != query.sink:
+            if placement[root] != deployment.query.sink:
                 rebuilt.append(
-                    FlowEdge(
-                        query=query.name,
-                        producer=self._producer_key(query, root, root_node),
-                        dest=query.sink,
-                        rate=self._flow_rate(query, root, root_node),
-                    )
+                    self._flow(deployment, root, placement[root], deployment.query.sink)
                 )
         self._price_flows()
         return self.total_cost()
@@ -564,15 +555,14 @@ class DeploymentState:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def find_reusable(self, query: Query, view: frozenset[str], node: int):
-        """The operator at ``node`` able to serve ``query``'s ``view``.
+    def find_reusable(self, sig: ViewSignature, node: int):
+        """The operator at ``node`` able to serve the view ``sig``.
 
         Exact signature match first; otherwise a *containing* view (same
         sources and join predicates, subset of the filters -- every
         needed tuple is present, the consumer re-applies the missing
         filters).  Returns the operator record or ``None``.
         """
-        sig = query.view_signature(view)
         rec = self._operators.get((sig, node))
         if rec is not None:
             return rec
@@ -586,7 +576,9 @@ class DeploymentState:
                 return candidate
         return None
 
-    def _check_leaf(self, query: Query, leaf: Leaf, node: int) -> None:
+    def _check_leaf(
+        self, deployment: Deployment, leaf: Leaf, node: int, claims: list[OperatorKey]
+    ) -> None:
         if leaf.is_base_stream:
             source = self._source_fn(leaf.stream)
             if node != source:
@@ -595,51 +587,84 @@ class DeploymentState:
                     f"{source}, got {node}"
                 )
             return
-        rec = self.find_reusable(query, leaf.view, node)
+        sig = deployment.signature(leaf.view)
+        rec = self.find_reusable(sig, node)
         if rec is None:
-            sig = query.view_signature(leaf.view)
             raise DeploymentError(
-                f"deployment for {query.name!r} reuses view {sig.label()} at node "
-                f"{node}, but no such operator is deployed"
+                f"deployment for {deployment.query.name!r} reuses view {sig.label()} "
+                f"at node {node}, but no such operator is deployed"
             )
-        rec.queries.add(query.name)
+        rec.queries.add(deployment.query.name)
+        claims.append((rec.signature, node))
 
-    def _producer_key(self, query: Query, node_tree: PlanNode, node: int) -> ProducerKey:
-        if isinstance(node_tree, Leaf) and node_tree.is_base_stream:
-            sig = query.view_signature(node_tree.view)
-            if sig.filters:
+    def _flow(
+        self,
+        deployment: Deployment,
+        child: PlanNode,
+        src: int,
+        dest: int,
+        claims: list[OperatorKey] | None = None,
+    ) -> FlowEdge:
+        """The subscription shipping ``child``'s output from ``src`` to
+        ``dest``; ``apply`` passes its ``claims``, ``recompute_rates`` none."""
+        name = deployment.query.name
+        sig = deployment.signature(child.sources)
+        if isinstance(child, Leaf) and not child.is_base_stream:
+            # Reused view: attribute the flow to the actual provider (which
+            # may be a *containing* view with fewer filters) and ship at its
+            # rate; the consumer re-applies the missing filters locally.
+            rec = self.find_reusable(sig, src)
+            if rec is not None:
+                sig, rate = rec.signature, rec.rate
+            else:
+                rate = self._rate_of(sig)
+            return FlowEdge(name, ("view", sig, src), dest, rate * self._reuse_inflation)
+        producer: ProducerKey = ("view", sig, src)
+        if isinstance(child, Leaf):
+            if not sig.filters:
+                producer = ("base", child.stream, src)
+            elif claims is not None:
                 # A filtered base stream is a view (filtering changes content);
                 # the filter operator runs at the source for free transport.
-                self._ensure_operator(sig, node, query)
-                return ("view", sig, node)
-            return ("base", node_tree.stream, node)
-        sig = query.view_signature(node_tree.sources)
-        if isinstance(node_tree, Leaf):
-            # Reused view: attribute the flow to the actual provider
-            # (which may be a *containing* view with fewer filters).
-            rec = self.find_reusable(query, node_tree.view, node)
-            if rec is not None:
-                sig = rec.signature
-        return ("view", sig, node)
+                self._claim(sig, src, name, claims)
+        return FlowEdge(name, producer, dest, self._rate_of(sig))
 
-    def _flow_rate(self, query: Query, child: PlanNode, node: int) -> float:
-        if isinstance(child, Leaf) and not child.is_base_stream:
-            # A reused view ships at the *deployed operator's* rate --
-            # larger than the needed view's rate under containment reuse
-            # (the consumer re-applies the missing filters locally).
-            rec = self.find_reusable(query, child.view, node)
-            base = rec.rate if rec is not None else self._rate_fn(query, child.sources)
-            return base * self._reuse_inflation
-        return self._rate_fn(query, child.sources)
-
-    def _ensure_operator(
-        self, sig: ViewSignature, node: int, query: Query
+    def _claim(
+        self, sig: ViewSignature, node: int, name: str, claims: list[OperatorKey]
     ) -> _OperatorRecord:
-        rec = self._operators.get((sig, node))
+        key = (sig, node)
+        rec = self._operators.get(key)
         if rec is None:
-            rec = self._install(sig, node, self._rate_fn(query, sig.sources))
-        rec.queries.add(query.name)
+            rec = self._install(sig, node, self._rate_of(sig))
+        rec.queries.add(name)
+        claims.append(key)
         return rec
+
+    def _release(self, name: str, claims: list[OperatorKey]) -> None:
+        """Take ``name`` off every claimed record; drop those left empty."""
+        for key in claims:
+            rec = self._operators[key]
+            rec.queries.discard(name)
+            if not rec.queries:
+                self._drop(key)
+
+    def _claim_order(self, deployment: Deployment):
+        """``(name, sources, node)`` of every record ``apply`` may claim for
+        ``deployment``, in the order it would: joins and reused leaves
+        in post-order, a shipped base leaf after its consumer."""
+        name, placement = deployment.query.name, deployment.placement
+        for subtree in deployment.plan.subtrees():
+            node = placement[subtree]
+            if isinstance(subtree, Join):
+                yield name, subtree.sources, node
+                for child in (subtree.left, subtree.right):
+                    if placement[child] != node and _is_base(child):
+                        yield name, child.sources, placement[child]
+            elif not subtree.is_base_stream:
+                yield name, subtree.sources, node
+        root = deployment.plan
+        if _is_base(root) and placement[root] != deployment.query.sink:
+            yield name, root.sources, placement[root]
 
     def _install(
         self, sig: ViewSignature, node: int, rate: float, origin=None

@@ -129,6 +129,14 @@ class ViewSignature:
         return "*".join(sorted(self.sources))
 
 
+# The slots' own setters: :meth:`Query.view_signature` fills a signature
+# through them, skipping the frozen constructor and its re-validation.
+_set_sources, _set_predicates, _set_filters, _set_window, _set_hash = (
+    ViewSignature.__dict__[name].__set__
+    for name in ("sources", "predicates", "filters", "window", "_hash")
+)
+
+
 class Query:
     """A continuous SPJ query over base streams, delivered to a sink node.
 
@@ -270,13 +278,22 @@ class Query:
         streams -- this is what a sub-plan of the query computes.
         """
         names = frozenset(subset) if subset is not None else frozenset(self.sources)
-        if not names <= set(self.sources):
+        if not names.issubset(self.sources):
             raise ValueError(f"{sorted(names)} is not a subset of query sources")
-        preds = frozenset(p for p in self.predicates if p.streams <= names)
-        filts = frozenset(f for f in self.filters if f.stream in names)
-        return ViewSignature(
-            sources=names, predicates=preds, filters=filts, window=self.window
-        )
+        if not names:
+            raise ValueError("a view must cover at least one stream")
+        # ``_validate`` proved what the public constructor would re-check;
+        # the sets are filled in query order, as they always were.
+        preds = frozenset([p for p in self.predicates if p.left in names and p.right in names])
+        filts = frozenset([f for f in self.filters if f.stream in names])
+        window = self.window if len(names) > 1 else DEFAULT_WINDOW  # joins only
+        sig = object.__new__(ViewSignature)
+        _set_sources(sig, names)
+        _set_predicates(sig, preds)
+        _set_filters(sig, filts)
+        _set_window(sig, window)
+        _set_hash(sig, hash((names, preds, filts, window)))
+        return sig
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Query({self.name!r}, sources={self.sources}, sink={self.sink})"

@@ -25,7 +25,7 @@ from typing import Callable
 
 from repro.perf import profiler
 from repro.query.plan import Join, PlanNode
-from repro.query.query import Query
+from repro.query.query import Query, ViewSignature
 from repro.resources.capacity import Load
 
 
@@ -81,13 +81,19 @@ class OperatorFootprint:
 
 class JoinPricer:
     """One query's view signatures, rates and join loads, each derived
-    once.  Good for one statistics version: one ``plan()``, one gate pass."""
+    once.  Good for one statistics version: one ``plan()``, one gate pass.
+    A gate pass hands in its deployment's ``signature`` to share them."""
 
-    def __init__(self, footprint: OperatorFootprint, query: Query) -> None:
+    def __init__(
+        self,
+        footprint: OperatorFootprint,
+        query: Query,
+        signature: Callable[[frozenset[str]], ViewSignature] | None = None,
+    ) -> None:
         self.footprint = footprint
         self.query = query
         #: Source set -> view signature, and -> output rate of its join.
-        self.signature = signature = cache(query.view_signature)
+        self.signature = signature = signature or cache(query.view_signature)
         self.rate = cache(lambda sources: footprint.rates.rate(signature(sources)))
         self._loads: dict[tuple[frozenset[str], frozenset[str]], Load] = {}
 

@@ -212,7 +212,7 @@ class ResourceLedger:
             seq = next(source.seq)
             keys = []
             for index, join in enumerate(deployment.plan.joins()):
-                key = (query.view_signature(join.sources), deployment.placement[join])
+                key = (deployment.signature(join.sources), deployment.placement[join])
                 op = self._operators.get(key) or self._book(key)
                 op.holders.append(
                     _Holder(source.order, seq, index, source, deployment, join)

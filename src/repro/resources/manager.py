@@ -33,7 +33,7 @@ from repro.perf import profiler
 from repro.query.query import Query
 from repro.resources.capacity import Load, NodeCapacity, ZERO_LOAD
 from repro.resources.constraint import PlacementConstraint
-from repro.resources.footprint import OperatorFootprint
+from repro.resources.footprint import JoinPricer, OperatorFootprint
 from repro.resources.ledger import ResourceLedger, plan_node_loads
 from repro.resources.shedder import LoadShedder, ParkedQuery
 from repro.serialization import _query_from_dict, _query_to_dict
@@ -249,6 +249,7 @@ class ResourceManager:
             deployment.plan,
             deployment.placement,
             skip_keys=self.ledger.operator_keys(),
+            pricer=JoinPricer(self.footprint, query, deployment.signature),
         )
         return self.ledger.violations(self.config.utilization_bound, added), added
 
@@ -297,7 +298,7 @@ class ResourceManager:
             if plan is not None:
                 for victim in plan.victims:
                     self.shed(service, victim, displaced_by=query.name)
-                if not service._revalidate(query, deployment):
+                if not service._revalidate(deployment):
                     # A victim took a view this plan reuses with it.
                     deployment, _ = service.plan(query)
                 violations, _ = self.check(query, deployment)

@@ -83,7 +83,7 @@ class LoadShedder:
         query = deployment.query
         for join in deployment.plan.joins():
             node = deployment.placement[join]
-            sig = query.view_signature(join.sources)
+            sig = deployment.signature(join.sources)
             if state.queries_using(sig, node) - {name}:
                 continue  # shared operator survives the retirement
             load = footprint.join_load(query, join.left.sources, join.right.sources)

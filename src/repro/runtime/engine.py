@@ -59,7 +59,7 @@ class FlowEngine:
         self.rates = rates
         self.state = DeploymentState(
             network.cost_matrix(),
-            rates.rate_for,
+            rates.rate,
             rates.source,
             reuse_inflation=rates.reuse_rate_inflation,
         )

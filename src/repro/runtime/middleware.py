@@ -196,10 +196,7 @@ class AdaptiveMiddleware:
             # Transitive closure over reuse: a query reusing an operator
             # created by an affected query must be re-planned too.
             created: dict[str, set] = {
-                d.query.name: {
-                    (d.query.view_signature(j.sources), d.placement[j])
-                    for j in d.plan.joins()
-                }
+                d.query.name: {(d.signature(j.sources), d.placement[j]) for j in d.plan.joins()}
                 for d in deployments
             }
             closure = set(affected)
@@ -211,7 +208,7 @@ class AdaptiveMiddleware:
                     if d.query.name in closure:
                         continue
                     reuses_moved = any(
-                        (d.query.view_signature(leaf.view), d.placement[leaf]) in moved_ops
+                        (d.signature(leaf.view), d.placement[leaf]) in moved_ops
                         for leaf in d.plan.leaves()
                         if not leaf.is_base_stream
                     )
@@ -234,7 +231,7 @@ class AdaptiveMiddleware:
                 for leaf in d.plan.leaves():
                     if leaf.is_base_stream:
                         continue
-                    key = (d.query.view_signature(leaf.view), d.placement[leaf])
+                    key = (d.signature(leaf.view), d.placement[leaf])
                     out.update(
                         other for other in closure
                         if other != name and key in created[other]

@@ -748,10 +748,6 @@ class StreamQueryService:
         key = self.cache.key(fingerprint, self.statistics_epoch, self.topology_epoch)
         with self.tracer.span("plan", query=query.name) as span:
             entry = self.cache.get(key)
-            if entry is not None and not self._revalidate(query, entry):
-                self.cache.demote(key)
-                span.incr("cache_revalidation_failures")
-                entry = None
             if entry is not None:
                 deployment = Deployment(
                     query=query,
@@ -763,6 +759,11 @@ class StreamQueryService:
                         "fingerprint": fingerprint,
                     },
                 )
+                if not self._revalidate(deployment):
+                    self.cache.demote(key)
+                    span.incr("cache_revalidation_failures")
+                    entry = None
+            if entry is not None:
                 span.tag(cache="hit")
                 self._cache_hit_counter.inc()
                 self._planning_hist.observe(0.0)
@@ -794,16 +795,14 @@ class StreamQueryService:
             self._planning_hist.observe(elapsed)
         return deployment, False
 
-    def _revalidate(self, query: Query, entry: CachedPlan) -> bool:
-        """Whether a cached plan still applies cleanly to live state."""
-        for leaf in entry.plan.leaves():
-            node = entry.placement.get(leaf)
-            if node is None:
-                return False
+    def _revalidate(self, deployment: Deployment) -> bool:
+        """Whether a (cached) plan still applies cleanly to live state."""
+        for leaf in deployment.plan.leaves():
+            node = deployment.placement[leaf]
             if leaf.is_base_stream:
                 if self.rates.source(leaf.stream) != node:
                     return False
-            elif self.engine.state.find_reusable(query, leaf.view, node) is None:
+            elif self.engine.state.find_reusable(deployment.signature(leaf.view), node) is None:
                 return False
         return True
 

@@ -67,7 +67,7 @@ class TestBestStaticTree:
     def test_reusable_views_signature_filtering(self, small_net):
         streams = {"A": StreamSpec("A", 0, 10.0), "B": StreamSpec("B", 1, 10.0)}
         rates = RateModel(streams)
-        state = DeploymentState(small_net.cost_matrix(), rates.rate_for, rates.source)
+        state = DeploymentState(small_net.cost_matrix(), rates.rate, rates.source)
         q1 = Query("q1", ["A", "B"], sink=2, predicates=[JoinPredicate("A", "B", 0.1)])
         a, b = Leaf.of("A"), Leaf.of("B")
         j = Join(a, b)
@@ -121,7 +121,7 @@ class TestRelaxation:
         rng = np.random.default_rng(4)
         q = make_query("q", names, sel, net, rng)
         d = RelaxationPlanner(net, rates).plan(q)
-        state = DeploymentState(net.cost_matrix(), rates.rate_for, rates.source)
+        state = DeploymentState(net.cost_matrix(), rates.rate, rates.source)
         assert state.apply(d) > 0
         assert d.stats["iterations"] == 40
 
@@ -159,7 +159,7 @@ class TestRelaxation:
         net = line(8)
         streams = {"A": StreamSpec("A", 0, 100.0), "B": StreamSpec("B", 1, 100.0)}
         rates = RateModel(streams)
-        state = DeploymentState(net.cost_matrix(), rates.rate_for, rates.source)
+        state = DeploymentState(net.cost_matrix(), rates.rate, rates.source)
         pred = [JoinPredicate("A", "B", 0.0001)]
         q1 = Query("q1", ["A", "B"], sink=7, predicates=pred)
         a, b = Leaf.of("A"), Leaf.of("B")
@@ -180,7 +180,7 @@ class TestInNetwork:
         q = make_query("q", names, sel, net, rng)
         planner = InNetworkPlanner(net, rates, zones=5, seed=0)
         d = planner.plan(q)
-        state = DeploymentState(net.cost_matrix(), rates.rate_for, rates.source)
+        state = DeploymentState(net.cost_matrix(), rates.rate, rates.source)
         assert state.apply(d) > 0
         assert d.stats["zones"] == 5
 

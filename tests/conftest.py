@@ -59,7 +59,7 @@ def abc_query():
 
 @pytest.fixture()
 def abc_state(small_net, abc_rates):
-    return DeploymentState(small_net.cost_matrix(), abc_rates.rate_for, abc_rates.source)
+    return DeploymentState(small_net.cost_matrix(), abc_rates.rate, abc_rates.source)
 
 
 def make_catalog(net, num_streams, seed):

@@ -34,7 +34,7 @@ class TestBasics:
         rng = np.random.default_rng(0)
         q = make_query("q", names, sel, net, rng, k=4)
         d = BottomUpOptimizer(h, rates).plan(q)
-        state = DeploymentState(net.cost_matrix(), rates.rate_for, rates.source)
+        state = DeploymentState(net.cost_matrix(), rates.rate, rates.source)
         assert state.apply(d) > 0
         assert d.stats["algorithm"] == "bottom-up"
 
@@ -183,7 +183,7 @@ class TestReuse:
         pred = [JoinPredicate("A", "B", 0.0001)]
         q1 = Query("q1", ["A", "B"], sink=11, predicates=pred)
         q2 = Query("q2", ["A", "B"], sink=10, predicates=pred)
-        state = DeploymentState(net.cost_matrix(), rates.rate_for, rates.source)
+        state = DeploymentState(net.cost_matrix(), rates.rate, rates.source)
         opt = BottomUpOptimizer(h, rates, reuse=True)
         c1 = state.apply(opt.plan(q1, state))
         d2 = opt.plan(q2, state)

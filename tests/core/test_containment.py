@@ -24,7 +24,7 @@ def env():
     net = line(10)
     streams = {"A": StreamSpec("A", 0, 100.0), "B": StreamSpec("B", 1, 100.0)}
     rates = RateModel(streams)
-    state = DeploymentState(net.cost_matrix(), rates.rate_for, rates.source)
+    state = DeploymentState(net.cost_matrix(), rates.rate, rates.source)
     return net, streams, rates, state
 
 

@@ -55,7 +55,7 @@ class TestOptimalPlanner:
     def test_estimate_matches_realized_cost(self):
         net, rates, q = _random_instance(5)
         dp = OptimalPlanner(net, rates).plan(q)
-        state = DeploymentState(net.cost_matrix(), rates.rate_for, rates.source)
+        state = DeploymentState(net.cost_matrix(), rates.rate, rates.source)
         assert state.apply(dp) == pytest.approx(dp.stats["cost_estimate"])
 
     def test_single_source_query(self):
@@ -94,7 +94,7 @@ class TestOptimalReuse:
         streams = {"A": StreamSpec("A", 0, 100.0), "B": StreamSpec("B", 1, 100.0)}
         rates = RateModel(streams)
         q1 = Query("q1", ["A", "B"], sink=5, predicates=[JoinPredicate("A", "B", 0.0001)])
-        state = DeploymentState(net.cost_matrix(), rates.rate_for, rates.source)
+        state = DeploymentState(net.cost_matrix(), rates.rate, rates.source)
         planner = OptimalPlanner(net, rates, reuse=True)
         state.apply(planner.plan(q1, state))
         q2 = Query("q2", ["A", "B"], sink=4, predicates=[JoinPredicate("A", "B", 0.0001)])
@@ -113,7 +113,7 @@ class TestOptimalReuse:
         streams = {"A": StreamSpec("A", 8, 1.0), "B": StreamSpec("B", 9, 1.0)}
         rates = RateModel(streams)
         q1 = Query("q1", ["A", "B"], sink=0, predicates=[JoinPredicate("A", "B", 1.0)])
-        state = DeploymentState(net.cost_matrix(), rates.rate_for, rates.source)
+        state = DeploymentState(net.cost_matrix(), rates.rate, rates.source)
         planner = OptimalPlanner(net, rates, reuse=True)
         d1 = planner.plan(q1, state)
         state.apply(d1)
@@ -129,7 +129,7 @@ class TestOptimalReuse:
         streams = {"A": StreamSpec("A", 0, 100.0), "B": StreamSpec("B", 1, 100.0)}
         rates = RateModel(streams)
         q1 = Query("q1", ["A", "B"], sink=5, predicates=[JoinPredicate("A", "B", 0.0001)])
-        state = DeploymentState(net.cost_matrix(), rates.rate_for, rates.source)
+        state = DeploymentState(net.cost_matrix(), rates.rate, rates.source)
         planner = OptimalPlanner(net, rates, reuse=False)
         state.apply(planner.plan(q1, state))
         q2 = Query("q2", ["A", "B"], sink=4, predicates=[JoinPredicate("A", "B", 0.0001)])

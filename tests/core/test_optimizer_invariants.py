@@ -57,7 +57,7 @@ class TestAllPlannersStructure:
         rng = np.random.default_rng(seed)
         queries = [make_query(f"q{i}", names, sel, net, rng, k=3) for i in range(3)]
         for name in PLANNERS:
-            state = repro.DeploymentState(net.cost_matrix(), rates.rate_for, rates.source)
+            state = repro.DeploymentState(net.cost_matrix(), rates.rate, rates.source)
             optimizer = repro.make_optimizer(name, net, rates, hierarchy=hierarchy)
             for query in queries:
                 deployment = optimizer.plan(query, state)
@@ -100,7 +100,7 @@ class TestAllPlannersStructure:
                 make_query(f"q{i}", fixed, sel, net, rng, k=3)
             )
         for name in ("top-down", "bottom-up", "optimal"):
-            state = repro.DeploymentState(net.cost_matrix(), rates.rate_for, rates.source)
+            state = repro.DeploymentState(net.cost_matrix(), rates.rate, rates.source)
             optimizer = repro.make_optimizer(name, net, rates, hierarchy=hierarchy, reuse=True)
             for query in queries:
                 deployment = optimizer.plan(query, state)

@@ -102,6 +102,6 @@ class TestRefinement:
         q = make_query("q", names, sel, net, rng)
         d = RandomPlacement(net, rates, seed=4).plan(q)
         refined, _ = refine_placement(d, net.cost_matrix(), rates)
-        state = DeploymentState(net.cost_matrix(), rates.rate_for, rates.source)
+        state = DeploymentState(net.cost_matrix(), rates.rate, rates.source)
         assert state.apply(refined) > 0
         assert refined.stats.get("refinement_moves") is not None

@@ -109,7 +109,7 @@ class TestMakeOptimizer:
         rng = np.random.default_rng(1)
         q = make_query("q", names, sel, net, rng, k=3)
         d = opt.plan(q, None)
-        state = DeploymentState(net.cost_matrix(), rates.rate_for, rates.source)
+        state = DeploymentState(net.cost_matrix(), rates.rate, rates.source)
         assert state.apply(d) >= 0
 
     def test_underscore_alias(self):
@@ -129,7 +129,7 @@ class TestMakeOptimizer:
     def test_deploy_query_helper(self):
         net, rates, h, names, sel = self._env()
         opt = make_optimizer("top-down", net, rates, hierarchy=h)
-        state = DeploymentState(net.cost_matrix(), rates.rate_for, rates.source)
+        state = DeploymentState(net.cost_matrix(), rates.rate, rates.source)
         rng = np.random.default_rng(2)
         q = make_query("q", names, sel, net, rng, k=3)
         result = deploy_query(opt, q, state)
@@ -178,12 +178,12 @@ class TestConsolidate:
         rng = np.random.default_rng(3)
         queries = [make_query(f"q{i}", names, sel, net, rng, k=3) for i in range(6)]
 
-        naive_state = DeploymentState(net.cost_matrix(), rates.rate_for, rates.source)
+        naive_state = DeploymentState(net.cost_matrix(), rates.rate, rates.source)
         naive_opt = make_optimizer("top-down", net, rates, hierarchy=h)
         for q in queries:
             deploy_query(naive_opt, q, naive_state)
 
-        cons_state = DeploymentState(net.cost_matrix(), rates.rate_for, rates.source)
+        cons_state = DeploymentState(net.cost_matrix(), rates.rate, rates.source)
         cons_opt = make_optimizer("top-down", net, rates, hierarchy=h)
         deployments = consolidate(queries, cons_opt, cons_state)
         assert len(deployments) == len(queries)
@@ -198,7 +198,7 @@ class TestConsolidate:
         h = build_hierarchy(net, max_cs=4, seed=4)
         rng = np.random.default_rng(4)
         queries = [make_query(f"q{i}", names, sel, net, rng, k=3) for i in range(4)]
-        state = DeploymentState(net.cost_matrix(), rates.rate_for, rates.source)
+        state = DeploymentState(net.cost_matrix(), rates.rate, rates.source)
         opt = make_optimizer("bottom-up", net, rates, hierarchy=h)
         consolidate(queries, opt, state, max_views=1)
         shared_deployed = [d for d in state.deployments if d.query.name.startswith("__shared__")]

@@ -471,7 +471,7 @@ class TestConstrainedWorkCounts:
         monkeypatch.undo()
         free = repro.TopDownOptimizer(hierarchy, rates)
         with profiled() as prof:
-            free.plan(last, DeploymentState(net.cost_matrix(), rates.rate_for, rates.source))
+            free.plan(last, DeploymentState(net.cost_matrix(), rates.rate, rates.source))
         assert "joint_validations" not in prof.ops and "join_loads_priced" not in prof.ops
 
 
@@ -530,7 +530,7 @@ def _plan_all(optimizer_cls, seed, constrained, swap_search=None):
         hierarchy, rates, tracer=Tracer(clock=_ticking_clock()),
         resources=_capped(net, rates) if constrained else None,
     )
-    state = DeploymentState(net.cost_matrix(), rates.rate_for, rates.source)
+    state = DeploymentState(net.cost_matrix(), rates.rate, rates.source)
     out = []
     for query in workload:
         try:

@@ -34,7 +34,7 @@ class TestBasics:
         q = make_query("q", names, sel, net, rng, k=4)
         opt = TopDownOptimizer(h, rates)
         d = opt.plan(q)
-        state = DeploymentState(net.cost_matrix(), rates.rate_for, rates.source)
+        state = DeploymentState(net.cost_matrix(), rates.rate, rates.source)
         cost = state.apply(d)  # validates structure and placements
         assert cost > 0
         assert d.stats["algorithm"] == "top-down"
@@ -152,7 +152,7 @@ class TestReuse:
         pred = [JoinPredicate("A", "B", 0.0001)]
         q1 = Query("q1", ["A", "B"], sink=11, predicates=pred)
         q2 = Query("q2", ["A", "B"], sink=10, predicates=pred)
-        state = DeploymentState(net.cost_matrix(), rates.rate_for, rates.source)
+        state = DeploymentState(net.cost_matrix(), rates.rate, rates.source)
         opt = TopDownOptimizer(h, rates, reuse=True)
         c1 = state.apply(opt.plan(q1, state))
         d2 = opt.plan(q2, state)
@@ -164,7 +164,7 @@ class TestReuse:
 
     def test_reuse_flag_off_ignores_ads(self):
         net, rates, h, q1, q2 = self._shared_pair(1)
-        state = DeploymentState(net.cost_matrix(), rates.rate_for, rates.source)
+        state = DeploymentState(net.cost_matrix(), rates.rate, rates.source)
         opt = TopDownOptimizer(h, rates, reuse=False)
         state.apply(opt.plan(q1, state))
         d2 = opt.plan(q2, state)
@@ -181,7 +181,7 @@ class TestReuse:
                 for n, s in rates.streams.items():
                     ads.advertise_base(n, s.source)
                 opt = TopDownOptimizer(h, rates, ads=ads, reuse=reuse)
-                state = DeploymentState(net.cost_matrix(), rates.rate_for, rates.source)
+                state = DeploymentState(net.cost_matrix(), rates.rate, rates.source)
                 for q in queries:
                     state.apply(opt.plan(q, state))
                 totals[reuse] = state.total_cost()

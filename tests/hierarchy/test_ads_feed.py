@@ -70,7 +70,7 @@ class AdsFeedMachine(RuleBasedStateMachine):
         super().__init__()
         net, self.hierarchy, self.rates, self.pool = build_world()
         self.costs = net.cost_matrix()
-        self.state = DeploymentState(self.costs, self.rates.rate_for, self.rates.source)
+        self.state = DeploymentState(self.costs, self.rates.rate, self.rates.source)
         self.fast, self.slow = self.index(), self.index()
         self.optimizer = repro.TopDownOptimizer(self.hierarchy, self.rates, ads=self.fast)
         #: The flat, application-ordered flow list the state used to keep.

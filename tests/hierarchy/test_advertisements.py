@@ -140,7 +140,7 @@ class TestSyncFromState:
             "B": repro.StreamSpec("B", 2, 50.0),
         }
         rates = repro.RateModel(streams)
-        state = repro.DeploymentState(net.cost_matrix(), rates.rate_for, rates.source)
+        state = repro.DeploymentState(net.cost_matrix(), rates.rate, rates.source)
         q = Query("q1", ["A", "B"], sink=10, predicates=[JoinPredicate("A", "B", 0.01)])
         planner = repro.OptimalPlanner(net, rates)
         state.apply(planner.plan(q, state))

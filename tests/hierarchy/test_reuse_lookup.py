@@ -86,7 +86,7 @@ class ReuseLookupMachine(RuleBasedStateMachine):
         super().__init__()
         net, self.hierarchy, self.rates, base = build_world()
         self.pool = [v for query in base for v in variants(query)]
-        self.state = DeploymentState(net.cost_matrix(), self.rates.rate_for, self.rates.source)
+        self.state = DeploymentState(net.cost_matrix(), self.rates.rate, self.rates.source)
         self.ads = repro.AdvertisementIndex(self.hierarchy)
         for name, spec in self.rates.streams.items():
             self.ads.advertise_base(name, spec.source)
@@ -153,10 +153,15 @@ class ReuseLookupMachine(RuleBasedStateMachine):
         busy = {node for _, node in self.state.operators()}
         free = sorted(self.hierarchy.subtree(self.hierarchy.root) - self.pinned - busy)
         # A node that leaves while still advertised (by hand: nothing
-        # runs on it) is the case worth having; any other when none is.
+        # runs on it) is the case worth having; any other when none is,
+        # which is then advertised on by hand or not.
         advertising = set().union(*self.ads.views().values())
         if free:
             node = data.draw(st.sampled_from([n for n in free if n in advertising] or free))
+            if node not in advertising and data.draw(st.booleans()):
+                query = data.draw(st.sampled_from(self.pool))
+                self.ads.advertise_view(query.view_signature(), node)
+                advertising.add(node)
             self.seen["left_advertising"] += node in advertising
             remove_node(self.hierarchy, node)
             self.away.append(node)

@@ -41,7 +41,7 @@ class TestFullPipeline:
     def test_every_planner_deploys_whole_workload(self, pipeline_env, name):
         net, hierarchy, workload, rates = pipeline_env
         optimizer = repro.make_optimizer(name, net, rates, hierarchy=hierarchy)
-        state = repro.DeploymentState(net.cost_matrix(), rates.rate_for, rates.source)
+        state = repro.DeploymentState(net.cost_matrix(), rates.rate, rates.source)
         for query in workload:
             result = repro.deploy_query(optimizer, query, state)
             assert result.marginal_cost >= 0
@@ -73,14 +73,14 @@ class TestFullPipeline:
     def test_marginal_costs_sum_to_total(self, pipeline_env):
         net, hierarchy, workload, rates = pipeline_env
         optimizer = repro.make_optimizer("top-down", net, rates, hierarchy=hierarchy)
-        state = repro.DeploymentState(net.cost_matrix(), rates.rate_for, rates.source)
+        state = repro.DeploymentState(net.cost_matrix(), rates.rate, rates.source)
         marginals = [repro.deploy_query(optimizer, q, state).marginal_cost for q in workload]
         assert sum(marginals) == pytest.approx(state.total_cost())
 
     def test_undeploy_everything_returns_to_zero(self, pipeline_env):
         net, hierarchy, workload, rates = pipeline_env
         optimizer = repro.make_optimizer("bottom-up", net, rates, hierarchy=hierarchy)
-        state = repro.DeploymentState(net.cost_matrix(), rates.rate_for, rates.source)
+        state = repro.DeploymentState(net.cost_matrix(), rates.rate, rates.source)
         for query in workload:
             repro.deploy_query(optimizer, query, state)
         for query in reversed(workload.queries):
@@ -106,7 +106,7 @@ class TestSqlPipeline:
             sink=ids["Sink4"],
         )
         hierarchy = repro.build_hierarchy(net, max_cs=4, seed=0)
-        state = repro.DeploymentState(net.cost_matrix(), rates.rate_for, rates.source)
+        state = repro.DeploymentState(net.cost_matrix(), rates.rate, rates.source)
         optimizer = repro.TopDownOptimizer(hierarchy, rates)
         deployment = optimizer.plan(query, state)
         cost = state.apply(deployment)

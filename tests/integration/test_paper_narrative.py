@@ -71,7 +71,7 @@ class TestSection11Examples:
         CHECK-INS, we must pick the alternate join ordering'."""
         rm = scenario.rates
         state = repro.DeploymentState(
-            scenario.network.cost_matrix(), rm.rate_for, rm.source
+            scenario.network.cost_matrix(), rm.rate, rm.source
         )
         planner = repro.OptimalPlanner(scenario.network, rm, reuse=True)
         state.apply(planner.plan(scenario.q2, state))
@@ -92,7 +92,7 @@ class TestSection11Examples:
             "fat", ["FLIGHTS", "CHECK-INS"], sink=ids["Sink1"],
             predicates=[repro.JoinPredicate("FLIGHTS", "CHECK-INS", 1.0)],
         )
-        state = repro.DeploymentState(net.cost_matrix(), rm.rate_for, rm.source)
+        state = repro.DeploymentState(net.cost_matrix(), rm.rate, rm.source)
         planner = repro.OptimalPlanner(net, rm, reuse=True)
         state.apply(planner.plan(fat, state))
         same_fat_far = repro.Query(
@@ -133,7 +133,7 @@ class TestSection2Claims:
         h = repro.build_hierarchy(net, max_cs=4, seed=0)
         pred = [repro.JoinPredicate("A", "B", 0.0001)]
         td = repro.TopDownOptimizer(h, rm, reuse=True)
-        state = repro.DeploymentState(net.cost_matrix(), rm.rate_for, rm.source)
+        state = repro.DeploymentState(net.cost_matrix(), rm.rate, rm.source)
         state.apply(td.plan(
             repro.Query("q1", ["A", "B"], sink=20, predicates=pred), state
         ))

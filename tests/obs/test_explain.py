@@ -71,7 +71,7 @@ class TestExplainFlag:
     def test_reused_views_are_reported(self, env):
         net, hierarchy, workload = env
         rates = workload.rate_model()
-        state = DeploymentState(net.cost_matrix(), rates.rate_for, rates.source)
+        state = DeploymentState(net.cost_matrix(), rates.rate, rates.source)
         optimizer = OptimalPlanner(net, rates)
         query = workload.queries[0]
         state.apply(optimizer.plan(query, state))

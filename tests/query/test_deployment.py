@@ -54,7 +54,7 @@ class TestApplyAccounting:
 
     def test_colocated_flows_are_free(self, small_net, abc_rates, ab_query):
         costs = small_net.cost_matrix()
-        state = DeploymentState(costs, abc_rates.rate_for, abc_rates.source)
+        state = DeploymentState(costs, abc_rates.rate, abc_rates.source)
         a, b = Leaf.of("A"), Leaf.of("B")
         join = Join(a, b)
         # operator at A's source, sink at the same node as the operator:
@@ -80,7 +80,7 @@ class TestApplyAccounting:
     def test_two_queries_pay_independently(self, small_net, abc_rates):
         """Without explicit reuse, identical flows are charged per query."""
         costs = small_net.cost_matrix()
-        state = DeploymentState(costs, abc_rates.rate_for, abc_rates.source)
+        state = DeploymentState(costs, abc_rates.rate, abc_rates.source)
         cost1 = state.apply(_manual_deployment(
             Query("q1", ["A", "B"], sink=7, predicates=[JoinPredicate("A", "B", 0.01)]),
             {"join": 2},
@@ -101,7 +101,7 @@ class TestApplyAccounting:
 
     def test_filtered_base_stream_becomes_view(self, small_net, abc_rates):
         costs = small_net.cost_matrix()
-        state = DeploymentState(costs, abc_rates.rate_for, abc_rates.source)
+        state = DeploymentState(costs, abc_rates.rate, abc_rates.source)
         q = Query(
             "qf",
             ["A", "B"],
@@ -133,7 +133,7 @@ class TestReuseAccounting:
 
     def test_reuse_pays_only_shipping(self, small_net, abc_rates):
         costs = small_net.cost_matrix()
-        state = DeploymentState(costs, abc_rates.rate_for, abc_rates.source)
+        state = DeploymentState(costs, abc_rates.rate, abc_rates.source)
         q1 = self._deploy_q1(state, abc_rates)
         q2 = Query("q2", ["A", "B"], sink=5, predicates=[JoinPredicate("A", "B", 0.01)])
         reuse_leaf = Leaf.of("A", "B")
@@ -144,7 +144,7 @@ class TestReuseAccounting:
 
     def test_reuse_of_missing_view_rejected(self, small_net, abc_rates):
         costs = small_net.cost_matrix()
-        state = DeploymentState(costs, abc_rates.rate_for, abc_rates.source)
+        state = DeploymentState(costs, abc_rates.rate, abc_rates.source)
         q2 = Query("q2", ["A", "B"], sink=5, predicates=[JoinPredicate("A", "B", 0.01)])
         leaf = Leaf.of("A", "B")
         d = Deployment(query=q2, plan=leaf, placement={leaf: 2})
@@ -154,7 +154,7 @@ class TestReuseAccounting:
     def test_reuse_inflation_applied(self, small_net, abc_rates):
         costs = small_net.cost_matrix()
         state = DeploymentState(
-            costs, abc_rates.rate_for, abc_rates.source, reuse_inflation=1.5
+            costs, abc_rates.rate, abc_rates.source, reuse_inflation=1.5
         )
         q1 = self._deploy_q1(state, abc_rates)
         q2 = Query("q2", ["A", "B"], sink=5, predicates=[JoinPredicate("A", "B", 0.01)])
@@ -165,7 +165,7 @@ class TestReuseAccounting:
 
     def test_advertised_views(self, small_net, abc_rates):
         costs = small_net.cost_matrix()
-        state = DeploymentState(costs, abc_rates.rate_for, abc_rates.source)
+        state = DeploymentState(costs, abc_rates.rate, abc_rates.source)
         q1 = self._deploy_q1(state, abc_rates)
         views = state.advertised_views()
         sig = q1.view_signature()
@@ -178,7 +178,7 @@ class TestReuseAccounting:
 class TestUndeploy:
     def test_undeploy_reclaims_cost(self, small_net, abc_rates, ab_query):
         costs = small_net.cost_matrix()
-        state = DeploymentState(costs, abc_rates.rate_for, abc_rates.source)
+        state = DeploymentState(costs, abc_rates.rate, abc_rates.source)
         cost = state.apply(_manual_deployment(ab_query, {"join": 2}))
         reclaimed = state.undeploy("qab")
         assert reclaimed == pytest.approx(cost)
@@ -188,7 +188,7 @@ class TestUndeploy:
 
     def test_undeploy_keeps_shared_operator(self, small_net, abc_rates):
         costs = small_net.cost_matrix()
-        state = DeploymentState(costs, abc_rates.rate_for, abc_rates.source)
+        state = DeploymentState(costs, abc_rates.rate, abc_rates.source)
         q1 = Query("q1", ["A", "B"], sink=7, predicates=[JoinPredicate("A", "B", 0.01)])
         state.apply(_manual_deployment(q1, {"join": 2}))
         q2 = Query("q2", ["A", "B"], sink=5, predicates=[JoinPredicate("A", "B", 0.01)])
@@ -207,7 +207,7 @@ class TestUndeploy:
 class TestStateUtilities:
     def test_clone_is_independent(self, small_net, abc_rates, ab_query):
         costs = small_net.cost_matrix()
-        state = DeploymentState(costs, abc_rates.rate_for, abc_rates.source)
+        state = DeploymentState(costs, abc_rates.rate, abc_rates.source)
         state.apply(_manual_deployment(ab_query, {"join": 2}))
         clone = state.clone()
         clone.undeploy("qab")
@@ -216,7 +216,7 @@ class TestStateUtilities:
 
     def test_cost_of_does_not_mutate(self, small_net, abc_rates, ab_query):
         costs = small_net.cost_matrix()
-        state = DeploymentState(costs, abc_rates.rate_for, abc_rates.source)
+        state = DeploymentState(costs, abc_rates.rate, abc_rates.source)
         d = _manual_deployment(ab_query, {"join": 2})
         predicted = state.cost_of(d)
         assert state.total_cost() == 0
@@ -224,7 +224,7 @@ class TestStateUtilities:
 
     def test_recompute_costs_after_network_change(self, small_net, abc_rates, ab_query):
         costs = small_net.cost_matrix()
-        state = DeploymentState(costs, abc_rates.rate_for, abc_rates.source)
+        state = DeploymentState(costs, abc_rates.rate, abc_rates.source)
         state.apply(_manual_deployment(ab_query, {"join": 2}))
         before = state.total_cost()
         after = state.recompute_costs(costs * 2.0)
@@ -232,7 +232,7 @@ class TestStateUtilities:
 
     def test_query_cost_attribution(self, small_net, abc_rates):
         costs = small_net.cost_matrix()
-        state = DeploymentState(costs, abc_rates.rate_for, abc_rates.source)
+        state = DeploymentState(costs, abc_rates.rate, abc_rates.source)
         q1 = Query("q1", ["A", "B"], sink=7, predicates=[JoinPredicate("A", "B", 0.01)])
         c1 = state.apply(_manual_deployment(q1, {"join": 2}))
         assert state.query_cost("q1") == pytest.approx(c1)
@@ -241,14 +241,14 @@ class TestStateUtilities:
     def test_invalid_inflation(self, small_net, abc_rates):
         with pytest.raises(ValueError):
             DeploymentState(
-                small_net.cost_matrix(), abc_rates.rate_for, abc_rates.source, 0.5
+                small_net.cost_matrix(), abc_rates.rate, abc_rates.source, 0.5
             )
 
 
 class TestRevisionAndOrigin:
     def test_every_mutator_bumps_the_revision(self, small_net, abc_rates, ab_query):
         costs = small_net.cost_matrix()
-        state = DeploymentState(costs, abc_rates.rate_for, abc_rates.source)
+        state = DeploymentState(costs, abc_rates.rate, abc_rates.source)
         sig = ab_query.view_signature()
         mutators = [
             lambda: state.apply(_manual_deployment(ab_query, {"join": 2})),
@@ -270,7 +270,7 @@ class TestRevisionAndOrigin:
 
     def test_origin_is_the_first_installed_join(self, small_net, abc_rates):
         costs = small_net.cost_matrix()
-        state = DeploymentState(costs, abc_rates.rate_for, abc_rates.source)
+        state = DeploymentState(costs, abc_rates.rate, abc_rates.source)
         q1 = Query("q1", ["A", "B"], sink=7, predicates=[JoinPredicate("A", "B", 0.01)])
         q2 = Query("q2", ["A", "B"], sink=5, predicates=[JoinPredicate("A", "B", 0.01)])
         first = _manual_deployment(q1, {"join": 2})
@@ -287,9 +287,9 @@ class TestRevisionAndOrigin:
 
     def test_restore_replaces_the_state(self, small_net, abc_rates, ab_query):
         costs = small_net.cost_matrix()
-        source = DeploymentState(costs, abc_rates.rate_for, abc_rates.source)
+        source = DeploymentState(costs, abc_rates.rate, abc_rates.source)
         source.apply(_manual_deployment(ab_query, {"join": 2}))
-        target = DeploymentState(costs, abc_rates.rate_for, abc_rates.source)
+        target = DeploymentState(costs, abc_rates.rate, abc_rates.source)
         target.restore(
             source.deployments,
             [

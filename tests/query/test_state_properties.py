@@ -49,7 +49,7 @@ class TestStateOperationSequences:
     def test_random_apply_undeploy_sequence(self, seed, ops):
         net, rates, queries = _env(seed)
         planner = OptimalPlanner(net, rates, reuse=True)
-        state = DeploymentState(net.cost_matrix(), rates.rate_for, rates.source)
+        state = DeploymentState(net.cost_matrix(), rates.rate, rates.source)
         deployed: set[str] = set()
         for op in ops:
             q = queries[op % len(queries)]
@@ -76,7 +76,7 @@ class TestStateOperationSequences:
     def test_clone_equivalence_under_operations(self, seed):
         net, rates, queries = _env(seed)
         planner = OptimalPlanner(net, rates)
-        state = DeploymentState(net.cost_matrix(), rates.rate_for, rates.source)
+        state = DeploymentState(net.cost_matrix(), rates.rate, rates.source)
         for q in queries[:3]:
             state.apply(planner.plan(q, state))
         clone = state.clone()
@@ -96,7 +96,7 @@ class TestStateOperationSequences:
         costs = net.cost_matrix()
         totals = []
         for order in (queries[:4], list(reversed(queries[:4]))):
-            state = DeploymentState(costs, rates.rate_for, rates.source)
+            state = DeploymentState(costs, rates.rate, rates.source)
             for q in order:
                 state.apply(planner.plan(q, state))
             totals.append(state.total_cost())

@@ -186,7 +186,7 @@ def _plan_all(optimizer_cls, seed, regime, load_weight, cls):
     optimizer = optimizer_cls(
         hierarchy, rates, tracer=Tracer(clock=_ticking_clock()), resources=resources,
     )
-    state = DeploymentState(net.cost_matrix(), rates.rate_for, rates.source)
+    state = DeploymentState(net.cost_matrix(), rates.rate, rates.source)
     out = []
     with profiled() as prof:
         for query in workload:

@@ -128,7 +128,7 @@ def reuser(name: str) -> Deployment:
 @pytest.fixture()
 def books(small_net, abc_rates):
     state = DeploymentState(
-        small_net.cost_matrix(), abc_rates.rate_for, abc_rates.source
+        small_net.cost_matrix(), abc_rates.rate, abc_rates.source
     )
     footprint = OperatorFootprint(abc_rates)
     ledger = ResourceLedger()
@@ -179,7 +179,7 @@ class TestOrphanPricing:
     def test_answers_do_not_depend_on_when_the_ledger_was_read(self, small_net, abc_rates):
         def run(read_every_step: bool):
             state = DeploymentState(
-                small_net.cost_matrix(), abc_rates.rate_for, abc_rates.source
+                small_net.cost_matrix(), abc_rates.rate, abc_rates.source
             )
             ledger = ResourceLedger()
             ledger.attach(state, OperatorFootprint(abc_rates))
@@ -208,7 +208,7 @@ class TestOrphanPricing:
                 "C": StreamSpec("C", 6, 30.7),
             }
         )
-        state = DeploymentState(small_net.cost_matrix(), rates.rate_for, rates.source)
+        state = DeploymentState(small_net.cost_matrix(), rates.rate, rates.source)
         footprint = OperatorFootprint(rates)
         ledger = ResourceLedger()
         ledger.attach(state, footprint)
@@ -701,7 +701,7 @@ class TestNodeGauges:
         # Another plane on a larger network shares the ledger.
         wide = repro.transit_stub_by_size(64, seed=1)
         rates = service.rates
-        other = DeploymentState(wide.cost_matrix(), rates.rate_for, rates.source)
+        other = DeploymentState(wide.cost_matrix(), rates.rate, rates.source)
         ledger.attach(other, OperatorFootprint(rates))
         other.apply(hand_placed(rates, "outside", inner=40, root=41))
         ledger.capacities[40] = NodeCapacity(cpu=1.0, memory=1.0, bandwidth=1.0)

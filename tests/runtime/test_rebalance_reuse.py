@@ -67,4 +67,4 @@ class TestRebalanceWithReuse:
             if isinstance(leaf, Leaf) and not leaf.is_base_stream:
                 node = dep.placement[leaf]
                 # the reused view must exist where the leaf points
-                assert engine.state.find_reusable(dep.query, leaf.view, node)
+                assert engine.state.find_reusable(dep.signature(leaf.view), node)

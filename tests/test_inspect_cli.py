@@ -23,7 +23,7 @@ def small_system():
         seed=72,
     )
     rates = workload.rate_model()
-    state = repro.DeploymentState(net.cost_matrix(), rates.rate_for, rates.source)
+    state = repro.DeploymentState(net.cost_matrix(), rates.rate, rates.source)
     optimizer = repro.TopDownOptimizer(hierarchy, rates)
     deployments = [optimizer.plan(q, state) for q in workload]
     for d in deployments:

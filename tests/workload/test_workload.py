@@ -111,7 +111,7 @@ class TestGenerateWorkload:
         w = generate_workload(net, WorkloadParams(num_queries=3), seed=10)
         rm = w.rate_model()
         planner = OptimalPlanner(net, rm)
-        state = DeploymentState(net.cost_matrix(), rm.rate_for, rm.source)
+        state = DeploymentState(net.cost_matrix(), rm.rate, rm.source)
         for q in w:
             state.apply(planner.plan(q, state))
         assert state.total_cost() > 0
@@ -154,7 +154,7 @@ class TestAirlineScenario:
         """The paper's point 2: with Q2 deployed, Q1 reuses its join."""
         sc = airline_ois_scenario()
         rm = sc.rates
-        state = DeploymentState(sc.network.cost_matrix(), rm.rate_for, rm.source)
+        state = DeploymentState(sc.network.cost_matrix(), rm.rate, rm.source)
         planner = OptimalPlanner(sc.network, rm, reuse=True)
         state.apply(planner.plan(sc.q2, state))
         d1 = planner.plan(sc.q1, state)
@@ -200,7 +200,7 @@ class TestNetworkMonitoringScenario:
         totals = {}
         for reuse in (False, True):
             state = DeploymentState(
-                sc.network.cost_matrix(), sc.rates.rate_for, sc.rates.source
+                sc.network.cost_matrix(), sc.rates.rate, sc.rates.source
             )
             planner = OptimalPlanner(sc.network, sc.rates, reuse=reuse)
             for q in sc.queries:
@@ -219,7 +219,7 @@ class TestNetworkMonitoringScenario:
                 name, sc.network, sc.rates, hierarchy=hierarchy
             )
             state = repro.DeploymentState(
-                sc.network.cost_matrix(), sc.rates.rate_for, sc.rates.source
+                sc.network.cost_matrix(), sc.rates.rate, sc.rates.source
             )
             for q in sc.queries:
                 state.apply(optimizer.plan(q, state))
