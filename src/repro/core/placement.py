@@ -13,6 +13,7 @@ paper counts in its scalability experiment) is reported separately by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -95,9 +96,13 @@ class LevelDP:
         self._tracer = tracer
         self._constraint = constraint
         self.binds = constraint is not None and constraint.binds(cand.tolist())
+
+    @cached_property
+    def _between(self) -> np.ndarray:
         # Cost of shipping between candidates: every join's output sits
-        # on a candidate, so one slice serves every join-to-join edge.
-        self._between = costs[cand[:, None], cand]
+        # on a candidate, so one slice serves every join-to-join edge (a
+        # one-join tree has none, and never slices it).
+        return self._costs[self._cand[:, None], self._cand]
 
     def price(
         self,

@@ -20,6 +20,10 @@ place-each-tree loop returns (that loop lives on as the oracle
   two tests commute: same decisions, same order).  On candidates the
   constraint certifies cold the masks, penalties and joint checks could
   refuse nothing, so none is built or run.
+* a leaf set of two views has one tree and one join; unless the
+  constraint binds it is priced in scalars (:meth:`TreeSearch._add_pair`),
+  the level pass's IEEE operations on its one row, with no program,
+  array or row table.
 
 The counters written to ``stats`` and the span are the paper's *nominal*
 search-space accounting (trees that exist, assignments they span), not
@@ -36,12 +40,25 @@ import numpy as np
 from repro.core.enumeration import count_bushy_trees, join_program, view_adjacency
 from repro.core.placement import LevelDP, PlacementResult
 from repro.perf import profiler as _perf
-from repro.query.plan import Leaf, PlanNode
+from repro.query.plan import Join, Leaf, PlanNode
 from repro.query.query import Query
 
 #: An objective must beat the incumbent by more than this to replace it,
 #: so the first tree in enumeration order wins a tie.
 _TIE = 1e-12
+
+
+def _nearest(positions: Sequence[int], node: int, rate: float, item) -> tuple[float, int]:
+    """``min_p C[p, node] * rate`` over a leaf's positions and the first
+    position reaching it: the leaf's ``ship`` entry in
+    :meth:`LevelDP.price` and its ``argmin`` in :meth:`LevelDP.place`."""
+    at = positions[0]
+    best = item(at, node) * rate
+    for p in positions[1:]:
+        cost = item(p, node) * rate
+        if cost < best:
+            best, at = cost, p
+    return best, at
 
 
 class _Unbuilt:
@@ -107,6 +124,7 @@ class TreeSearch:
         self.constraint = constraint
         self.best: PlacementResult | None = None
         self._table = LevelDP(candidates, costs, sink, tracer=tracer, constraint=constraint)
+        self._nodes = [int(node) for node in candidates]
 
     def offer(self, result: PlacementResult) -> None:
         """Let a result priced by the caller compete with the incumbent."""
@@ -119,6 +137,85 @@ class TreeSearch:
         positions: Mapping[frozenset[str], Sequence[int]],
     ) -> None:
         """Search every tree over ``views`` (placed at ``positions``)."""
+        if len(views) == 2 and not self._table.binds:
+            self._add_pair(views, positions)
+        else:
+            self._add_program(views, positions)
+
+    def _add_pair(
+        self,
+        views: Sequence[frozenset[str]],
+        positions: Mapping[frozenset[str], Sequence[int]],
+    ) -> None:
+        """The one tree over two views, priced in scalars.
+
+        Per candidate ``v``, in candidate order, ``ship_a + ship_b`` (plus
+        ``root_rate * C[v, sink]``), each ``ship`` the first minimum of
+        ``C[p, v] * rate`` over the leaf's positions: the operations
+        :meth:`LevelDP.price` performs on the one row, in its order, and
+        the first minima :meth:`LevelDP.place` resolves.  Counters are
+        written as :meth:`_add_program` writes them, except that no array
+        pass is counted.
+        """
+        span, stats, tracer, sink = self.span, self.stats, self.tracer, self.sink
+        nodes, item = self._nodes, self.costs.item
+        span.incr("trees_enumerated", 1)
+        # The one split is a cross product iff no predicate links the views.
+        if self.connected_only and view_adjacency(self.query, views)[0]:
+            span.incr("pruned_cross_trees", 0)
+        prof = _perf.active()
+        if tracer is not None:
+            tracer.incr("placements", 1)
+            tracer.incr("placement_dp_states", len(nodes))
+        if prof is not None:
+            prof.count("trees_enumerated", 1)
+            prof.count("placements", 1)
+            prof.count("cost_evaluations", len(nodes))
+        leaves = [Leaf(view) for view in views]
+        rate_a, rate_b = self.flow(leaves[0]), self.flow(leaves[1])
+        root_rate = self.flow(_Unbuilt(*leaves)) if sink is not None else None
+        pos_a, pos_b = positions[views[0]], positions[views[1]]
+        objective = chosen = None
+        for node in nodes:
+            ship_a, at_a = _nearest(pos_a, node, rate_a, item)
+            ship_b, at_b = _nearest(pos_b, node, rate_b, item)
+            total = ship_a + ship_b
+            if sink is not None:
+                total = total + root_rate * item(node, sink)
+            if chosen is None or total < objective:
+                objective, chosen = total, (node, at_a, at_b)
+
+        nominal = len(nodes)
+        stats["plans_examined"] += nominal
+        stats["trees_examined"] += 1
+        if objective == math.inf:
+            span.incr("infeasible_trees")
+            return
+        span.incr("plans_examined", nominal)
+        bound = self.best.objective - _TIE if self.best is not None else math.inf
+        if not objective < bound:
+            return
+        tree = Join(*leaves)
+        if prof is not None:
+            prof.count("joins_built", 1)
+        node, at_a, at_b = chosen
+        if tree.left is not leaves[0]:
+            at_a, at_b = at_b, at_a
+        # With no penalty (the constraint cannot bind) the communication
+        # cost ``LevelDP.place`` re-derives under a constraint is this
+        # objective: ``0.0 + ship`` is ``ship``, and the two ships commute.
+        self.best = PlacementResult(
+            placement={tree: node, tree.left: int(at_a), tree.right: int(at_b)},
+            cost=objective,
+            tree=tree,
+        )
+
+    def _add_program(
+        self,
+        views: Sequence[frozenset[str]],
+        positions: Mapping[frozenset[str], Sequence[int]],
+    ) -> None:
+        """Every tree over ``views``, priced a subset size at a time."""
         span, stats, flow = self.span, self.stats, self.flow
         constraint = self.constraint if self._table.binds else None
         total = count_bushy_trees(len(views))

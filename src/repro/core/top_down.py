@@ -329,12 +329,13 @@ class TopDownOptimizer:
         fragment_counter = 0
         fragments: dict[int, dict] = {}
 
-        def assign(node: PlanNode, parent_fragment: int | None) -> None:
+        def assign(node: PlanNode, parent: Join | None, depth: int) -> None:
             nonlocal fragment_counter
             if isinstance(node, Leaf):
                 return
             assert isinstance(node, Join)
             member = placement[node]
+            parent_fragment = fragment_of[parent] if parent is not None else None
             if (
                 parent_fragment is not None
                 and fragments[parent_fragment]["member"] == member
@@ -343,26 +344,25 @@ class TopDownOptimizer:
             else:
                 frag_id = fragment_counter
                 fragment_counter += 1
-                fragments[frag_id] = {"member": member, "joins": [], "root": node}
+                fragments[frag_id] = {
+                    "member": member, "joins": [], "root": node,
+                    "parent": parent, "depth": depth,
+                }
             fragment_of[node] = frag_id
             fragments[frag_id]["joins"].append(node)
-            assign(node.left, frag_id)
-            assign(node.right, frag_id)
+            assign(node.left, node, depth + 1)
+            assign(node.right, node, depth + 1)
 
-        assign(tree, None)
+        assign(tree, None, 0)
 
         # Plan every fragment one level down.
         fragment_plans: dict[int, _TaskPlan] = {}
         # Topological order: deeper fragments first so substitution works
-        # bottom-up; post-order traversal of the tree gives it for free.
-        ordered = sorted(
-            fragments,
-            key=lambda f: -self._depth(tree, fragments[f]["root"]),
-        )
+        # bottom-up (a stable sort: equally deep fragments in tree order).
+        ordered = sorted(fragments, key=lambda f: -fragments[f]["depth"])
         for frag_id in ordered:
             frag = fragments[frag_id]
             member = frag["member"]
-            frag_root: Join = frag["root"]
             frag_inputs: list[_Input] = []
             for join in frag["joins"]:
                 for child in (join.left, join.right):
@@ -371,11 +371,8 @@ class TopDownOptimizer:
                     frag_inputs.append(
                         self._fragment_input(child, member, placement, leaf_meta, fragment_of, fragments)
                     )
-            if frag_root is tree:
-                frag_target = out_target
-            else:
-                parent = next(j for j in tree.joins() if frag_root in (j.left, j.right))
-                frag_target = placement[parent]
+            parent = frag["parent"]
+            frag_target = out_target if parent is None else placement[parent]
             child_cluster = cluster.children[member]
             fragment_plans[frag_id] = self._plan_task(
                 child_cluster, tuple(frag_inputs), frag_target, query, costs, stats,
@@ -473,25 +470,6 @@ class TopDownOptimizer:
                 if out_target in self.hierarchy.member_subtree(cluster, member):
                     return member
         return out_target
-
-    @staticmethod
-    def _depth(tree: PlanNode, node: PlanNode) -> int:
-        """Depth of ``node`` within ``tree`` (root = 0)."""
-
-        def walk(cur: PlanNode, depth: int) -> int | None:
-            if cur is node:
-                return depth
-            if isinstance(cur, Join):
-                for child in (cur.left, cur.right):
-                    found = walk(child, depth + 1)
-                    if found is not None:
-                        return found
-            return None
-
-        found = walk(tree, 0)
-        if found is None:  # pragma: no cover - defensive
-            raise ValueError("node not in tree")
-        return found
 
     def _pin_base_leaves(self, tree: PlanNode, placement: dict[PlanNode, int]) -> None:
         """Force base-stream leaves onto their true source nodes."""

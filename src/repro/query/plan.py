@@ -148,11 +148,12 @@ class Join(PlanNode):
     right: PlanNode
 
     def __post_init__(self) -> None:
-        if self.left.sources & self.right.sources:
+        if not self.left.sources.isdisjoint(self.right.sources):
             raise ValueError(
                 f"join children overlap on {sorted(self.left.sources & self.right.sources)}"
             )
-        if sorted(self.left.sources) > sorted(self.right.sources):
+        # ``sorted(left) > sorted(right)`` of disjoint sets is decided by the minima.
+        if min(self.left.sources) > min(self.right.sources):
             l, r = self.right, self.left
             object.__setattr__(self, "left", l)
             object.__setattr__(self, "right", r)

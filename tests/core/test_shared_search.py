@@ -219,11 +219,15 @@ def _assert_same_choice(task):
     assert stats == ref_stats
     refused = dict(counters).pop("infeasible_trees", 0)
     assert refused <= dict(ref_counters).get("infeasible_trees", 0)
-    # one numpy pass per subset size, whatever the number of trees ...
-    assert ops["search_array_passes"] == sum(len(ls) for ls in task.leaf_sets)
     most_joins = max(len(ls) for ls in task.leaf_sets) - 1
     constraint = _constraint(task)
-    if constraint is None or not constraint.binds(task.candidates):
+    binds = constraint is not None and constraint.binds(task.candidates)
+    # one numpy pass per subset size, whatever the number of trees; none
+    # for a pair the constraint cannot bind on (priced in scalars) ...
+    assert ops.get("search_array_passes", 0) == sum(
+        len(ls) for ls in task.leaf_sets if len(ls) != 2 or binds
+    )
+    if not binds:
         # A constraint that cannot bind on these candidates costs nothing ...
         assert "joint_validations" not in ops and "join_loads_priced" not in ops
         # ... and Join nodes for at most one tree per leaf set.
