@@ -313,7 +313,7 @@ def _service_digest(service) -> dict[str, Any]:
         "deployments": deployments,
         "total_cost": round(service.total_cost(), 9),
         "queued": service.admission.queued_names(),
-        "expiry": dict(sorted(service.capture()["expiry"].items())),
+        "expiry": dict(sorted(service.capture()["expiry"])),
         # Every armed layer's own snapshot section, whole.
         "layers": {name: layer.capture() for name, layer in service.layers()},
     }

@@ -145,6 +145,7 @@ class QueryRouter:
         self.policy = policy
         self.num_shards = num_shards
         self._owner: dict[str, int] = {}
+        self._loads = [0] * num_shards  # owned queries per shard
         self.routed_total = 0
 
     # ------------------------------------------------------------------
@@ -170,16 +171,23 @@ class QueryRouter:
                 f"query {name!r} is already owned by shard {current}, "
                 f"cannot bind to {shard}"
             )
+        if current is None:
+            self._loads[shard] += 1
         self._owner[name] = shard
 
     def release(self, name: str) -> int | None:
         """Drop a query's binding (retirement); return its old shard."""
-        return self._owner.pop(name, None)
+        shard = self._owner.pop(name, None)
+        if shard is not None:
+            self._loads[shard] -= 1
+        return shard
 
     def rebind(self, name: str, shard: int) -> None:
         """Move an existing binding to another shard (rebalance)."""
         if name not in self._owner:
             raise ReproError(f"query {name!r} is not bound to any shard")
+        self._loads[shard] += 1
+        self._loads[self._owner[name]] -= 1
         self._owner[name] = shard
 
     # ------------------------------------------------------------------
@@ -192,11 +200,8 @@ class QueryRouter:
         return dict(self._owner)
 
     def loads(self) -> list[int]:
-        """Owned-query count per shard."""
-        loads = [0] * self.num_shards
-        for shard in self._owner.values():
-            loads[shard] += 1
-        return loads
+        """Owned-query count per shard (a copy of the router's counts)."""
+        return list(self._loads)
 
     # ------------------------------------------------------------------
     def capture(self) -> dict[str, Any]:
@@ -210,6 +215,7 @@ class QueryRouter:
 
     def restore(self, doc: dict[str, Any]) -> None:
         """Inverse of :meth:`capture`, into a pristine router."""
-        self._owner = dict(doc["owner"])
+        for name, shard in doc["owner"].items():
+            self.bind(name, shard)
         self.routed_total = doc["routed_total"]
         restore_section("router.policy_keys", self.policy, doc["policy_keys"])

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.utils import ChangeFeed
 
@@ -83,15 +83,24 @@ class Gauge(_Instrument):
     kind = "gauge"
 
     _value: float | None = None
+    _pending: Callable[[], float] | None = None
 
     def set(self, value: float) -> None:
-        """Set the gauge."""
+        """Set the gauge (replacing a pending value)."""
+        self._pending = None
         self._value = float(value)
+        self._touch(self.name)
+
+    def set_lazy(self, compute: Callable[[], float]) -> None:
+        """Set the gauge pending: ``compute()`` runs at the first read of
+        :attr:`value`; the feed moves now.  The caller vouches that what
+        ``compute`` reads changes only through a later write here."""
+        self._pending = compute
         self._touch(self.name)
 
     def inc(self, amount: float = 1.0) -> None:
         """Adjust the gauge by ``amount`` (may be negative)."""
-        self.set((self._value or 0.0) + amount)
+        self.set((self.value or 0.0) + amount)
 
     def dec(self, amount: float = 1.0) -> None:
         """Adjust the gauge down by ``amount``."""
@@ -99,7 +108,10 @@ class Gauge(_Instrument):
 
     @property
     def value(self) -> float | None:
-        """The last value set, or ``None`` if never set."""
+        """The last value set (computed now if pending), or ``None``."""
+        if self._pending is not None:
+            self._value = float(self._pending())
+            self._pending = None
         return self._value
 
 

@@ -27,6 +27,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from repro.errors import DeploymentError, UnknownQueryError
+from repro.perf import profiler as _perf
 from repro.query.plan import Join, Leaf, PlanNode
 from repro.query.query import Query, ViewSignature
 
@@ -263,6 +264,9 @@ class DeploymentState:
         A fresh sum over every live flow's price in :meth:`flows` order,
         never a running total: totals are compared for identity.
         """
+        prof = _perf.active()
+        if prof is not None:
+            prof.count("flow_prices_summed", sum(map(len, self._flow_costs.values())))
         return sum(chain.from_iterable(self._flow_costs.values()))
 
     def query_cost(self, name: str) -> float:

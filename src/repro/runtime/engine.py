@@ -51,7 +51,12 @@ class FlowEngine:
 
     The engine owns a :class:`MetricRegistry` (:attr:`registry`) whose
     ``runtime_total_cost`` / ``runtime_operators`` gauges it sets after
-    every deploy/undeploy/cost-change event.
+    every deploy/undeploy/cost-change event.  The cost is summed when
+    read (:meth:`Gauge.set_lazy`), and reads what an eager set at the last
+    event would hold: every change to :attr:`state`'s flow costs goes
+    through :meth:`deploy` / :meth:`undeploy` / ``refresh_*``, except
+    ``restore_service`` into a pristine service, which has nothing pending.
+    The operator count is eager: a federation adds views past the engine.
     """
 
     def __init__(self, network: Network, rates: RateModel) -> None:
@@ -167,5 +172,5 @@ class FlowEngine:
     def _tick(self, time: float | None) -> None:
         if time is not None:
             self.clock = time
-        self._cost_gauge.set(self.total_cost())
+        self._cost_gauge.set_lazy(self.state.total_cost)
         self._ops_gauge.set(float(self.state.num_operators))

@@ -33,6 +33,8 @@ the engine's :class:`~repro.obs.metrics.MetricRegistry`.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import time as _time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
@@ -251,6 +253,11 @@ class StreamQueryService:
         self._rates_version = rates.version
         self._network_version = network.version
         self._expiry: dict[str, float] = {}
+        # Ticks pop ``(expiry, seq, name)`` off a heap; seq order is
+        # ``_expiry``'s, and a seq other than ``_expiry_seq[name]`` is stale.
+        self._expiry_heap: list[tuple[float, int, str]] = []
+        self._expiry_seq: dict[str, int] = {}
+        self._next_seq = itertools.count()
         self._pending_lifetimes: dict[str, float | None] = {}
         self.submitted_total = 0
         self.deployed_total = 0
@@ -394,7 +401,8 @@ class StreamQueryService:
             "rates_version_seen": self._rates_version,
             "network_version_seen": self._network_version,
             "priced_version": self.engine.priced_version,
-            "expiry": dict(self._expiry),
+            # ``[name, expiry]`` pairs: same-tick expiries retire in this order.
+            "expiry": [[name, expiry] for name, expiry in self._expiry.items()],
             "pending_lifetimes": dict(self._pending_lifetimes),
             "counters": {
                 "submitted_total": self.submitted_total,
@@ -415,7 +423,10 @@ class StreamQueryService:
         # Adopt the priced version the snapshot recorded (the caller
         # re-prices the restored flows), keeping epoch bookkeeping exact.
         self.engine._priced_version = doc["priced_version"]
-        self._expiry = dict(doc["expiry"])
+        self._expiry = dict(doc["expiry"])  # pairs, or an older file's dict
+        self._expiry_seq = {name: seq for seq, name in enumerate(self._expiry)}
+        self._next_seq = itertools.count(len(self._expiry))
+        self._rebuild_expiry_heap()
         self._pending_lifetimes = dict(doc["pending_lifetimes"])
         counters = doc["counters"]
         self.submitted_total = counters["submitted_total"]
@@ -582,7 +593,7 @@ class StreamQueryService:
         self._refresh_epochs()
         report = TickReport(time=now)
 
-        for name in [n for n, expiry in self._expiry.items() if expiry <= now]:
+        for name in self._pop_due(now):
             self._retire_live(name)
             report.retired.append(name)
 
@@ -665,7 +676,7 @@ class StreamQueryService:
             # no longer contains.
             affected: list[tuple[Query, float | None]] = []
             for name in failure.affected_queries:
-                expiry = self._expiry.pop(name, None)
+                expiry = self._drop_expiry(name)
                 remaining = None if expiry is None else max(1.0, expiry - self.clock)
                 affected.append((self.engine.state.deployment(name).query, remaining))
                 self.engine.undeploy(name, time=self.clock)
@@ -882,7 +893,7 @@ class StreamQueryService:
         if self.ads is not None:
             self.ads.sync_from_state(self.engine.state)
         if lifetime is not None:
-            self._expiry[query.name] = self.clock + lifetime
+            self._set_expiry(query.name, self.clock + lifetime)
         self.deployed_total += 1
         self._mark("deploy", query=query.name, lifetime=lifetime)
 
@@ -911,9 +922,46 @@ class StreamQueryService:
         self.engine.undeploy(name, time=self.clock)
         if self.ads is not None:
             self.ads.sync_from_state(self.engine.state)
-        self._expiry.pop(name, None)
+        self._drop_expiry(name)
         self.retired_total += 1
         self._mark("retire", query=name)
+
+    def _set_expiry(self, name: str, expiry: float) -> None:
+        """End the lifetime of ``name``, a query being deployed, at
+        ``expiry``."""
+        self._expiry[name] = expiry
+        self._expiry_seq[name] = seq = next(self._next_seq)
+        heapq.heappush(self._expiry_heap, (expiry, seq, name))
+
+    def _drop_expiry(self, name: str) -> float | None:
+        """Forget ``name``'s lifetime, return its expiry (or ``None``);
+        the heap is rebuilt once stale entries outnumber live ones."""
+        self._expiry_seq.pop(name, None)
+        expiry = self._expiry.pop(name, None)
+        if len(self._expiry_heap) > 2 * len(self._expiry):
+            self._rebuild_expiry_heap()
+        return expiry
+
+    def _rebuild_expiry_heap(self) -> None:
+        heap = [(e, self._expiry_seq[n], n) for n, e in self._expiry.items()]
+        heapq.heapify(heap)
+        self._expiry_heap = heap
+
+    def _pop_due(self, now: float) -> list[str]:
+        """Pop every heap entry due by ``now`` and return the live ones'
+        names in ``_expiry`` order: ``[n for n, e in _expiry.items() if
+        e <= now]`` without walking the entries that are not due."""
+        heap, seqs = self._expiry_heap, self._expiry_seq
+        size, due = len(heap), []
+        while heap and heap[0][0] <= now:
+            _, seq, name = heapq.heappop(heap)
+            if seqs.get(name) == seq:
+                due.append((seq, name))
+        prof = _perf.active()
+        if prof is not None:
+            prof.count("expiry_entries_examined", size - len(heap))
+        due.sort()
+        return [name for _, name in due]
 
     def _mark(self, kind: str, **data) -> None:
         """Journal one marker at the current clock (nothing when the

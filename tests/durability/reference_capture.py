@@ -301,7 +301,7 @@ def capture_service(service, include_shared: bool = True) -> dict[str, Any]:
         "rates_version_seen": service._rates_version,
         "network_version_seen": service._network_version,
         "priced_version": service.engine._priced_version,
-        "expiry": dict(service._expiry),
+        "expiry": [[name, expiry] for name, expiry in service._expiry.items()],
         "pending_lifetimes": dict(service._pending_lifetimes),
         "counters": {
             "submitted_total": service.submitted_total,

@@ -154,10 +154,6 @@ def rounded(value):
 
 def tick_doc(report) -> dict:
     doc = _tick_report_doc(report)
-    # Queries that expire on one tick retire in ``_expiry``'s insertion
-    # order, which canonical JSON (sorted keys) does not carry: the same
-    # queries retire, listed in name order after a restore.
-    doc["retired"] = sorted(doc["retired"])
     doc["federation"] = getattr(report, "federation", None)
     return doc
 

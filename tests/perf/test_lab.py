@@ -109,11 +109,16 @@ class TestLabOverhead:
     def test_harness_never_leaks_work_into_the_planner(self):
         """lab_overhead must do the exact planner work of service_churn
         -- the scenario lab's CandidateRun wrapper only observes (it
-        scrapes telemetry and samples the cost integral)."""
+        scrapes telemetry and samples the cost integral, so it alone
+        reads the cost gauge and sums flow prices)."""
         lab = PerfLab(cases=["service_churn", "lab_overhead"], repeats=1)
         churn = lab.run_case("service_churn")["ops"]
         wrapped = lab.run_case("lab_overhead")["ops"]
-        lab_only = {"telemetry_samples", "telemetry_series", "telemetry_series_held"}
+        lab_only = {
+            "telemetry_samples", "telemetry_series", "telemetry_series_held",
+            "flow_prices_summed",
+        }
+        assert "flow_prices_summed" not in churn
         assert {k: v for k, v in wrapped.items() if k not in lab_only} == churn
         assert wrapped["telemetry_samples"] > 0
         assert wrapped["telemetry_series"] > 0

@@ -221,7 +221,7 @@ class TestServiceRetireReadmit:
                 break
         if victim is None:
             pytest.skip("every operator co-located with a source/sink in this seed")
-        service._expiry[name] = service.clock + 10.0
+        service._set_expiry(name, service.clock + 10.0)
         report = service.handle_node_failure(victim)
         assert name in report.resubmitted
         assert name in service._expiry
