@@ -1,49 +1,65 @@
 #!/usr/bin/env python
 """Self-adaptive runtime: congestion detection and query migration.
 
-Reproduces IFLOW's Middleware-Layer behaviour on the simulated runtime:
+IFLOW's middleware "re-triggers the query optimization algorithm when
+the changes in network, load or data conditions demand recomputing".
+Here that is the lifecycle service built with ``adaptivity=``:
 
-1. deploy queries through the flow engine and simulate each deployment's
+1. submit the workload to the service and simulate each deployment's
    protocol timeline (coordinator messages + planning computation),
-2. congest the hottest link (its per-unit cost jumps 40x),
-3. let the adaptive middleware detect the change, re-optimize and
-   migrate the affected queries.
+2. congest the hottest link (its per-unit cost jumps 40x); the next
+   tick re-prices the live flows and moves the topology epoch,
+3. the adaptivity loop re-evaluates every live query and migrates those
+   whose re-plan pays back the state it must move.  A query whose
+   operators other queries reuse stays where it is: moving it would
+   strand its reusers.
+
+The world (transit-stub seed 29, workload seed 30) is one where the
+congestion alone makes migrations pay: two queries move an operator off
+the congested path, and halving every link cost instead moves nothing.
+In the seed-2 / seed-3 world, by contrast, the only queries that gain
+from moving are q0-q2, and each provides a view another query reuses,
+so nothing may move.
 
 Run:  python examples/adaptive_runtime.py
 """
 
 import repro
+from repro.adaptive import AdaptivityConfig
+from repro.service import StreamQueryService
 
 
-def main() -> None:
-    net = repro.transit_stub_by_size(32, seed=2)
+def main() -> StreamQueryService:
+    net = repro.transit_stub_by_size(32, seed=29)
     hierarchy = repro.build_hierarchy(net, max_cs=8, seed=0)
     workload = repro.generate_workload(
         net,
         repro.WorkloadParams(num_streams=8, num_queries=8, joins_per_query=(1, 4)),
-        seed=3,
+        seed=30,
     )
     rates = workload.rate_model()
-
-    engine = repro.FlowEngine(net, rates)
-    optimizer = repro.TopDownOptimizer(hierarchy, rates)
-
-    costs: list[tuple[float, float]] = []  # (time, total cost) after each step
+    service = StreamQueryService(
+        repro.TopDownOptimizer(hierarchy, rates),
+        net,
+        rates,
+        hierarchy=hierarchy,
+        adaptivity=AdaptivityConfig(query_cooldown=0.0, max_migrations_per_tick=8),
+    )
 
     print("== deploying the workload (with protocol timing) ==")
     for i, query in enumerate(workload):
-        deployment = optimizer.plan(query, engine.state)
-        timeline = repro.simulate_deployment(net, deployment)
-        engine.deploy(deployment, time=float(i))
-        costs.append((engine.clock, engine.total_cost()))
+        service.submit(query, time=float(i))
+        timeline = repro.simulate_deployment(
+            net, service.engine.state.deployment(query.name)
+        )
         print(
             f"   {query.name}: {len(query.sources)} streams, "
             f"deployed in {timeline.duration * 1000:6.1f} ms "
             f"({timeline.messages} messages, {timeline.tasks} planning tasks)"
         )
-    print(f"\nsteady-state cost: {engine.total_cost():.1f}")
+    print(f"\nsteady-state cost: {service.total_cost():.1f}")
 
-    hottest = engine.hottest_links(3)
+    hottest = service.engine.hottest_links(3)
     print("hottest links (rate crossing):")
     for load in hottest:
         print(f"   {load.u:>3} -- {load.v:<3} rate {load.rate:9.1f}  cost/unit {load.cost:5.2f}")
@@ -52,25 +68,35 @@ def main() -> None:
     victim = hottest[0]
     net.set_link_cost(victim.u, victim.v, victim.cost * 40)
 
-    middleware = repro.AdaptiveMiddleware(engine, optimizer, improvement_threshold=0.05)
-    report = middleware.run_epoch(time=100.0)
-    costs.append((engine.clock, engine.total_cost()))
-    print(f"   adaptation triggered: {report.triggered}")
-    print(f"   cost at new prices before migrating: {report.cost_before:12.1f}")
-    print(f"   cost after migrating:                {report.cost_after:12.1f}")
-    print(f"   queries migrated: {len(report.migrations)} of {report.considered}")
-    for migration in report.migrations:
+    # Tick until a pass over the live queries commits nothing.
+    now = float(len(workload))
+    while service.tick(now).migrated:
+        now += 1.0
+    reports = service.adaptivity.reports
+    first = reports[0]
+    migrations = [m for report in reports for m in report.committed]
+    print(f"   topology epoch: {service.topology_epoch}, "
+          f"queries evaluated: {first.evaluated}")
+    for decision in first.decisions:
+        if not decision.migrate:
+            print(f"      {decision.query}: stays ({decision.reason})")
+
+    # Only a migrated query's own flows change, so the congested cost of
+    # the old placements is today's cost plus what the migrations saved.
+    after = service.total_cost()
+    saved = sum(m.old_cost - m.new_cost for m in migrations)
+    print(f"   cost at new prices before migrating: {after + saved:12.1f}")
+    print(f"   cost after migrating:                {after:12.1f}")
+    print(f"   queries migrated: {len(migrations)} of {first.evaluated}")
+    for m in migrations:
         print(
-            f"      {migration.query_name}: {migration.old_cost:10.1f}"
-            f" -> {migration.new_cost:10.1f}  (saves {migration.saving:.1f})"
+            f"      {m.query}: {m.old_cost:10.1f} -> {m.new_cost:10.1f}"
+            f"  (saves {m.old_cost - m.new_cost:.1f}, "
+            f"{m.operators_moved} operator(s) moved)"
         )
-
-    saving = 100 * (1 - report.cost_after / report.cost_before)
-    print(f"\nadaptation recovered {saving:.1f}% of the congestion-inflated cost")
-
-    print("\n== total cost sampled after each step ==")
-    for time, value in costs[-5:]:
-        print(f"   t={time:6.1f}  total_cost={value:12.1f}")
+    print(f"\nadaptation recovered {100 * saved / (after + saved):.1f}% "
+          "of the congestion-inflated cost")
+    return service
 
 
 if __name__ == "__main__":

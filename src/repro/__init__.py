@@ -146,7 +146,6 @@ from repro.serialization import (
     workload_to_json,
 )
 from repro.runtime import (
-    AdaptiveMiddleware,
     FlowEngine,
     Simulator,
     fail_node,
@@ -251,7 +250,6 @@ __all__ = [
     "Simulator",
     "simulate_deployment",
     "FlowEngine",
-    "AdaptiveMiddleware",
     "fail_node",
     "run_dataplane",
     # lifecycle service

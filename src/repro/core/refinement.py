@@ -33,8 +33,6 @@ def refine_placement(
     rates: RateModel,
     candidates: Sequence[int] | None = None,
     max_rounds: int = 10,
-    forbidden: frozenset[int] | set[int] = frozenset(),
-    improve_moves: bool = True,
 ) -> tuple[Deployment, int]:
     """Hill-climb single-operator relocations on a fixed plan.
 
@@ -46,29 +44,15 @@ def refine_placement(
             the cost matrix).
         max_rounds: Sweep limit; each sweep tries to move every join
             operator once.
-        forbidden: Nodes operators must vacate (e.g. overloaded hosts):
-            operators currently there move to the best allowed node even
-            when that *raises* communication cost, and no operator ever
-            moves onto them.
-        improve_moves: Allow cost-improving relocations of operators on
-            allowed nodes.  Set ``False`` for minimal evacuations that
-            move *only* operators sitting on forbidden nodes (keeps
-            reuse dependencies of untouched operators intact).
 
     Returns:
         ``(refined_deployment, moves)`` where ``moves`` counts accepted
-        relocations.  Without ``forbidden`` the refined cost is <= the
-        input cost.
+        relocations.  The refined cost is <= the input cost.
     """
     query = deployment.query
     plan = deployment.plan
     placement = dict(deployment.placement)
     nodes = np.arange(costs.shape[0]) if candidates is None else np.asarray(list(candidates))
-    forbidden = frozenset(forbidden)
-    if forbidden:
-        nodes = np.asarray([n for n in nodes if n not in forbidden])
-        if nodes.size == 0:
-            raise ValueError("every candidate node is forbidden")
     flow = rates.flow_rates(query, plan)
 
     # neighbours[j]: (other endpoint plan-node, rate of the connecting flow)
@@ -106,10 +90,7 @@ def refine_placement(
                     for other, rate in incident(join)
                 )
             )
-            must_vacate = current in forbidden
-            if (must_vacate and best_node != current) or (
-                improve_moves and total[best_idx] < here - 1e-9
-            ):
+            if total[best_idx] < here - 1e-9:
                 placement[join] = best_node
                 moves += 1
                 improved = True
@@ -122,11 +103,9 @@ def refine_placement(
         placement=placement,
         stats={**deployment.stats, "refinement_moves": moves},
     )
-    if not forbidden:
-        # Pure local search must never lose; guard against accounting
-        # surprises.  (With forbidden nodes, vacating may cost.)
-        before = deployment_cost(deployment, costs, rates)
-        after = deployment_cost(refined, costs, rates)
-        if after > before + 1e-9:  # pragma: no cover - defensive
-            return deployment, 0
+    # Local search must never lose; guard against accounting surprises.
+    before = deployment_cost(deployment, costs, rates)
+    after = deployment_cost(refined, costs, rates)
+    if after > before + 1e-9:  # pragma: no cover - defensive
+        return deployment, 0
     return refined, moves

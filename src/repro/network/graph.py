@@ -225,8 +225,9 @@ class Network:
     def set_link_cost(self, u: int, v: int, cost: float) -> None:
         """Update the traversal cost of an existing link.
 
-        This is the hook the adaptive middleware uses to model changing
-        network conditions (congestion raises per-unit costs).
+        This is how changing network conditions are modelled
+        (congestion raises per-unit costs): the version bump moves a
+        service's topology epoch, and its adaptivity loop re-plans.
         """
         key = _canonical(u, v)
         if key not in self._links:

@@ -364,8 +364,9 @@ class DeploymentState:
         Caveat: the input subscriptions feeding an operator are billed to
         the query that created it, so undeploying that query reclaims
         them even if another query still reuses the view.  Callers
-        migrating queries should undeploy dependents first (the adaptive
-        middleware does).
+        migrating queries must leave such a provider in place:
+        :meth:`ReoptPolicy.pinned_by_reuse
+        <repro.adaptive.policy.ReoptPolicy.pinned_by_reuse>` pins it.
         """
         if name not in self._deployments:
             raise UnknownQueryError(f"query {name!r} is not deployed")

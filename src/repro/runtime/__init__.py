@@ -13,9 +13,12 @@ discrete-event simulation:
   time, yielding the query *deployment time* Figure 10 measures.
 * :mod:`repro.runtime.engine` -- the flow engine: deploys/undeploys
   query plans, tracks instantaneous cost and per-link utilization.
-* :mod:`repro.runtime.middleware` -- self-adaptivity: monitors network
-  condition changes and re-triggers optimization (IFLOW's Middleware
-  Layer).
+
+IFLOW's Middleware Layer -- re-triggering optimization when network,
+load or data conditions change -- is the service's layers:
+:mod:`repro.adaptive` re-plans live queries when the topology or
+statistics epoch moves, and :mod:`repro.resources` keeps node load
+under capacity.
 """
 
 from repro.runtime.events import Event, EventQueue
@@ -29,7 +32,6 @@ from repro.runtime.messages import (
 )
 from repro.runtime.protocol import DeploymentTimeline, simulate_deployment
 from repro.runtime.engine import FlowEngine
-from repro.runtime.middleware import AdaptiveMiddleware, MigrationReport
 from repro.runtime.failover import FailureReport, backup_coordinator, fail_node
 from repro.runtime.dataplane import DataPlaneReport, run_dataplane
 
@@ -46,8 +48,6 @@ __all__ = [
     "DeploymentTimeline",
     "simulate_deployment",
     "FlowEngine",
-    "AdaptiveMiddleware",
-    "MigrationReport",
     "FailureReport",
     "fail_node",
     "backup_coordinator",

@@ -107,7 +107,7 @@ class FlowEngine:
 
         Existing flows keep their endpoints but are re-priced along the
         new cheapest paths (IFLOW's routing adapts; placements do not
-        move until the middleware migrates them).
+        move until the service's adaptivity loop migrates them).
         """
         total = self.state.recompute_costs(self.network.cost_matrix())
         self._priced_version = self.network.version
@@ -150,7 +150,8 @@ class FlowEngine:
         (probing/insertion work is proportional to arrivals); co-located
         inputs count even though they generate no network flow.  The
         paper's motivating example ("node N2 may be overloaded") is about
-        exactly this quantity.
+        exactly this quantity.  It is the ``cpu`` dimension the resource
+        layer (:mod:`repro.resources`) bounds by node capacity.
         """
         loads: dict[int, float] = {}
         for deployment in self.state.deployments:
@@ -163,10 +164,6 @@ class FlowEngine:
                 )
                 loads[node] = loads.get(node, 0.0) + incoming
         return loads
-
-    def overloaded_nodes(self, capacity: float) -> list[int]:
-        """Nodes whose processing load exceeds ``capacity``."""
-        return sorted(n for n, load in self.node_loads().items() if load > capacity)
 
     # ------------------------------------------------------------------
     def _tick(self, time: float | None) -> None:

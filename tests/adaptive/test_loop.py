@@ -13,6 +13,7 @@ from repro.core.cost import RateModel, deployment_cost
 from repro.resilience.faults import FaultInjector, FaultPlan, StaleStatistics
 from repro.service import StreamQueryService
 from repro.workload import drift_timeline
+from tests.query.replay import assert_replays
 
 
 CONFIG = AdaptivityConfig(
@@ -37,9 +38,25 @@ def build_service(adaptivity=None):
     service = StreamQueryService(
         optimizer, net, rates, hierarchy=hierarchy, adaptivity=adaptivity
     )
+    if adaptivity is not None:
+        replay_after_each_migration(service)
     for query in workload.queries:
         service.submit(query)
     return service, workload, net
+
+
+def replay_after_each_migration(service):
+    """Every migration the loop commits must leave a state that replays."""
+    migrator = service.adaptivity.migrator
+    execute = migrator.execute
+
+    def checked(*args, **kwargs):
+        outcome = execute(*args, **kwargs)
+        if outcome.committed:
+            assert_replays(service)
+        return outcome
+
+    migrator.execute = checked
 
 
 def drive(service, timeline, ticks):
@@ -132,6 +149,7 @@ class TestClosedLoop:
             faults=faults,
             adaptivity=CONFIG,
         )
+        replay_after_each_migration(service)
         for query in workload.queries:
             service.submit(query)
         timeline = drift_timeline(rates.streams, kind="step", at=1.0, factor=6.0)

@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 
 import repro
+from repro.adaptive import AdaptivityConfig
 from repro.core.cost import deployment_cost
+from repro.service import StreamQueryService
+from tests.query.replay import assert_replays
 
 
 @pytest.fixture(scope="module")
@@ -124,28 +127,35 @@ class TestRuntimeIntegration:
             seed=22,
         )
         rates = workload.rate_model()
-        engine = repro.FlowEngine(net, rates)
-        optimizer = repro.TopDownOptimizer(hierarchy, rates)
+        service = StreamQueryService(
+            repro.TopDownOptimizer(hierarchy, rates),
+            net,
+            rates,
+            hierarchy=hierarchy,
+            adaptivity=AdaptivityConfig(min_relative_gain=0.02),
+        )
+        engine = service.engine
 
         timelines = []
         for i, query in enumerate(workload):
-            deployment = optimizer.plan(query, engine.state)
+            service.submit(query, time=float(i))
+            deployment = engine.state.deployment(query.name)
             timelines.append(repro.simulate_deployment(net, deployment))
-            engine.deploy(deployment, time=float(i))
         assert all(t.duration > 0 for t in timelines)
-        baseline = engine.total_cost()
 
         hot = engine.hottest_links(1)[0]
         net.set_link_cost(hot.u, hot.v, hot.cost * 30)
-        middleware = repro.AdaptiveMiddleware(engine, optimizer, improvement_threshold=0.02)
-        report = middleware.run_epoch(time=50.0)
-        assert report.triggered
-        assert report.cost_after <= report.cost_before + 1e-9
+        service.tick(50.0)
+        report = service.adaptivity.reports[-1]
+        assert service.topology_epoch == 1
+        assert report.evaluated == len(workload)
+        assert all(m.new_cost <= m.old_cost for m in report.committed)
         # cost accounting stays consistent after migration
         per_query = sum(
             engine.state.query_cost(q.name) for q in workload
         )
         assert per_query == pytest.approx(engine.total_cost())
+        assert_replays(service)
 
     def test_protocol_and_engine_agree_on_operators(self):
         net = repro.transit_stub_by_size(32, seed=23)

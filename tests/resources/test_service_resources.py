@@ -10,6 +10,7 @@ import repro
 from repro.errors import InfeasiblePlacementError
 from repro.resources import ResourceConfig, uniform_capacities
 from repro.service import AdmissionStatus, StreamQueryService, churn_trace
+from tests.query.replay import assert_replays
 
 #: comfortable headroom for ~7 of the 8 workload queries on this net
 _CAPS = dict(cpu=600.0, memory=400.0, bandwidth=800.0)
@@ -197,6 +198,14 @@ class TestShedding:
         assert shed
         assert all(p.weight < manager.weight_of(heavy) for p in shed)
         assert_feasible(service)
+        assert_replays(service)
+
+        # Retiring the heavy query frees room: the victims come back.
+        service.retire(heavy)
+        report = service.tick(20.0)
+        assert {p.query.name for p in shed} & set(report.deployed)
+        assert_feasible(service)
+        assert_replays(service)
 
     def test_shed_disabled_raises_from_the_planner(self):
         net = repro.transit_stub_by_size(32, seed=47)

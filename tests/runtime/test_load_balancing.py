@@ -1,6 +1,5 @@
-"""Tests for node-load tracking and overload rebalancing."""
+"""Tests for node-load tracking."""
 
-import numpy as np
 import pytest
 
 import repro
@@ -48,82 +47,3 @@ class TestNodeLoads:
         for node, load in manual.items():
             assert loads[node] == pytest.approx(load)
 
-    def test_overloaded_nodes_threshold(self, loaded_system):
-        net, workload, rates, engine, _ = loaded_system
-        loads = engine.node_loads()
-        cap = float(np.median(list(loads.values())))
-        hot = engine.overloaded_nodes(cap)
-        assert all(loads[n] > cap for n in hot)
-        assert engine.overloaded_nodes(float("inf")) == []
-
-
-class TestRebalance:
-    def test_noop_when_capacity_ample(self, loaded_system):
-        net, workload, rates, engine, optimizer = loaded_system
-        mw = repro.AdaptiveMiddleware(engine, optimizer)
-        report = mw.rebalance_load(capacity=float("inf"))
-        assert not report.triggered
-        assert report.migrations == []
-
-    def test_evacuates_overloaded_nodes(self, loaded_system):
-        net, workload, rates, engine, optimizer = loaded_system
-        loads = engine.node_loads()
-        hottest_load = max(loads.values())
-        cap = hottest_load * 0.8  # make the hottest node overloaded
-        mw = repro.AdaptiveMiddleware(engine, optimizer)
-        report = mw.rebalance_load(capacity=cap)
-        assert report.triggered
-        new_loads = engine.node_loads()
-        # the previously-overloaded nodes are now at or below their old
-        # load, typically evacuated entirely
-        still_hot = engine.overloaded_nodes(cap)
-        assert len(still_hot) <= len([n for n, l in loads.items() if l > cap])
-        assert max(new_loads.values()) <= hottest_load + 1e-6
-
-    def test_queries_stay_deployed_after_rebalance(self, loaded_system):
-        net, workload, rates, engine, optimizer = loaded_system
-        cap = max(engine.node_loads().values()) * 0.5
-        mw = repro.AdaptiveMiddleware(engine, optimizer)
-        before = {d.query.name for d in engine.state.deployments}
-        mw.rebalance_load(capacity=cap)
-        after = {d.query.name for d in engine.state.deployments}
-        assert before == after
-        assert engine.total_cost() > 0
-
-
-class TestForcedRefinement:
-    def test_forbidden_nodes_vacated(self):
-        from repro.core.refinement import refine_placement
-
-        net = repro.transit_stub_by_size(16, seed=143)
-        streams = {
-            "A": repro.StreamSpec("A", 0, 50.0),
-            "B": repro.StreamSpec("B", 5, 50.0),
-        }
-        rates = repro.RateModel(streams)
-        q = repro.Query("q", ["A", "B"], sink=10,
-                        predicates=[repro.JoinPredicate("A", "B", 0.01)])
-        d = repro.OptimalPlanner(net, rates).plan(q)
-        join_node = d.placement[d.plan]
-        refined, moves = refine_placement(
-            d, net.cost_matrix(), rates, forbidden={join_node}
-        )
-        assert moves >= 1
-        assert refined.placement[refined.plan] != join_node
-
-    def test_all_forbidden_rejected(self):
-        from repro.core.refinement import refine_placement
-
-        net = repro.transit_stub_by_size(16, seed=144)
-        streams = {
-            "A": repro.StreamSpec("A", 0, 50.0),
-            "B": repro.StreamSpec("B", 5, 50.0),
-        }
-        rates = repro.RateModel(streams)
-        q = repro.Query("q", ["A", "B"], sink=10,
-                        predicates=[repro.JoinPredicate("A", "B", 0.01)])
-        d = repro.OptimalPlanner(net, rates).plan(q)
-        with pytest.raises(ValueError, match="forbidden"):
-            refine_placement(
-                d, net.cost_matrix(), rates, forbidden=set(net.nodes())
-            )

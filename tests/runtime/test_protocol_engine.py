@@ -1,4 +1,4 @@
-"""Tests for the deployment-protocol simulation, flow engine and middleware."""
+"""Tests for the deployment-protocol simulation and the flow engine."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,7 @@ import pytest
 from repro.core import BottomUpOptimizer, OptimalPlanner, TopDownOptimizer
 from repro.hierarchy import build_hierarchy
 from repro.network.topology import transit_stub_by_size
-from repro.runtime import (
-    AdaptiveMiddleware,
-    FlowEngine,
-    simulate_deployment,
-)
+from repro.runtime import FlowEngine, simulate_deployment
 from repro.workload import WorkloadParams, generate_workload
 
 
@@ -146,57 +142,3 @@ class TestFlowEngine:
         after = engine.refresh_network()
         assert after >= before  # doubling all links cannot reduce cost
 
-
-class TestAdaptiveMiddleware:
-    def _loaded_engine(self, env):
-        net, w, rates, h = env
-        net = net.copy()
-        hierarchy = build_hierarchy(net, max_cs=4, seed=0)
-        engine = FlowEngine(net, rates)
-        opt = TopDownOptimizer(hierarchy, rates)
-        for q in w.queries[:5]:
-            engine.deploy(opt.plan(q, engine.state))
-        return net, engine, opt
-
-    def test_idle_epoch_not_triggered(self, env):
-        net, engine, opt = self._loaded_engine(env)
-        mw = AdaptiveMiddleware(engine, opt)
-        report = mw.run_epoch()
-        assert not report.triggered
-        assert report.cost_before == report.cost_after
-
-    def test_congestion_triggers_and_improves(self, env):
-        net, engine, opt = self._loaded_engine(env)
-        mw = AdaptiveMiddleware(engine, opt, improvement_threshold=0.02)
-        hot = engine.hottest_links(1)[0]
-        net.set_link_cost(hot.u, hot.v, hot.cost * 50)
-        report = mw.run_epoch(time=10.0)
-        assert report.triggered
-        assert report.cost_after <= report.cost_before
-        assert report.considered >= 1
-        if report.migrations:
-            assert all(m.saving > 0 for m in report.migrations)
-
-    def test_epoch_idempotent_after_adaptation(self, env):
-        net, engine, opt = self._loaded_engine(env)
-        mw = AdaptiveMiddleware(engine, opt, improvement_threshold=0.02)
-        hot = engine.hottest_links(1)[0]
-        net.set_link_cost(hot.u, hot.v, hot.cost * 50)
-        mw.run_epoch()
-        second = mw.run_epoch()
-        assert not second.triggered
-
-    def test_invalid_threshold(self, env):
-        net, engine, opt = self._loaded_engine(env)
-        with pytest.raises(ValueError):
-            AdaptiveMiddleware(engine, opt, improvement_threshold=1.5)
-
-    def test_cost_decrease_does_not_force_migration(self, env):
-        """Cheaper network all around: repricing suffices, no churn needed."""
-        net, engine, opt = self._loaded_engine(env)
-        mw = AdaptiveMiddleware(engine, opt, improvement_threshold=0.05)
-        before = engine.total_cost()
-        net.scale_link_costs(0.5)
-        report = mw.run_epoch()
-        assert report.triggered
-        assert report.cost_after <= before
