@@ -15,10 +15,6 @@ A congestion event here never clears, so the adaptive arm amortizes a
 migration's saving over a long horizon (1000 unit times).  At the
 default horizon (20) most moves do not pay back the window state they
 ship; the report gives that arm's figures too.
-
-Seed 11's initial deployment still follows ``PYTHONHASHSEED`` (a set
-order inside the planner), so ``results/ablation_adaptivity.txt`` is
-written under ``PYTHONHASHSEED=0``.
 """
 
 from dataclasses import replace

@@ -387,7 +387,7 @@ class BottomUpOptimizer:
         }
         if not advertised:
             return [identity]
-        partitions = input_partitions([inp.view for inp in inputs], set(advertised))
+        partitions = input_partitions([inp.view for inp in inputs], advertised)
         by_view = {inp.view: inp for inp in inputs}
         out: list[tuple[_Input, ...]] = []
         for blocks in partitions:

@@ -14,6 +14,7 @@ which makes a query's final output rate independent of join order (only
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -116,17 +117,19 @@ class RateModel:
         With the default ``W = 1/2`` this reduces to the classical
         ``sigma * r_L * r_R``.  This is the ``rate_of``
         :class:`repro.query.deployment.DeploymentState` prices by.
+
+        The factors multiply in ascending value order: float products are
+        not associative, and the signature's sets iterate in an order that
+        follows how they were built and the hash seed.
         """
         cached = self._cache.get(signature)
         if cached is not None:
             return cached
-        rate = 1.0
-        for name in signature.sources:
-            rate *= self.stream(name).rate
-        for flt in signature.filters:
-            rate *= flt.selectivity
-        for pred in signature.predicates:
-            rate *= pred.selectivity
+        factors = [self.stream(name).rate for name in signature.sources]
+        factors += [flt.selectivity for flt in signature.filters]
+        factors += [pred.selectivity for pred in signature.predicates]
+        factors.sort()
+        rate = math.prod(factors, start=1.0)
         joins = len(signature.sources) - 1
         if joins > 0:
             rate *= (2.0 * signature.window) ** joins

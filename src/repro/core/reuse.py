@@ -10,7 +10,7 @@ advertisement nodes in the final deployment.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from repro.query.query import Query, ViewSignature
 
 def input_partitions(
     input_views: Sequence[frozenset[str]],
-    reusable_unions: set[frozenset[str]],
+    reusable_unions: Iterable[frozenset[str]],
 ) -> list[list[frozenset[str]]]:
     """Partitions of ``input_views`` into single inputs and reusable unions.
 
@@ -31,7 +31,10 @@ def input_partitions(
 
     Input views must be pairwise disjoint.  Because they are, a
     reusable union determines exactly which inputs it covers, so
-    enumeration is a simple first-element recursion.
+    enumeration is a simple first-element recursion.  Unions are tried
+    in the order of the input positions they cover, so the partitions
+    come out in one order whatever order ``reusable_unions`` iterates in
+    (leaf-set order breaks cost ties in the task search).
     """
     views = list(input_views)
     union_all: set[str] = set()
@@ -46,6 +49,7 @@ def input_partitions(
         covered = [i for i, v in enumerate(views) if v <= target]
         if len(covered) >= 2 and frozenset().union(*(views[i] for i in covered)) == target:
             absorbable.append((target, frozenset(covered)))
+    absorbable.sort(key=lambda item: sorted(item[1]))
 
     results: list[list[frozenset[str]]] = []
 
@@ -106,7 +110,8 @@ def resolve_reuse_leaves(
                     f"plan for {query.name!r} reuses {sig.label()} but it is not advertised"
                 )
             consumer = consumers[leaf]
-            placement[leaf] = min(nodes, key=lambda n: costs[n, consumer])
+            # The lowest node wins a tie, not the set's iteration order.
+            placement[leaf] = min(nodes, key=lambda n: (costs[n, consumer], n))
             span.incr("reuse_leaves_pinned")
             span.incr("provider_nodes_considered", len(nodes))
 

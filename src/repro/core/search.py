@@ -64,8 +64,7 @@ def _nearest(positions: Sequence[int], node: int, rate: float, item) -> tuple[fl
 class _Unbuilt:
     """What rate and load pricing read of a join nobody has built: its
     sides in :class:`~repro.query.plan.Join`'s canonical order and their
-    union taken as ``Join`` takes it (``RateModel.rate`` multiplies in the
-    set's iteration order: any other union is an ulp away)."""
+    union."""
 
     __slots__ = ("left", "right", "sources")
 

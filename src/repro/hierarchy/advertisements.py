@@ -12,7 +12,7 @@ which the paper observes is negligible next to the data streams).
 
 from __future__ import annotations
 
-from itertools import combinations, count
+from itertools import combinations
 from typing import Callable
 
 from repro.hierarchy.hierarchy import Cluster, Hierarchy
@@ -42,11 +42,7 @@ class AdvertisementIndex:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._base_nodes: dict[str, int] = {}
         self._view_nodes: dict[ViewSignature, set[int]] = {}
-        # When each advertised signature entered ``_view_nodes`` (so a
-        # handful of hits can be put back in index order), and how many
-        # of them join each set of streams.
-        self._view_serial: dict[ViewSignature, int] = {}
-        self._serials = count()
+        # How many advertised signatures join each set of streams.
         self._joining: dict[frozenset[str], int] = {}
         self.messages_sent = 0
         # Where the last sync stopped reading its state's operator-set
@@ -78,7 +74,6 @@ class AdvertisementIndex:
         nodes = self._view_nodes.get(signature)
         if nodes is None:
             nodes = self._view_nodes[signature] = set()
-            self._view_serial[signature] = next(self._serials)
             sources = signature.sources
             self._joining[sources] = self._joining.get(sources, 0) + 1
         if node not in nodes:
@@ -96,7 +91,6 @@ class AdvertisementIndex:
         nodes.discard(node)
         if not nodes:
             del self._view_nodes[signature]
-            del self._view_serial[signature]
             sources = signature.sources
             if self._joining[sources] == 1:
                 del self._joining[sources]
@@ -131,18 +125,13 @@ class AdvertisementIndex:
                 examined = len(publish) + sum(map(len, self._view_nodes.values()))
             else:
                 keys = self._touched.union(changed)
-                live = {key for key in keys if state.has_view(*key)}
-                # Install order, the order the visit above publishes in:
-                # it decides where a new signature lands in the index.
-                publish = sorted(live, key=lambda key: state.operator_serial(*key))
+                publish = {key for key in keys if state.has_view(*key)}
                 stale = [
                     (sig, node)
-                    for sig, node in keys - live
+                    for sig, node in keys - publish
                     if node in self._view_nodes.get(sig, ())
                 ]
                 examined = len(keys)
-            # Advertise first: withdrawing a signature's last node before
-            # publishing its new one would move it to the end of the index.
             for key in publish:
                 self.advertise_view(*key)
             for key in stale:
@@ -210,9 +199,9 @@ class AdvertisementIndex:
         subsets, ``2^n - n - 1`` of them and listed once for all the
         plan's tasks, builds a signature only for a subset some
         advertised view joins, and never visits the rest of the index.
-        The views come back in the order they entered the index, the
-        order a scan of it would find them in, because the planners
-        break cost ties by the order of their leaf sets.
+        The views come back in subset order; the planners order their
+        reuse groupings themselves (:func:`repro.core.reuse.input_partitions`),
+        so no advertisement history decides a tie.
         """
         sources = query.sources
         subsets = [
@@ -224,7 +213,7 @@ class AdvertisementIndex:
         def lookup(cluster: Cluster) -> dict[ViewSignature, set[int]]:
             subtree = self.hierarchy.subtree(cluster)
             probed = 0
-            found = []
+            found = {}
             for subset in subsets:
                 if subset not in self._joining:
                     continue
@@ -234,12 +223,11 @@ class AdvertisementIndex:
                 if nodes is not None:
                     inside = nodes & subtree
                     if inside:
-                        found.append((self._view_serial[signature], signature, inside))
-            found.sort()  # serials are unique: signatures are never compared
+                        found[signature] = inside
             prof = _perf.active()
             if prof is not None:
                 prof.count("ads_views_probed", probed)
-            return {signature: inside for _, signature, inside in found}
+            return found
 
         return lookup
 

@@ -282,8 +282,7 @@ class Query:
             raise ValueError(f"{sorted(names)} is not a subset of query sources")
         if not names:
             raise ValueError("a view must cover at least one stream")
-        # ``_validate`` proved what the public constructor would re-check;
-        # the sets are filled in query order, as they always were.
+        # ``_validate`` proved what the public constructor would re-check.
         preds = frozenset([p for p in self.predicates if p.left in names and p.right in names])
         filts = frozenset([f for f in self.filters if f.stream in names])
         window = self.window if len(names) > 1 else DEFAULT_WINDOW  # joins only

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from repro.network.graph import Network
 
@@ -133,6 +133,17 @@ class Load:
 
 #: The zero demand vector.
 ZERO_LOAD = Load()
+
+
+def exact_sum(loads: Iterable[Load]) -> Load:
+    """The correctly rounded sum of ``loads`` in every dimension, so the
+    order they come in cannot change a bit of it."""
+    loads = list(loads)
+    return Load(
+        cpu=math.fsum(load.cpu for load in loads),
+        memory=math.fsum(load.memory for load in loads),
+        bandwidth=math.fsum(load.bandwidth for load in loads),
+    )
 
 
 def uniform_capacities(

@@ -32,23 +32,23 @@ priced from the ``origin`` its state recorded at install time.
 Reused-view *leaves* never carry load at all -- see
 :mod:`repro.resources.footprint`.
 
-A node's load is always re-summed from its operators' loads in one
-fixed order (pricers in walk order, then orphans in install order)
-instead of adding and subtracting deltas: float addition is not
-associative, and the sums feed gauges and reports that are compared
-byte for byte.
+A node's load is always re-summed from its operators' loads, exactly
+(:func:`~repro.resources.capacity.exact_sum`), instead of adding and
+subtracting deltas: float addition is not associative, the sums feed
+gauges and reports that are compared byte for byte, and a ledger
+restored from a snapshot meets the operators in another order than the
+live one did.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import attrgetter
 from typing import Container, Mapping, NamedTuple
 
 from repro.perf import profiler
 from repro.query.deployment import Deployment, DeploymentState
 from repro.query.plan import Join
-from repro.resources.capacity import UNBOUNDED, Load, NodeCapacity, ZERO_LOAD
+from repro.resources.capacity import UNBOUNDED, Load, NodeCapacity, ZERO_LOAD, exact_sum
 from repro.resources.footprint import JoinPricer, OperatorFootprint
 from repro.utils import ChangeFeed
 
@@ -69,8 +69,8 @@ class _Source:
         # name -> (deployment, seq, join keys); seq grows in application
         # order because a state only ever appends deployments.
         self.deployments: dict[str, tuple[Deployment, int, list[tuple]]] = {}
-        # key -> (operator record, seq); seq grows in install order.
-        self.records: dict[tuple, tuple[object, int]] = {}
+        # key -> the live operator record.
+        self.records: dict[tuple, object] = {}
         self.seq = itertools.count()
 
 
@@ -89,7 +89,7 @@ class _Holder(NamedTuple):
 class _Operator:
     """One booked ``(signature, node)`` operator."""
 
-    __slots__ = ("holders", "struct", "load", "rank")
+    __slots__ = ("holders", "struct", "load")
 
     def __init__(self) -> None:
         # Sorted in walk order: the first holder prices the operator.
@@ -97,8 +97,6 @@ class _Operator:
         # (query, left sources, right sources, footprint) behind ``load``.
         self.struct: tuple | None = None
         self.load: Load = ZERO_LOAD
-        # Position in the summation order of its node.
-        self.rank: tuple = ()
 
 
 class ResourceLedger:
@@ -226,16 +224,14 @@ class ResourceLedger:
         current = state.operator_records()
         for rec in current:
             key = (rec.signature, rec.node)
-            entry = records.get(key)
-            if entry is not None and entry[0] is rec:
+            if records.get(key) is rec:
                 continue
-            # A re-created record moved to the end of the install order.
-            records[key] = (rec, next(source.seq))
+            records[key] = rec
             touched[key] = None
             self._live_keys = None
         if len(records) > len(current):
             alive = {id(rec) for rec in current}
-            for key in [k for k, entry in records.items() if id(entry[0]) not in alive]:
+            for key in [k for k, rec in records.items() if id(rec) not in alive]:
                 del records[key]
                 touched[key] = None
             self._live_keys = None
@@ -248,7 +244,7 @@ class ResourceLedger:
     def _elect(self, key: tuple) -> int:
         """Re-elect the pricer of one operator; returns 1 if it was priced."""
         op = self._operators.get(key)
-        struct = rank = None
+        struct = None
         if op is not None and op.holders:
             first = op.holders[0]
             struct = (
@@ -257,15 +253,13 @@ class ResourceLedger:
                 first.join.right.sources,
                 first.source.footprint,
             )
-            rank = (0, *_walk_order(first))
         else:
             # No deployment's plan walks it anymore: charge it from the
             # origin recorded at install time, while it stays live.
             for source in self._sources:
-                entry = source.records.get(key)
-                if entry is not None and entry[0].origin is not None:
-                    struct = (*entry[0].origin, source.footprint)
-                    rank = (1, source.order, entry[1])
+                rec = source.records.get(key)
+                if rec is not None and rec.origin is not None:
+                    struct = (*rec.origin, source.footprint)
                     break
         node = key[1]
         if struct is None:
@@ -279,7 +273,6 @@ class ResourceLedger:
         if op is None:
             op = self._book(key)
         self._dirty.add(node)
-        op.rank = rank
         if op.struct is not None and _same_struct(op.struct, struct):
             return 0
         op.struct = struct
@@ -292,12 +285,10 @@ class ResourceLedger:
         op.load = footprint.join_load(query, left, right)
 
     def _resum(self, node: int) -> None:
-        """Re-sum one node from its operators, in the fixed order."""
+        """Re-sum one node from its operators, exactly."""
         self._dirty.discard(node)
         ops = self._on_node.get(node)
-        total = ZERO_LOAD
-        for op in sorted((ops or {}).values(), key=attrgetter("rank")):
-            total = total + op.load
+        total = exact_sum(op.load for op in (ops or {}).values())
         if ops:
             self._loads[node] = total
         else:

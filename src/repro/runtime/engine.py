@@ -9,6 +9,7 @@ the quantity a real testbed measures off its interfaces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,19 +152,18 @@ class FlowEngine:
         inputs count even though they generate no network flow.  The
         paper's motivating example ("node N2 may be overloaded") is about
         exactly this quantity.  It is the ``cpu`` dimension the resource
-        layer (:mod:`repro.resources`) bounds by node capacity.
+        layer (:mod:`repro.resources`) bounds by node capacity.  Sums are
+        exact, so a migration that reorders the deployments moves no bit.
         """
-        loads: dict[int, float] = {}
+        inputs: dict[int, list[float]] = {}
         for deployment in self.state.deployments:
             query = deployment.query
             for join in deployment.plan.joins():
-                node = deployment.placement[join]
-                incoming = sum(
+                inputs.setdefault(deployment.placement[join], []).extend(
                     self.rates.rate_for(query, child.sources)
                     for child in (join.left, join.right)
                 )
-                loads[node] = loads.get(node, 0.0) + incoming
-        return loads
+        return {node: math.fsum(rates) for node, rates in inputs.items()}
 
     # ------------------------------------------------------------------
     def _tick(self, time: float | None) -> None:

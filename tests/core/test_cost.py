@@ -1,5 +1,7 @@
 """Tests for the rate model and the communication-cost objective."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,6 +119,50 @@ class TestJoinOrderInvariance:
         v1 = rates.intermediate_volume(q, t1)
         v2 = rates.intermediate_volume(q, t2)
         assert v1 != pytest.approx(v2)
+
+
+class TestFactorOrder:
+    """A rate is one function of its factors, whatever order the
+    signature's sets iterate in, and a few ulps from any running product."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_rate_does_not_follow_the_order_sets_were_built_in(self, data):
+        names = data.draw(st.lists(st.sampled_from("ABCDEFGH"), min_size=1, max_size=6, unique=True))
+        streams = {n: StreamSpec(n, i, data.draw(st.floats(0.1, 1e4))) for i, n in enumerate(names)}
+        sel = st.floats(1e-4, 1.0)
+        preds = [
+            JoinPredicate(names[i], names[data.draw(st.integers(0, i - 1))], data.draw(sel))
+            for i in range(1, len(names))
+        ]
+        filters = [
+            Filter(data.draw(st.sampled_from(names)), f"x > {k}", data.draw(sel))
+            for k in range(data.draw(st.integers(0, 3)))
+        ]
+        window = data.draw(st.sampled_from([0.5, 0.25, 2.0]))
+        query = Query("q", names, 0, preds, filters, window=window)
+        rate = RateModel(streams).rate_for(query, names)
+
+        # Every list in another order: the signature's frozensets are
+        # built in another insertion order.
+        twin = Query(
+            "twin",
+            data.draw(st.permutations(names)),
+            0,
+            data.draw(st.permutations(preds)),
+            data.draw(st.permutations(filters)),
+            window=window,
+        )
+        assert RateModel(streams).rate_for(twin, names) == rate
+
+        factors = [streams[n].rate for n in names]
+        factors += [f.selectivity for f in filters] + [p.selectivity for p in preds]
+        for order in (factors, data.draw(st.permutations(factors))):
+            product = 1.0
+            for factor in order:
+                product *= factor
+            product *= (2.0 * window) ** (len(names) - 1)
+            assert abs(product - rate) <= 2 * (len(factors) + 1) * math.ulp(rate)
 
 
 class TestFlowRates:

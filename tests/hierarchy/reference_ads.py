@@ -16,9 +16,8 @@ the index under test, mirroring every direct ``advertise_view`` /
 could be asked by signature: ``AdvertisementIndex.views_in`` (every
 advertised view intersected with a subtree walked afresh) followed by
 the filter both planners' ``_candidate_leaf_sets`` applied to it.  It
-reads the index under test and answers in the index's own order, so
-``AdvertisementIndex.reusable_views`` must return exactly its items, in
-its order.
+reads the index under test, and ``AdvertisementIndex.reusable_views``
+must return exactly its items.
 """
 
 from __future__ import annotations

@@ -8,13 +8,14 @@ layers of evidence that they are the same function of (index, hierarchy,
 cluster, query):
 
 * a hypothesis state machine over everything that moves the index or
-  the subtrees -- direct ``advertise_view`` / ``withdraw_view`` (a
-  withdrawn-then-readvertised signature moves to the end of the index),
-  ``sync_from_state`` after a deploy and after a retire, ``remove_node``
-  / ``add_node`` -- with queries that share a stream set but differ in a
-  predicate or a filter, asserting after every step, for every query and
-  every cluster of every level, the same signatures with the same node
-  sets **in the same order**, from lookups made before the step;
+  the subtrees -- direct ``advertise_view`` / ``withdraw_view`` (and a
+  withdrawn signature advertised again), ``sync_from_state`` after a
+  deploy and after a retire, ``remove_node`` / ``add_node`` -- with
+  queries that share a stream set but differ in a predicate or a
+  filter, asserting after every step, for every query and every cluster
+  of every level, the same signatures with the same node sets, from
+  lookups made before the step (order is not part of the answer: the
+  planners order their reuse groupings themselves);
 * a work-count gate: at 200 live queries one plan fetches at most its
   query's ``2^n - n - 1`` sub-views per planning task, under either
   planner, so a lookup that grows with the index fails without a clock.
@@ -114,7 +115,7 @@ class ReuseLookupMachine(RuleBasedStateMachine):
 
     @rule(data=st.data(), node=st.integers(0, _NODES - 1))
     def readvertise(self, data, node):
-        """A signature that left the index comes back: at its end."""
+        """A signature that left the index comes back."""
         gone = [sig for sig in self.gone if sig not in self.ads.views()]
         if gone and node not in self.away:
             self.ads.advertise_view(data.draw(st.sampled_from(gone)), node)
@@ -182,12 +183,8 @@ class ReuseLookupMachine(RuleBasedStateMachine):
             for cluster in clusters:
                 found = lookup(cluster)
                 expected = reference_reusable(self.ads, cluster, query)
-                assert list(found.items()) == list(expected.items()), (query.name, cluster)
+                assert found == expected, (query.name, cluster)
                 self.seen["views"] += len(found)
-                # A view of more streams that entered the index before
-                # one of fewer: index order is not enumeration order.
-                sizes = [len(sig.sources) for sig in found]
-                self.seen["reordered"] += sizes != sorted(sizes)
                 self.seen["scoped"] += any(
                     nodes != self.ads.view_nodes(sig) for sig, nodes in found.items()
                 )
@@ -207,7 +204,7 @@ def test_lookup_by_signature_matches_the_scan_after_every_step():
     run_state_machine_as_test(ReuseLookupMachine, settings=_MACHINE)
     for transition in (
         "deployed", "retired", "signature_left", "readvertised", "left_advertising",
-        "joined", "views", "reordered", "scoped", "shared_sources",
+        "joined", "views", "scoped", "shared_sources",
     ):
         assert seen[transition], f"no example exercised {transition}: {dict(seen)}"
 

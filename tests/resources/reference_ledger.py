@@ -12,7 +12,9 @@ It is a pure function of the attached states and rate models:
   joins in plan order) meets it, priced by that deployment;
 * then every live operator record no deployment's plan walks anymore is
   charged from the ``origin`` its state recorded at install time, states
-  in attach order and records in install order.
+  in attach order and records in install order;
+* a node's charges are summed with ``math.fsum``, so no order of them
+  moves a bit.
 
 The utilization reports (``utilizations`` ... ``summary``) are the
 ledger's own methods as they stood before it remembered ratios between
@@ -21,6 +23,9 @@ deriving them three times over.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import astuple
 
 from repro.resources.capacity import UNBOUNDED, ZERO_LOAD, Load
 
@@ -49,7 +54,8 @@ class ReferenceLedger:
         return keys
 
     def node_loads(self) -> dict[int, Load]:
-        loads: dict[int, Load] = {}
+        """Each node's operators summed exactly, dimension by dimension."""
+        charged: dict[int, list[Load]] = {}
         seen: set[tuple] = set()
         for state, footprint in self._sources:
             for deployment in state.deployments:
@@ -60,21 +66,20 @@ class ReferenceLedger:
                     if key in seen:
                         continue
                     seen.add(key)
-                    load = footprint.join_load(
-                        query, join.left.sources, join.right.sources
+                    charged.setdefault(node, []).append(
+                        footprint.join_load(query, join.left.sources, join.right.sources)
                     )
-                    loads[node] = loads.get(node, ZERO_LOAD) + load
         for state, footprint in self._sources:
             for rec in state.operator_records():
                 key = (rec.signature, rec.node)
                 if key in seen or rec.origin is None:
                     continue
                 seen.add(key)
-                query, left, right = rec.origin
-                loads[rec.node] = loads.get(rec.node, ZERO_LOAD) + footprint.join_load(
-                    query, left, right
-                )
-        return loads
+                charged.setdefault(rec.node, []).append(footprint.join_load(*rec.origin))
+        return {
+            node: Load(*(math.fsum(dim) for dim in zip(*(astuple(l) for l in loads))))
+            for node, loads in charged.items()
+        }
 
     def queries_on(self, node: int) -> list[str]:
         names: list[str] = []

@@ -17,6 +17,7 @@ prices everything on every call):
 """
 
 import itertools
+import math
 from collections import Counter
 
 import hypothesis.strategies as st
@@ -198,9 +199,9 @@ class TestOrphanPricing:
 
         assert run(read_every_step=True) == run(read_every_step=False)
 
-    def test_orphans_sum_in_install_order(self, small_net):
-        # Rates chosen so the float sum of the three loads depends on
-        # the order they are added in.
+    def test_orphans_sum_exactly(self, small_net):
+        # Rates chosen so a running float sum of the three loads depends
+        # on the order they are added in.
         rates = RateModel(
             {
                 "A": StreamSpec("A", 0, 50.1),
@@ -244,7 +245,10 @@ class TestOrphanPricing:
         # Retire the owners newest-first: install order is not retire order.
         for owner in reversed(owners):
             state.undeploy(owner.query.name)
-        assert ledger.node_loads() == {HUB: (loads[0] + loads[1]) + loads[2]}
+        exact = Load(
+            *(math.fsum(getattr(load, dim) for load in loads) for dim in ("cpu", "memory", "bandwidth"))
+        )
+        assert ledger.node_loads() == {HUB: exact}
         assert_books_match(ledger, reference)
 
 
