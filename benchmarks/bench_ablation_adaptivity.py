@@ -25,9 +25,8 @@ import numpy as np
 from benchmarks.conftest import save_text
 from repro.adaptive import AdaptivityConfig
 from repro.core.top_down import TopDownOptimizer
-from repro.experiments.harness import build_env
 from repro.service import StreamQueryService
-from repro.workload.generator import WorkloadParams
+from repro.workload import WorkloadParams, build_world, world_seeds
 from tests.query.replay import assert_replays
 
 SEEDS = (3, 7, 11, 19, 23, 29, 31)
@@ -42,7 +41,7 @@ CONFIG = AdaptivityConfig(
 
 
 def _service(seed: int, adaptivity):
-    env = build_env(32, PARAMS, max_cs_values=(8,), seed=seed)
+    env = build_world(32, PARAMS, **world_seeds(seed, (8,)))
     hierarchy = env.hierarchies[8]
     service = StreamQueryService(
         TopDownOptimizer(hierarchy, env.rates),

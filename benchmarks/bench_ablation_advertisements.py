@@ -11,9 +11,8 @@ traffic.
 import numpy as np
 
 from benchmarks.conftest import save_text
-from repro.experiments.harness import build_env
 from repro.hierarchy import AdvertisementIndex
-from repro.workload.generator import WorkloadParams
+from repro.workload import WorkloadParams, build_world, world_seeds
 
 AD_MESSAGE_UNITS = 1.0
 """Charge one data unit per advertisement message (generous: ads are a
@@ -22,7 +21,7 @@ signature + a node id; data tuples are comparable or larger)."""
 
 def test_advertisement_overhead_negligible(benchmark):
     params = WorkloadParams(num_streams=10, num_queries=20, joins_per_query=(2, 5))
-    env = build_env(128, params, max_cs_values=(32,), seed=29)
+    env = build_world(128, params, **world_seeds(29, (32,)))
     ads = AdvertisementIndex(env.hierarchy(32))
     for name, spec in env.rates.streams.items():
         ads.advertise_base(name, spec.source)

@@ -11,14 +11,13 @@ import numpy as np
 
 from benchmarks.conftest import save_text
 from repro.core.optimizer import deploy_query, make_optimizer
-from repro.experiments.harness import build_env
 from repro.hierarchy import build_hierarchy
-from repro.workload.generator import WorkloadParams
+from repro.workload import WorkloadParams, build_world, world_seeds
 
 
 def test_clustering_method_matters(benchmark):
     params = WorkloadParams(num_streams=10, num_queries=15, joins_per_query=(2, 5))
-    env = build_env(128, params, max_cs_values=(16,), seed=3)
+    env = build_world(128, params, **world_seeds(3, (16,)))
     totals = {}
     for method in ("kmeans", "kmedoids", "random"):
         hierarchy = build_hierarchy(env.network, max_cs=16, seed=0, method=method)

@@ -9,8 +9,7 @@ a coordinator.  This bench compares naive incremental deployment
 from benchmarks.conftest import save_text
 from repro.core.consolidation import consolidate, shared_views
 from repro.core.optimizer import deploy_query, make_optimizer
-from repro.experiments.harness import build_env
-from repro.workload.generator import WorkloadParams
+from repro.workload import WorkloadParams, build_world, world_seeds
 
 
 def test_consolidation_vs_naive(benchmark):
@@ -18,7 +17,7 @@ def test_consolidation_vs_naive(benchmark):
     params = WorkloadParams(
         num_streams=6, num_queries=15, joins_per_query=(2, 3), predicate_style="clique"
     )
-    env = build_env(64, params, max_cs_values=(16,), seed=7)
+    env = build_world(64, params, **world_seeds(7, (16,)))
     queries = env.workload.queries
 
     naive_state = env.fresh_state()

@@ -10,10 +10,9 @@ import numpy as np
 
 from benchmarks.conftest import save_text
 from repro.core.exhaustive import OptimalPlanner
-from repro.experiments.harness import build_env
 from repro.query.query import Query
 from repro.query.stream import Filter
-from repro.workload.generator import WorkloadParams
+from repro.workload import WorkloadParams, build_world, world_seeds
 
 
 def _with_filters(query: Query, selectivity: float = 0.3) -> Query:
@@ -32,7 +31,7 @@ def _with_filters(query: Query, selectivity: float = 0.3) -> Query:
 
 def test_containment_reuse_value(benchmark):
     params = WorkloadParams(num_streams=6, num_queries=8, joins_per_query=(2, 3))
-    env = build_env(64, params, max_cs_values=(16,), seed=9)
+    env = build_world(64, params, **world_seeds(9, (16,)))
     base_queries = env.workload.queries
     filtered = [_with_filters(q) for q in base_queries]
     interleaved = [q for pair in zip(base_queries, filtered) for q in pair]

@@ -11,14 +11,13 @@ import numpy as np
 from benchmarks.conftest import save_text
 from repro.core.cost import deployment_cost
 from repro.core.exhaustive import OptimalPlanner
-from repro.experiments.harness import build_env
 from repro.network.objectives import delay_weighted
-from repro.workload.generator import WorkloadParams
+from repro.workload import WorkloadParams, build_world, world_seeds
 
 
 def test_latency_vs_cost_objective(benchmark):
     params = WorkloadParams(num_streams=8, num_queries=10, joins_per_query=(2, 4))
-    env = build_env(64, params, max_cs_values=(8,), seed=17)
+    env = build_world(64, params, **world_seeds(17, (8,)))
     cost_net = env.network
     lat_net = delay_weighted(cost_net)
     cost_matrix = cost_net.cost_matrix()

@@ -12,8 +12,7 @@ import numpy as np
 
 from benchmarks.conftest import save_text
 from repro.core.bounds import exhaustive_space
-from repro.experiments.harness import build_env
-from repro.workload.generator import WorkloadParams
+from repro.workload import WorkloadParams, build_world, world_seeds
 
 
 def test_planning_effort_vs_query_size(benchmark):
@@ -27,7 +26,7 @@ def test_planning_effort_vs_query_size(benchmark):
         params = WorkloadParams(
             num_streams=10, num_queries=5, joins_per_query=(k - 1, k - 1)
         )
-        env = build_env(128, params, max_cs_values=(32,), seed=100 + k)
+        env = build_world(128, params, **world_seeds(100 + k, (32,)))
         td = env.optimizer("top-down", max_cs=32)
         bu = env.optimizer("bottom-up", max_cs=32)
         optimal = env.optimizer("optimal")
@@ -58,7 +57,7 @@ def test_planning_effort_vs_query_size(benchmark):
     save_text("ablation_query_size", "\n".join(lines))
 
     params = WorkloadParams(num_streams=10, num_queries=1, joins_per_query=(5, 5))
-    env = build_env(128, params, max_cs_values=(32,), seed=123)
+    env = build_world(128, params, **world_seeds(123, (32,)))
     optimizer = env.optimizer("top-down", max_cs=32)
     query = env.workload.queries[0]
     benchmark(lambda: optimizer.plan(query))

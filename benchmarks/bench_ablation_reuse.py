@@ -11,14 +11,13 @@ planner only reuses when it helps).
 from benchmarks.conftest import save_text
 from repro.core.cost import RateModel
 from repro.core.optimizer import deploy_query, make_optimizer
-from repro.experiments.harness import build_env
 from repro.query.deployment import DeploymentState
-from repro.workload.generator import WorkloadParams
+from repro.workload import WorkloadParams, build_world, world_seeds
 
 
 def test_reuse_value_vs_inflation(benchmark):
     params = WorkloadParams(num_streams=8, num_queries=20, joins_per_query=(2, 4))
-    env = build_env(64, params, max_cs_values=(16,), seed=5)
+    env = build_world(64, params, **world_seeds(5, (16,)))
 
     def run(inflation, reuse):
         rates = RateModel(env.workload.streams, reuse_rate_inflation=inflation)

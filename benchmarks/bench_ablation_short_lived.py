@@ -23,14 +23,13 @@ import numpy as np
 
 from benchmarks.conftest import save_text
 from repro.core.cost import deployment_cost
-from repro.experiments.harness import build_env
 from repro.runtime.protocol import simulate_deployment
-from repro.workload.generator import WorkloadParams
+from repro.workload import WorkloadParams, build_world, world_seeds
 
 
 def test_short_lived_query_crossover(benchmark):
     params = WorkloadParams(num_streams=8, num_queries=15, joins_per_query=(2, 4))
-    env = build_env(32, params, max_cs_values=(4,), seed=23)
+    env = build_world(32, params, **world_seeds(23, (4,)))
     costs = env.network.cost_matrix()
 
     measures = {}

@@ -9,8 +9,7 @@ concedes less; see EXPERIMENTS.md).
 
 from benchmarks.conftest import bench_scale, save_result
 from repro.experiments import figure02_motivation
-from repro.experiments.harness import build_env
-from repro.workload.generator import WorkloadParams
+from repro.workload import WorkloadParams, build_world, world_seeds
 
 
 def test_fig02_motivation(benchmark):
@@ -25,7 +24,7 @@ def test_fig02_motivation(benchmark):
     # Timed unit: planning one 5-source query jointly on the 64-node net.
     params = WorkloadParams(num_streams=10, num_queries=1, joins_per_query=(4, 4),
                             predicate_style="clique")
-    env = build_env(64, params, max_cs_values=(16,), seed=1)
+    env = build_world(64, params, **world_seeds(1, (16,)))
     optimizer = env.optimizer("top-down", max_cs=16)
     query = env.workload.queries[0]
     benchmark(lambda: optimizer.plan(query))

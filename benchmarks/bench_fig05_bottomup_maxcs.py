@@ -8,8 +8,7 @@ queries (2-5 joins), averaged over 10 workloads; max_cs in
 
 from benchmarks.conftest import bench_scale, save_result
 from repro.experiments import figure05_bottom_up_cluster_sweep
-from repro.experiments.harness import build_env
-from repro.workload.generator import WorkloadParams
+from repro.workload import WorkloadParams, build_world, world_seeds
 
 
 def test_fig05_bottom_up_cluster_sweep(benchmark):
@@ -28,7 +27,7 @@ def test_fig05_bottom_up_cluster_sweep(benchmark):
 
     # Timed unit: one Bottom-Up plan at the paper's default max_cs=32.
     params = WorkloadParams(num_streams=10, num_queries=1, joins_per_query=(2, 5))
-    env = build_env(128, params, max_cs_values=(32,), seed=1)
+    env = build_world(128, params, **world_seeds(1, (32,)))
     optimizer = env.optimizer("bottom-up", max_cs=32)
     query = env.workload.queries[0]
     benchmark(lambda: optimizer.plan(query))

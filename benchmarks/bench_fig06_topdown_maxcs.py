@@ -10,8 +10,7 @@ import numpy as np
 
 from benchmarks.conftest import bench_scale, save_result
 from repro.experiments import figure06_top_down_cluster_sweep
-from repro.experiments.harness import build_env
-from repro.workload.generator import WorkloadParams
+from repro.workload import WorkloadParams, build_world, world_seeds
 
 
 def test_fig06_top_down_cluster_sweep(benchmark):
@@ -29,7 +28,7 @@ def test_fig06_top_down_cluster_sweep(benchmark):
     assert final["cluster size=2"] >= min(final.values()) * 0.999
 
     params = WorkloadParams(num_streams=10, num_queries=1, joins_per_query=(2, 5))
-    env = build_env(128, params, max_cs_values=(32,), seed=1)
+    env = build_world(128, params, **world_seeds(1, (32,)))
     optimizer = env.optimizer("top-down", max_cs=32)
     query = env.workload.queries[0]
     benchmark(lambda: optimizer.plan(query))

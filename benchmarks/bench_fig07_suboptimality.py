@@ -8,8 +8,7 @@ better than BU.
 
 from benchmarks.conftest import bench_scale, save_result
 from repro.experiments import figure07_suboptimality_and_reuse
-from repro.experiments.harness import build_env
-from repro.workload.generator import WorkloadParams
+from repro.workload import WorkloadParams, build_world, world_seeds
 
 
 def test_fig07_suboptimality_and_reuse(benchmark):
@@ -28,7 +27,7 @@ def test_fig07_suboptimality_and_reuse(benchmark):
 
     # Timed unit: the optimal subset-DP on the 128-node network.
     params = WorkloadParams(num_streams=10, num_queries=1, joins_per_query=(4, 4))
-    env = build_env(128, params, max_cs_values=(32,), seed=1)
+    env = build_world(128, params, **world_seeds(1, (32,)))
     optimizer = env.optimizer("optimal")
     query = env.workload.queries[0]
     benchmark(lambda: optimizer.plan(query))

@@ -8,8 +8,7 @@ In-network and ~59% vs Relaxation; BU saves ~27% and ~49%.
 
 from benchmarks.conftest import bench_scale, save_result
 from repro.experiments import figure08_baseline_comparison
-from repro.experiments.harness import build_env
-from repro.workload.generator import WorkloadParams
+from repro.workload import WorkloadParams, build_world, world_seeds
 
 
 def test_fig08_baseline_comparison(benchmark):
@@ -29,7 +28,7 @@ def test_fig08_baseline_comparison(benchmark):
 
     # Timed unit: one Relaxation plan (40 iterations, 3-D cost space).
     params = WorkloadParams(num_streams=10, num_queries=1, joins_per_query=(3, 3))
-    env = build_env(128, params, max_cs_values=(32,), seed=1)
+    env = build_world(128, params, **world_seeds(1, (32,)))
     optimizer = env.optimizer("relaxation")
     query = env.workload.queries[0]
     benchmark(lambda: optimizer.plan(query))

@@ -9,8 +9,7 @@ space by >=99% with Bottom-Up ~45% below Top-Down.
 
 from benchmarks.conftest import bench_scale, save_result
 from repro.experiments import figure09_search_space_scalability
-from repro.experiments.harness import build_env
-from repro.workload.generator import WorkloadParams
+from repro.workload import WorkloadParams, build_world, world_seeds
 
 
 def test_fig09_search_space_scalability(benchmark):
@@ -39,7 +38,7 @@ def test_fig09_search_space_scalability(benchmark):
 
     # Timed unit: Top-Down planning on the 1024-node network.
     params = WorkloadParams(num_streams=100, num_queries=1, joins_per_query=(3, 3))
-    env = build_env(1024, params, max_cs_values=(32,), seed=1)
+    env = build_world(1024, params, **world_seeds(1, (32,)))
     optimizer = env.optimizer("top-down", max_cs=32)
     query = env.workload.queries[0]
     benchmark(lambda: optimizer.plan(query))

@@ -12,9 +12,8 @@ import numpy as np
 
 from benchmarks.conftest import save_result
 from repro.experiments import figure10_deployment_time
-from repro.experiments.harness import build_env
 from repro.runtime.protocol import simulate_deployment
-from repro.workload.generator import WorkloadParams
+from repro.workload import WorkloadParams, build_world, world_seeds
 
 
 def test_fig10_deployment_time(benchmark):
@@ -28,7 +27,7 @@ def test_fig10_deployment_time(benchmark):
 
     # Timed unit: one full protocol simulation (plan + replay).
     params = WorkloadParams(num_streams=8, num_queries=1, joins_per_query=(3, 3))
-    env = build_env(32, params, max_cs_values=(4,), seed=1)
+    env = build_world(32, params, **world_seeds(1, (4,)))
     optimizer = env.optimizer("top-down", max_cs=4)
     query = env.workload.queries[0]
 

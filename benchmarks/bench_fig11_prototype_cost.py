@@ -9,9 +9,8 @@ alignment with the simulation results.
 
 from benchmarks.conftest import save_result
 from repro.experiments import figure11_prototype_cumulative_cost
-from repro.experiments.harness import build_env
 from repro.runtime.engine import FlowEngine
-from repro.workload.generator import WorkloadParams
+from repro.workload import WorkloadParams, build_world, world_seeds
 
 
 def test_fig11_prototype_cumulative_cost(benchmark):
@@ -25,7 +24,7 @@ def test_fig11_prototype_cumulative_cost(benchmark):
 
     # Timed unit: engine deploy of one planned query.
     params = WorkloadParams(num_streams=8, num_queries=1, joins_per_query=(3, 3))
-    env = build_env(32, params, max_cs_values=(8,), seed=1)
+    env = build_world(32, params, **world_seeds(1, (8,)))
     optimizer = env.optimizer("top-down", max_cs=8)
     query = env.workload.queries[0]
     deployment = optimizer.plan(query)

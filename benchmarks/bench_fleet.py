@@ -15,12 +15,11 @@ behind the :class:`repro.FleetController` instead of one big service:
 import time
 
 from benchmarks.conftest import bench_scale, save_text
-from repro.experiments.harness import build_env
 from repro.fleet import FleetController, Tenant
 from repro.hierarchy import AdvertisementIndex
 from repro.query.query import Query
 from repro.service import AdmissionController, StreamQueryService, churn_trace
-from repro.workload.generator import WorkloadParams
+from repro.workload import WorkloadParams, build_world, world_seeds
 
 MAX_CS = 4
 
@@ -73,7 +72,7 @@ def test_fleet_churn_throughput_and_federation(benchmark):
         num_queries=bench_scale(24, 12),
         joins_per_query=(2, 4),
     )
-    env = build_env(32, params, max_cs_values=(MAX_CS,), seed=41)
+    env = build_world(32, params, **world_seeds(41, (MAX_CS,)))
     num_nodes = env.network.num_nodes
     repeats = bench_scale(4, 3)
 

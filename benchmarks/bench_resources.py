@@ -16,7 +16,6 @@ piles join operators onto them.  Three questions:
 """
 
 from benchmarks.conftest import bench_scale, save_text
-from repro.experiments.harness import build_env
 from repro.resources import OperatorFootprint, ResourceConfig, ResourceLedger
 from repro.service import AdmissionController, StreamQueryService
 from repro.workload.generator import WorkloadParams

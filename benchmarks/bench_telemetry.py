@@ -15,12 +15,11 @@ Three questions about arming ``telemetry=TelemetryConfig()``:
 import time
 
 from benchmarks.conftest import bench_scale, save_text
-from repro.experiments.harness import build_env
 from repro.fleet import FleetController
 from repro.fleet.scenario import chaos_telemetry_scenario
 from repro.obs.telemetry import TelemetryConfig
 from repro.service import AdmissionController, StreamQueryService, churn_trace
-from repro.workload.generator import WorkloadParams
+from repro.workload import WorkloadParams, build_world, world_seeds
 
 MAX_CS = 4
 
@@ -42,7 +41,7 @@ def test_telemetry_overhead_and_determinism(benchmark):
         num_queries=bench_scale(20, 10),
         joins_per_query=(2, 4),
     )
-    env = build_env(32, params, max_cs_values=(MAX_CS,), seed=23)
+    env = build_world(32, params, **world_seeds(23, (MAX_CS,)))
     repeats = bench_scale(4, 3)
     trace = list(
         churn_trace(env.workload, lifetime=4.0, arrivals_per_tick=2, repeats=repeats)

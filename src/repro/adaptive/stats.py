@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from repro.core.cost import RateModel
+from repro.errors import ObservationError, UnknownStreamError
 from repro.query.stream import StreamSpec
 
 
@@ -182,9 +183,9 @@ class StatsMonitor:
         """Feed one measured rate sample for a base stream."""
         estimator = self._estimators.get(stream)
         if estimator is None:
-            raise KeyError(f"unknown stream {stream!r}")
+            raise UnknownStreamError(f"unknown stream {stream!r}")
         if rate < 0:
-            raise ValueError(f"negative rate sample for {stream!r}: {rate}")
+            raise ObservationError(f"negative rate sample for {stream!r}: {rate}")
         self.samples_total += 1
         return estimator.update(rate)
 

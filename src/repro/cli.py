@@ -140,33 +140,22 @@ def _fail(message: str) -> int:
 # The world every service-driving subcommand builds, built once
 # ----------------------------------------------------------------------
 def _world(args, workload=None):
-    """Network, workload, rate model and hierarchy a subcommand runs on.
+    """The :class:`~repro.workload.World` a subcommand runs on.
 
     Generated from ``--nodes --streams --queries --seed`` unless a
-    loaded ``workload`` (``serve --trace``) brings its own network.
+    loaded ``workload`` (``serve --trace``) brings its own network; the
+    one hierarchy is ``--max-cs``'s.
     """
-    import types
+    from repro.workload import World, WorkloadParams, build_world
 
-    import repro
-
-    if workload is None:
-        network = repro.transit_stub_by_size(args.nodes, seed=args.seed or 0)
-        workload = repro.generate_workload(
-            network,
-            repro.WorkloadParams(
-                num_streams=args.streams,
-                num_queries=args.queries,
-                joins_per_query=(2, min(4, args.streams - 1)),
-            ),
-            seed=args.seed or 0,
-        )
-    network = workload.network
-    return types.SimpleNamespace(
-        network=network,
-        workload=workload,
-        rates=workload.rate_model(),
-        hierarchy=repro.build_hierarchy(network, max_cs=args.max_cs, seed=0),
-    )
+    hierarchy_seeds = {args.max_cs: 0}
+    if workload is not None:
+        return World.of(workload, hierarchy_seeds)
+    params = WorkloadParams(num_streams=args.streams, num_queries=args.queries,
+                            joins_per_query=(2, min(4, args.streams - 1)))
+    seed = args.seed or 0
+    return build_world(args.nodes, params, network_seed=seed, workload_seed=seed,
+                       hierarchy_seeds=hierarchy_seeds)
 
 
 def _planner(world, args, ads=True, **kwargs):
@@ -177,14 +166,11 @@ def _planner(world, args, ads=True, **kwargs):
 
     index = None
     if ads:
-        index = repro.AdvertisementIndex(world.hierarchy)
+        index = repro.AdvertisementIndex(world.hierarchy())
         for stream, spec in world.rates.streams.items():
             index.advertise_base(stream, spec.source)
         kwargs["ads"] = index
-    optimizer = repro.make_optimizer(
-        args.algorithm, world.network, world.rates, hierarchy=world.hierarchy, **kwargs
-    )
-    return index, optimizer
+    return index, world.optimizer(args.algorithm, **kwargs)
 
 
 def _service(world, args, ads=True, **layers):
@@ -197,7 +183,7 @@ def _service(world, args, ads=True, **layers):
         optimizer,
         world.network,
         world.rates,
-        hierarchy=world.hierarchy,
+        hierarchy=world.hierarchy(),
         ads=index,
         **layers,
     )
@@ -334,7 +320,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             args.shards,
             world.network,
             world.rates,
-            world.hierarchy,
+            world.hierarchy(),
             algorithm=args.algorithm,
             policy=args.policy,
             budget=args.budget,
@@ -910,7 +896,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     world = _world(args)
     network, workload, rates, hierarchy = (
-        world.network, world.workload, world.rates, world.hierarchy
+        world.network, world.workload, world.rates, world.hierarchy()
     )
 
     if args.plan:

@@ -41,7 +41,6 @@ from repro.core.containment import (
 )
 from repro.core.top_down import TopDownOptimizer
 from repro.core.bottom_up import BottomUpOptimizer
-from repro.core.refinement import refine_placement
 from repro.core.bounds import (
     beta,
     bottom_up_space_bound,
@@ -68,7 +67,6 @@ __all__ = [
     "containment_candidates",
     "contains",
     "best_provider_per_node",
-    "refine_placement",
     "TopDownOptimizer",
     "BottomUpOptimizer",
     "beta",

@@ -47,6 +47,7 @@ from repro.durability.recovery import recover
 from repro.resilience.faults import CrashPoint
 
 DEFAULT_EXTRA_TICKS = 5
+_FLEET_SHARDS = 2
 
 
 # ----------------------------------------------------------------------
@@ -72,34 +73,27 @@ class Scenario:
     steps: list[tuple[str, dict[str, Any]]] = field(default_factory=list)
 
 
+def _world(nodes: int, streams: int, queries: int, workload_seed: int):
+    """A scenario's world (network seed 7, one ``max_cs`` 6 hierarchy)."""
+    from repro.workload import WorkloadParams, build_world
+
+    params = WorkloadParams(num_streams=streams, num_queries=queries, joins_per_query=(2, 3))
+    return build_world(
+        nodes, params, network_seed=7, workload_seed=workload_seed, hierarchy_seeds={6: 0}
+    )
+
+
 def _service_env(state_dir: str | Path, layers=None):
     from repro.adaptive.loop import AdaptivityConfig
-    from repro.core import make_optimizer
     from repro.durability import DurabilityConfig
-    from repro.hierarchy import build_hierarchy
-    from repro.network.topology import transit_stub_by_size
     from repro.service import AdmissionController, StreamQueryService
-    from repro.workload import WorkloadParams, generate_workload
 
-    net = transit_stub_by_size(24, seed=7)
-    workload = generate_workload(
-        net,
-        WorkloadParams(num_streams=8, num_queries=6, joins_per_query=(2, 3)),
-        seed=8,
-    )
-    rates = workload.rate_model()
-    hierarchy = build_hierarchy(net, max_cs=6, seed=0)
-    optimizer = make_optimizer("top-down", net, rates, hierarchy=hierarchy)
-    durability = (
-        None
-        if state_dir is None  # catalog probe build; no journal
-        else DurabilityConfig(state_dir=state_dir, snapshot_interval=6)
-    )
+    world = _world(24, 8, 6, workload_seed=8)
     service = StreamQueryService(
-        optimizer,
-        net,
-        rates,
-        hierarchy=hierarchy,
+        world.optimizer("top-down"),
+        world.network,
+        world.rates,
+        hierarchy=world.hierarchy(),
         admission=AdmissionController(budget=8, max_per_tick=4),
         # Aggressive knobs so the script's drift observations actually
         # commit migrations -- the crash matrix needs journal records at
@@ -113,10 +107,14 @@ def _service_env(state_dir: str | Path, layers=None):
             bytes_per_tuple=8.0,
             max_migrations_per_tick=2,
         ),
-        durability=durability,
-        **(layers(net) if layers is not None else {}),
+        durability=(
+            None  # no journal: what recover() must refuse
+            if state_dir is None
+            else DurabilityConfig(state_dir=state_dir, snapshot_interval=6)
+        ),
+        **(layers(world.network) if layers is not None else {}),
     )
-    return service, workload
+    return service, world.workload
 
 
 def service_scenario() -> Scenario:
@@ -126,13 +124,13 @@ def service_scenario() -> Scenario:
     drift observations (which commit migrations a few ticks later), a
     coordinator failure and its rejoin.
     """
-    service, workload = _service_env(None)  # probe build for the catalog
-    queries = list(workload)
+    world = _world(24, 8, 6, workload_seed=8)  # the catalog the script reads
+    queries = list(world.workload)
     drift = {
-        s: service.rates.streams[s].rate * (6.0 if i % 2 == 0 else 0.1)
-        for i, s in enumerate(sorted(service.rates.streams))
+        s: world.rates.streams[s].rate * (6.0 if i % 2 == 0 else 0.1)
+        for i, s in enumerate(sorted(world.rates.streams))
     }
-    failed = service.hierarchy.leaf_cluster(queries[0].sink).coordinator
+    failed = world.hierarchy().leaf_cluster(queries[0].sink).coordinator
     tick = ("tick", {})
     observe = ("observe_rates", {"samples": drift})
     steps = [("submit", {"query": query, "lifetime": None}) for query in queries]
@@ -183,40 +181,27 @@ def _fleet_env(state_dir: str | Path):
     from repro.durability import DurabilityConfig
     from repro.fleet.controller import FleetController
     from repro.fleet.tenancy import Tenant
-    from repro.hierarchy import build_hierarchy
-    from repro.network.topology import transit_stub_by_size
-    from repro.workload import WorkloadParams, generate_workload
 
-    net = transit_stub_by_size(32, seed=7)
-    workload = generate_workload(
-        net,
-        WorkloadParams(num_streams=10, num_queries=8, joins_per_query=(2, 3)),
-        seed=9,
-    )
-    rates = workload.rate_model()
-    hierarchy = build_hierarchy(net, max_cs=6, seed=0)
+    world = _world(32, 10, 8, workload_seed=9)
     fleet = FleetController(
-        2,
-        net,
-        rates,
-        hierarchy,
+        _FLEET_SHARDS,
+        world.network,
+        world.rates,
+        world.hierarchy(),
         policy="hash",
         budget=6,
         max_per_tick=3,
         tenants=[Tenant("acme", weight=2.0), Tenant("umbrella", weight=1.0)],
-        durability=(
-            None
-            if state_dir is None  # catalog probe build; no journal
-            else DurabilityConfig(state_dir=state_dir, snapshot_interval=6)
-        ),
+        durability=DurabilityConfig(state_dir=state_dir, snapshot_interval=6),
     )
-    return fleet, workload
+    return fleet, world.workload
 
 
 def fleet_scenario() -> Scenario:
     """Two-shard fleet script: tenant churn, a retire, a rebalance."""
-    fleet, workload = _fleet_env(None)
-    queries = list(workload)
+    from repro.fleet.routing import HashShardPolicy
+
+    queries = list(_world(32, 10, 8, workload_seed=9).workload)
     tenants = ["acme", "umbrella"]
     tick = ("tick", {})
     steps = [
@@ -226,7 +211,8 @@ def fleet_scenario() -> Scenario:
     steps += [tick] * 4 + [("retire", {"name": queries[2].name})] + [tick] * 2
     # Move one live query to the other shard: the rebalance path emits
     # the same migrate_* barrier ladder the in-service migrator does.
-    other = (fleet.router.route(queries[0]) + 1) % fleet.num_shards
+    home = HashShardPolicy().assign(queries[0], _FLEET_SHARDS, [])
+    other = (home + 1) % _FLEET_SHARDS
     steps += [("rebalance", {"name": queries[0].name, "target_shard": other})]
     steps += [tick] * 4
 

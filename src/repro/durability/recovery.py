@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.commands import replay
-from repro.errors import StateMismatchError
+from repro.errors import RecoveryError, ReproError, StateMismatchError
 from repro.durability.journal import (
     COMMAND_KINDS,
     JOURNAL_FILE,
@@ -122,16 +122,27 @@ def _replay_command(controller, rec: dict[str, Any]) -> None:
     with :func:`repro.commands.command`; its data are that method's
     arguments.
 
-    Exceptions are swallowed: a command that failed validation when it
-    was first journaled (duplicate name, unknown stream, planning
-    error surfaced to the caller) fails identically on replay, and in
-    both runs the caller saw the error while the control plane kept
-    its state.
+    A command the first run refused (duplicate name, unknown query,
+    planning error surfaced to the caller) raised a
+    :class:`~repro.errors.ReproError` there and raises it identically
+    here; in both runs the caller saw the error while the control plane
+    kept its state, so it replays as a no-op.
+
+    Raises:
+        RecoveryError: Anything else: the record names a kind the
+            controller does not declare, carries data its command does
+            not take, or hits a bug.  Skipping it would recover a state
+            the crashed run never had.
     """
     try:
         replay(controller, rec["kind"], rec["data"])
-    except Exception:
+    except ReproError:
         pass
+    except Exception as exc:
+        raise RecoveryError(
+            f"journal record lsn {rec['lsn']} ({rec['kind']}) cannot be "
+            f"replayed: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def recover(
@@ -153,6 +164,8 @@ def recover(
         serve, with its journal positioned after the last valid record.
 
     Raises:
+        RecoveryError: The factory's controller has no durability, or a
+            journal record cannot be replayed.
         StateMismatchError: The snapshot does not fit the controller the
             factory built: another scope or state version, a section for
             a layer the factory did not arm, or none for one it did.
@@ -161,7 +174,7 @@ def recover(
     controller = factory()
     durability = getattr(controller, "durability", None)
     if durability is None:
-        raise ValueError(
+        raise RecoveryError(
             "factory() must return a controller constructed with a "
             "durability= config pointing at the state_dir"
         )

@@ -79,6 +79,24 @@ class FaultInjectionError(ReproError, ValueError):
     """A fault plan is malformed or cannot be applied."""
 
 
+class UnknownStreamError(ReproError, KeyError):
+    """A referenced stream is not in the stream catalog."""
+
+    def __str__(self) -> str:
+        return Exception.__str__(self)
+
+
+class ObservationError(ReproError, ValueError):
+    """A dataplane sample is malformed (a negative rate)."""
+
+
+class RecoveryError(ReproError, ValueError):
+    """Recovery cannot proceed: the factory built a controller without
+    durability, or a CRC-valid journal record cannot be replayed (a kind
+    the controller does not declare, data its command does not take, or
+    a bug the first run did not hit)."""
+
+
 class StateMismatchError(ReproError, ValueError):
     """A snapshot does not fit the controller it is restored into: it
     was written by another state version, it has a section for a layer

@@ -1,8 +1,8 @@
 """Experiment drivers that regenerate the paper's figures.
 
-* :mod:`repro.experiments.harness` -- shared plumbing: building an
-  evaluation environment (network + hierarchy + workload) and running
-  incremental multi-query deployments per optimizer.
+* :mod:`repro.experiments.harness` -- shared plumbing: running
+  incremental multi-query deployments per optimizer over a
+  :class:`repro.workload.World`.
 * :mod:`repro.experiments.figures` -- one driver per paper figure
   (2, 5, 6, 7, 8, 9, 10, 11), each returning a structured result the
   benchmarks print as paper-vs-measured series.
@@ -10,12 +10,7 @@
   rendering.
 """
 
-from repro.experiments.harness import (
-    EvalEnv,
-    build_env,
-    cumulative_costs,
-    run_incremental,
-)
+from repro.experiments.harness import cumulative_costs, run_incremental
 from repro.experiments.figures import (
     figure02_motivation,
     figure05_bottom_up_cluster_sweep,
@@ -29,8 +24,6 @@ from repro.experiments.figures import (
 from repro.experiments.reporting import format_series_table, print_result
 
 __all__ = [
-    "EvalEnv",
-    "build_env",
     "run_incremental",
     "cumulative_costs",
     "figure02_motivation",

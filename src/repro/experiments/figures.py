@@ -16,11 +16,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.bounds import exhaustive_space, top_down_space_bound
-from repro.experiments.harness import average_curves, build_env, cumulative_costs
+from repro.experiments.harness import average_curves, cumulative_costs
 from repro.runtime.engine import FlowEngine
 from repro.runtime.protocol import simulate_deployment
 from repro.utils import SeedLike, as_generator
 from repro.workload.generator import WorkloadParams
+from repro.workload.world import build_world, world_seeds
 
 
 @dataclass
@@ -107,7 +108,7 @@ def figure02_motivation(
         joins_per_query=(4, 4),
         predicate_style=predicate_style,
     )
-    env = build_env(num_nodes, params, max_cs_values=(16,), seed=seed)
+    env = build_world(num_nodes, params, **world_seeds(seed, (16,)))
     series: dict[str, list[float]] = {}
     for label, name in [
         ("relaxation", "relaxation"),
@@ -147,9 +148,7 @@ def _cluster_sweep(
     params = WorkloadParams(num_streams=10, num_queries=queries, joins_per_query=(2, 5))
     curves: dict[int, list[list[float]]] = {cs: [] for cs in max_cs_values}
     for _ in range(workloads):
-        env = build_env(
-            num_nodes, params, max_cs_values=max_cs_values, seed=int(rng.integers(0, 2**31))
-        )
+        env = build_world(num_nodes, params, **world_seeds(int(rng.integers(0, 2**31)), max_cs_values))
         for cs in max_cs_values:
             curves[cs].append(cumulative_costs(env, algorithm, max_cs=cs, reuse=True))
     series = {f"cluster size={cs}": average_curves(curves[cs]) for cs in max_cs_values}
@@ -227,7 +226,7 @@ def figure07_suboptimality_and_reuse(
     ]
     curves: dict[str, list[list[float]]] = {label: [] for label, *_ in configs}
     for _ in range(workloads):
-        env = build_env(num_nodes, params, max_cs_values=(max_cs,), seed=int(rng.integers(0, 2**31)))
+        env = build_world(num_nodes, params, **world_seeds(int(rng.integers(0, 2**31)), (max_cs,)))
         for label, name, reuse in configs:
             curves[label].append(cumulative_costs(env, name, max_cs=max_cs, reuse=reuse))
     series = {label: average_curves(c) for label, c in curves.items()}
@@ -287,7 +286,7 @@ def figure08_baseline_comparison(
     ]
     curves: dict[str, list[list[float]]] = {label: [] for label, *_ in configs}
     for _ in range(workloads):
-        env = build_env(num_nodes, params, max_cs_values=(max_cs,), seed=int(rng.integers(0, 2**31)))
+        env = build_world(num_nodes, params, **world_seeds(int(rng.integers(0, 2**31)), (max_cs,)))
         for label, name, kwargs in configs:
             curves[label].append(
                 cumulative_costs(env, name, max_cs=max_cs, reuse=True, **kwargs)
@@ -356,7 +355,7 @@ def figure09_search_space_scalability(
         "analytical bound (Thm 2/4)": [],
     }
     for n in network_sizes:
-        env = build_env(n, params, max_cs_values=(max_cs,), seed=int(rng.integers(0, 2**31)))
+        env = build_world(n, params, **world_seeds(int(rng.integers(0, 2**31)), (max_cs,)))
         td = env.optimizer("top-down", max_cs=max_cs)
         bu = env.optimizer("bottom-up", max_cs=max_cs)
         height = env.hierarchy(max_cs).height
@@ -406,7 +405,7 @@ def _prototype_env(num_nodes: int, queries: int, seed: SeedLike):
     params = WorkloadParams(
         num_streams=8, num_queries=queries, joins_per_query=(1, 4)
     )
-    return build_env(num_nodes, params, max_cs_values=(4, 8), seed=seed)
+    return build_world(num_nodes, params, **world_seeds(seed, (4, 8)))
 
 
 def figure10_deployment_time(

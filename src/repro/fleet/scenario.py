@@ -74,22 +74,20 @@ def chaos_telemetry_scenario(
     window -- so the degradation ladder runs, breakers trip, and the
     default rule pack's ``breaker_tripped`` alert fires.
     """
-    from repro.core import make_optimizer  # noqa: F401 - fleet builds its own
-    from repro.hierarchy import build_hierarchy
-    from repro.network.topology import transit_stub_by_size
     from repro.runtime import simulate_deployment
-    from repro.workload import WorkloadParams, generate_workload
+    from repro.workload import WorkloadParams, build_world
 
-    net = transit_stub_by_size(nodes, seed=seed)
-    workload = generate_workload(
-        net,
+    world = build_world(
+        nodes,
         WorkloadParams(
             num_streams=10, num_queries=num_queries, joins_per_query=(2, 4)
         ),
-        seed=seed + 1,
+        network_seed=seed,
+        workload_seed=seed + 1,
+        hierarchy_seeds={6: 0},
     )
-    rates = workload.rate_model()
-    hierarchy = build_hierarchy(net, max_cs=6, seed=0)
+    net, workload, rates = world.network, world.workload, world.rates
+    hierarchy = world.hierarchy()
 
     coordinators = sorted(
         {hierarchy.leaf_cluster(q.sink).coordinator for q in workload}

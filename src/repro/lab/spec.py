@@ -11,9 +11,10 @@ Specs are plain data: they load from JSON or TOML files
 (:func:`load_scenario`), round-trip through :meth:`ScenarioSpec.to_dict`,
 and build deterministically -- :func:`build_scenario` derives every
 random draw from ``spec.seed`` through the same
-:func:`repro.experiments.harness.build_env` machinery the paper figures
-use, so two builds of one spec are identical object-for-object and two
-*runs* produce byte-identical envelopes.
+:func:`repro.workload.world_seeds` / :func:`repro.workload.build_world`
+machinery the paper figures use, so two builds of one spec are
+identical object-for-object and two *runs* produce byte-identical
+envelopes.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from repro.errors import ReproError
-from repro.experiments.harness import EvalEnv, build_env
 from repro.resilience.faults import FaultPlan
 from repro.service.service import SubmitEvent, churn_trace
 from repro.workload.generator import WorkloadParams
 from repro.workload.scenarios import DriftTimeline, drift_timeline
+from repro.workload.world import World, build_world, world_seeds
 
 SCENARIO_KIND = "repro.scenario"
 SCENARIO_VERSION = 1
@@ -357,7 +358,7 @@ class BuiltScenario:
     """
 
     spec: ScenarioSpec
-    env: EvalEnv
+    env: World
     events: list[SubmitEvent]
     timeline: DriftTimeline | None
     capacities: dict[int, Any] | None
@@ -380,7 +381,7 @@ class BuiltScenario:
         return FaultPlan.from_dict(self.spec.faults)
 
 
-def _build_trace(spec: ScenarioSpec, env: EvalEnv) -> list[SubmitEvent]:
+def _build_trace(spec: ScenarioSpec, env: World) -> list[SubmitEvent]:
     trace = spec.trace
     lifetime = trace.effective_lifetime()
     if trace.mode == "churn":
@@ -405,7 +406,7 @@ def _build_trace(spec: ScenarioSpec, env: EvalEnv) -> list[SubmitEvent]:
     return events
 
 
-def _build_timeline(spec: ScenarioSpec, env: EvalEnv) -> DriftTimeline | None:
+def _build_timeline(spec: ScenarioSpec, env: World) -> DriftTimeline | None:
     if not spec.drift:
         return None
     timeline: DriftTimeline | None = None
@@ -422,11 +423,10 @@ def _build_timeline(spec: ScenarioSpec, env: EvalEnv) -> DriftTimeline | None:
 
 def build_scenario(spec: ScenarioSpec) -> BuiltScenario:
     """Materialize a spec into a fresh, fully seeded environment."""
-    env = build_env(
+    env = build_world(
         spec.topology.nodes,
         spec.workload.params(),
-        max_cs_values=(spec.topology.max_cs,),
-        seed=spec.seed,
+        **world_seeds(spec.seed, (spec.topology.max_cs,)),
     )
     capacities = (
         spec.capacity.capacities(env.network) if spec.capacity else None

@@ -50,33 +50,24 @@ DEFAULT_TRAJECTORY = "BENCH_trajectory.json"
 # ----------------------------------------------------------------------
 # Benchmark cases (each builds its own seeded environment per repeat)
 # ----------------------------------------------------------------------
-def _hier_env(num_nodes: int = 32, num_queries: int = 8, seed: int = 7):
-    from repro.hierarchy import build_hierarchy
-    from repro.network.topology import transit_stub_by_size
-    from repro.workload import WorkloadParams, generate_workload
+def _hier_env(num_queries: int = 8):
+    """The 32-node world the hierarchical cases share (max_cs 6)."""
+    from repro.workload import WorkloadParams, build_world
 
-    net = transit_stub_by_size(num_nodes, seed=seed)
-    workload = generate_workload(
-        net,
-        WorkloadParams(
-            num_streams=10, num_queries=num_queries, joins_per_query=(2, 4)
-        ),
-        seed=seed + 1,
+    params = WorkloadParams(
+        num_streams=10, num_queries=num_queries, joins_per_query=(2, 4)
     )
-    hierarchy = build_hierarchy(net, max_cs=6, seed=0)
-    return net, workload, workload.rate_model(), hierarchy
+    return build_world(
+        32, params, network_seed=7, workload_seed=8, hierarchy_seeds={6: 0}
+    )
 
 
 def _case_plan_hierarchical(algorithm: str) -> Callable[[], OpProfiler]:
     def run() -> OpProfiler:
-        from repro.core import make_optimizer
-
-        net, workload, rates, hierarchy = _hier_env()
+        world = _hier_env()
         with profiled() as prof:
-            for query in workload:
-                optimizer = make_optimizer(
-                    algorithm, net, rates, hierarchy=hierarchy
-                )
+            for query in world.workload:
+                optimizer = world.optimizer(algorithm)
                 with prof.sample("plan"):
                     optimizer.plan(query)
         return prof
@@ -85,36 +76,28 @@ def _case_plan_hierarchical(algorithm: str) -> Callable[[], OpProfiler]:
 
 
 def _case_plan_optimal() -> OpProfiler:
-    from repro.core import make_optimizer
-    from repro.network.topology import transit_stub_by_size
-    from repro.workload import WorkloadParams, generate_workload
+    from repro.workload import WorkloadParams, build_world
 
-    net = transit_stub_by_size(16, seed=5)
-    workload = generate_workload(
-        net,
-        WorkloadParams(num_streams=6, num_queries=4, joins_per_query=(2, 3)),
-        seed=6,
-    )
-    rates = workload.rate_model()
+    params = WorkloadParams(num_streams=6, num_queries=4, joins_per_query=(2, 3))
+    world = build_world(16, params, network_seed=5, workload_seed=6)
     with profiled() as prof:
-        for query in workload:
-            optimizer = make_optimizer("optimal", net, rates)
+        for query in world.workload:
+            optimizer = world.optimizer("optimal")
             with prof.sample("plan"):
                 optimizer.plan(query)
     return prof
 
 
 def _case_deploy_protocol() -> OpProfiler:
-    from repro.core import make_optimizer
     from repro.runtime import simulate_deployment
 
-    net, workload, rates, hierarchy = _hier_env(num_queries=6)
-    optimizer = make_optimizer("top-down", net, rates, hierarchy=hierarchy)
-    deployments = [optimizer.plan(q) for q in workload]
+    world = _hier_env(num_queries=6)
+    optimizer = world.optimizer("top-down")
+    deployments = [optimizer.plan(q) for q in world.workload]
     with profiled() as prof:
         for deployment in deployments:
             with prof.sample("deploy"):
-                timeline = simulate_deployment(net, deployment)
+                timeline = simulate_deployment(world.network, deployment)
             prof.count("protocol_tasks", timeline.tasks)
     return prof
 
@@ -122,20 +105,18 @@ def _case_deploy_protocol() -> OpProfiler:
 def _churn_service(**layers):
     """``(service, workload)``: the budget-4 top-down service every
     churn case drives, with the given layers armed."""
-    from repro.core import make_optimizer
     from repro.service import AdmissionController, StreamQueryService
 
-    net, workload, rates, hierarchy = _hier_env(num_queries=10)
-    optimizer = make_optimizer("top-down", net, rates, hierarchy=hierarchy)
+    world = _hier_env(num_queries=10)
     service = StreamQueryService(
-        optimizer,
-        net,
-        rates,
-        hierarchy=hierarchy,
+        world.optimizer("top-down"),
+        world.network,
+        world.rates,
+        hierarchy=world.hierarchy(),
         admission=AdmissionController(budget=4, max_per_tick=2),
         **layers,
     )
-    return service, workload
+    return service, world.workload
 
 
 def _churn(submit, tick, workload, sample=None, resubmit=True) -> OpProfiler:
@@ -174,17 +155,19 @@ def _case_fleet_churn() -> OpProfiler:
     counted at the hook site) and imported."""
     from repro.fleet import FleetController
 
-    net, workload, rates, hierarchy = _hier_env(num_queries=10)
+    world = _hier_env(num_queries=10)
     fleet = FleetController(
         3,
-        net,
-        rates,
-        hierarchy,
+        world.network,
+        world.rates,
+        world.hierarchy(),
         policy="hash",
         budget=4,
         max_per_tick=2,
     )
-    prof = _churn(fleet.submit, fleet.tick, workload, "fleet_tick", resubmit=False)
+    prof = _churn(
+        fleet.submit, fleet.tick, world.workload, "fleet_tick", resubmit=False
+    )
     prof.count("federation_syncs", fleet.federation.syncs)
     prof.count("federation_imports", fleet.federation.imported_total)
     return prof
@@ -267,7 +250,6 @@ def _case_lab_overhead() -> OpProfiler:
     catches the experiment harness ever leaking work into the planner
     path, and its wall samples price the wrapper.
     """
-    from repro.experiments.harness import EvalEnv
     from repro.lab.candidate import Candidate
     from repro.lab.runner import CandidateRun
     from repro.lab.spec import (
@@ -277,24 +259,19 @@ def _case_lab_overhead() -> OpProfiler:
         WorkloadSpec,
     )
 
-    net, workload, rates, hierarchy = _hier_env(num_queries=10)
+    world = _hier_env(num_queries=10)
     # Hand-built scenario around the exact service_churn environment
     # (its max_cs=6 seeds are not reachable through build_scenario).
     spec = ScenarioSpec(
         name="lab_overhead",
         seed=7,
         ticks=40,
-        topology=TopologySpec(nodes=net.num_nodes, max_cs=6),
+        topology=TopologySpec(nodes=world.network.num_nodes, max_cs=6),
         workload=WorkloadSpec(streams=10, queries=10),
     )
     built = BuiltScenario(
         spec=spec,
-        env=EvalEnv(
-            network=net,
-            workload=workload,
-            rates=rates,
-            hierarchies={6: hierarchy},
-        ),
+        env=world,
         events=[],
         timeline=None,
         capacities=None,
@@ -306,7 +283,7 @@ def _case_lab_overhead() -> OpProfiler:
         name="churn", ads=False, reuse=True, budget=4, max_per_tick=2
     )
     run = CandidateRun(candidate, built)
-    prof = _churn(run.submit, run.tick, workload, "lab_tick")
+    prof = _churn(run.submit, run.tick, world.workload, "lab_tick")
     prof.count("telemetry_samples", run.telemetry.scraper.samples_total)
     prof.count("telemetry_series", len(run.telemetry.store))
     return prof

@@ -10,6 +10,8 @@
   Delta-style airline Operational Information System of Section 1.1.
 * :mod:`repro.workload.profiles` -- seeded node-capacity generators
   (the supply side) for the resource layer's experiments.
+* :mod:`repro.workload.world` -- :func:`build_world`, the one builder of
+  the network + workload + hierarchies triple every experiment runs on.
 """
 
 from repro.workload.generator import Workload, WorkloadParams, generate_workload
@@ -31,6 +33,7 @@ from repro.workload.statistics import (
     estimate_statistics,
     simulate_observation,
 )
+from repro.workload.world import World, build_world, world_seeds
 
 __all__ = [
     "Workload",
@@ -51,4 +54,7 @@ __all__ = [
     "StatisticsCollector",
     "estimate_statistics",
     "simulate_observation",
+    "World",
+    "build_world",
+    "world_seeds",
 ]

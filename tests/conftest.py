@@ -9,6 +9,7 @@ from repro.network.topology import random_geometric, transit_stub_by_size
 from repro.query.deployment import DeploymentState
 from repro.query.query import JoinPredicate, Query
 from repro.query.stream import StreamSpec
+from repro.workload import WorkloadParams, build_world
 
 
 @pytest.fixture(scope="session")
@@ -86,3 +87,27 @@ def make_query(name, names, sel, net, rng, k=None):
         for i in range(k - 1)
     ]
     return Query(name, srcs, sink=int(rng.integers(0, net.num_nodes)), predicates=preds)
+
+
+def small_world(num_queries, network_seed=47, workload_seed=48):
+    """The 32-node world (``max_cs`` 4, 6 streams, 1-3 joins per query)
+    the state-machine tests share."""
+    params = WorkloadParams(num_streams=6, num_queries=num_queries, joins_per_query=(1, 3))
+    return build_world(
+        32, params, network_seed=network_seed, workload_seed=workload_seed,
+        hierarchy_seeds={4: 0},
+    )
+
+
+def three_sink_world(num_queries):
+    """``(network, hierarchy, rates, pool)`` of :func:`small_world`, the
+    pool its queries re-sunk round-robin onto their three lowest sinks,
+    so that operators also land on nodes that are neither a source nor a
+    sink and may fail without losing a query."""
+    world = small_world(num_queries)
+    sinks = sorted({query.sink for query in world.workload})[:3]
+    pool = [
+        query.renamed(query.name, sink=sinks[index % 3])
+        for index, query in enumerate(world.workload)
+    ]
+    return world.network, world.hierarchy(), world.rates, pool

@@ -42,6 +42,7 @@ from repro.query.plan import Join, Leaf
 from repro.query.query import JoinPredicate, Query
 from repro.query.stream import StreamSpec
 from repro.resources import Load, NodeCapacity, OperatorFootprint, PlacementConstraint
+from repro.workload import build_world
 
 from tests.core.reference_search import (
     ReferenceTreeSearch,
@@ -500,15 +501,11 @@ def _ticking_clock():
     return lambda: float(next(ticks))
 
 
-def _world(seed, nodes=48, max_cs=5, queries=14):
-    net = repro.transit_stub_by_size(nodes, seed=seed)
-    hierarchy = repro.build_hierarchy(net, max_cs=max_cs, seed=0)
-    workload = repro.generate_workload(
-        net,
-        repro.WorkloadParams(num_streams=8, num_queries=queries, joins_per_query=(1, 5)),
-        seed=seed + 1,
+def _world(seed):
+    params = repro.WorkloadParams(num_streams=8, num_queries=14, joins_per_query=(1, 5))
+    return build_world(
+        48, params, network_seed=seed, workload_seed=seed + 1, hierarchy_seeds={5: 0}
     )
-    return net, hierarchy, workload
 
 
 def _capped(net, rates):
@@ -526,8 +523,8 @@ def _capped(net, rates):
 
 
 def _plan_all(optimizer_cls, seed, constrained, swap_search=None):
-    net, hierarchy, workload = _world(seed)
-    rates = workload.rate_model()
+    world = _world(seed)
+    net, hierarchy, rates = world.network, world.hierarchy(), world.rates
     if swap_search is not None:
         swap_search(partial(ReferenceTreeSearch, rates))
     optimizer = optimizer_cls(
@@ -536,7 +533,7 @@ def _plan_all(optimizer_cls, seed, constrained, swap_search=None):
     )
     state = DeploymentState(net.cost_matrix(), rates.rate, rates.source)
     out = []
-    for query in workload:
+    for query in world.workload:
         try:
             deployment = optimizer.plan(query, state, explain=True)
         except repro.errors.InfeasiblePlacementError as exc:

@@ -34,8 +34,8 @@ from repro.resilience.degradation import ResilienceConfig
 from repro.service import StreamQueryService
 
 import repro
-from tests.durability.test_snapshot_fragments import _ADAPT, bounded, build_world
-from tests.fleet.conftest import renamed
+from tests.conftest import three_sink_world
+from tests.durability.test_snapshot_fragments import _ADAPT, _POOL, bounded
 
 _LAYERS = ("resilience", "adaptivity", "resources")
 _SUBSETS = [
@@ -53,7 +53,7 @@ _HISTORY = {
 
 def build(scope: str, armed: tuple[str, ...]):
     """A pristine plane of ``scope`` with the ``armed`` layers, and its pool."""
-    net, hierarchy, rates, pool = build_world()
+    net, hierarchy, rates, pool = three_sink_world(_POOL)
     layers = {}
     if "resilience" in armed:
         layers["resilience"] = ResilienceConfig()
@@ -87,7 +87,7 @@ def run_script(plane, pool, rates, seed: int, steps: int = 30) -> None:
         live = sorted(plane.live_queries)
         if roll < 0.5 or serial < len(pool):
             shape = pool[serial] if serial < len(pool) else rng.choice(pool)
-            query = renamed(shape, f"{shape.name}#{serial}")
+            query = shape.renamed(f"{shape.name}#{serial}")
             lifetime = rng.choice([None, 3.0, 6.0])
             if fleet:
                 plane.submit(query, lifetime=lifetime, tenant=rng.choice(["gold", "bronze"]))

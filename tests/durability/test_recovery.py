@@ -6,14 +6,16 @@ import pytest
 
 from repro.durability import inspect_state_dir, recover
 from repro.durability.harness import (
+    _service_env,
     digest,
     fleet_scenario,
     resume_index,
     run_steps,
     service_scenario,
 )
-from repro.durability.journal import JOURNAL_FILE, scan_journal
+from repro.durability.journal import JOURNAL_FILE, encode_record, scan_journal
 from repro.durability.snapshot import list_snapshots
+from repro.errors import ReproError
 
 
 class TestServiceRecovery:
@@ -157,3 +159,21 @@ class TestInspect:
         records, _ = scan_journal(state_dir / JOURNAL_FILE)
         assert resume_index(state_dir) == len(scenario.steps)
         assert len(records) > len(scenario.steps)  # markers ride along
+
+
+@pytest.mark.parametrize(
+    "kind, data",
+    [
+        ("cmd_submit", {"lifetime": None, "time": None}),  # no query
+        ("cmd_rebalance", {"name": "q0", "target_shard": 1}),  # a fleet kind
+    ],
+    ids=("submit-without-query", "fleet-kind"),
+)
+def test_a_record_that_cannot_be_replayed_stops_recovery(tmp_path, kind, data):
+    """A CRC-valid command record the service cannot replay is an error
+    naming its LSN and kind, not a step silently skipped."""
+    state_dir = tmp_path / "state"
+    state_dir.mkdir()
+    (state_dir / JOURNAL_FILE).write_text(encode_record(1, kind, 0.0, data) + "\n")
+    with pytest.raises(ReproError, match=rf"lsn 1 \({kind}\)"):
+        recover(state_dir, lambda: _service_env(state_dir)[0])

@@ -48,8 +48,8 @@ from repro.resilience.degradation import ResilienceConfig
 from repro.resources import ResourceConfig, uniform_capacities
 from repro.service import PlanCache, StreamQueryService
 
+from tests.conftest import three_sink_world
 from tests.durability import reference_capture as reference
-from tests.fleet.conftest import renamed
 
 _POOL = 10
 #: Tight enough that heavier arrivals shed lighter queries.
@@ -64,26 +64,6 @@ _ADAPT = AdaptivityConfig(
     horizon=1e9,
     simulate_cutover=False,
 )
-
-
-def build_world():
-    net = repro.transit_stub_by_size(32, seed=47)
-    hierarchy = repro.build_hierarchy(net, max_cs=4, seed=0)
-    workload = repro.generate_workload(
-        net,
-        repro.WorkloadParams(
-            num_streams=6, num_queries=_POOL, joins_per_query=(1, 3)
-        ),
-        seed=48,
-    )
-    # Three sinks in all, so that operators also land on nodes that are
-    # neither a source nor a sink and may fail without losing a query.
-    sinks = sorted({query.sink for query in workload})[:3]
-    pool = [
-        renamed(query, query.name, sink=sinks[index % 3])
-        for index, query in enumerate(workload)
-    ]
-    return net, hierarchy, workload.rate_model(), pool
 
 
 def bounded(net, pool) -> ResourceConfig:
@@ -121,7 +101,7 @@ class SnapshotMachine(RuleBasedStateMachine):
 
     def __init__(self) -> None:
         super().__init__()
-        self.net, self.hierarchy, self.rates, self.pool = build_world()
+        self.net, self.hierarchy, self.rates, self.pool = three_sink_world(_POOL)
         self.state_dir = Path(tempfile.mkdtemp(prefix="repro-fragments-"))
         self.serial = itertools.count()
         #: (shard, install serial) -> what each operator record's text
@@ -145,7 +125,7 @@ class SnapshotMachine(RuleBasedStateMachine):
         # A fresh name every time: same-shape resubmissions hit the plan
         # cache and reuse deployed views, which is where holders change
         # and operators outlive their installer.
-        query = renamed(self.pool[index], f"{self.pool[index].name}#{next(self.serial) % 64}")
+        query = self.pool[index].renamed(f"{self.pool[index].name}#{next(self.serial) % 64}")
         if self.plane.is_live(query.name):
             return
         before = [(list(s.cache._entries), s.cache.hits) for s in self.services]

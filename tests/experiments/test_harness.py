@@ -3,21 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.experiments.harness import (
-    average_curves,
-    build_env,
-    cumulative_costs,
-    run_incremental,
-)
+from repro.experiments.harness import average_curves, cumulative_costs, run_incremental
 from repro.experiments.reporting import format_series_table, format_summary
 from repro.hierarchy import AdvertisementIndex
-from repro.workload.generator import WorkloadParams
+from repro.workload import WorkloadParams, build_world, world_seeds
 
 
 @pytest.fixture(scope="module")
 def env():
     params = WorkloadParams(num_streams=6, num_queries=5, joins_per_query=(2, 3))
-    return build_env(32, params, max_cs_values=(4, 8), seed=0)
+    return build_world(32, params, **world_seeds(0, (4, 8)))
 
 
 class TestBuildEnv:
@@ -29,8 +24,8 @@ class TestBuildEnv:
 
     def test_reproducible(self):
         params = WorkloadParams(num_streams=6, num_queries=3)
-        a = build_env(32, params, seed=7)
-        b = build_env(32, params, seed=7)
+        a = build_world(32, params, **world_seeds(7))
+        b = build_world(32, params, **world_seeds(7))
         assert [q.sources for q in a.workload] == [q.sources for q in b.workload]
         assert a.network.num_links == b.network.num_links
 

@@ -4,17 +4,13 @@ import pytest
 
 import repro
 
+from tests.conftest import small_world
+
 
 def build_env():
     """Deterministic (network, hierarchy, workload, rates) quadruple."""
-    net = repro.transit_stub_by_size(32, seed=7)
-    hierarchy = repro.build_hierarchy(net, max_cs=4, seed=0)
-    workload = repro.generate_workload(
-        net,
-        repro.WorkloadParams(num_streams=6, num_queries=10, joins_per_query=(1, 3)),
-        seed=8,
-    )
-    return net, hierarchy, workload, workload.rate_model()
+    world = small_world(10, network_seed=7, workload_seed=8)
+    return world.network, world.hierarchy(), world.workload, world.rates
 
 
 @pytest.fixture(scope="module")
@@ -43,15 +39,3 @@ def build_fleet(env, num_shards=2, **kwargs):
     net, hierarchy, workload, rates = env
     kwargs.setdefault("policy", "hash")
     return repro.FleetController(num_shards, net, rates, hierarchy, **kwargs)
-
-
-def renamed(query, name, sink=None):
-    """A content-identical query under a new name (optionally new sink)."""
-    return repro.Query(
-        name,
-        sources=query.sources,
-        sink=query.sink if sink is None else sink,
-        predicates=query.predicates,
-        filters=query.filters,
-        window=query.window,
-    )

@@ -6,7 +6,7 @@ import repro
 from repro.errors import UnknownQueryError
 from repro.service import AdmissionStatus, churn_trace
 
-from tests.fleet.conftest import ByNamePolicy, build_fleet, renamed
+from tests.fleet.conftest import ByNamePolicy, build_fleet
 
 
 class TestLifecycle:
@@ -48,8 +48,8 @@ class TestLifecycle:
             tenants=[repro.Tenant("t")],
         )
         _, _, workload, _ = fleet_env
-        fleet.submit(renamed(workload.queries[0], "a"), tenant="t")
-        queued = fleet.submit(renamed(workload.queries[1], "b"), tenant="t")
+        fleet.submit(workload.queries[0].renamed("a"), tenant="t")
+        queued = fleet.submit(workload.queries[1].renamed("b"), tenant="t")
         assert queued.status is AdmissionStatus.QUEUED
         assert fleet.retire("b") is False
         assert fleet.router.owner("b") is None
@@ -128,10 +128,10 @@ class TestRebalance:
             fleet_env, num_shards=2, budget=1, policy=ByNamePolicy({}, 0)
         )
         _, _, workload, _ = fleet_env
-        fleet.submit(renamed(workload.queries[0], "a"))
+        fleet.submit(workload.queries[0].renamed("a"))
         # fill shard 1
         fleet.router.bind("filler", 1)
-        fleet.shards[1].submit(renamed(workload.queries[1], "filler"))
+        fleet.shards[1].submit(workload.queries[1].renamed("filler"))
         report = fleet.rebalance("a", 1)
         assert not report.moved
         assert "budget" in report.reason

@@ -6,14 +6,14 @@ import repro
 from repro.durability import DurabilityConfig, recover
 from repro.fleet import FEDERATION_OWNER
 
-from tests.fleet.conftest import ByNamePolicy, build_fleet, renamed
+from tests.fleet.conftest import ByNamePolicy, build_fleet
 
 
 def reuse_pair(fleet_env):
     """Two queries where the second can reuse the first's root view."""
     net, _, workload, _ = fleet_env
     q1 = workload.queries[0]
-    q2 = renamed(q1, "reuser", sink=(q1.sink + 5) % len(net.nodes()))
+    q2 = q1.renamed("reuser", sink=(q1.sink + 5) % len(net.nodes()))
     return q1, q2
 
 
@@ -149,7 +149,7 @@ class TestInvalidation:
         fleet.retire(q1.name)  # import withdrawn -> cached plan evicted
         assert fleet.shards[1].cache.invalidations > invalidations
         # a resubmission replans cleanly without the remote view
-        decision = fleet.submit(renamed(q2, "reuser2", sink=q2.sink))
+        decision = fleet.submit(q2.renamed("reuser2", sink=q2.sink))
         assert decision.admitted
 
     def test_promotion_keeps_consumed_views_alive(self, fleet_env):
@@ -242,7 +242,7 @@ class TestExportsFromTheFeed:
 
         for serial in range(60):
             base = pool[serial % len(pool)]
-            fleet.submit(renamed(base, f"{base.name}#{serial}"), lifetime=2.0 + serial % 5)
+            fleet.submit(base.renamed(f"{base.name}#{serial}"), lifetime=2.0 + serial % 5)
             check()
             if serial % 3 == 0:
                 fleet.tick()

@@ -50,7 +50,7 @@ from repro.fleet.federation import import_rank
 from repro.perf.profiler import profiled
 from repro.resilience.faults import CrashPoint
 
-from tests.fleet.conftest import ByNamePolicy, build_env, build_fleet, renamed
+from tests.fleet.conftest import ByNamePolicy, build_env, build_fleet
 from tests.fleet.reference_federation import reference_offers, reference_plan
 from tests.fleet.test_federation import scanned_exports
 
@@ -165,7 +165,7 @@ class FederationMachine(RuleBasedStateMachine):
         base = self.pool[index]
         name = f"{base.name}#{next(self.serial)}"
         self.pins[name] = shard
-        self.fleet.submit(renamed(base, name), lifetime=lifetime)
+        self.fleet.submit(base.renamed(name), lifetime=lifetime)
 
     def twin_of(self, name: str, shard: int, same_sink: bool) -> None:
         query = self.state(self.fleet.shard_of(name)).deployment(name).query
@@ -173,7 +173,7 @@ class FederationMachine(RuleBasedStateMachine):
         twin = f"{name.split('#')[0]}#{next(self.serial)}"
         self.pins[twin] = shard
         sink = query.sink if same_sink else (query.sink + 5) % nodes
-        self.fleet.submit(renamed(query, twin, sink=sink))
+        self.fleet.submit(query.renamed(twin, sink=sink))
 
     @rule(data=st.data(), hop=st.integers(1, _SHARDS - 1), same_sink=st.booleans())
     def twin(self, data, hop, same_sink):
@@ -400,7 +400,7 @@ def test_tying_imports_are_withdrawn_and_snapshotted_in_one_order(fleet_env, tmp
 def test_crash_in_the_tick_after_a_promoting_sync(fleet_env, tmp_path, torn):
     net, _, workload, _ = fleet_env
     owner = workload.queries[0]
-    reuser = renamed(owner, "reuser", sink=(owner.sink + 5) % len(net.nodes()))
+    reuser = owner.renamed("reuser", sink=(owner.sink + 5) % len(net.nodes()))
 
     def factory(state_dir):
         return build_fleet(
@@ -488,8 +488,7 @@ class TestWorkCounts:
             for _ in range(per_tick):
                 index = next(serial)
                 base = pool[index % len(pool)]
-                twin = renamed(
-                    base, f"{base.name}#{index}", sink=(base.sink + index) % 64
+                twin = base.renamed(f"{base.name}#{index}", sink=(base.sink + index) % 64
                 )
                 fleet.submit(twin, lifetime=float(live // per_tick + 1))
             return fleet.tick()

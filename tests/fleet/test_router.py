@@ -6,7 +6,7 @@ import repro
 from repro.fleet import HashShardPolicy, QueryRouter, SubtreeLocalityPolicy, make_policy
 from repro.service import churn_trace
 
-from tests.fleet.conftest import build_fleet, renamed
+from tests.fleet.conftest import build_fleet
 
 
 class TestHashPolicy:
@@ -18,7 +18,7 @@ class TestHashPolicy:
             assert shard == policy.assign(query, 4, [0, 0, 0, 0])
             # the fingerprint is name-insensitive: a resubmission under a
             # new name hashes to the same shard and hits its plan cache
-            assert shard == policy.assign(renamed(query, "other"), 4, [0, 0, 0, 0])
+            assert shard == policy.assign(query.renamed("other"), 4, [0, 0, 0, 0])
 
     def test_in_range(self, fleet_env):
         _, _, workload, _ = fleet_env

@@ -6,7 +6,7 @@ import repro
 from repro.errors import AdmissionError
 from repro.fleet import Tenant, TenantDirectory, WeightedFairScheduler
 
-from tests.fleet.conftest import build_fleet, renamed
+from tests.fleet.conftest import build_fleet
 
 
 class TestTenantRecords:
@@ -74,14 +74,14 @@ class TestFleetTenancy:
             tenants=[Tenant("capped", quota=2), Tenant("free")],
         )
         _, _, workload, _ = fleet_env
-        queries = [renamed(workload.queries[i], f"c{i}") for i in range(3)]
+        queries = [workload.queries[i].renamed(f"c{i}") for i in range(3)]
         assert fleet.submit(queries[0], tenant="capped").admitted
         assert fleet.submit(queries[1], tenant="capped").admitted
         third = fleet.submit(queries[2], tenant="capped")
         assert third.rejected
         assert "quota" in third.decision.reason
         # another tenant is unaffected
-        assert fleet.submit(renamed(workload.queries[3], "f0"), tenant="free").admitted
+        assert fleet.submit(workload.queries[3].renamed("f0"), tenant="free").admitted
         # retiring frees quota
         fleet.retire(queries[0].name)
         assert fleet.submit(queries[2], tenant="capped").admitted
@@ -108,10 +108,10 @@ class TestFleetTenancy:
             tenants=[Tenant("t", max_queue=1)],
         )
         _, _, workload, _ = fleet_env
-        assert fleet.submit(renamed(workload.queries[0], "a"), tenant="t").admitted
-        queued = fleet.submit(renamed(workload.queries[1], "b"), tenant="t")
+        assert fleet.submit(workload.queries[0].renamed("a"), tenant="t").admitted
+        queued = fleet.submit(workload.queries[1].renamed("b"), tenant="t")
         assert queued.status is repro.AdmissionStatus.QUEUED
-        overflow = fleet.submit(renamed(workload.queries[2], "c"), tenant="t")
+        overflow = fleet.submit(workload.queries[2].renamed("c"), tenant="t")
         assert overflow.rejected
         assert "backlog full" in overflow.decision.reason
 
@@ -137,7 +137,7 @@ class TestFleetTenancy:
                 for tenant in ("gold", "bronze"):
                     base = workload.queries[n % len(workload.queries)]
                     fleet.submit(
-                        renamed(base, f"{tenant}-{n}-{k}"),
+                        base.renamed(f"{tenant}-{n}-{k}"),
                         lifetime=1.0, tenant=tenant,
                     )
                 n += 1

@@ -41,23 +41,12 @@ from repro.query.plan import Leaf
 from repro.service import StreamQueryService
 from repro.service.cache import CachedPlan, PlanCache
 
-from tests.fleet.conftest import renamed
+from tests.conftest import small_world
 from tests.hierarchy.reference_ads import reference_sync
 
 _POOL = 8
 _NODES = 32
 _COUNTERS = ("ads_views_published", "ads_views_withdrawn", "ads_messages")
-
-
-def build_world():
-    net = repro.transit_stub_by_size(_NODES, seed=47)
-    hierarchy = repro.build_hierarchy(net, max_cs=4, seed=0)
-    workload = repro.generate_workload(
-        net,
-        repro.WorkloadParams(num_streams=6, num_queries=_POOL, joins_per_query=(1, 3)),
-        seed=48,
-    )
-    return net, hierarchy, workload.rate_model(), list(workload)
 
 
 class AdsFeedMachine(RuleBasedStateMachine):
@@ -68,7 +57,9 @@ class AdsFeedMachine(RuleBasedStateMachine):
 
     def __init__(self) -> None:
         super().__init__()
-        net, self.hierarchy, self.rates, self.pool = build_world()
+        world = small_world(_POOL)
+        net, self.hierarchy, self.rates = world.network, world.hierarchy(), world.rates
+        self.pool = list(world.workload)
         self.costs = net.cost_matrix()
         self.state = DeploymentState(self.costs, self.rates.rate, self.rates.source)
         self.fast, self.slow = self.index(), self.index()
@@ -116,7 +107,7 @@ class AdsFeedMachine(RuleBasedStateMachine):
     @rule(index=st.integers(0, _POOL - 1))
     def deploy(self, index):
         base = self.pool[index]
-        query = renamed(base, f"{base.name}#{next(self.serial)}")
+        query = base.renamed(f"{base.name}#{next(self.serial)}")
         reference_sync(self.slow, self.state)  # the planner syncs its index
         self.installed(self.optimizer.plan(query, self.state))
         self.seen["deployed"] += 1
@@ -178,7 +169,7 @@ class AdsFeedMachine(RuleBasedStateMachine):
         if self.imports:
             sig, node = self.imports[-1]
             base = next(q for q in self.pool if q.view_signature() == sig)
-            query = renamed(base, f"rider#{next(self.serial)}")
+            query = base.renamed(f"rider#{next(self.serial)}")
             view = Leaf(frozenset(query.sources))
             self.installed(Deployment(query, view, {view: node}))
 
@@ -304,7 +295,7 @@ class AdsFeedMachine(RuleBasedStateMachine):
 #: Derandomized: the same examples every run, so the transitions the
 #: test insists on having been exercised are exercised every run.
 _MACHINE = settings(
-    max_examples=25, stateful_step_count=40, deadline=None, derandomize=True
+    max_examples=40, stateful_step_count=40, deadline=None, derandomize=True
 )
 
 
@@ -345,7 +336,7 @@ class TestWorkCounts:
         with profiled() as prof:
             for serial in range(400):
                 base = pool[serial % len(pool)]
-                service.submit(renamed(base, f"{base.name}#{serial}"))
+                service.submit(base.renamed(f"{base.name}#{serial}"))
         state = service.engine.state
         assert state.num_deployments == 400
         # The very first sync visits everything (nothing, then); each
@@ -365,7 +356,7 @@ class TestWorkCounts:
 
         hits = service.cache.hits
         with profiled() as prof:
-            assert service.submit(renamed(pool[0], "twin")).admitted
+            assert service.submit(pool[0].renamed("twin")).admitted
             service.tick()
         assert service.cache.hits == hits + 1
         assert prof.ops.get("ads_keys_examined", 0) == 0

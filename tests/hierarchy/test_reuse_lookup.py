@@ -41,21 +41,10 @@ from repro.query.deployment import DeploymentState
 from repro.query.stream import Filter
 from repro.service import StreamQueryService
 
-from tests.fleet.conftest import renamed
+from tests.conftest import small_world
 from tests.hierarchy.reference_ads import reference_reusable
 
 _NODES = 32
-
-
-def build_world():
-    net = repro.transit_stub_by_size(_NODES, seed=47)
-    hierarchy = repro.build_hierarchy(net, max_cs=4, seed=0)
-    workload = repro.generate_workload(
-        net,
-        repro.WorkloadParams(num_streams=6, num_queries=6, joins_per_query=(1, 3)),
-        seed=48,
-    )
-    return net, hierarchy, workload.rate_model(), list(workload)
 
 
 def variants(query):
@@ -85,7 +74,9 @@ class ReuseLookupMachine(RuleBasedStateMachine):
 
     def __init__(self) -> None:
         super().__init__()
-        net, self.hierarchy, self.rates, base = build_world()
+        world = small_world(6)
+        net, self.hierarchy, self.rates = world.network, world.hierarchy(), world.rates
+        base = list(world.workload)
         self.pool = [v for query in base for v in variants(query)]
         self.state = DeploymentState(net.cost_matrix(), self.rates.rate, self.rates.source)
         self.ads = repro.AdvertisementIndex(self.hierarchy)
@@ -136,7 +127,7 @@ class ReuseLookupMachine(RuleBasedStateMachine):
     @rule(index=st.integers(0, 17))
     def deploy(self, index):
         base = self.pool[index]
-        query = renamed(base, f"{base.name}#{next(self.serial)}")
+        query = base.renamed(f"{base.name}#{next(self.serial)}")
         self.state.apply(self.optimizer.plan(query, self.state))
         self.ads.sync_from_state(self.state)
         self.seen["deployed"] += 1
@@ -236,7 +227,7 @@ def test_a_plan_probes_its_own_sub_views_not_the_index(planner):
     last = max(workload, key=lambda q: len(q.sources))
     for serial in range(200):
         base = pool[serial % len(pool)]
-        service.submit(renamed(base, f"{base.name}#{serial}"))
+        service.submit(base.renamed(f"{base.name}#{serial}"))
     state = service.engine.state
     assert state.num_deployments == 200
 
@@ -244,7 +235,7 @@ def test_a_plan_probes_its_own_sub_views_not_the_index(planner):
     sub_views = 2**n - n - 1
     assert len(ads.views()) > 2 * sub_views  # a scan would show
     with profiled() as prof:
-        stats = optimizer.plan(renamed(last, "probe"), state).stats
+        stats = optimizer.plan(last.renamed("probe"), state).stats
     # Top-Down asks once per task; a Bottom-Up climb step plans at most
     # n // 2 components of two or more inputs.
     asked = stats["tasks"] if "tasks" in stats else stats["levels_climbed"] * (n // 2)

@@ -34,8 +34,8 @@ from repro.runtime.engine import FlowEngine
 from repro.service import StreamQueryService
 
 import repro
-from tests.durability.test_snapshot_fragments import _ADAPT, build_world
-from tests.fleet.conftest import renamed
+from tests.conftest import three_sink_world
+from tests.durability.test_snapshot_fragments import _ADAPT, _POOL
 
 
 class EagerEngine(FlowEngine):
@@ -112,7 +112,7 @@ class TestPendingGauge:
 # Twin planes, one engine each way
 # ----------------------------------------------------------------------
 def build(scope: str, eager: bool):
-    net, hierarchy, rates, pool = build_world()
+    net, hierarchy, rates, pool = three_sink_world(_POOL)
     if scope == "fleet":
         plane = FleetController(
             2, net, rates, hierarchy, policy="hash", budget=6,
@@ -140,7 +140,7 @@ def step(plane, pool, rates, rng: random.Random, serial: int) -> None:
     live = sorted(plane.live_queries)
     if roll < 0.45 or not live:
         shape = rng.choice(pool)
-        plane.submit(renamed(shape, f"{shape.name}#{serial}"), lifetime=rng.choice([None, 2.0, 3.0]))
+        plane.submit(shape.renamed(f"{shape.name}#{serial}"), lifetime=rng.choice([None, 2.0, 3.0]))
     elif roll < 0.75:
         plane.tick(None if rng.random() < 0.7 else plane.clock + 2.0)
     elif roll < 0.9:

@@ -50,22 +50,11 @@ from repro.query.query import JoinPredicate, Query
 from repro.query.stream import Filter, StreamSpec
 from repro.resources import OperatorFootprint, ResourceLedger
 
-from tests.fleet.conftest import renamed
+from tests.conftest import small_world
 from tests.query.reference_undeploy import ReferenceState
 
 _POOL = 8
 _NODES = 32
-
-
-def build_world():
-    net = repro.transit_stub_by_size(_NODES, seed=47)
-    hierarchy = repro.build_hierarchy(net, max_cs=4, seed=0)
-    workload = repro.generate_workload(
-        net,
-        repro.WorkloadParams(num_streams=6, num_queries=_POOL, joins_per_query=(1, 3)),
-        seed=48,
-    )
-    return net, hierarchy, workload.rate_model(), list(workload)
 
 
 def with_filter(query, name, predicate="x > 0", selectivity=0.5):
@@ -105,7 +94,9 @@ class ClaimsMachine(RuleBasedStateMachine):
 
     def __init__(self) -> None:
         super().__init__()
-        net, hierarchy, self.rates, base = build_world()
+        world = small_world(_POOL)
+        net, hierarchy, self.rates = world.network, world.hierarchy(), world.rates
+        base = list(world.workload)
         self.pool = (
             [with_filter(q, f"{q.name}~f") for q in base] if self.filtered else base
         )
@@ -138,7 +129,7 @@ class ClaimsMachine(RuleBasedStateMachine):
     @rule(index=st.integers(0, _POOL - 1))
     def deploy(self, index):
         base = self.pool[index]
-        query = renamed(base, f"{base.name}#{next(self.serial)}")
+        query = base.renamed(f"{base.name}#{next(self.serial)}")
         self.ads.sync_from_state(self.fast)
         self.both("apply", self.optimizer.plan(query, self.fast))
         self.seen["deployed"] += 1
@@ -160,7 +151,7 @@ class ClaimsMachine(RuleBasedStateMachine):
         query = (
             with_filter(provider, name, "y > 1", 0.25)
             if self.filtered
-            else renamed(provider, name)
+            else provider.renamed(name)
         )
         view = Leaf(frozenset(query.sources))
         self.both("apply", Deployment(query, view, {view: node}))
@@ -206,7 +197,7 @@ class ClaimsMachine(RuleBasedStateMachine):
             view: node,
             plan: node,
         }
-        deployment = Deployment(renamed(query, f"refused#{next(self.serial)}"), plan, placement)
+        deployment = Deployment(query.renamed(f"refused#{next(self.serial)}"), plan, placement)
         for state in (self.fast, self.slow):
             with pytest.raises(DeploymentError, match="no such operator"):
                 state.apply(deployment)
@@ -314,7 +305,7 @@ class FilteredClaimsMachine(ClaimsMachine):
 #: Derandomized: the same examples every run, so the transitions the
 #: test insists on having been exercised are exercised every run.
 _MACHINE = settings(
-    max_examples=25, stateful_step_count=40, deadline=None, derandomize=True
+    max_examples=40, stateful_step_count=40, deadline=None, derandomize=True
 )
 
 _TRANSITIONS = (
@@ -370,7 +361,7 @@ def test_a_refused_apply_leaves_no_trace(abcd):
     ab, cd = Join(a, b), Join(c, d)
     whole = Join(ab, cd)
     placement = {a: 0, b: 2, c: 4, d: 6, ab: 1, cd: 5, whole: 3}
-    state.apply(Deployment(renamed(query, "other"), whole, placement))
+    state.apply(Deployment(query.renamed("other"), whole, placement))
     imported = query.view_signature("AB")
     state.register_external_view(imported, 2, rates.rate(imported), FEDERATION_OWNER)
 
@@ -481,13 +472,13 @@ def test_a_cache_hit_derives_each_signature_once_and_a_retire_none():
     pool = list(workload)
     for serial in range(120):
         base = pool[serial % len(pool)]
-        service.submit(renamed(base, f"{base.name}#{serial}"))
+        service.submit(base.renamed(f"{base.name}#{serial}"))
     service.tick()
     checked = 0
     for base in sorted(pool, key=lambda q: -len(q.sources))[:6]:
         hits = service.cache.hits
         with counting_signatures() as calls:
-            assert service.submit(renamed(base, f"{base.name}#twin")).admitted
+            assert service.submit(base.renamed(f"{base.name}#twin")).admitted
         assert service.cache.hits == hits + 1
         assert calls["derived"] <= 2 * len(base.sources) - 1
         with counting_signatures() as calls:

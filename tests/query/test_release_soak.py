@@ -25,7 +25,7 @@ records outlived it on the bare service (7 -> 30 operators, the memo
 import repro
 from repro.query.stream import Filter
 
-from tests.fleet.conftest import build_env, build_fleet, renamed
+from tests.fleet.conftest import build_env, build_fleet
 
 _BURST = 24
 
@@ -83,7 +83,7 @@ def test_a_bare_service_returns_to_its_pre_soak_operators_and_ads():
     queries = list(env[2])
     service = build_service(env)
     for query in queries[:3]:  # live throughout
-        assert service.submit(renamed(query, f"{query.name}#keep")).admitted
+        assert service.submit(query.renamed(f"{query.name}#keep")).admitted
     service.tick()
     state = service.engine.state
     before = (len(state.operators()), service.ads.views())
@@ -99,7 +99,7 @@ def test_a_federated_fleet_returns_to_its_pre_soak_state_on_every_shard():
     queries = list(env[2])
     fleet = build_fleet(env, num_shards=2, federation=True)
     for query in queries[:4]:
-        assert fleet.submit(renamed(query, f"{query.name}#keep")).admitted
+        assert fleet.submit(query.renamed(f"{query.name}#keep")).admitted
     fleet.tick()
     federation = fleet.federation
     states = [shard.engine.state for shard in fleet.shards]

@@ -50,7 +50,7 @@ from repro.resources import (
 )
 from repro.service import StreamQueryService
 
-from tests.fleet.conftest import renamed
+from tests.conftest import three_sink_world
 from tests.resources.reference_ledger import ReferenceLedger
 
 
@@ -224,7 +224,7 @@ class TestOrphanPricing:
             sources = {A: 0, B: 3, C: 6}
             owner = Deployment(query, join, {x: sources[x], y: sources[y], join: HUB})
             view = Leaf(join.sources)
-            rider = Deployment(renamed(query, name + ".rider"), view, {view: HUB})
+            rider = Deployment(query.renamed(name + ".rider"), view, {view: HUB})
             return owner, rider
 
         owners = []
@@ -297,26 +297,6 @@ _ADAPT = AdaptivityConfig(
 )
 
 
-def build_world():
-    net = repro.transit_stub_by_size(32, seed=47)
-    hierarchy = repro.build_hierarchy(net, max_cs=4, seed=0)
-    workload = repro.generate_workload(
-        net,
-        repro.WorkloadParams(
-            num_streams=6, num_queries=_POOL, joins_per_query=(1, 3)
-        ),
-        seed=48,
-    )
-    # Three sinks in all, so that operators also land on nodes that are
-    # neither a source nor a sink and may fail without losing a query.
-    sinks = sorted({query.sink for query in workload})[:3]
-    pool = [
-        renamed(query, query.name, sink=sinks[index % 3])
-        for index, query in enumerate(workload)
-    ]
-    return net, hierarchy, workload.rate_model(), pool
-
-
 def bounded(net, pool) -> ResourceConfig:
     # Three weight classes, so heavier arrivals shed lighter queries and
     # the victims park and re-admit.
@@ -351,7 +331,7 @@ class LedgerMachine(RuleBasedStateMachine):
 
     def __init__(self) -> None:
         super().__init__()
-        self.net, self.hierarchy, self.rates, self.pool = build_world()
+        self.net, self.hierarchy, self.rates, self.pool = three_sink_world(_POOL)
         self.serial = itertools.count()
         self.build()
         self.reference = ReferenceLedger.shadowing(self.ledger)
@@ -368,7 +348,7 @@ class LedgerMachine(RuleBasedStateMachine):
     def submit(self, index, lifetime):
         # A fresh name every time: same-shape resubmissions hit the plan
         # cache and reuse deployed views, which is where orphans come from.
-        query = renamed(self.pool[index], f"{self.pool[index].name}#{next(self.serial) % 64}")
+        query = self.pool[index].renamed(f"{self.pool[index].name}#{next(self.serial) % 64}")
         if not self.plane.is_live(query.name):
             self.plane.submit(query, lifetime=lifetime)
 
@@ -640,7 +620,7 @@ def hand_placed(rates, name: str, inner: int, root: int, right_deep: bool = Fals
 class TestNodeGauges:
     @pytest.fixture()
     def service(self):
-        net, hierarchy, rates, _ = build_world()
+        net, hierarchy, rates, _ = three_sink_world(_POOL)
         return StreamQueryService(
             repro.TopDownOptimizer(hierarchy, rates),
             net,
@@ -723,7 +703,7 @@ class TestRecoveredLedger:
         state_dir = tmp_path / "state"
 
         def factory():
-            net, hierarchy, rates, _ = build_world()
+            net, hierarchy, rates, _ = three_sink_world(_POOL)
             ads = repro.AdvertisementIndex(hierarchy)
             return StreamQueryService(
                 repro.TopDownOptimizer(hierarchy, rates, ads=ads),
@@ -741,7 +721,7 @@ class TestRecoveredLedger:
             )
 
         live = factory()
-        pool = build_world()[3]
+        pool = three_sink_world(_POOL)[3]
         for query in pool:
             live.submit(query)
         state = live.engine.state
@@ -760,7 +740,7 @@ class TestRecoveredLedger:
         assert orphaned(state)
         for _ in range(5):
             live.tick()
-        live.submit(renamed(pool[0], "late"))  # lands in the replayed suffix
+        live.submit(pool[0].renamed("late"))  # lands in the replayed suffix
         live.tick()
         ledger = live.resources.ledger
         live.durability.journal.close()

@@ -247,8 +247,7 @@ class TestShedding:
         used to leave ``apply`` a plan over an operator that was gone."""
         from repro.adaptive import AdaptivityConfig
         from repro.resilience.degradation import ResilienceConfig
-        from tests.fleet.conftest import renamed
-
+        
         net = repro.transit_stub_by_size(32, seed=47)
         hierarchy = repro.build_hierarchy(net, max_cs=4, seed=0)
         workload = repro.generate_workload(
@@ -258,7 +257,7 @@ class TestShedding:
         )
         sinks = sorted({query.sink for query in workload})[:3]
         pool = [
-            renamed(query, query.name, sink=sinks[index % 3])
+            query.renamed(query.name, sink=sinks[index % 3])
             for index, query in enumerate(workload)
         ]
         rates = workload.rate_model()

@@ -24,7 +24,7 @@ from repro.durability.snapshot import splice_json
 from repro.durability.state import FragmentMemo, capture_service, restore_service
 from repro.perf.profiler import profiled
 
-from tests.fleet.conftest import build_env, renamed
+from tests.fleet.conftest import build_env
 
 _LIFETIMES = (None, 0.5, 1.0, 1.0, 1.5, 2.0, 3.0)
 
@@ -100,7 +100,7 @@ def run(steps, seen):
         kind = step[0]
         if kind == "submit":
             shape = pool[step[1]]
-            service.submit(renamed(shape, f"{shape.name}#{serial}"), lifetime=step[2])
+            service.submit(shape.renamed(f"{shape.name}#{serial}"), lifetime=step[2])
             serial += 1
         elif kind == "tick":
             checked_tick(service, seen, step[1])
@@ -169,18 +169,18 @@ def test_the_heap_retires_what_the_scan_did_tick_by_tick():
 
 def test_a_jump_retires_in_insertion_order_not_expiry_order():
     service, pool = build_service()
-    service.submit(renamed(pool[0], "late"), lifetime=3.0)
-    service.submit(renamed(pool[1], "early"), lifetime=1.0)
-    service.submit(renamed(pool[2], "late-too"), lifetime=3.0)
+    service.submit(pool[0].renamed("late"), lifetime=3.0)
+    service.submit(pool[1].renamed("early"), lifetime=1.0)
+    service.submit(pool[2].renamed("late-too"), lifetime=3.0)
     assert checked_tick(service, Counter(), jump=3.5).retired == ["late", "early", "late-too"]
 
 
 def test_a_resubmitted_name_retires_once_at_its_new_position():
     service, pool = build_service()
-    service.submit(renamed(pool[0], "a"), lifetime=2.0)
-    service.submit(renamed(pool[1], "b"), lifetime=2.0)
+    service.submit(pool[0].renamed("a"), lifetime=2.0)
+    service.submit(pool[1].renamed("b"), lifetime=2.0)
     service.retire("a")
-    service.submit(renamed(pool[0], "a"), lifetime=2.0)  # same expiry, now after b
+    service.submit(pool[0].renamed("a"), lifetime=2.0)  # same expiry, now after b
     assert len(service._expiry_heap) == 3  # the first "a" is stale, not yet dropped
     seen = Counter()
     assert checked_tick(service, seen, jump=2.0).retired == ["b", "a"]
@@ -190,7 +190,7 @@ def test_a_resubmitted_name_retires_once_at_its_new_position():
 def test_a_heap_of_stale_entries_is_rebuilt_to_the_live_ones():
     service, pool = build_service()
     for serial in range(6):
-        service.submit(renamed(pool[serial], f"q{serial}"), lifetime=5.0)
+        service.submit(pool[serial].renamed(f"q{serial}"), lifetime=5.0)
     for serial in range(4):
         service.retire(f"q{serial}")
         check_heap(service)
@@ -200,7 +200,7 @@ def test_a_heap_of_stale_entries_is_rebuilt_to_the_live_ones():
 def test_restore_keeps_the_written_order_and_reads_the_old_dict_form():
     service, pool = build_service()
     for serial, name in enumerate(["zeta", "alpha", "mu"]):
-        service.submit(renamed(pool[serial], name), lifetime=1.0)
+        service.submit(pool[serial].renamed(name), lifetime=1.0)
     doc = json.loads(splice_json(capture_service(service, FragmentMemo())))
     assert doc["expiry"] == [["zeta", 1.0], ["alpha", 1.0], ["mu", 1.0]]
     twin, _ = build_service()
