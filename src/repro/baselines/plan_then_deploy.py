@@ -86,24 +86,27 @@ def deploy_time_reuse_variants(
     of such collapses (the original tree first), capped defensively.
     """
 
-    def variants(node: PlanNode) -> list[PlanNode]:
-        if isinstance(node, Leaf):
-            return [node]
-        assert isinstance(node, Join)
-        combos: list[PlanNode] = []
-        for left in variants(node.left):
-            for right in variants(node.right):
-                if len(combos) >= cap:
-                    break
-                combos.append(Join(left, right))
-        if node.sources in reusable:
-            combos.append(Leaf(node.sources))
-        return combos[: cap + 1]
-
-    out = variants(tree)
+    out = _reuse_variants(tree, reusable, cap)
     # Keep the uncollapsed tree first for deterministic tie-breaks.
     out.sort(key=lambda t: 0 if t == tree else 1)
     return out[:cap]
+
+
+def _reuse_variants(
+    node: PlanNode, reusable: dict[frozenset[str], list[int]], cap: int
+) -> list[PlanNode]:
+    if isinstance(node, Leaf):
+        return [node]
+    assert isinstance(node, Join)
+    combos: list[PlanNode] = []
+    for left in _reuse_variants(node.left, reusable, cap):
+        for right in _reuse_variants(node.right, reusable, cap):
+            if len(combos) >= cap:
+                break
+            combos.append(Join(left, right))
+    if node.sources in reusable:
+        combos.append(Leaf(node.sources))
+    return combos[: cap + 1]
 
 
 def leaf_position_map(

@@ -352,8 +352,7 @@ class BottomUpOptimizer:
                         f"{[sorted(i.view) for i in inputs]} under the "
                         f"utilization bound"
                     )
-                # pragma: no cover - identity partition always exists
-                raise RuntimeError("no feasible component plan")
+                raise RuntimeError("no feasible component plan")  # pragma: no cover - identity partition always exists
             cost, tree, placement = best.cost, best.tree, best.placement
             if tracer.enabled:
                 span.tag(chosen=tree.pretty(), est_cost=cost)

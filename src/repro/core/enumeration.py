@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from repro.core.reuse import input_partitions
 from repro.perf import profiler as _perf
 from repro.query.plan import Join, Leaf, PlanNode
 from repro.query.query import Query
@@ -70,30 +71,7 @@ class JoinProgram:
         self.num_views = num_views
         self.count = count = {1 << i: 1 for i in range(num_views)}
         found: dict[int, list] = {}
-
-        def trees_over(subset: int) -> int:
-            total = count.get(subset)
-            if total is not None:
-                return total
-            anchor = subset & -subset
-            rest = subset ^ anchor
-            total, splits = 0, found.setdefault(subset, [])
-            # Every split is generated once by requiring the anchor on the
-            # left; ``(part - rest) & rest`` steps through the sub-masks
-            # of ``rest`` in increasing order.
-            part = 0
-            while part != rest:
-                left, right = anchor | part, rest ^ part
-                part = (part - rest) & rest
-                if split_ok is not None and not split_ok(left, right):
-                    continue
-                if trees_over(left) and trees_over(right):
-                    splits.append((left, right))
-                    total += count[left] * count[right]
-            count[subset] = total
-            return total
-
-        self.trees = trees_over((1 << num_views) - 1)
+        self.trees = _count_trees((1 << num_views) - 1, split_ok, count, found)
         # With a tree over the full mask, every mask that has a tree is
         # part of one (contract it to a leaf: the rest still connects).
         self.blocks = blocks = {
@@ -132,17 +110,51 @@ class JoinProgram:
     def tree(self, leaves: Sequence[Leaf], index: int, rows: dict[PlanNode, int]) -> PlanNode:
         """Build tree ``index`` of the full mask; ``rows`` gets each
         subtree's row."""
+        root = self.start[(1 << self.num_views) - 1] + index
+        return _build(leaves, self._children, root, rows)
 
-        def build(row: int) -> PlanNode:
-            if row < len(leaves):
-                node: PlanNode = leaves[row]
-            else:
-                left, right = self._children[row - len(leaves)]
-                node = Join(build(left), build(right))
-            rows[node] = row
-            return node
 
-        return build(self.start[(1 << self.num_views) - 1] + index)
+def _count_trees(
+    subset: int, split_ok: SplitTest | None, count: dict[int, int], found: dict[int, list]
+) -> int:
+    """The number of trees over ``subset``, memoized in ``count``;
+    ``found`` gets the splits of each mask with two or more leaves."""
+    total = count.get(subset)
+    if total is not None:
+        return total
+    anchor = subset & -subset
+    rest = subset ^ anchor
+    total, splits = 0, found.setdefault(subset, [])
+    # Every split is generated once by requiring the anchor on the
+    # left; ``(part - rest) & rest`` steps through the sub-masks of
+    # ``rest`` in increasing order.
+    part = 0
+    while part != rest:
+        left, right = anchor | part, rest ^ part
+        part = (part - rest) & rest
+        if split_ok is not None and not split_ok(left, right):
+            continue
+        if _count_trees(left, split_ok, count, found) and _count_trees(
+            right, split_ok, count, found
+        ):
+            splits.append((left, right))
+            total += count[left] * count[right]
+    count[subset] = total
+    return total
+
+
+def _build(
+    leaves: Sequence[Leaf], children: list[tuple[int, int]], row: int, rows: dict[PlanNode, int]
+) -> PlanNode:
+    """The tree of ``row``: a leaf row, or the join of its two child rows
+    (:attr:`JoinProgram._children`); ``rows`` gets each subtree's row."""
+    if row < len(leaves):
+        node: PlanNode = leaves[row]
+    else:
+        left, right = children[row - len(leaves)]
+        node = Join(_build(leaves, children, left, rows), _build(leaves, children, right, rows))
+    rows[node] = row
+    return node
 
 
 @lru_cache(maxsize=256)
@@ -272,27 +284,8 @@ def reuse_partitions(
     included.  Blocks within a partition are pairwise disjoint by
     construction.
     """
-    usable = sorted({v for v in reusable if len(v) > 1 and v <= sources}, key=sorted)
-    results: list[list[frozenset[str]]] = []
-
-    def recurse(remaining: frozenset[str], acc: list[frozenset[str]]) -> None:
-        if not remaining:
-            results.append(list(acc))
-            return
-        first = min(remaining)
-        # Option 1: first stays a singleton leaf.
-        acc.append(frozenset((first,)))
-        recurse(remaining - {first}, acc)
-        acc.pop()
-        # Option 2: first is covered by a reusable view.
-        for view in usable:
-            if first in view and view <= remaining:
-                acc.append(view)
-                recurse(remaining - view, acc)
-                acc.pop()
-
-    recurse(sources, [])
-    return results
+    singletons = [frozenset((stream,)) for stream in sorted(sources)]
+    return input_partitions(singletons, set(reusable))
 
 
 def trees_with_reuse(

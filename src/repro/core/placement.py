@@ -199,26 +199,27 @@ class LevelDP:
                 f"utilization bound"
             )
         placement: dict[PlanNode, int] = {}
-
-        def reconstruct(sub: PlanNode, pos_idx: int) -> None:
+        # Pre-order, left subtree first: an operator's candidate fixes the
+        # column each child's choice is read from.
+        stack = [(tree, best_idx)]
+        while stack:
+            sub, pos_idx = stack.pop()
             if isinstance(sub, Leaf):
                 placement[sub] = int(positions[rows[sub]][pos_idx])
-                return
+                continue
             placement[sub] = node = int(cand[pos_idx])
-            for child in (sub.left, sub.right):
+            for child in (sub.right, sub.left):
                 row = rows[child]
                 # The column of the level pass's ``arrival`` that ends at
                 # ``node``; a leaf with one position has nothing to choose.
                 if row >= leaves:
                     arrival = dp[:, row - leaves] + rates[row] * between[:, pos_idx]
-                    reconstruct(child, int(arrival.argmin()))
+                    column = int(arrival.argmin())
                 elif len(positions[row]) == 1:
-                    reconstruct(child, 0)
+                    column = 0
                 else:
-                    arrival = rates[row] * costs[positions[row], node]
-                    reconstruct(child, int(arrival.argmin()))
-
-        reconstruct(tree, best_idx)
+                    column = int((rates[row] * costs[positions[row], node]).argmin())
+                stack.append((child, column))
         if constraint is None:
             return PlacementResult(placement=placement, cost=best_cost, tree=tree)
         # Under a constraint the DP total may carry a load penalty; re-derive

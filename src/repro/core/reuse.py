@@ -31,7 +31,7 @@ def input_partitions(
 
     Input views must be pairwise disjoint.  Because they are, a
     reusable union determines exactly which inputs it covers, so
-    enumeration is a simple first-element recursion.  Unions are tried
+    enumeration is a simple first-element walk.  Unions are tried
     in the order of the input positions they cover, so the partitions
     come out in one order whatever order ``reusable_unions`` iterates in
     (leaf-set order breaks cost ties in the task search).
@@ -52,22 +52,24 @@ def input_partitions(
     absorbable.sort(key=lambda item: sorted(item[1]))
 
     results: list[list[frozenset[str]]] = []
-
-    def recurse(remaining: frozenset[int], acc: list[frozenset[str]]) -> None:
+    # Depth first, the first input alone before the unions covering it:
+    # the options are pushed in reverse.
+    stack: list[tuple[frozenset[int], tuple[frozenset[str], ...]]] = [
+        (frozenset(range(len(views))), ())
+    ]
+    while stack:
+        remaining, acc = stack.pop()
         if not remaining:
             results.append(list(acc))
-            return
+            continue
         first = min(remaining)
-        acc.append(views[first])
-        recurse(remaining - {first}, acc)
-        acc.pop()
-        for target, covered in absorbable:
-            if first in covered and covered <= remaining:
-                acc.append(target)
-                recurse(remaining - covered, acc)
-                acc.pop()
-
-    recurse(frozenset(range(len(views))), [])
+        options = [(remaining - {first}, views[first])]
+        options += [
+            (remaining - covered, target)
+            for target, covered in absorbable
+            if first in covered and covered <= remaining
+        ]
+        stack.extend((rest, (*acc, block)) for rest, block in reversed(options))
     return results
 
 
@@ -131,21 +133,27 @@ def substitute_views(
     placement map is returned.
     """
     new_placement: dict[PlanNode, int] = {}
-
-    def rebuild(node: PlanNode) -> PlanNode:
-        if isinstance(node, Leaf):
-            if node.view in replacements:
-                sub_tree, sub_placement = replacements[node.view]
-                new_placement.update(sub_placement)
-                return sub_tree
-            new_placement[node] = placement[node]
-            return node
-        assert isinstance(node, Join)
-        left = rebuild(node.left)
-        right = rebuild(node.right)
-        new = Join(left, right)
-        new_placement[new] = placement[node]
-        return new
-
-    new_tree = rebuild(tree)
+    new_tree = _substitute(tree, placement, replacements, new_placement)
     return new_tree, new_placement
+
+
+def _substitute(
+    node: PlanNode,
+    placement: Mapping[PlanNode, int],
+    replacements: Mapping[frozenset[str], tuple[PlanNode, Mapping[PlanNode, int]]],
+    new_placement: dict[PlanNode, int],
+) -> PlanNode:
+    """:func:`substitute_views` of the subtree ``node``, children first."""
+    if isinstance(node, Leaf):
+        if node.view in replacements:
+            sub_tree, sub_placement = replacements[node.view]
+            new_placement.update(sub_placement)
+            return sub_tree
+        new_placement[node] = placement[node]
+        return node
+    assert isinstance(node, Join)
+    left = _substitute(node.left, placement, replacements, new_placement)
+    right = _substitute(node.right, placement, replacements, new_placement)
+    new = Join(left, right)
+    new_placement[new] = placement[node]
+    return new

@@ -284,7 +284,9 @@ class TopDownOptimizer:
                         f"{[sorted(i.view) for i in inputs]} under the "
                         f"utilization bound"
                     )
-                raise RuntimeError(f"no feasible plan for task over {[i.view for i in inputs]}")
+                raise RuntimeError(  # pragma: no cover - identity partition always exists
+                    f"no feasible plan for task over {[i.view for i in inputs]}"
+                )
             est_cost, tree, placement = best.cost, best.tree, best.placement
             leaf_meta = {leaf: by_view[leaf.view] for leaf in tree.leaves()}
             trace_entry["plans"] = stats["plans_examined"] - plans_before
@@ -326,13 +328,13 @@ class TopDownOptimizer:
         # Fragment id: the member a join was assigned to, with contiguous
         # joins of one member forming one fragment (maximal components).
         fragment_of: dict[PlanNode, int] = {}
-        fragment_counter = 0
         fragments: dict[int, dict] = {}
-
-        def assign(node: PlanNode, parent: Join | None, depth: int) -> None:
-            nonlocal fragment_counter
+        # Pre-order, left subtree first: fragments are numbered in tree order.
+        stack: list[tuple[PlanNode, Join | None, int]] = [(tree, None, 0)]
+        while stack:
+            node, parent, depth = stack.pop()
             if isinstance(node, Leaf):
-                return
+                continue
             assert isinstance(node, Join)
             member = placement[node]
             parent_fragment = fragment_of[parent] if parent is not None else None
@@ -342,18 +344,15 @@ class TopDownOptimizer:
             ):
                 frag_id = parent_fragment
             else:
-                frag_id = fragment_counter
-                fragment_counter += 1
+                frag_id = len(fragments)
                 fragments[frag_id] = {
                     "member": member, "joins": [], "root": node,
                     "parent": parent, "depth": depth,
                 }
             fragment_of[node] = frag_id
             fragments[frag_id]["joins"].append(node)
-            assign(node.left, node, depth + 1)
-            assign(node.right, node, depth + 1)
-
-        assign(tree, None, 0)
+            stack.append((node.right, node, depth + 1))
+            stack.append((node.left, node, depth + 1))
 
         # Plan every fragment one level down.
         fragment_plans: dict[int, _TaskPlan] = {}

@@ -42,6 +42,7 @@ from typing import Any
 from repro.durability.journal import canonical_json
 from repro.durability.snapshot import Fragment
 from repro.errors import StateMismatchError
+from repro.hierarchy.hierarchy import Cluster
 from repro.query.plan import Join, Leaf, PlanNode
 from repro.query.query import JoinPredicate, ViewSignature
 from repro.query.stream import Filter, StreamSpec
@@ -399,42 +400,29 @@ def capture_hierarchy(hierarchy) -> dict[str, Any]:
         for pos, cluster in enumerate(level_clusters):
             positions[id(cluster)] = pos
 
-    def cluster_doc(cluster) -> dict[str, Any]:
-        return {
-            "level": cluster.level,
-            "pos": positions[id(cluster)],
-            "members": list(cluster.members),
-            "coordinator": cluster.coordinator,
-            "children": [
-                [member, cluster_doc(child)]
-                for member, child in cluster.children.items()
-            ],
-        }
-
     return {
         "max_cs": hierarchy.max_cs,
         "height": hierarchy.height,
-        "root": cluster_doc(hierarchy.root),
+        "root": _cluster_doc(hierarchy.root, positions),
+    }
+
+
+def _cluster_doc(cluster, positions: dict[int, int]) -> dict[str, Any]:
+    return {
+        "level": cluster.level,
+        "pos": positions[id(cluster)],
+        "members": list(cluster.members),
+        "coordinator": cluster.coordinator,
+        "children": [
+            [member, _cluster_doc(child, positions)]
+            for member, child in cluster.children.items()
+        ],
     }
 
 
 def restore_hierarchy(hierarchy, doc: dict[str, Any]) -> None:
     """Rebuild the cluster tree *in place* on the shared hierarchy."""
-    from repro.hierarchy.hierarchy import Cluster
-
-    def build(cdoc) -> Cluster:
-        children = {m: build(d) for m, d in cdoc["children"]}
-        cluster = Cluster(
-            level=cdoc["level"],
-            members=list(cdoc["members"]),
-            coordinator=cdoc["coordinator"],
-            children=children,
-        )
-        for child in children.values():
-            child.parent = cluster
-        return cluster
-
-    root = build(doc["root"])
+    root = _restore_cluster(doc["root"])
     by_level: dict[int, list] = {level: [] for level in range(1, doc["height"] + 1)}
     stack = [(doc["root"], root)]
     while stack:
@@ -448,6 +436,19 @@ def restore_hierarchy(hierarchy, doc: dict[str, Any]) -> None:
         for level in range(1, doc["height"] + 1)
     ]
     hierarchy.reindex()
+
+
+def _restore_cluster(cdoc) -> Cluster:
+    children = {m: _restore_cluster(d) for m, d in cdoc["children"]}
+    cluster = Cluster(
+        level=cdoc["level"],
+        members=list(cdoc["members"]),
+        coordinator=cdoc["coordinator"],
+        children=children,
+    )
+    for child in children.values():
+        child.parent = cluster
+    return cluster
 
 
 def capture_rates(rates) -> dict[str, Any]:

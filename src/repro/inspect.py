@@ -41,16 +41,16 @@ def render_hierarchy(hierarchy: Hierarchy, max_members: int = 12) -> str:
             members = members[:max_members] + [f"... +{cluster.size - max_members}"]
         return ", ".join(members)
 
-    def walk(cluster: Cluster, depth: int) -> None:
+    stack = [(hierarchy.root, 1)]
+    while stack:
+        cluster, depth = stack.pop()
         indent = "  " * depth
         lines.append(
             f"{indent}L{cluster.level} cluster "
             f"(coord {cluster.coordinator}, {cluster.size} members): {fmt_members(cluster)}"
         )
-        for member in sorted(cluster.children):
-            walk(cluster.children[member], depth + 1)
-
-    walk(hierarchy.root, 1)
+        for member in sorted(cluster.children, reverse=True):
+            stack.append((cluster.children[member], depth + 1))
     return "\n".join(lines)
 
 
@@ -68,15 +68,15 @@ def render_plan(plan: PlanNode, placement: Mapping[PlanNode, int] | None = None)
             text += f"  @node {placement[node]}"
         return text
 
-    def walk(node: PlanNode, prefix: str, is_last: bool, is_root: bool) -> None:
-        connector = "" if is_root else ("`-- " if is_last else "|-- ")
+    # Per node: its prefix, its connector and what its children's prefix adds.
+    stack = [(plan, "", "", "")]
+    while stack:
+        node, prefix, connector, extension = stack.pop()
         lines.append(prefix + connector + label(node))
         if isinstance(node, Join):
-            extension = "" if is_root else ("    " if is_last else "|   ")
-            walk(node.left, prefix + extension, False, False)
-            walk(node.right, prefix + extension, True, False)
-
-    walk(plan, "", True, True)
+            prefix += extension
+            stack.append((node.right, prefix, "`-- ", "    "))
+            stack.append((node.left, prefix, "|-- ", "|   "))
     return "\n".join(lines)
 
 

@@ -132,7 +132,9 @@ class Span:
                 return f"{value:g}"
             return str(value)
 
-        def walk(span: Span, depth: int) -> None:
+        stack = [(self, 0)]
+        while stack:
+            span, depth = stack.pop()
             parts = [span.name]
             parts += [f"{k}={fmt(v)}" for k, v in span.tags.items()]
             parts += [f"{k}={fmt(v)}" for k, v in sorted(span.counters.items())]
@@ -141,11 +143,8 @@ class Span:
             if span.children and max_depth is not None and depth >= max_depth:
                 pruned = sum(1 for _ in span.walk()) - 1
                 lines.append("  " * (depth + 1) + f"… (+{pruned} pruned)")
-                return
-            for child in span.children:
-                walk(child, depth + 1)
-
-        walk(self, 0)
+                continue
+            stack.extend((child, depth + 1) for child in reversed(span.children))
         return "\n".join(lines)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
