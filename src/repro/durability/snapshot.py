@@ -17,10 +17,12 @@ had to skip.
 
 The state handed to :func:`write_snapshot` may hold :class:`Fragment`
 values -- canonical JSON text the capture made at an earlier snapshot
-and kept (:mod:`repro.durability.state`).  :func:`splice_json` puts them
-into the envelope as they are, so the file is byte for byte what
-``canonical_json`` would have written for the same state as plain
-values.
+and kept (:mod:`repro.durability.state`).  They go into the envelope as
+they are, as :func:`splice_json` puts them, so the file is byte for
+byte what ``canonical_json`` would have written for the same state as
+plain values.  The envelope is never joined into one body: its parts
+are encoded one by one, run through the CRC and written in one
+``writelines``.
 """
 
 from __future__ import annotations
@@ -113,9 +115,11 @@ def write_snapshot(
     """
     state_dir = Path(state_dir)
     state_dir.mkdir(parents=True, exist_ok=True)
-    # One encoder pass: the canonical form the CRC is defined over is
-    # also the file body, with the ``crc`` member spliced in front.
-    body = splice_json(
+    # The canonical form the CRC is defined over is also the file body,
+    # with the ``crc`` member in front: it stays a list of parts, and
+    # the CRC runs over them on their way to the file.
+    parts: list[str] = []
+    _emit(
         {
             "kind": SNAPSHOT_KIND,
             "version": SNAPSHOT_VERSION,
@@ -123,19 +127,27 @@ def write_snapshot(
             "scope": scope,
             "time": time,
             "state": state,
-        }
-    ).encode("utf-8")
-    payload = b'{"crc":%d,' % zlib.crc32(body) + body[1:] + b"\n"
+        },
+        parts.append,
+    )
+    chunks = [part.encode("utf-8") for part in parts]
+    crc = 0
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+    chunks[0] = b'{"crc":%d,' % crc + chunks[0][1:]
+    chunks.append(b"\n")
     path = snapshot_path(state_dir, lsn)
     if journal is not None:
         point = journal.pending_snapshot_crash()
         if point is not None:
-            path.write_bytes(payload[: len(payload) // 2])
+            torn = b"".join(chunks)
+            path.write_bytes(torn[: len(torn) // 2])
             raise SimulatedCrash(
                 f"crash point fired mid-snapshot at lsn={lsn}"
             )
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
+    with open(tmp, "wb") as out:
+        out.writelines(chunks)
     tmp.replace(path)
     _prune(state_dir, retain)
     return path

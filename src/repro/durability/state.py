@@ -27,7 +27,8 @@ Capture is incremental: the items of the long homogeneous lists
 and the network section are canonical-JSON text
 :class:`~repro.durability.snapshot.Fragment` values, and a
 :class:`FragmentMemo` carries each item's text from one snapshot to the
-next while everything the text reads is unchanged.
+next while everything the text reads is unchanged, and the whole
+deployment-state section while its revision stands.
 ``tests/durability/reference_capture.py`` keeps the literal
 build-every-dict capture, layer sections included, that all of this is
 held to byte for byte.  Not captured, on purpose: metric instrument
@@ -60,12 +61,16 @@ class FragmentMemo:
     for a frozen item): the kept text is handed back only while it
     compares equal.  A capture asks :meth:`text` for every live item;
     :meth:`roll` then drops the entries it did not ask for, so the memo
-    is always one snapshot's items.
+    is always one snapshot's items.  :meth:`section` keeps a whole
+    section the same way, keyed on its owner.
     """
 
     def __init__(self) -> None:
         self._kept: dict[int, tuple[Any, Any, str]] = {}
         self._touched: dict[int, tuple[Any, Any, str]] = {}
+        # owner id -> (owner, reads, section, the item entries it holds)
+        self._sections: dict[int, tuple[Any, Any, Any, dict]] = {}
+        self._sections_touched: dict[int, tuple[Any, Any, Any, dict]] = {}
         self._encoded = 0
 
     def text(self, item: Any, reads: Any, to_doc, *args: Any) -> str:
@@ -82,9 +87,28 @@ class FragmentMemo:
         """A JSON array of frozen ``items``, each one's text by identity."""
         return _array(self.text(item, None, to_doc, item) for item in items)
 
+    def section(self, owner: Any, reads: Any, build, *args: Any) -> Any:
+        """``owner``'s section: the kept one while ``reads`` still
+        compares equal, else ``build(*args)`` now.
+
+        A kept section asks again for the items it holds, so a later
+        capture that has to build it anew still finds their text.
+        """
+        kept = self._sections.get(id(owner))
+        if kept is not None and kept[1] == reads:
+            self._touched.update(kept[3])
+        else:
+            outer, self._touched = self._touched, {}
+            kept = (owner, reads, build(*args), self._touched)
+            outer.update(self._touched)
+            self._touched = outer
+        self._sections_touched[id(owner)] = kept
+        return kept[2]
+
     def roll(self) -> int:
         """End one capture; returns how many items it had to encode."""
         self._kept, self._touched = self._touched, {}
+        self._sections, self._sections_touched = self._sections_touched, {}
         encoded, self._encoded = self._encoded, 0
         return encoded
 
@@ -275,10 +299,17 @@ def capture_deployment_state(state, memo: FragmentMemo) -> dict[str, Any]:
     ``origin`` is kept too -- it is what prices an operator that
     outlived its installer (:mod:`repro.resources.ledger`).
 
-    An installed deployment and a flow never change, so their text is
-    kept by identity.  An operator record's text also reads its rate,
-    its holders and whether its installer is still deployed.
+    The whole section is kept while the state's ``revision`` stands:
+    every mutator bumps it, and nothing outside the state mutates its
+    records, flows or deployments.  Once it moved, an installed
+    deployment and a flow never change, so their text is kept by
+    identity; an operator record's text also reads its rate, its
+    holders and whether its installer is still deployed.
     """
+    return memo.section(state, state.revision, _deployment_state_doc, state, memo)
+
+
+def _deployment_state_doc(state, memo: FragmentMemo) -> dict[str, Any]:
     operators = []
     for rec in state.operator_records():
         live = _origin_is_live(state, rec.origin)

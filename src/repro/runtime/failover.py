@@ -50,7 +50,7 @@ class FailureReport:
         coordinator_roles: Levels at which the node was a coordinator.
         new_coordinators: level -> replacement coordinator elected.
         affected_queries: Queries that had operators or reused views on
-            the node.
+            the node, or whose sink or a base stream's source it was.
         redeployed: Affected queries successfully re-planned.
         failed_queries: Affected queries that could not be re-planned
             (e.g. their sink or a base-stream source died).
@@ -107,10 +107,11 @@ def fail_node(
     if engine is None:
         return report
 
-    # Identify queries touching the failed node.
+    # Identify queries touching the failed node: an operator, a reused
+    # view or an endpoint there.
     affected: set[str] = set()
     for deployment in engine.state.deployments:
-        touches = any(
+        touches = node in engine.rates.endpoints(deployment.query) or any(
             placed == node
             for subtree, placed in deployment.placement.items()
             if not (isinstance(subtree, Leaf) and subtree.is_base_stream)

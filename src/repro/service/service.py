@@ -653,9 +653,10 @@ class StreamQueryService:
 
         Repairs the hierarchy (coordinator backups take over), bumps the
         topology epoch (cached placements may reference the dead node),
-        retires every query with an operator there, and resubmits the
-        survivors through normal admission -- so a failure burst is
-        subject to the same backpressure as any other load spike.
+        retires every query with an operator or an endpoint there, and
+        resubmits the survivors through normal admission (one whose sink
+        or source died is lost) -- so a failure burst is subject to the
+        same backpressure as any other load spike.
 
         Raises:
             HierarchyError: The service was built without a hierarchy

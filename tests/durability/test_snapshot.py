@@ -130,15 +130,22 @@ class TestMidSnapshotCrash:
         journal = Journal(tmp_path / "journal.jsonl")
         journal.append("cmd_tick", 0.0, {"time": 0.0})
         journal.arm([CrashPoint(time=0.0, after_lsn=1, mid_snapshot=True)])
+        state = {"x": 1, "items": Fragment("[1,2,3]"), "more": [Fragment("{}")]}
         with pytest.raises(SimulatedCrash):
             write_snapshot(
-                tmp_path, journal.lsn, "service", {"x": 1}, journal=journal
+                tmp_path, journal.lsn, "service", state, time=2.0, journal=journal
             )
         # The torn file exists at the final name but never validates.
         entries = list_snapshots(tmp_path)
         assert len(entries) == 1 and not entries[0]["valid"]
         doc, rejected = load_latest(tmp_path)
         assert doc is None and len(rejected) == 1
+        # It is the first half of the very bytes an unarmed write lands.
+        torn = snapshot_path(tmp_path, journal.lsn).read_bytes()
+        whole = write_snapshot(
+            tmp_path / "unarmed", journal.lsn, "service", state, time=2.0
+        ).read_bytes()
+        assert torn == whole[: len(whole) // 2]
 
     def test_unarmed_journal_does_not_crash_snapshots(self, tmp_path):
         journal = Journal(tmp_path / "journal.jsonl")

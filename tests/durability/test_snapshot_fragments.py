@@ -19,7 +19,10 @@ layers of evidence that both write the same file:
 * a work-count gate at 200 live: an unchanged state encodes nothing, a
   submit encodes exactly what it touched, a statistics publication
   re-encodes operators and flows but no deployment -- so an O(live)
-  regression fails without a clock.
+  regression fails without a clock; and a spy on the deployment
+  state's walks: a snapshot with no command since the previous one
+  walks no deployment, operator record or flow, per shard under a
+  fleet.
 """
 
 import itertools
@@ -43,6 +46,7 @@ from repro.durability import DurabilityConfig
 from repro.durability.state import _origin_is_live
 from repro.fleet import FleetController
 from repro.perf.profiler import profiled
+from repro.query.deployment import DeploymentState
 from repro.query.stream import StreamSpec
 from repro.resilience.degradation import ResilienceConfig
 from repro.resources import ResourceConfig, uniform_capacities
@@ -308,17 +312,68 @@ def test_fleet_snapshots_are_the_reference_bytes_after_every_command():
 # ----------------------------------------------------------------------
 # Work counts
 # ----------------------------------------------------------------------
+_WALKS = ("operator_records", "flows", "deployments")
+
+
+class WalkSpy:
+    """Counts, per deployment state, the calls of :data:`_WALKS` that
+    ``plane``'s snapshots make (the reference capture's are not counted)."""
+
+    def __init__(self, monkeypatch, plane) -> None:
+        self.calls: Counter = Counter()
+        self.armed = False
+        for name in _WALKS:
+            member = DeploymentState.__dict__[name]
+            walk = member.fget if isinstance(member, property) else member
+            spy = self._spy(name, walk)
+            monkeypatch.setattr(
+                DeploymentState, name, property(spy) if isinstance(member, property) else spy
+            )
+        snapshot = plane.durability.snapshot
+
+        def counted_snapshot(time):
+            self.armed = True
+            try:
+                return snapshot(time)
+            finally:
+                self.armed = False
+
+        monkeypatch.setattr(plane.durability, "snapshot", counted_snapshot)
+
+    def _spy(self, name, walk):
+        def spy(state, *args):
+            if self.armed:
+                self.calls[id(state), name] += 1
+            return walk(state, *args)
+
+        return spy
+
+    def take(self, state) -> dict[str, int]:
+        """The walks of ``state`` since the last take, by method."""
+        return {name: self.calls.pop((id(state), name), 0) for name in _WALKS}
+
+
+_NONE = dict.fromkeys(_WALKS, 0)
+_ONCE = dict.fromkeys(_WALKS, 1)
+
+
+def _world(live: int):
+    """A 64-node world and ``live + 1`` queries: a fill and one more."""
+    net = repro.transit_stub_by_size(64, seed=3)
+    hierarchy = repro.build_hierarchy(net, max_cs=6, seed=0)
+    workload = repro.generate_workload(
+        net,
+        repro.WorkloadParams(
+            num_streams=10, num_queries=live + 1, joins_per_query=(1, 3)
+        ),
+        seed=4,
+    )
+    return net, hierarchy, workload
+
+
 class TestWorkCounts:
     def test_a_snapshot_encodes_what_changed_not_what_is_live(self, tmp_path):
-        net = repro.transit_stub_by_size(64, seed=3)
-        hierarchy = repro.build_hierarchy(net, max_cs=6, seed=0)
-        workload = repro.generate_workload(
-            net,
-            repro.WorkloadParams(
-                num_streams=10, num_queries=201, joins_per_query=(1, 3)
-            ),
-            seed=4,
-        )
+        net, hierarchy, workload = _world(200)
         rates = workload.rate_model()
         ads = repro.AdvertisementIndex(hierarchy)
         service = StreamQueryService(
@@ -390,3 +445,90 @@ class TestWorkCounts:
             held[rec.serial] != rec.queries for rec in state.operator_records()
         )
         service.durability.journal.close()
+
+    def test_a_state_section_is_kept_while_its_revision_stands(
+        self, tmp_path, monkeypatch
+    ):
+        net, hierarchy, workload = _world(60)
+        rates = workload.rate_model()
+        service = StreamQueryService(
+            repro.TopDownOptimizer(hierarchy, rates),
+            net,
+            rates,
+            hierarchy=hierarchy,
+            admission=repro.AdmissionController(budget=256),
+            durability=DurabilityConfig(
+                state_dir=str(tmp_path), snapshot_interval=10**6
+            ),
+        )
+        *fill, last = workload
+        for query in fill:
+            service.submit(query)
+        state, memo = service.engine.state, service.durability._memo
+        assert state.num_deployments == 60
+        spy = WalkSpy(monkeypatch, service)
+
+        def items() -> int:
+            return (
+                state.num_deployments + state.num_operators + len(state.flows())
+                + len(service.cache) + 1  # the network section
+            )
+
+        def walks() -> dict[str, int]:
+            got, want, _ = snapshot_and_reference(service)
+            assert got == want
+            assert len(memo._kept) == items()
+            return spy.take(state)
+
+        assert walks() == _ONCE
+        assert walks() == _NONE  # no command since: the section is kept
+        assert walks() == _NONE
+        # A kept section still holds its items' text: a submit after it
+        # encodes only what the submit touched, and walks once.
+        revision = state.revision
+        service.submit(last)
+        assert state.revision > revision
+        assert walks() == _ONCE
+        assert walks() == _NONE
+        service.tick()  # a tick that retires nothing changes nothing
+        assert walks() == _NONE
+        service.retire(fill[0].name)
+        assert walks() == _ONCE
+        service.durability.journal.close()
+
+    def test_each_shard_section_is_kept_on_its_own(self, tmp_path, monkeypatch):
+        net, hierarchy, workload = _world(30)
+        rates = workload.rate_model()
+        fleet = FleetController(
+            2,
+            net,
+            rates,
+            hierarchy,
+            policy="hash",
+            budget=64,
+            durability=DurabilityConfig(
+                state_dir=str(tmp_path), snapshot_interval=10**6
+            ),
+        )
+        *fill, last = workload
+        for query in fill:
+            fleet.submit(query)
+        states = [shard.engine.state for shard in fleet.shards]
+        assert len(fleet.live_queries) == 30
+        assert all(state.num_deployments for state in states)
+        spy = WalkSpy(monkeypatch, fleet)
+
+        def walks() -> list[dict[str, int]]:
+            got, want, _ = snapshot_and_reference(fleet)
+            assert got == want
+            return [spy.take(state) for state in states]
+
+        assert walks() == [_ONCE, _ONCE]
+        assert walks() == [_NONE, _NONE]
+        fleet.submit(last)
+        changed = fleet.shard_of(last.name)
+        want = [_NONE, _NONE]
+        want[changed] = _ONCE
+        assert walks() == want
+        assert walks() == [_NONE, _NONE]
+        fleet.durability.journal.close()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.adaptive import AdaptivityConfig
 from repro.runtime.failover import FailureReport, backup_coordinator, fail_node
 
 
@@ -146,28 +147,32 @@ class TestFailureReportShape:
             assert backup_coordinator(cluster, net.cost_matrix()) is None
 
 
+def _running_service(**layers):
+    net = repro.transit_stub_by_size(32, seed=51)
+    hierarchy = repro.build_hierarchy(net, max_cs=4, seed=0)
+    workload = repro.generate_workload(
+        net,
+        repro.WorkloadParams(num_streams=6, num_queries=6, joins_per_query=(1, 3)),
+        seed=52,
+    )
+    rates = workload.rate_model()
+    ads = repro.AdvertisementIndex(hierarchy)
+    optimizer = repro.TopDownOptimizer(hierarchy, rates, ads=ads)
+    service = repro.StreamQueryService(
+        optimizer, net, rates, hierarchy=hierarchy, ads=ads,
+        admission=repro.AdmissionController(budget=16), **layers,
+    )
+    for query in workload:
+        assert service.submit(query).admitted
+    return service
+
+
 class TestServiceRetireReadmit:
     """The lifecycle service's retire/re-admit path rides on fail_node."""
 
     @pytest.fixture()
     def service(self):
-        net = repro.transit_stub_by_size(32, seed=51)
-        hierarchy = repro.build_hierarchy(net, max_cs=4, seed=0)
-        workload = repro.generate_workload(
-            net,
-            repro.WorkloadParams(num_streams=6, num_queries=6, joins_per_query=(1, 3)),
-            seed=52,
-        )
-        rates = workload.rate_model()
-        ads = repro.AdvertisementIndex(hierarchy)
-        optimizer = repro.TopDownOptimizer(hierarchy, rates, ads=ads)
-        service = repro.StreamQueryService(
-            optimizer, net, rates, hierarchy=hierarchy, ads=ads,
-            admission=repro.AdmissionController(budget=16),
-        )
-        for query in workload:
-            assert service.submit(query).admitted
-        return service
+        return _running_service()
 
     def test_failure_retires_and_readmits(self, service):
         protected = {spec.source for spec in service.rates.streams.values()}
@@ -204,6 +209,19 @@ class TestServiceRetireReadmit:
         report = service.handle_node_failure(victim)
         lost_sinks = {name for name, sink in sinks.items() if sink == victim}
         assert lost_sinks & set(report.lost) == lost_sinks & set(report.retired)
+
+    def test_failure_of_a_sink_without_operators_loses_its_query(self):
+        # q4 sinks at node 6 and places no operator there: its only tie to
+        # the node is the endpoint.  Left live, the next adaptive tick
+        # would re-plan it toward a sink the hierarchy no longer has.
+        service = _running_service(adaptivity=AdaptivityConfig())
+        q4 = service.engine.state.deployment("q4")
+        assert q4.query.sink == 6 and 6 not in q4.operator_nodes.values()
+
+        report = service.handle_node_failure(6)
+        assert report.retired == report.lost == ["q4"]
+        assert "q4" not in service.live_queries
+        service.tick()  # nothing live is anchored at the dead node
 
     def test_readmitted_queries_keep_remaining_lifetime(self, service):
         # find a live query with an operator on a non-source/sink node,

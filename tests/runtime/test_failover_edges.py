@@ -55,6 +55,16 @@ class TestSinkDeath:
         assert query.name not in report.redeployed
         assert hierarchy.invariant_violations() == []
 
+    def test_an_endpoint_alone_makes_a_query_affected(self, system):
+        net, hierarchy, workload, rates, engine, optimizer = system
+        for query in workload:
+            engine.deploy(optimizer.plan(query, engine.state))
+        hosts = {node for deployment in engine.state.deployments
+                 for node in deployment.operator_nodes.values()}
+        query = next(q for q in workload if q.sink not in hosts)
+        report = fail_node(hierarchy, query.sink, engine=engine)
+        assert query.name in report.affected_queries
+
 
 class TestFailureReportRoundTrip:
     def test_json_round_trip_preserves_everything(self):
