@@ -5,12 +5,12 @@ curated case under the op-count profiler, verify the counts are
 deterministic across repeats, compare the entry against itself as a
 one-entry trajectory (trivially clean), and report the op-count table --
 the same numbers CI's ``perf-lab`` job gates on.  Also times the
-profiler's hot paths: the disabled hook (one global read) and a fully
-profiled hierarchical planning call.
+profiler's hot paths: the disabled hook (one context-variable read) and
+a fully profiled hierarchical planning call.
 """
 
 from benchmarks.conftest import bench_scale, save_text
-from repro.perf import profiler as perf_profiler
+from repro.obs.tracer import count, op_sink
 from repro.perf.compare import compare_trajectory
 from repro.perf.lab import CASES, PerfLab
 
@@ -39,8 +39,8 @@ def test_perf_lab_trajectory(benchmark):
     save_text("perf_lab", "\n".join(lines))
 
     # time the disabled hook: the zero-cost-when-off contract's hot path
-    assert perf_profiler.active() is None
-    benchmark(perf_profiler.active)
+    assert op_sink() is None
+    benchmark(count, "messages")
 
 
 def test_profiled_planning_overhead():

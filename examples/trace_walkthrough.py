@@ -33,10 +33,11 @@ def main() -> None:
     query = workload.queries[0]  # a 5-way join (4 join predicates)
     print(f"query {query.name}: join {' * '.join(query.sources)} -> sink {query.sink}\n")
 
-    print("== Planning with an enabled tracer and explain=True ==")
+    print("== Planning under an installed tracer with explain=True ==")
     tracer = repro.Tracer()
-    optimizer = repro.TopDownOptimizer(hierarchy, rates, tracer=tracer)
-    deployment = optimizer.plan(query, None, explain=True)
+    optimizer = repro.TopDownOptimizer(hierarchy, rates)
+    with repro.tracing(tracer):
+        deployment = optimizer.plan(query, None, explain=True)
     print(f"plan: {deployment.plan.pretty()}")
     print(f"estimated cost: {deployment.stats['est_cost']:,.1f}/unit-time\n")
 

@@ -93,12 +93,12 @@ from repro.obs import (
     Histogram,
     MetricRegistry,
     NULL_CAUSAL,
-    NULL_TRACER,
     PlanExplanation,
     Span,
     TraceContext,
     Tracer,
     build_explanation,
+    tracing,
 )
 from repro.perf import OpProfiler, profiled
 from repro.errors import (
@@ -275,7 +275,7 @@ __all__ = [
     # observability
     "Span",
     "Tracer",
-    "NULL_TRACER",
+    "tracing",
     "TraceContext",
     "CausalTracer",
     "NULL_CAUSAL",

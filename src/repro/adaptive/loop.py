@@ -35,6 +35,7 @@ from typing import Any
 from repro.adaptive.migrate import MigrationOutcome, Migrator
 from repro.adaptive.policy import ReoptConfig, ReoptDecision, ReoptPolicy
 from repro.adaptive.stats import DriftEvent, StatsMonitor
+from repro.obs.tracer import incr, span
 
 
 @dataclass(frozen=True)
@@ -212,7 +213,7 @@ class AdaptivityLoop:
         """
         assert self.monitor is not None, "loop is not bound to a service"
         report = AdaptiveTickReport(time=now)
-        with service.tracer.span("adaptive_tick") as span:
+        with span("adaptive_tick") as tick_span:
             if not service.faults.statistics_frozen(now):
                 event = self.monitor.maybe_publish(now)
                 if event is not None:
@@ -220,7 +221,7 @@ class AdaptivityLoop:
                     self._dirty = True
                     self._instruments["drift_events"].inc()
                     self._instruments["streams_published"].inc(float(len(event.drifts)))
-                    span.incr("drift_streams", len(event.drifts))
+                    tick_span.incr("drift_streams", len(event.drifts))
                     # Live flows now ship at the published rates; the
                     # epoch bump kills stale cached plans.
                     service.engine.refresh_rates(now)
@@ -229,12 +230,12 @@ class AdaptivityLoop:
                 self._seen_topology = service.topology_epoch
                 self._dirty = True
             if self._dirty:
-                self._reoptimize(service, now, report, span)
+                self._reoptimize(service, now, report)
                 self._dirty = bool(report.committed)
         self.reports.append(report)
         return report
 
-    def _reoptimize(self, service, now: float, report: AdaptiveTickReport, span) -> None:
+    def _reoptimize(self, service, now: float, report: AdaptiveTickReport) -> None:
         assert self.policy is not None and self.migrator is not None
         cfg = self.config
         state = service.engine.state
@@ -243,7 +244,7 @@ class AdaptivityLoop:
             last = self._last_migration.get(name)
             if last is not None and now - last < cfg.query_cooldown:
                 continue
-            with service.tracer.span("adaptive_evaluate", query=name) as ev_span:
+            with span("adaptive_evaluate", query=name) as ev_span:
                 decision = self.policy.evaluate(
                     state, deployment, service.network.cost_matrix()
                 )
@@ -258,7 +259,7 @@ class AdaptivityLoop:
                 decision.reason += " (deferred: per-tick migration budget spent)"
                 continue
             assert decision.candidate is not None and decision.diff is not None
-            with service.tracer.span("adaptive_migrate", query=name) as mig_span:
+            with span("adaptive_migrate", query=name) as mig_span:
                 outcome = self.migrator.execute(
                     service.engine,
                     deployment,
@@ -281,10 +282,10 @@ class AdaptivityLoop:
                     self._instruments["cutover_seconds"].observe(
                         outcome.timeline.duration
                     )
-                span.incr("migrations_committed")
+                incr("migrations_committed")  # on the adaptive_tick span
             else:
                 self._instruments["aborts"].inc()
-                span.incr("migrations_aborted")
+                incr("migrations_aborted")
 
     # ------------------------------------------------------------------
     def capture(self) -> dict[str, Any]:

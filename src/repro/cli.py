@@ -487,7 +487,7 @@ def _cmd_resources(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     import json
 
-    from repro.obs import Tracer
+    from repro.obs import Tracer, tracing
     from repro.serialization import explanation_to_json, trace_to_json
 
     world = _world(args)
@@ -497,9 +497,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.causal or args.chrome:
         return _cmd_trace_causal(args, world, queries[args.query])
     tracer = Tracer()
-    _ads, optimizer = _planner(world, args, tracer=tracer)
+    _ads, optimizer = _planner(world, args)
     query = queries[args.query]
-    deployment = optimizer.plan(query, None, explain=True)
+    with tracing(tracer):
+        deployment = optimizer.plan(query, None, explain=True)
     root = tracer.last_root
     assert root is not None and deployment.explanation is not None
     if args.json:

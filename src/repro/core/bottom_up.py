@@ -42,8 +42,8 @@ from repro.core.reuse import input_partitions, substitute_views
 from repro.core.search import TreeSearch
 from repro.hierarchy.advertisements import AdvertisementIndex, ViewLookup
 from repro.hierarchy.hierarchy import Cluster, Hierarchy
-from repro.obs.explain import build_explanation
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.explain import explained_plan
+from repro.obs.tracer import NULL_SPAN, incr, span
 from repro.query.deployment import Deployment, DeploymentState
 from repro.query.plan import Join, Leaf, PlanNode
 from repro.query.query import Query
@@ -73,8 +73,6 @@ class BottomUpOptimizer:
             omitted).
         reuse: Consider advertised derived views while planning.
         connected_only: Skip cross-product join trees when possible.
-        tracer: Span tracer (see :mod:`repro.obs.tracer`); the no-op
-            :data:`~repro.obs.tracer.NULL_TRACER` when omitted.
         resources: Optional :class:`~repro.resources.ResourceManager`;
             same contract as on
             :class:`~repro.core.top_down.TopDownOptimizer` -- bounded /
@@ -91,7 +89,6 @@ class BottomUpOptimizer:
         ads: AdvertisementIndex | None = None,
         reuse: bool = True,
         connected_only: bool = True,
-        tracer: Tracer | None = None,
         resources=None,
     ) -> None:
         self.hierarchy = hierarchy
@@ -99,14 +96,11 @@ class BottomUpOptimizer:
         self.reuse = reuse
         self.connected_only = connected_only
         self.resources = resources
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         if ads is None:
             ads = AdvertisementIndex(hierarchy)
             for name, spec in rates.streams.items():
                 ads.advertise_base(name, spec.source)
         self.ads = ads
-        if self.tracer.enabled:
-            self.ads.tracer = self.tracer
 
     # ------------------------------------------------------------------
     def plan(
@@ -118,28 +112,12 @@ class BottomUpOptimizer:
         """Plan and place ``query`` by climbing from its sink.
 
         With ``explain=True`` the climb is traced (on a one-shot tracer
-        if none was configured) and the returned deployment carries a
+        if none is installed) and the returned deployment carries a
         :class:`~repro.obs.explain.PlanExplanation`.
         """
-        tracer = self.tracer
-        if explain and not tracer.enabled:
-            tracer = Tracer()
-        with tracer.span(
-            "optimize", algorithm=self.name, query=query.name,
-            sources=len(query.sources),
-        ) as root:
-            deployment = self._plan(query, state, tracer)
-        if tracer.enabled:
-            deployment.stats["trace"] = root.to_dict()
-            if explain:
-                deployment.explanation = build_explanation(
-                    deployment, root, self.hierarchy.network.cost_matrix(), self.rates
-                )
-        return deployment
+        return explained_plan(self, query, state, explain, self.hierarchy.network)
 
-    def _plan(
-        self, query: Query, state: DeploymentState | None, tracer: Tracer
-    ) -> Deployment:
+    def _plan(self, query: Query, state: DeploymentState | None) -> Deployment:
         if state is not None and self.reuse:
             self.ads.sync_from_state(state)
         costs = self.hierarchy.network.cost_matrix()
@@ -209,7 +187,7 @@ class BottomUpOptimizer:
             local = [
                 inp for inp in remaining if all(p in subtree for p in inp.positions)
             ]
-            with tracer.span(
+            with span(
                 "climb", level=cluster.level, coordinator=cluster.coordinator,
                 local_inputs=len(local), pending_inputs=len(remaining),
                 candidates=len(candidates),
@@ -218,7 +196,7 @@ class BottomUpOptimizer:
                     # Everything is local: plan the final join and stop.
                     final = self._plan_component(
                         cluster, candidates, remaining, query.sink, query, costs,
-                        stats, built, flow, reusable, tracer, constraint=constraint,
+                        stats, built, flow, reusable, constraint=constraint,
                     )
                     trace_entry["plans"] = stats["plans_examined"] - plans_before
                     climb.tag(outcome="final")
@@ -226,7 +204,7 @@ class BottomUpOptimizer:
                 if len(local) >= 2:
                     remaining = self._deploy_local_views(
                         cluster, candidates, local, remaining, query, costs,
-                        stats, built, flow, reusable, tracer, constraint=constraint,
+                        stats, built, flow, reusable, constraint=constraint,
                     )
                     climb.tag(outcome="partial-deploy")
                 else:
@@ -253,13 +231,12 @@ class BottomUpOptimizer:
         built: dict,
         flow: Callable[[PlanNode], float],
         reusable: ViewLookup,
-        tracer: Tracer = NULL_TRACER,
         constraint=None,
     ) -> list[_Input]:
         """Join every join-connected group of local inputs; return the
         updated pending-input list."""
         components = self._components(local, query)
-        tracer.incr("join_components", len(components))
+        incr("join_components", len(components))
         new_remaining = [inp for inp in remaining if inp not in local]
         for component in components:
             if len(component) == 1:
@@ -267,7 +244,7 @@ class BottomUpOptimizer:
                 continue
             tree, placement = self._plan_component(
                 cluster, candidates, component, cluster.coordinator, query, costs,
-                stats, built, flow, reusable, tracer, constraint=constraint,
+                stats, built, flow, reusable, constraint=constraint,
             )
             root_node = placement[tree]
             view = tree.sources
@@ -289,7 +266,6 @@ class BottomUpOptimizer:
         built: dict,
         flow: Callable[[PlanNode], float],
         reusable: ViewLookup,
-        tracer: Tracer = NULL_TRACER,
         constraint=None,
     ) -> tuple[PlanNode, dict[PlanNode, int]]:
         """Exhaustively plan the join over ``inputs`` on ``candidates``.
@@ -297,10 +273,10 @@ class BottomUpOptimizer:
         Returns the *concrete* (tree, placement) with built sub-views
         substituted in, ready to compose upward.
         """
-        with tracer.span(
+        with span(
             "component", level=cluster.level, coordinator=cluster.coordinator,
             inputs=len(inputs),
-        ) as span:
+        ) as component:
             if len(candidates) > self.hierarchy.max_cs:
                 # Honor the per-partition search budget of Theorem 4: keep
                 # the max_cs chain nodes most relevant to this component.
@@ -311,17 +287,17 @@ class BottomUpOptimizer:
                         sum(costs[p, node] for p in positions) + costs[node, target]
                     )
 
-                span.incr("candidates_dropped", len(candidates) - self.hierarchy.max_cs)
+                component.incr("candidates_dropped", len(candidates) - self.hierarchy.max_cs)
                 candidates = sorted(candidates, key=relevance)[: self.hierarchy.max_cs]
-            span.tag(candidates=len(candidates))
+            component.tag(candidates=len(candidates))
             search = TreeSearch(
                 query, candidates, costs, flow, target, self.connected_only,
-                stats, span, tracer, constraint=constraint,
+                stats, component, constraint=constraint,
             )
             leaf_sets = self._candidate_leaf_sets(cluster, inputs, reusable)
-            span.incr("leaf_set_alternatives", len(leaf_sets))
+            component.incr("leaf_set_alternatives", len(leaf_sets))
             if len(leaf_sets) > 1:
-                span.incr("reuse_groupings", len(leaf_sets) - 1)
+                component.incr("reuse_groupings", len(leaf_sets) - 1)
             for leaf_inputs in leaf_sets:
                 if len(leaf_inputs) == 1:
                     only = leaf_inputs[0]
@@ -337,8 +313,8 @@ class BottomUpOptimizer:
                     )
                     stats["trees_examined"] += 1
                     stats["plans_examined"] += 1
-                    span.incr("trees_enumerated")
-                    span.incr("plans_examined")
+                    component.incr("trees_enumerated")
+                    component.incr("plans_examined")
                     continue
                 search.add_leaf_set(
                     [inp.view for inp in leaf_inputs],
@@ -354,11 +330,11 @@ class BottomUpOptimizer:
                     )
                 raise RuntimeError("no feasible component plan")  # pragma: no cover - identity partition always exists
             cost, tree, placement = best.cost, best.tree, best.placement
-            if tracer.enabled:
-                span.tag(chosen=tree.pretty(), est_cost=cost)
+            if component is not NULL_SPAN:
+                component.tag(chosen=tree.pretty(), est_cost=cost)
             reused = sum(1 for l in tree.leaves() if not l.is_base_stream)
             if reused:
-                span.incr("reuse_leaves_chosen", reused)
+                component.incr("reuse_leaves_chosen", reused)
         stats["_final_cost"] = cost
         # Record where this visit's *new* operators land (protocol sim),
         # before substitution merges in older ones.

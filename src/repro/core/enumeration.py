@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from repro.core.reuse import input_partitions
-from repro.perf import profiler as _perf
+from repro.obs.tracer import count
 from repro.query.plan import Join, Leaf, PlanNode
 from repro.query.query import Query
 from repro.utils import double_factorial_odd
@@ -198,9 +198,7 @@ def all_join_trees(
             for r_tree in over[right]
         ]
     trees = over.get((1 << len(leaves)) - 1, [])
-    prof = _perf.active()
-    if prof is not None:
-        prof.count("trees_enumerated", len(trees))
+    count("trees_enumerated", len(trees))
     return trees
 
 

@@ -21,10 +21,9 @@ from repro.core.bounds import exhaustive_space
 from repro.core.cost import RateModel
 from repro.core.enumeration import connected_join_trees
 from repro.core.placement import brute_force_tree_placement, nominal_assignments
-from repro.perf import profiler as _perf
 from repro.network.graph import Network
-from repro.obs.explain import build_explanation
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.explain import explained_plan
+from repro.obs.tracer import incr, op_sink, span, tag
 from repro.query.deployment import Deployment, DeploymentState
 from repro.query.plan import Join, Leaf, PlanNode
 from repro.query.query import Query
@@ -60,7 +59,6 @@ class OptimalPlanner:
         rates: RateModel,
         reuse: bool = True,
         containment: bool = False,
-        tracer: Tracer | None = None,
     ) -> None:
         self.network = network
         self.rates = rates
@@ -69,7 +67,6 @@ class OptimalPlanner:
         # views with a *subset* of the needed filters, shipping at the
         # provider's larger rate (see repro.core.containment).
         self.containment = containment
-        self.tracer = tracer if tracer is not None else NULL_TRACER
 
     def plan(
         self,
@@ -82,28 +79,12 @@ class OptimalPlanner:
         When ``state`` is given and reuse is enabled, already-deployed
         views with matching signatures are free to reuse at their nodes.
         With ``explain=True`` the DP is traced (on a one-shot tracer if
-        none was configured) and the deployment carries a
+        none is installed) and the deployment carries a
         :class:`~repro.obs.explain.PlanExplanation`.
         """
-        tracer = self.tracer
-        if explain and not tracer.enabled:
-            tracer = Tracer()
-        with tracer.span(
-            "optimize", algorithm=self.name, query=query.name,
-            sources=len(query.sources),
-        ) as root:
-            deployment = self._plan(query, state, tracer)
-        if tracer.enabled:
-            deployment.stats["trace"] = root.to_dict()
-            if explain:
-                deployment.explanation = build_explanation(
-                    deployment, root, self.network.cost_matrix(), self.rates
-                )
-        return deployment
+        return explained_plan(self, query, state, explain, self.network)
 
-    def _plan(
-        self, query: Query, state: DeploymentState | None, tracer: Tracer
-    ) -> Deployment:
+    def _plan(self, query: Query, state: DeploymentState | None) -> Deployment:
         costs = self.network.cost_matrix()
         n = costs.shape[0]
         sources = frozenset(query.sources)
@@ -150,8 +131,8 @@ class OptimalPlanner:
                             rate = self.rates.rate(sig) * inflation
                             providers[sig.sources] = {n: rate for n in nodes}
 
-        tracer.incr("reuse_provider_views", len(providers))
-        tracer.incr(
+        incr("reuse_provider_views", len(providers))
+        incr(
             "reuse_provider_nodes", sum(len(nodes) for nodes in providers.values())
         )
         subsets = _connected_subsets(query)
@@ -197,13 +178,13 @@ class OptimalPlanner:
                 subset_splits.append((left, right))
             splits[subset] = subset_splits
             split_of[subset] = choice
-            tracer.incr("dp_subsets")
-            tracer.incr("splits_considered", len(subset_splits))
-            prof = _perf.active()
-            if prof is not None:
-                prof.count("dp_subsets")
+            incr("dp_subsets")
+            incr("splits_considered", len(subset_splits))
+            ops = op_sink()
+            if ops is not None:
+                ops.count("dp_subsets")
                 # Split scan over n nodes plus the n x n shipping scan.
-                prof.count("cost_evaluations", (len(subset_splits) + n) * n)
+                ops.count("cost_evaluations", (len(subset_splits) + n) * n)
 
             # Compute option: produce somewhere, ship at the view's rate.
             arrival = produce[:, None] + rate * costs
@@ -220,7 +201,7 @@ class OptimalPlanner:
                 ridx = reuse_arrival.argmin(axis=0)
                 rbest = reuse_arrival[ridx, np.arange(n)]
                 use = rbest < best_avail
-                tracer.incr("reuse_shipping_wins", int(np.count_nonzero(use)))
+                incr("reuse_shipping_wins", int(np.count_nonzero(use)))
                 best_avail = np.where(use, rbest, best_avail)
                 best_reuse = np.where(use, pnodes[ridx], best_reuse)
             avail[subset] = best_avail
@@ -258,14 +239,14 @@ class OptimalPlanner:
             placement[join] = node
             return join
 
-        with tracer.span("extract") as espan:
+        with span("extract") as espan:
             plan = acquire(sources, query.sink)
             espan.incr("operators", plan.num_joins)
             espan.incr(
                 "reuse_leaves", sum(1 for l in plan.leaves() if not l.is_base_stream)
             )
         stats["cost_estimate"] = float(avail[sources][query.sink])
-        tracer.tag(est_cost=stats["cost_estimate"])
+        tag(est_cost=stats["cost_estimate"])
         return Deployment(query=query, plan=plan, placement=placement, stats=stats)
 
 
@@ -282,17 +263,14 @@ class BruteForceSearch:
         network: Network,
         rates: RateModel,
         connected_only: bool = True,
-        tracer: Tracer | None = None,
     ) -> None:
         self.network = network
         self.rates = rates
         self.connected_only = connected_only
-        self.tracer = tracer if tracer is not None else NULL_TRACER
 
     def plan(self, query: Query, state: DeploymentState | None = None) -> Deployment:
         """Search every plan/assignment combination; return the cheapest."""
         del state  # brute force does not model reuse
-        tracer = self.tracer
         costs = self.network.cost_matrix()
         nodes = self.network.nodes()
         views = [frozenset((s,)) for s in query.sources]
@@ -305,17 +283,17 @@ class BruteForceSearch:
         best_cost = float("inf")
         best: tuple[PlanNode, dict[PlanNode, int]] | None = None
         examined = 0
-        with tracer.span(
+        with span(
             "optimize", algorithm=self.name, query=query.name
-        ) as span:
+        ) as root:
             for tree in trees:
                 rates = self.rates.flow_rates(query, tree)
                 leaf_positions = {
                     leaf: [self.rates.source(leaf.stream)] for leaf in tree.leaves()
                 }
                 examined += nominal_assignments(tree, len(nodes))
-                span.incr("trees_enumerated")
-                span.incr("plans_examined", nominal_assignments(tree, len(nodes)))
+                root.incr("trees_enumerated")
+                root.incr("plans_examined", nominal_assignments(tree, len(nodes)))
                 result = brute_force_tree_placement(
                     tree, nodes, costs, leaf_positions, rates, sink=query.sink
                 )

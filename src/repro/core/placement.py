@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.errors import InfeasiblePlacementError
-from repro.perf import profiler as _perf
+from repro.obs.tracer import incr, op_sink
 from repro.query.plan import Leaf, PlanNode
 
 
@@ -71,7 +71,7 @@ class LevelDP:
     set, :meth:`place` reads them.
 
     Args:
-        candidates, costs, sink, tracer, constraint: As for
+        candidates, costs, sink, constraint: As for
             :func:`optimal_tree_placement`.
 
     Attributes:
@@ -84,7 +84,6 @@ class LevelDP:
         candidates: Sequence[int],
         costs: np.ndarray,
         sink: int | None,
-        tracer=None,
         constraint=None,
     ) -> None:
         cand = np.asarray(list(candidates), dtype=np.intp)
@@ -93,7 +92,6 @@ class LevelDP:
         self._cand = cand
         self._costs = costs
         self._sink = sink
-        self._tracer = tracer
         self._constraint = constraint
         self.binds = constraint is not None and constraint.binds(cand.tolist())
 
@@ -123,8 +121,8 @@ class LevelDP:
             rates: Output rate of every row below the roots.
             root_rate: Output rate of a root (``None`` without a sink).
 
-        Counts one placement per root on the tracer's current span and
-        the profiler.
+        Counts one placement per root on the installed tracer's current
+        span and on the op channel.
         """
         cand, costs, constraint = self._cand, self._costs, self._constraint
         leaves = len(positions)
@@ -136,14 +134,13 @@ class LevelDP:
         )
         roots = len(levels[-1][0]) if levels else 1
         joined = len(rates) - leaves + roots
-        if self._tracer is not None:
-            self._tracer.incr("placements", roots)
-            self._tracer.incr("placement_dp_states", roots * (leaves - 1) * cand.size)
-        prof = _perf.active()
-        if prof is not None:
-            prof.count("placements", roots)
+        incr("placements", roots)
+        incr("placement_dp_states", roots * (leaves - 1) * cand.size)
+        ops = op_sink()
+        if ops is not None:
+            ops.count("placements", roots)
             if joined:
-                prof.count("cost_evaluations", joined * cand.size)
+                ops.count("cost_evaluations", joined * cand.size)
         # dp[v, row - leaves]: cost of producing a join row's output at
         # candidate v; ship[v, row]: of that output (a leaf's too) arriving
         # at v from wherever it is best produced.  Rows run along the last
@@ -244,7 +241,6 @@ def optimal_tree_placement(
     leaf_positions: Mapping[Leaf, Sequence[int]],
     rates: Mapping[PlanNode, float],
     sink: int | None,
-    tracer=None,
     constraint=None,
 ) -> PlacementResult:
     """Optimally assign ``tree``'s operators to ``candidates``.
@@ -252,6 +248,9 @@ def optimal_tree_placement(
     A one-tree use of :class:`LevelDP` (a level per join, in post-order);
     searches over all trees of a leaf set price them together
     (:mod:`repro.core.search`).
+    Placement is the innermost hot loop, so rather than opening a span
+    per call it counts (``placements``, ``placement_dp_states``) on the
+    installed tracer's current span.
 
     Args:
         tree: The join tree to place.
@@ -266,10 +265,6 @@ def optimal_tree_placement(
         sink: Node the root output is delivered to, or ``None`` to skip
             delivery cost (the root output then simply materializes at
             the cheapest producing node).
-        tracer: Optional :class:`repro.obs.tracer.Tracer`; placement is
-            the innermost hot loop, so rather than opening a span per
-            call it increments counters on the caller's current span
-            (``placements``, ``placement_dp_states``).
         constraint: Optional
             :class:`~repro.resources.constraint.PlacementConstraint`.
             Candidates that would push a node past its utilization
@@ -284,7 +279,7 @@ def optimal_tree_placement(
         InfeasiblePlacementError: ``constraint`` was given and no
             assignment keeps every operator's node under its bound.
     """
-    table = LevelDP(candidates, costs, sink, tracer=tracer, constraint=constraint)
+    table = LevelDP(candidates, costs, sink, constraint=constraint)
     leaves, joins = tree.leaves(), tree.joins()
     positions = []
     for leaf in leaves:

@@ -14,6 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro.obs.tracer import span
 from repro.query.plan import Join, Leaf, PlanNode
 from repro.query.query import Query, ViewSignature
 
@@ -79,7 +80,6 @@ def resolve_reuse_leaves(
     placement: dict[PlanNode, int],
     view_nodes: Mapping[ViewSignature, set[int]],
     costs: np.ndarray,
-    tracer=None,
 ) -> None:
     """Pin every reused-view leaf to its cheapest advertisement node.
 
@@ -90,14 +90,10 @@ def resolve_reuse_leaves(
     join's node, or the query sink for a fully-reused plan).  Mutates
     ``placement`` in place.
 
-    ``tracer`` (a :class:`repro.obs.tracer.Tracer`) gets one
-    ``resolve_reuse`` span counting the pinned leaves and the provider
-    nodes considered.
+    Under an installed tracer this is one ``resolve_reuse`` span
+    counting the pinned leaves and the provider nodes considered.
     """
-    from repro.obs.tracer import NULL_TRACER
-
-    tracer = tracer if tracer is not None else NULL_TRACER
-    with tracer.span("resolve_reuse") as span:
+    with span("resolve_reuse") as resolve:
         consumers: dict[PlanNode, int] = {plan: query.sink}
         for join in plan.joins():
             consumers[join.left] = placement[join]
@@ -114,8 +110,8 @@ def resolve_reuse_leaves(
             consumer = consumers[leaf]
             # The lowest node wins a tie, not the set's iteration order.
             placement[leaf] = min(nodes, key=lambda n: (costs[n, consumer], n))
-            span.incr("reuse_leaves_pinned")
-            span.incr("provider_nodes_considered", len(nodes))
+            resolve.incr("reuse_leaves_pinned")
+            resolve.incr("provider_nodes_considered", len(nodes))
 
 
 def substitute_views(

@@ -27,7 +27,8 @@ place-each-tree loop returns (that loop lives on as the oracle
 
 The counters written to ``stats`` and the span are the paper's *nominal*
 search-space accounting (trees that exist, assignments they span), not
-the work done here; work is what :mod:`repro.perf.profiler` counts.
+the work done here; work is what the op channel counts
+(:func:`repro.obs.tracer.count`).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 from repro.core.enumeration import count_bushy_trees, join_program, view_adjacency
 from repro.core.placement import LevelDP, PlacementResult
-from repro.perf import profiler as _perf
+from repro.obs.tracer import incr, op_sink
 from repro.query.plan import Join, Leaf, PlanNode
 from repro.query.query import Query
 
@@ -89,8 +90,8 @@ class TreeSearch:
         connected_only: Skip cross-product trees when a connected one exists.
         stats: The deployment's stats dict; ``plans_examined`` and
             ``trees_examined`` are advanced per tree.
-        span: The task's span (nominal search counters).
-        tracer: Tracer whose current span is ``span``.
+        span: The task's span (nominal search counters), the installed
+            tracer's current span.
         constraint: Optional
             :class:`~repro.resources.constraint.PlacementConstraint`.
 
@@ -108,7 +109,6 @@ class TreeSearch:
         connected_only: bool,
         stats: dict,
         span,
-        tracer,
         constraint=None,
     ) -> None:
         self.query = query
@@ -119,10 +119,9 @@ class TreeSearch:
         self.connected_only = connected_only
         self.stats = stats
         self.span = span
-        self.tracer = tracer
         self.constraint = constraint
         self.best: PlacementResult | None = None
-        self._table = LevelDP(candidates, costs, sink, tracer=tracer, constraint=constraint)
+        self._table = LevelDP(candidates, costs, sink, constraint=constraint)
         self._nodes = [int(node) for node in candidates]
 
     def offer(self, result: PlacementResult) -> None:
@@ -156,20 +155,19 @@ class TreeSearch:
         written as :meth:`_add_program` writes them, except that no array
         pass is counted.
         """
-        span, stats, tracer, sink = self.span, self.stats, self.tracer, self.sink
+        span, stats, sink = self.span, self.stats, self.sink
         nodes, item = self._nodes, self.costs.item
         span.incr("trees_enumerated", 1)
         # The one split is a cross product iff no predicate links the views.
         if self.connected_only and view_adjacency(self.query, views)[0]:
             span.incr("pruned_cross_trees", 0)
-        prof = _perf.active()
-        if tracer is not None:
-            tracer.incr("placements", 1)
-            tracer.incr("placement_dp_states", len(nodes))
-        if prof is not None:
-            prof.count("trees_enumerated", 1)
-            prof.count("placements", 1)
-            prof.count("cost_evaluations", len(nodes))
+        incr("placements", 1)
+        incr("placement_dp_states", len(nodes))
+        ops = op_sink()
+        if ops is not None:
+            ops.count("trees_enumerated", 1)
+            ops.count("placements", 1)
+            ops.count("cost_evaluations", len(nodes))
         leaves = [Leaf(view) for view in views]
         rate_a, rate_b = self.flow(leaves[0]), self.flow(leaves[1])
         root_rate = self.flow(_Unbuilt(*leaves)) if sink is not None else None
@@ -195,8 +193,8 @@ class TreeSearch:
         if not objective < bound:
             return
         tree = Join(*leaves)
-        if prof is not None:
-            prof.count("joins_built", 1)
+        if ops is not None:
+            ops.count("joins_built", 1)
         node, at_a, at_b = chosen
         if tree.left is not leaves[0]:
             at_a, at_b = at_b, at_a
@@ -226,9 +224,9 @@ class TreeSearch:
             span.incr("pruned_cross_trees", total - program.trees)
         else:
             program = join_program(len(views))
-        prof = _perf.active()
-        if prof is not None:
-            prof.count("trees_enumerated", program.trees)
+        ops = op_sink()
+        if ops is not None:
+            ops.count("trees_enumerated", program.trees)
         # cover[mask]: the first tree over the mask, as far as pricing looks
         # -- the one whose ``sources`` the per-tree loop asks a rate for first.
         leaves = [Leaf(view) for view in views]
@@ -248,14 +246,14 @@ class TreeSearch:
             np.array([flow(cover[mask]) for mask in program.below]).take(program.row_mask),
             flow(cover[(1 << len(views)) - 1]) if self.sink is not None else None,
         ).tolist()
-        if prof is not None:
-            prof.count("search_array_passes", len(levels) + 1)
+        if ops is not None:
+            ops.count("search_array_passes", len(levels) + 1)
 
         def place(index: int) -> PlacementResult:
             rows: dict[PlanNode, int] = {}
             tree = program.tree(leaves, index, rows)
-            if prof is not None:
-                prof.count("joins_built", len(views) - 1)
+            if ops is not None:
+                ops.count("joins_built", len(views) - 1)
             return self._table.place(tree, rows, index)
 
         # Every tree over these leaves has the same number of joins.  A tree

@@ -30,8 +30,8 @@ from repro.core.reuse import input_partitions, resolve_reuse_leaves, substitute_
 from repro.core.search import TreeSearch
 from repro.hierarchy.advertisements import AdvertisementIndex, ViewLookup
 from repro.hierarchy.hierarchy import Cluster, Hierarchy
-from repro.obs.explain import build_explanation
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.explain import explained_plan
+from repro.obs.tracer import NULL_SPAN, span
 from repro.query.deployment import Deployment, DeploymentState
 from repro.query.plan import Join, Leaf, PlanNode
 from repro.query.query import Query
@@ -77,8 +77,6 @@ class TopDownOptimizer:
             advertised at its source, when omitted).
         reuse: Consider advertised derived views while planning.
         connected_only: Skip cross-product join trees when possible.
-        tracer: Span tracer (see :mod:`repro.obs.tracer`); the no-op
-            :data:`~repro.obs.tracer.NULL_TRACER` when omitted.
         resources: Optional :class:`~repro.resources.ResourceManager`.
             When set (and constrained), every placement is optimized
             under its utilization bound / bi-criteria objective and
@@ -99,7 +97,6 @@ class TopDownOptimizer:
         ads: AdvertisementIndex | None = None,
         reuse: bool = True,
         connected_only: bool = True,
-        tracer: Tracer | None = None,
         resources=None,
     ) -> None:
         self.hierarchy = hierarchy
@@ -107,14 +104,11 @@ class TopDownOptimizer:
         self.reuse = reuse
         self.connected_only = connected_only
         self.resources = resources
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         if ads is None:
             ads = AdvertisementIndex(hierarchy)
             for name, spec in rates.streams.items():
                 ads.advertise_base(name, spec.source)
         self.ads = ads
-        if self.tracer.enabled:
-            self.ads.tracer = self.tracer
 
     # ------------------------------------------------------------------
     def plan(
@@ -127,29 +121,13 @@ class TopDownOptimizer:
 
         When ``state`` is given (and reuse is on), its deployed views are
         folded into the advertisement index first.  With ``explain=True``
-        the optimization is traced (on a one-shot tracer if none was
-        configured) and the deployment carries a
+        the optimization is traced (on a one-shot tracer if none is
+        installed) and the deployment carries a
         :class:`~repro.obs.explain.PlanExplanation`.
         """
-        tracer = self.tracer
-        if explain and not tracer.enabled:
-            tracer = Tracer()
-        with tracer.span(
-            "optimize", algorithm=self.name, query=query.name,
-            sources=len(query.sources),
-        ) as root:
-            deployment = self._plan(query, state, tracer)
-        if tracer.enabled:
-            deployment.stats["trace"] = root.to_dict()
-            if explain:
-                deployment.explanation = build_explanation(
-                    deployment, root, self.hierarchy.network.cost_matrix(), self.rates
-                )
-        return deployment
+        return explained_plan(self, query, state, explain, self.hierarchy.network)
 
-    def _plan(
-        self, query: Query, state: DeploymentState | None, tracer: Tracer
-    ) -> Deployment:
+    def _plan(self, query: Query, state: DeploymentState | None) -> Deployment:
         if state is not None and self.reuse:
             self.ads.sync_from_state(state)
         costs = self.hierarchy.network.cost_matrix()
@@ -199,7 +177,7 @@ class TopDownOptimizer:
             else None
         )
         task = self._plan_task(
-            root, tuple(inputs), query.sink, query, costs, stats, tracer,
+            root, tuple(inputs), query.sink, query, costs, stats,
             self.rates.flow_pricer(query), self.ads.reusable_views(query),
             parent_task=-1, constraint=constraint,
         )
@@ -212,7 +190,7 @@ class TopDownOptimizer:
             if not leaf.is_base_stream:
                 sig = query.view_signature(leaf.view)
                 providers[sig] = self.ads.view_nodes(sig)
-        resolve_reuse_leaves(query, tree, placement, providers, costs, tracer=tracer)
+        resolve_reuse_leaves(query, tree, placement, providers, costs)
         stats["est_cost"] = task.est_cost
         return Deployment(query=query, plan=tree, placement=placement, stats=stats)
 
@@ -225,7 +203,6 @@ class TopDownOptimizer:
         query: Query,
         costs: np.ndarray,
         stats: dict,
-        tracer: Tracer,
         flow: Callable[[PlanNode], float],
         reusable: ViewLookup,
         parent_task: int = -1,
@@ -252,18 +229,18 @@ class TopDownOptimizer:
         members = cluster.members
         target_pos = self._resolve_target(cluster, out_target)
 
-        with tracer.span(
+        with span(
             "task", level=cluster.level, coordinator=cluster.coordinator,
             inputs=len(inputs),
-        ) as span:
+        ) as task_span:
             search = TreeSearch(
                 query, members, costs, flow, target_pos, self.connected_only,
-                stats, span, tracer, constraint=constraint,
+                stats, task_span, constraint=constraint,
             )
             leaf_sets = self._candidate_leaf_sets(cluster, inputs, reusable)
-            span.incr("leaf_set_alternatives", len(leaf_sets))
+            task_span.incr("leaf_set_alternatives", len(leaf_sets))
             if len(leaf_sets) > 1:
-                span.incr("reuse_groupings", len(leaf_sets) - 1)
+                task_span.incr("reuse_groupings", len(leaf_sets) - 1)
             # A view names the same input in every leaf set it appears in.
             by_view: dict[frozenset[str], _Input] = {}
             for leaf_inputs in leaf_sets:
@@ -272,7 +249,7 @@ class TopDownOptimizer:
                     for inp in leaf_inputs
                 }
                 if not all(positions.values()):
-                    span.incr("infeasible_leaf_sets")
+                    task_span.incr("infeasible_leaf_sets")
                     continue
                 by_view.update((inp.view, inp) for inp in leaf_inputs)
                 search.add_leaf_set([inp.view for inp in leaf_inputs], positions)
@@ -290,11 +267,11 @@ class TopDownOptimizer:
             est_cost, tree, placement = best.cost, best.tree, best.placement
             leaf_meta = {leaf: by_view[leaf.view] for leaf in tree.leaves()}
             trace_entry["plans"] = stats["plans_examined"] - plans_before
-            if tracer.enabled:
-                span.tag(chosen=tree.pretty(), est_cost=est_cost)
+            if task_span is not NULL_SPAN:
+                task_span.tag(chosen=tree.pretty(), est_cost=est_cost)
             reused = sum(1 for meta in leaf_meta.values() if meta.kind == "reuse")
             if reused:
-                span.incr("reuse_leaves_chosen", reused)
+                task_span.incr("reuse_leaves_chosen", reused)
 
             if cluster.level == 1 or isinstance(tree, Leaf):
                 trace_entry["deploy_nodes"] = sorted(
@@ -303,7 +280,7 @@ class TopDownOptimizer:
                 return _TaskPlan(tree=tree, placement=dict(placement), est_cost=est_cost)
             return self._recurse_fragments(
                 cluster, tree, placement, leaf_meta, out_target, query, costs, stats,
-                est_cost, task_idx, tracer, flow, reusable, constraint=constraint,
+                est_cost, task_idx, flow, reusable, constraint=constraint,
             )
 
     # ------------------------------------------------------------------
@@ -319,7 +296,6 @@ class TopDownOptimizer:
         stats: dict,
         est_cost: float,
         task_idx: int,
-        tracer: Tracer,
         flow: Callable[[PlanNode], float],
         reusable: ViewLookup,
         constraint=None,
@@ -375,7 +351,7 @@ class TopDownOptimizer:
             child_cluster = cluster.children[member]
             fragment_plans[frag_id] = self._plan_task(
                 child_cluster, tuple(frag_inputs), frag_target, query, costs, stats,
-                tracer, flow, reusable, parent_task=task_idx, constraint=constraint,
+                flow, reusable, parent_task=task_idx, constraint=constraint,
             )
 
         # Stitch: substitute fragment outputs into their consumers.

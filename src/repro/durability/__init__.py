@@ -47,7 +47,7 @@ from repro.durability.snapshot import (
     load_latest,
     write_snapshot,
 )
-from repro.perf import profiler as _perf
+from repro.obs.tracer import count
 
 
 @dataclass(frozen=True)
@@ -232,9 +232,7 @@ class Durability:
         lsn = self.journal.lsn
         state = self._capture(self._controller, self._memo)
         encoded = self._memo.roll()
-        prof = _perf.active()
-        if prof is not None:
-            prof.count("snapshot_items_encoded", encoded)
+        count("snapshot_items_encoded", encoded)
         path = write_snapshot(
             self.state_dir,
             lsn,

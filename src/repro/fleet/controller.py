@@ -156,7 +156,7 @@ class FleetController:
         federation: Whether cross-shard view reuse is on.
         service_kwargs: Extra keyword arguments forwarded to every
             shard's :class:`StreamQueryService` (resilience, adaptivity,
-            tracer, ...).
+            ...).
         telemetry: Optional :class:`~repro.obs.telemetry.TelemetryConfig`
             (or prebuilt :class:`~repro.obs.telemetry.Telemetry`)
             turning on continuous telemetry at the fleet level: every

@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.durability.state import FragmentMemo, view_key_from_doc, view_key_to_doc
-from repro.perf import profiler as _perf
+from repro.obs.tracer import count
 from repro.query.query import ViewSignature
 
 if TYPE_CHECKING:
@@ -197,9 +197,7 @@ class ReuseFederation:
                 self._offer(shard, key)
             elif not offered and key in exports:
                 self._retract(shard, key)
-        prof = _perf.active()
-        if prof is not None:
-            prof.count("federation_keys_examined", len(changed))
+        count("federation_keys_examined", len(changed))
         return exports
 
     # ------------------------------------------------------------------
@@ -232,9 +230,7 @@ class ReuseFederation:
                 for sid in shards:
                     if sid not in offered and key not in imports[sid]:
                         adds[sid].append((key, owner))
-        prof = _perf.active()
-        if prof is not None:
-            prof.count("federation_keys_examined", len(self._dirty) * len(shards))
+        count("federation_keys_examined", len(self._dirty) * len(shards))
 
         def add_order(pair: tuple[ViewKey, int]) -> tuple:
             (sig, node), owner = pair

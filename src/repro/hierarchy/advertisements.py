@@ -16,8 +16,7 @@ from itertools import combinations
 from typing import Callable
 
 from repro.hierarchy.hierarchy import Cluster, Hierarchy
-from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.perf import profiler as _perf
+from repro.obs.tracer import count, incr, span
 from repro.query.query import Query, ViewSignature
 
 #: One ``plan()`` call's question to the index, asked per cluster:
@@ -30,16 +29,15 @@ class AdvertisementIndex:
 
     Args:
         hierarchy: The hierarchy advertisements propagate through.
-        tracer: Span tracer; advertisement publishes/withdrawals are
-            counted on the active span and every
-            :meth:`sync_from_state` reconciliation gets its own
-            ``ads_sync`` span.  Optimizers and the lifecycle service
-            install their tracer here automatically when tracing is on.
+
+    Under an installed tracer (:func:`repro.obs.tracer.tracing`),
+    advertisement publishes/withdrawals are counted on the current span
+    and every :meth:`sync_from_state` reconciliation gets its own
+    ``ads_sync`` span.
     """
 
-    def __init__(self, hierarchy: Hierarchy, tracer: Tracer | None = None) -> None:
+    def __init__(self, hierarchy: Hierarchy) -> None:
         self.hierarchy = hierarchy
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self._base_nodes: dict[str, int] = {}
         self._view_nodes: dict[ViewSignature, set[int]] = {}
         # How many advertised signatures join each set of streams.
@@ -80,8 +78,8 @@ class AdvertisementIndex:
             nodes.add(node)
             self._touched.add((signature, node))
             self.messages_sent += self.hierarchy.height
-            self.tracer.incr("ads_views_published")
-            self.tracer.incr("ads_messages", self.hierarchy.height)
+            incr("ads_views_published")
+            incr("ads_messages", self.hierarchy.height)
 
     def withdraw_view(self, signature: ViewSignature, node: int) -> None:
         """Remove a derived-stream advertisement (operator undeployed)."""
@@ -98,8 +96,8 @@ class AdvertisementIndex:
                 self._joining[sources] -= 1
         self._touched.add((signature, node))
         self.messages_sent += self.hierarchy.height
-        self.tracer.incr("ads_views_withdrawn")
-        self.tracer.incr("ads_messages", self.hierarchy.height)
+        incr("ads_views_withdrawn")
+        incr("ads_messages", self.hierarchy.height)
 
     def sync_from_state(self, state) -> None:
         """Reconcile derived-stream ads with a :class:`DeploymentState`.
@@ -111,7 +109,7 @@ class AdvertisementIndex:
         advertised or withdrawn here directly since; either way the
         index ends up exactly as if every live view had been visited.
         """
-        with self.tracer.span("ads_sync"):
+        with span("ads_sync"):
             changed = state.changes_since(self._cursor)
             if changed is None:  # first sync from this state: visit it all
                 live = state.advertised_views()
@@ -138,9 +136,7 @@ class AdvertisementIndex:
                 self.withdraw_view(*key)
             self._cursor = state.feed_cursor()
             self._touched.clear()
-            prof = _perf.active()
-            if prof is not None:
-                prof.count("ads_keys_examined", examined)
+            count("ads_keys_examined", examined)
 
     # ------------------------------------------------------------------
     # Lookup
@@ -224,9 +220,7 @@ class AdvertisementIndex:
                     inside = nodes & subtree
                     if inside:
                         found[signature] = inside
-            prof = _perf.active()
-            if prof is not None:
-                prof.count("ads_views_probed", probed)
+            count("ads_views_probed", probed)
             return found
 
         return lookup

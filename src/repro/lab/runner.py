@@ -10,10 +10,10 @@ capacity profile, ``lab.max_utilization`` / ``lab.capacity_violations``
 priced by a *read-only* audit ledger so capacity-blind candidates still
 report how hot they run the fleet.
 
-Planner work is profiled per candidate with
-:class:`~repro.perf.profiler.OpProfiler`; only the deterministic op
-*counts* enter the envelope (wall-clock samples are advisory and would
-break the byte-identical contract).
+Planner work is counted per candidate by an
+:class:`~repro.perf.profiler.OpProfiler`; its deterministic op counts
+enter the envelope (no wall clock does: it would break the
+byte-identical contract).
 """
 
 from __future__ import annotations
@@ -275,6 +275,6 @@ def run_lab(
         run = CandidateRun(candidate, built)
         with profiled() as prof:
             run.drive()
-        run.ops = dict(prof.snapshot()["ops"])
+        run.ops = dict(prof.ops)
         result.runs.append(run)
     return result

@@ -2,9 +2,11 @@
 
 Four layers, usable independently:
 
-* :mod:`repro.obs.tracer` -- nestable, taggable spans with a zero-cost
-  no-op default (:data:`NULL_TRACER`); threaded through the optimizers,
-  the advertisement index and the lifecycle service.
+* :mod:`repro.obs.tracer` -- nestable, taggable spans, and the one
+  ambient instrumentation context: ``with tracing(tracer):`` installs
+  a tracer the optimizers, the advertisement index and the lifecycle
+  service report to, beside the op-count sink of
+  :func:`repro.perf.profiled`; nothing installed costs nothing.
 * :mod:`repro.obs.causal` -- distributed causal tracing: a W3C-style
   :class:`TraceContext` carried on runtime messages and propagated by
   the simulator, so deployments, migrations and fault retransmissions
@@ -58,13 +60,12 @@ from repro.obs.rules import (
 )
 from repro.obs.telemetry import Telemetry, TelemetryConfig
 from repro.obs.timeseries import TelemetryScraper, TimeSeriesStore
-from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
+from repro.obs.tracer import Span, Tracer, tracing
 
 __all__ = [
     "Span",
     "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
+    "tracing",
     "TraceContext",
     "Hop",
     "CausalTracer",

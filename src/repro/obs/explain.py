@@ -19,13 +19,14 @@ operator-readable text report.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 import numpy as np
 
-from repro.obs.tracer import Span
-from repro.query.deployment import Deployment
+from repro.obs.tracer import NULL_SPAN, Span, Tracer, current_tracer, span, tracing
+from repro.query.deployment import Deployment, DeploymentState
 from repro.query.plan import Leaf
 
 #: Span names that represent one per-level planning step.
@@ -142,6 +143,33 @@ class PlanExplanation:
                 suffix = f"  [{duration:.2f} ms]" if duration is not None else ""
                 lines.append(f"    {level['step']:<10} {label}: {counters}{suffix}")
         return "\n".join(lines)
+
+
+def explained_plan(
+    planner, query, state: DeploymentState | None, explain: bool, network
+) -> Deployment:
+    """``planner._plan(query, state)`` inside an ``optimize`` span: the
+    ``plan(..., explain=)`` entry point of every traced planner.
+
+    With a tracer installed the deployment keeps its span tree in
+    ``stats["trace"]``.  ``explain=True`` installs a one-shot tracer
+    when none is, and attaches a :class:`PlanExplanation` priced on
+    ``network``'s costs and ``planner.rates``.
+    """
+    one_shot = explain and current_tracer() is None
+    with tracing(Tracer()) if one_shot else nullcontext():
+        with span(
+            "optimize", algorithm=planner.name, query=query.name,
+            sources=len(query.sources),
+        ) as root:
+            deployment = planner._plan(query, state)
+    if root is not NULL_SPAN:
+        deployment.stats["trace"] = root.to_dict()
+        if explain:
+            deployment.explanation = build_explanation(
+                deployment, root, network.cost_matrix(), planner.rates
+            )
+    return deployment
 
 
 def build_explanation(

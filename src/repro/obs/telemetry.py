@@ -17,7 +17,7 @@ or :class:`~repro.fleet.controller.FleetController` and every tick:
    transitions to FIRING or a circuit breaker opens.
 
 The whole pipeline follows the repo's opt-in-layer contract
-(``resilience=None`` / ``adaptivity=None`` / ``NULL_TRACER``): with
+(``resilience=None`` / ``adaptivity=None`` / no tracer installed): with
 ``telemetry=None`` -- the default -- no scraper, store, rules or hooks
 exist and service/fleet behavior is byte-identical to before this
 module existed.  The pipeline itself only *reads* instruments and never

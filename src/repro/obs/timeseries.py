@@ -30,7 +30,7 @@ from collections import deque
 from itertools import takewhile
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
-from repro.perf import profiler
+from repro.obs.tracer import count
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricRegistry
@@ -397,9 +397,7 @@ class TelemetryScraper:
         self._last_scrape = now
         self.scrapes_total += 1
         held = sum(map(self._scrape_registry, self._registries))
-        prof = profiler.active()
-        if prof is not None:
-            prof.count("telemetry_series_held", held)
+        count("telemetry_series_held", held)
         # Held before marked: this scrape's sample carries the new value.
         self.store.mark(now)
         appended = self._carried

@@ -1,4 +1,4 @@
-"""Span-based tracing for the optimizer and the lifecycle service.
+"""Span tracing and op counting on one ambient instrumentation context.
 
 A :class:`Tracer` produces a tree of :class:`Span` objects -- one span
 per unit of work (an optimization, one hierarchy level's planning task,
@@ -6,29 +6,48 @@ one bottom-up climb step, ...).  Spans carry free-form *tags* (set
 once, descriptive) and additive *counters* (candidate plans examined,
 trees pruned, cache hits), and are timed with a monotonic clock.
 
-The API is context-manager based and nestable::
+Instrumented code never receives a tracer.  It calls the module-level
+hooks, which report to whatever the caller installed in the current
+:mod:`contextvars` context.  The context has two channels:
+
+* the *nominal* channel -- :func:`span`, :func:`incr` and :func:`tag`
+  -- reaches the tracer installed with :func:`tracing`; span counters
+  are the paper's search-space accounting and feed
+  :class:`~repro.obs.explain.PlanExplanation`;
+* the *op* channel -- :func:`count` -- reaches the sink installed with
+  :func:`counting` (normally an :class:`~repro.perf.profiler.OpProfiler`
+  through :func:`~repro.perf.profiler.profiled`); op counts are the
+  work actually done and feed the ``repro perf`` and lab gates.
+
+The channels stay separate on purpose, and one name means different
+things on each: ``trees_enumerated`` is the nominal tree count on a
+span and the trees the search actually built as an op count.
+
+::
 
     tracer = Tracer()
-    with tracer.span("optimize", algorithm="top-down") as root:
-        with tracer.span("task", level=3) as task:
-            task.incr("plans_examined", 120)
-    print(root.render())
+    with tracing(tracer):
+        optimizer.plan(query)
+    print(tracer.last_root.render())
 
-Tracing must never change what the traced code computes, and it must
-cost nothing when off: :data:`NULL_TRACER` (the default everywhere)
-returns one shared no-op span from every call, allocates nothing, and
-records nothing.  Code under trace therefore never checks a flag -- it
-just calls ``tracer.span(...)`` / ``span.incr(...)`` unconditionally.
+Installs nest (the innermost wins) and belong to the context that made
+them: threads, asyncio tasks and ``copy_context().run(...)`` siblings
+each see only their own.  With nothing installed every hook is one
+context-variable read and a ``None`` check: :func:`span` hands back the
+shared no-op :data:`NULL_SPAN` and nothing is allocated or recorded.
+Tracing must never change what the traced code computes.
 
-Span trees serialize to plain dicts (:meth:`Span.to_dict` /
-:meth:`Span.from_dict`); :mod:`repro.serialization` wraps them in the
-usual tagged-JSON envelope.
+A tracer can also be used directly (``tracer.span(...)``) without being
+installed; only the hooks need the install.  Span trees serialize to
+plain dicts (:meth:`Span.to_dict` / :meth:`Span.from_dict`);
+:mod:`repro.serialization` wraps them in the usual tagged-JSON envelope.
 """
 
 from __future__ import annotations
 
 import contextvars
 import time
+from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
 
@@ -152,7 +171,7 @@ class Span:
 
 
 class Tracer:
-    """Collects span trees; the enabled implementation.
+    """Collects span trees.
 
     The active-span stack lives in a :class:`contextvars.ContextVar`,
     so concurrent callers (threads, asyncio tasks, any
@@ -166,8 +185,6 @@ class Tracer:
         clock: Monotonic time source (seconds); ``time.perf_counter``
             by default, injectable for deterministic tests.
     """
-
-    enabled = True
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         self._clock = clock
@@ -227,35 +244,8 @@ class Tracer:
         self.roots = []
 
 
-class NullTracer:
-    """The disabled tracer: every call is a no-op, nothing is kept.
-
-    ``span()`` hands back one module-level singleton span whose methods
-    all do nothing, so tracing call sites cost a couple of attribute
-    lookups and no allocation when tracing is off.
-    """
-
-    enabled = False
-    __slots__ = ()
-    roots: tuple = ()
-    current = None
-    last_root = None
-
-    def span(self, name: str, **tags: Any) -> "_NullSpan":
-        return NULL_SPAN
-
-    def incr(self, key: str, amount: float = 1) -> None:
-        pass
-
-    def tag(self, **tags: Any) -> None:
-        pass
-
-    def clear(self) -> None:
-        pass
-
-
 class _NullSpan:
-    """The no-op span all :class:`NullTracer` calls share."""
+    """The no-op span :func:`span` returns with no tracer installed."""
 
     __slots__ = ()
     name = ""
@@ -277,8 +267,73 @@ class _NullSpan:
         pass
 
 
-#: Shared no-op span returned by every :class:`NullTracer` call.
+#: Shared no-op span :func:`span` returns with no tracer installed.
 NULL_SPAN = _NullSpan()
 
-#: The default tracer everywhere: tracing off, zero cost, no state.
-NULL_TRACER = NullTracer()
+# -- the ambient context -----------------------------------------------
+_TRACER: contextvars.ContextVar[Tracer | None] = contextvars.ContextVar(
+    "repro_tracer", default=None
+)
+_OPS: contextvars.ContextVar[Any] = contextvars.ContextVar("repro_ops", default=None)
+
+
+@contextmanager
+def _installed(var: contextvars.ContextVar, value: Any) -> Iterator[Any]:
+    token = var.set(value)
+    try:
+        yield value
+    finally:
+        if var.get() is not value:
+            raise RuntimeError("instrumentation installs must nest")
+        var.reset(token)
+
+
+def tracing(tracer: Tracer):
+    """Install ``tracer`` for the block: the nominal channel's target."""
+    return _installed(_TRACER, tracer)
+
+
+def counting(sink):
+    """Install ``sink`` (anything with ``count(key, n)``) for the block:
+    the op channel's target."""
+    return _installed(_OPS, sink)
+
+
+def current_tracer() -> Tracer | None:
+    """The tracer installed in this context, or ``None``."""
+    return _TRACER.get()
+
+
+def op_sink():
+    """The op sink installed in this context, or ``None``; for a site
+    that counts several quantities and reads the sink once."""
+    return _OPS.get()
+
+
+def span(name: str, **tags: Any) -> Span | _NullSpan:
+    """A new span on the installed tracer (:data:`NULL_SPAN` if none)."""
+    tracer = _TRACER.get()
+    if tracer is None:
+        return NULL_SPAN
+    return Span(name, tags, tracer=tracer)
+
+
+def incr(key: str, amount: float = 1) -> None:
+    """Add to a counter on the installed tracer's current span."""
+    tracer = _TRACER.get()
+    if tracer is not None:
+        tracer.incr(key, amount)
+
+
+def tag(**tags: Any) -> None:
+    """Tag the installed tracer's current span."""
+    tracer = _TRACER.get()
+    if tracer is not None:
+        tracer.tag(**tags)
+
+
+def count(key: str, n: int = 1) -> None:
+    """Add ``n`` to the op counter ``key`` of the installed sink."""
+    sink = _OPS.get()
+    if sink is not None:
+        sink.count(key, n)

@@ -1,19 +1,18 @@
 """Performance regression lab: op-count profiling, benchmarks, comparison.
 
-The package root stays import-light on purpose -- the hot-path hook
-sites (``runtime/simulator.py``, ``core/placement.py``, ...) import
-:mod:`repro.perf.profiler` at module load, so this ``__init__`` must
-not pull in the service stack.  :class:`PerfLab` and the comparator are
-exposed lazily (PEP 562).
+Hook sites count through :func:`repro.obs.tracer.count`;
+:func:`profiled` installs the :class:`OpProfiler` that receives the
+counts.  The package root stays import-light on purpose:
+:class:`PerfLab` and the comparator pull in the service stack, so they
+are exposed lazily (PEP 562).
 """
 
 from __future__ import annotations
 
-from repro.perf.profiler import OpProfiler, active, profiled
+from repro.perf.profiler import OpProfiler, profiled
 
 __all__ = [
     "OpProfiler",
-    "active",
     "profiled",
     "PerfLab",
     "compare_trajectory",

@@ -20,14 +20,14 @@ Cases (the ``quick`` subset is what CI runs):
   (its enumeration explodes combinatorially by design).
 * ``deploy_protocol`` -- deployment-protocol replay; counts messages.
 * ``service_churn`` -- lifecycle-service ticks under churn; counts
-  cache probes and ticks, samples per-tick wall clock.
+  cache probes and ticks.
 * ``fleet_churn`` -- the sharded fleet control plane under the same
   kind of churn across 3 shards with federation syncs on every tick.
 * ``telemetry_overhead`` / ``durability_overhead`` /
   ``resource_overhead`` -- ``service_churn`` re-run with the telemetry
   pipeline (resp. the write-ahead journal, resp. the unbounded resource
-  layer) armed; planner op counts must not move, wall samples price the
-  added machinery.
+  layer) armed; planner op counts must not move, the case's wall clock
+  prices the added machinery.
 * ``lab_overhead`` -- ``service_churn`` driven through the scenario
   lab's :class:`~repro.lab.runner.CandidateRun` wrapper; same parity
   contract, pricing the experiment harness itself.
@@ -67,9 +67,7 @@ def _case_plan_hierarchical(algorithm: str) -> Callable[[], OpProfiler]:
         world = _hier_env()
         with profiled() as prof:
             for query in world.workload:
-                optimizer = world.optimizer(algorithm)
-                with prof.sample("plan"):
-                    optimizer.plan(query)
+                world.optimizer(algorithm).plan(query)
         return prof
 
     return run
@@ -82,9 +80,7 @@ def _case_plan_optimal() -> OpProfiler:
     world = build_world(16, params, network_seed=5, workload_seed=6)
     with profiled() as prof:
         for query in world.workload:
-            optimizer = world.optimizer("optimal")
-            with prof.sample("plan"):
-                optimizer.plan(query)
+            world.optimizer("optimal").plan(query)
     return prof
 
 
@@ -96,8 +92,7 @@ def _case_deploy_protocol() -> OpProfiler:
     deployments = [optimizer.plan(q) for q in world.workload]
     with profiled() as prof:
         for deployment in deployments:
-            with prof.sample("deploy"):
-                timeline = simulate_deployment(world.network, deployment)
+            timeline = simulate_deployment(world.network, deployment)
             prof.count("protocol_tasks", timeline.tasks)
     return prof
 
@@ -119,22 +114,17 @@ def _churn_service(**layers):
     return service, world.workload
 
 
-def _churn(submit, tick, workload, sample=None, resubmit=True) -> OpProfiler:
+def _churn(submit, tick, workload, resubmit=True) -> OpProfiler:
     """Replay the churn script under a fresh profiler.
 
-    Ten submissions with 4-6 tick lifetimes, 30 ticks (each timed as
-    ``sample`` when given), then -- unless ``resubmit`` is off -- four
-    renamed twins and 10 more ticks.
+    Ten submissions with 4-6 tick lifetimes, 30 ticks, then -- unless
+    ``resubmit`` is off -- four renamed twins and 10 more ticks.
     """
     with profiled() as prof:
         for i, query in enumerate(workload):
             submit(query, lifetime=4.0 + (i % 3))
         for _ in range(30):
-            if sample is None:
-                tick()
-            else:
-                with prof.sample(sample):
-                    tick()
+            tick()
         if resubmit:
             # Resubmissions hit the plan cache: probe traffic without plans.
             for query in list(workload)[:4]:
@@ -166,7 +156,7 @@ def _case_fleet_churn() -> OpProfiler:
         max_per_tick=2,
     )
     prof = _churn(
-        fleet.submit, fleet.tick, world.workload, "fleet_tick", resubmit=False
+        fleet.submit, fleet.tick, world.workload, resubmit=False
     )
     prof.count("federation_syncs", fleet.federation.syncs)
     prof.count("federation_imports", fleet.federation.imported_total)
@@ -179,14 +169,14 @@ def _case_telemetry_overhead() -> OpProfiler:
     The pipeline only reads instruments, so its op counts (plans,
     probes, ticks) must match ``service_churn`` exactly -- the case
     exists so the 25% gate catches telemetry ever leaking work into
-    the planner path, and its wall samples price the scrape loop.
+    the planner path, and its wall clock prices the scrape loop.
     ``telemetry_series_held`` is what the scrapes re-read.
     """
     from repro.obs.telemetry import TelemetryConfig
 
     service, workload = _churn_service(telemetry=TelemetryConfig())
     prof = _churn(
-        service.submit, service.tick, workload, "telemetry_tick", resubmit=False
+        service.submit, service.tick, workload, resubmit=False
     )
     prof.count("telemetry_samples", service.telemetry.scraper.samples_total)
     prof.count("telemetry_series", len(service.telemetry.store))
@@ -200,7 +190,7 @@ def _case_durability_overhead() -> OpProfiler:
     planner op counts (plans, probes, ticks) must match
     ``service_churn`` exactly -- the case exists so the 25% gate
     catches the journal ever leaking work into the planner path, and
-    its wall samples price the append/snapshot loop.
+    its wall clock prices the append/snapshot loop.
     """
     import tempfile
 
@@ -210,7 +200,7 @@ def _case_durability_overhead() -> OpProfiler:
         service, workload = _churn_service(
             durability=DurabilityConfig(state_dir=tmp, snapshot_interval=10)
         )
-        prof = _churn(service.submit, service.tick, workload, "durable_tick")
+        prof = _churn(service.submit, service.tick, workload)
         prof.count("journal_records", service.durability.journal.records_total)
         prof.count("snapshots", service.durability.snapshots_total)
     return prof
@@ -223,7 +213,7 @@ def _case_resource_overhead() -> OpProfiler:
     gates nothing, so its planner op counts (plans, probes, ticks) must
     match ``service_churn`` exactly -- the case exists so the 25% gate
     catches the resource layer ever leaking work into the planner path,
-    and its wall samples price the ledger/gauge bookkeeping.  Of its
+    and its wall clock prices the ledger/gauge bookkeeping.  Of its
     own counts, ``ledger_ops_priced`` is the ledger pricing each
     installed join once (the same gate catches it re-deriving instead);
     ``joint_validations`` and ``join_loads_priced`` are the constrained
@@ -234,7 +224,7 @@ def _case_resource_overhead() -> OpProfiler:
     from repro.resources import ResourceConfig
 
     service, workload = _churn_service(resources=ResourceConfig())
-    prof = _churn(service.submit, service.tick, workload, "resource_tick")
+    prof = _churn(service.submit, service.tick, workload)
     for key in ("joint_validations", "join_loads_priced"):
         prof.count(key, 0)
     return prof
@@ -248,7 +238,7 @@ def _case_lab_overhead() -> OpProfiler:
     integral -- so its planner op counts (plans, probes, ticks) must
     match ``service_churn`` exactly.  The case exists so the 25% gate
     catches the experiment harness ever leaking work into the planner
-    path, and its wall samples price the wrapper.
+    path, and its wall clock prices the wrapper.
     """
     from repro.lab.candidate import Candidate
     from repro.lab.runner import CandidateRun
@@ -283,7 +273,7 @@ def _case_lab_overhead() -> OpProfiler:
         name="churn", ads=False, reuse=True, budget=4, max_per_tick=2
     )
     run = CandidateRun(candidate, built)
-    prof = _churn(run.submit, run.tick, world.workload, "lab_tick")
+    prof = _churn(run.submit, run.tick, world.workload)
     prof.count("telemetry_samples", run.telemetry.scraper.samples_total)
     prof.count("telemetry_series", len(run.telemetry.store))
     return prof
@@ -346,13 +336,12 @@ class PerfLab:
             start = self._clock()
             prof = runner()
             walls.append(self._clock() - start)
-            snap = prof.snapshot()
             if ops is None:
-                ops = snap["ops"]
-            elif ops != snap["ops"]:
+                ops = prof.ops
+            elif ops != prof.ops:
                 raise RuntimeError(
                     f"perf case {name!r} is non-deterministic: "
-                    f"{ops} != {snap['ops']}"
+                    f"{ops} != {prof.ops}"
                 )
         assert ops is not None
         ordered = sorted(walls)

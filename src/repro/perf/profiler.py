@@ -1,110 +1,34 @@
-"""Deterministic op-count profiler with advisory wall-clock sampling.
+"""Deterministic op-count sink: the op channel of :mod:`repro.obs.tracer`.
 
 Planner performance on this codebase is dominated by a handful of
-countable operations: join trees enumerated, placement DP states (cost
-evaluations), protocol messages, plan-cache probes.  Counting them is
-deterministic -- two runs of the same seeded workload produce identical
-counts on any machine -- which is what makes CI-enforceable regression
-comparison possible.  Wall-clock samples ride along for humans but are
-advisory only (see :mod:`repro.perf.compare`).
-
-Hook sites (placement, enumeration, the simulator, the plan cache, the
-service tick loop) call :func:`active` and count into the innermost
-installed profiler.  With no profiler installed -- the default --
-``active()`` returns ``None`` and the hooks cost one global read and a
-``None`` check, preserving the repo's zero-cost-when-disabled contract.
-
-Usage::
+countable operations: join trees built, placement DP cost evaluations,
+protocol messages, plan-cache probes.  Counting them is deterministic --
+two runs of the same seeded workload produce identical counts on any
+machine -- which is what makes CI-enforceable regression comparison
+possible.  Hook sites call :func:`repro.obs.tracer.count`; the counts
+land in the innermost :class:`OpProfiler` installed in the context::
 
     with profiled() as prof:
         optimizer.plan(query)
-    prof.snapshot()  # {"ops": {...}, "wall_seconds": {...}}
+    prof.ops  # {"trees_enumerated": ..., "placements": ..., ...}
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from typing import Any, Iterator
-
-_ACTIVE: list["OpProfiler"] = []
-
-
-def active() -> "OpProfiler | None":
-    """The innermost installed profiler, or ``None`` (the fast path)."""
-    if not _ACTIVE:
-        return None
-    return _ACTIVE[-1]
+from repro.obs.tracer import counting
 
 
 class OpProfiler:
-    """Accumulates operation counts and wall-clock samples."""
+    """Accumulates operation counts."""
 
-    def __init__(self, clock=time.perf_counter) -> None:
+    def __init__(self) -> None:
         self.ops: dict[str, int] = {}
-        self.wall: dict[str, list[float]] = {}
-        self._clock = clock
 
-    # -- counting ------------------------------------------------------
     def count(self, key: str, n: int = 1) -> None:
         """Add ``n`` to the op counter ``key``."""
         self.ops[key] = self.ops.get(key, 0) + n
 
-    @contextmanager
-    def sample(self, key: str) -> Iterator[None]:
-        """Time a block, appending the duration to ``wall[key]``."""
-        start = self._clock()
-        try:
-            yield
-        finally:
-            self.wall.setdefault(key, []).append(self._clock() - start)
 
-    def add_time(self, key: str, seconds: float) -> None:
-        """Append an externally measured duration."""
-        self.wall.setdefault(key, []).append(seconds)
-
-    # -- installation --------------------------------------------------
-    def install(self) -> None:
-        """Start receiving counts from the hook sites."""
-        _ACTIVE.append(self)
-
-    def uninstall(self) -> None:
-        """Stop receiving counts."""
-        if not _ACTIVE or _ACTIVE[-1] is not self:
-            raise RuntimeError("profiler install/uninstall must nest")
-        _ACTIVE.pop()
-
-    # -- reporting -----------------------------------------------------
-    def snapshot(self) -> dict[str, Any]:
-        """Counts plus wall-clock summary stats, JSON-ready."""
-        wall: dict[str, dict[str, float]] = {}
-        for key, samples in self.wall.items():
-            ordered = sorted(samples)
-            n = len(ordered)
-            wall[key] = {
-                "n": n,
-                "total": sum(ordered),
-                "min": ordered[0],
-                "max": ordered[-1],
-                "median": _median(ordered),
-            }
-        return {"ops": dict(self.ops), "wall_seconds": wall}
-
-
-def _median(ordered: list[float]) -> float:
-    n = len(ordered)
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
-@contextmanager
-def profiled(clock=time.perf_counter) -> Iterator[OpProfiler]:
+def profiled():
     """Install a fresh :class:`OpProfiler` for the block."""
-    prof = OpProfiler(clock=clock)
-    prof.install()
-    try:
-        yield prof
-    finally:
-        prof.uninstall()
+    return counting(OpProfiler())

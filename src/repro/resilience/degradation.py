@@ -38,6 +38,7 @@ from repro.errors import (
     PlanningError,
     ReproError,
 )
+from repro.obs.tracer import span
 from repro.query.deployment import Deployment
 from repro.query.query import Query
 from repro.resilience.faults import NULL_FAULTS
@@ -241,11 +242,11 @@ class ResilientControl:
         every rung fails (callers park the query)."""
         now = service.clock
         failures: list[str] = []
-        with service.tracer.span("resilient_plan", query=query.name) as span:
+        with span("resilient_plan", query=query.name) as plan_span:
             for rung, coordinator in self._rungs(service, query):
                 if coordinator is not None and not self.breakers.allow(coordinator, now):
                     failures.append(f"{rung}: circuit open for coordinator {coordinator}")
-                    span.incr("breaker_skips")
+                    plan_span.incr("breaker_skips")
                     continue
                 try:
                     deployment, attempts = self._attempt(
@@ -262,11 +263,11 @@ class ResilientControl:
                     self.degraded_queries.add(query.name)
                     self.fallbacks_total += 1
                     self._inc("fallbacks")
-                span.tag(rung=rung, attempts=attempts)
+                plan_span.tag(rung=rung, attempts=attempts)
                 return deployment
             self._quarantine_flapping(service, now)
             self.sync_breaker_gauges()
-            span.tag(outcome="exhausted")
+            plan_span.tag(outcome="exhausted")
         raise PlanningError(
             f"no rung could plan {query.name!r}: " + "; ".join(failures)
         )
@@ -391,7 +392,7 @@ class ResilientControl:
                 continue
             from repro.hierarchy.maintenance import remove_node
 
-            with service.tracer.span("quarantine", node=node):
+            with span("quarantine", node=node):
                 remove_node(service.hierarchy, node)
             self.quarantined[node] = now + self.config.quarantine_ticks
             self.quarantined_total += 1
@@ -432,7 +433,7 @@ class ResilientControl:
                 if not self._can_fail(service, node):
                     self.faults.note_applied("crash_skipped", now, node=node)
                     continue
-                with service.tracer.span("fault", kind="crash", node=node):
+                with span("fault", kind="crash", node=node):
                     report = service.handle_node_failure(node)
                 self.faults.note_applied(
                     "crash",

@@ -535,7 +535,7 @@ class NullFaultInjector:
 
     With this default installed, planner output and service behavior are
     byte-identical to a build without the resilience layer -- the same
-    contract :data:`repro.obs.tracer.NULL_TRACER` keeps for tracing.
+    contract an uninstalled tracer (:mod:`repro.obs.tracer`) keeps.
     """
 
     enabled = False

@@ -39,7 +39,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from repro.perf import profiler
+from repro.obs.tracer import count
 from repro.query.plan import Join, PlanNode
 from repro.query.query import Query
 from repro.resources.capacity import Load, NodeCapacity, UNBOUNDED, ZERO_LOAD
@@ -202,9 +202,7 @@ class PlacementConstraint(JoinPricer):
 
     def validate(self, plan: PlanNode, placement: Mapping[PlanNode, int]) -> bool:
         """Whether the complete placement keeps every node under the bound."""
-        prof = profiler.active()
-        if prof is not None:
-            prof.count("joint_validations")
+        count("joint_validations")
         if all(self._cold(placement[join]) for join in plan.joins()):
             return True
         for node, load in self.added_loads(plan, placement).items():

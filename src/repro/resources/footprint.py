@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import cache, partial
 from typing import Callable
 
-from repro.perf import profiler
+from repro.obs.tracer import count
 from repro.query.plan import Join, PlanNode
 from repro.query.query import Query, ViewSignature
 from repro.resources.capacity import Load
@@ -109,7 +109,5 @@ class JoinPricer:
             load = self._loads[key] = self.footprint.join_load(
                 self.query, *key, rate_of=self.rate
             )
-            prof = profiler.active()
-            if prof is not None:
-                prof.count("join_loads_priced")
+            count("join_loads_priced")
         return load

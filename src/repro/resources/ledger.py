@@ -45,7 +45,7 @@ from __future__ import annotations
 import itertools
 from typing import Container, Mapping, NamedTuple
 
-from repro.perf import profiler
+from repro.obs.tracer import count
 from repro.query.deployment import Deployment, DeploymentState
 from repro.query.plan import Join
 from repro.resources.capacity import UNBOUNDED, Load, NodeCapacity, ZERO_LOAD, exact_sum
@@ -185,9 +185,7 @@ class ResourceLedger:
         for key in touched:
             priced += self._elect(key)
         if priced:
-            prof = profiler.active()
-            if prof is not None:
-                prof.count("ledger_ops_priced", priced)
+            count("ledger_ops_priced", priced)
 
     def _diff(self, source: _Source, touched: dict[tuple, None]) -> None:
         """Fold what appeared in / vanished from one state into the books.

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from repro.errors import InfeasiblePlacementError, PlanningError
-from repro.perf import profiler
+from repro.obs.tracer import count
 from repro.query.query import Query
 from repro.resources.capacity import Load, NodeCapacity, ZERO_LOAD
 from repro.resources.constraint import PlacementConstraint
@@ -414,9 +414,7 @@ class ResourceManager:
         moved = [n for n in (gauges if moved is None else moved) if n in gauges]
         for node in moved:
             gauges[node].set(utils.get(node, 0.0))
-        prof = profiler.active()
-        if prof is not None:
-            prof.count("node_gauges_written", len(moved))
+        count("node_gauges_written", len(moved))
         # The peak over this network's nodes; a shared ledger may track others.
         hot = utils if utils.keys() <= gauges.keys() else utils.keys() & gauges.keys()
         self._max_gauge.set(max(map(utils.get, hot), default=0.0))

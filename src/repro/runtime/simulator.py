@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.network.graph import Network
-from repro.perf import profiler as _perf
+from repro.obs.tracer import count
 from repro.runtime.events import EventQueue
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -98,9 +98,7 @@ class Simulator:
         if dst not in self._nodes:
             raise KeyError(f"no actor registered at node {dst}")
         delay = self.network.path_delay(src, dst) if src != dst else 0.0
-        prof = _perf.active()
-        if prof is not None:
-            prof.count("messages")
+        count("messages")
         hop = None
         if self._trace is not None:
             message, hop = self._trace.on_send(self, src, dst, message, delay)

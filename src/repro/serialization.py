@@ -12,7 +12,7 @@ for forward compatibility.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.network.graph import Network
 from repro.obs.explain import PlanExplanation
@@ -20,6 +20,9 @@ from repro.obs.tracer import Span
 from repro.query.query import JoinPredicate, Query
 from repro.query.stream import Filter, StreamSpec
 from repro.workload.generator import Workload, WorkloadParams
+
+if TYPE_CHECKING:
+    from repro.obs.causal import CausalTracer
 
 FORMAT_VERSION = 1
 
@@ -236,7 +239,7 @@ def trace_from_json(text: str) -> Span:
     return Span.from_dict(doc["root"])
 
 
-def causal_trace_to_json(tracer) -> str:
+def causal_trace_to_json(tracer: CausalTracer) -> str:
     """Serialize a :class:`repro.obs.causal.CausalTracer`'s hop trees."""
     doc = {
         "kind": "repro.causal_trace",
@@ -259,7 +262,7 @@ def causal_trace_from_json(text: str) -> dict[str, Any]:
     return doc
 
 
-def chrome_trace_to_json(tracer) -> str:
+def chrome_trace_to_json(tracer: CausalTracer) -> str:
     """Export a causal tracer's hops as Chrome trace-event JSON.
 
     The result loads directly into ``chrome://tracing`` or Perfetto

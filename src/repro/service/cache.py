@@ -18,7 +18,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.perf import profiler as _perf
+from repro.obs.tracer import count
 from repro.query.plan import PlanNode
 
 CacheKey = tuple  # (fingerprint, statistics_epoch, topology_epoch)
@@ -78,9 +78,7 @@ class PlanCache:
 
     def get(self, key: CacheKey) -> CachedPlan | None:
         """Look up a plan; counts a hit or miss and refreshes LRU order."""
-        prof = _perf.active()
-        if prof is not None:
-            prof.count("cache_probes")
+        count("cache_probes")
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1

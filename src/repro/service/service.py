@@ -52,8 +52,7 @@ from repro.errors import (
 from repro.hierarchy.advertisements import AdvertisementIndex
 from repro.hierarchy.hierarchy import Hierarchy
 from repro.network.graph import Network
-from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.perf import profiler as _perf
+from repro.obs.tracer import count, span
 from repro.query.deployment import Deployment
 from repro.query.query import Query
 from repro.resilience.degradation import ResilienceConfig, ResilientControl
@@ -144,11 +143,6 @@ class StreamQueryService:
         admission: Admission controller (default: budget 16, unbounded
             queue).
         cache: Plan cache (default: 256-entry LRU).
-        tracer: Span tracer for control-plane operations (submit, plan,
-            node failure).  Disabled (:data:`NULL_TRACER`) by default.
-            When enabled it is also installed on the optimizer (if the
-            optimizer has no tracer of its own) and the ads index, so
-            one service-level span tree covers planning end to end.
         resilience: Optional :class:`ResilienceConfig` turning on the
             resilience layer (retries, circuit breakers, degradation
             ladder, parking, quarantine).  With ``None`` (the default)
@@ -213,7 +207,6 @@ class StreamQueryService:
         ads: AdvertisementIndex | None = None,
         admission: AdmissionController | None = None,
         cache: PlanCache | None = None,
-        tracer: Tracer | None = None,
         resilience: ResilienceConfig | None = None,
         faults=None,
         adaptivity: AdaptivityConfig | AdaptivityLoop | None = None,
@@ -227,16 +220,6 @@ class StreamQueryService:
         self.hierarchy = hierarchy
         self.ads = ads
         self.causal = causal
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        if self.tracer.enabled:
-            opt_tracer = getattr(optimizer, "tracer", None)
-            if opt_tracer is None or not opt_tracer.enabled:
-                try:
-                    optimizer.tracer = self.tracer
-                except AttributeError:  # pragma: no cover - exotic planners
-                    pass
-            if ads is not None:
-                ads.tracer = self.tracer
         self.engine = FlowEngine(network, rates)
         self.registry = self.engine.registry
         if ads is not None:
@@ -499,7 +482,7 @@ class StreamQueryService:
         """
         if time is not None:
             self.engine.clock = time
-        with self.tracer.span("submit", query=query.name) as span:
+        with span("submit", query=query.name) as submit_span:
             self._refresh_epochs()
             self.submitted_total += 1
 
@@ -516,10 +499,10 @@ class StreamQueryService:
                             status=AdmissionStatus.QUEUED,
                             reason=f"parked: {reason}",
                         )
-                        span.incr("parked")
+                        submit_span.incr("parked")
                 elif decision.status is AdmissionStatus.QUEUED:
                     self._pending_lifetimes[query.name] = lifetime
-            span.tag(decision=decision.status.value)
+            submit_span.tag(decision=decision.status.value)
             self._record_gauges()
         self._mark(
             "admit",
@@ -577,14 +560,7 @@ class StreamQueryService:
         submission queue into freed capacity (FIFO, bounded by the
         controller's per-tick limit), then records the service gauges.
         """
-        prof = _perf.active()
-        if prof is None:
-            return self._tick(time)
-        prof.count("service_ticks")
-        with prof.sample("service_tick"):
-            return self._tick(time)
-
-    def _tick(self, time: float | None = None) -> TickReport:
+        count("service_ticks")
         now = next_tick_time(self, time)
         self.engine.clock = now
         if self.resilience is not None:
@@ -666,7 +642,7 @@ class StreamQueryService:
             raise HierarchyError("handle_node_failure requires a hierarchy")
         from repro.runtime.failover import fail_node
 
-        with self.tracer.span("node_failure", node=node) as span:
+        with span("node_failure", node=node) as failure_span:
             failure = fail_node(self.hierarchy, node, engine=self.engine)
             report = ServiceFailureReport(node=node)
             self.bump_topology_epoch()
@@ -697,9 +673,9 @@ class StreamQueryService:
                     report.resubmitted.append(query.name)
                 else:  # pragma: no cover - bounded-queue configurations only
                     report.lost.append(query.name)
-            span.incr("queries_retired", len(report.retired))
-            span.incr("queries_resubmitted", len(report.resubmitted))
-            span.incr("queries_lost", len(report.lost))
+            failure_span.incr("queries_retired", len(report.retired))
+            failure_span.incr("queries_resubmitted", len(report.resubmitted))
+            failure_span.incr("queries_lost", len(report.lost))
             self._record_gauges()
         return report
 
@@ -758,7 +734,7 @@ class StreamQueryService:
         self._refresh_epochs()
         fingerprint = query_fingerprint(query)
         key = self.cache.key(fingerprint, self.statistics_epoch, self.topology_epoch)
-        with self.tracer.span("plan", query=query.name) as span:
+        with span("plan", query=query.name) as plan_span:
             entry = self.cache.get(key)
             if entry is not None:
                 deployment = Deployment(
@@ -773,10 +749,10 @@ class StreamQueryService:
                 )
                 if not self._revalidate(deployment):
                     self.cache.demote(key)
-                    span.incr("cache_revalidation_failures")
+                    plan_span.incr("cache_revalidation_failures")
                     entry = None
             if entry is not None:
-                span.tag(cache="hit")
+                plan_span.tag(cache="hit")
                 self._cache_hit_counter.inc()
                 self._planning_hist.observe(0.0)
                 return deployment, True
@@ -799,7 +775,7 @@ class StreamQueryService:
                     stats=dict(deployment.stats),
                 ),
             )
-            span.tag(cache="miss")
+            plan_span.tag(cache="miss")
             self._cache_miss_counter.inc()
             examined = deployment.stats.get("plans_examined")
             if examined:
@@ -958,9 +934,7 @@ class StreamQueryService:
             _, seq, name = heapq.heappop(heap)
             if seqs.get(name) == seq:
                 due.append((seq, name))
-        prof = _perf.active()
-        if prof is not None:
-            prof.count("expiry_entries_examined", size - len(heap))
+        count("expiry_entries_examined", size - len(heap))
         due.sort()
         return [name for _, name in due]
 

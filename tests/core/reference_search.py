@@ -23,7 +23,7 @@ import numpy as np
 from repro.core.enumeration import tree_is_connected
 from repro.core.placement import PlacementResult, nominal_assignments
 from repro.errors import InfeasiblePlacementError
-from repro.perf import profiler as _perf
+from repro.obs.tracer import count, incr
 from repro.query.plan import Join, Leaf, PlanNode
 
 
@@ -31,9 +31,7 @@ def reference_all_join_trees(views) -> list[PlanNode]:
     """Every unordered bushy tree over ``views``, cross products included."""
     leaves = [Leaf(frozenset(v)) for v in views]
     trees = _trees_over(tuple(range(len(leaves))), leaves, {})
-    prof = _perf.active()
-    if prof is not None:
-        prof.count("trees_enumerated", len(trees))
+    count("trees_enumerated", len(trees))
     return trees
 
 
@@ -78,20 +76,16 @@ def reference_tree_placement(
     leaf_positions: Mapping[Leaf, Sequence[int]],
     rates: Mapping[PlanNode, float],
     sink: int | None,
-    tracer=None,
     constraint=None,
 ) -> PlacementResult:
     """The one-tree placement DP, every table rebuilt per call."""
     cand = np.asarray(list(candidates), dtype=np.intp)
     if cand.size == 0:
         raise ValueError("need at least one candidate node")
-    if tracer is not None:
-        tracer.incr("placements")
-        tracer.incr("placement_dp_states", tree.num_joins * cand.size)
-    prof = _perf.active()
-    if prof is not None:
-        prof.count("placements")
-        prof.count("cost_evaluations", tree.num_joins * cand.size)
+    incr("placements")
+    incr("placement_dp_states", tree.num_joins * cand.size)
+    count("placements")
+    count("cost_evaluations", tree.num_joins * cand.size)
 
     # dp[node] over that node's *position set*: cost of producing the
     # subtree's output at the position (excluding shipment to parent).
@@ -178,7 +172,7 @@ class ReferenceTreeSearch:
 
     def __init__(
         self, rates, query, candidates, costs, flow, sink, connected_only,
-        stats, span, tracer, constraint=None,
+        stats, span, constraint=None,
     ) -> None:
         self.rates = rates
         self.query = query
@@ -188,7 +182,6 @@ class ReferenceTreeSearch:
         self.connected_only = connected_only
         self.stats = stats
         self.span = span
-        self.tracer = tracer
         self.constraint = constraint
         self.best: PlacementResult | None = None
 
@@ -212,7 +205,7 @@ class ReferenceTreeSearch:
             try:
                 result = reference_tree_placement(
                     tree, candidates, self.costs, leaf_positions, rates,
-                    sink=self.sink, tracer=self.tracer, constraint=constraint,
+                    sink=self.sink, constraint=constraint,
                 )
             except InfeasiblePlacementError:
                 stats["plans_examined"] += nominal_assignments(tree, len(candidates))

@@ -40,7 +40,7 @@ from hypothesis import strategies as st
 from repro.core.cost import RateModel
 from repro.core.placement import PlacementResult
 from repro.core.search import _TIE, TreeSearch
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import Tracer, tracing
 from repro.perf.profiler import profiled
 from repro.query.plan import Join, Leaf
 from repro.query.query import JoinPredicate, Query
@@ -132,11 +132,11 @@ def _run(make_search, task, add=None, offer=None):
     that takes a leaf set, ``offer`` is an incumbent given first."""
     tracer = Tracer()
     stats = {"plans_examined": 0, "trees_examined": 0}
-    with profiled() as prof, tracer.span("task") as span:
+    with tracing(tracer), profiled() as prof, tracer.span("task") as span:
         search = make_search(
             task.query, task.candidates, task.costs,
             task.rates.flow_pricer(task.query), task.sink, task.connected_only,
-            stats, span, tracer, constraint=_constraint(task),
+            stats, span, constraint=_constraint(task),
         )
         if offer is not None:
             search.offer(offer)
@@ -208,10 +208,10 @@ def test_a_binding_constraint_keeps_the_array_path():
     assert constraint.binds([0, 1, 2])
     tracer = Tracer()
     stats = {"plans_examined": 0, "trees_examined": 0}
-    with profiled() as prof, tracer.span("task") as span:
+    with tracing(tracer), profiled() as prof, tracer.span("task") as span:
         search = TreeSearch(
             query, [0, 1, 2], costs, rates.flow_pricer(query), 2, True,
-            stats, span, tracer, constraint=constraint,
+            stats, span, constraint=constraint,
         )
         search.add_leaf_set(
             [frozenset("A"), frozenset("B")], {frozenset("A"): (0,), frozenset("B"): (1,)}

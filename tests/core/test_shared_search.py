@@ -35,7 +35,7 @@ from repro.core.cost import RateModel
 from repro.core.enumeration import all_join_trees, count_bushy_trees, crossing_splits
 from repro.core.placement import LevelDP
 from repro.core.search import TreeSearch
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import Tracer, tracing
 from repro.perf.profiler import profiled
 from repro.query.deployment import DeploymentState
 from repro.query.plan import Join, Leaf
@@ -164,11 +164,11 @@ def _constraint(task):
 def _run(make_search, task):
     tracer = Tracer()
     stats = {"plans_examined": 0, "trees_examined": 0}
-    with profiled() as prof, tracer.span("task") as span:
+    with tracing(tracer), profiled() as prof, tracer.span("task") as span:
         search = make_search(
             task.query, task.candidates, task.costs,
             task.rates.flow_pricer(task.query), task.sink, task.connected_only,
-            stats, span, tracer, constraint=_constraint(task),
+            stats, span, constraint=_constraint(task),
         )
         for positions in task.leaf_sets:
             search.add_leaf_set(list(positions), positions)
@@ -322,10 +322,10 @@ class TestWorkCounts:
         costs = rng.uniform(1, 5, (NUM_NODES, NUM_NODES))
         tracer = Tracer()
         stats = {"plans_examined": 0, "trees_examined": 0}
-        with profiled() as prof, tracer.span("task") as span:
+        with tracing(tracer), profiled() as prof, tracer.span("task") as span:
             search = TreeSearch(
                 query, list(range(num_candidates)), costs, rates.flow_pricer(query),
-                0, True, stats, span, tracer,
+                0, True, stats, span,
             )
             for _ in range(repeats):
                 search.add_leaf_set(
@@ -528,19 +528,19 @@ def _plan_all(optimizer_cls, seed, constrained, swap_search=None):
     if swap_search is not None:
         swap_search(partial(ReferenceTreeSearch, rates))
     optimizer = optimizer_cls(
-        hierarchy, rates, tracer=Tracer(clock=_ticking_clock()),
-        resources=_capped(net, rates) if constrained else None,
+        hierarchy, rates, resources=_capped(net, rates) if constrained else None,
     )
     state = DeploymentState(net.cost_matrix(), rates.rate, rates.source)
     out = []
-    for query in world.workload:
-        try:
-            deployment = optimizer.plan(query, state, explain=True)
-        except repro.errors.InfeasiblePlacementError as exc:
-            out.append(str(exc))
-            continue
-        state.apply(deployment)
-        out.append(deployment)
+    with tracing(Tracer(clock=_ticking_clock())):
+        for query in world.workload:
+            try:
+                deployment = optimizer.plan(query, state, explain=True)
+            except repro.errors.InfeasiblePlacementError as exc:
+                out.append(str(exc))
+                continue
+            state.apply(deployment)
+            out.append(deployment)
     return out
 
 

@@ -8,9 +8,9 @@ and reads no feed, so it is right by construction however the state
 changed -- and O(live) per call, which is why the shipped method only
 works this way the first time it meets a state.
 
-Drive it on an index of its own (same hierarchy, its own tracer) beside
-the index under test, mirroring every direct ``advertise_view`` /
-``withdraw_view`` call on both.
+Drive it on an index of its own (same hierarchy, under its own
+installed tracer) beside the index under test, mirroring every direct
+``advertise_view`` / ``withdraw_view`` call on both.
 
 :func:`reference_reusable` is what a planning task did before the index
 could be asked by signature: ``AdvertisementIndex.views_in`` (every
@@ -22,10 +22,12 @@ must return exactly its items.
 
 from __future__ import annotations
 
+from repro.obs.tracer import span
+
 
 def reference_sync(ads, state) -> None:
     """Reconcile ``ads`` with ``state`` by visiting everything."""
-    with ads.tracer.span("ads_sync"):
+    with span("ads_sync"):
         live = state.advertised_views()
         for signature, nodes in live.items():
             for node in nodes:

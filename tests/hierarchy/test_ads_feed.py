@@ -34,7 +34,7 @@ from hypothesis.stateful import (
 
 import repro
 from repro.fleet import FEDERATION_OWNER
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import Tracer, tracing
 from repro.perf.profiler import profiled
 from repro.query.deployment import _FEED_LIMIT, Deployment, DeploymentState
 from repro.query.plan import Leaf
@@ -79,7 +79,7 @@ class AdsFeedMachine(RuleBasedStateMachine):
         self.matches_the_literal_reconcile()
 
     def index(self):
-        ads = repro.AdvertisementIndex(self.hierarchy, tracer=Tracer())
+        ads = repro.AdvertisementIndex(self.hierarchy)
         for name, spec in self.rates.streams.items():
             ads.advertise_base(name, spec.source)
         return ads
@@ -94,11 +94,14 @@ class AdsFeedMachine(RuleBasedStateMachine):
         self.flows = [f for f in self.flows if f.query != name]
 
     def sync(self, state) -> None:
-        self.fast.sync_from_state(state)
-        reference_sync(self.slow, state)
+        fast_tracer, slow_tracer = Tracer(), Tracer()
+        with tracing(fast_tracer):
+            self.fast.sync_from_state(state)
+        with tracing(slow_tracer):
+            reference_sync(self.slow, state)
         assert self.fast.views() == self.slow.views() == state.advertised_views()
         assert self.fast.messages_sent == self.slow.messages_sent
-        fast, slow = self.fast.tracer.roots[-1], self.slow.tracer.roots[-1]
+        fast, slow = fast_tracer.roots[-1], slow_tracer.roots[-1]
         assert fast.name == slow.name == "ads_sync"
         assert fast.counters == slow.counters
         self.seen["messages"] += sum(fast.counters.get(c, 0) for c in _COUNTERS)

@@ -8,7 +8,7 @@ from repro.core.exhaustive import OptimalPlanner
 from repro.core.top_down import TopDownOptimizer
 from repro.hierarchy import build_hierarchy
 from repro.network.topology import transit_stub_by_size
-from repro.obs import PlanExplanation, Tracer, build_explanation
+from repro.obs import PlanExplanation, Tracer, build_explanation, tracing
 from repro.query.deployment import DeploymentState
 from repro.serialization import (
     explanation_from_json,
@@ -16,6 +16,7 @@ from repro.serialization import (
     trace_from_json,
     trace_to_json,
 )
+from repro.workload import build_world
 from repro.workload.generator import WorkloadParams, generate_workload
 
 
@@ -125,8 +126,9 @@ class TestSerialization:
         net, hierarchy, workload = env
         rates = workload.rate_model()
         tracer = Tracer()
-        optimizer = TopDownOptimizer(hierarchy, rates, tracer=tracer)
-        optimizer.plan(workload.queries[0], None)
+        optimizer = TopDownOptimizer(hierarchy, rates)
+        with tracing(tracer):
+            optimizer.plan(workload.queries[0], None)
         root = tracer.last_root
         doc = trace_to_json(root)
         rebuilt = trace_from_json(doc)
@@ -137,6 +139,45 @@ class TestSerialization:
             trace_from_json('{"kind": "repro.query"}')
         with pytest.raises(ValueError, match="not a serialized explanation"):
             explanation_from_json('{"kind": "repro.trace"}')
+
+
+def _without_durations(doc):
+    if isinstance(doc, dict):
+        return {k: _without_durations(v) for k, v in doc.items() if k != "duration"}
+    if isinstance(doc, list):
+        return [_without_durations(item) for item in doc]
+    return doc
+
+
+class TestOneShotExplain:
+    @pytest.mark.parametrize("algorithm", ["top-down", "bottom-up"])
+    def test_one_shot_and_installed_tracer_explain_alike(self, algorithm):
+        """``explain=True`` reports the same totals and span tree whether
+        or not the caller installed a tracer -- the ads index's
+        ``ads_sync`` span and publish counters included."""
+        world = build_world(
+            48, WorkloadParams(num_streams=8, num_queries=12, joins_per_query=(2, 4)),
+            network_seed=3, workload_seed=4, hierarchy_seeds={6: 0},
+        )
+
+        def explain_all(install: bool) -> list:
+            optimizer, state, out = world.optimizer(algorithm), world.fresh_state(), []
+            for query in world.workload:
+                if install:
+                    with tracing(Tracer()):
+                        deployment = optimizer.plan(query, state, explain=True)
+                else:
+                    deployment = optimizer.plan(query, state, explain=True)
+                state.apply(deployment)
+                out.append((
+                    deployment.explanation.totals,
+                    _without_durations(deployment.stats["trace"]),
+                ))
+            return out
+
+        one_shot, installed = explain_all(False), explain_all(True)
+        assert one_shot == installed
+        assert installed[-1][0]["ads_views_published"] > 0
 
 
 class TestBuildExplanation:

@@ -1,9 +1,9 @@
 """Span tracer: nesting, counters, serialization, and the no-op default.
 
-The acceptance-critical properties live here too: a disabled tracer
-records nothing (no samples, no spans) and never changes what the
-optimizers compute -- plans and costs are bit-identical with tracing on
-and off.
+The acceptance-critical properties live here too: with no tracer
+installed nothing is recorded (no samples, no spans), and tracing never
+changes what the optimizers compute -- plans and costs are bit-identical
+with tracing on and off.
 """
 
 import numpy as np
@@ -14,8 +14,8 @@ from repro.core.exhaustive import OptimalPlanner
 from repro.core.top_down import TopDownOptimizer
 from repro.hierarchy import build_hierarchy
 from repro.network.topology import transit_stub_by_size
-from repro.obs import NULL_TRACER, NullTracer, Span, Tracer
-from repro.obs.tracer import NULL_SPAN
+from repro.obs import Span, Tracer, tracing
+from repro.obs.tracer import NULL_SPAN, current_tracer, span
 from repro.workload.generator import WorkloadParams, generate_workload
 
 
@@ -180,19 +180,19 @@ class TestReentrancy:
 
 
 class TestNullTracer:
+    """With no tracer installed the hooks allocate and record nothing."""
+
     def test_null_tracer_allocates_nothing(self):
-        assert NULL_TRACER.enabled is False
-        assert NULL_TRACER.span("anything", x=1) is NULL_SPAN
-        assert NullTracer().span("other") is NULL_SPAN
+        assert current_tracer() is None
+        assert span("anything", x=1) is NULL_SPAN
 
     def test_null_span_is_inert(self):
-        with NULL_TRACER.span("work", q="q1") as span:
-            span.incr("n", 5)
-            span.tag(foo="bar")
-        assert span.counters == {}
-        assert span.tags == {}
-        assert NULL_TRACER.roots == ()
-        assert NULL_TRACER.last_root is None
+        with span("work", q="q1") as work:
+            work.incr("n", 5)
+            work.tag(foo="bar")
+        assert work is NULL_SPAN
+        assert work.counters == {}
+        assert work.tags == {}
 
 
 @pytest.fixture(scope="module")
@@ -212,8 +212,9 @@ class TestOptimizerTracing:
         net, hierarchy, workload = traced_env
         rates = workload.rate_model()
         tracer = Tracer()
-        optimizer = TopDownOptimizer(hierarchy, rates, tracer=tracer)
-        optimizer.plan(workload.queries[0], None)
+        optimizer = TopDownOptimizer(hierarchy, rates)
+        with tracing(tracer):
+            optimizer.plan(workload.queries[0], None)
         root = tracer.last_root
         assert root.name == "optimize"
         tasks = root.find("task")
@@ -230,9 +231,9 @@ class TestOptimizerTracing:
     def test_disabled_tracer_adds_no_spans(self, traced_env):
         net, hierarchy, workload = traced_env
         rates = workload.rate_model()
-        optimizer = TopDownOptimizer(hierarchy, rates)  # default NULL_TRACER
+        optimizer = TopDownOptimizer(hierarchy, rates)  # no tracer installed
         deployment = optimizer.plan(workload.queries[0], None)
-        assert optimizer.tracer is NULL_TRACER
+        assert current_tracer() is None
         assert "trace" not in deployment.stats
 
     @pytest.mark.parametrize("make", [
@@ -245,12 +246,10 @@ class TestOptimizerTracing:
         rates = workload.rate_model()
         plain = make(net, hierarchy, rates)
         traced = make(net, hierarchy, rates)
-        traced.tracer = Tracer()
-        if hasattr(traced, "ads"):
-            traced.ads.tracer = traced.tracer
         for query in workload:
             a = plain.plan(query, None)
-            b = traced.plan(query, None, explain=True)
+            with tracing(Tracer()):
+                b = traced.plan(query, None, explain=True)
             assert a.plan.pretty() == b.plan.pretty()
             assert {n.pretty(): p for n, p in a.placement.items()} == {
                 n.pretty(): p for n, p in b.placement.items()
@@ -263,9 +262,8 @@ class TestOptimizerTracing:
         net, hierarchy, workload = traced_env
         rates = workload.rate_model()
         optimizer = BottomUpOptimizer(hierarchy, rates)
-        assert not optimizer.tracer.enabled
         deployment = optimizer.plan(workload.queries[1], None, explain=True)
         assert deployment.explanation is not None
         assert deployment.stats["trace"]["name"] == "optimize"
-        # the optimizer's own tracer stays disabled
-        assert not optimizer.tracer.enabled
+        # the one-shot tracer is uninstalled again
+        assert current_tracer() is None

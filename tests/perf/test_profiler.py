@@ -1,9 +1,12 @@
-"""Op-count profiler: counting, sampling, nesting, hook sites."""
+"""The instrumentation context: op counting, nesting, isolation, hook sites."""
+
+import contextvars
 
 import pytest
 
+from repro.obs import Tracer, tracing
+from repro.obs.tracer import count, current_tracer, incr, op_sink, span
 from repro.perf import OpProfiler, profiled
-from repro.perf import profiler as perf_profiler
 
 
 class TestOpProfiler:
@@ -13,51 +16,83 @@ class TestOpProfiler:
         prof.count("messages", 4)
         assert prof.ops == {"messages": 5}
 
-    def test_sample_and_snapshot(self):
-        ticks = iter([0.0, 1.0, 1.0, 3.0])
-        prof = OpProfiler(clock=lambda: next(ticks))
-        with prof.sample("plan"):
-            pass
-        with prof.sample("plan"):
-            pass
-        snap = prof.snapshot()
-        assert snap["wall_seconds"]["plan"] == {
-            "n": 2, "total": 3.0, "min": 1.0, "max": 2.0, "median": 1.5,
-        }
-
-    def test_add_time(self):
-        prof = OpProfiler()
-        prof.add_time("tick", 0.25)
-        assert prof.snapshot()["wall_seconds"]["tick"]["total"] == 0.25
-
     def test_inactive_by_default(self):
-        assert perf_profiler.active() is None
+        assert op_sink() is None
+        count("messages")  # a no-op with nothing installed
 
     def test_profiled_installs_and_uninstalls(self):
         with profiled() as prof:
-            assert perf_profiler.active() is prof
-        assert perf_profiler.active() is None
+            assert op_sink() is prof
+            count("messages", 2)
+        assert op_sink() is None
+        assert prof.ops == {"messages": 2}
 
     def test_nesting_is_lifo(self):
         with profiled() as outer:
             with profiled() as inner:
-                assert perf_profiler.active() is inner
-            assert perf_profiler.active() is outer
+                assert op_sink() is inner
+                count("messages")
+            assert op_sink() is outer
+        assert inner.ops == {"messages": 1}
+        assert outer.ops == {}
 
     def test_out_of_order_uninstall_raises(self):
-        a, b = OpProfiler(), OpProfiler()
-        a.install()
-        b.install()
-        with pytest.raises(RuntimeError, match="nest"):
-            a.uninstall()
-        b.uninstall()
-        a.uninstall()
+        def misuse() -> None:
+            a, b = profiled(), profiled()
+            a.__enter__()
+            b.__enter__()
+            with pytest.raises(RuntimeError, match="nest"):
+                a.__exit__(None, None, None)
+
+        # The misuse leaves its installs behind in its own context only.
+        contextvars.copy_context().run(misuse)
+        assert op_sink() is None
 
     def test_uninstall_survives_failed_block(self):
         with pytest.raises(ValueError):
             with profiled():
                 raise ValueError("boom")
-        assert perf_profiler.active() is None
+        assert op_sink() is None
+
+
+class TestContextIsolation:
+    """An install belongs to the context that made it."""
+
+    def test_sibling_context_profiler_counts_apart(self):
+        def sibling() -> OpProfiler:
+            with profiled() as theirs:
+                count("messages", 5)
+            return theirs
+
+        with profiled() as ours:
+            theirs = contextvars.copy_context().run(sibling)
+            count("messages")
+        assert ours.ops == {"messages": 1}
+        assert theirs.ops == {"messages": 5}
+
+    def test_sibling_context_tracer_records_apart(self):
+        ours, theirs = Tracer(), Tracer()
+
+        def sibling() -> None:
+            with tracing(theirs), span("sibling"):
+                incr("hits", 5)
+
+        with tracing(ours), span("root") as root:
+            contextvars.copy_context().run(sibling)
+            incr("hits")
+        assert [r.name for r in ours.roots] == ["root"]
+        assert root.children == [] and root.counters == {"hits": 1}
+        assert [r.name for r in theirs.roots] == ["sibling"]
+        assert theirs.roots[0].counters == {"hits": 5}
+
+    def test_tracer_and_profiler_are_separate_channels(self):
+        tracer = Tracer()
+        with tracing(tracer), profiled() as prof, span("root") as root:
+            incr("plans_examined", 3)
+            count("trees_enumerated", 2)
+        assert root.counters == {"plans_examined": 3}
+        assert prof.ops == {"trees_enumerated": 2}
+        assert current_tracer() is None and op_sink() is None
 
 
 class TestHookSites:
@@ -122,7 +157,6 @@ class TestHookSites:
                 service.tick()
         assert prof.ops["service_ticks"] == 3
         assert prof.ops["cache_probes"] == len(workload.queries)
-        assert prof.snapshot()["wall_seconds"]["service_tick"]["n"] == 3
 
     def test_counts_are_deterministic(self, env):
         from repro.core import TopDownOptimizer

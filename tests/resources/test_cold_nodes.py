@@ -28,7 +28,7 @@ from repro.core.cost import RateModel
 from repro.core.enumeration import all_join_trees
 from repro.core.search import TreeSearch
 from repro.errors import InfeasiblePlacementError
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import Tracer, tracing
 from repro.perf.profiler import profiled
 from repro.query.deployment import DeploymentState
 from repro.query.query import JoinPredicate, Query
@@ -86,11 +86,11 @@ def _assert_no_constraint_work(ops):
 def _search(task, constraint):
     tracer = Tracer()
     stats = {"plans_examined": 0, "trees_examined": 0}
-    with profiled() as prof, tracer.span("task") as span:
+    with tracing(tracer), profiled() as prof, tracer.span("task") as span:
         search = TreeSearch(
             task.query, task.candidates, task.costs,
             task.rates.flow_pricer(task.query), task.sink, task.connected_only,
-            stats, span, tracer, constraint=constraint,
+            stats, span, constraint=constraint,
         )
         for positions in task.leaf_sets:
             search.add_leaf_set(list(positions), positions)
@@ -184,12 +184,10 @@ def _plan_all(optimizer_cls, seed, regime, load_weight, cls):
             base_loads=base_loads, load_weight=load_weight,
         )
     )
-    optimizer = optimizer_cls(
-        hierarchy, rates, tracer=Tracer(clock=_ticking_clock()), resources=resources,
-    )
+    optimizer = optimizer_cls(hierarchy, rates, resources=resources)
     state = DeploymentState(net.cost_matrix(), rates.rate, rates.source)
     out = []
-    with profiled() as prof:
+    with tracing(Tracer(clock=_ticking_clock())), profiled() as prof:
         for query in workload:
             try:
                 deployment = optimizer.plan(query, state, explain=True)
