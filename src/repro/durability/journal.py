@@ -100,15 +100,11 @@ def record_crc(lsn: int, kind: str, time: float, data: Any) -> int:
 
 
 def encode_record(lsn: int, kind: str, time: float, data: Any) -> str:
-    """One journal line (no trailing newline) with its CRC filled in."""
-    doc = {
-        "lsn": lsn,
-        "kind": kind,
-        "time": time,
-        "data": data,
-        "crc": record_crc(lsn, kind, time, data),
-    }
-    return canonical_json(doc)
+    """One journal line (no trailing newline) with its CRC filled in:
+    ``"crc"`` sorts first, so it is spliced in front of the payload's
+    canonical JSON, which is encoded once."""
+    payload = canonical_json({"lsn": lsn, "kind": kind, "time": time, "data": data})
+    return f'{{"crc":{zlib.crc32(payload.encode("utf-8"))},{payload[1:]}'
 
 
 class Journal:
@@ -222,9 +218,13 @@ class Journal:
 # ----------------------------------------------------------------------
 # Scanning and repair
 # ----------------------------------------------------------------------
-def _validate_line(line: str, expect_lsn: int) -> tuple[dict[str, Any] | None, str]:
+def _validate_line(line: bytes, expect_lsn: int) -> tuple[dict[str, Any] | None, str]:
     try:
-        doc = json.loads(line)
+        text = line.decode("utf-8")
+    except UnicodeDecodeError:
+        return None, "not valid UTF-8 (torn write)"
+    try:
+        doc = json.loads(text)
     except ValueError:
         return None, "not valid JSON (torn write)"
     if not isinstance(doc, dict):
@@ -249,8 +249,9 @@ def scan_journal(path: str | Path) -> tuple[list[dict[str, Any]], dict[str, Any]
     suffix past a corruption would be unsound).
 
     Returns ``(records, report)`` where ``report`` has ``records``
-    (accepted), ``last_lsn``, ``dropped_lines``, ``dropped_bytes``, and
-    ``reason`` (empty string when the journal is fully clean).
+    (accepted), ``last_lsn``, ``dropped_lines``, ``dropped_bytes``,
+    ``valid_bytes`` and ``reason`` (empty string when the journal is
+    fully clean).  Lines are decoded one by one: a torn UTF-8 tail drops.
     """
     path = Path(path)
     records: list[dict[str, Any]] = []
@@ -263,11 +264,11 @@ def scan_journal(path: str | Path) -> tuple[list[dict[str, Any]], dict[str, Any]
     }
     if not path.exists():
         return records, report
-    raw = path.read_text(encoding="utf-8")
+    raw = path.read_bytes()
     consumed = 0
-    lines = raw.split("\n")
+    lines = raw.split(b"\n")
     for i, line in enumerate(lines):
-        if line == "":
+        if not line:
             consumed += 1  # the newline itself (or trailing empty split)
             continue
         doc, problem = _validate_line(line, len(records) + 1)
@@ -282,7 +283,7 @@ def scan_journal(path: str | Path) -> tuple[list[dict[str, Any]], dict[str, Any]
     if report["reason"]:
         bad = raw[good_bytes:]
         report["dropped_bytes"] = len(bad)
-        report["dropped_lines"] = sum(1 for l in bad.split("\n") if l)
+        report["dropped_lines"] = sum(1 for l in bad.split(b"\n") if l)
     report["records"] = len(records)
     report["last_lsn"] = records[-1]["lsn"] if records else 0
     report["valid_bytes"] = good_bytes

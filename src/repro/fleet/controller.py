@@ -923,6 +923,8 @@ class FleetController:
             self._sync_federation()
         decision = target.submit(old.query, lifetime=remaining)
         if not decision.admitted:
+            if decision.status is AdmissionStatus.QUEUED:
+                target.retire(name)  # queued or parked there: take it back
             source.submit(old.query, lifetime=remaining)
             if self.federation is not None:
                 self._sync_federation()

@@ -38,10 +38,28 @@ ProducerKey = tuple  # ("base", stream_name, node) | ("view", ViewSignature, nod
 
 OperatorKey = tuple[ViewSignature, int]  # (signature, node)
 
-#: Entries the operator-set feed keeps.  The log keeps the signatures of
+#: Entries each change log keeps.  The key log keeps the signatures of
 #: retired operators alive, so it is small; a reader further behind than
 #: this reconciles in full.
 _FEED_LIMIT = 256
+
+
+class _Log:
+    """Append-only entries from absolute position ``base``: past
+    :data:`_FEED_LIMIT` entries, the older half is dropped."""
+
+    def __init__(self) -> None:
+        self.entries, self.base = [], 0
+
+    def append(self, entry) -> None:
+        self.entries.append(entry)
+        if len(self.entries) > _FEED_LIMIT:
+            del self.entries[: _FEED_LIMIT // 2]
+            self.base += _FEED_LIMIT // 2
+
+    def since(self, position: int) -> list | None:
+        start = position - self.base
+        return self.entries[start:] if start >= 0 else None
 
 
 def _is_base(node: PlanNode) -> bool:
@@ -199,11 +217,10 @@ class DeploymentState:
         #: keep anything derived from this state compare it to skip work.
         self.revision = 0
         self._serial = 0
-        # The operator-set feed: every key created or dropped, oldest
-        # first, from position ``_feed_base``.  ``_feed_id`` names this
-        # log; a clone has its own and ``restore`` starts a new one.
-        self._feed: list[OperatorKey] = []
-        self._feed_base = 0
+        # The change feeds: every operator key created or dropped and every
+        # query name applied or undeployed, oldest first.  ``_feed_id``
+        # names both; a clone has its own and ``restore`` starts new ones.
+        self._keys, self._names = _Log(), _Log()
         self._feed_id = object()
 
     # ------------------------------------------------------------------
@@ -240,6 +257,10 @@ class DeploymentState:
         """Every live operator record, in install order (read-only)."""
         return list(self._operators.values())
 
+    def operator_record(self, key: OperatorKey) -> _OperatorRecord | None:
+        """The live record at ``(signature, node)``, if any (read-only)."""
+        return self._operators.get(key)
+
     def advertised_views(self) -> dict[ViewSignature, set[int]]:
         """Derived-stream advertisements: signature -> nodes offering it."""
         out: dict[ViewSignature, set[int]] = {}
@@ -274,17 +295,19 @@ class DeploymentState:
         return sum(self._flow_costs.get(name, ()))
 
     # ------------------------------------------------------------------
-    # Operator-set feed
+    # Change feeds
     # ------------------------------------------------------------------
-    def feed_cursor(self) -> tuple[object, int]:
-        """The feed position after the latest operator-set change.
+    def feed_cursor(self) -> tuple[object, int, int]:
+        """The feeds' position after the latest change.
 
-        Keep it and hand it to :meth:`changes_since` later; the value is
-        opaque and only meaningful to the state that issued it.
+        Keep it and hand it to :meth:`changes_since` or
+        :meth:`names_since` later; the value is opaque and only
+        meaningful to the state that issued it.
         """
-        return (self._feed_id, self._feed_base + len(self._feed))
+        return (self._feed_id, self._keys.base + len(self._keys.entries),
+                self._names.base + len(self._names.entries))
 
-    def changes_since(self, cursor: tuple[object, int] | None) -> list[OperatorKey] | None:
+    def changes_since(self, cursor: tuple | None) -> list[OperatorKey] | None:
         """Every ``(signature, node)`` created or dropped since ``cursor``.
 
         Keys come oldest change first, repeat when touched repeatedly
@@ -296,8 +319,15 @@ class DeploymentState:
         """
         if cursor is None or cursor[0] is not self._feed_id:
             return None
-        start = cursor[1] - self._feed_base
-        return self._feed[start:] if start >= 0 else None
+        return self._keys.since(cursor[1])
+
+    def names_since(self, cursor: tuple | None) -> list[str] | None:
+        """Every query name applied or undeployed since ``cursor``, oldest
+        first: :meth:`changes_since` for :meth:`deployments`, with the
+        same ``None`` answer."""
+        if cursor is None or cursor[0] is not self._feed_id:
+            return None
+        return self._names.since(cursor[2])
 
     def operator_serial(self, signature: ViewSignature, node: int) -> int:
         """Install serial of a live operator; :meth:`operators` lists
@@ -352,6 +382,7 @@ class DeploymentState:
         self._flow_costs[name] = prices
         self._deployments[name] = deployment
         self._claims[name] = claims
+        self._names.append(name)
         return sum(prices)
 
     def undeploy(self, name: str) -> float:
@@ -372,6 +403,7 @@ class DeploymentState:
             raise UnknownQueryError(f"query {name!r} is not deployed")
         self.revision += 1
         del self._deployments[name]
+        self._names.append(name)
         self._flows.pop(name, None)
         reclaimed = 0.0
         for price in self._flow_costs.pop(name, ()):
@@ -433,8 +465,8 @@ class DeploymentState:
             name: [held[k] for k in self._claim_order(d) if k in held]
             for name, d in self._deployments.items()
         }
-        # A new log: no cursor issued before this call can be answered.
-        self._feed = []
+        # New logs: no cursor issued before this call can be answered.
+        self._keys, self._names = _Log(), _Log()
         self._feed_id = object()
         self._flows = {}
         for flow in flows:
@@ -681,7 +713,7 @@ class DeploymentState:
             sig, node, rate, origin=origin, serial=self._serial
         )
         self._views[sig] = self._views.get(sig, 0) + 1
-        self._log_change(key)
+        self._keys.append(key)
         return rec
 
     def _drop(self, key: OperatorKey) -> None:
@@ -692,14 +724,7 @@ class DeploymentState:
             del self._views[sig]
         else:
             self._views[sig] -= 1
-        self._log_change(key)
-
-    def _log_change(self, key: OperatorKey) -> None:
-        feed = self._feed
-        feed.append(key)
-        if len(feed) > _FEED_LIMIT:
-            del feed[: _FEED_LIMIT // 2]
-            self._feed_base += _FEED_LIMIT // 2
+        self._keys.append(key)
 
     def _price_flows(self) -> None:
         costs = self._costs

@@ -38,7 +38,7 @@ from repro.errors import (
     PlanningError,
     ReproError,
 )
-from repro.obs.tracer import span
+from repro.obs.tracer import count, span
 from repro.query.deployment import Deployment
 from repro.query.query import Query
 from repro.resilience.faults import NULL_FAULTS
@@ -163,6 +163,8 @@ class ResilientControl:
         2 open), created lazily as breakers appear and kept current by
         :meth:`sync_breaker_gauges`.
         """
+        for node in self.breakers.states():  # binding syncs every breaker
+            self.breakers.breaker(node)
         self._registry = registry
         reg = registry
         self._instruments = {
@@ -192,10 +194,13 @@ class ResilientControl:
         self.sync_breaker_gauges()
 
     def sync_breaker_gauges(self) -> None:
-        """Refresh the per-coordinator breaker-state gauges."""
+        """Refresh the gauges of the breakers touched since the last sync
+        (every breaker has a gauge once synced)."""
         if self._registry is None:
             return
-        for node, state in self.breakers.states().items():
+        states = self.breakers.touched()
+        count("breaker_gauges_synced", len(states))
+        for node, state in states.items():
             gauge = self._registry.gauge(
                 f"resilience_breaker_state_{node}",
                 f"Breaker state for coordinator {node} "

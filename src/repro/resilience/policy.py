@@ -230,9 +230,13 @@ class BreakerBoard:
         self.recovery_time = recovery_time
         self.half_open_probes = half_open_probes
         self._breakers: dict[int, CircuitBreaker] = {}
+        # Nodes whose breaker was reached since the last :meth:`touched`.
+        self._touched: set[int] = set()
 
     def breaker(self, node: int) -> CircuitBreaker:
-        """The (lazily created) breaker guarding one node."""
+        """The (lazily created) breaker guarding one node: the one way to
+        reach a breaker, so the node counts as touched."""
+        self._touched.add(node)
         breaker = self._breakers.get(node)
         if breaker is None:
             breaker = CircuitBreaker(
@@ -252,6 +256,13 @@ class BreakerBoard:
 
     def record_failure(self, node: int, now: float) -> None:
         self.breaker(node).record_failure(now)
+
+    def touched(self) -> dict[int, BreakerState]:
+        """:meth:`states` of the breakers reached since the previous call
+        -- the only ones whose state may have moved -- by node."""
+        states = {node: self._breakers[node].state for node in sorted(self._touched)}
+        self._touched.clear()
+        return states
 
     def states(self) -> dict[int, BreakerState]:
         """Current state of every instantiated breaker, keyed by node."""
@@ -298,7 +309,7 @@ class BreakerBoard:
 
     def restore(self, doc: list) -> None:
         """Inverse of :meth:`capture`: exactly the captured breakers."""
-        self._breakers = {}
+        self._breakers, self._touched = {}, set()
         for node, fields in doc:
             breaker = self.breaker(node)
             breaker.state = BreakerState(fields["state"])

@@ -12,10 +12,10 @@ recovery); each state carries a monotone ``revision`` and each rate
 model a ``version``, so a read costs
 
 * O(1) when neither moved since the last read;
-* one cheap identity diff of the state's deployments and operator
-  records when the revision moved, pricing only the operators of
-  deployments that appeared and re-summing only the nodes they or the
-  vanished ones touch;
+* when the revision moved, one read of the state's feeds of query
+  names and operator keys changed since the last read, pricing only the
+  operators of deployments that appeared and re-summing only the nodes
+  they or the vanished ones touch;
 * one re-pricing of every booked operator when statistics were
   published.
 
@@ -56,7 +56,7 @@ from repro.utils import ChangeFeed
 class _Source:
     """One attached state and what the books last saw of it."""
 
-    __slots__ = ("state", "footprint", "order", "seen", "deployments", "records", "seq")
+    __slots__ = ("state", "footprint", "order", "seen", "cursor", "deployments", "records", "seq")
 
     def __init__(
         self, state: DeploymentState, footprint: OperatorFootprint, order: int
@@ -66,6 +66,8 @@ class _Source:
         self.order = order
         # (state.revision, id(rates), rates.version) at the last reconcile.
         self.seen: tuple | None = None
+        # The state's feed cursor at the last reconcile.
+        self.cursor: tuple | None = None
         # name -> (deployment, seq, join keys); seq grows in application
         # order because a state only ever appends deployments.
         self.deployments: dict[str, tuple[Deployment, int, list[tuple]]] = {}
@@ -188,25 +190,36 @@ class ResourceLedger:
             count("ledger_ops_priced", priced)
 
     def _diff(self, source: _Source, touched: dict[tuple, None]) -> None:
-        """Fold what appeared in / vanished from one state into the books.
+        """Fold what one state's feeds say changed into the books.
 
-        Deployments are matched by name *and* identity: a migration
-        re-installs a new deployment under the old name.
+        A changed name loses its known deployment and, when live, is
+        booked afresh; names are visited in the order of their last
+        change, so fresh deployments take their ``seq`` in application
+        order.  A changed key is re-read.  When a feed cannot answer,
+        every known and every live name (or key) counts as changed.
         """
-        state = source.state
-        known = source.deployments
-        for name in [n for n, entry in known.items() if state.deployment(n) is not entry[0]]:
-            deployment, _seq, keys = known.pop(name)
-            for key in keys:
-                op = self._operators[key]
-                op.holders = [h for h in op.holders if h.deployment is not deployment]
-                touched[key] = None
-        for deployment in state.deployments:
-            query = deployment.query
-            if query.name in known:
+        state, known, records = source.state, source.deployments, source.records
+        names = state.names_since(source.cursor)
+        if names is None:
+            names = [*known, *(d.query.name for d in state.deployments)]
+        keys = state.changes_since(source.cursor)
+        if keys is None:
+            keys = [*records, *state.operators()]
+        source.cursor = state.feed_cursor()
+        count("ledger_deployments_examined", len(names))
+        count("ledger_records_examined", len(keys))
+        for name in reversed(dict.fromkeys(reversed(names))):
+            entry = known.pop(name, None)
+            if entry is not None:
+                for key in entry[2]:
+                    op = self._operators[key]
+                    op.holders = [h for h in op.holders if h.deployment is not entry[0]]
+                    touched[key] = None
+            deployment = state.deployment(name)
+            if deployment is None:
                 continue
             seq = next(source.seq)
-            keys = []
+            held = []
             for index, join in enumerate(deployment.plan.joins()):
                 key = (deployment.signature(join.sources), deployment.placement[join])
                 op = self._operators.get(key) or self._book(key)
@@ -214,24 +227,19 @@ class ResourceLedger:
                     _Holder(source.order, seq, index, source, deployment, join)
                 )
                 op.holders.sort(key=_walk_order)
-                keys.append(key)
+                held.append(key)
                 touched[key] = None
-            known[query.name] = (deployment, seq, keys)
+            known[name] = (deployment, seq, held)
 
-        records = source.records
-        current = state.operator_records()
-        for rec in current:
-            key = (rec.signature, rec.node)
+        for key in keys:
+            rec = state.operator_record(key)
             if records.get(key) is rec:
                 continue
-            records[key] = rec
-            touched[key] = None
-            self._live_keys = None
-        if len(records) > len(current):
-            alive = {id(rec) for rec in current}
-            for key in [k for k, rec in records.items() if id(rec) not in alive]:
+            if rec is None:
                 del records[key]
-                touched[key] = None
+            else:
+                records[key] = rec
+            touched[key] = None
             self._live_keys = None
 
     def _book(self, key: tuple) -> _Operator:

@@ -2,8 +2,12 @@
 
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
+from repro.durability import inspect_state_dir, recover
+from repro.durability.harness import run_steps, service_scenario
 from repro.durability.journal import (
     COMMAND_KINDS,
     JOURNAL_FILE,
@@ -11,11 +15,24 @@ from repro.durability.journal import (
     Journal,
     SimulatedCrash,
     canonical_json,
+    encode_record,
     record_crc,
     repair_journal,
     scan_journal,
 )
 from repro.resilience.faults import CrashPoint
+
+#: A record torn inside a two-byte UTF-8 sequence: no decoder accepts it.
+TORN_UTF8 = b'{"crc":1,"\xc3'
+
+#: Anything ``json.dumps`` encodes: floats of every kind, nested
+#: containers, non-ASCII text in values and keys.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=16,
+)
 
 
 @pytest.fixture()
@@ -49,6 +66,26 @@ class TestAppendScan:
 
     def test_canonical_json_is_key_ordered(self):
         assert canonical_json({"b": 1, "a": 2}) == '{"a":2,"b":1}'
+
+    @given(
+        lsn=st.integers(1, 2**53),
+        kind=st.sampled_from(sorted(COMMAND_KINDS | MARKER_KINDS)),
+        time=st.floats(),
+        data=json_values,
+    )
+    def test_encode_record_is_the_two_pass_encoding(self, lsn, kind, time, data):
+        """One encode and a spliced CRC give the bytes of encoding the
+        record with its CRC member in place."""
+        two_pass = canonical_json(
+            {
+                "lsn": lsn,
+                "kind": kind,
+                "time": time,
+                "data": data,
+                "crc": record_crc(lsn, kind, time, data),
+            }
+        )
+        assert encode_record(lsn, kind, time, data) == two_pass
 
 
 class TestTornAndCorrupt:
@@ -115,6 +152,25 @@ class TestTornAndCorrupt:
         _, second = repair_journal(journal.path)
         assert first["quarantined_to"] != second["quarantined_to"]
 
+    def test_undecodable_tail_is_dropped_and_repaired(self, journal):
+        journal.append("cmd_tick", 0.0, {"time": 0.0})
+        journal.append("admit", 0.0, {"query": "q\u00e9", "status": "admitted"})
+        journal.close()
+        good = journal.path.read_bytes()
+        journal.path.write_bytes(good + TORN_UTF8)
+        records, report = scan_journal(journal.path)
+        assert [r["lsn"] for r in records] == [1, 2]
+        assert report["reason"] == "line 3: not valid UTF-8 (torn write)"
+        assert report["dropped_lines"] == 1
+        assert report["dropped_bytes"] == len(TORN_UTF8)
+        assert report["valid_bytes"] == len(good)
+        records, report = repair_journal(journal.path)
+        assert len(records) == 2
+        assert journal.path.read_bytes() == good
+        quarantine = journal.path.parent / report["quarantined_to"]
+        assert quarantine.read_bytes() == TORN_UTF8
+        assert scan_journal(journal.path)[1]["reason"] == ""
+
     def test_missing_file_scans_empty(self, tmp_path):
         records, report = scan_journal(tmp_path / "absent.jsonl")
         assert records == []
@@ -160,3 +216,30 @@ class TestCrashPoints:
         journal.append("cmd_tick", 1.0, {"time": 1.0})
         assert journal.fsyncs_total == 2
         journal.close()
+
+
+class TestTornUtf8Recovery:
+    def test_recovery_quarantines_an_undecodable_tail(self, tmp_path):
+        scenario = service_scenario()
+        state_dir = tmp_path / "state"
+        baseline = scenario.factory(state_dir)
+        run_steps(scenario, baseline)
+        baseline.durability.journal.close()
+        path = state_dir / JOURNAL_FILE
+        good = path.read_bytes()
+        path.write_bytes(good + TORN_UTF8)
+        last_lsn = len(scan_journal(path)[0])
+
+        inspected = inspect_state_dir(state_dir)["journal"]
+        assert inspected["last_lsn"] == last_lsn
+        assert inspected["dropped_bytes"] == len(TORN_UTF8)
+        assert "not valid UTF-8" in inspected["drop_reason"]
+
+        recovered, report = recover(state_dir, lambda: scenario.factory(state_dir))
+        assert report.last_lsn == last_lsn
+        assert "not valid UTF-8" in report.journal_drop["reason"]
+        assert path.read_bytes() == good
+        # The repaired journal takes appends again.
+        recovered.tick()
+        recovered.durability.journal.close()
+        assert len(scan_journal(path)[0]) > last_lsn

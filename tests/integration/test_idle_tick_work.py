@@ -1,10 +1,14 @@
-"""What an idle tick of an all-layers service does, counted, no clock.
+"""What an idle tick and a submit of an all-layers service do, counted,
+no clock.
 
 With resilience, adaptivity, telemetry, durability and resources armed
 together the control plane's own reporting must cost what changed, not
 what exists: the scraper holds the handful of series whose instruments
 were touched, node gauges are written when a node's ratio is re-derived,
-and neither count depends on how many nodes the network has.
+and neither count depends on how many nodes the network has.  A submit's
+layer work -- the deployments and operator records the resource ledger
+examines, the breaker gauges the resilience layer syncs -- does not
+depend on how many queries are live.
 """
 
 import pytest
@@ -22,13 +26,15 @@ _LIVE = 200
 _EXTRA = 8
 
 
-def all_layers_service(num_nodes: int, state_dir) -> tuple[StreamQueryService, list]:
+def all_layers_service(
+    num_nodes: int, state_dir, live: int = _LIVE
+) -> tuple[StreamQueryService, list]:
     net = repro.transit_stub_by_size(num_nodes, seed=3)
     hierarchy = repro.build_hierarchy(net, max_cs=6, seed=0)
     workload = repro.generate_workload(
         net,
         repro.WorkloadParams(
-            num_streams=10, num_queries=_LIVE + _EXTRA, joins_per_query=(1, 3)
+            num_streams=10, num_queries=live + _EXTRA, joins_per_query=(1, 3)
         ),
         seed=4,
     )
@@ -50,12 +56,12 @@ def all_layers_service(num_nodes: int, state_dir) -> tuple[StreamQueryService, l
         ),
     )
     queries = list(workload)
-    for query in queries[:_LIVE]:
+    for query in queries[:live]:
         service.submit(query)
     for _ in range(3):
         service.tick()
-    assert service.engine.state.num_deployments == _LIVE
-    return service, queries[_LIVE:]
+    assert service.engine.state.num_deployments == live
+    return service, queries[live:]
 
 
 @pytest.fixture(scope="module")
@@ -105,3 +111,26 @@ def test_a_submit_writes_the_gauges_of_the_nodes_it_loaded_or_freed(planes):
             gauge = service.registry.get(f"resource_node_utilization_n{node}")
             assert gauge.value == ledger.utilization(node)
     assert wrote > 0
+
+
+def test_a_submit_examines_what_it_changed_not_what_is_live(planes, tmp_path):
+    few = all_layers_service(64, tmp_path, live=50)
+    per_size = {}
+    for service, extra in (few, planes[64]):
+        state = service.engine.state
+        counts = []
+        for query in extra:
+            cursor = state.feed_cursor()
+            with profiled() as prof:
+                service.submit(query)
+            assert state.deployment(query.name) is not None
+            # One name applied; the operator keys it created, each once.
+            assert prof.ops["ledger_deployments_examined"] == 1
+            assert prof.ops["ledger_records_examined"] == len(state.changes_since(cursor))
+            # The one coordinator its plan went through.
+            assert prof.ops["breaker_gauges_synced"] == 1
+            counts.append(prof.ops["ledger_records_examined"])
+        per_size[state.num_deployments] = counts
+    few[0].durability.journal.close()
+    assert set(per_size) == {50 + _EXTRA, _LIVE + _EXTRA}
+    assert max(max(counts) for counts in per_size.values()) <= 16

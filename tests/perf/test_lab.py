@@ -95,7 +95,8 @@ class TestResourceOverhead:
         armed = lab.run_case("resource_overhead")["ops"]
         layer_only = {
             "ledger_ops_priced", "joint_validations", "join_loads_priced",
-            "node_gauges_written",
+            "node_gauges_written", "ledger_deployments_examined",
+            "ledger_records_examined", "breaker_gauges_synced",
         }
         assert {k: v for k, v in armed.items() if k not in layer_only} == churn
         assert armed["ledger_ops_priced"] > 0

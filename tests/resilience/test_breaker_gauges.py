@@ -1,6 +1,10 @@
 """Per-coordinator breaker-state gauges on the resilience layer."""
 
+import hypothesis.strategies as st
+from hypothesis import example, given
+
 from repro.obs.metrics import MetricRegistry
+from repro.perf.profiler import profiled
 from repro.resilience.degradation import (
     BREAKER_STATE_VALUES,
     ResilienceConfig,
@@ -79,3 +83,82 @@ class TestBreakerStateGauges:
         control._record_failure(4, now=2.0)
         text = registry.exposition()
         assert "resilience_breaker_state_4 2" in text
+
+
+class FullSyncControl(ResilientControl):
+    """Every breaker's gauge on every sync, by node: what the touched-only
+    sync must be indistinguishable from."""
+
+    def sync_breaker_gauges(self) -> None:
+        if self._registry is None:
+            return
+        for node, state in self.breakers.states().items():
+            gauge = self._registry.gauge(
+                f"resilience_breaker_state_{node}",
+                f"Breaker state for coordinator {node} "
+                "(0=closed, 1=half-open, 2=open).",
+            )
+            value = BREAKER_STATE_VALUES[state]
+            if gauge.value != value:
+                gauge.set(value)
+
+
+_NODES = st.integers(0, 5)
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("allow"), _NODES),
+        st.tuples(st.just("success"), _NODES),
+        st.tuples(st.just("failure"), _NODES),
+        st.tuples(st.just("advance"), st.sampled_from([0.5, 3.0, 6.0])),
+        st.tuples(st.just("sync"), st.none()),
+        st.tuples(st.just("bind"), st.none()),
+    ),
+    max_size=40,
+)
+
+#: Breakers made before the bind, a trip, OPEN -> HALF_OPEN through
+#: allow() and a failed probe, spelled out so every run covers them.
+_SCRIPTED = [
+    ("allow", 4), ("failure", 1), ("bind", None), ("failure", 4), ("failure", 4),
+    ("advance", 6.0), ("allow", 4), ("sync", None), ("failure", 4), ("allow", 2),
+    ("advance", 6.0), ("allow", 4), ("success", 4), ("sync", None),
+]
+
+
+class TestTouchedOnlySync:
+    @given(steps=_STEPS)
+    @example(steps=_SCRIPTED)
+    def test_registry_equals_a_full_sync_twins(self, steps):
+        controls = [make_control(), FullSyncControl(make_control().config)]
+        registries = [MetricRegistry(), MetricRegistry()]
+        cursors = [None, None]
+        now = 0.0
+        for kind, arg in steps:
+            for control, registry in zip(controls, registries):
+                if kind == "allow":
+                    control.breakers.allow(arg, now)
+                elif kind == "success":
+                    control.breakers.record_success(arg, now)
+                elif kind == "failure":
+                    control._record_failure(arg, now)
+                elif kind == "sync":
+                    control.sync_breaker_gauges()
+                elif kind == "bind":
+                    control.bind_instruments(registry)
+            if kind == "advance":
+                now += arg
+            touched, full = registries
+            assert touched.changes_since(None) == full.changes_since(None)  # creation order
+            assert touched.snapshot() == full.snapshot()
+            assert touched.changes_since(cursors[0]) == full.changes_since(cursors[1])
+            cursors = [touched.feed_cursor(), full.feed_cursor()]
+
+    def test_a_sync_walks_only_the_breakers_touched(self):
+        control = make_control()
+        control.bind_instruments(MetricRegistry())
+        for node in range(20):
+            control._record_failure(node, now=1.0)
+        with profiled() as prof:
+            control._record_failure(7, now=2.0)
+            control.sync_breaker_gauges()
+        assert prof.ops["breaker_gauges_synced"] == 1

@@ -36,7 +36,7 @@ from repro.core.cost import RateModel
 from repro.durability import DurabilityConfig, recover
 from repro.fleet import FleetController
 from repro.perf.profiler import profiled
-from repro.query.deployment import Deployment, DeploymentState
+from repro.query.deployment import _FEED_LIMIT, Deployment, DeploymentState
 from repro.query.plan import Join, Leaf
 from repro.query.query import JoinPredicate, Query
 from repro.query.stream import StreamSpec
@@ -370,6 +370,43 @@ class LedgerMachine(RuleBasedStateMachine):
             service.observe_rates(samples)
         self.plane.tick()
 
+    def reapply_ends(self, churn: int) -> bool:
+        """Edit a state behind its plane's back: undeploy its oldest and
+        newest view-free deployments (undone newest first and redone
+        oldest first, those re-apply whatever else is live), apply and
+        undeploy ``churn`` renamed twins of the oldest, then re-apply the
+        same two objects under their names.  Both move to the end of
+        application order, so their pricing turns move too."""
+        state = self.services[0].engine.state
+        plain = [d for d in state.deployments if not d.reused_leaves()]
+        if len(plain) < 2:
+            return False
+        ends = [plain[0], plain[-1]]
+        for deployment in reversed(ends):
+            state.undeploy(deployment.query.name)
+        cursor = state.feed_cursor()
+        for index in range(churn):
+            twin = Deployment(
+                ends[0].query.renamed(f"burst{index}"), ends[0].plan, ends[0].placement
+            )
+            state.apply(twin)
+            state.undeploy(twin.query.name)
+        for deployment in ends:
+            state.apply(deployment)
+        assert (state.names_since(cursor) is None) == bool(churn)
+        self.edited_out_of_band = True
+        return True
+
+    @rule()
+    def reapply(self):
+        self.seen["reapplies"] += self.reapply_ends(0)
+
+    @rule()
+    def burst(self):
+        # More name changes than the feed keeps between two ledger reads:
+        # the books fall back to every known and every live name.
+        self.seen["bursts"] += self.reapply_ends(_FEED_LIMIT // 2 + 1)
+
     @invariant()
     def books_match_the_reference(self):
         assert_books_match(self.ledger, self.reference)
@@ -525,7 +562,7 @@ def test_service_books_match_the_reference_after_every_command():
     run_state_machine_as_test(ServiceLedgerMachine, settings=_MACHINE)
     for mechanism in (
         "shed", "readmitted", "publications", "migrations", "failovers", "orphans",
-        "capacity_edits", "restores", "gauges_nonzero",
+        "capacity_edits", "restores", "gauges_nonzero", "reapplies", "bursts",
     ):
         assert seen[mechanism], f"no example exercised {mechanism}: {dict(seen)}"
 
@@ -535,9 +572,30 @@ def test_fleet_books_match_the_reference_after_every_command():
     run_state_machine_as_test(FleetLedgerMachine, settings=_MACHINE)
     for mechanism in (
         "shed", "readmitted", "publications", "imports", "promotions", "orphans",
-        "gauges_nonzero",
+        "gauges_nonzero", "reapplies", "bursts",
     ):
         assert seen[mechanism], f"no example exercised {mechanism}: {dict(seen)}"
+
+
+def test_a_refused_rebalance_leaves_nothing_parked_on_the_target():
+    """Found by the fleet machine: a move the target shard parks rolls
+    back onto the source, and the target kept it parked, so a later tick
+    deployed a query that was live on the source again."""
+    FleetLedgerMachine.seen = Counter()
+    fleet = FleetLedgerMachine().plane
+    refused = []
+    for name in ("q0#0", "q6#6", None, "q6#6", "q2#2", "q1#1"):
+        if name is None:
+            fleet.tick()
+            continue
+        source = fleet.shard_of(name)
+        if not fleet.rebalance(name, 1 - source).moved:
+            refused.append(name)
+            assert name not in fleet.shards[1 - source].resources.parked
+    assert refused == ["q2#2", "q1#1"]
+    fleet.tick()
+    live = [name for shard in fleet.shards for name in shard.live_queries]
+    assert len(live) == len(set(live))
 
 
 # ----------------------------------------------------------------------
