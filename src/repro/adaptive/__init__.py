@@ -23,7 +23,7 @@ from repro.adaptive.migrate import (
     MigrationOutcome,
     Migrator,
 )
-from repro.adaptive.policy import ReoptConfig, ReoptDecision, ReoptPolicy
+from repro.adaptive.policy import ReoptDecision, ReoptPolicy
 from repro.adaptive.stats import DriftEvent, EwmaEstimator, StatsMonitor, StreamDrift
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "MigrationOutcome",
     "Migrator",
     "OperatorMove",
-    "ReoptConfig",
     "ReoptDecision",
     "ReoptPolicy",
     "StatsMonitor",

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.adaptive.migrate import MigrationOutcome, Migrator
-from repro.adaptive.policy import ReoptConfig, ReoptDecision, ReoptPolicy
+from repro.adaptive.policy import ReoptDecision, ReoptPolicy
 from repro.adaptive.stats import DriftEvent, StatsMonitor
 from repro.obs.tracer import incr, span
 
@@ -44,23 +44,27 @@ class AdaptivityConfig:
 
     Attributes:
         alpha: EWMA smoothing factor of the statistics estimators.
-        drift_threshold: Relative rate change that counts as drift.
         hysteresis_ticks: Consecutive breaching ticks before publishing.
         publish_cooldown: Minimum ticks between statistics publications.
         horizon: Unit times a migration's saving is amortized over.
-        min_relative_gain: Relative cost gain floor for migrating.
+            Larger horizons make migrations more eager (the saving has
+            longer to pay the transfer back).
+        min_relative_gain: A candidate must beat the current cost by
+            this fraction before the amortization test even runs
+            (decision hysteresis against estimate noise).
         bytes_per_tuple: Window-state tuple size (transfer pricing).
         max_migrations_per_tick: Migration budget per service tick.
         query_cooldown: Ticks a migrated (or aborted) query is left
             alone before being reconsidered.
         simulate_cutover: Replay the cutover protocol on the simulator
             (off: apply the swap directly; unit-test use).
-        drain_seconds: Pause-drain time per operator in the cutover.
-        seconds_per_byte: State-transfer transmission speed.
+
+    The drift threshold is :class:`~repro.adaptive.stats.StatsMonitor`'s
+    default; the cutover's drain time and transfer speed are
+    :class:`~repro.adaptive.migrate.Migrator`'s.
     """
 
     alpha: float = 0.3
-    drift_threshold: float = 0.2
     hysteresis_ticks: int = 2
     publish_cooldown: float = 5.0
     horizon: float = 20.0
@@ -69,16 +73,14 @@ class AdaptivityConfig:
     max_migrations_per_tick: int = 2
     query_cooldown: float = 10.0
     simulate_cutover: bool = True
-    drain_seconds: float = 0.01
-    seconds_per_byte: float = 1e-6
 
-    def reopt(self) -> ReoptConfig:
-        """The policy's slice of the knobs."""
-        return ReoptConfig(
-            horizon=self.horizon,
-            min_relative_gain=self.min_relative_gain,
-            bytes_per_tuple=self.bytes_per_tuple,
-        )
+    def __post_init__(self) -> None:
+        if self.horizon <= 0:
+            raise ValueError("horizon must be positive")
+        if self.min_relative_gain < 0:
+            raise ValueError("min_relative_gain must be non-negative")
+        if self.bytes_per_tuple <= 0:
+            raise ValueError("bytes_per_tuple must be positive")
 
 
 @dataclass
@@ -128,16 +130,13 @@ class AdaptivityLoop:
         self.monitor = StatsMonitor(
             service.rates,
             alpha=cfg.alpha,
-            drift_threshold=cfg.drift_threshold,
             hysteresis_ticks=cfg.hysteresis_ticks,
             publish_cooldown=cfg.publish_cooldown,
         )
-        self.policy = ReoptPolicy(cfg.reopt(), service.optimizer, service.rates)
+        self.policy = ReoptPolicy(cfg, service.optimizer, service.rates)
         self.migrator = Migrator(
             service.network,
             faults=service.faults,
-            drain_seconds=cfg.drain_seconds,
-            seconds_per_byte=cfg.seconds_per_byte,
             simulate=cfg.simulate_cutover,
             trace=getattr(service, "causal", None),
         )

@@ -11,7 +11,7 @@ Once the re-optimization policy approves a migration, the
 
    * *pause*: the coordinator asks every old host to pause its
      operator; a paused operator stops emitting while in-flight tuples
-     drain (``drain_seconds``), then the host acknowledges;
+     drain (:data:`DRAIN_SECONDS`), then the host acknowledges;
    * *transfer*: once every operator is paused, each old host ships the
      operator's serialized window state to the new host (transmission
      time proportional to the state size); new hosts acknowledge
@@ -38,7 +38,7 @@ Once the re-optimization policy approves a migration, the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from repro.errors import DeploymentError
 from repro.network.graph import Network
@@ -55,7 +55,7 @@ from repro.runtime.messages import (
     StateChunk,
     TransferCommand,
 )
-from repro.runtime.simulator import SimNode, Simulator
+from repro.runtime.simulator import ReliableNode, ReliableRun, Simulator
 
 #: Default retransmission policy for fault-injected cutovers; matches
 #: the deployment protocol's deterministic backoff.
@@ -63,6 +63,9 @@ MIGRATION_RETRY = RetryPolicy(
     max_attempts=5, base_delay=0.05, multiplier=2.0, max_delay=1.0,
     jitter=0.0, attempt_timeout=None,
 )
+#: Virtual time a pausing operator waits for in-flight tuples to clear
+#: before acknowledging.
+DRAIN_SECONDS = 0.01
 
 
 @dataclass
@@ -106,7 +109,7 @@ class CutoverTimeline:
         return self.completed - self.started
 
 
-class _CutoverContext:
+class _CutoverContext(ReliableRun):
     def __init__(
         self,
         query_name: str,
@@ -114,17 +117,13 @@ class _CutoverContext:
         coordinator: int,
         faults,
         retry: RetryPolicy | None,
+        seconds_per_byte: float,
     ) -> None:
+        super().__init__(faults, retry)
         self.query_name = query_name
         self.moves = {m.label: m for m in moves}
         self.coordinator = coordinator
-        self.faults = faults
-        self.retry_offsets: list[float] = []
-        if faults.enabled and retry is not None:
-            offset = 0.0
-            for delay in retry.delays():
-                offset += delay
-                self.retry_offsets.append(offset)
+        self.seconds_per_byte = seconds_per_byte
         self.paused: set[str] = set()
         self.pause_acked: set[str] = set()
         self.state_acked: set[str] = set()
@@ -134,39 +133,20 @@ class _CutoverContext:
         self.pause_done_time: float | None = None
         self.transfer_done_time: float | None = None
         self.finish_time: float | None = None
-        self.retransmissions = 0
 
 
-class _CutoverActor(SimNode):
+class _CutoverActor(ReliableNode):
     """One actor per physical node; plays coordinator/old-host/new-host
     as the message flow demands (a node can be all three at once)."""
 
-    def __init__(self, node_id: int, ctx: _CutoverContext, drain_seconds: float,
-                 seconds_per_byte: float) -> None:
-        super().__init__(node_id)
-        self.ctx = ctx
-        self.drain_seconds = drain_seconds
-        self.seconds_per_byte = seconds_per_byte
-
-    def _reliable_send(self, dst: int, message, delivered: Callable[[], bool]) -> None:
-        """Send now; under faults, retransmit at the retry offsets until
-        ``delivered()`` reports the protocol goal registered."""
-        self.send(dst, message)
-        for offset in self.ctx.retry_offsets:
-
-            def maybe_resend() -> None:
-                if not delivered():
-                    self.ctx.retransmissions += 1
-                    self.send(dst, message)
-
-            self.sim.schedule(offset, maybe_resend)
+    ctx: _CutoverContext
 
     # -- coordinator phase transitions ---------------------------------
     def begin(self) -> None:
         """Issue the pause commands (called on the coordinator)."""
         ctx = self.ctx
         for label, move in ctx.moves.items():
-            self._reliable_send(
+            self.reliable_send(
                 move.old_node,
                 PauseCommand(ctx.query_name, label),
                 delivered=lambda l=label: l in ctx.pause_acked,
@@ -179,7 +159,7 @@ class _CutoverActor(SimNode):
         ctx.transfer_started = True
         ctx.pause_done_time = self.sim.now
         for label, move in ctx.moves.items():
-            self._reliable_send(
+            self.reliable_send(
                 move.old_node,
                 TransferCommand(ctx.query_name, label, move.new_node, move.state_bytes),
                 delivered=lambda l=label: l in ctx.state_acked,
@@ -192,7 +172,7 @@ class _CutoverActor(SimNode):
         ctx.resume_started = True
         ctx.transfer_done_time = self.sim.now
         for label, move in ctx.moves.items():
-            self._reliable_send(
+            self.reliable_send(
                 move.new_node,
                 ResumeCommand(ctx.query_name, label),
                 delivered=lambda l=label: l in ctx.resume_acked,
@@ -214,7 +194,7 @@ class _CutoverActor(SimNode):
                 ctx.paused.add(label)
                 self.send(ctx.coordinator, PauseAck(ctx.query_name, label))
 
-            self.sim.schedule(self.drain_seconds, drained)
+            self.sim.schedule(DRAIN_SECONDS, drained)
         elif isinstance(message, PauseAck):
             ctx.pause_acked.add(message.operator_label)
             self._maybe_start_transfer()
@@ -224,7 +204,7 @@ class _CutoverActor(SimNode):
             self.send(
                 message.dest,
                 StateChunk(ctx.query_name, message.operator_label, message.nbytes),
-                extra_delay=message.nbytes * self.seconds_per_byte,
+                extra_delay=message.nbytes * ctx.seconds_per_byte,
             )
         elif isinstance(message, StateChunk):
             self.send(ctx.coordinator, StateAck(ctx.query_name, message.operator_label))
@@ -298,8 +278,6 @@ class Migrator:
             messages exactly as it does deployment-protocol messages.
         retry: Retransmission policy under faults
             (:data:`MIGRATION_RETRY` when omitted).
-        drain_seconds: Virtual time a pausing operator waits for
-            in-flight tuples to clear before acknowledging.
         seconds_per_byte: State-transfer transmission speed.
         simulate: Whether to run the cutover protocol at all.  Off, the
             swap is applied directly (unit tests of the swap logic).
@@ -314,7 +292,6 @@ class Migrator:
         network: Network,
         faults=NULL_FAULTS,
         retry: RetryPolicy | None = None,
-        drain_seconds: float = 0.01,
         seconds_per_byte: float = 1e-6,
         simulate: bool = True,
         trace=None,
@@ -322,7 +299,6 @@ class Migrator:
         self.network = network
         self.faults = faults
         self.retry = retry if retry is not None else MIGRATION_RETRY
-        self.drain_seconds = drain_seconds
         self.seconds_per_byte = seconds_per_byte
         self.simulate = simulate
         self.trace = trace
@@ -360,6 +336,7 @@ class Migrator:
             diff.query, diff.moved, coordinator,
             faults=self.faults,
             retry=self.retry if self.faults.enabled else None,
+            seconds_per_byte=self.seconds_per_byte,
         )
         sim = Simulator(self.network)
         if self.faults.enabled:
@@ -375,9 +352,7 @@ class Migrator:
             sim.add_send_middleware(outage_guard)
         self.faults.install(sim)
         for node in self.network.nodes():
-            sim.register(
-                _CutoverActor(node, ctx, self.drain_seconds, self.seconds_per_byte)
-            )
+            sim.register(_CutoverActor(node, ctx))
         sim.now = start_time
         actor = sim.node(coordinator)
         assert isinstance(actor, _CutoverActor)

@@ -29,7 +29,7 @@ Safety rules the policy enforces before any arithmetic:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -38,32 +38,8 @@ from repro.core.cost import RateModel
 from repro.errors import InfeasiblePlacementError
 from repro.query.deployment import Deployment, DeploymentState
 
-
-@dataclass(frozen=True)
-class ReoptConfig:
-    """Tuning knobs of the re-optimization trigger.
-
-    Attributes:
-        horizon: Unit times the cost saving is amortized over.  Larger
-            horizons make migrations more eager (the saving has longer
-            to pay the transfer back).
-        min_relative_gain: Candidate must beat the current cost by this
-            fraction before the amortization test even runs (decision
-            hysteresis against estimate noise).
-        bytes_per_tuple: Scale from window-state tuples to bytes.
-    """
-
-    horizon: float = 20.0
-    min_relative_gain: float = 0.05
-    bytes_per_tuple: float = 64.0
-
-    def __post_init__(self) -> None:
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if self.min_relative_gain < 0:
-            raise ValueError("min_relative_gain must be non-negative")
-        if self.bytes_per_tuple <= 0:
-            raise ValueError("bytes_per_tuple must be positive")
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.adaptive.loop import AdaptivityConfig
 
 
 @dataclass
@@ -111,14 +87,15 @@ class ReoptPolicy:
     """Evaluates deployed queries against fresh statistics.
 
     Args:
-        config: Trigger tuning knobs.
+        config: The adaptivity knobs; the policy reads ``horizon``,
+            ``min_relative_gain`` and ``bytes_per_tuple``.
         optimizer: The planner producing candidates (the same optimizer
             the service plans new queries with, so candidates reflect
             the deployment strategy in force).
         rates: The live rate model (fresh statistics).
     """
 
-    def __init__(self, config: ReoptConfig, optimizer, rates: RateModel) -> None:
+    def __init__(self, config: "AdaptivityConfig", optimizer, rates: RateModel) -> None:
         self.config = config
         self.optimizer = optimizer
         self.rates = rates

@@ -66,13 +66,15 @@ class _Input:
 class BottomUpOptimizer:
     """Joint plan/placement optimization guided by the hierarchy, bottom-up.
 
+    Cross-product join trees are skipped whenever a connected one
+    exists (the paper's S9).
+
     Args:
         hierarchy: Virtual cluster hierarchy over the network.
         rates: Rate model over the base stream catalog.
         ads: Advertisement index (auto-created with base streams when
             omitted).
         reuse: Consider advertised derived views while planning.
-        connected_only: Skip cross-product join trees when possible.
         resources: Optional :class:`~repro.resources.ResourceManager`;
             same contract as on
             :class:`~repro.core.top_down.TopDownOptimizer` -- bounded /
@@ -88,13 +90,11 @@ class BottomUpOptimizer:
         rates: RateModel,
         ads: AdvertisementIndex | None = None,
         reuse: bool = True,
-        connected_only: bool = True,
         resources=None,
     ) -> None:
         self.hierarchy = hierarchy
         self.rates = rates
         self.reuse = reuse
-        self.connected_only = connected_only
         self.resources = resources
         if ads is None:
             ads = AdvertisementIndex(hierarchy)
@@ -291,8 +291,8 @@ class BottomUpOptimizer:
                 candidates = sorted(candidates, key=relevance)[: self.hierarchy.max_cs]
             component.tag(candidates=len(candidates))
             search = TreeSearch(
-                query, candidates, costs, flow, target, self.connected_only,
-                stats, component, constraint=constraint,
+                query, candidates, costs, flow, target,
+                connected_only=True, stats=stats, span=component, constraint=constraint,
             )
             leaf_sets = self._candidate_leaf_sets(cluster, inputs, reusable)
             component.incr("leaf_set_alternatives", len(leaf_sets))

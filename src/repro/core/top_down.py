@@ -70,13 +70,15 @@ class _TaskPlan:
 class TopDownOptimizer:
     """Joint plan/placement optimization guided by the hierarchy, top-down.
 
+    Cross-product join trees are skipped whenever a connected one
+    exists (the paper's S9).
+
     Args:
         hierarchy: Virtual cluster hierarchy over the network.
         rates: Rate model over the base stream catalog.
         ads: Advertisement index (auto-created, with every base stream
             advertised at its source, when omitted).
         reuse: Consider advertised derived views while planning.
-        connected_only: Skip cross-product join trees when possible.
         resources: Optional :class:`~repro.resources.ResourceManager`.
             When set (and constrained), every placement is optimized
             under its utilization bound / bi-criteria objective and
@@ -96,13 +98,11 @@ class TopDownOptimizer:
         rates: RateModel,
         ads: AdvertisementIndex | None = None,
         reuse: bool = True,
-        connected_only: bool = True,
         resources=None,
     ) -> None:
         self.hierarchy = hierarchy
         self.rates = rates
         self.reuse = reuse
-        self.connected_only = connected_only
         self.resources = resources
         if ads is None:
             ads = AdvertisementIndex(hierarchy)
@@ -234,8 +234,8 @@ class TopDownOptimizer:
             inputs=len(inputs),
         ) as task_span:
             search = TreeSearch(
-                query, members, costs, flow, target_pos, self.connected_only,
-                stats, task_span, constraint=constraint,
+                query, members, costs, flow, target_pos,
+                connected_only=True, stats=stats, span=task_span, constraint=constraint,
             )
             leaf_sets = self._candidate_leaf_sets(cluster, inputs, reusable)
             task_span.incr("leaf_set_alternatives", len(leaf_sets))

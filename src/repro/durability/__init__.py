@@ -4,8 +4,7 @@ The layer follows the repo's opt-in contract (same as telemetry,
 resilience and adaptivity): ``durability=None`` leaves the service and
 fleet *byte-identical* to a build without the layer -- no journal, no
 instruments, no behavioural change -- which the regression tests
-enforce.  Passing a :class:`DurabilityConfig` (or a pre-built
-:class:`Durability`) arms the full pipeline:
+enforce.  Passing a :class:`DurabilityConfig` arms the full pipeline:
 
 * every externally driven mutation (submit/tick/retire/node
   failure/rejoin/observe/rebalance) is journaled as a **command record
@@ -60,15 +59,14 @@ class DurabilityConfig:
         snapshot_interval: Ticks between snapshots (snapshots are only
             taken at tick boundaries, so every command record past a
             snapshot's LSN is replayable whole).
-        retain_snapshots: Snapshots kept on disk; older ones are pruned
-            after each write.  Keep at least 2 so a torn newest
-            snapshot still leaves a valid fallback.
         fsync: Fsync the journal after every append.
+
+    :data:`~repro.durability.snapshot.RETAIN_SNAPSHOTS` snapshots are
+    kept on disk.
     """
 
     state_dir: str
     snapshot_interval: int = 25
-    retain_snapshots: int = 2
     fsync: bool = False
 
     def __post_init__(self) -> None:
@@ -76,8 +74,6 @@ class DurabilityConfig:
             raise ValueError("durability needs a state_dir")
         if self.snapshot_interval < 1:
             raise ValueError("snapshot_interval must be >= 1")
-        if self.retain_snapshots < 1:
-            raise ValueError("retain_snapshots must be >= 1")
 
 
 class Durability:
@@ -239,7 +235,6 @@ class Durability:
             self.scope,
             state,
             time=time,
-            retain=self.config.retain_snapshots,
             journal=self.journal,
         )
         self.snapshots_total += 1
@@ -290,23 +285,18 @@ class Durability:
         }
 
 
-def ensure_durability(
-    durability: Durability | DurabilityConfig | None,
-) -> Durability | None:
+def ensure_durability(durability: DurabilityConfig | None) -> Durability | None:
     """Normalize the ``durability=`` constructor argument.
 
     ``None`` stays ``None`` (the layer is fully absent); a config is
-    wrapped in a fresh :class:`Durability`; a pre-built layer passes
-    through (so tests can arm crash points before construction).
+    wrapped in a fresh :class:`Durability`.
     """
     if durability is None:
         return None
-    if isinstance(durability, Durability):
-        return durability
     if isinstance(durability, DurabilityConfig):
         return Durability(durability)
     raise TypeError(
-        f"durability must be None, DurabilityConfig or Durability, "
+        f"durability must be None or a DurabilityConfig, "
         f"got {type(durability).__name__}"
     )
 

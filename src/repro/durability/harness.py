@@ -283,7 +283,12 @@ def _tick_report_doc(report) -> dict[str, Any]:
 
 
 def _service_digest(service) -> dict[str, Any]:
-    from repro.durability.state import placement_to_doc
+    from repro.durability.snapshot import splice_json
+    from repro.durability.state import (
+        FragmentMemo,
+        capture_deployment_state,
+        placement_to_doc,
+    )
 
     deployments = []
     for dep in sorted(service.engine.state.deployments, key=lambda d: d.query.name):
@@ -300,6 +305,10 @@ def _service_digest(service) -> dict[str, Any]:
         "total_cost": round(service.total_cost(), 9),
         "queued": service.admission.queued_names(),
         "expiry": dict(sorted(service.capture()["expiry"])),
+        # The deployment-state section as a snapshot writes it.
+        "state": splice_json(
+            capture_deployment_state(service.engine.state, FragmentMemo())
+        ),
         # Every armed layer's own snapshot section, whole.
         "layers": {name: layer.capture() for name, layer in service.layers()},
     }
@@ -413,7 +422,6 @@ def crash_restart_matrix(
     state_root: str | Path,
     points: list[CrashPoint] | None = None,
     extra_ticks: int = DEFAULT_EXTRA_TICKS,
-    keep_dirs: bool = False,
 ) -> dict[str, Any]:
     """Run the full crash/recover/resume equivalence matrix.
 
@@ -424,7 +432,6 @@ def crash_restart_matrix(
         points: Crash points to test; default: a covering set derived
             from the baseline journal (:func:`default_crash_points`).
         extra_ticks: Post-script ticks each digest must agree on.
-        keep_dirs: Keep per-point state directories for inspection.
 
     Returns:
         A JSON-ready report: the baseline summary, one entry per crash
@@ -495,8 +502,7 @@ def crash_restart_matrix(
         if not entry["digest_match"] or violations:
             report["converged"] = False
         report["points"].append(entry)
-        if not keep_dirs:
-            shutil.rmtree(run_dir, ignore_errors=True)
+        shutil.rmtree(run_dir, ignore_errors=True)
 
     report["points_fired"] = sum(1 for p in report["points"] if p["fired"])
     report["points_matched"] = sum(

@@ -37,6 +37,9 @@ from repro.durability.journal import SimulatedCrash, canonical_json
 SNAPSHOT_KIND = "repro.state"
 SNAPSHOT_VERSION = 1
 SNAPSHOT_GLOB = "snapshot-*.json"
+#: Snapshots kept on disk; older ones are pruned after each write.  Two,
+#: so a torn newest snapshot still leaves a valid fallback.
+RETAIN_SNAPSHOTS = 2
 
 
 class Fragment:
@@ -103,7 +106,7 @@ def write_snapshot(
     scope: str,
     state: Any,
     time: float = 0.0,
-    retain: int = 2,
+    retain: int = RETAIN_SNAPSHOTS,
     journal=None,
 ) -> Path:
     """Write one snapshot atomically; prune old ones down to ``retain``.

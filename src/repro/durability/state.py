@@ -255,11 +255,16 @@ def view_key_from_doc(doc: dict[str, Any]):
 # DeploymentState (operators, flows, deployments)
 # ----------------------------------------------------------------------
 def _origin_is_live(state, origin) -> bool:
-    """Whether the installer of ``origin`` is still deployed."""
+    """Whether the installer of ``origin`` is still deployed: a live
+    query of its name and content (most often the very same object; a
+    recovered or rebalanced query is an equal copy)."""
     if origin is None:
         return False
     live = state.deployment(origin[0].name)
-    return live is not None and live.query is origin[0]
+    return live is not None and (
+        live.query is origin[0]
+        or _query_to_dict(live.query) == _query_to_dict(origin[0])
+    )
 
 
 def _operator_to_doc(rec, installer_live: bool) -> dict[str, Any]:

@@ -31,7 +31,7 @@ from repro.adaptive.diff import diff_deployments
 from repro.adaptive.migrate import Migrator
 from repro.commands import command, next_tick_time
 from repro.core.cost import RateModel
-from repro.core.optimizer import Optimizer, make_optimizer
+from repro.core.optimizer import make_optimizer
 from repro.errors import ReproError, UnknownQueryError
 from repro.fleet.federation import ReuseFederation
 from repro.fleet.routing import QueryRouter, ShardPolicy, make_policy
@@ -57,6 +57,7 @@ from repro.service.service import (
     SubmitEvent,
     TickReport,
     drive_trace,
+    submission_problem,
 )
 
 
@@ -139,11 +140,10 @@ class FleetController:
         network: Shared physical network.
         rates: Shared rate model over the stream catalog.
         hierarchy: Shared hierarchy (planning and the locality policy).
-        algorithm: Planner name per shard when ``optimizer_factory`` is
-            omitted (any :func:`~repro.core.optimizer.make_optimizer`
-            name; default the paper's Top-Down).
-        optimizer_factory: ``factory(ads) -> Optimizer`` building each
-            shard's planner over that shard's advertisement index.
+        algorithm: Planner name per shard, built over that shard's
+            advertisement index (any
+            :func:`~repro.core.optimizer.make_optimizer` name; default
+            the paper's Top-Down).
         policy: Shard-assignment policy: ``"subtree"`` (default),
             ``"hash"``, or a :class:`~repro.fleet.routing.ShardPolicy`.
         budget: Per-shard concurrent-deployment budget.
@@ -165,11 +165,10 @@ class FleetController:
             the alerting rules.  ``None`` (the default) adds no hooks
             and leaves fleet behavior byte-identical.
         durability: Optional :class:`~repro.durability.DurabilityConfig`
-            (or prebuilt :class:`~repro.durability.Durability`) turning
-            on the durable control plane at the *fleet* boundary: every
-            fleet-level command (submit/tick/retire/rebalance) is
-            journaled before execution and fleet-wide snapshots land on
-            the configured cadence.  Shard sub-services stay undurable
+            turning on the durable control plane at the *fleet*
+            boundary: every fleet-level command
+            (submit/tick/retire/rebalance) is journaled before execution
+            and fleet-wide snapshots land on the configured cadence.  Shard sub-services stay undurable
             on purpose (recovery replays through the same shard code
             paths).  ``None`` (the default) keeps the fleet
             byte-identical to a build without the subsystem.
@@ -191,7 +190,6 @@ class FleetController:
         rates: RateModel,
         hierarchy: Hierarchy,
         algorithm: str = "top-down",
-        optimizer_factory: Callable[[AdvertisementIndex], Optimizer] | None = None,
         policy: str | ShardPolicy = "subtree",
         budget: int = 16,
         max_queue: int | None = None,
@@ -246,12 +244,9 @@ class FleetController:
         self.shards: list[StreamQueryService] = []
         for _ in range(num_shards):
             ads = AdvertisementIndex(hierarchy)
-            if optimizer_factory is not None:
-                optimizer = optimizer_factory(ads)
-            else:
-                optimizer = make_optimizer(
-                    algorithm, network, rates, hierarchy=hierarchy, ads=ads
-                )
+            optimizer = make_optimizer(
+                algorithm, network, rates, hierarchy=hierarchy, ads=ads
+            )
             manager = None
             if self.resource_ledger is not None:
                 manager = ResourceManager(resources, ledger=self.resource_ledger)
@@ -656,15 +651,13 @@ class FleetController:
             return rejected(
                 f"tenant {record.name!r} quota {record.quota} exhausted"
             )
-        if lifetime is not None and lifetime <= 0:
-            return rejected(f"non-positive lifetime {lifetime}")
+        taken = None
         if self.router.owner(query.name) is not None:
-            return rejected(f"query {query.name!r} is already in the fleet")
-        unknown = [s for s in query.sources if s not in self.rates.streams]
-        if unknown:
-            return rejected(f"unknown streams: {unknown}")
-        if query.sink not in self.network.nodes():
-            return rejected(f"sink {query.sink} is not a network node")
+            taken = f"query {query.name!r} is already in the fleet"
+        # Every shard shares the network, rates, hierarchy and layers.
+        problem = submission_problem(self.shards[0], query, lifetime, taken)
+        if problem is not None:
+            return rejected(problem)
 
         shard = self.router.route(query)
         if self._has_capacity(shard) and self.scheduler.total_backlog == 0:
@@ -817,7 +810,7 @@ class FleetController:
                 self._tenant_instruments[tenant]["admitted"].inc()
                 self._after_deploy(item.shard, item.query.name)
                 deployed.append((item.query.name, item.shard))
-            elif decision.rejected:  # pragma: no cover - defensive
+            elif decision.rejected:  # the sink died while it waited
                 self.router.release(item.query.name)
                 self._tenant_of.pop(item.query.name, None)
                 self._tenant_charge[tenant] -= 1

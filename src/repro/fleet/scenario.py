@@ -25,7 +25,7 @@ from typing import Any
 
 from repro.fleet.controller import FleetController
 from repro.obs.causal import CausalTracer
-from repro.obs.telemetry import Telemetry, TelemetryConfig, ensure_telemetry
+from repro.obs.telemetry import Telemetry, TelemetryConfig
 from repro.resilience.degradation import ResilienceConfig
 from repro.resilience.faults import (
     CoordinatorOutage,
@@ -34,6 +34,9 @@ from repro.resilience.faults import (
     FaultPlan,
 )
 from repro.service.service import churn_trace
+
+#: Deployments replayed through the protocol simulator for causal hops.
+REPLAY_DEPLOYMENTS = 2
 
 
 @dataclass
@@ -63,8 +66,6 @@ def chaos_telemetry_scenario(
     nodes: int = 32,
     num_queries: int = 10,
     ticks: int = 24,
-    replay_deployments: int = 2,
-    telemetry: Telemetry | TelemetryConfig | None = None,
 ) -> ChaosScenarioResult:
     """Run the built-in chaos drill with telemetry on; see module docs.
 
@@ -105,9 +106,7 @@ def chaos_telemetry_scenario(
     injector = FaultInjector(plan)
     causal = CausalTracer()
 
-    pipeline = ensure_telemetry(telemetry)
-    if pipeline is None:
-        pipeline = Telemetry(TelemetryConfig())
+    pipeline = Telemetry(TelemetryConfig())
     fleet = FleetController(
         num_shards,
         net,
@@ -147,10 +146,10 @@ def chaos_telemetry_scenario(
         # Once the first deployments exist, replay a couple through the
         # protocol simulator so causal hops land in the flight recorder
         # before the outage window trips any breakers.
-        if replayed < replay_deployments:
+        if replayed < REPLAY_DEPLOYMENTS:
             for shard in fleet.shards:
                 for deployment in list(shard.engine.state.deployments):
-                    if replayed >= replay_deployments:
+                    if replayed >= REPLAY_DEPLOYMENTS:
                         break
                     simulate_deployment(
                         net, deployment, trace=causal, rates=rates

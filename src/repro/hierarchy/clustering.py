@@ -18,12 +18,14 @@ import numpy as np
 
 from repro.utils import SeedLike, as_generator
 
+#: Iteration cap of :func:`kmeans` and :func:`kmedoids`.
+MAX_ITERS = 100
+
 
 def kmeans(
     coords: np.ndarray,
     k: int,
     seed: SeedLike = None,
-    max_iters: int = 100,
 ) -> list[list[int]]:
     """Lloyd's k-means over point coordinates.
 
@@ -31,7 +33,6 @@ def kmeans(
         coords: ``(n, d)`` points.
         k: Number of clusters (1 <= k <= n).
         seed: RNG seed/generator (k-means++ seeding).
-        max_iters: Iteration cap.
 
     Returns:
         A list of ``k`` non-empty clusters, each a sorted list of point
@@ -45,7 +46,7 @@ def kmeans(
 
     centers = _kmeanspp_init(pts, k, rng)
     assignment = np.zeros(n, dtype=np.intp)
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         dists = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_assignment = dists.argmin(axis=1)
         # Re-seed any emptied cluster with the point farthest from its
@@ -85,7 +86,6 @@ def kmedoids(
     distances: np.ndarray,
     k: int,
     seed: SeedLike = None,
-    max_iters: int = 100,
 ) -> list[list[int]]:
     """k-medoids (PAM-style alternating) directly on a distance matrix.
 
@@ -101,7 +101,7 @@ def kmedoids(
     rng = as_generator(seed)
     medoids = list(rng.choice(n, size=k, replace=False))
     assignment = d[:, medoids].argmin(axis=1)
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         changed = False
         for c in range(k):
             members = np.flatnonzero(assignment == c)

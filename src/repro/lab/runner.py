@@ -49,22 +49,16 @@ class CandidateRun:
     sequence through the lab wrapper and check it adds no planner work.
     """
 
-    def __init__(
-        self,
-        candidate: Candidate,
-        built: BuiltScenario,
-        telemetry: Telemetry | None = None,
-    ) -> None:
+    def __init__(self, candidate: Candidate, built: BuiltScenario) -> None:
         self.candidate = candidate
         self.built = built
         spec = built.spec
-        if telemetry is None:
-            telemetry = Telemetry(
-                TelemetryConfig(
-                    cadence=spec.telemetry.cadence,
-                    store_capacity=spec.telemetry.store_capacity,
-                )
+        telemetry = Telemetry(
+            TelemetryConfig(
+                cadence=spec.telemetry.cadence,
+                store_capacity=spec.telemetry.store_capacity,
             )
+        )
         self.telemetry = telemetry
         self.plane = candidate.build(built, telemetry=telemetry)
         self.is_fleet = candidate.mode == "fleet"

@@ -468,7 +468,6 @@ class RulesEngine:
 def default_rule_pack(
     scopes: Sequence[str] = ("service",),
     tenant_weights: Mapping[str, float] | None = None,
-    fleet_scope: str = "fleet",
 ) -> list[AlertRule | RecordingRule]:
     """The stock SLO pack: one set of watchdogs per service scope.
 
@@ -595,13 +594,13 @@ def default_rule_pack(
     if tenant_weights:
         rules.append(
             FairnessSkewRule(
-                f"{fleet_scope}:tenant_fairness_skew",
+                "fleet:tenant_fairness_skew",
                 dict(tenant_weights),
                 threshold=4.0,
                 min_total=4.0,
                 for_ticks=3.0,
                 severity="warn",
-                labels={"scope": fleet_scope, "slo": "fairness"},
+                labels={"scope": "fleet", "slo": "fairness"},
             )
         )
     return rules

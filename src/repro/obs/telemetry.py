@@ -30,16 +30,11 @@ JSON document -- the interchange format ``repro dash`` renders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Mapping
 
 from repro.obs.flight import FlightRecorder
-from repro.obs.rules import (
-    AlertRule,
-    RecordingRule,
-    RulesEngine,
-    default_rule_pack,
-)
+from repro.obs.rules import RulesEngine, default_rule_pack
 from repro.obs.timeseries import TelemetryScraper, TimeSeriesStore, scoped_name
 
 ENVELOPE_KIND = "repro.telemetry"
@@ -56,25 +51,16 @@ class TelemetryConfig:
     Attributes:
         cadence: Minimum ticks between scrapes (1.0 = every tick).
         store_capacity: Ring-buffer samples kept per series.
-        rules: Explicit rule list; ``None`` installs
-            :func:`~repro.obs.rules.default_rule_pack` per bound scope.
-        flight_capacity: Flight-recorder entries retained.
-        max_bundles: Debug bundles retained in the envelope.
-        include_wall_clock: Keep wall-clock-dependent series (off by
-            default so envelopes are seed-deterministic).
-        bundle_on_alerts: Freeze a bundle when an alert starts firing.
-        bundle_on_breaker_open: Freeze a bundle when a breaker opens.
+
+    Every pipeline installs :func:`~repro.obs.rules.default_rule_pack`
+    per bound scope, drops wall-clock series (so envelopes are
+    seed-deterministic), and freezes a debug bundle whenever an alert
+    starts firing or a breaker opens; the flight recorder keeps its
+    default capacities.
     """
 
     cadence: float = 1.0
     store_capacity: int = 512
-    rules: Sequence[AlertRule | RecordingRule] | None = None
-    flight_capacity: int = 256
-    max_bundles: int = 8
-    include_wall_clock: bool = False
-    bundle_on_alerts: bool = True
-    bundle_on_breaker_open: bool = True
-    extra_drop: tuple[str, ...] = field(default_factory=tuple)
 
 
 class Telemetry:
@@ -88,21 +74,9 @@ class Telemetry:
     def __init__(self, config: TelemetryConfig | None = None) -> None:
         self.config = config if config is not None else TelemetryConfig()
         self.store = TimeSeriesStore(capacity=self.config.store_capacity)
-        self.scraper = TelemetryScraper(
-            self.store,
-            cadence=self.config.cadence,
-            include_wall_clock=self.config.include_wall_clock,
-            drop=self.config.extra_drop,
-        )
-        self.recorder = FlightRecorder(
-            capacity=self.config.flight_capacity,
-            max_bundles=self.config.max_bundles,
-        )
+        self.scraper = TelemetryScraper(self.store, cadence=self.config.cadence)
+        self.recorder = FlightRecorder()
         self.engine = RulesEngine(self.store)
-        if self.config.rules is not None:
-            for rule in self.config.rules:
-                self.engine.add(rule)
-        self._default_rules = self.config.rules is None
         self._causal: list[tuple[str, Any, int]] = []  # (scope, tracer, cursor)
         self._breaker_totals: dict[str, float] = {}
         self.ticks_observed = 0
@@ -114,14 +88,13 @@ class Telemetry:
         """Attach one :class:`StreamQueryService`'s instruments.
 
         Registers the service registry for scraping, installs the
-        default rule pack for the scope (unless explicit rules were
-        configured), and starts harvesting its causal tracer's hops
-        (when the service has one) into the flight recorder.
+        default rule pack for the scope, and starts harvesting its
+        causal tracer's hops (when the service has one) into the flight
+        recorder.
         """
         self.scraper.register(scope, service.registry)
-        if self._default_rules:
-            for rule in default_rule_pack([scope]):
-                self.engine.add(rule)
+        for rule in default_rule_pack([scope]):
+            self.engine.add(rule)
         causal = getattr(service, "causal", None)
         if causal is not None and getattr(causal, "enabled", False):
             self.watch_causal(scope, causal)
@@ -139,7 +112,7 @@ class Telemetry:
             scope = f"shard{sid}"
             shard_scopes.append(scope)
             self.bind_service(shard, scope=scope)
-        if self._default_rules and len(fleet.tenants):
+        if len(fleet.tenants):
             from repro.fleet.controller import _metric_suffix
 
             weights = {
@@ -188,28 +161,25 @@ class Telemetry:
             self.recorder.record_event(
                 event.get("labels", {}).get("scope", ""), now, event
             )
-        opened = self._breaker_opens(now)
-        if self.config.bundle_on_breaker_open:
-            for scope, delta in opened:
+        for scope, delta in self._breaker_opens(now):
+            self.recorder.bundle(
+                "breaker_open",
+                now,
+                scope=scope,
+                context={"metric": _BREAKER_METRIC, "opens": delta},
+            )
+        for event in transitions:
+            if event["to"] == "firing":
                 self.recorder.bundle(
-                    "breaker_open",
+                    f"alert:{event['rule']}",
                     now,
-                    scope=scope,
-                    context={"metric": _BREAKER_METRIC, "opens": delta},
+                    scope=event.get("labels", {}).get("scope", ""),
+                    context={
+                        "rule": event["rule"],
+                        "severity": event["severity"],
+                        "value": event["value"],
+                    },
                 )
-        if self.config.bundle_on_alerts:
-            for event in transitions:
-                if event["to"] == "firing":
-                    self.recorder.bundle(
-                        f"alert:{event['rule']}",
-                        now,
-                        scope=event.get("labels", {}).get("scope", ""),
-                        context={
-                            "rule": event["rule"],
-                            "severity": event["severity"],
-                            "value": event["value"],
-                        },
-                    )
         return transitions
 
     def _harvest_causal(self) -> None:
@@ -247,8 +217,7 @@ class Telemetry:
         """The full ``repro.telemetry`` JSON document.
 
         Deterministic for a fixed seed + scenario (series sorted by
-        name, rules in declaration order, no wall clock anywhere unless
-        ``include_wall_clock`` was set).
+        name, rules in declaration order, no wall clock anywhere).
         """
         return {
             "kind": ENVELOPE_KIND,

@@ -303,16 +303,14 @@ class PerfLab:
     Args:
         cases: Case names to run (default: the quick subset).
         repeats: Times each case runs.  Op counts must agree across
-            repeats; wall clock is summarized over them.
-        clock: Wall-clock source for whole-case timing (injectable for
-            deterministic tests).
+            repeats; wall clock (``time.perf_counter``) is summarized
+            over them.
     """
 
     def __init__(
         self,
         cases: list[str] | tuple[str, ...] | None = None,
         repeats: int = 3,
-        clock: Callable[[], float] = time.perf_counter,
     ) -> None:
         names = list(cases) if cases is not None else list(QUICK_CASES)
         unknown = [n for n in names if n not in CASES]
@@ -324,7 +322,6 @@ class PerfLab:
             raise ValueError("repeats must be >= 1")
         self.cases = names
         self.repeats = repeats
-        self._clock = clock
 
     # ------------------------------------------------------------------
     def run_case(self, name: str) -> dict[str, Any]:
@@ -333,9 +330,9 @@ class PerfLab:
         ops: dict[str, int] | None = None
         walls: list[float] = []
         for _ in range(self.repeats):
-            start = self._clock()
+            start = time.perf_counter()
             prof = runner()
-            walls.append(self._clock() - start)
+            walls.append(time.perf_counter() - start)
             if ops is None:
                 ops = prof.ops
             elif ops != prof.ops:

@@ -14,7 +14,7 @@
    placement candidates only; always available, never cached (a
    degraded plan must not be memoized as if it were optimal).
 
-Every rung attempt runs under the configured :class:`RetryPolicy`;
+Every rung attempt runs under the :data:`RETRY` policy;
 failures feed the per-coordinator :class:`BreakerBoard`.  Nodes whose
 breaker keeps re-opening (*flapping*) are quarantined out of the
 placement candidates -- removed from the hierarchy for a spell and
@@ -26,7 +26,7 @@ plannable again).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -57,32 +57,31 @@ BREAKER_STATE_VALUES: dict[BreakerState, float] = {
 }
 
 
+#: Retry policy for coordinator calls.
+RETRY = RetryPolicy()
+#: Nominal healthy coordinator round-trip; multiplied by an injected
+#: slow-down factor and compared against ``RETRY.attempt_timeout``.
+RPC_SECONDS = 0.05
+#: Seed of the backoff jitter (determinism).
+JITTER_SEED = 0
+
+
 @dataclass
 class ResilienceConfig:
     """Tuning knobs of the resilience layer.
 
     Attributes:
-        retry: Retry policy for coordinator calls.
         failure_threshold: Consecutive failures tripping a breaker.
         recovery_time: Ticks a tripped breaker stays open.
-        half_open_probes: Trial calls allowed while half-open.
         quarantine_after: Breaker-open count that flags a node as
             flapping and quarantines it from placement.
         quarantine_ticks: How long a quarantined node stays out.
-        rpc_seconds: Nominal healthy coordinator round-trip; multiplied
-            by an injected slow-down factor and compared against the
-            retry policy's ``attempt_timeout``.
-        seed: Seed for backoff jitter (determinism).
     """
 
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
     failure_threshold: int = 3
     recovery_time: float = 10.0
-    half_open_probes: int = 1
     quarantine_after: int = 2
     quarantine_ticks: float = 25.0
-    rpc_seconds: float = 0.05
-    seed: int = 0
 
 
 @dataclass
@@ -116,11 +115,10 @@ class ResilientControl:
     def __init__(self, config: ResilienceConfig, faults=NULL_FAULTS) -> None:
         self.config = config
         self.faults = faults
-        self.rng = np.random.default_rng(config.seed)
+        self.rng = np.random.default_rng(JITTER_SEED)
         self.breakers = BreakerBoard(
             failure_threshold=config.failure_threshold,
             recovery_time=config.recovery_time,
-            half_open_probes=config.half_open_probes,
         )
         self.parked: dict[str, ParkedQuery] = {}
         self.quarantined: dict[int, float] = {}
@@ -306,7 +304,7 @@ class ResilientControl:
                 self._record_failure(coordinator, now)
 
         try:
-            deployment, attempts, _spent = self.config.retry.run(
+            deployment, attempts, _spent = RETRY.run(
                 once, rng=self.rng, on_retry=on_retry
             )
         except ReproError:
@@ -329,9 +327,9 @@ class ResilientControl:
             raise CoordinatorUnreachable(
                 f"coordinator {coordinator} is unreachable from sink {query.sink}"
             )
-        timeout = self.config.retry.attempt_timeout
+        timeout = RETRY.attempt_timeout
         if timeout is not None:
-            latency = self.config.rpc_seconds * self.faults.slowdown(coordinator, now)
+            latency = RPC_SECONDS * self.faults.slowdown(coordinator, now)
             if latency > timeout:
                 raise CoordinatorTimeout(
                     f"coordinator {coordinator} answered in {latency:.3f}s "

@@ -147,6 +147,9 @@ _EVENT_KINDS = {
     "crash_point": CrashPoint,
 }
 
+#: Probability that a crash :meth:`FaultPlan.generate` draws rejoins.
+REJOIN_FRACTION = 0.6
+
 
 def _validate_event(event: FaultEvent) -> None:
     if event.time < 0:
@@ -257,7 +260,6 @@ class FaultPlan:
         seed: SeedLike,
         duration: float,
         crashes: int = 3,
-        rejoin_fraction: float = 0.6,
         outages: int = 2,
         slowdowns: int = 2,
         storms: int = 1,
@@ -270,7 +272,7 @@ class FaultPlan:
 
         Crash victims are drawn outside ``protected`` (pass source and
         sink nodes there to keep a workload plannable), rejoin with
-        probability ``rejoin_fraction``, and every window lands inside
+        probability :data:`REJOIN_FRACTION`, and every window lands inside
         ``[1, duration)``.  ``focus`` biases coordinator outages and
         slowdowns onto the given nodes (e.g. the leaf coordinators a
         workload actually plans through) instead of uniform targets.
@@ -293,7 +295,7 @@ class FaultPlan:
         for _ in range(crashes):
             start, _ = window(duration / 4)
             rejoin = None
-            if rng.random() < rejoin_fraction:
+            if rng.random() < REJOIN_FRACTION:
                 rejoin = float(rng.uniform(3.0, max(4.0, duration / 3)))
             events.append(
                 NodeCrash(time=start, node=int(rng.choice(victims)), rejoin_after=rejoin)

@@ -217,18 +217,11 @@ class BreakerBoard:
     Args:
         failure_threshold: Per-breaker trip threshold.
         recovery_time: Per-breaker OPEN duration.
-        half_open_probes: Per-breaker half-open trial budget.
     """
 
-    def __init__(
-        self,
-        failure_threshold: int = 3,
-        recovery_time: float = 10.0,
-        half_open_probes: int = 1,
-    ) -> None:
+    def __init__(self, failure_threshold: int = 3, recovery_time: float = 10.0) -> None:
         self.failure_threshold = failure_threshold
         self.recovery_time = recovery_time
-        self.half_open_probes = half_open_probes
         self._breakers: dict[int, CircuitBreaker] = {}
         # Nodes whose breaker was reached since the last :meth:`touched`.
         self._touched: set[int] = set()
@@ -242,7 +235,6 @@ class BreakerBoard:
             breaker = CircuitBreaker(
                 failure_threshold=self.failure_threshold,
                 recovery_time=self.recovery_time,
-                half_open_probes=self.half_open_probes,
             )
             self._breakers[node] = breaker
         return breaker

@@ -35,8 +35,11 @@ from repro.resources.capacity import Load, NodeCapacity, ZERO_LOAD
 from repro.resources.constraint import PlacementConstraint
 from repro.resources.footprint import JoinPricer, OperatorFootprint
 from repro.resources.ledger import ResourceLedger, plan_node_loads
-from repro.resources.shedder import LoadShedder, ParkedQuery
+from repro.resources.shedder import MAX_SHED_PER_ADMIT, LoadShedder, ParkedQuery
 from repro.serialization import _query_from_dict, _query_to_dict
+
+#: Parked-query re-admission attempts per tick.
+MAX_READMITS_PER_TICK = 2
 
 
 @dataclass
@@ -52,12 +55,10 @@ class ResourceConfig:
             ``communication cost + load_weight x projected utilization``
             per operator.  0 (the default) optimizes pure communication
             cost subject to the bound.
-        bytes_per_tuple: Memory-dimension scale of operator state.
         shed: Evict strictly lighter live queries when an admitted
-            query has no feasible placement (they park and re-admit).
-        max_shed_per_admit: Victim cap per admission attempt.
-        max_readmits_per_tick: Parked-query re-admission attempts per
-            tick.
+            query has no feasible placement (they park and re-admit),
+            at most :data:`~repro.resources.shedder.MAX_SHED_PER_ADMIT`
+            per attempt.
         query_weights: Static ``{query name: weight}`` (default weight
             1.0).  Fleets override per-query weighting dynamically via
             :attr:`ResourceManager.weight_fn` (tenant weights).
@@ -66,10 +67,7 @@ class ResourceConfig:
     capacities: Mapping[int, NodeCapacity] | None = None
     utilization_bound: float = 1.0
     load_weight: float = 0.0
-    bytes_per_tuple: float = 1.0
     shed: bool = True
-    max_shed_per_admit: int = 4
-    max_readmits_per_tick: int = 2
     query_weights: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -77,8 +75,6 @@ class ResourceConfig:
             raise ValueError("utilization_bound must be positive")
         if self.load_weight < 0:
             raise ValueError("load_weight must be >= 0")
-        if self.max_readmits_per_tick < 1:
-            raise ValueError("max_readmits_per_tick must be >= 1")
 
 
 class ResourceManager:
@@ -95,7 +91,7 @@ class ResourceManager:
     ) -> None:
         self.config = config
         self.ledger = ledger if ledger is not None else ResourceLedger(config.capacities)
-        self.shedder = LoadShedder(max_victims=config.max_shed_per_admit)
+        self.shedder = LoadShedder()
         self.footprint: OperatorFootprint | None = None
         self.service = None
         #: Dynamic weight override (fleets wire tenant weights here).
@@ -128,9 +124,7 @@ class ResourceManager:
         if self.service is not None and self.service is not service:
             raise ValueError("a ResourceManager binds to exactly one service")
         self.service = service
-        self.footprint = OperatorFootprint(
-            service.rates, bytes_per_tuple=self.config.bytes_per_tuple
-        )
+        self.footprint = OperatorFootprint(service.rates)
         self.ledger.attach(service.engine.state, self.footprint)
         optimizer = service.optimizer
         if getattr(optimizer, "resources", None) is None:
@@ -358,7 +352,7 @@ class ResourceManager:
         if not (self.constrained and self.config.shed):
             return []
         shed: list[str] = []
-        for _ in range(self.config.max_shed_per_admit):
+        for _ in range(MAX_SHED_PER_ADMIT):
             violations = self.ledger.violations(self.config.utilization_bound)
             if not violations:
                 break
@@ -393,7 +387,7 @@ class ResourceManager:
             retry = [p for p in retry if service.rates.endpoints(p.query) <= alive]
         order = sorted(retry, key=lambda p: (-p.weight, p.parked_at, p.query.name))
         deployed: list[str] = []
-        for entry in order[: self.config.max_readmits_per_tick]:
+        for entry in order[:MAX_READMITS_PER_TICK]:
             try:
                 service._deploy(entry.query, entry.lifetime)
             except PlanningError:

@@ -56,19 +56,14 @@ class ShedPlan:
     freed: dict[int, Load] = field(default_factory=dict)
 
 
+#: Hard cap on evictions per admission attempt (and on drift-repair
+#: sheds per tick).
+MAX_SHED_PER_ADMIT = 4
+
+
 class LoadShedder:
-    """Greedy lowest-weight-first victim selection.
+    """Greedy lowest-weight-first victim selection."""
 
-    Args:
-        max_victims: Hard cap on evictions per admission attempt.
-    """
-
-    def __init__(self, max_victims: int = 4) -> None:
-        if max_victims < 1:
-            raise ValueError("max_victims must be >= 1")
-        self.max_victims = max_victims
-
-    # ------------------------------------------------------------------
     def removable_loads(
         self,
         state: DeploymentState,
@@ -130,7 +125,7 @@ class LoadShedder:
         candidates.sort(key=lambda name: (weight_of(name), -order[name]))
 
         plan = ShedPlan()
-        for name in candidates[: self.max_victims]:
+        for name in candidates[:MAX_SHED_PER_ADMIT]:
             removable = self.removable_loads(state, footprint, name)
             plan.victims.append(name)
             for node, load in removable.items():

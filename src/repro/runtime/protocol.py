@@ -36,14 +36,14 @@ implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.network.graph import Network
 from repro.query.deployment import Deployment
 from repro.resilience.faults import NULL_FAULTS
 from repro.resilience.policy import RetryPolicy
 from repro.runtime.messages import DeployAck, DeployCommand, PlanRequest, QuerySubmit
-from repro.runtime.simulator import SimNode, Simulator
+from repro.runtime.simulator import ReliableNode, ReliableRun, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.causal import CausalTracer
@@ -93,7 +93,7 @@ class _TaskDone:
     trace: object | None = field(default=None, compare=False, repr=False)
 
 
-class _Context:
+class _Context(ReliableRun):
     def __init__(
         self,
         deployment: Deployment,
@@ -101,6 +101,7 @@ class _Context:
         faults=NULL_FAULTS,
         retry: RetryPolicy | None = None,
     ) -> None:
+        super().__init__(faults, retry)
         trace = deployment.stats.get("task_trace")
         if not trace:
             raise ValueError(
@@ -110,15 +111,6 @@ class _Context:
         self.query = deployment.query
         self.trace = trace
         self.seconds_per_plan = seconds_per_plan
-        self.faults = faults
-        # Cumulative retransmission offsets (virtual seconds after the
-        # first send).  Empty without faults: no retransmit machinery.
-        self.retry_offsets: list[float] = []
-        if faults.enabled and retry is not None:
-            offset = 0.0
-            for delay in retry.delays():
-                offset += delay
-                self.retry_offsets.append(offset)
         self.children: dict[int, list[int]] = {i: [] for i in range(len(trace))}
         for idx, entry in enumerate(trace):
             parent = entry["parent"]
@@ -131,7 +123,6 @@ class _Context:
         self.acked: set[tuple[str, int]] = set()
         self.tasks_done: set[int] = set()
         self.started: set[int] = set()
-        self.retransmissions = 0
         self.finish_time: float | None = None
         self.compute_seconds = sum(
             e["plans"] * seconds_per_plan for e in trace
@@ -145,25 +136,10 @@ class _Context:
         )
 
 
-class _ProtocolActor(SimNode):
+class _ProtocolActor(ReliableNode):
     """One actor per physical node; coordinators and operator hosts alike."""
 
-    def __init__(self, node_id: int, ctx: _Context) -> None:
-        super().__init__(node_id)
-        self.ctx = ctx
-
-    def _reliable_send(self, dst: int, message, delivered: Callable[[], bool]) -> None:
-        """Send now; under faults, retransmit at the retry offsets until
-        ``delivered()`` reports the protocol goal registered."""
-        self.send(dst, message)
-        for offset in self.ctx.retry_offsets:
-
-            def maybe_resend() -> None:
-                if not delivered():
-                    self.ctx.retransmissions += 1
-                    self.send(dst, message)
-
-            self.sim.schedule(offset, maybe_resend)
+    ctx: _Context
 
     def on_message(self, src: int, message) -> None:
         assert self.sim is not None
@@ -182,19 +158,19 @@ class _ProtocolActor(SimNode):
 
             def finish_planning() -> None:
                 for child in ctx.children[task_index]:
-                    self._reliable_send(
+                    self.reliable_send(
                         ctx.trace[child]["node"],
                         PlanRequest(ctx.query.name, child),
                         delivered=lambda c=child: c in ctx.started,
                     )
                 for j, op_node in enumerate(entry.get("deploy_nodes", ())):
                     label = f"task{task_index}.{j}"
-                    self._reliable_send(
+                    self.reliable_send(
                         op_node,
                         DeployCommand(ctx.query.name, label),
                         delivered=lambda key=(label, op_node): key in ctx.acked,
                     )
-                self._reliable_send(
+                self.reliable_send(
                     ctx.query.sink,
                     _TaskDone(ctx.query.name, task_index),
                     delivered=lambda t=task_index: t in ctx.tasks_done,

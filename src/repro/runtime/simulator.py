@@ -22,6 +22,7 @@ behavior is byte-identical.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.network.graph import Network
@@ -185,3 +186,46 @@ class SimNode:
     def on_message(self, src: int, message: Any) -> None:  # pragma: no cover - abstract
         """Handle a delivered message."""
         raise NotImplementedError
+
+
+class ReliableRun:
+    """What the actors of one reliable protocol run share.
+
+    Args:
+        faults: The fault injector of the run.
+        retry: Retransmission policy (``None``: no retransmissions).
+
+    Attributes:
+        retry_offsets: Cumulative retransmission offsets (virtual
+            seconds after the first send).  Empty without faults: no
+            retransmission machinery is scheduled.
+        retransmissions: Messages re-sent so far.
+    """
+
+    def __init__(self, faults, retry) -> None:
+        self.faults = faults
+        self.retry_offsets: list[float] = (
+            list(accumulate(retry.delays())) if faults.enabled and retry is not None else []
+        )
+        self.retransmissions = 0
+
+
+class ReliableNode(SimNode):
+    """An actor of a :class:`ReliableRun`, shared as ``self.ctx``."""
+
+    def __init__(self, node_id: int, ctx: ReliableRun) -> None:
+        super().__init__(node_id)
+        self.ctx = ctx
+
+    def reliable_send(self, dst: int, message: Any, delivered: Callable[[], bool]) -> None:
+        """Send now; under faults, retransmit at the retry offsets until
+        ``delivered()`` reports the protocol goal registered."""
+        self.send(dst, message)
+        for offset in self.ctx.retry_offsets:
+
+            def maybe_resend() -> None:
+                if not delivered():
+                    self.ctx.retransmissions += 1
+                    self.send(dst, message)
+
+            self.sim.schedule(offset, maybe_resend)

@@ -152,13 +152,13 @@ class StreamQueryService:
             windows).  Defaults to the no-op :data:`NULL_FAULTS`;
             passing a real injector implicitly enables the resilience
             layer with default tuning if ``resilience`` was omitted.
-        adaptivity: Optional :class:`AdaptivityConfig` (or a prebuilt
-            :class:`AdaptivityLoop`) turning on closed-loop statistics
-            monitoring, re-optimization and live operator migration:
-            every :meth:`tick` runs one observe -> decide -> migrate
-            step.  With ``None`` (the default) no monitor, instruments
-            or hooks exist and behavior is byte-identical to before the
-            subsystem existed (same contract as ``resilience``).
+        adaptivity: Optional :class:`AdaptivityConfig` turning on
+            closed-loop statistics monitoring, re-optimization and live
+            operator migration: every :meth:`tick` runs one observe ->
+            decide -> migrate step.  With ``None`` (the default) no
+            monitor, instruments or hooks exist and behavior is
+            byte-identical to before the subsystem existed (same
+            contract as ``resilience``).
         causal: Optional :class:`~repro.obs.causal.CausalTracer`
             recording cross-coordinator message hops (migration
             cutovers driven by the adaptivity loop; deployment-protocol
@@ -175,8 +175,7 @@ class StreamQueryService:
             subsystem existed (same contract as ``resilience`` /
             ``adaptivity``).
         durability: Optional :class:`~repro.durability.DurabilityConfig`
-            (or prebuilt :class:`~repro.durability.Durability`) turning
-            on the durable control plane: every externally driven
+            turning on the durable control plane: every externally driven
             mutation is journaled to a write-ahead log before it
             executes, state snapshots land every ``snapshot_interval``
             ticks, and :func:`repro.durability.recover` can rebuild the
@@ -209,7 +208,7 @@ class StreamQueryService:
         cache: PlanCache | None = None,
         resilience: ResilienceConfig | None = None,
         faults=None,
-        adaptivity: AdaptivityConfig | AdaptivityLoop | None = None,
+        adaptivity: AdaptivityConfig | None = None,
         causal=None,
         telemetry=None,
         durability=None,
@@ -294,11 +293,7 @@ class StreamQueryService:
         # migrator, adaptive_* instruments) exists only when asked for.
         self.adaptivity: AdaptivityLoop | None = None
         if adaptivity is not None:
-            self.adaptivity = (
-                adaptivity
-                if isinstance(adaptivity, AdaptivityLoop)
-                else AdaptivityLoop(adaptivity)
-            )
+            self.adaptivity = AdaptivityLoop(adaptivity)
             self.adaptivity.bind(self)
 
         # Telemetry layer, same contract again: the scraper, store and
@@ -513,30 +508,14 @@ class StreamQueryService:
         return decision
 
     def _validate(self, query: Query, lifetime: float | None) -> AdmissionDecision | None:
-        if lifetime is not None and lifetime <= 0:
-            return self.admission.reject(query, f"non-positive lifetime {lifetime}")
         if self.is_live(query.name):
-            return self.admission.reject(
-                query, f"query {query.name!r} is already deployed"
-            )
-        if self.admission.is_queued(query.name):
-            return self.admission.reject(
-                query, f"query {query.name!r} is already queued"
-            )
-        known = self.rates.streams
-        unknown = [s for s in query.sources if s not in known]
-        if unknown:
-            return self.admission.reject(query, f"unknown streams: {unknown}")
-        if query.sink not in self.network.nodes():
-            return self.admission.reject(
-                query, f"sink {query.sink} is not a network node"
-            )
-        if self.resilience is not None and self.hierarchy is not None:
-            if query.sink not in self.hierarchy.subtree(self.hierarchy.root):
-                return self.admission.reject(
-                    query, f"sink {query.sink} is not a live hierarchy node"
-                )
-        return None
+            taken = f"query {query.name!r} is already deployed"
+        elif self.admission.is_queued(query.name):
+            taken = f"query {query.name!r} is already queued"
+        else:
+            taken = None
+        problem = submission_problem(self, query, lifetime, taken)
+        return None if problem is None else self.admission.reject(query, problem)
 
     def _tick_end(self, report: TickReport) -> None:
         """Tail of a journaled tick: its boundary marker, then the
@@ -983,12 +962,37 @@ def drive_trace(
     return decisions, ticks, _time.perf_counter() - wall_start
 
 
+def submission_problem(
+    service: StreamQueryService, query: Query, lifetime: float | None, taken: str | None
+) -> str | None:
+    """Why ``service`` would refuse ``query`` at the door (``None``: it
+    would not) -- the checks a shard makes, which a tenant fleet's own
+    front door makes the same way.
+
+    Args:
+        taken: Why the query's name is already in use (``None``: free).
+    """
+    if lifetime is not None and lifetime <= 0:
+        return f"non-positive lifetime {lifetime}"
+    if taken is not None:
+        return taken
+    unknown = [s for s in query.sources if s not in service.rates.streams]
+    if unknown:
+        return f"unknown streams: {unknown}"
+    if not service.network.has_node(query.sink):
+        return f"sink {query.sink} is not a network node"
+    hierarchy = service.hierarchy
+    if service.resilience is not None and hierarchy is not None:
+        if query.sink not in hierarchy.subtree(hierarchy.root):
+            return f"sink {query.sink} is not a live hierarchy node"
+    return None
+
+
 def churn_trace(
     workload: Workload | Sequence[Query],
     lifetime: float | None = 5.0,
     arrivals_per_tick: int = 2,
     repeats: int = 1,
-    start_time: float = 0.0,
 ) -> list[SubmitEvent]:
     """Build a short-lived-query trace from a workload.
 
@@ -1003,7 +1007,7 @@ def churn_trace(
         raise ValueError("repeats must be >= 1")
     queries = list(workload)
     events: list[SubmitEvent] = []
-    tick = start_time
+    tick = 0.0
     slot = 0
     for round_no in range(repeats):
         for query in queries:

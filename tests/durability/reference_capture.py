@@ -67,11 +67,12 @@ def _origin_to_doc(state, origin) -> dict[str, Any]:
     query, left, right = origin
     live = state.deployment(query.name)
     return {
-        # The installer is usually still deployed: name it instead of
-        # repeating its query document.
+        # The installer is usually still deployed (the same query, or
+        # an equal copy of it): name it instead of repeating its query
+        # document.
         "query": (
             query.name
-            if live is not None and live.query is query
+            if live is not None and _query_to_dict(live.query) == _query_to_dict(query)
             else _query_to_dict(query)
         ),
         "left": sorted(left),

@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from repro.durability import inspect_state_dir, recover
+from repro.durability import DurabilityConfig, inspect_state_dir, recover
 from repro.durability.harness import run_steps, service_scenario
 from repro.durability.journal import (
     COMMAND_KINDS,
@@ -21,6 +21,9 @@ from repro.durability.journal import (
     scan_journal,
 )
 from repro.resilience.faults import CrashPoint
+from repro.service import StreamQueryService
+
+from tests.conftest import small_world
 
 #: A record torn inside a two-byte UTF-8 sequence: no decoder accepts it.
 TORN_UTF8 = b'{"crc":1,"\xc3'
@@ -216,6 +219,20 @@ class TestCrashPoints:
         journal.append("cmd_tick", 1.0, {"time": 1.0})
         assert journal.fsyncs_total == 2
         journal.close()
+
+    def test_a_service_armed_with_fsync_flushes_every_record(self, tmp_path):
+        world = small_world(2)
+        service = StreamQueryService(
+            world.optimizer("top-down"), world.network, world.rates,
+            hierarchy=world.hierarchy(),
+            durability=DurabilityConfig(state_dir=str(tmp_path), fsync=True),
+        )
+        service.submit(world.workload.queries[0])
+        service.tick()
+        journal = service.durability.journal
+        assert journal.fsyncs_total == journal.records_total > 0
+        fsyncs = service.registry.get("durability_journal_fsyncs_total")
+        assert fsyncs.total == journal.fsyncs_total
 
 
 class TestTornUtf8Recovery:

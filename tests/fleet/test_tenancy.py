@@ -5,8 +5,9 @@ import pytest
 import repro
 from repro.errors import AdmissionError
 from repro.fleet import Tenant, TenantDirectory, WeightedFairScheduler
+from repro.resilience.faults import NodeCrash
 
-from tests.fleet.conftest import build_fleet
+from tests.fleet.conftest import build_env, build_fleet
 
 
 class TestTenantRecords:
@@ -163,3 +164,59 @@ class TestFleetTenancy:
         ):
             assert name in names
         assert fleet.registry.get("tenant_live_gold").value == 1.0
+
+
+class TestTenantSinkLiveness:
+    """A tenant fleet's front door makes the shard's checks: a sink that
+    has left the hierarchy is refused at submit, and a sink that dies
+    while its query waits in the backlog is refused at the drain.  A
+    crash mutates the hierarchy, so each test builds its own world."""
+
+    @pytest.fixture()
+    def fleet_env(self):
+        return build_env()
+
+    def _fleet(self, fleet_env, crash_node):
+        fault = repro.FaultInjector(repro.FaultPlan([NodeCrash(time=1.0, node=crash_node)]))
+        return build_fleet(
+            fleet_env, num_shards=1, budget=1, tenants=[Tenant("t")],
+            service_kwargs={"resilience": repro.ResilienceConfig(), "faults": fault},
+        )
+
+    def _pair(self, fleet_env):
+        _, _, workload, rates = fleet_env
+        first = workload.queries[0]
+        waiting = next(
+            q for q in workload.queries[1:]
+            if q.sink not in rates.endpoints(first) and q.sink != first.sink
+        )
+        return first.renamed("a"), waiting.renamed("b")
+
+    def test_submit_with_a_crashed_sink_is_rejected(self, fleet_env):
+        first, waiting = self._pair(fleet_env)
+        fleet = self._fleet(fleet_env, waiting.sink)
+        assert fleet.submit(first, tenant="t").admitted
+        fleet.tick(1.0)  # the crash lands; the budget is still full
+        decision = fleet.submit(waiting, tenant="t")
+        assert decision.rejected
+        assert decision.decision.reason == (
+            f"sink {waiting.sink} is not a live hierarchy node"
+        )
+        assert fleet.router.owner(waiting.name) is None
+        assert fleet.tenant_summary()["t"]["rejected"] == 1
+
+    def test_a_sink_dying_in_the_backlog_is_rejected_at_the_drain(self, fleet_env):
+        first, waiting = self._pair(fleet_env)
+        fleet = self._fleet(fleet_env, waiting.sink)
+        assert fleet.submit(first, tenant="t", lifetime=1.0).admitted
+        queued = fleet.submit(waiting, tenant="t")
+        assert queued.status is repro.AdmissionStatus.QUEUED
+        # One tick crashes the sink, retires the first query and drains
+        # the backlog into the freed budget: the shard refuses it.
+        report = fleet.tick(1.0)
+        assert report.deployed == []
+        assert fleet.router.owner(waiting.name) is None
+        assert fleet.tenant_of(waiting.name) is None
+        assert fleet.scheduler.total_backlog == 0
+        summary = fleet.tenant_summary()["t"]
+        assert summary["rejected"] == 1 and summary["live"] == 0
