@@ -92,12 +92,12 @@ from repro.obs import (
     Gauge,
     Histogram,
     MetricRegistry,
-    NULL_CAUSAL,
     PlanExplanation,
     Span,
     TraceContext,
     Tracer,
     build_explanation,
+    causal_tracing,
     tracing,
 )
 from repro.perf import OpProfiler, profiled
@@ -278,7 +278,7 @@ __all__ = [
     "tracing",
     "TraceContext",
     "CausalTracer",
-    "NULL_CAUSAL",
+    "causal_tracing",
     "OpProfiler",
     "profiled",
     "Counter",

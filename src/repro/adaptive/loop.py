@@ -56,12 +56,11 @@ class AdaptivityConfig:
         max_migrations_per_tick: Migration budget per service tick.
         query_cooldown: Ticks a migrated (or aborted) query is left
             alone before being reconsidered.
-        simulate_cutover: Replay the cutover protocol on the simulator
-            (off: apply the swap directly; unit-test use).
 
     The drift threshold is :class:`~repro.adaptive.stats.StatsMonitor`'s
     default; the cutover's drain time and transfer speed are
-    :class:`~repro.adaptive.migrate.Migrator`'s.
+    :class:`~repro.adaptive.migrate.Migrator`'s, and every migration
+    that moves an operator replays the cutover protocol.
     """
 
     alpha: float = 0.3
@@ -72,7 +71,6 @@ class AdaptivityConfig:
     bytes_per_tuple: float = 64.0
     max_migrations_per_tick: int = 2
     query_cooldown: float = 10.0
-    simulate_cutover: bool = True
 
     def __post_init__(self) -> None:
         if self.horizon <= 0:
@@ -134,12 +132,7 @@ class AdaptivityLoop:
             publish_cooldown=cfg.publish_cooldown,
         )
         self.policy = ReoptPolicy(cfg, service.optimizer, service.rates)
-        self.migrator = Migrator(
-            service.network,
-            faults=service.faults,
-            simulate=cfg.simulate_cutover,
-            trace=getattr(service, "causal", None),
-        )
+        self.migrator = Migrator(service.network, faults=service.faults)
         self._seen_topology = service.topology_epoch
         reg = service.registry
         self._instruments = {

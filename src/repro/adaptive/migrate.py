@@ -42,6 +42,7 @@ from typing import Any
 
 from repro.errors import DeploymentError
 from repro.network.graph import Network
+from repro.obs.tracer import current_causal
 from repro.adaptive.diff import MigrationDiff, OperatorMove
 from repro.query.deployment import Deployment
 from repro.resilience.faults import NULL_FAULTS
@@ -279,12 +280,10 @@ class Migrator:
         retry: Retransmission policy under faults
             (:data:`MIGRATION_RETRY` when omitted).
         seconds_per_byte: State-transfer transmission speed.
-        simulate: Whether to run the cutover protocol at all.  Off, the
-            swap is applied directly (unit tests of the swap logic).
-        trace: Optional :class:`~repro.obs.causal.CausalTracer`; when
-            given, every cutover forms one causal tree rooted at
-            ``migrate:<query name>``.  ``None`` (the default) keeps the
-            cutover byte-identical to an untraced build.
+
+    Under ``with causal_tracing(tracer):`` every cutover forms one
+    causal tree rooted at ``migrate:<query name>``; with none installed
+    the cutover is byte-identical to an untraced build.
     """
 
     def __init__(
@@ -293,15 +292,11 @@ class Migrator:
         faults=NULL_FAULTS,
         retry: RetryPolicy | None = None,
         seconds_per_byte: float = 1e-6,
-        simulate: bool = True,
-        trace=None,
     ) -> None:
         self.network = network
         self.faults = faults
         self.retry = retry if retry is not None else MIGRATION_RETRY
         self.seconds_per_byte = seconds_per_byte
-        self.simulate = simulate
-        self.trace = trace
         #: Optional :class:`~repro.durability.Durability`; when set the
         #: migrator journals begin / barrier-phase / commit / abort
         #: markers so crash points can land mid-cutover and recovery can
@@ -356,17 +351,17 @@ class Migrator:
         sim.now = start_time
         actor = sim.node(coordinator)
         assert isinstance(actor, _CutoverActor)
-        if self.trace is not None:
-            sim.attach_trace(self.trace)
-            self.trace.new_trace(
+        trace = current_causal()
+        if trace is not None:
+            trace.new_trace(
                 f"migrate:{diff.query}",
                 node=coordinator,
                 operators=len(diff.moved),
                 state_bytes=diff.total_state_bytes,
             )
         sim.schedule(0.0, actor.begin)
-        if self.trace is not None:
-            self.trace.activate(None)
+        if trace is not None:
+            trace.activate(None)
         sim.run()
         return CutoverTimeline(
             query_name=diff.query,
@@ -418,7 +413,7 @@ class Migrator:
             },
         )
         timeline: CutoverTimeline | None = None
-        if self.simulate and diff.moved:
+        if diff.moved:
             timeline = self.simulate_cutover(diff, old.query.sink, start_time=now)
             if timeline.pause_done is not None:
                 self._mark("migrate_phase", now, {"query": name, "phase": "pause"})

@@ -521,7 +521,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_trace_causal(args, world, query) -> int:
     """``repro trace --causal``: one deployment's causal hop tree."""
-    from repro.obs import CausalTracer
+    from repro.obs import CausalTracer, causal_tracing
     from repro.runtime import simulate_deployment
     from repro.serialization import causal_trace_to_json, chrome_trace_to_json
 
@@ -533,7 +533,8 @@ def _cmd_trace_causal(args, world, query) -> int:
     _ads, optimizer = _planner(world, args)
     deployment = optimizer.plan(query, None)
     causal = CausalTracer()
-    timeline = simulate_deployment(network, deployment, trace=causal, rates=rates)
+    with causal_tracing(causal):
+        timeline = simulate_deployment(network, deployment, rates=rates)
     if args.chrome:
         print(chrome_trace_to_json(causal))
         return 0

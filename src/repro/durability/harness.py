@@ -148,22 +148,27 @@ def service_scenario() -> Scenario:
 
 def layered_scenario() -> Scenario:
     """The service script with resilience, adaptivity and resources armed
-    together: the fault injector crashes a node mid-script (and rejoins
-    it), and capacities are tight enough that arrivals shed lighter
-    queries and one parks for capacity -- so breakers, both parking
-    lots, the injector cursor and the drift monitor all hold state at
-    the crash points.
+    together: a coordinator outage during the first submissions opens a
+    breaker, the fault injector crashes a node mid-script (and rejoins
+    it), drift repair sheds, and the crash's resubmission parks for
+    capacity -- so breakers, the resource layer's parking lot, the
+    injector cursor and the drift monitor all hold state at the crash
+    points.  (The resilience lot stays empty: no rung ever runs out.)
     """
     from repro.resilience.degradation import ResilienceConfig
-    from repro.resilience.faults import FaultInjector, FaultPlan, NodeCrash
+    from repro.resilience.faults import CoordinatorOutage, FaultInjector, FaultPlan, NodeCrash
     from repro.resources import ResourceConfig, uniform_capacities
+
+    world = _world(24, 8, 6, workload_seed=8)
+    leaf = world.hierarchy().leaf_cluster(next(iter(world.workload)).sink)
+    outage = CoordinatorOutage(time=0.0, node=leaf.coordinator, duration=1.0)
 
     def layers(net):
         crash = NodeCrash(time=6.0, node=1, rejoin_after=4.0)
         tight = uniform_capacities(net, cpu=3500.0, memory=3500.0, bandwidth=3500.0)
         return {
             "resilience": ResilienceConfig(),
-            "faults": FaultInjector(FaultPlan([crash], seed=3)),
+            "faults": FaultInjector(FaultPlan([outage, crash], seed=3)),
             "resources": ResourceConfig(capacities=tight),
         }
 

@@ -426,7 +426,7 @@ def restore_network(network, doc: dict[str, Any]) -> None:
     network._node_kind = kinds
     network._links = links
     network._version = doc["version"]
-    network._cost_cache = network._delay_cache = network._pred_cache = None
+    network._cost_cache = network._delay_cache = None
 
 
 def capture_hierarchy(hierarchy) -> dict[str, Any]:

@@ -99,6 +99,7 @@ class FleetTickReport:
     shard_reports: list[TickReport]
     deployed: list[tuple[str, int]] = field(default_factory=list)
     retired: list[tuple[str, int]] = field(default_factory=list)
+    rejected: list[tuple[str, int]] = field(default_factory=list)
     federation: dict = field(default_factory=dict)
 
 
@@ -230,7 +231,6 @@ class FleetController:
         from repro.resources.ledger import ResourceLedger
         from repro.resources.manager import ResourceConfig, ResourceManager
 
-        self._resources_config = resources
         self.resource_ledger: ResourceLedger | None = None
         self.resource_managers: list[ResourceManager] = []
         if resources is not None:
@@ -466,15 +466,10 @@ class FleetController:
         self.cross_shard_reuse_total = counters["cross_shard_reuse_total"]
 
     def _query_weight(self, name: str) -> float:
-        """Shedding weight of a query: its tenant's weight when known."""
-        tenant = self._tenant_of.get(name)
-        if tenant is not None:
-            record = self.tenants.get(tenant)
-            if record is not None:
-                return float(record.weight)
-        if self._resources_config is not None:
-            return float(self._resources_config.query_weights.get(name, 1.0))
-        return 1.0  # pragma: no cover - managers only call this when armed
+        """Shedding weight of a query: its tenant's weight (1.0 when it
+        has none)."""
+        record = self.tenants.get(self._tenant_of.get(name, ""))
+        return 1.0 if record is None else float(record.weight)
 
     # ------------------------------------------------------------------
     # Resource layer
@@ -661,9 +656,13 @@ class FleetController:
 
         shard = self.router.route(query)
         if self._has_capacity(shard) and self.scheduler.total_backlog == 0:
+            # Booked first: the shard's resource layer weighs it by tenant.
+            self._tenant_of[query.name] = record.name
             decision = self.shards[shard].submit(query, lifetime=lifetime)
             self._book_decision(decision, shard, record.name)
-            if not decision.rejected:
+            if decision.rejected:
+                del self._tenant_of[query.name]
+            else:
                 self._charge(record.name, query.name)
                 if decision.admitted:
                     self._mark_live(record.name)
@@ -759,6 +758,10 @@ class FleetController:
             for name in shard_report.retired:
                 self._forget(name)
                 report.retired.append((name, sid))
+            for name in shard_report.rejected:  # an endpoint died while it queued
+                self._forget(name, live=False)
+                self._rejected_counter.inc()
+                report.rejected.append((name, sid))
             for name in shard_report.deployed:
                 self._after_deploy(sid, name)
                 if self.scheduler is not None:

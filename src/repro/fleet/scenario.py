@@ -3,7 +3,7 @@
 :func:`chaos_telemetry_scenario` builds a small sharded fleet with the
 resilience layer and the telemetry pipeline on, drives a churn workload
 through a scripted coordinator-outage storm, and replays a couple of
-deployments through the protocol simulator under a shared
+deployments through the protocol simulator, all under one installed
 :class:`~repro.obs.causal.CausalTracer` -- so the resulting
 ``repro.telemetry`` envelope exercises every part of the pipeline:
 breaker-trip and cache-hit-rate alerts fire at deterministic ticks, and
@@ -26,6 +26,7 @@ from typing import Any
 from repro.fleet.controller import FleetController
 from repro.obs.causal import CausalTracer
 from repro.obs.telemetry import Telemetry, TelemetryConfig
+from repro.obs.tracer import causal_tracing
 from repro.resilience.degradation import ResilienceConfig
 from repro.resilience.faults import (
     CoordinatorOutage,
@@ -118,7 +119,6 @@ def chaos_telemetry_scenario(
         service_kwargs={
             "resilience": ResilienceConfig(),
             "faults": injector,
-            "causal": causal,
         },
         telemetry=pipeline,
     )
@@ -133,26 +133,25 @@ def chaos_telemetry_scenario(
     clock = 0.0
     i = 0
     replayed = 0
-    while clock < ticks:
-        clock += 1.0
-        fleet.tick(clock)
-        result.ticks += 1
-        while i < len(ordered) and ordered[i].time <= clock:
-            event = ordered[i]
-            result.decisions.append(
-                fleet.submit(event.query, lifetime=event.lifetime)
-            )
-            i += 1
-        # Once the first deployments exist, replay a couple through the
-        # protocol simulator so causal hops land in the flight recorder
-        # before the outage window trips any breakers.
-        if replayed < REPLAY_DEPLOYMENTS:
-            for shard in fleet.shards:
-                for deployment in list(shard.engine.state.deployments):
-                    if replayed >= REPLAY_DEPLOYMENTS:
-                        break
-                    simulate_deployment(
-                        net, deployment, trace=causal, rates=rates
-                    )
-                    replayed += 1
+    with causal_tracing(causal):
+        while clock < ticks:
+            clock += 1.0
+            fleet.tick(clock)
+            result.ticks += 1
+            while i < len(ordered) and ordered[i].time <= clock:
+                event = ordered[i]
+                result.decisions.append(
+                    fleet.submit(event.query, lifetime=event.lifetime)
+                )
+                i += 1
+            # Once the first deployments exist, replay a couple through the
+            # protocol simulator so causal hops land in the flight recorder
+            # before the outage window trips any breakers.
+            if replayed < REPLAY_DEPLOYMENTS:
+                for shard in fleet.shards:
+                    for deployment in list(shard.engine.state.deployments):
+                        if replayed >= REPLAY_DEPLOYMENTS:
+                            break
+                        simulate_deployment(net, deployment, rates=rates)
+                        replayed += 1
     return result

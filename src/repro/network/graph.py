@@ -86,9 +86,10 @@ class Network:
         self._adj: dict[int, set[int]] = {}
         self._node_kind: dict[int, str] = {}
         self._version = 0
-        self._cost_cache: tuple[int, np.ndarray] | None = None
+        # (version, distances, predecessors, disconnected): one Dijkstra
+        # pass fills both matrices.
+        self._cost_cache: tuple[int, np.ndarray, np.ndarray, bool] | None = None
         self._delay_cache: tuple[int, np.ndarray] | None = None
-        self._pred_cache: tuple[int, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -271,17 +272,18 @@ class Network:
         case for generated topologies; after ``remove_node`` use
         :meth:`compact` first).
         """
-        if self._cost_cache is not None and self._cost_cache[0] == self._version:
-            return self._cost_cache[1]
-        matrix = self._shortest_paths(weight="cost")
-        self._cost_cache = (self._version, matrix)
+        _, matrix, _, disconnected = self._cost_paths()
+        if disconnected:
+            raise ValueError("network is disconnected; shortest paths undefined")
         return matrix
 
     def delay_matrix(self) -> np.ndarray:
         """All-pairs shortest-path one-way *delay* matrix (seconds)."""
         if self._delay_cache is not None and self._delay_cache[0] == self._version:
             return self._delay_cache[1]
-        matrix = self._shortest_paths(weight="delay")
+        matrix = self._shortest_paths("delay")
+        if np.isinf(matrix).any():
+            raise ValueError("network is disconnected; shortest paths undefined")
         self._delay_cache = (self._version, matrix)
         return matrix
 
@@ -298,19 +300,10 @@ class Network:
 
         ``predecessors()[i, j]`` is the node preceding ``j`` on the
         cheapest path from ``i`` to ``j`` (``-9999`` when ``i == j`` per
-        scipy convention).  Used for path reconstruction by the runtime.
+        scipy convention; also between disconnected nodes).  Used for path
+        reconstruction by the runtime.
         """
-        if self._pred_cache is not None and self._pred_cache[0] == self._version:
-            return self._pred_cache[1]
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import shortest_path
-
-        n = self._require_contiguous()
-        data, rows, cols = self._edge_arrays("cost")
-        graph = csr_matrix((data, (rows, cols)), shape=(n, n))
-        _, preds = shortest_path(graph, method="D", directed=False, return_predecessors=True)
-        self._pred_cache = (self._version, preds)
-        return preds
+        return self._cost_paths()[2]
 
     def compact(self) -> dict[int, int]:
         """Renumber nodes to contiguous ``0..n-1``; return old->new map."""
@@ -376,17 +369,27 @@ class Network:
             np.asarray(cols, dtype=np.intp),
         )
 
-    def _shortest_paths(self, weight: str) -> np.ndarray:
+    def _cost_paths(self) -> tuple[int, np.ndarray, np.ndarray, bool]:
+        """The cost cache for the current version, filled by one pass."""
+        cache = self._cost_cache
+        if cache is None or cache[0] != self._version:
+            matrix, preds = self._shortest_paths("cost", predecessors=True)
+            cache = (self._version, matrix, preds, bool(np.isinf(matrix).any()))
+            self._cost_cache = cache
+        return cache
+
+    def _shortest_paths(self, weight: str, predecessors: bool = False):
+        """All-pairs distances under ``weight`` (and, with
+        ``predecessors``, the predecessor matrix beside them)."""
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import shortest_path
 
         n = self._require_contiguous()
         data, rows, cols = self._edge_arrays(weight)
         graph = csr_matrix((data, (rows, cols)), shape=(n, n))
-        matrix = shortest_path(graph, method="D", directed=False)
-        if np.isinf(matrix).any():
-            raise ValueError("network is disconnected; shortest paths undefined")
-        return matrix
+        return shortest_path(
+            graph, method="D", directed=False, return_predecessors=predecessors
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Network(nodes={self.num_nodes}, links={self.num_links})"

@@ -11,7 +11,8 @@ Four layers, usable independently:
   :class:`TraceContext` carried on runtime messages and propagated by
   the simulator, so deployments, migrations and fault retransmissions
   form per-query causal hop trees with per-link cost/delay accounting;
-  exportable as span trees, tagged JSON and Chrome trace events.
+  exportable as span trees, tagged JSON and Chrome trace events;
+  ``with causal_tracing(tracer):`` installs one on the same context.
 * :mod:`repro.obs.metrics` -- a typed :class:`MetricRegistry`
   (:class:`Counter` / :class:`Gauge` / :class:`Histogram`) holding
   current values, with Prometheus text exposition and JSON snapshots.
@@ -32,13 +33,7 @@ metric naming scheme, and ``docs/telemetry.md`` for the telemetry
 pipeline.
 """
 
-from repro.obs.causal import (
-    NULL_CAUSAL,
-    CausalTracer,
-    Hop,
-    NullCausalTracer,
-    TraceContext,
-)
+from repro.obs.causal import CausalTracer, Hop, TraceContext
 from repro.obs.explain import PlanExplanation, build_explanation
 from repro.obs.metrics import (
     Counter,
@@ -60,7 +55,7 @@ from repro.obs.rules import (
 )
 from repro.obs.telemetry import Telemetry, TelemetryConfig
 from repro.obs.timeseries import TelemetryScraper, TimeSeriesStore
-from repro.obs.tracer import Span, Tracer, tracing
+from repro.obs.tracer import Span, Tracer, causal_tracing, tracing
 
 __all__ = [
     "Span",
@@ -69,8 +64,7 @@ __all__ = [
     "TraceContext",
     "Hop",
     "CausalTracer",
-    "NullCausalTracer",
-    "NULL_CAUSAL",
+    "causal_tracing",
     "Counter",
     "Gauge",
     "Histogram",

@@ -26,10 +26,11 @@ Every hop carries per-link accounting tags:
   message's trace id and parents under the original hop, never starting
   a fresh root.
 
-The tracer is opt-in and detached by default: a simulator without an
-attached :class:`CausalTracer` takes the exact pre-tracing fast path,
-and messages carry ``trace=None`` (excluded from equality and repr), so
-disabled-mode behavior is byte-identical.
+The tracer is opt-in: it is a channel of the one instrumentation
+context (:func:`~repro.obs.tracer.causal_tracing`), and a simulator
+built with none installed takes the exact pre-tracing fast path, with
+messages carrying ``trace=None`` (excluded from equality and repr), so
+untraced behavior is byte-identical.
 
 Trees export three ways: :meth:`CausalTracer.span_tree` (data-only
 :class:`~repro.obs.tracer.Span` trees for rendering / the tagged-JSON
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.obs.tracer import Span
 
@@ -177,14 +178,15 @@ def _message_key(src: int, dst: int, message: Any) -> tuple:
 class CausalTracer:
     """Collects causal message-hop trees across a simulation.
 
-    Attach to a :class:`~repro.runtime.simulator.Simulator` via
-    ``sim.attach_trace(tracer)``; open a root with :meth:`new_trace`
-    before kicking off the protocol so every hop lands in one tree.
-    All ids are drawn from deterministic counters -- two identical runs
+    Install it around the run with ``with causal_tracing(tracer):``;
+    every :class:`~repro.runtime.simulator.Simulator` built inside
+    records into it.  Open a root with :meth:`new_trace` before kicking
+    off the protocol so every hop lands in one tree
+    (:func:`~repro.runtime.protocol.simulate_deployment` and
+    :meth:`~repro.adaptive.migrate.Migrator.simulate_cutover` do).  All
+    ids are drawn from deterministic counters -- two identical runs
     produce identical traces.
     """
-
-    enabled = True
 
     def __init__(self) -> None:
         self.hops: list[Hop] = []
@@ -209,11 +211,6 @@ class CausalTracer:
     # ------------------------------------------------------------------
     # Context management
     # ------------------------------------------------------------------
-    @property
-    def active(self) -> TraceContext | None:
-        """The context causally responsible for work happening now."""
-        return self._active
-
     def activate(self, ctx: TraceContext | None) -> TraceContext | None:
         """Make ``ctx`` the active cause; returns the previous one."""
         prev = self._active
@@ -559,25 +556,3 @@ class CausalTracer:
             ),
         }
 
-
-class NullCausalTracer:
-    """Disabled placeholder mirroring the ``NULL_*`` house pattern.
-
-    The simulator never calls through it (an unattached simulator takes
-    the fast path), but APIs that *hold* a causal tracer can default to
-    this instead of ``None`` checks in reporting code.
-    """
-
-    enabled = False
-    hops: tuple = ()
-
-    def trace_ids(self) -> list[str]:
-        return []
-
-    def summary(self) -> dict[str, Any]:
-        return {"traces": 0, "hops": 0, "retransmissions": 0, "dropped": 0,
-                "duplicated_deliveries": 0}
-
-
-NULL_CAUSAL = NullCausalTracer()
-"""Module-level disabled causal tracer."""

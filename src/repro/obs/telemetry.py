@@ -13,8 +13,10 @@ or :class:`~repro.fleet.controller.FleetController` and every tick:
 2. the :class:`~repro.obs.rules.RulesEngine` evaluates its recording and
    alerting rules over the fresh samples;
 3. the :class:`~repro.obs.flight.FlightRecorder` logs the tick (and any
-   new causal hops), and freezes a debug bundle whenever an alert
-   transitions to FIRING or a circuit breaker opens.
+   new hops of the causal tracer installed with
+   :func:`~repro.obs.tracer.causal_tracing`), and freezes a debug
+   bundle whenever an alert transitions to FIRING or a circuit breaker
+   opens.
 
 The whole pipeline follows the repo's opt-in-layer contract
 (``resilience=None`` / ``adaptivity=None`` / no tracer installed): with
@@ -36,6 +38,7 @@ from typing import Any, Mapping
 from repro.obs.flight import FlightRecorder
 from repro.obs.rules import RulesEngine, default_rule_pack
 from repro.obs.timeseries import TelemetryScraper, TimeSeriesStore, scoped_name
+from repro.obs.tracer import current_causal
 
 ENVELOPE_KIND = "repro.telemetry"
 ENVELOPE_VERSION = 1
@@ -77,7 +80,10 @@ class Telemetry:
         self.scraper = TelemetryScraper(self.store, cadence=self.config.cadence)
         self.recorder = FlightRecorder()
         self.engine = RulesEngine(self.store)
-        self._causal: list[tuple[str, Any, int]] = []  # (scope, tracer, cursor)
+        # Causal hops land under the first bound service's scope; one
+        # harvest cursor per causal tracer seen installed.
+        self._hop_scope: str | None = None
+        self._hop_cursors: dict[Any, int] = {}
         self._breaker_totals: dict[str, float] = {}
         self.ticks_observed = 0
 
@@ -87,17 +93,15 @@ class Telemetry:
     def bind_service(self, service: Any, scope: str = "service") -> None:
         """Attach one :class:`StreamQueryService`'s instruments.
 
-        Registers the service registry for scraping, installs the
-        default rule pack for the scope, and starts harvesting its
-        causal tracer's hops (when the service has one) into the flight
-        recorder.
+        Registers the service registry for scraping and installs the
+        default rule pack for the scope.  The first service bound names
+        the scope installed causal hops are recorded under.
         """
+        if self._hop_scope is None:
+            self._hop_scope = scope
         self.scraper.register(scope, service.registry)
         for rule in default_rule_pack([scope]):
             self.engine.add(rule)
-        causal = getattr(service, "causal", None)
-        if causal is not None and getattr(causal, "enabled", False):
-            self.watch_causal(scope, causal)
 
     def bind_fleet(self, fleet: Any) -> None:
         """Attach a whole :class:`FleetController`.
@@ -122,13 +126,6 @@ class Telemetry:
             if len(weights) >= 2:
                 for rule in default_rule_pack((), tenant_weights=weights):
                     self.engine.add(rule)
-
-    def watch_causal(self, scope: str, tracer: Any) -> None:
-        """Harvest a :class:`~repro.obs.causal.CausalTracer`'s new hops
-        into the flight recorder on every observation."""
-        if any(t is tracer for _, t, _ in self._causal):
-            return
-        self._causal.append((scope, tracer, 0))
 
     # ------------------------------------------------------------------
     # Tick hooks (called by the service/fleet at end of tick)
@@ -183,11 +180,14 @@ class Telemetry:
         return transitions
 
     def _harvest_causal(self) -> None:
-        for i, (scope, tracer, cursor) in enumerate(self._causal):
-            hops = tracer.hops
-            if len(hops) > cursor:
-                self.recorder.record_hops(scope, hops[cursor:])
-                self._causal[i] = (scope, tracer, len(hops))
+        tracer = current_causal()
+        if tracer is None or self._hop_scope is None:
+            return
+        hops = tracer.hops
+        cursor = self._hop_cursors.get(tracer, 0)
+        if len(hops) > cursor:
+            self.recorder.record_hops(self._hop_scope, hops[cursor:])
+            self._hop_cursors[tracer] = len(hops)
 
     def _breaker_opens(self, now: float) -> list[tuple[str, float]]:
         """Scopes whose breaker-open counter grew since the last scrape."""

@@ -8,7 +8,7 @@ trees pruned, cache hits), and are timed with a monotonic clock.
 
 Instrumented code never receives a tracer.  It calls the module-level
 hooks, which report to whatever the caller installed in the current
-:mod:`contextvars` context.  The context has two channels:
+:mod:`contextvars` context.  The context has three channels:
 
 * the *nominal* channel -- :func:`span`, :func:`incr` and :func:`tag`
   -- reaches the tracer installed with :func:`tracing`; span counters
@@ -17,9 +17,12 @@ hooks, which report to whatever the caller installed in the current
 * the *op* channel -- :func:`count` -- reaches the sink installed with
   :func:`counting` (normally an :class:`~repro.perf.profiler.OpProfiler`
   through :func:`~repro.perf.profiler.profiled`); op counts are the
-  work actually done and feed the ``repro perf`` and lab gates.
+  work actually done and feed the ``repro perf`` and lab gates;
+* the *causal* channel -- every :class:`~repro.runtime.simulator.Simulator`
+  built under :func:`causal_tracing` records its message hops into that
+  :class:`~repro.obs.causal.CausalTracer`.
 
-The channels stay separate on purpose, and one name means different
+The first two stay separate on purpose, and one name means different
 things on each: ``trees_enumerated`` is the nominal tree count on a
 span and the trees the search actually built as an op count.
 
@@ -193,11 +196,6 @@ class Tracer:
         )
         self.roots: list[Span] = []
 
-    @property
-    def _stack(self) -> tuple[Span, ...]:
-        """This context's open-span stack (innermost last)."""
-        return self._stack_var.get()
-
     def _push(self, span: Span) -> None:
         stack = self._stack_var.get()
         parent = stack[-1] if stack else None
@@ -275,6 +273,9 @@ _TRACER: contextvars.ContextVar[Tracer | None] = contextvars.ContextVar(
     "repro_tracer", default=None
 )
 _OPS: contextvars.ContextVar[Any] = contextvars.ContextVar("repro_ops", default=None)
+_CAUSAL: contextvars.ContextVar[Any] = contextvars.ContextVar(
+    "repro_causal", default=None
+)
 
 
 @contextmanager
@@ -299,6 +300,12 @@ def counting(sink):
     return _installed(_OPS, sink)
 
 
+def causal_tracing(tracer):
+    """Install ``tracer`` (a :class:`~repro.obs.causal.CausalTracer`)
+    for the block: the causal channel's target."""
+    return _installed(_CAUSAL, tracer)
+
+
 def current_tracer() -> Tracer | None:
     """The tracer installed in this context, or ``None``."""
     return _TRACER.get()
@@ -308,6 +315,11 @@ def op_sink():
     """The op sink installed in this context, or ``None``; for a site
     that counts several quantities and reads the sink once."""
     return _OPS.get()
+
+
+def current_causal():
+    """The causal tracer installed in this context, or ``None``."""
+    return _CAUSAL.get()
 
 
 def span(name: str, **tags: Any) -> Span | _NullSpan:

@@ -15,7 +15,10 @@
    degraded plan must not be memoized as if it were optimal).
 
 Every rung attempt runs under the :data:`RETRY` policy;
-failures feed the per-coordinator :class:`BreakerBoard`.  Nodes whose
+failures feed the per-coordinator :class:`BreakerBoard`.  The
+hierarchical rungs plan as the bare service does (shedding to fit under
+the resource layer); no feasible placement is a capacity verdict, not a
+coordinator fault: it ends the ladder unretried.  Nodes whose
 breaker keeps re-opening (*flapping*) are quarantined out of the
 placement candidates -- removed from the hierarchy for a spell and
 re-admitted when it ends.  Queries no rung can plan are *parked* and
@@ -35,6 +38,7 @@ from repro.durability.state import capture_rng, restore_rng
 from repro.errors import (
     CoordinatorTimeout,
     CoordinatorUnreachable,
+    InfeasiblePlacementError,
     PlanningError,
     ReproError,
 )
@@ -64,24 +68,23 @@ RETRY = RetryPolicy()
 RPC_SECONDS = 0.05
 #: Seed of the backoff jitter (determinism).
 JITTER_SEED = 0
+#: Breaker-open count that flags a node as flapping and quarantines it
+#: from placement.
+QUARANTINE_AFTER = 2
+#: Ticks a quarantined node stays out.
+QUARANTINE_TICKS = 25.0
 
 
 @dataclass
 class ResilienceConfig:
-    """Tuning knobs of the resilience layer.
+    """Arms the resilience layer.
 
-    Attributes:
-        failure_threshold: Consecutive failures tripping a breaker.
-        recovery_time: Ticks a tripped breaker stays open.
-        quarantine_after: Breaker-open count that flags a node as
-            flapping and quarantines it from placement.
-        quarantine_ticks: How long a quarantined node stays out.
+    It has no knobs: coordinator calls run under :data:`RETRY`, a
+    breaker trips on :class:`~repro.resilience.policy.BreakerBoard`'s
+    default 3 consecutive failures and stays open its default 10 ticks,
+    and a node whose breaker opened :data:`QUARANTINE_AFTER` times is
+    quarantined for :data:`QUARANTINE_TICKS`.
     """
-
-    failure_threshold: int = 3
-    recovery_time: float = 10.0
-    quarantine_after: int = 2
-    quarantine_ticks: float = 25.0
 
 
 @dataclass
@@ -116,10 +119,7 @@ class ResilientControl:
         self.config = config
         self.faults = faults
         self.rng = np.random.default_rng(JITTER_SEED)
-        self.breakers = BreakerBoard(
-            failure_threshold=config.failure_threshold,
-            recovery_time=config.recovery_time,
-        )
+        self.breakers = BreakerBoard()
         self.parked: dict[str, ParkedQuery] = {}
         self.quarantined: dict[int, float] = {}
         self.degraded_queries: set[str] = set()
@@ -242,7 +242,8 @@ class ResilientControl:
 
     def plan(self, service: "StreamQueryService", query: Query) -> Deployment:
         """Plan through the ladder; raises :class:`PlanningError` when
-        every rung fails (callers park the query)."""
+        every rung fails or one finds no feasible placement (callers
+        park the query)."""
         now = service.clock
         failures: list[str] = []
         with span("resilient_plan", query=query.name) as plan_span:
@@ -255,6 +256,12 @@ class ResilientControl:
                     deployment, attempts = self._attempt(
                         service, query, rung, coordinator, now
                     )
+                except InfeasiblePlacementError:
+                    # The coordinator answered: close its breaker (no probe left in flight).
+                    if coordinator is not None:
+                        self.breakers.record_success(coordinator, now)
+                        self.sync_breaker_gauges()
+                    raise
                 except ReproError as exc:
                     failures.append(f"{rung}: {exc}")
                     continue
@@ -283,7 +290,8 @@ class ResilientControl:
         coordinator: int | None,
         now: float,
     ) -> tuple[Deployment, int]:
-        """One rung under the retry policy; breaker-feeds every failure."""
+        """One rung under the retry policy; breaker-feeds every failure
+        but a capacity verdict."""
 
         def once(attempt: int) -> Deployment:
             if coordinator is not None:
@@ -291,8 +299,7 @@ class ResilientControl:
             if rung == "baseline":
                 assert self._fallback is not None, "control is not bound to a service"
                 return self._fallback.plan(query, service.engine.state)
-            deployment, _hit = service.plan(query)
-            return deployment
+            return service.plan_feasible(query)
 
         def on_retry(attempt: int, error: BaseException, delay: float) -> None:
             self.retries_total += 1
@@ -305,8 +312,10 @@ class ResilientControl:
 
         try:
             deployment, attempts, _spent = RETRY.run(
-                once, rng=self.rng, on_retry=on_retry
+                once, self.rng, on_retry, give_up_on=(InfeasiblePlacementError,)
             )
+        except InfeasiblePlacementError:
+            raise
         except ReproError:
             if coordinator is not None:
                 self._record_failure(coordinator, now)
@@ -367,16 +376,16 @@ class ResilientControl:
         return found
 
     def readmit_parked(self, service: "StreamQueryService", deployed: list[str]) -> None:
-        """Retry parked queries whose parking epoch has been superseded."""
+        """Retry parked queries whose parking epoch has been superseded
+        and whose endpoints are all in the hierarchy."""
         for name, parked in list(self.parked.items()):
             if service.topology_epoch <= parked.epoch:
                 continue
+            if service.endpoint_problem(parked.query) is not None:
+                continue
             del self.parked[name]
-            try:
-                service._deploy(parked.query, parked.lifetime)
+            if service._deploy_or_park(parked.query, parked.lifetime) is None:
                 deployed.append(name)
-            except PlanningError as exc:
-                self.park(service, parked.query, parked.lifetime, str(exc))
         self._set("parked", float(len(self.parked)))
 
     # ------------------------------------------------------------------
@@ -386,7 +395,7 @@ class ResilientControl:
         """Pull flapping coordinators out of the placement candidates."""
         if service.hierarchy is None:
             return
-        for node in self.breakers.flapping(self.config.quarantine_after):
+        for node in self.breakers.flapping(QUARANTINE_AFTER):
             if node in self.quarantined:
                 continue
             if not self._in_hierarchy(service, node):
@@ -397,7 +406,7 @@ class ResilientControl:
 
             with span("quarantine", node=node):
                 remove_node(service.hierarchy, node)
-            self.quarantined[node] = now + self.config.quarantine_ticks
+            self.quarantined[node] = now + QUARANTINE_TICKS
             self.quarantined_total += 1
             service.bump_topology_epoch()
             self._set("quarantined", float(len(self.quarantined)))

@@ -93,14 +93,16 @@ class RetryPolicy:
         self,
         fn: Callable[[int], T],
         rng: np.random.Generator | None = None,
-        retry_on: tuple[type[BaseException], ...] = (ReproError,),
         on_retry: Callable[[int, BaseException, float], None] | None = None,
+        give_up_on: tuple[type[BaseException], ...] = (),
     ) -> tuple[T, int, float]:
         """Call ``fn(attempt)`` under this policy.
 
-        Returns ``(result, attempts_used, total_backoff)``.  Exceptions
-        outside ``retry_on`` propagate immediately; the last retryable
-        exception propagates once attempts or the deadline run out.
+        Returns ``(result, attempts_used, total_backoff)``.  A
+        :class:`~repro.errors.ReproError` is retried unless it is one of
+        ``give_up_on``; that and any other exception propagate
+        immediately, and the last retryable error propagates once
+        attempts or the deadline run out.
         ``on_retry(attempt, error, backoff)`` fires before each re-try.
         """
         spent = 0.0
@@ -116,7 +118,9 @@ class RetryPolicy:
                     on_retry(attempt, last, delay)
             try:
                 return fn(attempt), attempt, spent
-            except retry_on as exc:
+            except ReproError as exc:
+                if isinstance(exc, give_up_on):
+                    raise
                 last = exc
         assert last is not None
         raise last

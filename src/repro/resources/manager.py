@@ -25,7 +25,7 @@ service behavior stay byte-identical to a build without the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from repro.errors import InfeasiblePlacementError, PlanningError
@@ -59,16 +59,16 @@ class ResourceConfig:
             query has no feasible placement (they park and re-admit),
             at most :data:`~repro.resources.shedder.MAX_SHED_PER_ADMIT`
             per attempt.
-        query_weights: Static ``{query name: weight}`` (default weight
-            1.0).  Fleets override per-query weighting dynamically via
-            :attr:`ResourceManager.weight_fn` (tenant weights).
+
+    Every query weighs 1.0 unless a fleet wires its tenants' weights
+    into :attr:`ResourceManager.weight_fn`, so admission only sheds for
+    a heavier tenant's query.
     """
 
     capacities: Mapping[int, NodeCapacity] | None = None
     utilization_bound: float = 1.0
     load_weight: float = 0.0
     shed: bool = True
-    query_weights: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.utilization_bound <= 0:
@@ -111,10 +111,9 @@ class ResourceManager:
         return self.ledger.constrained
 
     def weight_of(self, name: str) -> float:
-        """Scheduling weight of a query (default 1.0)."""
-        if self.weight_fn is not None:
-            return float(self.weight_fn(name))
-        return float(self.config.query_weights.get(name, 1.0))
+        """Scheduling weight of a query (1.0 without a fleet's
+        :attr:`weight_fn`)."""
+        return 1.0 if self.weight_fn is None else float(self.weight_fn(name))
 
     # ------------------------------------------------------------------
     # Wiring
@@ -377,14 +376,9 @@ class ResourceManager:
         self.repair(service)
         if not self.parked:
             return []
-        retry = self.parked.values()
-        if service.hierarchy is not None:
-            # A query whose sink or a source has left the hierarchy cannot
-            # be planned at all (the planners raise lookup errors, not
-            # PlanningError): it waits, without using up a re-admission
-            # slot, until the node rejoins.
-            alive = service.hierarchy.subtree(service.hierarchy.root)
-            retry = [p for p in retry if service.rates.endpoints(p.query) <= alive]
+        # A query with an endpoint outside the hierarchy cannot be planned:
+        # it waits, without using up a re-admission slot, until it rejoins.
+        retry = [p for p in self.parked.values() if not service.endpoint_problem(p.query)]
         order = sorted(retry, key=lambda p: (-p.weight, p.parked_at, p.query.name))
         deployed: list[str] = []
         for entry in order[:MAX_READMITS_PER_TICK]:

@@ -36,17 +36,14 @@ implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.network.graph import Network
+from repro.obs.tracer import current_causal
 from repro.query.deployment import Deployment
 from repro.resilience.faults import NULL_FAULTS
 from repro.resilience.policy import RetryPolicy
 from repro.runtime.messages import DeployAck, DeployCommand, PlanRequest, QuerySubmit
 from repro.runtime.simulator import ReliableNode, ReliableRun, Simulator
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.causal import CausalTracer
 
 DEFAULT_SECONDS_PER_PLAN = 2e-5
 """Calibrated coordinator search speed: seconds per (tree, assignment)
@@ -210,7 +207,6 @@ def simulate_deployment(
     start_time: float = 0.0,
     faults=NULL_FAULTS,
     retry: RetryPolicy | None = None,
-    trace: "CausalTracer | None" = None,
     rates=None,
 ) -> DeploymentTimeline:
     """Replay a deployment's planning protocol; return its timeline.
@@ -228,16 +224,15 @@ def simulate_deployment(
         retry: Retransmission policy under faults
             (:data:`PROTOCOL_RETRY` when omitted).  Ignored without
             fault injection.
-        trace: Causal tracer; when given, the whole deployment -- the
-            submission relay, every protocol message, retransmissions
-            -- lands in one causal tree rooted at
-            ``deploy:<query name>``.  ``None`` (the default) keeps the
-            simulation byte-identical to an untraced build.
-        rates: Optional :class:`~repro.core.cost.RateModel`; with
-            ``trace``, the plan's data-flow edges are recorded as
-            costed hops under the same root, so the tree's flow
-            ``link_cost`` tags sum to the deployment's communication
-            cost.
+        rates: Optional :class:`~repro.core.cost.RateModel`; under a
+            causal tracer, the plan's data-flow edges are recorded as
+            costed hops under the deployment's root, so the tree's
+            flow ``link_cost`` tags sum to its communication cost.
+
+    Under ``with causal_tracing(tracer):`` the whole deployment -- the
+    submission relay, every protocol message, retransmissions -- lands
+    in one causal tree rooted at ``deploy:<query name>``.  With none
+    installed the simulation is byte-identical to an untraced build.
 
     Raises:
         ValueError: If the deployment carries no task trace.
@@ -252,9 +247,9 @@ def simulate_deployment(
     sim.now = start_time
 
     sink = deployment.query.sink
+    trace = current_causal()
     root_ctx = None
     if trace is not None:
-        sim.attach_trace(trace)
         root_ctx = trace.new_trace(
             f"deploy:{deployment.query.name}",
             node=sink,

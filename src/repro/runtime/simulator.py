@@ -11,13 +11,13 @@ fault injector intercept every message and drop, delay or duplicate it.
 With no middleware registered (the default), :meth:`Simulator.send`
 takes the exact pre-middleware fast path, byte for byte.
 
-A :class:`~repro.obs.causal.CausalTracer` attached via
-:meth:`Simulator.attach_trace` observes every send: messages get
-stamped with a child :class:`~repro.obs.causal.TraceContext`, scheduled
+A simulator built under ``with causal_tracing(tracer):`` records into
+that :class:`~repro.obs.causal.CausalTracer`: messages get stamped with
+a child :class:`~repro.obs.causal.TraceContext`, scheduled
 continuations are bound to the context active when they were scheduled,
 and drops/deliveries/extra delays are accounted on the recorded hop.
-With no tracer attached (the default) all of this is skipped and
-behavior is byte-identical.
+With no causal tracer installed (the default) all of this is skipped
+and behavior is byte-identical.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from itertools import accumulate
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.network.graph import Network
-from repro.obs.tracer import count
+from repro.obs.tracer import count, current_causal
 from repro.runtime.events import EventQueue
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -39,6 +39,9 @@ class Simulator:
     Args:
         network: Physical network; its delay matrix times message
             deliveries.
+
+    The causal tracer installed when the simulator is built (if any)
+    records every message it carries.
     """
 
     def __init__(self, network: Network) -> None:
@@ -50,11 +53,7 @@ class Simulator:
         self.messages_dropped = 0
         self.messages_duplicated = 0
         self._middleware: list[Callable[[int, int, Any, float], tuple | None]] = []
-        self._trace: "CausalTracer | None" = None
-
-    def attach_trace(self, tracer: "CausalTracer | None") -> None:
-        """Attach (or detach, with ``None``) a causal tracer."""
-        self._trace = tracer
+        self._trace: "CausalTracer | None" = current_causal()
 
     def add_send_middleware(
         self, middleware: Callable[[int, int, Any, float], tuple | None]
@@ -84,7 +83,7 @@ class Simulator:
     def schedule(self, delay: float, action: Callable[[], Any]) -> None:
         """Run ``action`` after ``delay`` seconds of virtual time.
 
-        With a causal tracer attached, the action is bound to the trace
+        With a causal tracer recording, the action is bound to the trace
         context active *now*, so local continuations (planning compute,
         drain timers, retransmission timers) keep their causal parent.
         """

@@ -332,18 +332,14 @@ def telemetry_from_json(text: str) -> dict[str, Any]:
     return envelope_from_json(json.loads(text))
 
 
+#: The name lists of a tick report, in serialized order.
+_TICK_LISTS = ("deployed", "retired", "parked", "migrated", "drift_streams", "rejected")
+
+
 def tick_report_to_json(report) -> str:
     """Serialize a :class:`repro.service.service.TickReport`."""
-    doc = {
-        "kind": "repro.tick_report",
-        "version": FORMAT_VERSION,
-        "time": report.time,
-        "deployed": list(report.deployed),
-        "retired": list(report.retired),
-        "parked": list(report.parked),
-        "migrated": list(report.migrated),
-        "drift_streams": list(report.drift_streams),
-    }
+    doc = {"kind": "repro.tick_report", "version": FORMAT_VERSION, "time": report.time}
+    doc.update((name, list(getattr(report, name))) for name in _TICK_LISTS)
     return json.dumps(doc, indent=2)
 
 
@@ -355,12 +351,7 @@ def tick_report_from_json(text: str):
     if doc.get("kind") != "repro.tick_report":
         raise ValueError(f"not a serialized tick report: kind={doc.get('kind')!r}")
     return TickReport(
-        time=doc["time"],
-        deployed=list(doc.get("deployed", [])),
-        retired=list(doc.get("retired", [])),
-        parked=list(doc.get("parked", [])),
-        migrated=list(doc.get("migrated", [])),
-        drift_streams=list(doc.get("drift_streams", [])),
+        time=doc["time"], **{name: list(doc.get(name, [])) for name in _TICK_LISTS}
     )
 
 

@@ -189,6 +189,12 @@ class AdmissionController:
             query=query.name, status=AdmissionStatus.REJECTED, reason=reason
         )
 
+    def revoke(self, query: Query, reason: str) -> AdmissionDecision:
+        """Reject a query :meth:`drain` already counted admitted (it can
+        no longer be planned: an endpoint died while it waited)."""
+        self.admitted_total -= 1
+        return self.reject(query, reason)
+
     def drain(self, live_count: int, time: float = 0.0) -> list[Query]:
         """Pop the queries that may deploy this tick, FIFO order.
 

@@ -94,6 +94,7 @@ class TickReport:
     parked: list[str] = field(default_factory=list)
     migrated: list[str] = field(default_factory=list)
     drift_streams: list[str] = field(default_factory=list)
+    rejected: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -159,12 +160,6 @@ class StreamQueryService:
             monitor, instruments or hooks exist and behavior is
             byte-identical to before the subsystem existed (same
             contract as ``resilience``).
-        causal: Optional :class:`~repro.obs.causal.CausalTracer`
-            recording cross-coordinator message hops (migration
-            cutovers driven by the adaptivity loop; deployment-protocol
-            replays when callers pass ``service.causal`` through to
-            :func:`~repro.runtime.protocol.simulate_deployment`).
-            ``None`` (the default) leaves every simulator untraced.
         telemetry: Optional :class:`~repro.obs.telemetry.TelemetryConfig`
             (or prebuilt :class:`~repro.obs.telemetry.Telemetry`)
             turning on continuous telemetry: every :meth:`tick` ends by
@@ -195,6 +190,12 @@ class StreamQueryService:
             ledger, gate or instruments exist; even when armed,
             all-unbounded capacities leave planning and admission
             byte-identical to a build without the subsystem.
+
+    Instrumentation is not an argument: spans, op counts and causal
+    message hops (the adaptivity loop's migration cutovers) reach
+    whatever the caller installed around the run with
+    :func:`~repro.obs.tracer.tracing`, :func:`~repro.perf.profiled` and
+    :func:`~repro.obs.tracer.causal_tracing`.
     """
 
     def __init__(
@@ -209,7 +210,6 @@ class StreamQueryService:
         resilience: ResilienceConfig | None = None,
         faults=None,
         adaptivity: AdaptivityConfig | None = None,
-        causal=None,
         telemetry=None,
         durability=None,
         resources=None,
@@ -218,7 +218,6 @@ class StreamQueryService:
         self.rates = rates
         self.hierarchy = hierarchy
         self.ads = ads
-        self.causal = causal
         self.engine = FlowEngine(network, rates)
         self.registry = self.engine.registry
         if ads is not None:
@@ -554,7 +553,11 @@ class StreamQueryService:
 
         for query in self.admission.drain(self.engine.state.num_deployments, time=now):
             lifetime = self._pending_lifetimes.pop(query.name, None)
-            if self._deploy_or_park(query, lifetime) is None:
+            problem = self.endpoint_problem(query)
+            if problem is not None:  # an endpoint died while it waited
+                self.admission.revoke(query, problem)
+                report.rejected.append(query.name)
+            elif self._deploy_or_park(query, lifetime) is None:
                 report.deployed.append(query.name)
             else:
                 report.parked.append(query.name)
@@ -641,9 +644,8 @@ class StreamQueryService:
             if self.ads is not None:
                 self.ads.sync_from_state(self.engine.state)
 
-            alive = self.hierarchy.subtree(self.hierarchy.root)
             for query, remaining in affected:
-                if not self.rates.endpoints(query) <= alive:
+                if self.endpoint_problem(query) is not None:
                     report.lost.append(query.name)
                     continue
                 decision = self.submit(query, lifetime=remaining)
@@ -762,6 +764,20 @@ class StreamQueryService:
             self._planning_hist.observe(elapsed)
         return deployment, False
 
+    def endpoint_problem(self, query: Query) -> str | None:
+        """Why ``query`` cannot be planned on the live hierarchy: its sink
+        or a stream's source node has left it (``None``: it can be)."""
+        if self.hierarchy is None:
+            return None
+        alive = self.hierarchy.subtree(self.hierarchy.root)
+        if query.sink not in alive:
+            return f"sink {query.sink} is not a live hierarchy node"
+        for stream in query.sources:
+            node = self.rates.source(stream)
+            if node not in alive:
+                return f"source node {node} of stream {stream!r} is not a live hierarchy node"
+        return None
+
     def _revalidate(self, deployment: Deployment) -> bool:
         """Whether a (cached) plan still applies cleanly to live state."""
         for leaf in deployment.plan.leaves():
@@ -834,15 +850,20 @@ class StreamQueryService:
         submission to drain or a finite lifetime to expire."""
         return self.admission.queue_depth > 0 or bool(self._expiry)
 
+    def plan_feasible(self, query: Query) -> Deployment:
+        """Plan ``query`` through the cache; with the resource layer on,
+        under the live constraint, shedding lighter queries to fit (or
+        raising :class:`InfeasiblePlacementError`)."""
+        if self.resources is not None:
+            return self.resources.plan_feasible(self, query)
+        deployment, _hit = self.plan(query)
+        return deployment
+
     def _deploy(self, query: Query, lifetime: float | None) -> None:
         if self.resilience is not None:
             deployment = self.resilience.plan(self, query)
-        elif self.resources is not None:
-            # The manager's planning path sheds lighter queries when the
-            # constrained planner finds nothing feasible.
-            deployment = self.resources.plan_feasible(self, query)
         else:
-            deployment, _hit = self.plan(query)
+            deployment = self.plan_feasible(query)
         if self.resources is not None:
             deployment = self.resources.gate(self, query, deployment)
         self.engine.deploy(deployment, time=self.clock)
@@ -981,11 +1002,7 @@ def submission_problem(
         return f"unknown streams: {unknown}"
     if not service.network.has_node(query.sink):
         return f"sink {query.sink} is not a network node"
-    hierarchy = service.hierarchy
-    if service.resilience is not None and hierarchy is not None:
-        if query.sink not in hierarchy.subtree(hierarchy.root):
-            return f"sink {query.sink} is not a live hierarchy node"
-    return None
+    return service.endpoint_problem(query)
 
 
 def churn_trace(

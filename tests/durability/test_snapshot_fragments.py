@@ -44,7 +44,7 @@ import repro
 from repro.adaptive import AdaptivityConfig
 from repro.durability import DurabilityConfig
 from repro.durability.state import _origin_is_live
-from repro.fleet import FleetController
+from repro.fleet import FleetController, Tenant
 from repro.perf.profiler import profiled
 from repro.query.deployment import DeploymentState
 from repro.query.stream import StreamSpec
@@ -66,19 +66,16 @@ _ADAPT = AdaptivityConfig(
     query_cooldown=0.0,
     min_relative_gain=0.0,
     horizon=1e9,
-    simulate_cutover=False,
 )
 
 
-def bounded(net, pool) -> ResourceConfig:
-    weights = {
-        f"{query.name}#{serial}": 1.0 + index % 3
-        for index, query in enumerate(pool)
-        for serial in range(64)
-    }
-    return ResourceConfig(
-        capacities=uniform_capacities(net, **_CAPS), query_weights=weights
-    )
+def bounded(net) -> ResourceConfig:
+    return ResourceConfig(capacities=uniform_capacities(net, **_CAPS))
+
+
+#: Three weight classes, so a fleet's heavier arrivals shed lighter
+#: queries: pool query ``i`` is submitted by tenant ``w{1 + i % 3}``.
+TENANTS = [Tenant(f"w{k}", weight=float(k)) for k in (1, 2, 3)]
 
 
 def snapshot_and_reference(plane) -> tuple[bytes, bytes, int]:
@@ -124,6 +121,10 @@ class SnapshotMachine(RuleBasedStateMachine):
     def build(self, durability: DurabilityConfig) -> None:  # pragma: no cover
         raise NotImplementedError
 
+    def submitter(self, index: int) -> dict:
+        """Extra ``submit`` arguments for pool query ``index``."""
+        return {}
+
     @rule(index=st.integers(0, _POOL - 1), lifetime=st.sampled_from([None, 2.0, 6.0]))
     def submit(self, index, lifetime):
         # A fresh name every time: same-shape resubmissions hit the plan
@@ -133,7 +134,7 @@ class SnapshotMachine(RuleBasedStateMachine):
         if self.plane.is_live(query.name):
             return
         before = [(list(s.cache._entries), s.cache.hits) for s in self.services]
-        self.plane.submit(query, lifetime=lifetime)
+        self.plane.submit(query, lifetime=lifetime, **self.submitter(index))
         for service, (order, hits) in zip(self.services, before):
             now = list(service.cache._entries)
             if service.cache.hits > hits and now != order and sorted(now) == sorted(order):
@@ -228,7 +229,7 @@ class ServiceSnapshotMachine(SnapshotMachine):
             cache=PlanCache(capacity=3),
             resilience=ResilienceConfig(),
             adaptivity=_ADAPT,
-            resources=bounded(self.net, self.pool),
+            resources=bounded(self.net),
             durability=durability,
         )
         self.services = [self.plane]
@@ -264,10 +265,14 @@ class FleetSnapshotMachine(SnapshotMachine):
             policy="hash",
             federation=True,
             service_kwargs={"adaptivity": _ADAPT},
-            resources=bounded(self.net, self.pool),
+            tenants=TENANTS,
+            resources=bounded(self.net),
             durability=durability,
         )
         self.services = self.plane.shards
+
+    def submitter(self, index: int) -> dict:
+        return {"tenant": TENANTS[index % 3].name}
 
     @rule(data=st.data())
     def rebalance(self, data):

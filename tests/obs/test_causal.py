@@ -6,7 +6,7 @@ from repro.core import TopDownOptimizer
 from repro.core.cost import deployment_cost
 from repro.hierarchy import build_hierarchy
 from repro.network.topology import transit_stub_by_size
-from repro.obs import NULL_CAUSAL, CausalTracer, TraceContext
+from repro.obs import CausalTracer, TraceContext, causal_tracing
 from repro.runtime import simulate_deployment
 from repro.runtime.messages import DeployCommand
 from repro.runtime.simulator import Simulator, SimNode
@@ -95,15 +95,32 @@ class TestCausalTracerUnits:
         with pytest.raises(KeyError):
             CausalTracer().span_tree("nope")
 
-    def test_null_tracer_is_inert(self):
-        assert not NULL_CAUSAL.enabled
-        assert NULL_CAUSAL.trace_ids() == []
-        assert NULL_CAUSAL.summary()["hops"] == 0
+    def test_nothing_installed_records_nothing(self):
+        net = transit_stub_by_size(16, seed=1)
+        tracer = CausalTracer()
+        with causal_tracing(tracer):
+            pass
+        # A simulator built after the install ended is untraced.
+        received = []
+
+        class Sink(SimNode):
+            def on_message(self, src, message):
+                received.append(message)
+
+        sim = Simulator(net)
+        for node in net.nodes():
+            sim.register(Sink(node))
+        sim.send(0, 5, DeployCommand("q", "op1"))
+        sim.run()
+        assert received == [DeployCommand("q", "op1")]
+        assert received[0].trace is None
+        assert tracer.hops == [] and tracer.trace_ids() == []
 
 
 class TestSimulatorIntegration:
-    def make_sim(self, net):
-        sim = Simulator(net)
+    def make_sim(self, net, tracer):
+        with causal_tracing(tracer):
+            sim = Simulator(net)
 
         class Sink(SimNode):
             def on_message(self, src, message):
@@ -115,9 +132,8 @@ class TestSimulatorIntegration:
 
     def test_on_send_stamps_messages_and_records_cost(self):
         net = transit_stub_by_size(16, seed=1)
-        sim = self.make_sim(net)
         tracer = CausalTracer()
-        sim.attach_trace(tracer)
+        sim = self.make_sim(net, tracer)
         root = tracer.new_trace("deploy:q", node=0)
         sim.send(0, 5, DeployCommand("q", "op1"))
         sim.run()
@@ -131,9 +147,8 @@ class TestSimulatorIntegration:
 
     def test_resend_is_a_retransmit_under_the_original(self):
         net = transit_stub_by_size(16, seed=1)
-        sim = self.make_sim(net)
         tracer = CausalTracer()
-        sim.attach_trace(tracer)
+        sim = self.make_sim(net, tracer)
         tracer.new_trace("deploy:q", node=0)
         message = DeployCommand("q", "op1")
         sim.send(0, 5, message)
@@ -154,7 +169,8 @@ class TestFlowAccounting:
     def test_flow_hops_sum_to_communication_cost(self, env):
         net, rates, deployment = env
         tracer = CausalTracer()
-        simulate_deployment(net, deployment, trace=tracer, rates=rates)
+        with causal_tracing(tracer):
+            simulate_deployment(net, deployment, rates=rates)
         (trace_id,) = tracer.trace_ids()
         expected = deployment_cost(deployment, net.cost_matrix(), rates)
         assert tracer.flow_cost(trace_id) == pytest.approx(expected, rel=0, abs=1e-9)
@@ -162,7 +178,8 @@ class TestFlowAccounting:
     def test_every_hop_lands_in_the_single_deploy_tree(self, env):
         net, rates, deployment = env
         tracer = CausalTracer()
-        timeline = simulate_deployment(net, deployment, trace=tracer, rates=rates)
+        with causal_tracing(tracer):
+            timeline = simulate_deployment(net, deployment, rates=rates)
         (trace_id,) = tracer.trace_ids()
         assert all(h.context.trace_id == trace_id for h in tracer.hops)
         tree = tracer.span_tree(trace_id)
@@ -182,7 +199,8 @@ class TestExports:
     def test_json_envelope_round_trips(self, env):
         net, rates, deployment = env
         tracer = CausalTracer()
-        simulate_deployment(net, deployment, trace=tracer, rates=rates)
+        with causal_tracing(tracer):
+            simulate_deployment(net, deployment, rates=rates)
         doc = causal_trace_from_json(causal_trace_to_json(tracer))
         assert doc["kind"] == "repro.causal_trace"
         (trace,) = doc["traces"]
@@ -197,7 +215,8 @@ class TestExports:
 
         net, rates, deployment = env
         tracer = CausalTracer()
-        simulate_deployment(net, deployment, trace=tracer, rates=rates)
+        with causal_tracing(tracer):
+            simulate_deployment(net, deployment, rates=rates)
         events = json.loads(chrome_trace_to_json(tracer))
         meta = [e for e in events if e["ph"] == "M"]
         spans = [e for e in events if e["ph"] == "X"]

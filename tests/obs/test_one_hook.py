@@ -1,12 +1,12 @@
 """One instrumentation hook: code reports to the ambient context only.
 
-Spans, span counters and op counts reach whatever the caller installed
-with :func:`repro.obs.tracing` / :func:`repro.perf.profiled`, through
-the module-level hooks of :mod:`repro.obs.tracer`.  Nothing in
-``src/repro`` polls for an installed profiler, takes a tracer as an
-argument, or reads one off another object.  The causal tracer rides on
-messages and is a separate thing: parameters annotated with it are
-exempt.
+Spans, span counters, op counts and causal message hops reach whatever
+the caller installed with :func:`repro.obs.tracing`,
+:func:`repro.perf.profiled` and :func:`repro.obs.causal_tracing`,
+through the context of :mod:`repro.obs.tracer`.  Nothing in
+``src/repro`` polls for an installed profiler, takes a span or causal
+tracer as an argument, or reads one off another object.  Only the
+serializers that export a causal tracer they are handed take one.
 """
 
 import ast
@@ -41,9 +41,26 @@ def active_polls(modules=None) -> list[str]:
     ]
 
 
+#: Parameter and attribute names that carry a span or causal tracer.
+TRACER_NAMES = ("tracer", "causal")
+
+#: The serializers that export a causal tracer they are handed.
+SERIALIZERS = {
+    ("repro/serialization.py", "causal_trace_to_json"),
+    ("repro/serialization.py", "chrome_trace_to_json"),
+}
+
+
+def _takes_a_tracer(arg: ast.arg) -> bool:
+    if arg.arg in TRACER_NAMES:
+        return True
+    return arg.annotation is not None and "CausalTracer" in ast.unparse(arg.annotation)
+
+
 def tracer_parameters(modules=None) -> list[str]:
-    """Functions outside ``repro/obs/`` declaring a ``tracer`` parameter
-    (the causal tracer's plumbing excepted)."""
+    """Functions outside ``repro/obs/`` taking a span or causal tracer:
+    a ``tracer`` / ``causal`` parameter, or one annotated
+    ``CausalTracer`` (the serializers excepted)."""
     found = []
     for name, tree in modules or _modules():
         if name.startswith("repro/obs/"):
@@ -51,25 +68,28 @@ def tracer_parameters(modules=None) -> list[str]:
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 continue
+            if (name, getattr(node, "name", None)) in SERIALIZERS:
+                continue
             args = node.args
-            for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
-                if arg.arg != "tracer":
-                    continue
-                if arg.annotation is not None and "CausalTracer" in ast.unparse(arg.annotation):
-                    continue
+            if any(
+                _takes_a_tracer(arg)
+                for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]
+            ):
                 found.append(f"{name}:{node.lineno}")
     return found
 
 
 def foreign_tracer_reads(modules=None) -> list[str]:
-    """``<object>.tracer`` attribute reads on anything but ``self``."""
+    """``<object>.tracer`` / ``<object>.causal`` reads on anything but
+    ``self`` or an argparse namespace (``args.causal`` is the
+    ``--causal`` flag, not a tracer)."""
     return [
         f"{name}:{node.lineno}"
         for name, tree in modules or _modules()
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute)
-        and node.attr == "tracer"
-        and ast.unparse(node.value) != "self"
+        and node.attr in TRACER_NAMES
+        and ast.unparse(node.value) not in ("self", "args")
     ]
 
 
@@ -90,12 +110,31 @@ def test_the_gate_sees_what_it_forbids():
         "def plan(query, tracer=None):\n"
         "    prof = _perf.active()\n"
         "    return service.tracer, self.tracer\n"
-        "def attach(tracer: 'CausalTracer | None'):\n"
+        "def attach(trace: 'CausalTracer | None'):\n"
+        "    pass\n"
+        "def build(network, causal=None):\n"
+        "    return service.causal, self.causal, args.causal\n"
+        "def causal_trace_to_json(tracer: CausalTracer):\n"
         "    pass\n"
     )
     planted = [("repro/core/planted.py", ast.parse(source))]
     assert active_polls(planted) == ["repro/core/planted.py:2"]
-    assert tracer_parameters(planted) == ["repro/core/planted.py:1"]
-    assert foreign_tracer_reads(planted) == ["repro/core/planted.py:3"]
-    # Inside repro/obs/ a tracer parameter is the API itself.
+    assert tracer_parameters(planted) == [
+        "repro/core/planted.py:1",
+        "repro/core/planted.py:4",
+        "repro/core/planted.py:6",
+        "repro/core/planted.py:8",
+    ]
+    assert foreign_tracer_reads(planted) == [
+        "repro/core/planted.py:3",
+        "repro/core/planted.py:7",
+    ]
+    # Inside repro/obs/ a tracer parameter is the API itself, and the
+    # serializers export the causal tracer they are handed.
     assert tracer_parameters([("repro/obs/planted.py", ast.parse(source))]) == []
+    serializers = [("repro/serialization.py", ast.parse(source))]
+    assert tracer_parameters(serializers) == [
+        "repro/serialization.py:1",
+        "repro/serialization.py:4",
+        "repro/serialization.py:6",
+    ]

@@ -127,3 +127,31 @@ class TestDeterminism:
         assert telemetry_from_json(text) == json.loads(text)
         with pytest.raises(ValueError):
             telemetry_from_json(json.dumps({"kind": "repro.network"}))
+
+
+class TestCausalHarvest:
+    """Each observation records the installed causal tracer's new hops."""
+
+    @staticmethod
+    def hops(service):
+        return [
+            (e["scope"], e["hop_kind"])
+            for e in service.telemetry.recorder.entries()
+            if e["kind"] == "hop"
+        ]
+
+    def test_installed_tracer_hops_land_once_under_the_service_scope(self):
+        service, _ = build_service(telemetry=TelemetryConfig())
+        tracer = repro.CausalTracer()
+        tracer.new_trace("deploy:q", node=0)
+        service.tick(1.0)  # nothing installed: nothing harvested
+        assert self.hops(service) == []
+        with repro.causal_tracing(tracer):
+            service.tick(2.0)
+            tracer.record_hop("QuerySubmit", 0, 1, time=0.0)
+            service.tick(3.0)
+            service.tick(4.0)
+        assert self.hops(service) == [
+            ("service", "deploy:q"),
+            ("service", "QuerySubmit"),
+        ]

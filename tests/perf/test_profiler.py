@@ -4,8 +4,15 @@ import contextvars
 
 import pytest
 
-from repro.obs import Tracer, tracing
-from repro.obs.tracer import count, current_tracer, incr, op_sink, span
+from repro.obs import CausalTracer, Tracer, causal_tracing, tracing
+from repro.obs.tracer import (
+    count,
+    current_causal,
+    current_tracer,
+    incr,
+    op_sink,
+    span,
+)
 from repro.perf import OpProfiler, profiled
 
 
@@ -84,6 +91,54 @@ class TestContextIsolation:
         assert root.children == [] and root.counters == {"hits": 1}
         assert [r.name for r in theirs.roots] == ["sibling"]
         assert theirs.roots[0].counters == {"hits": 5}
+
+    def test_sibling_context_causal_tracer_records_apart(self):
+        from repro.network.topology import transit_stub_by_size
+        from repro.runtime.messages import DeployCommand
+        from repro.runtime.simulator import SimNode, Simulator
+
+        net = transit_stub_by_size(16, seed=1)
+
+        class Sink(SimNode):
+            def on_message(self, src, message):
+                pass
+
+        def send(src: int, dst: int) -> None:
+            sim = Simulator(net)
+            for node in net.nodes():
+                sim.register(Sink(node))
+            sim.send(src, dst, DeployCommand("q", f"op{src}"))
+            sim.run()
+
+        ours, theirs = CausalTracer(), CausalTracer()
+
+        def sibling() -> None:
+            with causal_tracing(theirs):
+                send(1, 2)
+
+        with causal_tracing(ours):
+            contextvars.copy_context().run(sibling)
+            send(0, 5)
+        assert [(h.src, h.dst) for h in ours.hops] == [(0, 5)]
+        assert [(h.src, h.dst) for h in theirs.hops] == [(1, 2)]
+        assert current_causal() is None
+
+    def test_causal_installs_nest(self):
+        outer, inner = CausalTracer(), CausalTracer()
+        with causal_tracing(outer):
+            with causal_tracing(inner):
+                assert current_causal() is inner
+            assert current_causal() is outer
+
+        def misuse() -> None:
+            a, b = causal_tracing(outer), causal_tracing(inner)
+            a.__enter__()
+            b.__enter__()
+            with pytest.raises(RuntimeError, match="nest"):
+                a.__exit__(None, None, None)
+
+        contextvars.copy_context().run(misuse)
+        assert current_causal() is None
 
     def test_tracer_and_profiler_are_separate_channels(self):
         tracer = Tracer()

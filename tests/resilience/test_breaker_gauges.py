@@ -14,7 +14,8 @@ from repro.resilience.policy import BreakerState
 
 
 def make_control():
-    return ResilientControl(ResilienceConfig(failure_threshold=2, recovery_time=5.0))
+    # Breakers trip on 3 consecutive failures and stay open 10 ticks.
+    return ResilientControl(ResilienceConfig())
 
 
 class TestBindInstruments:
@@ -43,20 +44,22 @@ class TestBreakerStateGauges:
         registry = MetricRegistry()
         control.bind_instruments(registry)
 
-        # trip coordinator 5: threshold=2 consecutive failures
+        # trip coordinator 5: 3 consecutive failures
         control._record_failure(5, now=1.0)
         gauge = registry.get("resilience_breaker_state_5")
         assert gauge is not None  # created lazily on first sync
         assert gauge.value == BREAKER_STATE_VALUES[BreakerState.CLOSED]
+        control._record_failure(5, now=1.5)
+        assert gauge.value == BREAKER_STATE_VALUES[BreakerState.CLOSED]
         control._record_failure(5, now=2.0)
         assert gauge.value == BREAKER_STATE_VALUES[BreakerState.OPEN]
 
-        # recovery_time elapses -> allow() moves it to half-open
-        assert control.breakers.allow(5, now=8.0)
+        # the recovery time elapses -> allow() moves it to half-open
+        assert control.breakers.allow(5, now=13.0)
         control.sync_breaker_gauges()
         assert gauge.value == BREAKER_STATE_VALUES[BreakerState.HALF_OPEN]
 
-        control.breakers.record_success(5, now=8.5)
+        control.breakers.record_success(5, now=13.5)
         control.sync_breaker_gauges()
         assert gauge.value == BREAKER_STATE_VALUES[BreakerState.CLOSED]
 
@@ -68,8 +71,8 @@ class TestBreakerStateGauges:
     def test_states_exposes_every_seen_coordinator(self):
         control = make_control()
         control.breakers.breaker(2)
-        control._record_failure(7, now=1.0)
-        control._record_failure(7, now=2.0)
+        for now in (1.0, 1.5, 2.0):
+            control._record_failure(7, now=now)
         states = control.breakers.states()
         assert states[2] is BreakerState.CLOSED
         assert states[7] is BreakerState.OPEN
@@ -79,8 +82,8 @@ class TestBreakerStateGauges:
         control = make_control()
         registry = MetricRegistry()
         control.bind_instruments(registry)
-        control._record_failure(4, now=1.0)
-        control._record_failure(4, now=2.0)
+        for now in (1.0, 1.5, 2.0):
+            control._record_failure(4, now=now)
         text = registry.exposition()
         assert "resilience_breaker_state_4 2" in text
 
@@ -109,7 +112,7 @@ _STEPS = st.lists(
         st.tuples(st.just("allow"), _NODES),
         st.tuples(st.just("success"), _NODES),
         st.tuples(st.just("failure"), _NODES),
-        st.tuples(st.just("advance"), st.sampled_from([0.5, 3.0, 6.0])),
+        st.tuples(st.just("advance"), st.sampled_from([0.5, 6.0, 12.0])),
         st.tuples(st.just("sync"), st.none()),
         st.tuples(st.just("bind"), st.none()),
     ),
@@ -120,8 +123,8 @@ _STEPS = st.lists(
 #: allow() and a failed probe, spelled out so every run covers them.
 _SCRIPTED = [
     ("allow", 4), ("failure", 1), ("bind", None), ("failure", 4), ("failure", 4),
-    ("advance", 6.0), ("allow", 4), ("sync", None), ("failure", 4), ("allow", 2),
-    ("advance", 6.0), ("allow", 4), ("success", 4), ("sync", None),
+    ("failure", 4), ("advance", 12.0), ("allow", 4), ("sync", None), ("failure", 4),
+    ("allow", 2), ("advance", 12.0), ("allow", 4), ("success", 4), ("sync", None),
 ]
 
 

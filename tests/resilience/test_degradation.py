@@ -13,7 +13,7 @@ from repro.resilience.faults import (
 from repro.service import AdmissionController, StreamQueryService
 
 
-def build_resilient(events=(), seed=31, budget=8, config=None, plan_seed=0):
+def build_resilient(events=(), seed=31, budget=8, plan_seed=0):
     net = repro.transit_stub_by_size(32, seed=seed)
     hierarchy = repro.build_hierarchy(net, max_cs=4, seed=0)
     workload = repro.generate_workload(
@@ -32,7 +32,7 @@ def build_resilient(events=(), seed=31, budget=8, config=None, plan_seed=0):
         hierarchy=hierarchy,
         ads=ads,
         admission=AdmissionController(budget=budget),
-        resilience=config if config is not None else ResilienceConfig(),
+        resilience=ResilienceConfig(),
         faults=faults,
     )
     return service, workload
@@ -121,10 +121,10 @@ class TestBreakers:
     def test_repeated_failures_trip_the_coordinator_breaker(self):
         service0, workload = build_resilient()
         query, leaf_coord, _ = query_with_distinct_coordinators(service0, workload)
-        config = ResilienceConfig(failure_threshold=1, recovery_time=50.0)
+        # One submit's three failed attempts trip the breaker, which
+        # stays open for the next 10 ticks.
         service, _ = build_resilient(
             [CoordinatorOutage(time=0.0, node=leaf_coord, duration=100.0)],
-            config=config,
         )
         service.submit(query, time=1.0)
         summary = service.resilience.summary()
@@ -214,8 +214,8 @@ class TestParking:
 
 class TestQuarantine:
     def test_flapping_node_is_quarantined_and_released(self):
-        config = ResilienceConfig(quarantine_after=2, quarantine_ticks=10.0)
-        service, workload = build_resilient(config=config)
+        # A node is quarantined on its second breaker open, for 25 ticks.
+        service, workload = build_resilient()
         victim = next(iter(
             service.hierarchy.root.subtree_nodes()
             - {spec.source for spec in service.rates.streams.values()}
@@ -229,8 +229,8 @@ class TestQuarantine:
         assert service.hierarchy.invariant_violations() == []
 
         # before the quarantine expires nothing happens
-        assert service.resilience.release_quarantined(service, now=5.0) == []
-        released = service.resilience.release_quarantined(service, now=12.0)
+        assert service.resilience.release_quarantined(service, now=20.0) == []
+        released = service.resilience.release_quarantined(service, now=27.0)
         assert released == [victim]
         assert victim in service.hierarchy.root.subtree_nodes()
         assert service.hierarchy.invariant_violations() == []

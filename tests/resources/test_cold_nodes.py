@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core.cost import RateModel
+from repro.fleet import FleetController, Tenant
 from repro.core.enumeration import all_join_trees
 from repro.core.search import TreeSearch
 from repro.errors import InfeasiblePlacementError
@@ -40,7 +41,6 @@ from repro.resources import (
     PlacementConstraint,
     ResourceConfig,
 )
-from repro.service import StreamQueryService
 
 from tests.core.test_shared_search import NUM_NODES, tasks
 
@@ -241,14 +241,12 @@ def _shed_run(monkeypatch, cls, weighted):
         seed=48,
     )
     queries = list(workload)
-    weights = {q.name: 0.5 for q in queries}
-    weights[queries[-1].name] = 5.0
     tight = NodeCapacity(cpu=600.0, memory=400.0, bandwidth=800.0)
-    rates = workload.rate_model()
-    ads = repro.AdvertisementIndex(hierarchy)
-    service = StreamQueryService(
-        repro.TopDownOptimizer(hierarchy, rates, ads=ads), net, rates,
-        hierarchy=hierarchy, ads=ads,
+    # A single service weighs every query 1.0: one shard under a tenant
+    # fleet, whose last query is the heavy tenant's, forces the shed.
+    fleet = FleetController(
+        1, net, workload.rate_model(), hierarchy,
+        tenants=[Tenant("heavy", weight=5.0), Tenant("light", weight=0.5)],
         resources=ResourceConfig(
             # Every fifth node loose: cold for each query, so the certificate
             # short-cuts some tasks while the tight rest still forces a shed.
@@ -257,10 +255,10 @@ def _shed_run(monkeypatch, cls, weighted):
                 if node % 5 == 0 else tight
                 for node in net.nodes()
             },
-            query_weights=weights,
             load_weight=0.5 if weighted else 0.0,
         ),
     )
+    service = fleet.shards[0]
     manager = service.resources
     relieved = []
     constraint_for = type(manager).constraint_for
@@ -274,13 +272,18 @@ def _shed_run(monkeypatch, cls, weighted):
     monkeypatch.setattr(type(manager), "constraint_for", spy)
     with profiled() as prof:
         decisions = [
-            service.submit(query, lifetime=100.0, time=float(i))
+            fleet.submit(
+                query,
+                lifetime=100.0,
+                time=float(i),
+                tenant="heavy" if query is queries[-1] else "light",
+            )
             for i, query in enumerate(queries)
         ]
     monkeypatch.undo()
     state = service.engine.state
     return SimpleNamespace(
-        decisions=[(d.status, d.reason) for d in decisions],
+        decisions=[(d.status, d.decision.reason) for d in decisions],
         live={
             dep.query.name: (dep.plan, dep.placement) for dep in state.deployments
         },

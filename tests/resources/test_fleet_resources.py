@@ -140,6 +140,31 @@ class TestTenantWeightedShedding:
         assert gold_query.name in fleet.live_queries
         assert fleet.resource_ledger.violations(1.0) == []
 
+    def test_an_arrival_is_weighed_by_its_tenant_while_it_is_admitted(self):
+        # One saturated shard, so gold's arrival takes the direct path
+        # into it: its tenant must be known before the shard admits it,
+        # or it weighs 1.0 like bronze and parks instead of shedding.
+        net = repro.transit_stub_by_size(32, seed=47)
+        workload = repro.generate_workload(
+            net,
+            repro.WorkloadParams(num_streams=6, num_queries=8, joins_per_query=(1, 3)),
+            seed=48,
+        )
+        tenants = [Tenant("gold", weight=4.0), Tenant("bronze", weight=1.0)]
+        fleet = FleetController(
+            1, net, workload.rate_model(), repro.build_hierarchy(net, max_cs=4, seed=0),
+            tenants=tenants, resources=bounded(net),
+        )
+        queries = list(workload)
+        for query in queries[:-1]:
+            fleet.submit(query, lifetime=100.0, tenant="bronze")
+        decision = fleet.submit(queries[-1], lifetime=100.0, tenant="gold")
+        (manager,) = fleet.resource_managers
+        assert decision.admitted, decision.decision.reason
+        assert manager.shed_total >= 1
+        assert all(entry.weight == 1.0 for entry in manager.parked.values())
+        assert fleet.resource_ledger.violations(1.0) == []
+
     def test_tenant_live_counts_survive_shedding(self):
         net = repro.transit_stub_by_size(32, seed=47)
         tenants = [Tenant("gold", weight=4.0), Tenant("bronze", weight=1.0)]

@@ -34,7 +34,7 @@ import repro
 from repro.adaptive import AdaptivityConfig
 from repro.core.cost import RateModel
 from repro.durability import DurabilityConfig, recover
-from repro.fleet import FleetController
+from repro.fleet import FleetController, Tenant
 from repro.perf.profiler import profiled
 from repro.query.deployment import _FEED_LIMIT, Deployment, DeploymentState
 from repro.query.plan import Join, Leaf
@@ -293,21 +293,17 @@ _ADAPT = AdaptivityConfig(
     query_cooldown=0.0,
     min_relative_gain=0.0,
     horizon=1e9,
-    simulate_cutover=False,
 )
 
 
-def bounded(net, pool) -> ResourceConfig:
-    # Three weight classes, so heavier arrivals shed lighter queries and
-    # the victims park and re-admit.
-    weights = {
-        f"{query.name}#{serial}": 1.0 + index % 3
-        for index, query in enumerate(pool)
-        for serial in range(64)
-    }
-    return ResourceConfig(
-        capacities=uniform_capacities(net, **_CAPS), query_weights=weights
-    )
+def bounded(net) -> ResourceConfig:
+    return ResourceConfig(capacities=uniform_capacities(net, **_CAPS))
+
+
+#: Three weight classes, so a fleet's heavier arrivals shed lighter
+#: queries and the victims park and re-admit: pool query ``i`` is
+#: submitted by tenant ``w{1 + i % 3}``.
+TENANTS = [Tenant(f"w{k}", weight=float(k)) for k in (1, 2, 3)]
 
 
 def orphaned(state) -> int:
@@ -344,13 +340,17 @@ class LedgerMachine(RuleBasedStateMachine):
     def build(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def submitter(self, index: int) -> dict:
+        """Extra ``submit`` arguments for pool query ``index``."""
+        return {}
+
     @rule(index=st.integers(0, _POOL - 1), lifetime=st.sampled_from([None, 2.0, 6.0]))
     def submit(self, index, lifetime):
         # A fresh name every time: same-shape resubmissions hit the plan
         # cache and reuse deployed views, which is where orphans come from.
         query = self.pool[index].renamed(f"{self.pool[index].name}#{next(self.serial) % 64}")
         if not self.plane.is_live(query.name):
-            self.plane.submit(query, lifetime=lifetime)
+            self.plane.submit(query, lifetime=lifetime, **self.submitter(index))
 
     @rule(data=st.data())
     def retire(self, data):
@@ -471,7 +471,7 @@ class ServiceLedgerMachine(LedgerMachine):
             hierarchy=self.hierarchy,
             ads=ads,
             adaptivity=_ADAPT,
-            resources=bounded(self.net, self.pool),
+            resources=bounded(self.net),
         )
         self.services = [self.plane]
         self.ledger = self.plane.resources.ledger
@@ -532,10 +532,14 @@ class FleetLedgerMachine(LedgerMachine):
             policy="hash",
             federation=True,
             service_kwargs={"adaptivity": _ADAPT},
-            resources=bounded(self.net, self.pool),
+            tenants=TENANTS,
+            resources=bounded(self.net),
         )
         self.services = self.plane.shards
         self.ledger = self.plane.resource_ledger
+
+    def submitter(self, index: int) -> dict:
+        return {"tenant": TENANTS[index % 3].name}
 
     @rule(data=st.data())
     def rebalance(self, data):
@@ -583,19 +587,20 @@ def test_a_refused_rebalance_leaves_nothing_parked_on_the_target():
     deployed a query that was live on the source again."""
     FleetLedgerMachine.seen = Counter()
     fleet = FleetLedgerMachine().plane
-    refused = []
-    for name in ("q0#0", "q6#6", None, "q6#6", "q2#2", "q1#1"):
-        if name is None:
-            fleet.tick()
-            continue
-        source = fleet.shard_of(name)
-        if not fleet.rebalance(name, 1 - source).moved:
-            refused.append(name)
-            assert name not in fleet.shards[1 - source].resources.parked
-    assert refused == ["q2#2", "q1#1"]
+    name = "q0#0"  # tenant w1's: nothing is lighter, so nothing is shed
+    source = fleet.shard_of(name)
+    caps = fleet.resource_ledger.capacities
+    roomy = dict(caps)
+    for node, cap in roomy.items():  # nothing fits anywhere for the move
+        caps[node] = cap.scaled(0.01)
+    assert not fleet.rebalance(name, 1 - source).moved
+    assert name not in fleet.shards[1 - source].resources.parked
+    caps.update(roomy)
     fleet.tick()
-    live = [name for shard in fleet.shards for name in shard.live_queries]
+    fleet.tick()
+    live = [live for shard in fleet.shards for live in shard.live_queries]
     assert len(live) == len(set(live))
+    assert fleet.shard_of(name) == source
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 import repro
 from repro.errors import InfeasiblePlacementError
+from repro.fleet import FleetController, Tenant
 from repro.resources import ResourceConfig, uniform_capacities
 from repro.service import AdmissionStatus, StreamQueryService, churn_trace
 from tests.query.replay import assert_replays
@@ -34,6 +35,36 @@ def build_service(resources, seed=47, num_queries=8, **layers):
         **layers,
     )
     return service, workload, net
+
+
+def build_weighted(resources, heavy, **layers):
+    """One shard under a tenant fleet, the :func:`build_service` world:
+    a single service weighs every query 1.0, so per-query weights come
+    from tenants -- ``heavy`` is submitted as tenant ``heavy`` (weight
+    5), every other query as ``light`` (0.5).  Returns ``(fleet, shard,
+    submit, workload, net)``."""
+    net = repro.transit_stub_by_size(32, seed=47)
+    hierarchy = repro.build_hierarchy(net, max_cs=4, seed=0)
+    workload = repro.generate_workload(
+        net,
+        repro.WorkloadParams(num_streams=6, num_queries=8, joins_per_query=(1, 3)),
+        seed=48,
+    )
+    fleet = FleetController(
+        1,
+        net,
+        workload.rate_model(),
+        hierarchy,
+        tenants=[Tenant("heavy", weight=5.0), Tenant("light", weight=0.5)],
+        service_kwargs=layers,
+        resources=resources,
+    )
+
+    def submit(query, **kwargs):
+        tenant = "heavy" if query.name == heavy else "light"
+        return fleet.submit(query, tenant=tenant, **kwargs)
+
+    return fleet, fleet.shards[0], submit, workload, net
 
 
 def bounded_config(net, **overrides):
@@ -179,17 +210,13 @@ class TestParkAndReadmit:
 class TestShedding:
     def test_heavy_query_sheds_lighter_ones(self):
         net = repro.transit_stub_by_size(32, seed=47)
-        service, workload, _ = build_service(None)  # probe names first
-        queries = list(workload)
-        heavy = queries[-1].name
-        weights = {q.name: 0.5 for q in queries}
-        weights[heavy] = 5.0
-        service, workload, _ = build_service(
-            bounded_config(net, query_weights=weights)
+        heavy = list(build_service(None)[1])[-1].name  # probe names first
+        fleet, service, submit, workload, _ = build_weighted(
+            bounded_config(net), heavy
         )
         manager = service.resources
         for i, query in enumerate(list(workload)):
-            service.submit(query, lifetime=100.0, time=float(i))
+            submit(query, lifetime=100.0, time=float(i))
         # The heavy query arrives last into a saturated fleet: lighter
         # victims are shed (and parked) rather than the heavy one.
         assert service.is_live(heavy)
@@ -201,9 +228,9 @@ class TestShedding:
         assert_replays(service)
 
         # Retiring the heavy query frees room: the victims come back.
-        service.retire(heavy)
-        report = service.tick(20.0)
-        assert {p.query.name for p in shed} & set(report.deployed)
+        fleet.retire(heavy)
+        report = fleet.tick(20.0)
+        assert {p.query.name for p in shed} & {name for name, _ in report.deployed}
         assert_feasible(service)
         assert_replays(service)
 
@@ -225,15 +252,10 @@ class TestShedding:
 
     def test_shed_victims_keep_remaining_lifetime(self):
         net = repro.transit_stub_by_size(32, seed=47)
-        service, workload, _ = build_service(None)
-        heavy = list(workload)[-1].name
-        weights = {q.name: 0.5 for q in workload}
-        weights[heavy] = 5.0
-        service, workload, _ = build_service(
-            bounded_config(net, query_weights=weights)
-        )
+        heavy = list(build_service(None)[1])[-1].name
+        _, service, submit, workload, _ = build_weighted(bounded_config(net), heavy)
         for i, query in enumerate(list(workload)):
-            service.submit(query, lifetime=50.0, time=float(i))
+            submit(query, lifetime=50.0, time=float(i))
         shed = [p for p in service.resources.parked.values() if p.shed]
         assert shed
         for entry in shed:
@@ -242,12 +264,15 @@ class TestShedding:
 
 
     def test_gate_replans_when_a_victim_took_a_reused_view_with_it(self):
-        """With resilience armed the baseline rung plans unconstrained, so
-        the gate is what sheds; a victim that held a view the plan reuses
-        used to leave ``apply`` a plan over an operator that was gone."""
+        """With both coordinators of a sink out, the resilience ladder falls
+        to the baseline rung, which plans unconstrained, so the gate is what
+        sheds; a victim that held a view the plan reuses used to leave
+        ``apply`` a plan over an operator that was gone."""
         from repro.adaptive import AdaptivityConfig
+        from repro.resilience import FaultInjector, FaultPlan
         from repro.resilience.degradation import ResilienceConfig
-        
+        from repro.resilience.faults import CoordinatorOutage
+
         net = repro.transit_stub_by_size(32, seed=47)
         hierarchy = repro.build_hierarchy(net, max_cs=4, seed=0)
         workload = repro.generate_workload(
@@ -261,29 +286,42 @@ class TestShedding:
             for index, query in enumerate(workload)
         ]
         rates = workload.rate_model()
-        ads = repro.AdvertisementIndex(hierarchy)
-        service = StreamQueryService(
-            repro.TopDownOptimizer(hierarchy, rates, ads=ads),
+        leaf = hierarchy.leaf_cluster(sinks[2])
+        outages = [
+            CoordinatorOutage(time=0.0, node=node, duration=1e9)
+            for node in (leaf.coordinator, leaf.parent.coordinator)
+        ]
+        tenants = [Tenant(f"w{k}", weight=float(k)) for k in (1, 2, 3)]
+        #: The tenant of each pool query (an index into ``tenants``).
+        owner = [0, 2, 0, 0, 1, 0, 2, 2, 2, 0]
+        fleet = FleetController(
+            1,
             net,
             rates,
-            hierarchy=hierarchy,
-            ads=ads,
-            resilience=ResilienceConfig(),
-            adaptivity=AdaptivityConfig(
-                alpha=1.0, hysteresis_ticks=1, publish_cooldown=0.0, query_cooldown=0.0
-            ),
-            resources=bounded_config(
-                net,
-                query_weights={q.name: 1.0 + i % 3 for i, q in enumerate(pool)},
-            ),
+            hierarchy,
+            tenants=tenants,
+            service_kwargs={
+                "resilience": ResilienceConfig(),
+                "faults": FaultInjector(FaultPlan(outages)),
+                "adaptivity": AdaptivityConfig(
+                    alpha=1.0, hysteresis_ticks=1, publish_cooldown=0.0,
+                    query_cooldown=0.0,
+                ),
+            },
+            resources=bounded_config(net),
         )
+        service = fleet.shards[0]
         for index, query in enumerate(pool):
-            service.submit(query, lifetime=None if index % 2 else 6.0)
+            fleet.submit(
+                query,
+                lifetime=None if index % 2 else 6.0,
+                tenant=tenants[owner[index]].name,
+            )
         samples = {name: spec.rate for name, spec in rates.streams.items()}
         samples[sorted(samples)[1]] *= 0.5
         service.observe_rates(samples)
-        service.tick()
-        service.tick()  # re-admits a parked query through the gate
+        for _ in range(4):
+            fleet.tick()  # re-admits a parked query through the gate
         assert service.resources.shed_total >= 1
         assert_feasible(service)
 
@@ -310,16 +348,13 @@ class TestInstruments:
 
     def test_shed_counter_tracks_the_manager(self):
         net = repro.transit_stub_by_size(32, seed=47)
-        service, workload, _ = build_service(None)
-        heavy = list(workload)[-1].name
-        weights = {q.name: 0.5 for q in workload}
-        weights[heavy] = 5.0
-        service, workload, _ = build_service(
-            bounded_config(net, query_weights=weights)
+        heavy = list(build_service(None)[1])[-1].name
+        fleet, service, submit, workload, _ = build_weighted(
+            bounded_config(net), heavy
         )
         for i, query in enumerate(list(workload)):
-            service.submit(query, lifetime=100.0, time=float(i))
-        service.tick(10.0)
+            submit(query, lifetime=100.0, time=float(i))
+        fleet.tick(10.0)
         reg = service.registry
         assert reg.get("resource_shed_total").value == float(
             service.resources.shed_total

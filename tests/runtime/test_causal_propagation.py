@@ -18,7 +18,7 @@ from repro.core import TopDownOptimizer
 from repro.core.cost import RateModel
 from repro.hierarchy import build_hierarchy
 from repro.network.topology import transit_stub_by_size
-from repro.obs import CausalTracer
+from repro.obs import CausalTracer, causal_tracing
 from repro.perf import profiled
 from repro.query.deployment import Deployment
 from repro.query.plan import Join, Leaf
@@ -57,9 +57,10 @@ class TestRetransmissionPropagation:
     def test_storm_retries_reuse_the_original_trace(self, env):
         net, rates, _, _, deployment = env
         tracer = CausalTracer()
-        timeline = simulate_deployment(
-            net, deployment, faults=storm_injector(), trace=tracer, rates=rates
-        )
+        with causal_tracing(tracer):
+            timeline = simulate_deployment(
+                net, deployment, faults=storm_injector(), rates=rates
+            )
         assert timeline.retransmissions > 0
         # one query, one causal tree -- retries never fork fresh roots
         (trace_id,) = tracer.trace_ids()
@@ -85,9 +86,8 @@ class TestRetransmissionPropagation:
         net, rates, _, _, deployment = env
         tracer = CausalTracer()
         faults = storm_injector()
-        simulate_deployment(
-            net, deployment, faults=faults, trace=tracer, rates=rates
-        )
+        with causal_tracing(tracer):
+            simulate_deployment(net, deployment, faults=faults, rates=rates)
         summary = tracer.summary()
         assert summary["dropped"] == faults.messages_dropped
         assert summary["duplicated_deliveries"] == faults.messages_duplicated
@@ -98,10 +98,10 @@ class TestRetransmissionPropagation:
         untraced = simulate_deployment(
             net, deployment, faults=storm_injector()
         )
-        traced = simulate_deployment(
-            net, deployment, faults=storm_injector(),
-            trace=CausalTracer(), rates=rates,
-        )
+        with causal_tracing(CausalTracer()):
+            traced = simulate_deployment(
+                net, deployment, faults=storm_injector(), rates=rates
+            )
         assert traced == untraced
 
 
@@ -138,9 +138,8 @@ class TestMigrationPropagation:
     def test_cutover_forms_one_migrate_tree(self):
         net, query, diff = make_migration_world()
         tracer = CausalTracer()
-        timeline = Migrator(net, trace=tracer).simulate_cutover(
-            diff, coordinator=query.sink
-        )
+        with causal_tracing(tracer):
+            timeline = Migrator(net).simulate_cutover(diff, coordinator=query.sink)
         assert timeline.committed
         (trace_id,) = tracer.trace_ids()
         tree = tracer.span_tree(trace_id)
@@ -155,9 +154,10 @@ class TestMigrationPropagation:
             FaultPlan([CoordinatorOutage(time=0.0, node=query.sink, duration=0.1)])
         )
         tracer = CausalTracer()
-        timeline = Migrator(net, faults=faults, trace=tracer).simulate_cutover(
-            diff, coordinator=query.sink
-        )
+        with causal_tracing(tracer):
+            timeline = Migrator(net, faults=faults).simulate_cutover(
+                diff, coordinator=query.sink
+            )
         # the outage swallows early acks; retransmissions ride it out
         assert timeline.committed
         assert timeline.retransmissions > 0
@@ -171,9 +171,8 @@ class TestMigrationPropagation:
     def test_traced_cutover_timeline_matches_untraced(self):
         net, query, diff = make_migration_world()
         untraced = Migrator(net).simulate_cutover(diff, coordinator=query.sink)
-        traced = Migrator(net, trace=CausalTracer()).simulate_cutover(
-            diff, coordinator=query.sink
-        )
+        with causal_tracing(CausalTracer()):
+            traced = Migrator(net).simulate_cutover(diff, coordinator=query.sink)
         assert traced == untraced
 
 
@@ -188,7 +187,8 @@ class TestByteIdenticalWhenDisabled:
         from repro.runtime.simulator import Simulator
 
         ctx = _Context(deployment, seconds_per_plan=2e-5)
-        sim = Simulator(net)
+        with causal_tracing(trace):  # None: the untraced build
+            sim = Simulator(net)
         sent = []
         sim.add_send_middleware(
             lambda src, dst, message, now: sent.append((src, dst, message)) or None
@@ -196,7 +196,6 @@ class TestByteIdenticalWhenDisabled:
         for node in net.nodes():
             sim.register(_ProtocolActor(node, ctx))
         if trace is not None:
-            sim.attach_trace(trace)
             trace.new_trace(f"deploy:{deployment.query.name}")
         sink = deployment.query.sink
         sim.schedule(
@@ -222,9 +221,9 @@ class TestByteIdenticalWhenDisabled:
 
     def test_timelines_identical_with_and_without_tracer(self, env):
         net, rates, _, _, deployment = env
-        assert simulate_deployment(net, deployment) == simulate_deployment(
-            net, deployment, trace=CausalTracer(), rates=rates
-        )
+        with causal_tracing(CausalTracer()):
+            traced = simulate_deployment(net, deployment, rates=rates)
+        assert simulate_deployment(net, deployment) == traced
 
     def test_optimizer_output_identical_with_and_without_profiler(self, env):
         net, rates, hierarchy, workload, _ = env

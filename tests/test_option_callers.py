@@ -3,7 +3,10 @@
 Each field of the five layer configs and each keyword of the four wide
 constructors must be set by at least one call site under ``src/``,
 ``benchmarks/``, ``examples/`` or ``tests/``; an option nothing sets is
-a configuration space nothing exercises, and becomes a constant.
+a configuration space nothing exercises, and becomes a constant.  A
+layer-config field must moreover be set somewhere outside ``tests/``:
+a knob only tests turn is a constant too (``DurabilityConfig.fsync``,
+safety code, excepted).
 
 A name counts as set by:
 
@@ -21,6 +24,7 @@ CI prints ``layer-config fields: N (set outside tests: M)`` from
 
 import ast
 import dataclasses
+import functools
 import inspect
 from pathlib import Path
 
@@ -87,8 +91,10 @@ def _forwarders(trees, table) -> dict[str, set[str]]:
     return reach
 
 
+@functools.cache
 def settings() -> dict[tuple[str, str], set[str]]:
-    """``{(class, option): files setting it}`` over every option."""
+    """``{(class, option): files setting it}`` over every option (one
+    scan per run; callers only read it)."""
     table = options()
     trees = {
         path.relative_to(ROOT).as_posix(): ast.parse(path.read_text())
@@ -146,9 +152,42 @@ def layer_config_figure() -> str:
     return f"layer-config fields: {len(fields)} (set outside tests: {len(outside)})"
 
 
+#: Layer-config fields kept although only tests set them.
+TESTS_ONLY_EXEMPT = {("DurabilityConfig", "fsync")}
+
+
+def layer_fields_only_tests_set(found=None) -> list[str]:
+    """Layer-config fields no call site outside ``tests/`` sets."""
+    found = settings() if found is None else found
+    configs = {cls.__name__ for cls in CONFIGS}
+    return sorted(
+        f"{cls}.{option}"
+        for (cls, option), paths in found.items()
+        if cls in configs
+        and (cls, option) not in TESTS_ONLY_EXEMPT
+        and all(path.startswith("tests/") for path in paths)
+    )
+
+
 def test_every_option_is_set_somewhere():
     unset = sorted(f"{cls}.{option}" for (cls, option), paths in settings().items() if not paths)
     assert unset == [], f"options no call site sets (make them constants): {unset}"
+
+
+def test_every_layer_config_field_has_a_caller_outside_tests():
+    assert layer_fields_only_tests_set() == [], (
+        "layer-config fields only tests set (make them constants)"
+    )
+
+
+def test_the_tests_only_gate_sees_a_tests_only_field():
+    found = {
+        ("ResourceConfig", "shed"): {"tests/resources/test_x.py"},
+        ("ResourceConfig", "load_weight"): {"src/repro/cli.py", "tests/y.py"},
+        ("DurabilityConfig", "fsync"): {"tests/durability/test_journal.py"},
+        ("StreamQueryService", "cache"): {"tests/z.py"},
+    }
+    assert layer_fields_only_tests_set(found) == ["ResourceConfig.shed"]
 
 
 def test_the_scan_sees_each_kind_of_setting():
