@@ -136,6 +136,10 @@ def _fail(message: str) -> int:
     return 2
 
 
+class _UsageError(Exception):
+    """A flag value the shared builders refuse; :func:`main` reports it."""
+
+
 # ----------------------------------------------------------------------
 # The world every service-driving subcommand builds, built once
 # ----------------------------------------------------------------------
@@ -151,11 +155,14 @@ def _world(args, workload=None):
     hierarchy_seeds = {args.max_cs: 0}
     if workload is not None:
         return World.of(workload, hierarchy_seeds)
-    params = WorkloadParams(num_streams=args.streams, num_queries=args.queries,
-                            joins_per_query=(2, min(4, args.streams - 1)))
     seed = args.seed or 0
-    return build_world(args.nodes, params, network_seed=seed, workload_seed=seed,
-                       hierarchy_seeds=hierarchy_seeds)
+    try:
+        params = WorkloadParams(num_streams=args.streams, num_queries=args.queries,
+                                joins_per_query=(2, min(4, args.streams - 1)))
+        return build_world(args.nodes, params, network_seed=seed,
+                           workload_seed=seed, hierarchy_seeds=hierarchy_seeds)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _planner(world, args, ads=True, **kwargs):
@@ -193,13 +200,16 @@ def _churn(world, args):
     """The churn trace ``--lifetime --arrivals --repeats`` describe."""
     from repro.service import churn_trace
 
-    return churn_trace(
-        world.workload,
-        lifetime=args.lifetime,
-        # ``metrics`` has no --arrivals flag; it replays at the default.
-        arrivals_per_tick=getattr(args, "arrivals", 2),
-        repeats=args.repeats,
-    )
+    try:
+        return churn_trace(
+            world.workload,
+            lifetime=args.lifetime,
+            # ``metrics`` has no --arrivals flag; it replays at the default.
+            arrivals_per_tick=getattr(args, "arrivals", 2),
+            repeats=args.repeats,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _durability(args):
@@ -250,13 +260,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_queue=args.max_queue,
             max_per_tick=args.per_tick,
         )
+        cache = PlanCache(capacity=args.cache_capacity)
     except ValueError as exc:
         return _fail(str(exc))
     service = _service(
         world,
         args,
         admission=admission,
-        cache=PlanCache(capacity=args.cache_capacity),
+        cache=cache,
         durability=_durability(args),
     )
     report = service.replay(_churn(world, args))
@@ -556,66 +567,6 @@ def _cmd_trace_causal(args, world, query) -> int:
     return 0
 
 
-def _cmd_perf(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.perf.compare import compare_trajectory
-    from repro.perf.lab import PerfLab, append_entry, load_trajectory
-
-    if args.perf_command == "run":
-        try:
-            lab = PerfLab(cases=args.cases or None, repeats=args.repeats)
-        except ValueError as exc:
-            return _fail(str(exc))
-        entry = lab.run(label=args.label)
-        doc = append_entry(args.trajectory, entry)
-        print(f"perf lab: ran {len(entry['cases'])} case(s) x "
-              f"{args.repeats} repeat(s) -> {args.trajectory} "
-              f"({len(doc['entries'])} entries)")
-        for name, case in sorted(entry["cases"].items()):
-            ops = ", ".join(f"{k}={v}" for k, v in sorted(case["ops"].items()))
-            print(f"  {name}: {ops or 'no ops counted'} "
-                  f"[median {case['wall_seconds']['median'] * 1000:.1f} ms]")
-        return 0
-
-    try:
-        doc = load_trajectory(args.trajectory)
-    except ValueError as exc:
-        return _fail(str(exc))
-
-    if args.perf_command == "report":
-        entries = doc.get("entries", [])
-        if args.json:
-            print(json.dumps(doc, indent=2))
-            return 0
-        print(f"perf trajectory: {args.trajectory} ({len(entries)} entries)")
-        for i, entry in enumerate(entries):
-            label = entry.get("label") or "-"
-            cases = entry.get("cases", {})
-            total_ops = sum(
-                sum(c.get("ops", {}).values()) for c in cases.values()
-            )
-            print(f"  [{i}] label={label} cases={len(cases)} "
-                  f"total_ops={total_ops}")
-        return 0
-
-    # compare
-    if not doc.get("entries"):
-        return _fail(f"{args.trajectory} has no entries; "
-                     "run `repro perf run` first")
-    report = compare_trajectory(
-        doc,
-        op_threshold=args.op_threshold,
-        wall_threshold=args.wall_threshold,
-        baseline_window=args.window,
-    )
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.render())
-    return 0 if report.ok else 1
-
-
 def _cmd_dash(args: argparse.Namespace) -> int:
     import json
     import pathlib
@@ -652,15 +603,19 @@ def _cmd_dash(args: argparse.Namespace) -> int:
         except (ValueError, KeyError) as exc:
             return _fail(f"{args.from_file} is not a telemetry envelope: {exc}")
     else:
+        from repro.errors import ReproError
         from repro.fleet.scenario import chaos_telemetry_scenario
 
-        result = chaos_telemetry_scenario(
-            seed=args.seed,
-            num_shards=args.shards,
-            nodes=args.nodes,
-            num_queries=args.queries,
-            ticks=args.ticks,
-        )
+        try:
+            result = chaos_telemetry_scenario(
+                seed=args.seed,
+                num_shards=args.shards,
+                nodes=args.nodes,
+                num_queries=args.queries,
+                ticks=args.ticks,
+            )
+        except (ValueError, ReproError) as exc:
+            return _fail(str(exc))
         envelope = result.telemetry.envelope()
 
     if args.html:
@@ -1334,42 +1289,6 @@ def build_parser() -> argparse.ArgumentParser:
     adapt.add_argument("--emit-timeline", action="store_true",
                        help="emit the per-tick cost/migration timeline as JSON")
 
-    perf = sub.add_parser(
-        "perf",
-        help="performance regression lab: run benchmarks, compare, report",
-    )
-    perf_sub = perf.add_subparsers(dest="perf_command", required=True)
-
-    perf_run = subcommand("run", _cmd_perf, parent=perf_sub,
-                          help="run the benchmark suite and append to the trajectory")
-    perf_run.add_argument("--label", default="",
-                          help="free-form label stored on the entry "
-                               "(e.g. a commit id)")
-    perf_run.add_argument("--repeats", type=int, default=3,
-                          help="repeats per case (op counts must agree)")
-    perf_run.add_argument("--cases", nargs="*", default=None,
-                          help="case names to run (default: the quick subset)")
-
-    perf_compare = subcommand("compare", _cmd_perf, parent=perf_sub,
-                              help="compare the latest entry against the "
-                                   "median-of-N baseline")
-    perf_compare.add_argument("--op-threshold", type=float, default=0.25,
-                              help="relative op-count increase that fails "
-                                   "(0.25 = +25%%)")
-    perf_compare.add_argument("--wall-threshold", type=float, default=0.5,
-                              help="relative wall-median increase reported "
-                                   "(advisory only, never fails)")
-    perf_compare.add_argument("--window", type=int, default=5,
-                              help="prior entries in the median baseline")
-    _json_flag(perf_compare, "the comparison report")
-
-    perf_report = subcommand("report", _cmd_perf, parent=perf_sub,
-                             help="summarize the stored trajectory")
-    _json_flag(perf_report, "the full trajectory document")
-    for perf_command in (perf_run, perf_compare, perf_report):
-        perf_command.add_argument("--trajectory", default="BENCH_trajectory.json",
-                                  help="trajectory file to append to / read")
-
     dash = subcommand("dash", _cmd_dash,
                       "telemetry control tower: render a dashboard from a "
                       "repro.telemetry envelope or a seeded chaos drill")
@@ -1442,7 +1361,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        return _fail(str(exc))
 
 
 def serve_main(argv: Sequence[str] | None = None) -> int:

@@ -41,11 +41,6 @@ class Candidate:
             no-ads control, disabling ads also disables planner reuse --
             otherwise planners reuse straight from the deployment state
             and the baseline would not isolate the no-reuse cost.
-        reuse: Planner-reuse override.  ``None`` (the default) follows
-            ``ads``; set explicitly to decouple them, e.g. ``ads=False,
-            reuse=True`` matches a stock service with no advertisement
-            index but deployment-state reuse on (the PerfLab
-            ``lab_overhead`` configuration).  Service mode only.
         budget: Admission budget (per shard in fleet mode).
         max_per_tick / max_queue: Admission-queue shape (per shard in
             fleet mode).
@@ -68,7 +63,6 @@ class Candidate:
     role: str = "contender"
     algorithm: str = "top-down"
     ads: bool = True
-    reuse: bool | None = None
     budget: int = 64
     shards: int = 4
     policy: str = "hash"
@@ -170,12 +164,11 @@ class Candidate:
 
         hierarchy = built.hierarchy()
         index = AdvertisementIndex(hierarchy) if self.ads else None
-        reuse = self.ads if self.reuse is None else self.reuse
         optimizer = built.env.optimizer(
             self.algorithm,
             max_cs=built.spec.topology.max_cs,
             ads=index,
-            reuse=reuse,
+            reuse=self.ads,
         )
         return StreamQueryService(
             optimizer,

@@ -61,8 +61,9 @@ SMALL_MULTIPLE_METRICS: tuple[str, ...] = (
 
 def lab_envelope_from_json(doc: Mapping[str, Any]) -> dict[str, Any]:
     """Validate a loaded ``repro.lab`` document (for ``repro lab report``)."""
-    if doc.get("kind") != ENVELOPE_KIND:
-        raise ValueError(f"not a lab envelope: kind={doc.get('kind')!r}")
+    kind = doc.get("kind") if isinstance(doc, Mapping) else None
+    if kind != ENVELOPE_KIND:
+        raise ValueError(f"not a lab envelope: kind={kind!r}")
     if not isinstance(doc.get("candidates"), list) or not doc["candidates"]:
         raise ValueError("lab envelope has no candidate runs")
     return dict(doc)

@@ -45,8 +45,9 @@ class CandidateRun:
     The high-level entry point is :func:`run_lab`, which drives the
     scenario trace through :meth:`drive`; the low-level
     :meth:`submit` / :meth:`tick` surface exists so other harnesses
-    (the PerfLab ``lab_overhead`` case, tests) can push an exact call
-    sequence through the lab wrapper and check it adds no planner work.
+    (the op-count pins in ``tests/perf/test_op_counts.py``) can push an
+    exact call sequence through the lab wrapper and check it adds no
+    planner work.
     """
 
     def __init__(self, candidate: Candidate, built: BuiltScenario) -> None:

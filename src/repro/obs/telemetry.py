@@ -262,8 +262,7 @@ def ensure_telemetry(
 
 def envelope_from_json(doc: Mapping[str, Any]) -> dict[str, Any]:
     """Validate a loaded ``repro.telemetry`` document (for ``repro dash``)."""
-    if doc.get("kind") != ENVELOPE_KIND:
-        raise ValueError(
-            f"not a telemetry envelope: kind={doc.get('kind')!r}"
-        )
+    kind = doc.get("kind") if isinstance(doc, Mapping) else None
+    if kind != ENVELOPE_KIND:
+        raise ValueError(f"not a telemetry envelope: kind={kind!r}")
     return dict(doc)

@@ -17,7 +17,8 @@ hooks, which report to whatever the caller installed in the current
 * the *op* channel -- :func:`count` -- reaches the sink installed with
   :func:`counting` (normally an :class:`~repro.perf.profiler.OpProfiler`
   through :func:`~repro.perf.profiler.profiled`); op counts are the
-  work actually done and feed the ``repro perf`` and lab gates;
+  work actually done, pinned exactly by ``tests/perf/test_op_counts.py``
+  and recorded per candidate by the scenario lab;
 * the *causal* channel -- every :class:`~repro.runtime.simulator.Simulator`
   built under :func:`causal_tracing` records its message hops into that
   :class:`~repro.obs.causal.CausalTracer`.

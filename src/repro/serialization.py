@@ -27,6 +27,15 @@ if TYPE_CHECKING:
 FORMAT_VERSION = 1
 
 
+def _load(text: str, kind: str, what: str) -> dict[str, Any]:
+    """Parse ``text``: a JSON object tagged ``kind``, or ``ValueError``."""
+    doc = json.loads(text)
+    found = doc.get("kind") if isinstance(doc, dict) else None
+    if found != kind:
+        raise ValueError(f"not a serialized {what}: kind={found!r}")
+    return doc
+
+
 # ----------------------------------------------------------------------
 # Network
 # ----------------------------------------------------------------------
@@ -55,9 +64,7 @@ def network_to_json(network: Network) -> str:
 
 def network_from_json(text: str) -> Network:
     """Rebuild a network serialized by :func:`network_to_json`."""
-    doc = json.loads(text)
-    if doc.get("kind") != "repro.network":
-        raise ValueError(f"not a serialized network: kind={doc.get('kind')!r}")
+    doc = _load(text, "repro.network", "network")
     net = Network()
     for node in sorted(doc["nodes"], key=lambda n: n["id"]):
         created = net.add_node(kind=node.get("kind", ""))
@@ -126,9 +133,7 @@ def query_to_json(query: Query) -> str:
 
 def query_from_json(text: str) -> Query:
     """Rebuild a query serialized by :func:`query_to_json`."""
-    doc = json.loads(text)
-    if doc.get("kind") != "repro.query":
-        raise ValueError(f"not a serialized query: kind={doc.get('kind')!r}")
+    doc = _load(text, "repro.query", "query")
     return _query_from_dict(doc)
 
 
@@ -178,9 +183,7 @@ def workload_from_json(text: str, network: Network | None = None) -> Workload:
         network: Required when the document was saved without an
             embedded network.
     """
-    doc = json.loads(text)
-    if doc.get("kind") != "repro.workload":
-        raise ValueError(f"not a serialized workload: kind={doc.get('kind')!r}")
+    doc = _load(text, "repro.workload", "workload")
     if network is None:
         embedded = doc.get("network")
         if embedded is None:
@@ -233,9 +236,7 @@ def trace_from_json(text: str) -> Span:
     The rebuilt spans carry durations and counters but are detached from
     any tracer (they cannot be re-entered).
     """
-    doc = json.loads(text)
-    if doc.get("kind") != "repro.trace":
-        raise ValueError(f"not a serialized trace: kind={doc.get('kind')!r}")
+    doc = _load(text, "repro.trace", "trace")
     return Span.from_dict(doc["root"])
 
 
@@ -256,9 +257,7 @@ def causal_trace_from_json(text: str) -> dict[str, Any]:
     Returns the plain document (traces with their hop dicts); hop trees
     are data at this point, not live tracer state.
     """
-    doc = json.loads(text)
-    if doc.get("kind") != "repro.causal_trace":
-        raise ValueError(f"not a serialized causal trace: kind={doc.get('kind')!r}")
+    doc = _load(text, "repro.causal_trace", "causal trace")
     return doc
 
 
@@ -283,9 +282,7 @@ def explanation_to_json(explanation: PlanExplanation) -> str:
 
 def explanation_from_json(text: str) -> PlanExplanation:
     """Rebuild an explanation serialized by :func:`explanation_to_json`."""
-    doc = json.loads(text)
-    if doc.get("kind") != "repro.explanation":
-        raise ValueError(f"not a serialized explanation: kind={doc.get('kind')!r}")
+    doc = _load(text, "repro.explanation", "explanation")
     return PlanExplanation.from_dict(doc)
 
 
@@ -306,9 +303,7 @@ def fault_plan_from_json(text: str):
     """Rebuild a fault plan serialized by :func:`fault_plan_to_json`."""
     from repro.resilience.faults import FaultPlan
 
-    doc = json.loads(text)
-    if doc.get("kind") != "repro.fault_plan":
-        raise ValueError(f"not a serialized fault plan: kind={doc.get('kind')!r}")
+    doc = _load(text, "repro.fault_plan", "fault plan")
     return FaultPlan.from_dict(doc)
 
 
@@ -347,9 +342,7 @@ def tick_report_from_json(text: str):
     """Rebuild a tick report serialized by :func:`tick_report_to_json`."""
     from repro.service.service import TickReport
 
-    doc = json.loads(text)
-    if doc.get("kind") != "repro.tick_report":
-        raise ValueError(f"not a serialized tick report: kind={doc.get('kind')!r}")
+    doc = _load(text, "repro.tick_report", "tick report")
     return TickReport(
         time=doc["time"], **{name: list(doc.get(name, [])) for name in _TICK_LISTS}
     )
@@ -372,11 +365,7 @@ def admission_decision_from_json(text: str):
     """Rebuild a decision serialized by :func:`admission_decision_to_json`."""
     from repro.service.admission import AdmissionDecision, AdmissionStatus
 
-    doc = json.loads(text)
-    if doc.get("kind") != "repro.admission_decision":
-        raise ValueError(
-            f"not a serialized admission decision: kind={doc.get('kind')!r}"
-        )
+    doc = _load(text, "repro.admission_decision", "admission decision")
     return AdmissionDecision(
         query=doc["query"],
         status=AdmissionStatus(doc["status"]),
@@ -406,11 +395,7 @@ def failure_report_from_json(text: str):
     """Rebuild a failure report serialized by :func:`failure_report_to_json`."""
     from repro.runtime.failover import FailureReport
 
-    doc = json.loads(text)
-    if doc.get("kind") != "repro.failure_report":
-        raise ValueError(
-            f"not a serialized failure report: kind={doc.get('kind')!r}"
-        )
+    doc = _load(text, "repro.failure_report", "failure report")
     return FailureReport(
         node=doc["node"],
         coordinator_roles=list(doc.get("coordinator_roles", [])),

@@ -344,6 +344,8 @@ def drift_timeline(
     """
     if stream is None:
         stream = min(streams, key=lambda name: streams[name].rate)
+    if kind in ("step", "ramp") and factor <= 0:
+        raise ValueError(f"drift factor must be positive, got {factor}")
     if kind == "step":
         event: StepDrift | RampDrift | PeriodicDrift = StepDrift(stream, at, factor)
     elif kind == "ramp":

@@ -87,12 +87,6 @@ class TestBuilding:
         assert plane.ads is None
         assert not plane.optimizer.reuse
 
-    def test_reuse_override_decouples_from_ads(self):
-        built = tiny_built()
-        plane = Candidate(name="stock", ads=False, reuse=True).build(built)
-        assert plane.ads is None
-        assert plane.optimizer.reuse
-
     def test_fleet_mode_builds_a_fleet(self):
         built = tiny_built()
         plane = Candidate(name="f", mode="fleet", shards=2).build(built)

@@ -114,3 +114,21 @@ class TestWorkloadRoundTrip:
     def test_wrong_kind_rejected(self):
         with pytest.raises(ValueError, match="not a serialized workload"):
             workload_from_json('{"kind": "nope"}')
+
+
+@pytest.mark.parametrize(
+    "loader",
+    [
+        "network_from_json", "query_from_json", "workload_from_json",
+        "trace_from_json", "causal_trace_from_json", "explanation_from_json",
+        "fault_plan_from_json", "telemetry_from_json",
+        "tick_report_from_json", "admission_decision_from_json",
+        "failure_report_from_json",
+    ],
+)
+@pytest.mark.parametrize("text", ["[1, 2]", "null"])
+def test_a_document_that_is_no_object_is_refused_like_a_wrong_kind(loader, text):
+    import repro.serialization
+
+    with pytest.raises(ValueError, match=r"not a .*: kind=None"):
+        getattr(repro.serialization, loader)(text)

@@ -81,3 +81,40 @@ class TestMetricsCli:
         assert doc["service_planning_seconds"]["count"] > 0
         assert doc["service_admitted_total"]["value"] > 0
         assert doc["runtime_total_cost"]["type"] == "gauge"
+
+
+class TestTraceCausalCli:
+    ARGS = [
+        "trace", "--query", "0", "--nodes", "24", "--streams", "5",
+        "--queries", "4", "--max-cs", "4", "--seed", "9",
+    ]
+
+    def test_causal_summary_and_tree(self, capsys):
+        rc = main(self.ARGS + ["--causal"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "causal trace: top-down deploying" in out
+        assert "data-flow cost" in out
+        assert "deploy:" in out
+        assert "QuerySubmit" in out
+
+    def test_causal_json_envelope(self, capsys):
+        rc = main(self.ARGS + ["--causal", "--json"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["kind"] == "repro.causal_trace"
+        (trace,) = doc["traces"]
+        assert trace["hops"]
+        assert trace["flow_cost"] > 0
+
+    def test_chrome_export(self, capsys):
+        rc = main(self.ARGS + ["--chrome"])
+        assert rc == 0
+        events = json.loads(capsys.readouterr().out)
+        assert any(e["ph"] == "X" for e in events)
+        assert any(e["ph"] == "M" for e in events)
+
+    def test_causal_rejects_flat_algorithms(self, capsys):
+        rc = main(self.ARGS + ["--causal", "--algorithm", "optimal"])
+        assert rc == 2
+        assert "hierarchical" in capsys.readouterr().err
