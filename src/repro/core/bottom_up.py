@@ -36,8 +36,6 @@ from typing import Callable
 import numpy as np
 
 from repro.core.cost import RateModel
-from repro.core.placement import PlacementResult
-from repro.errors import InfeasiblePlacementError
 from repro.core.reuse import input_partitions, substitute_views
 from repro.core.search import TreeSearch
 from repro.hierarchy.advertisements import AdvertisementIndex, ViewLookup
@@ -295,40 +293,9 @@ class BottomUpOptimizer:
                 connected_only=True, stats=stats, span=component, constraint=constraint,
             )
             leaf_sets = self._candidate_leaf_sets(cluster, inputs, reusable)
-            component.incr("leaf_set_alternatives", len(leaf_sets))
-            if len(leaf_sets) > 1:
-                component.incr("reuse_groupings", len(leaf_sets) - 1)
-            for leaf_inputs in leaf_sets:
-                if len(leaf_inputs) == 1:
-                    only = leaf_inputs[0]
-                    leaf = Leaf(only.view)
-                    rate = flow(leaf)
-                    cost, node = min(
-                        (rate * float(costs[p, target]), p) for p in only.positions
-                    )
-                    # A lone leaf deploys no join operator, so a resource
-                    # constraint has nothing to price or forbid here.
-                    search.offer(
-                        PlacementResult(placement={leaf: node}, cost=cost, tree=leaf)
-                    )
-                    stats["trees_examined"] += 1
-                    stats["plans_examined"] += 1
-                    component.incr("trees_enumerated")
-                    component.incr("plans_examined")
-                    continue
-                search.add_leaf_set(
-                    [inp.view for inp in leaf_inputs],
-                    {inp.view: inp.positions for inp in leaf_inputs},
-                )
-            best = search.best
-            if best is None:
-                if constraint is not None:
-                    raise InfeasiblePlacementError(
-                        f"no feasible placement for component over "
-                        f"{[sorted(i.view) for i in inputs]} under the "
-                        f"utilization bound"
-                    )
-                raise RuntimeError("no feasible component plan")  # pragma: no cover - identity partition always exists
+            best = search.add_leaf_sets(
+                [{inp.view: inp.positions for inp in ls} for ls in leaf_sets], what="component"
+            )
             cost, tree, placement = best.cost, best.tree, best.placement
             if component is not NULL_SPAN:
                 component.tag(chosen=tree.pretty(), est_cost=cost)

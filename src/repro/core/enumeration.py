@@ -165,6 +165,77 @@ def join_program(num_views: int, adjacent: tuple[int, ...] | None = None) -> Joi
     return JoinProgram(num_views, None if adjacent is None else _crossing(adjacent))
 
 
+class Layout:
+    """The rows of several programs, stacked for one level pass.
+
+    Every program's leaves come first, in program order, then a block of
+    rows per level: level ``k`` of every program that has one, those
+    with more levels first (their rows ship onward), those ending there
+    after (their rows are roots).  Read-only: :func:`layout` shares them.
+
+    Attributes:
+        leaves, rows: Leaf rows; all rows.
+        levels: Per level ``(left, right, sizes, keep)``: each row's child
+            rows, each split's number of rows, and how many rows (a
+            prefix) are not roots.
+        splits: Per level, per split in row order, ``(program, left mask,
+            right mask)``.
+        roots, root_rows: Every root row, program by program, in tree
+            order (``root_rows``: as a slice when it can); program ``i``'s
+            are ``roots[first_root[i] : first_root[i + 1]]``.
+        rate_index: Per row, its index into the rates of, per program,
+            each mask of its ``below``, then its root.
+    """
+
+    def __init__(self, programs: Sequence[JoinProgram]) -> None:
+        self.leaves = row = sum(p.num_views for p in programs)
+        starts = np.cumsum([0] + [p.num_views for p in programs])
+        # row_of[i][local row]: program i's rows renumbered (its join rows below).
+        row_of = [np.arange(len(p.row_mask) + p.trees) + s for p, s in zip(programs, starts)]
+        local = [p.num_views for p in programs]
+        levels, splits = [], []
+        for k in range(max(len(p.levels) for p in programs)):
+            ship = [i for i, p in enumerate(programs) if len(p.levels) > k + 1]
+            members = ship + [i for i, p in enumerate(programs) if len(p.levels) == k + 1]
+            for i in members:
+                size = len(programs[i].levels[k][0])
+                row_of[i][local[i] : local[i] + size] = np.arange(row, row + size)
+                local[i] += size
+                row += size
+            parts = [(i, row_of[i], programs[i].levels[k]) for i in members]
+            levels.append((
+                *(np.concatenate([rows[lv[side]] for _, rows, lv in parts]) for side in (0, 1)),
+                np.concatenate([lv[3] for *_, lv in parts]),
+                sum(len(programs[i].levels[k][0]) for i in ship),
+            ))
+            splits.append(tuple((i, *split) for i, _, lv in parts for split in lv[2]))
+        self.rows, self.levels, self.splits = row, tuple(levels), tuple(splits)
+        self.roots = np.concatenate([rows[-p.trees :] for p, rows in zip(programs, row_of)])
+        tail = np.arange(row - len(self.roots), row)  # the last rows: a slice, read uncopied
+        self.root_rows = slice(tail[0], None) if np.array_equal(self.roots, tail) else self.roots
+        self.first_root = np.cumsum([0] + [p.trees for p in programs]).tolist()
+        self.rate_index = np.empty(row, dtype=np.intp)
+        offset = 0
+        for p, rows in zip(programs, row_of):
+            self.rate_index[rows[: -p.trees]] = p.row_mask + offset
+            offset += len(p.below) + 1
+            self.rate_index[rows[-p.trees :]] = offset - 1
+        for array in (self.roots, self.rate_index, *(a for lv in levels for a in lv[:3])):
+            array.flags.writeable = False
+        self._children = [pair for lv in levels for pair in zip(lv[0].tolist(), lv[1].tolist())]
+
+    def tree(self, leaves: Sequence[Leaf], root: int, rows: dict[PlanNode, int]) -> PlanNode:
+        """Build root number ``root`` over every program's ``leaves``;
+        ``rows`` gets each subtree's row."""
+        return _build(leaves, self._children, int(self.roots[root]), rows)
+
+
+@lru_cache(maxsize=1024)
+def layout(programs: tuple[JoinProgram, ...]) -> Layout:
+    """The layout of :func:`join_program`'s programs, built once per tuple."""
+    return Layout(programs)
+
+
 def all_join_trees(
     views: Sequence[frozenset[str] | Iterable[str]],
     split_ok: SplitTest | None = None,

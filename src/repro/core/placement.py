@@ -18,8 +18,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.core.enumeration import JoinProgram, Layout
 from repro.errors import InfeasiblePlacementError
-from repro.obs.tracer import incr, op_sink
+from repro.obs.tracer import count, incr, op_sink
 from repro.query.plan import Leaf, PlanNode
 
 
@@ -60,15 +61,14 @@ def nominal_assignments(tree: PlanNode, num_candidates: int) -> int:
 class LevelDP:
     """The placement DP of many trees at once, a level at a time.
 
-    The trees come as *rows* (:class:`~repro.core.enumeration.JoinProgram`):
-    rows ``0 .. n - 1`` are the leaves, every later row joins two earlier
-    ones, the rows of the last level are the roots.  A level is priced by
-    a few array expressions, each the one-tree recurrence with a leading
-    row axis: the same IEEE operations on the same operands, so every
-    objective is bit-equal to the one-tree DP's
-    (``tests/core/reference_search.py``), and a subtree many trees share
-    is one row, priced once.  :meth:`price` fills the tables for one leaf
-    set, :meth:`place` reads them.
+    The trees come as the rows of a :class:`~repro.core.enumeration.Layout`:
+    the leaves first, every later row joining two earlier ones, a level's
+    rows priced together.  A level is priced by a few array expressions,
+    each the one-tree recurrence with a leading row axis: the same IEEE
+    operations on the same operands, so every objective is bit-equal to
+    the one-tree DP's (``tests/core/reference_search.py``), and a subtree
+    many trees share is one row, priced once.  :meth:`price` fills the
+    tables for one layout, :meth:`place` reads them.
 
     Args:
         candidates, costs, sink, constraint: As for
@@ -104,88 +104,81 @@ class LevelDP:
 
     def price(
         self,
+        layout: Layout,
         positions: Sequence[Sequence[int]],
-        levels: Sequence[tuple],
         rates: np.ndarray,
-        root_rate: float | None,
+        joins: Sequence[Sequence] | None = None,
     ) -> np.ndarray:
-        """Fill the tables for one leaf set; the objective of every root
-        (``inf``: no assignment keeps it under the constraint's bound).
+        """Fill the tables for ``layout``; the objective of every root, in
+        :attr:`Layout.roots` order (``inf``: no assignment keeps it under
+        the constraint's bound).
 
         Args:
-            positions: Allowed nodes of each leaf (a list), in row order.
-            levels: ``(left rows, right rows, joins, sizes)`` per level;
-                ``joins`` is read only when :attr:`binds`: what it prices,
-                one per ``sizes`` consecutive rows (rows joining the same
-                two source sets carry the same load).
-            rates: Output rate of every row below the roots.
-            root_rate: Output rate of a root (``None`` without a sink).
+            positions: Allowed nodes of each leaf row (a list).
+            rates: Output rate of every row (a root's is read with a sink only).
+            joins: Per level, what each split prices; read only when
+                :attr:`binds` (rows joining the same two source sets
+                carry the same load).
 
-        Counts one placement per root on the installed tracer's current
-        span and on the op channel.
+        Counts the join rows computed (``cost_evaluations``) on the op channel.
         """
         cand, costs, constraint = self._cand, self._costs, self._constraint
-        leaves = len(positions)
+        leaves = layout.leaves
         width = max(map(len, positions))
         # Padded with the leaf's last node: no minimum moves, and no
         # first-minimum index either.
         pos = np.array(
             [nodes + nodes[-1:] * (width - len(nodes)) for nodes in positions], dtype=np.intp
         )
-        roots = len(levels[-1][0]) if levels else 1
-        joined = len(rates) - leaves + roots
-        incr("placements", roots)
-        incr("placement_dp_states", roots * (leaves - 1) * cand.size)
+        joined = layout.rows - leaves
         ops = op_sink()
-        if ops is not None:
-            ops.count("placements", roots)
-            if joined:
-                ops.count("cost_evaluations", joined * cand.size)
-        # dp[v, row - leaves]: cost of producing a join row's output at
-        # candidate v; ship[v, row]: of that output (a leaf's too) arriving
-        # at v from wherever it is best produced.  Rows run along the last
-        # axis, the long one, so the element-wise passes stay contiguous.
-        dp = np.empty((cand.size, joined))
-        ship = np.empty((cand.size, len(rates)))
-        if levels:
+        if ops is not None and joined:
+            ops.count("cost_evaluations", joined * cand.size)
+        # dp[v, row]: cost of producing a join row's output at candidate v;
+        # ship[v, row]: of that output (a leaf's too) arriving at v from
+        # wherever it is best produced.  Rows run along the last axis, the
+        # long one, so the element-wise passes stay contiguous.
+        dp = np.empty((cand.size, layout.rows))
+        ship = np.empty((cand.size, layout.rows))
+        if layout.levels:
             nodes = cand
             # arrival[p, v, row]: produce at position p, ship to candidate v.
             ship[:, :leaves] = (
                 costs[pos.T[:, None, :], cand[None, :, None]] * rates[:leaves]
             ).min(axis=0)
         else:  # a lone leaf is its own root
-            total, nodes = np.zeros((width, 1)), pos[0]
+            dp, nodes = np.zeros((width, 1)), pos[0]
         low = leaves
-        for left, right, joins, sizes in levels:
+        for level, (left, right, sizes, keep) in enumerate(layout.levels):
             high = low + len(left)
-            total = dp[:, low - leaves : high - leaves]
+            total = dp[:, low:high]
             np.add(ship.take(left, axis=1), ship.take(right, axis=1), out=total)
             if self.binds:
-                penalties = [constraint.join_penalty(join, cand) for join in joins]
+                penalties = [constraint.join_penalty(join, cand) for join in joins[level]]
                 if penalties[0] is not None:
                     total += np.repeat(np.transpose(penalties), sizes, axis=1)
-                feasible = [constraint.join_mask(join, cand) for join in joins]
+                feasible = [constraint.join_mask(join, cand) for join in joins[level]]
                 total[~np.repeat(np.transpose(feasible), sizes, axis=1)] = np.inf
-            if high <= len(rates):
-                ship[:, low:high] = (
-                    total[:, None, :] + self._between[:, :, None] * rates[low:high]
+            if keep:
+                ship[:, low : low + keep] = (
+                    total[:, None, :keep] + self._between[:, :, None] * rates[low : low + keep]
                 ).min(axis=0)
             low = high
+        final = dp[:, layout.root_rows]
         if self._sink is not None:
-            total = total + root_rate * costs[nodes, self._sink][:, None]
-        self._tables = (positions, rates, root_rate, dp, total)
-        return total.min(axis=0)
+            final = final + costs[nodes, self._sink][:, None] * rates[layout.root_rows]
+        self._tables = (positions, rates, dp, final, leaves)
+        return final.min(axis=0)
 
     def place(self, tree: PlanNode, rows: Mapping[PlanNode, int], root: int = 0) -> PlacementResult:
         """The optimal assignment of ``tree``, root number ``root`` of the
-        leaf set priced last, whose subtrees are the rows ``rows``.
+        layout priced last, whose subtrees are the rows ``rows``.
 
         Raises:
             InfeasiblePlacementError: A constraint was given and no
                 assignment keeps every operator's node under its bound.
         """
-        positions, rates, root_rate, dp, final = self._tables
-        leaves = len(positions)
+        positions, rates, dp, final, leaves = self._tables
         cand, costs, between = self._cand, self._costs, self._between
         best_idx = int(final[:, root].argmin())
         best_cost = float(final[best_idx, root])
@@ -210,7 +203,7 @@ class LevelDP:
                 # The column of the level pass's ``arrival`` that ends at
                 # ``node``; a leaf with one position has nothing to choose.
                 if row >= leaves:
-                    arrival = dp[:, row - leaves] + rates[row] * between[:, pos_idx]
+                    arrival = dp[:, row] + rates[row] * between[:, pos_idx]
                     column = int(arrival.argmin())
                 elif len(positions[row]) == 1:
                     column = 0
@@ -228,7 +221,7 @@ class LevelDP:
             for child in (join.left, join.right):
                 comm += float(rates[rows[child]]) * float(costs[placement[child], node])
         if self._sink is not None:
-            comm += root_rate * float(costs[placement[tree], self._sink])
+            comm += float(rates[rows[tree]]) * float(costs[placement[tree], self._sink])
         return PlacementResult(
             placement=placement, cost=comm, tree=tree, objective=best_cost
         )
@@ -245,8 +238,9 @@ def optimal_tree_placement(
 ) -> PlacementResult:
     """Optimally assign ``tree``'s operators to ``candidates``.
 
-    A one-tree use of :class:`LevelDP` (a level per join, in post-order);
-    searches over all trees of a leaf set price them together
+    A one-program :class:`LevelDP` layout: the program whose split test
+    admits ``tree``'s splits only has ``tree`` as its one tree; searches
+    over all trees of a task price them together
     (:mod:`repro.core.search`).
     Placement is the innermost hot loop, so rather than opening a span
     per call it counts (``placements``, ``placement_dp_states``) on the
@@ -280,7 +274,7 @@ def optimal_tree_placement(
             assignment keeps every operator's node under its bound.
     """
     table = LevelDP(candidates, costs, sink, constraint=constraint)
-    leaves, joins = tree.leaves(), tree.joins()
+    leaves = tree.leaves()
     positions = []
     for leaf in leaves:
         try:
@@ -289,15 +283,27 @@ def optimal_tree_placement(
             raise KeyError(f"no positions given for leaf {leaf.label}") from None
         if not positions[-1]:
             raise ValueError(f"leaf {leaf.label} has an empty position set")
-    subtrees = [*leaves, *joins]
-    rows = {sub: row for row, sub in enumerate(subtrees)}
+    incr("placements")
+    incr("placement_dp_states", tree.num_joins * len(candidates))
+    count("placements")
+    # Leaves are numbered left to right, so every join has the anchor
+    # (its lowest leaf) on the left, as the program's splits do.
+    mask: dict[PlanNode, int] = {leaf: 1 << i for i, leaf in enumerate(leaves)}
+    for join in tree.joins():
+        mask[join] = mask[join.left] | mask[join.right]
+    subtree = {bits: sub for sub, bits in mask.items()}
+    splits = {(mask[join.left], mask[join.right]) for join in tree.joins()}
+    program = JoinProgram(len(leaves), lambda left, right: (left, right) in splits)
+    layout = Layout((program,))
+    below = [rates[subtree[bits]] for bits in program.below]
     table.price(
+        layout,
         positions,
-        [(np.array([rows[j.left]]), np.array([rows[j.right]]), [j], 1) for j in joins],
-        np.array([rates[sub] for sub in subtrees[:-1]]),
-        None if sink is None else rates[tree],
+        np.array([*below, rates[tree] if sink is not None else 0.0]).take(layout.rate_index),
+        [[subtree[left | right] for _, left, right in level] for level in layout.splits],
     )
-    return table.place(tree, rows)
+    # One program's layout keeps its row numbers.
+    return table.place(tree, {sub: program.start[bits] for sub, bits in mask.items()})
 
 
 def brute_force_tree_placement(

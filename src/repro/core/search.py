@@ -13,17 +13,19 @@ place-each-tree loop returns (that loop lives on as the oracle
   (:func:`~repro.core.enumeration.join_program`, one per predicate-graph
   shape, cross-product splits pruned when a connected tree exists) that
   :class:`~repro.core.placement.LevelDP` prices a subset size at a time,
-  a subtree shared by many trees being one row, and
-* ``Join`` nodes and a placement are built for the winner only -- under
-  a resource constraint that can bind on the task's candidates, for each
-  tree that beats the incumbent and so owes the joint ``validate`` (the
-  two tests commute: same decisions, same order).  On candidates the
-  constraint certifies cold the masks, penalties and joint checks could
-  refuse nothing, so none is built or run.
-* a leaf set of two views has one tree and one join; unless the
-  constraint binds it is priced in scalars (:meth:`TreeSearch._add_pair`),
-  the level pass's IEEE operations on its one row, with no program,
-  array or row table.
+  a subtree shared by many trees being one row, and the programs of
+  all of a task's leaf sets are stacked into one such pass
+  (:func:`~repro.core.enumeration.layout`), and
+* ``Join`` nodes and a placement are built for the task's winner only --
+  under a resource constraint that can bind on the task's candidates,
+  for each tree that beats the incumbent and so owes the joint
+  ``validate`` (the two tests commute: same decisions, same order).  On
+  candidates the constraint certifies cold the masks, penalties and
+  joint checks could refuse nothing, so none is built or run.
+* a lone view (no join) is priced in scalars, and so is a leaf set of two
+  views (one tree, one join) unless the constraint binds
+  (:meth:`TreeSearch._price_lone`, :meth:`TreeSearch._price_pair`): the
+  level pass's IEEE operations on their one row.
 
 The counters written to ``stats`` and the span are the paper's *nominal*
 search-space accounting (trees that exist, assignments they span), not
@@ -38,9 +40,10 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.enumeration import count_bushy_trees, join_program, view_adjacency
+from repro.core.enumeration import count_bushy_trees, join_program, layout, view_adjacency
 from repro.core.placement import LevelDP, PlacementResult
-from repro.obs.tracer import incr, op_sink
+from repro.errors import InfeasiblePlacementError, PlanningError
+from repro.obs.tracer import op_sink
 from repro.query.plan import Join, Leaf, PlanNode
 from repro.query.query import Query
 
@@ -77,6 +80,24 @@ class _Unbuilt:
         self.sources = left.sources | right.sources
 
 
+class _LeafSet:
+    """One alternative: its program (connected trees, else every tree)
+    and, once priced, each tree's objective and how to build it."""
+
+    __slots__ = ("views", "positions", "leaves", "program", "pruned", "objectives", "build")
+
+    def __init__(self, positions, query: Query, connected_only: bool) -> None:
+        views = list(positions)
+        self.views, self.positions, self.leaves = views, positions, [Leaf(v) for v in views]
+        self.program = self.pruned = None
+        if connected_only:
+            self.program = join_program(len(views), view_adjacency(query, views))
+            if self.program.trees:
+                self.pruned = count_bushy_trees(len(views)) - self.program.trees
+        if self.pruned is None:
+            self.program = join_program(len(views))
+
+
 class TreeSearch:
     """Incumbent-keeping search over the leaf-set alternatives of a task.
 
@@ -94,9 +115,6 @@ class TreeSearch:
             tracer's current span.
         constraint: Optional
             :class:`~repro.resources.constraint.PlacementConstraint`.
-
-    Attributes:
-        best: The cheapest feasible result so far (``None``: none yet).
     """
 
     def __init__(
@@ -112,7 +130,6 @@ class TreeSearch:
         constraint=None,
     ) -> None:
         self.query = query
-        self.candidates = candidates
         self.costs = costs
         self.flow = flow
         self.sink = sink
@@ -120,58 +137,127 @@ class TreeSearch:
         self.stats = stats
         self.span = span
         self.constraint = constraint
-        self.best: PlacementResult | None = None
         self._table = LevelDP(candidates, costs, sink, constraint=constraint)
         self._nodes = [int(node) for node in candidates]
 
-    def offer(self, result: PlacementResult) -> None:
-        """Let a result priced by the caller compete with the incumbent."""
-        if self.best is None or result.objective < self.best.objective - _TIE:
-            self.best = result
-
-    def add_leaf_set(
+    def add_leaf_sets(
         self,
-        views: Sequence[frozenset[str]],
-        positions: Mapping[frozenset[str], Sequence[int]],
-    ) -> None:
-        """Search every tree over ``views`` (placed at ``positions``)."""
-        if len(views) == 2 and not self._table.binds:
-            self._add_pair(views, positions)
-        else:
-            self._add_program(views, positions)
+        alternatives: Sequence[Mapping[frozenset[str], Sequence[int]]],
+        what: str = "task",
+    ) -> PlacementResult:
+        """The cheapest feasible result over every tree of every leaf set.
 
-    def _add_pair(
-        self,
-        views: Sequence[frozenset[str]],
-        positions: Mapping[frozenset[str], Sequence[int]],
-    ) -> None:
+        Each alternative maps its views, in leaf order, to the nodes they
+        can be read at; the first is the task's inputs as given, and an
+        alternative with a view available nowhere is infeasible.  Ties go
+        to the first alternative, then the first tree (``_TIE``); ``what``
+        names the task in an error.
+
+        Raises:
+            InfeasiblePlacementError: Under a constraint, nothing is
+                feasible.
+            PlanningError: Without one, nothing is feasible.
+        """
+        span, binds = self.span, self._table.binds
+        span.incr("leaf_set_alternatives", len(alternatives))
+        if len(alternatives) > 1:
+            span.incr("reuse_groupings", len(alternatives) - 1)
+        sets = [
+            _LeafSet(pos, self.query, self.connected_only) if all(pos.values()) else None
+            for pos in alternatives
+        ]
+        stacked = []
+        for leaf_set in filter(None, sets):
+            if len(leaf_set.views) == 1:
+                self._price_lone(leaf_set)
+            elif len(leaf_set.views) == 2 and not binds:
+                self._price_pair(leaf_set)
+            else:
+                stacked.append(leaf_set)
+        if stacked:
+            self._price_stacked(stacked)
+        best = self._scan(sets)
+        if best is None:
+            views = [sorted(view) for view in alternatives[0]]
+            if self.constraint is not None:
+                raise InfeasiblePlacementError(
+                    f"no feasible placement for {what} over {views} under the "
+                    f"utilization bound"
+                )
+            raise PlanningError(f"no feasible plan for {what} over {views}")
+        return best
+
+    def _price_stacked(self, stacked: list[_LeafSet]) -> None:
+        """Price the trees of every leaf set in ``stacked`` in one level
+        pass over their stacked programs."""
+        flow, sink, table = self.flow, self.sink, self._table
+        shape = layout(tuple(ls.program for ls in stacked))
+        rates, covers = [], []
+        for ls in stacked:
+            # cover[mask]: the first tree over the mask, as far as pricing
+            # looks -- the one whose ``sources`` the per-tree loop asks a
+            # rate for first.
+            cover: dict[int, object] = {1 << i: leaf for i, leaf in enumerate(ls.leaves)}
+            for mask, splits in ls.program.blocks.items():
+                left, right = splits[0]
+                cover[mask] = _Unbuilt(cover[left], cover[right])
+            rates += [flow(cover[mask]) for mask in ls.program.below]
+            rates.append(flow(cover[(1 << len(ls.views)) - 1]) if sink is not None else 0.0)
+            covers.append(cover)
+        joins = None
+        if table.binds:
+            joins = [
+                [_Unbuilt(covers[i][left], covers[i][right]) for i, left, right in level]
+                for level in shape.splits
+            ]
+        objectives = table.price(
+            shape,
+            [list(ls.positions[view]) for ls in stacked for view in ls.views],
+            np.array(rates).take(shape.rate_index),
+            joins,
+        ).tolist()
+        ops = op_sink()
+        if ops is not None:
+            ops.count("search_array_passes", len(shape.levels) + 1)
+        leaves = [leaf for ls in stacked for leaf in ls.leaves]
+        for i, ls in enumerate(stacked):
+            first = shape.first_root[i]
+            ls.objectives = objectives[first : shape.first_root[i + 1]]
+
+            def build(index: int, first=first) -> PlacementResult:
+                rows: dict[PlanNode, int] = {}
+                tree = shape.tree(leaves, first + index, rows)
+                return table.place(tree, rows, first + index)
+
+            ls.build = build
+
+    def _price_lone(self, ls: _LeafSet) -> None:
+        """A lone view deploys no join: it ships from its first cheapest position."""
+        (leaf,) = ls.leaves
+        positions = ls.positions[leaf.view]
+        objective, at = 0.0, positions[0]
+        if self.sink is not None:
+            objective, at = _nearest(positions, self.sink, self.flow(leaf), self.costs.item)
+        ls.objectives = [objective]
+        ls.build = lambda index: PlacementResult({leaf: int(at)}, cost=objective, tree=leaf)
+
+    def _price_pair(self, ls: _LeafSet) -> None:
         """The one tree over two views, priced in scalars.
 
         Per candidate ``v``, in candidate order, ``ship_a + ship_b`` (plus
         ``root_rate * C[v, sink]``), each ``ship`` the first minimum of
         ``C[p, v] * rate`` over the leaf's positions: the operations
         :meth:`LevelDP.price` performs on the one row, in its order, and
-        the first minima :meth:`LevelDP.place` resolves.  Counters are
-        written as :meth:`_add_program` writes them, except that no array
-        pass is counted.
+        the first minima :meth:`LevelDP.place` resolves.
         """
-        span, stats, sink = self.span, self.stats, self.sink
-        nodes, item = self._nodes, self.costs.item
-        span.incr("trees_enumerated", 1)
-        # The one split is a cross product iff no predicate links the views.
-        if self.connected_only and view_adjacency(self.query, views)[0]:
-            span.incr("pruned_cross_trees", 0)
-        incr("placements", 1)
-        incr("placement_dp_states", len(nodes))
+        sink, nodes, item = self.sink, self._nodes, self.costs.item
         ops = op_sink()
         if ops is not None:
-            ops.count("trees_enumerated", 1)
-            ops.count("placements", 1)
             ops.count("cost_evaluations", len(nodes))
-        leaves = [Leaf(view) for view in views]
+        leaves = ls.leaves
         rate_a, rate_b = self.flow(leaves[0]), self.flow(leaves[1])
         root_rate = self.flow(_Unbuilt(*leaves)) if sink is not None else None
-        pos_a, pos_b = positions[views[0]], positions[views[1]]
+        pos_a, pos_b = ls.positions[ls.views[0]], ls.positions[ls.views[1]]
         objective = chosen = None
         for node in nodes:
             ship_a, at_a = _nearest(pos_a, node, rate_a, item)
@@ -181,108 +267,78 @@ class TreeSearch:
                 total = total + root_rate * item(node, sink)
             if chosen is None or total < objective:
                 objective, chosen = total, (node, at_a, at_b)
+        ls.objectives = [objective]
 
-        nominal = len(nodes)
-        stats["plans_examined"] += nominal
-        stats["trees_examined"] += 1
-        if objective == math.inf:
-            span.incr("infeasible_trees")
-            return
-        span.incr("plans_examined", nominal)
-        bound = self.best.objective - _TIE if self.best is not None else math.inf
-        if not objective < bound:
-            return
-        tree = Join(*leaves)
-        if ops is not None:
-            ops.count("joins_built", 1)
-        node, at_a, at_b = chosen
-        if tree.left is not leaves[0]:
-            at_a, at_b = at_b, at_a
-        # With no penalty (the constraint cannot bind) the communication
-        # cost ``LevelDP.place`` re-derives under a constraint is this
-        # objective: ``0.0 + ship`` is ``ship``, and the two ships commute.
-        self.best = PlacementResult(
-            placement={tree: node, tree.left: int(at_a), tree.right: int(at_b)},
-            cost=objective,
-            tree=tree,
-        )
+        def build(index: int) -> PlacementResult:
+            tree = Join(*leaves)
+            node, at_a, at_b = chosen
+            if tree.left is not leaves[0]:
+                at_a, at_b = at_b, at_a
+            # With no penalty (the constraint cannot bind) the communication
+            # cost ``LevelDP.place`` re-derives under a constraint is this
+            # objective: ``0.0 + ship`` is ``ship``, and the two ships commute.
+            return PlacementResult(
+                placement={tree: node, tree.left: int(at_a), tree.right: int(at_b)},
+                cost=objective,
+                tree=tree,
+            )
 
-    def _add_program(
-        self,
-        views: Sequence[frozenset[str]],
-        positions: Mapping[frozenset[str], Sequence[int]],
-    ) -> None:
-        """Every tree over ``views``, priced a subset size at a time."""
-        span, stats, flow = self.span, self.stats, self.flow
+        ls.build = build
+
+    def _scan(self, sets: list[_LeafSet | None]) -> PlacementResult | None:
+        """Replay the incumbent rule over every objective, alternative by
+        alternative, writing the counters in the order the per-tree loop
+        first meets them; build the winner (each would-be incumbent, when
+        the constraint binds and it owes the joint ``validate``)."""
+        span, stats = self.span, self.stats
         constraint = self.constraint if self._table.binds else None
-        total = count_bushy_trees(len(views))
-        span.incr("trees_enumerated", total)
-        program = None
-        if self.connected_only:
-            program = join_program(len(views), view_adjacency(self.query, views))
-        if program is not None and program.trees:
-            span.incr("pruned_cross_trees", total - program.trees)
-        else:
-            program = join_program(len(views))
         ops = op_sink()
-        if ops is not None:
-            ops.count("trees_enumerated", program.trees)
-        # cover[mask]: the first tree over the mask, as far as pricing looks
-        # -- the one whose ``sources`` the per-tree loop asks a rate for first.
-        leaves = [Leaf(view) for view in views]
-        cover: dict[int, object] = {1 << i: leaf for i, leaf in enumerate(leaves)}
-        for mask, splits in program.blocks.items():
-            left, right = splits[0]
-            cover[mask] = _Unbuilt(cover[left], cover[right])
-        levels = program.levels
-        if constraint is not None:
-            levels = [
-                (left, right, [_Unbuilt(cover[a], cover[b]) for a, b in splits], sizes)
-                for left, right, splits, sizes in levels
-            ]
-        objectives = self._table.price(
-            [list(positions[view]) for view in views],
-            levels,
-            np.array([flow(cover[mask]) for mask in program.below]).take(program.row_mask),
-            flow(cover[(1 << len(views)) - 1]) if self.sink is not None else None,
-        ).tolist()
-        if ops is not None:
-            ops.count("search_array_passes", len(levels) + 1)
 
-        def place(index: int) -> PlacementResult:
-            rows: dict[PlanNode, int] = {}
-            tree = program.tree(leaves, index, rows)
+        def build(ls: _LeafSet, index: int) -> PlacementResult:
             if ops is not None:
-                ops.count("joins_built", len(views) - 1)
-            return self._table.place(tree, rows, index)
+                ops.count("joins_built", len(ls.views) - 1)
+            return ls.build(index)
 
-        # Every tree over these leaves has the same number of joins.  A tree
-        # the constraint's masks leave no assignment reads ``inf``; the
-        # counters appear in the order the per-tree loop first meets them.
-        nominal = max(1, len(self.candidates)) ** (len(views) - 1)
-        stats["plans_examined"] += nominal * len(objectives)
-        stats["trees_examined"] += len(objectives)
-        refused = objectives.count(math.inf)
-        counted = [
-            ("plans_examined", nominal * (len(objectives) - refused)),
-            ("infeasible_trees", refused),
-        ]
-        for key, amount in reversed(counted) if objectives[0] == math.inf else counted:
-            if amount:
-                span.incr(key, amount)
-        bound = self.best.objective - _TIE if self.best is not None else math.inf
-        winner: int | None = None
-        for index, objective in enumerate(objectives):
-            if not objective < bound:
+        best: PlacementResult | None = None
+        bound, winner = math.inf, None
+        for ls in sets:
+            if ls is None:
+                span.incr("infeasible_leaf_sets")
                 continue
-            if constraint is not None:
-                # Independently feasible operators can still jointly
-                # overload a node; the per-plan check is the contract.
-                result = place(index)
-                if not constraint.validate(result.tree, result.placement):
-                    span.incr("infeasible_trees")
+            views, objectives = ls.views, ls.objectives
+            span.incr("trees_enumerated", count_bushy_trees(len(views)))
+            if ls.pruned is not None:
+                span.incr("pruned_cross_trees", ls.pruned)
+            if ops is not None:
+                ops.count("trees_enumerated", len(objectives))
+                ops.count("placements", len(objectives))
+            span.incr("placements", len(objectives))
+            span.incr("placement_dp_states", len(objectives) * (len(views) - 1) * len(self._nodes))
+            # Every tree over these leaves has the same number of joins.  A
+            # tree the constraint's masks leave no assignment reads ``inf``.
+            nominal = max(1, len(self._nodes)) ** (len(views) - 1)
+            stats["plans_examined"] += nominal * len(objectives)
+            stats["trees_examined"] += len(objectives)
+            refused = objectives.count(math.inf)
+            counted = [
+                ("plans_examined", nominal * (len(objectives) - refused)),
+                ("infeasible_trees", refused),
+            ]
+            for key, amount in reversed(counted) if objectives[0] == math.inf else counted:
+                if amount:
+                    span.incr(key, amount)
+            for index, objective in enumerate(objectives):
+                if not objective < bound:
                     continue
-                self.best = result
-            bound, winner = objective - _TIE, index
+                if constraint is not None:
+                    # Independently feasible operators can still jointly
+                    # overload a node; the per-plan check is the contract.
+                    result = build(ls, index)
+                    if not constraint.validate(result.tree, result.placement):
+                        span.incr("infeasible_trees")
+                        continue
+                    best = result
+                bound, winner = objective - _TIE, (ls, index)
         if winner is not None and constraint is None:
-            self.best = place(winner)
+            best = build(*winner)
+        return best

@@ -25,7 +25,6 @@ from typing import Callable
 import numpy as np
 
 from repro.core.cost import RateModel
-from repro.errors import InfeasiblePlacementError
 from repro.core.reuse import input_partitions, resolve_reuse_leaves, substitute_views
 from repro.core.search import TreeSearch
 from repro.hierarchy.advertisements import AdvertisementIndex, ViewLookup
@@ -238,32 +237,12 @@ class TopDownOptimizer:
                 connected_only=True, stats=stats, span=task_span, constraint=constraint,
             )
             leaf_sets = self._candidate_leaf_sets(cluster, inputs, reusable)
-            task_span.incr("leaf_set_alternatives", len(leaf_sets))
-            if len(leaf_sets) > 1:
-                task_span.incr("reuse_groupings", len(leaf_sets) - 1)
             # A view names the same input in every leaf set it appears in.
-            by_view: dict[frozenset[str], _Input] = {}
-            for leaf_inputs in leaf_sets:
-                positions = {
-                    inp.view: self._resolve_positions(cluster, inp, query)
-                    for inp in leaf_inputs
-                }
-                if not all(positions.values()):
-                    task_span.incr("infeasible_leaf_sets")
-                    continue
-                by_view.update((inp.view, inp) for inp in leaf_inputs)
-                search.add_leaf_set([inp.view for inp in leaf_inputs], positions)
-            best = search.best
-            if best is None:
-                if constraint is not None:
-                    raise InfeasiblePlacementError(
-                        f"no feasible placement for task over "
-                        f"{[sorted(i.view) for i in inputs]} under the "
-                        f"utilization bound"
-                    )
-                raise RuntimeError(  # pragma: no cover - identity partition always exists
-                    f"no feasible plan for task over {[i.view for i in inputs]}"
-                )
+            by_view = {inp.view: inp for leaf_inputs in leaf_sets for inp in leaf_inputs}
+            best = search.add_leaf_sets([
+                {inp.view: self._resolve_positions(cluster, inp, query) for inp in inps}
+                for inps in leaf_sets
+            ])
             est_cost, tree, placement = best.cost, best.tree, best.placement
             leaf_meta = {leaf: by_view[leaf.view] for leaf in tree.leaves()}
             trace_entry["plans"] = stats["plans_examined"] - plans_before

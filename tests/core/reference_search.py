@@ -11,7 +11,9 @@ why the shipped search does not work this way.
 :class:`ReferenceTreeSearch` has :class:`repro.core.search.TreeSearch`'s
 interface after its first argument (the rate model the literal loop
 re-prices from), so ``functools.partial(ReferenceTreeSearch, rates)``
-can stand in for ``TreeSearch`` inside either planner.
+can stand in for ``TreeSearch`` inside either planner.  Its
+``add_leaf_sets`` is the literal loop over a task's alternatives: one
+whole per-tree search per leaf set, in order.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from repro.core.enumeration import tree_is_connected
 from repro.core.placement import PlacementResult, nominal_assignments
-from repro.errors import InfeasiblePlacementError
+from repro.errors import InfeasiblePlacementError, PlanningError
 from repro.obs.tracer import count, incr
 from repro.query.plan import Join, Leaf, PlanNode
 
@@ -185,9 +187,27 @@ class ReferenceTreeSearch:
         self.constraint = constraint
         self.best: PlacementResult | None = None
 
-    def offer(self, result: PlacementResult) -> None:
-        if self.best is None or result.objective < self.best.objective - 1e-12:
-            self.best = result
+    def add_leaf_sets(self, alternatives, what="task") -> PlacementResult:
+        """One :meth:`add_leaf_set` per alternative, lone leaves included;
+        an alternative with a view available nowhere is skipped."""
+        span = self.span
+        span.incr("leaf_set_alternatives", len(alternatives))
+        if len(alternatives) > 1:
+            span.incr("reuse_groupings", len(alternatives) - 1)
+        for positions in alternatives:
+            if not all(positions.values()):
+                span.incr("infeasible_leaf_sets")
+                continue
+            self.add_leaf_set(list(positions), positions)
+        if self.best is None:
+            views = [sorted(view) for view in alternatives[0]]
+            if self.constraint is not None:
+                raise InfeasiblePlacementError(
+                    f"no feasible placement for {what} over {views} under the "
+                    f"utilization bound"
+                )
+            raise PlanningError(f"no feasible plan for {what} over {views}")
+        return self.best
 
     def add_leaf_set(self, views, positions) -> None:
         query, candidates, stats, span = self.query, self.candidates, self.stats, self.span

@@ -2,12 +2,13 @@
 
 A leaf set of two views has one tree and one join, and unless the
 constraint binds on the task's candidates :class:`TreeSearch` prices it
-in scalars (``TreeSearch._add_pair``).  Two oracles hold it to what it
+in scalars (``TreeSearch._price_pair``).  Two oracles hold it to what it
 replaced:
 
-* ``TreeSearch._add_program``, the array path (``LevelDP.price`` /
-  ``place`` on ``join_program(2)``), which every two-view leaf set took
-  before: same tree, same placement (in the same insertion order),
+* the level pass, which every two-view leaf set took before
+  (:class:`ArrayPairs` sends the pairs to ``TreeSearch._price_stacked``:
+  ``LevelDP.price`` / ``place`` on the stacked ``join_program(2)``):
+  same tree, same placement (in the same insertion order),
   ``float.hex``-equal cost and objective, the same stats, the same span
   counters in the same order, and the same work counters but for the
   array passes the scalar path does not make.
@@ -23,9 +24,9 @@ sink or none, integral costs so candidates and positions tie exactly,
 one unreachable (``inf``) entry, connected and cross-product pairs,
 reused multi-stream views, a constraint that cannot bind (the array
 path then re-derives the cost from the placement; the scalar path
-reports its objective), and an incumbent -- an
-earlier leaf set, or an offered result within a few ``_TIE`` of the
-pair's objective.
+reports its objective), and an incumbent -- an earlier leaf set, or a
+lone view read at a node of its own whose objective sits within a few
+``_TIE`` of the pair's.
 """
 
 import re
@@ -38,8 +39,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.core.cost import RateModel
-from repro.core.placement import PlacementResult
 from repro.core.search import _TIE, TreeSearch
+from repro.errors import PlanningError
 from repro.obs.tracer import Tracer, tracing
 from repro.perf.profiler import profiled
 from repro.query.plan import Join, Leaf
@@ -85,12 +86,13 @@ def pair_tasks(draw):
         return {frozenset(v): tuple(draw(distinct)) for v in views}
 
     leaf_sets = [leaf_set()]
-    incumbent = draw(st.sampled_from((None, "leaf set", "offer")))
+    incumbent = draw(st.sampled_from((None, "leaf set", "lone view")))
     if incumbent == "leaf set":
         # An earlier leaf set: the same views at other positions.
         leaf_sets.insert(0, leaf_set())
 
-    half = rng.uniform(0, 3, (NUM_NODES, NUM_NODES))
+    # Node NUM_NODES is the lone view's alone: no candidate or leaf uses it.
+    half = rng.uniform(0, 3, (NUM_NODES + 1, NUM_NODES + 1))
     if integral:
         half = np.floor(half)
     costs = half + half.T
@@ -109,7 +111,7 @@ def pair_tasks(draw):
         query=query, rates=RateModel(streams), leaf_sets=leaf_sets, costs=costs,
         candidates=candidates, sink=sink, connected_only=draw(st.booleans()),
         loose=draw(st.booleans()), incumbent=incumbent,
-        # Offset of an offered incumbent from the pair's objective.
+        # Offset of the lone view's objective from the pair's.
         offset=draw(st.sampled_from((-1, 0, 0.5, 1, 1.5, 2))) * _TIE,
     )
 
@@ -127,9 +129,22 @@ def _constraint(task):
     return constraint
 
 
-def _run(make_search, task, add=None, offer=None):
-    """Run one search over the task's leaf sets; ``add`` names the method
-    that takes a leaf set, ``offer`` is an incumbent given first."""
+class ArrayPairs(TreeSearch):
+    """The search with its free pairs priced by one level pass, as every
+    two-view leaf set was before the scalar path."""
+
+    pairs = ()
+
+    def _price_pair(self, leaf_set):
+        self.pairs = [*self.pairs, leaf_set]
+
+    def _scan(self, sets):
+        self._price_stacked(self.pairs)
+        return super()._scan(sets)
+
+
+def _run(make_search, task, leaf_sets=None):
+    """Run one search over ``leaf_sets`` (the task's by default)."""
     tracer = Tracer()
     stats = {"plans_examined": 0, "trees_examined": 0}
     with tracing(tracer), profiled() as prof, tracer.span("task") as span:
@@ -138,27 +153,29 @@ def _run(make_search, task, add=None, offer=None):
             task.rates.flow_pricer(task.query), task.sink, task.connected_only,
             stats, span, constraint=_constraint(task),
         )
-        if offer is not None:
-            search.offer(offer)
-        for positions in task.leaf_sets:
-            getattr(search, add or "add_leaf_set")(list(positions), positions)
+        try:
+            best = search.add_leaf_sets(leaf_sets or task.leaf_sets)
+        except PlanningError:
+            best = None
     return SimpleNamespace(
-        best=search.best, stats=stats, counters=list(span.counters.items()),
+        best=best, stats=stats, counters=list(span.counters.items()),
         ops=list(prof.ops.items()),
     )
 
 
-def _offer(task):
-    """The offered incumbent: a lone leaf whose objective sits ``offset``
-    from the pair's (left alone when the pair cannot be placed)."""
-    if task.incumbent != "offer":
-        return None
-    alone = _run(TreeSearch, task, add="_add_program").best
+def _with_lone_view(task):
+    """The task's leaf sets after a lone view of every stream, read at
+    node ``NUM_NODES`` at ``offset`` from the pair's objective (left
+    out when that cannot be placed, or without a sink to price it)."""
+    if task.incumbent != "lone view" or task.sink is None:
+        return task.leaf_sets
+    alone = _run(ArrayPairs, task).best
     if alone is None:
-        return None
-    leaf = Leaf(frozenset(task.query.sources))
-    objective = alone.objective + task.offset
-    return PlacementResult(placement={leaf: 0}, cost=objective, tree=leaf)
+        return task.leaf_sets
+    view = frozenset(task.query.sources)
+    rate = task.rates.flow_pricer(task.query)(Leaf(view))
+    task.costs[NUM_NODES, task.sink] = (alone.objective + task.offset) / rate
+    return [{view: (NUM_NODES,)}, *task.leaf_sets]
 
 
 def _same(ours, theirs):
@@ -175,20 +192,20 @@ def _same(ours, theirs):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(pair_tasks())
 def test_scalar_pair_is_the_array_path(task):
-    offer = _offer(task)
-    scalar = _run(TreeSearch, task, offer=offer)
-    array = _run(TreeSearch, task, add="_add_program", offer=offer)
-    kept = offer is not None and scalar.best is offer
-    event(f"incumbent: {task.incumbent}, offer kept: {kept}, loose: {task.loose}")
+    leaf_sets = _with_lone_view(task)
+    scalar = _run(TreeSearch, task, leaf_sets)
+    array = _run(ArrayPairs, task, leaf_sets)
+    kept = scalar.best is not None and scalar.best.tree.is_leaf
+    event(f"incumbent: {task.incumbent}, lone view kept: {kept}, loose: {task.loose}")
     event(f"infeasible trees: {dict(scalar.counters).get('infeasible_trees', 0)}")
     _same(scalar.best, array.best)
     assert scalar.stats == array.stats
     assert scalar.counters == array.counters
     # The same work but the array passes, which the scalar path does not make.
     assert scalar.ops == [(k, v) for k, v in array.ops if k != "search_array_passes"]
-    assert dict(array.ops)["search_array_passes"] == 2 * len(task.leaf_sets)
+    assert dict(array.ops)["search_array_passes"] == 2
 
-    literal = _run(partial(ReferenceTreeSearch, task.rates), task, offer=offer)
+    literal = _run(partial(ReferenceTreeSearch, task.rates), task, leaf_sets)
     if all(dict(run.counters).get("infeasible_trees", 0) == 0 for run in (scalar, literal)):
         _same(scalar.best, literal.best)
         assert scalar.stats == literal.stats
@@ -213,12 +230,10 @@ def test_a_binding_constraint_keeps_the_array_path():
             query, [0, 1, 2], costs, rates.flow_pricer(query), 2, True,
             stats, span, constraint=constraint,
         )
-        search.add_leaf_set(
-            [frozenset("A"), frozenset("B")], {frozenset("A"): (0,), frozenset("B"): (1,)}
-        )
+        best = search.add_leaf_sets([{frozenset("A"): (0,), frozenset("B"): (1,)}])
     assert prof.ops["search_array_passes"] == 2
     assert prof.ops["joint_validations"] == 1
-    assert search.best.tree == Join(Leaf.of("A"), Leaf.of("B"))
+    assert best.tree == Join(Leaf.of("A"), Leaf.of("B"))
 
 
 # ----------------------------------------------------------------------

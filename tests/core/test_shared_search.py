@@ -33,8 +33,9 @@ import repro
 from repro.core import bottom_up, enumeration, top_down
 from repro.core.cost import RateModel
 from repro.core.enumeration import all_join_trees, count_bushy_trees, crossing_splits
-from repro.core.placement import LevelDP
+from repro.core.placement import PlacementResult
 from repro.core.search import TreeSearch
+from repro.errors import PlanningError
 from repro.obs.tracer import Tracer, tracing
 from repro.perf.profiler import profiled
 from repro.query.deployment import DeploymentState
@@ -170,9 +171,21 @@ def _run(make_search, task):
             task.rates.flow_pricer(task.query), task.sink, task.connected_only,
             stats, span, constraint=_constraint(task),
         )
-        for positions in task.leaf_sets:
-            search.add_leaf_set(list(positions), positions)
-    return search.best, stats, list(span.counters.items()), prof.ops
+        try:
+            best = search.add_leaf_sets(task.leaf_sets)
+        except PlanningError as exc:
+            best = exc
+    return best, stats, list(span.counters.items()), prof.ops
+
+
+def _stacked_views(task, binds):
+    """The views of the leaf sets the level pass prices: three or more,
+    or a pair the constraint binds on (a lone view and a free pair are
+    priced in scalars)."""
+    return [
+        len(ls) for ls in task.leaf_sets
+        if all(ls.values()) and (len(ls) > 2 or (binds and len(ls) == 2))
+    ]
 
 
 def _refusals_by_rule(task):
@@ -185,7 +198,7 @@ def _refusals_by_rule(task):
     """
     constraint = _constraint(task)
     incumbent, refused, owed = None, 0, 0
-    for positions in task.leaf_sets:
+    for positions in filter(lambda ls: all(ls.values()), task.leaf_sets):
         views = list(positions)
         trees = []
         if task.connected_only:
@@ -223,16 +236,16 @@ def _assert_same_choice(task):
     most_joins = max(len(ls) for ls in task.leaf_sets) - 1
     constraint = _constraint(task)
     binds = constraint is not None and constraint.binds(task.candidates)
-    # one numpy pass per subset size, whatever the number of trees; none
-    # for a pair the constraint cannot bind on (priced in scalars) ...
-    assert ops.get("search_array_passes", 0) == sum(
-        len(ls) for ls in task.leaf_sets if len(ls) != 2 or binds
-    )
+    # one numpy pass per subset size of the largest stacked leaf set,
+    # whatever the number of trees and leaf sets: none when every leaf
+    # set is priced in scalars ...
+    assert ops.get("search_array_passes", 0) == max(_stacked_views(task, binds), default=0)
     if not binds:
         # A constraint that cannot bind on these candidates costs nothing ...
         assert "joint_validations" not in ops and "join_loads_priced" not in ops
-        # ... and Join nodes for at most one tree per leaf set.
-        assert ops.get("joins_built", 0) <= sum(len(ls) - 1 for ls in task.leaf_sets)
+        # ... and Join nodes for the winner only.
+        won = best.tree.num_joins if isinstance(best, PlacementResult) else 0
+        assert ops.get("joins_built", 0) == won
     else:
         assert ops.get("joins_built", 0) <= most_joins * ops.get("joint_validations", 0)
         assert (refused, ops.get("joint_validations", 0)) == _refusals_by_rule(task)
@@ -240,10 +253,10 @@ def _assert_same_choice(task):
         assert ops.get("joint_validations", 0) <= ref_ops.get("joint_validations", 0)
     # values and first-increment order
     assert _sans_refusals(counters) == _sans_refusals(ref_counters)
-    assert ops["placements"] == ref_ops["placements"]
-    if ref is None:
-        assert best is None
-        return best
+    assert ops.get("placements") == ref_ops.get("placements")
+    if isinstance(ref, PlanningError):
+        assert type(best) is type(ref) and str(best) == str(ref)
+        return None
     assert best.tree == ref.tree
     assert best.placement == ref.placement
     assert best.cost == ref.cost  # bit-equal, not approx
@@ -327,12 +340,10 @@ class TestWorkCounts:
                 query, list(range(num_candidates)), costs, rates.flow_pricer(query),
                 0, True, stats, span,
             )
-            for _ in range(repeats):
-                search.add_leaf_set(
-                    [frozenset((n,)) for n in names],
-                    {frozenset((n,)): (streams[n].source,) for n in names},
-                )
-        return prof.ops, span.counters, stats, search.best
+            best = search.add_leaf_sets(
+                [{frozenset((n,)): (streams[n].source,) for n in names}] * repeats
+            )
+        return prof.ops, span.counters, stats, best
 
     def test_clique_builds_one_row_per_distinct_subtree(self):
         ops, counters, stats, _ = self._search("clique")
@@ -351,11 +362,11 @@ class TestWorkCounts:
         # leaves, sizes 2..5, roots (<= views + 1): as many for 945 trees as for 42
         assert ops["search_array_passes"] == 6
         assert ops["joins_built"] == best.tree.num_joins == 5
-        # The same leaf set again ties with the incumbent everywhere:
-        # priced (another 6 passes), nothing built.
+        # The same leaf set again ties with the first everywhere: stacked
+        # into the same 6 passes, and only the winner built.
         again, _, stats, same = self._search(shape, k=6, repeats=2)
         assert stats["trees_examined"] == 2 * trees
-        assert again["search_array_passes"] == 12 and again["joins_built"] == 5
+        assert again["search_array_passes"] == 6 and again["joins_built"] == 5
         assert same.tree == best.tree and same.cost == best.cost
 
     def test_chain_builds_no_cross_product(self):
@@ -404,7 +415,7 @@ class TestConstrainedWorkCounts:
                 load_weight=0.5,
             ),
         )
-        objectives, verdicts, splits = [], [], set()
+        verdicts, splits = [], set()
         searches, plans = [], []
 
         def spy(owner, name, after):
@@ -418,22 +429,22 @@ class TestConstrainedWorkCounts:
             monkeypatch.setattr(owner, name, wrapper)
             return original
 
-        spy(LevelDP, "price", lambda out, *args: objectives.extend(out.tolist()))
         spy(PlacementConstraint, "validate",
             lambda ok, plan, placement: verdicts.append(ok))
         spy(PlacementConstraint, "join_mask",
             lambda out, sub, cand: splits.add((sub.left.sources, sub.right.sources)))
-        add_leaf_set = TreeSearch.add_leaf_set
+        scan = TreeSearch._scan
         plan = repro.TopDownOptimizer.plan
 
-        def counted_leaf_set(self, views, positions):
-            incumbent = self.best.objective if self.best is not None else None
+        def counted_scan(self, sets):
+            # Every leaf set's objectives, priced, in the order scanned.
+            objectives = [o for ls in sets if ls is not None for o in ls.objectives]
             validated = prof.ops.get("joint_validations", 0)
-            objectives.clear()
             verdicts.clear()
-            add_leaf_set(self, views, positions)
-            owed = refused = 0
-            # Objectives in enumeration order, verdicts in the order given.
+            best = scan(self, sets)
+            incumbent, owed, refused = None, 0, 0
+            # Objectives in alternative then tree order, verdicts in the
+            # order given.
             for objective in objectives:
                 if math.isfinite(objective) and (
                     incumbent is None or objective < incumbent - 1e-12
@@ -447,6 +458,7 @@ class TestConstrainedWorkCounts:
                 len(objectives), owed, refused,
                 prof.ops.get("joint_validations", 0) - validated,
             ))
+            return best
 
         def counted_plan(self, *args, **kwargs):
             splits.clear()
@@ -456,7 +468,7 @@ class TestConstrainedWorkCounts:
             finally:
                 plans.append((prof.ops.get("join_loads_priced", 0) - priced, len(splits)))
 
-        monkeypatch.setattr(TreeSearch, "add_leaf_set", counted_leaf_set)
+        monkeypatch.setattr(TreeSearch, "_scan", counted_scan)
         monkeypatch.setattr(repro.TopDownOptimizer, "plan", counted_plan)
         *fill, last = workload
         with profiled() as prof:

@@ -240,8 +240,8 @@ _CHURN = {
     "trees_enumerated": 132,
     "placements": 132,
     "cost_evaluations": 823,
-    "search_array_passes": 85,
-    "joins_built": 88,
+    "search_array_passes": 77,
+    "joins_built": 85,
     "service_ticks": 40,
     "expiry_entries_examined": 14,
 }

@@ -92,9 +92,11 @@ def _search(task, constraint):
             task.rates.flow_pricer(task.query), task.sink, task.connected_only,
             stats, span, constraint=constraint,
         )
-        for positions in task.leaf_sets:
-            search.add_leaf_set(list(positions), positions)
-    return search.best, stats, list(span.counters.items()), prof.ops
+        try:
+            best = search.add_leaf_sets(task.leaf_sets)
+        except InfeasiblePlacementError:
+            best = None
+    return best, stats, list(span.counters.items()), prof.ops
 
 
 class TestTaskDifferential:
