@@ -94,7 +94,6 @@ from repro.obs import (
     MetricRegistry,
     PlanExplanation,
     Span,
-    TraceContext,
     Tracer,
     build_explanation,
     causal_tracing,
@@ -276,7 +275,6 @@ __all__ = [
     "Span",
     "Tracer",
     "tracing",
-    "TraceContext",
     "CausalTracer",
     "causal_tracing",
     "OpProfiler",

@@ -552,7 +552,7 @@ def _cmd_trace_causal(args, world, query) -> int:
     if args.json:
         print(causal_trace_to_json(causal))
         return 0
-    trace_id = causal.trace_ids()[0]
+    root = causal.roots[0]
     summary = causal.summary()
     print(f"causal trace: {args.algorithm} deploying {query.name!r} "
           f"on {len(network.nodes())} nodes")
@@ -561,9 +561,9 @@ def _cmd_trace_causal(args, world, query) -> int:
     print(f"  hops {summary['hops']}  retransmissions "
           f"{summary['retransmissions']}  dropped {summary['dropped']}")
     print(f"  data-flow cost (sum of flow hop link_cost tags): "
-          f"{causal.flow_cost(trace_id):,.1f}/unit-time")
+          f"{causal.flow_cost(root.walk()):,.1f}/unit-time")
     print()
-    print(causal.span_tree(trace_id).render(max_depth=args.max_depth))
+    print(root.render(max_depth=args.max_depth))
     return 0
 
 

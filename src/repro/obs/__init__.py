@@ -7,11 +7,12 @@ Four layers, usable independently:
   a tracer the optimizers, the advertisement index and the lifecycle
   service report to, beside the op-count sink of
   :func:`repro.perf.profiled`; nothing installed costs nothing.
-* :mod:`repro.obs.causal` -- distributed causal tracing: a W3C-style
-  :class:`TraceContext` carried on runtime messages and propagated by
-  the simulator, so deployments, migrations and fault retransmissions
-  form per-query causal hop trees with per-link cost/delay accounting;
-  exportable as span trees, tagged JSON and Chrome trace events;
+* :mod:`repro.obs.causal` -- distributed causal tracing: each message
+  hop is a :class:`Span` with W3C-style trace, span and parent ids,
+  carried on its runtime message and linked under its cause as the
+  simulator records it, so deployments, migrations and fault
+  retransmissions form per-query span trees with per-link cost/delay
+  accounting; exportable as tagged JSON and Chrome trace events;
   ``with causal_tracing(tracer):`` installs one on the same context.
 * :mod:`repro.obs.metrics` -- a typed :class:`MetricRegistry`
   (:class:`Counter` / :class:`Gauge` / :class:`Histogram`) holding
@@ -33,7 +34,7 @@ metric naming scheme, and ``docs/telemetry.md`` for the telemetry
 pipeline.
 """
 
-from repro.obs.causal import CausalTracer, Hop, TraceContext
+from repro.obs.causal import CausalTracer
 from repro.obs.explain import PlanExplanation, build_explanation
 from repro.obs.metrics import (
     Counter,
@@ -61,8 +62,6 @@ __all__ = [
     "Span",
     "Tracer",
     "tracing",
-    "TraceContext",
-    "Hop",
     "CausalTracer",
     "causal_tracing",
     "Counter",

@@ -4,175 +4,95 @@ The span tracer (:mod:`repro.obs.tracer`) covers *in-process* work --
 one optimizer call, one service tick.  This module covers the part the
 paper's deployment-time claims actually hinge on: the
 coordinator-to-coordinator *message hops* the hierarchy produces.  A
-W3C-trace-context-style :class:`TraceContext` (trace id, span id, parent
-span id, hop count) rides on every :mod:`repro.runtime.messages`
-message; the :class:`~repro.runtime.simulator.Simulator` propagates it
-through ``send`` and through scheduled continuations, so planning,
-deployment, migration and fault-retransmission activity forms one
-causal span tree per query across coordinators.
+hop is a :class:`~repro.obs.tracer.Span` that also carries W3C-style
+ids (``trace_id``, ``span_id``, ``parent_id``) and rides on its
+:mod:`repro.runtime.messages` message; the
+:class:`~repro.runtime.simulator.Simulator` propagates it through
+``send`` and through scheduled continuations, and each hop is linked
+under its cause as it is recorded, so planning, deployment, migration
+and fault-retransmission activity forms one span tree per query across
+coordinators (:attr:`CausalTracer.roots`).
 
-Every hop carries per-link accounting tags:
+A hop span is named after the message kind and runs from the virtual
+send to the first delivery.  Its tags:
 
+* ``src``, ``dst`` and ``hop`` (depth below the root);
 * ``link_cost`` -- the traversal cost ``c(src, dst)`` of the shortest
-  path the message took (the paper's per-unit-rate communication cost);
-  data-flow hops recorded by :meth:`CausalTracer.record_flows` carry
-  ``rate x cost`` instead, so a query's flow hops sum exactly to its
-  deployment's communication cost per unit time;
-* ``link_delay`` / ``queue_delay`` -- the network propagation delay and
-  any extra transmission/queueing delay the sender (or a fault
-  middleware) added;
-* ``retransmit`` -- set on re-sends of an already-sent message by the
-  reliable-delivery layer; a retransmitted hop reuses the original
-  message's trace id and parents under the original hop, never starting
-  a fresh root.
+  path taken; data-flow hops recorded by :meth:`CausalTracer.record_flows`
+  carry ``rate x cost`` instead, so a query's flow hops sum exactly to
+  its deployment's communication cost per unit time;
+* ``retransmit`` on re-sends of an already-sent message, which reuse the
+  original's trace id and parent under the original hop -- never a
+  fresh root;
+* ``dropped`` / ``drop_reason``, and free annotations.
+
+Its counters are ``link_delay``, ``queue_delay`` (extra
+transmission/queueing delay the sender or a fault middleware added),
+``deliveries`` and, on an original hop, ``retransmissions``.
 
 The tracer is opt-in: it is a channel of the one instrumentation
 context (:func:`~repro.obs.tracer.causal_tracing`), and a simulator
 built with none installed takes the exact pre-tracing fast path, with
 messages carrying ``trace=None`` (excluded from equality and repr), so
-untraced behavior is byte-identical.
-
-Trees export three ways: :meth:`CausalTracer.span_tree` (data-only
-:class:`~repro.obs.tracer.Span` trees for rendering / the tagged-JSON
-envelope), :meth:`CausalTracer.to_dict`, and
-:meth:`CausalTracer.chrome_trace` (Chrome ``chrome://tracing`` /
-Perfetto trace-event format).
+untraced behavior is byte-identical.  Trees render and serialize like
+any span tree; :meth:`CausalTracer.to_dict` (flat hop records per
+trace) and :meth:`CausalTracer.chrome_trace` (Chrome
+``chrome://tracing`` / Perfetto trace-event format) export them all.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.obs.tracer import Span
 
-
-@dataclass(frozen=True)
-class TraceContext:
-    """W3C-style trace context carried on runtime messages.
-
-    Attributes:
-        trace_id: Identity of the whole causal tree (one per query
-            deployment / migration / drill).
-        span_id: Identity of this hop.
-        parent_id: Span id of the hop (or root) that caused this one;
-            ``None`` only on trace roots.
-        hop: Distance from the root in message hops.
-    """
-
-    trace_id: str
-    span_id: str
-    parent_id: str | None = None
-    hop: int = 0
-
-    def child(self, span_id: str) -> "TraceContext":
-        """Context for a hop caused by this one."""
-        return TraceContext(
-            trace_id=self.trace_id,
-            span_id=span_id,
-            parent_id=self.span_id,
-            hop=self.hop + 1,
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-dict (JSON-ready) form."""
-        return {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "hop": self.hop,
-        }
+#: Hop tags with a fixed slot in the JSON hop record; every other tag
+#: is a free annotation.
+_HOP_TAGS = ("src", "dst", "hop", "link_cost", "retransmit", "dropped", "drop_reason")
 
 
-@dataclass
-class Hop:
-    """One recorded message hop (or synthetic root / data-flow edge).
-
-    Attributes:
-        context: The hop's trace context.
-        kind: Message class name (``PlanRequest``, ``DeployCommand``,
-            ...), a synthetic root name (``deploy:q3``), or a data-flow
-            label (``flow:A*B``).
-        src: Sending node.
-        dst: Receiving node.
-        send_time: Virtual time the message entered the network.
-        deliver_time: Virtual time of the first delivery (``None`` if
-            dropped or still in flight).
-        link_cost: Traversal cost of the hop (``c(src, dst)``; for flow
-            hops ``rate x c(src, dst)`` -- cost per unit time).
-        link_delay: Shortest-path propagation delay.
-        queue_delay: Extra transmission/queueing delay beyond the path
-            delay (sender-specified plus middleware-injected).
-        retransmit: Whether this hop is a re-send of an earlier message.
-        retransmit_count: On the *original* hop: times it was re-sent.
-        deliveries: Delivery count (> 1 when a fault duplicated it).
-        dropped: Whether a middleware dropped the (last send of the)
-            message.
-        drop_reason: Middleware-supplied reason (``storm``,
-            ``partition``, ``outage``) when known.
-        tags: Free-form extra annotations.
-    """
-
-    context: TraceContext
-    kind: str
-    src: int
-    dst: int
-    send_time: float
-    deliver_time: float | None = None
-    link_cost: float = 0.0
-    link_delay: float = 0.0
-    queue_delay: float = 0.0
-    retransmit: bool = False
-    retransmit_count: int = 0
-    deliveries: int = 0
-    dropped: bool = False
-    drop_reason: str | None = None
-    tags: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def duration(self) -> float:
-        """Send-to-delivery virtual seconds (0.0 while undelivered)."""
-        if self.deliver_time is None:
-            return 0.0
-        return self.deliver_time - self.send_time
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-dict (JSON-ready) form."""
-        return {
-            **self.context.to_dict(),
-            "kind": self.kind,
-            "src": self.src,
-            "dst": self.dst,
-            "send_time": self.send_time,
-            "deliver_time": self.deliver_time,
-            "link_cost": self.link_cost,
-            "link_delay": self.link_delay,
-            "queue_delay": self.queue_delay,
-            "retransmit": self.retransmit,
-            "retransmit_count": self.retransmit_count,
-            "deliveries": self.deliveries,
-            "dropped": self.dropped,
-            "drop_reason": self.drop_reason,
-            "tags": dict(self.tags),
-        }
-
-
-def _message_key(src: int, dst: int, message: Any) -> tuple:
+def _message_key(src: int, dst: int, message: Any) -> tuple | None:
     """Identity of a message independent of its trace stamp.
 
     Two sends with the same key are the same protocol message -- the
-    second (and later) ones are retransmissions.
+    second (and later) ones are retransmissions.  A message that is not
+    a dataclass (a data-plane envelope) has no payload identity and is
+    never a retransmission: ``None``.
     """
-    if dataclasses.is_dataclass(message) and not isinstance(message, type):
-        payload = tuple(
-            (f.name, getattr(message, f.name))
-            for f in dataclasses.fields(message)
-            if f.name != "trace"
-        )
-    else:  # pragma: no cover - non-dataclass messages (dataplane envelopes)
-        payload = (id(message),)
+    if not dataclasses.is_dataclass(message) or isinstance(message, type):
+        return None
+    payload = tuple(
+        (f.name, getattr(message, f.name))
+        for f in dataclasses.fields(message)
+        if f.name != "trace"
+    )
     return (src, dst, type(message).__name__, payload)
+
+
+def _hop_dict(span: Span) -> dict[str, Any]:
+    """The JSON hop record of one hop span."""
+    tags, counters = span.tags, span.counters
+    return {
+        "trace_id": span.trace_id,
+        "span_id": span.span_id,
+        "parent_id": span.parent_id,
+        "hop": tags["hop"],
+        "kind": span.name,
+        "src": tags["src"],
+        "dst": tags["dst"],
+        "send_time": span.start,
+        "deliver_time": span.end,
+        "link_cost": tags.get("link_cost", 0.0),
+        "link_delay": counters.get("link_delay", 0.0),
+        "queue_delay": float(counters.get("queue_delay", 0.0)),
+        "retransmit": tags.get("retransmit", False),
+        "retransmit_count": counters.get("retransmissions", 0),
+        "deliveries": counters.get("deliveries", 0),
+        "dropped": tags.get("dropped", False),
+        "drop_reason": tags.get("drop_reason"),
+        "tags": {k: v for k, v in tags.items() if k not in _HOP_TAGS},
+    }
 
 
 class CausalTracer:
@@ -186,123 +106,111 @@ class CausalTracer:
     :meth:`~repro.adaptive.migrate.Migrator.simulate_cutover` do).  All
     ids are drawn from deterministic counters -- two identical runs
     produce identical traces.
+
+    Attributes:
+        hops: Every hop span, in record order.
+        roots: The root span of every tree, in creation order; each
+            hop is linked under its cause as it is recorded.
     """
 
     def __init__(self) -> None:
-        self.hops: list[Hop] = []
-        self._by_span: dict[str, Hop] = {}
-        self._roots: list[Hop] = []
-        self._seen: dict[tuple, Hop] = {}
-        self._active: TraceContext | None = None
+        self.hops: list[Span] = []
+        self.roots: list[Span] = []
+        self._seen: dict[tuple, Span] = {}
+        self._active: Span | None = None
         self._next_trace = 0
         self._next_span = 0
 
     # ------------------------------------------------------------------
-    # Id generation (deterministic)
-    # ------------------------------------------------------------------
-    def _trace_id(self) -> str:
-        self._next_trace += 1
-        return f"trace-{self._next_trace:04d}"
-
-    def _span_id(self) -> str:
-        self._next_span += 1
-        return f"s{self._next_span:06d}"
-
-    # ------------------------------------------------------------------
     # Context management
     # ------------------------------------------------------------------
-    def activate(self, ctx: TraceContext | None) -> TraceContext | None:
-        """Make ``ctx`` the active cause; returns the previous one."""
+    def activate(self, span: Span | None) -> Span | None:
+        """Make ``span`` the active cause; returns the previous one."""
         prev = self._active
-        self._active = ctx
+        self._active = span
         return prev
 
-    def deactivate(self, prev: TraceContext | None) -> None:
-        """Restore a previously active context."""
-        self._active = prev
-
     def bind(self, action: Callable[[], Any]) -> Callable[[], Any]:
-        """Close ``action`` over the current context.
+        """Close ``action`` over the current cause.
 
         The simulator wraps every scheduled callback with this, so
         local work (planning compute, drain timers, retransmission
         timers) keeps its causal parent across virtual time.
         """
-        ctx = self._active
+        span = self._active
 
         def bound() -> Any:
-            prev = self.activate(ctx)
+            prev = self.activate(span)
             try:
                 return action()
             finally:
-                self.deactivate(prev)
+                self.activate(prev)
 
         return bound
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def new_trace(self, name: str, node: int = -1, **tags: Any) -> TraceContext:
+    def _record(
+        self, kind: str, src: int, dst: int, time: float, cause: Span | None,
+        link_cost: float = 0.0, link_delay: float = 0.0, **tags: Any,
+    ) -> Span:
+        """Record one hop span linked under ``cause`` (a fresh root
+        when ``None``): a child keeps the trace id, parents under the
+        cause's span id and is one hop deeper."""
+        hop = 0 if cause is None else cause.tags["hop"] + 1
+        span = Span(kind, {"src": src, "dst": dst, "hop": hop})
+        if link_cost:
+            span.tags["link_cost"] = link_cost
+        span.tags.update(tags)
+        if link_delay:
+            span.counters["link_delay"] = link_delay
+        span.start = time
+        self._next_span += 1
+        span.span_id = f"s{self._next_span:06d}"
+        if cause is None:
+            self._next_trace += 1
+            span.trace_id = f"trace-{self._next_trace:04d}"
+            self.roots.append(span)
+        else:
+            span.trace_id, span.parent_id = cause.trace_id, cause.span_id
+            cause.children.append(span)
+        self.hops.append(span)
+        return span
+
+    def new_trace(self, name: str, node: int = -1, **tags: Any) -> Span:
         """Open a new causal tree; returns (and activates) its root.
 
         Args:
             name: Root label (``deploy:q3``, ``migrate:q7``).
             node: Node the root activity happens on (the sink, usually).
-            **tags: Extra annotations stored on the root hop.
+            **tags: Extra annotations stored on the root span.
         """
-        ctx = TraceContext(trace_id=self._trace_id(), span_id=self._span_id())
-        root = Hop(
-            context=ctx, kind=name, src=node, dst=node,
-            send_time=0.0, deliver_time=0.0, tags=dict(tags),
-        )
-        self._register(root)
-        self._roots.append(root)
-        self._active = ctx
-        return ctx
-
-    def _register(self, hop: Hop) -> None:
-        self.hops.append(hop)
-        self._by_span[hop.context.span_id] = hop
+        root = self._record(name, node, node, 0.0, None, **tags)
+        root.end = 0.0
+        self._active = root
+        return root
 
     def record_hop(
-        self,
-        kind: str,
-        src: int,
-        dst: int,
-        time: float,
-        parent: TraceContext | None = None,
-        link_cost: float = 0.0,
-        link_delay: float = 0.0,
-        delivered: bool = True,
-        **tags: Any,
-    ) -> Hop:
-        """Record a synthetic hop (submission-chain relays, flow edges).
+        self, kind: str, src: int, dst: int, time: float, parent: Span | None = None,
+        link_cost: float = 0.0, link_delay: float = 0.0, **tags: Any,
+    ) -> Span:
+        """Record a delivered synthetic hop (submission-chain relays,
+        flow edges).
 
-        The hop parents under ``parent`` (default: the active context;
-        a fresh root when neither exists).
+        The hop parents under ``parent`` (default: the active cause; a
+        fresh root when neither exists).
         """
         cause = parent if parent is not None else self._active
-        if cause is None:
-            ctx = TraceContext(trace_id=self._trace_id(), span_id=self._span_id())
-        else:
-            ctx = cause.child(self._span_id())
-        hop = Hop(
-            context=ctx, kind=kind, src=src, dst=dst,
-            send_time=time,
-            deliver_time=(time + link_delay) if delivered else None,
-            link_cost=link_cost, link_delay=link_delay,
-            deliveries=1 if delivered else 0,
-            tags=dict(tags),
-        )
-        self._register(hop)
-        if cause is None:
-            self._roots.append(hop)
-        return hop
+        span = self._record(kind, src, dst, time, cause, link_cost, link_delay, **tags)
+        span.end = time + link_delay
+        span.incr("deliveries")
+        return span
 
     # -- simulator hook points -----------------------------------------
     def on_send(
         self, sim, src: int, dst: int, message: Any, link_delay: float,
-    ) -> tuple[Any, Hop]:
+    ) -> tuple[Any, Span]:
         """Record one :meth:`Simulator.send`; returns the stamped message.
 
         Re-sends of an already-seen message (same payload, endpoints)
@@ -311,36 +219,19 @@ class CausalTracer:
         """
         key = _message_key(src, dst, message)
         original = self._seen.get(key)
-        kind = type(message).__name__
-        link_cost = self._link_cost(sim, src, dst)
+        span = self._record(
+            type(message).__name__, src, dst, sim.now,
+            original if original is not None else self._active,
+            self._link_cost(sim, src, dst), link_delay,
+        )
         if original is not None:
-            ctx = original.context.child(self._span_id())
-            hop = Hop(
-                context=ctx, kind=kind, src=src, dst=dst,
-                send_time=sim.now, link_cost=link_cost,
-                link_delay=link_delay, retransmit=True,
-            )
-            original.retransmit_count += 1
-        else:
-            cause = self._active
-            if cause is None:
-                ctx = TraceContext(
-                    trace_id=self._trace_id(), span_id=self._span_id()
-                )
-            else:
-                ctx = cause.child(self._span_id())
-            hop = Hop(
-                context=ctx, kind=kind, src=src, dst=dst,
-                send_time=sim.now, link_cost=link_cost,
-                link_delay=link_delay,
-            )
-            self._seen[key] = hop
-            if cause is None:
-                self._roots.append(hop)
-        self._register(hop)
-        if dataclasses.is_dataclass(message) and hasattr(message, "trace"):
-            message = dataclasses.replace(message, trace=hop.context)
-        return message, hop
+            span.tags["retransmit"] = True
+            original.incr("retransmissions")
+        elif key is not None:
+            self._seen[key] = span
+        if key is not None and hasattr(message, "trace"):
+            message = dataclasses.replace(message, trace=span)
+        return message, span
 
     @staticmethod
     def _link_cost(sim, src: int, dst: int) -> float:
@@ -348,30 +239,24 @@ class CausalTracer:
             return 0.0
         return float(sim.network.cost_matrix()[src, dst])
 
-    def on_deliver(self, hop: Hop, now: float) -> None:
+    def on_deliver(self, span: Span, now: float) -> None:
         """Record a delivery of a sent hop (first delivery sets timing)."""
-        hop.deliveries += 1
-        if hop.deliver_time is None:
-            hop.deliver_time = now
+        span.incr("deliveries")
+        if span.end is None:
+            span.end = now
 
-    def on_drop(self, hop: Hop, reason: str | None = None) -> None:
+    def on_drop(self, span: Span, reason: str | None = None) -> None:
         """Record a middleware drop of a sent hop."""
-        hop.dropped = True
+        span.tags["dropped"] = True
         if reason is not None:
-            hop.drop_reason = reason
+            span.tags["drop_reason"] = reason
 
-    def on_extra_delay(self, hop: Hop, extra: float) -> None:
+    def on_extra_delay(self, span: Span, extra: float) -> None:
         """Account middleware-injected delay on the hop."""
-        hop.queue_delay += extra
+        span.incr("queue_delay", extra)
 
     # -- data-flow accounting ------------------------------------------
-    def record_flows(
-        self,
-        deployment,
-        costs,
-        rates,
-        parent: TraceContext | None = None,
-    ) -> list[Hop]:
+    def record_flows(self, deployment, costs, rates, parent: Span | None = None) -> list[Span]:
         """Record the deployment's data-flow edges as costed hops.
 
         One hop per plan edge (child operator -> parent join, plus the
@@ -393,7 +278,7 @@ class CausalTracer:
         def label(sub) -> str:
             return "*".join(sorted(sub.sources))
 
-        recorded: list[Hop] = []
+        recorded: list[Span] = []
         for join in deployment.plan.joins():
             node = deployment.placement[join]
             for child in (join.left, join.right):
@@ -417,84 +302,24 @@ class CausalTracer:
     # ------------------------------------------------------------------
     # Inspection and export
     # ------------------------------------------------------------------
-    def trace_ids(self) -> list[str]:
-        """Ids of every collected tree, in creation order."""
-        out: list[str] = []
-        for root in self._roots:
-            if root.context.trace_id not in out:
-                out.append(root.context.trace_id)
-        return out
-
-    def hops_of(self, trace_id: str) -> list[Hop]:
-        """All hops of one tree, in record order."""
-        return [h for h in self.hops if h.context.trace_id == trace_id]
-
-    def flow_cost(self, trace_id: str) -> float:
-        """Sum of the tree's data-flow ``link_cost`` tags."""
-        return sum(
-            h.link_cost for h in self.hops_of(trace_id)
-            if h.tags.get("flow")
-        )
-
-    def retransmissions(self, trace_id: str | None = None) -> int:
-        """Retransmitted hops recorded (optionally in one tree)."""
-        hops = self.hops if trace_id is None else self.hops_of(trace_id)
-        return sum(1 for h in hops if h.retransmit)
-
-    def span_tree(self, trace_id: str) -> Span:
-        """One tree as a data-only :class:`~repro.obs.tracer.Span` tree.
-
-        Spans carry the hop tags (``src``, ``dst``, ``link_cost``,
-        ``queue_delay``, ``retransmit``, ...) and time from send to
-        delivery, so the usual rendering and JSON envelope apply.
-        """
-        hops = self.hops_of(trace_id)
-        if not hops:
-            raise KeyError(f"unknown trace {trace_id!r}")
-        spans: dict[str, Span] = {}
-        for hop in hops:
-            span = Span(hop.kind, self._span_tags(hop))
-            span.start = hop.send_time
-            span.end = hop.deliver_time if hop.deliver_time is not None else hop.send_time
-            spans[hop.context.span_id] = span
-        root: Span | None = None
-        for hop in hops:
-            span = spans[hop.context.span_id]
-            parent = (
-                spans.get(hop.context.parent_id)
-                if hop.context.parent_id is not None
-                else None
-            )
-            if parent is not None:
-                parent.children.append(span)
-            elif root is None:
-                root = span
-            else:  # pragma: no cover - multiple roots in one trace id
-                root.children.append(span)
-        assert root is not None
-        return root
-
     @staticmethod
-    def _span_tags(hop: Hop) -> dict[str, Any]:
-        tags: dict[str, Any] = {
-            "src": hop.src, "dst": hop.dst, "hop": hop.context.hop,
-        }
-        if hop.link_cost:
-            tags["link_cost"] = hop.link_cost
-        if hop.queue_delay:
-            tags["queue_delay"] = hop.queue_delay
-        if hop.retransmit:
-            tags["retransmit"] = True
-        if hop.retransmit_count:
-            tags["retransmissions"] = hop.retransmit_count
-        if hop.dropped:
-            tags["dropped"] = True
-            if hop.drop_reason:
-                tags["drop_reason"] = hop.drop_reason
-        if hop.deliveries > 1:
-            tags["deliveries"] = hop.deliveries
-        tags.update(hop.tags)
-        return tags
+    def flow_cost(spans: Iterable[Span]) -> float:
+        """Sum of the hops' data-flow ``link_cost`` tags (pass
+        ``root.walk()`` for one tree)."""
+        return sum(s.tags.get("link_cost", 0.0) for s in spans if s.tags.get("flow"))
+
+    def retransmissions(self, spans: Iterable[Span] | None = None) -> int:
+        """Retransmitted hops among ``spans`` (default: all recorded)."""
+        spans = self.hops if spans is None else spans
+        return sum(1 for s in spans if s.tags.get("retransmit"))
+
+    def _traces(self) -> dict[str, list[Span]]:
+        """Every tree's hops in record order, keyed by trace id in
+        creation order -- one pass over the hops."""
+        traces: dict[str, list[Span]] = {root.trace_id: [] for root in self.roots}
+        for span in self.hops:
+            traces[span.trace_id].append(span)
+        return traces
 
     def to_dict(self) -> dict[str, Any]:
         """Plain-dict (JSON-ready) form: every hop, grouped by trace."""
@@ -502,11 +327,11 @@ class CausalTracer:
             "traces": [
                 {
                     "trace_id": trace_id,
-                    "hops": [h.to_dict() for h in self.hops_of(trace_id)],
-                    "flow_cost": self.flow_cost(trace_id),
-                    "retransmissions": self.retransmissions(trace_id),
+                    "hops": [_hop_dict(span) for span in spans],
+                    "flow_cost": self.flow_cost(spans),
+                    "retransmissions": self.retransmissions(spans),
                 }
-                for trace_id in self.trace_ids()
+                for trace_id, spans in self._traces().items()
             ]
         }
 
@@ -516,30 +341,27 @@ class CausalTracer:
         Load the JSON list into ``chrome://tracing`` or Perfetto: each
         trace is a process, each receiving node a thread, each hop a
         complete ("X") event spanning send to delivery; timestamps are
-        virtual microseconds.
+        virtual microseconds.  A hop's tags and counters are its args.
         """
-        pids = {tid: i + 1 for i, tid in enumerate(self.trace_ids())}
-        events: list[dict[str, Any]] = []
-        for trace_id, pid in pids.items():
+        pids = {root.trace_id: i + 1 for i, root in enumerate(self.roots)}
+        events: list[dict[str, Any]] = [
+            {"ph": "M", "pid": pid, "name": "process_name", "args": {"name": trace_id}}
+            for trace_id, pid in pids.items()
+        ]
+        for span in self.hops:
             events.append({
-                "ph": "M", "pid": pid, "name": "process_name",
-                "args": {"name": trace_id},
-            })
-        for hop in self.hops:
-            pid = pids[hop.context.trace_id]
-            end = hop.deliver_time if hop.deliver_time is not None else hop.send_time
-            events.append({
-                "name": hop.kind,
-                "cat": "causal" if not hop.tags.get("flow") else "flow",
+                "name": span.name,
+                "cat": "flow" if span.tags.get("flow") else "causal",
                 "ph": "X",
-                "pid": pid,
-                "tid": max(hop.dst, 0),
-                "ts": hop.send_time * 1e6,
-                "dur": max((end - hop.send_time) * 1e6, 0.0),
+                "pid": pids[span.trace_id],
+                "tid": max(span.tags["dst"], 0),
+                "ts": span.start * 1e6,
+                "dur": max(span.duration * 1e6, 0.0),
                 "args": {
-                    "span_id": hop.context.span_id,
-                    "parent_id": hop.context.parent_id,
-                    **self._span_tags(hop),
+                    "span_id": span.span_id,
+                    "parent_id": span.parent_id,
+                    **span.tags,
+                    **dict(sorted(span.counters.items())),
                 },
             })
         return events
@@ -547,12 +369,11 @@ class CausalTracer:
     def summary(self) -> dict[str, Any]:
         """Counters for reports."""
         return {
-            "traces": len(self.trace_ids()),
+            "traces": len(self.roots),
             "hops": len(self.hops),
             "retransmissions": self.retransmissions(),
-            "dropped": sum(1 for h in self.hops if h.dropped),
+            "dropped": sum(1 for s in self.hops if s.tags.get("dropped")),
             "duplicated_deliveries": sum(
-                max(0, h.deliveries - 1) for h in self.hops
+                max(0, s.counters.get("deliveries", 0) - 1) for s in self.hops
             ),
         }
-

@@ -74,7 +74,7 @@ class FlightRecorder:
         self.record("event", time, scope, **data)
 
     def record_hops(self, scope: str, hops: Iterable[Any]) -> int:
-        """Append causal message hops (:class:`~repro.obs.causal.Hop`).
+        """Append causal message hops (:class:`~repro.obs.tracer.Span` objects).
 
         Only structural fields are kept -- trace id, hop kind, endpoints
         and virtual times -- so bundles stay deterministic and small.
@@ -83,13 +83,13 @@ class FlightRecorder:
         for hop in hops:
             self.record(
                 "hop",
-                hop.send_time,
+                hop.start,
                 scope,
-                trace_id=hop.context.trace_id,
-                hop_kind=hop.kind,
-                src=hop.src,
-                dst=hop.dst,
-                deliver_time=hop.deliver_time,
+                trace_id=hop.trace_id,
+                hop_kind=hop.name,
+                src=hop.tags["src"],
+                dst=hop.tags["dst"],
+                deliver_time=hop.end,
             )
             n += 1
         return n

@@ -56,9 +56,17 @@ from typing import Any, Callable, Iterator
 
 
 class Span:
-    """One timed, taggable unit of work in a trace tree."""
+    """One timed, taggable unit of work in a trace tree.
 
-    __slots__ = ("name", "tags", "counters", "children", "start", "end", "_tracer")
+    A causal message hop (:mod:`repro.obs.causal`) is a span too; it
+    also carries ``trace_id``, ``span_id`` and ``parent_id``, which stay
+    ``None`` on nominal spans and out of :meth:`to_dict`.
+    """
+
+    __slots__ = (
+        "name", "tags", "counters", "children", "start", "end", "_tracer",
+        "trace_id", "span_id", "parent_id",
+    )
 
     def __init__(
         self,
@@ -73,6 +81,9 @@ class Span:
         self.start: float | None = None
         self.end: float | None = None
         self._tracer = tracer
+        self.trace_id: str | None = None
+        self.span_id: str | None = None
+        self.parent_id: str | None = None
 
     # -- context manager ----------------------------------------------
     def __enter__(self) -> "Span":

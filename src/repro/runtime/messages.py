@@ -1,18 +1,18 @@
 """Protocol message vocabulary for the deployment protocol simulation.
 
-Every message optionally carries a causal :class:`~repro.obs.causal.TraceContext`
-stamp.  The stamp is excluded from equality, hashing and repr, so stamped
-and unstamped messages compare equal -- delivery deduplication and the
+Every message optionally carries its causal hop as a ``trace`` stamp: the
+:class:`~repro.obs.tracer.Span` a :class:`~repro.obs.causal.CausalTracer`
+recorded for the send, with its trace, span and parent ids.  The stamp is
+excluded from equality, hashing and repr, so stamped and unstamped
+messages compare equal -- delivery deduplication and the
 byte-identical-with-tracing-disabled contract both rely on this.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.causal import TraceContext
+from repro.obs.tracer import Span
 
 @dataclass(frozen=True)
 class QuerySubmit:
@@ -25,7 +25,7 @@ class QuerySubmit:
 
     query_name: str
     sink: int
-    trace: "TraceContext | None" = field(default=None, compare=False, repr=False)
+    trace: Span | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class PlanRequest:
 
     query_name: str
     task_index: int
-    trace: "TraceContext | None" = field(default=None, compare=False, repr=False)
+    trace: Span | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class DeployCommand:
 
     query_name: str
     operator_label: str
-    trace: "TraceContext | None" = field(default=None, compare=False, repr=False)
+    trace: Span | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class DeployAck:
 
     query_name: str
     operator_label: str
-    trace: "TraceContext | None" = field(default=None, compare=False, repr=False)
+    trace: Span | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ class Advertisement:
 
     view_label: str
     node: int
-    trace: "TraceContext | None" = field(default=None, compare=False, repr=False)
+    trace: Span | None = field(default=None, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +97,7 @@ class PauseCommand:
 
     query_name: str
     operator_label: str
-    trace: "TraceContext | None" = field(default=None, compare=False, repr=False)
+    trace: Span | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ class PauseAck:
 
     query_name: str
     operator_label: str
-    trace: "TraceContext | None" = field(default=None, compare=False, repr=False)
+    trace: Span | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ class TransferCommand:
     operator_label: str
     dest: int
     nbytes: float
-    trace: "TraceContext | None" = field(default=None, compare=False, repr=False)
+    trace: Span | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ class StateChunk:
     query_name: str
     operator_label: str
     nbytes: float
-    trace: "TraceContext | None" = field(default=None, compare=False, repr=False)
+    trace: Span | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ class StateAck:
 
     query_name: str
     operator_label: str
-    trace: "TraceContext | None" = field(default=None, compare=False, repr=False)
+    trace: Span | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ class ResumeCommand:
 
     query_name: str
     operator_label: str
-    trace: "TraceContext | None" = field(default=None, compare=False, repr=False)
+    trace: Span | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -161,4 +161,4 @@ class ResumeAck:
 
     query_name: str
     operator_label: str
-    trace: "TraceContext | None" = field(default=None, compare=False, repr=False)
+    trace: Span | None = field(default=None, compare=False, repr=False)

@@ -248,9 +248,9 @@ def simulate_deployment(
 
     sink = deployment.query.sink
     trace = current_causal()
-    root_ctx = None
+    root = None
     if trace is not None:
-        root_ctx = trace.new_trace(
+        root = trace.new_trace(
             f"deploy:{deployment.query.name}",
             node=sink,
             optimizer=deployment.stats.get("algorithm"),
@@ -264,20 +264,19 @@ def simulate_deployment(
         chain.append(ctx.trace[0]["node"])
     hops = [sink] + chain
     delay = 0.0
-    relay_parent = root_ctx
+    relay_parent = root
     for a, b in zip(hops[:-1], hops[1:]):
         if a != b:
             hop_delay = network.path_delay(a, b)
             delay += hop_delay
             sim.messages_delivered += 1
             if trace is not None:
-                relay = trace.record_hop(
+                relay_parent = trace.record_hop(
                     "QuerySubmit", a, b, time=start_time + delay - hop_delay,
                     parent=relay_parent,
                     link_cost=float(network.cost_matrix()[a, b]),
                     link_delay=hop_delay, relay=True,
                 )
-                relay_parent = relay.context
     if trace is not None:
         # The first planning task is caused by the last relay hop.
         trace.activate(relay_parent)
@@ -291,9 +290,7 @@ def simulate_deployment(
         trace.activate(None)
     sim.run()
     if trace is not None and rates is not None:
-        trace.record_flows(
-            deployment, network.cost_matrix(), rates, parent=root_ctx
-        )
+        trace.record_flows(deployment, network.cost_matrix(), rates, parent=root)
     if ctx.finish_time is None:
         raise RuntimeError(
             "protocol simulation never completed"

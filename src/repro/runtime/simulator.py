@@ -12,10 +12,10 @@ With no middleware registered (the default), :meth:`Simulator.send`
 takes the exact pre-middleware fast path, byte for byte.
 
 A simulator built under ``with causal_tracing(tracer):`` records into
-that :class:`~repro.obs.causal.CausalTracer`: messages get stamped with
-a child :class:`~repro.obs.causal.TraceContext`, scheduled
-continuations are bound to the context active when they were scheduled,
-and drops/deliveries/extra delays are accounted on the recorded hop.
+that :class:`~repro.obs.causal.CausalTracer`: every message is stamped
+with its hop span, linked under the hop or root that caused it;
+scheduled continuations are bound to the cause active when they were
+scheduled, and drops/deliveries/extra delays are accounted on the hop.
 With no causal tracer installed (the default) all of this is skipped
 and behavior is byte-identical.
 """
@@ -83,8 +83,8 @@ class Simulator:
     def schedule(self, delay: float, action: Callable[[], Any]) -> None:
         """Run ``action`` after ``delay`` seconds of virtual time.
 
-        With a causal tracer recording, the action is bound to the trace
-        context active *now*, so local continuations (planning compute,
+        With a causal tracer recording, the action is bound to the causal
+        span active *now*, so local continuations (planning compute,
         drain timers, retransmission timers) keep their causal parent.
         """
         if delay < 0:
@@ -109,11 +109,11 @@ class Simulator:
             self.messages_delivered += 1
             if hop is not None:
                 self._trace.on_deliver(hop, self.now)
-                prev = self._trace.activate(hop.context)
+                prev = self._trace.activate(hop)
                 try:
                     self._nodes[dst].on_message(src, message)
                 finally:
-                    self._trace.deactivate(prev)
+                    self._trace.activate(prev)
             else:
                 self._nodes[dst].on_message(src, message)
 

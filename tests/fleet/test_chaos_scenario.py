@@ -48,12 +48,11 @@ class TestChaosTelemetryScenario:
         for bundle in flight["bundles"]:
             bundle_ids.update(bundle["trace_ids"])
         assert bundle_ids, "bundles carry no causal annotations"
-        known = set(result.causal.trace_ids())
-        assert bundle_ids <= known
+        roots = {root.trace_id: root for root in result.causal.roots}
+        assert bundle_ids <= set(roots)
         # and every id expands to a real span tree
         for trace_id in bundle_ids:
-            tree = result.causal.span_tree(trace_id)
-            assert tree is not None
+            assert all(s.trace_id == trace_id for s in roots[trace_id].walk())
 
     def test_breaker_open_bundles_emitted(self):
         result = chaos_telemetry_scenario(seed=7)

@@ -1,4 +1,4 @@
-"""Causal tracer: contexts, hops, trees, exports, flow-cost accounting."""
+"""Causal tracer: hop spans, their ids, trees, exports, flow-cost accounting."""
 
 import pytest
 
@@ -6,7 +6,7 @@ from repro.core import TopDownOptimizer
 from repro.core.cost import deployment_cost
 from repro.hierarchy import build_hierarchy
 from repro.network.topology import transit_stub_by_size
-from repro.obs import CausalTracer, TraceContext, causal_tracing
+from repro.obs import CausalTracer, Span, causal_tracing
 from repro.runtime import simulate_deployment
 from repro.runtime.messages import DeployCommand
 from repro.runtime.simulator import Simulator, SimNode
@@ -32,24 +32,24 @@ def env():
     return net, rates, deployment
 
 
-class TestTraceContext:
+class TestSpanIds:
     def test_child_links_and_counts_hops(self):
-        root = TraceContext(trace_id="t", span_id="a")
-        child = root.child("b")
-        grandchild = child.child("c")
-        assert child.trace_id == "t"
-        assert child.parent_id == "a"
-        assert child.hop == 1
-        assert grandchild.parent_id == "b"
-        assert grandchild.hop == 2
+        tracer = CausalTracer()
+        root = tracer.new_trace("deploy:q")
+        child = tracer.record_hop("QuerySubmit", 0, 1, time=0.0)
+        grandchild = tracer.record_hop("PlanRequest", 1, 2, time=0.0, parent=child)
+        assert child.trace_id == grandchild.trace_id == root.trace_id
+        assert child.parent_id == root.span_id
+        assert child.tags["hop"] == 1
+        assert grandchild.parent_id == child.span_id
+        assert grandchild.tags["hop"] == 2
+        assert root.children == [child] and child.children == [grandchild]
 
-    def test_is_frozen_and_json_ready(self):
-        ctx = TraceContext(trace_id="t", span_id="a")
-        with pytest.raises(AttributeError):
-            ctx.span_id = "other"
-        assert ctx.to_dict() == {
-            "trace_id": "t", "span_id": "a", "parent_id": None, "hop": 0,
-        }
+    def test_ids_stay_out_of_the_span_dict(self):
+        root = CausalTracer().new_trace("deploy:q")
+        assert root.parent_id is None and root.span_id
+        for span in (root, Span("nominal")):
+            assert not {"trace_id", "span_id", "parent_id"} & set(span.to_dict())
 
 
 class TestCausalTracerUnits:
@@ -59,7 +59,7 @@ class TestCausalTracerUnits:
             tracer.new_trace("deploy:q", node=3)
             tracer.record_hop("QuerySubmit", 3, 5, time=0.0)
             tracer.record_hop("PlanRequest", 5, 7, time=1.0)
-            return [h.context.span_id for h in tracer.hops]
+            return [h.span_id for h in tracer.hops]
 
         assert collect() == collect()
 
@@ -67,33 +67,29 @@ class TestCausalTracerUnits:
         tracer = CausalTracer()
         root = tracer.new_trace("deploy:q", node=3, est_cost=12.5)
         hop = tracer.record_hop("QuerySubmit", 3, 5, time=0.0, link_delay=0.01)
-        assert hop.context.trace_id == root.trace_id
-        assert hop.context.parent_id == root.span_id
-        assert hop.deliver_time == pytest.approx(0.01)
-        assert tracer.trace_ids() == [root.trace_id]
+        assert hop.trace_id == root.trace_id
+        assert hop.parent_id == root.span_id
+        assert hop.end == pytest.approx(0.01)
+        assert tracer.roots == [root]
 
     def test_record_hop_without_context_opens_a_root(self):
         tracer = CausalTracer()
         hop = tracer.record_hop("DeployCommand", 1, 2, time=0.0)
-        assert hop.context.parent_id is None
-        assert tracer.trace_ids() == [hop.context.trace_id]
+        assert hop.parent_id is None
+        assert tracer.roots == [hop]
 
     def test_span_tree_carries_hop_tags(self):
         tracer = CausalTracer()
         tracer.new_trace("deploy:q", node=3)
         tracer.record_hop("QuerySubmit", 3, 5, time=0.0, link_cost=4.0)
-        tree = tracer.span_tree(tracer.trace_ids()[0])
+        (tree,) = tracer.roots
         assert tree.name == "deploy:q"
         (child,) = tree.children
         assert child.name == "QuerySubmit"
         assert child.tags["src"] == 3
         assert child.tags["dst"] == 5
         assert child.tags["link_cost"] == 4.0
-        assert tracer.span_tree(tracer.trace_ids()[0]).render()
-
-    def test_span_tree_unknown_trace_raises(self):
-        with pytest.raises(KeyError):
-            CausalTracer().span_tree("nope")
+        assert tree.render()
 
     def test_nothing_installed_records_nothing(self):
         net = transit_stub_by_size(16, seed=1)
@@ -114,7 +110,7 @@ class TestCausalTracerUnits:
         sim.run()
         assert received == [DeployCommand("q", "op1")]
         assert received[0].trace is None
-        assert tracer.hops == [] and tracer.trace_ids() == []
+        assert tracer.hops == [] and tracer.roots == []
 
 
 class TestSimulatorIntegration:
@@ -138,12 +134,12 @@ class TestSimulatorIntegration:
         sim.send(0, 5, DeployCommand("q", "op1"))
         sim.run()
         (root_hop, hop) = tracer.hops
-        assert hop.kind == "DeployCommand"
-        assert hop.context.trace_id == root.trace_id
-        assert hop.link_cost == pytest.approx(float(net.cost_matrix()[0, 5]))
-        assert hop.link_delay == pytest.approx(net.path_delay(0, 5))
-        assert hop.deliveries == 1
-        assert hop.deliver_time == pytest.approx(hop.send_time + hop.link_delay)
+        assert hop.name == "DeployCommand"
+        assert hop.trace_id == root.trace_id
+        assert hop.tags["link_cost"] == pytest.approx(float(net.cost_matrix()[0, 5]))
+        assert hop.counters["link_delay"] == pytest.approx(net.path_delay(0, 5))
+        assert hop.counters["deliveries"] == 1
+        assert hop.end == pytest.approx(hop.start + hop.counters["link_delay"])
 
     def test_resend_is_a_retransmit_under_the_original(self):
         net = transit_stub_by_size(16, seed=1)
@@ -155,14 +151,14 @@ class TestSimulatorIntegration:
         sim.send(0, 5, DeployCommand("q", "op1"))  # same identity, new object
         sim.run()
         _, first, resend = tracer.hops
-        assert not first.retransmit
-        assert first.retransmit_count == 1
-        assert resend.retransmit
-        assert resend.context.trace_id == first.context.trace_id
-        assert resend.context.parent_id == first.context.span_id
+        assert not first.tags.get("retransmit")
+        assert first.counters["retransmissions"] == 1
+        assert resend.tags["retransmit"]
+        assert resend.trace_id == first.trace_id
+        assert resend.parent_id == first.span_id
         assert tracer.retransmissions() == 1
         # one tree, no fresh roots
-        assert len(tracer.trace_ids()) == 1
+        assert len(tracer.roots) == 1
 
 
 class TestFlowAccounting:
@@ -171,18 +167,17 @@ class TestFlowAccounting:
         tracer = CausalTracer()
         with causal_tracing(tracer):
             simulate_deployment(net, deployment, rates=rates)
-        (trace_id,) = tracer.trace_ids()
+        (root,) = tracer.roots
         expected = deployment_cost(deployment, net.cost_matrix(), rates)
-        assert tracer.flow_cost(trace_id) == pytest.approx(expected, rel=0, abs=1e-9)
+        assert tracer.flow_cost(root.walk()) == pytest.approx(expected, rel=0, abs=1e-9)
 
     def test_every_hop_lands_in_the_single_deploy_tree(self, env):
         net, rates, deployment = env
         tracer = CausalTracer()
         with causal_tracing(tracer):
             timeline = simulate_deployment(net, deployment, rates=rates)
-        (trace_id,) = tracer.trace_ids()
-        assert all(h.context.trace_id == trace_id for h in tracer.hops)
-        tree = tracer.span_tree(trace_id)
+        (tree,) = tracer.roots
+        assert all(h.trace_id == tree.trace_id for h in tracer.hops)
         assert tree.name == f"deploy:{deployment.query.name}"
         # the whole tree hangs off one root: every span is reachable
         assert sum(1 for _ in tree.walk()) == len(tracer.hops)
@@ -190,7 +185,7 @@ class TestFlowAccounting:
         # (the synthetic root contributes none, flow hops are costed
         # edges, relays count one each)
         delivered = sum(
-            h.deliveries for h in tracer.hops if not h.tags.get("flow")
+            h.counters.get("deliveries", 0) for h in tracer.hops if not h.tags.get("flow")
         )
         assert delivered == timeline.messages
 
@@ -204,9 +199,7 @@ class TestExports:
         doc = causal_trace_from_json(causal_trace_to_json(tracer))
         assert doc["kind"] == "repro.causal_trace"
         (trace,) = doc["traces"]
-        assert trace["flow_cost"] == pytest.approx(
-            tracer.flow_cost(trace["trace_id"])
-        )
+        assert trace["flow_cost"] == pytest.approx(tracer.flow_cost(tracer.hops))
         assert len(trace["hops"]) == len(tracer.hops)
         assert doc["summary"]["hops"] == len(tracer.hops)
 
@@ -221,7 +214,7 @@ class TestExports:
         meta = [e for e in events if e["ph"] == "M"]
         spans = [e for e in events if e["ph"] == "X"]
         assert len(meta) == 1  # one process per trace
-        assert meta[0]["args"]["name"] == tracer.trace_ids()[0]
+        assert meta[0]["args"]["name"] == tracer.roots[0].trace_id
         assert len(spans) == len(tracer.hops)
         for event in spans:
             assert event["ts"] >= 0.0

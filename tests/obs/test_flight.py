@@ -6,17 +6,13 @@ from types import SimpleNamespace
 import pytest
 
 from repro.obs.flight import BUNDLE_KIND, FlightRecorder
+from repro.obs.tracer import Span
 
 
 def hop(trace_id, send=1.0, deliver=1.1, src=0, dst=1, kind="deploy"):
-    return SimpleNamespace(
-        context=SimpleNamespace(trace_id=trace_id),
-        kind=kind,
-        src=src,
-        dst=dst,
-        send_time=send,
-        deliver_time=deliver,
-    )
+    span = Span(kind, {"src": src, "dst": dst})
+    span.trace_id, span.start, span.end = trace_id, send, deliver
+    return span
 
 
 class TestFlightRecorder:

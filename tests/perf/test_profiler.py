@@ -119,8 +119,8 @@ class TestContextIsolation:
         with causal_tracing(ours):
             contextvars.copy_context().run(sibling)
             send(0, 5)
-        assert [(h.src, h.dst) for h in ours.hops] == [(0, 5)]
-        assert [(h.src, h.dst) for h in theirs.hops] == [(1, 2)]
+        assert [(h.tags["src"], h.tags["dst"]) for h in ours.hops] == [(0, 5)]
+        assert [(h.tags["src"], h.tags["dst"]) for h in theirs.hops] == [(1, 2)]
         assert current_causal() is None
 
     def test_causal_installs_nest(self):

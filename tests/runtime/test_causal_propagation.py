@@ -27,6 +27,8 @@ from repro.query.stream import StreamSpec
 from repro.resilience import FaultInjector, FaultPlan
 from repro.resilience.faults import CoordinatorOutage, MessageStorm
 from repro.runtime import simulate_deployment
+from repro.runtime.dataplane import run_dataplane
+from repro.serialization import causal_trace_to_json
 from repro.workload import WorkloadParams, generate_workload
 
 
@@ -63,24 +65,24 @@ class TestRetransmissionPropagation:
             )
         assert timeline.retransmissions > 0
         # one query, one causal tree -- retries never fork fresh roots
-        (trace_id,) = tracer.trace_ids()
-        retransmits = [h for h in tracer.hops if h.retransmit]
+        (root,) = tracer.roots
+        retransmits = [h for h in tracer.hops if h.tags.get("retransmit")]
         # at least every reliable-delivery re-send is a retransmit hop
         # (re-acks of duplicated commands add a few more re-sends the
         # protocol's own counter doesn't track)
         assert len(retransmits) >= timeline.retransmissions
         for hop in retransmits:
-            assert hop.context.trace_id == trace_id
+            assert hop.trace_id == root.trace_id
             # parented under the original send of the same message
-            original = next(
-                h for h in tracer.hops
-                if h.context.span_id == hop.context.parent_id
+            original = next(h for h in tracer.hops if h.span_id == hop.parent_id)
+            assert hop in original.children
+            assert not original.tags.get("retransmit")
+            assert original.name == hop.name
+            assert (original.tags["src"], original.tags["dst"]) == (
+                hop.tags["src"], hop.tags["dst"]
             )
-            assert not original.retransmit
-            assert original.kind == hop.kind
-            assert (original.src, original.dst) == (hop.src, hop.dst)
-            assert original.retransmit_count > 0
-        assert tracer.retransmissions(trace_id) == len(retransmits)
+            assert original.counters["retransmissions"] > 0
+        assert tracer.retransmissions(root.walk()) == len(retransmits)
 
     def test_storm_drops_and_duplicates_are_accounted(self, env):
         net, rates, _, _, deployment = env
@@ -91,7 +93,8 @@ class TestRetransmissionPropagation:
         summary = tracer.summary()
         assert summary["dropped"] == faults.messages_dropped
         assert summary["duplicated_deliveries"] == faults.messages_duplicated
-        assert {h.drop_reason for h in tracer.hops if h.dropped} == {"storm"}
+        dropped = [h for h in tracer.hops if h.tags.get("dropped")]
+        assert {h.tags["drop_reason"] for h in dropped} == {"storm"}
 
     def test_traced_stormy_timeline_matches_untraced(self, env):
         net, rates, _, _, deployment = env
@@ -103,6 +106,21 @@ class TestRetransmissionPropagation:
                 net, deployment, faults=storm_injector(), rates=rates
             )
         assert traced == untraced
+
+
+class TestDataPlanePropagation:
+    def test_envelopes_are_never_retransmits_and_traces_repeat(self, env):
+        net, rates, _, _, deployment = env
+
+        def run():
+            tracer = CausalTracer()
+            with causal_tracing(tracer):
+                run_dataplane(net, deployment, rates, duration=5.0, rate_scale=0.2, seed=1)
+            return tracer
+
+        first = run()
+        assert first.hops and first.retransmissions() == 0
+        assert causal_trace_to_json(first) == causal_trace_to_json(run())
 
 
 def make_migration_world():
@@ -141,11 +159,10 @@ class TestMigrationPropagation:
         with causal_tracing(tracer):
             timeline = Migrator(net).simulate_cutover(diff, coordinator=query.sink)
         assert timeline.committed
-        (trace_id,) = tracer.trace_ids()
-        tree = tracer.span_tree(trace_id)
+        (tree,) = tracer.roots
         assert tree.name == "migrate:q"
         assert tree.tags["operators"] == 2
-        kinds = {h.kind for h in tracer.hops_of(trace_id)}
+        kinds = {h.name for h in tree.walk()}
         assert {"PauseCommand", "StateChunk", "ResumeCommand"} <= kinds
 
     def test_outage_retries_stay_in_tree_with_drop_reason(self):
@@ -161,12 +178,12 @@ class TestMigrationPropagation:
         # the outage swallows early acks; retransmissions ride it out
         assert timeline.committed
         assert timeline.retransmissions > 0
-        (trace_id,) = tracer.trace_ids()
-        dropped = [h for h in tracer.hops if h.dropped]
+        (root,) = tracer.roots
+        dropped = [h for h in tracer.hops if h.tags.get("dropped")]
         assert dropped
-        assert {h.drop_reason for h in dropped} == {"outage"}
-        assert all(h.context.trace_id == trace_id for h in tracer.hops)
-        assert tracer.retransmissions(trace_id) >= timeline.retransmissions
+        assert {h.tags["drop_reason"] for h in dropped} == {"outage"}
+        assert all(h.trace_id == root.trace_id for h in tracer.hops)
+        assert tracer.retransmissions(root.walk()) >= timeline.retransmissions
 
     def test_traced_cutover_timeline_matches_untraced(self):
         net, query, diff = make_migration_world()
