@@ -165,7 +165,7 @@ def recover(
 
     Raises:
         RecoveryError: The factory's controller has no durability, or a
-            journal record cannot be replayed.
+            snapshot cannot be restored or a journal record replayed.
         StateMismatchError: The snapshot does not fit the controller the
             factory built: another scope or state version, a section for
             a layer the factory did not arm, or none for one it did.
@@ -200,10 +200,15 @@ def recover(
             )
         report.snapshot_lsn = snapshot["lsn"]
         report.snapshot_file = f"snapshot-{snapshot['lsn']:012d}.json"
-        if durability.scope == "fleet":
-            restore_fleet(controller, snapshot["state"])
-        else:
-            restore_service(controller, snapshot["state"])
+        restore = restore_fleet if durability.scope == "fleet" else restore_service
+        try:
+            restore(controller, snapshot["state"])
+        except StateMismatchError:
+            raise
+        except Exception as exc:
+            raise RecoveryError(
+                f"snapshot {report.snapshot_file} cannot be restored: {type(exc).__name__}: {exc}"
+            ) from exc
 
     durability.journal.replaying = True
     try:

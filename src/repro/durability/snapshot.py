@@ -20,15 +20,17 @@ values -- canonical JSON text the capture made at an earlier snapshot
 and kept (:mod:`repro.durability.state`).  They go into the envelope as
 they are, as :func:`splice_json` puts them, so the file is byte for
 byte what ``canonical_json`` would have written for the same state as
-plain values.  The envelope is never joined into one body: its parts
-are encoded one by one, run through the CRC and written in one
-``writelines``.
+plain values.  The C encoder writes everything else in one pass; the
+envelope is never joined into one body: its parts (the text between
+fragments, and the fragments) are run through the CRC and written in
+one ``writelines``.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
@@ -52,41 +54,46 @@ class Fragment:
 
 
 def splice_json(doc: Any) -> str:
-    """:func:`canonical_json` of ``doc`` with its fragments emitted raw.
+    """:func:`canonical_json` of ``doc`` with its fragments emitted raw."""
+    return "".join(_splice(doc))
 
-    A value holding no :class:`Fragment` goes through the C encoder
-    whole, which is also how a fragment is found: the C encoder refuses
-    one, and only then is that container put together here (sorted
-    keys, no whitespace) from its members' own encodings.
+
+def _splice(doc: Any) -> list[str]:
+    """:func:`splice_json` in parts: plain text and fragment text in turn.
+
+    The C encoder writes the document once with a placeholder in each
+    fragment's place, and the text is cut around the placeholders: no
+    plain value is encoded twice or walked in Python (only the keys of
+    the dicts a fragment sits in are read: they must be str).  The
+    placeholder is a private-use character (``"\\ue000"`` in the text);
+    a document that holds it itself is written again with one it does not.
     """
-    parts: list[str] = []
-    _emit(doc, parts.append)
-    return "".join(parts)
+    # The containers the encoder is in (its circular-reference check):
+    # when it meets a fragment, that fragment's ancestors.
+    inside: dict[int, Any] = {}
+    texts: list[str] = []
+    hole = 0xE000
 
+    def fill(value: Any) -> str:
+        if type(value) is not Fragment:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        if any(type(c) is dict and any(type(k) is not str for k in c) for c in inside.values()):
+            raise TypeError("a fragment sits in a dict with a non-str key")
+        texts.append(value.text)
+        return chr(hole)
 
-def _emit(doc: Any, out) -> None:
-    if type(doc) is Fragment:
-        out(doc.text)
-        return
-    try:
-        out(canonical_json(doc))
-    except TypeError:
-        if isinstance(doc, dict) and all(type(key) is str for key in doc):
-            opener = "{"
-            for key in sorted(doc):
-                out(f"{opener}{canonical_json(key)}:")
-                _emit(doc[key], out)
-                opener = ","
-            out("}")
-        elif isinstance(doc, (list, tuple)):
-            opener = "["
-            for item in doc:
-                out(opener)
-                _emit(item, out)
-                opener = ","
-            out("]")
-        else:
-            raise
+    encode = c_make_encoder(
+        inside, fill, encode_basestring_ascii, None, ":", ",", True, False, True
+    )
+    body = "".join(encode(doc, 0))
+    while body.count("\\u%04x" % hole) != len(texts):
+        hole = next(c for c in range(hole + 1, 0x10000) if "\\u%04x" % c not in body)
+        texts.clear()
+        body = "".join(encode(doc, 0))
+    plain = body.split('"\\u%04x"' % hole)
+    parts = plain + texts
+    parts[::2], parts[1::2] = plain, texts
+    return parts
 
 
 def snapshot_path(state_dir: str | Path, lsn: int) -> Path:
@@ -121,8 +128,7 @@ def write_snapshot(
     # The canonical form the CRC is defined over is also the file body,
     # with the ``crc`` member in front: it stays a list of parts, and
     # the CRC runs over them on their way to the file.
-    parts: list[str] = []
-    _emit(
+    parts = _splice(
         {
             "kind": SNAPSHOT_KIND,
             "version": SNAPSHOT_VERSION,
@@ -130,8 +136,7 @@ def write_snapshot(
             "scope": scope,
             "time": time,
             "state": state,
-        },
-        parts.append,
+        }
     )
     chunks = [part.encode("utf-8") for part in parts]
     crc = 0

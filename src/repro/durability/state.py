@@ -27,8 +27,9 @@ Capture is incremental: the items of the long homogeneous lists
 and the network section are canonical-JSON text
 :class:`~repro.durability.snapshot.Fragment` values, and a
 :class:`FragmentMemo` carries each item's text from one snapshot to the
-next while everything the text reads is unchanged, and the whole
-deployment-state section while its revision stands.
+next while everything the text reads is unchanged, and a whole section
+while its owner's revision stands: the deployment state, the plan
+cache's entries, the hierarchy and the rates (these two as text).
 ``tests/durability/reference_capture.py`` keeps the literal
 build-every-dict capture, layer sections included, that all of this is
 held to byte for byte.  Not captured, on purpose: metric instrument
@@ -115,6 +116,10 @@ class FragmentMemo:
 
 def _array(texts) -> Fragment:
     return Fragment("[%s]" % ",".join(texts))
+
+
+def _fragment(to_doc, *args: Any) -> Fragment:
+    return Fragment(canonical_json(to_doc(*args)))
 
 
 def _jsonable(value: Any) -> Any:
@@ -500,7 +505,11 @@ def capture_rates(rates) -> dict[str, Any]:
 
 
 def restore_rates(rates, doc: dict[str, Any]) -> None:
-    """Restore the shared rate model in place; clears the rate cache."""
+    """Restore the shared rate model in place; clears the rate cache.
+
+    The version is the file's, as the network's is: a memo that kept a
+    section under it would take it as current, so a restore goes into a
+    pristine controller (recovery's), whose memo is fresh."""
     rates._streams = {
         s["name"]: StreamSpec(s["name"], s["source"], s["rate"])
         for s in doc["streams"]
@@ -537,16 +546,21 @@ def _cache_entry_to_doc(key, entry) -> dict[str, Any]:
 
 def _capture_cache(cache, memo: FragmentMemo) -> dict[str, Any]:
     return {
-        # A cached plan is frozen; its text also reads the key it is under.
-        "entries": _array(
-            memo.text(entry, key, _cache_entry_to_doc, key, entry)
-            for key, entry in cache._entries.items()  # LRU order
-        ),
+        # Kept while no put, removal or hit moved the entries or their order.
+        "entries": memo.section(cache, cache.revision, _cache_entries, cache, memo),
         "hits": cache.hits,
         "misses": cache.misses,
         "evictions": cache.evictions,
         "invalidations": cache.invalidations,
     }
+
+
+def _cache_entries(cache, memo: FragmentMemo) -> Fragment:
+    # A cached plan is frozen; its text also reads the key it is under.
+    return _array(
+        memo.text(entry, key, _cache_entry_to_doc, key, entry)
+        for key, entry in cache._entries.items()  # LRU order
+    )
 
 
 def _restore_cache(cache, doc: dict[str, Any]) -> None:
@@ -627,11 +641,16 @@ def _restore_layers(controller, doc: dict[str, Any]) -> None:
 
 
 def _capture_shared(controller, memo: FragmentMemo) -> dict[str, Any]:
-    hierarchy = controller.hierarchy
+    hierarchy, rates = controller.hierarchy, controller.rates
     return {
         "network": capture_network(controller.network, memo),
-        "rates": capture_rates(controller.rates),
-        "hierarchy": None if hierarchy is None else capture_hierarchy(hierarchy),
+        "rates": memo.section(
+            rates, (rates.version, rates.reuse_rate_inflation), _fragment, capture_rates, rates
+        ),
+        # Every edit of the cluster tree ends in ``reindex()``: a new revision.
+        "hierarchy": None
+        if hierarchy is None
+        else memo.section(hierarchy, hierarchy.revision, _fragment, capture_hierarchy, hierarchy),
     }
 
 

@@ -92,9 +92,9 @@ class ObservationError(ReproError, ValueError):
 
 class RecoveryError(ReproError, ValueError):
     """Recovery cannot proceed: the factory built a controller without
-    durability, or a CRC-valid journal record cannot be replayed (a kind
-    the controller does not declare, data its command does not take, or
-    a bug the first run did not hit)."""
+    durability, or a CRC-valid snapshot or journal record cannot be
+    restored or replayed (a field missing or misshapen, a kind or data the
+    controller does not take, or a bug the first run did not hit)."""
 
 
 class StateMismatchError(ReproError, ValueError):

@@ -95,6 +95,8 @@ class Hierarchy:
         self._member_cluster: list[dict[int, Cluster]] = []
         # id(cluster) -> its subtree, (id(cluster), member) -> the member's.
         self._subtree_cache: dict[int | tuple[int, int], frozenset[int]] = {}
+        #: Bumped by every :meth:`reindex`, i.e. after every tree edit.
+        self.revision = 0
         self.reindex()
 
     # ------------------------------------------------------------------
@@ -218,7 +220,8 @@ class Hierarchy:
     # Invariants / bookkeeping
     # ------------------------------------------------------------------
     def reindex(self) -> None:
-        """Rebuild lookup maps after structural changes."""
+        """Rebuild lookup maps after structural changes (a new revision)."""
+        self.revision += 1
         self._leaf_of = {}
         self._member_cluster = []
         self._subtree_cache = {}

@@ -70,6 +70,8 @@ class PlanCache:
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
+        #: Bumped by every change to the entries or their LRU order.
+        self.revision = 0
 
     # ------------------------------------------------------------------
     def key(self, fingerprint: str, statistics_epoch: int, topology_epoch: int) -> CacheKey:
@@ -84,6 +86,7 @@ class PlanCache:
             self.misses += 1
             return None
         self._entries.move_to_end(key)
+        self.revision += 1
         self.hits += 1
         return entry
 
@@ -136,18 +139,21 @@ class PlanCache:
     def clear(self) -> None:
         """Drop every entry (counters are preserved)."""
         self.invalidations += len(self._entries)
+        self.revision += 1
         self._entries.clear()
         self._referencing.clear()
 
     def restore(self, entries: Iterable[tuple[CacheKey, CachedPlan]]) -> None:
         """Replace the contents with captured ``(key, entry)`` pairs,
         least recently used first (crash recovery; counters untouched)."""
+        self.revision += 1
         self._entries.clear()
         self._referencing.clear()
         for key, entry in entries:
             self._store(key, entry)
 
     def _store(self, key: CacheKey, entry: CachedPlan) -> None:
+        self.revision += 1
         self._entries[key] = entry
         for ref in entry.reused_views():
             self._referencing.setdefault(ref, []).append(key)
@@ -156,6 +162,7 @@ class PlanCache:
         entry = self._entries.pop(key, None)
         if entry is None:
             return False
+        self.revision += 1
         for ref in entry.reused_views():
             keys = self._referencing[ref]
             keys.remove(key)

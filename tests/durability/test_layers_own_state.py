@@ -9,7 +9,8 @@
 * a snapshot that does not fit the controller the recovery factory
   built -- a section for a layer it forgot, no section for one it added,
   another state version -- is refused with one typed error instead of
-  recovering "successfully" with that state gone.
+  recovering "successfully" with that state gone; one whose fields do
+  not restore is a ``RecoveryError`` naming the file and the cause.
 """
 
 import ast
@@ -19,7 +20,8 @@ import pytest
 
 import repro
 from repro.durability import DurabilityConfig, load_latest, recover, write_snapshot
-from repro.errors import ReproError, StateMismatchError
+from repro.durability.snapshot import list_snapshots
+from repro.errors import RecoveryError, ReproError, StateMismatchError
 from repro.obs.telemetry import Telemetry
 from repro.resilience import NULL_FAULTS, ResilienceConfig
 from repro.resources import ResourceConfig, uniform_capacities
@@ -174,6 +176,26 @@ def test_a_snapshot_of_another_state_version_is_refused(tmp_path):
     crashed_run(tmp_path)
     rewrite_snapshot(tmp_path, lambda state: state.update(version=0))
     with pytest.raises(StateMismatchError, match="state version is 0"):
+        recover(tmp_path, lambda: build(tmp_path))
+
+
+@pytest.mark.parametrize(
+    "edit, cause",
+    [
+        (lambda state: state["hierarchy"].pop("root"), "KeyError"),
+        (lambda state: state["cache"].update(entries="x"), "TypeError"),
+        (lambda state: state["state"].update(deployments={}), "KeyError"),
+        (lambda state: state["rates"].update(streams=None), "TypeError"),
+    ],
+    ids=("hierarchy-root-deleted", "cache-entries-a-string", "deployments-a-dict", "streams-null"),
+)
+def test_a_snapshot_whose_fields_do_not_restore_stops_recovery(tmp_path, edit, cause):
+    """As a CRC-valid journal record that cannot be replayed does."""
+    crashed_run(tmp_path)
+    rewrite_snapshot(tmp_path, edit)
+    newest = list_snapshots(tmp_path)[-1]
+    assert newest["valid"]
+    with pytest.raises(RecoveryError, match=rf"snapshot {newest['file']} .*: {cause}: "):
         recover(tmp_path, lambda: build(tmp_path))
 
 

@@ -1,8 +1,11 @@
-"""Snapshot envelope: CRC validation, fallback past corruption, pruning."""
+"""Snapshot envelope: CRC validation, fallback past corruption, pruning,
+and the splice of kept fragments against ``canonical_json`` as a property."""
 
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.durability.journal import Journal, SimulatedCrash, canonical_json
 from repro.durability.snapshot import (
@@ -11,6 +14,7 @@ from repro.durability.snapshot import (
     load_latest,
     snapshot_crc,
     snapshot_path,
+    splice_json,
     write_snapshot,
 )
 from repro.resilience.faults import CrashPoint
@@ -84,6 +88,69 @@ class TestRoundTrip:
             "snapshot-000000000010.json",
             "snapshot-000000000030.json",
         ]
+
+
+#: Keys and strings: any unicode, and now and then the character the
+#: splice holds a fragment's place with, raw or as its escape's text.
+_TEXT = st.text(max_size=4) | st.sampled_from(["\ue000", "\\ue000", "a\ue000\ue001"])
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | _TEXT
+
+
+#: Nested dicts and lists, empty ones included, at any depth.
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@st.composite
+def _with_fragments(draw, doc):
+    """``doc`` with random encodable subtrees replaced by their text."""
+    try:
+        text = canonical_json(doc)
+    except TypeError:
+        text = None
+    if text is not None and draw(st.integers(0, 3)) == 0:
+        return Fragment(text)
+    if isinstance(doc, dict):
+        return {key: draw(_with_fragments(value)) for key, value in doc.items()}
+    if isinstance(doc, list):
+        return [draw(_with_fragments(value)) for value in doc]
+    return doc
+
+
+@st.composite
+def _planted(draw, doc, bad):
+    """``doc`` with one subtree, maybe the whole, replaced by ``bad``."""
+    if isinstance(doc, (dict, list)) and doc and draw(st.booleans()):
+        doc = dict(doc) if isinstance(doc, dict) else list(doc)
+        at = draw(st.sampled_from(sorted(doc) if isinstance(doc, dict) else range(len(doc))))
+        doc[at] = draw(_planted(doc[at], bad))
+        return doc
+    return bad
+
+
+class TestSpliceProperty:
+    """The oracle is ``canonical_json`` of the plain document (none retired)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_a_spliced_document_is_the_canonical_json_of_its_plain_one(self, data):
+        plain = data.draw(_DOCUMENTS)
+        assert splice_json(data.draw(_with_fragments(plain))) == canonical_json(plain)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), bad=st.sampled_from([{1, 2}, object(), b"x"]))
+    def test_a_value_json_cannot_encode_is_refused_wherever_it_sits(self, data, bad):
+        plain = data.draw(_planted(data.draw(_DOCUMENTS), bad))
+        with pytest.raises(TypeError):
+            splice_json(data.draw(_with_fragments(plain)))
+
+    def test_empty_containers_stay_empty(self):
+        doc = {"a": {}, "b": [], "c": [{}, [], Fragment("{}")], "d": {"e": {}}}
+        assert splice_json(doc) == '{"a":{},"b":[],"c":[{},[],{}],"d":{"e":{}}}'
+        assert splice_json({}) == "{}" and splice_json([]) == "[]"
 
 
 class TestCorruption:

@@ -20,9 +20,10 @@ layers of evidence that both write the same file:
   submit encodes exactly what it touched, a statistics publication
   re-encodes operators and flows but no deployment -- so an O(live)
   regression fails without a clock; and a spy on the deployment
-  state's walks: a snapshot with no command since the previous one
-  walks no deployment, operator record or flow, per shard under a
-  fleet.
+  state's walks and the section builders: a snapshot with no command
+  since the previous one walks no deployment, operator record or flow,
+  builds no cluster or rates document and visits no cached plan, per
+  shard under a fleet.
 """
 
 import itertools
@@ -41,6 +42,7 @@ from hypothesis.stateful import (
 )
 
 import repro
+import repro.durability.state as state_module
 from repro.adaptive import AdaptivityConfig
 from repro.durability import DurabilityConfig
 from repro.durability.state import _origin_is_live
@@ -108,6 +110,8 @@ class SnapshotMachine(RuleBasedStateMachine):
         #: (shard, install serial) -> what each operator record's text
         #: read at the previous snapshot.
         self.records: dict[tuple[int, int], tuple] = {}
+        #: What each kept section read at the previous snapshot.
+        self.sections: list = []
         self.build(
             # Never on its own: every snapshot below is taken by hand.
             DurabilityConfig(state_dir=str(self.state_dir), snapshot_interval=10**6)
@@ -187,6 +191,7 @@ class SnapshotMachine(RuleBasedStateMachine):
         )
         self.seen["items_kept"] += items - encoded
         self.note_operator_transitions()
+        self.note_section_transitions()
 
     def note_operator_transitions(self) -> None:
         """Which parts of a kept operator record's validity moved."""
@@ -201,6 +206,23 @@ class SnapshotMachine(RuleBasedStateMachine):
                 self.seen["holder_changes"] += was[1] != now[1]
                 self.seen["installer_retirements"] += was[2] and not now[2]
         self.records = records
+
+    def note_section_transitions(self) -> None:
+        """Which kept sections (hierarchy, rates, each plan cache's
+        entries) a command moved since the previous snapshot."""
+        now = [self.hierarchy.revision, self.rates.version] + [
+            (list(s.cache._entries), s.cache.hits, s.cache.evictions) for s in self.services
+        ]
+        was = self.sections or now
+        self.seen["held_hierarchy_edits"] += was[0] != now[0]
+        self.seen["held_publications"] += was[1] != now[1]
+        for (order, hits, evictions), (order_now, hits_now, evictions_now) in zip(was[2:], now[2:]):
+            self.seen["held_cache_puts"] += bool(set(order_now) - set(order))
+            self.seen["held_cache_reorders"] += (
+                hits_now > hits and order_now != order and sorted(order_now) == sorted(order)
+            )
+            self.seen["held_cache_evictions"] += evictions_now > evictions
+        self.sections = now
 
     def teardown(self):
         self.seen["cache_hits"] += sum(s.cache.hits for s in self.services)
@@ -297,13 +319,17 @@ _MACHINE = settings(
 _SHARED = (
     "items_kept", "cache_hits", "lru_reorders", "publications", "network_versions",
     "rate_changes", "holder_changes", "installer_retirements",
+    "held_publications", "held_cache_puts", "held_cache_reorders",
 )
 
 
 def test_service_snapshots_are_the_reference_bytes_after_every_command():
     ServiceSnapshotMachine.seen = seen = Counter()
     run_state_machine_as_test(ServiceSnapshotMachine, settings=_MACHINE)
-    for transition in _SHARED + ("cache_evictions", "migrations", "failovers", "rejoins"):
+    for transition in _SHARED + (
+        "cache_evictions", "migrations", "failovers", "rejoins",
+        "held_hierarchy_edits", "held_cache_evictions",
+    ):
         assert seen[transition], f"no example exercised {transition}: {dict(seen)}"
 
 
@@ -318,11 +344,15 @@ def test_fleet_snapshots_are_the_reference_bytes_after_every_command():
 # Work counts
 # ----------------------------------------------------------------------
 _WALKS = ("operator_records", "flows", "deployments")
+#: The builders of a hierarchy's cluster document, a rate model's
+#: document and a plan cache's entries (a call visits every cached plan).
+_BUILDERS = ("capture_hierarchy", "capture_rates", "_cache_entries")
 
 
 class WalkSpy:
     """Counts, per deployment state, the calls of :data:`_WALKS` that
-    ``plane``'s snapshots make (the reference capture's are not counted)."""
+    ``plane``'s snapshots make (the reference capture's are not counted),
+    and per owner the calls of :data:`_BUILDERS`."""
 
     def __init__(self, monkeypatch, plane) -> None:
         self.calls: Counter = Counter()
@@ -334,6 +364,8 @@ class WalkSpy:
             monkeypatch.setattr(
                 DeploymentState, name, property(spy) if isinstance(member, property) else spy
             )
+        for name in _BUILDERS:
+            monkeypatch.setattr(state_module, name, self._spy(name, getattr(state_module, name)))
         snapshot = plane.durability.snapshot
 
         def counted_snapshot(time):
@@ -356,6 +388,12 @@ class WalkSpy:
     def take(self, state) -> dict[str, int]:
         """The walks of ``state`` since the last take, by method."""
         return {name: self.calls.pop((id(state), name), 0) for name in _WALKS}
+
+    def built(self, hierarchy, rates, *caches) -> list[int]:
+        """The builds of each owner's section since the last ``built``."""
+        owners = [("capture_hierarchy", hierarchy), ("capture_rates", rates)]
+        owners += [("_cache_entries", cache) for cache in caches]
+        return [self.calls.pop((id(owner), name), 0) for name, owner in owners]
 
 
 _NONE = dict.fromkeys(_WALKS, 0)
@@ -485,20 +523,48 @@ class TestWorkCounts:
             assert len(memo._kept) == items()
             return spy.take(state)
 
+        def built() -> list[int]:  # cluster document, rates, cache entries
+            return spy.built(hierarchy, rates, service.cache)
+
         assert walks() == _ONCE
+        assert built() == [1, 1, 1]
         assert walks() == _NONE  # no command since: the section is kept
+        assert built() == [0, 0, 0]
         assert walks() == _NONE
+        assert built() == [0, 0, 0]
         # A kept section still holds its items' text: a submit after it
         # encodes only what the submit touched, and walks once.
         revision = state.revision
         service.submit(last)
         assert state.revision > revision
         assert walks() == _ONCE
+        assert built() == [0, 0, 1]  # a plan-cache put
         assert walks() == _NONE
+        assert built() == [0, 0, 0]
         service.tick()  # a tick that retires nothing changes nothing
         assert walks() == _NONE
+        assert built() == [0, 0, 0]
         service.retire(fill[0].name)
         assert walks() == _ONCE
+        assert built() == [0, 0, 0]
+        # A statistics publication and a node failure build their own
+        # section once, and nothing while no command follows.
+        specs = dict(rates.streams)
+        name, spec = next(iter(specs.items()))
+        specs[name] = StreamSpec(name, spec.source, spec.rate * 2.0)
+        rates.update_streams(specs)
+        walks()
+        assert built() == [0, 1, 0]
+        assert walks() == _NONE
+        assert built() == [0, 0, 0]
+        deployments = state.deployments
+        ends = set().union(*(rates.endpoints(d.query) for d in deployments))
+        hosts = {n for d in deployments for n in d.operator_nodes.values()} - ends
+        service.handle_node_failure(min(hosts))
+        walks()
+        assert built()[0] == 1
+        assert walks() == _NONE
+        assert built() == [0, 0, 0]
         service.durability.journal.close()
 
     def test_each_shard_section_is_kept_on_its_own(self, tmp_path, monkeypatch):
@@ -528,12 +594,21 @@ class TestWorkCounts:
             assert got == want
             return [spy.take(state) for state in states]
 
+        def built() -> list[int]:  # cluster document, rates, each shard's cache
+            return spy.built(hierarchy, rates, *(shard.cache for shard in fleet.shards))
+
         assert walks() == [_ONCE, _ONCE]
+        assert built() == [1, 1, 1, 1]
         assert walks() == [_NONE, _NONE]
+        assert built() == [0, 0, 0, 0]
         fleet.submit(last)
         changed = fleet.shard_of(last.name)
         want = [_NONE, _NONE]
         want[changed] = _ONCE
         assert walks() == want
+        want = [0, 0, 0, 0]
+        want[2 + changed] = 1
+        assert built() == want
         assert walks() == [_NONE, _NONE]
+        assert built() == [0, 0, 0, 0]
         fleet.durability.journal.close()
