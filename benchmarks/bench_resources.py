@@ -10,7 +10,7 @@ piles join operators onto them.  Three questions:
    (measured by a read-only ledger priced over its deployments), and
    does the capacity-aware planner stay under the utilization bound?
 2. **Coverage** -- how many of the same queries does the aware planner
-   keep live while respecting the bound (shedding/parking the rest)?
+   keep live while respecting the bound (parking the rest)?
 3. **Price of feasibility** -- how much communication cost does dodging
    the weak nodes add for the queries both planners deployed?
 """

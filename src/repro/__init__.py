@@ -175,7 +175,6 @@ from repro.fleet import (
 )
 from repro.resources import (
     Load,
-    LoadShedder,
     NodeCapacity,
     OperatorFootprint,
     PlacementConstraint,
@@ -307,7 +306,6 @@ __all__ = [
     "ResourceConfig",
     "ResourceLedger",
     "ResourceManager",
-    "LoadShedder",
     "uniform_capacities",
     "capacities_by_kind",
     "HotspotProfile",

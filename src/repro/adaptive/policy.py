@@ -141,7 +141,7 @@ class ReoptPolicy:
             return ReoptDecision(
                 query=name, migrate=False, reason=str(exc), current_cost=current
             )
-        candidate_cost = shadow.cost_of(candidate)
+        candidate_cost = shadow.apply(candidate)
         diff = diff_deployments(
             deployment, candidate, self.rates, self.config.bytes_per_tuple
         )

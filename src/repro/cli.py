@@ -432,7 +432,6 @@ def _cmd_resources(args: argparse.Namespace) -> int:
             capacities=_capacity_profile(args, world.network),
             utilization_bound=args.utilization_bound,
             load_weight=args.load_weight,
-            shed=not args.no_shed,
         )
     except ValueError as exc:
         return _fail(str(exc))
@@ -472,7 +471,9 @@ def _cmd_resources(args: argparse.Namespace) -> int:
               f"max utilization {ledger['max_utilization']:.2f}, "
               f"mean {ledger['mean_utilization']:.2f}")
         hot = ", ".join(
-            f"n{h['node']}={h['utilization']:.2f}" for h in ledger["hot_nodes"]
+            f"n{h['node']}={h['utilization']:.2f}"
+            for h in ledger["hot_nodes"]
+            if h["utilization"] > 0
         )
         print(f"  hot nodes: {hot or 'none'}")
         print(f"  shed {resources['shed_total']}  "
@@ -1193,9 +1194,6 @@ def build_parser() -> argparse.ArgumentParser:
                                help=f"per-node {kind} capacity (uniform/hotspot)")
     resources.add_argument("--weak-fraction", type=float, default=0.25,
                            help="hotspot profile: fraction of weak nodes")
-    resources.add_argument("--no-shed", action="store_true",
-                           help="park infeasible queries instead of shedding "
-                                "lighter ones")
     _world_args(resources, queries=12,
                 replay=("--lifetime", "--arrivals", "--repeats"))
     _json_flag(resources, "the full report")

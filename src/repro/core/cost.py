@@ -207,8 +207,8 @@ def deployment_cost(
 
     Ignores sharing with other deployed queries (reused leaves cost only
     their shipping edge; their production is considered already paid).
-    Matches ``DeploymentState.cost_of`` applied to an empty state up to
-    reuse (which the empty state would reject).
+    Matches ``DeploymentState.apply`` on an empty state up to reuse
+    (which the empty state would reject).
     """
     query = deployment.query
     flow_rate = rates.flow_pricer(query)

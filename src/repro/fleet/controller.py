@@ -178,10 +178,9 @@ class FleetController:
             :class:`~repro.resources.ResourceLedger` aggregates every
             shard's deployments over the common physical network (view
             reuse credited once, fleet-wide), each shard gets its own
-            :class:`~repro.resources.ResourceManager` over that ledger,
-            and query weights resolve through tenant weights so the
-            load shedder evicts light tenants' queries first.
-            ``None`` (the default) adds nothing.
+            :class:`~repro.resources.ResourceManager` over that ledger;
+            a query that does not fit parks, whatever its tenant's
+            weight.  ``None`` (the default) adds nothing.
     """
 
     def __init__(
@@ -250,7 +249,6 @@ class FleetController:
             manager = None
             if self.resource_ledger is not None:
                 manager = ResourceManager(resources, ledger=self.resource_ledger)
-                manager.weight_fn = self._query_weight
                 self.resource_managers.append(manager)
             self.shards.append(
                 StreamQueryService(
@@ -465,12 +463,6 @@ class FleetController:
         self.rebalances_total = counters["rebalances_total"]
         self.cross_shard_reuse_total = counters["cross_shard_reuse_total"]
 
-    def _query_weight(self, name: str) -> float:
-        """Shedding weight of a query: its tenant's weight (1.0 when it
-        has none)."""
-        record = self.tenants.get(self._tenant_of.get(name, ""))
-        return 1.0 if record is None else float(record.weight)
-
     # ------------------------------------------------------------------
     # Resource layer
     # ------------------------------------------------------------------
@@ -656,13 +648,9 @@ class FleetController:
 
         shard = self.router.route(query)
         if self._has_capacity(shard) and self.scheduler.total_backlog == 0:
-            # Booked first: the shard's resource layer weighs it by tenant.
-            self._tenant_of[query.name] = record.name
             decision = self.shards[shard].submit(query, lifetime=lifetime)
             self._book_decision(decision, shard, record.name)
-            if decision.rejected:
-                del self._tenant_of[query.name]
-            else:
+            if not decision.rejected:
                 self._charge(record.name, query.name)
                 if decision.admitted:
                     self._mark_live(record.name)
@@ -1105,9 +1093,9 @@ class FleetController:
 
     def _record_gauges(self) -> None:
         if self.resource_ledger is not None and len(self.tenants):
-            # The load shedder retires/re-admits queries outside the
-            # tick-report path the incremental tenant counters follow;
-            # reconcile them against ground truth.
+            # Drift repair retires queries outside the tick-report path
+            # the incremental tenant counters follow; reconcile them
+            # against ground truth.
             counts = {t.name: 0 for t in self.tenants}
             for name in self.live_queries:
                 tenant = self._tenant_of.get(name)

@@ -260,9 +260,40 @@ def ensure_telemetry(
     )
 
 
+def _list_of(value: Any, kind: type | tuple[type, ...]) -> bool:
+    return isinstance(value, list) and all(isinstance(v, kind) for v in value)
+
+
 def envelope_from_json(doc: Mapping[str, Any]) -> dict[str, Any]:
-    """Validate a loaded ``repro.telemetry`` document (for ``repro dash``)."""
+    """Validate a loaded ``repro.telemetry`` document (for ``repro dash``).
+
+    Checks the kind and the shape of every field the terminal, HTML and
+    CSV renderers read, so a malformed file raises :class:`ValueError`
+    here instead of a ``TypeError`` mid-render.
+    """
     kind = doc.get("kind") if isinstance(doc, Mapping) else None
     if kind != ENVELOPE_KIND:
         raise ValueError(f"not a telemetry envelope: kind={kind!r}")
+    series, scraper = doc.get("series", {}), doc.get("scraper", {})
+    alerts, flight = doc.get("alerts", []), doc.get("flight", {})
+    if not isinstance(series, Mapping):
+        raise ValueError("series is not an object")
+    for name, points in series.items():
+        if not _list_of(points, list) or not all(
+            len(p) == 2 and _list_of(p, (int, float)) for p in points
+        ):
+            raise ValueError(f"series {name!r} is not a list of [time, value] pairs")
+    if not (isinstance(scraper, Mapping) and _list_of(scraper.get("scopes", []), str)):
+        raise ValueError("scraper is not an object with a list of scopes")
+    fields = ("state", "severity", "name")
+    if not _list_of(alerts, Mapping) or not all(
+        _list_of([a.get(key, "") for key in fields], str) for a in alerts
+    ):
+        raise ValueError("alerts is not a list of alert objects")
+    bundles = flight.get("bundles", []) if isinstance(flight, Mapping) else None
+    if not _list_of(bundles, Mapping) or not all(
+        _list_of(b.get("trace_ids", []), str) and isinstance(b.get("entries", []), list)
+        for b in bundles
+    ):
+        raise ValueError("flight is not an object with a list of bundles")
     return dict(doc)

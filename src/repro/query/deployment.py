@@ -411,11 +411,6 @@ class DeploymentState:
         self._release(name, self._claims.pop(name))
         return reclaimed
 
-    def cost_of(self, deployment: Deployment) -> float:
-        """Cost :meth:`apply` would add, without mutating state."""
-        shadow = self.clone()
-        return shadow.apply(deployment)
-
     def clone(self) -> "DeploymentState":
         """Independent copy sharing the immutable cost matrix."""
         other = DeploymentState(

@@ -1,4 +1,4 @@
-"""Resource-aware placement: capacities, footprints, ledger, shedding.
+"""Resource-aware placement: capacities, footprints, ledger, parking.
 
 The paper's planners minimize pure communication cost; this package
 adds the capacity dimension of the Benoit et al. resource-allocation
@@ -7,8 +7,7 @@ per-operator load estimation from input rates x selectivity x window
 state (:mod:`footprint`), fleet-wide reuse-credited utilization
 accounting (:mod:`ledger`), a DP-facing constraint for bounded and
 bi-criteria optimization (:mod:`constraint`), and the runtime loop --
-admission gating, load shedding, park/re-admit (:mod:`shedder`,
-:mod:`manager`).
+admission gating, park/re-admit and drift repair (:mod:`manager`).
 
 Everything is opt-in: services and planners take ``resources=None`` by
 default, and even when armed, all-unbounded capacities leave every
@@ -26,8 +25,12 @@ from repro.resources.capacity import (
 from repro.resources.constraint import PlacementConstraint
 from repro.resources.footprint import JoinPricer, OperatorFootprint
 from repro.resources.ledger import ResourceLedger, plan_node_loads
-from repro.resources.manager import ResourceConfig, ResourceManager, ensure_resources
-from repro.resources.shedder import LoadShedder, ParkedQuery, ShedPlan
+from repro.resources.manager import (
+    ParkedQuery,
+    ResourceConfig,
+    ResourceManager,
+    ensure_resources,
+)
 
 __all__ = [
     "Load",
@@ -44,7 +47,5 @@ __all__ = [
     "ResourceConfig",
     "ResourceManager",
     "ensure_resources",
-    "LoadShedder",
     "ParkedQuery",
-    "ShedPlan",
 ]

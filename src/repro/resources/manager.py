@@ -11,9 +11,10 @@ fleet) is armed with.  It owns the glue between the pieces:
   :class:`~repro.resources.constraint.PlacementConstraint` snapshot;
 * gates every deployment (the authoritative joint feasibility check),
   re-planning once when a cached plan went stale against the current
-  load, shedding lighter queries when configured, and parking the
-  query when nothing helps;
-* re-admits parked queries heaviest-first once capacity recovers;
+  load, and parking the query when it still does not fit -- admission
+  only adds or parks, it never evicts a live query;
+* sheds queries off nodes that rate drift pushed over the bound, and
+  re-admits parked queries oldest-first once capacity recovers;
 * keeps the ``resource_*`` instruments (per-node utilization gauges,
   shed/readmit/infeasible counters) in the service registry.
 
@@ -26,20 +27,41 @@ service behavior stay byte-identical to a build without the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 from repro.errors import InfeasiblePlacementError, PlanningError
 from repro.obs.tracer import count
 from repro.query.query import Query
-from repro.resources.capacity import Load, NodeCapacity, ZERO_LOAD
+from repro.resources.capacity import NodeCapacity
 from repro.resources.constraint import PlacementConstraint
 from repro.resources.footprint import JoinPricer, OperatorFootprint
 from repro.resources.ledger import ResourceLedger, plan_node_loads
-from repro.resources.shedder import MAX_SHED_PER_ADMIT, LoadShedder, ParkedQuery
 from repro.serialization import _query_from_dict, _query_to_dict
 
 #: Parked-query re-admission attempts per tick.
 MAX_READMITS_PER_TICK = 2
+#: Drift-repair sheds per tick.
+MAX_SHED_PER_TICK = 4
+
+
+@dataclass
+class ParkedQuery:
+    """A query waiting for capacity to recover.
+
+    Attributes:
+        query: The parked query.
+        lifetime: Its remaining lifetime at parking time (``None`` =
+            run forever once re-admitted).
+        reason: Why it was parked (infeasible placement / drift repair).
+        parked_at: Tick it was first parked.
+        shed: Whether it was evicted while live (vs never deployed).
+    """
+
+    query: Query
+    lifetime: float | None
+    reason: str
+    parked_at: float
+    shed: bool = False
 
 
 @dataclass
@@ -55,20 +77,11 @@ class ResourceConfig:
             ``communication cost + load_weight x projected utilization``
             per operator.  0 (the default) optimizes pure communication
             cost subject to the bound.
-        shed: Evict strictly lighter live queries when an admitted
-            query has no feasible placement (they park and re-admit),
-            at most :data:`~repro.resources.shedder.MAX_SHED_PER_ADMIT`
-            per attempt.
-
-    Every query weighs 1.0 unless a fleet wires its tenants' weights
-    into :attr:`ResourceManager.weight_fn`, so admission only sheds for
-    a heavier tenant's query.
     """
 
     capacities: Mapping[int, NodeCapacity] | None = None
     utilization_bound: float = 1.0
     load_weight: float = 0.0
-    shed: bool = True
 
     def __post_init__(self) -> None:
         if self.utilization_bound <= 0:
@@ -78,7 +91,7 @@ class ResourceConfig:
 
 
 class ResourceManager:
-    """One service's resource-awareness: constraint, gate, shed, park.
+    """One service's resource-awareness: constraint, gate, park, repair.
 
     Args:
         config: The layer's tuning.
@@ -91,13 +104,9 @@ class ResourceManager:
     ) -> None:
         self.config = config
         self.ledger = ledger if ledger is not None else ResourceLedger(config.capacities)
-        self.shedder = LoadShedder()
         self.footprint: OperatorFootprint | None = None
         self.service = None
-        #: Dynamic weight override (fleets wire tenant weights here).
-        self.weight_fn: Callable[[str], float] | None = None
         self.parked: dict[str, ParkedQuery] = {}
-        self._relief: Mapping[int, Load] | None = None
         self.shed_total = 0
         self.readmitted_total = 0
         self.infeasible_total = 0
@@ -109,11 +118,6 @@ class ResourceManager:
     def constrained(self) -> bool:
         """Whether any node capacity is finite (the layer is active)."""
         return self.ledger.constrained
-
-    def weight_of(self, name: str) -> float:
-        """Scheduling weight of a query (1.0 without a fleet's
-        :attr:`weight_fn`)."""
-        return 1.0 if self.weight_fn is None else float(self.weight_fn(name))
 
     # ------------------------------------------------------------------
     # Wiring
@@ -141,7 +145,7 @@ class ResourceManager:
             "Queries parked waiting for capacity to recover.",
         )
         self._shed_counter = reg.counter(
-            "resource_shed_total", "Live queries evicted by the load shedder."
+            "resource_shed_total", "Live queries evicted by drift repair."
         )
         self._readmitted_counter = reg.counter(
             "resource_readmitted_total",
@@ -164,77 +168,39 @@ class ResourceManager:
         """The constraint a planner should optimize ``query`` under."""
         if not self.constrained or self.footprint is None:
             return None
-        base = self.ledger.node_loads()
-        if self._relief:
-            # Trial planning during shed selection: price the plan as if
-            # the candidate victims were already gone.
-            for node, load in self._relief.items():
-                base[node] = base.get(node, ZERO_LOAD) + load.scaled(-1.0)
         return PlacementConstraint(
             query=query,
             footprint=self.footprint,
             capacities=self.ledger.capacities,
-            base_loads=base,
+            base_loads=self.ledger.node_loads(),
             live_keys=self.ledger.operator_keys(),
             bound=self.config.utilization_bound,
             load_weight=self.config.load_weight,
         )
 
     def plan_feasible(self, service, query: Query):
-        """Plan ``query`` under the live constraint, shedding if needed.
+        """Plan ``query`` under the live constraint.
 
-        When the constrained planner finds no feasible placement and
-        shedding is on, strictly lighter live queries are evicted
-        (lightest first, then newest) until a trial plan succeeds, then
-        the query is planned for real against the freed capacity.
-        Raises :class:`InfeasiblePlacementError` when no admissible set
-        of victims helps.
+        Raises :class:`InfeasiblePlacementError` (counted) when the
+        constrained planner finds no feasible placement.
         """
         try:
             deployment, _hit = service.plan(query)
-            return deployment
         except InfeasiblePlacementError:
-            if not (self.config.shed and self.constrained):
+            if not self.constrained:
                 raise
-
-        def feasible_with(freed: Mapping[int, Load]) -> bool:
-            self._relief = freed
-            try:
-                service.plan(query)
-                return True
-            except InfeasiblePlacementError:
-                return False
-            finally:
-                self._relief = None
-
-        plan = self.shedder.plan_shed(
-            service.engine.state,
-            self.footprint,
-            self.weight_of(query.name),
-            self.weight_of,
-            feasible_with,
-            protect=frozenset({query.name}),
-        )
-        if plan is None:
             self.infeasible_total += 1
             raise InfeasiblePlacementError(
                 f"no feasible placement for {query.name!r} under utilization "
-                f"bound {self.config.utilization_bound}, and no admissible "
-                f"victims to shed"
-            )
-        for victim in plan.victims:
-            self.shed(service, victim, displaced_by=query.name)
-        deployment, _hit = service.plan(query)
+                f"bound {self.config.utilization_bound}"
+            ) from None
         return deployment
 
     # ------------------------------------------------------------------
     # Admission gate
     # ------------------------------------------------------------------
-    def check(
-        self, query: Query, deployment
-    ) -> tuple[list[tuple[int, float]], dict[int, Load]]:
-        """Projected bound violations of installing ``deployment`` now,
-        and the per-node load it adds (priced once, for both)."""
+    def check(self, query: Query, deployment) -> list[tuple[int, float]]:
+        """Projected bound violations of installing ``deployment`` now."""
         assert self.footprint is not None
         added = plan_node_loads(
             self.footprint,
@@ -244,19 +210,18 @@ class ResourceManager:
             skip_keys=self.ledger.operator_keys(),
             pricer=JoinPricer(self.footprint, query, deployment.signature),
         )
-        return self.ledger.violations(self.config.utilization_bound, added), added
+        return self.ledger.violations(self.config.utilization_bound, added)
 
     def gate(self, service, query: Query, deployment):
         """Authoritative pre-deploy feasibility gate.
 
-        Returns a (possibly re-planned) feasible deployment, shedding
-        strictly lighter queries when allowed, or raises
+        Returns a (possibly re-planned) feasible deployment, or raises
         :class:`InfeasiblePlacementError` -- a ``PlanningError``, so the
-        resilience layer's parking path applies when present.
+        service parks the query.
         """
         if not self.constrained:
             return deployment
-        violations, added = self.check(query, deployment)
+        violations = self.check(query, deployment)
         if violations and deployment.stats.get("plan_cache") == "hit":
             # The cached placement was priced under an older background
             # load; evict it and let the constrained planner try fresh.
@@ -269,32 +234,7 @@ class ResourceManager:
             )
             service.cache.demote(key)
             deployment, _ = service.plan(query)
-            violations, added = self.check(query, deployment)
-        if violations and self.config.shed:
-
-            def feasible_with(freed: Mapping[int, Load]) -> bool:
-                extra = dict(added)
-                for node, load in freed.items():
-                    extra[node] = extra.get(node, ZERO_LOAD) + load.scaled(-1.0)
-                return not self.ledger.violations(
-                    self.config.utilization_bound, extra
-                )
-
-            plan = self.shedder.plan_shed(
-                service.engine.state,
-                self.footprint,
-                self.weight_of(query.name),
-                self.weight_of,
-                feasible_with,
-                protect=frozenset({query.name}),
-            )
-            if plan is not None:
-                for victim in plan.victims:
-                    self.shed(service, victim, displaced_by=query.name)
-                if not service._revalidate(deployment):
-                    # A victim took a view this plan reuses with it.
-                    deployment, _ = service.plan(query)
-                violations, _ = self.check(query, deployment)
+            violations = self.check(query, deployment)
         if violations:
             self.infeasible_total += 1
             hottest = ", ".join(
@@ -307,30 +247,13 @@ class ResourceManager:
         return deployment
 
     # ------------------------------------------------------------------
-    # Shedding / parking
+    # Parking / drift repair
     # ------------------------------------------------------------------
-    def shed(self, service, name: str, displaced_by: str) -> None:
-        """Evict a live query and park it for later re-admission."""
-        expiry = service._expiry.get(name)
-        remaining = None if expiry is None else max(1.0, expiry - service.clock)
-        victim = service.engine.state.deployment(name).query
-        service._retire_live(name)
-        self.parked[name] = ParkedQuery(
-            query=victim,
-            lifetime=remaining,
-            weight=self.weight_of(name),
-            reason=f"shed for {displaced_by!r}",
-            parked_at=service.clock,
-            shed=True,
-        )
-        self.shed_total += 1
-
     def park(self, service, query: Query, lifetime: float | None, reason: str) -> None:
         """Park an admitted-but-unplaceable query until capacity recovers."""
         self.parked[query.name] = ParkedQuery(
             query=query,
             lifetime=lifetime,
-            weight=self.weight_of(query.name),
             reason=reason,
             parked_at=service.clock,
         )
@@ -339,19 +262,19 @@ class ResourceManager:
         """Drop a parked query (explicit retirement); True if it was parked."""
         return self.parked.pop(name, None) is not None
 
-    def repair(self, service) -> list[str]:
+    def repair(self, service) -> None:
         """Shed queries off nodes driven over the bound by rate drift.
 
         Deployments are priced at admission time; when statistics drift
         upward the *live* fleet can exceed the bound with no admission
-        to trigger the gate.  Each tick the lightest occupant of the
-        hottest violating node is shed (it re-plans onto cooler nodes at
-        re-admission, or stays parked) until the fleet fits again.
+        to trigger the gate.  Each tick the lowest-named occupant of the
+        hottest violating node is shed: retired and parked with its
+        remaining lifetime (it re-plans onto cooler nodes at re-admission,
+        or stays parked) until the fleet fits again.
         """
-        if not (self.constrained and self.config.shed):
-            return []
-        shed: list[str] = []
-        for _ in range(MAX_SHED_PER_ADMIT):
+        if not self.constrained:
+            return
+        for _ in range(MAX_SHED_PER_TICK):
             violations = self.ledger.violations(self.config.utilization_bound)
             if not violations:
                 break
@@ -365,30 +288,44 @@ class ResourceManager:
             ]
             if not occupants:
                 break
-            victim = min(occupants, key=lambda n: (self.weight_of(n), n))
-            self.shed(service, victim, displaced_by="drift repair")
-            shed.append(victim)
-        return shed
+            victim = min(occupants)
+            expiry = service._expiry.get(victim)
+            query = state.deployment(victim).query
+            service._retire_live(victim)
+            self.parked[victim] = ParkedQuery(
+                query=query,
+                lifetime=None if expiry is None else max(1.0, expiry - service.clock),
+                reason="shed for 'drift repair'",
+                parked_at=service.clock,
+                shed=True,
+            )
+            self.shed_total += 1
 
     def step(self, service, now: float) -> list[str]:
-        """Repair drift violations, then try re-admitting parked queries,
-        heaviest first; returns names deployed this tick."""
+        """Repair drift violations, then try re-admitting parked queries
+        from the front of the lot; returns names deployed this tick.
+
+        The lot's order is the queue: a query parks at the back, and a
+        failed attempt sends it to the back again, so queries that fit
+        nowhere cannot hold the front against ones that fit.
+        """
         self.repair(service)
         if not self.parked:
             return []
         # A query with an endpoint outside the hierarchy cannot be planned:
         # it waits, without using up a re-admission slot, until it rejoins.
         retry = [p for p in self.parked.values() if not service.endpoint_problem(p.query)]
-        order = sorted(retry, key=lambda p: (-p.weight, p.parked_at, p.query.name))
         deployed: list[str] = []
-        for entry in order[:MAX_READMITS_PER_TICK]:
+        for entry in retry[:MAX_READMITS_PER_TICK]:
+            name = entry.query.name
             try:
                 service._deploy(entry.query, entry.lifetime)
             except PlanningError:
+                self.parked[name] = self.parked.pop(name)
                 continue
-            del self.parked[entry.query.name]
+            del self.parked[name]
             self.readmitted_total += 1
-            deployed.append(entry.query.name)
+            deployed.append(name)
         return deployed
 
     # ------------------------------------------------------------------
@@ -413,7 +350,7 @@ class ResourceManager:
 
     def capture(self) -> dict:
         """The manager's section of a ``repro.state`` snapshot: parked
-        and shed queries, oldest first, and the counters.  The ledger is
+        and shed queries in queue order, and the counters.  The ledger is
         derived state: it re-reads the restored deployment state."""
         return {
             # Every field of the record, so a new one round-trips unasked.
@@ -428,8 +365,13 @@ class ResourceManager:
 
     def restore(self, doc: dict) -> None:
         """Inverse of :meth:`capture`, into a pristine manager."""
+        # A snapshot written before admission stopped weighing queries
+        # carries a ``weight`` per parked query: drop it.
         parked = [
-            ParkedQuery(**{**p, "query": _query_from_dict(p["query"])})
+            ParkedQuery(
+                **{k: v for k, v in p.items() if k not in ("query", "weight")},
+                query=_query_from_dict(p["query"]),
+            )
             for p in doc["parked"]
         ]
         self.parked = {p.query.name: p for p in parked}

@@ -183,9 +183,8 @@ class StreamQueryService:
             turning on resource-aware placement: node capacities feed a
             utilization-bounded (or bi-criteria) planner constraint,
             every deployment passes a joint feasibility gate against
-            the live ledger, queries with no feasible placement shed
-            strictly lighter live queries or park until capacity
-            recovers, and per-node ``resource_*`` utilization gauges
+            the live ledger, queries with no feasible placement park
+            until capacity recovers, and per-node ``resource_*`` utilization gauges
             land in the registry.  With ``None`` (the default) no
             ledger, gate or instruments exist; even when armed,
             all-unbounded capacities leave planning and admission
@@ -303,7 +302,7 @@ class StreamQueryService:
         if self.telemetry is not None:
             self.telemetry.bind_service(self)
 
-        # Resource layer, same contract: ledger, admission gate, shedder
+        # Resource layer, same contract: ledger, admission gate, parking lot
         # and the resource_* instruments exist only when asked for.  Built
         # here so that durability sees it among layers(), bound last.
         from repro.resources.manager import ensure_resources
@@ -852,8 +851,8 @@ class StreamQueryService:
 
     def plan_feasible(self, query: Query) -> Deployment:
         """Plan ``query`` through the cache; with the resource layer on,
-        under the live constraint, shedding lighter queries to fit (or
-        raising :class:`InfeasiblePlacementError`)."""
+        under the live constraint (raising
+        :class:`InfeasiblePlacementError` when nothing fits)."""
         if self.resources is not None:
             return self.resources.plan_feasible(self, query)
         deployment, _hit = self.plan(query)

@@ -124,6 +124,6 @@ class TestLinkChange:
             shadow.undeploy(decision.query)
             deployment = state.deployment(decision.query)
             candidate = service.optimizer.plan(deployment.query, shadow)
-            assert shadow.cost_of(candidate) < 0.95 * decision.current_cost
+            assert shadow.apply(candidate) < 0.95 * decision.current_cost
             assert deployment.placement == placements[decision.query]
         assert not [m for r in reports for m in r.migrations]

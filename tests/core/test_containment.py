@@ -128,8 +128,8 @@ class TestPlannerIntegration:
         q = _filtered_query("q2", 9, sel=0.001)
         plain = OptimalPlanner(net, rates, reuse=True).plan(q, state)
         contained = OptimalPlanner(net, rates, reuse=True, containment=True).plan(q, state)
-        cost_plain = state.cost_of(plain)
-        cost_contained = state.cost_of(contained)
+        cost_plain = state.clone().apply(plain)
+        cost_contained = state.clone().apply(contained)
         assert contained.reused_leaves(), "containment plan should reuse"
         assert cost_contained < cost_plain
 
@@ -140,7 +140,7 @@ class TestPlannerIntegration:
             q = _filtered_query(f"q_{sink}", sink)
             plain = OptimalPlanner(net, rates, reuse=True).plan(q, state)
             contained = OptimalPlanner(net, rates, reuse=True, containment=True).plan(q, state)
-            assert state.cost_of(contained) <= state.cost_of(plain) + 1e-9
+            assert state.clone().apply(contained) <= state.clone().apply(plain) + 1e-9
 
     def test_state_accounting_ships_provider_rate(self, env):
         net, streams, rates, state = env

@@ -217,7 +217,6 @@ def _capture_resources(manager) -> dict[str, Any]:
             {
                 "query": _query_to_dict(p.query),
                 "lifetime": p.lifetime,
-                "weight": p.weight,
                 "reason": p.reason,
                 "parked_at": p.parked_at,
                 "shed": p.shed,

@@ -502,21 +502,27 @@ GOLDEN = {
         admit query,reason,status
         retire query *3
         deploy lifetime,query *2
+        migrate_begin operators,query,state_bytes
+        migrate_phase phase,query *4
+        migrate_commit operators,query
+        migrate_begin operators,query,state_bytes
+        migrate_phase phase,query *4
+        migrate_commit operators,query
         tick_end deployed,migrated,retired
         snapshot file,lsn
         cmd_retire name
         retire query
         cmd_tick time
         deploy lifetime,query
-        tick_end deployed,migrated,retired
-        cmd_tick time
-        tick_end deployed,migrated,retired
-        cmd_tick time
-        tick_end deployed,migrated,retired
-        cmd_tick time
         migrate_begin operators,query,state_bytes
         migrate_phase phase,query *4
         migrate_commit operators,query
+        tick_end deployed,migrated,retired
+        cmd_tick time
+        tick_end deployed,migrated,retired
+        cmd_tick time
+        tick_end deployed,migrated,retired
+        cmd_tick time
         tick_end deployed,migrated,retired
         cmd_tick time
         tick_end deployed,migrated,retired

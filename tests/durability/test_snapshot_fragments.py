@@ -58,7 +58,7 @@ from tests.conftest import three_sink_world
 from tests.durability import reference_capture as reference
 
 _POOL = 10
-#: Tight enough that heavier arrivals shed lighter queries.
+#: Tight enough that queries park.
 _CAPS = dict(cpu=600.0, memory=400.0, bandwidth=800.0)
 #: Publish on the first breaching tick and migrate on any gain.
 _ADAPT = AdaptivityConfig(
@@ -75,8 +75,8 @@ def bounded(net) -> ResourceConfig:
     return ResourceConfig(capacities=uniform_capacities(net, **_CAPS))
 
 
-#: Three weight classes, so a fleet's heavier arrivals shed lighter
-#: queries: pool query ``i`` is submitted by tenant ``w{1 + i % 3}``.
+#: Three tenants of different weights: pool query ``i`` is submitted
+#: by tenant ``w{1 + i % 3}``.
 TENANTS = [Tenant(f"w{k}", weight=float(k)) for k in (1, 2, 3)]
 
 

@@ -214,11 +214,11 @@ class TestStateUtilities:
         assert state.total_cost() > 0
         assert clone.total_cost() == 0
 
-    def test_cost_of_does_not_mutate(self, small_net, abc_rates, ab_query):
+    def test_a_clone_prices_without_mutating(self, small_net, abc_rates, ab_query):
         costs = small_net.cost_matrix()
         state = DeploymentState(costs, abc_rates.rate, abc_rates.source)
         d = _manual_deployment(ab_query, {"join": 2})
-        predicted = state.cost_of(d)
+        predicted = state.clone().apply(d)
         assert state.total_cost() == 0
         assert state.apply(d) == pytest.approx(predicted)
 

@@ -2,10 +2,9 @@
 
 With the resource layer armed, the resilience ladder plans through the
 same feasible-planning step as the bare path: a query that does not fit
-sheds lighter queries or parks with the resource layer.  It is never
-retried, never opens a breaker and never falls through to the
-unconstrained baseline rung -- so with no faults injected, arming
-resilience changes nothing.
+parks with the resource layer.  It is never retried, never opens a
+breaker and never falls through to the unconstrained baseline rung --
+so with no faults injected, arming resilience changes nothing.
 """
 
 import pytest

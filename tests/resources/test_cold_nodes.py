@@ -7,8 +7,8 @@ search skips both on a task whose candidates are all cold.  The oracle
 is the same constraint with the certificate forced off
 (:class:`AlwaysHot`): every tree, placement, cost, objective, stat, span
 counter and ``InfeasiblePlacementError`` must match it, across tight,
-loose and mixed capacities, with and without a load penalty, through a
-shed trial's relief and through both planners.  Only the constrained
+loose and mixed capacities, with and without a load penalty, and
+through both planners.  Only the constrained
 work counters and the array passes may differ, and only downward.
 
 The second half checks the certificate's premise: the worst case it
@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core.cost import RateModel
-from repro.fleet import FleetController, Tenant
 from repro.core.enumeration import all_join_trees
 from repro.core.search import TreeSearch
 from repro.errors import InfeasiblePlacementError
@@ -228,90 +227,6 @@ def test_planner_end_to_end(optimizer_cls, seed, regime, load_weight):
         _assert_no_constraint_work(ops)
     elif regime == "mixed":  # some tasks certified, some not
         assert 0 < ops["joint_validations"] < oracle_ops["joint_validations"]
-
-
-# ----------------------------------------------------------------------
-# A shed trial's relief
-# ----------------------------------------------------------------------
-def _shed_run(monkeypatch, cls, weighted):
-    monkeypatch.setattr(repro.resources.manager, "PlacementConstraint", cls)
-    net = repro.transit_stub_by_size(32, seed=47)
-    hierarchy = repro.build_hierarchy(net, max_cs=4, seed=0)
-    workload = repro.generate_workload(
-        net,
-        repro.WorkloadParams(num_streams=6, num_queries=8, joins_per_query=(1, 3)),
-        seed=48,
-    )
-    queries = list(workload)
-    tight = NodeCapacity(cpu=600.0, memory=400.0, bandwidth=800.0)
-    # A single service weighs every query 1.0: one shard under a tenant
-    # fleet, whose last query is the heavy tenant's, forces the shed.
-    fleet = FleetController(
-        1, net, workload.rate_model(), hierarchy,
-        tenants=[Tenant("heavy", weight=5.0), Tenant("light", weight=0.5)],
-        resources=ResourceConfig(
-            # Every fifth node loose: cold for each query, so the certificate
-            # short-cuts some tasks while the tight rest still forces a shed.
-            capacities={
-                node: NodeCapacity(cpu=LOOSE, memory=LOOSE, bandwidth=LOOSE)
-                if node % 5 == 0 else tight
-                for node in net.nodes()
-            },
-            load_weight=0.5 if weighted else 0.0,
-        ),
-    )
-    service = fleet.shards[0]
-    manager = service.resources
-    relieved = []
-    constraint_for = type(manager).constraint_for
-
-    def spy(self, query):
-        constraint = constraint_for(self, query)
-        if self._relief:
-            relieved.append(constraint)
-        return constraint
-
-    monkeypatch.setattr(type(manager), "constraint_for", spy)
-    with profiled() as prof:
-        decisions = [
-            fleet.submit(
-                query,
-                lifetime=100.0,
-                time=float(i),
-                tenant="heavy" if query is queries[-1] else "light",
-            )
-            for i, query in enumerate(queries)
-        ]
-    monkeypatch.undo()
-    state = service.engine.state
-    return SimpleNamespace(
-        decisions=[(d.status, d.decision.reason) for d in decisions],
-        live={
-            dep.query.name: (dep.plan, dep.placement) for dep in state.deployments
-        },
-        parked=sorted(manager.parked),
-        counters=(manager.shed_total, manager.infeasible_total),
-        loads=manager.ledger.node_loads(),
-        relieved=relieved,
-        ops=prof.ops,
-    )
-
-
-@pytest.mark.parametrize("weighted", (False, True), ids=("bound", "weighted"))
-def test_shed_trial_relief(monkeypatch, weighted):
-    ours = _shed_run(monkeypatch, PlacementConstraint, weighted)
-    theirs = _shed_run(monkeypatch, AlwaysHot, weighted)
-    assert ours.relieved, "no shed trial ran"
-    assert ours.counters[0] >= 1
-    assert (ours.decisions, ours.live, ours.parked, ours.counters, ours.loads) == (
-        theirs.decisions, theirs.live, theirs.parked, theirs.counters, theirs.loads
-    )
-    _assert_same_work(ours.ops, theirs.ops)
-    # Relief lowers the background, so loose nodes stay cold in a trial.
-    assert all(
-        all(constraint._cold(node) for node in range(0, 32, 5))
-        for constraint in ours.relieved
-    )
 
 
 # ----------------------------------------------------------------------

@@ -75,7 +75,7 @@ def assert_reports_match(ledger: ResourceLedger, reference: ReferenceLedger) -> 
     for node, util in utils.items():
         assert ledger.utilization(node) == util
     # Extra load on the hottest node and on one the books never met; the
-    # runner-up relieved of everything it carries (a shed trial).
+    # runner-up relieved of everything it carries (a negative extra).
     hot = [node for node, _ in reference.hot_nodes(caps, 2)]
     extra = {10_000: Load(cpu=1.0)}
     for node, load in zip(hot, (Load(cpu=40.0, memory=3.0), None)):
@@ -300,9 +300,8 @@ def bounded(net) -> ResourceConfig:
     return ResourceConfig(capacities=uniform_capacities(net, **_CAPS))
 
 
-#: Three weight classes, so a fleet's heavier arrivals shed lighter
-#: queries and the victims park and re-admit: pool query ``i`` is
-#: submitted by tenant ``w{1 + i % 3}``.
+#: Three tenants of different weights: pool query ``i`` is submitted
+#: by tenant ``w{1 + i % 3}``.
 TENANTS = [Tenant(f"w{k}", weight=float(k)) for k in (1, 2, 3)]
 
 
@@ -587,7 +586,7 @@ def test_a_refused_rebalance_leaves_nothing_parked_on_the_target():
     deployed a query that was live on the source again."""
     FleetLedgerMachine.seen = Counter()
     fleet = FleetLedgerMachine().plane
-    name = "q0#0"  # tenant w1's: nothing is lighter, so nothing is shed
+    name = "q0#0"
     source = fleet.shard_of(name)
     caps = fleet.resource_ledger.capacities
     roomy = dict(caps)

@@ -1,5 +1,5 @@
-"""Capacity-bounded service behavior: park, shed, re-admit, and the
-fleet-feasibility property (no accepted placement ever exceeds its
+"""Capacity-bounded service behavior: park, re-admit, drift repair, and
+the fleet-feasibility property (no accepted placement ever exceeds its
 bound -- even under statistics drift)."""
 
 import shutil
@@ -39,10 +39,9 @@ def build_service(resources, seed=47, num_queries=8, **layers):
 
 def build_weighted(resources, heavy, **layers):
     """One shard under a tenant fleet, the :func:`build_service` world:
-    a single service weighs every query 1.0, so per-query weights come
-    from tenants -- ``heavy`` is submitted as tenant ``heavy`` (weight
-    5), every other query as ``light`` (0.5).  Returns ``(fleet, shard,
-    submit, workload, net)``."""
+    ``heavy`` is submitted as tenant ``heavy`` (weight 5), every other
+    query as ``light`` (0.5).  Returns ``(fleet, shard, submit,
+    workload, net)``."""
     net = repro.transit_stub_by_size(32, seed=47)
     hierarchy = repro.build_hierarchy(net, max_cs=4, seed=0)
     workload = repro.generate_workload(
@@ -76,6 +75,22 @@ def bounded_config(net, **overrides):
 def assert_feasible(service):
     bound = service.resources.config.utilization_bound
     assert service.resources.ledger.violations(bound) == []
+
+
+def drift_shed(service, workload, lifetime=None):
+    """Fill ``service`` from ``workload``, then let the rates drift 1.5x
+    upward and tick once: drift repair sheds live queries."""
+    for i, query in enumerate(workload):
+        service.submit(query, lifetime=lifetime, time=float(i))
+    inflated = {
+        name: repro.StreamSpec(name, spec.source, spec.rate * 1.5)
+        for name, spec in service.rates.streams.items()
+    }
+    service.rates.update_streams(inflated)
+    service.tick(10.0)
+    shed = [p for p in service.resources.parked.values() if p.shed]
+    assert shed, "the drift must push a node over its bound"
+    return shed
 
 
 class TestParkAndReadmit:
@@ -166,6 +181,80 @@ class TestParkAndReadmit:
         assert service.retire(name) is False
         assert name not in service.resources.parked
 
+    def test_a_query_that_fits_is_not_starved_by_ones_that_never_do(self):
+        # Re-admission tries two parked queries a tick.  A failed attempt
+        # used to keep its place at the front of the lot, so two queries
+        # that fit nowhere blocked every query behind them for good.
+        net = repro.transit_stub_by_size(32, seed=47)
+        caps = uniform_capacities(net, cpu=360.0, memory=240.0, bandwidth=480.0)
+        service, workload, _ = build_service(ResourceConfig(capacities=caps))
+        queries = {query.name: query for query in workload}
+        # q7 fills the net; q1 and q2 fit nowhere even alone; q3 only
+        # waits for q7 to go.
+        for i, name in enumerate(("q7", "q1", "q2", "q3")):
+            service.submit(queries[name], time=float(i))
+        manager = service.resources
+        assert list(manager.parked) == ["q1", "q2", "q3"]
+        service.retire("q7")
+        ticks = -(-len(manager.parked) // 2)
+        deployed = [service.tick(10.0 + t).deployed for t in range(ticks)]
+        assert "q3" in sum(deployed, [])
+        assert sorted(manager.parked) == ["q1", "q2"]
+        assert_feasible(service)
+
+    def test_a_heavier_tenants_query_parks_and_evicts_nothing(self):
+        net = repro.transit_stub_by_size(32, seed=47)
+        heavy = list(build_service(None)[1])[-1].name  # probe names first
+        fleet, service, submit, workload, _ = build_weighted(
+            bounded_config(net), heavy
+        )
+        manager = service.resources
+        left = []
+        for i, query in enumerate(list(workload)):
+            live = set(service.live_queries)
+            submit(query, lifetime=100.0, time=float(i))
+            left += live - set(service.live_queries)
+        # The heavy query arrives last into a saturated shard: it parks,
+        # and no lighter live query makes room for it.
+        assert not service.is_live(heavy)
+        assert heavy in manager.parked
+        assert left == [] and manager.shed_total == 0
+        assert not any(p.shed for p in manager.parked.values())
+        assert_feasible(service)
+        assert_replays(service)
+
+    def test_plan_feasible_raises_for_a_parked_query(self):
+        net = repro.transit_stub_by_size(32, seed=47)
+        service, workload, _ = build_service(bounded_config(net))
+        for i, query in enumerate(workload):
+            service.submit(query, lifetime=100.0, time=float(i))
+        manager = service.resources
+        assert manager.parked and manager.shed_total == 0
+        infeasible = manager.infeasible_total
+        # Directly planning the parked query surfaces the error, counted.
+        victim = next(iter(manager.parked.values())).query
+        with pytest.raises(InfeasiblePlacementError) as raised:
+            manager.plan_feasible(service, victim)
+        assert str(raised.value) == (
+            f"no feasible placement for {victim.name!r} under utilization bound 1.0"
+        )
+        assert manager.infeasible_total == infeasible + 1
+
+    def test_a_snapshot_with_parked_weights_restores(self):
+        # Snapshots written while admission weighed queries carry a
+        # ``weight`` per parked query; recovery drops it.
+        net = repro.transit_stub_by_size(32, seed=47)
+        service, workload, _ = build_service(bounded_config(net))
+        for i, query in enumerate(workload):
+            service.submit(query, lifetime=100.0, time=float(i))
+        doc = service.resources.capture()
+        assert doc["parked"] and not any("weight" in p for p in doc["parked"])
+        old = {**doc, "parked": [{**p, "weight": 1.0} for p in doc["parked"]]}
+        twin = build_service(bounded_config(net))[0].resources
+        twin.restore(old)
+        assert twin.parked == service.resources.parked
+        assert twin.capture() == doc
+
     @pytest.mark.parametrize("endpoint", ("sink", "source"))
     def test_parked_query_waits_out_a_failed_endpoint(self, endpoint):
         # Re-admission used to let the planner's lookup error (the sink or
@@ -208,122 +297,14 @@ class TestParkAndReadmit:
 
 
 class TestShedding:
-    def test_heavy_query_sheds_lighter_ones(self):
-        net = repro.transit_stub_by_size(32, seed=47)
-        heavy = list(build_service(None)[1])[-1].name  # probe names first
-        fleet, service, submit, workload, _ = build_weighted(
-            bounded_config(net), heavy
-        )
-        manager = service.resources
-        for i, query in enumerate(list(workload)):
-            submit(query, lifetime=100.0, time=float(i))
-        # The heavy query arrives last into a saturated fleet: lighter
-        # victims are shed (and parked) rather than the heavy one.
-        assert service.is_live(heavy)
-        assert manager.shed_total >= 1
-        shed = [p for p in manager.parked.values() if p.shed]
-        assert shed
-        assert all(p.weight < manager.weight_of(heavy) for p in shed)
-        assert_feasible(service)
-        assert_replays(service)
-
-        # Retiring the heavy query frees room: the victims come back.
-        fleet.retire(heavy)
-        report = fleet.tick(20.0)
-        assert {p.query.name for p in shed} & {name for name, _ in report.deployed}
-        assert_feasible(service)
-        assert_replays(service)
-
-    def test_shed_disabled_raises_from_the_planner(self):
-        net = repro.transit_stub_by_size(32, seed=47)
-        service, workload, _ = build_service(bounded_config(net, shed=False))
-        queries = list(workload)
-        parked = []
-        for i, query in enumerate(queries):
-            decision = service.submit(query, lifetime=100.0, time=float(i))
-            if decision.status is AdmissionStatus.QUEUED:
-                parked.append(query.name)
-        assert parked
-        assert service.resources.shed_total == 0
-        # Directly planning the parked query must surface the error.
-        victim = service.resources.parked[parked[0]].query
-        with pytest.raises(InfeasiblePlacementError):
-            service.resources.plan_feasible(service, victim)
-
     def test_shed_victims_keep_remaining_lifetime(self):
         net = repro.transit_stub_by_size(32, seed=47)
-        heavy = list(build_service(None)[1])[-1].name
-        _, service, submit, workload, _ = build_weighted(bounded_config(net), heavy)
-        for i, query in enumerate(list(workload)):
-            submit(query, lifetime=50.0, time=float(i))
-        shed = [p for p in service.resources.parked.values() if p.shed]
-        assert shed
+        service, workload, _ = build_service(bounded_config(net))
+        shed = drift_shed(service, workload, lifetime=50.0)
         for entry in shed:
+            assert entry.reason == "shed for 'drift repair'"
             assert entry.lifetime is not None
             assert 0 < entry.lifetime <= 50.0
-
-
-    def test_gate_replans_when_a_victim_took_a_reused_view_with_it(self):
-        """With both coordinators of a sink out, the resilience ladder falls
-        to the baseline rung, which plans unconstrained, so the gate is what
-        sheds; a victim that held a view the plan reuses used to leave
-        ``apply`` a plan over an operator that was gone."""
-        from repro.adaptive import AdaptivityConfig
-        from repro.resilience import FaultInjector, FaultPlan
-        from repro.resilience.degradation import ResilienceConfig
-        from repro.resilience.faults import CoordinatorOutage
-
-        net = repro.transit_stub_by_size(32, seed=47)
-        hierarchy = repro.build_hierarchy(net, max_cs=4, seed=0)
-        workload = repro.generate_workload(
-            net,
-            repro.WorkloadParams(num_streams=6, num_queries=10, joins_per_query=(1, 3)),
-            seed=48,
-        )
-        sinks = sorted({query.sink for query in workload})[:3]
-        pool = [
-            query.renamed(query.name, sink=sinks[index % 3])
-            for index, query in enumerate(workload)
-        ]
-        rates = workload.rate_model()
-        leaf = hierarchy.leaf_cluster(sinks[2])
-        outages = [
-            CoordinatorOutage(time=0.0, node=node, duration=1e9)
-            for node in (leaf.coordinator, leaf.parent.coordinator)
-        ]
-        tenants = [Tenant(f"w{k}", weight=float(k)) for k in (1, 2, 3)]
-        #: The tenant of each pool query (an index into ``tenants``).
-        owner = [0, 2, 0, 0, 1, 0, 2, 2, 2, 0]
-        fleet = FleetController(
-            1,
-            net,
-            rates,
-            hierarchy,
-            tenants=tenants,
-            service_kwargs={
-                "resilience": ResilienceConfig(),
-                "faults": FaultInjector(FaultPlan(outages)),
-                "adaptivity": AdaptivityConfig(
-                    alpha=1.0, hysteresis_ticks=1, publish_cooldown=0.0,
-                    query_cooldown=0.0,
-                ),
-            },
-            resources=bounded_config(net),
-        )
-        service = fleet.shards[0]
-        for index, query in enumerate(pool):
-            fleet.submit(
-                query,
-                lifetime=None if index % 2 else 6.0,
-                tenant=tenants[owner[index]].name,
-            )
-        samples = {name: spec.rate for name, spec in rates.streams.items()}
-        samples[sorted(samples)[1]] *= 0.5
-        service.observe_rates(samples)
-        for _ in range(4):
-            fleet.tick()  # re-admits a parked query through the gate
-        assert service.resources.shed_total >= 1
-        assert_feasible(service)
 
 
 class TestInstruments:
@@ -348,13 +329,8 @@ class TestInstruments:
 
     def test_shed_counter_tracks_the_manager(self):
         net = repro.transit_stub_by_size(32, seed=47)
-        heavy = list(build_service(None)[1])[-1].name
-        fleet, service, submit, workload, _ = build_weighted(
-            bounded_config(net), heavy
-        )
-        for i, query in enumerate(list(workload)):
-            submit(query, lifetime=100.0, time=float(i))
-        fleet.tick(10.0)
+        service, workload, _ = build_service(bounded_config(net))
+        drift_shed(service, workload)
         reg = service.registry
         assert reg.get("resource_shed_total").value == float(
             service.resources.shed_total

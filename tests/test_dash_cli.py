@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import build_parser, main
 
 
@@ -109,6 +111,23 @@ class TestDashCli:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "telemetry envelope" in err
+
+    @pytest.mark.parametrize(
+        "field",
+        (
+            {"series": {"a": 5}},
+            {"alerts": 5},
+            {"series": {"service.x": [[1]]}},
+        ),
+        ids=("series-not-a-list", "alerts-not-a-list", "point-without-value"),
+    )
+    def test_from_file_rejects_a_malformed_field(self, tmp_path, capsys, field):
+        # Each used to crash a renderer with a traceback and exit 1.
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"kind": "repro.telemetry", "version": 1, **field}))
+        rc = main(["dash", "--from", str(bad), "--once"])
+        assert rc == 2
+        assert "is not a telemetry envelope" in capsys.readouterr().err
 
     def test_from_missing_file_exits_2(self, tmp_path, capsys):
         rc = main(["dash", "--from", str(tmp_path / "nope.json"), "--once"])

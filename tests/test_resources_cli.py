@@ -17,7 +17,6 @@ class TestResourcesCli:
         assert args.capacity_profile == "uniform"
         assert args.utilization_bound == 1.0
         assert args.load_weight == 0.0
-        assert not args.no_shed
         assert args.func.__name__ == "_cmd_resources"
 
     ROOMY = ["--cpu", "5000", "--memory", "5000", "--bandwidth", "5000"]
@@ -43,6 +42,14 @@ class TestResourcesCli:
         ])
         assert rc == 1
         assert "INFEASIBLE" in capsys.readouterr().out
+
+    def test_idle_nodes_are_not_hot(self, capsys):
+        # After the drain every node is at 0.00: none of them is hot.
+        rc = main(["resources", *self.ROOMY, *SMALL])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "  hot nodes: none\n" in out
+        assert "=0.00" not in out
 
     def test_json_report(self, capsys):
         rc = main(["resources", "--json", *self.ROOMY, *SMALL])
