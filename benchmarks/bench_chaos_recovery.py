@@ -2,7 +2,7 @@
 
 Runs the same churning workload twice -- once clean, once under a seeded
 :class:`repro.FaultPlan` (crashes, coordinator outages, slow-downs, a
-message storm, a stale-statistics window) -- and compares the two
+stale-statistics window) -- and compares the two
 trajectories:
 
 * **recovery time**: ticks from each applied crash until the chaos run's
@@ -114,7 +114,7 @@ def test_chaos_recovery(benchmark):
         net.nodes(), seed=SEED, duration=duration * 0.8,
         crashes=0, protected=protected,
     )
-    plan = FaultPlan(events=targeted + generated.events, seed=generated.seed)
+    plan = FaultPlan(events=targeted + generated.events)
     faults = FaultInjector(plan)
     chaos_service, _, _ = _build(num_queries, faults=faults)
     live_chaos, cost_chaos = _drive(chaos_service, list(trace), duration)
@@ -143,9 +143,7 @@ def test_chaos_recovery(benchmark):
         "",
         f"  workload: {len(trace)} submissions over {duration} ticks "
         f"({repeats}x {num_queries} queries, lifetime 6, 2/tick), 32 nodes",
-        f"  fault plan: {len(plan)} events "
-        f"({len(faults.applied)} applied; "
-        f"{faults.messages_dropped} msgs dropped)",
+        f"  fault plan: {len(plan)} events ({len(faults.applied)} applied)",
         "",
         "  crash recovery (node, queries retired, ticks to catch clean run):",
     ]

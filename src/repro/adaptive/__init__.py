@@ -19,7 +19,6 @@ from repro.adaptive.diff import MigrationDiff, OperatorMove, diff_deployments
 from repro.adaptive.loop import AdaptiveTickReport, AdaptivityConfig, AdaptivityLoop
 from repro.adaptive.migrate import (
     CutoverTimeline,
-    MIGRATION_RETRY,
     MigrationOutcome,
     Migrator,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "CutoverTimeline",
     "DriftEvent",
     "EwmaEstimator",
-    "MIGRATION_RETRY",
     "MigrationDiff",
     "MigrationOutcome",
     "Migrator",

@@ -132,7 +132,7 @@ class AdaptivityLoop:
             publish_cooldown=cfg.publish_cooldown,
         )
         self.policy = ReoptPolicy(cfg, service.optimizer, service.rates)
-        self.migrator = Migrator(service.network, faults=service.faults)
+        self.migrator = Migrator(service.network)
         self._seen_topology = service.topology_epoch
         reg = service.registry
         self._instruments = {
@@ -262,8 +262,8 @@ class AdaptivityLoop:
                 )
                 mig_span.tag(committed=outcome.committed)
             report.migrations.append(outcome)
-            # Cooldown applies to aborts too: an outage that killed this
-            # cutover will likely kill an immediate retry.
+            # Cooldown applies to aborts too: a candidate that failed to
+            # install will likely fail an immediate retry.
             self._last_migration[name] = now
             if outcome.committed:
                 self._instruments["migrations"].inc()

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import Sequence
 
@@ -559,8 +560,7 @@ def _cmd_trace_causal(args, world, query) -> int:
           f"on {len(network.nodes())} nodes")
     print(f"  deployment took {timeline.duration * 1000:.1f} ms (virtual), "
           f"{timeline.messages} messages, {timeline.tasks} planning tasks")
-    print(f"  hops {summary['hops']}  retransmissions "
-          f"{summary['retransmissions']}  dropped {summary['dropped']}")
+    print(f"  hops {summary['hops']}")
     print(f"  data-flow cost (sum of flow hop link_cost tags): "
           f"{causal.flow_cost(root.walk()):,.1f}/unit-time")
     print()
@@ -741,11 +741,6 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     state_dir = pathlib.Path(args.state_dir)
     if not state_dir.is_dir():
         return _fail(f"state directory not found: {state_dir}")
-    if not args.inspect:
-        return _fail("offline recovery needs the owning process's "
-                     "deterministic factory; use --inspect for the read-only "
-                     "report, or recover() from the library "
-                     "(see docs/durability.md)")
     try:
         doc = inspect_state_dir(state_dir)
     except StateMismatchError as exc:
@@ -810,7 +805,7 @@ def _cmd_chaos_crash(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True, default=str))
         return 0 if report["converged"] else 1
-    print(f"crash-restart matrix: {report['scope']} scenario, "
+    print(f"crash-restart matrix: {args.crash_scope} scenario, "
           f"{report['steps']} scripted commands, "
           f"{report['journal_records']} journal records")
     for p in report["points"]:
@@ -846,7 +841,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.resilience.faults import (
         CoordinatorOutage,
         CoordinatorSlowdown,
-        MessageStorm,
         NodeCrash,
         StaleStatistics,
     )
@@ -909,7 +903,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         "crashes": len(plan.of_kind(NodeCrash)),
         "outages": len(plan.of_kind(CoordinatorOutage)),
         "slowdowns": len(plan.of_kind(CoordinatorSlowdown)),
-        "storms": len(plan.of_kind(MessageStorm)),
         "stale windows": len(plan.of_kind(StaleStatistics)),
     }
     print(f"chaos drill: {args.algorithm} on {len(network.nodes())} nodes, "
@@ -917,9 +910,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     print("  fault plan: " + ", ".join(f"{v} {k}" for k, v in counts.items() if v))
     print(f"  trace: {s['submitted']} submissions, "
           f"{s['deployed_total']} deployments, {s['retired_total']} retirements")
-    print(f"  faults applied: {fs['events_applied']} events; messages "
-          f"dropped {fs['messages_dropped']}, delayed {fs['messages_delayed']}, "
-          f"duplicated {fs['messages_duplicated']}")
+    print(f"  faults applied: {fs['events_applied']} events")
     print(f"  resilience: {res['retries']} retries, {res['fallbacks']} fallbacks, "
           f"{res['breaker_opens']} breaker opens")
     print(f"  parked: {len(res['parked_now'])} now / {res['parked_total']} total; "
@@ -1121,6 +1112,8 @@ def _world_args(parser, queries, algorithms=HIERARCHICAL, algorithm_help=None,
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests and docs)."""
+    from repro.durability.harness import SCENARIOS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Hierarchical network partitions for distributed stream query optimization",
@@ -1243,23 +1236,22 @@ def build_parser() -> argparse.ArgumentParser:
                             "journal points (0 = every derived point), "
                             "recover, and require digest convergence")
     chaos.add_argument("--crash-scope", default="fleet",
-                       choices=["service", "fleet"],
+                       choices=list(SCENARIOS),
                        help="scripted scenario the crash matrix runs "
-                            "(default: the seeded 2-shard fleet)")
+                            "(default: the seeded 2-shard fleet; layers: the "
+                            "service with resilience, faults, adaptivity and "
+                            "resources armed)")
     chaos.add_argument("--state-dir", default=None, metavar="DIR",
                        help="root directory for the matrix's per-point "
                             "state dirs (default: a temp dir)")
     _json_flag(chaos, "the crash matrix report")
 
     recover = subcommand("recover", _cmd_recover,
-                         "inspect a durability state directory: journal health, "
-                         "snapshots, and what a recovery would replay")
+                         "report on a durability state directory, read-only: "
+                         "journal tail, snapshot validity, replay suffix and "
+                         "in-flight migrations (recovery itself is the "
+                         "library call recover())")
     recover.add_argument("state_dir", help="durability state directory")
-    recover.add_argument("--inspect", action="store_true",
-                         help="read-only report (journal tail, snapshot "
-                              "validity, replay suffix, in-flight "
-                              "migrations); required -- recovery itself "
-                              "is a library call")
     _json_flag(recover, "the inspection report")
 
     adapt = subcommand("adapt", _cmd_adapt,
@@ -1363,6 +1355,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except _UsageError as exc:
         return _fail(str(exc))
+    except BrokenPipeError:
+        # The reader closed the pipe (``repro ... | head``).  Point stdout
+        # at devnull so the interpreter's exit flush cannot fail again,
+        # and exit as a process killed by SIGPIPE reports.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 def serve_main(argv: Sequence[str] | None = None) -> int:

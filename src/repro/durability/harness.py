@@ -168,7 +168,7 @@ def layered_scenario() -> Scenario:
         tight = uniform_capacities(net, cpu=3500.0, memory=3500.0, bandwidth=3500.0)
         return {
             "resilience": ResilienceConfig(),
-            "faults": FaultInjector(FaultPlan([outage, crash], seed=3)),
+            "faults": FaultInjector(FaultPlan([outage, crash])),
             "resources": ResourceConfig(capacities=tight),
         }
 

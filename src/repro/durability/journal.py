@@ -18,7 +18,7 @@ Records come in two flavours:
   (admission verdicts, deploys, migration barrier phases, federation
   publications, ...).  They are never replayed; they exist so crash
   points can target every interesting instant between two state
-  changes, and so ``repro recover --inspect`` can tell exactly how far
+  changes, and so ``repro recover`` can tell exactly how far
   an in-flight migration got.
 
 Torn writes are first-class: :func:`scan_journal` accepts any file

@@ -230,7 +230,7 @@ def recover(
 
 
 def inspect_state_dir(state_dir: str | Path) -> dict[str, Any]:
-    """Read-only report of a state directory (``repro recover --inspect``).
+    """Read-only report of a state directory (``repro recover``).
 
     Reports the journal's valid prefix and exactly what a recovery
     would drop (torn tail, corrupt snapshots), command/marker counts by

@@ -103,7 +103,7 @@ def chaos_telemetry_scenario(
             time=14.0, node=coordinators[0], duration=5.0, factor=25.0
         )
     )
-    plan = FaultPlan(events=events, seed=seed)
+    plan = FaultPlan(events=events)
     injector = FaultInjector(plan)
     causal = CausalTracer()
 

@@ -10,9 +10,8 @@ Four layers, usable independently:
 * :mod:`repro.obs.causal` -- distributed causal tracing: each message
   hop is a :class:`Span` with W3C-style trace, span and parent ids,
   carried on its runtime message and linked under its cause as the
-  simulator records it, so deployments, migrations and fault
-  retransmissions form per-query span trees with per-link cost/delay
-  accounting; exportable as tagged JSON and Chrome trace events;
+  simulator records it, so deployments and migrations form per-query
+  span trees with per-link cost/delay accounting; exportable as tagged JSON and Chrome trace events;
   ``with causal_tracing(tracer):`` installs one on the same context.
 * :mod:`repro.obs.metrics` -- a typed :class:`MetricRegistry`
   (:class:`Counter` / :class:`Gauge` / :class:`Histogram`) holding

@@ -9,26 +9,21 @@ ids (``trace_id``, ``span_id``, ``parent_id``) and rides on its
 :mod:`repro.runtime.messages` message; the
 :class:`~repro.runtime.simulator.Simulator` propagates it through
 ``send`` and through scheduled continuations, and each hop is linked
-under its cause as it is recorded, so planning, deployment, migration
-and fault-retransmission activity forms one span tree per query across
-coordinators (:attr:`CausalTracer.roots`).
+under its cause as it is recorded, so planning, deployment and
+migration activity forms one span tree per query across coordinators
+(:attr:`CausalTracer.roots`).
 
 A hop span is named after the message kind and runs from the virtual
-send to the first delivery.  Its tags:
+send to the delivery.  Its tags:
 
 * ``src``, ``dst`` and ``hop`` (depth below the root);
 * ``link_cost`` -- the traversal cost ``c(src, dst)`` of the shortest
   path taken; data-flow hops recorded by :meth:`CausalTracer.record_flows`
   carry ``rate x cost`` instead, so a query's flow hops sum exactly to
   its deployment's communication cost per unit time;
-* ``retransmit`` on re-sends of an already-sent message, which reuse the
-  original's trace id and parent under the original hop -- never a
-  fresh root;
-* ``dropped`` / ``drop_reason``, and free annotations.
+* free annotations.
 
-Its counters are ``link_delay``, ``queue_delay`` (extra
-transmission/queueing delay the sender or a fault middleware added),
-``deliveries`` and, on an original hop, ``retransmissions``.
+Its counters are ``link_delay`` and ``deliveries``.
 
 The tracer is opt-in: it is a channel of the one instrumentation
 context (:func:`~repro.obs.tracer.causal_tracing`), and a simulator
@@ -49,25 +44,7 @@ from repro.obs.tracer import Span
 
 #: Hop tags with a fixed slot in the JSON hop record; every other tag
 #: is a free annotation.
-_HOP_TAGS = ("src", "dst", "hop", "link_cost", "retransmit", "dropped", "drop_reason")
-
-
-def _message_key(src: int, dst: int, message: Any) -> tuple | None:
-    """Identity of a message independent of its trace stamp.
-
-    Two sends with the same key are the same protocol message -- the
-    second (and later) ones are retransmissions.  A message that is not
-    a dataclass (a data-plane envelope) has no payload identity and is
-    never a retransmission: ``None``.
-    """
-    if not dataclasses.is_dataclass(message) or isinstance(message, type):
-        return None
-    payload = tuple(
-        (f.name, getattr(message, f.name))
-        for f in dataclasses.fields(message)
-        if f.name != "trace"
-    )
-    return (src, dst, type(message).__name__, payload)
+_HOP_TAGS = ("src", "dst", "hop", "link_cost")
 
 
 def _hop_dict(span: Span) -> dict[str, Any]:
@@ -85,12 +62,7 @@ def _hop_dict(span: Span) -> dict[str, Any]:
         "deliver_time": span.end,
         "link_cost": tags.get("link_cost", 0.0),
         "link_delay": counters.get("link_delay", 0.0),
-        "queue_delay": float(counters.get("queue_delay", 0.0)),
-        "retransmit": tags.get("retransmit", False),
-        "retransmit_count": counters.get("retransmissions", 0),
         "deliveries": counters.get("deliveries", 0),
-        "dropped": tags.get("dropped", False),
-        "drop_reason": tags.get("drop_reason"),
         "tags": {k: v for k, v in tags.items() if k not in _HOP_TAGS},
     }
 
@@ -116,7 +88,6 @@ class CausalTracer:
     def __init__(self) -> None:
         self.hops: list[Span] = []
         self.roots: list[Span] = []
-        self._seen: dict[tuple, Span] = {}
         self._active: Span | None = None
         self._next_trace = 0
         self._next_span = 0
@@ -134,8 +105,8 @@ class CausalTracer:
         """Close ``action`` over the current cause.
 
         The simulator wraps every scheduled callback with this, so
-        local work (planning compute, drain timers, retransmission
-        timers) keeps its causal parent across virtual time.
+        local work (planning compute, drain timers) keeps its causal
+        parent across virtual time.
         """
         span = self._active
 
@@ -211,25 +182,13 @@ class CausalTracer:
     def on_send(
         self, sim, src: int, dst: int, message: Any, link_delay: float,
     ) -> tuple[Any, Span]:
-        """Record one :meth:`Simulator.send`; returns the stamped message.
-
-        Re-sends of an already-seen message (same payload, endpoints)
-        are tagged ``retransmit=True``, reuse the original trace id and
-        parent under the original hop -- never a fresh root.
-        """
-        key = _message_key(src, dst, message)
-        original = self._seen.get(key)
+        """Record one :meth:`Simulator.send` under the active cause;
+        returns the message stamped with its hop."""
         span = self._record(
-            type(message).__name__, src, dst, sim.now,
-            original if original is not None else self._active,
+            type(message).__name__, src, dst, sim.now, self._active,
             self._link_cost(sim, src, dst), link_delay,
         )
-        if original is not None:
-            span.tags["retransmit"] = True
-            original.incr("retransmissions")
-        elif key is not None:
-            self._seen[key] = span
-        if key is not None and hasattr(message, "trace"):
+        if hasattr(message, "trace"):
             message = dataclasses.replace(message, trace=span)
         return message, span
 
@@ -240,20 +199,9 @@ class CausalTracer:
         return float(sim.network.cost_matrix()[src, dst])
 
     def on_deliver(self, span: Span, now: float) -> None:
-        """Record a delivery of a sent hop (first delivery sets timing)."""
+        """Record the delivery of a sent hop."""
         span.incr("deliveries")
-        if span.end is None:
-            span.end = now
-
-    def on_drop(self, span: Span, reason: str | None = None) -> None:
-        """Record a middleware drop of a sent hop."""
-        span.tags["dropped"] = True
-        if reason is not None:
-            span.tags["drop_reason"] = reason
-
-    def on_extra_delay(self, span: Span, extra: float) -> None:
-        """Account middleware-injected delay on the hop."""
-        span.incr("queue_delay", extra)
+        span.end = now
 
     # -- data-flow accounting ------------------------------------------
     def record_flows(self, deployment, costs, rates, parent: Span | None = None) -> list[Span]:
@@ -308,11 +256,6 @@ class CausalTracer:
         ``root.walk()`` for one tree)."""
         return sum(s.tags.get("link_cost", 0.0) for s in spans if s.tags.get("flow"))
 
-    def retransmissions(self, spans: Iterable[Span] | None = None) -> int:
-        """Retransmitted hops among ``spans`` (default: all recorded)."""
-        spans = self.hops if spans is None else spans
-        return sum(1 for s in spans if s.tags.get("retransmit"))
-
     def _traces(self) -> dict[str, list[Span]]:
         """Every tree's hops in record order, keyed by trace id in
         creation order -- one pass over the hops."""
@@ -329,7 +272,6 @@ class CausalTracer:
                     "trace_id": trace_id,
                     "hops": [_hop_dict(span) for span in spans],
                     "flow_cost": self.flow_cost(spans),
-                    "retransmissions": self.retransmissions(spans),
                 }
                 for trace_id, spans in self._traces().items()
             ]
@@ -368,12 +310,4 @@ class CausalTracer:
 
     def summary(self) -> dict[str, Any]:
         """Counters for reports."""
-        return {
-            "traces": len(self.roots),
-            "hops": len(self.hops),
-            "retransmissions": self.retransmissions(),
-            "dropped": sum(1 for s in self.hops if s.tags.get("dropped")),
-            "duplicated_deliveries": sum(
-                max(0, s.counters.get("deliveries", 0) - 1) for s in self.hops
-            ),
-        }
+        return {"traces": len(self.roots), "hops": len(self.hops)}

@@ -3,12 +3,12 @@
 Two halves:
 
 * :mod:`repro.resilience.faults` -- a deterministic, seeded fault
-  injector.  A :class:`FaultPlan` scripts node crashes/rejoins,
-  coordinator slow-downs and outages, message drop/delay/duplication
-  windows, stale-statistics windows and whole-cluster partitions; a
-  :class:`FaultInjector` applies it through a middleware hook on
-  :meth:`repro.runtime.simulator.Simulator.send` and a clock-driven hook
-  on :meth:`repro.service.service.StreamQueryService.tick`.  The
+  injector for the control plane.  A :class:`FaultPlan` scripts node
+  crashes/rejoins, coordinator slow-downs and outages, stale-statistics
+  windows and whole-cluster partitions; a :class:`FaultInjector`
+  applies crashes from a clock-driven hook on
+  :meth:`repro.service.service.StreamQueryService.tick` and answers the
+  planning path's reachability, latency and statistics queries.  The
   :data:`NULL_FAULTS` default injects nothing and costs nothing.
 
 * :mod:`repro.resilience.policy` -- :class:`RetryPolicy` (capped
@@ -29,7 +29,6 @@ from repro.resilience.faults import (
     CoordinatorSlowdown,
     FaultInjector,
     FaultPlan,
-    MessageStorm,
     NodeCrash,
     NullFaultInjector,
     Partition,
@@ -51,7 +50,6 @@ __all__ = [
     "NodeCrash",
     "CoordinatorSlowdown",
     "CoordinatorOutage",
-    "MessageStorm",
     "StaleStatistics",
     "Partition",
     "RetryPolicy",

@@ -1,33 +1,35 @@
 """Deterministic, seeded fault injection.
 
 A :class:`FaultPlan` is a *script* of hostile conditions -- every event
-carries explicit (virtual) times, and every probabilistic draw comes
+carries explicit (virtual) times, and :meth:`FaultPlan.generate` draws
 from one seeded generator, so two runs of the same plan against the same
 workload produce identical fault sequences.  That determinism is what
 turns chaos testing into a reproducible benchmark (FuzzBench-style):
 a regression is a diff, not a flake.
 
-Event vocabulary:
+Faults act on the control plane only; simulated protocol messages are
+always delivered.  Event vocabulary, with the hook each acts through:
 
 * :class:`NodeCrash` -- a node's stream-processing daemon dies at
   ``time`` (packet forwarding through it keeps working, matching the
   failure model of :mod:`repro.runtime.failover`); optionally rejoins
-  ``rejoin_after`` ticks later.
-* :class:`CoordinatorOutage` -- a node is unreachable for control-plane
-  RPCs during a window (process wedged, not dead).
-* :class:`CoordinatorSlowdown` -- control-plane calls to the node take
-  ``factor`` times longer during a window (GC pauses, overload).
-* :class:`MessageStorm` -- during a window, simulator messages are
-  dropped / delayed / duplicated with the given probabilities.
+  ``rejoin_after`` ticks later.  The service tick applies it
+  (:meth:`FaultInjector.due_events`).
+* :class:`CoordinatorOutage` -- a node is unreachable for planning
+  RPCs during a window (process wedged, not dead):
+  :meth:`FaultInjector.unreachable`.
+* :class:`CoordinatorSlowdown` -- planning RPCs to the node take
+  ``factor`` times longer during a window (GC pauses, overload):
+  :meth:`FaultInjector.slowdown`.
 * :class:`StaleStatistics` -- during a window the control plane must
-  not observe rate-model updates (the statistics epoch freezes).
-* :class:`Partition` -- the node set splits into groups; control-plane
-  reachability and simulator messages across groups fail.
+  not observe rate-model updates (the statistics epoch freezes):
+  :meth:`FaultInjector.statistics_frozen`.
+* :class:`Partition` -- the node set splits into groups; a sink cannot
+  reach a coordinator across groups:
+  :meth:`FaultInjector.unreachable` with the sink as ``observer``.
+* :class:`CrashPoint` -- the controller process dies at a journal
+  boundary; the durability layer arms it, not the injector.
 
-The :class:`FaultInjector` interprets a plan.  It has two hook points:
-:meth:`FaultInjector.install` registers a send middleware on a
-:class:`~repro.runtime.simulator.Simulator`, and the lifecycle service
-calls :meth:`FaultInjector.due_events` from its clock tick.
 :data:`NULL_FAULTS` is the no-op default -- with it installed nothing
 changes, byte for byte.
 """
@@ -37,9 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Union
 
-import numpy as np
-
-from repro.durability.state import _jsonable, capture_rng, restore_rng
+from repro.durability.state import _jsonable
 from repro.errors import FaultInjectionError
 from repro.utils import SeedLike, as_generator
 
@@ -73,18 +73,6 @@ class CoordinatorSlowdown:
     node: int
     duration: float
     factor: float
-
-
-@dataclass(frozen=True)
-class MessageStorm:
-    """A message drop/delay/duplication window on the simulator."""
-
-    time: float
-    duration: float
-    drop: float = 0.0
-    delay: float = 0.0
-    delay_spread: float = 0.0
-    duplicate: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -131,7 +119,6 @@ FaultEvent = Union[
     NodeCrash,
     CoordinatorOutage,
     CoordinatorSlowdown,
-    MessageStorm,
     StaleStatistics,
     Partition,
     CrashPoint,
@@ -141,7 +128,6 @@ _EVENT_KINDS = {
     "node_crash": NodeCrash,
     "coordinator_outage": CoordinatorOutage,
     "coordinator_slowdown": CoordinatorSlowdown,
-    "message_storm": MessageStorm,
     "stale_statistics": StaleStatistics,
     "partition": Partition,
     "crash_point": CrashPoint,
@@ -163,13 +149,6 @@ def _validate_event(event: FaultEvent) -> None:
     elif isinstance(event, CoordinatorSlowdown):
         if event.factor < 1.0:
             raise FaultInjectionError(f"slowdown factor must be >= 1: {event!r}")
-    elif isinstance(event, MessageStorm):
-        for name in ("drop", "duplicate"):
-            p = getattr(event, name)
-            if not 0.0 <= p <= 1.0:
-                raise FaultInjectionError(f"{name} must be a probability: {event!r}")
-        if event.delay < 0 or event.delay_spread < 0:
-            raise FaultInjectionError(f"delays must be non-negative: {event!r}")
     elif isinstance(event, CrashPoint):
         if event.after_lsn < 1:
             raise FaultInjectionError(f"after_lsn must be >= 1: {event!r}")
@@ -196,13 +175,9 @@ class FaultPlan:
 
     Attributes:
         events: The fault events, sorted by time on construction.
-        seed: Seed for every probabilistic draw the injector makes
-            (message drops, generated jitter); same seed + same call
-            sequence = same faults.
     """
 
     events: list[FaultEvent] = field(default_factory=list)
-    seed: int = 0
 
     def __post_init__(self) -> None:
         for event in self.events:
@@ -230,11 +205,15 @@ class FaultPlan:
                     value = [list(g) for g in value]
                 doc[key] = value
             out.append(doc)
-        return {"seed": self.seed, "events": out}
+        return {"events": out}
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "FaultPlan":
-        """Rebuild a plan serialized by :meth:`to_dict`."""
+        """Rebuild a plan serialized by :meth:`to_dict`.
+
+        Other top-level keys are ignored: plans written when a plan
+        carried an injector seed still load.
+        """
         events: list[FaultEvent] = []
         for entry in doc.get("events", ()):
             entry = dict(entry)
@@ -248,7 +227,7 @@ class FaultPlan:
                 events.append(event_cls(**entry))
             except TypeError as exc:
                 raise FaultInjectionError(f"bad {kind} event: {exc}") from exc
-        return cls(events=events, seed=int(doc.get("seed", 0)))
+        return cls(events=events)
 
     # ------------------------------------------------------------------
     # Synthesis
@@ -262,7 +241,6 @@ class FaultPlan:
         crashes: int = 3,
         outages: int = 2,
         slowdowns: int = 2,
-        storms: int = 1,
         stale_windows: int = 1,
         partitions: int = 0,
         protected: Iterable[int] = (),
@@ -315,18 +293,6 @@ class FaultPlan:
                     factor=float(rng.uniform(2.0, 12.0)),
                 )
             )
-        for _ in range(storms):
-            start, length = window(duration / 3)
-            events.append(
-                MessageStorm(
-                    time=start,
-                    duration=length,
-                    drop=float(rng.uniform(0.05, 0.3)),
-                    delay=float(rng.uniform(0.0, 0.02)),
-                    delay_spread=float(rng.uniform(0.0, 0.01)),
-                    duplicate=float(rng.uniform(0.0, 0.15)),
-                )
-            )
         for _ in range(stale_windows):
             start, length = window(duration / 3)
             events.append(StaleStatistics(time=start, duration=length))
@@ -342,8 +308,7 @@ class FaultPlan:
                     groups=(tuple(sorted(shuffled[:cut])), tuple(sorted(shuffled[cut:]))),
                 )
             )
-        plan_seed = int(rng.integers(0, 2**31 - 1))
-        return cls(events=events, seed=plan_seed)
+        return cls(events=events)
 
 
 # ----------------------------------------------------------------------
@@ -352,10 +317,10 @@ class FaultPlan:
 class FaultInjector:
     """Applies a :class:`FaultPlan` to the runtime and the control plane.
 
-    One injector instance can serve both hook points at once: the
-    simulator middleware (message faults, partitions) and the service
-    tick hook (crashes, rejoins, windows).  All state queries take the
-    current virtual time explicitly -- the injector holds no clock.
+    The service tick consumes its discrete events (crashes, rejoins);
+    the resilience and adaptivity layers query its windows.  All state
+    queries take the current virtual time explicitly -- the injector
+    holds no clock.
 
     Attributes:
         plan: The interpreted plan.
@@ -368,7 +333,6 @@ class FaultInjector:
 
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        self.rng = np.random.default_rng(plan.seed)
         self.crashed: set[int] = set()
         self.applied: list[dict[str, Any]] = []
         self._timeline: list[tuple[float, str, Any]] = []
@@ -381,9 +345,6 @@ class FaultInjector:
                     )
         self._timeline.sort(key=lambda item: (item[0], item[1], repr(item[2])))
         self._cursor = 0
-        self.messages_dropped = 0
-        self.messages_delayed = 0
-        self.messages_duplicated = 0
 
     # ------------------------------------------------------------------
     # Discrete events (service tick hook)
@@ -457,77 +418,30 @@ class FaultInjector:
             if isinstance(event, StaleStatistics)
         )
 
-    # ------------------------------------------------------------------
-    # Simulator middleware
-    # ------------------------------------------------------------------
-    def message_action(
-        self, src: int, dst: int, message: Any, now: float
-    ) -> tuple | None:
-        """Middleware decision for one simulator message.
-
-        Returns ``None`` (deliver normally), ``("drop", reason)``,
-        ``("delay", extra_seconds)`` or ``("duplicate", extra_delay)``.
-        Partition windows drop cross-group messages outright.  The drop
-        reason (``"partition"`` / ``"storm"``) is extra trailing context
-        for the causal tracer; the simulator dispatches on ``action[0]``
-        only, so pre-reason consumers are unaffected.
-        """
-        if self.partitioned(src, dst, now):
-            self.messages_dropped += 1
-            return ("drop", "partition")
-        for event in self.plan.events:
-            if not isinstance(event, MessageStorm) or not self._in_window(event, now):
-                continue
-            draw = float(self.rng.random())
-            if draw < event.drop:
-                self.messages_dropped += 1
-                return ("drop", "storm")
-            if draw < event.drop + event.duplicate:
-                self.messages_duplicated += 1
-                return ("duplicate", float(self.rng.uniform(0.0, event.delay_spread)))
-            if event.delay > 0.0 or event.delay_spread > 0.0:
-                extra = event.delay + float(self.rng.uniform(0.0, event.delay_spread))
-                if extra > 0.0:
-                    self.messages_delayed += 1
-                    return ("delay", extra)
-            return None
-        return None
-
-    def install(self, simulator) -> None:
-        """Register this injector as a send middleware on a simulator."""
-        simulator.add_send_middleware(self.message_action)
-
     def capture(self) -> dict[str, Any]:
         """The injector's section of a ``repro.state`` snapshot: where
-        the plan's timeline stands, what it did, and its RNG."""
+        the plan's timeline stands and what it did."""
         return {
             "crashed": sorted(self.crashed),
             "cursor": self._cursor,
             "applied": _jsonable(list(self.applied)),
-            "messages_dropped": self.messages_dropped,
-            "messages_delayed": self.messages_delayed,
-            "messages_duplicated": self.messages_duplicated,
-            "rng": capture_rng(self.rng),
         }
 
     def restore(self, doc: dict[str, Any]) -> None:
-        """Inverse of :meth:`capture`, into an injector over the same plan."""
+        """Inverse of :meth:`capture`, into an injector over the same plan.
+
+        A section written when the injector also kept message counters
+        and an RNG still restores: those keys are ignored.
+        """
         self.crashed = set(doc["crashed"])
         self._cursor = doc["cursor"]
         self.applied = list(doc["applied"])
-        self.messages_dropped = doc["messages_dropped"]
-        self.messages_delayed = doc["messages_delayed"]
-        self.messages_duplicated = doc["messages_duplicated"]
-        restore_rng(self.rng, doc["rng"])
 
     def summary(self) -> dict[str, Any]:
         """Counters for reports."""
         return {
             "events_planned": len(self.plan),
             "events_applied": len(self.applied),
-            "messages_dropped": self.messages_dropped,
-            "messages_delayed": self.messages_delayed,
-            "messages_duplicated": self.messages_duplicated,
             "crashed_now": sorted(self.crashed),
         }
 
@@ -549,20 +463,11 @@ class NullFaultInjector:
     def unreachable(self, node: int, now: float, observer: int | None = None) -> bool:
         return False
 
-    def partitioned(self, a: int, b: int, now: float) -> bool:
-        return False
-
     def slowdown(self, node: int, now: float) -> float:
         return 1.0
 
     def statistics_frozen(self, now: float) -> bool:
         return False
-
-    def message_action(self, src: int, dst: int, message: Any, now: float) -> None:
-        return None
-
-    def install(self, simulator) -> None:
-        pass
 
     def note_applied(self, kind: str, time: float, **fields: Any) -> None:
         pass

@@ -4,8 +4,7 @@
 jitter, a per-attempt timeout and an overall deadline.  Backoff delays
 are *virtual* -- the control plane is tick-driven, so the policy
 computes and accounts for the delay it would have slept rather than
-blocking the process; the protocol simulator uses the same delays as
-retransmission intervals in simulated seconds.
+blocking the process.
 
 :class:`CircuitBreaker` is the classic three-state machine (CLOSED ->
 OPEN after ``failure_threshold`` consecutive failures -> HALF_OPEN after
@@ -27,7 +26,6 @@ from typing import Callable, TypeVar
 import numpy as np
 
 from repro.errors import CircuitOpenError, ReproError
-from repro.utils import SeedLike, as_generator
 
 T = TypeVar("T")
 
@@ -83,11 +81,6 @@ class RetryPolicy:
         if rng is not None and self.jitter > 0.0:
             delay *= 1.0 + float(rng.uniform(-self.jitter, self.jitter))
         return max(0.0, delay)
-
-    def delays(self, seed: SeedLike = None) -> list[float]:
-        """Every backoff delay of a full retry loop, in order."""
-        rng = as_generator(seed) if seed is not None else None
-        return [self.backoff(i, rng) for i in range(2, self.max_attempts + 1)]
 
     def run(
         self,

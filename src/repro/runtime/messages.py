@@ -1,11 +1,12 @@
-"""Protocol message vocabulary for the deployment protocol simulation.
+"""Protocol message vocabulary for the deployment and cutover protocol
+simulations.  The simulator delivers every message exactly once.
 
 Every message optionally carries its causal hop as a ``trace`` stamp: the
 :class:`~repro.obs.tracer.Span` a :class:`~repro.obs.causal.CausalTracer`
 recorded for the send, with its trace, span and parent ids.  The stamp is
 excluded from equality, hashing and repr, so stamped and unstamped
-messages compare equal -- delivery deduplication and the
-byte-identical-with-tracing-disabled contract both rely on this.
+messages compare equal -- the byte-identical-with-tracing-disabled
+contract relies on this.
 """
 
 from __future__ import annotations

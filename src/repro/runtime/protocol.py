@@ -22,15 +22,9 @@ every query, while Bottom-Up's trace stops climbing as soon as all
 sources are local -- the mechanism behind the paper's ~70% deployment
 time advantage for Bottom-Up.
 
-Under fault injection (pass a :class:`~repro.resilience.faults.FaultInjector`)
-the protocol becomes *reliable*: delivery is tracked per message
-identity, receivers deduplicate and re-acknowledge duplicates, and
-senders retransmit at the retry policy's backoff intervals until the
-protocol goal registers -- so a deployment completes (later) through a
-message storm instead of hanging.  With the default
-:data:`~repro.resilience.faults.NULL_FAULTS`, no retransmission
-machinery is scheduled and the timeline is identical to the pre-fault
-implementation.
+Every protocol message is delivered exactly once (the paper's protocol
+runs over reliable links): the simulation times a deployment, it does
+not model message loss.
 """
 
 from __future__ import annotations
@@ -40,10 +34,8 @@ from dataclasses import dataclass, field
 from repro.network.graph import Network
 from repro.obs.tracer import current_causal
 from repro.query.deployment import Deployment
-from repro.resilience.faults import NULL_FAULTS
-from repro.resilience.policy import RetryPolicy
 from repro.runtime.messages import DeployAck, DeployCommand, PlanRequest, QuerySubmit
-from repro.runtime.simulator import ReliableNode, ReliableRun, Simulator
+from repro.runtime.simulator import SimNode, Simulator
 
 DEFAULT_SECONDS_PER_PLAN = 2e-5
 """Calibrated coordinator search speed: seconds per (tree, assignment)
@@ -64,8 +56,6 @@ class DeploymentTimeline:
         messages: Protocol messages delivered.
         tasks: Number of planning tasks replayed.
         operators_deployed: Deploy commands issued.
-        retransmissions: Messages re-sent by the reliable-delivery layer
-            (0 without fault injection).
     """
 
     query_name: str
@@ -75,7 +65,6 @@ class DeploymentTimeline:
     messages: int
     tasks: int
     operators_deployed: int
-    retransmissions: int = 0
 
     @property
     def duration(self) -> float:
@@ -90,15 +79,8 @@ class _TaskDone:
     trace: object | None = field(default=None, compare=False, repr=False)
 
 
-class _Context(ReliableRun):
-    def __init__(
-        self,
-        deployment: Deployment,
-        seconds_per_plan: float,
-        faults=NULL_FAULTS,
-        retry: RetryPolicy | None = None,
-    ) -> None:
-        super().__init__(faults, retry)
+class _Context:
+    def __init__(self, deployment: Deployment, seconds_per_plan: float) -> None:
         trace = deployment.stats.get("task_trace")
         if not trace:
             raise ValueError(
@@ -115,11 +97,8 @@ class _Context(ReliableRun):
                 self.children[parent].append(idx)
         self.expected_acks = sum(len(e.get("deploy_nodes", ())) for e in trace)
         self.expected_tasks = len(trace)
-        # Delivery is tracked by message identity (sets), so injected
-        # duplicates cannot double-count toward completion.
-        self.acked: set[tuple[str, int]] = set()
-        self.tasks_done: set[int] = set()
-        self.started: set[int] = set()
+        self.acked = 0
+        self.tasks_done = 0
         self.finish_time: float | None = None
         self.compute_seconds = sum(
             e["plans"] * seconds_per_plan for e in trace
@@ -128,76 +107,47 @@ class _Context(ReliableRun):
     @property
     def complete(self) -> bool:
         return (
-            len(self.acked) >= self.expected_acks
-            and len(self.tasks_done) >= self.expected_tasks
+            self.acked >= self.expected_acks
+            and self.tasks_done >= self.expected_tasks
         )
 
 
-class _ProtocolActor(ReliableNode):
+class _ProtocolActor(SimNode):
     """One actor per physical node; coordinators and operator hosts alike."""
 
-    ctx: _Context
+    def __init__(self, node_id: int, ctx: _Context) -> None:
+        super().__init__(node_id)
+        self.ctx = ctx
 
     def on_message(self, src: int, message) -> None:
         assert self.sim is not None
         ctx = self.ctx
         if isinstance(message, (QuerySubmit, PlanRequest)):
             task_index = 0 if isinstance(message, QuerySubmit) else message.task_index
-            if task_index in ctx.started:
-                return  # duplicate request; the task is already running
-            ctx.started.add(task_index)
             entry = ctx.trace[task_index]
-            compute = (
-                entry["plans"]
-                * ctx.seconds_per_plan
-                * ctx.faults.slowdown(self.node_id, self.sim.now)
-            )
 
             def finish_planning() -> None:
                 for child in ctx.children[task_index]:
-                    self.reliable_send(
-                        ctx.trace[child]["node"],
-                        PlanRequest(ctx.query.name, child),
-                        delivered=lambda c=child: c in ctx.started,
-                    )
+                    self.send(ctx.trace[child]["node"], PlanRequest(ctx.query.name, child))
                 for j, op_node in enumerate(entry.get("deploy_nodes", ())):
-                    label = f"task{task_index}.{j}"
-                    self.reliable_send(
-                        op_node,
-                        DeployCommand(ctx.query.name, label),
-                        delivered=lambda key=(label, op_node): key in ctx.acked,
-                    )
-                self.reliable_send(
-                    ctx.query.sink,
-                    _TaskDone(ctx.query.name, task_index),
-                    delivered=lambda t=task_index: t in ctx.tasks_done,
-                )
+                    self.send(op_node, DeployCommand(ctx.query.name, f"task{task_index}.{j}"))
+                self.send(ctx.query.sink, _TaskDone(ctx.query.name, task_index))
 
-            self.sim.schedule(compute, finish_planning)
+            self.sim.schedule(entry["plans"] * ctx.seconds_per_plan, finish_planning)
         elif isinstance(message, DeployCommand):
             # Operator instantiation is local and fast; ack to the sink.
-            # Duplicated commands re-ack -- the earlier ack may have been
-            # lost, and acks are identity-deduplicated at the sink.
             self.send(
                 ctx.query.sink, DeployAck(message.query_name, message.operator_label)
             )
         elif isinstance(message, (DeployAck, _TaskDone)):
             if isinstance(message, DeployAck):
-                ctx.acked.add((message.operator_label, src))
+                ctx.acked += 1
             else:
-                ctx.tasks_done.add(message.task_index)
+                ctx.tasks_done += 1
             if ctx.complete and ctx.finish_time is None:
                 ctx.finish_time = self.sim.now
         else:  # pragma: no cover - defensive
             raise TypeError(f"unexpected message {message!r}")
-
-
-#: Default retransmission policy for fault-injected protocol runs:
-#: deterministic (no jitter), enough attempts to ride out a storm.
-PROTOCOL_RETRY = RetryPolicy(
-    max_attempts=5, base_delay=0.05, multiplier=2.0, max_delay=1.0,
-    jitter=0.0, attempt_timeout=None,
-)
 
 
 def simulate_deployment(
@@ -205,8 +155,6 @@ def simulate_deployment(
     deployment: Deployment,
     seconds_per_plan: float = DEFAULT_SECONDS_PER_PLAN,
     start_time: float = 0.0,
-    faults=NULL_FAULTS,
-    retry: RetryPolicy | None = None,
     rates=None,
 ) -> DeploymentTimeline:
     """Replay a deployment's planning protocol; return its timeline.
@@ -217,31 +165,21 @@ def simulate_deployment(
             (its stats must carry a ``task_trace``).
         seconds_per_plan: Coordinator search speed.
         start_time: Virtual submission time.
-        faults: Fault injector; its message middleware is installed on
-            the simulator and coordinator slow-downs stretch compute
-            time.  :data:`NULL_FAULTS` (the default) leaves the
-            simulation byte-identical to a fault-free build.
-        retry: Retransmission policy under faults
-            (:data:`PROTOCOL_RETRY` when omitted).  Ignored without
-            fault injection.
         rates: Optional :class:`~repro.core.cost.RateModel`; under a
             causal tracer, the plan's data-flow edges are recorded as
             costed hops under the deployment's root, so the tree's
             flow ``link_cost`` tags sum to its communication cost.
 
     Under ``with causal_tracing(tracer):`` the whole deployment -- the
-    submission relay, every protocol message, retransmissions -- lands
+    submission relay and every protocol message -- lands
     in one causal tree rooted at ``deploy:<query name>``.  With none
     installed the simulation is byte-identical to an untraced build.
 
     Raises:
         ValueError: If the deployment carries no task trace.
     """
-    if faults.enabled and retry is None:
-        retry = PROTOCOL_RETRY
-    ctx = _Context(deployment, seconds_per_plan, faults=faults, retry=retry)
+    ctx = _Context(deployment, seconds_per_plan)
     sim = Simulator(network)
-    faults.install(sim)
     for node in network.nodes():
         sim.register(_ProtocolActor(node, ctx))
     sim.now = start_time
@@ -291,15 +229,8 @@ def simulate_deployment(
     sim.run()
     if trace is not None and rates is not None:
         trace.record_flows(deployment, network.cost_matrix(), rates, parent=root)
-    if ctx.finish_time is None:
-        raise RuntimeError(
-            "protocol simulation never completed"
-            + (
-                " (fault injection exhausted the retransmission budget)"
-                if faults.enabled
-                else ""
-            )
-        )
+    if ctx.finish_time is None:  # pragma: no cover - defensive
+        raise RuntimeError("protocol simulation never completed")
     return DeploymentTimeline(
         query_name=deployment.query.name,
         submit_time=start_time,
@@ -308,5 +239,4 @@ def simulate_deployment(
         messages=sim.messages_delivered,
         tasks=ctx.expected_tasks,
         operators_deployed=ctx.expected_acks,
-        retransmissions=ctx.retransmissions,
     )

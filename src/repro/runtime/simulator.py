@@ -6,23 +6,21 @@ network's shortest-path one-way delay between the sender and receiver,
 plus an optional per-message transmission time -- the same 1-60 ms link
 delays the paper's Emulab topology configures.
 
-Send *middleware* (see :meth:`Simulator.add_send_middleware`) lets a
-fault injector intercept every message and drop, delay or duplicate it.
-With no middleware registered (the default), :meth:`Simulator.send`
-takes the exact pre-middleware fast path, byte for byte.
+Every message sent is delivered exactly once: faults act on the
+control plane (:mod:`repro.resilience.faults`), not on simulated
+messages.
 
 A simulator built under ``with causal_tracing(tracer):`` records into
 that :class:`~repro.obs.causal.CausalTracer`: every message is stamped
 with its hop span, linked under the hop or root that caused it;
 scheduled continuations are bound to the cause active when they were
-scheduled, and drops/deliveries/extra delays are accounted on the hop.
+scheduled, and each delivery is accounted on the hop.
 With no causal tracer installed (the default) all of this is skipped
 and behavior is byte-identical.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.network.graph import Network
@@ -50,24 +48,7 @@ class Simulator:
         self._queue = EventQueue()
         self._nodes: dict[int, "SimNode"] = {}
         self.messages_delivered = 0
-        self.messages_dropped = 0
-        self.messages_duplicated = 0
-        self._middleware: list[Callable[[int, int, Any, float], tuple | None]] = []
         self._trace: "CausalTracer | None" = current_causal()
-
-    def add_send_middleware(
-        self, middleware: Callable[[int, int, Any, float], tuple | None]
-    ) -> None:
-        """Register a send interceptor.
-
-        ``middleware(src, dst, message, now)`` runs on every
-        :meth:`send` and returns an action: ``None`` (deliver normally),
-        ``("drop",)`` (lose the message), ``("delay", extra_seconds)``
-        (deliver late) or ``("duplicate", extra_delay)`` (deliver twice,
-        the copy ``extra_delay`` later).  The first middleware returning
-        a non-``None`` action wins.
-        """
-        self._middleware.append(middleware)
 
     def register(self, node: "SimNode") -> None:
         """Attach a node actor to the simulation."""
@@ -85,7 +66,7 @@ class Simulator:
 
         With a causal tracer recording, the action is bound to the causal
         span active *now*, so local continuations (planning compute,
-        drain timers, retransmission timers) keep their causal parent.
+        drain timers) keep their causal parent.
         """
         if delay < 0:
             raise ValueError("delay must be non-negative")
@@ -94,7 +75,8 @@ class Simulator:
         self._queue.push(self.now + delay, action)
 
     def send(self, src: int, dst: int, message: Any, extra_delay: float = 0.0) -> None:
-        """Deliver ``message`` from ``src`` to ``dst`` after the network delay."""
+        """Deliver ``message`` from ``src`` to ``dst`` after the network
+        delay plus ``extra_delay`` (transmission time)."""
         if dst not in self._nodes:
             raise KeyError(f"no actor registered at node {dst}")
         delay = self.network.path_delay(src, dst) if src != dst else 0.0
@@ -102,8 +84,6 @@ class Simulator:
         hop = None
         if self._trace is not None:
             message, hop = self._trace.on_send(self, src, dst, message, delay)
-            if extra_delay:
-                self._trace.on_extra_delay(hop, extra_delay)
 
         def deliver() -> None:
             self.messages_delivered += 1
@@ -117,31 +97,6 @@ class Simulator:
             else:
                 self._nodes[dst].on_message(src, message)
 
-        if self._middleware:
-            for middleware in self._middleware:
-                action = middleware(src, dst, message, self.now)
-                if action is None:
-                    continue
-                kind = action[0]
-                if kind == "drop":
-                    self.messages_dropped += 1
-                    if hop is not None:
-                        self._trace.on_drop(
-                            hop, action[1] if len(action) > 1 else None
-                        )
-                    return
-                if kind == "delay":
-                    extra_delay += float(action[1])
-                    if hop is not None:
-                        self._trace.on_extra_delay(hop, float(action[1]))
-                elif kind == "duplicate":
-                    self.messages_duplicated += 1
-                    self._queue.push(
-                        self.now + delay + extra_delay + float(action[1]), deliver
-                    )
-                else:  # pragma: no cover - defensive
-                    raise ValueError(f"unknown middleware action {action!r}")
-                break
         self._queue.push(self.now + delay + extra_delay, deliver)
 
     def run(self, until: float | None = None, max_events: int = 1_000_000) -> float:
@@ -186,45 +141,3 @@ class SimNode:
         """Handle a delivered message."""
         raise NotImplementedError
 
-
-class ReliableRun:
-    """What the actors of one reliable protocol run share.
-
-    Args:
-        faults: The fault injector of the run.
-        retry: Retransmission policy (``None``: no retransmissions).
-
-    Attributes:
-        retry_offsets: Cumulative retransmission offsets (virtual
-            seconds after the first send).  Empty without faults: no
-            retransmission machinery is scheduled.
-        retransmissions: Messages re-sent so far.
-    """
-
-    def __init__(self, faults, retry) -> None:
-        self.faults = faults
-        self.retry_offsets: list[float] = (
-            list(accumulate(retry.delays())) if faults.enabled and retry is not None else []
-        )
-        self.retransmissions = 0
-
-
-class ReliableNode(SimNode):
-    """An actor of a :class:`ReliableRun`, shared as ``self.ctx``."""
-
-    def __init__(self, node_id: int, ctx: ReliableRun) -> None:
-        super().__init__(node_id)
-        self.ctx = ctx
-
-    def reliable_send(self, dst: int, message: Any, delivered: Callable[[], bool]) -> None:
-        """Send now; under faults, retransmit at the retry offsets until
-        ``delivered()`` reports the protocol goal registered."""
-        self.send(dst, message)
-        for offset in self.ctx.retry_offsets:
-
-            def maybe_resend() -> None:
-                if not delivered():
-                    self.ctx.retransmissions += 1
-                    self.send(dst, message)
-
-            self.sim.schedule(offset, maybe_resend)

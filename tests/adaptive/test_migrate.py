@@ -1,28 +1,27 @@
-"""Migrator: cutover protocol, atomic swap, faults, rollback.
+"""Migrator: cutover protocol, atomic swap, rollback.
 
-The acceptance property: a fault in the middle of a cutover leaves the
+The acceptance property: a candidate that fails to install leaves the
 query either fully on its old deployment or fully on its new one --
 never split across both.
 """
 
+import numpy as np
 import pytest
 
+import repro
+from repro.adaptive import AdaptivityConfig
 from repro.adaptive.diff import diff_deployments
-from repro.adaptive.migrate import MIGRATION_RETRY, Migrator
+from repro.adaptive.migrate import Migrator
 from repro.core.cost import RateModel
 from repro.errors import DeploymentError
+from repro.fleet import FleetController
 from repro.network.topology import transit_stub_by_size
 from repro.query.deployment import Deployment
 from repro.query.plan import Join, Leaf
 from repro.query.query import JoinPredicate, Query
 from repro.query.stream import StreamSpec
-from repro.resilience.faults import (
-    CoordinatorOutage,
-    FaultInjector,
-    FaultPlan,
-    MessageStorm,
-)
 from repro.runtime.engine import FlowEngine
+from repro.workload import drift_timeline
 
 
 def make_world():
@@ -67,12 +66,6 @@ def live_ops(engine, name):
     return op_set(dep)
 
 
-def outage(node, duration):
-    return FaultInjector(
-        FaultPlan([CoordinatorOutage(time=0.0, node=node, duration=duration)])
-    )
-
-
 class TestCutoverProtocol:
     def test_clean_cutover_walks_the_three_phases_in_order(self):
         net, rates, query = make_world()
@@ -81,8 +74,6 @@ class TestCutoverProtocol:
         )
         assert len(diff.moved) == 2
         timeline = Migrator(net).simulate_cutover(diff, coordinator=query.sink)
-        assert timeline.committed
-        assert timeline.retransmissions == 0
         assert (
             timeline.started
             < timeline.pause_done
@@ -99,7 +90,6 @@ class TestCutoverProtocol:
         same = left_deep(query, (1, 2))
         diff = diff_deployments(same, left_deep(query, (1, 2)), rates)
         timeline = Migrator(net).simulate_cutover(diff, coordinator=query.sink)
-        assert timeline.committed
         assert timeline.duration == 0.0
         assert timeline.messages == 0
 
@@ -128,35 +118,6 @@ class TestAtomicSwap:
         assert outcome.new_cost == pytest.approx(engine.state.query_cost("q"))
         assert outcome.timeline is not None and outcome.timeline.started == 5.0
 
-    def test_long_outage_aborts_and_leaves_fully_old(self):
-        net, rates, query = make_world()
-        old, candidate = left_deep(query, (1, 2)), left_deep(query, (0, 3))
-        engine = FlowEngine(net, rates)
-        engine.deploy(old)
-        cost_before = engine.state.query_cost("q")
-        diff = diff_deployments(old, candidate, rates)
-        migrator = Migrator(net, faults=outage(query.sink, duration=1e9))
-        outcome = migrator.execute(engine, old, candidate, diff)
-        assert not outcome.committed
-        assert not outcome.rolled_back  # aborted before the swap
-        assert "retransmission budget" in outcome.reason
-        assert live_ops(engine, "q") == op_set(old)
-        assert engine.state.query_cost("q") == pytest.approx(cost_before)
-
-    def test_short_outage_rides_out_on_retransmissions(self):
-        net, rates, query = make_world()
-        old, candidate = left_deep(query, (1, 2)), left_deep(query, (0, 3))
-        engine = FlowEngine(net, rates)
-        engine.deploy(old)
-        diff = diff_deployments(old, candidate, rates)
-        # MIGRATION_RETRY retransmits at +0.05/+0.15/+0.35/+0.75; an
-        # outage of 0.1 swallows the first send and the first resend.
-        migrator = Migrator(net, faults=outage(query.sink, duration=0.1))
-        outcome = migrator.execute(engine, old, candidate, diff)
-        assert outcome.committed
-        assert outcome.timeline.retransmissions > 0
-        assert live_ops(engine, "q") == op_set(candidate)
-
     def test_failed_candidate_install_rolls_back_to_old(self, monkeypatch):
         net, rates, query = make_world()
         old, candidate = left_deep(query, (1, 2)), left_deep(query, (0, 3))
@@ -179,29 +140,71 @@ class TestAtomicSwap:
         assert outcome.new_cost == pytest.approx(outcome.old_cost)
 
 
+ADAPTIVITY = AdaptivityConfig(
+    alpha=0.5,
+    hysteresis_ticks=2,
+    publish_cooldown=2.0,
+    query_cooldown=2.0,
+    max_migrations_per_tick=4,
+)
+
+
 class TestNeverSplit:
     @pytest.mark.parametrize("seed", range(8))
-    def test_storm_leaves_query_fully_old_or_fully_new(self, seed):
-        """Property: whatever the storm does to the cutover messages,
-        the engine ends on exactly one of the two deployments."""
-        net, rates, query = make_world()
-        old, candidate = left_deep(query, (1, 2)), left_deep(query, (0, 3))
-        engine = FlowEngine(net, rates)
-        engine.deploy(old)
-        diff = diff_deployments(old, candidate, rates)
-        faults = FaultInjector(
-            FaultPlan(
-                [MessageStorm(time=0.0, duration=1e9, drop=0.55, duplicate=0.2)],
-                seed=seed,
-            )
+    def test_storm_leaves_query_fully_old_or_fully_new(self, seed, monkeypatch):
+        """Property: under a storm of seeded candidate-install failures, after
+        every tick each live query runs exactly its old or its new
+        deployment, and the fleet's ownership invariants hold."""
+        net = repro.transit_stub_by_size(24, seed=7)
+        workload = repro.generate_workload(
+            net,
+            repro.WorkloadParams(num_streams=6, num_queries=4, joins_per_query=(1, 3)),
+            seed=11,
         )
-        retry = MIGRATION_RETRY
-        outcome = Migrator(net, faults=faults, retry=retry).execute(
-            engine, old, candidate, diff
+        rates = workload.rate_model()
+        hierarchy = repro.build_hierarchy(net, max_cs=4, seed=0)
+        fleet = FleetController(
+            1, net, rates, hierarchy, policy="hash",
+            service_kwargs={"adaptivity": ADAPTIVITY},
         )
-        final = live_ops(engine, "q")
-        if outcome.committed:
-            assert final == op_set(candidate)
-        else:
-            assert final == op_set(old)
-        assert final in (op_set(old), op_set(candidate))  # never a mix
+        (shard,) = fleet.shards
+        for query in workload.queries:
+            fleet.submit(query)
+
+        rng = np.random.default_rng(seed)
+        candidates, migrated = set(), {}
+        real_deploy = shard.engine.deploy
+
+        def flaky_deploy(deployment, time=None):
+            if id(deployment) in candidates and rng.random() < 0.5:
+                raise DeploymentError("node lost between planning and install")
+            return real_deploy(deployment, time)
+
+        monkeypatch.setattr(shard.engine, "deploy", flaky_deploy)
+        migrator = shard.adaptivity.migrator
+        execute = migrator.execute
+
+        def watched(engine, old, candidate, diff, **kwargs):
+            candidates.add(id(candidate))
+            outcome = execute(engine, old, candidate, diff, **kwargs)
+            migrated[old.query.name] = (op_set(old), op_set(candidate), outcome)
+            return outcome
+
+        monkeypatch.setattr(migrator, "execute", watched)
+        timeline = drift_timeline(rates.streams, kind="step", at=3.0, factor=6.0)
+        outcomes = []
+        for tick in range(1, 21):
+            before = {d.query.name: op_set(d) for d in shard.engine.state.deployments}
+            migrated.clear()
+            shard.adaptivity.observe_rates(timeline.rates_at(float(tick)))
+            fleet.tick(float(tick))
+            for deployment in shard.engine.state.deployments:
+                name, final = deployment.query.name, op_set(deployment)
+                if name not in migrated:
+                    assert final == before[name]
+                    continue
+                old, new, outcome = migrated[name]
+                assert final == (new if outcome.committed else old)  # never a mix
+                outcomes.append(outcome)
+            assert fleet.check_invariants() == []
+        assert outcomes

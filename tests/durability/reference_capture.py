@@ -279,10 +279,6 @@ def _capture_faults(injector) -> dict[str, Any] | None:
         "crashed": sorted(injector.crashed),
         "cursor": injector._cursor,
         "applied": _jsonable(list(injector.applied)),
-        "messages_dropped": injector.messages_dropped,
-        "messages_delayed": injector.messages_delayed,
-        "messages_duplicated": injector.messages_duplicated,
-        "rng": capture_rng(injector.rng),
     }
 
 

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.durability import inspect_state_dir, recover
@@ -9,6 +10,7 @@ from repro.durability.harness import (
     _service_env,
     digest,
     fleet_scenario,
+    layered_scenario,
     resume_index,
     run_steps,
     service_scenario,
@@ -16,6 +18,7 @@ from repro.durability.harness import (
 from repro.durability.journal import JOURNAL_FILE, encode_record, scan_journal
 from repro.durability.snapshot import list_snapshots
 from repro.errors import ReproError
+from tests.durability.reference_capture import snapshot_bytes
 
 
 class TestServiceRecovery:
@@ -105,6 +108,41 @@ class TestServiceRecovery:
         assert (state_dir / report.journal_drop["quarantined_to"]).exists()
         # The recovered journal continues exactly after the last valid LSN.
         assert recovered.durability.journal.lsn == report.last_lsn
+
+
+class TestLayeredRecovery:
+    def test_a_faults_section_with_message_counters_and_an_rng_recovers(
+        self, tmp_path
+    ):
+        """Snapshots written when the injector also kept message counters
+        and an RNG still restore: the extra keys are ignored."""
+        scenario = layered_scenario()
+        state_dir = tmp_path / "state"
+        baseline = scenario.factory(state_dir)
+        run_steps(scenario, baseline)
+        snaps = list_snapshots(state_dir)
+        assert snaps
+        for snap in snaps:
+            path = state_dir / snap["file"]
+            doc = json.loads(path.read_text())
+            faults = doc["state"]["faults"]
+            assert faults is not None and "rng" not in faults
+            faults.update(
+                messages_dropped=0,
+                messages_delayed=0,
+                messages_duplicated=0,
+                rng=np.random.default_rng(3).bit_generator.state,
+            )
+            path.write_bytes(
+                snapshot_bytes(doc["lsn"], doc["scope"], doc["state"], doc["time"])
+            )
+
+        recovered, report = recover(state_dir, lambda: scenario.factory(state_dir))
+        assert report.snapshot_lsn == snaps[-1]["lsn"]
+        assert not report.snapshots_rejected
+        assert "rng" not in recovered.faults.capture()
+        want = digest(scenario, baseline, extra_ticks=4)
+        assert digest(scenario, recovered, extra_ticks=4) == want
 
 
 class TestFleetRecovery:

@@ -141,24 +141,18 @@ class TestSimulatorIntegration:
         assert hop.counters["deliveries"] == 1
         assert hop.end == pytest.approx(hop.start + hop.counters["link_delay"])
 
-    def test_resend_is_a_retransmit_under_the_original(self):
+    def test_identical_sends_are_sibling_hops_under_the_cause(self):
         net = transit_stub_by_size(16, seed=1)
         tracer = CausalTracer()
         sim = self.make_sim(net, tracer)
-        tracer.new_trace("deploy:q", node=0)
-        message = DeployCommand("q", "op1")
-        sim.send(0, 5, message)
-        sim.send(0, 5, DeployCommand("q", "op1"))  # same identity, new object
+        root = tracer.new_trace("deploy:q", node=0)
+        sim.send(0, 5, DeployCommand("q", "op1"))
+        sim.send(0, 5, DeployCommand("q", "op1"))  # same payload, new message
         sim.run()
-        _, first, resend = tracer.hops
-        assert not first.tags.get("retransmit")
-        assert first.counters["retransmissions"] == 1
-        assert resend.tags["retransmit"]
-        assert resend.trace_id == first.trace_id
-        assert resend.parent_id == first.span_id
-        assert tracer.retransmissions() == 1
-        # one tree, no fresh roots
-        assert len(tracer.roots) == 1
+        _, first, second = tracer.hops
+        assert first.parent_id == second.parent_id == root.span_id
+        assert root.children == [first, second]
+        assert first.counters["deliveries"] == second.counters["deliveries"] == 1
 
 
 class TestFlowAccounting:

@@ -13,7 +13,7 @@ from repro.resilience.faults import (
 from repro.service import AdmissionController, StreamQueryService
 
 
-def build_resilient(events=(), seed=31, budget=8, plan_seed=0):
+def build_resilient(events=(), seed=31, budget=8):
     net = repro.transit_stub_by_size(32, seed=seed)
     hierarchy = repro.build_hierarchy(net, max_cs=4, seed=0)
     workload = repro.generate_workload(
@@ -24,7 +24,7 @@ def build_resilient(events=(), seed=31, budget=8, plan_seed=0):
     rates = workload.rate_model()
     ads = repro.AdvertisementIndex(hierarchy)
     optimizer = repro.TopDownOptimizer(hierarchy, rates, ads=ads)
-    faults = FaultInjector(FaultPlan(list(events), seed=plan_seed))
+    faults = FaultInjector(FaultPlan(list(events)))
     service = StreamQueryService(
         optimizer,
         net,

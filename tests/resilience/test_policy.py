@@ -32,19 +32,22 @@ class TestBackoff:
             max_attempts=5, base_delay=0.1, multiplier=2.0, max_delay=0.3, jitter=0.0
         )
         assert policy.backoff(1) == 0.0
-        assert policy.delays() == pytest.approx([0.1, 0.2, 0.3, 0.3])
+        delays = [policy.backoff(attempt) for attempt in range(2, 6)]
+        assert delays == pytest.approx([0.1, 0.2, 0.3, 0.3])
 
     def test_jitter_is_seeded(self):
         policy = RetryPolicy(max_attempts=4, base_delay=0.1, jitter=0.5)
-        a = policy.delays(seed=3)
-        b = policy.delays(seed=3)
-        c = policy.delays(seed=4)
+
+        def delays(seed):
+            rng = np.random.default_rng(seed)
+            return [policy.backoff(attempt, rng) for attempt in range(2, 5)]
+
+        a, b, c = delays(3), delays(3), delays(4)
         assert a == b
         assert a != c
         # jitter keeps every delay within the +-50% envelope
-        for nominal, jittered in zip(
-            RetryPolicy(max_attempts=4, base_delay=0.1, jitter=0.0).delays(), a
-        ):
+        for attempt, jittered in zip(range(2, 5), a):
+            nominal = policy.backoff(attempt)
             assert 0.5 * nominal <= jittered <= 1.5 * nominal
 
 

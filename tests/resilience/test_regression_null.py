@@ -91,29 +91,17 @@ class TestServiceParity:
 
 class TestProtocolParity:
     def test_null_faults_timeline_is_byte_identical(self):
-        net = repro.transit_stub_by_size(32, seed=2)
-        workload = repro.generate_workload(
-            net,
-            repro.WorkloadParams(num_streams=6, num_queries=4, joins_per_query=(1, 3)),
-            seed=3,
-        )
-        rates = workload.rate_model()
-        hierarchy = repro.build_hierarchy(net, max_cs=4, seed=0)
-        optimizer = repro.TopDownOptimizer(hierarchy, rates)
-        for query in workload:
-            deployment = optimizer.plan(query)
-            default = simulate_deployment(net, deployment)
-            explicit = simulate_deployment(net, deployment, faults=NULL_FAULTS)
-            assert default == explicit
-            assert default.retransmissions == 0
-
-
-class TestSimulatorParity:
-    def test_no_middleware_counters_stay_zero(self):
-        net = repro.transit_stub_by_size(16, seed=5)
-        sim = repro.Simulator(net)
-        assert sim.messages_dropped == 0
-        assert sim.messages_duplicated == 0
-        assert not sim._middleware
-        NULL_FAULTS.install(sim)
-        assert not sim._middleware
+        """Deployments planned through the armed layer under NULL faults
+        replay the same deployment protocol as plain ones."""
+        plain, workload = build_service(resilience=None)
+        armed, _ = build_service(resilience=ResilienceConfig())
+        for query in workload.queries[:5]:
+            plain.submit(query, time=1.0)
+            armed.submit(query, time=1.0)
+        by_name = lambda s: sorted(s.engine.state.deployments, key=lambda d: d.query.name)  # noqa: E731
+        pairs = list(zip(by_name(plain), by_name(armed)))
+        assert pairs
+        for ours, theirs in pairs:
+            assert simulate_deployment(plain.network, ours) == simulate_deployment(
+                armed.network, theirs
+            )

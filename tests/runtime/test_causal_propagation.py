@@ -1,10 +1,9 @@
-"""Trace propagation under faults, and the byte-identical-off contract.
+"""Trace propagation across protocols, and the byte-identical-off contract.
 
 Two acceptance properties from the causal-tracing design:
 
-* retried deliveries reuse the *original* trace id, are tagged
-  ``retransmit=True`` and never start fresh roots -- storms and
-  coordinator outages stay one causal tree per query;
+* a data-plane run and a cutover each stay in deterministic causal
+  trees -- a cutover is one tree rooted at ``migrate:<query>``;
 * with tracing disabled (and the profiler uninstalled) the optimizer
   output and the simulator's message sequences are byte-identical to a
   build that never heard of either.
@@ -24,8 +23,6 @@ from repro.query.deployment import Deployment
 from repro.query.plan import Join, Leaf
 from repro.query.query import JoinPredicate, Query
 from repro.query.stream import StreamSpec
-from repro.resilience import FaultInjector, FaultPlan
-from repro.resilience.faults import CoordinatorOutage, MessageStorm
 from repro.runtime import simulate_deployment
 from repro.runtime.dataplane import run_dataplane
 from repro.serialization import causal_trace_to_json
@@ -46,70 +43,8 @@ def env():
     return net, rates, hierarchy, workload, deployment
 
 
-def storm_injector(drop=0.4, duplicate=0.2, seed=5):
-    return FaultInjector(
-        FaultPlan(
-            [MessageStorm(time=0.0, duration=10_000.0, drop=drop, duplicate=duplicate)],
-            seed=seed,
-        )
-    )
-
-
-class TestRetransmissionPropagation:
-    def test_storm_retries_reuse_the_original_trace(self, env):
-        net, rates, _, _, deployment = env
-        tracer = CausalTracer()
-        with causal_tracing(tracer):
-            timeline = simulate_deployment(
-                net, deployment, faults=storm_injector(), rates=rates
-            )
-        assert timeline.retransmissions > 0
-        # one query, one causal tree -- retries never fork fresh roots
-        (root,) = tracer.roots
-        retransmits = [h for h in tracer.hops if h.tags.get("retransmit")]
-        # at least every reliable-delivery re-send is a retransmit hop
-        # (re-acks of duplicated commands add a few more re-sends the
-        # protocol's own counter doesn't track)
-        assert len(retransmits) >= timeline.retransmissions
-        for hop in retransmits:
-            assert hop.trace_id == root.trace_id
-            # parented under the original send of the same message
-            original = next(h for h in tracer.hops if h.span_id == hop.parent_id)
-            assert hop in original.children
-            assert not original.tags.get("retransmit")
-            assert original.name == hop.name
-            assert (original.tags["src"], original.tags["dst"]) == (
-                hop.tags["src"], hop.tags["dst"]
-            )
-            assert original.counters["retransmissions"] > 0
-        assert tracer.retransmissions(root.walk()) == len(retransmits)
-
-    def test_storm_drops_and_duplicates_are_accounted(self, env):
-        net, rates, _, _, deployment = env
-        tracer = CausalTracer()
-        faults = storm_injector()
-        with causal_tracing(tracer):
-            simulate_deployment(net, deployment, faults=faults, rates=rates)
-        summary = tracer.summary()
-        assert summary["dropped"] == faults.messages_dropped
-        assert summary["duplicated_deliveries"] == faults.messages_duplicated
-        dropped = [h for h in tracer.hops if h.tags.get("dropped")]
-        assert {h.tags["drop_reason"] for h in dropped} == {"storm"}
-
-    def test_traced_stormy_timeline_matches_untraced(self, env):
-        net, rates, _, _, deployment = env
-        untraced = simulate_deployment(
-            net, deployment, faults=storm_injector()
-        )
-        with causal_tracing(CausalTracer()):
-            traced = simulate_deployment(
-                net, deployment, faults=storm_injector(), rates=rates
-            )
-        assert traced == untraced
-
-
 class TestDataPlanePropagation:
-    def test_envelopes_are_never_retransmits_and_traces_repeat(self, env):
+    def test_data_plane_traces_repeat(self, env):
         net, rates, _, _, deployment = env
 
         def run():
@@ -119,7 +54,7 @@ class TestDataPlanePropagation:
             return tracer
 
         first = run()
-        assert first.hops and first.retransmissions() == 0
+        assert first.hops
         assert causal_trace_to_json(first) == causal_trace_to_json(run())
 
 
@@ -158,32 +93,12 @@ class TestMigrationPropagation:
         tracer = CausalTracer()
         with causal_tracing(tracer):
             timeline = Migrator(net).simulate_cutover(diff, coordinator=query.sink)
-        assert timeline.committed
+        assert timeline.completed > timeline.started
         (tree,) = tracer.roots
         assert tree.name == "migrate:q"
         assert tree.tags["operators"] == 2
         kinds = {h.name for h in tree.walk()}
         assert {"PauseCommand", "StateChunk", "ResumeCommand"} <= kinds
-
-    def test_outage_retries_stay_in_tree_with_drop_reason(self):
-        net, query, diff = make_migration_world()
-        faults = FaultInjector(
-            FaultPlan([CoordinatorOutage(time=0.0, node=query.sink, duration=0.1)])
-        )
-        tracer = CausalTracer()
-        with causal_tracing(tracer):
-            timeline = Migrator(net, faults=faults).simulate_cutover(
-                diff, coordinator=query.sink
-            )
-        # the outage swallows early acks; retransmissions ride it out
-        assert timeline.committed
-        assert timeline.retransmissions > 0
-        (root,) = tracer.roots
-        dropped = [h for h in tracer.hops if h.tags.get("dropped")]
-        assert dropped
-        assert {h.tags["drop_reason"] for h in dropped} == {"outage"}
-        assert all(h.trace_id == root.trace_id for h in tracer.hops)
-        assert tracer.retransmissions(root.walk()) >= timeline.retransmissions
 
     def test_traced_cutover_timeline_matches_untraced(self):
         net, query, diff = make_migration_world()
@@ -197,21 +112,23 @@ class TestByteIdenticalWhenDisabled:
     """Tracing off + profiler off must change nothing observable."""
 
     def capture_messages(self, net, deployment, trace=None):
-        """Protocol replay with a recording middleware; returns the
-        exact (src, dst, message) send sequence."""
-        from repro.resilience.faults import NULL_FAULTS  # noqa: F401
+        """Protocol replay with recording actors; returns the exact
+        (src, dst, message) delivery sequence, stamps included."""
         from repro.runtime.protocol import _Context, _ProtocolActor, QuerySubmit
         from repro.runtime.simulator import Simulator
+
+        delivered = []
+
+        class Recording(_ProtocolActor):
+            def on_message(self, src, message):
+                delivered.append((src, self.node_id, message))
+                super().on_message(src, message)
 
         ctx = _Context(deployment, seconds_per_plan=2e-5)
         with causal_tracing(trace):  # None: the untraced build
             sim = Simulator(net)
-        sent = []
-        sim.add_send_middleware(
-            lambda src, dst, message, now: sent.append((src, dst, message)) or None
-        )
         for node in net.nodes():
-            sim.register(_ProtocolActor(node, ctx))
+            sim.register(Recording(node, ctx))
         if trace is not None:
             trace.new_trace(f"deploy:{deployment.query.name}")
         sink = deployment.query.sink
@@ -222,14 +139,14 @@ class TestByteIdenticalWhenDisabled:
             ),
         )
         sim.run()
-        return sent
+        return delivered
 
     def test_message_sequences_identical_with_and_without_tracer(self, env):
         net, _, _, _, deployment = env
         plain = self.capture_messages(net, deployment)
         traced = self.capture_messages(net, deployment, trace=CausalTracer())
         # trace stamps are excluded from message equality, so the traced
-        # run's send sequence compares equal element by element
+        # run's delivery sequence compares equal element by element
         assert traced == plain
         # and the stamps really are there on the traced run
         assert any(

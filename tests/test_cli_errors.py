@@ -1,5 +1,10 @@
 """Bad input to the CLI is a usage error: one ``error:`` line, exit 2."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -52,3 +57,26 @@ def test_a_json_document_that_is_no_object_is_refused(argv, tmp_path, capsys):
     path.write_text("[1, 2]")
     argv = [str(path) if a == "{path}" else a for a in argv]
     assert f"{path} is not a" in usage_error(argv, capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "--causal", "--json", "--query", "0", *BASE],
+        ["chaos", "--emit-plan", *BASE],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_a_closed_output_pipe_exits_141_without_a_traceback(argv):
+    """``repro ... | head`` closes the pipe under a command's output:
+    exit as a process killed by SIGPIPE, and print nothing."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # the reader is gone before the first write
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""

@@ -1,5 +1,5 @@
-"""CLI surface of the durability layer: recover --inspect, chaos
---crash-points, and the serve/fleet --state-dir plumbing."""
+"""CLI surface of the durability layer: recover, chaos --crash-points,
+and the serve/fleet --state-dir plumbing."""
 
 import json
 
@@ -22,13 +22,13 @@ def _crashed_state_dir(tmp_path):
 
 class TestRecoverCli:
     def test_parser(self):
-        args = build_parser().parse_args(["recover", "/tmp/x", "--inspect"])
-        assert args.state_dir == "/tmp/x" and args.inspect
+        args = build_parser().parse_args(["recover", "/tmp/x"])
+        assert args.state_dir == "/tmp/x" and not args.json
         assert args.func.__name__ == "_cmd_recover"
 
     def test_inspect_reports_the_torn_tail(self, tmp_path, capsys):
         state_dir = _crashed_state_dir(tmp_path)
-        rc = main(["recover", str(state_dir), "--inspect"])
+        rc = main(["recover", str(state_dir)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "would drop: 1 line(s)" in out
@@ -37,18 +37,12 @@ class TestRecoverCli:
 
     def test_inspect_json_is_machine_readable(self, tmp_path, capsys):
         state_dir = _crashed_state_dir(tmp_path)
-        rc = main(["recover", str(state_dir), "--inspect", "--json"])
+        rc = main(["recover", str(state_dir), "--json"])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["journal"]["dropped_lines"] == 1
         assert doc["journal"]["dropped_bytes"] > 0
         assert doc["recovery"]["scope"] == "service"
-
-    def test_without_inspect_points_at_the_library(self, tmp_path, capsys):
-        state_dir = _crashed_state_dir(tmp_path)
-        rc = main(["recover", str(state_dir)])
-        assert rc == 2
-        assert "--inspect" in capsys.readouterr().err
 
     def test_a_snapshot_of_another_state_version_is_an_error_line(self, tmp_path, capsys):
         from repro.durability import load_latest, write_snapshot
@@ -60,7 +54,7 @@ class TestRecoverCli:
             state_dir, snapshot["lsn"], snapshot["scope"], snapshot["state"],
             time=snapshot["time"],
         )
-        rc = main(["recover", str(state_dir), "--inspect"])
+        rc = main(["recover", str(state_dir)])
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
         assert captured.err == (
@@ -68,7 +62,7 @@ class TestRecoverCli:
         )
 
     def test_missing_directory_fails_cleanly(self, tmp_path, capsys):
-        rc = main(["recover", str(tmp_path / "absent"), "--inspect"])
+        rc = main(["recover", str(tmp_path / "absent")])
         assert rc == 2
         assert "not found" in capsys.readouterr().err
 
@@ -131,3 +125,18 @@ class TestChaosCrashPoints:
         assert doc["converged"] is True
         assert len(doc["points"]) == 2
         assert all(p["digest_match"] for p in doc["points"])
+
+    def test_the_layered_scope_runs_the_all_layers_scenario(self, tmp_path, capsys):
+        rc = main([
+            "chaos", "--crash-points", "2", "--crash-scope", "layers",
+            "--state-dir", str(tmp_path / "matrix"),
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert out.startswith("crash-restart matrix: layers scenario")
+        assert "2/2 crash points converged" in out
+        # The only scenario whose snapshots carry a faults section.
+        from repro.durability import load_latest
+
+        snapshot, _ = load_latest(tmp_path / "matrix" / "probe")
+        assert snapshot["state"]["faults"]["applied"]
