@@ -126,13 +126,10 @@ from repro.resilience import (
     RetryPolicy,
 )
 from repro.serialization import (
-    causal_trace_from_json,
     causal_trace_to_json,
     chrome_trace_to_json,
     explanation_from_json,
     explanation_to_json,
-    failure_report_from_json,
-    failure_report_to_json,
     fault_plan_from_json,
     fault_plan_to_json,
     network_from_json,
@@ -181,7 +178,6 @@ from repro.resources import (
     ResourceConfig,
     ResourceLedger,
     ResourceManager,
-    capacities_by_kind,
     uniform_capacities,
 )
 
@@ -307,7 +303,6 @@ __all__ = [
     "ResourceLedger",
     "ResourceManager",
     "uniform_capacities",
-    "capacities_by_kind",
     "HotspotProfile",
     "HeterogeneousFleetProfile",
     # resilience
@@ -321,12 +316,9 @@ __all__ = [
     "ResilientControl",
     "fault_plan_to_json",
     "fault_plan_from_json",
-    "failure_report_to_json",
-    "failure_report_from_json",
     "trace_to_json",
     "trace_from_json",
     "causal_trace_to_json",
-    "causal_trace_from_json",
     "chrome_trace_to_json",
     "explanation_to_json",
     "explanation_from_json",

@@ -24,7 +24,6 @@ timing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -96,26 +95,6 @@ class MigrationDiff:
     def transfer_cost(self, costs: np.ndarray) -> float:
         """Total one-shot state-transfer cost of the migration."""
         return sum(m.transfer_cost(costs) for m in self.moved)
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-dict (JSON-ready) form."""
-        return {
-            "query": self.query,
-            "moved": [
-                {
-                    "operator": m.label,
-                    "old_node": m.old_node,
-                    "new_node": m.new_node,
-                    "state_bytes": m.state_bytes,
-                }
-                for m in self.moved
-            ],
-            "kept": [[sig.label(), node] for sig, node in self.kept],
-            "added": [[sig.label(), node] for sig, node in self.added],
-            "removed": [[sig.label(), node] for sig, node in self.removed],
-            "reused_kept": [sig.label() for sig in self.reused_kept],
-            "total_state_bytes": self.total_state_bytes,
-        }
 
 
 def _operator_map(deployment: Deployment) -> dict[ViewSignature, tuple[int, Join]]:

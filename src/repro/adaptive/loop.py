@@ -118,6 +118,9 @@ class AdaptivityLoop:
         self.reports: list[AdaptiveTickReport] = []
         self._last_migration: dict[str, float] = {}
         self._dirty = False
+        # Queries whose last migration rolled back: each is evaluated
+        # again once its cooldown ends.
+        self._aborted: set[str] = set()
         self._seen_topology = 0
         self._instruments: dict[str, Any] = {}
 
@@ -174,27 +177,10 @@ class AdaptivityLoop:
         }
 
     # ------------------------------------------------------------------
-    # Observation passthroughs (feed the monitor from the dataplane)
-    # ------------------------------------------------------------------
-    def observe_rate(self, stream: str, rate: float) -> float:
-        """Feed one rate sample (see :meth:`StatsMonitor.observe_rate`)."""
-        assert self.monitor is not None, "loop is not bound to a service"
-        return self.monitor.observe_rate(stream, rate)
-
     def observe_rates(self, samples) -> None:
-        """Feed one sample per stream."""
+        """Feed one rate sample per stream to the monitor."""
         assert self.monitor is not None, "loop is not bound to a service"
         self.monitor.observe_rates(samples)
-
-    def observe_selectivity(self, a: str, b: str, value: float) -> float:
-        """Feed one selectivity sample."""
-        assert self.monitor is not None, "loop is not bound to a service"
-        return self.monitor.observe_selectivity(a, b, value)
-
-    def ingest_dataplane(self, report) -> int:
-        """Feed a dataplane report's measured rates."""
-        assert self.monitor is not None, "loop is not bound to a service"
-        return self.monitor.ingest_dataplane(report)
 
     # ------------------------------------------------------------------
     def step(self, service, now: float) -> AdaptiveTickReport:
@@ -221,21 +207,30 @@ class AdaptivityLoop:
             if service.topology_epoch != self._seen_topology:
                 self._seen_topology = service.topology_epoch
                 self._dirty = True
-            if self._dirty:
+            if self._dirty or self._retry_due(now):
                 self._reoptimize(service, now, report)
                 self._dirty = bool(report.committed)
         self.reports.append(report)
         return report
 
+    def _retry_due(self, now: float) -> bool:
+        """Whether a rolled-back query's cooldown has ended."""
+        cooldown = self.config.query_cooldown
+        return any(
+            now - self._last_migration[name] >= cooldown for name in self._aborted
+        )
+
     def _reoptimize(self, service, now: float, report: AdaptiveTickReport) -> None:
         assert self.policy is not None and self.migrator is not None
         cfg = self.config
         state = service.engine.state
+        self._aborted.intersection_update(d.query.name for d in state.deployments)
         for deployment in list(state.deployments):
             name = deployment.query.name
             last = self._last_migration.get(name)
             if last is not None and now - last < cfg.query_cooldown:
                 continue
+            self._aborted.discard(name)
             with span("adaptive_evaluate", query=name) as ev_span:
                 decision = self.policy.evaluate(
                     state, deployment, service.network.cost_matrix()
@@ -263,7 +258,8 @@ class AdaptivityLoop:
                 mig_span.tag(committed=outcome.committed)
             report.migrations.append(outcome)
             # Cooldown applies to aborts too: a candidate that failed to
-            # install will likely fail an immediate retry.
+            # install will likely fail an immediate retry, so it is
+            # retried when the cooldown ends.
             self._last_migration[name] = now
             if outcome.committed:
                 self._instruments["migrations"].inc()
@@ -276,17 +272,20 @@ class AdaptivityLoop:
                     )
                 incr("migrations_committed")  # on the adaptive_tick span
             else:
+                self._aborted.add(name)
                 self._instruments["aborts"].inc()
                 incr("migrations_aborted")
 
     # ------------------------------------------------------------------
     def capture(self) -> dict[str, Any]:
         """The loop's section of a ``repro.state`` snapshot: migration
-        cooldowns, the pending re-evaluation flag and the monitor."""
+        cooldowns, the pending re-evaluation flag, the rolled-back
+        queries awaiting a retry and the monitor."""
         assert self.monitor is not None and self.policy is not None
         return {
             "last_migration": dict(self._last_migration),
             "dirty": self._dirty,
+            "aborted": sorted(self._aborted),
             "seen_topology": self._seen_topology,
             "evaluations": self.policy.evaluations,
             "monitor": self.monitor.capture(),
@@ -297,6 +296,7 @@ class AdaptivityLoop:
         assert self.monitor is not None and self.policy is not None
         self._last_migration = dict(doc["last_migration"])
         self._dirty = doc["dirty"]
+        self._aborted = set(doc.get("aborted", ()))  # absent before retries
         self._seen_topology = doc["seen_topology"]
         self.policy.evaluations = doc["evaluations"]
         self.monitor.restore(doc["monitor"])

@@ -28,8 +28,8 @@ Safety rules the policy enforces before any arithmetic:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -68,19 +68,6 @@ class ReoptDecision:
     amortized_gain: float = 0.0
     diff: MigrationDiff | None = None
     candidate: Deployment | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-dict (JSON-ready) form, diff summarized."""
-        return {
-            "query": self.query,
-            "migrate": self.migrate,
-            "reason": self.reason,
-            "current_cost": self.current_cost,
-            "candidate_cost": self.candidate_cost,
-            "migration_cost": self.migration_cost,
-            "amortized_gain": self.amortized_gain,
-            "moved_operators": len(self.diff.moved) if self.diff else 0,
-        }
 
 
 class ReoptPolicy:

@@ -6,12 +6,7 @@ deployment priced under stale rates arbitrarily wrong once rates drift.
 :class:`StatsMonitor` closes the observation half of the adaptive loop:
 
 * it maintains one :class:`EwmaEstimator` per base stream (seeded with
-  the catalog rate) fed from whatever the dataplane measures -- raw
-  per-tick rate samples, or a
-  :class:`~repro.runtime.dataplane.DataPlaneReport`'s measured rates;
-* it tracks per-join *selectivity* estimators the same way (advisory:
-  predicates are per-query constants, so selectivity drift informs drift
-  detection and reports but is not folded back into deployed queries);
+  the catalog rate) fed per-tick rate samples;
 * :meth:`StatsMonitor.maybe_publish` detects drift with a relative-change
   threshold plus hysteresis (a stream must breach the threshold for
   ``hysteresis_ticks`` *consecutive* checks, and publications are rate
@@ -28,7 +23,7 @@ policy's job (:mod:`repro.adaptive.policy`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from repro.core.cost import RateModel
 from repro.errors import ObservationError, UnknownStreamError
@@ -113,25 +108,9 @@ class DriftEvent:
         """Names of the drifted streams."""
         return [d.stream for d in self.drifts]
 
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-dict (JSON-ready) form."""
-        return {
-            "time": self.time,
-            "rates_version": self.rates_version,
-            "drifts": [
-                {
-                    "stream": d.stream,
-                    "published": d.published,
-                    "observed": d.observed,
-                    "relative_change": d.relative_change,
-                }
-                for d in self.drifts
-            ],
-        }
-
 
 class StatsMonitor:
-    """Observes runtime rates/selectivities and publishes on drift.
+    """Observes runtime stream rates and publishes on drift.
 
     Args:
         rates: The shared rate model publications are folded into (its
@@ -161,7 +140,6 @@ class StatsMonitor:
         if publish_cooldown < 0:
             raise ValueError("publish_cooldown must be non-negative")
         self.rates = rates
-        self.alpha = alpha
         self.drift_threshold = drift_threshold
         self.hysteresis_ticks = hysteresis_ticks
         self.publish_cooldown = publish_cooldown
@@ -171,7 +149,6 @@ class StatsMonitor:
         }
         self._published = {name: spec.rate for name, spec in rates.streams.items()}
         self._breaches: dict[str, int] = {name: 0 for name in self._estimators}
-        self._selectivities: dict[frozenset[str], EwmaEstimator] = {}
         self._last_publish: float | None = None
         self.events: list[DriftEvent] = []
         self.samples_total = 0
@@ -193,52 +170,6 @@ class StatsMonitor:
         """Feed one sample per stream (e.g. a per-tick rate snapshot)."""
         for stream, rate in samples.items():
             self.observe_rate(stream, rate)
-
-    def observe_selectivity(self, a: str, b: str, value: float) -> float:
-        """Feed one measured selectivity sample for a stream pair."""
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"selectivity sample must be in [0, 1], got {value}")
-        key = frozenset((a, b))
-        estimator = self._selectivities.get(key)
-        if estimator is None:
-            estimator = self._selectivities[key] = EwmaEstimator(self.alpha)
-        self.samples_total += 1
-        return estimator.update(value)
-
-    def ingest_dataplane(self, report) -> int:
-        """Fold a :class:`~repro.runtime.dataplane.DataPlaneReport` in.
-
-        Base-stream labels of ``measured_rates`` (no ``*``) feed the
-        rate estimators; unknown labels are ignored (a deployment may
-        span a subset of the catalog).  Returns samples ingested.
-        """
-        ingested = 0
-        for label, rate in report.measured_rates.items():
-            if "*" in label or label not in self._estimators:
-                continue
-            self.observe_rate(label, rate)
-            ingested += 1
-        return ingested
-
-    # ------------------------------------------------------------------
-    # Lookup
-    # ------------------------------------------------------------------
-    def estimated_rate(self, stream: str) -> float:
-        """Current EWMA estimate for one stream."""
-        estimator = self._estimators.get(stream)
-        if estimator is None:
-            raise KeyError(f"unknown stream {stream!r}")
-        assert estimator.value is not None  # seeded with the catalog rate
-        return estimator.value
-
-    def published_rate(self, stream: str) -> float:
-        """The rate planners currently price with."""
-        return self._published[stream]
-
-    def estimated_selectivity(self, a: str, b: str) -> float | None:
-        """EWMA selectivity estimate for a pair (``None`` if unobserved)."""
-        estimator = self._selectivities.get(frozenset((a, b)))
-        return None if estimator is None else estimator.value
 
     def drifted(self) -> list[StreamDrift]:
         """Streams currently past the drift threshold (pre-hysteresis)."""
@@ -315,10 +246,6 @@ class StatsMonitor:
             ],
             "published": dict(self._published),
             "breaches": dict(self._breaches),
-            "selectivities": [
-                [sorted(pair), est.capture()]
-                for pair, est in self._selectivities.items()
-            ],
             "last_publish": self._last_publish,
             "samples_total": self.samples_total,
             "events": [
@@ -338,9 +265,6 @@ class StatsMonitor:
         self._estimators = {name: estimator(e) for name, e in doc["estimators"]}
         self._published = dict(doc["published"])
         self._breaches = dict(doc["breaches"])
-        self._selectivities = {
-            frozenset(pair): estimator(e) for pair, e in doc["selectivities"]
-        }
         self._last_publish = doc["last_publish"]
         self.samples_total = doc["samples_total"]
         self.events = [
@@ -357,11 +281,6 @@ class StatsMonitor:
             "streams_monitored": len(self._estimators),
             "samples": self.samples_total,
             "publications": len(self.events),
-            "selectivity_pairs": len(self._selectivities),
             "drifting_now": sorted(d.stream for d in self.drifted()),
         }
 
-
-def rates_snapshot(streams: Iterable[StreamSpec]) -> dict[str, float]:
-    """Convenience: ``{name: rate}`` from an iterable of specs."""
-    return {spec.name: spec.rate for spec in streams}

@@ -140,30 +140,13 @@ class RateModel:
         """Output rate of the join over ``subset`` of ``query``'s streams."""
         return self.rate(query.view_signature(frozenset(subset)))
 
-    def split_selectivity(self, query: Query, left: frozenset[str], right: frozenset[str]) -> float:
-        """Effective selectivity of joining the views ``left`` x ``right``.
-
-        The product of selectivities of predicates crossing the split;
-        1.0 (a cross product) when none do.
-        """
-        sel = 1.0
-        for pred in query.predicates:
-            if (pred.left in left and pred.right in right) or (
-                pred.left in right and pred.right in left
-            ):
-                sel *= pred.selectivity
-        return sel
-
-    def plan_rates(self, query: Query, plan: PlanNode) -> dict[PlanNode, float]:
-        """Output rate of every subtree of ``plan`` under ``query``."""
-        return {sub: self.rate_for(query, sub.sources) for sub in plan.subtrees()}
-
     def flow_pricer(self, query: Query) -> Callable[[PlanNode], float]:
         """Shipping rate of any sub-plan of ``query``: a function of the node.
 
-        Like :meth:`plan_rates` but applies ``reuse_rate_inflation`` to
-        reused-view leaves (their output may carry extra projected
-        columns) -- what placement cost calculations should use.  Each
+        The rate of the node's source set (:meth:`rate_for`), times
+        ``reuse_rate_inflation`` for reused-view leaves (their output may
+        carry extra projected columns) -- what placement cost
+        calculations should use.  Each
         distinct source set is priced once however many candidate trees
         contain it, so a pricer must not outlive the statistics
         :attr:`version` it was made under (the planners make one per
@@ -186,16 +169,6 @@ class RateModel:
         """:meth:`flow_pricer` applied to every subtree of ``plan``."""
         flow_rate = self.flow_pricer(query)
         return {sub: flow_rate(sub) for sub in plan.subtrees()}
-
-    def intermediate_volume(self, query: Query, plan: PlanNode) -> float:
-        """Sum of rates flowing along plan edges (a network-oblivious
-        plan-quality metric; used by the plan-then-deploy baselines)."""
-        total = 0.0
-        for join in plan.joins():
-            total += self.rate_for(query, join.left.sources)
-            total += self.rate_for(query, join.right.sources)
-        total += self.rate_for(query, plan.sources)  # delivery to sink
-        return total
 
 
 def deployment_cost(

@@ -255,7 +255,7 @@ def optimal_tree_placement(
             source, or the advertisement nodes of a reused view.  Every
             leaf of ``tree`` must be present.
         rates: Output rate of each subtree (as from
-            :meth:`RateModel.plan_rates`).
+            :meth:`RateModel.flow_rates`).
         sink: Node the root output is delivered to, or ``None`` to skip
             delivery cost (the root output then simply materializes at
             the cheapest producing node).

@@ -58,7 +58,9 @@ class Scenario:
     """A deterministic controller factory plus a command script.
 
     Attributes:
-        scope: ``"service"`` or ``"fleet"``.
+        scope: The :data:`SCENARIOS` key (``"service"``, ``"fleet"`` or
+            ``"layers"``); a ``"fleet"`` scenario drives a fleet
+            controller, the others a service.
         factory: ``factory(state_dir)`` builds a pristine controller
             with durability bound to ``state_dir``.  Calling it twice
             with different directories yields behaviorally identical
@@ -179,7 +181,7 @@ def layered_scenario() -> Scenario:
         step if step[0] not in ("handle_node_failure", "rejoin_node") else ("tick", {})
         for step in base.steps
     ]
-    return Scenario("service", lambda d: _service_env(d, layers)[0], steps)
+    return Scenario("layers", lambda d: _service_env(d, layers)[0], steps)
 
 
 def _fleet_env(state_dir: str | Path):

@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.durability.state import FragmentMemo, view_key_from_doc, view_key_to_doc
 from repro.obs.tracer import count
-from repro.query.query import ViewSignature
 
 if TYPE_CHECKING:
     from repro.service.service import StreamQueryService
@@ -98,10 +97,6 @@ class ReuseFederation:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def is_import(self, shard: int, signature: ViewSignature, node: int) -> bool:
-        """Whether ``(signature, node)`` is an import on ``shard``."""
-        return (signature, node) in self._imports[shard]
-
     def import_for(
         self, shard: int, sources: frozenset[str], node: int
     ) -> ViewKey | None:

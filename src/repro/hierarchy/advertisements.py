@@ -141,13 +141,6 @@ class AdvertisementIndex:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def base_node(self, stream: str) -> int:
-        """The node hosting a base stream."""
-        try:
-            return self._base_nodes[stream]
-        except KeyError:
-            raise KeyError(f"base stream {stream!r} is not advertised") from None
-
     def base_streams(self) -> dict[str, int]:
         """All advertised base streams (name -> node)."""
         return dict(self._base_nodes)
@@ -163,11 +156,6 @@ class AdvertisementIndex:
     # ------------------------------------------------------------------
     # Cluster-scoped aggregation (what a coordinator knows)
     # ------------------------------------------------------------------
-    def streams_in(self, cluster: Cluster) -> set[str]:
-        """Base streams available somewhere in ``cluster``'s subtree."""
-        subtree = self.hierarchy.subtree(cluster)
-        return {s for s, n in self._base_nodes.items() if n in subtree}
-
     def base_member(self, cluster: Cluster, stream: str) -> int | None:
         """The member of ``cluster`` whose subtree hosts ``stream``.
 

@@ -1,8 +1,8 @@
-"""Human-readable rendering of hierarchies, plans and deployments.
+"""Human-readable rendering of plans and deployments.
 
 Plain-text (terminal-friendly) views used by the CLI, the examples and
-debugging sessions: an indented hierarchy tree, a box-drawing plan tree,
-and per-flow deployment breakdowns.
+debugging sessions: a box-drawing plan tree and per-flow deployment
+breakdowns.
 """
 
 from __future__ import annotations
@@ -12,46 +12,8 @@ from typing import Mapping
 import numpy as np
 
 from repro.core.cost import RateModel
-from repro.hierarchy.hierarchy import Cluster, Hierarchy
 from repro.query.deployment import Deployment, DeploymentState
 from repro.query.plan import Join, Leaf, PlanNode
-
-
-def render_hierarchy(hierarchy: Hierarchy, max_members: int = 12) -> str:
-    """Indented tree of the hierarchy's clusters.
-
-    Args:
-        hierarchy: The hierarchy to render.
-        max_members: Member lists longer than this are elided.
-
-    Returns:
-        A multi-line string; one line per cluster, coordinators marked
-        with ``*``.
-    """
-    lines = [
-        f"Hierarchy: {hierarchy.height} level(s), max_cs={hierarchy.max_cs}, "
-        f"{len(hierarchy.root.subtree_nodes())} nodes"
-    ]
-
-    def fmt_members(cluster: Cluster) -> str:
-        members = [
-            f"*{m}" if m == cluster.coordinator else str(m) for m in sorted(cluster.members)
-        ]
-        if len(members) > max_members:
-            members = members[:max_members] + [f"... +{cluster.size - max_members}"]
-        return ", ".join(members)
-
-    stack = [(hierarchy.root, 1)]
-    while stack:
-        cluster, depth = stack.pop()
-        indent = "  " * depth
-        lines.append(
-            f"{indent}L{cluster.level} cluster "
-            f"(coord {cluster.coordinator}, {cluster.size} members): {fmt_members(cluster)}"
-        )
-        for member in sorted(cluster.children, reverse=True):
-            stack.append((cluster.children[member], depth + 1))
-    return "\n".join(lines)
 
 
 def render_plan(plan: PlanNode, placement: Mapping[PlanNode, int] | None = None) -> str:

@@ -10,15 +10,14 @@ deployed on.  It provides:
 * :mod:`repro.network.topology` -- generators, most importantly the
   GT-ITM-style transit-stub generator used throughout the paper's
   evaluation.
-* :mod:`repro.network.routing` -- all-pairs shortest path computation and
-  path reconstruction.
+* :mod:`repro.network.routing` -- shortest-path reconstruction.
 * :mod:`repro.network.embedding` -- classical MDS embedding of the cost
   matrix into a low-dimensional "cost space" (used by the Relaxation
   baseline and by the k-means clustering of the hierarchy).
 """
 
 from repro.network.graph import Link, Network
-from repro.network.routing import RoutingTables, all_pairs_costs, shortest_path_nodes
+from repro.network.routing import shortest_path_nodes
 from repro.network.topology import (
     grid,
     line,
@@ -35,8 +34,6 @@ from repro.network.objectives import delay_weighted, hop_weighted
 __all__ = [
     "Link",
     "Network",
-    "RoutingTables",
-    "all_pairs_costs",
     "shortest_path_nodes",
     "transit_stub",
     "transit_stub_by_size",

@@ -14,7 +14,6 @@ version counter which invalidates the caches.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable
 
 import numpy as np
 
@@ -131,11 +130,6 @@ class Network:
         self._check_node(node)
         return sorted(self._adj[node])
 
-    def degree(self, node: int) -> int:
-        """Number of links incident to ``node``."""
-        self._check_node(node)
-        return len(self._adj[node])
-
     def has_node(self, node: int) -> bool:
         """Whether ``node`` exists."""
         return node in self._adj
@@ -213,16 +207,6 @@ class Network:
         self._version += 1
         return link
 
-    def remove_link(self, u: int, v: int) -> None:
-        """Remove the undirected link between ``u`` and ``v``."""
-        key = _canonical(u, v)
-        if key not in self._links:
-            raise KeyError(f"no link between {u} and {v}")
-        del self._links[key]
-        self._adj[u].discard(v)
-        self._adj[v].discard(u)
-        self._version += 1
-
     def set_link_cost(self, u: int, v: int, cost: float) -> None:
         """Update the traversal cost of an existing link.
 
@@ -236,27 +220,6 @@ class Network:
         if cost < 0:
             raise ValueError(f"negative link cost {cost}")
         self._links[key] = replace(self._links[key], cost=cost)
-        self._version += 1
-
-    def set_link_delay(self, u: int, v: int, delay: float) -> None:
-        """Update the propagation delay of an existing link."""
-        key = _canonical(u, v)
-        if key not in self._links:
-            raise KeyError(f"no link between {u} and {v}")
-        if delay < 0:
-            raise ValueError(f"negative link delay {delay}")
-        self._links[key] = replace(self._links[key], delay=delay)
-        self._version += 1
-
-    def scale_link_costs(self, factor: float, links: Iterable[tuple[int, int]] | None = None) -> None:
-        """Multiply the cost of ``links`` (default: every link) by ``factor``."""
-        if factor < 0:
-            raise ValueError("factor must be non-negative")
-        keys = list(self._links) if links is None else [_canonical(u, v) for (u, v) in links]
-        for key in keys:
-            if key not in self._links:
-                raise KeyError(f"no link between {key[0]} and {key[1]}")
-            self._links[key] = replace(self._links[key], cost=self._links[key].cost * factor)
         self._version += 1
 
     # ------------------------------------------------------------------
@@ -286,10 +249,6 @@ class Network:
             raise ValueError("network is disconnected; shortest paths undefined")
         self._delay_cache = (self._version, matrix)
         return matrix
-
-    def traversal_cost(self, u: int, v: int) -> float:
-        """Shortest-path traversal cost between two nodes."""
-        return float(self.cost_matrix()[u, v])
 
     def path_delay(self, u: int, v: int) -> float:
         """Shortest-path one-way delay between two nodes (seconds)."""

@@ -1,29 +1,16 @@
-"""Routing helpers: all-pairs costs and explicit path reconstruction.
+"""Routing helpers: explicit path reconstruction.
 
-The optimizers only ever need the all-pairs traversal-cost matrix (data is
-assumed to follow cheapest paths, matching the paper's "total data
+The optimizers only ever need the all-pairs traversal-cost matrix, which
+:meth:`Network.cost_matrix` computes and caches by network version (data
+is assumed to follow cheapest paths, matching the paper's "total data
 transferred along each link times the link cost" when flows are routed
-minimally).  The runtime simulator additionally reconstructs the concrete
-node sequence of each flow so that per-link utilization and delays can be
-simulated.
+minimally).  The runtime additionally reconstructs the concrete node
+sequence of each flow so that per-link utilization can be tracked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from repro.network.graph import Network
-
-
-def all_pairs_costs(network: Network) -> np.ndarray:
-    """All-pairs shortest-path traversal-cost matrix of ``network``.
-
-    Thin convenience wrapper over :meth:`Network.cost_matrix`; exists so
-    call sites that only hold a matrix do not need the network object.
-    """
-    return network.cost_matrix()
 
 
 def shortest_path_nodes(network: Network, src: int, dst: int) -> list[int]:
@@ -50,52 +37,3 @@ def path_links(network: Network, src: int, dst: int) -> list[tuple[int, int]]:
     nodes = shortest_path_nodes(network, src, dst)
     return list(zip(nodes[:-1], nodes[1:]))
 
-
-@dataclass
-class RoutingTables:
-    """Precomputed routing state shared by optimizers and the runtime.
-
-    Bundles the cost matrix, delay matrix and predecessor matrix captured
-    at a single network version.  :meth:`fresh` re-captures after network
-    mutations.
-
-    Attributes:
-        network: The network the tables were computed from.
-        costs: All-pairs traversal-cost matrix.
-        delays: All-pairs one-way delay matrix (seconds).
-        version: Network version the tables correspond to.
-    """
-
-    network: Network
-    costs: np.ndarray
-    delays: np.ndarray
-    version: int
-
-    @classmethod
-    def of(cls, network: Network) -> "RoutingTables":
-        """Capture routing tables for the network's current state."""
-        return cls(
-            network=network,
-            costs=network.cost_matrix(),
-            delays=network.delay_matrix(),
-            version=network.version,
-        )
-
-    @property
-    def stale(self) -> bool:
-        """Whether the network has been mutated since capture."""
-        return self.version != self.network.version
-
-    def fresh(self) -> "RoutingTables":
-        """Return up-to-date tables (self if nothing changed)."""
-        if not self.stale:
-            return self
-        return RoutingTables.of(self.network)
-
-    def cost(self, u: int, v: int) -> float:
-        """Traversal cost between two nodes."""
-        return float(self.costs[u, v])
-
-    def delay(self, u: int, v: int) -> float:
-        """One-way delay between two nodes (seconds)."""
-        return float(self.delays[u, v])

@@ -102,10 +102,6 @@ class Gauge(_Instrument):
         """Adjust the gauge by ``amount`` (may be negative)."""
         self.set((self.value or 0.0) + amount)
 
-    def dec(self, amount: float = 1.0) -> None:
-        """Adjust the gauge down by ``amount``."""
-        self.inc(-amount)
-
     @property
     def value(self) -> float | None:
         """The last value set (computed now if pending), or ``None``."""

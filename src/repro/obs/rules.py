@@ -2,8 +2,9 @@
 
 The Prometheus half the fleet was missing: :class:`RulesEngine` walks a
 list of rules every evaluation tick.  *Recording* rules
-(:class:`RecordingRule`) derive new series and write them back into the
-store; *alerting* rules (:class:`ThresholdRule`, :class:`AbsenceRule`,
+(:class:`RecordingRule`) sum the ``last``/``delta`` aggregates of their
+series and write the total back into the store as a new series;
+*alerting* rules (:class:`ThresholdRule`, :class:`AbsenceRule`,
 :class:`BurnRateRule`, :class:`FairnessSkewRule`) evaluate a breach
 condition with ``for``-duration hysteresis and drive a
 ``pending -> firing -> resolved`` lifecycle:
@@ -153,10 +154,10 @@ class AlertRule:
 class ThresholdRule(AlertRule):
     """Fires when an aggregated series crosses a threshold.
 
-    ``aggregate`` is any :meth:`TimeSeriesStore.aggregate` mode; the
-    optional warm-up guard (``activate_series`` >= ``activate_at``)
-    keeps startup transients -- a cache hit rate that is 0.0 before the
-    first lookup -- from paging anyone.
+    ``aggregate`` is a :meth:`TimeSeriesStore.aggregate` mode (``last``
+    or ``delta``); the optional warm-up guard (``activate_series`` >=
+    ``activate_at``) keeps startup transients -- a cache hit rate that is
+    0.0 before the first lookup -- from paging anyone.
     """
 
     kind = "threshold"
@@ -169,7 +170,6 @@ class ThresholdRule(AlertRule):
         threshold: float,
         aggregate: str = "last",
         window: float | None = None,
-        q: float | None = None,
         activate_series: str | None = None,
         activate_at: float = 1.0,
         **kwargs: Any,
@@ -182,7 +182,6 @@ class ThresholdRule(AlertRule):
         self.threshold = threshold
         self.aggregate = aggregate
         self.window = window
-        self.q = q
         self.activate_series = activate_series
         self.activate_at = activate_at
         self._store: TimeSeriesStore | None = None
@@ -190,9 +189,7 @@ class ThresholdRule(AlertRule):
 
     def value(self, store: TimeSeriesStore, now: float) -> float | None:
         self._store, self._now = store, now
-        return store.aggregate(
-            self.series, self.aggregate, window=self.window, now=now, q=self.q
-        )
+        return store.aggregate(self.series, self.aggregate, window=self.window, now=now)
 
     def breached(self, value: float | None, now: float) -> bool:
         if value is None:
@@ -204,9 +201,8 @@ class ThresholdRule(AlertRule):
         return _OPS[self.op](value, self.threshold)
 
     def describe(self) -> str:
-        agg = self.aggregate if self.q is None else f"p{int(self.q * 100)}"
         win = f"[{self.window:g}]" if self.window is not None else ""
-        return f"{agg}({self.series}{win}) {self.op} {self.threshold:g}"
+        return f"{self.aggregate}({self.series}{win}) {self.op} {self.threshold:g}"
 
 
 class AbsenceRule(AlertRule):
@@ -339,7 +335,7 @@ class FairnessSkewRule(AlertRule):
 
 
 class RecordingRule:
-    """Derives a new series from an aggregation and records it back.
+    """Records the sum of one aggregation over its series as a new series.
 
     The recorded series is then available to alert rules and the
     dashboard like any scraped one.
@@ -347,46 +343,22 @@ class RecordingRule:
 
     kind = "recording"
 
-    def __init__(
-        self,
-        name: str,
-        series: str | Sequence[str],
-        aggregate: str = "last",
-        window: float | None = None,
-        q: float | None = None,
-        combine: str = "sum",
-    ) -> None:
+    def __init__(self, name: str, series: str | Sequence[str], aggregate: str = "last") -> None:
         self.name = name
         self.series = [series] if isinstance(series, str) else list(series)
         self.aggregate = aggregate
-        self.window = window
-        self.q = q
-        if combine not in ("sum", "min", "max", "mean"):
-            raise ValueError(f"unknown combine {combine!r}")
-        self.combine = combine
         self.last_value: float | None = None
 
     def evaluate(self, store: TimeSeriesStore, now: float) -> None:
         values = [
             v
-            for v in (
-                store.aggregate(s, self.aggregate, window=self.window, now=now, q=self.q)
-                for s in self.series
-            )
+            for v in (store.aggregate(s, self.aggregate, now=now) for s in self.series)
             if v is not None
         ]
         if not values:
             self.last_value = None
             return
-        if self.combine == "sum":
-            value = sum(values)
-        elif self.combine == "min":
-            value = min(values)
-        elif self.combine == "max":
-            value = max(values)
-        else:
-            value = sum(values) / len(values)
-        self.last_value = value
+        self.last_value = value = sum(values)
         store.append(self.name, now, value)
 
     def snapshot(self) -> dict[str, Any]:
@@ -539,7 +511,6 @@ def default_rule_pack(
                 s("service_submitted_total"),
                 [s("service_admitted_total"), s("service_rejected_total")],
                 aggregate="last",
-                combine="sum",
             )
         )
         rules.append(

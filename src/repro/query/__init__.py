@@ -18,7 +18,7 @@
 
 from repro.query.stream import Filter, StreamSpec
 from repro.query.query import JoinPredicate, Query, ViewSignature
-from repro.query.plan import Join, Leaf, PlanNode, plan_from_view_sets
+from repro.query.plan import Join, Leaf, PlanNode
 from repro.query.deployment import Deployment, DeploymentState, FlowEdge
 from repro.query.sql import SqlError, parse_query
 
@@ -31,7 +31,6 @@ __all__ = [
     "PlanNode",
     "Leaf",
     "Join",
-    "plan_from_view_sets",
     "Deployment",
     "DeploymentState",
     "FlowEdge",

@@ -23,11 +23,6 @@ class PlanNode:
         """Base stream names this subtree's output covers."""
         raise NotImplementedError
 
-    @property
-    def is_leaf(self) -> bool:
-        """Whether the node is a :class:`Leaf`."""
-        return isinstance(self, Leaf)
-
     def leaves(self) -> list["Leaf"]:
         """All leaves of the subtree, left-to-right."""
         out: list[Leaf] = []
@@ -182,16 +177,3 @@ class Join(PlanNode):
     def sources(self) -> frozenset[str]:
         return self._sources
 
-
-def plan_from_view_sets(sets: list[frozenset[str] | set[str] | tuple[str, ...]]) -> PlanNode:
-    """Left-deep plan joining the given views in order.
-
-    Mainly a test/workload helper: ``plan_from_view_sets([{"A"}, {"B"},
-    {"C"}])`` builds ``(A x B) x C``.
-    """
-    if not sets:
-        raise ValueError("need at least one view")
-    node: PlanNode = Leaf(frozenset(sets[0]))
-    for s in sets[1:]:
-        node = Join(node, Leaf(frozenset(s)))
-    return node

@@ -119,11 +119,6 @@ class ViewSignature:
     def __hash__(self) -> int:
         return self._hash
 
-    @property
-    def is_base(self) -> bool:
-        """Whether the view is a single (possibly filtered) base stream."""
-        return len(self.sources) == 1
-
     def label(self) -> str:
         """Compact human-readable label, e.g. ``"CHECK-INS*FLIGHTS"``."""
         return "*".join(sorted(self.sources))

@@ -19,7 +19,6 @@ from repro.resources.capacity import (
     NodeCapacity,
     UNBOUNDED,
     ZERO_LOAD,
-    capacities_by_kind,
     uniform_capacities,
 )
 from repro.resources.constraint import PlacementConstraint
@@ -37,7 +36,6 @@ __all__ = [
     "NodeCapacity",
     "UNBOUNDED",
     "ZERO_LOAD",
-    "capacities_by_kind",
     "uniform_capacities",
     "PlacementConstraint",
     "OperatorFootprint",

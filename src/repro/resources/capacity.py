@@ -10,9 +10,9 @@ sides of that inequality a type:
   meaning "unbounded" (the default, so a capacity-less build prices
   exactly like the paper's).
 * :class:`Load` -- a demand vector in the same three dimensions, closed
-  under addition/scaling, with :meth:`Load.utilization` mapping a
-  (load, capacity) pair to the max-dimension utilization ratio the
-  planners bound.
+  under addition, with :meth:`Load.utilization` mapping a (load,
+  capacity) pair to the max-dimension utilization ratio the planners
+  bound.
 
 Capacities are attached *externally* -- a ``{node: NodeCapacity}``
 mapping alongside the :class:`~repro.network.graph.Network` -- so the
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.network.graph import Network
 
@@ -103,13 +103,6 @@ class Load:
             bandwidth=self.bandwidth + other.bandwidth,
         )
 
-    def scaled(self, factor: float) -> "Load":
-        return Load(
-            cpu=self.cpu * factor,
-            memory=self.memory * factor,
-            bandwidth=self.bandwidth * factor,
-        )
-
     def utilization(self, capacity: NodeCapacity) -> float:
         """Max-dimension utilization ratio against ``capacity``.
 
@@ -122,10 +115,6 @@ class Load:
             0.0 if math.isinf(capacity.bandwidth) else self.bandwidth / capacity.bandwidth,
         )
         return max(ratios)
-
-    def fits(self, capacity: NodeCapacity, bound: float = 1.0) -> bool:
-        """Whether the load stays within ``bound * capacity`` everywhere."""
-        return self.utilization(capacity) <= bound + 1e-9
 
     def to_dict(self) -> dict:
         return {"cpu": self.cpu, "memory": self.memory, "bandwidth": self.bandwidth}
@@ -155,20 +144,3 @@ def uniform_capacities(
     """The same :class:`NodeCapacity` on every node of ``network``."""
     cap = NodeCapacity(cpu=cpu, memory=memory, bandwidth=bandwidth)
     return {node: cap for node in network.nodes()}
-
-
-def capacities_by_kind(
-    network: Network,
-    by_kind: Mapping[str, NodeCapacity],
-    default: NodeCapacity = UNBOUNDED,
-) -> dict[int, NodeCapacity]:
-    """Capacities assigned by each node's ``kind`` tag.
-
-    Nodes whose kind has no entry in ``by_kind`` get ``default``.  This
-    is the static backbone of the heterogeneous-fleet profiles: transit
-    routers are typically provisioned far above edge/stub boxes.
-    """
-    return {
-        node: by_kind.get(network.node_kind(node), default)
-        for node in network.nodes()
-    }

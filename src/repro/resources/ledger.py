@@ -138,15 +138,6 @@ class ResourceLedger:
             return
         self._sources.append(_Source(state, footprint, next(self._attach_order)))
 
-    def detach(self, state: DeploymentState) -> None:
-        """Stop tracking a deployment state."""
-        self._sources = [
-            _Source(source.state, source.footprint, source.order)
-            for source in self._sources
-            if source.state is not state
-        ]
-        self._clear_books()
-
     @property
     def constrained(self) -> bool:
         """Whether any node has a finite capacity in any dimension."""

@@ -9,10 +9,7 @@ the quantity a real testbed measures off its interfaces.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.core.cost import RateModel
 from repro.network.graph import Network
@@ -36,11 +33,6 @@ class LinkLoad:
     v: int
     rate: float
     cost: float
-
-    @property
-    def cost_per_second(self) -> float:
-        """Communication spend on this link per unit time."""
-        return self.rate * self.cost
 
 
 class FlowEngine:
@@ -143,27 +135,6 @@ class FlowEngine:
     def hottest_links(self, top: int = 5) -> list[LinkLoad]:
         """The ``top`` links by crossing rate."""
         return sorted(self.link_loads(), key=lambda l: -l.rate)[:top]
-
-    def node_loads(self) -> dict[int, float]:
-        """Processing load per node: total input rate of hosted operators.
-
-        A join operator's load is the sum of its children's rates
-        (probing/insertion work is proportional to arrivals); co-located
-        inputs count even though they generate no network flow.  The
-        paper's motivating example ("node N2 may be overloaded") is about
-        exactly this quantity.  It is the ``cpu`` dimension the resource
-        layer (:mod:`repro.resources`) bounds by node capacity.  Sums are
-        exact, so a migration that reorders the deployments moves no bit.
-        """
-        inputs: dict[int, list[float]] = {}
-        for deployment in self.state.deployments:
-            query = deployment.query
-            for join in deployment.plan.joins():
-                inputs.setdefault(deployment.placement[join], []).extend(
-                    self.rates.rate_for(query, child.sources)
-                    for child in (join.left, join.right)
-                )
-        return {node: math.fsum(rates) for node, rates in inputs.items()}
 
     # ------------------------------------------------------------------
     def _tick(self, time: float | None) -> None:

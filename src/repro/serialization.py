@@ -251,16 +251,6 @@ def causal_trace_to_json(tracer: CausalTracer) -> str:
     return json.dumps(doc, indent=2)
 
 
-def causal_trace_from_json(text: str) -> dict[str, Any]:
-    """Parse a causal trace serialized by :func:`causal_trace_to_json`.
-
-    Returns the plain document (traces with their hop dicts); hop trees
-    are data at this point, not live tracer state.
-    """
-    doc = _load(text, "repro.causal_trace", "causal trace")
-    return doc
-
-
 def chrome_trace_to_json(tracer: CausalTracer) -> str:
     """Export a causal tracer's hops as Chrome trace-event JSON.
 
@@ -287,7 +277,7 @@ def explanation_from_json(text: str) -> PlanExplanation:
 
 
 # ----------------------------------------------------------------------
-# Resilience: fault plans and failure reports
+# Resilience: fault plans
 # ----------------------------------------------------------------------
 def fault_plan_to_json(plan) -> str:
     """Serialize a :class:`repro.resilience.faults.FaultPlan`."""
@@ -326,84 +316,3 @@ def telemetry_from_json(text: str) -> dict[str, Any]:
 
     return envelope_from_json(json.loads(text))
 
-
-#: The name lists of a tick report, in serialized order.
-_TICK_LISTS = ("deployed", "retired", "parked", "migrated", "drift_streams", "rejected")
-
-
-def tick_report_to_json(report) -> str:
-    """Serialize a :class:`repro.service.service.TickReport`."""
-    doc = {"kind": "repro.tick_report", "version": FORMAT_VERSION, "time": report.time}
-    doc.update((name, list(getattr(report, name))) for name in _TICK_LISTS)
-    return json.dumps(doc, indent=2)
-
-
-def tick_report_from_json(text: str):
-    """Rebuild a tick report serialized by :func:`tick_report_to_json`."""
-    from repro.service.service import TickReport
-
-    doc = _load(text, "repro.tick_report", "tick report")
-    return TickReport(
-        time=doc["time"], **{name: list(doc.get(name, [])) for name in _TICK_LISTS}
-    )
-
-
-def admission_decision_to_json(decision) -> str:
-    """Serialize a :class:`repro.service.admission.AdmissionDecision`."""
-    doc = {
-        "kind": "repro.admission_decision",
-        "version": FORMAT_VERSION,
-        "query": decision.query,
-        "status": decision.status.value,
-        "reason": decision.reason,
-        "queue_position": decision.queue_position,
-    }
-    return json.dumps(doc, indent=2)
-
-
-def admission_decision_from_json(text: str):
-    """Rebuild a decision serialized by :func:`admission_decision_to_json`."""
-    from repro.service.admission import AdmissionDecision, AdmissionStatus
-
-    doc = _load(text, "repro.admission_decision", "admission decision")
-    return AdmissionDecision(
-        query=doc["query"],
-        status=AdmissionStatus(doc["status"]),
-        reason=doc.get("reason", ""),
-        queue_position=doc.get("queue_position"),
-    )
-
-
-def failure_report_to_json(report) -> str:
-    """Serialize a :class:`repro.runtime.failover.FailureReport`."""
-    doc = {
-        "kind": "repro.failure_report",
-        "version": FORMAT_VERSION,
-        "node": report.node,
-        "coordinator_roles": list(report.coordinator_roles),
-        "new_coordinators": {
-            str(level): coord for level, coord in sorted(report.new_coordinators.items())
-        },
-        "affected_queries": list(report.affected_queries),
-        "redeployed": list(report.redeployed),
-        "failed_queries": list(report.failed_queries),
-    }
-    return json.dumps(doc, indent=2)
-
-
-def failure_report_from_json(text: str):
-    """Rebuild a failure report serialized by :func:`failure_report_to_json`."""
-    from repro.runtime.failover import FailureReport
-
-    doc = _load(text, "repro.failure_report", "failure report")
-    return FailureReport(
-        node=doc["node"],
-        coordinator_roles=list(doc.get("coordinator_roles", [])),
-        new_coordinators={
-            int(level): coord
-            for level, coord in doc.get("new_coordinators", {}).items()
-        },
-        affected_queries=list(doc.get("affected_queries", [])),
-        redeployed=list(doc.get("redeployed", [])),
-        failed_queries=list(doc.get("failed_queries", [])),
-    )

@@ -66,7 +66,6 @@ from repro.service.admission import (
 from repro.service.cache import CachedPlan, PlanCache
 from repro.service.fingerprint import query_fingerprint
 from repro.workload.generator import Workload
-from repro.workload.statistics import EstimatedStatistics
 
 
 @dataclass(frozen=True)
@@ -425,18 +424,6 @@ class StreamQueryService:
         self.topology_epoch += 1
         self.cache.evict_stale(self.statistics_epoch, self.topology_epoch)
         return self.topology_epoch
-
-    def ingest_statistics(self, estimated: EstimatedStatistics) -> int:
-        """Apply re-estimated workload statistics.
-
-        Swaps the new stream specs into the shared rate model (bumping
-        its version) and returns the new statistics epoch.  Deployed
-        queries keep their flows priced at deployment-time rates until
-        re-planned; *new* plans see the new rates immediately.
-        """
-        self.rates.update_streams(estimated.streams)
-        self._refresh_epochs()
-        return self.statistics_epoch
 
     def _refresh_epochs(self) -> None:
         if self.rates.version != self._rates_version:

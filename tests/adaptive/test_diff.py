@@ -113,13 +113,3 @@ class TestDiffMinimality:
         )
         with pytest.raises(ValueError):
             diff_deployments(left_deep(query, (1, 2)), left_deep(other, (1, 2)), rates)
-
-    def test_to_dict_is_json_shaped(self):
-        rates, query, _ = make_world()
-        diff = diff_deployments(
-            left_deep(query, (1, 2)), left_deep(query, (0, 2)), rates
-        )
-        doc = diff.to_dict()
-        assert doc["query"] == "q"
-        assert len(doc["moved"]) == 1
-        assert doc["total_state_bytes"] > 0

@@ -10,6 +10,7 @@ import pytest
 import repro
 from repro.adaptive import AdaptivityConfig
 from repro.core.cost import RateModel, deployment_cost
+from repro.errors import DeploymentError
 from repro.resilience.faults import FaultInjector, FaultPlan, StaleStatistics
 from repro.service import StreamQueryService
 from repro.workload import drift_timeline
@@ -158,6 +159,44 @@ class TestClosedLoop:
         after = [r for r in reports if r.time > 8.0]
         assert all(not r.drift_streams for r in in_window)
         assert any(r.drift_streams for r in after)
+
+
+class TestRolledBackMigration:
+    def test_a_rolled_back_query_is_retried_after_its_cooldown(self):
+        """A candidate that fails to install once is evaluated again when
+        its cooldown ends, and the retry commits; the ticks spent waiting
+        for the cooldown evaluate nothing."""
+        service, workload, _ = build_service(adaptivity=CONFIG)
+        loop = service.adaptivity
+        execute, deploy = loop.migrator.execute, service.engine.deploy
+        candidates, failed = set(), []
+
+        def watched(engine, old, candidate, diff, **kwargs):
+            candidates.add(id(candidate))
+            return execute(engine, old, candidate, diff, **kwargs)
+
+        def fails_once(deployment, time=None):
+            if id(deployment) in candidates and not failed:
+                failed.append(deployment.query.name)
+                raise DeploymentError("node lost between planning and install")
+            return deploy(deployment, time)
+
+        loop.migrator.execute = watched
+        service.engine.deploy = fails_once
+        timeline = drift_timeline(
+            workload.rate_model().streams, kind="step", at=3.0, factor=6.0
+        )
+        drive(service, timeline, ticks=20)
+
+        (name,) = failed
+        mine = [
+            (r.time, m.committed) for r in loop.reports for m in r.migrations if m.query == name
+        ]
+        assert [committed for _, committed in mine] == [False, True]
+        (aborted_at, _), (retried_at, _) = mine
+        assert retried_at == aborted_at + CONFIG.query_cooldown
+        waiting = [r for r in loop.reports if aborted_at < r.time < retried_at]
+        assert waiting and all(r.evaluated == 0 for r in waiting)
 
 
 class TestNullDefault:

@@ -103,7 +103,8 @@ class TestLinkChange:
     def test_cheaper_network_repriced_without_migration(self):
         service = build_service()
         before = service.total_cost()
-        service.network.scale_link_costs(0.5)
+        for link in service.network.links():
+            service.network.set_link_cost(*link.endpoints, link.cost * 0.5)
         report = tick(service, 10.0)
         assert service.topology_epoch == 1
         assert report.evaluated == len(service.live_queries)

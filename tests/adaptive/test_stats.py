@@ -111,23 +111,6 @@ class TestDriftDetection:
         with pytest.raises(ValueError):
             monitor.observe_rate("A", -1.0)
 
-    def test_selectivity_estimation_is_symmetric(self):
-        monitor = StatsMonitor(make_rates(), alpha=1.0)
-        monitor.observe_selectivity("A", "B", 0.25)
-        assert monitor.estimated_selectivity("B", "A") == pytest.approx(0.25)
-        assert monitor.estimated_selectivity("A", "A") is None
-        with pytest.raises(ValueError):
-            monitor.observe_selectivity("A", "B", 1.5)
-
-    def test_ingest_dataplane_feeds_base_streams_only(self):
-        class FakeReport:
-            measured_rates = {"A": 250.0, "A*B": 10.0, "UNKNOWN": 5.0}
-
-        monitor = StatsMonitor(make_rates(), alpha=1.0)
-        assert monitor.ingest_dataplane(FakeReport()) == 1
-        assert monitor.estimated_rate("A") == pytest.approx(250.0)
-        assert monitor.estimated_rate("B") == pytest.approx(40.0)
-
     def test_summary_reports_counters(self):
         monitor = StatsMonitor(make_rates(), alpha=1.0, hysteresis_ticks=1,
                                publish_cooldown=0.0)

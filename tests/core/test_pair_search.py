@@ -195,7 +195,7 @@ def test_scalar_pair_is_the_array_path(task):
     leaf_sets = _with_lone_view(task)
     scalar = _run(TreeSearch, task, leaf_sets)
     array = _run(ArrayPairs, task, leaf_sets)
-    kept = scalar.best is not None and scalar.best.tree.is_leaf
+    kept = scalar.best is not None and isinstance(scalar.best.tree, Leaf)
     event(f"incumbent: {task.incumbent}, lone view kept: {kept}, loose: {task.loose}")
     event(f"infeasible trees: {dict(scalar.counters).get('infeasible_trees', 0)}")
     _same(scalar.best, array.best)

@@ -54,7 +54,6 @@ class TestNoOpUpdate:
         used to kill every cached plan."""
         import repro
         from repro.service import StreamQueryService
-        from repro.workload.statistics import EstimatedStatistics
 
         net = repro.transit_stub_by_size(16, seed=3)
         workload = repro.generate_workload(
@@ -67,12 +66,6 @@ class TestNoOpUpdate:
         optimizer = repro.TopDownOptimizer(hierarchy, rates)
         service = StreamQueryService(optimizer, net, rates, hierarchy=hierarchy)
         before = service.statistics_epoch
-        service.ingest_statistics(
-            EstimatedStatistics(
-                streams=rates.streams,
-                selectivities={},
-                observation_time=1.0,
-                tuples_observed=0,
-            )
-        )
+        rates.update_streams(rates.streams)
+        service.tick()
         assert service.statistics_epoch == before

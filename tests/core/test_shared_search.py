@@ -299,7 +299,7 @@ class TestTaskDifferential:
     @given(tasks(leaves=st.just(1)))
     def test_leaf_set_of_one_view(self, task):
         best = _assert_same_choice(task)
-        assert best is not None and best.tree.is_leaf
+        assert best is not None and isinstance(best.tree, Leaf)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(tasks())

@@ -241,10 +241,6 @@ def _capture_monitor(monitor) -> dict[str, Any]:
         ],
         "published": dict(monitor._published),
         "breaches": dict(monitor._breaches),
-        "selectivities": [
-            [sorted(pair), _capture_estimator(est)]
-            for pair, est in monitor._selectivities.items()
-        ],
         "last_publish": monitor._last_publish,
         "samples_total": monitor.samples_total,
         "events": [
@@ -265,6 +261,7 @@ def _capture_adaptivity(loop) -> dict[str, Any]:
     doc: dict[str, Any] = {
         "last_migration": dict(loop._last_migration),
         "dirty": loop._dirty,
+        "aborted": sorted(loop._aborted),
         "seen_topology": loop._seen_topology,
         "evaluations": loop.policy.evaluations if loop.policy is not None else 0,
         "monitor": _capture_monitor(loop.monitor) if loop.monitor is not None else None,

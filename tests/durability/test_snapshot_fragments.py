@@ -174,7 +174,7 @@ class SnapshotMachine(RuleBasedStateMachine):
     @rule(data=st.data(), factor=st.sampled_from([0.5, 2.0]))
     def reprice_link(self, data, factor):
         link = data.draw(st.sampled_from(self.net.links()))
-        self.net.scale_link_costs(factor, [link.endpoints])
+        self.net.set_link_cost(*link.endpoints, link.cost * factor)
         self.seen["network_versions"] += 1
         self.plane.tick()
 

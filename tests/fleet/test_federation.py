@@ -179,7 +179,7 @@ class TestInvalidation:
         for sig, node in consumed:
             # the record survives as a local operator of shard 1 ...
             assert fleet.shards[1].engine.state.has_view(sig, node)
-            assert not fleet.federation.is_import(1, sig, node)
+            assert (sig, node) not in fleet.federation.imports(1)
             # ... with no federation claim left on it
             consumers = fleet.shards[1].engine.state.queries_using(sig, node)
             assert FEDERATION_OWNER not in consumers

@@ -371,7 +371,7 @@ def tie_run(fleet_env, state_dir, reverse: bool):
         ads.withdraw_view = recording
         while fleet.live_queries:
             fleet.tick()
-        gone = [key for key in imported if not federation.is_import(1, *key)]
+        gone = [key for key in imported if key not in federation.imports(1)]
         assert sorted(withdrawn, key=import_rank) == sorted(gone, key=import_rank)
         ties = Counter((sig.label(), node) for sig, node in withdrawn)
         assert max(ties.values()) == 2, "two withdrawals must tie on (label, node)"

@@ -28,7 +28,6 @@ class TestBaseAdvertisements:
     def test_advertise_and_lookup(self, setup):
         net, hierarchy, ads = setup
         ads.advertise_base("A", 5)
-        assert ads.base_node("A") == 5
         assert ads.base_streams() == {"A": 5}
 
     def test_message_cost_one_per_level(self, setup):
@@ -51,17 +50,16 @@ class TestBaseAdvertisements:
 
     def test_unknown_stream_lookup(self, setup):
         net, hierarchy, ads = setup
-        with pytest.raises(KeyError, match="not advertised"):
-            ads.base_node("GHOST")
+        assert ads.base_member(hierarchy.root, "GHOST") is None
 
     def test_streams_in_cluster_scoping(self, setup):
         net, hierarchy, ads = setup
         ads.advertise_base("A", 5)
         leaf = hierarchy.leaf_cluster(5)
-        assert "A" in ads.streams_in(leaf)
+        assert ads.base_member(leaf, "A") == 5
         other = next(c for c in hierarchy.levels[0] if 5 not in c.members)
-        assert "A" not in ads.streams_in(other)
-        assert "A" in ads.streams_in(hierarchy.root)
+        assert ads.base_member(other, "A") is None
+        assert ads.base_member(hierarchy.root, "A") is not None
 
     def test_base_member_resolution(self, setup):
         net, hierarchy, ads = setup

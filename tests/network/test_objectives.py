@@ -47,8 +47,8 @@ class TestLatencyObjectivePlanning:
     def test_objective_changes_routing_preference(self):
         net = self._net_with_conflicting_metrics()
         lat = delay_weighted(net)
-        assert net.traversal_cost(0, 3) == pytest.approx(2.0)      # via 1
-        assert lat.traversal_cost(0, 3) == pytest.approx(0.002)    # via 2
+        assert net.cost_matrix()[0, 3] == pytest.approx(2.0)      # via 1
+        assert lat.cost_matrix()[0, 3] == pytest.approx(0.002)    # via 2
 
     def test_planner_follows_objective(self):
         """The same query places differently under cost vs latency."""

@@ -1,4 +1,4 @@
-"""Tests for routing tables, path reconstruction and cost-space embedding."""
+"""Tests for path reconstruction and cost-space embedding."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network.embedding import classical_mds, embed_network, embedding_stress
-from repro.network.routing import RoutingTables, all_pairs_costs, path_links, shortest_path_nodes
+from repro.network.routing import path_links, shortest_path_nodes
 from repro.network.topology import line, random_geometric, ring, transit_stub_by_size
 
 
@@ -30,33 +30,6 @@ class TestShortestPathNodes:
             hops = path_links(net, src, dst)
             total = sum(net.link(u, v).cost for u, v in hops)
             assert total == pytest.approx(c[src, dst])
-
-
-class TestRoutingTables:
-    def test_capture_and_query(self):
-        net = ring(5, cost=2.0)
-        tables = RoutingTables.of(net)
-        assert tables.cost(0, 2) == pytest.approx(4.0)
-        assert tables.delay(0, 1) == pytest.approx(0.001)
-        assert not tables.stale
-
-    def test_staleness_and_refresh(self):
-        net = ring(5)
-        tables = RoutingTables.of(net)
-        net.set_link_cost(0, 1, 10.0)
-        assert tables.stale
-        fresh = tables.fresh()
-        assert not fresh.stale
-        assert fresh.cost(0, 1) == pytest.approx(min(10.0, 4.0))
-
-    def test_fresh_is_noop_when_current(self):
-        net = line(4)
-        tables = RoutingTables.of(net)
-        assert tables.fresh() is tables
-
-    def test_all_pairs_costs_wrapper(self):
-        net = line(3)
-        assert np.array_equal(all_pairs_costs(net), net.cost_matrix())
 
 
 class TestTriangleInequality:

@@ -1,5 +1,7 @@
 """Causal tracer: hop spans, their ids, trees, exports, flow-cost accounting."""
 
+import json
+
 import pytest
 
 from repro.core import TopDownOptimizer
@@ -10,11 +12,7 @@ from repro.obs import CausalTracer, Span, causal_tracing
 from repro.runtime import simulate_deployment
 from repro.runtime.messages import DeployCommand
 from repro.runtime.simulator import Simulator, SimNode
-from repro.serialization import (
-    causal_trace_from_json,
-    causal_trace_to_json,
-    chrome_trace_to_json,
-)
+from repro.serialization import causal_trace_to_json, chrome_trace_to_json
 from repro.workload import WorkloadParams, generate_workload
 
 
@@ -190,7 +188,7 @@ class TestExports:
         tracer = CausalTracer()
         with causal_tracing(tracer):
             simulate_deployment(net, deployment, rates=rates)
-        doc = causal_trace_from_json(causal_trace_to_json(tracer))
+        doc = json.loads(causal_trace_to_json(tracer))
         assert doc["kind"] == "repro.causal_trace"
         (trace,) = doc["traces"]
         assert trace["flow_cost"] == pytest.approx(tracer.flow_cost(tracer.hops))

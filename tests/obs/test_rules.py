@@ -254,7 +254,7 @@ class TestRuleTypes:
 
     def test_recording_rule_derives_series(self):
         store = make_store(a=[(1.0, 3.0)], b=[(1.0, 4.0)])
-        rule = RecordingRule("sum_ab", ["a", "b"], combine="sum")
+        rule = RecordingRule("sum_ab", ["a", "b"])
         rule.evaluate(store, 1.0)
         assert store.last("sum_ab") == 7.0
         # derived series is immediately visible to alert rules

@@ -238,8 +238,8 @@ class TelemetryFeedMachine(RuleBasedStateMachine):
     @rule(
         reg=st.integers(0, 1),
         name=st.sampled_from(["g0", "g1", "dropped"]),
-        how=st.sampled_from(["set", "inc", "dec"]),
-        value=st.sampled_from([0.0, 1.0, 2.5]),
+        how=st.sampled_from(["set", "inc"]),
+        value=st.sampled_from([0.0, 1.0, 2.5, -1.0, -2.5]),
     )
     def move_gauge(self, reg, name, how, value):
         getattr(self._declare(reg, name), how)(value)

@@ -51,51 +51,18 @@ class TestTimeSeriesStore:
         assert store.delta("c") is None  # one sample is not a trend
         store.append("c", 3.0, 16.0)
         assert store.delta("c") == 6.0
-        assert store.rate("c") == 3.0
-        store.append("c", 3.0, 16.0)  # zero elapsed inside the window
-        assert store.rate("c", window=0.0) is None
-
-    def test_ewma_smooths_toward_recent_values(self):
-        store = TimeSeriesStore()
-        for t, v in enumerate([0.0, 0.0, 0.0, 10.0]):
-            store.append("a", float(t), v)
-        smoothed = store.ewma("a", alpha=0.5)
-        assert 0.0 < smoothed < 10.0
-        assert smoothed == 5.0  # 0 -> 0 -> 0 -> (0.5*10 + 0.5*0)
-        with pytest.raises(ValueError):
-            store.ewma("a", alpha=0.0)
-
-    def test_bucketed_quantile_brackets_the_exact_rank(self):
-        store = TimeSeriesStore()
-        for t in range(100):
-            store.append("lat", float(t), float(t))
-        p50 = store.quantile("lat", 0.5)
-        p95 = store.quantile("lat", 0.95)
-        assert 40.0 <= p50 <= 60.0
-        assert 90.0 <= p95 <= 99.0
-        assert store.quantile("lat", 0.0) == 0.0
-        # constant series short-circuits to the constant
-        store.append("flat", 0.0, 7.0)
-        store.append("flat", 1.0, 7.0)
-        assert store.quantile("flat", 0.9) == 7.0
-        with pytest.raises(ValueError):
-            store.quantile("lat", 1.5)
+        store.append("c", 3.0, 16.0)  # one sample inside a zero window
+        assert store.delta("c", window=0.0) == 0.0
 
     def test_aggregate_dispatch(self):
         store = TimeSeriesStore()
         for t, v in enumerate([1.0, 5.0, 3.0]):
             store.append("a", float(t), v)
         assert store.aggregate("a", "last") == 3.0
-        assert store.aggregate("a", "min") == 1.0
-        assert store.aggregate("a", "max") == 5.0
-        assert store.aggregate("a", "mean") == 3.0
         assert store.aggregate("a", "delta") == 2.0
-        assert store.aggregate("a", "quantile", q=0.5) is not None
         assert store.aggregate("missing", "last") is None
         with pytest.raises(ValueError):
-            store.aggregate("a", "median")
-        with pytest.raises(ValueError):
-            store.aggregate("a", "quantile")  # q is required
+            store.aggregate("a", "mean")
 
     def test_to_dict_roundtrip(self):
         store = TimeSeriesStore()

@@ -282,7 +282,7 @@ class ClaimsMachine(RuleBasedStateMachine):
         assert flows(fast) == flows(slow)
         assert float(fast.total_cost()).hex() == float(slow.total_cost()).hex()
         self.seen["filtered_base_shipped"] += any(
-            sig.is_base and sig.filters for sig, _ in fast.operators()
+            len(sig.sources) == 1 and sig.filters for sig, _ in fast.operators()
         )
         if self.filtered:
             kept = {(r.signature, r.node): r.queries for r in fast.operator_records()}

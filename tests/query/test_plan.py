@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.query.plan import Join, Leaf, plan_from_view_sets
+from repro.query.plan import Join, Leaf
 from repro.utils import double_factorial_odd
 
 
@@ -102,21 +102,6 @@ class TestTraversal:
     def test_pretty(self):
         t = Join(Leaf.of("A"), Leaf.of("B"))
         assert t.pretty() == "(A x B)"
-
-
-class TestPlanFromViewSets:
-    def test_left_deep(self):
-        t = plan_from_view_sets([{"A"}, {"B"}, {"C"}])
-        assert t.sources == frozenset({"A", "B", "C"})
-        assert t.num_joins == 2
-
-    def test_single_view(self):
-        t = plan_from_view_sets([{"A", "B"}])
-        assert isinstance(t, Leaf)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            plan_from_view_sets([])
 
 
 class TestEnumerationCounts:

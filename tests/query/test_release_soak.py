@@ -60,7 +60,7 @@ def build_service(env, **layers):
 def shipped_filters(states) -> int:
     """Live records of filtered base streams (single-source views)."""
     return sum(
-        1 for state in states for sig, _ in state.operators() if sig.is_base and sig.filters
+        1 for state in states for sig, _ in state.operators() if len(sig.sources) == 1 and sig.filters
     )
 
 

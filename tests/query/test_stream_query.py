@@ -224,6 +224,6 @@ class TestViewSignature:
 
     def test_is_base_and_label(self):
         sig = ViewSignature(frozenset({"A"}), frozenset(), frozenset())
-        assert sig.is_base
+        assert sig.label() == "A"
         sig2 = ViewSignature(frozenset({"B", "A"}), frozenset(), frozenset())
         assert sig2.label() == "A*B"

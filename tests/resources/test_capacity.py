@@ -10,7 +10,6 @@ from repro.resources import (
     NodeCapacity,
     UNBOUNDED,
     ZERO_LOAD,
-    capacities_by_kind,
     uniform_capacities,
 )
 from repro.workload import HeterogeneousFleetProfile, HotspotProfile
@@ -52,7 +51,6 @@ class TestLoad:
     def test_addition_and_scaling(self):
         total = Load(cpu=1.0, memory=2.0) + Load(cpu=3.0, bandwidth=4.0)
         assert total == Load(cpu=4.0, memory=2.0, bandwidth=4.0)
-        assert total.scaled(2.0) == Load(cpu=8.0, memory=4.0, bandwidth=8.0)
         assert ZERO_LOAD + total == total
 
     def test_utilization_is_max_dimension_ratio(self):
@@ -65,12 +63,6 @@ class TestLoad:
         cap = NodeCapacity(memory=10.0)
         assert Load(cpu=1e9, memory=5.0).utilization(cap) == pytest.approx(0.5)
 
-    def test_fits(self):
-        cap = NodeCapacity(cpu=10.0)
-        assert Load(cpu=10.0).fits(cap)
-        assert not Load(cpu=10.1).fits(cap)
-        assert Load(cpu=15.0).fits(cap, bound=1.5)
-
 
 class TestCapacityMaps:
     def test_uniform_capacities_cover_every_node(self):
@@ -78,15 +70,6 @@ class TestCapacityMaps:
         caps = uniform_capacities(net, cpu=7.0)
         assert set(caps) == set(net.nodes())
         assert all(c.cpu == 7.0 for c in caps.values())
-
-    def test_capacities_by_kind(self):
-        net = repro.transit_stub_by_size(16, seed=1)
-        caps = capacities_by_kind(
-            net, {"transit": NodeCapacity(cpu=100.0)}, default=NodeCapacity(cpu=5.0)
-        )
-        for node in net.nodes():
-            expected = 100.0 if net.node_kind(node) == "transit" else 5.0
-            assert caps[node].cpu == expected
 
 
 class TestProfiles:

@@ -1,10 +1,10 @@
-"""Failover edge cases: singleton collapse, sink death, report round-trip."""
+"""Failover edge cases: singleton collapse, sink death."""
 
 import pytest
 
 import repro
 from repro.hierarchy.maintenance import remove_node
-from repro.runtime.failover import FailureReport, backup_coordinator, fail_node
+from repro.runtime.failover import backup_coordinator, fail_node
 
 
 @pytest.fixture()
@@ -64,30 +64,3 @@ class TestSinkDeath:
         query = next(q for q in workload if q.sink not in hosts)
         report = fail_node(hierarchy, query.sink, engine=engine)
         assert query.name in report.affected_queries
-
-
-class TestFailureReportRoundTrip:
-    def test_json_round_trip_preserves_everything(self):
-        report = FailureReport(
-            node=9,
-            coordinator_roles=[1, 2],
-            new_coordinators={1: 4, 2: 11},
-            affected_queries=["q1", "q2"],
-            redeployed=["q1"],
-            failed_queries=["q2"],
-        )
-        text = repro.failure_report_to_json(report)
-        back = repro.failure_report_from_json(text)
-        assert back == report
-        # levels come back as ints even though JSON keys are strings
-        assert all(isinstance(k, int) for k in back.new_coordinators)
-
-    def test_empty_report_round_trips(self):
-        report = FailureReport(node=0)
-        assert repro.failure_report_from_json(
-            repro.failure_report_to_json(report)
-        ) == report
-
-    def test_wrong_kind_rejected(self):
-        with pytest.raises(ValueError):
-            repro.failure_report_from_json('{"kind": "repro.query", "node": 0}')

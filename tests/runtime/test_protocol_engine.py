@@ -118,7 +118,7 @@ class TestFlowEngine:
         opt = TopDownOptimizer(h, rates)
         for q in w.queries[:4]:
             engine.deploy(opt.plan(q, engine.state))
-        link_total = sum(l.cost_per_second for l in engine.link_loads())
+        link_total = sum(l.rate * l.cost for l in engine.link_loads())
         assert link_total == pytest.approx(engine.total_cost(), rel=1e-6)
 
     def test_hottest_links_sorted(self, env):
@@ -138,7 +138,8 @@ class TestFlowEngine:
         opt = TopDownOptimizer(build_hierarchy(net, max_cs=4, seed=0), rates)
         engine.deploy(opt.plan(w.queries[0], engine.state))
         before = engine.total_cost()
-        net.scale_link_costs(2.0)
+        for link in net.links():
+            net.set_link_cost(*link.endpoints, link.cost * 2.0)
         after = engine.refresh_network()
         assert after >= before  # doubling all links cannot reduce cost
 

@@ -143,7 +143,11 @@ class TestEpochs:
             observation_time=50.0,
             seed=3,
         )
-        assert service.ingest_statistics(estimated) == 1
+        # Re-estimated statistics reach the service through its rate
+        # model; the next tick moves the statistics epoch.
+        assert service.rates.update_streams(estimated.streams)
+        service.tick()
+        assert service.statistics_epoch == 1
         assert service.rates.version == 1
 
     def test_topology_change_forces_replan(self):

@@ -6,7 +6,6 @@ import repro
 from repro.cli import build_parser, main
 from repro.inspect import (
     describe_deployment,
-    render_hierarchy,
     render_plan,
     summarize_state,
 )
@@ -29,24 +28,6 @@ def small_system():
     for d in deployments:
         state.apply(d)
     return net, hierarchy, rates, state, deployments
-
-
-class TestRenderHierarchy:
-    def test_mentions_every_level(self, small_system):
-        net, hierarchy, *_ = small_system
-        text = render_hierarchy(hierarchy)
-        for level in range(1, hierarchy.height + 1):
-            assert f"L{level} cluster" in text
-
-    def test_marks_coordinators(self, small_system):
-        net, hierarchy, *_ = small_system
-        text = render_hierarchy(hierarchy)
-        assert f"*{hierarchy.root.coordinator}" in text
-
-    def test_elides_long_member_lists(self, small_system):
-        net, hierarchy, *_ = small_system
-        text = render_hierarchy(hierarchy, max_members=1)
-        assert "..." in text
 
 
 class TestRenderPlan:

@@ -3,6 +3,8 @@ and the serve/fleet --state-dir plumbing."""
 
 import json
 
+import pytest
+
 from repro.cli import build_parser, main
 from repro.durability.harness import run_steps, service_scenario
 from repro.durability.journal import JOURNAL_FILE
@@ -125,6 +127,15 @@ class TestChaosCrashPoints:
         assert doc["converged"] is True
         assert len(doc["points"]) == 2
         assert all(p["digest_match"] for p in doc["points"])
+
+    @pytest.mark.parametrize("scope", ["service", "fleet", "layers"])
+    def test_the_json_report_names_the_scope_it_ran(self, scope, tmp_path, capsys):
+        rc = main([
+            "chaos", "--crash-points", "1", "--crash-scope", scope,
+            "--state-dir", str(tmp_path / "matrix"), "--json",
+        ])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["scope"] == scope
 
     def test_the_layered_scope_runs_the_all_layers_scenario(self, tmp_path, capsys):
         rc = main([

@@ -120,10 +120,8 @@ class TestWorkloadRoundTrip:
     "loader",
     [
         "network_from_json", "query_from_json", "workload_from_json",
-        "trace_from_json", "causal_trace_from_json", "explanation_from_json",
+        "trace_from_json", "explanation_from_json",
         "fault_plan_from_json", "telemetry_from_json",
-        "tick_report_from_json", "admission_decision_from_json",
-        "failure_report_from_json",
     ],
 )
 @pytest.mark.parametrize("text", ["[1, 2]", "null"])
