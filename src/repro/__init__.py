@@ -48,7 +48,6 @@ from repro.query import (
 )
 from repro.core import (
     BottomUpOptimizer,
-    BruteForceSearch,
     OptimalPlanner,
     RateModel,
     TopDownOptimizer,
@@ -211,7 +210,6 @@ __all__ = [
     "TopDownOptimizer",
     "BottomUpOptimizer",
     "OptimalPlanner",
-    "BruteForceSearch",
     "make_optimizer",
     "deploy_query",
     "consolidate",

@@ -231,6 +231,11 @@ def _print_replay(report, world, args) -> None:
           f"deployed {s['deployed_total']}  retired {s['retired_total']}")
 
 
+def _per_second(count, report) -> str:
+    """``count`` over the replay's wall-clock time, for a throughput line."""
+    return f"{count / report.wall_seconds:,.0f}" if report.wall_seconds > 0 else "inf"
+
+
 def _print_durability(controller) -> None:
     if controller.durability is not None:
         d = controller.durability.summary()
@@ -279,8 +284,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     _print_replay(report, world, args)
     print(f"  plan cache: {s['cache_hits']} hits / {s['cache_misses']} misses "
           f"(hit rate {s['cache_hit_rate']:.1%}), {s['plans_computed']} plans computed")
-    print(f"  planning: {s['planning_seconds'] * 1000:.1f} ms total, "
-          f"{s['queries_per_second']:,.0f} deployments/s wall-clock")
+    planning = service.registry.get("service_planning_seconds")
+    print(f"  planning: {planning.sum * 1000:.1f} ms total, "
+          f"{_per_second(s['deployed_total'], report)} deployments/s wall-clock")
     print(f"  epochs: statistics {service.statistics_epoch}, "
           f"topology {service.topology_epoch}")
     print(f"  final: {s['final_live']} live queries, cost {s['final_cost']:,.1f}/unit-time")
@@ -288,7 +294,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if wait["count"]:
         print(f"  queue: {wait['count']:.0f} waited, p50 {wait['p50']:.1f} ticks, "
               f"max {wait['max']:.0f} ticks")
-    lat = service.registry.get("service_planning_seconds").summary()
+    lat = planning.summary()
     if lat["count"]:
         print(f"  planning latency: p50 {lat['p50'] * 1000:.2f} ms, "
               f"p95 {lat['p95'] * 1000:.2f} ms, max {lat['max'] * 1000:.2f} ms")
@@ -370,7 +376,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     _print_replay(report, world, args)
     print(f"  plan caches: {s['cache_hits']} hits / {s['cache_misses']} misses, "
           f"{s['plans_computed']} plans computed")
-    print(f"  throughput: {s['queries_per_second']:,.0f} deployments/s wall-clock")
+    print(f"  throughput: {_per_second(s['deployed_total'], report)} deployments/s wall-clock")
     for shard in s["shards"]:
         print(f"  shard {shard['shard']}: deployed {shard['deployed_total']}, "
               f"cache {shard['cache_hits']}/{shard['cache_hits'] + shard['cache_misses']} hits, "
@@ -774,9 +780,18 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos_crash(args: argparse.Namespace) -> int:
-    """``repro chaos --crash-points N``: the crash-restart matrix."""
-    import json
+    """``repro chaos --crash-points N``: the crash-restart matrix, its state
+    directories under ``--state-dir`` or in a temp dir removed after."""
     import tempfile
+
+    if args.state_dir:
+        return _crash_matrix(args, args.state_dir)
+    with tempfile.TemporaryDirectory(prefix="repro-crash-") as state_root:
+        return _crash_matrix(args, state_root)
+
+
+def _crash_matrix(args: argparse.Namespace, state_root: str) -> int:
+    import json
 
     from repro.durability.harness import (
         SCENARIOS,
@@ -788,7 +803,6 @@ def _cmd_chaos_crash(args: argparse.Namespace) -> int:
     from repro.durability.journal import JOURNAL_FILE
 
     scenario = SCENARIOS[args.crash_scope]()
-    state_root = args.state_dir or tempfile.mkdtemp(prefix="repro-crash-")
     limit = args.crash_points if args.crash_points > 0 else None
 
     # Pre-derive the candidate points from a throwaway baseline so the

@@ -13,7 +13,7 @@ The algorithms here implement the paper's Section 2:
   placements both hierarchical algorithms run (pruned enumeration,
   placement rows shared between trees).
 * :mod:`repro.core.exhaustive` -- the optimal joint plan+placement
-  search (subset DP, cross-validated by literal brute force).
+  search (subset DP).
 * :mod:`repro.core.top_down` -- the Top-Down hierarchical algorithm.
 * :mod:`repro.core.bottom_up` -- the Bottom-Up hierarchical algorithm.
 * :mod:`repro.core.reuse` -- operator-reuse planning support.
@@ -32,7 +32,7 @@ from repro.core.enumeration import (
     trees_with_reuse,
 )
 from repro.core.placement import PlacementResult, optimal_tree_placement
-from repro.core.exhaustive import BruteForceSearch, OptimalPlanner
+from repro.core.exhaustive import OptimalPlanner
 from repro.core.containment import (
     ContainedReuse,
     best_provider_per_node,
@@ -61,7 +61,6 @@ __all__ = [
     "trees_with_reuse",
     "PlacementResult",
     "optimal_tree_placement",
-    "BruteForceSearch",
     "OptimalPlanner",
     "ContainedReuse",
     "containment_candidates",

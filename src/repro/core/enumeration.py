@@ -103,15 +103,6 @@ class JoinProgram:
         self.row_mask = np.repeat(np.arange(len(below)), [count[mask] for mask in below])
         for array in (self.row_mask, *(a for lv in self.levels for a in (lv[0], lv[1], lv[3]))):
             array.flags.writeable = False
-        self._children = [
-            pair for lv in self.levels for pair in zip(lv[0].tolist(), lv[1].tolist())
-        ]
-
-    def tree(self, leaves: Sequence[Leaf], index: int, rows: dict[PlanNode, int]) -> PlanNode:
-        """Build tree ``index`` of the full mask; ``rows`` gets each
-        subtree's row."""
-        root = self.start[(1 << self.num_views) - 1] + index
-        return _build(leaves, self._children, root, rows)
 
 
 def _count_trees(
@@ -147,7 +138,8 @@ def _build(
     leaves: Sequence[Leaf], children: list[tuple[int, int]], row: int, rows: dict[PlanNode, int]
 ) -> PlanNode:
     """The tree of ``row``: a leaf row, or the join of its two child rows
-    (:attr:`JoinProgram._children`); ``rows`` gets each subtree's row."""
+    (``children``: the levels' ``(left, right)`` row pairs, in row
+    order); ``rows`` gets each subtree's row."""
     if row < len(leaves):
         node: PlanNode = leaves[row]
     else:
@@ -301,25 +293,8 @@ def crossing_splits(
 ) -> SplitTest:
     """The split test that rejects cross products under ``query``: some
     predicate must have an endpoint in a view on each side
-    (:func:`tree_is_connected`'s rule, decided per split)."""
+    (for every join of a tree, decided per split)."""
     return _crossing(view_adjacency(query, views))
-
-
-def tree_is_connected(query: Query, tree: PlanNode) -> bool:
-    """Whether no join in ``tree`` is a cross product under ``query``.
-
-    A join is connected when at least one of the query's predicates
-    crosses the split between its children's *base* stream sets.
-    """
-    for join in tree.joins():
-        left, right = join.left.sources, join.right.sources
-        crossing = any(
-            (p.left in left and p.right in right) or (p.left in right and p.right in left)
-            for p in query.predicates
-        )
-        if not crossing:
-            return False
-    return True
 
 
 def connected_join_trees(

@@ -1,15 +1,12 @@
 """Optimal joint plan + placement search.
 
-Two implementations of the paper's "optimal deployment computed using
-DP" reference point:
-
-* :class:`OptimalPlanner` -- a subset dynamic program over
-  (source-subset, node) states, vectorized over nodes with NumPy.  Exact
-  for the additive communication-cost metric, with optional reuse
-  seeding from a :class:`DeploymentState`'s advertised views.
-* :class:`BruteForceSearch` -- literal enumeration of every join tree
-  and every operator assignment.  Exponential; exists to cross-validate
-  the DP on tiny instances (and as the honest meaning of "exhaustive").
+The paper's "optimal deployment computed using DP" reference point:
+:class:`OptimalPlanner`, a subset dynamic program over (source-subset,
+node) states, vectorized over nodes with NumPy.  Exact for the additive
+communication-cost metric, with optional reuse seeding from a
+:class:`DeploymentState`'s advertised views.  The tests cross-validate
+it against literal enumeration of every join tree and operator
+assignment on tiny instances.
 """
 
 from __future__ import annotations
@@ -19,8 +16,6 @@ import numpy as np
 
 from repro.core.bounds import exhaustive_space
 from repro.core.cost import RateModel
-from repro.core.enumeration import connected_join_trees
-from repro.core.placement import brute_force_tree_placement, nominal_assignments
 from repro.network.graph import Network
 from repro.obs.explain import explained_plan
 from repro.obs.tracer import incr, op_sink, span, tag
@@ -248,68 +243,3 @@ class OptimalPlanner:
         stats["cost_estimate"] = float(avail[sources][query.sink])
         tag(est_cost=stats["cost_estimate"])
         return Deployment(query=query, plan=plan, placement=placement, stats=stats)
-
-
-class BruteForceSearch:
-    """Literal exhaustive search over trees x assignments (validation only).
-
-    Cost grows as ``(2K-3)!! * N^(K-1)``; keep ``K`` and ``N`` tiny.
-    """
-
-    name = "brute-force"
-
-    def __init__(
-        self,
-        network: Network,
-        rates: RateModel,
-        connected_only: bool = True,
-    ) -> None:
-        self.network = network
-        self.rates = rates
-        self.connected_only = connected_only
-
-    def plan(self, query: Query, state: DeploymentState | None = None) -> Deployment:
-        """Search every plan/assignment combination; return the cheapest."""
-        del state  # brute force does not model reuse
-        costs = self.network.cost_matrix()
-        nodes = self.network.nodes()
-        views = [frozenset((s,)) for s in query.sources]
-        if self.connected_only:
-            trees = connected_join_trees(query)
-        else:
-            from repro.core.enumeration import all_join_trees
-
-            trees = all_join_trees(views)
-        best_cost = float("inf")
-        best: tuple[PlanNode, dict[PlanNode, int]] | None = None
-        examined = 0
-        with span(
-            "optimize", algorithm=self.name, query=query.name
-        ) as root:
-            for tree in trees:
-                rates = self.rates.flow_rates(query, tree)
-                leaf_positions = {
-                    leaf: [self.rates.source(leaf.stream)] for leaf in tree.leaves()
-                }
-                examined += nominal_assignments(tree, len(nodes))
-                root.incr("trees_enumerated")
-                root.incr("plans_examined", nominal_assignments(tree, len(nodes)))
-                result = brute_force_tree_placement(
-                    tree, nodes, costs, leaf_positions, rates, sink=query.sink
-                )
-                if result.cost < best_cost - 1e-12:
-                    best_cost = result.cost
-                    best = (tree, result.placement)
-        assert best is not None
-        tree, placement = best
-        return Deployment(
-            query=query,
-            plan=tree,
-            placement=placement,
-            stats={
-                "plans_examined": examined,
-                "trees_examined": len(trees),
-                "algorithm": self.name,
-                "cost_estimate": best_cost,
-            },
-        )

@@ -14,7 +14,7 @@ from typing import Protocol, runtime_checkable
 
 from repro.core.bottom_up import BottomUpOptimizer
 from repro.core.cost import RateModel
-from repro.core.exhaustive import BruteForceSearch, OptimalPlanner
+from repro.core.exhaustive import OptimalPlanner
 from repro.core.top_down import TopDownOptimizer
 from repro.hierarchy.advertisements import AdvertisementIndex
 from repro.hierarchy.hierarchy import Hierarchy
@@ -82,8 +82,8 @@ def make_optimizer(
 
     Args:
         name: One of ``"top-down"``, ``"bottom-up"``, ``"optimal"``,
-            ``"brute-force"``, ``"relaxation"``, ``"in-network"``,
-            ``"plan-then-deploy"``, ``"random"``.
+            ``"relaxation"``, ``"in-network"``, ``"plan-then-deploy"``,
+            ``"random"``.
         network: The physical network.
         rates: Rate model over the stream catalog.
         hierarchy: Required for the hierarchical algorithms.
@@ -102,8 +102,6 @@ def make_optimizer(
         return cls(hierarchy, rates, ads=ads, reuse=reuse, **kwargs)
     if key == "optimal":
         return OptimalPlanner(network, rates, reuse=reuse, **kwargs)
-    if key == "brute-force":
-        return BruteForceSearch(network, rates, **kwargs)
     if key == "relaxation":
         from repro.baselines.relaxation import RelaxationPlanner
 

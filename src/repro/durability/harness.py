@@ -380,6 +380,11 @@ def default_crash_points(
     barrier phase seen, tick boundaries), a ``mid_snapshot`` point
     aimed at each snapshot write, torn-tail variants of the first and
     last records, and a clean crash at the very last record.
+
+    ``limit`` keeps that many, in journal order, and the ones that
+    recover from a snapshot (the ``mid_snapshot`` point and the crash at
+    the last record) first: the earliest points all crash before the
+    first snapshot is cut, so a prefix would never restore one.
     """
     points: list[CrashPoint] = []
     seen: set[tuple[int, bool, bool]] = set()
@@ -416,8 +421,14 @@ def default_crash_points(
         add(last["lsn"], last["time"])
         mid = records[len(records) // 2]
         add(mid["lsn"], mid["time"], torn=True)
-    if limit is not None:
-        points = points[:limit]
+    if limit is not None and records:
+        last = records[-1]["lsn"]
+        restoring = [
+            p for p in points if p.mid_snapshot or (p.after_lsn == last and not p.torn_tail)
+        ]
+        rest = [p for p in points if p not in restoring]
+        keep = restoring[:limit] + rest[: max(0, limit - len(restoring))]
+        points = [p for p in points if p in keep]
     return points
 
 

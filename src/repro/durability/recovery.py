@@ -69,20 +69,6 @@ class RecoveryReport:
     snapshots_rejected: list[dict[str, Any]] = field(default_factory=list)
     in_flight_migrations: list[dict[str, Any]] = field(default_factory=list)
 
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-dict (JSON-ready) form."""
-        return {
-            "scope": self.scope,
-            "snapshot_lsn": self.snapshot_lsn,
-            "snapshot_file": self.snapshot_file,
-            "last_lsn": self.last_lsn,
-            "replayed_records": self.replayed_records,
-            "replayed_ticks": self.replayed_ticks,
-            "journal_drop": dict(self.journal_drop),
-            "snapshots_rejected": list(self.snapshots_rejected),
-            "in_flight_migrations": list(self.in_flight_migrations),
-        }
-
 
 def classify_in_flight_migrations(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
     """Migrations begun but not committed/aborted, by last phase seen.

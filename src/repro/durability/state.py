@@ -413,6 +413,8 @@ def restore_network(network, doc: dict[str, Any]) -> None:
     from repro.network.graph import Link
 
     adj: dict[int, set[int]] = {n["id"]: set() for n in doc["nodes"]}
+    if sorted(adj) != list(range(len(doc["nodes"]))):
+        raise ValueError("snapshot node ids must be contiguous from 0")
     kinds = {n["id"]: n["kind"] for n in doc["nodes"]}
     links = {}
     for entry in doc["links"]:
@@ -539,7 +541,6 @@ def _cache_entry_to_doc(key, entry) -> dict[str, Any]:
         "topology_epoch": key[2],
         "plan": plan_to_doc(entry.plan),
         "placement": placement_to_doc(entry.plan, entry.placement),
-        "planning_latency": entry.planning_latency,
         "stats": _jsonable(dict(entry.stats)),
     }
 
@@ -571,7 +572,6 @@ def _restore_cache(cache, doc: dict[str, Any]) -> None:
         entry = CachedPlan(
             plan=plan,
             placement=placement_from_doc(plan, e["placement"]),
-            planning_latency=e["planning_latency"],
             stats=dict(e["stats"]),
         )
         return (e["fingerprint"], e["statistics_epoch"], e["topology_epoch"]), entry

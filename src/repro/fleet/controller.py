@@ -392,18 +392,9 @@ class FleetController:
         """Owning shard of a query (live or queued), or ``None``."""
         return self.router.owner(name)
 
-    def is_live(self, name: str) -> bool:
-        """Whether a query is deployed on some shard."""
-        shard = self.router.owner(name)
-        return shard is not None and self.shards[shard].is_live(name)
-
     def total_cost(self) -> float:
         """Instantaneous communication cost across every shard."""
         return sum(shard.total_cost() for shard in self.shards)
-
-    def tenant_of(self, name: str) -> str | None:
-        """Tenant a query was submitted under."""
-        return self._tenant_of.get(name)
 
     def layers(self) -> list[tuple[str, Any]]:
         """The fleet-level layers as ``(section name, layer)``, in the one
@@ -466,36 +457,16 @@ class FleetController:
     # ------------------------------------------------------------------
     # Resource layer
     # ------------------------------------------------------------------
-    def _ledger(self):
-        if self.resource_ledger is None:
-            raise ReproError("fleet was built without resources=")
-        return self.resource_ledger
-
-    def hot_nodes(self, k: int = 3) -> list[tuple[int, float]]:
-        """The ``k`` most utilized physical nodes, fleet-wide.
-
-        Raises:
-            ReproError: The fleet has no resource layer.
-        """
-        return self._ledger().hot_nodes(k)
-
-    def queries_on(self, node: int) -> list[str]:
-        """Queries (any shard) with an operator on ``node``; feed these
-        to :meth:`rebalance` to drain a hot node.
-
-        Raises:
-            ReproError: The fleet has no resource layer.
-        """
-        return self._ledger().queries_on(node)
-
     def resource_summary(self) -> dict:
         """Fleet-wide resource snapshot (ledger + per-shard managers).
 
         Raises:
             ReproError: The fleet has no resource layer.
         """
+        if self.resource_ledger is None:
+            raise ReproError("fleet was built without resources=")
         return {
-            "ledger": self._ledger().summary(),
+            "ledger": self.resource_ledger.summary(),
             "parked": sorted(
                 name for m in self.resource_managers for name in m.parked
             ),
@@ -984,20 +955,16 @@ class FleetController:
             drain,
             max_ticks,
         )
-        deployed_total = sum(s.deployed_total for s in self.shards)
         summary = {
             "submitted": len(decisions),
             "admitted": sum(1 for d in decisions if not d.rejected),
             "rejected": sum(1 for d in decisions if d.rejected),
-            "deployed_total": deployed_total,
+            "deployed_total": sum(s.deployed_total for s in self.shards),
             "retired_total": sum(s.retired_total for s in self.shards),
             "cache_hits": sum(s.cache.hits for s in self.shards),
             "cache_misses": sum(s.cache.misses for s in self.shards),
             "plans_computed": sum(s.plans_computed for s in self.shards),
             "cross_shard_reuse": self.cross_shard_reuse_total,
-            "queries_per_second": (
-                deployed_total / wall if wall > 0 else float("inf")
-            ),
             "final_cost": self.total_cost(),
             "final_live": self._num_live(),
             "shards": [self._shard_summary(sid) for sid in range(self.num_shards)],

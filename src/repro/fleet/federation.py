@@ -115,10 +115,6 @@ class ReuseFederation:
             return None
         return min(keys, key=import_rank)
 
-    def imports(self, shard: int) -> set[ViewKey]:
-        """The (signature, node) keys currently imported by a shard."""
-        return set(self._imports[shard])
-
     @property
     def active_imports(self) -> int:
         """Imports currently live across the fleet."""

@@ -80,18 +80,11 @@ class TenantDirectory:
         """Look a tenant up by name (``None`` when unknown)."""
         return self._tenants.get(name)
 
-    def names(self) -> list[str]:
-        """Registered tenant names, registration order."""
-        return list(self._tenants)
-
     def __iter__(self) -> Iterator[Tenant]:
         return iter(self._tenants.values())
 
     def __len__(self) -> int:
         return len(self._tenants)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._tenants
 
 
 @dataclass
@@ -179,10 +172,6 @@ class WeightedFairScheduler:
     def total_backlog(self) -> int:
         """Items waiting across all tenants."""
         return sum(len(q) for q in self._queues.values())
-
-    def backlogs(self) -> dict[str, int]:
-        """Per-tenant backlog sizes."""
-        return {name: len(queue) for name, queue in self._queues.items()}
 
     # ------------------------------------------------------------------
     def capture(self) -> dict[str, Any]:

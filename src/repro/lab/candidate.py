@@ -19,7 +19,7 @@ headline.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Mapping, Sequence
 
 from repro.lab.spec import BuiltScenario, ScenarioError

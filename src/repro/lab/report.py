@@ -96,12 +96,6 @@ class LabReport:
     def names(self) -> list[str]:
         return [e["candidate"]["name"] for e in self.entries]
 
-    def entry(self, name: str) -> dict[str, Any]:
-        for e in self.entries:
-            if e["candidate"]["name"] == name:
-                return e
-        raise KeyError(name)
-
     def _by_role(self, role: str) -> dict[str, Any] | None:
         for e in self.entries:
             if e["candidate"].get("role") == role:
@@ -418,7 +412,7 @@ def lab_envelope_to_csv(envelope: Mapping[str, Any]) -> str:
     """Every candidate's telemetry series as one long-form CSV.
 
     Columns: ``candidate,series,time,value`` -- the lab counterpart of
-    :meth:`repro.obs.timeseries.TimeSeriesStore.to_csv`, ready for
+    :func:`repro.obs.timeseries.series_to_csv`, ready for
     external plotting without JSON parsing.
     """
     envelope = lab_envelope_from_json(envelope)

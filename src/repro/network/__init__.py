@@ -19,17 +19,13 @@ deployed on.  It provides:
 from repro.network.graph import Link, Network
 from repro.network.routing import shortest_path_nodes
 from repro.network.topology import (
-    grid,
-    line,
     motivating_network,
     random_geometric,
-    ring,
-    star,
     transit_stub,
     transit_stub_by_size,
 )
 from repro.network.embedding import classical_mds, embed_network
-from repro.network.objectives import delay_weighted, hop_weighted
+from repro.network.objectives import delay_weighted
 
 __all__ = [
     "Link",
@@ -38,13 +34,8 @@ __all__ = [
     "transit_stub",
     "transit_stub_by_size",
     "random_geometric",
-    "line",
-    "ring",
-    "star",
-    "grid",
     "motivating_network",
     "classical_mds",
     "embed_network",
     "delay_weighted",
-    "hop_weighted",
 ]

@@ -70,21 +70,3 @@ def embed_network(network: Network, dim: int = 3, metric: str = "cost") -> np.nd
     else:
         raise ValueError(f"unknown metric {metric!r}; expected 'cost' or 'delay'")
     return classical_mds(matrix, dim=dim)
-
-
-def embedding_stress(distances: np.ndarray, coords: np.ndarray) -> float:
-    """Normalized stress of an embedding (0 = perfect).
-
-    ``sqrt(sum (d_ij - ||x_i - x_j||)^2 / sum d_ij^2)`` over ``i < j``.
-    Used in tests/ablations to quantify how faithful the 3-D cost space
-    is on transit-stub topologies.
-    """
-    d = np.asarray(distances, dtype=np.float64)
-    diff = coords[:, None, :] - coords[None, :, :]
-    emb = np.sqrt((diff**2).sum(axis=2))
-    iu = np.triu_indices(d.shape[0], k=1)
-    num = float(((d[iu] - emb[iu]) ** 2).sum())
-    den = float((d[iu] ** 2).sum())
-    if den == 0.0:
-        return 0.0
-    return float(np.sqrt(num / den))

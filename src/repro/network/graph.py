@@ -54,11 +54,6 @@ class Link:
             object.__setattr__(self, "u", lo)
             object.__setattr__(self, "v", hi)
 
-    @property
-    def endpoints(self) -> tuple[int, int]:
-        """Canonical ``(u, v)`` endpoint pair with ``u < v``."""
-        return (self.u, self.v)
-
 
 def _canonical(u: int, v: int) -> tuple[int, int]:
     """Return the canonical (sorted) endpoint pair for an undirected link."""
@@ -175,16 +170,6 @@ class Network:
         """Add ``count`` fresh nodes; return their ids."""
         return [self.add_node(kind) for _ in range(count)]
 
-    def remove_node(self, node: int) -> None:
-        """Remove ``node`` and all incident links."""
-        self._check_node(node)
-        for nbr in list(self._adj[node]):
-            del self._links[_canonical(node, nbr)]
-            self._adj[nbr].discard(node)
-        del self._adj[node]
-        del self._node_kind[node]
-        self._version += 1
-
     def add_link(
         self,
         u: int,
@@ -230,10 +215,8 @@ class Network:
 
         ``cost_matrix()[u, v]`` is the cheapest per-unit cost of moving
         data from node ``u`` to node ``v`` along network links (the
-        paper's ``c_act``).  Rows/columns are indexed by node id, so the
-        network must currently have contiguous ids ``0..n-1`` (always the
-        case for generated topologies; after ``remove_node`` use
-        :meth:`compact` first).
+        paper's ``c_act``).  Rows/columns are indexed by node id; ids are
+        ``0..n-1`` in the order :meth:`add_node` handed them out.
         """
         _, matrix, _, disconnected = self._cost_paths()
         if disconnected:
@@ -264,22 +247,6 @@ class Network:
         """
         return self._cost_paths()[2]
 
-    def compact(self) -> dict[int, int]:
-        """Renumber nodes to contiguous ``0..n-1``; return old->new map."""
-        old_ids = self.nodes()
-        mapping = {old: new for new, old in enumerate(old_ids)}
-        new_adj = {mapping[n]: {mapping[m] for m in nbrs} for n, nbrs in self._adj.items()}
-        new_kind = {mapping[n]: k for n, k in self._node_kind.items()}
-        new_links: dict[tuple[int, int], Link] = {}
-        for (u, v), link in self._links.items():
-            nu, nv = _canonical(mapping[u], mapping[v])
-            new_links[(nu, nv)] = replace(link, u=nu, v=nv)
-        self._adj = new_adj
-        self._node_kind = new_kind
-        self._links = new_links
-        self._version += 1
-        return mapping
-
     def copy(self) -> "Network":
         """Deep copy of the network (caches are not copied)."""
         clone = Network()
@@ -305,16 +272,6 @@ class Network:
     def _check_node(self, node: int) -> None:
         if node not in self._adj:
             raise KeyError(f"node {node} not in network")
-
-    def _require_contiguous(self) -> int:
-        n = self.num_nodes
-        if n == 0:
-            raise ValueError("network has no nodes")
-        if max(self._adj) != n - 1:
-            raise ValueError(
-                "node ids are not contiguous 0..n-1; call compact() after removals"
-            )
-        return n
 
     def _edge_arrays(self, weight: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         rows, cols, data = [], [], []
@@ -343,7 +300,9 @@ class Network:
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import shortest_path
 
-        n = self._require_contiguous()
+        n = self.num_nodes
+        if n == 0:
+            raise ValueError("network has no nodes")
         data, rows, cols = self._edge_arrays(weight)
         graph = csr_matrix((data, (rows, cols)), shape=(n, n))
         return shortest_path(

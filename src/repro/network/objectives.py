@@ -9,9 +9,7 @@ the network's link *costs*, so switching the objective is a link
 re-weighting:
 
 * :func:`delay_weighted` -- cost := propagation delay, optimizing
-  rate-weighted end-to-end latency;
-* :func:`hop_weighted` -- cost := 1 per link, optimizing rate-weighted
-  hop counts (a bandwidth-agnostic proxy).
+  rate-weighted end-to-end latency.
 
 The returned network is an independent copy; pass it anywhere a network
 is expected and build the hierarchy from it so that clustering follows
@@ -34,12 +32,4 @@ def delay_weighted(network: Network) -> Network:
     clone = network.copy()
     for link in network.links():
         clone.set_link_cost(link.u, link.v, link.delay)
-    return clone
-
-
-def hop_weighted(network: Network) -> Network:
-    """Copy of ``network`` with unit link costs (hop-count objective)."""
-    clone = network.copy()
-    for link in network.links():
-        clone.set_link_cost(link.u, link.v, 1.0)
     return clone

@@ -7,10 +7,9 @@ transit node.  Link costs are drawn so that "transmission within an
 intranet [is] far cheaper than long-haul links" and delays fall in the
 1-60 ms band the Emulab prototype used.
 
-Auxiliary generators (:func:`random_geometric`, :func:`line`,
-:func:`ring`, :func:`star`, :func:`grid`) exist mainly for tests and
-ablations, and :func:`motivating_network` reconstructs the Figure 3
-example network of the paper's OIS scenario.
+:func:`random_geometric` is an auxiliary generator for ablations, and
+:func:`motivating_network` reconstructs the Figure 3 example network of
+the paper's OIS scenario.
 """
 
 from __future__ import annotations
@@ -58,14 +57,6 @@ class TransitStubParams:
     delay: tuple[float, float] = (0.001, 0.060)
     extra_edge_prob: float = 0.15
     transit_chord_prob: float = 0.3
-
-    def total_nodes(self) -> int:
-        """Node count the parameters imply."""
-        return (
-            self.transit_domains
-            * self.transit_nodes
-            * (1 + self.stubs_per_transit * self.stub_size)
-        )
 
 
 def _uniform(rng: np.random.Generator, lo_hi: tuple[float, float]) -> float:
@@ -299,53 +290,6 @@ def random_geometric(
         outside = [v for v in range(n) if v not in seen]
         best = min(((i, j) for i in seen for j in outside), key=lambda p: dist[p[0], p[1]])
         net.add_link(best[0], best[1], cost=cost_scale * float(dist[best]) + 1e-6, delay=0.001 + float(dist[best]) * 0.05)
-    return net
-
-
-def line(n: int, cost: float = 1.0, delay: float = 0.001) -> Network:
-    """Path graph 0-1-2-...-(n-1) with uniform link costs."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    net = Network()
-    net.add_nodes(n)
-    for i in range(n - 1):
-        net.add_link(i, i + 1, cost=cost, delay=delay)
-    return net
-
-
-def ring(n: int, cost: float = 1.0, delay: float = 0.001) -> Network:
-    """Cycle graph over ``n >= 3`` nodes with uniform link costs."""
-    if n < 3:
-        raise ValueError("a ring needs at least 3 nodes")
-    net = line(n, cost=cost, delay=delay)
-    net.add_link(n - 1, 0, cost=cost, delay=delay)
-    return net
-
-
-def star(n: int, cost: float = 1.0, delay: float = 0.001) -> Network:
-    """Star graph: node 0 is the hub, nodes 1..n-1 are leaves."""
-    if n < 2:
-        raise ValueError("a star needs at least 2 nodes")
-    net = Network()
-    net.add_nodes(n)
-    for i in range(1, n):
-        net.add_link(0, i, cost=cost, delay=delay)
-    return net
-
-
-def grid(rows: int, cols: int, cost: float = 1.0, delay: float = 0.001) -> Network:
-    """2-D grid graph with uniform link costs; node id = row * cols + col."""
-    if rows < 1 or cols < 1:
-        raise ValueError("rows and cols must be positive")
-    net = Network()
-    net.add_nodes(rows * cols)
-    for r in range(rows):
-        for c in range(cols):
-            node = r * cols + c
-            if c + 1 < cols:
-                net.add_link(node, node + 1, cost=cost, delay=delay)
-            if r + 1 < rows:
-                net.add_link(node, node + cols, cost=cost, delay=delay)
     return net
 
 

@@ -107,9 +107,6 @@ class FlightRecorder:
             {e["trace_id"] for e in self._entries if e.get("trace_id")}
         )
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     # ------------------------------------------------------------------
     # Bundling
     # ------------------------------------------------------------------

@@ -98,10 +98,6 @@ class Gauge(_Instrument):
         self._pending = compute
         self._touch(self.name)
 
-    def inc(self, amount: float = 1.0) -> None:
-        """Adjust the gauge by ``amount`` (may be negative)."""
-        self.set((self.value or 0.0) + amount)
-
     @property
     def value(self) -> float | None:
         """The last value set (computed now if pending), or ``None``."""

@@ -402,13 +402,6 @@ class RulesEngine:
         else:
             self.alerts.append(rule)
 
-    def rule(self, name: str) -> AlertRule | RecordingRule:
-        """Look up a rule by name (KeyError when unknown)."""
-        for r in [*self.recording, *self.alerts]:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
     def evaluate(self, now: float) -> list[dict[str, Any]]:
         """Run every rule at virtual time ``now``; returns transitions."""
         for rule in self.recording:

@@ -113,10 +113,6 @@ class TimeSeriesStore:
         """All series names, sorted."""
         return sorted(self._series)
 
-    def series(self, name: str) -> list[tuple[float, float]]:
-        """The retained ``(time, value)`` samples of one series."""
-        return list(self._ring(name) or ())
-
     def last(self, name: str) -> float | None:
         """Most recent value of a series, or ``None``."""
         ring = self._ring(name)
@@ -196,17 +192,6 @@ class TimeSeriesStore:
             for point in points:
                 store.append(name, point[0], point[1])
         return store
-
-    def to_csv(self) -> str:
-        """Long-form CSV of every retained sample: ``series,time,value``.
-
-        One row per sample, series in name order, samples in time order
-        within a series -- the tidy layout pandas/R/gnuplot ingest
-        directly, so external plotting needs no JSON parsing.  Values
-        serialize with ``repr`` (round-trippable floats), which keeps
-        the output deterministic for a deterministic store.
-        """
-        return series_to_csv(self.to_dict())
 
 
 class TelemetryScraper:

@@ -41,10 +41,9 @@ context-variable read and a ``None`` check: :func:`span` hands back the
 shared no-op :data:`NULL_SPAN` and nothing is allocated or recorded.
 Tracing must never change what the traced code computes.
 
-A tracer can also be used directly (``tracer.span(...)``) without being
-installed; only the hooks need the install.  Span trees serialize to
-plain dicts (:meth:`Span.to_dict` / :meth:`Span.from_dict`);
-:mod:`repro.serialization` wraps them in the usual tagged-JSON envelope.
+Span trees serialize to plain dicts (:meth:`Span.to_dict` /
+:meth:`Span.from_dict`); :mod:`repro.serialization` wraps them in the
+usual tagged-JSON envelope.
 """
 
 from __future__ import annotations
@@ -121,10 +120,6 @@ class Span:
         yield self
         for child in self.children:
             yield from child.walk()
-
-    def find(self, name: str) -> list["Span"]:
-        """All spans named ``name`` in this subtree (pre-order)."""
-        return [s for s in self.walk() if s.name == name]
 
     def total(self, counter: str) -> float:
         """Sum of one counter over the span and every descendant."""
@@ -222,36 +217,16 @@ class Tracer:
             )
         self._stack_var.set(stack[:-1])
 
-    def span(self, name: str, **tags: Any) -> Span:
-        """A new span; attach/nest it by entering its context manager."""
-        return Span(name, tags, tracer=self)
-
-    @property
-    def current(self) -> Span | None:
-        """The innermost open span in this context, or ``None``."""
-        stack = self._stack_var.get()
-        return stack[-1] if stack else None
-
     def incr(self, key: str, amount: float = 1) -> None:
         """Add to a counter on the current span (no-op when none open)."""
         stack = self._stack_var.get()
         if stack:
             stack[-1].incr(key, amount)
 
-    def tag(self, **tags: Any) -> None:
-        """Tag the current span (no-op when none open)."""
-        stack = self._stack_var.get()
-        if stack:
-            stack[-1].tag(**tags)
-
     @property
     def last_root(self) -> Span | None:
         """The most recently finished (or opened) top-level span."""
         return self.roots[-1] if self.roots else None
-
-    def clear(self) -> None:
-        """Drop every collected span (open spans stay on the stack)."""
-        self.roots = []
 
 
 class _NullSpan:
@@ -350,10 +325,11 @@ def incr(key: str, amount: float = 1) -> None:
 
 
 def tag(**tags: Any) -> None:
-    """Tag the installed tracer's current span."""
+    """Tag the installed tracer's current span (no-op when none open)."""
     tracer = _TRACER.get()
-    if tracer is not None:
-        tracer.tag(**tags)
+    stack = tracer._stack_var.get() if tracer is not None else ()
+    if stack:
+        stack[-1].tag(**tags)
 
 
 def count(key: str, n: int = 1) -> None:

@@ -42,14 +42,6 @@ class PlanNode:
             yield from self.right.subtrees()
         yield self
 
-    def edges(self) -> list[tuple["PlanNode", "PlanNode"]]:
-        """All (child, parent) tree edges of the subtree."""
-        out: list[tuple[PlanNode, PlanNode]] = []
-        for join in self.joins():
-            out.append((join.left, join))
-            out.append((join.right, join))
-        return out
-
     @property
     def num_joins(self) -> int:  # pragma: no cover - abstract
         """Number of join operators in the subtree."""

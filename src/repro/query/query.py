@@ -226,20 +226,6 @@ class Query:
             window=self.window,
         )
 
-    @property
-    def num_joins(self) -> int:
-        """Number of binary join operators any plan for this query has."""
-        return len(self.sources) - 1
-
-    def predicate_map(self) -> dict[frozenset[str], JoinPredicate]:
-        """Map from stream-name pair to the predicate joining them."""
-        return {pred.streams: pred for pred in self.predicates}
-
-    def selectivity(self, a: str, b: str) -> float:
-        """Selectivity between two streams (1.0 when no predicate)."""
-        pred = self.predicate_map().get(frozenset((a, b)))
-        return pred.selectivity if pred is not None else 1.0
-
     def filters_on(self, stream: str) -> tuple[Filter, ...]:
         """All filters applying to ``stream``."""
         return tuple(f for f in self.filters if f.stream == stream)

@@ -72,17 +72,6 @@ class NodeCapacity:
             bandwidth=self.bandwidth * factor,
         )
 
-    def to_dict(self) -> dict:
-        """JSON-able form (``inf`` rendered as ``None``)."""
-        return {
-            dim: (None if math.isinf(v) else v)
-            for dim, v in (
-                ("cpu", self.cpu),
-                ("memory", self.memory),
-                ("bandwidth", self.bandwidth),
-            )
-        }
-
 
 #: The ambient default: no dimension bounded anywhere.
 UNBOUNDED = NodeCapacity()
@@ -115,9 +104,6 @@ class Load:
             0.0 if math.isinf(capacity.bandwidth) else self.bandwidth / capacity.bandwidth,
         )
         return max(ratios)
-
-    def to_dict(self) -> dict:
-        return {"cpu": self.cpu, "memory": self.memory, "bandwidth": self.bandwidth}
 
 
 #: The zero demand vector.

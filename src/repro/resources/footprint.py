@@ -24,7 +24,7 @@ from functools import cache, partial
 from typing import Callable
 
 from repro.obs.tracer import count
-from repro.query.plan import Join, PlanNode
+from repro.query.plan import Join
 from repro.query.query import Query, ViewSignature
 from repro.resources.capacity import Load
 
@@ -70,13 +70,6 @@ class OperatorFootprint:
             memory=inputs * query.window * self.bytes_per_tuple,
             bandwidth=inputs + out,
         )
-
-    def plan_loads(self, query: Query, plan: PlanNode) -> dict[Join, Load]:
-        """Load of every join operator of ``plan`` (leaves carry none)."""
-        return {
-            join: self.join_load(query, join.left.sources, join.right.sources)
-            for join in plan.joins()
-        }
 
 
 class JoinPricer:

@@ -324,13 +324,6 @@ class ResourceLedger:
         """
         return dict(self._settled_loads())
 
-    def load(self, node: int) -> Load:
-        """Current load of one node."""
-        self._sync()
-        if node in self._dirty:
-            self._resum(node)
-        return self._loads.get(node, ZERO_LOAD)
-
     def _settled_utils(self) -> dict[int, float]:
         """Every tracked node's utilization in node order, remembered until
         the node is re-summed or ``capacities`` is edited (do not mutate)."""
@@ -354,14 +347,6 @@ class ResourceLedger:
         utils = self._settled_utils()
         nodes = self._moved.since(cursor)
         return self._moved.cursor, nodes and sorted(nodes), utils
-
-    def utilizations(self) -> dict[int, float]:
-        """Utilization ratio of every node with a capacity or a load."""
-        return dict(self._settled_utils())
-
-    def utilization(self, node: int) -> float:
-        """Utilization ratio of one node (0 when unbounded)."""
-        return self.load(node).utilization(self.capacity(node))
 
     def max_utilization(self) -> float:
         """The hottest node's utilization ratio (0 on an empty fleet)."""

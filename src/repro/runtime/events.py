@@ -51,8 +51,5 @@ class EventQueue:
         """Time of the earliest event, or None when empty."""
         return self._heap[0].time if self._heap else None
 
-    def __len__(self) -> int:
-        return len(self._heap)
-
     def __bool__(self) -> bool:
         return bool(self._heap)

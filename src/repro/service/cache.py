@@ -31,14 +31,11 @@ class CachedPlan:
     Attributes:
         plan: The chosen join tree.
         placement: Node assignment for every subtree root.
-        planning_latency: Wall-clock seconds the original optimization
-            took (what the hit saved).
         stats: The optimizer's free-form stats from the original run.
     """
 
     plan: PlanNode
     placement: dict[PlanNode, int]
-    planning_latency: float = 0.0
     stats: dict = field(default_factory=dict)
 
     def reused_views(self) -> set[tuple[frozenset[str], int | None]]:
@@ -135,13 +132,6 @@ class PlanCache:
             self._remove(key)
         self.invalidations += len(stale)
         return len(stale)
-
-    def clear(self) -> None:
-        """Drop every entry (counters are preserved)."""
-        self.invalidations += len(self._entries)
-        self.revision += 1
-        self._entries.clear()
-        self._referencing.clear()
 
     def restore(self, entries: Iterable[tuple[CacheKey, CachedPlan]]) -> None:
         """Replace the contents with captured ``(key, entry)`` pairs,

@@ -242,7 +242,6 @@ class StreamQueryService:
         self.deployed_total = 0
         self.retired_total = 0
         self.plans_computed = 0
-        self.planning_seconds = 0.0
 
         reg = self.registry
         self._queue_gauge = reg.gauge(
@@ -384,7 +383,6 @@ class StreamQueryService:
                 "deployed_total": self.deployed_total,
                 "retired_total": self.retired_total,
                 "plans_computed": self.plans_computed,
-                "planning_seconds": self.planning_seconds,
             },
         }
 
@@ -408,7 +406,6 @@ class StreamQueryService:
         self.deployed_total = counters["deployed_total"]
         self.retired_total = counters["retired_total"]
         self.plans_computed = counters["plans_computed"]
-        self.planning_seconds = counters["planning_seconds"]
 
     # ------------------------------------------------------------------
     # Epochs
@@ -727,7 +724,6 @@ class StreamQueryService:
             deployment = self.optimizer.plan(query, self.engine.state)
             elapsed = _time.perf_counter() - start
             self.plans_computed += 1
-            self.planning_seconds += elapsed
             deployment.stats = {
                 **deployment.stats,
                 "plan_cache": "miss",
@@ -738,7 +734,6 @@ class StreamQueryService:
                 CachedPlan(
                     plan=deployment.plan,
                     placement=dict(deployment.placement),
-                    planning_latency=elapsed,
                     stats=dict(deployment.stats),
                 ),
             )
@@ -793,7 +788,7 @@ class StreamQueryService:
 
         Returns:
             A :class:`ReplayReport` with every admission decision and a
-            summary (cache hit rate, queries/second of planning, ...).
+            summary (admissions, cache hit rate, plans computed, ...).
         """
         decisions, ticks, wall = drive_trace(
             self,
@@ -816,10 +811,6 @@ class StreamQueryService:
                 "cache_misses": self.cache.misses,
                 "cache_hit_rate": self.cache.hit_rate,
                 "plans_computed": self.plans_computed,
-                "planning_seconds": self.planning_seconds,
-                "queries_per_second": (
-                    self.deployed_total / wall if wall > 0 else float("inf")
-                ),
                 "final_cost": self.total_cost(),
                 "final_live": self.engine.state.num_deployments,
             },

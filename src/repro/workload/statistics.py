@@ -24,9 +24,6 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
-from repro.core.cost import RateModel
 from repro.query.stream import StreamSpec
 from repro.utils import SeedLike, as_generator
 
@@ -47,14 +44,6 @@ class EstimatedStatistics:
     selectivities: dict[frozenset[str], float]
     observation_time: float
     tuples_observed: int
-
-    def rate_model(self, reuse_rate_inflation: float = 1.0) -> RateModel:
-        """A rate model backed by the estimates."""
-        return RateModel(self.streams, reuse_rate_inflation=reuse_rate_inflation)
-
-    def selectivity(self, a: str, b: str) -> float:
-        """Estimated selectivity between two streams (1.0 if unobserved)."""
-        return self.selectivities.get(frozenset((a, b)), 1.0)
 
 
 class StatisticsCollector:

@@ -104,7 +104,7 @@ class TestLinkChange:
         service = build_service()
         before = service.total_cost()
         for link in service.network.links():
-            service.network.set_link_cost(*link.endpoints, link.cost * 0.5)
+            service.network.set_link_cost(link.u, link.v, link.cost * 0.5)
         report = tick(service, 10.0)
         assert service.topology_epoch == 1
         assert report.evaluated == len(service.live_queries)

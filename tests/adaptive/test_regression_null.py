@@ -9,10 +9,8 @@ import repro
 from repro.adaptive import AdaptivityConfig
 from repro.service import AdmissionController, StreamQueryService, churn_trace
 
-#: summary keys that depend on wall-clock or the optional layers themselves
+#: summary keys the optional layers themselves add
 _VOLATILE = {
-    "planning_seconds",
-    "queries_per_second",
     "resilience",
     "faults",
     "adaptivity",

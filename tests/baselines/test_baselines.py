@@ -11,11 +11,12 @@ from repro.core.cost import RateModel, deployment_cost
 from repro.core.exhaustive import OptimalPlanner
 from repro.core.top_down import TopDownOptimizer
 from repro.hierarchy import build_hierarchy
-from repro.network.topology import line, random_geometric, transit_stub_by_size
+from repro.network.topology import random_geometric, transit_stub_by_size
 from repro.query.deployment import DeploymentState
 from repro.query.plan import Join, Leaf
 from repro.query.query import JoinPredicate, Query
 from repro.query.stream import StreamSpec
+from tests.network.shapes import line
 
 from tests.conftest import make_catalog, make_query
 

@@ -14,6 +14,10 @@ re-prices from), so ``functools.partial(ReferenceTreeSearch, rates)``
 can stand in for ``TreeSearch`` inside either planner.  Its
 ``add_leaf_sets`` is the literal loop over a task's alternatives: one
 whole per-tree search per leaf set, in order.
+
+:class:`BruteForceSearch` is the literal meaning of "exhaustive" the
+optimal planner's subset DP is checked against: every join tree times
+every operator assignment, exponential, for tiny instances only.
 """
 
 from __future__ import annotations
@@ -22,10 +26,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.enumeration import tree_is_connected
-from repro.core.placement import PlacementResult, nominal_assignments
+from repro.core.enumeration import _build, all_join_trees, connected_join_trees
+from repro.core.placement import (
+    PlacementResult,
+    brute_force_tree_placement,
+    nominal_assignments,
+)
 from repro.errors import InfeasiblePlacementError, PlanningError
-from repro.obs.tracer import count, incr
+from repro.obs.tracer import count, incr, span
+from repro.query.deployment import Deployment
 from repro.query.plan import Join, Leaf, PlanNode
 
 
@@ -242,3 +251,86 @@ class ReferenceTreeSearch:
                 continue
             if self.best is None or result.objective < self.best.objective - 1e-12:
                 self.best = result
+
+
+def tree_is_connected(query, tree: PlanNode) -> bool:
+    """Whether no join in ``tree`` is a cross product under ``query``.
+
+    A join is connected when at least one of the query's predicates
+    crosses the split between its children's *base* stream sets.
+    """
+    for join in tree.joins():
+        left, right = join.left.sources, join.right.sources
+        crossing = any(
+            (p.left in left and p.right in right) or (p.left in right and p.right in left)
+            for p in query.predicates
+        )
+        if not crossing:
+            return False
+    return True
+
+
+class BruteForceSearch:
+    """Literal exhaustive search over trees x assignments (validation only).
+
+    Cost grows as ``(2K-3)!! * N^(K-1)``; keep ``K`` and ``N`` tiny.
+    """
+
+    name = "brute-force"
+
+    def __init__(self, network, rates, connected_only: bool = True) -> None:
+        self.network = network
+        self.rates = rates
+        self.connected_only = connected_only
+
+    def plan(self, query, state=None) -> Deployment:
+        """Search every plan/assignment combination; return the cheapest."""
+        del state  # brute force does not model reuse
+        costs = self.network.cost_matrix()
+        nodes = self.network.nodes()
+        views = [frozenset((s,)) for s in query.sources]
+        if self.connected_only:
+            trees = connected_join_trees(query)
+        else:
+            trees = all_join_trees(views)
+        best_cost = float("inf")
+        best: tuple[PlanNode, dict[PlanNode, int]] | None = None
+        examined = 0
+        with span(
+            "optimize", algorithm=self.name, query=query.name
+        ) as root:
+            for tree in trees:
+                rates = self.rates.flow_rates(query, tree)
+                leaf_positions = {
+                    leaf: [self.rates.source(leaf.stream)] for leaf in tree.leaves()
+                }
+                examined += nominal_assignments(tree, len(nodes))
+                root.incr("trees_enumerated")
+                root.incr("plans_examined", nominal_assignments(tree, len(nodes)))
+                result = brute_force_tree_placement(
+                    tree, nodes, costs, leaf_positions, rates, sink=query.sink
+                )
+                if result.cost < best_cost - 1e-12:
+                    best_cost = result.cost
+                    best = (tree, result.placement)
+        assert best is not None
+        tree, placement = best
+        return Deployment(
+            query=query,
+            plan=tree,
+            placement=placement,
+            stats={
+                "plans_examined": examined,
+                "trees_examined": len(trees),
+                "algorithm": self.name,
+                "cost_estimate": best_cost,
+            },
+        )
+
+
+def program_tree(program, leaves, index: int, rows: dict) -> PlanNode:
+    """Tree ``index`` of a :class:`~repro.core.enumeration.JoinProgram`'s
+    full mask, built from its level rows; ``rows`` gets each subtree's row."""
+    children = [pair for lv in program.levels for pair in zip(lv[0].tolist(), lv[1].tolist())]
+    root = program.start[(1 << program.num_views) - 1] + index
+    return _build(leaves, children, root, rows)

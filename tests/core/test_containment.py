@@ -11,11 +11,11 @@ from repro.core.containment import (
 )
 from repro.core.cost import RateModel
 from repro.core.exhaustive import OptimalPlanner
-from repro.network.topology import line
 from repro.query.deployment import Deployment, DeploymentState
 from repro.query.plan import Join, Leaf
 from repro.query.query import JoinPredicate, Query
 from repro.query.stream import Filter, StreamSpec
+from tests.network.shapes import line
 
 
 @pytest.fixture()

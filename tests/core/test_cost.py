@@ -185,7 +185,7 @@ class TestFlowRates:
 
 class TestDeploymentCost:
     def test_line_network_hand_computed(self, rates):
-        from repro.network.topology import line
+        from tests.network.shapes import line
 
         net = line(5, cost=2.0)
         q = Query("q", ["A", "B"], sink=4, predicates=[JoinPredicate("A", "B", 0.01)])
@@ -197,7 +197,7 @@ class TestDeploymentCost:
         assert cost == pytest.approx(expected)
 
     def test_sink_colocation_free_delivery(self, rates):
-        from repro.network.topology import line
+        from tests.network.shapes import line
 
         net = line(3)
         q = Query("q", ["A", "B"], sink=2, predicates=[JoinPredicate("A", "B", 0.01)])

@@ -7,11 +7,11 @@ from repro.core.enumeration import (
     connected_join_trees,
     count_bushy_trees,
     reuse_partitions,
-    tree_is_connected,
     trees_with_reuse,
 )
 from repro.query.plan import Leaf
 from repro.query.query import JoinPredicate, Query
+from tests.core.reference_search import tree_is_connected
 
 
 def _chain_query(names):

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cost import RateModel, deployment_cost
-from repro.core.exhaustive import BruteForceSearch, OptimalPlanner
-from repro.network.topology import line, random_geometric
+from repro.core.exhaustive import OptimalPlanner
+from repro.network.topology import random_geometric
 from repro.query.deployment import DeploymentState
 from repro.query.plan import Join, Leaf
 from repro.query.query import JoinPredicate, Query
 from repro.query.stream import StreamSpec
+from tests.core.reference_search import BruteForceSearch, tree_is_connected
+from tests.network.shapes import line
 
 
 def _random_instance(seed, num_nodes=7, k=3):
@@ -68,8 +70,6 @@ class TestOptimalPlanner:
     def test_respects_join_connectivity(self):
         net, rates, q = _random_instance(9)
         d = OptimalPlanner(net, rates).plan(q)
-        from repro.core.enumeration import tree_is_connected
-
         assert tree_is_connected(q, d.plan)
 
     def test_infeasible_cross_product_only(self):

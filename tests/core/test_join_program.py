@@ -19,13 +19,12 @@ from repro.core.enumeration import (
     count_bushy_trees,
     crossing_splits,
     join_program,
-    tree_is_connected,
     view_adjacency,
 )
 from repro.query.plan import Join, Leaf
 from repro.query.query import JoinPredicate, Query
 
-from tests.core.reference_search import reference_all_join_trees
+from tests.core.reference_search import program_tree, reference_all_join_trees, tree_is_connected
 
 
 @st.composite
@@ -52,7 +51,7 @@ def leaf_sets(draw):
 
 def _materialized(program, views):
     leaves = [Leaf(view) for view in views]
-    return [program.tree(leaves, index, {}) for index in range(program.trees)]
+    return [program_tree(program, leaves, index, {}) for index in range(program.trees)]
 
 
 class TestProgramIsTheEnumeration:
@@ -88,7 +87,7 @@ class TestProgramIsTheEnumeration:
         seen = {}
         for index in range(program.trees):
             rows = {}
-            tree = program.tree(leaves, index, rows)
+            tree = program_tree(program, leaves, index, rows)
             assert rows[tree] == program.start[(1 << len(views)) - 1] + index
             for sub in tree.subtrees():
                 # one row per distinct subtree, whichever tree asks

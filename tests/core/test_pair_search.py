@@ -41,7 +41,7 @@ from hypothesis import strategies as st
 from repro.core.cost import RateModel
 from repro.core.search import _TIE, TreeSearch
 from repro.errors import PlanningError
-from repro.obs.tracer import Tracer, tracing
+from repro.obs.tracer import Span, Tracer, tracing
 from repro.perf.profiler import profiled
 from repro.query.plan import Join, Leaf
 from repro.query.query import JoinPredicate, Query
@@ -147,7 +147,7 @@ def _run(make_search, task, leaf_sets=None):
     """Run one search over ``leaf_sets`` (the task's by default)."""
     tracer = Tracer()
     stats = {"plans_examined": 0, "trees_examined": 0}
-    with tracing(tracer), profiled() as prof, tracer.span("task") as span:
+    with tracing(tracer), profiled() as prof, Span("task", tracer=tracer) as span:
         search = make_search(
             task.query, task.candidates, task.costs,
             task.rates.flow_pricer(task.query), task.sink, task.connected_only,
@@ -225,7 +225,7 @@ def test_a_binding_constraint_keeps_the_array_path():
     assert constraint.binds([0, 1, 2])
     tracer = Tracer()
     stats = {"plans_examined": 0, "trees_examined": 0}
-    with tracing(tracer), profiled() as prof, tracer.span("task") as span:
+    with tracing(tracer), profiled() as prof, Span("task", tracer=tracer) as span:
         search = TreeSearch(
             query, [0, 1, 2], costs, rates.flow_pricer(query), 2, True,
             stats, span, constraint=constraint,

@@ -11,10 +11,11 @@ from repro.core.placement import (
     nominal_assignments,
     optimal_tree_placement,
 )
-from repro.network.topology import line, random_geometric
+from repro.network.topology import random_geometric
 from repro.query.plan import Join, Leaf
 from repro.query.query import JoinPredicate, Query
 from repro.query.stream import StreamSpec
+from tests.network.shapes import line
 
 from tests.core.reference_search import reference_tree_placement
 

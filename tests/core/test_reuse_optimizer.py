@@ -8,11 +8,12 @@ from repro.core.cost import RateModel
 from repro.core.optimizer import deploy_query, make_optimizer
 from repro.core.reuse import input_partitions, resolve_reuse_leaves, substitute_views
 from repro.hierarchy import build_hierarchy
-from repro.network.topology import line, random_geometric
+from repro.network.topology import random_geometric
 from repro.query.deployment import DeploymentState
 from repro.query.plan import Join, Leaf
 from repro.query.query import JoinPredicate, Query
 from repro.query.stream import StreamSpec
+from tests.network.shapes import line
 
 from tests.conftest import make_catalog, make_query
 
@@ -100,7 +101,7 @@ class TestMakeOptimizer:
 
     @pytest.mark.parametrize(
         "name",
-        ["top-down", "bottom-up", "optimal", "brute-force", "relaxation",
+        ["top-down", "bottom-up", "optimal", "relaxation",
          "in-network", "plan-then-deploy", "random"],
     )
     def test_builds_every_planner(self, name):

@@ -36,7 +36,7 @@ from repro.core.enumeration import all_join_trees, count_bushy_trees, crossing_s
 from repro.core.placement import PlacementResult
 from repro.core.search import TreeSearch
 from repro.errors import PlanningError
-from repro.obs.tracer import Tracer, tracing
+from repro.obs.tracer import Span, Tracer, tracing
 from repro.perf.profiler import profiled
 from repro.query.deployment import DeploymentState
 from repro.query.plan import Join, Leaf
@@ -49,6 +49,7 @@ from tests.core.reference_search import (
     ReferenceTreeSearch,
     reference_flow_rates,
     reference_tree_placement,
+    tree_is_connected,
 )
 
 NUM_NODES = 10
@@ -165,7 +166,7 @@ def _constraint(task):
 def _run(make_search, task):
     tracer = Tracer()
     stats = {"plans_examined": 0, "trees_examined": 0}
-    with tracing(tracer), profiled() as prof, tracer.span("task") as span:
+    with tracing(tracer), profiled() as prof, Span("task", tracer=tracer) as span:
         search = make_search(
             task.query, task.candidates, task.costs,
             task.rates.flow_pricer(task.query), task.sink, task.connected_only,
@@ -335,7 +336,7 @@ class TestWorkCounts:
         costs = rng.uniform(1, 5, (NUM_NODES, NUM_NODES))
         tracer = Tracer()
         stats = {"plans_examined": 0, "trees_examined": 0}
-        with tracing(tracer), profiled() as prof, tracer.span("task") as span:
+        with tracing(tracer), profiled() as prof, Span("task", tracer=tracer) as span:
             search = TreeSearch(
                 query, list(range(num_candidates)), costs, rates.flow_pricer(query),
                 0, True, stats, span,
@@ -501,7 +502,7 @@ class TestPrunedEnumeration:
         assert len(everything) == count_bushy_trees(len(views))
         pruned = all_join_trees(views, crossing_splits(task.query, views))
         assert pruned == [
-            t for t in everything if enumeration.tree_is_connected(task.query, t)
+            t for t in everything if tree_is_connected(task.query, t)
         ]
 
 

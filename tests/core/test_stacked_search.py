@@ -32,12 +32,12 @@ from repro.core.cost import RateModel
 from repro.core.enumeration import join_program, layout
 from repro.core.search import _TIE, TreeSearch
 from repro.errors import InfeasiblePlacementError, PlanningError
-from repro.obs.tracer import Tracer, tracing
+from repro.obs.tracer import Span, Tracer, tracing
 from repro.query.plan import Leaf
 from repro.query.query import JoinPredicate, Query
 from repro.query.stream import StreamSpec
 
-from tests.core.reference_search import ReferenceTreeSearch
+from tests.core.reference_search import ReferenceTreeSearch, program_tree
 from tests.core.test_shared_search import NUM_NODES, _assert_same_choice, _run, tasks
 
 #: A node no candidate or sink is drawn from: a near duplicate reads a
@@ -156,7 +156,7 @@ class TestNoFeasibleAlternative:
         task = _two_view_task()
         a, b = frozenset("A"), frozenset("B")
         tracer = Tracer()
-        with tracing(tracer), tracer.span("task") as span:
+        with tracing(tracer), Span("task", tracer=tracer) as span:
             search = make(
                 task.query, task.candidates, task.costs,
                 task.rates.flow_pricer(task.query), task.sink, True,
@@ -178,7 +178,7 @@ class TestNoFeasibleAlternative:
             join_mask=lambda join, cand: np.zeros(len(cand), dtype=bool),
         )
         tracer = Tracer()
-        with tracing(tracer), tracer.span("task") as span:
+        with tracing(tracer), Span("task", tracer=tracer) as span:
             search = TreeSearch(
                 task.query, task.candidates, task.costs,
                 task.rates.flow_pricer(task.query), task.sink, True,
@@ -221,7 +221,7 @@ class TestLayout:
             for index in range(program.trees):
                 rows = {}
                 tree = shape.tree(stacked, shape.first_root[i] + index, rows)
-                assert tree == program.tree(leaves[i], index, {})
+                assert tree == program_tree(program, leaves[i], index, {})
                 for sub, row in rows.items():
                     assert depth.get(row, -1) == len(sub.leaves()) - 2
                 # a root never ships; every other join row does

@@ -143,7 +143,7 @@ class TestReuse:
 
     def test_identical_query_fully_reused(self):
         """A tiny-rate view must be reused rather than recomputed."""
-        from repro.network.topology import line
+        from tests.network.shapes import line
 
         net = line(12)
         streams = {"A": StreamSpec("A", 0, 100.0), "B": StreamSpec("B", 1, 100.0)}

@@ -41,6 +41,7 @@ from repro.durability.state import (
     sig_to_doc,
 )
 from repro.serialization import _query_to_dict
+from tests.fleet.reference_federation import imports_of
 
 
 def canonical_json(doc: Any) -> str:
@@ -148,7 +149,6 @@ def _capture_cache(cache) -> dict[str, Any]:
                 "topology_epoch": key[2],
                 "plan": plan_to_doc(entry.plan),
                 "placement": placement_to_doc(entry.plan, entry.placement),
-                "planning_latency": entry.planning_latency,
                 "stats": _jsonable(dict(entry.stats)),
             }
             for key, entry in cache._entries.items()  # LRU order
@@ -301,7 +301,6 @@ def capture_service(service, include_shared: bool = True) -> dict[str, Any]:
             "deployed_total": service.deployed_total,
             "retired_total": service.retired_total,
             "plans_computed": service.plans_computed,
-            "planning_seconds": service.planning_seconds,
         },
         "admission": _capture_admission(service.admission),
         "cache": _capture_cache(service.cache),
@@ -367,7 +366,7 @@ def capture_fleet(fleet) -> dict[str, Any]:
                 sorted(
                     (
                         {"sig": sig_to_doc(sig), "node": node}
-                        for sig, node in fleet.federation.imports(sid)
+                        for sig, node in imports_of(fleet.federation, sid)
                     ),
                     key=lambda d: (
                         "|".join(d["sig"]["sources"]),

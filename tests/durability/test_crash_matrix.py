@@ -141,3 +141,37 @@ class TestLayeredMatrix:
             "resilience", "faults", "adaptivity", "resources",
         ]
         assert service.resources.shed_total and service.resilience.breakers.total_opens()
+
+
+@pytest.mark.parametrize(
+    "scenario", [fleet_scenario, service_scenario, layered_scenario], ids=["fleet", "service", "layers"]
+)
+def test_a_limited_matrix_restores_a_snapshot(scenario, tmp_path):
+    """CI's ``--crash-points 6`` smoke: the earliest points all crash before
+    the first snapshot, so the limit must keep one that recovers from it."""
+    scenario = scenario()
+    run_steps(scenario, scenario.factory(tmp_path / "probe"))
+    records, _ = scan_journal(tmp_path / "probe" / JOURNAL_FILE)
+    points = default_crash_points(records, limit=6)
+    assert len(points) == 6
+    report = crash_restart_matrix(scenario, tmp_path / "matrix", points=points, extra_ticks=4)
+    assert report["converged"]
+    assert any(p["recovery"]["snapshot_lsn"] > 0 for p in report["points"])
+
+
+@pytest.mark.parametrize(
+    "scenario", [fleet_scenario, service_scenario, layered_scenario], ids=["fleet", "service", "layers"]
+)
+def test_the_same_script_writes_the_same_bytes(scenario, tmp_path):
+    """No wall-clock reading reaches durable state: two runs of one
+    script write byte-identical journals and snapshots."""
+    scenario = scenario()
+    runs = [tmp_path / "first", tmp_path / "second"]
+    for state_dir in runs:
+        run_steps(scenario, scenario.factory(state_dir))
+    first, second = (
+        {p.relative_to(d).as_posix(): p.read_bytes() for p in sorted(d.rglob("*")) if p.is_file()}
+        for d in runs
+    )
+    assert JOURNAL_FILE in first and any(name.startswith("snapshot") for name in first)
+    assert first == second

@@ -12,7 +12,7 @@ twin from the same factory, and require
 
 * the twin's snapshot bytes to equal the original's,
 * every ``layers()`` member's ``summary()`` to be equal, and
-* the next 5 tick reports to be equal.
+* the next 5 tick reports, and the snapshot bytes after them, to be equal.
 """
 
 import itertools
@@ -114,21 +114,6 @@ def snapshot_text(plane) -> str:
     return splice_json(capture(plane, FragmentMemo()))
 
 
-def timeless(text: str):
-    """A snapshot document without its wall-clock planning times."""
-
-    def strip(value):
-        if isinstance(value, dict):
-            return {
-                key: strip(item)
-                for key, item in value.items()
-                if key not in ("planning_latency", "planning_seconds")
-            }
-        return [strip(item) for item in value] if isinstance(value, list) else value
-
-    return strip(json.loads(text))
-
-
 def summaries(plane) -> list:
     """``(section name, summary)`` of every layer, the shards' included
     (the router and the scheduler report through the fleet: their
@@ -172,6 +157,35 @@ def test_a_restored_twin_is_the_plane_it_was_captured_from(scope, armed):
     )
     for _ in range(5):
         assert tick_doc(twin.tick()) == tick_doc(plane.tick())
-    # ... and they still hold the same state, but for what each one's own
-    # planner runs took on the wall clock.
-    assert timeless(snapshot_text(twin)) == timeless(snapshot_text(plane))
+    # ... and they still hold the same state, to the byte.
+    assert snapshot_text(twin) == snapshot_text(plane)
+
+
+@pytest.mark.parametrize("scope", ["service", "fleet"])
+def test_a_snapshot_holding_wall_clock_planning_times_still_restores(scope):
+    """Files written before planning latency left durable state carry a
+    ``planning_seconds`` counter per service and a ``planning_latency``
+    per cached plan; a restore ignores both."""
+    plane, pool, rates = build(scope, ())
+    run_script(plane, pool, rates, seed=9)
+    text = snapshot_text(plane)
+    doc = json.loads(text)
+    for service in doc["shards"] if scope == "fleet" else [doc]:
+        service["counters"]["planning_seconds"] = 0.25
+        assert service["cache"]["entries"]
+        for entry in service["cache"]["entries"]:
+            entry["planning_latency"] = 0.001
+    twin, _, _ = build(scope, ())
+    (restore_fleet if scope == "fleet" else restore_service)(twin, doc)
+    assert snapshot_text(twin) == text
+
+
+def test_a_snapshot_whose_node_ids_have_gaps_is_refused():
+    """Matrices are indexed by node id, so a fleet snapshot must hold ids
+    ``0..n-1``; a gap fails the restore with its own message."""
+    plane, pool, rates = build("fleet", ())
+    doc = json.loads(snapshot_text(plane))
+    doc["network"]["nodes"][-1]["id"] += 1
+    twin, _, _ = build("fleet", ())
+    with pytest.raises(ValueError, match="node ids must be contiguous from 0"):
+        restore_fleet(twin, doc)

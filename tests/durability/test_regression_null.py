@@ -11,9 +11,6 @@ from repro.durability import DurabilityConfig
 from repro.fleet import FleetController
 from repro.service import AdmissionController, StreamQueryService, churn_trace
 
-#: summary keys that depend on wall-clock
-_VOLATILE = {"planning_seconds", "queries_per_second"}
-
 
 def build_service(state_dir=None, seed=47):
     net = repro.transit_stub_by_size(32, seed=seed)
@@ -53,10 +50,7 @@ class TestServiceParity:
 
         assert report_plain.decisions == report_durable.decisions
         assert report_plain.ticks == report_durable.ticks
-        clean = lambda s: {  # noqa: E731
-            k: v for k, v in s.items() if k not in _VOLATILE
-        }
-        assert clean(report_plain.summary) == clean(report_durable.summary)
+        assert report_plain.summary == report_durable.summary
         assert plain.total_cost() == durable.total_cost()
         # and the durable run actually journaled the whole trace
         assert durable.durability.journal.records_total > 0

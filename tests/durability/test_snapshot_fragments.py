@@ -135,7 +135,7 @@ class SnapshotMachine(RuleBasedStateMachine):
         # cache and reuse deployed views, which is where holders change
         # and operators outlive their installer.
         query = self.pool[index].renamed(f"{self.pool[index].name}#{next(self.serial) % 64}")
-        if self.plane.is_live(query.name):
+        if query.name in self.plane.live_queries:
             return
         before = [(list(s.cache._entries), s.cache.hits) for s in self.services]
         self.plane.submit(query, lifetime=lifetime, **self.submitter(index))
@@ -174,7 +174,7 @@ class SnapshotMachine(RuleBasedStateMachine):
     @rule(data=st.data(), factor=st.sampled_from([0.5, 2.0]))
     def reprice_link(self, data, factor):
         link = data.draw(st.sampled_from(self.net.links()))
-        self.net.set_link_cost(*link.endpoints, link.cost * factor)
+        self.net.set_link_cost(link.u, link.v, link.cost * factor)
         self.seen["network_versions"] += 1
         self.plane.tick()
 

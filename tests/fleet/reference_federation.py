@@ -12,6 +12,7 @@ only.
 
 from __future__ import annotations
 
+from repro.durability.state import view_key_from_doc
 from repro.fleet.federation import import_rank
 
 
@@ -20,7 +21,7 @@ def reference_offers(federation) -> dict[tuple, list[int]]:
     shard's state that the federation did not plant there."""
     offers: dict[tuple, list[int]] = {}
     for sid, service in enumerate(federation.shards):
-        imports = federation.imports(sid)
+        imports = imports_of(federation, sid)
         for key in service.engine.state.operators():
             if key not in imports:
                 offers.setdefault(key, []).append(sid)
@@ -43,7 +44,7 @@ def reference_plan(federation) -> list[tuple[list, list]]:
     plan = []
     for sid, service in enumerate(shards):
         state = service.engine.state
-        current = federation.imports(sid)
+        current = imports_of(federation, sid)
         desired = {
             key
             for key, owner in fleet.items()
@@ -58,3 +59,10 @@ def reference_plan(federation) -> list[tuple[list, list]]:
             )
         )
     return plan
+
+
+
+def imports_of(federation, shard: int) -> set:
+    """The ``(signature, node)`` keys ``shard`` currently imports, read
+    from the federation's snapshot section."""
+    return {view_key_from_doc(doc) for doc in federation.capture()["imports"][shard]}

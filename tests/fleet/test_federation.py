@@ -7,6 +7,7 @@ from repro.durability import DurabilityConfig, recover
 from repro.fleet import FEDERATION_OWNER
 
 from tests.fleet.conftest import ByNamePolicy, build_fleet
+from tests.fleet.reference_federation import imports_of
 
 
 def reuse_pair(fleet_env):
@@ -48,14 +49,14 @@ class TestCrossShardReuse:
         federation = fleet.federation
         fleet.submit(q1)
         fleet.tick()
-        imported = federation.imports(1)
+        imported = imports_of(federation, 1)
         assert imported
         for sig, node in imported:
             assert federation.import_for(1, sig.sources, node) == (sig, node)
             assert federation.import_for(0, sig.sources, node) is None
         fleet.retire(q1.name)
         fleet.tick()  # nobody consumed them: withdrawn
-        assert not federation.imports(1)
+        assert not imports_of(federation, 1)
         for sig, node in imported:
             assert federation.import_for(1, sig.sources, node) is None
 
@@ -118,7 +119,7 @@ class TestCrossShardReuse:
         fleet.submit(q1)
         fleet.tick()
         # shard 1 imports shard 0's views but must not offer them back
-        for key in fleet.federation.imports(1):
+        for key in imports_of(fleet.federation, 1):
             assert key not in fleet.federation.exports(1)
 
 
@@ -128,7 +129,7 @@ class TestInvalidation:
         fleet = split_fleet(fleet_env, q1, q2)
         fleet.submit(q1)
         fleet.tick()
-        imported = fleet.federation.imports(1)
+        imported = imports_of(fleet.federation, 1)
         assert imported
         epoch = fleet.federation.epoch
         fleet.retire(q1.name)  # owner gone, nobody consuming: withdraw
@@ -179,7 +180,7 @@ class TestInvalidation:
         for sig, node in consumed:
             # the record survives as a local operator of shard 1 ...
             assert fleet.shards[1].engine.state.has_view(sig, node)
-            assert (sig, node) not in fleet.federation.imports(1)
+            assert (sig, node) not in imports_of(fleet.federation, 1)
             # ... with no federation claim left on it
             consumers = fleet.shards[1].engine.state.queries_using(sig, node)
             assert FEDERATION_OWNER not in consumers
@@ -216,7 +217,7 @@ def scanned_exports(fleet, shard):
     """The scan ``exports`` used to be: every advertised view of the
     shard's state, minus what the federation planted there."""
     state = fleet.shards[shard].engine.state
-    imports = fleet.federation.imports(shard)
+    imports = imports_of(fleet.federation, shard)
     out = {}
     for sig, nodes in state.advertised_views().items():
         for node in nodes:
@@ -266,7 +267,7 @@ class TestExportsFromTheFeed:
         fleet.tick()
         owned = fleet.federation.exports(0)
         assert owned
-        fleet.federation.restore_imports([set(owned), fleet.federation.imports(1)])
+        fleet.federation.restore_imports([set(owned), imports_of(fleet.federation, 1)])
         assert fleet.federation.exports(0) == scanned_exports(fleet, 0) == {}
 
 
@@ -299,7 +300,7 @@ class TestRecoveredCache:
         try:
             assert report.snapshot_lsn > 0
             cache = recovered.shards[1].cache
-            imported = recovered.federation.imports(1)
+            imported = imports_of(recovered.federation, 1)
             restored = [
                 key
                 for key, cached in cache._entries.items()

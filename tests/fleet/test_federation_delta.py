@@ -51,7 +51,7 @@ from repro.perf.profiler import profiled
 from repro.resilience.faults import CrashPoint
 
 from tests.fleet.conftest import ByNamePolicy, build_env, build_fleet
-from tests.fleet.reference_federation import reference_offers, reference_plan
+from tests.fleet.reference_federation import imports_of, reference_offers, reference_plan
 from tests.fleet.test_federation import scanned_exports
 
 _SHARDS = 3
@@ -145,10 +145,10 @@ class FederationMachine(RuleBasedStateMachine):
         # What the whole-index sync maintained: a shard imports exactly
         # the offered keys it does not offer itself.
         for sid in range(_SHARDS):
-            assert federation.imports(sid) == {
+            assert imports_of(federation, sid) == {
                 key for key, offered in offers.items() if sid not in offered
             }
-            for key in federation.imports(sid):
+            for key in imports_of(federation, sid):
                 assert FEDERATION_OWNER in self.state(sid).queries_using(*key)
         # A sync leaves nothing to do but offering what it promoted.
         for sid, (drops, adds) in enumerate(reference_plan(federation)):
@@ -209,7 +209,7 @@ class FederationMachine(RuleBasedStateMachine):
             {
                 key
                 for sid in range(_SHARDS)
-                for key in self.federation.imports(sid)
+                for key in imports_of(self.federation, sid)
                 if self.state(sid).queries_using(*key) - {FEDERATION_OWNER}
             },
             key=import_rank,
@@ -240,7 +240,7 @@ class FederationMachine(RuleBasedStateMachine):
         shard lost: the next sync drops the one and imports the other
         again, though no shard's offers changed."""
         federation, state = self.federation, self.state(shard)
-        imports = [federation.imports(sid) for sid in range(_SHARDS)]
+        imports = [imports_of(federation, sid) for sid in range(_SHARDS)]
         if edit == "orphaned":
             sig = data.draw(st.sampled_from(self.pool)).view_signature()
             key = (sig, data.draw(st.integers(0, 31)))
@@ -349,7 +349,7 @@ def tie_run(fleet_env, state_dir, reverse: bool):
             fleet.submit(query, lifetime=2.0)
         fleet.tick()
         federation = fleet.federation
-        imported = sorted(federation.imports(1), key=import_rank, reverse=reverse)
+        imported = sorted(imports_of(federation, 1), key=import_rank, reverse=reverse)
         ties = Counter(("|".join(sorted(sig.sources)), node) for sig, node in imported)
         assert max(ties.values()) == 2, "two imports must tie on (sources, node)"
         federation.restore_imports([set(), imported])
@@ -371,7 +371,7 @@ def tie_run(fleet_env, state_dir, reverse: bool):
         ads.withdraw_view = recording
         while fleet.live_queries:
             fleet.tick()
-        gone = [key for key in imported if key not in federation.imports(1)]
+        gone = [key for key in imported if key not in imports_of(federation, 1)]
         assert sorted(withdrawn, key=import_rank) == sorted(gone, key=import_rank)
         ties = Counter((sig.label(), node) for sig, node in withdrawn)
         assert max(ties.values()) == 2, "two withdrawals must tie on (label, node)"
@@ -423,7 +423,7 @@ def test_crash_in_the_tick_after_a_promoting_sync(fleet_env, tmp_path, torn):
 
     def observed(fleet):
         return (
-            [fleet.federation.imports(sid) for sid in range(3)],
+            [imports_of(fleet.federation, sid) for sid in range(3)],
             [shard.ads.views() for shard in fleet.shards],
         )
 

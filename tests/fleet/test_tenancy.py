@@ -25,8 +25,8 @@ class TestTenantRecords:
         directory = TenantDirectory([Tenant("a")])
         with pytest.raises(AdmissionError):
             directory.register(Tenant("a"))
-        assert directory.names() == ["a"]
-        assert "a" in directory and "b" not in directory
+        assert [tenant.name for tenant in directory] == ["a"]
+        assert directory.get("a") is not None and directory.get("b") is None
 
 
 class TestWeightedFairScheduler:
@@ -216,7 +216,7 @@ class TestTenantSinkLiveness:
         report = fleet.tick(1.0)
         assert report.deployed == []
         assert fleet.router.owner(waiting.name) is None
-        assert fleet.tenant_of(waiting.name) is None
+        assert waiting.name not in fleet.capture()["tenants"]["tenant_of"]
         assert fleet.scheduler.total_backlog == 0
         summary = fleet.tenant_summary()["t"]
         assert summary["rejected"] == 1 and summary["live"] == 0

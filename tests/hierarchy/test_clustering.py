@@ -12,7 +12,8 @@ from repro.hierarchy.clustering import (
     kmedoids,
     random_clustering,
 )
-from repro.network.topology import line, random_geometric, transit_stub_by_size
+from repro.network.topology import random_geometric, transit_stub_by_size
+from tests.network.shapes import line
 
 
 def _well_separated_points(rng, groups=3, per_group=10, spread=0.05, gap=10.0):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from repro.core.bounds import hierarchy_height
 from repro.hierarchy import add_node, build_hierarchy, remove_node
 from repro.hierarchy.hierarchy import Cluster
-from repro.network.topology import line, random_geometric, transit_stub_by_size
+from repro.network.topology import random_geometric, transit_stub_by_size
+from tests.network.shapes import line
 
 
 @pytest.fixture(scope="module")
@@ -231,7 +232,7 @@ class TestMaintenance:
         assert coord not in h.root.subtree_nodes()
 
     def test_cannot_empty_hierarchy(self):
-        from repro.network.topology import line
+        from tests.network.shapes import line
 
         net = line(1)
         h = build_hierarchy(net, max_cs=4, seed=0)

@@ -21,6 +21,7 @@ from repro.perf.profiler import profiled
 from repro.resilience import ResilienceConfig
 from repro.resources import ResourceConfig, uniform_capacities
 from repro.service import AdmissionController, StreamQueryService
+from tests.resources.reference_ledger import ratios
 
 _LIVE = 200
 _EXTRA = 8
@@ -109,7 +110,7 @@ def test_a_submit_writes_the_gauges_of_the_nodes_it_loaded_or_freed(planes):
         ledger = service.resources.ledger
         for node in service.network.nodes():
             gauge = service.registry.get(f"resource_node_utilization_n{node}")
-            assert gauge.value == ledger.utilization(node)
+            assert gauge.value == ratios(ledger).get(node, 0.0)
     assert wrote > 0
 
 

@@ -1,4 +1,4 @@
-"""Tests for objective re-weighting (latency / hop-count optimization)."""
+"""Tests for objective re-weighting (latency optimization)."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from repro.core.cost import RateModel, deployment_cost
 from repro.core.exhaustive import OptimalPlanner
 from repro.hierarchy import build_hierarchy
 from repro.network.graph import Network
-from repro.network.objectives import delay_weighted, hop_weighted
+from repro.network.objectives import delay_weighted
 from repro.network.topology import transit_stub_by_size
 from repro.query.query import JoinPredicate, Query
 from repro.query.stream import StreamSpec
@@ -18,13 +18,6 @@ class TestReweighting:
         net = transit_stub_by_size(32, seed=1)
         lat = delay_weighted(net)
         assert np.allclose(lat.cost_matrix(), net.delay_matrix())
-
-    def test_hop_weighted_counts_hops(self):
-        net = transit_stub_by_size(32, seed=2)
-        hops = hop_weighted(net)
-        c = hops.cost_matrix()
-        assert np.allclose(c, np.round(c))  # integral hop counts
-        assert c[0, 0] == 0
 
     def test_original_untouched(self):
         net = transit_stub_by_size(32, seed=3)

@@ -12,13 +12,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from repro.network.graph import Network
-from repro.network.topology import (
-    grid,
-    motivating_network,
-    random_geometric,
-    ring,
-    transit_stub_by_size,
-)
+from repro.network.topology import motivating_network, random_geometric, transit_stub_by_size
+from tests.network.shapes import grid, ring
 
 TOPOLOGIES = {
     "transit-stub-24": lambda: transit_stub_by_size(24, seed=3),

@@ -5,9 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network.embedding import classical_mds, embed_network, embedding_stress
+from repro.network.embedding import classical_mds, embed_network
 from repro.network.routing import path_links, shortest_path_nodes
-from repro.network.topology import line, random_geometric, ring, transit_stub_by_size
+from repro.network.topology import random_geometric, transit_stub_by_size
+from tests.network.shapes import line, ring
+
+
+def embedding_stress(distances: np.ndarray, coords: np.ndarray) -> float:
+    """Normalized stress of an embedding (0 = perfect).
+
+    ``sqrt(sum (d_ij - ||x_i - x_j||)^2 / sum d_ij^2)`` over ``i < j``:
+    how faithful a cost-space embedding is.
+    """
+    d = np.asarray(distances, dtype=np.float64)
+    diff = coords[:, None, :] - coords[None, :, :]
+    emb = np.sqrt((diff**2).sum(axis=2))
+    iu = np.triu_indices(d.shape[0], k=1)
+    num = float(((d[iu] - emb[iu]) ** 2).sum())
+    den = float((d[iu] ** 2).sum())
+    if den == 0.0:
+        return 0.0
+    return float(np.sqrt(num / den))
 
 
 class TestShortestPathNodes:

@@ -5,22 +5,24 @@ import pytest
 
 from repro.network.topology import (
     TransitStubParams,
-    grid,
-    line,
     motivating_network,
     random_geometric,
-    ring,
-    star,
     transit_stub,
     transit_stub_by_size,
 )
+from tests.network.shapes import grid, line, ring, star
+
+
+def total_nodes(params: TransitStubParams) -> int:
+    """The node count transit-stub parameters imply."""
+    return params.transit_domains * params.transit_nodes * (1 + params.stubs_per_transit * params.stub_size)
 
 
 class TestTransitStub:
     def test_default_shape(self):
         net = transit_stub(seed=0)
         params = TransitStubParams()
-        assert net.num_nodes == params.total_nodes()
+        assert net.num_nodes == total_nodes(params)
         assert net.is_connected()
 
     def test_node_kinds(self):
@@ -172,7 +174,7 @@ class TestMultiDomainTransitStub:
             transit_domains=3, transit_nodes=3, stubs_per_transit=2, stub_size=4
         )
         net = transit_stub(params, seed=0)
-        assert net.num_nodes == params.total_nodes()
+        assert net.num_nodes == total_nodes(params)
         assert net.is_connected()
         assert len(net.nodes_of_kind("transit")) == 9
 

@@ -21,7 +21,6 @@ from repro.obs.timeseries import (
     SCRAPED_QUANTILES,
     WALL_CLOCK_SERIES,
     scoped_name,
-    series_to_csv,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -245,17 +244,6 @@ class TimeSeriesStore:
             for point in points:
                 store.append(name, point[0], point[1])
         return store
-
-    def to_csv(self) -> str:
-        """Long-form CSV of every retained sample: ``series,time,value``.
-
-        One row per sample, series in name order, samples in time order
-        within a series -- the tidy layout pandas/R/gnuplot ingest
-        directly, so external plotting needs no JSON parsing.  Values
-        serialize with ``repr`` (round-trippable floats), which keeps
-        the output deterministic for a deterministic store.
-        """
-        return series_to_csv(self.to_dict())
 
 
 

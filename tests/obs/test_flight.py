@@ -20,7 +20,7 @@ class TestFlightRecorder:
         rec = FlightRecorder(capacity=3)
         for i in range(5):
             rec.record("event", float(i), "svc", n=i)
-        assert len(rec) == 3
+        assert len(rec.entries()) == 3
         assert [e["n"] for e in rec.entries()] == [2, 3, 4]
         assert rec.recorded_total == 5
         with pytest.raises(ValueError):

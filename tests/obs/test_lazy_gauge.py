@@ -83,21 +83,6 @@ class TestPendingGauge:
         assert gauge.value == 7.0
         assert (first.calls, second.calls) == (0, 1)
 
-    def test_inc_and_dec_settle_a_pending_value_first(self):
-        # A decrement is a negative increment.
-        gauge = MetricRegistry().gauge("g")
-        compute = Calls(10)
-        gauge.set_lazy(compute)
-        gauge.inc(2)
-        assert compute.calls == 1 and gauge.value == 12.0
-        gauge.set_lazy(compute)
-        gauge.inc(-4)
-        assert compute.calls == 2 and gauge.value == 6.0
-        gauge.set_lazy(Calls(5))
-        gauge.inc(-1)
-        gauge.inc(0.5)
-        assert gauge.value == 4.5
-
     def test_exports_read_the_pending_value(self):
         registry = MetricRegistry()
         gauge = registry.gauge("g", "help")

@@ -29,16 +29,6 @@ class TestCounter:
             c.sync_total(6)
 
 
-class TestGauge:
-    def test_set_inc_dec(self):
-        g = MetricRegistry().gauge("depth")
-        assert g.value is None
-        g.set(4)
-        g.inc(2)
-        g.inc(-5)
-        assert g.value == 1
-
-
 class TestHistogram:
     def test_buckets_and_summary(self):
         h = MetricRegistry().histogram("lat", buckets=[0.1, 1.0, 10.0])

@@ -268,9 +268,6 @@ class TestRuleTypes:
         engine = RulesEngine(store, [ThresholdRule("r", "x", ">", 1.0)])
         with pytest.raises(ValueError):
             engine.add(ThresholdRule("r", "y", "<", 1.0))
-        assert engine.rule("r").series == "x"
-        with pytest.raises(KeyError):
-            engine.rule("missing")
 
 
 class TestDefaultPack:

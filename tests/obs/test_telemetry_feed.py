@@ -89,7 +89,10 @@ class TestChangeFeed:
         hist = registry.histogram("h")
         for step in range(10_000):
             instrument = instruments[step % len(instruments)]
-            instrument.inc(1.0)
+            if instrument.kind == "gauge":
+                instrument.set(float(step))
+            else:
+                instrument.inc(1.0)
             hist.observe(0.001 * step)
         assert len(registry._feed._serials) == len(registry.names()) == 13
         assert hist.count == 10_000
@@ -106,7 +109,7 @@ class TestHeldSeries:
         store.mark(2.0)
         assert store.hold("a", 5.0) is False  # unread marks keep the old value
         store.mark(3.0)
-        assert store.series("a") == [(1.0, 1.0), (2.0, 1.0), (3.0, 5.0)]
+        assert store.window("a") == [(1.0, 1.0), (2.0, 1.0), (3.0, 5.0)]
 
     def test_a_series_is_held_from_its_first_hold_on(self):
         store = TimeSeriesStore()
@@ -114,9 +117,9 @@ class TestHeldSeries:
         store.mark(1.0)
         store.hold("late", 2.0)
         assert store.names() == ["early", "late"] and len(store) == 2
-        assert store.last("late") is None and store.series("late") == []
+        assert store.last("late") is None and store.window("late") == []
         store.mark(2.0)
-        assert store.series("late") == [(2.0, 2.0)]
+        assert store.window("late") == [(2.0, 2.0)]
         assert store.last_time("early") == 2.0
 
     def test_a_series_unread_past_capacity_keeps_the_newest_marks(self):
@@ -133,7 +136,7 @@ class TestHeldSeries:
         store.mark(1.0)
         store.append("a", 1.0, 8.0)
         store.mark(2.0)
-        assert store.series("a") == [(0.5, 9.0), (1.0, 1.0), (1.0, 8.0), (2.0, 1.0)]
+        assert store.window("a") == [(0.5, 9.0), (1.0, 1.0), (1.0, 8.0), (2.0, 1.0)]
         assert store.window("a", 1.0) == [(1.0, 1.0), (1.0, 8.0), (2.0, 1.0)]
         assert store.window("a", 1.0, now=1.5) == [(0.5, 9.0), (1.0, 1.0), (1.0, 8.0)]
 
@@ -149,7 +152,7 @@ class TestFeedScraper:
         scraper.scrape(1.0)
         gauge.set(2.0)
         scraper.scrape(2.0)
-        assert store.series("s.g") == [(1.0, 1.0), (2.0, 2.0)]
+        assert store.window("s.g") == [(1.0, 1.0), (2.0, 2.0)]
 
     def test_an_idle_scrape_holds_nothing_and_counts_every_series(self):
         registry = MetricRegistry()
@@ -166,7 +169,7 @@ class TestFeedScraper:
             assert scraper.scrape(2.0) == 3
         assert prof.ops["telemetry_series_held"] == 0
         assert scraper.summary()["samples"] == 6
-        assert store.series("s.h_count") == [(1.0, 0.0), (2.0, 0.0)]
+        assert store.window("s.h_count") == [(1.0, 0.0), (2.0, 0.0)]
 
 
 # ----------------------------------------------------------------------
@@ -238,11 +241,10 @@ class TelemetryFeedMachine(RuleBasedStateMachine):
     @rule(
         reg=st.integers(0, 1),
         name=st.sampled_from(["g0", "g1", "dropped"]),
-        how=st.sampled_from(["set", "inc"]),
         value=st.sampled_from([0.0, 1.0, 2.5, -1.0, -2.5]),
     )
-    def move_gauge(self, reg, name, how, value):
-        getattr(self._declare(reg, name), how)(value)
+    def move_gauge(self, reg, name, value):
+        self._declare(reg, name).set(value)
 
     @rule(reg=st.integers(0, 1), name=st.sampled_from(["c0", "c1"]), amount=st.sampled_from([0.0, 1.0, 3.0]))
     def inc_counter(self, reg, name, amount):
@@ -315,7 +317,7 @@ class TelemetryFeedMachine(RuleBasedStateMachine):
         self.seen["late_registrations"] += self.every.scraper.scrapes_total > 0
 
     # -- reads ---------------------------------------------------------
-    @rule(data=st.data(), how=st.sampled_from(["series", "last", "last_time", "window", "to_dict"]))
+    @rule(data=st.data(), how=st.sampled_from(["last", "last_time", "window", "to_dict"]))
     def peek(self, data, how):
         """Read the shipped store itself: pays what one series is owed
         (or, for ``to_dict``, every series) and leaves the rest unread."""
@@ -350,9 +352,8 @@ class TelemetryFeedMachine(RuleBasedStateMachine):
                         assert again.window(name, duration, now) == want.window(
                             name, duration, now
                         ), (name, duration, now)
-                assert again.series(name) == want.series(name)
+                assert again.window(name) == want.series(name)
             assert got.to_dict() == want.to_dict()
-            assert got.to_csv() == want.to_csv()
 
 
 #: Derandomized: the same examples every run, so the mechanisms the test

@@ -19,10 +19,8 @@ from repro.obs.telemetry import Telemetry, TelemetryConfig, ensure_telemetry
 from repro.serialization import telemetry_from_json, telemetry_to_json
 from repro.service import AdmissionController, StreamQueryService, churn_trace
 
-#: summary keys that depend on wall-clock or the optional layers themselves
+#: summary keys the optional layers themselves add
 _VOLATILE = {
-    "planning_seconds",
-    "queries_per_second",
     "resilience",
     "faults",
     "adaptivity",

@@ -19,7 +19,7 @@ class TestTimeSeriesStore:
         store.append("a", 2.0, 12.0)
         store.append("b", 1.0, 0.5)
         assert store.names() == ["a", "b"]
-        assert store.series("a") == [(1.0, 10.0), (2.0, 12.0)]
+        assert store.window("a") == [(1.0, 10.0), (2.0, 12.0)]
         assert store.last("a") == 12.0
         assert store.last_time("a") == 2.0
         assert store.last("missing") is None
@@ -29,7 +29,7 @@ class TestTimeSeriesStore:
         store = TimeSeriesStore(capacity=3)
         for t in range(6):
             store.append("a", float(t), float(t * 10))
-        assert store.series("a") == [(3.0, 30.0), (4.0, 40.0), (5.0, 50.0)]
+        assert store.window("a") == [(3.0, 30.0), (4.0, 40.0), (5.0, 50.0)]
         with pytest.raises(ValueError):
             TimeSeriesStore(capacity=0)
 
@@ -43,7 +43,7 @@ class TestTimeSeriesStore:
         assert store.window("a", duration=2.0, now=5.0) == [
             (3.0, 3.0), (4.0, 4.0), (5.0, 5.0),
         ]
-        assert store.window("a") == store.series("a")
+        assert store.window("a") == [(float(t), float(t)) for t in range(10)]
 
     def test_delta_and_rate(self):
         store = TimeSeriesStore()
@@ -154,10 +154,10 @@ class TestTelemetryScraper:
         assert scraper.scopes() == ["svc", "extra"]
         counter.inc()
         scraper.scrape(1.0)
-        assert store.series("svc.reqs_total") == [(1.0, 3.0)] or store.series(
+        assert store.window("svc.reqs_total") == [(1.0, 3.0)] or store.window(
             "svc.reqs_total"
         ) == [(1.0, 1.0)]  # scraped once, not twice
-        assert len(store.series("svc.reqs_total")) == 1
+        assert len(store.window("svc.reqs_total")) == 1
         assert store.last("extra.custom") == 42.0
 
     def test_scoped_name(self):
@@ -174,7 +174,7 @@ class TestCsvExport:
         return store
 
     def test_long_form_rows_sorted_by_series_then_time(self):
-        assert self.make_store().to_csv() == (
+        assert series_to_csv(self.make_store().to_dict()) == (
             "series,time,value\n"
             "a.first,1.0,2.0\n"
             "a.first,2.0,2.5\n"
@@ -182,12 +182,12 @@ class TestCsvExport:
         )
 
     def test_empty_store_is_header_only(self):
-        assert TimeSeriesStore().to_csv() == "series,time,value\n"
+        assert series_to_csv(TimeSeriesStore().to_dict()) == "series,time,value\n"
 
     def test_values_round_trip_through_repr(self):
         store = TimeSeriesStore()
         store.append("x", 1.0, 0.1 + 0.2)  # the classic non-decimal float
-        row = store.to_csv().splitlines()[1]
+        row = series_to_csv(store.to_dict()).splitlines()[1]
         assert float(row.split(",")[2]) == 0.1 + 0.2
 
     def test_prefix_columns_lead_each_row(self):
@@ -204,7 +204,3 @@ class TestCsvExport:
             {'weird,"name"': [[1.0, 2.0]]}, prefix={"tag": "a,b"}
         )
         assert '"a,b","weird,""name""",1.0,2.0' in csv
-
-    def test_csv_matches_the_envelope_series_section(self):
-        store = self.make_store()
-        assert store.to_csv() == series_to_csv(store.to_dict())

@@ -15,7 +15,7 @@ from repro.core.top_down import TopDownOptimizer
 from repro.hierarchy import build_hierarchy
 from repro.network.topology import transit_stub_by_size
 from repro.obs import Span, Tracer, tracing
-from repro.obs.tracer import NULL_SPAN, current_tracer, span
+from repro.obs.tracer import NULL_SPAN, current_tracer, incr, span, tag
 from repro.workload.generator import WorkloadParams, generate_workload
 
 
@@ -23,64 +23,67 @@ class TestSpanBasics:
     def test_spans_nest_and_time(self):
         ticks = iter(range(100))
         tracer = Tracer(clock=lambda: float(next(ticks)))
-        with tracer.span("outer", algorithm="x") as outer:
-            with tracer.span("inner") as inner:
-                inner.incr("work", 3)
-                inner.incr("work", 2)
-        assert tracer.roots == [outer]
+        with tracing(tracer):
+            with span("outer", algorithm="x") as outer:
+                with span("inner") as inner:
+                    inner.incr("work", 3)
+                    inner.incr("work", 2)
+            with span("after") as after:
+                pass
+        assert tracer.roots == [outer, after]  # the stack unwound
         assert outer.children == [inner]
         assert inner.counters["work"] == 5
         assert outer.duration == 3.0  # ticks 0..3
         assert inner.duration == 1.0  # ticks 1..2
-        assert tracer.current is None
 
     def test_siblings_attach_to_the_same_parent(self):
         tracer = Tracer()
-        with tracer.span("root") as root:
-            with tracer.span("a"):
+        with tracing(tracer), span("root") as root:
+            with span("a"):
                 pass
-            with tracer.span("b"):
+            with span("b"):
                 pass
         assert [c.name for c in root.children] == ["a", "b"]
-        assert root.find("b")[0] is root.children[1]
 
     def test_current_incr_and_tag_hit_the_open_span(self):
         tracer = Tracer()
-        with tracer.span("root") as root:
-            tracer.incr("hits")
-            tracer.tag(mode="test")
-            assert tracer.current is root
+        with tracing(tracer):
+            with span("root") as root:
+                incr("hits")
+                tag(mode="test")
+            # with nothing open, both are silently dropped
+            incr("hits")
+            tag(mode="late")
         assert root.counters == {"hits": 1}
         assert root.tags == {"mode": "test"}
-        # with nothing open, both are silently dropped
-        tracer.incr("hits")
-        tracer.tag(mode="late")
-        assert root.counters == {"hits": 1}
 
     def test_total_sums_over_the_subtree(self):
         tracer = Tracer()
-        with tracer.span("root") as root:
+        with tracing(tracer), span("root") as root:
             root.incr("n", 1)
-            with tracer.span("kid") as kid:
+            with span("kid") as kid:
                 kid.incr("n", 2)
-                with tracer.span("grandkid") as g:
+                with span("grandkid") as g:
                     g.incr("n", 4)
         assert root.total("n") == 7
 
     def test_exception_inside_a_span_still_closes_it(self):
         tracer = Tracer()
-        with pytest.raises(RuntimeError, match="boom"):
-            with tracer.span("root"):
-                with tracer.span("inner"):
-                    raise RuntimeError("boom")
-        assert tracer.current is None  # stack unwound cleanly
-        assert tracer.last_root.duration >= 0.0
+        with tracing(tracer):
+            with pytest.raises(RuntimeError, match="boom"):
+                with span("root"):
+                    with span("inner"):
+                        raise RuntimeError("boom")
+            with span("after") as after:
+                pass
+        assert tracer.roots[-1] is after  # stack unwound cleanly
+        assert tracer.roots[0].duration >= 0.0
 
     def test_round_trip_through_to_dict(self):
         tracer = Tracer()
-        with tracer.span("root", algorithm="top-down") as root:
+        with tracing(tracer), span("root", algorithm="top-down") as root:
             root.incr("plans_examined", 42)
-            with tracer.span("task", level=2):
+            with span("task", level=2):
                 pass
         rebuilt = Span.from_dict(root.to_dict())
         assert rebuilt.name == "root"
@@ -91,8 +94,8 @@ class TestSpanBasics:
 
     def test_render_contains_tags_counters_and_depth(self):
         tracer = Tracer()
-        with tracer.span("optimize", algorithm="bu") as root:
-            with tracer.span("climb", level=1) as climb:
+        with tracing(tracer), span("optimize", algorithm="bu") as root:
+            with span("climb", level=1) as climb:
                 climb.incr("plans_examined", 9)
         text = root.render()
         assert "optimize algorithm=bu" in text
@@ -100,11 +103,11 @@ class TestSpanBasics:
 
     def test_render_max_depth_marks_pruned_children(self):
         tracer = Tracer()
-        with tracer.span("optimize") as root:
-            with tracer.span("task"):
-                with tracer.span("subtask"):
+        with tracing(tracer), span("optimize") as root:
+            with span("task"):
+                with span("subtask"):
                     pass
-            with tracer.span("task"):
+            with span("task"):
                 pass
         truncated = root.render(max_depth=0)
         assert truncated.splitlines()[0].startswith("optimize")
@@ -120,7 +123,7 @@ class TestSpanBasics:
 
     def test_render_leaf_at_max_depth_has_no_marker(self):
         tracer = Tracer()
-        with tracer.span("only") as root:
+        with tracing(tracer), span("only") as root:
             pass
         assert root.render(max_depth=0).count("\n") == 0
 
@@ -136,12 +139,11 @@ class TestReentrancy:
         def work(i: int) -> None:
             try:
                 barrier.wait()
-                for _ in range(50):
-                    with tracer.span(f"outer{i}") as outer:
-                        with tracer.span(f"inner{i}") as inner:
-                            inner.incr("ops")
-                        assert tracer.current is outer
-                    assert tracer.current is None
+                with tracing(tracer):
+                    for _ in range(50):
+                        with span(f"outer{i}"):
+                            with span(f"inner{i}") as inner:
+                                inner.incr("ops")
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -163,20 +165,25 @@ class TestReentrancy:
         import contextvars
 
         tracer = Tracer()
-        span = tracer.span("outer")
-        span.__enter__()
+        with tracing(tracer):
+            outer = span("outer")
+            outer.__enter__()
 
-        def nested() -> None:
-            # This context sees the open span as parent but exits only
-            # its own; the outer stack is untouched afterwards.
-            with tracer.span("child"):
-                assert tracer.current.name == "child"
+            def nested() -> None:
+                # This context sees the open span as parent but exits only
+                # its own; the outer stack is untouched afterwards.
+                with span("child"), span("grandchild"):
+                    pass
 
-        contextvars.copy_context().run(nested)
-        assert tracer.current is span
-        span.__exit__(None, None, None)
-        assert tracer.current is None
-        assert [c.name for c in span.children] == ["child"]
+            contextvars.copy_context().run(nested)
+            with span("sibling"):
+                pass
+            outer.__exit__(None, None, None)
+            with span("after") as after:
+                pass
+        assert [c.name for c in outer.children] == ["child", "sibling"]
+        assert [c.name for c in outer.children[0].children] == ["grandchild"]
+        assert tracer.roots == [outer, after]
 
 
 class TestNullTracer:
@@ -217,13 +224,15 @@ class TestOptimizerTracing:
             optimizer.plan(workload.queries[0], None)
         root = tracer.last_root
         assert root.name == "optimize"
-        tasks = root.find("task")
+        tasks = [s for s in root.walk() if s.name == "task"]
         assert tasks, "top-down planning must open task spans"
         # the first task is the root cluster's; fragment tasks for lower
         # levels nest *inside* it, mirroring the recursion
         top = tasks[0]
         assert top in root.children
-        assert top.find("task")[1:], "recursive fragments must nest in the parent task"
+        assert [s for s in top.walk() if s.name == "task"][1:], (
+            "recursive fragments must nest in the parent task"
+        )
         levels = [t.tags["level"] for t in top.walk() if t.name == "task"]
         assert levels[0] == max(levels)
         assert root.total("plans_examined") > 0

@@ -44,6 +44,7 @@ from repro.resources import (
 )
 from repro.service import StreamQueryService
 from repro.workload import WorkloadParams, build_world
+from tests.core.reference_search import program_tree
 
 SRC = Path(repro.__file__).resolve().parent
 
@@ -134,7 +135,7 @@ def test_planners_leave_no_cycles():
         views = [frozenset((stream,)) for stream in query.sources]
         program = JoinProgram(len(views), enumeration.crossing_splits(query, views))
         rows: dict = {}
-        program.tree([Leaf(view) for view in views], program.trees - 1, rows)
+        program_tree(program, [Leaf(view) for view in views], program.trees - 1, rows)
         assert len(rows) == 2 * len(views) - 1
     assert found == []
 

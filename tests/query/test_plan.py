@@ -91,10 +91,6 @@ class TestTraversal:
     def test_subtrees_count(self):
         assert len(list(self._tree().subtrees())) == 7  # 4 leaves + 3 joins
 
-    def test_edges(self):
-        edges = self._tree().edges()
-        assert len(edges) == 6  # 2 per join
-
     def test_num_joins(self):
         assert self._tree().num_joins == 3
         assert Leaf.of("A").num_joins == 0

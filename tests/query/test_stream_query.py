@@ -65,7 +65,7 @@ class TestJoinPredicate:
 class TestQueryValidation:
     def test_minimal_single_source(self):
         q = Query("q", ["A"], sink=0)
-        assert q.num_joins == 0
+        assert q.sources == ("A",)
 
     def test_duplicate_source_rejected(self):
         with pytest.raises(ValueError, match="twice"):
@@ -120,12 +120,6 @@ class TestQueryHelpers:
             ],
         )
 
-    def test_selectivity_lookup(self):
-        q = self._chain()
-        assert q.selectivity("A", "B") == 0.1
-        assert q.selectivity("B", "A") == 0.1
-        assert q.selectivity("A", "D") == 1.0  # no predicate
-
     def test_subset_connectivity(self):
         q = self._chain()
         assert q.is_join_connected(frozenset({"A", "B", "C"}))
@@ -142,9 +136,6 @@ class TestQueryHelpers:
         )
         assert len(q.filters_on("A")) == 2
         assert q.filters_on("B") == ()
-
-    def test_num_joins(self):
-        assert self._chain().num_joins == 3
 
 
 class TestViewSignature:

@@ -150,3 +150,23 @@ class ReferenceLedger:
                 for node, util in self.violations(capacities)
             ],
         }
+
+
+def plan_loads(footprint, query, plan) -> dict:
+    """``{join: Load}`` for every join operator of ``plan``, each priced
+    from scratch (leaves carry none)."""
+    return {
+        join: footprint.join_load(query, join.left.sources, join.right.sources)
+        for join in plan.joins()
+    }
+
+
+def ratios(ledger) -> dict[int, float]:
+    """The utilization ratio the ledger remembers for each node it tracks,
+    in node order."""
+    return dict(ledger.utilization_changes(None)[2])
+
+
+def load_of(ledger, node: int) -> Load:
+    """What the ledger's books charge ``node``."""
+    return ledger.node_loads().get(node, ZERO_LOAD)

@@ -39,13 +39,6 @@ class TestNodeCapacity:
         with pytest.raises(ValueError):
             cap.scaled(0.0)
 
-    def test_to_dict_renders_inf_as_none(self):
-        assert NodeCapacity(cpu=3.0).to_dict() == {
-            "cpu": 3.0,
-            "memory": None,
-            "bandwidth": None,
-        }
-
 
 class TestLoad:
     def test_addition_and_scaling(self):

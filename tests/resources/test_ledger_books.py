@@ -51,15 +51,14 @@ from repro.resources import (
 from repro.service import StreamQueryService
 
 from tests.conftest import three_sink_world
-from tests.resources.reference_ledger import ReferenceLedger
+from tests.resources.reference_ledger import ReferenceLedger, load_of, ratios
 
 
 def assert_books_match(ledger: ResourceLedger, reference: ReferenceLedger) -> None:
     want = reference.node_loads()
     assert ledger.node_loads() == want  # exact: Loads compare float by float
     assert ledger.operator_keys() == reference.operator_keys()
-    for node, load in want.items():
-        assert ledger.load(node) == load
+    for node in want:
         assert ledger.queries_on(node) == reference.queries_on(node)
     assert_reports_match(ledger, reference)
 
@@ -68,19 +67,17 @@ def assert_reports_match(ledger: ResourceLedger, reference: ReferenceLedger) -> 
     """The remembered ratios against a from-scratch recomputation: same
     floats, same node order, same hottest-first order."""
     caps = ledger.capacities
-    utils = ledger.utilizations()
+    utils = ratios(ledger)
     assert list(utils.items()) == list(reference.utilizations(caps).items())
     assert ledger.max_utilization() == reference.max_utilization(caps)
     assert ledger.hot_nodes(4) == reference.hot_nodes(caps, 4)
-    for node, util in utils.items():
-        assert ledger.utilization(node) == util
     # Extra load on the hottest node and on one the books never met; the
     # runner-up relieved of everything it carries (a negative extra).
     hot = [node for node, _ in reference.hot_nodes(caps, 2)]
     extra = {10_000: Load(cpu=1.0)}
     for node, load in zip(hot, (Load(cpu=40.0, memory=3.0), None)):
         if load is None:
-            carried = ledger.load(node)
+            carried = load_of(ledger, node)
             load = Load(-carried.cpu, -carried.memory, -carried.bandwidth)
         extra[node] = load
     # The default bound, and one a third of the fleet is over.
@@ -153,15 +150,15 @@ class TestOrphanPricing:
         by_first = footprint.join_load(first.query, AB_C.left.sources, AB_C.right.sources)
         by_second = footprint.join_load(second.query, A_BC.left.sources, A_BC.right.sources)
         assert by_first != by_second, "the split must matter for this test"
-        assert ledger.load(HUB) == by_first
+        assert load_of(ledger, HUB) == by_first
 
         # The pricer leaves: the next holder takes over with its split.
         state.undeploy("first")
-        assert ledger.load(HUB) == by_second
+        assert load_of(ledger, HUB) == by_second
         assert_books_match(ledger, reference)
         # Only the reuser remains: back to what was installed.
         state.undeploy("second")
-        assert ledger.load(HUB) == by_first
+        assert load_of(ledger, HUB) == by_first
         assert ledger.queries_on(HUB) == []
         assert_books_match(ledger, reference)
 
@@ -344,7 +341,7 @@ class LedgerMachine(RuleBasedStateMachine):
         # A fresh name every time: same-shape resubmissions hit the plan
         # cache and reuse deployed views, which is where orphans come from.
         query = self.pool[index].renamed(f"{self.pool[index].name}#{next(self.serial) % 64}")
-        if not self.plane.is_live(query.name):
+        if query.name not in self.plane.live_queries:
             self.plane.submit(query, lifetime=lifetime, **self.submitter(index))
 
     @rule(data=st.data())
@@ -712,7 +709,7 @@ class TestNodeGauges:
         ]
         assert prof.ops["node_gauges_written"] == 3
         for node in service.network.nodes():
-            assert gauge_of(service, node).value == ledger.utilization(node)
+            assert gauge_of(service, node).value == ratios(ledger).get(node, 0.0)
         assert gauge_of(service, 9).value > 0.0
         # A refresh with nothing moved writes no node gauge.
         cursor = service.registry.feed_cursor()
@@ -732,7 +729,7 @@ class TestNodeGauges:
             service.resources.record_gauges(service)
         assert prof.ops["node_gauges_written"] == service.network.num_nodes
         assert len(self.written(service, cursor)) == service.network.num_nodes
-        assert gauge_of(service, 9).value == ledger.utilization(9) == 2 * before
+        assert gauge_of(service, 9).value == ratios(ledger)[9] == 2 * before
         assert service.registry.get("resource_max_utilization").value == (
             ledger.max_utilization()
         )
@@ -748,8 +745,9 @@ class TestNodeGauges:
         other.apply(hand_placed(rates, "outside", inner=40, root=41))
         ledger.capacities[40] = NodeCapacity(cpu=1.0, memory=1.0, bandwidth=1.0)
         service.resources.record_gauges(service)
-        inside = max(ledger.utilization(node) for node in service.network.nodes())
-        assert ledger.max_utilization() == ledger.utilization(40) > inside > 0.0
+        utils = ratios(ledger)
+        inside = max(utils.get(node, 0.0) for node in service.network.nodes())
+        assert ledger.max_utilization() == utils[40] > inside > 0.0
         assert service.registry.get("resource_max_utilization").value == inside
 
 

@@ -32,6 +32,7 @@ from repro.resources import (
     PlacementConstraint,
     Load,
 )
+from tests.resources.reference_ledger import plan_loads
 
 
 def _setup(seed, num_nodes=6):
@@ -112,7 +113,7 @@ class TestConstrainedDP:
         # Cap every node just above the heavier operator's cpu so some
         # candidates are infeasible but a placement usually exists.
         fp = OperatorFootprint(rates)
-        loads = sorted(l.cpu for l in fp.plan_loads(query, tree).values())
+        loads = sorted(l.cpu for l in plan_loads(fp, query, tree).values())
         capacities = {
             node: NodeCapacity(cpu=loads[-1] * (0.6 + 0.15 * (node % 4)))
             for node in net.nodes()
@@ -187,7 +188,7 @@ class TestConstrainedDP:
         # Saturate the node the unconstrained optimum uses for the root.
         busy = plain.placement[tree]
         fp = OperatorFootprint(rates)
-        cap = max(l.cpu for l in fp.plan_loads(query, tree).values()) * 2.0
+        cap = max(l.cpu for l in plan_loads(fp, query, tree).values()) * 2.0
         capacities = {node: NodeCapacity(cpu=cap) for node in net.nodes()}
         base = {busy: Load(cpu=cap)}
         constrained = optimal_tree_placement(
@@ -203,7 +204,7 @@ class TestConstrainedDP:
         net, rates, query, tree, leaf_positions = _setup(5)
         flow_rates = rates.flow_rates(query, tree)
         fp = OperatorFootprint(rates)
-        cap = max(l.cpu for l in fp.plan_loads(query, tree).values()) * 4.0
+        cap = max(l.cpu for l in plan_loads(fp, query, tree).values()) * 4.0
         capacities = {node: NodeCapacity(cpu=cap) for node in net.nodes()}
         result = optimal_tree_placement(
             tree,

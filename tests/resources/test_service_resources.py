@@ -12,6 +12,7 @@ from repro.fleet import FleetController, Tenant
 from repro.resources import ResourceConfig, uniform_capacities
 from repro.service import AdmissionStatus, StreamQueryService, churn_trace
 from tests.query.replay import assert_replays
+from tests.resources.reference_ledger import ratios
 
 #: comfortable headroom for ~7 of the 8 workload queries on this net
 _CAPS = dict(cpu=600.0, memory=400.0, bandwidth=800.0)
@@ -321,7 +322,7 @@ class TestInstruments:
             len(service.resources.parked)
         )
         ledger = service.resources.ledger
-        utils = ledger.utilizations()
+        utils = ratios(ledger)
         for node, util in utils.items():
             assert reg.get(f"resource_node_utilization_n{node}").value == (
                 pytest.approx(util)

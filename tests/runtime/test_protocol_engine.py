@@ -139,7 +139,7 @@ class TestFlowEngine:
         engine.deploy(opt.plan(w.queries[0], engine.state))
         before = engine.total_cost()
         for link in net.links():
-            net.set_link_cost(*link.endpoints, link.cost * 2.0)
+            net.set_link_cost(link.u, link.v, link.cost * 2.0)
         after = engine.refresh_network()
         assert after >= before  # doubling all links cannot reduce cost
 

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.network.topology import line, ring
 from repro.runtime.events import Event, EventQueue
 from repro.runtime.simulator import SimNode, Simulator
+from tests.network.shapes import line, ring
 
 
 class TestEventQueue:

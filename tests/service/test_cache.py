@@ -74,12 +74,6 @@ class TestEviction:
         assert cache.misses == 1
         assert key not in cache
 
-    def test_clear(self):
-        cache = PlanCache()
-        cache.put(cache.key("fp", 0, 0), entry())
-        cache.clear()
-        assert len(cache) == 0
-
 
 # ----------------------------------------------------------------------
 # evict_referencing answers from an index every writer maintains
@@ -121,7 +115,7 @@ class TestReferencingIndex:
         done = set()
         for _ in range(600):
             op = rng.choice(
-                ["put"] * 6 + ["get", "demote", "evict_stale", "evict", "clear", "restore"]
+                ["put"] * 6 + ["get", "demote", "evict_stale", "evict", "restore"]
             )
             if op == "put":
                 views = rng.sample(VIEWS, rng.randint(0, 3))
@@ -141,8 +135,6 @@ class TestReferencingIndex:
                 assert cache.evict_referencing(*ref) == len(want)
                 assert cache.invalidations == before + len(want)
                 assert not any(key in cache for key in want)
-            elif op == "clear":
-                cache.clear()
             else:
                 kept = list(cache._entries.items())[::2]
                 cache.restore(kept)
@@ -153,7 +145,7 @@ class TestReferencingIndex:
                     literal_referencing(cache, *ref)
                 )
             assert all(cache._referencing.values()), "an emptied bucket was kept"
-        assert len(done) == 7
+        assert len(done) == 6
 
     def test_only_the_plans_reusing_the_view_at_that_node_die(self):
         cache = PlanCache()

@@ -63,3 +63,12 @@ class TestChaosCli:
         rc = main(["chaos", "--plan", str(bad)])
         assert rc == 2
         assert "not a fault plan" in capsys.readouterr().err
+
+    def test_a_crash_matrix_without_state_dir_leaves_no_directory(self, capsys, tmp_path, monkeypatch):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        rc = main(["chaos", "--crash-points", "1", "--crash-scope", "service", "--json"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["converged"]
+        assert list(tmp_path.iterdir()) == []

@@ -34,10 +34,6 @@ ALLOWED = {
     "top_down_suboptimality_bound": "paper formula: the Top-Down suboptimality bound",
     "estimated_cost": "paper formula: a level's estimate of a traversal cost",
     "backup_coordinator": "paper formula: the backup that takes over a failed coordinator",
-    # Independent computations the tests compare the program against.
-    "embedding_stress": "test oracle: how faithful the cost-space embedding is",
-    "plan_loads": "test oracle: per-operator loads the placement constraint must respect",
-    "total_nodes": "test oracle: the node count transit-stub parameters imply",
     # Input decoders (ROADMAP item 19 owns their error audit).
     "query_from_json": "input decoder: the inverse of query_to_json",
     "from_json": "input decoder: FigureResult.from_json, the inverse of to_json",

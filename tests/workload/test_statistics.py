@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.cost import deployment_cost
+from repro.core.cost import RateModel, deployment_cost
 from repro.query.query import JoinPredicate, Query
 from repro.query.stream import StreamSpec
 from repro.workload.statistics import (
@@ -63,21 +63,21 @@ class TestCollector:
         for _ in range(4):
             collector.observe("B", {"k": 0})
         est = collector.estimate(1.0)
-        assert est.selectivity("A", "B") == pytest.approx(0.5)
+        assert est.selectivities[frozenset("AB")] == pytest.approx(0.5)
 
     def test_no_collision_uses_floor(self):
         collector = StatisticsCollector({"A": 0, "B": 1}, min_selectivity=1e-5)
         collector.observe("A", {"k": 1})
         collector.observe("B", {"k": 2})
         est = collector.estimate(1.0)
-        assert est.selectivity("A", "B") == 1e-5
+        assert est.selectivities[frozenset("AB")] == 1e-5
 
     def test_unshared_attribute_gives_no_estimate(self):
         collector = StatisticsCollector({"A": 0, "B": 1})
         collector.observe("A", {"x": 1})
         collector.observe("B", {"y": 1})
         est = collector.estimate(1.0)
-        assert est.selectivity("A", "B") == 1.0  # default
+        assert frozenset("AB") not in est.selectivities  # planners default to 1.0
 
 
 class TestSimulatedObservation:
@@ -137,7 +137,7 @@ class TestPlanningWithEstimates:
         best = deployment_cost(true_plan, net.cost_matrix(), true_rates)
 
         est = estimate_statistics(streams, selectivities, observation_time=50.0, seed=5)
-        est_rates = est.rate_model()
+        est_rates = RateModel(est.streams)
         est_query = query_from(lambda p: est.selectivities[p], "q_est")
         est_plan = repro.OptimalPlanner(net, est_rates).plan(est_query)
         # evaluate the estimated plan under TRUE statistics: same plan

@@ -61,7 +61,7 @@ class TestGenerateWorkload:
         params = WorkloadParams(joins_per_query=(2, 5))
         w = generate_workload(net, params, seed=2)
         for q in w:
-            assert 2 <= q.num_joins <= 5
+            assert 2 <= len(q.sources) - 1 <= 5
 
     def test_sources_and_sinks_on_network(self, net):
         w = generate_workload(net, seed=3)
@@ -121,7 +121,6 @@ class TestGenerateWorkload:
     def test_property_always_valid(self, seed, net):
         w = generate_workload(net, WorkloadParams(num_queries=5), seed=seed)
         for q in w:
-            assert len(q.sources) == q.num_joins + 1
             assert q.is_join_connected()
 
 
@@ -130,7 +129,7 @@ class TestAirlineScenario:
         sc = airline_ois_scenario()
         assert set(sc.streams) == {"FLIGHTS", "WEATHER", "CHECK-INS"}
         assert sc.q1.sources == ("FLIGHTS", "WEATHER", "CHECK-INS")
-        assert sc.q2.num_joins == 1
+        assert len(sc.q2.sources) == 2
         assert sc.network.is_connected()
 
     def test_q1_q2_share_reuse_signature(self):
