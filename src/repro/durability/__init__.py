@@ -15,8 +15,8 @@ enforce.  Passing a :class:`DurabilityConfig` arms the full pipeline:
   two state changes;
 * every ``snapshot_interval`` ticks the full control-plane state is
   snapshotted as a ``repro.state`` envelope keyed by journal LSN (the
-  capture re-encodes only what changed since the previous snapshot;
-  the file is the same bytes either way);
+  capture re-encodes only what changed since the previous snapshot, and
+  the file refers to the long sections a snapshot still on disk holds);
 * :func:`repro.durability.recovery.recover` rebuilds a crashed
   controller from the newest valid snapshot plus a deterministic
   replay of the command suffix.
@@ -42,9 +42,9 @@ from repro.durability.journal import (
 )
 from repro.durability.snapshot import (
     SNAPSHOT_KIND,
+    SnapshotWriter,
     list_snapshots,
     load_latest,
-    write_snapshot,
 )
 from repro.obs.tracer import count
 
@@ -147,6 +147,7 @@ class Durability:
         self._controller = controller
         self._capture = capture
         self._memo = FragmentMemo()
+        self._writer = SnapshotWriter(self.state_dir)
         self._bind_instruments(controller.registry)
         self._persist_flight(getattr(controller, "telemetry", None))
 
@@ -220,23 +221,19 @@ class Durability:
     def snapshot(self, time: float) -> Path:
         """Capture and write one snapshot at the current journal LSN.
 
-        The first snapshot of a process encodes everything; each later
-        one re-encodes only the items that changed since (the memo then
-        holds about one snapshot body of text).
+        The first snapshot of a process encodes and writes everything;
+        each later one re-encodes only the items that changed since (the
+        memo then holds about one snapshot body of text) and writes only
+        the sections that changed, referring to the others.
         """
         self._ticks_since_snapshot = 0
         lsn = self.journal.lsn
         state = self._capture(self._controller, self._memo)
-        encoded = self._memo.roll()
-        count("snapshot_items_encoded", encoded)
-        path = write_snapshot(
-            self.state_dir,
-            lsn,
-            self.scope,
-            state,
-            time=time,
-            journal=self.journal,
+        count("snapshot_items_encoded", self._memo.roll())
+        path, written = self._writer.write(
+            lsn, self.scope, state, time=time, journal=self.journal
         )
+        count("snapshot_bytes_written", written)
         self.snapshots_total += 1
         if self._instruments:
             self._instruments["snapshots"].inc()
@@ -324,5 +321,4 @@ __all__ = [
     "recover",
     "repair_journal",
     "scan_journal",
-    "write_snapshot",
 ]

@@ -30,6 +30,8 @@ and the network section are canonical-JSON text
 next while everything the text reads is unchanged, and a whole section
 while its owner's revision stands: the deployment state, the plan
 cache's entries, the hierarchy and the rates (these two as text).
+The captures name each section fragment's place in the document, where
+a snapshot may refer to an older one (:mod:`repro.durability.snapshot`).
 ``tests/durability/reference_capture.py`` keeps the literal
 build-every-dict capture, layer sections included, that all of this is
 held to byte for byte.  Not captured, on purpose: metric instrument
@@ -642,7 +644,7 @@ def _restore_layers(controller, doc: dict[str, Any]) -> None:
 
 def _capture_shared(controller, memo: FragmentMemo) -> dict[str, Any]:
     hierarchy, rates = controller.hierarchy, controller.rates
-    return {
+    doc = {
         "network": capture_network(controller.network, memo),
         "rates": memo.section(
             rates, (rates.version, rates.reuse_rate_inflation), _fragment, capture_rates, rates
@@ -652,6 +654,17 @@ def _capture_shared(controller, memo: FragmentMemo) -> dict[str, Any]:
         if hierarchy is None
         else memo.section(hierarchy, hierarchy.revision, _fragment, capture_hierarchy, hierarchy),
     }
+    for name, fragment in doc.items():
+        if fragment is not None:
+            fragment.place = ("state", name)
+    return doc
+
+
+def _place(doc: dict[str, Any], at: tuple) -> None:
+    """Name the section fragments of the service document at ``at``."""
+    doc["cache"]["entries"].place = (*at, "cache", "entries")
+    for name, fragment in doc["state"].items():
+        fragment.place = (*at, "state", name)
 
 
 def _restore_shared(controller, doc: dict[str, Any]) -> None:
@@ -690,6 +703,7 @@ def capture_service(
     for name, layer in service.layers():
         doc[name] = layer.capture()
     if include_shared:
+        _place(doc, ("state",))
         doc.update(_capture_shared(service, memo))
     return doc
 
@@ -735,10 +749,15 @@ def capture_fleet(fleet, memo: FragmentMemo) -> dict[str, Any]:
         "scheduler": None,  # named even while off
         "federation": None,
     }
+    for shard, shard_doc in enumerate(doc["shards"]):
+        _place(shard_doc, ("state", "shards", shard))
     for name, layer in fleet.layers():
         # The federation's imports are the one long list of frozen items
         # in a layer's section: it keeps their text in the memo.
         doc[name] = layer.capture(memo) if name == "federation" else layer.capture()
+    if doc["federation"] is not None:
+        for shard, imports in enumerate(doc["federation"]["imports"]):
+            imports.place = ("state", "federation", "imports", shard)
     return doc
 
 

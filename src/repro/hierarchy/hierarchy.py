@@ -13,7 +13,7 @@ level-l representatives -- with error bounded by Theorem 1's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -66,12 +66,6 @@ class Cluster:
         for child in self.children.values():
             out |= child.subtree_nodes()
         return out
-
-    def descend(self) -> Iterator["Cluster"]:
-        """This cluster and every cluster below it (pre-order)."""
-        yield self
-        for child in self.children.values():
-            yield from child.descend()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Cluster(level={self.level}, coord={self.coordinator}, members={self.members})"

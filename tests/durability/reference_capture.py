@@ -50,7 +50,8 @@ def canonical_json(doc: Any) -> str:
 
 
 def snapshot_bytes(lsn: int, scope: str, state: dict[str, Any], time: float) -> bytes:
-    """The file ``write_snapshot`` writes for a plain-dict ``state``."""
+    """The file a :class:`SnapshotWriter` with nothing to refer to writes
+    for a plain-dict ``state``."""
     body = canonical_json(
         {
             "kind": SNAPSHOT_KIND,

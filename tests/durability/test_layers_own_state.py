@@ -19,8 +19,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.durability import DurabilityConfig, load_latest, recover, write_snapshot
-from repro.durability.snapshot import list_snapshots
+from repro.durability import DurabilityConfig, load_latest, recover
+from repro.durability.snapshot import SnapshotWriter, list_snapshots
 from repro.errors import RecoveryError, ReproError, StateMismatchError
 from repro.obs.telemetry import Telemetry
 from repro.resilience import NULL_FAULTS, ResilienceConfig
@@ -95,9 +95,8 @@ def rewrite_snapshot(state_dir, edit) -> None:
     """Apply ``edit(state)`` to the newest snapshot, CRC kept valid."""
     snapshot, _ = load_latest(state_dir)
     edit(snapshot["state"])
-    write_snapshot(
-        state_dir, snapshot["lsn"], snapshot["scope"], snapshot["state"],
-        time=snapshot["time"],
+    SnapshotWriter(state_dir).write(
+        snapshot["lsn"], snapshot["scope"], snapshot["state"], time=snapshot["time"]
     )
 
 

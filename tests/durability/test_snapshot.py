@@ -2,6 +2,7 @@
 and the splice of kept fragments against ``canonical_json`` as a property."""
 
 import json
+import zlib
 
 import hypothesis.strategies as st
 import pytest
@@ -10,20 +11,18 @@ from hypothesis import given, settings
 from repro.durability.journal import Journal, SimulatedCrash, canonical_json
 from repro.durability.snapshot import (
     Fragment,
+    SnapshotWriter,
     list_snapshots,
     load_latest,
-    snapshot_crc,
     snapshot_path,
     splice_json,
-    write_snapshot,
 )
 from repro.resilience.faults import CrashPoint
 
 
 def _write(tmp_path, lsn, state=None, **kwargs):
-    return write_snapshot(
-        tmp_path, lsn, "service", state or {"lsn": lsn}, **kwargs
-    )
+    """One snapshot by a writer bound to ``tmp_path`` for it alone."""
+    return SnapshotWriter(tmp_path).write(lsn, "service", state or {"lsn": lsn}, **kwargs)[0]
 
 
 class TestRoundTrip:
@@ -41,7 +40,8 @@ class TestRoundTrip:
         raw = path.read_text()
         doc = json.loads(raw)
         assert raw == canonical_json(doc) + "\n"  # one line, sorted, no spaces
-        assert doc["crc"] == snapshot_crc(doc)
+        payload = {k: v for k, v in doc.items() if k != "crc"}  # the contract CRC
+        assert doc["crc"] == zlib.crc32(canonical_json(payload).encode("utf-8"))
         assert doc["state"] == state and doc["time"] == 2.0
         assert load_latest(tmp_path) == (doc, [])
 
@@ -72,7 +72,7 @@ class TestRoundTrip:
 
     def test_retain_prunes_oldest(self, tmp_path):
         for lsn in (5, 10, 15, 20):
-            _write(tmp_path, lsn, retain=2)
+            _write(tmp_path, lsn)
         files = [s["file"] for s in list_snapshots(tmp_path)]
         assert files == ["snapshot-000000000015.json", "snapshot-000000000020.json"]
 
@@ -199,9 +199,7 @@ class TestMidSnapshotCrash:
         journal.arm([CrashPoint(time=0.0, after_lsn=1, mid_snapshot=True)])
         state = {"x": 1, "items": Fragment("[1,2,3]"), "more": [Fragment("{}")]}
         with pytest.raises(SimulatedCrash):
-            write_snapshot(
-                tmp_path, journal.lsn, "service", state, time=2.0, journal=journal
-            )
+            _write(tmp_path, journal.lsn, state, time=2.0, journal=journal)
         # The torn file exists at the final name but never validates.
         entries = list_snapshots(tmp_path)
         assert len(entries) == 1 and not entries[0]["valid"]
@@ -209,17 +207,13 @@ class TestMidSnapshotCrash:
         assert doc is None and len(rejected) == 1
         # It is the first half of the very bytes an unarmed write lands.
         torn = snapshot_path(tmp_path, journal.lsn).read_bytes()
-        whole = write_snapshot(
-            tmp_path / "unarmed", journal.lsn, "service", state, time=2.0
-        ).read_bytes()
+        whole = _write(tmp_path / "unarmed", journal.lsn, state, time=2.0).read_bytes()
         assert torn == whole[: len(whole) // 2]
 
     def test_unarmed_journal_does_not_crash_snapshots(self, tmp_path):
         journal = Journal(tmp_path / "journal.jsonl")
         journal.append("cmd_tick", 0.0, {"time": 0.0})
-        path = write_snapshot(
-            tmp_path, journal.lsn, "service", {"x": 1}, journal=journal
-        )
+        path = _write(tmp_path, journal.lsn, {"x": 1}, journal=journal)
         doc, rejected = load_latest(tmp_path)
         assert doc is not None and doc["state"] == {"x": 1}
         assert path.exists() and rejected == []

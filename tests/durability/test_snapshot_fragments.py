@@ -12,8 +12,11 @@ layers of evidence that both write the same file:
   statistics publication, a drift migration, a link repricing, node
   failure and rejoin on a service with every layer armed; rebalance and
   the federation's import / withdraw / promote on a 2-shard fleet --
-  taking a snapshot after every command and comparing the file with the
-  reference bytes, and failing unless each of those transitions (and
+  taking a snapshot after every command and comparing the state
+  ``load_latest`` resolves it to, re-encoded, with the reference bytes
+  (and a file that refers to nothing with them as it is), checking that
+  no long section whose text the previous snapshot holds is written
+  inline again, and failing unless each of those transitions (and
   each part of an operator record's validity: rate, holders, installer
   still deployed) was exercised on an item the memo already held;
 * a work-count gate at 200 live: an unchanged state encodes nothing, a
@@ -27,6 +30,7 @@ layers of evidence that both write the same file:
 """
 
 import itertools
+import json
 import shutil
 import tempfile
 from collections import Counter
@@ -44,7 +48,9 @@ from hypothesis.stateful import (
 import repro
 import repro.durability.state as state_module
 from repro.adaptive import AdaptivityConfig
-from repro.durability import DurabilityConfig
+from repro.durability import DurabilityConfig, load_latest
+from repro.durability.journal import canonical_json
+from repro.durability.snapshot import MIN_REFERENCED, _load_one, _parse
 from repro.durability.state import _origin_is_live
 from repro.fleet import FleetController, Tenant
 from repro.perf.profiler import profiled
@@ -80,9 +86,33 @@ def bounded(net) -> ResourceConfig:
 TENANTS = [Tenant(f"w{k}", weight=float(k)) for k in (1, 2, 3)]
 
 
+def sections(state: dict) -> list[tuple]:
+    """The places of the sections the capture names in a resolved
+    ``state`` document, each from the envelope."""
+    services = [("state", "shards", i) for i in range(len(state.get("shards", ())))]
+    places = [("state", name) for name in ("network", "rates", "hierarchy")]
+    for at in services or [("state",)]:
+        places.append((*at, "cache", "entries"))
+        places += [(*at, "state", name) for name in ("deployments", "operators", "flows")]
+    imports = (state.get("federation") or {}).get("imports", ())
+    return places + [("state", "federation", "imports", i) for i in range(len(imports))]
+
+
+def at(doc, place: tuple):
+    for key in place:
+        doc = doc[key]
+    return doc
+
+
 def snapshot_and_reference(plane) -> tuple[bytes, bytes, int]:
-    """One snapshot of ``plane``: the file's bytes, the reference's bytes
-    for the same state, and how many items the capture encoded."""
+    """One snapshot of ``plane``: the bytes of the state it resolves to,
+    the reference's bytes for the same state, and how many items the
+    capture encoded.
+
+    A file that refers to nothing must be the reference bytes as it is,
+    and no long section whose text the previous snapshot holds may be
+    written inline again.
+    """
     durability = plane.durability
     lsn = durability.journal.lsn
     with profiled() as prof:
@@ -93,7 +123,23 @@ def snapshot_and_reference(plane) -> tuple[bytes, bytes, int]:
         else reference.capture_service
     )
     want = reference.snapshot_bytes(lsn, durability.scope, capture(plane), plane.clock)
-    return path.read_bytes(), want, prof.ops["snapshot_items_encoded"]
+    doc, rejected = load_latest(durability.state_dir)
+    assert rejected == [] and doc["lsn"] == lsn
+    raw = path.read_bytes()
+    if b'"$ref"' not in raw:
+        assert raw == want
+    files = sorted(durability.state_dir.glob("snapshot-*.json"))
+    assert files[-1] == path
+    if len(files) > 1:
+        before, reason = _load_one(files[-2], _parse)
+        assert before is not None, reason
+        written = json.loads(raw)
+        for place in sections(doc["state"]):
+            text = canonical_json(at(doc, place))
+            if len(text) >= MIN_REFERENCED and canonical_json(at(before, place)) == text:
+                assert "$ref" in at(written, place), place
+    got = reference.snapshot_bytes(doc["lsn"], doc["scope"], doc["state"], doc["time"])
+    return got, want, prof.ops["snapshot_items_encoded"]
 
 
 class SnapshotMachine(RuleBasedStateMachine):

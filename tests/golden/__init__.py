@@ -9,8 +9,10 @@ process through :func:`repro.cli.main` and compares its output with the
 file, and ``tests/integration/test_hash_seed.py`` compares
 fresh-interpreter runs under two hash seeds against the same files.
 Floats compare to nine significant digits (:func:`matches`); every other
-character must be equal.  A change that moves an output regenerates the
-corpus and shows the move as a file diff::
+character must be equal.  :data:`SNAPSHOT_FILES` pins the snapshot files
+the crash matrices' uncrashed runs write, each by name, size and sha256,
+so the snapshot format is held byte for byte too.  A change that moves
+an output regenerates the corpus and shows the move as a file diff::
 
     PYTHONPATH=src python -m tests.golden            # report what differs
     PYTHONPATH=src python -m tests.golden --update   # rewrite the files
@@ -23,11 +25,14 @@ command line, so a wall-clock reading in one fails here.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
+import json
 import math
 import re
 import shlex
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -156,8 +161,55 @@ SMOKE: tuple[Command, ...] = (
     ),
 )
 
-#: The golden corpus: the commands of :data:`SMOKE` that name a file.
-CASES: tuple[Command, ...] = tuple(command for command in SMOKE if command.golden)
+
+@dataclass(frozen=True)
+class SnapshotFiles:
+    """Every snapshot file one crash-matrix scenario writes, uncrashed."""
+
+    scope: str
+    rc: int = 0
+
+    @property
+    def name(self) -> str:
+        return f"snapshots-{self.scope}"
+
+    @property
+    def path(self) -> Path:
+        return HERE / f"{self.name}.json"
+
+    def output(self) -> str:
+        """Name, size and sha256 of each file, in the order written."""
+        from repro.durability.harness import SCENARIOS, run_steps
+
+        files: list[dict] = []
+        scenario = SCENARIOS[self.scope]()
+        with tempfile.TemporaryDirectory(prefix="repro-golden-") as tmp:
+            controller = scenario.factory(tmp)
+            durability = controller.durability
+            snapshot = durability.snapshot
+
+            def pinned(time):
+                path = snapshot(time)
+                raw = path.read_bytes()
+                sha = hashlib.sha256(raw).hexdigest()
+                files.append({"file": path.name, "size": len(raw), "sha256": sha})
+                return path
+
+            durability.snapshot = pinned  # maybe_snapshot goes through it too
+            run_steps(scenario, controller)
+            durability.journal.close()
+        return json.dumps(files, indent=2) + "\n"
+
+
+#: The snapshot files pinned, one golden file per crash-matrix scope.
+SNAPSHOT_FILES = tuple(SnapshotFiles(scope) for scope in ("fleet", "service", "layers"))
+
+#: The golden corpus: the commands of :data:`SMOKE` that name a file,
+#: and the snapshot files.
+CASES: tuple[Command | SnapshotFiles, ...] = (
+    *(command for command in SMOKE if command.golden),
+    *SNAPSHOT_FILES,
+)
 BY_NAME = {case.name: case for case in CASES}
 
 #: A float literal: digits after a point, or an exponent.
@@ -183,8 +235,10 @@ def matches(golden: str, text: str) -> bool:
     )
 
 
-def run(case: Command) -> tuple[int, str]:
+def run(case: Command | SnapshotFiles) -> tuple[int, str]:
     """Run ``case`` in this interpreter: ``(exit code, stdout)``."""
+    if isinstance(case, SnapshotFiles):
+        return case.rc, case.output()
     from repro.cli import main
 
     out = io.StringIO()

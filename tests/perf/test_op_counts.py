@@ -24,6 +24,8 @@ Cases:
   pipeline (resp. the write-ahead journal, resp. the unbounded resource
   layer) armed; their planner op counts equal the bare service's
   (:class:`TestLayersAddNoPlannerWork`).
+* ``idle_snapshot`` -- a snapshot with no command since the previous
+  one: it encodes no item and writes the skeleton and the references.
 
 The scenario lab's :class:`~repro.lab.runner.CandidateRun` wrapper is
 held to the same contract against the plane its candidate builds
@@ -194,6 +196,31 @@ def _case_durability_overhead() -> OpProfiler:
     return prof
 
 
+def _case_idle_snapshot() -> OpProfiler:
+    """The second of two snapshots with no command between them, of the
+    churn service with its first ten submissions live: it encodes
+    nothing, and writes the service's scalars, the layers' sections,
+    the short core sections and a reference for each long one."""
+    import tempfile
+
+    from repro.durability import DurabilityConfig
+
+    with tempfile.TemporaryDirectory(prefix="repro-perf-idle-") as tmp:
+        service, workload = _churn_service(
+            durability=DurabilityConfig(state_dir=tmp, snapshot_interval=10**6)
+        )
+        for query in workload:
+            service.submit(query)
+        for _ in range(5):
+            service.tick()
+        service.durability.snapshot(service.clock)
+        with profiled() as prof:
+            path = service.durability.snapshot(service.clock)
+        assert prof.ops["snapshot_bytes_written"] == path.stat().st_size
+        service.durability.journal.close()
+    return prof
+
+
 def _case_resource_overhead() -> OpProfiler:
     """Service churn with the resource layer armed but unbounded.
 
@@ -225,6 +252,7 @@ CASES: dict[str, Callable[[], OpProfiler]] = {
     "fleet_churn": _case_fleet_churn,
     "telemetry_overhead": _case_telemetry_overhead,
     "durability_overhead": _case_durability_overhead,
+    "idle_snapshot": _case_idle_snapshot,
     "resource_overhead": _case_resource_overhead,
 }
 
@@ -299,9 +327,11 @@ PINS: dict[str, dict[str, int]] = {
     "durability_overhead": {
         **_CHURN,
         "snapshot_items_encoded": 37,
+        "snapshot_bytes_written": 41722,
         "journal_records": 140,
         "snapshots": 4,
     },
+    "idle_snapshot": {"snapshot_items_encoded": 0, "snapshot_bytes_written": 4998},
     "resource_overhead": {
         **_CHURN,
         "ledger_deployments_examined": 28,
@@ -344,7 +374,10 @@ class TestLayersAddNoPlannerWork:
             ),
             pytest.param(
                 "durability_overhead",
-                {"journal_records", "snapshots", "snapshot_items_encoded"},
+                {
+                    "journal_records", "snapshots", "snapshot_items_encoded",
+                    "snapshot_bytes_written",
+                },
                 True,
                 id="durability_overhead",
             ),

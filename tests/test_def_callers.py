@@ -9,7 +9,9 @@ only tests enter is code nothing runs; it goes, or it is listed in
 A name appears where it is read: a bare name, an attribute, or a word
 of a string constant (``getattr`` dispatch, ``"module:function"``
 targets).  The ``def``/``class`` line itself, import statements and
-``__all__`` do not count, so a re-export alone keeps nothing alive.
+``__all__`` do not count, so a re-export alone keeps nothing alive; nor
+does a function's recursion (its own name, bare or as ``self.<name>``,
+read in its body), so a recursive helper nothing else calls is flagged.
 Dunder methods are called by Python and are skipped.  The rule is by
 name: a method is kept by any use of that name, which under-reports but
 never flags code that runs.
@@ -67,22 +69,31 @@ def _skipped(tree: ast.AST) -> set[int]:
     return skip
 
 
+def _read(node: ast.AST, skip: set[int], seen: set[str], inside: frozenset = frozenset()) -> None:
+    """Add the names read in ``node`` to ``seen``, less a function's
+    recursion: its own name, bare or as ``self.<name>``, in its body."""
+    if id(node) in skip:
+        return
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        inside |= {node.name}
+    if isinstance(node, ast.Name):
+        seen.update({node.id} - inside)
+    elif isinstance(node, ast.Attribute):
+        own = isinstance(node.value, ast.Name) and node.value.id == "self"
+        seen.update({node.attr} - inside if own else {node.attr})
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        seen.update(_WORD.findall(node.value))
+    for child in ast.iter_child_nodes(node):
+        _read(child, skip, seen, inside)
+
+
 def used(root: Path = ROOT) -> set[str]:
     """Every name read outside ``tests/``, plus the console-script targets."""
     seen: set[str] = set()
     for top in OUTSIDE_TESTS:
         for path in sorted((root / top).rglob("*.py")):
             tree = ast.parse(path.read_text())
-            skip = _skipped(tree)
-            for node in ast.walk(tree):
-                if id(node) in skip:
-                    continue
-                if isinstance(node, ast.Name):
-                    seen.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    seen.add(node.attr)
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    seen.update(_WORD.findall(node.value))
+            _read(tree, _skipped(tree), seen)
     seen.update(_WORD.findall(" ".join(_console_scripts(root / "pyproject.toml"))))
     return seen
 
@@ -133,9 +144,16 @@ def test_the_scan_counts_uses_not_definitions_imports_or_exports(tmp_path):
         "def exported(): pass\n"
         "def tested(): pass\n"
         "def script(): pass\n"
+        "def recursive(n): return recursive(n - 1) if n else 0\n"
         "class Thing:\n"
         "    def __repr__(self): return 'x'\n"
         "    def method(self): return called()\n"
+        "    def walk(self, n): return self.walk(n - 1) if n else 0\n"
+        "class Inner:\n"
+        "    def capture(self): return 1\n"
+        "class Outer:\n"
+        "    def capture(self): return self.inner.capture()\n"
+        "KINDS = (Inner, Outer)\n"
         "getattr(Thing(), 'dispatched')\n"
         "Thing().method()\n"
     )
@@ -143,4 +161,4 @@ def test_the_scan_counts_uses_not_definitions_imports_or_exports(tmp_path):
     (tmp_path / "pyproject.toml").write_text(
         '[project]\nname = "pkg"\n[project.scripts]\npkg = "pkg.mod:script"\n'
     )
-    assert sorted(uncalled(tmp_path)) == ["exported", "imported", "tested"]
+    assert sorted(uncalled(tmp_path)) == ["exported", "imported", "recursive", "tested", "walk"]

@@ -47,14 +47,14 @@ class TestRecoverCli:
         assert doc["recovery"]["scope"] == "service"
 
     def test_a_snapshot_of_another_state_version_is_an_error_line(self, tmp_path, capsys):
-        from repro.durability import load_latest, write_snapshot
+        from repro.durability import load_latest
+        from repro.durability.snapshot import SnapshotWriter
 
         state_dir = _crashed_state_dir(tmp_path)
         snapshot, _ = load_latest(state_dir)
         snapshot["state"]["version"] = 7
-        write_snapshot(
-            state_dir, snapshot["lsn"], snapshot["scope"], snapshot["state"],
-            time=snapshot["time"],
+        SnapshotWriter(state_dir).write(
+            snapshot["lsn"], snapshot["scope"], snapshot["state"], time=snapshot["time"]
         )
         rc = main(["recover", str(state_dir)])
         captured = capsys.readouterr()
