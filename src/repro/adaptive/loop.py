@@ -122,6 +122,7 @@ class AdaptivityLoop:
         # again once its cooldown ends.
         self._aborted: set[str] = set()
         self._seen_topology = 0
+        self._changes = 0  # see revision
         self._instruments: dict[str, Any] = {}
 
     # ------------------------------------------------------------------
@@ -210,6 +211,7 @@ class AdaptivityLoop:
             if self._dirty or self._retry_due(now):
                 self._reoptimize(service, now, report)
                 self._dirty = bool(report.committed)
+                self._changes += 1
         self.reports.append(report)
         return report
 
@@ -277,6 +279,12 @@ class AdaptivityLoop:
                 incr("migrations_aborted")
 
     # ------------------------------------------------------------------
+    @property
+    def revision(self) -> tuple:
+        """Moves with the monitor's revision and with every re-evaluation
+        pass: no other part of a step moves what :meth:`capture` writes."""
+        return self._changes, self.monitor.revision
+
     def capture(self) -> dict[str, Any]:
         """The loop's section of a ``repro.state`` snapshot: migration
         cooldowns, the pending re-evaluation flag, the rolled-back

@@ -152,6 +152,7 @@ class StatsMonitor:
         self._last_publish: float | None = None
         self.events: list[DriftEvent] = []
         self.samples_total = 0
+        self.revision = 0  # moves with every change of what capture() writes
 
     # ------------------------------------------------------------------
     # Observation
@@ -164,6 +165,7 @@ class StatsMonitor:
         if rate < 0:
             raise ObservationError(f"negative rate sample for {stream!r}: {rate}")
         self.samples_total += 1
+        self.revision += 1
         return estimator.update(rate)
 
     def observe_rates(self, samples: Mapping[str, float]) -> None:
@@ -198,11 +200,10 @@ class StatsMonitor:
         otherwise ``None``.
         """
         breaching = {d.stream: d for d in self.drifted()}
-        for name in self._breaches:
-            if name in breaching:
-                self._breaches[name] += 1
-            else:
-                self._breaches[name] = 0
+        # A publication below follows a streak that grew here.
+        for name, streak in self._breaches.items():
+            self._breaches[name] = streak + 1 if name in breaching else 0
+            self.revision += self._breaches[name] != streak
 
         if self._last_publish is not None:
             if now - self._last_publish < self.publish_cooldown:

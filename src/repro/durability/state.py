@@ -29,7 +29,8 @@ and the network section are canonical-JSON text
 :class:`FragmentMemo` carries each item's text from one snapshot to the
 next while everything the text reads is unchanged, and a whole section
 while its owner's revision stands: the deployment state, the plan
-cache's entries, the hierarchy and the rates (these two as text).
+cache's entries, and as text the hierarchy, the rates and each layer's
+(the federation's imports go item by item).
 The captures name each section fragment's place in the document, where
 a snapshot may refer to an older one (:mod:`repro.durability.snapshot`).
 ``tests/durability/reference_capture.py`` keeps the literal
@@ -94,17 +95,17 @@ class FragmentMemo:
         """``owner``'s section: the kept one while ``reads`` still
         compares equal, else ``build(*args)`` now.
 
-        A kept section asks again for the items it holds, so a later
-        capture that has to build it anew still finds their text.
+        A kept section carries its items' entries over whole, and only
+        its next build looks them up: that build re-encodes what moved.
         """
         kept = self._sections.get(id(owner))
-        if kept is not None and kept[1] == reads:
-            self._touched.update(kept[3])
-        else:
-            outer, self._touched = self._touched, {}
-            kept = (owner, reads, build(*args), self._touched)
-            outer.update(self._touched)
-            self._touched = outer
+        if kept is None or kept[1] != reads:
+            outer = self._kept, self._touched
+            self._kept, self._touched = {} if kept is None else kept[3], {}
+            try:
+                kept = (owner, reads, build(*args), self._touched)
+            finally:
+                self._kept, self._touched = outer
         self._sections_touched[id(owner)] = kept
         return kept[2]
 
@@ -660,6 +661,11 @@ def _capture_shared(controller, memo: FragmentMemo) -> dict[str, Any]:
     return doc
 
 
+def _layer_section(layer, memo: FragmentMemo) -> Fragment:
+    # Kept while the layer's revision stands; unplaced, so always inline.
+    return memo.section(layer, layer.revision, _fragment, layer.capture)
+
+
 def _place(doc: dict[str, Any], at: tuple) -> None:
     """Name the section fragments of the service document at ``at``."""
     doc["cache"]["entries"].place = (*at, "cache", "entries")
@@ -701,7 +707,7 @@ def capture_service(
         "faults": None,
     }
     for name, layer in service.layers():
-        doc[name] = layer.capture()
+        doc[name] = _layer_section(layer, memo)
     if include_shared:
         _place(doc, ("state",))
         doc.update(_capture_shared(service, memo))
@@ -754,7 +760,7 @@ def capture_fleet(fleet, memo: FragmentMemo) -> dict[str, Any]:
     for name, layer in fleet.layers():
         # The federation's imports are the one long list of frozen items
         # in a layer's section: it keeps their text in the memo.
-        doc[name] = layer.capture(memo) if name == "federation" else layer.capture()
+        doc[name] = layer.capture(memo) if name == "federation" else _layer_section(layer, memo)
     if doc["federation"] is not None:
         for shard, imports in enumerate(doc["federation"]["imports"]):
             imports.place = ("state", "federation", "imports", shard)

@@ -147,6 +147,7 @@ class QueryRouter:
         self._owner: dict[str, int] = {}
         self._loads = [0] * num_shards  # owned queries per shard
         self.routed_total = 0
+        self.revision = 0  # moves with every change of what capture() writes
 
     # ------------------------------------------------------------------
     def route(self, query: Query) -> int:
@@ -155,6 +156,7 @@ class QueryRouter:
         if existing is not None:
             return existing
         self.routed_total += 1
+        self.revision += 1  # and whatever the policy remembers of it
         shard = self.policy.assign(query, self.num_shards, self.loads())
         if not 0 <= shard < self.num_shards:
             raise ReproError(
@@ -173,13 +175,15 @@ class QueryRouter:
             )
         if current is None:
             self._loads[shard] += 1
-        self._owner[name] = shard
+            self._owner[name] = shard
+            self.revision += 1
 
     def release(self, name: str) -> int | None:
         """Drop a query's binding (retirement); return its old shard."""
         shard = self._owner.pop(name, None)
         if shard is not None:
             self._loads[shard] -= 1
+            self.revision += 1
         return shard
 
     def rebind(self, name: str, shard: int) -> None:
@@ -189,6 +193,7 @@ class QueryRouter:
         self._loads[shard] += 1
         self._loads[self._owner[name]] -= 1
         self._owner[name] = shard
+        self.revision += 1
 
     # ------------------------------------------------------------------
     def owner(self, name: str) -> int | None:

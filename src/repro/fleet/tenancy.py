@@ -117,6 +117,7 @@ class WeightedFairScheduler:
         self._credit: dict[str, float] = {t.name: 0.0 for t in directory}
         self.enqueued_total = 0
         self.picked_total = 0
+        self.revision = 0  # moves with every change of what capture() writes
 
     # ------------------------------------------------------------------
     def enqueue(self, tenant: str, item) -> int:
@@ -125,6 +126,7 @@ class WeightedFairScheduler:
             raise AdmissionError(f"unknown tenant {tenant!r}")
         self._queues[tenant].append(item)
         self.enqueued_total += 1
+        self.revision += 1
         return len(self._queues[tenant])
 
     def pick(self, eligible: Callable[[str, object], bool] | None = None):
@@ -149,6 +151,7 @@ class WeightedFairScheduler:
         best = max(candidates, key=lambda n: (self._credit[n], n))
         self._credit[best] -= total
         self.picked_total += 1
+        self.revision += 1
         return best, self._queues[best].popleft()
 
     def withdraw(self, tenant: str, match: Callable[[object], bool]) -> object | None:
@@ -159,6 +162,7 @@ class WeightedFairScheduler:
         for i, item in enumerate(queue):
             if match(item):
                 del queue[i]
+                self.revision += 1
                 return item
         return None
 

@@ -127,6 +127,7 @@ class ResilientControl:
         self.fallbacks_total = 0
         self.parked_total = 0
         self.quarantined_total = 0
+        self._changes = 0  # moves with what capture() writes, breakers aside
         self._fallback = None
         self._instruments: dict[str, Any] = {}
         self._registry: "MetricRegistry | None" = None
@@ -272,6 +273,7 @@ class ResilientControl:
                     deployment.stats = {**deployment.stats, "resilience_rung": rung}
                     self.degraded_queries.add(query.name)
                     self.fallbacks_total += 1
+                    self._changes += 1
                     self._inc("fallbacks")
                 plan_span.tag(rung=rung, attempts=attempts)
                 return deployment
@@ -303,6 +305,7 @@ class ResilientControl:
 
         def on_retry(attempt: int, error: BaseException, delay: float) -> None:
             self.retries_total += 1
+            self._changes += 1  # and the jitter RNG the backoff drew from
             self._inc("retries")
             backoff = self._instruments.get("backoff")
             if backoff is not None:
@@ -364,6 +367,7 @@ class ResilientControl:
         )
         self.parked[query.name] = parked
         self.parked_total += 1
+        self._changes += 1
         self._set("parked", float(len(self.parked)))
         return parked
 
@@ -371,6 +375,7 @@ class ResilientControl:
         """Drop a parked query (e.g. explicit retirement); True if it was
         parked."""
         found = self.parked.pop(name, None) is not None
+        self._changes += found
         if found:
             self._set("parked", float(len(self.parked)))
         return found
@@ -384,6 +389,7 @@ class ResilientControl:
             if service.endpoint_problem(parked.query) is not None:
                 continue
             del self.parked[name]
+            self._changes += 1
             if service._deploy_or_park(parked.query, parked.lifetime) is None:
                 deployed.append(name)
         self._set("parked", float(len(self.parked)))
@@ -408,6 +414,7 @@ class ResilientControl:
                 remove_node(service.hierarchy, node)
             self.quarantined[node] = now + QUARANTINE_TICKS
             self.quarantined_total += 1
+            self._changes += 1
             service.bump_topology_epoch()
             self._set("quarantined", float(len(self.quarantined)))
 
@@ -418,6 +425,7 @@ class ResilientControl:
             if until > now or node in self.faults.crashed:
                 continue
             del self.quarantined[node]
+            self._changes += 1
             if service.rejoin_node(node):
                 released.append(node)
         if released:
@@ -469,6 +477,11 @@ class ResilientControl:
     # ------------------------------------------------------------------
     # Snapshot section
     # ------------------------------------------------------------------
+    @property
+    def revision(self) -> tuple:
+        """Moves with every change of what :meth:`capture` writes."""
+        return self._changes, self.breakers.revision
+
     def capture(self) -> dict[str, Any]:
         """The layer's section of a ``repro.state`` snapshot: parked
         queries, quarantine, breakers, counters and the jitter RNG."""

@@ -327,6 +327,7 @@ class FaultInjector:
         crashed: Nodes currently crashed (set by the service hook).
         applied: Log of applied discrete events (dicts with ``time``,
             ``kind`` and event fields) for reports and determinism tests.
+        revision: Moves with every change of what :meth:`capture` writes.
     """
 
     enabled = True
@@ -345,6 +346,7 @@ class FaultInjector:
                     )
         self._timeline.sort(key=lambda item: (item[0], item[1], repr(item[2])))
         self._cursor = 0
+        self.revision = 0
 
     # ------------------------------------------------------------------
     # Discrete events (service tick hook)
@@ -354,18 +356,21 @@ class FaultInjector:
 
         ``kind`` is ``"crash"`` (payload: :class:`NodeCrash`) or
         ``"rejoin"`` (payload: node id).  Events are returned exactly
-        once, in time order.
+        once, in time order; the revision they move also covers the
+        caller marking them in ``crashed`` before anything is captured.
         """
         due: list[tuple[str, Any]] = []
         while self._cursor < len(self._timeline) and self._timeline[self._cursor][0] <= now:
             _, kind, payload = self._timeline[self._cursor]
             due.append((kind, payload))
             self._cursor += 1
+            self.revision += 1
         return due
 
     def note_applied(self, kind: str, time: float, **fields: Any) -> None:
         """Record one applied event in the injector's audit log."""
         self.applied.append({"kind": kind, "time": time, **fields})
+        self.revision += 1
 
     # ------------------------------------------------------------------
     # Window state queries
@@ -456,6 +461,7 @@ class NullFaultInjector:
 
     enabled = False
     crashed: frozenset[int] = frozenset()
+    revision = 0
 
     def due_events(self, now: float) -> list:
         return []

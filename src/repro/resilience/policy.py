@@ -147,6 +147,7 @@ class CircuitBreaker:
     opened_at: float | None = None
     opened_count: int = 0
     _probes_in_flight: int = field(default=0, repr=False)
+    revision: int = field(default=0, repr=False, compare=False)  # moves with the above
 
     def __post_init__(self) -> None:
         if self.failure_threshold < 1:
@@ -173,10 +174,13 @@ class CircuitBreaker:
         if self._probes_in_flight >= self.half_open_probes:
             return False
         self._probes_in_flight += 1
+        self.revision += 1
         return True
 
     def record_success(self, now: float) -> None:
         """A call succeeded: close the breaker, reset the failure run."""
+        # Closed with no failure run, it has nothing to reset.
+        self.revision += self.state is not BreakerState.CLOSED or self.consecutive_failures > 0
         self.state = BreakerState.CLOSED
         self.consecutive_failures = 0
         self._probes_in_flight = 0
@@ -185,6 +189,7 @@ class CircuitBreaker:
     def record_failure(self, now: float) -> None:
         """A call failed: trip or re-open the breaker as appropriate."""
         self.consecutive_failures += 1
+        self.revision += 1
         if self.state is BreakerState.HALF_OPEN:
             self._trip(now)
         elif (
@@ -243,9 +248,6 @@ class BreakerBoard:
     def record_success(self, node: int, now: float) -> None:
         self.breaker(node).record_success(now)
 
-    def record_failure(self, node: int, now: float) -> None:
-        self.breaker(node).record_failure(now)
-
     def touched(self) -> dict[int, BreakerState]:
         """:meth:`states` of the breakers reached since the previous call
         -- the only ones whose state may have moved -- by node."""
@@ -275,6 +277,11 @@ class BreakerBoard:
             for node, breaker in self._breakers.items()
             if breaker.opened_count >= min_opens
         )
+
+    @property
+    def revision(self) -> tuple[int, int]:
+        """Moves with every change of what :meth:`capture` writes."""
+        return len(self._breakers), sum(b.revision for b in self._breakers.values())
 
     def total_opens(self) -> int:
         """Breaker-open transitions across the board."""

@@ -110,6 +110,7 @@ class ResourceManager:
         self.shed_total = 0
         self.readmitted_total = 0
         self.infeasible_total = 0
+        self.revision = 0  # moves with every change of what capture() writes
         self._node_gauges: dict[int, object] = {}
         self._cursor: int | None = None  # into the ledger's moved nodes
 
@@ -190,6 +191,7 @@ class ResourceManager:
             if not self.constrained:
                 raise
             self.infeasible_total += 1
+            self.revision += 1
             raise InfeasiblePlacementError(
                 f"no feasible placement for {query.name!r} under utilization "
                 f"bound {self.config.utilization_bound}"
@@ -237,6 +239,7 @@ class ResourceManager:
             violations = self.check(query, deployment)
         if violations:
             self.infeasible_total += 1
+            self.revision += 1
             hottest = ", ".join(
                 f"node {node} at {util:.2f}" for node, util in violations[:3]
             )
@@ -257,10 +260,13 @@ class ResourceManager:
             reason=reason,
             parked_at=service.clock,
         )
+        self.revision += 1
 
     def unpark(self, name: str) -> bool:
         """Drop a parked query (explicit retirement); True if it was parked."""
-        return self.parked.pop(name, None) is not None
+        found = self.parked.pop(name, None) is not None
+        self.revision += found
+        return found
 
     def repair(self, service) -> None:
         """Shed queries off nodes driven over the bound by rate drift.
@@ -300,6 +306,7 @@ class ResourceManager:
                 shed=True,
             )
             self.shed_total += 1
+            self.revision += 1
 
     def step(self, service, now: float) -> list[str]:
         """Repair drift violations, then try re-admitting parked queries
@@ -322,9 +329,11 @@ class ResourceManager:
                 service._deploy(entry.query, entry.lifetime)
             except PlanningError:
                 self.parked[name] = self.parked.pop(name)
+                self.revision += 1
                 continue
             del self.parked[name]
             self.readmitted_total += 1
+            self.revision += 1
             deployed.append(name)
         return deployed
 

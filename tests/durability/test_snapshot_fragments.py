@@ -98,6 +98,12 @@ def sections(state: dict) -> list[tuple]:
     return places + [("state", "federation", "imports", i) for i in range(len(imports))]
 
 
+def memo_items(memo) -> int:
+    """How many items' text ``memo`` holds: loose ones (the network) and
+    those each kept or built section carries."""
+    return len(memo._kept) + sum(len(kept[3]) for kept in memo._sections.values())
+
+
 def at(doc, place: tuple):
     for key in place:
         doc = doc[key]
@@ -492,7 +498,7 @@ class TestWorkCounts:
             got, want, count = snapshot_and_reference(service)
             assert got == want
             # Only what the capture met is kept: retired items are gone.
-            assert len(service.durability._memo._kept) == items()
+            assert memo_items(service.durability._memo) == items()
             return count
 
         # The first snapshot of a process is full price: every item once.
@@ -566,7 +572,7 @@ class TestWorkCounts:
         def walks() -> dict[str, int]:
             got, want, _ = snapshot_and_reference(service)
             assert got == want
-            assert len(memo._kept) == items()
+            assert memo_items(memo) == items()
             return spy.take(state)
 
         def built() -> list[int]:  # cluster document, rates, cache entries

@@ -175,7 +175,7 @@ class TestCircuitBreaker:
 class TestBreakerBoard:
     def test_independent_per_node(self):
         board = BreakerBoard(failure_threshold=1, recovery_time=5.0)
-        board.record_failure(3, 0.0)
+        board.breaker(3).record_failure(0.0)
         assert not board.allow(3, 1.0)
         assert board.allow(4, 1.0)
         assert board.open_nodes() == [3]
@@ -184,7 +184,7 @@ class TestBreakerBoard:
         board = BreakerBoard(failure_threshold=1, recovery_time=1.0)
         for t in (0.0, 2.0, 4.0):
             board.allow(6, t)  # move OPEN -> HALF_OPEN when recovered
-            board.record_failure(6, t)
+            board.breaker(6).record_failure(t)
         assert board.breaker(6).opened_count == 3
         assert board.flapping(2) == [6]
         assert board.flapping(4) == []
