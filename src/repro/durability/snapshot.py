@@ -77,7 +77,8 @@ def _splice(doc: Any, text_of=None) -> list[str]:
     The C encoder writes the document once with a placeholder in each
     fragment's place, and the text is cut around the placeholders: no
     plain value is encoded twice or walked in Python (only the keys of
-    the dicts a fragment sits in are read: they must be str).  The
+    the dicts a fragment sits in are read, once per dict: they must be
+    str).  The
     placeholder is a private-use character (``"\\ue000"`` in the text);
     a document that holds it itself is written again with one it does not.
     ``text_of(fragment)``, if given, is the text put in a fragment's place.
@@ -85,14 +86,20 @@ def _splice(doc: Any, text_of=None) -> list[str]:
     # The containers the encoder is in (its circular-reference check):
     # when it meets a fragment, that fragment's ancestors.
     inside: dict[int, Any] = {}
+    # The containers whose keys were read; the document holds them all
+    # alive, so an id is not reused while the splice runs.
+    checked: set[int] = set()
     texts: list[str] = []
     hole = 0xE000
 
     def fill(value: Any) -> str:
         if type(value) is not Fragment:
             raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        if any(type(c) is dict and any(type(k) is not str for k in c) for c in inside.values()):
-            raise TypeError("a fragment sits in a dict with a non-str key")
+        for key in inside.keys() - checked:
+            checked.add(key)
+            c = inside[key]
+            if type(c) is dict and any(type(k) is not str for k in c):
+                raise TypeError("a fragment sits in a dict with a non-str key")
         texts.append(value.text if text_of is None else text_of(value))
         return chr(hole)
 

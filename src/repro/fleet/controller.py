@@ -151,13 +151,13 @@ class FleetController:
         max_queue: Per-shard admission queue bound.
         max_per_tick: Per-shard admission drain limit per tick.
         cache_capacity: Per-shard plan-cache capacity.
-        tenants: Tenant records (or a prebuilt
-            :class:`TenantDirectory`).  Omitted/empty = tenant-free
-            mode: submissions pass straight to shard admission.
+        tenants: Tenant records.  Omitted/empty = tenant-free mode:
+            submissions pass straight to shard admission.
         federation: Whether cross-shard view reuse is on.
         service_kwargs: Extra keyword arguments forwarded to every
             shard's :class:`StreamQueryService` (resilience, adaptivity,
-            ...).
+            ...).  A fleet does not arm the resource layer, so
+            ``resources`` is refused here.
         telemetry: Optional :class:`~repro.obs.telemetry.TelemetryConfig`
             (or prebuilt :class:`~repro.obs.telemetry.Telemetry`)
             turning on continuous telemetry at the fleet level: every
@@ -173,14 +173,6 @@ class FleetController:
             on purpose (recovery replays through the same shard code
             paths).  ``None`` (the default) keeps the fleet
             byte-identical to a build without the subsystem.
-        resources: Optional :class:`~repro.resources.ResourceConfig`
-            turning on fleet-wide resource-aware placement: one shared
-            :class:`~repro.resources.ResourceLedger` aggregates every
-            shard's deployments over the common physical network (view
-            reuse credited once, fleet-wide), each shard gets its own
-            :class:`~repro.resources.ResourceManager` over that ledger;
-            a query that does not fit parks, whatever its tenant's
-            weight.  ``None`` (the default) adds nothing.
     """
 
     def __init__(
@@ -195,12 +187,11 @@ class FleetController:
         max_queue: int | None = None,
         max_per_tick: int | None = None,
         cache_capacity: int | None = 256,
-        tenants: TenantDirectory | Iterable[Tenant] | None = None,
+        tenants: Iterable[Tenant] | None = None,
         federation: bool = True,
         service_kwargs: dict | None = None,
         telemetry=None,
         durability=None,
-        resources=None,
     ) -> None:
         if num_shards < 1:
             raise ReproError("a fleet needs at least one shard")
@@ -213,32 +204,13 @@ class FleetController:
                 "not through service_kwargs"
             )
         if service_kwargs and "resources" in service_kwargs:
-            # Per-shard private ledgers would each see only their own
-            # shard's load on the *shared* physical nodes; the fleet
-            # builds one shared ledger and a manager per shard itself.
-            raise ReproError(
-                "pass resources= to the FleetController itself, "
-                "not through service_kwargs"
-            )
+            # A shard's ledger would book only its own deployments on the
+            # *shared* physical nodes.
+            raise ReproError("a fleet does not arm the resource layer")
         self.network = network
         self.rates = rates
         self.hierarchy = hierarchy
         self.clock = 0.0
-
-        # Resource layer (opt-in): one ledger shared by every shard so
-        # utilization on the common physical nodes is accounted once.
-        from repro.resources.ledger import ResourceLedger
-        from repro.resources.manager import ResourceConfig, ResourceManager
-
-        self.resource_ledger: ResourceLedger | None = None
-        self.resource_managers: list[ResourceManager] = []
-        if resources is not None:
-            if not isinstance(resources, ResourceConfig):
-                raise ReproError(
-                    "fleet resources= takes a ResourceConfig (shards share "
-                    "one ledger built from it)"
-                )
-            self.resource_ledger = ResourceLedger(resources.capacities)
 
         self.shards: list[StreamQueryService] = []
         for _ in range(num_shards):
@@ -246,10 +218,6 @@ class FleetController:
             optimizer = make_optimizer(
                 algorithm, network, rates, hierarchy=hierarchy, ads=ads
             )
-            manager = None
-            if self.resource_ledger is not None:
-                manager = ResourceManager(resources, ledger=self.resource_ledger)
-                self.resource_managers.append(manager)
             self.shards.append(
                 StreamQueryService(
                     optimizer,
@@ -263,7 +231,6 @@ class FleetController:
                         max_per_tick=max_per_tick,
                     ),
                     cache=PlanCache(cache_capacity),
-                    resources=manager,
                     **(service_kwargs or {}),
                 )
             )
@@ -275,12 +242,7 @@ class FleetController:
             ReuseFederation(self.shards) if federation else None
         )
 
-        if tenants is None:
-            directory = TenantDirectory()
-        elif isinstance(tenants, TenantDirectory):
-            directory = tenants
-        else:
-            directory = TenantDirectory(tenants)
+        directory = TenantDirectory(tenants or ())
         self.tenants = directory
         self.scheduler: WeightedFairScheduler | None = (
             WeightedFairScheduler(directory) if len(directory) else None
@@ -323,15 +285,6 @@ class FleetController:
         self._imports_gauge = reg.gauge(
             "fleet_federation_imports", "Active cross-shard view imports."
         )
-        if self.resource_ledger is not None:
-            self._fleet_util_gauge = reg.gauge(
-                "fleet_resource_max_utilization",
-                "Utilization ratio of the hottest node, fleet-wide.",
-            )
-            self._fleet_parked_gauge = reg.gauge(
-                "fleet_resource_parked_queries",
-                "Queries parked for capacity across every shard.",
-            )
         self._tenant_instruments: dict[str, dict] = {}
         for tenant in directory:
             suffix = _metric_suffix(tenant.name)
@@ -453,31 +406,6 @@ class FleetController:
         self.submitted_total = counters["submitted_total"]
         self.rebalances_total = counters["rebalances_total"]
         self.cross_shard_reuse_total = counters["cross_shard_reuse_total"]
-
-    # ------------------------------------------------------------------
-    # Resource layer
-    # ------------------------------------------------------------------
-    def resource_summary(self) -> dict:
-        """Fleet-wide resource snapshot (ledger + per-shard managers).
-
-        Raises:
-            ReproError: The fleet has no resource layer.
-        """
-        if self.resource_ledger is None:
-            raise ReproError("fleet was built without resources=")
-        return {
-            "ledger": self.resource_ledger.summary(),
-            "parked": sorted(
-                name for m in self.resource_managers for name in m.parked
-            ),
-            "shed_total": sum(m.shed_total for m in self.resource_managers),
-            "readmitted_total": sum(
-                m.readmitted_total for m in self.resource_managers
-            ),
-            "infeasible_total": sum(
-                m.infeasible_total for m in self.resource_managers
-            ),
-        }
 
     def check_invariants(self) -> list[str]:
         """Router/ownership violations (empty when healthy).
@@ -879,7 +807,7 @@ class FleetController:
         decision = target.submit(old.query, lifetime=remaining)
         if not decision.admitted:
             if decision.status is AdmissionStatus.QUEUED:
-                target.retire(name)  # queued or parked there: take it back
+                target.retire(name)  # queued there: take it back
             source.submit(old.query, lifetime=remaining)
             if self.federation is not None:
                 self._sync_federation()
@@ -1039,8 +967,6 @@ class FleetController:
             out["federation"] = armed["federation"].summary()
         if "scheduler" in armed:  # armed exactly when tenants are configured
             out["tenants"] = self.tenant_summary()
-        if self.resource_managers:
-            out["resources"] = self.resource_summary()
         return out
 
     # ------------------------------------------------------------------
@@ -1059,19 +985,6 @@ class FleetController:
                 self._reuse_counter.inc()
 
     def _record_gauges(self) -> None:
-        if self.resource_ledger is not None and len(self.tenants):
-            # Drift repair retires queries outside the tick-report path
-            # the incremental tenant counters follow; reconcile them
-            # against ground truth.
-            counts = {t.name: 0 for t in self.tenants}
-            for name in self.live_queries:
-                tenant = self._tenant_of.get(name)
-                if tenant in counts:
-                    counts[tenant] += 1
-            for tenant, live in counts.items():
-                if self._tenant_live[tenant] != live:
-                    self._tenant_live[tenant] = live
-                    self._tenant_instruments[tenant]["live"].set(float(live))
         self._live_gauge.set(float(self._num_live()))
         backlog = sum(s.admission.queue_depth for s in self.shards)
         if self.scheduler is not None:
@@ -1079,8 +992,3 @@ class FleetController:
         self._queue_gauge.set(float(backlog))
         if self.federation is not None:
             self._imports_gauge.set(float(self.federation.active_imports))
-        if self.resource_ledger is not None:
-            self._fleet_util_gauge.set(self.resource_ledger.max_utilization())
-            self._fleet_parked_gauge.set(
-                float(sum(len(m.parked) for m in self.resource_managers))
-            )

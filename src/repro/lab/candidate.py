@@ -51,7 +51,8 @@ class Candidate:
             spec to carry one).
         adaptivity: Arm the drift-reacting migration loop.
         resources: Arm capacity-aware planning against the scenario's
-            capacity profile (requires ``spec.capacity``).
+            capacity profile (requires ``spec.capacity``).  A scenario
+            with a capacity profile takes service candidates only.
         utilization_bound: Override of the capacity profile's bound.
         tenants: Route submissions through the scenario's tenant mix
             (fleet mode only).
@@ -108,6 +109,12 @@ class Candidate:
         (control planes mutate clocks and rate models); the runner
         rebuilds the scenario per candidate from the spec's seed.
         """
+        if self.mode == "fleet" and built.capacities is not None:
+            # The capacity audit's ledger books one service's deployments.
+            raise ScenarioError(
+                f"candidate {self.name!r}: a fleet does not arm the resource "
+                "layer, so it cannot run a scenario with a capacity profile"
+            )
         if self.resources and built.capacities is None:
             raise ScenarioError(
                 f"candidate {self.name!r} asks for resources but the "
@@ -149,9 +156,7 @@ class Candidate:
         faults = built.fault_plan() if self.faults else None
 
         if self.mode == "fleet":
-            return self._build_fleet(
-                built, telemetry, resources, resilience, adaptivity, faults
-            )
+            return self._build_fleet(built, telemetry, resilience, adaptivity, faults)
         return self._build_service(
             built, telemetry, resources, resilience, adaptivity, faults
         )
@@ -188,9 +193,7 @@ class Candidate:
             resources=resources,
         )
 
-    def _build_fleet(
-        self, built, telemetry, resources, resilience, adaptivity, faults
-    ):
+    def _build_fleet(self, built, telemetry, resilience, adaptivity, faults):
         from repro.fleet import FleetController, Tenant
 
         service_kwargs: dict[str, Any] = {}
@@ -220,7 +223,6 @@ class Candidate:
             federation=self.federation,
             service_kwargs=service_kwargs or None,
             telemetry=telemetry,
-            resources=resources,
         )
 
 

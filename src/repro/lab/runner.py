@@ -78,10 +78,9 @@ class CandidateRun:
         if built.capacities is not None:
             from repro.resources import OperatorFootprint, ResourceLedger
 
+            # Candidates under a capacity profile are services: one state.
             self._audit = ResourceLedger(built.capacities)
-            footprint = OperatorFootprint(built.rates)
-            for service in self._services():
-                self._audit.attach(service.engine.state, footprint)
+            self._audit.attach(self.plane.engine.state, OperatorFootprint(built.rates))
         telemetry.scraper.add_source(LAB_SCOPE, self._lab_sample)
 
     # ------------------------------------------------------------------

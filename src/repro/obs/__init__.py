@@ -46,7 +46,6 @@ from repro.obs.rules import (
     AbsenceRule,
     AlertRule,
     BurnRateRule,
-    FairnessSkewRule,
     RecordingRule,
     RuleState,
     RulesEngine,
@@ -76,7 +75,6 @@ __all__ = [
     "ThresholdRule",
     "AbsenceRule",
     "BurnRateRule",
-    "FairnessSkewRule",
     "RecordingRule",
     "RulesEngine",
     "default_rule_pack",

@@ -5,7 +5,7 @@ list of rules every evaluation tick.  *Recording* rules
 (:class:`RecordingRule`) sum the ``last``/``delta`` aggregates of their
 series and write the total back into the store as a new series;
 *alerting* rules (:class:`ThresholdRule`, :class:`AbsenceRule`,
-:class:`BurnRateRule`, :class:`FairnessSkewRule`) evaluate a breach
+:class:`BurnRateRule`) evaluate a breach
 condition with ``for``-duration hysteresis and drive a
 ``pending -> firing -> resolved`` lifecycle:
 
@@ -18,15 +18,14 @@ condition with ``for``-duration hysteresis and drive a
 
 Everything is virtual-time: the engine never reads a wall clock, so
 a seeded scenario fires its alerts at the same ticks on every run.
-:func:`default_rule_pack` ships the SLO pack the ISSUE asks for --
-cache hit rate, admission queue wait, migration/cutover failures,
-breaker trips, and tenant fairness skew.
+:func:`default_rule_pack` ships the stock SLO pack -- cache hit rate,
+admission queue wait, migration/cutover failures, breaker trips and
+capacity.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.obs.timeseries import TimeSeriesStore, scoped_name
@@ -276,64 +275,6 @@ class BurnRateRule(AlertRule):
         )
 
 
-class FairnessSkewRule(AlertRule):
-    """Fires when weight-normalized tenant shares diverge too far.
-
-    Each series is divided by its weight; skew is max-share / min-share
-    (``inf`` when someone has load and someone else has none).  Series
-    that have never reported are ignored so the rule stays quiet while
-    tenants ramp up.
-    """
-
-    kind = "fairness_skew"
-
-    def __init__(
-        self,
-        name: str,
-        series_weights: Mapping[str, float],
-        threshold: float,
-        min_total: float = 1.0,
-        **kwargs: Any,
-    ) -> None:
-        super().__init__(name, **kwargs)
-        if len(series_weights) < 2:
-            raise ValueError("fairness skew needs at least two series")
-        if any(w <= 0 for w in series_weights.values()):
-            raise ValueError("fairness weights must be positive")
-        self.series_weights = dict(series_weights)
-        self.threshold = threshold
-        self.min_total = min_total
-
-    def value(self, store: TimeSeriesStore, now: float) -> float | None:
-        shares: list[float] = []
-        total = 0.0
-        for series, weight in self.series_weights.items():
-            last = store.last(series)
-            if last is None:
-                continue
-            total += last
-            shares.append(last / weight)
-        if len(shares) < 2 or total < self.min_total:
-            return None
-        lo, hi = min(shares), max(shares)
-        if lo == 0.0:
-            return math.inf if hi > 0.0 else 1.0
-        return hi / lo
-
-    def breached(self, value: float | None, now: float) -> bool:
-        return value is not None and value > self.threshold
-
-    def describe(self) -> str:
-        names = ",".join(sorted(self.series_weights))
-        return f"skew({names}) > {self.threshold:g}"
-
-    def snapshot(self) -> dict[str, Any]:
-        snap = super().snapshot()
-        if snap["value"] is not None and math.isinf(snap["value"]):
-            snap["value"] = "inf"  # keep the envelope strict-JSON
-        return snap
-
-
 class RecordingRule:
     """Records the sum of one aggregation over its series as a new series.
 
@@ -432,7 +373,6 @@ class RulesEngine:
 # ----------------------------------------------------------------------
 def default_rule_pack(
     scopes: Sequence[str] = ("service",),
-    tenant_weights: Mapping[str, float] | None = None,
 ) -> list[AlertRule | RecordingRule]:
     """The stock SLO pack: one set of watchdogs per service scope.
 
@@ -441,10 +381,7 @@ def default_rule_pack(
     aborts and cutover failures (delta > 0), a liveness absence rule on
     the queue-depth gauge, and two capacity watchdogs (hottest-node
     utilization above 95% with hysteresis, and load-shed events) that
-    only ever fire on resource-armed services.  When ``tenant_weights``
-    maps tenant
-    gauge series (e.g. ``fleet.tenant_live_gold``) to weights, a
-    fleet-level fairness-skew rule is added too.
+    only ever fire on resource-armed services.
     """
     rules: list[AlertRule | RecordingRule] = []
     for scope in scopes:
@@ -553,18 +490,6 @@ def default_rule_pack(
                 window=3.0,
                 severity="warn",
                 labels={"scope": scope, "slo": "capacity"},
-            )
-        )
-    if tenant_weights:
-        rules.append(
-            FairnessSkewRule(
-                "fleet:tenant_fairness_skew",
-                dict(tenant_weights),
-                threshold=4.0,
-                min_total=4.0,
-                for_ticks=3.0,
-                severity="warn",
-                labels={"scope": "fleet", "slo": "fairness"},
             )
         )
     return rules

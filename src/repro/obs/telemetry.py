@@ -107,25 +107,11 @@ class Telemetry:
         """Attach a whole :class:`FleetController`.
 
         The fleet registry scrapes under ``fleet``, shard ``i`` under
-        ``shard<i>``; with tenants configured, a fairness-skew rule over
-        the ``fleet.tenant_live_*`` gauges joins the default pack.
+        ``shard<i>``.
         """
         self.scraper.register("fleet", fleet.registry)
-        shard_scopes = []
         for sid, shard in enumerate(fleet.shards):
-            scope = f"shard{sid}"
-            shard_scopes.append(scope)
-            self.bind_service(shard, scope=scope)
-        if len(fleet.tenants):
-            from repro.fleet.controller import _metric_suffix
-
-            weights = {
-                scoped_name("fleet", f"tenant_live_{_metric_suffix(t.name)}"): t.weight
-                for t in fleet.tenants
-            }
-            if len(weights) >= 2:
-                for rule in default_rule_pack((), tenant_weights=weights):
-                    self.engine.add(rule)
+            self.bind_service(shard, scope=f"shard{sid}")
 
     # ------------------------------------------------------------------
     # Tick hooks (called by the service/fleet at end of tick)

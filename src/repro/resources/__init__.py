@@ -4,7 +4,7 @@ The paper's planners minimize pure communication cost; this package
 adds the capacity dimension of the Benoit et al. resource-allocation
 reports: per-node cpu/memory/bandwidth caps (:mod:`capacity`),
 per-operator load estimation from input rates x selectivity x window
-state (:mod:`footprint`), fleet-wide reuse-credited utilization
+state (:mod:`footprint`), one service's reuse-credited utilization
 accounting (:mod:`ledger`), a DP-facing constraint for bounded and
 bi-criteria optimization (:mod:`constraint`), and the runtime loop --
 admission gating, park/re-admit and drift repair (:mod:`manager`).

@@ -61,8 +61,8 @@ class PlacementConstraint(JoinPricer):
         capacities: ``{node: NodeCapacity}`` (missing = unbounded).
         base_loads: Background load per node (ledger snapshot, this
             query excluded).
-        live_keys: ``(signature, node)`` keys of operators already live
-            fleet-wide; matching operators of this plan are free
+        live_keys: ``(signature, node)`` keys of operators already
+            live; matching operators of this plan are free
             (reuse credit).
         bound: Max allowed utilization ratio per node.
         load_weight: Bi-criteria weight; 0 keeps the objective pure

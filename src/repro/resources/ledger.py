@@ -1,14 +1,13 @@
-"""Fleet-wide per-node utilization accounting.
+"""Per-node utilization accounting for one service.
 
-The :class:`ResourceLedger` answers "how loaded is node *n* right now,
-across every control plane deploying onto this network".  The attached
-:class:`~repro.query.deployment.DeploymentState` instances (one per
-service shard) stay the single source of truth: the ledger keeps *books*
--- one priced :class:`~repro.resources.capacity.Load` per live operator
-and one sum per node -- and reconciles them against the states at the
-top of every read.  Nothing is wired into the code that mutates a
-state (admission, retirement, live migration, node failover, crash
-recovery); each state carries a monotone ``revision`` and each rate
+The :class:`ResourceLedger` answers "how loaded is node *n* right now"
+for the one :class:`~repro.query.deployment.DeploymentState` it is
+attached to.  The state stays the single source of truth: the ledger
+keeps *books* -- one priced :class:`~repro.resources.capacity.Load` per
+live operator and one sum per node -- and reconciles them against the
+state at the top of every read.  Nothing is wired into the code that
+mutates a state (admission, retirement, live migration, node failover,
+crash recovery); the state carries a monotone ``revision`` and the rate
 model a ``version``, so a read costs
 
 * O(1) when neither moved since the last read;
@@ -21,16 +20,14 @@ model a ``version``, so a read costs
 
 Reuse is credited once: operator instances are identified by their
 ``(view signature, node)`` key exactly as the deployment state keys
-them, so a view shared by five queries (locally or across shards via
-the federation's external records) is charged to its node exactly one
-time.  The *pricer* of a key is the first deployment, in
-attach-then-application order, that holds a join with that key (the
-join's split decides cpu and memory, so who prices matters); the other
-holders ride free and the next one takes over when the pricer leaves.
-An operator that outlived every holder -- reusers keep it running -- is
-priced from the ``origin`` its state recorded at install time.
-Reused-view *leaves* never carry load at all -- see
-:mod:`repro.resources.footprint`.
+them, so a view shared by five queries is charged to its node exactly
+one time.  The *pricer* of a key is the first deployment, in
+application order, that holds a join with that key (the join's split
+decides cpu and memory, so who prices matters); the other holders ride
+free and the next one takes over when the pricer leaves.  An operator
+that outlived every holder -- reusers keep it running -- is priced from
+the ``origin`` its state recorded at install time.  Reused-view
+*leaves* never carry load at all -- see :mod:`repro.resources.footprint`.
 
 A node's load is always re-summed from its operators' loads, exactly
 (:func:`~repro.resources.capacity.exact_sum`), instead of adding and
@@ -53,37 +50,12 @@ from repro.resources.footprint import JoinPricer, OperatorFootprint
 from repro.utils import ChangeFeed
 
 
-class _Source:
-    """One attached state and what the books last saw of it."""
-
-    __slots__ = ("state", "footprint", "order", "seen", "cursor", "deployments", "records", "seq")
-
-    def __init__(
-        self, state: DeploymentState, footprint: OperatorFootprint, order: int
-    ) -> None:
-        self.state = state
-        self.footprint = footprint
-        self.order = order
-        # (state.revision, id(rates), rates.version) at the last reconcile.
-        self.seen: tuple | None = None
-        # The state's feed cursor at the last reconcile.
-        self.cursor: tuple | None = None
-        # name -> (deployment, seq, join keys); seq grows in application
-        # order because a state only ever appends deployments.
-        self.deployments: dict[str, tuple[Deployment, int, list[tuple]]] = {}
-        # key -> the live operator record.
-        self.records: dict[tuple, object] = {}
-        self.seq = itertools.count()
-
-
 class _Holder(NamedTuple):
-    """One deployment's join under an operator key; the first three
-    fields are its position in the attach-then-application walk."""
+    """One deployment's join under an operator key; the first two fields
+    are its position in the application-order walk."""
 
-    order: int
     seq: int
     index: int
-    source: _Source
     deployment: Deployment
     join: Join
 
@@ -96,13 +68,13 @@ class _Operator:
     def __init__(self) -> None:
         # Sorted in walk order: the first holder prices the operator.
         self.holders: list[_Holder] = []
-        # (query, left sources, right sources, footprint) behind ``load``.
+        # (query, left sources, right sources) behind ``load``.
         self.struct: tuple | None = None
         self.load: Load = ZERO_LOAD
 
 
 class ResourceLedger:
-    """Per-node utilization across every attached deployment state.
+    """Per-node utilization of the one attached deployment state.
 
     Args:
         capacities: ``{node: NodeCapacity}``; missing nodes (or a
@@ -111,13 +83,18 @@ class ResourceLedger:
 
     def __init__(self, capacities: Mapping[int, NodeCapacity] | None = None) -> None:
         self.capacities: dict[int, NodeCapacity] = dict(capacities or {})
-        self._sources: list[_Source] = []
-        self._attach_order = itertools.count()
-        # Nodes re-summed since the last rebuild of ``_utils`` (a reset).
-        self._moved = ChangeFeed()
-        self._clear_books()
-
-    def _clear_books(self) -> None:
+        self.state: DeploymentState | None = None
+        self.footprint: OperatorFootprint | None = None
+        # (state.revision, id(rates), rates.version) at the last reconcile.
+        self._seen: tuple | None = None
+        # The state's feed cursor at the last reconcile.
+        self._cursor: tuple | None = None
+        # name -> (deployment, seq, join keys); seq grows in application
+        # order because a state only ever appends deployments.
+        self._deployments: dict[str, tuple[Deployment, int, list[tuple]]] = {}
+        # key -> the live operator record.
+        self._records: dict[tuple, object] = {}
+        self._seq = itertools.count()
         self._operators: dict[tuple, _Operator] = {}
         self._on_node: dict[int, dict[tuple, _Operator]] = {}
         self._loads: dict[int, Load] = {}
@@ -126,17 +103,21 @@ class ResourceLedger:
         # rebuild), and the capacities they were computed under.
         self._utils: dict[int, float] | None = None
         self._utils_capacities: dict[int, NodeCapacity] = {}
-        # Union of the sources' live record keys; None = rebuild on demand.
+        # Nodes re-summed since the last rebuild of ``_utils`` (a reset).
+        self._moved = ChangeFeed()
+        # The live record keys as a frozenset; None = rebuild on demand.
         self._live_keys: frozenset[tuple] | None = None
 
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
     def attach(self, state: DeploymentState, footprint: OperatorFootprint) -> None:
-        """Track a deployment state's operators (idempotent)."""
-        if any(source.state is state for source in self._sources):
-            return
-        self._sources.append(_Source(state, footprint, next(self._attach_order)))
+        """Track the operators of ``state`` (idempotent); a ledger books
+        one state, so attaching another raises ``ValueError``."""
+        if self.state is not None and self.state is not state:
+            raise ValueError("a ResourceLedger books exactly one deployment state")
+        if self.state is None:
+            self.state, self.footprint = state, footprint
 
     @property
     def constrained(self) -> bool:
@@ -151,21 +132,16 @@ class ResourceLedger:
     # Reconciliation
     # ------------------------------------------------------------------
     def _sync(self) -> None:
-        """Bring the books up to date with every attached state."""
-        stale: list[_Source] = []
-        reprice = False
-        for source in self._sources:
-            rates = source.footprint.rates
-            seen = (source.state.revision, id(rates), rates.version)
-            if seen == source.seen:
-                continue
-            if source.seen is not None and seen[1:] != source.seen[1:]:
-                reprice = True
-            if source.seen is None or seen[0] != source.seen[0]:
-                stale.append(source)
-            source.seen = seen
-        if not (stale or reprice):
+        """Bring the books up to date with the attached state."""
+        if self.state is None:
             return
+        rates = self.footprint.rates
+        seen = (self.state.revision, id(rates), rates.version)
+        if seen == self._seen:
+            return
+        reprice = self._seen is not None and seen[1:] != self._seen[1:]
+        stale = self._seen is None or seen[0] != self._seen[0]
+        self._seen = seen
         priced = 0
         if reprice:
             for op in self._operators.values():
@@ -173,15 +149,15 @@ class ResourceLedger:
             priced += len(self._operators)
             self._dirty.update(self._on_node)
         touched: dict[tuple, None] = {}
-        for source in stale:
-            self._diff(source, touched)
+        if stale:
+            self._diff(touched)
         for key in touched:
             priced += self._elect(key)
         if priced:
             count("ledger_ops_priced", priced)
 
-    def _diff(self, source: _Source, touched: dict[tuple, None]) -> None:
-        """Fold what one state's feeds say changed into the books.
+    def _diff(self, touched: dict[tuple, None]) -> None:
+        """Fold what the state's feeds say changed into the books.
 
         A changed name loses its known deployment and, when live, is
         booked afresh; names are visited in the order of their last
@@ -189,14 +165,14 @@ class ResourceLedger:
         order.  A changed key is re-read.  When a feed cannot answer,
         every known and every live name (or key) counts as changed.
         """
-        state, known, records = source.state, source.deployments, source.records
-        names = state.names_since(source.cursor)
+        state, known, records = self.state, self._deployments, self._records
+        names = state.names_since(self._cursor)
         if names is None:
             names = [*known, *(d.query.name for d in state.deployments)]
-        keys = state.changes_since(source.cursor)
+        keys = state.changes_since(self._cursor)
         if keys is None:
             keys = [*records, *state.operators()]
-        source.cursor = state.feed_cursor()
+        self._cursor = state.feed_cursor()
         count("ledger_deployments_examined", len(names))
         count("ledger_records_examined", len(keys))
         for name in reversed(dict.fromkeys(reversed(names))):
@@ -209,14 +185,12 @@ class ResourceLedger:
             deployment = state.deployment(name)
             if deployment is None:
                 continue
-            seq = next(source.seq)
+            seq = next(self._seq)
             held = []
             for index, join in enumerate(deployment.plan.joins()):
                 key = (deployment.signature(join.sources), deployment.placement[join])
                 op = self._operators.get(key) or self._book(key)
-                op.holders.append(
-                    _Holder(source.order, seq, index, source, deployment, join)
-                )
+                op.holders.append(_Holder(seq, index, deployment, join))
                 op.holders.sort(key=_walk_order)
                 held.append(key)
                 touched[key] = None
@@ -244,20 +218,13 @@ class ResourceLedger:
         struct = None
         if op is not None and op.holders:
             first = op.holders[0]
-            struct = (
-                first.deployment.query,
-                first.join.left.sources,
-                first.join.right.sources,
-                first.source.footprint,
-            )
+            struct = (first.deployment.query, first.join.left.sources, first.join.right.sources)
         else:
             # No deployment's plan walks it anymore: charge it from the
             # origin recorded at install time, while it stays live.
-            for source in self._sources:
-                rec = source.records.get(key)
-                if rec is not None and rec.origin is not None:
-                    struct = (*rec.origin, source.footprint)
-                    break
+            rec = self._records.get(key)
+            if rec is not None and rec.origin is not None:
+                struct = rec.origin
         node = key[1]
         if struct is None:
             # Dead, or never a join (external and filter-only view
@@ -276,10 +243,8 @@ class ResourceLedger:
         self._price(op)
         return 1
 
-    @staticmethod
-    def _price(op: _Operator) -> None:
-        query, left, right, footprint = op.struct
-        op.load = footprint.join_load(query, left, right)
+    def _price(self, op: _Operator) -> None:
+        op.load = self.footprint.join_load(*op.struct)
 
     def _resum(self, node: int) -> None:
         """Re-sum one node from its operators, exactly."""
@@ -309,12 +274,10 @@ class ResourceLedger:
     # Accounting
     # ------------------------------------------------------------------
     def operator_keys(self) -> frozenset[tuple]:
-        """Live ``(signature, node)`` operator keys across all sources."""
+        """Live ``(signature, node)`` operator keys."""
         self._sync()
         if self._live_keys is None:
-            self._live_keys = frozenset().union(
-                *(source.records for source in self._sources)
-            )
+            self._live_keys = frozenset(self._records)
         return self._live_keys
 
     def node_loads(self) -> dict[int, Load]:
@@ -349,7 +312,7 @@ class ResourceLedger:
         return self._moved.cursor, nodes and sorted(nodes), utils
 
     def max_utilization(self) -> float:
-        """The hottest node's utilization ratio (0 on an empty fleet)."""
+        """The hottest node's utilization ratio (0 when no node is tracked)."""
         return max(self._settled_utils().values(), default=0.0)
 
     def violations(
@@ -360,7 +323,7 @@ class ResourceLedger:
         """Nodes exceeding ``bound``, optionally with ``extra`` load added.
 
         Returns ``[(node, projected_utilization), ...]`` sorted hottest
-        first; empty means the (projected) fleet is feasible.
+        first; empty means the (projected) load is feasible.
         """
         utils = self._settled_utils()
         if extra:
@@ -410,11 +373,11 @@ class ResourceLedger:
 
 
 def _walk_order(holder: _Holder) -> tuple:
-    return holder[:3]
+    return holder[:2]
 
 
 def _same_struct(a: tuple, b: tuple) -> bool:
-    return a[0] is b[0] and a[3] is b[3] and a[1] == b[1] and a[2] == b[2]
+    return a[0] is b[0] and a[1] == b[1] and a[2] == b[2]
 
 
 def plan_node_loads(
@@ -428,7 +391,7 @@ def plan_node_loads(
     """Per-node load a deployment would *add*, reuse credited.
 
     Join operators whose ``(signature, node)`` key appears in
-    ``skip_keys`` (already live somewhere in the fleet) add nothing --
+    ``skip_keys`` (already live) add nothing --
     the admission gate and the planners' joint-feasibility check both
     use this to price a candidate placement against the ledger.  A
     caller pricing many placements of one query hands in its ``pricer``

@@ -1,12 +1,12 @@
 """The resource layer's service-facing orchestrator.
 
 :class:`ResourceManager` is the object a
-:class:`~repro.service.service.StreamQueryService` (or each shard of a
-fleet) is armed with.  It owns the glue between the pieces:
+:class:`~repro.service.service.StreamQueryService` is armed with.  It
+owns the glue between the pieces:
 
 * builds the :class:`~repro.resources.footprint.OperatorFootprint` over
   the service's rate model and attaches the service's deployment state
-  to the (possibly fleet-shared) ledger;
+  to its own ledger;
 * hands the planners a per-query
   :class:`~repro.resources.constraint.PlacementConstraint` snapshot;
 * gates every deployment (the authoritative joint feasibility check),
@@ -94,16 +94,13 @@ class ResourceManager:
     """One service's resource-awareness: constraint, gate, park, repair.
 
     Args:
-        config: The layer's tuning.
-        ledger: Optional pre-built (fleet-shared) ledger; by default a
-            private one over ``config.capacities``.
+        config: The layer's tuning; the manager's ledger books the bound
+            service's deployments against ``config.capacities``.
     """
 
-    def __init__(
-        self, config: ResourceConfig, ledger: ResourceLedger | None = None
-    ) -> None:
+    def __init__(self, config: ResourceConfig) -> None:
         self.config = config
-        self.ledger = ledger if ledger is not None else ResourceLedger(config.capacities)
+        self.ledger = ResourceLedger(config.capacities)
         self.footprint: OperatorFootprint | None = None
         self.service = None
         self.parked: dict[str, ParkedQuery] = {}
@@ -285,18 +282,14 @@ class ResourceManager:
             if not violations:
                 break
             hottest = violations[0][0]
-            # The ledger may be fleet-wide; a shard sheds only its own.
-            state = service.engine.state
             occupants = [
-                name
-                for name in self.ledger.queries_on(hottest)
-                if name not in self.parked and state.deployment(name) is not None
+                name for name in self.ledger.queries_on(hottest) if name not in self.parked
             ]
             if not occupants:
                 break
             victim = min(occupants)
             expiry = service._expiry.get(victim)
-            query = state.deployment(victim).query
+            query = service.engine.state.deployment(victim).query
             service._retire_live(victim)
             self.parked[victim] = ParkedQuery(
                 query=query,
@@ -349,9 +342,7 @@ class ResourceManager:
         for node in moved:
             gauges[node].set(utils.get(node, 0.0))
         count("node_gauges_written", len(moved))
-        # The peak over this network's nodes; a shared ledger may track others.
-        hot = utils if utils.keys() <= gauges.keys() else utils.keys() & gauges.keys()
-        self._max_gauge.set(max(map(utils.get, hot), default=0.0))
+        self._max_gauge.set(max(utils.values(), default=0.0))
         self._parked_gauge.set(float(len(self.parked)))
         self._shed_counter.sync_total(float(self.shed_total))
         self._readmitted_counter.sync_total(float(self.readmitted_total))
@@ -402,21 +393,13 @@ class ResourceManager:
         }
 
 
-def ensure_resources(
-    value: "ResourceConfig | ResourceManager | None",
-) -> ResourceManager | None:
-    """Normalize the service/fleet constructor argument.
-
-    ``None`` stays ``None`` (the layer does not exist), a config builds
-    a fresh manager, a prebuilt manager passes through.
-    """
+def ensure_resources(value: ResourceConfig | None) -> ResourceManager | None:
+    """Normalize the service constructor argument: ``None`` stays
+    ``None`` (the layer does not exist), a config builds a manager."""
     if value is None:
         return None
-    if isinstance(value, ResourceManager):
-        return value
     if isinstance(value, ResourceConfig):
         return ResourceManager(value)
     raise TypeError(
-        f"resources must be a ResourceConfig, ResourceManager or None, "
-        f"got {type(value).__name__}"
+        f"resources must be a ResourceConfig or None, got {type(value).__name__}"
     )

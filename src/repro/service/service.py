@@ -178,7 +178,6 @@ class StreamQueryService:
             is byte-identical to a build without the subsystem (same
             contract as the other optional layers).
         resources: Optional :class:`~repro.resources.ResourceConfig`
-            (or prebuilt :class:`~repro.resources.ResourceManager`)
             turning on resource-aware placement: node capacities feed a
             utilization-bounded (or bi-criteria) planner constraint,
             every deployment passes a joint feasibility gate against

@@ -12,7 +12,8 @@ It copies ``src/``, ``tests/``, ``benchmarks/``, ``examples/`` and
 ``sitecustomize`` module on ``PYTHONPATH`` installs a line tracer
 limited to the copy's ``src/repro``, and each process writes the lines
 it ran when it exits.  A command that returns another exit code than
-the one it is listed with fails the census (exit 1).
+the one it is listed with fails the census (exit 1), and so does a count
+of unentered non-error statements above :data:`CEILING`.
 
 A statement is an AST statement of ``src/repro`` with bytecode on its
 head lines (a compound statement's head ends where its body starts);
@@ -43,6 +44,9 @@ from pathlib import Path
 from tests.golden import SMOKE, Command
 
 ROOT = Path(__file__).resolve().parents[1]
+
+#: The most unentered non-error statements ``src/repro`` may hold.
+CEILING = 600
 
 #: Every command the census runs, in order, from the scratch copy's root
 #: (``Command`` says how a line reads): CI's smoke list, then what CI
@@ -303,10 +307,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--list", action="store_true", help="name every unentered block")
     args = parser.parse_args(argv)
     sources, ran, failed = run_commands()
-    print(report(census(sources, ran), listing=args.list))
+    found = census(sources, ran)
+    print(report(found, listing=args.list))
     for command, rc in failed:
         print(f"error: exit {rc}, expected {command.rc}: {command.line}", file=sys.stderr)
-    return 1 if failed else 0
+    unentered, _ = unentered_figure(found)
+    if unentered > CEILING:
+        print(f"error: {unentered} unentered non-error statements, above the ceiling of {CEILING}",
+              file=sys.stderr)
+    return 1 if failed or unentered > CEILING else 0
 
 
 if __name__ == "__main__":

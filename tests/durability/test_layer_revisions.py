@@ -86,8 +86,9 @@ def build_service(state_dir, resources=True):
 
 
 def build_fleet(state_dir):
-    """A 2-shard tenant fleet (no federation), its shards with every
-    layer armed, over-budget submissions waiting in the scheduler."""
+    """A 2-shard tenant fleet (no federation), its shards with resilience
+    and adaptivity armed, over-budget submissions waiting in the
+    scheduler."""
     net, hierarchy, rates, pool = three_sink_world(_POOL)
     fleet = FleetController(
         2,
@@ -99,7 +100,6 @@ def build_fleet(state_dir):
         tenants=TENANTS,
         federation=False,
         service_kwargs={"resilience": ResilienceConfig(), "adaptivity": _ADAPT},
-        resources=bounded(net),
         durability=DurabilityConfig(state_dir=str(state_dir), **_DURABLE),
     )
     for index, query in enumerate(pool[:8]):
@@ -364,7 +364,7 @@ def test_a_warm_snapshot_of_an_unchanged_fleet_captures_no_layer(tmp_path, monke
     calls = spy_captures(monkeypatch, fleet)
     assert captured(fleet, calls) == {
         "QueryRouter": 1, "WeightedFairScheduler": 1,
-        "ResilientControl": 2, "AdaptivityLoop": 2, "ResourceManager": 2,
+        "ResilientControl": 2, "AdaptivityLoop": 2,
     }
     assert captured(fleet, calls) == {}
     assert captured(fleet, calls) == {}

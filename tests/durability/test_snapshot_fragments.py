@@ -340,7 +340,6 @@ class FleetSnapshotMachine(SnapshotMachine):
             federation=True,
             service_kwargs={"adaptivity": _ADAPT},
             tenants=TENANTS,
-            resources=bounded(self.net),
             durability=durability,
         )
         self.services = self.plane.shards

@@ -95,6 +95,12 @@ class TestLifecycle:
         fleet.rates.update_streams(halved)
 
 
+class TestLayers:
+    def test_a_fleet_refuses_the_resource_layer(self, fleet_env):
+        with pytest.raises(repro.ReproError, match="a fleet does not arm the resource layer"):
+            build_fleet(fleet_env, service_kwargs={"resources": repro.ResourceConfig()})
+
+
 class TestRebalance:
     def test_moves_live_query(self, fleet_env):
         _, _, workload, _ = fleet_env

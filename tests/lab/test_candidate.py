@@ -103,6 +103,11 @@ class TestBuilding:
         plane = Candidate(name="r", resources=True).build(built)
         assert plane.resources is not None
 
+    def test_a_fleet_candidate_under_a_capacity_profile_is_refused(self):
+        built = tiny_built(capacity=CapacitySpec(profile="uniform"))
+        with pytest.raises(ScenarioError, match="a fleet does not arm the resource layer"):
+            Candidate(name="f", mode="fleet", shards=2).build(built)
+
     def test_faults_need_a_fault_plan(self):
         built = tiny_built()
         with pytest.raises(ScenarioError, match="no fault plan"):

@@ -1,13 +1,10 @@
 """Alerting-rule lifecycle, rule types, and the default SLO pack."""
 
-import json
-
 import pytest
 
 from repro.obs.rules import (
     AbsenceRule,
     BurnRateRule,
-    FairnessSkewRule,
     RecordingRule,
     RuleState,
     RulesEngine,
@@ -225,33 +222,6 @@ class TestRuleTypes:
         rule = BurnRateRule("r", "good", "total", objective=0.9, max_burn=1.0)
         assert rule.value(store, 1.0) is None
 
-    def test_fairness_skew_weight_normalized(self):
-        store = make_store(gold=[(1.0, 8.0)], bronze=[(1.0, 1.0)])
-        rule = FairnessSkewRule(
-            "r", {"gold": 2.0, "bronze": 1.0}, threshold=3.0
-        )
-        # shares 4.0 vs 1.0 -> skew 4.0 > 3.0
-        value = rule.value(store, 1.0)
-        assert value == pytest.approx(4.0)
-        assert rule.breached(value, 1.0)
-
-    def test_fairness_skew_inf_stays_json_safe(self):
-        store = make_store(gold=[(1.0, 8.0)], bronze=[(1.0, 0.0)])
-        rule = FairnessSkewRule("r", {"gold": 1.0, "bronze": 1.0}, threshold=3.0)
-        rule.evaluate(store, 1.0)
-        snap = rule.snapshot()
-        assert snap["value"] == "inf"
-        json.dumps(snap, allow_nan=False)  # must not raise
-
-    def test_fairness_skew_quiet_below_min_total(self):
-        store = make_store(gold=[(1.0, 0.5)], bronze=[(1.0, 0.1)])
-        rule = FairnessSkewRule(
-            "r", {"gold": 1.0, "bronze": 1.0}, threshold=2.0, min_total=4.0
-        )
-        assert rule.value(store, 1.0) is None
-        with pytest.raises(ValueError):
-            FairnessSkewRule("r2", {"gold": 1.0}, threshold=2.0)
-
     def test_recording_rule_derives_series(self):
         store = make_store(a=[(1.0, 3.0)], b=[(1.0, 4.0)])
         rule = RecordingRule("sum_ab", ["a", "b"])
@@ -282,15 +252,12 @@ class TestDefaultPack:
         assert "service:telemetry_stalled" in names
         assert "service.service_submitted_total" in names  # recording rule
 
-    def test_pack_is_per_scope_plus_fleet_fairness(self):
-        rules = default_rule_pack(
-            ["shard0", "shard1"],
-            tenant_weights={"fleet.tenant_live_a": 1.0, "fleet.tenant_live_b": 2.0},
-        )
+    def test_pack_is_per_scope(self):
+        rules = default_rule_pack(["shard0", "shard1"])
         names = {r.name for r in rules}
         assert "shard0:breaker_tripped" in names
         assert "shard1:breaker_tripped" in names
-        assert "fleet:tenant_fairness_skew" in names
+        assert {name.split(":")[0].split(".")[0] for name in names} == {"shard0", "shard1"}
 
     def test_pack_loads_into_an_engine(self):
         # A reporting queue-depth gauge keeps the liveness absence rule

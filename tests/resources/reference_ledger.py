@@ -1,18 +1,18 @@
 """The naive model the ledger's books are checked against.
 
-:class:`ReferenceLedger` keeps nothing: every call walks every attached
-:class:`~repro.query.deployment.DeploymentState` and prices every
-operator again, so it is right by construction no matter how a
+:class:`ReferenceLedger` keeps nothing: every call walks the
+:class:`~repro.query.deployment.DeploymentState` it is over and prices
+every operator again, so it is right by construction no matter how a
 deployment changed -- and O(live) per call, which is why the shipped
 :class:`~repro.resources.ledger.ResourceLedger` does not work this way.
-It is a pure function of the attached states and rate models:
+It is a pure function of the state and its rate model:
 
 * every distinct ``(signature, node)`` join is charged the first time
-  the walk (states in attach order, deployments in application order,
-  joins in plan order) meets it, priced by that deployment;
+  the walk (deployments in application order, joins in plan order)
+  meets it, priced by that deployment;
 * then every live operator record no deployment's plan walks anymore is
-  charged from the ``origin`` its state recorded at install time, states
-  in attach order and records in install order;
+  charged from the ``origin`` the state recorded at install time,
+  records in install order;
 * a node's charges are summed with ``math.fsum``, so no order of them
   moves a bit.
 
@@ -33,49 +33,39 @@ from repro.resources.capacity import UNBOUNDED, ZERO_LOAD, Load
 class ReferenceLedger:
     """Derive-everything twin of :class:`repro.resources.ResourceLedger`."""
 
-    def __init__(self) -> None:
-        self._sources: list[tuple] = []
-
-    def attach(self, state, footprint) -> None:
-        self._sources.append((state, footprint))
+    def __init__(self, state, footprint) -> None:
+        self.state = state
+        self.footprint = footprint
 
     @classmethod
     def shadowing(cls, ledger) -> "ReferenceLedger":
-        """A reference over exactly what ``ledger`` has attached."""
-        reference = cls()
-        for source in ledger._sources:
-            reference.attach(source.state, source.footprint)
-        return reference
+        """A reference over the state ``ledger`` has attached."""
+        return cls(ledger.state, ledger.footprint)
 
     def operator_keys(self) -> set[tuple]:
-        keys: set[tuple] = set()
-        for state, _ in self._sources:
-            keys.update(state.operators())
-        return keys
+        return set(self.state.operators())
 
     def node_loads(self) -> dict[int, Load]:
         """Each node's operators summed exactly, dimension by dimension."""
         charged: dict[int, list[Load]] = {}
         seen: set[tuple] = set()
-        for state, footprint in self._sources:
-            for deployment in state.deployments:
-                query = deployment.query
-                for join in deployment.plan.joins():
-                    node = deployment.placement[join]
-                    key = (query.view_signature(join.sources), node)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    charged.setdefault(node, []).append(
-                        footprint.join_load(query, join.left.sources, join.right.sources)
-                    )
-        for state, footprint in self._sources:
-            for rec in state.operator_records():
-                key = (rec.signature, rec.node)
-                if key in seen or rec.origin is None:
+        for deployment in self.state.deployments:
+            query = deployment.query
+            for join in deployment.plan.joins():
+                node = deployment.placement[join]
+                key = (query.view_signature(join.sources), node)
+                if key in seen:
                     continue
                 seen.add(key)
-                charged.setdefault(rec.node, []).append(footprint.join_load(*rec.origin))
+                charged.setdefault(node, []).append(
+                    self.footprint.join_load(query, join.left.sources, join.right.sources)
+                )
+        for rec in self.state.operator_records():
+            key = (rec.signature, rec.node)
+            if key in seen or rec.origin is None:
+                continue
+            seen.add(key)
+            charged.setdefault(rec.node, []).append(self.footprint.join_load(*rec.origin))
         return {
             node: Load(*(math.fsum(dim) for dim in zip(*(astuple(l) for l in loads))))
             for node, loads in charged.items()
@@ -83,13 +73,11 @@ class ReferenceLedger:
 
     def queries_on(self, node: int) -> list[str]:
         names: list[str] = []
-        for state, _ in self._sources:
-            for deployment in state.deployments:
-                if any(
-                    deployment.placement[j] == node
-                    for j in deployment.plan.joins()
-                ) and deployment.query.name not in names:
-                    names.append(deployment.query.name)
+        for deployment in self.state.deployments:
+            if any(
+                deployment.placement[j] == node for j in deployment.plan.joins()
+            ) and deployment.query.name not in names:
+                names.append(deployment.query.name)
         return names
 
     # ------------------------------------------------------------------

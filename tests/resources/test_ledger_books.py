@@ -2,16 +2,15 @@
 
 Three layers of evidence that :class:`repro.resources.ResourceLedger`
 (O(delta) books, reconciled lazily) is the same function of the attached
-deployment states as ``reference_ledger.ReferenceLedger`` (walks and
+deployment state as ``reference_ledger.ReferenceLedger`` (walks and
 prices everything on every call):
 
 * pinned regressions for the pricing rules the old derive-on-call
   ledger got wrong (orphan pricing depended on call history and on the
   hash seed);
-* hypothesis state machines over the whole command surface -- a
-  service under tight capacities with adaptivity, and a 2-shard fleet
-  sharing one ledger through the federation -- asserting exact equality
-  after every command;
+* a hypothesis state machine over the whole command surface of a
+  service under tight capacities with adaptivity, asserting exact
+  equality after every command;
 * a work-count gate: idle ticks price nothing and a submit prices at
   most its own joins, so an O(live) regression fails without a clock.
 """
@@ -34,7 +33,6 @@ import repro
 from repro.adaptive import AdaptivityConfig
 from repro.core.cost import RateModel
 from repro.durability import DurabilityConfig, recover
-from repro.fleet import FleetController, Tenant
 from repro.perf.profiler import profiled
 from repro.query.deployment import _FEED_LIMIT, Deployment, DeploymentState
 from repro.query.plan import Join, Leaf
@@ -252,6 +250,19 @@ class TestOrphanPricing:
         assert_books_match(ledger, reference)
 
 
+class TestOneState:
+    def test_a_ledger_refuses_a_second_state(self, books, small_net, abc_rates):
+        state, footprint, ledger, reference = books
+        ledger.attach(state, footprint)  # the same state again: nothing changes
+        other = DeploymentState(small_net.cost_matrix(), abc_rates.rate, abc_rates.source)
+        with pytest.raises(ValueError, match="exactly one deployment state"):
+            ledger.attach(other, OperatorFootprint(abc_rates))
+        other.apply(left_deep("elsewhere"))
+        assert ledger.state is state and ledger.node_loads() == {}
+        state.apply(left_deep("here"))
+        assert_books_match(ledger, reference)
+
+
 class TestReads:
     def test_statistics_publication_reprices_every_booked_operator(self, books, abc_rates):
         state, footprint, ledger, reference = books
@@ -293,11 +304,6 @@ def bounded(net) -> ResourceConfig:
     return ResourceConfig(capacities=uniform_capacities(net, **_CAPS))
 
 
-#: Three tenants of different weights: pool query ``i`` is submitted
-#: by tenant ``w{1 + i % 3}``.
-TENANTS = [Tenant(f"w{k}", weight=float(k)) for k in (1, 2, 3)]
-
-
 def orphaned(state) -> int:
     """Live operators no deployment's plan holds a join for anymore."""
     held = {
@@ -312,7 +318,8 @@ def orphaned(state) -> int:
 
 
 class LedgerMachine(RuleBasedStateMachine):
-    """Rules shared by the service and the fleet machine."""
+    """One service: tight capacities (shed, park, re-admit), adaptivity
+    (publication, migration) and node failover."""
 
     #: What the explored examples exercised, summed over a whole run.
     seen: Counter
@@ -321,55 +328,59 @@ class LedgerMachine(RuleBasedStateMachine):
         super().__init__()
         self.net, self.hierarchy, self.rates, self.pool = three_sink_world(_POOL)
         self.serial = itertools.count()
-        self.build()
+        ads = repro.AdvertisementIndex(self.hierarchy)
+        optimizer = repro.TopDownOptimizer(self.hierarchy, self.rates, ads=ads)
+        self.service = StreamQueryService(
+            optimizer,
+            self.net,
+            self.rates,
+            hierarchy=self.hierarchy,
+            ads=ads,
+            adaptivity=_ADAPT,
+            resources=bounded(self.net),
+        )
+        self.ledger = self.service.resources.ledger
+        self.failures = 0
         self.reference = ReferenceLedger.shadowing(self.ledger)
-        # Every example starts from a busy plane, so the first drawn
+        # Every example starts from a busy service, so the first drawn
         # rules already have something to shed, fail or migrate.
         for index in range(_POOL):
             self.submit(index, None if index % 2 else 6.0)
             self.books_match_the_reference()
-
-    def build(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def submitter(self, index: int) -> dict:
-        """Extra ``submit`` arguments for pool query ``index``."""
-        return {}
 
     @rule(index=st.integers(0, _POOL - 1), lifetime=st.sampled_from([None, 2.0, 6.0]))
     def submit(self, index, lifetime):
         # A fresh name every time: same-shape resubmissions hit the plan
         # cache and reuse deployed views, which is where orphans come from.
         query = self.pool[index].renamed(f"{self.pool[index].name}#{next(self.serial) % 64}")
-        if query.name not in self.plane.live_queries:
-            self.plane.submit(query, lifetime=lifetime, **self.submitter(index))
+        if query.name not in self.service.live_queries:
+            self.service.submit(query, lifetime=lifetime)
 
     @rule(data=st.data())
     def retire(self, data):
-        live = sorted(self.plane.live_queries)
+        live = sorted(self.service.live_queries)
         if live:
-            self.plane.retire(data.draw(st.sampled_from(live)))
+            self.service.retire(data.draw(st.sampled_from(live)))
 
     @rule()
     def tick(self):
-        self.plane.tick()
+        self.service.tick()
 
     @rule(stream=st.integers(0, 5), factor=st.sampled_from([0.5, 2.0]))
     def publish_drift(self, stream, factor):
         samples = {name: spec.rate for name, spec in self.rates.streams.items()}
         samples[sorted(samples)[stream]] *= factor
-        for service in self.services:
-            service.observe_rates(samples)
-        self.plane.tick()
+        self.service.observe_rates(samples)
+        self.service.tick()
 
     def reapply_ends(self, churn: int) -> bool:
-        """Edit a state behind its plane's back: undeploy its oldest and
+        """Edit the state behind the service's back: undeploy its oldest and
         newest view-free deployments (undone newest first and redone
         oldest first, those re-apply whatever else is live), apply and
         undeploy ``churn`` renamed twins of the oldest, then re-apply the
         same two objects under their names.  Both move to the end of
         application order, so their pricing turns move too."""
-        state = self.services[0].engine.state
+        state = self.service.engine.state
         plain = [d for d in state.deployments if not d.reused_leaves()]
         if len(plain) < 2:
             return False
@@ -399,76 +410,6 @@ class LedgerMachine(RuleBasedStateMachine):
         # the books fall back to every known and every live name.
         self.seen["bursts"] += self.reapply_ends(_FEED_LIMIT // 2 + 1)
 
-    @invariant()
-    def books_match_the_reference(self):
-        assert_books_match(self.ledger, self.reference)
-        self.seen["orphans"] += sum(orphaned(s.engine.state) for s in self.services)
-
-    #: Set by the rules that move the ledger without a service command
-    #: (which would refresh that service's gauges on its way out).
-    edited_out_of_band = False
-
-    @property
-    def gauges_behind(self) -> bool:
-        # On a shared ledger one shard's command moves every shard's nodes.
-        return self.edited_out_of_band or len(self.services) > 1
-
-    @rule()
-    def refresh_gauges_again(self):
-        for service in self.services:
-            with profiled() as prof:
-                service.resources.record_gauges(service)
-            if not self.gauges_behind:
-                assert prof.ops["node_gauges_written"] == 0
-
-    @invariant()
-    def gauges_match_the_reference(self):
-        """Written on change, every gauge still shows what writing all of
-        them on every refresh would: the reference ratio, or 0.0."""
-        want = self.reference.utilizations(self.ledger.capacities)
-        for service in self.services:
-            if self.gauges_behind:
-                service.resources.record_gauges(service)
-            registry = service.registry
-            shown = {
-                node: registry.get(f"resource_node_utilization_n{node}").value
-                for node in self.net.nodes()
-            }
-            assert shown == {node: want.get(node, 0.0) for node in self.net.nodes()}
-            assert registry.get("resource_max_utilization").value == max(shown.values())
-            self.seen["gauges_nonzero"] += any(shown.values())
-        self.edited_out_of_band = False
-
-    def teardown(self):
-        managers = [service.resources for service in self.services]
-        self.seen["shed"] += sum(m.shed_total for m in managers)
-        self.seen["readmitted"] += sum(m.readmitted_total for m in managers)
-        self.seen["publications"] += self.rates.version
-        self.seen["migrations"] += sum(
-            s.adaptivity.summary()["migrations_committed"] for s in self.services
-        )
-
-
-class ServiceLedgerMachine(LedgerMachine):
-    """One service: tight capacities (shed, park, re-admit), adaptivity
-    (publication, migration) and node failover."""
-
-    def build(self) -> None:
-        ads = repro.AdvertisementIndex(self.hierarchy)
-        optimizer = repro.TopDownOptimizer(self.hierarchy, self.rates, ads=ads)
-        self.plane = StreamQueryService(
-            optimizer,
-            self.net,
-            self.rates,
-            hierarchy=self.hierarchy,
-            ads=ads,
-            adaptivity=_ADAPT,
-            resources=bounded(self.net),
-        )
-        self.services = [self.plane]
-        self.ledger = self.plane.resources.ledger
-        self.failures = 0
-
     @rule(data=st.data())
     def fail_node(self, data):
         # Sources and sinks stay up, so every pool query stays plannable.
@@ -478,11 +419,11 @@ class ServiceLedgerMachine(LedgerMachine):
         if hosts and self.failures < 2:
             self.failures += 1
             self.seen["failovers"] += 1
-            self.plane.handle_node_failure(data.draw(st.sampled_from(hosts)))
+            self.service.handle_node_failure(data.draw(st.sampled_from(hosts)))
 
     @rule(data=st.data(), factor=st.sampled_from([None, 0.5, 2.0, float("inf")]))
     def edit_capacity(self, data, factor):
-        # Public and mutable: dropped, scaled or lifted under a live fleet.
+        # Public and mutable: dropped, scaled or lifted under a live service.
         caps = self.ledger.capacities
         node = data.draw(st.sampled_from(sorted(self.net.nodes())))
         if factor is None:
@@ -497,53 +438,57 @@ class ServiceLedgerMachine(LedgerMachine):
     @rule()
     def restore(self):
         # What crash recovery does to a state: same content, new records.
-        for service in self.services:
-            state = service.engine.state
-            state.restore(
-                state.deployments,
-                [
-                    (rec.signature, rec.node, rec.rate, set(rec.queries), rec.origin)
-                    for rec in state.operator_records()
-                ],
-                state.flows(),
-            )
+        state = self.service.engine.state
+        state.restore(
+            state.deployments,
+            [
+                (rec.signature, rec.node, rec.rate, set(rec.queries), rec.origin)
+                for rec in state.operator_records()
+            ],
+            state.flows(),
+        )
         self.seen["restores"] += 1
         self.edited_out_of_band = True
 
+    @invariant()
+    def books_match_the_reference(self):
+        assert_books_match(self.ledger, self.reference)
+        self.seen["orphans"] += orphaned(self.service.engine.state)
 
-class FleetLedgerMachine(LedgerMachine):
-    """Two hash-routed shards on one ledger; the federation plants one
-    shard's views in the other as external records."""
+    #: Set by the rules that move the ledger without a service command
+    #: (which would refresh the service's gauges on its way out).
+    edited_out_of_band = False
 
-    def build(self) -> None:
-        self.plane = FleetController(
-            2,
-            self.net,
-            self.rates,
-            self.hierarchy,
-            policy="hash",
-            federation=True,
-            service_kwargs={"adaptivity": _ADAPT},
-            tenants=TENANTS,
-            resources=bounded(self.net),
-        )
-        self.services = self.plane.shards
-        self.ledger = self.plane.resource_ledger
+    @rule()
+    def refresh_gauges_again(self):
+        with profiled() as prof:
+            self.service.resources.record_gauges(self.service)
+        if not self.edited_out_of_band:
+            assert prof.ops["node_gauges_written"] == 0
 
-    def submitter(self, index: int) -> dict:
-        return {"tenant": TENANTS[index % 3].name}
-
-    @rule(data=st.data())
-    def rebalance(self, data):
-        live = sorted(self.plane.live_queries)
-        if live:
-            name = data.draw(st.sampled_from(live))
-            self.plane.rebalance(name, 1 - self.plane.shard_of(name))
+    @invariant()
+    def gauges_match_the_reference(self):
+        """Written on change, every gauge still shows what writing all of
+        them on every refresh would: the reference ratio, or 0.0."""
+        want = self.reference.utilizations(self.ledger.capacities)
+        if self.edited_out_of_band:
+            self.service.resources.record_gauges(self.service)
+        registry = self.service.registry
+        shown = {
+            node: registry.get(f"resource_node_utilization_n{node}").value
+            for node in self.net.nodes()
+        }
+        assert shown == {node: want.get(node, 0.0) for node in self.net.nodes()}
+        assert registry.get("resource_max_utilization").value == max(shown.values())
+        self.seen["gauges_nonzero"] += any(shown.values())
+        self.edited_out_of_band = False
 
     def teardown(self):
-        super().teardown()
-        self.seen["imports"] += self.plane.federation.imported_total
-        self.seen["promotions"] += self.plane.federation.promoted_total
+        manager = self.service.resources
+        self.seen["shed"] += manager.shed_total
+        self.seen["readmitted"] += manager.readmitted_total
+        self.seen["publications"] += self.rates.version
+        self.seen["migrations"] += self.service.adaptivity.summary()["migrations_committed"]
 
 
 #: Derandomized: the same examples every run, so the mechanisms the
@@ -554,45 +499,13 @@ _MACHINE = settings(
 
 
 def test_service_books_match_the_reference_after_every_command():
-    ServiceLedgerMachine.seen = seen = Counter()
-    run_state_machine_as_test(ServiceLedgerMachine, settings=_MACHINE)
+    LedgerMachine.seen = seen = Counter()
+    run_state_machine_as_test(LedgerMachine, settings=_MACHINE)
     for mechanism in (
         "shed", "readmitted", "publications", "migrations", "failovers", "orphans",
         "capacity_edits", "restores", "gauges_nonzero", "reapplies", "bursts",
     ):
         assert seen[mechanism], f"no example exercised {mechanism}: {dict(seen)}"
-
-
-def test_fleet_books_match_the_reference_after_every_command():
-    FleetLedgerMachine.seen = seen = Counter()
-    run_state_machine_as_test(FleetLedgerMachine, settings=_MACHINE)
-    for mechanism in (
-        "shed", "readmitted", "publications", "imports", "promotions", "orphans",
-        "gauges_nonzero", "reapplies", "bursts",
-    ):
-        assert seen[mechanism], f"no example exercised {mechanism}: {dict(seen)}"
-
-
-def test_a_refused_rebalance_leaves_nothing_parked_on_the_target():
-    """Found by the fleet machine: a move the target shard parks rolls
-    back onto the source, and the target kept it parked, so a later tick
-    deployed a query that was live on the source again."""
-    FleetLedgerMachine.seen = Counter()
-    fleet = FleetLedgerMachine().plane
-    name = "q0#0"
-    source = fleet.shard_of(name)
-    caps = fleet.resource_ledger.capacities
-    roomy = dict(caps)
-    for node, cap in roomy.items():  # nothing fits anywhere for the move
-        caps[node] = cap.scaled(0.01)
-    assert not fleet.rebalance(name, 1 - source).moved
-    assert name not in fleet.shards[1 - source].resources.parked
-    caps.update(roomy)
-    fleet.tick()
-    fleet.tick()
-    live = [live for shard in fleet.shards for live in shard.live_queries]
-    assert len(live) == len(set(live))
-    assert fleet.shard_of(name) == source
 
 
 # ----------------------------------------------------------------------
@@ -733,22 +646,6 @@ class TestNodeGauges:
         assert service.registry.get("resource_max_utilization").value == (
             ledger.max_utilization()
         )
-
-    def test_the_peak_gauge_ignores_nodes_outside_the_network(self, service):
-        ledger = service.resources.ledger
-        service.engine.state.apply(hand_placed(service.rates, "inside", inner=2, root=9))
-        # Another plane on a larger network shares the ledger.
-        wide = repro.transit_stub_by_size(64, seed=1)
-        rates = service.rates
-        other = DeploymentState(wide.cost_matrix(), rates.rate, rates.source)
-        ledger.attach(other, OperatorFootprint(rates))
-        other.apply(hand_placed(rates, "outside", inner=40, root=41))
-        ledger.capacities[40] = NodeCapacity(cpu=1.0, memory=1.0, bandwidth=1.0)
-        service.resources.record_gauges(service)
-        utils = ratios(ledger)
-        inside = max(utils.get(node, 0.0) for node in service.network.nodes())
-        assert ledger.max_utilization() == utils[40] > inside > 0.0
-        assert service.registry.get("resource_max_utilization").value == inside
 
 
 # ----------------------------------------------------------------------

@@ -6,10 +6,7 @@ but also when *armed with all-unbounded capacities* -- decision for
 decision, cost for cost.
 """
 
-import pytest
-
 import repro
-from repro.fleet import FleetController
 from repro.resources import ResourceConfig, uniform_capacities
 from repro.service import AdmissionController, StreamQueryService, churn_trace
 
@@ -97,68 +94,3 @@ class TestServiceParity:
     def test_armed_service_wires_the_planner(self):
         armed, _ = build_service(resources=ResourceConfig())
         assert armed.optimizer.resources is armed.resources
-
-
-class TestFleetParity:
-    def test_fleet_parity_and_shard_guard(self):
-        net = repro.transit_stub_by_size(32, seed=3)
-        hierarchy = repro.build_hierarchy(net, max_cs=6, seed=0)
-        workload = repro.generate_workload(
-            net,
-            repro.WorkloadParams(num_streams=6, num_queries=6, joins_per_query=(1, 3)),
-            seed=4,
-        )
-        rates = workload.rate_model()
-
-        def build(resources):
-            return FleetController(
-                2, net, rates, hierarchy, policy="hash", budget=4,
-                resources=resources,
-            )
-
-        plain = build(None)
-        armed = build(ResourceConfig())
-        for query in workload:
-            plain.submit(query, lifetime=4.0)
-            armed.submit(query, lifetime=4.0)
-        for _ in range(6):
-            plain.tick()
-            armed.tick()
-        assert plain.live_queries == armed.live_queries
-        assert plain.total_cost() == armed.total_cost()
-        assert plain.check_invariants() == armed.check_invariants() == []
-        # One shared ledger, one manager per shard.
-        assert armed.resource_ledger is not None
-        assert len(armed.resource_managers) == 2
-        assert all(
-            s.resources.ledger is armed.resource_ledger for s in armed.shards
-        )
-        # Shards must not be armed independently.
-        with pytest.raises(repro.ReproError):
-            FleetController(
-                2, net, rates, hierarchy,
-                service_kwargs={"resources": ResourceConfig()},
-            )
-        # And the fleet takes a config, not a manager.
-        with pytest.raises(repro.ReproError):
-            FleetController(
-                2, net, rates, hierarchy,
-                resources=repro.ResourceManager(ResourceConfig()),
-            )
-
-    def test_unarmed_fleet_has_no_resource_surface(self):
-        net = repro.transit_stub_by_size(16, seed=3)
-        hierarchy = repro.build_hierarchy(net, max_cs=6, seed=0)
-        workload = repro.generate_workload(
-            net,
-            repro.WorkloadParams(num_streams=4, num_queries=2, joins_per_query=(1, 2)),
-            seed=4,
-        )
-        fleet = FleetController(1, net, workload.rate_model(), hierarchy)
-        assert fleet.resource_ledger is None
-        assert fleet.resource_managers == []
-        assert not {
-            n for n in fleet.registry.names() if "resource" in n
-        }
-        with pytest.raises(repro.ReproError):
-            fleet.resource_summary()

@@ -8,10 +8,8 @@ import pytest
 
 import repro
 from repro.errors import InfeasiblePlacementError
-from repro.fleet import FleetController, Tenant
 from repro.resources import ResourceConfig, uniform_capacities
 from repro.service import AdmissionStatus, StreamQueryService, churn_trace
-from tests.query.replay import assert_replays
 from tests.resources.reference_ledger import ratios
 
 #: comfortable headroom for ~7 of the 8 workload queries on this net
@@ -36,35 +34,6 @@ def build_service(resources, seed=47, num_queries=8, **layers):
         **layers,
     )
     return service, workload, net
-
-
-def build_weighted(resources, heavy, **layers):
-    """One shard under a tenant fleet, the :func:`build_service` world:
-    ``heavy`` is submitted as tenant ``heavy`` (weight 5), every other
-    query as ``light`` (0.5).  Returns ``(fleet, shard, submit,
-    workload, net)``."""
-    net = repro.transit_stub_by_size(32, seed=47)
-    hierarchy = repro.build_hierarchy(net, max_cs=4, seed=0)
-    workload = repro.generate_workload(
-        net,
-        repro.WorkloadParams(num_streams=6, num_queries=8, joins_per_query=(1, 3)),
-        seed=48,
-    )
-    fleet = FleetController(
-        1,
-        net,
-        workload.rate_model(),
-        hierarchy,
-        tenants=[Tenant("heavy", weight=5.0), Tenant("light", weight=0.5)],
-        service_kwargs=layers,
-        resources=resources,
-    )
-
-    def submit(query, **kwargs):
-        tenant = "heavy" if query.name == heavy else "light"
-        return fleet.submit(query, tenant=tenant, **kwargs)
-
-    return fleet, fleet.shards[0], submit, workload, net
 
 
 def bounded_config(net, **overrides):
@@ -202,27 +171,6 @@ class TestParkAndReadmit:
         assert "q3" in sum(deployed, [])
         assert sorted(manager.parked) == ["q1", "q2"]
         assert_feasible(service)
-
-    def test_a_heavier_tenants_query_parks_and_evicts_nothing(self):
-        net = repro.transit_stub_by_size(32, seed=47)
-        heavy = list(build_service(None)[1])[-1].name  # probe names first
-        fleet, service, submit, workload, _ = build_weighted(
-            bounded_config(net), heavy
-        )
-        manager = service.resources
-        left = []
-        for i, query in enumerate(list(workload)):
-            live = set(service.live_queries)
-            submit(query, lifetime=100.0, time=float(i))
-            left += live - set(service.live_queries)
-        # The heavy query arrives last into a saturated shard: it parks,
-        # and no lighter live query makes room for it.
-        assert not service.is_live(heavy)
-        assert heavy in manager.parked
-        assert left == [] and manager.shed_total == 0
-        assert not any(p.shed for p in manager.parked.values())
-        assert_feasible(service)
-        assert_replays(service)
 
     def test_plan_feasible_raises_for_a_parked_query(self):
         net = repro.transit_stub_by_size(32, seed=47)
