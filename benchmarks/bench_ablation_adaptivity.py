@@ -88,9 +88,9 @@ def _adaptive_arm(seed: int, events, config=CONFIG):
         committed = []
         while True:
             now += 1.0
-            service.tick(now)
+            report = service.tick(now)
             assert_replays(service)
-            done = service.adaptivity.reports[-1].committed
+            done = [m for m in report.migrations if m.committed]
             # No migration raises the cost the event left.
             assert all(m.new_cost < m.old_cost for m in done)
             committed += done

@@ -69,16 +69,22 @@ def main() -> StreamQueryService:
     net.set_link_cost(victim.u, victim.v, victim.cost * 40)
 
     # Tick until a pass over the live queries commits nothing.
-    now = float(len(workload))
-    while service.tick(now).migrated:
+    now, migrations = float(len(workload)), []
+    while True:
+        report = service.tick(now)
+        migrations += [m for m in report.migrations if m.committed]
+        if not report.migrated:
+            break
         now += 1.0
-    reports = service.adaptivity.reports
-    first = reports[0]
-    migrations = [m for report in reports for m in report.committed]
+    live = service.engine.state.deployments
     print(f"   topology epoch: {service.topology_epoch}, "
-          f"queries evaluated: {first.evaluated}")
-    for decision in first.decisions:
-        if not decision.migrate:
+          f"queries evaluated: {len(live)}")
+    # Ask the policy again why each query that did not move stays.
+    moved = {m.query for m in migrations}
+    costs = service.network.cost_matrix()
+    for deployment in sorted(live, key=lambda d: d.query.name):
+        if deployment.query.name not in moved:
+            decision = service.adaptivity.policy.evaluate(service.engine.state, deployment, costs)
             print(f"      {decision.query}: stays ({decision.reason})")
 
     # Only a migrated query's own flows change, so the congested cost of
@@ -87,7 +93,7 @@ def main() -> StreamQueryService:
     saved = sum(m.old_cost - m.new_cost for m in migrations)
     print(f"   cost at new prices before migrating: {after + saved:12.1f}")
     print(f"   cost after migrating:                {after:12.1f}")
-    print(f"   queries migrated: {len(migrations)} of {first.evaluated}")
+    print(f"   queries migrated: {len(migrations)} of {len(live)}")
     for m in migrations:
         print(
             f"      {m.query}: {m.old_cost:10.1f} -> {m.new_cost:10.1f}"

@@ -96,11 +96,6 @@ class AdaptiveTickReport:
         """Migrations that actually swapped deployments."""
         return [m for m in self.migrations if m.committed]
 
-    @property
-    def aborted(self) -> list[MigrationOutcome]:
-        """Migrations the cutover (or install) aborted."""
-        return [m for m in self.migrations if not m.committed]
-
 
 class AdaptivityLoop:
     """Owns the monitor, policy and migrator for one service.
@@ -115,7 +110,12 @@ class AdaptivityLoop:
         self.monitor: StatsMonitor | None = None
         self.policy: ReoptPolicy | None = None
         self.migrator: Migrator | None = None
-        self.reports: list[AdaptiveTickReport] = []
+        # Of the migrations run, as summary() and the snapshot name them.
+        self.totals = dict.fromkeys(
+            ("migrations_committed", "migrations_aborted", "operators_moved",
+             "state_bytes_moved", "cost_saving"),
+            0,
+        )
         self._last_migration: dict[str, float] = {}
         self._dirty = False
         # Queries whose last migration rolled back: each is evaluated
@@ -139,34 +139,32 @@ class AdaptivityLoop:
         self.migrator = Migrator(service.network)
         self._seen_topology = service.topology_epoch
         reg = service.registry
+        reg.counter(
+            "adaptive_drift_events_total",
+            "Statistics publications triggered by observed drift.",
+            lambda: len(self.monitor.events),
+        )
+        reg.counter(
+            "adaptive_streams_published_total",
+            "Streams whose rate was re-published on drift.",
+            lambda: sum(len(event.drifts) for event in self.monitor.events),
+        )
+        reg.counter(
+            "adaptive_reopt_evaluations_total",
+            "Deployed queries evaluated by the re-optimization policy.",
+            lambda: self.policy.evaluations,
+        )
+        for key, name, help in (
+            ("migrations_committed", "adaptive_migrations_total", "Migrations committed."),
+            ("migrations_aborted", "adaptive_migration_aborts_total",
+             "Migrations aborted (incomplete cutover or rolled back)."),
+            ("operators_moved", "adaptive_operators_moved_total",
+             "Operators that changed nodes in committed migrations."),
+            ("state_bytes_moved", "adaptive_state_bytes_total",
+             "Window-state bytes shipped by committed migrations."),
+        ):
+            reg.counter(name, help, lambda key=key: self.totals[key])
         self._instruments = {
-            "drift_events": reg.counter(
-                "adaptive_drift_events_total",
-                "Statistics publications triggered by observed drift.",
-            ),
-            "streams_published": reg.counter(
-                "adaptive_streams_published_total",
-                "Streams whose rate was re-published on drift.",
-            ),
-            "evaluations": reg.counter(
-                "adaptive_reopt_evaluations_total",
-                "Deployed queries evaluated by the re-optimization policy.",
-            ),
-            "migrations": reg.counter(
-                "adaptive_migrations_total", "Migrations committed."
-            ),
-            "aborts": reg.counter(
-                "adaptive_migration_aborts_total",
-                "Migrations aborted (incomplete cutover or rolled back).",
-            ),
-            "operators_moved": reg.counter(
-                "adaptive_operators_moved_total",
-                "Operators that changed nodes in committed migrations.",
-            ),
-            "bytes_moved": reg.counter(
-                "adaptive_state_bytes_total",
-                "Window-state bytes shipped by committed migrations.",
-            ),
             "saving": reg.gauge(
                 "adaptive_cost_saving",
                 "Cost/unit-time saved by the most recent committed migration.",
@@ -198,8 +196,6 @@ class AdaptivityLoop:
                 if event is not None:
                     report.drift = event
                     self._dirty = True
-                    self._instruments["drift_events"].inc()
-                    self._instruments["streams_published"].inc(float(len(event.drifts)))
                     tick_span.incr("drift_streams", len(event.drifts))
                     # Live flows now ship at the published rates; the
                     # epoch bump kills stale cached plans.
@@ -212,7 +208,6 @@ class AdaptivityLoop:
                 self._reoptimize(service, now, report)
                 self._dirty = bool(report.committed)
                 self._changes += 1
-        self.reports.append(report)
         return report
 
     def _retry_due(self, now: float) -> bool:
@@ -240,7 +235,6 @@ class AdaptivityLoop:
                 ev_span.tag(migrate=decision.migrate)
             report.evaluated += 1
             report.decisions.append(decision)
-            self._instruments["evaluations"].inc()
             if not decision.migrate:
                 continue
             if len(report.migrations) >= cfg.max_migrations_per_tick:
@@ -264,9 +258,11 @@ class AdaptivityLoop:
             # retried when the cooldown ends.
             self._last_migration[name] = now
             if outcome.committed:
-                self._instruments["migrations"].inc()
-                self._instruments["operators_moved"].inc(float(outcome.operators_moved))
-                self._instruments["bytes_moved"].inc(outcome.bytes_moved)
+                totals = self.totals
+                totals["migrations_committed"] += 1
+                totals["operators_moved"] += outcome.operators_moved
+                totals["state_bytes_moved"] += outcome.bytes_moved
+                totals["cost_saving"] += outcome.old_cost - outcome.new_cost
                 self._instruments["saving"].set(outcome.old_cost - outcome.new_cost)
                 if outcome.timeline is not None:
                     self._instruments["cutover_seconds"].observe(
@@ -275,7 +271,7 @@ class AdaptivityLoop:
                 incr("migrations_committed")  # on the adaptive_tick span
             else:
                 self._aborted.add(name)
-                self._instruments["aborts"].inc()
+                self.totals["migrations_aborted"] += 1
                 incr("migrations_aborted")
 
     # ------------------------------------------------------------------
@@ -288,7 +284,7 @@ class AdaptivityLoop:
     def capture(self) -> dict[str, Any]:
         """The loop's section of a ``repro.state`` snapshot: migration
         cooldowns, the pending re-evaluation flag, the rolled-back
-        queries awaiting a retry and the monitor."""
+        queries awaiting a retry, the migration totals and the monitor."""
         assert self.monitor is not None and self.policy is not None
         return {
             "last_migration": dict(self._last_migration),
@@ -296,6 +292,7 @@ class AdaptivityLoop:
             "aborted": sorted(self._aborted),
             "seen_topology": self._seen_topology,
             "evaluations": self.policy.evaluations,
+            "totals": dict(self.totals),
             "monitor": self.monitor.capture(),
         }
 
@@ -307,20 +304,15 @@ class AdaptivityLoop:
         self._aborted = set(doc.get("aborted", ()))  # absent before retries
         self._seen_topology = doc["seen_topology"]
         self.policy.evaluations = doc["evaluations"]
+        self.totals.update(doc.get("totals", {}))  # absent from older files
         self.monitor.restore(doc["monitor"])
 
     # ------------------------------------------------------------------
     def summary(self) -> dict[str, Any]:
         """Roll-up for replay reports and the adapt CLI."""
         assert self.monitor is not None and self.policy is not None
-        committed = [m for r in self.reports for m in r.committed]
-        aborted = [m for r in self.reports for m in r.aborted]
         return {
             "monitor": self.monitor.summary(),
             "evaluations": self.policy.evaluations,
-            "migrations_committed": len(committed),
-            "migrations_aborted": len(aborted),
-            "operators_moved": sum(m.operators_moved for m in committed),
-            "state_bytes_moved": sum(m.bytes_moved for m in committed),
-            "cost_saving": sum(m.old_cost - m.new_cost for m in committed),
+            **self.totals,
         }

@@ -40,14 +40,13 @@ class EwmaEstimator:
             becomes the value.
     """
 
-    __slots__ = ("alpha", "value", "samples")
+    __slots__ = ("alpha", "value")
 
     def __init__(self, alpha: float = 0.3, initial: float | None = None) -> None:
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         self.alpha = alpha
         self.value = initial
-        self.samples = 0
 
     def update(self, sample: float) -> float:
         """Fold one sample in; returns the new estimate."""
@@ -55,16 +54,16 @@ class EwmaEstimator:
             self.value = float(sample)
         else:
             self.value += self.alpha * (float(sample) - self.value)
-        self.samples += 1
         return self.value
 
     def capture(self) -> dict[str, Any]:
         """The estimator as a ``repro.state`` snapshot writes it."""
-        return {"alpha": self.alpha, "value": self.value, "samples": self.samples}
+        return {"alpha": self.alpha, "value": self.value}
 
     def restore(self, doc: dict[str, Any]) -> None:
-        """Inverse of :meth:`capture`."""
-        self.alpha, self.value, self.samples = doc["alpha"], doc["value"], doc["samples"]
+        """Inverse of :meth:`capture` (a ``samples`` count in older
+        snapshots is ignored)."""
+        self.alpha, self.value = doc["alpha"], doc["value"]
 
 
 @dataclass(frozen=True)

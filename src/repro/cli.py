@@ -1007,11 +1007,12 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
 
     adaptive, static = build(config), build(None)
     costs = network.cost_matrix()
-    ticks = []
+    ticks, migrations = [], []
     for tick in range(1, args.ticks + 1):
         now = float(tick)
         adaptive.adaptivity.observe_rates(timeline.rates_at(now))
         report = adaptive.tick(now)
+        migrations.extend(outcome.to_dict() for outcome in report.migrations)
         static.tick(now)
         oracle = RateModel(timeline.streams_at(now))
         entry = {
@@ -1030,11 +1031,6 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
         ticks.append(entry)
 
     summary = adaptive.adaptivity.summary()
-    migrations = [
-        outcome.to_dict()
-        for r in adaptive.adaptivity.reports
-        for outcome in r.migrations
-    ]
     if args.emit_timeline:
         doc = {
             "drift": {

@@ -94,9 +94,11 @@ class Durability:
         self.scope = ""
         self.snapshots_total = 0
         self.recovered = False
+        # Command records and ticks the last recovery re-executed.
+        self.replayed_records = 0
+        self.replayed_ticks = 0
         self._controller: Any = None
         self._ticks_since_snapshot = 0
-        self._instruments: dict[str, Any] = {}
 
     # ------------------------------------------------------------------
     # Binding
@@ -159,32 +161,36 @@ class Durability:
             recorder.persist_dir = self.state_dir / "flight"
 
     def _bind_instruments(self, registry) -> None:
-        self._instruments = {
-            "records": registry.counter(
+        # This process's work: ``repro.obs.timeseries.PROCESS_SERIES``.
+        for name, help, read in (
+            (
                 "durability_journal_records_total",
                 "Journal records appended (commands + markers)",
+                lambda: self.journal.records_total,
             ),
-            "bytes": registry.counter(
+            (
                 "durability_journal_bytes_total",
                 "Bytes appended to the journal",
+                lambda: self.journal.bytes_total,
             ),
-            "fsyncs": registry.counter(
+            (
                 "durability_journal_fsyncs_total",
                 "Journal fsync calls (0 unless fsync is configured)",
+                lambda: self.journal.fsyncs_total,
             ),
-            "snapshots": registry.counter(
-                "durability_snapshots_total",
-                "State snapshots written",
-            ),
-            "recovery_records": registry.counter(
+            ("durability_snapshots_total", "State snapshots written", lambda: self.snapshots_total),
+            (
                 "durability_recovery_replayed_records",
                 "Command records re-executed by the last recovery",
+                lambda: self.replayed_records,
             ),
-            "recovery_ticks": registry.counter(
+            (
                 "durability_recovery_ticks",
                 "Tick commands re-executed by the last recovery",
+                lambda: self.replayed_ticks,
             ),
-        }
+        ):
+            registry.counter(name, help, read)
 
     # ------------------------------------------------------------------
     # Journal hooks (called by the control plane)
@@ -202,12 +208,7 @@ class Durability:
     def _append(self, kind: str, time: float, data: Any) -> int | None:
         if self.journal.replaying:
             return None
-        lsn = self.journal.append(kind, time, data)
-        if self._instruments:
-            self._instruments["records"].sync_total(self.journal.records_total)
-            self._instruments["bytes"].sync_total(self.journal.bytes_total)
-            self._instruments["fsyncs"].sync_total(self.journal.fsyncs_total)
-        return lsn
+        return self.journal.append(kind, time, data)
 
     def maybe_snapshot(self, time: float) -> Path | None:
         """Count one tick boundary; snapshot when the interval elapses."""
@@ -235,8 +236,6 @@ class Durability:
         )
         count("snapshot_bytes_written", written)
         self.snapshots_total += 1
-        if self._instruments:
-            self._instruments["snapshots"].inc()
         self.marker("snapshot", time, {"lsn": lsn, "file": path.name})
         return path
 
@@ -264,9 +263,8 @@ class Durability:
     def note_recovery(self, replayed_records: int, replayed_ticks: int) -> None:
         """Record recovery metrics after a successful :func:`recover`."""
         self.recovered = True
-        if self._instruments:
-            self._instruments["recovery_records"].inc(float(replayed_records))
-            self._instruments["recovery_ticks"].inc(float(replayed_ticks))
+        self.replayed_records = replayed_records
+        self.replayed_ticks = replayed_ticks
 
     def summary(self) -> dict[str, Any]:
         """Counters for replay summaries and the CLI."""

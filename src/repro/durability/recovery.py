@@ -195,6 +195,8 @@ def recover(
             raise RecoveryError(
                 f"snapshot {report.snapshot_file} cannot be restored: {type(exc).__name__}: {exc}"
             ) from exc
+        if getattr(controller, "telemetry", None) is not None:
+            controller.telemetry.restored()
 
     durability.journal.replaying = True
     try:

@@ -35,9 +35,13 @@ The captures name each section fragment's place in the document, where
 a snapshot may refer to an older one (:mod:`repro.durability.snapshot`).
 ``tests/durability/reference_capture.py`` keeps the literal
 build-every-dict capture, layer sections included, that all of this is
-held to byte for byte.  Not captured, on purpose: metric instrument
-values, telemetry stores, causal traces and flight-recorder rings
-(:meth:`repro.obs.telemetry.Telemetry.capture` says why).
+held to byte for byte.  Registry counters need no section: each reads
+a total one of the sections carries, so it reads the same after a
+restore, except the durability layer's own process counters
+(:data:`repro.obs.timeseries.PROCESS_SERIES`).  Not captured, on
+purpose: gauge and histogram values, telemetry stores, causal traces
+and flight-recorder rings (:meth:`repro.obs.telemetry.Telemetry.capture`
+says why).
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ from repro.fleet.tenancy import (
 from repro.hierarchy.advertisements import AdvertisementIndex
 from repro.hierarchy.hierarchy import Hierarchy
 from repro.network.graph import Network
-from repro.obs.metrics import MetricRegistry
+from repro.obs.metrics import Gauge, MetricRegistry
 from repro.query.query import Query
 from repro.service.admission import (
     AdmissionController,
@@ -129,8 +129,8 @@ class FleetReplayReport:
     summary: dict = field(default_factory=dict)
 
 
-def _metric_suffix(name: str) -> str:
-    return re.sub(r"[^a-zA-Z0-9_]", "_", name)
+#: What the fleet counts per tenant, in ``tenant_summary()`` order.
+_TENANT_TOTALS = ("submitted", "admitted", "rejected")
 
 
 class FleetController:
@@ -250,8 +250,14 @@ class FleetController:
         self._tenant_of: dict[str, str] = {}
         self._tenant_live: dict[str, int] = {t.name: 0 for t in directory}
         self._tenant_charge: dict[str, int] = {t.name: 0 for t in directory}
+        # Per tenant: submissions, admissions and rejections so far.
+        self._tenant_totals: dict[str, dict[str, int]] = {
+            t.name: dict.fromkeys(_TENANT_TOTALS, 0) for t in directory
+        }
 
         self.submitted_total = 0
+        self.admitted_total = 0
+        self.rejected_total = 0
         self.rebalances_total = 0
         self.cross_shard_reuse_total = 0
 
@@ -266,46 +272,42 @@ class FleetController:
             "fleet_queue_depth",
             "Submissions waiting fleet-wide (tenant backlog + shard queues).",
         )
-        self._submitted_counter = reg.counter(
-            "fleet_submitted_total", "Submissions received by the fleet."
-        )
-        self._admitted_counter = reg.counter(
-            "fleet_admitted_total", "Submissions admitted (deployed or queued)."
-        )
-        self._rejected_counter = reg.counter(
-            "fleet_rejected_total", "Submissions rejected fleet- or shard-side."
-        )
-        self._rebalance_counter = reg.counter(
-            "fleet_rebalances_total", "Queries moved between shards."
-        )
-        self._reuse_counter = reg.counter(
-            "fleet_cross_shard_reuse_total",
-            "Deployed plans reusing a view federated from another shard.",
-        )
+        for name, help, read in (
+            ("fleet_submitted_total", "Submissions received by the fleet.", lambda: self.submitted_total),
+            (
+                "fleet_admitted_total",
+                "Submissions admitted (deployed or queued).",
+                lambda: self.admitted_total,
+            ),
+            (
+                "fleet_rejected_total",
+                "Submissions rejected fleet- or shard-side.",
+                lambda: self.rejected_total,
+            ),
+            ("fleet_rebalances_total", "Queries moved between shards.", lambda: self.rebalances_total),
+            (
+                "fleet_cross_shard_reuse_total",
+                "Deployed plans reusing a view federated from another shard.",
+                lambda: self.cross_shard_reuse_total,
+            ),
+        ):
+            reg.counter(name, help, read)
         self._imports_gauge = reg.gauge(
             "fleet_federation_imports", "Active cross-shard view imports."
         )
-        self._tenant_instruments: dict[str, dict] = {}
+        self._tenant_live_gauges: dict[str, Gauge] = {}
         for tenant in directory:
-            suffix = _metric_suffix(tenant.name)
-            self._tenant_instruments[tenant.name] = {
-                "submitted": reg.counter(
-                    f"tenant_submitted_total_{suffix}",
-                    f"Submissions by tenant {tenant.name}.",
-                ),
-                "admitted": reg.counter(
-                    f"tenant_admitted_total_{suffix}",
-                    f"Admissions for tenant {tenant.name}.",
-                ),
-                "rejected": reg.counter(
-                    f"tenant_rejected_total_{suffix}",
-                    f"Rejections for tenant {tenant.name}.",
-                ),
-                "live": reg.gauge(
-                    f"tenant_live_{suffix}",
-                    f"Live queries of tenant {tenant.name}.",
-                ),
-            }
+            suffix = re.sub(r"[^a-zA-Z0-9_]", "_", tenant.name)
+            for key, help in zip(_TENANT_TOTALS, ("Submissions by", "Admissions for", "Rejections for")):
+                reg.counter(
+                    f"tenant_{key}_total_{suffix}",
+                    f"{help} tenant {tenant.name}.",
+                    lambda name=tenant.name, key=key: self._tenant_totals[name][key],
+                )
+            self._tenant_live_gauges[tenant.name] = reg.gauge(
+                f"tenant_live_{suffix}",
+                f"Live queries of tenant {tenant.name}.",
+            )
 
         # Telemetry layer (opt-in, same contract as the service's).
         from repro.obs.telemetry import ensure_telemetry
@@ -371,19 +373,12 @@ class FleetController:
                 "tenant_of": dict(self._tenant_of),
                 "tenant_live": dict(self._tenant_live),
                 "tenant_charge": dict(self._tenant_charge),
-                # Per-tenant accounting counters live in the metric registry;
-                # tenant_summary() reports them, so recovery must carry them.
-                "instruments": {
-                    tenant: {
-                        name: inst.total
-                        for name, inst in instruments.items()
-                        if hasattr(inst, "total")
-                    }
-                    for tenant, instruments in self._tenant_instruments.items()
-                },
+                "tenant_totals": {t: dict(totals) for t, totals in self._tenant_totals.items()},
             },
             "counters": {
                 "submitted_total": self.submitted_total,
+                "admitted_total": self.admitted_total,
+                "rejected_total": self.rejected_total,
                 "rebalances_total": self.rebalances_total,
                 "cross_shard_reuse_total": self.cross_shard_reuse_total,
             },
@@ -396,14 +391,12 @@ class FleetController:
         self._tenant_of = dict(tenants["tenant_of"])
         self._tenant_live = dict(tenants["tenant_live"])
         self._tenant_charge = dict(tenants["tenant_charge"])
-        for tenant, totals in tenants.get("instruments", {}).items():
-            instruments = self._tenant_instruments.get(tenant, {})
-            for name, total in totals.items():
-                inst = instruments.get(name)
-                if hasattr(inst, "sync_total"):
-                    inst.sync_total(total)
+        for tenant, totals in tenants.get("tenant_totals", {}).items():  # absent from older files
+            self._tenant_totals[tenant] = dict(totals)
         counters = doc["counters"]
         self.submitted_total = counters["submitted_total"]
+        self.admitted_total = counters.get("admitted_total", 0)  # absent from older files
+        self.rejected_total = counters.get("rejected_total", 0)
         self.rebalances_total = counters["rebalances_total"]
         self.cross_shard_reuse_total = counters["cross_shard_reuse_total"]
 
@@ -468,7 +461,6 @@ class FleetController:
         if time is not None:
             self.clock = time
         self.submitted_total += 1
-        self._submitted_counter.inc()
 
         if self.scheduler is None:
             shard = self.router.route(query)
@@ -514,18 +506,18 @@ class FleetController:
                 status=AdmissionStatus.REJECTED,
                 reason=f"unknown tenant {tenant!r}",
             )
-            self._rejected_counter.inc()
+            self.rejected_total += 1
             return FleetDecision(decision=decision, shard=None, tenant=tenant or "")
 
-        instruments = self._tenant_instruments[record.name]
-        instruments["submitted"].inc()
+        totals = self._tenant_totals[record.name]
+        totals["submitted"] += 1
 
         def rejected(reason: str) -> FleetDecision:
             decision = AdmissionDecision(
                 query=query.name, status=AdmissionStatus.REJECTED, reason=reason
             )
-            self._rejected_counter.inc()
-            instruments["rejected"].inc()
+            self.rejected_total += 1
+            totals["rejected"] += 1
             return FleetDecision(
                 decision=decision, shard=None, tenant=record.name
             )
@@ -576,7 +568,7 @@ class FleetController:
             reason=f"fleet backlog (tenant {record.name!r})",
             queue_position=position,
         )
-        self._admitted_counter.inc()
+        self.admitted_total += 1
         return FleetDecision(decision=decision, shard=shard, tenant=record.name)
 
     def _has_capacity(self, shard: int) -> bool:
@@ -592,14 +584,14 @@ class FleetController:
         self, decision: AdmissionDecision, shard: int, tenant: str
     ) -> None:
         if decision.rejected:
-            self._rejected_counter.inc()
+            self.rejected_total += 1
             if tenant:
-                self._tenant_instruments[tenant]["rejected"].inc()
+                self._tenant_totals[tenant]["rejected"] += 1
             return
         self.router.bind(decision.query, shard)
-        self._admitted_counter.inc()
+        self.admitted_total += 1
         if tenant:
-            self._tenant_instruments[tenant]["admitted"].inc()
+            self._tenant_totals[tenant]["admitted"] += 1
         if decision.admitted:
             self._after_deploy(shard, decision.query)
 
@@ -609,7 +601,7 @@ class FleetController:
 
     def _mark_live(self, tenant: str) -> None:
         self._tenant_live[tenant] += 1
-        self._tenant_instruments[tenant]["live"].set(float(self._tenant_live[tenant]))
+        self._tenant_live_gauges[tenant].set(float(self._tenant_live[tenant]))
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -647,7 +639,7 @@ class FleetController:
                 report.retired.append((name, sid))
             for name in shard_report.rejected:  # an endpoint died while it queued
                 self._forget(name, live=False)
-                self._rejected_counter.inc()
+                self.rejected_total += 1
                 report.rejected.append((name, sid))
             for name in shard_report.deployed:
                 self._after_deploy(sid, name)
@@ -697,15 +689,15 @@ class FleetController:
             )
             if decision.admitted:
                 self._mark_live(tenant)
-                self._tenant_instruments[tenant]["admitted"].inc()
+                self._tenant_totals[tenant]["admitted"] += 1
                 self._after_deploy(item.shard, item.query.name)
                 deployed.append((item.query.name, item.shard))
             elif decision.rejected:  # the sink died while it waited
                 self.router.release(item.query.name)
                 self._tenant_of.pop(item.query.name, None)
                 self._tenant_charge[tenant] -= 1
-                self._tenant_instruments[tenant]["rejected"].inc()
-                self._rejected_counter.inc()
+                self._tenant_totals[tenant]["rejected"] += 1
+                self.rejected_total += 1
         return deployed
 
     @command("cmd_retire")
@@ -748,9 +740,7 @@ class FleetController:
             self._tenant_charge[tenant] -= 1
             if live:
                 self._tenant_live[tenant] -= 1
-                self._tenant_instruments[tenant]["live"].set(
-                    float(self._tenant_live[tenant])
-                )
+                self._tenant_live_gauges[tenant].set(float(self._tenant_live[tenant]))
 
     # ------------------------------------------------------------------
     # Rebalancing
@@ -839,7 +829,6 @@ class FleetController:
         if self.federation is not None:
             self._sync_federation()
         self.rebalances_total += 1
-        self._rebalance_counter.inc()
         self._record_gauges()
         self._mark("migrate_commit", query=name, target_shard=target_shard)
         return RebalanceReport(
@@ -937,11 +926,8 @@ class FleetController:
                     self.scheduler.backlog(tenant.name) if self.scheduler else 0
                 ),
             }
-            instruments = self._tenant_instruments.get(tenant.name)
-            if instruments:
-                snapshot["submitted"] = instruments["submitted"].total
-                snapshot["admitted"] = instruments["admitted"].total
-                snapshot["rejected"] = instruments["rejected"].total
+            for key, total in self._tenant_totals[tenant.name].items():
+                snapshot[key] = float(total)  # as the registry counters read them
             out[tenant.name] = snapshot
         return out
 
@@ -982,7 +968,6 @@ class FleetController:
             node = deployment.placement[leaf]
             if self.federation.import_for(shard, leaf.view, node) is not None:
                 self.cross_shard_reuse_total += 1
-                self._reuse_counter.inc()
 
     def _record_gauges(self) -> None:
         self._live_gauge.set(float(self._num_live()))

@@ -271,11 +271,7 @@ class ReuseFederation:
                 sig, node = key
                 owner = self.shards[owner_sid].engine.state
                 state.register_external_view(
-                    sig,
-                    node,
-                    owner.view_rate(sig, node),
-                    FEDERATION_OWNER,
-                    origin=owner.view_origin(sig, node),
+                    sig, node, owner.view_rate(sig, node), FEDERATION_OWNER
                 )
                 if service.ads is not None:
                     service.ads.advertise_view(sig, node)

@@ -1,9 +1,9 @@
 """Typed metrics: counters, gauges and histograms in one registry.
 
 Call sites declare a *typed* instrument once (a :class:`Counter` that
-can only go up, a :class:`Gauge` that tracks a level, a
-:class:`Histogram` with bucketed percentiles) and update it.  The
-:class:`MetricRegistry` holds each instrument's current value and a
+reads a total its owner keeps, a :class:`Gauge` that tracks a level, a
+:class:`Histogram` with bucketed percentiles) and update the last two.
+The :class:`MetricRegistry` holds each instrument's current value and a
 change feed of the instruments updated since a cursor; history lives in
 the telemetry layer's :class:`~repro.obs.timeseries.TimeSeriesStore`,
 which scrapes the registry.
@@ -44,37 +44,26 @@ class _Instrument:
 
 
 class Counter(_Instrument):
-    """A monotonically non-decreasing total."""
+    """A named view of a monotonic total its owner already keeps.
+
+    :attr:`value` calls ``read()``; nothing is stored here, so the count
+    has one record (the owner's, which its snapshot section carries) and
+    reads the same after a crash recovery restores the owner.
+    """
 
     kind = "counter"
 
-    total = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (>= 0) to the total."""
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease (inc {amount})")
-        self.total += amount
-        self._touch(self.name)
-
-    def sync_total(self, total: float) -> None:
-        """Adopt an externally maintained monotonic total.
-
-        For call sites where another object is the source of truth
-        (e.g. the admission controller's ``admitted_total``): enforces
-        monotonicity, then records like :meth:`inc`.
-        """
-        if total < self.total:
-            raise ValueError(
-                f"counter {self.name!r} cannot decrease ({self.total} -> {total})"
-            )
-        self.total = float(total)
-        self._touch(self.name)
+    def __init__(
+        self, name: str, help: str, registry: MetricRegistry, read: Callable[[], float]
+    ) -> None:
+        super().__init__(name, help, registry)
+        self.read = read
+        self.reported = read()  # what the feed last saw (MetricRegistry.changes_since)
 
     @property
     def value(self) -> float:
-        """The current total."""
-        return self.total
+        """The owner's current total."""
+        return float(self.read())
 
 
 class Gauge(_Instrument):
@@ -208,12 +197,14 @@ class MetricRegistry:
 
     def __init__(self) -> None:
         self._instruments: dict[str, _Instrument] = {}
+        self._counters: list[Counter] = []
         self._feed = ChangeFeed()  # instruments declared or updated
 
     # -- declaration --------------------------------------------------
-    def counter(self, name: str, help: str = "") -> Counter:
-        """Get or create the :class:`Counter` called ``name``."""
-        return self._declare(Counter, name, help)
+    def counter(self, name: str, help: str, read: Callable[[], float]) -> Counter:
+        """Get or create the :class:`Counter` called ``name``, a view of
+        the total ``read()`` returns (an existing one keeps its own)."""
+        return self._declare(Counter, name, help, read=read)
 
     def gauge(self, name: str, help: str = "") -> Gauge:
         """Get or create the :class:`Gauge` called ``name``."""
@@ -233,6 +224,8 @@ class MetricRegistry:
         if existing is None:
             instrument = cls(name, help, self, **options)
             self._instruments[name] = instrument
+            if cls is Counter:
+                self._counters.append(instrument)
             self._feed.touch(name)
             return instrument
         if type(existing) is not cls:
@@ -253,13 +246,23 @@ class MetricRegistry:
     # -- change feed --------------------------------------------------
     def feed_cursor(self) -> int:
         """The feed position after the latest declaration or update, for
-        :meth:`changes_since`; any number of readers may hold one."""
+        :meth:`changes_since`; any number of readers may hold one.  Read
+        the changes first, then take the cursor: a counter's move enters
+        the feed when :meth:`changes_since` looks."""
         return self._feed.cursor
 
     def changes_since(self, cursor: int | None) -> list[str]:
         """Names of the instruments declared or updated since ``cursor``
-        (``None``: all of them), oldest change first, each once; an
-        update to the value it already had counts."""
+        (``None``: all of them), oldest change first, each once; a gauge
+        set to the value it already had counts, a counter whose count
+        did not move does not.  Counters are read, never written: this
+        first enters every counter whose owner's count moved since the
+        feed last saw it."""
+        for counter in self._counters:
+            value = counter.read()
+            if value != counter.reported:
+                counter.reported = value
+                self._feed.touch(counter.name)
         names = self._feed.since(cursor)
         return list(self._instruments) if names is None else names
 

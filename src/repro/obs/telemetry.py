@@ -84,6 +84,7 @@ class Telemetry:
         # harvest cursor per causal tracer seen installed.
         self._hop_scope: str | None = None
         self._hop_cursors: dict[Any, int] = {}
+        self._service_registries: dict[str, Any] = {}  # scope -> registry
         self._breaker_totals: dict[str, float] = {}
         self.ticks_observed = 0
 
@@ -99,6 +100,7 @@ class Telemetry:
         """
         if self._hop_scope is None:
             self._hop_scope = scope
+        self._service_registries[scope] = service.registry
         self.scraper.register(scope, service.registry)
         for rule in default_rule_pack([scope]):
             self.engine.add(rule)
@@ -175,6 +177,15 @@ class Telemetry:
             self.recorder.record_hops(self._hop_scope, hops[cursor:])
             self._hop_cursors[tracer] = len(hops)
 
+    def restored(self) -> None:
+        """The bound planes were just restored from a snapshot: the
+        breaker opens their counters read then were bundled by the
+        process that saw them, so only later opens freeze a bundle."""
+        for scope, registry in self._service_registries.items():
+            opens = registry.get(_BREAKER_METRIC)
+            if opens is not None:
+                self._breaker_totals[scope] = opens.value
+
     def _breaker_opens(self, now: float) -> list[tuple[str, float]]:
         """Scopes whose breaker-open counter grew since the last scrape."""
         opened: list[tuple[str, float]] = []
@@ -218,10 +229,14 @@ class Telemetry:
     def capture(self) -> None:
         """Telemetry has no section in a ``repro.state`` snapshot, on
         purpose: it is observability output, not decision state.  After
-        a recovery the series are scraped again from the restored
-        registries, rule and alert state restart from inactive, and the
-        flight recorder's frozen bundles are already on disk under the
-        state directory."""
+        a recovery the store starts empty and is scraped from the
+        restored planes: every counter reads a total its owner's section
+        restored (the uncrashed run's), except the durability counters
+        in :data:`~repro.obs.timeseries.PROCESS_SERIES`, which count
+        this process's journal work; gauges are set again by the next
+        tick and histograms start empty.  Rule and alert state restart
+        from inactive, and the flight recorder's frozen bundles are
+        already on disk under the state directory."""
         return None
 
 

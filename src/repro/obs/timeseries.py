@@ -38,6 +38,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: seed; pass ``include_wall_clock=True`` to keep them.
 WALL_CLOCK_SERIES: frozenset[str] = frozenset({"service_planning_seconds"})
 
+#: Counters of the process, not the control plane (the durability layer's
+#: journal, snapshot and recovery work): unlike every other counter, they
+#: read no total a snapshot restores, and start again after a recovery.
+PROCESS_SERIES: frozenset[str] = frozenset(
+    {
+        "durability_journal_records_total",
+        "durability_journal_bytes_total",
+        "durability_journal_fsyncs_total",
+        "durability_snapshots_total",
+        "durability_recovery_replayed_records",
+        "durability_recovery_ticks",
+    }
+)
+
 #: Histogram percentiles the scraper materializes as derived series
 #: (``<name>_p50`` / ``<name>_p95``).
 SCRAPED_QUANTILES: tuple[tuple[str, float], ...] = (("p50", 0.50), ("p95", 0.95))
@@ -294,9 +308,10 @@ class TelemetryScraper:
         from repro.obs.metrics import Histogram
 
         scope, registry, cursor = entry
+        names = registry.changes_since(cursor)
         entry[2] = registry.feed_cursor()
         held = 0
-        for name in registry.changes_since(cursor):
+        for name in names:
             if name in self._drop:
                 continue
             instrument = registry.get(name)

@@ -529,7 +529,6 @@ class DeploymentState:
         node: int,
         rate: float,
         owner: str,
-        origin: tuple[Query, frozenset[str], frozenset[str]] | None = None,
     ) -> None:
         """Make a view deployed by *another* control plane reusable here.
 
@@ -538,16 +537,14 @@ class DeploymentState:
         and :meth:`apply` treat the view exactly like a locally deployed
         operator.  ``owner`` is a book-keeping sentinel (e.g. the
         federation layer's reserved name), not a deployed query; it keeps
-        the record alive until :meth:`unregister_external_view`.
-        ``origin`` is the exporting plane's :meth:`view_origin`: the
-        operator is the same physical instance, and the record may
-        outlive the exporter's once local queries reuse it.
+        the record alive until :meth:`unregister_external_view`.  The
+        record has no ``origin``: no join installed it here.
         """
         self.revision += 1
         key = (signature, node)
         rec = self._operators.get(key)
         if rec is None:
-            rec = self._install(signature, node, rate, origin)
+            rec = self._install(signature, node, rate)
         rec.queries.add(owner)
 
     def unregister_external_view(
@@ -575,14 +572,6 @@ class DeploymentState:
         """Recorded output rate of a deployed operator, if present."""
         rec = self._operators.get((signature, node))
         return rec.rate if rec is not None else None
-
-    def view_origin(
-        self, signature: ViewSignature, node: int
-    ) -> tuple[Query, frozenset[str], frozenset[str]] | None:
-        """``(query, left, right)`` of the join first installed as this
-        operator; ``None`` for an absent or never-joined record."""
-        rec = self._operators.get((signature, node))
-        return rec.origin if rec is not None else None
 
     # ------------------------------------------------------------------
     # Internals

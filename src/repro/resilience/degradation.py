@@ -164,27 +164,33 @@ class ResilientControl:
         """
         for node in self.breakers.states():  # binding syncs every breaker
             self.breakers.breaker(node)
-        self._registry = registry
-        reg = registry
+        self._registry = reg = registry
+        reg.counter(
+            "resilience_retries_total",
+            "Plan attempts retried after a failure.",
+            lambda: self.retries_total,
+        )
+        reg.counter(
+            "resilience_fallbacks_total",
+            "Plans served by a degraded rung of the ladder.",
+            lambda: self.fallbacks_total,
+        )
+        reg.counter(
+            "resilience_breaker_opens_total",
+            "Circuit-breaker open transitions.",
+            lambda: self.breakers.total_opens(),
+        )
+        reg.counter(
+            "resilience_faults_applied_total",
+            "Discrete fault events applied.",
+            lambda: len(self.faults.applied),
+        )
         self._instruments = {
-            "retries": reg.counter(
-                "resilience_retries_total", "Plan attempts retried after a failure."
-            ),
-            "fallbacks": reg.counter(
-                "resilience_fallbacks_total",
-                "Plans served by a degraded rung of the ladder.",
-            ),
-            "breaker_opens": reg.counter(
-                "resilience_breaker_opens_total", "Circuit-breaker open transitions."
-            ),
             "parked": reg.gauge(
                 "resilience_parked_queries", "Queries parked awaiting topology change."
             ),
             "quarantined": reg.gauge(
                 "resilience_quarantined_nodes", "Nodes quarantined from placement."
-            ),
-            "faults": reg.counter(
-                "resilience_faults_applied_total", "Discrete fault events applied."
             ),
             "backoff": reg.histogram(
                 "resilience_backoff_seconds", "Virtual backoff spent on plan retries."
@@ -208,11 +214,6 @@ class ResilientControl:
             value = BREAKER_STATE_VALUES[state]
             if gauge.value != value:
                 gauge.set(value)
-
-    def _inc(self, name: str, amount: float = 1.0) -> None:
-        instrument = self._instruments.get(name)
-        if instrument is not None:
-            instrument.inc(amount)
 
     def _set(self, name: str, value: float) -> None:
         instrument = self._instruments.get(name)
@@ -274,7 +275,6 @@ class ResilientControl:
                     self.degraded_queries.add(query.name)
                     self.fallbacks_total += 1
                     self._changes += 1
-                    self._inc("fallbacks")
                 plan_span.tag(rung=rung, attempts=attempts)
                 return deployment
             self._quarantine_flapping(service, now)
@@ -306,7 +306,6 @@ class ResilientControl:
         def on_retry(attempt: int, error: BaseException, delay: float) -> None:
             self.retries_total += 1
             self._changes += 1  # and the jitter RNG the backoff drew from
-            self._inc("retries")
             backoff = self._instruments.get("backoff")
             if backoff is not None:
                 backoff.observe(delay)
@@ -326,11 +325,7 @@ class ResilientControl:
         return deployment, attempts
 
     def _record_failure(self, coordinator: int, now: float) -> None:
-        breaker = self.breakers.breaker(coordinator)
-        opens_before = breaker.opened_count
-        breaker.record_failure(now)
-        if breaker.opened_count > opens_before:
-            self._inc("breaker_opens")
+        self.breakers.breaker(coordinator).record_failure(now)
         self.sync_breaker_gauges()
 
     def _check_coordinator(self, query: Query, coordinator: int, now: float) -> None:
@@ -448,7 +443,6 @@ class ResilientControl:
         for kind, payload in self.faults.due_events(now):
             if kind == "crash":
                 node = payload.node
-                self._inc("faults")
                 self.faults.crashed.add(node)
                 if not self._can_fail(service, node):
                     self.faults.note_applied("crash_skipped", now, node=node)
@@ -464,7 +458,6 @@ class ResilientControl:
                 )
             elif kind == "rejoin":
                 node = payload
-                self._inc("faults")
                 self.faults.crashed.discard(node)
                 rejoined = node not in self.quarantined and service.rejoin_node(node)
                 self.faults.note_applied("rejoin", now, node=node, rejoined=rejoined)

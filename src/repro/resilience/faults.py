@@ -461,6 +461,7 @@ class NullFaultInjector:
 
     enabled = False
     crashed: frozenset[int] = frozenset()
+    applied: tuple = ()
     revision = 0
 
     def due_events(self, now: float) -> list:

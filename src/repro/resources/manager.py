@@ -142,16 +142,20 @@ class ResourceManager:
             "resource_parked_queries",
             "Queries parked waiting for capacity to recover.",
         )
-        self._shed_counter = reg.counter(
-            "resource_shed_total", "Live queries evicted by drift repair."
+        reg.counter(
+            "resource_shed_total",
+            "Live queries evicted by drift repair.",
+            lambda: self.shed_total,
         )
-        self._readmitted_counter = reg.counter(
+        reg.counter(
             "resource_readmitted_total",
             "Parked queries re-admitted after capacity recovered.",
+            lambda: self.readmitted_total,
         )
-        self._infeasible_counter = reg.counter(
+        reg.counter(
             "resource_infeasible_total",
             "Deployments refused because no feasible placement exists.",
+            lambda: self.infeasible_total,
         )
         for node in service.network.nodes():
             self._node_gauges[node] = reg.gauge(
@@ -334,7 +338,7 @@ class ResourceManager:
     # Reporting
     # ------------------------------------------------------------------
     def record_gauges(self, service) -> None:
-        """Refresh the ``resource_*`` gauges and counters."""
+        """Refresh the ``resource_*`` gauges (the counters read the totals)."""
         gauges = self._node_gauges
         # One settle and one capacity compare; unmoved gauges stay as set.
         self._cursor, moved, utils = self.ledger.utilization_changes(self._cursor)
@@ -344,9 +348,6 @@ class ResourceManager:
         count("node_gauges_written", len(moved))
         self._max_gauge.set(max(utils.values(), default=0.0))
         self._parked_gauge.set(float(len(self.parked)))
-        self._shed_counter.sync_total(float(self.shed_total))
-        self._readmitted_counter.sync_total(float(self.readmitted_total))
-        self._infeasible_counter.sync_total(float(self.infeasible_total))
 
     def capture(self) -> dict:
         """The manager's section of a ``repro.state`` snapshot: parked

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.adaptive.loop import AdaptivityConfig, AdaptivityLoop
+from repro.adaptive.migrate import MigrationOutcome
 from repro.commands import command, next_tick_time
 from repro.core.cost import RateModel
 from repro.core.optimizer import Optimizer
@@ -85,13 +86,15 @@ class SubmitEvent:
 
 @dataclass
 class TickReport:
-    """What one service tick did."""
+    """What one service tick did; ``migrations`` holds every outcome of
+    the adaptivity step, ``migrated`` names the committed ones."""
 
     time: float
     deployed: list[str] = field(default_factory=list)
     retired: list[str] = field(default_factory=list)
     parked: list[str] = field(default_factory=list)
     migrated: list[str] = field(default_factory=list)
+    migrations: list[MigrationOutcome] = field(default_factory=list)
     drift_streams: list[str] = field(default_factory=list)
     rejected: list[str] = field(default_factory=list)
 
@@ -241,6 +244,7 @@ class StreamQueryService:
         self.deployed_total = 0
         self.retired_total = 0
         self.plans_computed = 0
+        self.plans_examined = 0
 
         reg = self.registry
         self._queue_gauge = reg.gauge(
@@ -252,25 +256,30 @@ class StreamQueryService:
         self._hit_rate_gauge = reg.gauge(
             "service_cache_hit_rate", "Plan-cache hit rate since startup."
         )
-        self._admitted_counter = reg.counter(
-            "service_admitted_total", "Queries admitted (deployed or queued)."
+        reg.counter(
+            "service_admitted_total",
+            "Queries admitted (deployed or queued).",
+            lambda: self.admission.admitted_total,
         )
-        self._rejected_counter = reg.counter(
-            "service_rejected_total", "Queries rejected by admission control."
+        reg.counter(
+            "service_rejected_total",
+            "Queries rejected by admission control.",
+            lambda: self.admission.rejected_total,
         )
         self._planning_hist = reg.histogram(
             "service_planning_seconds",
             "Wall-clock planning latency per plan() call (cache hits are 0).",
         )
-        self._cache_hit_counter = reg.counter(
-            "service_plan_cache_hits_total", "Plan-cache hits."
+        reg.counter("service_plan_cache_hits_total", "Plan-cache hits.", lambda: self.cache.hits)
+        reg.counter(
+            "service_plan_cache_misses_total",
+            "Plan-cache misses (optimizer ran).",
+            lambda: self.plans_computed,
         )
-        self._cache_miss_counter = reg.counter(
-            "service_plan_cache_misses_total", "Plan-cache misses (optimizer ran)."
-        )
-        self._plans_examined_counter = reg.counter(
+        reg.counter(
             "optimizer_plans_examined_total",
             "Nominal plan/placement combinations examined by the optimizer.",
+            lambda: self.plans_examined,
         )
         self.admission.bind_instruments(reg)
 
@@ -382,6 +391,7 @@ class StreamQueryService:
                 "deployed_total": self.deployed_total,
                 "retired_total": self.retired_total,
                 "plans_computed": self.plans_computed,
+                "plans_examined": self.plans_examined,
             },
         }
 
@@ -405,6 +415,7 @@ class StreamQueryService:
         self.deployed_total = counters["deployed_total"]
         self.retired_total = counters["retired_total"]
         self.plans_computed = counters["plans_computed"]
+        self.plans_examined = counters.get("plans_examined", 0)  # absent from older files
 
     # ------------------------------------------------------------------
     # Epochs
@@ -552,6 +563,7 @@ class StreamQueryService:
             adaptive = self.adaptivity.step(self, now)
             if adaptive.drift is not None:
                 report.drift_streams.extend(adaptive.drift.streams)
+            report.migrations = adaptive.migrations
             report.migrated.extend(m.query for m in adaptive.committed)
         self._record_gauges()
         if self.telemetry is not None:
@@ -716,7 +728,6 @@ class StreamQueryService:
                     entry = None
             if entry is not None:
                 plan_span.tag(cache="hit")
-                self._cache_hit_counter.inc()
                 self._planning_hist.observe(0.0)
                 return deployment, True
             start = _time.perf_counter()
@@ -737,10 +748,7 @@ class StreamQueryService:
                 ),
             )
             plan_span.tag(cache="miss")
-            self._cache_miss_counter.inc()
-            examined = deployment.stats.get("plans_examined")
-            if examined:
-                self._plans_examined_counter.inc(float(examined))
+            self.plans_examined += deployment.stats.get("plans_examined") or 0
             self._planning_hist.observe(elapsed)
         return deployment, False
 
@@ -924,8 +932,6 @@ class StreamQueryService:
         self._queue_gauge.set(float(self.admission.queue_depth))
         self._live_gauge.set(float(self.engine.state.num_deployments))
         self._hit_rate_gauge.set(self.cache.hit_rate)
-        self._admitted_counter.sync_total(float(self.admission.admitted_total))
-        self._rejected_counter.sync_total(float(self.admission.rejected_total))
         if self.resources is not None:
             self.resources.record_gauges(self)
 

@@ -14,6 +14,7 @@ from repro.errors import DeploymentError
 from repro.resilience.faults import FaultInjector, FaultPlan, StaleStatistics
 from repro.service import StreamQueryService
 from repro.workload import drift_timeline
+from tests.adaptive import record_steps
 from tests.query.replay import assert_replays
 
 
@@ -168,6 +169,7 @@ class TestRolledBackMigration:
         for the cooldown evaluate nothing."""
         service, workload, _ = build_service(adaptivity=CONFIG)
         loop = service.adaptivity
+        reports = record_steps(loop)
         execute, deploy = loop.migrator.execute, service.engine.deploy
         candidates, failed = set(), []
 
@@ -190,12 +192,12 @@ class TestRolledBackMigration:
 
         (name,) = failed
         mine = [
-            (r.time, m.committed) for r in loop.reports for m in r.migrations if m.query == name
+            (r.time, m.committed) for r in reports for m in r.migrations if m.query == name
         ]
         assert [committed for _, committed in mine] == [False, True]
         (aborted_at, _), (retried_at, _) = mine
         assert retried_at == aborted_at + CONFIG.query_cooldown
-        waiting = [r for r in loop.reports if aborted_at < r.time < retried_at]
+        waiting = [r for r in reports if aborted_at < r.time < retried_at]
         assert waiting and all(r.evaluated == 0 for r in waiting)
 
 

@@ -11,6 +11,7 @@ import pytest
 import repro
 from repro.adaptive import AdaptivityConfig
 from repro.service import StreamQueryService
+from tests.adaptive import record_steps
 from tests.query.replay import assert_replays
 
 CONFIG = AdaptivityConfig(query_cooldown=0.0, max_migrations_per_tick=8)
@@ -41,6 +42,8 @@ def build_service(world=CONGESTED, adaptivity=CONFIG):
     )
     for i, query in enumerate(workload):
         service.submit(query, time=float(i))
+    if adaptivity is not None:
+        service.steps = record_steps(service.adaptivity)
     return service
 
 
@@ -55,7 +58,7 @@ def tick(service, now):
     """One service tick; returns the loop's report for it."""
     service.tick(now)
     assert_replays(service)
-    return service.adaptivity.reports[-1]
+    return service.steps[-1]
 
 
 def settle(service, now):

@@ -28,7 +28,6 @@ class TestEwmaEstimator:
         assert est.value is None
         est.update(7.0)
         assert est.value == 7.0
-        assert est.samples == 1
 
     def test_higher_alpha_reacts_faster(self):
         slow, fast = EwmaEstimator(0.1, 100.0), EwmaEstimator(0.6, 100.0)

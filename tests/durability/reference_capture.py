@@ -231,7 +231,7 @@ def _capture_resources(manager) -> dict[str, Any]:
 
 
 def _capture_estimator(est: EwmaEstimator) -> dict[str, Any]:
-    return {"alpha": est.alpha, "value": est.value, "samples": est.samples}
+    return {"alpha": est.alpha, "value": est.value}
 
 
 def _capture_monitor(monitor) -> dict[str, Any]:
@@ -265,6 +265,13 @@ def _capture_adaptivity(loop) -> dict[str, Any]:
         "aborted": sorted(loop._aborted),
         "seen_topology": loop._seen_topology,
         "evaluations": loop.policy.evaluations if loop.policy is not None else 0,
+        "totals": {
+            name: loop.totals[name]
+            for name in (
+                "migrations_committed", "migrations_aborted", "operators_moved",
+                "state_bytes_moved", "cost_saving",
+            )
+        },
         "monitor": _capture_monitor(loop.monitor) if loop.monitor is not None else None,
     }
     return doc
@@ -302,6 +309,7 @@ def capture_service(service, include_shared: bool = True) -> dict[str, Any]:
             "deployed_total": service.deployed_total,
             "retired_total": service.retired_total,
             "plans_computed": service.plans_computed,
+            "plans_examined": service.plans_examined,
         },
         "admission": _capture_admission(service.admission),
         "cache": _capture_cache(service.cache),
@@ -406,20 +414,20 @@ def capture_fleet(fleet) -> dict[str, Any]:
             "tenant_of": dict(fleet._tenant_of),
             "tenant_live": dict(fleet._tenant_live),
             "tenant_charge": dict(fleet._tenant_charge),
-            # Per-tenant accounting counters live in the metric registry;
-            # tenant_summary() reports them, so recovery must carry them.
-            "instruments": {
+            "tenant_totals": {
                 tenant: {
-                    name: inst.total
-                    for name, inst in instruments.items()
-                    if hasattr(inst, "total")
+                    "submitted": totals["submitted"],
+                    "admitted": totals["admitted"],
+                    "rejected": totals["rejected"],
                 }
-                for tenant, instruments in fleet._tenant_instruments.items()
+                for tenant, totals in fleet._tenant_totals.items()
             },
         },
         "scheduler": scheduler_doc,
         "counters": {
             "submitted_total": fleet.submitted_total,
+            "admitted_total": fleet.admitted_total,
+            "rejected_total": fleet.rejected_total,
             "rebalances_total": fleet.rebalances_total,
             "cross_shard_reuse_total": fleet.cross_shard_reuse_total,
         },

@@ -232,7 +232,7 @@ class TestCrashPoints:
         journal = service.durability.journal
         assert journal.fsyncs_total == journal.records_total > 0
         fsyncs = service.registry.get("durability_journal_fsyncs_total")
-        assert fsyncs.total == journal.fsyncs_total
+        assert fsyncs.value == journal.fsyncs_total
 
 
 class TestTornUtf8Recovery:

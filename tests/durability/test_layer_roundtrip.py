@@ -50,12 +50,6 @@ _CASES = [
     for scope in ("service", "fleet")
     if scope == "service" or "resources" not in armed
 ]
-#: ``AdaptivityLoop.summary()`` rolls these up from ``loop.reports``, a
-#: log of past ticks the snapshot does not carry (not decision state).
-_HISTORY = {
-    "migrations_committed", "migrations_aborted", "operators_moved",
-    "state_bytes_moved", "cost_saving",
-}
 
 
 def build(scope: str, armed: tuple[str, ...]):
@@ -126,10 +120,7 @@ def summaries(plane) -> list:
     out = []
     for owner in (plane, *getattr(plane, "shards", ())):
         for name, layer in owner.layers():
-            summary = getattr(layer, "summary", layer.capture)()
-            if name == "adaptivity":
-                summary = {k: v for k, v in summary.items() if k not in _HISTORY}
-            out.append((name, summary))
+            out.append((name, getattr(layer, "summary", layer.capture)()))
     return out
 
 

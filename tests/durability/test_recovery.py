@@ -53,10 +53,10 @@ class TestServiceRecovery:
         )
         reg = recovered.registry
         assert (
-            reg.get("durability_recovery_replayed_records").total
+            reg.get("durability_recovery_replayed_records").value
             == report.replayed_records
         )
-        assert reg.get("durability_recovery_ticks").total == report.replayed_ticks
+        assert reg.get("durability_recovery_ticks").value == report.replayed_ticks
         assert recovered.durability.recovered is True
 
     def test_factory_without_durability_is_rejected(self, scenario, tmp_path):

@@ -169,9 +169,6 @@ class TestInvalidation:
         ]
         consumed = [key for key in consumed if key is not None]
         assert consumed
-        # The planted record is the exporter's operator: same install origin.
-        origins = [fleet.shards[0].engine.state.view_origin(*key) for key in consumed]
-        assert all(origin is not None and origin[0] is q1 for origin in origins)
         cost_before = fleet.shards[1].engine.state.query_cost(q2.name)
         fleet.retire(q1.name)  # q2 still consumes: promote, don't withdraw
         assert fleet.federation.promoted_total >= 1
@@ -184,10 +181,6 @@ class TestInvalidation:
             # ... with no federation claim left on it
             consumers = fleet.shards[1].engine.state.queries_using(sig, node)
             assert FEDERATION_OWNER not in consumers
-        # ... and still knows what it computes (the ledger prices it from this)
-        assert [
-            fleet.shards[1].engine.state.view_origin(*key) for key in consumed
-        ] == origins
 
     def test_promoted_view_is_reexported(self, fleet_env):
         q1, q2 = reuse_pair(fleet_env)

@@ -13,6 +13,7 @@ import repro
 from repro.adaptive import AdaptivityConfig
 from repro.core.cost import deployment_cost
 from repro.service import StreamQueryService
+from tests.adaptive import record_steps
 from tests.query.replay import assert_replays
 
 
@@ -145,8 +146,9 @@ class TestRuntimeIntegration:
 
         hot = engine.hottest_links(1)[0]
         net.set_link_cost(hot.u, hot.v, hot.cost * 30)
+        steps = record_steps(service.adaptivity)
         service.tick(50.0)
-        report = service.adaptivity.reports[-1]
+        (report,) = steps
         assert service.topology_epoch == 1
         assert report.evaluated == len(workload)
         assert all(m.new_cost <= m.old_cost for m in report.committed)

@@ -41,7 +41,7 @@ class TestEmptyHistogramExposition:
 class TestHelpEscaping:
     def test_backslash_and_newline_escaped(self):
         reg = MetricRegistry()
-        reg.counter("c_total", help="path C:\\tmp\nsecond line")
+        reg.counter("c_total", "path C:\\tmp\nsecond line", lambda: 0)
         text = reg.exposition()
         assert "# HELP c_total path C:\\\\tmp\\nsecond line" in text
         # the escaped help stays on one physical line
@@ -52,7 +52,7 @@ class TestHelpEscaping:
 class TestNameSanitization:
     def test_illegal_characters_become_underscores(self):
         reg = MetricRegistry()
-        reg.counter("tenant-gold.requests total", help="h").inc()
+        reg.counter("tenant-gold.requests total", "h", lambda: 1)
         text = reg.exposition()
         assert "tenant_gold_requests_total 1" in text
         assert "tenant-gold" not in text

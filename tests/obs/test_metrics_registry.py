@@ -9,24 +9,26 @@ from repro.obs import Counter, Gauge, Histogram, MetricRegistry
 
 
 class TestCounter:
-    def test_monotonic(self):
-        reg = MetricRegistry()
-        c = reg.counter("requests_total")
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
-        with pytest.raises(ValueError, match="cannot decrease"):
-            c.inc(-1)
+    def test_value_reads_the_owners_count(self):
+        owner = {"requests": 0}
+        c = MetricRegistry().counter("requests_total", "", lambda: owner["requests"])
+        assert c.value == 0.0
+        owner["requests"] = 5  # nothing stored here: read when asked
+        assert c.value == 5.0 and isinstance(c.value, float)
 
-    def test_sync_total_adopts_external_totals(self):
+    def test_the_feed_enters_a_counter_whose_count_moved(self):
         reg = MetricRegistry()
-        c = reg.counter("admitted_total")
-        c.sync_total(3)
-        c.sync_total(3)  # equal is fine
-        c.sync_total(7)
-        assert c.value == 7
-        with pytest.raises(ValueError, match="cannot decrease"):
-            c.sync_total(6)
+        owner = {"admitted": 3}
+        reg.counter("admitted_total", "", lambda: owner["admitted"])
+        cursor = reg.feed_cursor()
+        assert reg.changes_since(cursor) == []  # declared at 3: no move yet
+        owner["admitted"] = 7
+        assert reg.changes_since(cursor) == ["admitted_total"]
+        cursor = reg.feed_cursor()
+        assert reg.changes_since(cursor) == []  # seen at 7, still 7
+        # A count restored by a recovery moves it too, in any direction.
+        owner["admitted"] = 2
+        assert reg.changes_since(cursor) == ["admitted_total"]
 
 
 class TestHistogram:
@@ -64,8 +66,9 @@ class TestHistogram:
 class TestRegistry:
     def test_get_or_create_and_kind_mismatch(self):
         reg = MetricRegistry()
-        c = reg.counter("x_total")
-        assert reg.counter("x_total") is c
+        c = reg.counter("x_total", "", lambda: 0)
+        assert reg.counter("x_total", "", lambda: 1) is c  # keeps its own read
+        assert c.value == 0.0
         assert reg.get("x_total") is c
         with pytest.raises(TypeError, match="is a counter"):
             reg.gauge("x_total")
@@ -75,7 +78,7 @@ class TestRegistry:
 
     def test_exposition_format(self):
         reg = MetricRegistry()
-        reg.counter("reqs_total", help="Total requests.").inc(3)
+        reg.counter("reqs_total", "Total requests.", lambda: 3)
         reg.gauge("depth").set(2.5)
         h = reg.histogram("lat", buckets=[0.1, 1.0])
         h.observe(0.05)
@@ -95,7 +98,7 @@ class TestRegistry:
 
     def test_snapshot_is_json_serializable(self):
         reg = MetricRegistry()
-        reg.counter("c_total").inc()
+        reg.counter("c_total", "", lambda: 1)
         reg.gauge("g")
         reg.histogram("h")  # empty: NaN summary must become null
         doc = json.loads(json.dumps(reg.snapshot()))
@@ -106,6 +109,6 @@ class TestRegistry:
 
     def test_instrument_classes_are_exported(self):
         reg = MetricRegistry()
-        assert isinstance(reg.counter("a_total"), Counter)
+        assert isinstance(reg.counter("a_total", "", lambda: 0), Counter)
         assert isinstance(reg.gauge("b"), Gauge)
         assert isinstance(reg.histogram("c"), Histogram)

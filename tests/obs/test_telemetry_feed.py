@@ -43,14 +43,16 @@ class TestChangeFeed:
     def test_declarations_and_updates_enter_oldest_change_first(self):
         registry = MetricRegistry()
         assert registry.changes_since(None) == []
-        counter = registry.counter("c")
+        count = [0]
+        registry.counter("c", "", lambda: count[0])
         gauge = registry.gauge("g")
         hist = registry.histogram("h", buckets=(1.0,))
         assert registry.changes_since(None) == ["c", "g", "h"]
         cursor = registry.feed_cursor()
         assert registry.changes_since(cursor) == []
         hist.observe(0.5)
-        counter.inc()
+        count[0] += 1  # the next look at the feed enters c
+        assert registry.changes_since(cursor) == ["h", "c"]
         hist.observe(2.0)  # moves h behind c again, listed once
         assert registry.changes_since(cursor) == ["c", "h"]
         assert registry.changes_since(None) == ["c", "g", "h"]  # everything
@@ -61,9 +63,9 @@ class TestChangeFeed:
 
     def test_get_or_create_of_a_known_name_is_not_a_change(self):
         registry = MetricRegistry()
-        registry.counter("c")
+        registry.counter("c", "", lambda: 0)
         cursor = registry.feed_cursor()
-        registry.counter("c")
+        registry.counter("c", "", lambda: 0)
         assert registry.changes_since(cursor) == []
 
     def test_a_rejected_declaration_enters_nothing(self):
@@ -78,21 +80,23 @@ class TestChangeFeed:
         early = registry.feed_cursor()
         gauge.set(1.0)
         late = registry.feed_cursor()
-        registry.counter("c").inc()
+        registry.counter("c", "", lambda: 1)
         assert registry.changes_since(early) == ["g", "c"]
         assert registry.changes_since(late) == ["c"]
 
     def test_an_unread_feed_is_no_larger_than_the_instrument_count(self):
         registry = MetricRegistry()
+        counts = [0] * 5
         instruments = [registry.gauge(f"g{i}") for i in range(7)]
-        instruments += [registry.counter(f"c{i}") for i in range(5)]
+        instruments += [registry.counter(f"c{i}", "", lambda i=i: counts[i]) for i in range(5)]
         hist = registry.histogram("h")
         for step in range(10_000):
             instrument = instruments[step % len(instruments)]
             if instrument.kind == "gauge":
                 instrument.set(float(step))
             else:
-                instrument.inc(1.0)
+                counts[int(instrument.name[1:])] += 1
+                registry.changes_since(None)  # a look at the feed enters it
             hist.observe(0.001 * step)
         assert len(registry._feed._serials) == len(registry.names()) == 13
         assert hist.count == 10_000
@@ -156,7 +160,7 @@ class TestFeedScraper:
 
     def test_an_idle_scrape_holds_nothing_and_counts_every_series(self):
         registry = MetricRegistry()
-        registry.counter("c").inc()
+        registry.counter("c", "", lambda: 1)
         registry.gauge("unset")
         registry.histogram("h")
         store = TimeSeriesStore()
@@ -215,6 +219,7 @@ class TelemetryFeedMachine(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
         self.registries = [MetricRegistry(), MetricRegistry()]
+        self.counts: dict[tuple[int, str], float] = {}
         # Declared and not observed: its _count and _sum are scraped at 0.
         self.registries[0].histogram("h0")
         self.now = 0.0
@@ -232,6 +237,11 @@ class TelemetryFeedMachine(RuleBasedStateMachine):
         registry = self.registries[reg]
         if registry.get(name) is None:
             self.seen["declared_mid_run"] += self.every.scraper.scrapes_total > 0
+        if _NAMES[name] == "counter":
+            # A counter reads its owner's count: here, the machine's.
+            key = (reg, name)
+            self.counts.setdefault(key, 0.0)
+            return registry.counter(name, "", lambda: self.counts[key])
         return getattr(registry, _NAMES[name])(name)
 
     @rule(reg=st.integers(0, 1), name=st.sampled_from(sorted(_NAMES)))
@@ -247,14 +257,10 @@ class TelemetryFeedMachine(RuleBasedStateMachine):
         self._declare(reg, name).set(value)
 
     @rule(reg=st.integers(0, 1), name=st.sampled_from(["c0", "c1"]), amount=st.sampled_from([0.0, 1.0, 3.0]))
-    def inc_counter(self, reg, name, amount):
-        self._declare(reg, name).inc(amount)
-
-    @rule(reg=st.integers(0, 1), name=st.sampled_from(["c0", "c1"]), grow=st.booleans())
-    def sync_counter(self, reg, name, grow):
-        counter = self._declare(reg, name)
-        counter.sync_total(counter.total + (2.0 if grow else 0.0))
-        self.seen["sync_new" if grow else "sync_same"] += 1
+    def count(self, reg, name, amount):
+        self._declare(reg, name)
+        self.counts[(reg, name)] += amount
+        self.seen["count_moved" if amount else "count_same"] += 1
 
     @rule(reg=st.integers(0, 1), name=st.sampled_from(["h0", "h1"]), value=st.sampled_from([0.0004, 0.02, 3.0, 50.0]))
     def observe(self, reg, name, value):
@@ -368,7 +374,7 @@ def test_lazy_telemetry_matches_the_eager_pair_after_every_rule():
     run_state_machine_as_test(TelemetryFeedMachine, settings=_MACHINE)
     for mechanism in (
         "first_scrape", "late_registrations", "declared_mid_run",
-        "first_observe_after_a_scrape", "sync_same", "sync_new", "source_none",
+        "first_observe_after_a_scrape", "count_same", "count_moved", "source_none",
         "double_scrapes", "carried_past_capacity", "left_unread_9_marks",
     ):
         assert seen[mechanism], f"no example exercised {mechanism}: {dict(seen)}"

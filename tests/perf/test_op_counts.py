@@ -320,18 +320,18 @@ PINS: dict[str, dict[str, int]] = {
     "telemetry_overhead": {
         **_CHURN_NO_RESUBMIT,
         "flow_prices_summed": 111,
-        "telemetry_series_held": 202,
+        "telemetry_series_held": 148,
         "telemetry_samples": 444,
         "telemetry_series": 16,
     },
     "durability_overhead": {
         **_CHURN,
         "snapshot_items_encoded": 37,
-        "snapshot_bytes_written": 41722,
+        "snapshot_bytes_written": 41812,
         "journal_records": 140,
         "snapshots": 4,
     },
-    "idle_snapshot": {"snapshot_items_encoded": 0, "snapshot_bytes_written": 4998},
+    "idle_snapshot": {"snapshot_items_encoded": 0, "snapshot_bytes_written": 5020},
     "resource_overhead": {
         **_CHURN,
         "ledger_deployments_examined": 28,

@@ -390,7 +390,7 @@ def test_a_refused_apply_leaves_no_trace(abcd):
     assert state.revision > revision  # readers look again...
     assert all(not state.has_view(*key) for key in state.changes_since(cursor) or ())
     assert observed() == before  # ... and find what was there.
-    assert state.view_origin(imported, 2) is None
+    assert state.find_reusable(imported, 2).origin is None
 
 
 def test_restore_rebuilds_the_claims_in_apply_order(abcd):

@@ -277,13 +277,13 @@ class TestRevisionAndOrigin:
         state.apply(first)
         state.apply(_manual_deployment(q2, {"join": 2}))
         sig = q1.view_signature()
-        assert state.view_origin(sig, 2) == (q1, frozenset("A"), frozenset("B"))
+        assert state.find_reusable(sig, 2).origin == (q1, frozenset("A"), frozenset("B"))
         state.undeploy("q1")  # the record survives for q2, and so does its origin
-        assert state.view_origin(sig, 2)[0] is q1
-        assert state.clone().view_origin(sig, 2)[0] is q1
-        assert state.view_origin(sig, 3) is None
-        state.register_external_view(sig, 4, 1.0, "fed", origin=state.view_origin(sig, 2))
-        assert state.view_origin(sig, 4)[0] is q1
+        assert state.find_reusable(sig, 2).origin[0] is q1
+        assert state.clone().find_reusable(sig, 2).origin[0] is q1
+        assert state.find_reusable(sig, 3) is None
+        state.register_external_view(sig, 4, 1.0, "fed")  # no join installed it
+        assert state.find_reusable(sig, 4).origin is None
 
     def test_restore_replaces_the_state(self, small_net, abc_rates, ab_query):
         costs = small_net.cost_matrix()
