@@ -23,14 +23,13 @@ from repro.adaptive.migrate import (
     Migrator,
 )
 from repro.adaptive.policy import ReoptDecision, ReoptPolicy
-from repro.adaptive.stats import DriftEvent, EwmaEstimator, StatsMonitor, StreamDrift
+from repro.adaptive.stats import EwmaEstimator, StatsMonitor, StreamDrift
 
 __all__ = [
     "AdaptiveTickReport",
     "AdaptivityConfig",
     "AdaptivityLoop",
     "CutoverTimeline",
-    "DriftEvent",
     "EwmaEstimator",
     "MigrationDiff",
     "MigrationOutcome",

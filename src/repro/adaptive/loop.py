@@ -34,7 +34,7 @@ from typing import Any
 
 from repro.adaptive.migrate import MigrationOutcome, Migrator
 from repro.adaptive.policy import ReoptDecision, ReoptPolicy
-from repro.adaptive.stats import DriftEvent, StatsMonitor
+from repro.adaptive.stats import StatsMonitor, StreamDrift
 from repro.obs.tracer import incr, span
 
 
@@ -83,10 +83,11 @@ class AdaptivityConfig:
 
 @dataclass
 class AdaptiveTickReport:
-    """What one adaptivity step observed and did."""
+    """What one adaptivity step observed and did (``drift``: the streams
+    its drift check published, if any)."""
 
     time: float
-    drift: DriftEvent | None = None
+    drift: list[StreamDrift] = field(default_factory=list)
     evaluated: int = 0
     decisions: list[ReoptDecision] = field(default_factory=list)
     migrations: list[MigrationOutcome] = field(default_factory=list)
@@ -142,12 +143,12 @@ class AdaptivityLoop:
         reg.counter(
             "adaptive_drift_events_total",
             "Statistics publications triggered by observed drift.",
-            lambda: len(self.monitor.events),
+            lambda: self.monitor.publications,
         )
         reg.counter(
             "adaptive_streams_published_total",
             "Streams whose rate was re-published on drift.",
-            lambda: sum(len(event.drifts) for event in self.monitor.events),
+            lambda: self.monitor.streams_published,
         )
         reg.counter(
             "adaptive_reopt_evaluations_total",
@@ -192,11 +193,10 @@ class AdaptivityLoop:
         report = AdaptiveTickReport(time=now)
         with span("adaptive_tick") as tick_span:
             if not service.faults.statistics_frozen(now):
-                event = self.monitor.maybe_publish(now)
-                if event is not None:
-                    report.drift = event
+                report.drift = self.monitor.maybe_publish(now)
+                if report.drift:
                     self._dirty = True
-                    tick_span.incr("drift_streams", len(event.drifts))
+                    tick_span.incr("drift_streams", len(report.drift))
                     # Live flows now ship at the published rates; the
                     # epoch bump kills stale cached plans.
                     service.engine.refresh_rates(now)
@@ -221,7 +221,11 @@ class AdaptivityLoop:
         assert self.policy is not None and self.migrator is not None
         cfg = self.config
         state = service.engine.state
-        self._aborted.intersection_update(d.query.name for d in state.deployments)
+        live = {d.query.name for d in state.deployments}
+        self._aborted &= live
+        self._last_migration = {
+            name: at for name, at in self._last_migration.items() if name in live
+        }
         for deployment in list(state.deployments):
             name = deployment.query.name
             last = self._last_migration.get(name)

@@ -22,7 +22,7 @@ policy's job (:mod:`repro.adaptive.policy`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.core.cost import RateModel
@@ -88,26 +88,6 @@ class StreamDrift:
         return abs(self.observed - self.published) / self.published
 
 
-@dataclass
-class DriftEvent:
-    """One statistics publication (rates actually changed).
-
-    Attributes:
-        time: Tick the monitor published at.
-        drifts: The streams that crossed the drift threshold.
-        rates_version: :attr:`RateModel.version` after the publish.
-    """
-
-    time: float
-    drifts: list[StreamDrift] = field(default_factory=list)
-    rates_version: int = 0
-
-    @property
-    def streams(self) -> list[str]:
-        """Names of the drifted streams."""
-        return [d.stream for d in self.drifts]
-
-
 class StatsMonitor:
     """Observes runtime stream rates and publishes on drift.
 
@@ -122,6 +102,9 @@ class StatsMonitor:
             a one-tick spike decays in the EWMA instead of churning
             the statistics epoch.
         publish_cooldown: Minimum ticks between two publications.
+
+    The monitor counts its publications (``publications``) and the
+    drifts they swapped into the rate model (``streams_published``).
     """
 
     def __init__(
@@ -149,7 +132,8 @@ class StatsMonitor:
         self._published = {name: spec.rate for name, spec in rates.streams.items()}
         self._breaches: dict[str, int] = {name: 0 for name in self._estimators}
         self._last_publish: float | None = None
-        self.events: list[DriftEvent] = []
+        self.publications = 0
+        self.streams_published = 0
         self.samples_total = 0
         self.revision = 0  # moves with every change of what capture() writes
 
@@ -188,15 +172,15 @@ class StatsMonitor:
     # ------------------------------------------------------------------
     # Publication
     # ------------------------------------------------------------------
-    def maybe_publish(self, now: float) -> DriftEvent | None:
+    def maybe_publish(self, now: float) -> list[StreamDrift]:
         """Run one drift check; publish if hysteresis and cooldown allow.
 
         Every call advances the per-stream hysteresis counters (breach
         streaks grow, recovered streams reset), so call it once per
         control-loop tick.  On publication the drifted streams' EWMA
         estimates are swapped into the rate model (other streams keep
-        their published rates) and a :class:`DriftEvent` is returned;
-        otherwise ``None``.
+        their published rates) and the published drifts are returned;
+        otherwise an empty list.
         """
         breaching = {d.stream: d for d in self.drifted()}
         # A publication below follows a streak that grew here.
@@ -206,14 +190,14 @@ class StatsMonitor:
 
         if self._last_publish is not None:
             if now - self._last_publish < self.publish_cooldown:
-                return None
+                return []
         firing = [
             drift
             for name, drift in sorted(breaching.items())
             if self._breaches[name] >= self.hysteresis_ticks
         ]
         if not firing:
-            return None
+            return []
 
         current = self.rates.streams
         updated = dict(current)
@@ -223,23 +207,21 @@ class StatsMonitor:
                 spec.name, spec.source, max(drift.observed, 1e-12)
             )
         if not self.rates.update_streams(updated):  # pragma: no cover - defensive
-            return None
+            return []
         for drift in firing:
             self._published[drift.stream] = drift.observed
             self._breaches[drift.stream] = 0
         self._last_publish = now
-        event = DriftEvent(
-            time=now, drifts=firing, rates_version=self.rates.version
-        )
-        self.events.append(event)
-        return event
+        self.publications += 1
+        self.streams_published += len(firing)
+        return firing
 
     # ------------------------------------------------------------------
     # Snapshot section
     # ------------------------------------------------------------------
     def capture(self) -> dict[str, Any]:
         """The monitor's part of the adaptivity section: estimators,
-        published rates, breach streaks and the publication log."""
+        published rates, breach streaks and the publication counts."""
         return {
             "estimators": [
                 [name, est.capture()] for name, est in self._estimators.items()
@@ -248,14 +230,13 @@ class StatsMonitor:
             "breaches": dict(self._breaches),
             "last_publish": self._last_publish,
             "samples_total": self.samples_total,
-            "events": [
-                {**vars(ev), "drifts": [vars(d) for d in ev.drifts]}
-                for ev in self.events
-            ],
+            "publications": self.publications,
+            "streams_published": self.streams_published,
         }
 
     def restore(self, doc: dict[str, Any]) -> None:
-        """Inverse of :meth:`capture`, into a pristine monitor."""
+        """Inverse of :meth:`capture`, into a pristine monitor (an
+        ``events`` log in older snapshots is counted)."""
 
         def estimator(doc: dict[str, Any]) -> EwmaEstimator:
             revived = EwmaEstimator()
@@ -267,10 +248,11 @@ class StatsMonitor:
         self._breaches = dict(doc["breaches"])
         self._last_publish = doc["last_publish"]
         self.samples_total = doc["samples_total"]
-        self.events = [
-            DriftEvent(**{**ev, "drifts": [StreamDrift(**d) for d in ev["drifts"]]})
-            for ev in doc["events"]
-        ]
+        events = doc.get("events", ())
+        self.publications = doc.get("publications", len(events))
+        self.streams_published = doc.get(
+            "streams_published", sum(len(ev["drifts"]) for ev in events)
+        )
 
     # ------------------------------------------------------------------
     # Reporting
@@ -280,7 +262,7 @@ class StatsMonitor:
         return {
             "streams_monitored": len(self._estimators),
             "samples": self.samples_total,
-            "publications": len(self.events),
+            "publications": self.publications,
             "drifting_now": sorted(d.stream for d in self.drifted()),
         }
 

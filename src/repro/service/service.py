@@ -561,8 +561,7 @@ class StreamQueryService:
             report.deployed.extend(self.resources.step(self, now))
         if self.adaptivity is not None:
             adaptive = self.adaptivity.step(self, now)
-            if adaptive.drift is not None:
-                report.drift_streams.extend(adaptive.drift.streams)
+            report.drift_streams.extend(d.stream for d in adaptive.drift)
             report.migrations = adaptive.migrations
             report.migrated.extend(m.query for m in adaptive.committed)
         self._record_gauges()

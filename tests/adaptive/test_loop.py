@@ -201,6 +201,45 @@ class TestRolledBackMigration:
         assert waiting and all(r.evaluated == 0 for r in waiting)
 
 
+class TestOlderSnapshot:
+    def test_a_publication_log_restores_to_the_counts_it_held(self):
+        """Before the monitor kept two counts its snapshot section held
+        the publication log itself; restoring such a section counts the
+        log, so the summary and the counters read what the new format
+        carries."""
+        service, workload, _ = build_service(adaptivity=CONFIG)
+        reports = record_steps(service.adaptivity)
+        timeline = drift_timeline(
+            workload.rate_model().streams, kind="step", at=3.0, factor=6.0
+        )
+        drive(service, timeline, ticks=8)
+        published = [r for r in reports if r.drift]
+        assert len(published) == 2
+        new = service.adaptivity.capture()
+        old = {**new, "monitor": dict(new["monitor"])}
+        del old["monitor"]["publications"], old["monitor"]["streams_published"]
+        old["monitor"]["events"] = [
+            {"time": r.time, "rates_version": version, "drifts": [vars(d) for d in r.drift]}
+            for version, r in enumerate(published, start=1)
+        ]
+
+        def restored(doc):
+            twin, _, _ = build_service(adaptivity=CONFIG)
+            twin.adaptivity.restore(doc)
+            counters = {
+                name: twin.registry.get(name).value
+                for name in ("adaptive_drift_events_total", "adaptive_streams_published_total")
+            }
+            return twin.adaptivity.summary(), counters
+
+        summary, counters = restored(new)
+        assert restored(old) == (summary, counters)
+        assert summary["monitor"]["publications"] == 2
+        assert counters["adaptive_streams_published_total"] == sum(
+            len(r.drift) for r in published
+        )
+
+
 class TestNullDefault:
     def test_default_service_has_no_adaptivity(self):
         service, _, _ = build_service(adaptivity=None)

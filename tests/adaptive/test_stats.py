@@ -47,7 +47,7 @@ class TestDriftDetection:
     def test_no_observations_no_drift(self):
         monitor = StatsMonitor(make_rates())
         assert monitor.drifted() == []
-        assert monitor.maybe_publish(1.0) is None
+        assert monitor.maybe_publish(1.0) == []
 
     def test_single_tick_spike_does_not_publish(self):
         """Hysteresis: one breaching check must not fire a publication."""
@@ -56,9 +56,9 @@ class TestDriftDetection:
             publish_cooldown=0.0,
         )
         monitor.observe_rate("A", 500.0)  # alpha=1: estimate jumps at once
-        assert monitor.maybe_publish(1.0) is None  # first breach: streak 1 < 2
+        assert monitor.maybe_publish(1.0) == []  # first breach: streak 1 < 2
         monitor.observe_rate("A", 100.0)  # spike gone
-        assert monitor.maybe_publish(2.0) is None  # streak reset
+        assert monitor.maybe_publish(2.0) == []  # streak reset
         assert monitor.rates.version == 0
 
     def test_sustained_drift_publishes_after_hysteresis(self):
@@ -68,11 +68,10 @@ class TestDriftDetection:
             publish_cooldown=0.0,
         )
         monitor.observe_rate("A", 500.0)
-        assert monitor.maybe_publish(1.0) is None
+        assert monitor.maybe_publish(1.0) == []
         monitor.observe_rate("A", 500.0)
-        event = monitor.maybe_publish(2.0)
-        assert event is not None
-        assert event.streams == ["A"]
+        drifts = monitor.maybe_publish(2.0)
+        assert [d.stream for d in drifts] == ["A"]
         assert rates.version == 1
         assert rates.stream("A").rate == pytest.approx(500.0)
         # the un-drifted stream is untouched
@@ -86,10 +85,10 @@ class TestDriftDetection:
             publish_cooldown=0.0,
         )
         monitor.observe_rate("A", 500.0)
-        assert monitor.maybe_publish(1.0) is not None
+        assert monitor.maybe_publish(1.0) != []
         for tick in range(2, 12):
             monitor.observe_rate("A", 500.0)
-            assert monitor.maybe_publish(float(tick)) is None
+            assert monitor.maybe_publish(float(tick)) == []
         assert monitor.rates.version == 1
 
     def test_publish_cooldown_rate_limits(self):
@@ -98,10 +97,10 @@ class TestDriftDetection:
             publish_cooldown=5.0,
         )
         monitor.observe_rate("A", 300.0)
-        assert monitor.maybe_publish(1.0) is not None
+        assert monitor.maybe_publish(1.0) != []
         monitor.observe_rate("A", 900.0)  # drifts again immediately
-        assert monitor.maybe_publish(2.0) is None  # inside the cooldown
-        assert monitor.maybe_publish(6.0) is not None  # past it
+        assert monitor.maybe_publish(2.0) == []  # inside the cooldown
+        assert monitor.maybe_publish(6.0) != []  # past it
 
     def test_observation_validation(self):
         monitor = StatsMonitor(make_rates())

@@ -244,17 +244,8 @@ def _capture_monitor(monitor) -> dict[str, Any]:
         "breaches": dict(monitor._breaches),
         "last_publish": monitor._last_publish,
         "samples_total": monitor.samples_total,
-        "events": [
-            {
-                "time": ev.time,
-                "rates_version": ev.rates_version,
-                "drifts": [
-                    {"stream": d.stream, "published": d.published, "observed": d.observed}
-                    for d in ev.drifts
-                ],
-            }
-            for ev in monitor.events
-        ],
+        "publications": monitor.publications,
+        "streams_published": monitor.streams_published,
     }
 
 
