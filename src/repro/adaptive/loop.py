@@ -232,6 +232,7 @@ class AdaptivityLoop:
             if last is not None and now - last < cfg.query_cooldown:
                 continue
             self._aborted.discard(name)
+            service.before_plan(deployment.query)  # the candidate is a plan too
             with span("adaptive_evaluate", query=name) as ev_span:
                 decision = self.policy.evaluate(
                     state, deployment, service.network.cost_matrix()

@@ -205,21 +205,26 @@ def _fleet_env(state_dir: str | Path):
 
 
 def fleet_scenario() -> Scenario:
-    """Two-shard fleet script: tenant churn, a retire, a rebalance."""
+    """Two-shard fleet script: tenant churn, a twin, a retire, a rebalance."""
     from repro.fleet.routing import HashShardPolicy
 
     queries = list(_world(32, 10, 8, workload_seed=9).workload)
     tenants = ["acme", "umbrella"]
     tick = ("tick", {})
+    home = HashShardPolicy().assign(queries[0], _FLEET_SHARDS, [])
+    other = (home + 1) % _FLEET_SHARDS
+    # Its twin on the other shard, once a sync has published its views,
+    # imports them: the snapshots hold an import.
+    twins = (queries[0].renamed("twin", sink=n) for n in range(32))
+    twin = next(t for t in twins if HashShardPolicy().assign(t, _FLEET_SHARDS, []) == other)
     steps = [
         ("submit", {"query": query, "lifetime": None, "tenant": tenants[i % 2]})
         for i, query in enumerate(queries)
     ]
-    steps += [tick] * 4 + [("retire", {"name": queries[2].name})] + [tick] * 2
+    steps += [tick, ("submit", {"query": twin, "lifetime": None, "tenant": "acme"})]
+    steps += [tick] * 3 + [("retire", {"name": queries[2].name})] + [tick] * 2
     # Move one live query to the other shard: the rebalance path emits
     # the same migrate_* barrier ladder the in-service migrator does.
-    home = HashShardPolicy().assign(queries[0], _FLEET_SHARDS, [])
-    other = (home + 1) % _FLEET_SHARDS
     steps += [("rebalance", {"name": queries[0].name, "target_shard": other})]
     steps += [tick] * 4
 

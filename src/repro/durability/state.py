@@ -762,12 +762,14 @@ def capture_fleet(fleet, memo: FragmentMemo) -> dict[str, Any]:
     for shard, shard_doc in enumerate(doc["shards"]):
         _place(shard_doc, ("state", "shards", shard))
     for name, layer in fleet.layers():
-        # The federation's imports are the one long list of frozen items
-        # in a layer's section: it keeps their text in the memo.
+        # The federation's imports and published views are the long
+        # lists of frozen items in a layer's section: it keeps their
+        # text in the memo.
         doc[name] = layer.capture(memo) if name == "federation" else _layer_section(layer, memo)
     if doc["federation"] is not None:
         for shard, imports in enumerate(doc["federation"]["imports"]):
             imports.place = ("state", "federation", "imports", shard)
+        doc["federation"]["published"].place = ("state", "federation", "published")
     return doc
 
 

@@ -10,9 +10,9 @@ layers:
 
 * a :class:`~repro.fleet.routing.QueryRouter` assigning every query to
   exactly one shard (fingerprint hash or hierarchy-subtree locality);
-* a :class:`~repro.fleet.federation.ReuseFederation` republishing each
-  shard's derived-view advertisements fleet-wide, so the paper's
-  operator reuse keeps working across the shard boundary;
+* a :class:`~repro.fleet.federation.ReuseFederation` publishing each
+  shard's derived views fleet-wide, imported where a plan can read them,
+  so the paper's operator reuse crosses the shard boundary;
 * a tenant layer (:mod:`repro.fleet.tenancy`) with quotas and
   weighted-fair admission under overload.
 
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Iterable
 
 from repro.adaptive.diff import diff_deployments
@@ -238,9 +239,11 @@ class FleetController:
         self.router = QueryRouter(
             make_policy(policy, hierarchy=hierarchy, rates=rates), num_shards
         )
-        self.federation: ReuseFederation | None = (
-            ReuseFederation(self.shards) if federation else None
-        )
+        self.federation: ReuseFederation | None = None
+        if federation:
+            self.federation = ReuseFederation(self.shards)
+            for sid, shard in enumerate(self.shards):
+                shard.before_plan = partial(self.federation.import_views, sid)
 
         directory = TenantDirectory(tenants or ())
         self.tenants = directory
@@ -293,7 +296,7 @@ class FleetController:
         ):
             reg.counter(name, help, read)
         self._imports_gauge = reg.gauge(
-            "fleet_federation_imports", "Active cross-shard view imports."
+            "fleet_federation_imports", "Remote views shards hold, imported on demand."
         )
         self._tenant_live_gauges: dict[str, Gauge] = {}
         for tenant in directory:
@@ -625,9 +628,10 @@ class FleetController:
 
         Ticks every shard (expiries retire, shard queues drain), updates
         ownership and tenant accounting, runs one federation sync so
-        newly created views become fleet-visible (and dead ones are
-        invalidated), then drains the tenant backlog into freed shard
-        capacity under weighted fairness.
+        newly created views are published (a shard imports one when it
+        plans a query that reads it) and dead ones withdrawn, then
+        drains the tenant backlog into freed shard capacity under
+        weighted fairness.
         """
         now = next_tick_time(self, time)
         self.clock = now
@@ -660,10 +664,10 @@ class FleetController:
     def _sync_federation(self) -> dict[str, int]:
         """One federation sync, journaled as publish/withdraw markers."""
         result = self.federation.sync()
-        if result["imported"]:
+        if result["published"]:
             self._mark(
                 "federation_publish",
-                imported=result["imported"],
+                published=result["published"],
                 epoch=self.federation.epoch,
             )
         if result["withdrawn"] or result["promoted"]:

@@ -300,6 +300,7 @@ class ResilientControl:
                 self._check_coordinator(query, coordinator, now)
             if rung == "baseline":
                 assert self._fallback is not None, "control is not bound to a service"
+                service.before_plan(query)
                 return self._fallback.plan(query, service.engine.state)
             return service.plan_feasible(query)
 

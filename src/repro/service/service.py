@@ -245,6 +245,8 @@ class StreamQueryService:
         self.retired_total = 0
         self.plans_computed = 0
         self.plans_examined = 0
+        # Runs before every plan: a fleet imports the remote views here.
+        self.before_plan: Callable[[Query], None] = lambda query: None
 
         reg = self.registry
         self._queue_gauge = reg.gauge(
@@ -705,6 +707,7 @@ class StreamQueryService:
         views must still exist); a failed revalidation is re-booked as a
         miss and re-planned.
         """
+        self.before_plan(query)  # first: a hit's revalidation reads its imports
         self._refresh_epochs()
         fingerprint = query_fingerprint(query)
         key = self.cache.key(fingerprint, self.statistics_epoch, self.topology_epoch)

@@ -331,6 +331,17 @@ def capture_service(service, include_shared: bool = True) -> dict[str, Any]:
 
 
 
+def _view_rank(d: dict) -> tuple:
+    """The order the federation lists view keys in, on their documents."""
+    return (
+        "|".join(d["sig"]["sources"]),
+        d["node"],
+        [list(f.values()) for f in d["sig"]["filters"]],
+        [list(p.values()) for p in d["sig"]["predicates"]],
+        d["sig"]["window"],
+    )
+
+
 def capture_fleet(fleet) -> dict[str, Any]:
     """Capture a :class:`~repro.fleet.controller.FleetController`."""
     scheduler_doc = None
@@ -368,16 +379,21 @@ def capture_fleet(fleet) -> dict[str, Any]:
                         {"sig": sig_to_doc(sig), "node": node}
                         for sig, node in imports_of(fleet.federation, sid)
                     ),
-                    key=lambda d: (
-                        "|".join(d["sig"]["sources"]),
-                        d["node"],
-                        [list(f.values()) for f in d["sig"]["filters"]],
-                        [list(p.values()) for p in d["sig"]["predicates"]],
-                        d["sig"]["window"],
-                    ),
+                    key=_view_rank,
                 )
                 for sid in range(len(fleet.shards))
             ],
+            "published": sorted(
+                (
+                    {
+                        "view": {"sig": sig_to_doc(sig), "node": node},
+                        "offered": sorted(entry.offered),
+                        "rate": entry.rate,
+                    }
+                    for (sig, node), entry in fleet.federation.published().items()
+                ),
+                key=lambda d: _view_rank(d["view"]),
+            ),
         }
     policy = fleet.router.policy
     policy_doc = None

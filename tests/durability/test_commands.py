@@ -422,8 +422,11 @@ GOLDEN = {
         admit query,shard,status,tenant
         tenant_accounting in_flight,live,tenant
         cmd_tick time
-        federation_publish epoch,imported
+        federation_publish epoch,published
         tick_end deployed,retired
+        cmd_submit lifetime,query,tenant,time
+        admit query,shard,status,tenant
+        tenant_accounting in_flight,live,tenant
         cmd_tick time
         tick_end deployed,retired
         cmd_tick time
@@ -431,7 +434,6 @@ GOLDEN = {
         cmd_tick time
         tick_end deployed,retired
         cmd_retire name
-        federation_withdraw epoch,promoted,withdrawn
         retire query
         tenant_accounting in_flight,live,tenant
         cmd_tick time
@@ -443,7 +445,7 @@ GOLDEN = {
         migrate_begin query,source_shard,target_shard
         federation_withdraw epoch,promoted,withdrawn
         migrate_phase phase,query
-        federation_publish epoch,imported
+        federation_publish epoch,published
         migrate_commit query,target_shard
         cmd_tick time
         tick_end deployed,retired

@@ -1,19 +1,26 @@
-"""The whole-index plan the per-key federation is checked against.
+"""Oracles the on-demand federation is checked against.
 
-This is ``ReuseFederation.sync``'s decision as it was before the fleet
-index was kept per key: every sync collects every shard's exports into
-one ``key -> lowest offering shard`` map and recomputes every shard's
-desired import set from all of it.  It keeps nothing between calls and
-reads only the shard states and the import sets, so it is right by
-construction whatever happened since the last sync -- and O(exports x
-shards) per call, which is why the shipped sync decides on changed keys
-only.
+* :func:`reference_offers` is the whole-index scan the per-key offer map
+  replaced: every shard's exports collected into ``key -> offering
+  shards``.  It keeps nothing between calls and reads only the shard
+  states and the import sets, so it is right by construction whatever
+  happened since the last sync.
+* :func:`eager_desired` is what a shard imported before imports went on
+  demand: every published view it does not offer itself.
+* :class:`EagerFederation` is that retired behaviour, whole: right after
+  each sync it imports every published view into every shard that
+  neither offers nor imports it.  A fleet built under
+  :func:`eager_federation` plans every query exactly as the shipped
+  fleet does (``test_federation_on_demand.py``).
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from unittest import mock
+
 from repro.durability.state import view_key_from_doc
-from repro.fleet.federation import import_rank
+from repro.fleet.federation import ReuseFederation
 
 
 def reference_offers(federation) -> dict[tuple, list[int]]:
@@ -28,41 +35,40 @@ def reference_offers(federation) -> dict[tuple, list[int]]:
     return offers
 
 
-def reference_plan(federation) -> list[tuple[list, list]]:
-    """Per shard ``(drops, imports)`` a sync run now has to apply.
-
-    ``drops`` are the imports to remove, ``imports`` the ``(key, owner
-    shard)`` pairs to add, both in application order.
-    """
-    shards = federation.shards
-    fleet = {key: offered[0] for key, offered in reference_offers(federation).items()}
-
-    def import_order(key):
-        owner = shards[fleet[key]].engine.state
-        return (key[0].label(), key[1], fleet[key], owner.operator_serial(*key))
-
-    plan = []
-    for sid, service in enumerate(shards):
-        state = service.engine.state
-        current = imports_of(federation, sid)
-        desired = {
-            key
-            for key, owner in fleet.items()
-            # skip views this shard owns locally (its own operators);
-            # existing imports are desired as long as an owner remains
-            if owner != sid and (key in current or not state.has_view(*key))
-        }
-        plan.append(
-            (
-                sorted(current - desired, key=import_rank),
-                [(key, fleet[key]) for key in sorted(desired - current, key=import_order)],
-            )
-        )
-    return plan
-
+def eager_desired(federation, shard: int) -> set:
+    """The keys an eager sync kept imported in ``shard``: every
+    published view the shard does not offer."""
+    return {
+        key
+        for key, entry in federation.published().items()
+        if shard not in entry.offered
+    }
 
 
 def imports_of(federation, shard: int) -> set:
     """The ``(signature, node)`` keys ``shard`` currently imports, read
     from the federation's snapshot section."""
     return {view_key_from_doc(doc) for doc in federation.capture()["imports"][shard]}
+
+
+class EagerFederation(ReuseFederation):
+    """Every published view copied into every shard after each sync."""
+
+    def sync(self) -> dict[str, int]:
+        result = super().sync()
+        published = self.published()
+        for sid in range(len(self.shards)):
+            missing = eager_desired(self, sid) - self._imports[sid]
+            if missing:
+                self._import(sid, [published[key] for key in missing])
+        return result
+
+    def import_views(self, shard: int, query) -> None:
+        """Nothing: the last sync imported every published view."""
+
+
+@contextmanager
+def eager_federation():
+    """Every fleet built inside imports eagerly."""
+    with mock.patch("repro.fleet.controller.ReuseFederation", EagerFederation):
+        yield

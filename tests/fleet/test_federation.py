@@ -34,7 +34,7 @@ class TestCrossShardReuse:
         fleet = split_fleet(fleet_env, q1, q2)
         fleet.submit(q1)
         fleet.tick()  # sync publishes shard 0's views fleet-wide
-        fleet.submit(q2)
+        fleet.submit(q2)  # shard 1 imports them to plan it
         deployment = next(
             d for d in fleet.shards[1].engine.state.deployments
             if d.query.name == q2.name
@@ -49,11 +49,13 @@ class TestCrossShardReuse:
         federation = fleet.federation
         fleet.submit(q1)
         fleet.tick()
+        fleet.submit(q2)  # planning it imports q1's views into shard 1
         imported = imports_of(federation, 1)
         assert imported
         for sig, node in imported:
             assert federation.import_for(1, sig.sources, node) == (sig, node)
             assert federation.import_for(0, sig.sources, node) is None
+        fleet.retire(q2.name)
         fleet.retire(q1.name)
         fleet.tick()  # nobody consumed them: withdrawn
         assert not imports_of(federation, 1)
@@ -118,7 +120,9 @@ class TestCrossShardReuse:
         fleet = split_fleet(fleet_env, q1, q2)
         fleet.submit(q1)
         fleet.tick()
+        fleet.submit(q2)
         # shard 1 imports shard 0's views but must not offer them back
+        assert imports_of(fleet.federation, 1)
         for key in imports_of(fleet.federation, 1):
             assert key not in fleet.federation.exports(1)
 
@@ -129,6 +133,8 @@ class TestInvalidation:
         fleet = split_fleet(fleet_env, q1, q2)
         fleet.submit(q1)
         fleet.tick()
+        fleet.submit(q2)  # imports q1's views into shard 1 ...
+        fleet.retire(q2.name)  # ... which nothing there consumes any more
         imported = imports_of(fleet.federation, 1)
         assert imported
         epoch = fleet.federation.epoch

@@ -1,20 +1,22 @@
-"""The per-key federation sync against the whole-index plan.
+"""The per-key federation sync against whole-index oracles.
 
 ``ReuseFederation.sync`` keeps a ``key -> shards offering it`` map
-current from every shard's operator-set feed and decides only on the
-keys whose offers changed; ``reference_federation.reference_plan``
-collects every shard's exports and recomputes every shard's desired
-import set, as the method did before.  Three layers of evidence that
-they are the same function of (shard states, import sets):
+current from every shard's operator-set feed, decides only on the keys
+whose offers changed and publishes them; a shard imports a published
+view when it plans a query over the view's streams.  Three layers of
+evidence:
 
 * a hypothesis state machine over everything that moves a shard's
   export set or the import sets -- submit to a chosen shard, a twin on
   another shard, retire, tick, an owner retiring under an importer's
   live query (promotion), a promoted view's new exporter retiring,
   ``restore_imports`` mid-run, a ``DeploymentState.restore`` whose feed
-  cannot answer, ``exports()`` read between two syncs -- comparing
-  before every sync the drops, the imports, their owners and their
-  application order;
+  cannot answer, ``exports()`` read between two syncs -- checking the
+  federation law at every sync and every plan: the published index is
+  ``reference_federation.reference_offers`` as of the decision, a
+  shard's imports are a subset of what an eager sync kept imported
+  (``eager_desired``), and on the source sets a planned query reads
+  the two are equal;
 * the order of simultaneous withdrawals and of the snapshot's import
   list is total: signatures told apart by their filters only come out
   the same way whichever was imported first;
@@ -22,9 +24,10 @@ they are the same function of (shard states, import sets):
   changed since the last one, not what is exported, so an O(exports)
   regression fails without a clock.
 
-None of the per-key state is written to disk: a crash test checks that
-a recovered fleet rebuilds it, a promoted view still waiting for its
-next sync included.
+The offer map is not written to disk; the published index is, so a
+crash test checks that a recovered fleet publishes and imports what
+the uncrashed one does, a promoted view still waiting for its next
+sync included.
 """
 
 import itertools
@@ -45,13 +48,14 @@ import pytest
 import repro
 from repro.durability import DurabilityConfig, recover
 from repro.durability.journal import SimulatedCrash, canonical_json
+from repro.durability.state import placement_to_doc
 from repro.fleet import FEDERATION_OWNER
 from repro.fleet.federation import import_rank
 from repro.perf.profiler import profiled
 from repro.resilience.faults import CrashPoint
 
 from tests.fleet.conftest import ByNamePolicy, build_env, build_fleet
-from tests.fleet.reference_federation import imports_of, reference_offers, reference_plan
+from tests.fleet.reference_federation import eager_desired, imports_of, reference_offers
 from tests.fleet.test_federation import scanned_exports
 
 _SHARDS = 3
@@ -59,7 +63,7 @@ _POOL = 10  # queries in the conftest world
 
 
 class FederationMachine(RuleBasedStateMachine):
-    """A 3-shard fleet whose every sync is checked against the oracle."""
+    """A 3-shard fleet whose every sync and plan is checked."""
 
     #: What the explored examples exercised, summed over a whole run.
     seen: Counter
@@ -83,12 +87,14 @@ class FederationMachine(RuleBasedStateMachine):
         apply = federation.sync
 
         def checked_sync():
-            plan, offers = self.before_sync()
+            before = self.before_sync()
             result = apply()
-            self.after_sync(plan, offers, result)
+            self.after_sync(*before, result)
             return result
 
         federation.sync = checked_sync
+        for sid, shard in enumerate(self.fleet.shards):
+            shard.before_plan = self.checked_import(sid, shard.before_plan)
         # Every example starts busy: a view two shards deploy between
         # two syncs, and an import a live query of another shard reuses.
         self.submit(0, 0, None)
@@ -105,55 +111,83 @@ class FederationMachine(RuleBasedStateMachine):
     def state(self, shard: int):
         return self.fleet.shards[shard].engine.state
 
-    # -- the comparison ----------------------------------------------------
+    # -- the law -------------------------------------------------------------
+    def checked_import(self, sid, import_views):
+        """A shard's import hook, checked: on the source sets the query
+        reads, the shard imports what an eager sync kept imported."""
+
+        def checked(query):
+            before = imports_of(self.federation, sid)
+            import_views(query)
+            streams = frozenset(query.sources)
+            readable = {key for key in eager_desired(self.federation, sid) if key[0].sources <= streams}
+            imported = imports_of(self.federation, sid)
+            assert {key for key in imported if key[0].sources <= streams} == readable
+            assert imported - before == readable - before
+            self.seen["on_demand_import"] += bool(imported - before)
+            self.seen["reimport_after_promotion"] += bool((imported - before) & self.promoted)
+            self.seen["left_unimported"] += bool(eager_desired(self.federation, sid) - imported)
+
+        return checked
+
     def before_sync(self):
         federation, seen = self.federation, self.seen
         feeds_answer = all(
             self.state(sid).changes_since(federation._cursors[sid]) is not None
             for sid in range(_SHARDS)
         )
-        offers = reference_offers(federation)
-        expected = reference_plan(federation)
-        plan = federation._plan()
-        assert plan == expected
-        assert federation._plan() == expected  # planning consumes nothing
         seen["delta" if feeds_answer else "full_rescan"] += bool(self.synced)
-        for _, adds in plan:
-            for key, owner in adds:
-                assert owner == offers[key][0]
-                seen["two_offers"] += len(offers[key]) > 1
-                seen["reimport_after_promotion"] += key in self.promoted
-        return plan, offers
+        offers = reference_offers(federation)
+        rates = {key: self.state(offered[0]).view_rate(*key) for key, offered in offers.items()}
+        drops = [
+            sorted(imports_of(federation, sid) - offers.keys(), key=import_rank)
+            for sid in range(_SHARDS)
+        ]
+        return offers, rates, drops, federation.published()
 
-    def after_sync(self, plan, offers, result) -> None:
+    def after_sync(self, offers, rates, drops, published_before, result) -> None:
         federation = self.federation
         self.synced += 1
+        # The published index is the offers as of the decision: a key
+        # whose offering shards did not change keeps its entry, any
+        # other is read from its owner, the lowest offering shard.
+        published = federation.published()
+        assert {key: sorted(entry.offered) for key, entry in published.items()} == offers
+        republished = 0
+        for key, entry in published.items():
+            old = published_before.get(key)
+            if old is not None and old.offered == entry.offered:
+                assert entry is old
+                continue
+            republished += 1
+            owner = offers[key][0]
+            assert entry.order[2] == owner
+            assert entry.rate == rates[key]
+            self.seen["two_offers"] += len(entry.offered) > 1
         promoted = [
-            (sid, key)
-            for sid, (drops, _) in enumerate(plan)
-            for key in drops
-            if self.state(sid).has_view(*key)
+            (sid, key) for sid, keys in enumerate(drops) for key in keys if self.state(sid).has_view(*key)
         ]
         self.promoted.update(key for _, key in promoted)
         assert result == {
-            "imported": sum(len(adds) for _, adds in plan),
-            "withdrawn": sum(len(drops) for drops, _ in plan) - len(promoted),
+            "published": republished,
+            "withdrawn": sum(map(len, drops)) - len(promoted),
             "promoted": len(promoted),
         }
         self.seen["promotion"] += len(promoted)
         self.seen["withdrawal"] += result["withdrawn"]
-        # What the whole-index sync maintained: a shard imports exactly
-        # the offered keys it does not offer itself.
         for sid in range(_SHARDS):
-            assert imports_of(federation, sid) == {
-                key for key, offered in offers.items() if sid not in offered
-            }
+            # A shard imports no more than an eager sync kept imported.
+            assert imports_of(federation, sid) <= eager_desired(federation, sid)
             for key in imports_of(federation, sid):
                 assert FEDERATION_OWNER in self.state(sid).queries_using(*key)
-        # A sync leaves nothing to do but offering what it promoted.
-        for sid, (drops, adds) in enumerate(reference_plan(federation)):
-            assert not drops
-            assert {key for key, _ in adds} <= self.promoted
+        # A sync leaves nothing to do but publishing what it promoted.
+        moved = {
+            key
+            for key, offered in reference_offers(federation).items()
+            if key not in published or sorted(published[key].offered) != offered
+        }
+        assert moved <= self.promoted
+        assert published.keys() <= reference_offers(federation).keys()
 
     # -- the shards ----------------------------------------------------------
     @rule(
@@ -302,14 +336,14 @@ _MACHINE = settings(
 )
 
 
-def test_per_key_plan_matches_the_whole_index_plan_before_every_sync():
+def test_every_sync_and_plan_keeps_the_federation_law():
     FederationMachine.seen = seen = Counter()
     run_state_machine_as_test(FederationMachine, settings=_MACHINE)
     for transition in (
         "promotion", "reimport_after_promotion", "full_rescan", "two_offers",
         "delta", "withdrawal", "promoted_exporter_retired", "restore_imports_same",
         "restore_imports_orphaned", "restore_imports_forgotten", "restore_state",
-        "exports_read",
+        "exports_read", "on_demand_import", "left_unimported",
     ):
         assert seen[transition], f"no example exercised {transition}: {dict(seen)}"
 
@@ -348,12 +382,14 @@ def tie_run(fleet_env, state_dir, reverse: bool):
         for query in queries:
             fleet.submit(query, lifetime=2.0)
         fleet.tick()
+        for query in queries:  # what planning them on shard 1 imports
+            fleet.shards[1].before_plan(query)
         federation = fleet.federation
         imported = sorted(imports_of(federation, 1), key=import_rank, reverse=reverse)
         ties = Counter(("|".join(sorted(sig.sources)), node) for sig, node in imported)
         assert max(ties.values()) == 2, "two imports must tie on (sources, node)"
         federation.restore_imports([set(), imported])
-        assert federation.sync() == {"imported": 0, "withdrawn": 0, "promoted": 0}
+        assert federation.sync() == {"published": 0, "withdrawn": 0, "promoted": 0}
         # The federation's section of the file (elsewhere the snapshot
         # carries wall-clock planning latencies).
         snapshot = json.loads(fleet.durability.snapshot(fleet.clock).read_bytes())
@@ -394,54 +430,77 @@ def test_tying_imports_are_withdrawn_and_snapshotted_in_one_order(fleet_env, tmp
 
 
 # ----------------------------------------------------------------------
-# Recovery rebuilds what is derived
+# Recovery keeps what was published, and rebuilds what is derived
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("torn", [True, False])
 def test_crash_in_the_tick_after_a_promoting_sync(fleet_env, tmp_path, torn):
     net, _, workload, _ = fleet_env
+    nodes = len(net.nodes())
     owner = workload.queries[0]
-    reuser = owner.renamed("reuser", sink=(owner.sink + 5) % len(net.nodes()))
+    reuser = owner.renamed("reuser", sink=(owner.sink + 5) % nodes)
+    # On a third shard, a query that can reuse what the reuser's shard
+    # promotes -- once a sync has published it.
+    probe = owner.renamed("probe", sink=(owner.sink + 11) % nodes)
+    # The tick's own command record is lost with the crash (nothing of
+    # the tick happened) or durable (recovery replays the tick).
+    done = 0 if torn else 1
 
     def factory(state_dir):
         return build_fleet(
             fleet_env,
             num_shards=3,
-            policy=ByNamePolicy({owner.name: 0, reuser.name: 1}),
+            policy=ByNamePolicy({owner.name: 0, reuser.name: 1, probe.name: 2}),
             durability=DurabilityConfig(state_dir=str(state_dir), snapshot_interval=1),
         )
 
     def promote(fleet):
         """Shard 1's live query reuses shard 0's view; the owner expires
         in a tick whose sync promotes shard 1's import and whose
-        snapshot is cut before any sync offers it to the other shards:
-        the promoted key waits in memory only."""
+        snapshot is cut before any sync publishes it: the promoted key
+        waits, unpublished, for the next sync."""
         fleet.submit(owner, lifetime=3.0)
         fleet.tick()
         fleet.submit(reuser)
         fleet.tick()
+        imported = imports_of(fleet.federation, 1)
         assert fleet.tick().federation["promoted"]
+        state = fleet.shards[1].engine.state
+        return {key for key in imported - imports_of(fleet.federation, 1) if state.has_view(*key)}
 
     def observed(fleet):
         return (
+            sorted(fleet.federation.capture()["published"], key=canonical_json),
             [imports_of(fleet.federation, sid) for sid in range(3)],
             [shard.ads.views() for shard in fleet.shards],
         )
 
+    def step(fleet, kind):
+        if kind == "tick":
+            return fleet.tick().federation, *observed(fleet)
+        fleet.submit(probe)
+        deployment = fleet.shards[2].engine.state.deployment(probe.name)
+        plan = canonical_json(placement_to_doc(deployment.plan, deployment.placement))
+        return plan, fleet.cross_shard_reuse_total, *observed(fleet)
+
+    # The probe is submitted right after recovery, then three ticks.
+    steps = ["tick"] * done + ["probe"] + ["tick"] * 3
     twin = factory(tmp_path / "twin")
-    promote(twin)
-    want = []
-    for _ in range(4):
-        result = twin.tick().federation
-        want.append((result, *observed(twin)))
+    promoted = promote(twin)
+    reused = twin.cross_shard_reuse_total
+    want = [step(twin, kind) for kind in steps]
     twin.durability.journal.close()
-    assert want[0][0]["imported"], "the promoted view must reach the other shards"
+    probed = want[done]  # (plan, reuse total, published, imports, ads)
+    assert promoted
+    if done:  # the tick published the promoted view: the probe reads it
+        assert want[0][0]["published"]
+        assert promoted <= probed[3][2] and probed[1] > reused
+    else:  # still unpublished when the probe is planned
+        assert not promoted & probed[3][2] and probed[1] == reused
 
     state_dir = tmp_path / "crashed"
     crashed = factory(state_dir)
     promote(crashed)
     journal = crashed.durability.journal
-    # The tick's own command record: lost with the crash (nothing of the
-    # tick happened) or durable (recovery replays the tick).
     crashed.durability.arm(
         [CrashPoint(time=crashed.clock, after_lsn=journal.lsn + 1, torn_tail=torn)]
     )
@@ -451,13 +510,11 @@ def test_crash_in_the_tick_after_a_promoting_sync(fleet_env, tmp_path, torn):
 
     recovered, report = recover(state_dir, lambda: factory(state_dir))
     try:
-        done = report.replayed_ticks
-        assert done == (0 if torn else 1)
+        assert report.replayed_ticks == done
         if done:
             assert observed(recovered) == want[0][1:]
-        for expected in want[done : done + 3]:
-            result = recovered.tick().federation
-            assert (result, *observed(recovered)) == expected
+        for kind, expected in zip(steps[done:], want[done:]):
+            assert step(recovered, kind) == expected
         assert recovered.check_invariants() == []
     finally:
         recovered.durability.journal.close()
@@ -525,6 +582,6 @@ class TestWorkCounts:
             promoted = result["promoted"]
 
         while any(federation.sync().values()):
-            pass  # what one sync promotes the next offers the other shards
+            pass  # what one sync promotes the next publishes
         federation.sync()  # nothing changed since the last, not even by it
-        assert samples[-1][1:] == (0, {"imported": 0, "withdrawn": 0, "promoted": 0})
+        assert samples[-1][1:] == (0, {"published": 0, "withdrawn": 0, "promoted": 0})

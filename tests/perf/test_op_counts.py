@@ -19,6 +19,8 @@ Cases:
   cache probes and ticks.
 * ``fleet_churn`` -- the sharded fleet control plane under the same
   kind of churn across 3 shards with federation syncs on every tick.
+* ``fleet_twins`` -- the same fleet, then a twin of every query on
+  another shard: the views a twin reads are imported, and only those.
 * ``telemetry_overhead`` / ``durability_overhead`` /
   ``resource_overhead`` -- the churn script re-run with the telemetry
   pipeline (resp. the write-ahead journal, resp. the unbounded resource
@@ -133,10 +135,9 @@ def _case_service_churn(resubmit: bool = True) -> OpProfiler:
     return _churn(service.submit, service.tick, workload, resubmit=resubmit)
 
 
-def _case_fleet_churn() -> OpProfiler:
-    """The churn script on a 3-shard fleet: besides the planner counts,
-    what the federation's 30 syncs examined (``federation_keys_examined``,
-    counted at the hook site) and imported."""
+def _churn_fleet():
+    """``(fleet, workload)``: the churn world on a 3-shard hash fleet
+    (budget 4, two deployments a tick per shard)."""
     from repro.fleet import FleetController
 
     world = _hier_env(num_queries=10)
@@ -149,11 +150,40 @@ def _case_fleet_churn() -> OpProfiler:
         budget=4,
         max_per_tick=2,
     )
-    prof = _churn(
-        fleet.submit, fleet.tick, world.workload, resubmit=False
-    )
+    return fleet, world.workload
+
+
+def _case_fleet_churn() -> OpProfiler:
+    """The churn script on a 3-shard fleet: besides the planner counts,
+    what the federation's 30 syncs examined (``federation_keys_examined``,
+    counted at the hook site) and imported -- nothing: no shard plans a
+    query over another shard's views."""
+    fleet, workload = _churn_fleet()
+    prof = _churn(fleet.submit, fleet.tick, workload, resubmit=False)
     prof.count("federation_syncs", fleet.federation.syncs)
     prof.count("federation_imports", fleet.federation.imported_total)
+    return prof
+
+
+def _case_fleet_twins() -> OpProfiler:
+    """The churn fleet, then a sink-shifted twin of every query once a
+    sync has published the originals' views: twins hash to other shards,
+    which import the published views they can read, and only those
+    (copying every published view into every shard after each sync
+    imported 80 here, with the same planner counts)."""
+    fleet, workload = _churn_fleet()
+    nodes = fleet.network.num_nodes
+    with profiled() as prof:
+        for i, query in enumerate(workload):
+            fleet.submit(query, lifetime=4.0 + (i % 3))
+        for _ in range(3):
+            fleet.tick()
+        for query in workload:
+            fleet.submit(query.renamed(query.name + "_twin", sink=(query.sink + 5) % nodes))
+        for _ in range(10):
+            fleet.tick()
+    prof.count("federation_imports", fleet.federation.imported_total)
+    prof.count("cross_shard_reuse", fleet.cross_shard_reuse_total)
     return prof
 
 
@@ -250,6 +280,7 @@ CASES: dict[str, Callable[[], OpProfiler]] = {
     "deploy_protocol": _case_deploy_protocol,
     "service_churn": _case_service_churn,
     "fleet_churn": _case_fleet_churn,
+    "fleet_twins": _case_fleet_twins,
     "telemetry_overhead": _case_telemetry_overhead,
     "durability_overhead": _case_durability_overhead,
     "idle_snapshot": _case_idle_snapshot,
@@ -304,7 +335,7 @@ PINS: dict[str, dict[str, int]] = {
     "service_churn": _CHURN,
     "fleet_churn": {
         "cache_probes": 10,
-        "ads_keys_examined": 133,
+        "ads_keys_examined": 58,
         "ads_views_probed": 12,
         "trees_enumerated": 121,
         "placements": 121,
@@ -313,9 +344,24 @@ PINS: dict[str, dict[str, int]] = {
         "joins_built": 87,
         "service_ticks": 90,
         "expiry_entries_examined": 10,
-        "federation_keys_examined": 334,
+        "federation_keys_examined": 195,
         "federation_syncs": 30,
-        "federation_imports": 54,
+        "federation_imports": 0,
+    },
+    "fleet_twins": {
+        "cache_probes": 18,
+        "ads_keys_examined": 82,
+        "ads_views_probed": 37,
+        "trees_enumerated": 217,
+        "placements": 217,
+        "cost_evaluations": 1243,
+        "search_array_passes": 123,
+        "joins_built": 118,
+        "service_ticks": 39,
+        "expiry_entries_examined": 10,
+        "federation_keys_examined": 232,
+        "federation_imports": 12,
+        "cross_shard_reuse": 4,
     },
     "telemetry_overhead": {
         **_CHURN_NO_RESUBMIT,

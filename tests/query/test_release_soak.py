@@ -6,7 +6,9 @@ claims).  ``undeploy`` releases exactly what ``apply`` claimed, so once
 every query of a burst of distinct filtered queries has retired and a
 tick has run, the operator set, each advertisement index and each
 shard's federation exports are what they were before the burst -- on a
-bare service and on a 2-shard fleet with federation.
+bare service and on a 2-shard fleet with federation, where a shard's
+imports (copied in on demand while it planned the burst) are left out
+and held to the views the other shard still publishes.
 
 Not gated, by design: the plan cache keeps one entry per distinct plan
 up to its capacity, and a durability layer's ``FragmentMemo`` keeps the
@@ -26,6 +28,7 @@ import repro
 from repro.query.stream import Filter
 
 from tests.fleet.conftest import build_env, build_fleet
+from tests.fleet.reference_federation import eager_desired, imports_of
 
 _BURST = 24
 
@@ -105,12 +108,20 @@ def test_a_federated_fleet_returns_to_its_pre_soak_state_on_every_shard():
     states = [shard.engine.state for shard in fleet.shards]
 
     def observed():
-        return [
-            (len(state.operators()), shard.ads.views(), federation.exports(index))
-            for index, (shard, state) in enumerate(zip(fleet.shards, states))
-        ]
+        """Each shard's own operators, advertised views and exports: what
+        it imported (on demand, while planning the burst) left out."""
+        out = []
+        for index, (shard, state) in enumerate(zip(fleet.shards, states)):
+            imported = imports_of(federation, index)
+            advertised = {(sig, node) for sig, nodes in shard.ads.views().items() for node in nodes}
+            own = [key for key in state.operators() if key not in imported]
+            out.append((own, advertised - imported, federation.exports(index)))
+        return out
 
     before = observed()
     assert soak(fleet, queries, states) > 0
     assert observed() == before
     assert shipped_filters(states) == 0
+    # What the burst imported stays only while its owner publishes it.
+    for index in range(len(states)):
+        assert imports_of(federation, index) <= eager_desired(federation, index)
