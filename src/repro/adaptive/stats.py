@@ -134,7 +134,6 @@ class StatsMonitor:
         self._last_publish: float | None = None
         self.publications = 0
         self.streams_published = 0
-        self.samples_total = 0
         self.revision = 0  # moves with every change of what capture() writes
 
     # ------------------------------------------------------------------
@@ -147,9 +146,9 @@ class StatsMonitor:
             raise UnknownStreamError(f"unknown stream {stream!r}")
         if rate < 0:
             raise ObservationError(f"negative rate sample for {stream!r}: {rate}")
-        self.samples_total += 1
-        self.revision += 1
-        return estimator.update(rate)
+        before = estimator.value
+        self.revision += estimator.update(rate) != before
+        return estimator.value
 
     def observe_rates(self, samples: Mapping[str, float]) -> None:
         """Feed one sample per stream (e.g. a per-tick rate snapshot)."""
@@ -229,14 +228,14 @@ class StatsMonitor:
             "published": dict(self._published),
             "breaches": dict(self._breaches),
             "last_publish": self._last_publish,
-            "samples_total": self.samples_total,
             "publications": self.publications,
             "streams_published": self.streams_published,
         }
 
     def restore(self, doc: dict[str, Any]) -> None:
         """Inverse of :meth:`capture`, into a pristine monitor (an
-        ``events`` log in older snapshots is counted)."""
+        ``events`` log in older snapshots is counted, a ``samples_total``
+        ignored)."""
 
         def estimator(doc: dict[str, Any]) -> EwmaEstimator:
             revived = EwmaEstimator()
@@ -247,7 +246,6 @@ class StatsMonitor:
         self._published = dict(doc["published"])
         self._breaches = dict(doc["breaches"])
         self._last_publish = doc["last_publish"]
-        self.samples_total = doc["samples_total"]
         events = doc.get("events", ())
         self.publications = doc.get("publications", len(events))
         self.streams_published = doc.get(
@@ -261,7 +259,6 @@ class StatsMonitor:
         """Counters for reports and the adapt CLI."""
         return {
             "streams_monitored": len(self._estimators),
-            "samples": self.samples_total,
             "publications": self.publications,
             "drifting_now": sorted(d.stream for d in self.drifted()),
         }

@@ -1054,7 +1054,7 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
           f"{len(network.nodes())} nodes, {args.ticks} ticks, seed {args.seed or 0}")
     monitor = summary["monitor"]
     print(f"  drift events published: {monitor['publications']} "
-          f"({monitor['samples']} samples over {monitor['streams_monitored']} streams)")
+          f"({monitor['streams_monitored']} streams monitored)")
     print(f"  re-optimizations: {summary['evaluations']} evaluated, "
           f"{summary['migrations_committed']} migrations committed, "
           f"{summary['migrations_aborted']} aborted")

@@ -3,9 +3,10 @@
 One :class:`Journal` backs one control plane (a
 :class:`~repro.service.service.StreamQueryService` or a
 :class:`~repro.fleet.controller.FleetController`).  Every record is one
-JSON line ``{"lsn", "kind", "time", "data", "crc"}`` where ``crc`` is
-the CRC-32 of the canonical JSON of the other four fields, and ``lsn``
-is a strictly monotonic log sequence number starting at 1.
+canonical JSON line ``{"crc", "data", "kind", "lsn", "time"}`` where
+``crc`` is the CRC-32 of the line as written with its ``"crc":N,``
+member taken out (:func:`line_crc`), and ``lsn`` is a strictly monotonic
+log sequence number starting at 1.
 
 Records come in two flavours:
 
@@ -89,14 +90,17 @@ class SimulatedCrash(RuntimeError):
 
 
 def canonical_json(doc: Any) -> str:
-    """Canonical (sorted-keys, no-whitespace) JSON used for CRCs."""
+    """Canonical (sorted-keys, no-whitespace) JSON: how durable lines are written."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def record_crc(lsn: int, kind: str, time: float, data: Any) -> int:
-    """CRC-32 over the canonical JSON of a record's payload fields."""
-    payload = canonical_json({"lsn": lsn, "kind": kind, "time": time, "data": data})
-    return zlib.crc32(payload.encode("utf-8"))
+_OPEN_CRC = zlib.crc32(b"{")
+
+
+def line_crc(line: bytes) -> int:
+    """CRC-32 of a canonical line with its leading ``"crc":N,`` member
+    taken out: the CRC the line carries, if its bytes are as written."""
+    return zlib.crc32(line[line.find(b",") + 1 :], _OPEN_CRC)
 
 
 def encode_record(lsn: int, kind: str, time: float, data: Any) -> str:
@@ -234,7 +238,7 @@ def _validate_line(line: bytes, expect_lsn: int) -> tuple[dict[str, Any] | None,
         return None, f"missing fields {sorted(missing)}"
     if doc["lsn"] != expect_lsn:
         return None, f"LSN gap: expected {expect_lsn}, found {doc['lsn']}"
-    if record_crc(doc["lsn"], doc["kind"], doc["time"], doc["data"]) != doc["crc"]:
+    if line_crc(line) != doc["crc"]:
         return None, "CRC mismatch"
     return doc, ""
 
@@ -243,7 +247,7 @@ def scan_journal(path: str | Path) -> tuple[list[dict[str, Any]], dict[str, Any]
     """Read every valid record; report the dropped suffix, if any.
 
     Validation is prefix-greedy: records are accepted while each line
-    parses, carries the expected monotonic LSN, and its CRC matches.
+    parses, carries the expected monotonic LSN, and its bytes match its CRC.
     The first failure quarantines everything after it (a torn tail can
     shear a line such that later bytes *look* parseable; trusting any
     suffix past a corruption would be unsound).

@@ -98,6 +98,12 @@ def classify_in_flight_migrations(records: list[dict[str, Any]]) -> list[dict[st
     return [open_migrations[name] for name in sorted(open_migrations)]
 
 
+def replay_plan(records: list[dict[str, Any]], snapshot_lsn: int) -> list[dict[str, Any]]:
+    """The command records a recovery from the snapshot at
+    ``snapshot_lsn`` re-executes, in journal order (markers never)."""
+    return [rec for rec in records if rec["lsn"] > snapshot_lsn and rec["kind"] in COMMAND_KINDS]
+
+
 # ----------------------------------------------------------------------
 # Command dispatch
 # ----------------------------------------------------------------------
@@ -200,11 +206,7 @@ def recover(
 
     durability.journal.replaying = True
     try:
-        for rec in records:
-            if rec["lsn"] <= report.snapshot_lsn:
-                continue
-            if rec["kind"] not in COMMAND_KINDS:
-                continue
+        for rec in replay_plan(records, report.snapshot_lsn):
             _replay_command(controller, rec)
             report.replayed_records += 1
             if rec["kind"] == "cmd_tick":
@@ -241,11 +243,7 @@ def inspect_state_dir(state_dir: str | Path) -> dict[str, Any]:
     for rec in records:
         kinds[rec["kind"]] = kinds.get(rec["kind"], 0) + 1
     snapshot_lsn = snapshot["lsn"] if snapshot is not None else 0
-    replay = [
-        rec
-        for rec in records
-        if rec["lsn"] > snapshot_lsn and rec["kind"] in COMMAND_KINDS
-    ]
+    replay = replay_plan(records, snapshot_lsn)
     return {
         "state_dir": str(state_dir),
         "journal": {

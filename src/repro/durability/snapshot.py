@@ -9,11 +9,12 @@ can never leave a half-written file under the final name -- except when
 a seeded ``mid_snapshot`` crash point deliberately does exactly that,
 which is how the torn-snapshot recovery path stays tested.
 
-The envelope carries a CRC-32 of its own bytes (``{"crc":N,`` left out)
-and is written as compact canonical JSON (sorted keys, no whitespace;
-pretty-print one with ``python -m json.tool``); :func:`load_latest`
-validates candidates newest-first and falls back to older snapshots,
-reporting every file it had to skip.
+The envelope carries a CRC-32 of its own bytes (``{"crc":N,`` left out,
+:func:`~repro.durability.journal.line_crc`) and is written as compact
+canonical JSON (sorted keys, no whitespace; pretty-print one with
+``python -m json.tool``); :func:`load_latest` validates candidates
+newest-first and falls back to older snapshots, reporting every file it
+had to skip.
 
 The state handed to :meth:`SnapshotWriter.write` may hold
 :class:`Fragment` values -- canonical JSON text the capture kept
@@ -21,10 +22,12 @@ The state handed to :meth:`SnapshotWriter.write` may hold
 (:func:`splice_json`).  A fragment at least :data:`MIN_REFERENCED` long
 that names its ``place`` in the document is a *section*: where a
 snapshot still on disk holds its text inline, the file holds
-``{"$ref": {"at": place, "crc": <CRC-32 of the text>, "lsn": <that
-snapshot's>}}`` instead.  A file with no reference is byte for byte
-``canonical_json`` of the state; :func:`load_latest` puts referenced
-text back, so it returns that state either way.
+``{"$ref": {"at": place, "crc": <that snapshot's CRC>, "lsn": <that
+snapshot's>}}`` instead: the reference pins the whole file it was
+written against, so neither side encodes or CRCs section text again.
+A file with no reference is byte for byte ``canonical_json`` of the
+state; :func:`load_latest` puts referenced text back, so it returns
+that state either way.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
-from repro.durability.journal import SimulatedCrash, canonical_json
+from repro.durability.journal import SimulatedCrash, canonical_json, line_crc
 
 SNAPSHOT_KIND = "repro.state"
 SNAPSHOT_VERSION = 1
@@ -129,13 +132,16 @@ class SnapshotWriter:
     it removes the temp files a crash between write and rename left and
     reads which snapshots each file refers to.  After that it keeps
     ``_files`` (lsn -> the snapshots it refers to) from what it writes,
-    and ``_held``: place -> ``[text, lsn of the file holding it inline,
-    the reference to it, made when first needed]``.
+    ``_crcs`` (lsn -> CRC) of the files it wrote, and ``_held``: place ->
+    ``[text, lsn of the file holding it inline, the reference to it, made
+    when first needed]``.  ``_held`` starts empty, so the writer refers
+    only to files it wrote, whose CRCs it took.
     """
 
     def __init__(self, state_dir: str | Path) -> None:
         self.state_dir = Path(state_dir)
         self._files: dict[int, set[int]] = {}
+        self._crcs: dict[int, int] = {}
         self._held: dict[tuple, list] = {}
         for path in self.state_dir.iterdir() if self.state_dir.is_dir() else ():
             name = _NAME.fullmatch(path.name)
@@ -166,7 +172,7 @@ class SnapshotWriter:
                 held[place] = [text, lsn, None]
                 return text
             if entry[2] is None:
-                crc = zlib.crc32(text.encode("utf-8"))
+                crc = self._crcs[entry[1]]
                 entry[2] = canonical_json({"$ref": {"at": place, "crc": crc, "lsn": entry[1]}})
             held[place] = entry
             return entry[2]
@@ -194,6 +200,7 @@ class SnapshotWriter:
             out.writelines(chunks)
         tmp.replace(path)
         self._held = held
+        self._crcs[lsn] = crc
         self._files[lsn] = {entry[1] for entry in held.values()} - {lsn}
         self._prune()
         return path, sum(map(len, chunks))
@@ -204,6 +211,7 @@ class SnapshotWriter:
         for lsn in sorted(self._files.keys() - keep):
             snapshot_path(self.state_dir, lsn).unlink(missing_ok=True)
             del self._files[lsn]
+            self._crcs.pop(lsn, None)
 
 
 def list_snapshots(state_dir: str | Path) -> list[dict[str, Any]]:
@@ -246,19 +254,17 @@ def _parse(path: Path) -> tuple[Any, list[dict], str]:
         return None, refs, f"not a {SNAPSHOT_KIND} envelope"
     if doc.get("version") != SNAPSHOT_VERSION:
         return None, refs, f"unsupported snapshot version {doc.get('version')!r}"
-    # The file is canonical JSON with ``{"crc":N,`` first: the CRC is
-    # over its bytes with that member taken out.
-    body = raw[raw.find(b",") + 1 :].removesuffix(b"\n")
-    if zlib.crc32(body, zlib.crc32(b"{")) != doc.get("crc"):
+    if line_crc(raw.removesuffix(b"\n")) != doc.get("crc"):
         return None, refs, "CRC mismatch"
     return doc, refs, ""
 
 
 def _load_one(path: Path, parse) -> tuple[dict[str, Any] | None, str]:
     """``path``'s envelope with every reference replaced by the section it
-    names, or why it cannot be: a reference to a snapshot that is missing
-    or invalid, or that holds other text at the place, fails the file.
-    ``parse`` is :func:`_parse`, cached: each file is parsed once."""
+    names, or why it cannot be: a reference to a snapshot that is missing,
+    invalid or not the file it was written against (another CRC) fails
+    the file.  ``parse`` is :func:`_parse`, cached: each file is parsed
+    and checked once, and no section is encoded again."""
     doc, refs, reason = parse(path)
     if doc is None:
         return None, reason
@@ -269,6 +275,8 @@ def _load_one(path: Path, parse) -> tuple[dict[str, Any] | None, str]:
             base, _, why = parse(base_path)
             if base is None:
                 return None, f"refers to {base_path.name}: {why}"
+            if base["crc"] != crc:
+                return None, f"refers to {base_path.name}: not the file it was written against"
             section, holder = base, doc
             for key in at[:-1]:
                 section, holder = section[key], holder[key]
@@ -277,8 +285,6 @@ def _load_one(path: Path, parse) -> tuple[dict[str, Any] | None, str]:
                 return None, "a reference out of its place"
         except (LookupError, TypeError, ValueError):
             return None, "a reference out of its place"
-        if zlib.crc32(canonical_json(section).encode("utf-8")) != crc:
-            return None, f"refers to {base_path.name}, which holds other text at {at}"
         holder[at[-1]] = section
     return doc, ""
 

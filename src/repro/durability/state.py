@@ -55,7 +55,7 @@ from repro.hierarchy.hierarchy import Cluster
 from repro.query.plan import Join, Leaf, PlanNode
 from repro.query.query import JoinPredicate, ViewSignature
 from repro.query.stream import Filter, StreamSpec
-from repro.serialization import _query_from_dict, _query_to_dict
+from repro.serialization import _query_from_dict, _query_to_dict, network_fields
 
 STATE_VERSION = 1
 
@@ -395,24 +395,7 @@ def capture_network(network, memo: FragmentMemo) -> Fragment:
 
 
 def _network_to_doc(network) -> dict[str, Any]:
-    return {
-        "nodes": [
-            {"id": node, "kind": network._node_kind.get(node, "")}
-            for node in sorted(network._adj)
-        ],
-        "links": [
-            {
-                "u": link.u,
-                "v": link.v,
-                "cost": link.cost,
-                "delay": link.delay,
-                "bandwidth": None if link.bandwidth == float("inf") else link.bandwidth,
-                "kind": link.kind,
-            }
-            for (_, _), link in sorted(network._links.items())
-        ],
-        "version": network._version,
-    }
+    return {**network_fields(network), "version": network._version}
 
 
 def restore_network(network, doc: dict[str, Any]) -> None:

@@ -39,11 +39,11 @@ def _load(text: str, kind: str, what: str) -> dict[str, Any]:
 # ----------------------------------------------------------------------
 # Network
 # ----------------------------------------------------------------------
-def network_to_json(network: Network) -> str:
-    """Serialize a network (nodes, kinds, links with all attributes)."""
-    doc = {
-        "kind": "repro.network",
-        "version": FORMAT_VERSION,
+def network_fields(network: Network) -> dict[str, Any]:
+    """A network's ``nodes`` (ids, kinds) and ``links`` (all attributes,
+    an unbounded bandwidth as ``None``), in id and endpoint order: the
+    fields a manifest and a snapshot section share."""
+    return {
         "nodes": [
             {"id": node, "kind": network.node_kind(node)} for node in network.nodes()
         ],
@@ -59,6 +59,11 @@ def network_to_json(network: Network) -> str:
             for link in network.links()
         ],
     }
+
+
+def network_to_json(network: Network) -> str:
+    """Serialize a network (nodes, kinds, links with all attributes)."""
+    doc = {"kind": "repro.network", "version": FORMAT_VERSION, **network_fields(network)}
     return json.dumps(doc, indent=2)
 
 

@@ -117,4 +117,3 @@ class TestDriftDetection:
         summary = monitor.summary()
         assert summary["streams_monitored"] == 2
         assert summary["publications"] == 1
-        assert summary["samples"] == 1

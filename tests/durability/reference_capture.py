@@ -65,6 +65,19 @@ def snapshot_bytes(lsn: int, scope: str, state: dict[str, Any], time: float) -> 
     return b'{"crc":%d,' % zlib.crc32(body) + body[1:] + b"\n"
 
 
+def references(doc: Any) -> list[dict[str, Any]]:
+    """The ``{"at", "crc", "lsn"}`` of every reference in a snapshot
+    document as ``json.loads`` reads it, in document order."""
+    if isinstance(doc, dict):
+        ref = doc.get("$ref") if len(doc) == 1 else None
+        if isinstance(ref, dict) and ref.keys() == {"at", "crc", "lsn"}:
+            return [ref]
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        return [ref for value in doc for ref in references(value)]
+    return []
+
+
 def _origin_to_doc(state, origin) -> dict[str, Any]:
     query, left, right = origin
     live = state.deployment(query.name)
@@ -243,7 +256,6 @@ def _capture_monitor(monitor) -> dict[str, Any]:
         "published": dict(monitor._published),
         "breaches": dict(monitor._breaches),
         "last_publish": monitor._last_publish,
-        "samples_total": monitor.samples_total,
         "publications": monitor.publications,
         "streams_published": monitor.streams_published,
     }

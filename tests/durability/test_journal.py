@@ -1,6 +1,7 @@
 """Write-ahead journal: CRC, LSN discipline, torn tails, crash points."""
 
 import json
+import zlib
 
 import hypothesis.strategies as st
 import pytest
@@ -16,7 +17,6 @@ from repro.durability.journal import (
     SimulatedCrash,
     canonical_json,
     encode_record,
-    record_crc,
     repair_journal,
     scan_journal,
 )
@@ -38,6 +38,13 @@ json_values = st.recursive(
 )
 
 
+def contract_crc(lsn, kind, time, data) -> int:
+    """The CRC a record carries: CRC-32 of the canonical JSON of its
+    other four fields."""
+    payload = {"lsn": lsn, "kind": kind, "time": time, "data": data}
+    return zlib.crc32(canonical_json(payload).encode("utf-8"))
+
+
 @pytest.fixture()
 def journal(tmp_path):
     return Journal(tmp_path / JOURNAL_FILE)
@@ -56,7 +63,7 @@ class TestAppendScan:
         journal.append("admit", 1.0, {"query": "q0", "status": "admitted"})
         journal.close()
         (rec,), _ = scan_journal(journal.path)
-        assert rec["crc"] == record_crc(
+        assert rec["crc"] == contract_crc(
             rec["lsn"], rec["kind"], rec["time"], rec["data"]
         )
 
@@ -85,7 +92,7 @@ class TestAppendScan:
                 "kind": kind,
                 "time": time,
                 "data": data,
-                "crc": record_crc(lsn, kind, time, data),
+                "crc": contract_crc(lsn, kind, time, data),
             }
         )
         assert encode_record(lsn, kind, time, data) == two_pass
@@ -116,6 +123,17 @@ class TestTornAndCorrupt:
         records, report = scan_journal(journal.path)
         assert len(records) == 2
         assert "CRC" in report["reason"]
+
+    def test_a_line_out_of_its_written_form_fails_crc(self, journal):
+        """The CRC is over the bytes as written: the same record re-encoded
+        with whitespace is no longer the line its CRC was taken of."""
+        self._write_three(journal)
+        lines = journal.path.read_text().splitlines()
+        lines[2] = json.dumps(json.loads(lines[2]), sort_keys=True)
+        journal.path.write_text("\n".join(lines) + "\n")
+        records, report = scan_journal(journal.path)
+        assert len(records) == 2
+        assert report["reason"] == "line 3: CRC mismatch"
 
     def test_corrupt_middle_line_truncates_the_suffix(self, journal):
         self._write_three(journal)

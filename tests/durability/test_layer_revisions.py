@@ -354,7 +354,12 @@ def test_a_warm_snapshot_of_an_unchanged_service_captures_no_layer(tmp_path, mon
     assert captured(service, calls) == {}
     service.tick()  # nothing due, nothing parked or drifting: a quiet tick
     assert captured(service, calls) == {}
-    service.observe_rates({name: spec.rate for name, spec in service.rates.streams.items()})
+    # A sample equal to the estimate moves nothing the section holds.
+    rates = {name: spec.rate for name, spec in service.rates.streams.items()}
+    service.observe_rates(rates)
+    assert captured(service, calls) == {}
+    stream = min(rates)
+    service.observe_rates({stream: rates[stream] * 1.5})  # the estimate moves
     assert captured(service, calls) == {"AdaptivityLoop": 1}
     close(service)
 

@@ -18,7 +18,7 @@ from repro.durability.harness import (
 from repro.durability.journal import JOURNAL_FILE, encode_record, scan_journal
 from repro.durability.snapshot import list_snapshots
 from repro.errors import ReproError
-from tests.durability.reference_capture import snapshot_bytes
+from tests.durability.reference_capture import references, snapshot_bytes
 
 
 class TestServiceRecovery:
@@ -115,13 +115,16 @@ class TestLayeredRecovery:
         self, tmp_path
     ):
         """Snapshots written when the injector also kept message counters
-        and an RNG still restore: the extra keys are ignored."""
+        and an RNG still restore: the extra keys are ignored.  Each file is
+        rewritten oldest first, and a delta's references name the CRC of
+        its rewritten base, as the writer of those files would have."""
         scenario = layered_scenario()
         state_dir = tmp_path / "state"
         baseline = scenario.factory(state_dir)
         run_steps(scenario, baseline)
         snaps = list_snapshots(state_dir)
         assert snaps
+        crcs: dict[int, int] = {}
         for snap in snaps:
             path = state_dir / snap["file"]
             doc = json.loads(path.read_text())
@@ -133,9 +136,12 @@ class TestLayeredRecovery:
                 messages_duplicated=0,
                 rng=np.random.default_rng(3).bit_generator.state,
             )
-            path.write_bytes(
-                snapshot_bytes(doc["lsn"], doc["scope"], doc["state"], doc["time"])
-            )
+            for ref in references(doc["state"]):
+                ref["crc"] = crcs[ref["lsn"]]
+            raw = snapshot_bytes(doc["lsn"], doc["scope"], doc["state"], doc["time"])
+            path.write_bytes(raw)
+            crcs[doc["lsn"]] = json.loads(raw)["crc"]
+        assert references(json.loads((state_dir / snaps[-1]["file"]).read_text()))
 
         recovered, report = recover(state_dir, lambda: scenario.factory(state_dir))
         assert report.snapshot_lsn == snaps[-1]["lsn"]

@@ -1,10 +1,12 @@
 """Snapshots that refer to their predecessors: validity, retention, recovery.
 
 A warm snapshot writes a reference where a snapshot still on disk holds
-the same section text inline.  A reference whose snapshot is missing,
-torn, or holds other text at the place fails its file like a torn one:
-the reject names why, and recovery falls back to the next valid
-snapshot, or replays the journal, and reaches the same digest.  The
+the same section text inline; the reference names that file's CRC.  A
+reference whose snapshot is missing, torn, or not the file it was
+written against (another CRC, an older-format reference included) fails
+its file like a torn one: the reject names why, and recovery falls back
+to the next valid snapshot, or replays the journal, and reaches the
+same digest.  Resolving a reference encodes nothing.  The
 writer refers only to files that landed, a recovered process starts
 with a full snapshot, and retention keeps every file a retained
 snapshot refers to, an earlier process's too.  The writer lists its
@@ -14,18 +16,22 @@ directory once, when it is bound.
 import json
 import re
 import shutil
+import zlib
 from pathlib import Path
 
 import pytest
 
 import repro
-from repro.durability import DurabilityConfig, load_latest, recover
-from repro.durability.harness import digest, run_steps, service_scenario
+import repro.durability.journal as journal_module
+import repro.durability.snapshot as snapshot_module
+from repro.durability import DurabilityConfig, inspect_state_dir, load_latest, recover
+from repro.durability.harness import digest, layered_scenario, run_steps, service_scenario
+from repro.durability.journal import JOURNAL_FILE, canonical_json, scan_journal
 from repro.durability.snapshot import list_snapshots
 from repro.service import StreamQueryService
 from repro.service.admission import AdmissionController
 from tests.conftest import three_sink_world
-from tests.durability.reference_capture import snapshot_bytes
+from tests.durability.reference_capture import references, snapshot_bytes
 
 _LSN = re.compile(rb'"\$ref":\{"at":\[[^\]]*\],"crc":\d+,"lsn":(\d+)\}')
 
@@ -62,16 +68,16 @@ def snapshot(plane) -> Path:
 # ----------------------------------------------------------------------
 # A bad base
 # ----------------------------------------------------------------------
-def _missing(base: Path) -> None:
+def _missing(base: Path, delta: Path) -> None:
     base.unlink()
 
 
-def _torn(base: Path) -> None:
+def _torn(base: Path, delta: Path) -> None:
     raw = base.read_bytes()
     base.write_bytes(raw[: len(raw) // 2])
 
 
-def _rewritten(base: Path) -> None:
+def _rewritten(base: Path, delta: Path) -> None:
     # Other text at the referenced place, in a file that is valid
     # itself: the network section gains a key its restore ignores.
     doc = json.loads(base.read_text())
@@ -79,14 +85,28 @@ def _rewritten(base: Path) -> None:
     base.write_bytes(snapshot_bytes(doc["lsn"], doc["scope"], doc["state"], doc["time"]))
 
 
+def _older_format(base: Path, delta: Path) -> None:
+    # The base as written, and references whose ``crc`` is the CRC of
+    # the section's canonical text, as an older writer wrote them.
+    held = json.loads(base.read_text())
+    doc = json.loads(delta.read_text())
+    for ref in references(doc["state"]):
+        section = held
+        for key in ref["at"]:
+            section = section[key]
+        ref["crc"] = zlib.crc32(canonical_json(section).encode("utf-8"))
+    delta.write_bytes(snapshot_bytes(doc["lsn"], doc["scope"], doc["state"], doc["time"]))
+
+
 @pytest.mark.parametrize(
     "spoil, why, fallback",
     [
         (_missing, "missing", None),
         (_torn, "not valid JSON (truncated write)", None),
-        (_rewritten, "holds other text at ['state', 'network']", "base"),
+        (_rewritten, "not the file it was written against", "base"),
+        (_older_format, "not the file it was written against", "base"),
     ],
-    ids=["missing", "torn", "rewritten"],
+    ids=["missing", "torn", "rewritten", "older-format"],
 )
 def test_a_delta_with_a_bad_base_is_rejected_and_recovery_converges(
     tmp_path, spoil, why, fallback
@@ -98,7 +118,7 @@ def test_a_delta_with_a_bad_base_is_rejected_and_recovery_converges(
     baseline.durability.journal.close()
     base, delta = sorted(state_dir.glob("snapshot-*.json"))
     assert refers_to(delta) == {lsn_of(base)}
-    spoil(base)
+    spoil(base, delta)
 
     reason = next(s["reason"] for s in list_snapshots(state_dir) if s["file"] == delta.name)
     assert reason.startswith(f"refers to {base.name}") and reason.endswith(why)
@@ -107,6 +127,35 @@ def test_a_delta_with_a_bad_base_is_rejected_and_recovery_converges(
     assert report.snapshot_lsn == (lsn_of(base) if fallback else 0)
     want = digest(scenario, baseline, extra_ticks=4)
     assert digest(scenario, recovered, extra_ticks=4) == want
+
+
+def test_the_read_paths_encode_nothing(tmp_path, monkeypatch):
+    """Scanning the journal and loading, listing or inspecting snapshots
+    check CRCs over the bytes on disk: no record or section is encoded
+    again (the layered crash matrix's uncrashed run, whose newest
+    snapshot refers to an older one)."""
+    scenario = layered_scenario()
+    state_dir = tmp_path / "state"
+    baseline = scenario.factory(state_dir)
+    run_steps(scenario, baseline)
+    baseline.durability.journal.close()
+    newest = sorted(state_dir.glob("snapshot-*.json"))[-1]
+    assert refers_to(newest)
+    calls = []
+
+    def counted(doc):
+        calls.append(1)
+        return canonical_json(doc)
+
+    monkeypatch.setattr(journal_module, "canonical_json", counted)
+    monkeypatch.setattr(snapshot_module, "canonical_json", counted)
+    records, report = scan_journal(state_dir / JOURNAL_FILE)
+    assert records and report["reason"] == ""
+    doc, rejected = load_latest(state_dir)
+    assert doc["lsn"] == lsn_of(newest) and rejected == []
+    assert all(entry["valid"] for entry in list_snapshots(state_dir))
+    assert inspect_state_dir(state_dir)["recovery"]["snapshot_lsn"] == lsn_of(newest)
+    assert calls == []
 
 
 def test_a_reference_out_of_its_place_fails_the_file(tmp_path):

@@ -373,11 +373,11 @@ PINS: dict[str, dict[str, int]] = {
     "durability_overhead": {
         **_CHURN,
         "snapshot_items_encoded": 37,
-        "snapshot_bytes_written": 41812,
+        "snapshot_bytes_written": 41817,
         "journal_records": 140,
         "snapshots": 4,
     },
-    "idle_snapshot": {"snapshot_items_encoded": 0, "snapshot_bytes_written": 5020},
+    "idle_snapshot": {"snapshot_items_encoded": 0, "snapshot_bytes_written": 5011},
     "resource_overhead": {
         **_CHURN,
         "ledger_deployments_examined": 28,
