@@ -17,7 +17,7 @@ from repro.workload.scenarios import network_monitoring_scenario
 
 
 def main() -> None:
-    sc = network_monitoring_scenario(seed=0)
+    sc = network_monitoring_scenario()
     print(
         f"network: {sc.network.num_nodes} nodes "
         f"({len(sc.network.nodes_of_kind('transit'))} backbone), "

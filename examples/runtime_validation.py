@@ -14,7 +14,7 @@ Run:  python examples/runtime_validation.py
 """
 
 import repro
-from repro.runtime.failover import fail_node
+from repro.service import StreamQueryService
 
 
 def validate_rate_model() -> None:
@@ -60,10 +60,11 @@ def demonstrate_failover() -> None:
         seed=7,
     )
     rates = workload.rate_model()
-    engine = repro.FlowEngine(net, rates)
-    optimizer = repro.TopDownOptimizer(hierarchy, rates)
+    service = StreamQueryService(repro.TopDownOptimizer(hierarchy, rates), net, rates,
+                                 hierarchy=hierarchy)
+    engine = service.engine
     for query in workload:
-        engine.deploy(optimizer.plan(query, engine.state))
+        service.submit(query)
     print(f"running: {len(engine.state.deployments)} queries, cost {engine.total_cost():.1f}")
 
     victim = next(node for (_, node) in engine.state.operators())
@@ -74,17 +75,16 @@ def demonstrate_failover() -> None:
         )
     print(f"failing node {victim} (hosts operators"
           f"{' and coordinates clusters' if any(c.coordinator == victim for lvl in hierarchy.levels for c in lvl) else ''})")
-    report = fail_node(hierarchy, victim, engine=engine, optimizer=optimizer)
-    print(f"   coordinator roles lost: levels {report.coordinator_roles or 'none'}")
-    for level, new in report.new_coordinators.items():
-        print(f"   level {level}: backup coordinator {new} took over")
-    print(f"   affected queries: {report.affected_queries}")
-    print(f"   redeployed:       {report.redeployed}")
+    roles = sorted({c.level for level in hierarchy.levels for c in level if c.coordinator == victim})
+    report = service.handle_node_failure(victim)
+    print(f"   coordinator roles lost: levels {roles or 'none'}")
+    print(f"   affected queries: {report.retired}")
+    print(f"   redeployed:       {report.resubmitted}")
     print(
-        f"   unrecoverable:    {report.failed_queries or 'none'}"
+        f"   unrecoverable:    {report.lost or 'none'}"
         + (
             "  (their base-stream source or sink lived on the failed node)"
-            if report.failed_queries
+            if report.lost
             else ""
         )
     )

@@ -122,7 +122,6 @@ from repro.resilience import (
     FaultPlan,
     ResilienceConfig,
     ResilientControl,
-    RetryPolicy,
 )
 from repro.serialization import (
     causal_trace_to_json,
@@ -307,7 +306,6 @@ __all__ = [
     "FaultPlan",
     "FaultInjector",
     "NULL_FAULTS",
-    "RetryPolicy",
     "CircuitBreaker",
     "BreakerBoard",
     "ResilienceConfig",

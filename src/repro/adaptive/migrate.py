@@ -55,6 +55,8 @@ from repro.runtime.simulator import SimNode, Simulator
 #: Virtual time a pausing operator waits for in-flight tuples to clear
 #: before acknowledging.
 DRAIN_SECONDS = 0.01
+#: State-transfer transmission speed (virtual seconds per byte).
+SECONDS_PER_BYTE = 1e-6
 
 
 @dataclass
@@ -95,12 +97,10 @@ class _CutoverContext:
         query_name: str,
         moves: list[OperatorMove],
         coordinator: int,
-        seconds_per_byte: float,
     ) -> None:
         self.query_name = query_name
         self.moves = moves
         self.coordinator = coordinator
-        self.seconds_per_byte = seconds_per_byte
         self.acks: Counter[type] = Counter()
         self.pause_done_time: float | None = None
         self.transfer_done_time: float | None = None
@@ -149,7 +149,7 @@ class _CutoverActor(SimNode):
             self.send(
                 message.dest,
                 StateChunk(ctx.query_name, label, message.nbytes),
-                extra_delay=message.nbytes * ctx.seconds_per_byte,
+                extra_delay=message.nbytes * SECONDS_PER_BYTE,
             )
         elif isinstance(message, StateChunk):
             self.send(ctx.coordinator, StateAck(ctx.query_name, label))
@@ -215,17 +215,16 @@ class Migrator:
     """Executes approved migrations atomically, one query at a time.
 
     Args:
-        network: The physical network (message delays for the cutover).
-        seconds_per_byte: State-transfer transmission speed.
+        network: The physical network (message delays for the cutover);
+            state ships at :data:`SECONDS_PER_BYTE`.
 
     Under ``with causal_tracing(tracer):`` every cutover forms one
     causal tree rooted at ``migrate:<query name>``; with none installed
     the cutover is byte-identical to an untraced build.
     """
 
-    def __init__(self, network: Network, seconds_per_byte: float = 1e-6) -> None:
+    def __init__(self, network: Network) -> None:
         self.network = network
-        self.seconds_per_byte = seconds_per_byte
         #: Optional :class:`~repro.durability.Durability`; when set the
         #: migrator journals begin / barrier-phase / commit / abort
         #: markers so crash points can land mid-cutover and recovery can
@@ -250,7 +249,7 @@ class Migrator:
                 started=start_time,
                 completed=start_time,
             )
-        ctx = _CutoverContext(diff.query, diff.moved, coordinator, self.seconds_per_byte)
+        ctx = _CutoverContext(diff.query, diff.moved, coordinator)
         sim = Simulator(self.network)
         for node in self.network.nodes():
             sim.register(_CutoverActor(node, ctx))

@@ -88,15 +88,19 @@ class StreamDrift:
         return abs(self.observed - self.published) / self.published
 
 
+#: Relative change (``|ewma - published| / published``) that counts as
+#: a drift breach.
+DRIFT_THRESHOLD = 0.2
+
+
 class StatsMonitor:
-    """Observes runtime stream rates and publishes on drift.
+    """Observes runtime stream rates and publishes on drift (a relative
+    change of :data:`DRIFT_THRESHOLD` or more).
 
     Args:
         rates: The shared rate model publications are folded into (its
             ``version`` bump is what downstream epoch caches watch).
         alpha: EWMA smoothing factor for every estimator.
-        drift_threshold: Relative change (``|ewma - published| /
-            published``) that counts as a breach.
         hysteresis_ticks: Consecutive breaching :meth:`maybe_publish`
             checks required before a stream's drift is published --
             a one-tick spike decays in the EWMA instead of churning
@@ -111,18 +115,14 @@ class StatsMonitor:
         self,
         rates: RateModel,
         alpha: float = 0.3,
-        drift_threshold: float = 0.2,
         hysteresis_ticks: int = 2,
         publish_cooldown: float = 5.0,
     ) -> None:
-        if drift_threshold <= 0:
-            raise ValueError("drift_threshold must be positive")
         if hysteresis_ticks < 1:
             raise ValueError("hysteresis_ticks must be >= 1")
         if publish_cooldown < 0:
             raise ValueError("publish_cooldown must be non-negative")
         self.rates = rates
-        self.drift_threshold = drift_threshold
         self.hysteresis_ticks = hysteresis_ticks
         self.publish_cooldown = publish_cooldown
         self._estimators = {
@@ -164,7 +164,7 @@ class StatsMonitor:
                 published=self._published[name],
                 observed=estimator.value,  # type: ignore[arg-type]
             )
-            if drift.relative_change >= self.drift_threshold:
+            if drift.relative_change >= DRIFT_THRESHOLD:
                 out.append(drift)
         return out
 

@@ -16,12 +16,15 @@ cost of fixing the join order before looking at the network.
 from __future__ import annotations
 
 from repro.core.cost import RateModel
-from repro.core.enumeration import connected_join_trees, trees_with_reuse
+from repro.core.enumeration import connected_join_trees
 from repro.core.placement import nominal_assignments, optimal_tree_placement
 from repro.network.graph import Network
 from repro.query.deployment import Deployment, DeploymentState
 from repro.query.plan import Join, Leaf, PlanNode
 from repro.query.query import Query
+
+#: Defensive cap on the variants :func:`deploy_time_reuse_variants` returns.
+REUSE_VARIANT_CAP = 64
 
 
 def reusable_views(query: Query, state: DeploymentState | None) -> dict[frozenset[str], list[int]]:
@@ -40,27 +43,17 @@ def reusable_views(query: Query, state: DeploymentState | None) -> dict[frozense
     return out
 
 
-def best_static_tree(
-    query: Query,
-    rates: RateModel,
-    reusable: dict[frozenset[str], list[int]] | None = None,
-) -> tuple[PlanNode, int]:
+def best_static_tree(query: Query, rates: RateModel) -> tuple[PlanNode, int]:
     """The minimum-intermediate-volume tree for ``query``.
 
-    Returns ``(tree, trees_examined)``.  By default the plan phase is
-    network- and deployment-oblivious (classical selectivity-only
-    optimization); passing ``reusable`` lets advertised views enter the
-    enumeration, which only the ablation benches exercise -- the paper's
-    phased baselines discover reuse *after* fixing the order (see
+    Returns ``(tree, trees_examined)``.  The plan phase is network- and
+    deployment-oblivious (classical selectivity-only optimization): the
+    paper's phased baselines discover reuse *after* fixing the order (see
     :func:`deploy_time_reuse_variants`).
     """
-    reusable = reusable or {}
     if len(query.sources) == 1:
         return Leaf(frozenset(query.sources)), 1
-    if reusable:
-        trees = trees_with_reuse(query, list(reusable))
-    else:
-        trees = connected_join_trees(query)
+    trees = connected_join_trees(query)
     best: tuple[float, PlanNode] | None = None
     for tree in trees:
         flow = rates.flow_rates(query, tree)
@@ -73,9 +66,7 @@ def best_static_tree(
 
 
 def deploy_time_reuse_variants(
-    tree: PlanNode,
-    reusable: dict[frozenset[str], list[int]],
-    cap: int = 64,
+    tree: PlanNode, reusable: dict[frozenset[str], list[int]]
 ) -> list[PlanNode]:
     """The fixed tree plus variants collapsing matching subtrees to reuse.
 
@@ -83,9 +74,10 @@ def deploy_time_reuse_variants(
     *already chosen* join order happens to contain a subtree whose
     signature matches an advertisement -- "the pre-defined join order
     may prevent us from reusing" otherwise.  Returns every combination
-    of such collapses (the original tree first), capped defensively.
+    of such collapses (the original tree first), at most
+    :data:`REUSE_VARIANT_CAP`.
     """
-
+    cap = REUSE_VARIANT_CAP
     out = _reuse_variants(tree, reusable, cap)
     # Keep the uncollapsed tree first for deterministic tie-breaks.
     out.sort(key=lambda t: 0 if t == tree else 1)

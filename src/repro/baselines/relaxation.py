@@ -5,7 +5,7 @@ then operators are placed by *spring relaxation* in a low-dimensional
 cost space.  Every plan edge behaves like a spring whose stiffness is
 the data rate flowing along it; pinned endpoints (sources, reused views,
 the sink) hold their coordinates, and each operator iteratively moves to
-the rate-weighted centroid of its neighbours.  After ``iterations``
+the rate-weighted centroid of its neighbours.  After :data:`ITERATIONS`
 rounds (the paper's experiments use 40), each operator maps to the
 nearest physical node in the cost space.
 
@@ -32,6 +32,11 @@ from repro.query.deployment import Deployment, DeploymentState
 from repro.query.plan import Join, Leaf, PlanNode
 from repro.query.query import Query
 
+#: Cost-space dimensionality (the paper's comparison uses 3).
+DIMENSIONS = 3
+#: Relaxation rounds (the paper's experiments use 40).
+ITERATIONS = 40
+
 
 class RelaxationPlanner:
     """Static plan + spring-relaxation placement in a cost space.
@@ -40,8 +45,6 @@ class RelaxationPlanner:
         network: The physical network.
         rates: Rate model over the stream catalog.
         reuse: Consider deploy-time reuse of matching subtrees.
-        dimensions: Cost-space dimensionality (paper: 3).
-        iterations: Relaxation rounds (paper: 40).
     """
 
     name = "relaxation"
@@ -51,21 +54,15 @@ class RelaxationPlanner:
         network: Network,
         rates: RateModel,
         reuse: bool = True,
-        dimensions: int = 3,
-        iterations: int = 40,
     ) -> None:
-        if iterations < 1:
-            raise ValueError("need at least one relaxation iteration")
         self.network = network
         self.rates = rates
         self.reuse = reuse
-        self.dimensions = dimensions
-        self.iterations = iterations
         self._coords: tuple[int, np.ndarray] | None = None
 
     def _cost_space(self) -> np.ndarray:
         if self._coords is None or self._coords[0] != self.network.version:
-            coords = embed_network(self.network, dim=self.dimensions, metric="cost")
+            coords = embed_network(self.network, dim=DIMENSIONS, metric="cost")
             self._coords = (self.network.version, coords)
         return self._coords[1]
 
@@ -76,9 +73,9 @@ class RelaxationPlanner:
         stats = {
             "algorithm": self.name,
             "trees_examined": trees_examined,
-            "iterations": self.iterations,
+            "iterations": ITERATIONS,
             "plans_examined": trees_examined
-            + self.iterations * max(1, static_tree.num_joins),
+            + ITERATIONS * max(1, static_tree.num_joins),
         }
         costs = self.network.cost_matrix()
         best: tuple[float, PlanNode, dict] | None = None
@@ -118,7 +115,7 @@ class RelaxationPlanner:
                 if isinstance(child, Join):
                     parent_of[child] = join
 
-        for _ in range(self.iterations):
+        for _ in range(ITERATIONS):
             for join in joins:
                 num = np.zeros(coords.shape[1])
                 den = 0.0

@@ -422,9 +422,7 @@ def _capacity_profile(args, network):
             seed=args.seed or 0,
         ).capacities(network)
     if profile == "heterogeneous":
-        return repro.HeterogeneousFleetProfile(seed=args.seed or 0).capacities(
-            network
-        )
+        return repro.HeterogeneousFleetProfile().capacities(network)
     raise ValueError(f"unknown capacity profile {profile!r}")
 
 

@@ -89,9 +89,9 @@ def top_down_space_bound(k: int, n: int, max_cs: int, height: int | None = None)
     return beta(k, n, max_cs, height) * exhaustive_space(k, n)
 
 
-def bottom_up_space_bound(k: int, n: int, max_cs: int, height: int | None = None) -> float:
+def bottom_up_space_bound(k: int, n: int, max_cs: int) -> float:
     """Theorem 4: the Bottom-Up worst case shares the Top-Down bound."""
-    return top_down_space_bound(k, n, max_cs, height)
+    return top_down_space_bound(k, n, max_cs)
 
 
 def hierarchy_estimate_slack(intra_cluster_costs: Sequence[float], level: int) -> float:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.optimizer import Optimizer, deploy_query
-from repro.hierarchy.advertisements import AdvertisementIndex
 from repro.query.deployment import Deployment, DeploymentState
 from repro.query.query import Query, ViewSignature
 
@@ -37,7 +36,7 @@ class SharedView:
     benefit: float
 
 
-def shared_views(queries: Sequence[Query], min_sources: int = 2) -> list[SharedView]:
+def shared_views(queries: Sequence[Query]) -> list[SharedView]:
     """Shared view signatures across a query batch, best-benefit first.
 
     A subset of streams is shared between two queries when both queries
@@ -49,7 +48,7 @@ def shared_views(queries: Sequence[Query], min_sources: int = 2) -> list[SharedV
         for qb in queries[i + 1 :]:
             common = frozenset(qa.sources) & frozenset(qb.sources)
             # Consider every connected sub-view of the intersection.
-            for subset in _connected_subsets(qa, common, min_sources):
+            for subset in _connected_subsets(qa, common):
                 sig_a = qa.view_signature(subset)
                 if not qb.is_join_connected(subset):
                     continue
@@ -68,11 +67,12 @@ def shared_views(queries: Sequence[Query], min_sources: int = 2) -> list[SharedV
     return out
 
 
-def _connected_subsets(query: Query, pool: frozenset[str], min_sources: int):
+def _connected_subsets(query: Query, pool: frozenset[str]):
+    """Join-connected subsets of ``pool`` of two or more streams."""
     from itertools import combinations
 
     members = sorted(pool)
-    for size in range(min_sources, len(members) + 1):
+    for size in range(2, len(members) + 1):
         for combo in combinations(members, size):
             subset = frozenset(combo)
             if query.is_join_connected(subset):
@@ -83,7 +83,6 @@ def consolidate(
     queries: Sequence[Query],
     optimizer: Optimizer,
     state: DeploymentState,
-    ads: AdvertisementIndex | None = None,
     max_views: int | None = 8,
     validate: bool = True,
 ) -> list[Deployment]:
@@ -103,7 +102,6 @@ def consolidate(
         queries: The batch (deployed in the given order).
         optimizer: Planner used both for shared views and the queries.
         state: Global deployment state (mutated).
-        ads: Advertisement index to keep in sync.
         max_views: Cap on how many shared views to consider.
         validate: Greedily keep only cost-reducing materializations.
 
@@ -153,5 +151,5 @@ def consolidate(
         ]
 
     for pseudo in chosen:
-        deploy_query(optimizer, pseudo, state, ads)
-    return [deploy_query(optimizer, q, state, ads).deployment for q in queries]
+        deploy_query(optimizer, pseudo, state)
+    return [deploy_query(optimizer, q, state).deployment for q in queries]

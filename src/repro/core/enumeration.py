@@ -297,22 +297,15 @@ def crossing_splits(
     return _crossing(view_adjacency(query, views))
 
 
-def connected_join_trees(
-    query: Query,
-    views: Sequence[frozenset[str] | Iterable[str]] | None = None,
-) -> list[PlanNode]:
-    """Bushy trees over ``views`` with no cross-product joins.
+def connected_join_trees(query: Query) -> list[PlanNode]:
+    """Bushy trees over the query's base streams with no cross-product
+    joins.
 
-    ``views`` defaults to the query's base streams as singleton leaves.
-    Falls back to *all* trees when the restriction leaves nothing (which
-    happens when the views partition the predicate graph badly or when
-    the query allows cross products) -- an optimizer must always have at
+    Falls back to *all* trees when the restriction leaves nothing (the
+    query allows cross products) -- an optimizer must always have at
     least one candidate plan.
     """
-    if views is None:
-        views = [frozenset((s,)) for s in query.sources]
-    else:
-        views = [frozenset(v) for v in views]
+    views = [frozenset((s,)) for s in query.sources]
     return all_join_trees(views, crossing_splits(query, views)) or all_join_trees(views)
 
 
@@ -335,23 +328,20 @@ def reuse_partitions(
 def trees_with_reuse(
     query: Query,
     reusable: Sequence[frozenset[str]],
-    connected_only: bool = True,
 ) -> list[PlanNode]:
     """All candidate trees for ``query``, with reuse leaf alternatives.
 
     Enumerates every partition of the query's sources into base-stream
     leaves and reusable derived views (from ``reusable``), then every
-    bushy tree over each partition.  With ``connected_only`` (the
-    default), cross-product trees are dropped unless that would leave no
-    candidates.
+    bushy tree over each partition.  Cross-product trees are dropped
+    unless that would leave no candidates.
     """
     partitions = reuse_partitions(frozenset(query.sources), reusable)
-    if connected_only:
-        trees = [
-            tree
-            for partition in partitions
-            for tree in all_join_trees(partition, crossing_splits(query, partition))
-        ]
-        if trees:
-            return trees
+    trees = [
+        tree
+        for partition in partitions
+        for tree in all_join_trees(partition, crossing_splits(query, partition))
+    ]
+    if trees:
+        return trees
     return [tree for partition in partitions for tree in all_join_trees(partition)]

@@ -54,9 +54,8 @@ def deploy_query(
     optimizer: Optimizer,
     query: Query,
     state: DeploymentState,
-    ads: AdvertisementIndex | None = None,
 ) -> OptimizerResult:
-    """Plan ``query``, apply it to ``state`` and advertise its views.
+    """Plan ``query`` and apply it to ``state``.
 
     This is the canonical incremental-deployment step the experiments
     repeat per query: later queries then see this query's operators as
@@ -64,8 +63,6 @@ def deploy_query(
     """
     deployment = optimizer.plan(query, state)
     marginal = state.apply(deployment)
-    if ads is not None:
-        ads.sync_from_state(state)
     return OptimizerResult(deployment=deployment, marginal_cost=marginal)
 
 

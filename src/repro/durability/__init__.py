@@ -166,7 +166,7 @@ class Durability:
             (
                 "durability_journal_records_total",
                 "Journal records appended (commands + markers)",
-                lambda: self.journal.records_total,
+                lambda: self.journal.lsn,
             ),
             (
                 "durability_journal_bytes_total",
@@ -271,7 +271,7 @@ class Durability:
         return {
             "scope": self.scope,
             "state_dir": str(self.state_dir),
-            "journal_records": self.journal.records_total,
+            "journal_records": self.journal.lsn,
             "journal_lsn": self.journal.lsn,
             "journal_bytes": self.journal.bytes_total,
             "journal_fsyncs": self.journal.fsyncs_total,

@@ -22,8 +22,8 @@ crash interrupted it halfway through, e.g. between two migration
 barriers); a torn record means the step never happened and the resume
 re-runs it.  Either way each script step executes exactly once in the
 recovered world, so a correct recovery produces a digest identical to
-the baseline -- deployments, placements, costs, queues, tenants,
-federation, and the next ``extra_ticks`` tick reports.
+the baseline -- the whole document a snapshot would write, the total
+cost, and the next :data:`EXTRA_TICKS` tick reports.
 
 Scenarios are pure functions of their seeds; nothing here reads a wall
 clock.  ``repro chaos --crash-points N`` fronts
@@ -46,7 +46,8 @@ from repro.durability.journal import (
 from repro.durability.recovery import recover
 from repro.resilience.faults import CrashPoint
 
-DEFAULT_EXTRA_TICKS = 5
+#: Post-script ticks each digest must agree on.
+EXTRA_TICKS = 5
 _FLEET_SHARDS = 2
 
 
@@ -294,53 +295,6 @@ def _tick_report_doc(report) -> dict[str, Any]:
     }
 
 
-def _service_digest(service) -> dict[str, Any]:
-    from repro.durability.snapshot import splice_json
-    from repro.durability.state import (
-        FragmentMemo,
-        capture_deployment_state,
-        placement_to_doc,
-    )
-
-    deployments = []
-    for dep in sorted(service.engine.state.deployments, key=lambda d: d.query.name):
-        deployments.append(
-            {
-                "query": dep.query.name,
-                "placement": placement_to_doc(dep.plan, dep.placement),
-            }
-        )
-    return {
-        "clock": service.clock,
-        "live": sorted(service.live_queries),
-        "deployments": deployments,
-        "total_cost": round(service.total_cost(), 9),
-        "queued": service.admission.queued_names(),
-        "expiry": dict(sorted(service.capture()["expiry"])),
-        # The deployment-state section as a snapshot writes it.
-        "state": splice_json(
-            capture_deployment_state(service.engine.state, FragmentMemo())
-        ),
-        # Every armed layer's own snapshot section, whole.
-        "layers": {name: layer.capture() for name, layer in service.layers()},
-    }
-
-
-def _fleet_digest(fleet) -> dict[str, Any]:
-    return {
-        "clock": fleet.clock,
-        "live": sorted(fleet.live_queries),
-        "total_cost": round(fleet.total_cost(), 9),
-        "tenants": {
-            t: dict(sorted(summary.items()))
-            for t, summary in sorted(fleet.tenant_summary().items())
-        },
-        "shards": [_service_digest(shard) for shard in fleet.shards],
-        # Router (owners), scheduler and federation (imports) sections.
-        "layers": {name: layer.capture() for name, layer in fleet.layers()},
-    }
-
-
 def invariant_violations(scenario: Scenario, controller) -> list[str]:
     """Hierarchy + fleet invariants, flattened to one list."""
     violations: list[str] = []
@@ -351,25 +305,24 @@ def invariant_violations(scenario: Scenario, controller) -> list[str]:
     return violations
 
 
-def digest(
-    scenario: Scenario, controller, extra_ticks: int = DEFAULT_EXTRA_TICKS
-) -> dict[str, Any]:
-    """Deterministic end-state fingerprint plus the next-N tick reports.
+def digest(controller) -> dict[str, Any]:
+    """Deterministic end-state fingerprint plus the next-N tick reports:
+    the document a snapshot of ``controller`` would write, its rounded
+    total cost, and the reports of :data:`EXTRA_TICKS` further ticks.
 
-    Mutates the controller (drives ``extra_ticks`` further ticks) -- a
-    recovered control plane must not only match the baseline's state
-    but keep making the same decisions going forward.
+    Mutates the controller (drives the further ticks) -- a recovered
+    control plane must not only match the baseline's state but keep
+    making the same decisions going forward.
     """
-    doc = (
-        _fleet_digest(controller)
-        if scenario.scope == "fleet"
-        else _service_digest(controller)
-    )
-    future = []
-    for _ in range(extra_ticks):
-        future.append(_tick_report_doc(controller.tick()))
-    doc["next_ticks"] = future
-    return doc
+    from repro.durability.snapshot import splice_json
+    from repro.durability.state import FragmentMemo, capture_fleet, capture_service
+
+    capture = capture_fleet if controller.durability.scope == "fleet" else capture_service
+    return {
+        "state": splice_json(capture(controller, FragmentMemo())),
+        "total_cost": round(controller.total_cost(), 9),
+        "next_ticks": [_tick_report_doc(controller.tick()) for _ in range(EXTRA_TICKS)],
+    }
 
 
 # ----------------------------------------------------------------------
@@ -444,7 +397,6 @@ def crash_restart_matrix(
     scenario: Scenario,
     state_root: str | Path,
     points: list[CrashPoint] | None = None,
-    extra_ticks: int = DEFAULT_EXTRA_TICKS,
 ) -> dict[str, Any]:
     """Run the full crash/recover/resume equivalence matrix.
 
@@ -454,7 +406,6 @@ def crash_restart_matrix(
         state_root: Directory for the per-run state directories.
         points: Crash points to test; default: a covering set derived
             from the baseline journal (:func:`default_crash_points`).
-        extra_ticks: Post-script ticks each digest must agree on.
 
     Returns:
         A JSON-ready report: the baseline summary, one entry per crash
@@ -471,7 +422,7 @@ def crash_restart_matrix(
     if crashed:  # pragma: no cover - baseline is never armed
         raise RuntimeError("baseline run crashed; no crash points were armed")
     records, _ = scan_journal(baseline_dir / JOURNAL_FILE)
-    baseline_digest = digest(scenario, baseline, extra_ticks=extra_ticks)
+    baseline_digest = digest(baseline)
     if points is None:
         points = default_crash_points(records)
 
@@ -479,7 +430,7 @@ def crash_restart_matrix(
         "scope": scenario.scope,
         "steps": len(scenario.steps),
         "journal_records": len(records),
-        "extra_ticks": extra_ticks,
+        "extra_ticks": EXTRA_TICKS,
         "points": [],
         "converged": True,
     }
@@ -518,10 +469,7 @@ def crash_restart_matrix(
             raise RuntimeError("crash point fired again after recovery")
         violations = invariant_violations(scenario, recovered)
         entry["invariant_violations"] = violations
-        entry["digest_match"] = (
-            digest(scenario, recovered, extra_ticks=extra_ticks)
-            == baseline_digest
-        )
+        entry["digest_match"] = digest(recovered) == baseline_digest
         if not entry["digest_match"] or violations:
             report["converged"] = False
         report["points"].append(entry)

@@ -126,9 +126,9 @@ class Journal:
     def __init__(self, path: str | Path, fsync: bool = False) -> None:
         self.path = Path(path)
         self.fsync = fsync
-        #: LSN of the last durable record (0 = empty journal).
+        #: LSN of the last durable record (0 = empty journal), which is
+        #: also the count of durable records: LSNs run 1, 2, 3, ...
         self.lsn = 0
-        self.records_total = 0
         self.fsyncs_total = 0
         self.bytes_total = 0
         #: While True (recovery replay), every append is a no-op.
@@ -194,7 +194,6 @@ class Journal:
             )
         self._write(line + "\n")
         self.lsn = lsn
-        self.records_total += 1
         if point is not None:
             raise SimulatedCrash(
                 f"crash point fired after record lsn={lsn} kind={kind!r}"

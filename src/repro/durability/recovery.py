@@ -38,7 +38,7 @@ from repro.durability.journal import (
     repair_journal,
     scan_journal,
 )
-from repro.durability.snapshot import list_snapshots, load_latest
+from repro.durability.snapshot import load_latest, snapshot_inventory
 
 
 @dataclass
@@ -214,7 +214,6 @@ def recover(
     finally:
         durability.journal.replaying = False
     durability.journal.lsn = report.last_lsn
-    durability.journal.records_total = len(records)
     durability.note_recovery(report.replayed_records, report.replayed_ticks)
     return controller, report
 
@@ -236,7 +235,7 @@ def inspect_state_dir(state_dir: str | Path) -> dict[str, Any]:
 
     state_dir = Path(state_dir)
     records, journal_drop = scan_journal(state_dir / JOURNAL_FILE)
-    snapshot, rejected = load_latest(state_dir)
+    snapshot, rejected, snapshots = snapshot_inventory(state_dir)
     if snapshot is not None:
         check_version(snapshot["state"])  # a recovery would refuse it too
     kinds: dict[str, int] = {}
@@ -254,7 +253,7 @@ def inspect_state_dir(state_dir: str | Path) -> dict[str, Any]:
             "drop_reason": journal_drop["reason"],
             "kinds": dict(sorted(kinds.items())),
         },
-        "snapshots": list_snapshots(state_dir),
+        "snapshots": snapshots,
         "snapshots_rejected": rejected,
         "recovery": {
             "scope": snapshot["scope"] if snapshot is not None else "",

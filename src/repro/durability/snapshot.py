@@ -220,10 +220,34 @@ def list_snapshots(state_dir: str | Path) -> list[dict[str, Any]]:
     Each entry has ``file``, ``valid`` and either ``lsn``/``scope`` (for
     valid snapshots) or ``reason`` (for rejects).
     """
-    out: list[dict[str, Any]] = []
+    return _listing(_paths(state_dir), _loader())
+
+
+def snapshot_inventory(
+    state_dir: str | Path,
+) -> tuple[dict[str, Any] | None, list[dict[str, Any]], list[dict[str, Any]]]:
+    """:func:`load_latest` and :func:`list_snapshots` of ``state_dir``
+    together, reading, parsing and checking each file once."""
+    paths, load = _paths(state_dir), _loader()
+    doc, rejected = _latest(paths, load)
+    return doc, rejected, _listing(paths, load)
+
+
+def _paths(state_dir: str | Path) -> list[Path]:
+    return sorted(Path(state_dir).glob(SNAPSHOT_GLOB))
+
+
+def _loader():
+    """:func:`_load_one` per file, cached over one shared, cached
+    :func:`_parse`: a file is loaded, and parsed, at most once."""
     parse = functools.cache(_parse)
-    for path in sorted(Path(state_dir).glob(SNAPSHOT_GLOB)):
-        doc, reason = _load_one(path, parse)
+    return functools.cache(lambda path: _load_one(path, parse))
+
+
+def _listing(paths: list[Path], load) -> list[dict[str, Any]]:
+    out: list[dict[str, Any]] = []
+    for path in paths:
+        doc, reason = load(path)
         found = {"reason": reason} if doc is None else {k: doc[k] for k in ("lsn", "scope", "time")}
         out.append({"file": path.name, "valid": doc is not None, **found})
     return out
@@ -301,10 +325,13 @@ def load_latest(
     Returns ``(None, rejects)`` when no valid snapshot exists (recovery
     then replays the journal from LSN 0).
     """
+    return _latest(_paths(state_dir), _loader())
+
+
+def _latest(paths: list[Path], load) -> tuple[dict[str, Any] | None, list[dict[str, Any]]]:
     rejected: list[dict[str, Any]] = []
-    parse = functools.cache(_parse)
-    for path in sorted(Path(state_dir).glob(SNAPSHOT_GLOB), reverse=True):
-        doc, reason = _load_one(path, parse)
+    for path in reversed(paths):
+        doc, reason = load(path)
         if doc is not None:
             return doc, rejected
         rejected.append({"file": path.name, "reason": reason})

@@ -23,6 +23,21 @@ from repro.utils import SeedLike, as_generator
 from repro.workload.generator import WorkloadParams
 from repro.workload.world import build_world, world_seeds
 
+#: Fig. 2's network size and predicate graph shape (clique: every
+#: stream pair joinable, where join-order choice matters most).
+FIG2_NODES = 64
+FIG2_PREDICATE_STYLE = "clique"
+#: Fig. 8's In-network zone count.
+FIG8_ZONES = 5
+#: Fig. 9's query size (streams per query) and cluster-size bound.
+FIG9_QUERY_SIZE = 4
+FIG9_MAX_CS = 32
+#: The prototype of Figs. 10-11: 32 nodes, hierarchies of cluster size
+#: 4 and 8, and the coordinators' search speed.
+PROTOTYPE_NODES = 32
+PROTOTYPE_MAX_CS = (4, 8)
+FIG10_SECONDS_PER_PLAN = 1e-6
+
 
 @dataclass
 class FigureResult:
@@ -84,12 +99,7 @@ class FigureResult:
 # ----------------------------------------------------------------------
 # Figure 2 -- motivation: joint optimization vs plan-then-deploy
 # ----------------------------------------------------------------------
-def figure02_motivation(
-    queries: int = 100,
-    num_nodes: int = 64,
-    predicate_style: str = "clique",
-    seed: SeedLike = 0,
-) -> FigureResult:
+def figure02_motivation(queries: int = 100, seed: SeedLike = 0) -> FigureResult:
     """Fig. 2: 100 queries x 5 sources on a 64-node network.
 
     Compares the total communication cost of (a) the Relaxation
@@ -106,9 +116,9 @@ def figure02_motivation(
         num_streams=10,
         num_queries=queries,
         joins_per_query=(4, 4),
-        predicate_style=predicate_style,
+        predicate_style=FIG2_PREDICATE_STYLE,
     )
-    env = build_world(num_nodes, params, **world_seeds(seed, (16,)))
+    env = build_world(FIG2_NODES, params, **world_seeds(seed, (16,)))
     series: dict[str, list[float]] = {}
     for label, name in [
         ("relaxation", "relaxation"),
@@ -266,7 +276,6 @@ def figure08_baseline_comparison(
     queries: int = 20,
     num_nodes: int = 128,
     max_cs: int = 32,
-    zones: int = 5,
     seed: SeedLike = 0,
 ) -> FigureResult:
     """Fig. 8: Top-Down / Bottom-Up vs Relaxation, In-network, Exhaustive.
@@ -282,7 +291,7 @@ def figure08_baseline_comparison(
         ("bottom-up with reuse", "bottom-up", {}),
         ("exhaustive (optimal)", "optimal", {}),
         ("relaxation with reuse", "relaxation", {}),
-        ("in-network with reuse", "in-network", {"zones": zones}),
+        ("in-network with reuse", "in-network", {"zones": FIG8_ZONES}),
     ]
     curves: dict[str, list[list[float]]] = {label: [] for label, *_ in configs}
     for _ in range(workloads):
@@ -323,8 +332,6 @@ def figure09_search_space_scalability(
     network_sizes: Sequence[int] = (128, 256, 512, 1024),
     queries: int = 10,
     num_streams: int = 100,
-    query_size: int = 4,
-    max_cs: int = 32,
     seed: SeedLike = 0,
 ) -> FigureResult:
     """Fig. 9: plans considered vs network size (log scale in the paper).
@@ -342,6 +349,7 @@ def figure09_search_space_scalability(
     Bottom-Up's operational advantage -- deployment speed -- is what
     Figure 10 reproduces.
     """
+    query_size, max_cs = FIG9_QUERY_SIZE, FIG9_MAX_CS
     rng = as_generator(seed)
     params = WorkloadParams(
         num_streams=num_streams,
@@ -401,20 +409,14 @@ def figure09_search_space_scalability(
 # ----------------------------------------------------------------------
 # Figures 10 & 11 -- prototype (Emulab substitution)
 # ----------------------------------------------------------------------
-def _prototype_env(num_nodes: int, queries: int, seed: SeedLike):
+def _prototype_env(queries: int, seed: SeedLike):
     params = WorkloadParams(
         num_streams=8, num_queries=queries, joins_per_query=(1, 4)
     )
-    return build_world(num_nodes, params, **world_seeds(seed, (4, 8)))
+    return build_world(PROTOTYPE_NODES, params, **world_seeds(seed, PROTOTYPE_MAX_CS))
 
 
-def figure10_deployment_time(
-    queries: int = 25,
-    num_nodes: int = 32,
-    max_cs_values: Sequence[int] = (4, 8),
-    seconds_per_plan: float = 1e-6,
-    seed: SeedLike = 0,
-) -> FigureResult:
+def figure10_deployment_time(queries: int = 25, seed: SeedLike = 0) -> FigureResult:
     """Fig. 10: average deployment time vs query size (32-node prototype).
 
     Simulated protocol time on the Emulab-like network (1-60 ms link
@@ -422,7 +424,8 @@ def figure10_deployment_time(
     ~70% faster), and Top-Down improves with larger max_cs because
     fewer levels are traversed.
     """
-    env = _prototype_env(num_nodes, queries, seed)
+    max_cs_values = PROTOTYPE_MAX_CS
+    env = _prototype_env(queries, seed)
     sizes = sorted({len(q.sources) for q in env.workload})
     series: dict[str, list[float]] = {}
     overall: dict[str, float] = {}
@@ -433,7 +436,7 @@ def figure10_deployment_time(
             for query in env.workload:
                 deployment = optimizer.plan(query)
                 timeline = simulate_deployment(
-                    env.network, deployment, seconds_per_plan=seconds_per_plan
+                    env.network, deployment, seconds_per_plan=FIG10_SECONDS_PER_PLAN
                 )
                 by_size[len(query.sources)].append(timeline.duration)
             key = f"{label} (cluster size={cs})"
@@ -459,19 +462,15 @@ def figure10_deployment_time(
     )
 
 
-def figure11_prototype_cumulative_cost(
-    queries: int = 25,
-    num_nodes: int = 32,
-    max_cs_values: Sequence[int] = (4, 8),
-    seed: SeedLike = 0,
-) -> FigureResult:
+def figure11_prototype_cumulative_cost(queries: int = 25, seed: SeedLike = 0) -> FigureResult:
     """Fig. 11: cumulative deployed cost on the prototype (32 nodes).
 
     Uses the flow engine as the data plane.  Top-Down yields lower
     deployed cost than Bottom-Up (it considers all operator orderings
     at the top), and both improve with the larger cluster size.
     """
-    env = _prototype_env(num_nodes, queries, seed)
+    max_cs_values = PROTOTYPE_MAX_CS
+    env = _prototype_env(queries, seed)
     series: dict[str, list[float]] = {}
     for cs in max_cs_values:
         for name, label in [("bottom-up", "Bottom-Up"), ("top-down", "Top-Down")]:

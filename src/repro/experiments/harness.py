@@ -15,7 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.optimizer import Optimizer
-from repro.hierarchy import AdvertisementIndex
 from repro.query.deployment import Deployment, DeploymentState
 from repro.workload.generator import Workload
 from repro.workload.world import World
@@ -25,7 +24,6 @@ def run_incremental(
     optimizer: Optimizer,
     workload: Workload,
     state: DeploymentState,
-    ads: AdvertisementIndex | None = None,
 ) -> tuple[list[float], list[Deployment]]:
     """Deploy the workload query by query; return cumulative costs.
 
@@ -37,8 +35,6 @@ def run_incremental(
     for query in workload:
         deployment = optimizer.plan(query, state)
         state.apply(deployment)
-        if ads is not None:
-            ads.sync_from_state(state)
         cumulative.append(state.total_cost())
         deployments.append(deployment)
     return cumulative, deployments

@@ -21,12 +21,17 @@ def _fmt(value: float) -> str:
     return f"{value:.3f}"
 
 
-def format_series_table(result: "FigureResult", max_rows: int = 12) -> str:
+#: Rows a figure table shows at most before its x-axis is subsampled.
+MAX_TABLE_ROWS = 12
+
+
+def format_series_table(result: "FigureResult") -> str:
     """Render a figure's series as an aligned text table.
 
-    Long x-axes are subsampled to at most ``max_rows`` rows (always
-    keeping the first and last points).
+    Long x-axes are subsampled to about :data:`MAX_TABLE_ROWS` rows
+    (always keeping the first and last points).
     """
+    max_rows = MAX_TABLE_ROWS
     x = result.x
     if len(x) > max_rows:
         step = max(1, (len(x) - 1) // (max_rows - 1))

@@ -552,14 +552,6 @@ class FleetController:
                 decision=decision, shard=shard, tenant=record.name
             )
 
-        if (
-            record.max_queue is not None
-            and self.scheduler.backlog(record.name) >= record.max_queue
-        ):
-            return rejected(
-                f"tenant {record.name!r} backlog full "
-                f"({self.scheduler.backlog(record.name)}/{record.max_queue})"
-            )
         position = self.scheduler.enqueue(
             record.name, PendingSubmit(query=query, lifetime=lifetime, shard=shard)
         )

@@ -35,14 +35,11 @@ class Tenant:
             weight-1 tenant while both are backlogged.
         quota: Cap on the tenant's in-flight queries -- live plus queued
             anywhere in the fleet (``None`` = unlimited).
-        max_queue: Cap on the tenant's fleet backlog; submissions past
-            it are rejected instead of queued (``None`` = unbounded).
     """
 
     name: str
     weight: float = 1.0
     quota: int | None = None
-    max_queue: int | None = None
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -51,8 +48,6 @@ class Tenant:
             raise AdmissionError("tenant weight must be > 0")
         if self.quota is not None and self.quota < 1:
             raise AdmissionError("tenant quota must be >= 1")
-        if self.max_queue is not None and self.max_queue < 0:
-            raise AdmissionError("tenant max_queue must be >= 0")
 
 
 #: The tenant submissions fall under when no tenant is named.  A fleet

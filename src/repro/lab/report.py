@@ -21,7 +21,7 @@ import json
 from typing import Any, Mapping
 
 from repro.lab.runner import ENVELOPE_KIND, LabResult
-from repro.obs.dashboard import _CSS, _fmt, _svg_spark, sparkline
+from repro.obs.dashboard import _CSS, WIDTH, _fmt, _svg_spark, sparkline
 from repro.obs.timeseries import series_to_csv
 
 #: Comparison-table rows, in display order: (metric key, label, whether
@@ -229,8 +229,9 @@ def _delta_str(delta: float | None) -> str:
     return f" ({delta:+.4g})"
 
 
-def render_lab_terminal(report: LabReport, width: int = 100) -> str:
+def render_lab_terminal(report: LabReport) -> str:
     """Plain-text comparison: header, metric table, recovery, sparklines."""
+    width = WIDTH
     scenario = report.scenario
     lines = [
         f"repro lab -- scenario {scenario.get('name', '?')!r} "
@@ -288,12 +289,11 @@ td.num { text-align: right; font-variant-numeric: tabular-nums; }
 """
 
 
-def render_lab_html(report: LabReport, title: str | None = None) -> str:
+def render_lab_html(report: LabReport) -> str:
     """Self-contained comparative HTML report (inline CSS + SVG)."""
     esc = _html.escape
     scenario = report.scenario
-    if title is None:
-        title = f"repro lab — {scenario.get('name', 'scenario')}"
+    title = f"repro lab — {scenario.get('name', 'scenario')}"
     parts = [
         "<!DOCTYPE html>",
         '<html lang="en"><head><meta charset="utf-8">',

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
 from repro.lab.candidate import Candidate, default_panel
 from repro.lab.spec import (
@@ -87,7 +87,7 @@ class CandidateRun:
     def _services(self):
         return self.plane.shards if self.is_fleet else [self.plane]
 
-    def true_cost(self, now: float | None = None) -> float:
+    def true_cost(self) -> float:
         """The plane's communication cost at the *true* current rates.
 
         Without a drift timeline this is ``plane.total_cost()``; with
@@ -99,8 +99,7 @@ class CandidateRun:
             return float(self.plane.total_cost())
         from repro.core.cost import RateModel, deployment_cost
 
-        when = self.clock if now is None else now
-        oracle = RateModel(self.built.timeline.streams_at(when))
+        oracle = RateModel(self.built.timeline.streams_at(self.clock))
         return float(
             sum(
                 deployment_cost(d, self._cost_matrix, oracle)
@@ -247,22 +246,15 @@ class LabResult:
         }
 
 
-def run_lab(
-    spec: ScenarioSpec,
-    candidates: Sequence[Candidate] | None = None,
-) -> LabResult:
+def run_lab(spec: ScenarioSpec) -> LabResult:
     """Step every candidate through the scenario and collect the result.
 
-    The panel comes from (in order): the ``candidates`` argument, the
-    spec's embedded panel, or :func:`default_panel`.  Every candidate
+    The panel is the spec's embedded one, or :func:`default_panel` when
+    the spec embeds none.  Every candidate
     runs on its own scenario build and under its own profiler, so op
     counts and telemetry never mix across the panel.
     """
-    if candidates is None:
-        if spec.candidates:
-            candidates = scenario_candidates(spec)
-        else:
-            candidates = default_panel()
+    candidates = scenario_candidates(spec) if spec.candidates else default_panel()
     result = LabResult(spec=spec)
     for candidate in candidates:
         built = build_scenario(spec)

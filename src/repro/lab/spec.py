@@ -167,7 +167,7 @@ class CapacitySpec:
                 cpu=self.cpu, memory=self.memory, bandwidth=self.bandwidth
             )
             return HeterogeneousFleetProfile(
-                by_kind={"transit": transit, "stub": stub}, seed=self.seed
+                by_kind={"transit": transit, "stub": stub}
             ).capacities(network)
         return uniform_capacities(
             network, cpu=self.cpu, memory=self.memory, bandwidth=self.bandwidth

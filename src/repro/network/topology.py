@@ -35,28 +35,35 @@ class TransitStubParams:
         stubs_per_transit: Stub domains attached to each transit node.
         stub_size: Nodes per stub domain (may be overridden per-domain by
             :func:`transit_stub_by_size` to hit an exact total).
-        stub_cost: (low, high) uniform range for intra-stub link costs.
-        transit_cost: (low, high) range for backbone link costs.
-        gateway_cost: (low, high) range for stub-to-transit link costs.
-        delay: (low, high) uniform range for link delays in seconds
-            (defaults to the paper's 1-60 ms).
-        extra_edge_prob: Probability of adding each candidate non-tree
-            edge inside a stub domain (adds redundancy/path diversity).
-        transit_chord_prob: Probability of adding each candidate chord to
-            the transit ring.
+
+    Link costs, delays and the redundancy probabilities are the module
+    constants below.
     """
 
     transit_domains: int = 1
     transit_nodes: int = 4
     stubs_per_transit: int = 4
     stub_size: int = 8
-    stub_cost: tuple[float, float] = (1.0, 5.0)
-    transit_cost: tuple[float, float] = (20.0, 50.0)
-    gateway_cost: tuple[float, float] = (10.0, 30.0)
-    inter_domain_cost: tuple[float, float] = (40.0, 80.0)
-    delay: tuple[float, float] = (0.001, 0.060)
-    extra_edge_prob: float = 0.15
-    transit_chord_prob: float = 0.3
+
+
+#: (low, high) uniform ranges of link costs: intra-stub, backbone,
+#: stub-to-transit and between transit domains.
+STUB_COST = (1.0, 5.0)
+TRANSIT_COST = (20.0, 50.0)
+GATEWAY_COST = (10.0, 30.0)
+INTER_DOMAIN_COST = (40.0, 80.0)
+#: (low, high) uniform range of link delays in seconds (the paper's
+#: 1-60 ms).
+DELAY = (0.001, 0.060)
+#: Probability of adding each candidate non-tree edge inside a stub
+#: domain (redundancy, path diversity).
+EXTRA_EDGE_PROB = 0.15
+#: Probability of adding each candidate chord to the transit ring.
+TRANSIT_CHORD_PROB = 0.3
+#: :func:`random_geometric`'s link radius on the unit square and the
+#: cost of a unit distance.
+GEOMETRIC_RADIUS = 0.35
+GEOMETRIC_COST_SCALE = 10.0
 
 
 def _uniform(rng: np.random.Generator, lo_hi: tuple[float, float]) -> float:
@@ -150,8 +157,8 @@ def transit_stub(
             net.add_link(
                 transit[0],
                 transit[1],
-                cost=_uniform(rng, params.transit_cost),
-                delay=_uniform(rng, params.delay),
+                cost=_uniform(rng, TRANSIT_COST),
+                delay=_uniform(rng, DELAY),
                 kind="transit",
             )
         elif len(transit) > 2:
@@ -161,19 +168,19 @@ def transit_stub(
                     net.add_link(
                         node,
                         nxt,
-                        cost=_uniform(rng, params.transit_cost),
-                        delay=_uniform(rng, params.delay),
+                        cost=_uniform(rng, TRANSIT_COST),
+                        delay=_uniform(rng, DELAY),
                         kind="transit",
                     )
             for i in range(len(transit)):
                 for j in range(i + 2, len(transit)):
                     u, v = transit[i], transit[j]
-                    if not net.has_link(u, v) and rng.random() < params.transit_chord_prob:
+                    if not net.has_link(u, v) and rng.random() < TRANSIT_CHORD_PROB:
                         net.add_link(
                             u,
                             v,
-                            cost=_uniform(rng, params.transit_cost),
-                            delay=_uniform(rng, params.delay),
+                            cost=_uniform(rng, TRANSIT_COST),
+                            delay=_uniform(rng, DELAY),
                             kind="transit",
                         )
 
@@ -184,17 +191,17 @@ def transit_stub(
                     net,
                     members,
                     rng,
-                    params.stub_cost,
-                    params.delay,
+                    STUB_COST,
+                    DELAY,
                     kind="stub",
-                    extra_edge_prob=params.extra_edge_prob,
+                    extra_edge_prob=EXTRA_EDGE_PROB,
                 )
                 gateway = members[int(rng.integers(0, len(members)))]
                 net.add_link(
                     gateway,
                     t_node,
-                    cost=_uniform(rng, params.gateway_cost),
-                    delay=_uniform(rng, params.delay),
+                    cost=_uniform(rng, GATEWAY_COST),
+                    delay=_uniform(rng, DELAY),
                     kind="gateway",
                 )
                 domain += 1
@@ -212,34 +219,28 @@ def transit_stub(
                 net.add_link(
                     u,
                     v,
-                    cost=_uniform(rng, params.inter_domain_cost),
-                    delay=_uniform(rng, params.delay),
+                    cost=_uniform(rng, INTER_DOMAIN_COST),
+                    delay=_uniform(rng, DELAY),
                     kind="inter-domain",
                 )
     return net
 
 
-def transit_stub_by_size(
-    n: int,
-    seed: SeedLike = None,
-    params: TransitStubParams | None = None,
-) -> Network:
+def transit_stub_by_size(n: int, seed: SeedLike = None) -> Network:
     """Transit-stub network with *exactly* ``n`` nodes.
 
-    Keeps the backbone shape of ``params`` (default 4 transit nodes x 4
-    stub domains each) and distributes the remaining ``n - transit``
-    nodes across stub domains as evenly as possible.  Used for the
+    Keeps the default backbone shape (4 transit nodes x 4 stub domains
+    each) and distributes the remaining ``n - transit`` nodes across
+    stub domains as evenly as possible.  Used for the
     scalability experiment's 128/256/512/1024-node series and the 64- and
     32-node networks of the other experiments.
     """
-    from dataclasses import replace as _replace
-
-    params = params or TransitStubParams()
+    params = TransitStubParams()
     transit = params.transit_domains * params.transit_nodes
     domains = transit * params.stubs_per_transit
     if n < transit + domains:
         # Shrink the backbone for very small networks rather than failing.
-        params = _replace(params, transit_domains=1, transit_nodes=max(1, n // 8))
+        params = TransitStubParams(transit_nodes=max(1, n // 8))
         transit = params.transit_nodes
         domains = transit * params.stubs_per_transit
         if n < transit + domains:
@@ -252,16 +253,11 @@ def transit_stub_by_size(
     return net
 
 
-def random_geometric(
-    n: int,
-    radius: float = 0.35,
-    cost_scale: float = 10.0,
-    seed: SeedLike = None,
-) -> Network:
+def random_geometric(n: int, seed: SeedLike = None) -> Network:
     """Random geometric graph on the unit square.
 
-    Nodes within ``radius`` of each other are linked with cost
-    proportional to Euclidean distance; a minimum-spanning-tree pass
+    Nodes within :data:`GEOMETRIC_RADIUS` of each other are linked with
+    cost proportional to Euclidean distance; a minimum-spanning-tree pass
     guarantees connectivity.  Handy for clustering tests because spatial
     locality translates directly into traversal-cost locality.
     """
@@ -275,8 +271,8 @@ def random_geometric(
     dist = np.sqrt((diff**2).sum(axis=2))
     for i in range(n):
         for j in range(i + 1, n):
-            if dist[i, j] <= radius:
-                net.add_link(i, j, cost=cost_scale * float(dist[i, j]) + 1e-6, delay=0.001 + float(dist[i, j]) * 0.05)
+            if dist[i, j] <= GEOMETRIC_RADIUS:
+                net.add_link(i, j, cost=GEOMETRIC_COST_SCALE * float(dist[i, j]) + 1e-6, delay=0.001 + float(dist[i, j]) * 0.05)
     # Ensure connectivity: link each non-reached component via nearest pair.
     while not net.is_connected():
         seen = {0}
@@ -289,7 +285,7 @@ def random_geometric(
                     stack.append(nxt)
         outside = [v for v in range(n) if v not in seen]
         best = min(((i, j) for i in seen for j in outside), key=lambda p: dist[p[0], p[1]])
-        net.add_link(best[0], best[1], cost=cost_scale * float(dist[best]) + 1e-6, delay=0.001 + float(dist[best]) * 0.05)
+        net.add_link(best[0], best[1], cost=GEOMETRIC_COST_SCALE * float(dist[best]) + 1e-6, delay=0.001 + float(dist[best]) * 0.05)
     return net
 
 

@@ -23,6 +23,10 @@ from typing import Any, Mapping, Sequence
 
 #: Eight-level unicode bars, lowest to highest.
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
+#: Rule width of the text dashboards, and the metrics a scope panel
+#: shows before it folds the rest into a count.
+WIDTH = 100
+MAX_METRICS = 12
 
 #: Metrics pinned to the top of a scope panel when present (the rest
 #: follow alphabetically).
@@ -98,12 +102,9 @@ def _panel_order(metrics: Mapping[str, Any]) -> list[str]:
 # ----------------------------------------------------------------------
 # Terminal rendering
 # ----------------------------------------------------------------------
-def render_terminal(
-    envelope: Mapping[str, Any],
-    width: int = 100,
-    max_metrics: int = 12,
-) -> str:
+def render_terminal(envelope: Mapping[str, Any]) -> str:
     """Plain-text dashboard: header, alert table, per-scope panels."""
+    width, max_metrics = WIDTH, MAX_METRICS
     lines: list[str] = []
     scraper = envelope.get("scraper", {})
     lines.append("repro dash -- fleet telemetry")
@@ -219,9 +220,10 @@ def _svg_spark(values: Sequence[float], width: int = 140, height: int = 26) -> s
     )
 
 
-def render_html(envelope: Mapping[str, Any], title: str = "repro dash") -> str:
+def render_html(envelope: Mapping[str, Any]) -> str:
     """Self-contained static HTML report of one telemetry envelope."""
     esc = _html.escape
+    title = "repro dash"
     scraper = envelope.get("scraper", {})
     parts: list[str] = [
         "<!DOCTYPE html>",

@@ -1,6 +1,6 @@
 """The flight recorder: a bounded black box dumped when things go wrong.
 
-:class:`FlightRecorder` keeps the last ``capacity`` noteworthy moments
+:class:`FlightRecorder` keeps the last :data:`CAPACITY` noteworthy moments
 -- tick reports, runtime/rule events, causal message hops -- in one ring
 buffer.  When an alert fires or a circuit breaker opens, the telemetry
 pipeline calls :meth:`FlightRecorder.bundle` to freeze the buffer into a
@@ -21,23 +21,19 @@ from typing import Any, Iterable, Mapping
 
 BUNDLE_KIND = "repro.flight_bundle"
 BUNDLE_VERSION = 1
+#: Entries a recorder retains (oldest fall off).
+CAPACITY = 256
+#: Bundles a recorder retains (oldest fall off) -- an incident storm
+#: cannot grow the envelope without bound.
+MAX_BUNDLES = 8
 
 
 class FlightRecorder:
-    """Ring buffer of recent telemetry moments, dumpable as bundles.
+    """Ring buffer of recent telemetry moments, dumpable as bundles."""
 
-    Args:
-        capacity: Entries retained (oldest fall off).
-        max_bundles: Bundles retained (oldest fall off) -- an incident
-            storm cannot grow the envelope without bound.
-    """
-
-    def __init__(self, capacity: int = 256, max_bundles: int = 8) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._entries: deque[dict[str, Any]] = deque(maxlen=capacity)
-        self.bundles: deque[dict[str, Any]] = deque(maxlen=max_bundles)
+    def __init__(self) -> None:
+        self._entries: deque[dict[str, Any]] = deque(maxlen=CAPACITY)
+        self.bundles: deque[dict[str, Any]] = deque(maxlen=MAX_BUNDLES)
         self.recorded_total = 0
         self.bundles_total = 0
         #: When set (the durability layer points it at
@@ -155,7 +151,7 @@ class FlightRecorder:
     def snapshot(self) -> dict[str, Any]:
         """JSON-ready recorder state for the telemetry envelope."""
         return {
-            "capacity": self.capacity,
+            "capacity": self._entries.maxlen,
             "recorded_total": self.recorded_total,
             "bundles_total": self.bundles_total,
             "bundles": [dict(b) for b in self.bundles],

@@ -321,17 +321,11 @@ class RulesEngine:
     kept on :attr:`events`.
     """
 
-    def __init__(
-        self,
-        store: TimeSeriesStore,
-        rules: Sequence[AlertRule | RecordingRule] = (),
-    ) -> None:
+    def __init__(self, store: TimeSeriesStore) -> None:
         self.store = store
         self.recording: list[RecordingRule] = []
         self.alerts: list[AlertRule] = []
         self.events: list[dict[str, Any]] = []
-        for rule in rules:
-            self.add(rule)
 
     def add(self, rule: AlertRule | RecordingRule) -> None:
         """Register a rule; duplicate names raise."""

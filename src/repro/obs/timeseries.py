@@ -34,8 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricRegistry
 
 #: Registry series whose values depend on host wall clock.  The scraper
-#: skips them by default so telemetry stays deterministic under a fixed
-#: seed; pass ``include_wall_clock=True`` to keep them.
+#: skips them so telemetry stays deterministic under a fixed seed.
 WALL_CLOCK_SERIES: frozenset[str] = frozenset({"service_planning_seconds"})
 
 #: Counters of the process, not the control plane (the durability layer's
@@ -197,11 +196,9 @@ class TimeSeriesStore:
         return {name: [[t, v] for t, v in self._ring(name)] for name in self.names()}
 
     @classmethod
-    def from_dict(
-        cls, doc: Mapping[str, Iterable[Sequence[float]]], capacity: int = 512
-    ) -> "TimeSeriesStore":
+    def from_dict(cls, doc: Mapping[str, Iterable[Sequence[float]]]) -> "TimeSeriesStore":
         """Rebuild a store from :meth:`to_dict` output."""
-        store = cls(capacity=capacity)
+        store = cls()
         for name, points in doc.items():
             for point in points:
                 store.append(name, point[0], point[1])
@@ -227,25 +224,19 @@ class TelemetryScraper:
     Args:
         store: Destination store.
         cadence: Minimum ticks between scrapes (1.0 = every tick).
-        include_wall_clock: Keep series named in
-            :data:`WALL_CLOCK_SERIES` instead of dropping them.
-        drop: Extra metric names to skip.
+
+    Series named in :data:`WALL_CLOCK_SERIES` are never scraped.
     """
 
     def __init__(
         self,
         store: TimeSeriesStore,
         cadence: float = 1.0,
-        include_wall_clock: bool = False,
-        drop: Iterable[str] = (),
     ) -> None:
         if cadence <= 0:
             raise ValueError("cadence must be positive")
         self.store = store
         self.cadence = cadence
-        self._drop = set(drop)
-        if not include_wall_clock:
-            self._drop |= WALL_CLOCK_SERIES
         # [scope, registry, feed cursor (None = never scraped)] each.
         self._registries: list[list] = []
         self._sources: list[tuple[str, Callable[[], Mapping[str, float]]]] = []
@@ -296,7 +287,7 @@ class TelemetryScraper:
         appended = self._carried
         for scope, source in self._sources:
             for metric, value in sorted(source().items()):
-                if metric in self._drop or value is None:
+                if metric in WALL_CLOCK_SERIES or value is None:
                     continue
                 self.store.append(scoped_name(scope, metric), now, float(value))
                 appended += 1
@@ -312,7 +303,7 @@ class TelemetryScraper:
         entry[2] = registry.feed_cursor()
         held = 0
         for name in names:
-            if name in self._drop:
+            if name in WALL_CLOCK_SERIES:
                 continue
             instrument = registry.get(name)
             base = scoped_name(scope, name)

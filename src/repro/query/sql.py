@@ -73,12 +73,12 @@ def parse_query(
     sink: int,
     join_selectivities: Mapping[frozenset[str], float] | None = None,
     filter_selectivities: Mapping[str, float] | None = None,
-    window: float | None = None,
 ) -> Query:
     """Parse SQL text into a :class:`Query`.
 
     Args:
-        sql: The query text (``SELECT ... FROM ... [WHERE ...]``).
+        sql: The query text (``SELECT ... FROM ... [WHERE ...]
+            [WINDOW w]``; ``WINDOW`` sets the joins' sliding window).
         name: Name to give the query.
         sink: Physical node the results stream to.
         join_selectivities: Optional map ``frozenset({a, b}) ->
@@ -87,17 +87,15 @@ def parse_query(
         filter_selectivities: Optional map from the *normalized filter
             text* (see :func:`normalize_condition`) to its selectivity;
             defaults to :data:`DEFAULT_FILTER_SELECTIVITY`.
-        window: Optional sliding-window length for the query's joins.
 
     Raises:
         SqlError: On malformed text, unknown streams in conditions, or
             unsupported constructs.
     """
     text = _strip(sql)
+    window = None
     window_match = re.search(r"(?i)\s+WINDOW\s+([0-9]*\.?[0-9]+)\s*$", text)
     if window_match:
-        if window is not None:
-            raise SqlError("window given both in SQL and as an argument")
         window = float(window_match.group(1))
         if window <= 0:
             raise SqlError("WINDOW must be positive")

@@ -4,16 +4,16 @@ Two halves:
 
 * :mod:`repro.resilience.faults` -- a deterministic, seeded fault
   injector for the control plane.  A :class:`FaultPlan` scripts node
-  crashes/rejoins, coordinator slow-downs and outages, stale-statistics
-  windows and whole-cluster partitions; a :class:`FaultInjector`
+  crashes/rejoins, coordinator slow-downs and outages and
+  stale-statistics windows; a :class:`FaultInjector`
   applies crashes from a clock-driven hook on
   :meth:`repro.service.service.StreamQueryService.tick` and answers the
   planning path's reachability, latency and statistics queries.  The
   :data:`NULL_FAULTS` default injects nothing and costs nothing.
 
-* :mod:`repro.resilience.policy` -- :class:`RetryPolicy` (capped
-  exponential backoff with seeded jitter, per-attempt timeouts and
-  deadlines) and per-node :class:`CircuitBreaker`\\ s with half-open
+* :mod:`repro.resilience.policy` -- :func:`~repro.resilience.policy.retry`
+  (capped exponential backoff with seeded jitter and a per-attempt
+  timeout) and per-node :class:`CircuitBreaker`\\ s with half-open
   probing, aggregated by a :class:`BreakerBoard`.
 
 :mod:`repro.resilience.degradation` ties them together: a degradation
@@ -31,14 +31,12 @@ from repro.resilience.faults import (
     FaultPlan,
     NodeCrash,
     NullFaultInjector,
-    Partition,
     StaleStatistics,
 )
 from repro.resilience.policy import (
     BreakerBoard,
     BreakerState,
     CircuitBreaker,
-    RetryPolicy,
 )
 from repro.resilience.degradation import ResilienceConfig, ResilientControl
 
@@ -51,8 +49,6 @@ __all__ = [
     "CoordinatorSlowdown",
     "CoordinatorOutage",
     "StaleStatistics",
-    "Partition",
-    "RetryPolicy",
     "CircuitBreaker",
     "BreakerBoard",
     "BreakerState",

@@ -14,7 +14,7 @@
    placement candidates only; always available, never cached (a
    degraded plan must not be memoized as if it were optimal).
 
-Every rung attempt runs under the :data:`RETRY` policy;
+Every rung attempt runs under :func:`~repro.resilience.policy.retry`;
 failures feed the per-coordinator :class:`BreakerBoard`.  The
 hierarchical rungs plan as the bare service does (shedding to fit under
 the resource layer); no feasible placement is a capacity verdict, not a
@@ -46,7 +46,7 @@ from repro.obs.tracer import count, span
 from repro.query.deployment import Deployment
 from repro.query.query import Query
 from repro.resilience.faults import NULL_FAULTS
-from repro.resilience.policy import BreakerBoard, BreakerState, RetryPolicy
+from repro.resilience.policy import ATTEMPT_TIMEOUT, BreakerBoard, BreakerState, retry
 from repro.serialization import _query_from_dict, _query_to_dict
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -61,10 +61,8 @@ BREAKER_STATE_VALUES: dict[BreakerState, float] = {
 }
 
 
-#: Retry policy for coordinator calls.
-RETRY = RetryPolicy()
 #: Nominal healthy coordinator round-trip; multiplied by an injected
-#: slow-down factor and compared against ``RETRY.attempt_timeout``.
+#: slow-down factor and compared against the attempt timeout.
 RPC_SECONDS = 0.05
 #: Seed of the backoff jitter (determinism).
 JITTER_SEED = 0
@@ -79,9 +77,10 @@ QUARANTINE_TICKS = 25.0
 class ResilienceConfig:
     """Arms the resilience layer.
 
-    It has no knobs: coordinator calls run under :data:`RETRY`, a
-    breaker trips on :class:`~repro.resilience.policy.BreakerBoard`'s
-    default 3 consecutive failures and stays open its default 10 ticks,
+    It has no knobs: coordinator calls run under
+    :func:`~repro.resilience.policy.retry`, a breaker trips on
+    :mod:`~repro.resilience.policy`'s 3 consecutive failures and stays
+    open 10 ticks,
     and a node whose breaker opened :data:`QUARANTINE_AFTER` times is
     quarantined for :data:`QUARANTINE_TICKS`.
     """
@@ -314,7 +313,7 @@ class ResilientControl:
                 self._record_failure(coordinator, now)
 
         try:
-            deployment, attempts, _spent = RETRY.run(
+            deployment, attempts, _spent = retry(
                 once, self.rng, on_retry, give_up_on=(InfeasiblePlacementError,)
             )
         except InfeasiblePlacementError:
@@ -331,18 +330,16 @@ class ResilientControl:
 
     def _check_coordinator(self, query: Query, coordinator: int, now: float) -> None:
         """Simulated RPC admission: unreachable/slow coordinators fail."""
-        if self.faults.unreachable(coordinator, now, observer=query.sink):
+        if self.faults.unreachable(coordinator, now):
             raise CoordinatorUnreachable(
                 f"coordinator {coordinator} is unreachable from sink {query.sink}"
             )
-        timeout = RETRY.attempt_timeout
-        if timeout is not None:
-            latency = RPC_SECONDS * self.faults.slowdown(coordinator, now)
-            if latency > timeout:
-                raise CoordinatorTimeout(
-                    f"coordinator {coordinator} answered in {latency:.3f}s "
-                    f"(attempt timeout {timeout:.3f}s)"
-                )
+        latency = RPC_SECONDS * self.faults.slowdown(coordinator, now)
+        if latency > ATTEMPT_TIMEOUT:
+            raise CoordinatorTimeout(
+                f"coordinator {coordinator} answered in {latency:.3f}s "
+                f"(attempt timeout {ATTEMPT_TIMEOUT:.3f}s)"
+            )
 
     # ------------------------------------------------------------------
     # Parking (the resilience retry queue)

@@ -24,9 +24,6 @@ always delivered.  Event vocabulary, with the hook each acts through:
 * :class:`StaleStatistics` -- during a window the control plane must
   not observe rate-model updates (the statistics epoch freezes):
   :meth:`FaultInjector.statistics_frozen`.
-* :class:`Partition` -- the node set splits into groups; a sink cannot
-  reach a coordinator across groups:
-  :meth:`FaultInjector.unreachable` with the sink as ``observer``.
 * :class:`CrashPoint` -- the controller process dies at a journal
   boundary; the durability layer arms it, not the injector.
 
@@ -84,15 +81,6 @@ class StaleStatistics:
 
 
 @dataclass(frozen=True)
-class Partition:
-    """The cluster splits into isolated groups for a window."""
-
-    time: float
-    duration: float
-    groups: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
 class CrashPoint:
     """The controller process dies at an exact journal boundary.
 
@@ -120,7 +108,6 @@ FaultEvent = Union[
     CoordinatorOutage,
     CoordinatorSlowdown,
     StaleStatistics,
-    Partition,
     CrashPoint,
 ]
 
@@ -129,12 +116,16 @@ _EVENT_KINDS = {
     "coordinator_outage": CoordinatorOutage,
     "coordinator_slowdown": CoordinatorSlowdown,
     "stale_statistics": StaleStatistics,
-    "partition": Partition,
     "crash_point": CrashPoint,
 }
 
 #: Probability that a crash :meth:`FaultPlan.generate` draws rejoins.
 REJOIN_FRACTION = 0.6
+#: Coordinator outages, slowdowns and stale-statistics windows
+#: :meth:`FaultPlan.generate` draws.
+OUTAGES = 2
+SLOWDOWNS = 2
+STALE_WINDOWS = 1
 
 
 def _validate_event(event: FaultEvent) -> None:
@@ -156,17 +147,6 @@ def _validate_event(event: FaultEvent) -> None:
             raise FaultInjectionError(
                 f"torn_tail and mid_snapshot are exclusive: {event!r}"
             )
-    elif isinstance(event, Partition):
-        seen: set[int] = set()
-        for group in event.groups:
-            overlap = seen & set(group)
-            if overlap:
-                raise FaultInjectionError(
-                    f"partition groups must be disjoint; {sorted(overlap)} repeat"
-                )
-            seen |= set(group)
-        if len(event.groups) < 2:
-            raise FaultInjectionError("a partition needs at least two groups")
 
 
 @dataclass
@@ -199,12 +179,7 @@ class FaultPlan:
         out: list[dict[str, Any]] = []
         kinds = {cls: name for name, cls in _EVENT_KINDS.items()}
         for event in self.events:
-            doc = {"kind": kinds[type(event)]}
-            for key, value in event.__dict__.items():
-                if isinstance(event, Partition) and key == "groups":
-                    value = [list(g) for g in value]
-                doc[key] = value
-            out.append(doc)
+            out.append({"kind": kinds[type(event)], **event.__dict__})
         return {"events": out}
 
     @classmethod
@@ -221,8 +196,6 @@ class FaultPlan:
             event_cls = _EVENT_KINDS.get(kind)
             if event_cls is None:
                 raise FaultInjectionError(f"unknown fault event kind {kind!r}")
-            if event_cls is Partition:
-                entry["groups"] = tuple(tuple(g) for g in entry["groups"])
             try:
                 events.append(event_cls(**entry))
             except TypeError as exc:
@@ -239,16 +212,14 @@ class FaultPlan:
         seed: SeedLike,
         duration: float,
         crashes: int = 3,
-        outages: int = 2,
-        slowdowns: int = 2,
-        stale_windows: int = 1,
-        partitions: int = 0,
         protected: Iterable[int] = (),
         focus: Iterable[int] | None = None,
     ) -> "FaultPlan":
         """Synthesize a random (but seeded) plan over ``nodes``.
 
-        Crash victims are drawn outside ``protected`` (pass source and
+        Besides ``crashes`` it draws :data:`OUTAGES` coordinator
+        outages, :data:`SLOWDOWNS` slowdowns and :data:`STALE_WINDOWS`
+        stale-statistics windows.  Crash victims are drawn outside ``protected`` (pass source and
         sink nodes there to keep a workload plannable), rejoin with
         probability :data:`REJOIN_FRACTION`, and every window lands inside
         ``[1, duration)``.  ``focus`` biases coordinator outages and
@@ -278,12 +249,12 @@ class FaultPlan:
             events.append(
                 NodeCrash(time=start, node=int(rng.choice(victims)), rejoin_after=rejoin)
             )
-        for _ in range(outages):
+        for _ in range(OUTAGES):
             start, length = window(duration / 4)
             events.append(
                 CoordinatorOutage(time=start, node=int(rng.choice(targets)), duration=length)
             )
-        for _ in range(slowdowns):
+        for _ in range(SLOWDOWNS):
             start, length = window(duration / 4)
             events.append(
                 CoordinatorSlowdown(
@@ -293,21 +264,9 @@ class FaultPlan:
                     factor=float(rng.uniform(2.0, 12.0)),
                 )
             )
-        for _ in range(stale_windows):
+        for _ in range(STALE_WINDOWS):
             start, length = window(duration / 3)
             events.append(StaleStatistics(time=start, duration=length))
-        for _ in range(partitions):
-            start, length = window(duration / 4)
-            shuffled = list(nodes)
-            rng.shuffle(shuffled)
-            cut = max(1, len(shuffled) // 3)
-            events.append(
-                Partition(
-                    time=start,
-                    duration=length,
-                    groups=(tuple(sorted(shuffled[:cut])), tuple(sorted(shuffled[cut:]))),
-                )
-            )
         return cls(events=events)
 
 
@@ -378,31 +337,13 @@ class FaultInjector:
     def _in_window(self, event: FaultEvent, now: float) -> bool:
         return event.time <= now < event.time + getattr(event, "duration", 0.0)
 
-    def unreachable(self, node: int, now: float, observer: int | None = None) -> bool:
+    def unreachable(self, node: int, now: float) -> bool:
         """Whether control-plane RPCs to ``node`` fail right now."""
         if node in self.crashed:
             return True
         for event in self.plan.events:
             if isinstance(event, CoordinatorOutage) and event.node == node:
                 if self._in_window(event, now):
-                    return True
-        if observer is not None and self.partitioned(observer, node, now):
-            return True
-        return False
-
-    def partitioned(self, a: int, b: int, now: float) -> bool:
-        """Whether a partition currently separates nodes ``a`` and ``b``."""
-        if a == b:
-            return False
-        for event in self.plan.events:
-            if isinstance(event, Partition) and self._in_window(event, now):
-                group_of: dict[int, int] = {}
-                for i, group in enumerate(event.groups):
-                    for n in group:
-                        group_of[n] = i
-                ga, gb = group_of.get(a), group_of.get(b)
-                # Nodes absent from every group stay fully connected.
-                if ga is not None and gb is not None and ga != gb:
                     return True
         return False
 
@@ -467,7 +408,7 @@ class NullFaultInjector:
     def due_events(self, now: float) -> list:
         return []
 
-    def unreachable(self, node: int, now: float, observer: int | None = None) -> bool:
+    def unreachable(self, node: int, now: float) -> bool:
         return False
 
     def slowdown(self, node: int, now: float) -> float:

@@ -1,15 +1,15 @@
 """Retry policies and circuit breakers for control-plane calls.
 
-:class:`RetryPolicy` implements capped exponential backoff with seeded
-jitter, a per-attempt timeout and an overall deadline.  Backoff delays
-are *virtual* -- the control plane is tick-driven, so the policy
-computes and accounts for the delay it would have slept rather than
-blocking the process.
+:func:`retry` runs a call under capped exponential backoff with seeded
+jitter; :data:`ATTEMPT_TIMEOUT` bounds one attempt.  Backoff delays are
+*virtual* -- the control plane is tick-driven, so the policy computes
+and accounts for the delay it would have slept rather than blocking the
+process.
 
 :class:`CircuitBreaker` is the classic three-state machine (CLOSED ->
-OPEN after ``failure_threshold`` consecutive failures -> HALF_OPEN after
-``recovery_time``, where up to ``half_open_probes`` trial calls decide
-between closing and re-opening).  A :class:`BreakerBoard` keys breakers
+OPEN after :data:`FAILURE_THRESHOLD` consecutive failures -> HALF_OPEN
+after :data:`RECOVERY_TIME`, where up to :data:`HALF_OPEN_PROBES` trial
+calls decide between closing and re-opening).  A :class:`BreakerBoard` keys breakers
 by node so the service can gate each coordinator independently and spot
 *flapping* nodes (breakers that re-opened often) for quarantine.
 
@@ -30,93 +30,62 @@ from repro.errors import CircuitOpenError, ReproError
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Capped exponential backoff with jitter, timeouts and a deadline.
+#: Retry budget of a coordinator call: total tries including the first.
+MAX_ATTEMPTS = 3
+#: Backoff before the second attempt (seconds), its growth factor
+#: between attempts, and the cap on any single backoff.
+BASE_DELAY = 0.05
+MULTIPLIER = 2.0
+MAX_DELAY = 2.0
+#: Uniform jitter fraction: each delay is scaled by
+#: ``1 + U(-JITTER, +JITTER)`` drawn from the caller's seeded RNG.
+JITTER = 0.1
+#: Budget for one attempt; consumers compare their simulated call
+#: latency against it.
+ATTEMPT_TIMEOUT = 0.25
 
-    Attributes:
-        max_attempts: Total tries including the first (>= 1).
-        base_delay: Backoff before the second attempt (seconds).
-        multiplier: Exponential growth factor between attempts.
-        max_delay: Cap on any single backoff delay.
-        jitter: Uniform jitter fraction in ``[0, 1]``; each delay is
-            scaled by ``1 + U(-jitter, +jitter)`` drawn from the caller's
-            seeded RNG.
-        attempt_timeout: Budget for one attempt (``None`` = unlimited);
-            consumers compare their simulated call latency against it.
-        deadline: Budget for the whole retry loop including backoff
-            (``None`` = unlimited).
+
+def backoff(attempt: int, rng: np.random.Generator) -> float:
+    """Backoff delay before attempt number ``attempt`` (2-based), with
+    seeded jitter; attempt 1 has none."""
+    if attempt <= 1:
+        return 0.0
+    delay = min(MAX_DELAY, BASE_DELAY * MULTIPLIER ** (attempt - 2))
+    delay *= 1.0 + float(rng.uniform(-JITTER, JITTER))
+    return max(0.0, delay)
+
+
+def retry(
+    fn: Callable[[int], T],
+    rng: np.random.Generator,
+    on_retry: Callable[[int, BaseException, float], None],
+    give_up_on: tuple[type[BaseException], ...],
+) -> tuple[T, int, float]:
+    """Call ``fn(attempt)`` with capped exponential backoff.
+
+    Returns ``(result, attempts_used, total_backoff)``.  A
+    :class:`~repro.errors.ReproError` is retried unless it is one of
+    ``give_up_on``; that and any other exception propagate
+    immediately, and the last retryable error propagates once
+    :data:`MAX_ATTEMPTS` run out.  ``on_retry(attempt, error, backoff)``
+    fires before each re-try.
     """
-
-    max_attempts: int = 3
-    base_delay: float = 0.05
-    multiplier: float = 2.0
-    max_delay: float = 2.0
-    jitter: float = 0.1
-    attempt_timeout: float | None = 0.25
-    deadline: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.base_delay < 0 or self.max_delay < 0:
-            raise ValueError("delays must be non-negative")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
-        if self.attempt_timeout is not None and self.attempt_timeout <= 0:
-            raise ValueError("attempt_timeout must be positive")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ValueError("deadline must be positive")
-
-    def backoff(self, attempt: int, rng: np.random.Generator | None = None) -> float:
-        """Backoff delay before attempt number ``attempt`` (2-based).
-
-        Attempt 1 has no backoff.  With an RNG, seeded jitter applies.
-        """
-        if attempt <= 1:
-            return 0.0
-        delay = min(self.max_delay, self.base_delay * self.multiplier ** (attempt - 2))
-        if rng is not None and self.jitter > 0.0:
-            delay *= 1.0 + float(rng.uniform(-self.jitter, self.jitter))
-        return max(0.0, delay)
-
-    def run(
-        self,
-        fn: Callable[[int], T],
-        rng: np.random.Generator | None = None,
-        on_retry: Callable[[int, BaseException, float], None] | None = None,
-        give_up_on: tuple[type[BaseException], ...] = (),
-    ) -> tuple[T, int, float]:
-        """Call ``fn(attempt)`` under this policy.
-
-        Returns ``(result, attempts_used, total_backoff)``.  A
-        :class:`~repro.errors.ReproError` is retried unless it is one of
-        ``give_up_on``; that and any other exception propagate
-        immediately, and the last retryable error propagates once
-        attempts or the deadline run out.
-        ``on_retry(attempt, error, backoff)`` fires before each re-try.
-        """
-        spent = 0.0
-        last: BaseException | None = None
-        for attempt in range(1, self.max_attempts + 1):
-            if attempt > 1:
-                delay = self.backoff(attempt, rng)
-                if self.deadline is not None and spent + delay > self.deadline:
-                    break
-                spent += delay
-                if on_retry is not None:
-                    assert last is not None
-                    on_retry(attempt, last, delay)
-            try:
-                return fn(attempt), attempt, spent
-            except ReproError as exc:
-                if isinstance(exc, give_up_on):
-                    raise
-                last = exc
-        assert last is not None
-        raise last
+    spent = 0.0
+    last: BaseException | None = None
+    for attempt in range(1, MAX_ATTEMPTS + 1):
+        if attempt > 1:
+            delay = backoff(attempt, rng)
+            spent += delay
+            assert last is not None
+            on_retry(attempt, last, delay)
+        try:
+            return fn(attempt), attempt, spent
+        except ReproError as exc:
+            if isinstance(exc, give_up_on):
+                raise
+            last = exc
+    assert last is not None
+    raise last
 
 
 class BreakerState(enum.Enum):
@@ -127,21 +96,21 @@ class BreakerState(enum.Enum):
     HALF_OPEN = "half_open"
 
 
+#: Consecutive failures that trip a breaker.
+FAILURE_THRESHOLD = 3
+#: Ticks a breaker stays OPEN before allowing half-open probe calls.
+RECOVERY_TIME = 10.0
+#: Trial calls allowed in HALF_OPEN; one success closes the breaker,
+#: one failure re-opens it.
+HALF_OPEN_PROBES = 1
+
+
 @dataclass
 class CircuitBreaker:
-    """Per-target circuit breaker with half-open probing.
+    """Per-target circuit breaker with half-open probing (trips after
+    :data:`FAILURE_THRESHOLD` failures, probes after
+    :data:`RECOVERY_TIME`)."""
 
-    Attributes:
-        failure_threshold: Consecutive failures that trip the breaker.
-        recovery_time: Ticks the breaker stays OPEN before allowing
-            half-open probe calls.
-        half_open_probes: Trial calls allowed in HALF_OPEN; one success
-            closes the breaker, one failure re-opens it.
-    """
-
-    failure_threshold: int = 3
-    recovery_time: float = 10.0
-    half_open_probes: int = 1
     state: BreakerState = BreakerState.CLOSED
     consecutive_failures: int = 0
     opened_at: float | None = None
@@ -149,29 +118,21 @@ class CircuitBreaker:
     _probes_in_flight: int = field(default=0, repr=False)
     revision: int = field(default=0, repr=False, compare=False)  # moves with the above
 
-    def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if self.recovery_time <= 0:
-            raise ValueError("recovery_time must be positive")
-        if self.half_open_probes < 1:
-            raise ValueError("half_open_probes must be >= 1")
-
     def allow(self, now: float) -> bool:
         """Whether a call may proceed at time ``now``.
 
         Transitions OPEN -> HALF_OPEN when the recovery window elapsed;
-        in HALF_OPEN only ``half_open_probes`` concurrent trials pass.
+        in HALF_OPEN only :data:`HALF_OPEN_PROBES` concurrent trials pass.
         """
         if self.state is BreakerState.CLOSED:
             return True
         if self.state is BreakerState.OPEN:
             assert self.opened_at is not None
-            if now - self.opened_at < self.recovery_time:
+            if now - self.opened_at < RECOVERY_TIME:
                 return False
             self.state = BreakerState.HALF_OPEN
             self._probes_in_flight = 0
-        if self._probes_in_flight >= self.half_open_probes:
+        if self._probes_in_flight >= HALF_OPEN_PROBES:
             return False
         self._probes_in_flight += 1
         self.revision += 1
@@ -194,7 +155,7 @@ class CircuitBreaker:
             self._trip(now)
         elif (
             self.state is BreakerState.CLOSED
-            and self.consecutive_failures >= self.failure_threshold
+            and self.consecutive_failures >= FAILURE_THRESHOLD
         ):
             self._trip(now)
 
@@ -214,16 +175,9 @@ class CircuitBreaker:
 
 
 class BreakerBoard:
-    """A board of per-node circuit breakers.
+    """A board of per-node circuit breakers."""
 
-    Args:
-        failure_threshold: Per-breaker trip threshold.
-        recovery_time: Per-breaker OPEN duration.
-    """
-
-    def __init__(self, failure_threshold: int = 3, recovery_time: float = 10.0) -> None:
-        self.failure_threshold = failure_threshold
-        self.recovery_time = recovery_time
+    def __init__(self) -> None:
         self._breakers: dict[int, CircuitBreaker] = {}
         # Nodes whose breaker was reached since the last :meth:`touched`.
         self._touched: set[int] = set()
@@ -234,11 +188,7 @@ class BreakerBoard:
         self._touched.add(node)
         breaker = self._breakers.get(node)
         if breaker is None:
-            breaker = CircuitBreaker(
-                failure_threshold=self.failure_threshold,
-                recovery_time=self.recovery_time,
-            )
-            self._breakers[node] = breaker
+            breaker = self._breakers[node] = CircuitBreaker()
         return breaker
 
     def allow(self, node: int, now: float) -> bool:

@@ -43,7 +43,7 @@ from repro.obs.tracer import count
 from repro.query.plan import Join, PlanNode
 from repro.query.query import Query
 from repro.resources.capacity import Load, NodeCapacity, UNBOUNDED, ZERO_LOAD
-from repro.resources.footprint import JoinPricer, OperatorFootprint
+from repro.resources.footprint import BYTES_PER_TUPLE, JoinPricer, OperatorFootprint
 from repro.resources.ledger import plan_node_loads
 
 _EPS = 1e-9
@@ -149,7 +149,7 @@ class PlacementConstraint(JoinPricer):
         top = max(peak[1:]) * (1.0 + _SLACK) * (len(names) - 1)
         return (
             2.0 * top,
-            2.0 * top * query.window * self.footprint.bytes_per_tuple,
+            2.0 * top * query.window * BYTES_PER_TUPLE,
             3.0 * top,
         )
 

@@ -29,21 +29,19 @@ from repro.query.query import Query, ViewSignature
 from repro.resources.capacity import Load
 
 
+#: State-size scale applied to the memory dimension of a join's load.
+BYTES_PER_TUPLE = 1.0
+
+
 class OperatorFootprint:
     """Estimates the :class:`Load` of each join operator of a plan.
 
     Args:
         rates: The :class:`~repro.core.cost.RateModel` loads derive from.
-        bytes_per_tuple: State-size scale applied to the memory
-            dimension (same knob the migration planner uses to price
-            window-state transfers).
     """
 
-    def __init__(self, rates, bytes_per_tuple: float = 1.0) -> None:
-        if bytes_per_tuple <= 0:
-            raise ValueError("bytes_per_tuple must be positive")
+    def __init__(self, rates) -> None:
         self.rates = rates
-        self.bytes_per_tuple = bytes_per_tuple
 
     def join_load(
         self,
@@ -57,7 +55,7 @@ class OperatorFootprint:
 
         * cpu -- total input tuple rate the operator must process;
         * memory -- window state: input rate x the query's window x
-          ``bytes_per_tuple`` per side;
+          :data:`BYTES_PER_TUPLE` per side;
         * bandwidth -- input plus output tuple rate through the node
           (conservative: assumes no input is co-located).
         """
@@ -67,7 +65,7 @@ class OperatorFootprint:
         out = rate_of(left | right)
         return Load(
             cpu=inputs,
-            memory=inputs * query.window * self.bytes_per_tuple,
+            memory=inputs * query.window * BYTES_PER_TUPLE,
             bandwidth=inputs + out,
         )
 

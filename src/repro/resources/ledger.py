@@ -49,6 +49,9 @@ from repro.resources.capacity import UNBOUNDED, Load, NodeCapacity, ZERO_LOAD, e
 from repro.resources.footprint import JoinPricer, OperatorFootprint
 from repro.utils import ChangeFeed
 
+#: Hottest nodes :meth:`ResourceLedger.summary` lists.
+SUMMARY_HOT_NODES = 5
+
 
 class _Holder(NamedTuple):
     """One deployment's join under an operator key; the first two fields
@@ -337,7 +340,7 @@ class ResourceLedger:
         out = [(node, util) for node, util in utils.items() if util > bound + 1e-9]
         return sorted(out, key=lambda item: (-item[1], item[0]))
 
-    def hot_nodes(self, k: int = 3) -> list[tuple[int, float]]:
+    def hot_nodes(self, k: int) -> list[tuple[int, float]]:
         """The ``k`` hottest nodes as ``(node, utilization)``, descending."""
         ranked = sorted(self._settled_utils().items(), key=lambda kv: (-kv[1], kv[0]))
         return ranked[: max(0, k)]
@@ -351,8 +354,9 @@ class ResourceLedger:
         )
         return list(dict.fromkeys(h.deployment.query.name for h in holders))
 
-    def summary(self, top: int = 5) -> dict:
-        """JSON-able snapshot for reports and the CLI."""
+    def summary(self) -> dict:
+        """JSON-able snapshot for reports and the CLI (the
+        :data:`SUMMARY_HOT_NODES` hottest nodes)."""
         utils = self._settled_utils()
         return {
             "nodes_tracked": len(utils),
@@ -363,7 +367,7 @@ class ResourceLedger:
             ),
             "hot_nodes": [
                 {"node": node, "utilization": util}
-                for node, util in self.hot_nodes(top)
+                for node, util in self.hot_nodes(SUMMARY_HOT_NODES)
             ],
             "overloaded": [
                 {"node": node, "utilization": util}

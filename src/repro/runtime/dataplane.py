@@ -39,6 +39,10 @@ DEFAULT_WINDOW = 0.5
 """Join window (time units) for which the expected output rate matches
 the analytic model ``sigma * r_L * r_R`` exactly."""
 
+#: Multiplier on stream rates (scales tuple volume without touching the
+#: workload definition).
+RATE_SCALE = 1.0
+
 
 @dataclass(frozen=True)
 class StreamTuple:
@@ -247,9 +251,7 @@ def run_dataplane(
     deployment: Deployment,
     rates: RateModel,
     duration: float = 50.0,
-    window: float | None = None,
     seed: SeedLike = 0,
-    rate_scale: float = 1.0,
 ) -> DataPlaneReport:
     """Execute one deployment at tuple level; measure actual rates.
 
@@ -259,18 +261,15 @@ def run_dataplane(
             supported (run the providing deployment instead).
         rates: Rate model (provides stream rates and predictions).
         duration: Simulated time units.
-        window: Join window override (defaults to the query's own
-            window, which the analytic rate model already accounts for).
         seed: RNG seed for arrivals and keys.
-        rate_scale: Multiplier on stream rates (scale tuple volume down
-            for quick tests without touching the workload definition).
+
+    Joins use the query's own window, which the analytic rate model
+    already accounts for; stream rates are scaled by :data:`RATE_SCALE`.
 
     Returns:
         A :class:`DataPlaneReport` with measured vs predicted rates.
     """
     query = deployment.query
-    if window is None:
-        window = query.window
     for leaf in deployment.plan.leaves():
         if not leaf.is_base_stream:
             raise ValueError("data plane does not instantiate reused views")
@@ -314,7 +313,7 @@ def run_dataplane(
             comp_id=f"src:{name}",
             host=h,
             stats=make_stats(f"source {name}", node),
-            rate=spec.rate * rate_scale,
+            rate=spec.rate * RATE_SCALE,
             attr_domains=domains,
             rng=np.random.default_rng(rng.integers(0, 2**31)),
             survive_prob=survive,
@@ -341,7 +340,7 @@ def run_dataplane(
             left_views=join_node.left.sources,
             right_views=join_node.right.sources,
             pred_ids=crossing,
-            window=window,
+            window=query.window,
             clock=lambda: sim.now,
         )
         h.components[join.comp_id] = join
@@ -385,7 +384,7 @@ def run_dataplane(
     for plan_node, comp in components.items():
         label = "*".join(sorted(plan_node.sources))
         measured[label] = comp.stats.emitted / duration
-        predicted[label] = rates.rate_for(query, plan_node.sources) * rate_scale
+        predicted[label] = rates.rate_for(query, plan_node.sources) * RATE_SCALE
 
     latencies = sink.latencies
     return DataPlaneReport(

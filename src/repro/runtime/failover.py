@@ -8,8 +8,9 @@ implements the recovery path: when a node fails,
    electing its backup (the next-most-central member) -- handled by the
    maintenance machinery's re-election;
 2. queries with operators or flow endpoints on the failed node are
-   identified and, when an optimizer is supplied, undeployed and
-   re-planned on the surviving nodes.
+   identified; the service
+   (:meth:`~repro.service.service.StreamQueryService.handle_node_failure`)
+   retires them and resubmits the survivors.
 
 Failure here means *processing* failure: the node can no longer host
 operators or coordinate, but packet forwarding through it is unaffected
@@ -51,24 +52,18 @@ class FailureReport:
         new_coordinators: level -> replacement coordinator elected.
         affected_queries: Queries that had operators or reused views on
             the node, or whose sink or a base stream's source it was.
-        redeployed: Affected queries successfully re-planned.
-        failed_queries: Affected queries that could not be re-planned
-            (e.g. their sink or a base-stream source died).
     """
 
     node: int
     coordinator_roles: list[int] = field(default_factory=list)
     new_coordinators: dict[int, int] = field(default_factory=dict)
     affected_queries: list[str] = field(default_factory=list)
-    redeployed: list[str] = field(default_factory=list)
-    failed_queries: list[str] = field(default_factory=list)
 
 
 def fail_node(
     hierarchy: Hierarchy,
     node: int,
     engine=None,
-    optimizer=None,
 ) -> FailureReport:
     """Handle the failure of ``node``.
 
@@ -77,9 +72,7 @@ def fail_node(
             re-elected via the backup mechanism).
         node: The failing node.
         engine: Optional :class:`repro.runtime.engine.FlowEngine`; when
-            given, affected queries are identified (and re-planned when
-            ``optimizer`` is also given).
-        optimizer: Planner used to re-deploy affected queries.
+            given, affected queries are identified.
 
     Returns:
         A :class:`FailureReport`.
@@ -119,21 +112,4 @@ def fail_node(
         if touches:
             affected.add(deployment.query.name)
     report.affected_queries = sorted(affected)
-
-    if optimizer is None:
-        return report
-
-    by_name = {d.query.name: d.query for d in engine.state.deployments}
-    for name in report.affected_queries:
-        query = by_name[name]
-        engine.undeploy(name)
-        alive = hierarchy.subtree(hierarchy.root)
-        if not engine.rates.endpoints(query) <= alive:
-            report.failed_queries.append(name)
-            continue
-        try:
-            engine.deploy(optimizer.plan(query, engine.state))
-            report.redeployed.append(name)
-        except Exception:  # pragma: no cover - defensive
-            report.failed_queries.append(name)
     return report

@@ -154,17 +154,16 @@ def simulate_deployment(
     network: Network,
     deployment: Deployment,
     seconds_per_plan: float = DEFAULT_SECONDS_PER_PLAN,
-    start_time: float = 0.0,
     rates=None,
 ) -> DeploymentTimeline:
-    """Replay a deployment's planning protocol; return its timeline.
+    """Replay a deployment's planning protocol, submitted at virtual
+    time 0; return its timeline.
 
     Args:
         network: The physical network (provides message delays).
         deployment: A deployment produced by a hierarchical optimizer
             (its stats must carry a ``task_trace``).
         seconds_per_plan: Coordinator search speed.
-        start_time: Virtual submission time.
         rates: Optional :class:`~repro.core.cost.RateModel`; under a
             causal tracer, the plan's data-flow edges are recorded as
             costed hops under the deployment's root, so the tree's
@@ -182,7 +181,6 @@ def simulate_deployment(
     sim = Simulator(network)
     for node in network.nodes():
         sim.register(_ProtocolActor(node, ctx))
-    sim.now = start_time
 
     sink = deployment.query.sink
     trace = current_causal()
@@ -210,7 +208,7 @@ def simulate_deployment(
             sim.messages_delivered += 1
             if trace is not None:
                 relay_parent = trace.record_hop(
-                    "QuerySubmit", a, b, time=start_time + delay - hop_delay,
+                    "QuerySubmit", a, b, time=delay - hop_delay,
                     parent=relay_parent,
                     link_cost=float(network.cost_matrix()[a, b]),
                     link_delay=hop_delay, relay=True,
@@ -233,7 +231,7 @@ def simulate_deployment(
         raise RuntimeError("protocol simulation never completed")
     return DeploymentTimeline(
         query_name=deployment.query.name,
-        submit_time=start_time,
+        submit_time=0.0,
         completed_time=ctx.finish_time,
         compute_seconds=ctx.compute_seconds,
         messages=sim.messages_delivered,

@@ -145,13 +145,9 @@ def query_from_json(text: str) -> Query:
 # ----------------------------------------------------------------------
 # Workloads
 # ----------------------------------------------------------------------
-def workload_to_json(workload: Workload, include_network: bool = True) -> str:
-    """Serialize a workload (streams, selectivities, queries, params).
-
-    Args:
-        workload: The workload to persist.
-        include_network: Embed the network too (self-contained manifest).
-    """
+def workload_to_json(workload: Workload) -> str:
+    """Serialize a workload (streams, selectivities, queries, params)
+    with its network embedded (a self-contained manifest)."""
     doc: dict[str, Any] = {
         "kind": "repro.workload",
         "version": FORMAT_VERSION,
@@ -174,26 +170,18 @@ def workload_to_json(workload: Workload, include_network: bool = True) -> str:
             for pair, sel in sorted(workload.selectivities.items(), key=lambda kv: sorted(kv[0]))
         ],
         "queries": [_query_to_dict(q) for q in workload.queries],
+        "network": json.loads(network_to_json(workload.network)),
     }
-    if include_network:
-        doc["network"] = json.loads(network_to_json(workload.network))
     return json.dumps(doc, indent=2)
 
 
-def workload_from_json(text: str, network: Network | None = None) -> Workload:
-    """Rebuild a workload serialized by :func:`workload_to_json`.
-
-    Args:
-        text: The JSON document.
-        network: Required when the document was saved without an
-            embedded network.
-    """
+def workload_from_json(text: str) -> Workload:
+    """Rebuild a workload serialized by :func:`workload_to_json`."""
     doc = _load(text, "repro.workload", "workload")
-    if network is None:
-        embedded = doc.get("network")
-        if embedded is None:
-            raise ValueError("document has no embedded network; pass one explicitly")
-        network = network_from_json(json.dumps(embedded))
+    embedded = doc.get("network")
+    if embedded is None:
+        raise ValueError("document has no embedded network")
+    network = network_from_json(json.dumps(embedded))
     params_doc = doc["params"]
     params = WorkloadParams(
         num_streams=params_doc["num_streams"],

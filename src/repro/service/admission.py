@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import AdmissionError
 from repro.query.query import Query
@@ -101,11 +101,7 @@ class AdmissionController:
         self._wait_hist = None
 
     # ------------------------------------------------------------------
-    def bind_instruments(
-        self,
-        registry: "MetricRegistry",
-        buckets: Sequence[float] | None = None,
-    ) -> None:
+    def bind_instruments(self, registry: "MetricRegistry") -> None:
         """Expose queue depth and queue-wait time as typed instruments.
 
         Declares an ``admission_queue_depth`` gauge and an
@@ -124,7 +120,7 @@ class AdmissionController:
         self._wait_hist = registry.histogram(
             "admission_queue_wait_ticks",
             "Virtual ticks a query waited in the queue before admission.",
-            buckets=buckets if buckets is not None else QUEUE_WAIT_BUCKETS,
+            buckets=QUEUE_WAIT_BUCKETS,
         )
         self._depth_gauge.set(float(len(self._queue)))
 

@@ -96,9 +96,9 @@ class Workload:
     params: WorkloadParams
     seed: int | None = None
 
-    def rate_model(self, reuse_rate_inflation: float = 1.0) -> RateModel:
+    def rate_model(self) -> RateModel:
         """A rate model over this workload's stream catalog."""
-        return RateModel(self.streams, reuse_rate_inflation=reuse_rate_inflation)
+        return RateModel(self.streams)
 
     def __iter__(self) -> Iterator[Query]:
         return iter(self.queries)

@@ -72,17 +72,13 @@ class HotspotProfile:
 
 @dataclass(frozen=True)
 class HeterogeneousFleetProfile:
-    """Capacities keyed by node kind, with optional seeded jitter.
+    """Capacities keyed by node kind; every node of a kind alike.
 
     Attributes:
         by_kind: ``{kind: NodeCapacity}`` over the network's
             :meth:`~repro.network.graph.Network.node_kind` values
-            (transit-stub networks use ``"transit"`` / ``"stub"``).
-        default: Capacity of kinds not listed.
-        jitter: Each node's capacity is scaled by a factor drawn
-            uniformly from ``[1 - jitter, 1 + jitter]``; 0 (the
-            default) keeps every node of a kind identical.
-        seed: Seeds the jitter draw.
+            (transit-stub networks use ``"transit"`` / ``"stub"``);
+            kinds not listed are unbounded.
     """
 
     by_kind: Mapping[str, NodeCapacity] = field(
@@ -91,22 +87,10 @@ class HeterogeneousFleetProfile:
             "stub": NodeCapacity(cpu=500.0, memory=500.0, bandwidth=500.0),
         }
     )
-    default: NodeCapacity = NodeCapacity()
-    jitter: float = 0.0
-    seed: SeedLike = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
 
     def capacities(self, network: Network) -> dict[int, NodeCapacity]:
-        """Draw the capacity map for ``network``."""
-        rng = as_generator(self.seed)
-        out: dict[int, NodeCapacity] = {}
-        for node in sorted(network.nodes()):
-            cap = self.by_kind.get(network.node_kind(node), self.default)
-            if self.jitter > 0 and not cap.unbounded:
-                factor = float(rng.uniform(1.0 - self.jitter, 1.0 + self.jitter))
-                cap = cap.scaled(factor)
-            out[node] = cap
-        return out
+        """The capacity map for ``network``."""
+        return {
+            node: self.by_kind.get(network.node_kind(node), NodeCapacity())
+            for node in sorted(network.nodes())
+        }

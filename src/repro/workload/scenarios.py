@@ -134,7 +134,7 @@ class MonitoringScenario:
     queries: list[Query]
 
 
-def network_monitoring_scenario(seed: int = 0) -> MonitoringScenario:
+def network_monitoring_scenario() -> MonitoringScenario:
     """Build the network-monitoring scenario.
 
     Telemetry rates follow reality: NetFlow is the firehose, SNMP steady,
@@ -148,7 +148,7 @@ def network_monitoring_scenario(seed: int = 0) -> MonitoringScenario:
     params = TransitStubParams(
         transit_domains=2, transit_nodes=3, stubs_per_transit=2, stub_size=5
     )
-    network = transit_stub(params, seed=seed)
+    network = transit_stub(params, seed=0)
     nodes = network.nodes()
     stubs = network.nodes_of_kind("stub")
     streams = {

@@ -46,26 +46,22 @@ class EstimatedStatistics:
     tuples_observed: int
 
 
+#: Floor for selectivity estimates, used when two sampled streams never
+#: collide (zero estimates would make every downstream rate zero and
+#: break planning).
+MIN_SELECTIVITY = 1e-6
+
+
 class StatisticsCollector:
     """Accumulates tuple observations and produces estimates.
 
     Args:
         sources: Stream name -> source node (known a priori; only rates
             and selectivities are estimated).
-        min_selectivity: Floor for selectivity estimates, used when two
-            sampled streams never collide (zero estimates would make
-            every downstream rate zero and break planning).
     """
 
-    def __init__(
-        self,
-        sources: Mapping[str, int],
-        min_selectivity: float = 1e-6,
-    ) -> None:
-        if min_selectivity <= 0:
-            raise ValueError("min_selectivity must be positive")
+    def __init__(self, sources: Mapping[str, int]) -> None:
         self._sources = dict(sources)
-        self._min_selectivity = min_selectivity
         self._counts: Counter[str] = Counter()
         # per (stream, attribute) histogram of observed key values
         self._histograms: dict[tuple[str, str], Counter[int]] = defaultdict(Counter)
@@ -131,7 +127,7 @@ class StatisticsCollector:
                     estimate = collide / (n_a * n_b) if n_a and n_b else 0.0
                     key = frozenset((a, b))
                     prior = selectivities.get(key)
-                    estimate = max(estimate, self._min_selectivity)
+                    estimate = max(estimate, MIN_SELECTIVITY)
                     # multiple shared attributes: predicates conjoin
                     selectivities[key] = (
                         estimate if prior is None else prior * estimate

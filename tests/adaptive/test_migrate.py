@@ -11,6 +11,7 @@ import pytest
 import repro
 from repro.adaptive import AdaptivityConfig
 from repro.adaptive.diff import diff_deployments
+from repro.adaptive import migrate
 from repro.adaptive.migrate import Migrator
 from repro.core.cost import RateModel
 from repro.errors import DeploymentError
@@ -93,12 +94,13 @@ class TestCutoverProtocol:
         assert timeline.duration == 0.0
         assert timeline.messages == 0
 
-    def test_bigger_state_takes_longer_to_ship(self):
+    def test_bigger_state_takes_longer_to_ship(self, monkeypatch):
+        monkeypatch.setattr(migrate, "SECONDS_PER_BYTE", 1e-4)
         net, rates, query = make_world()
         old, new = left_deep(query, (1, 2)), left_deep(query, (0, 2))
         small = diff_deployments(old, new, rates, bytes_per_tuple=1.0)
         big = diff_deployments(old, new, rates, bytes_per_tuple=4096.0)
-        migrator = Migrator(net, seconds_per_byte=1e-4)
+        migrator = Migrator(net)
         t_small = migrator.simulate_cutover(small, coordinator=query.sink)
         t_big = migrator.simulate_cutover(big, coordinator=query.sink)
         assert t_big.duration > t_small.duration

@@ -52,7 +52,7 @@ class TestDriftDetection:
     def test_single_tick_spike_does_not_publish(self):
         """Hysteresis: one breaching check must not fire a publication."""
         monitor = StatsMonitor(
-            make_rates(), alpha=1.0, drift_threshold=0.2, hysteresis_ticks=2,
+            make_rates(), alpha=1.0, hysteresis_ticks=2,
             publish_cooldown=0.0,
         )
         monitor.observe_rate("A", 500.0)  # alpha=1: estimate jumps at once
@@ -64,7 +64,7 @@ class TestDriftDetection:
     def test_sustained_drift_publishes_after_hysteresis(self):
         rates = make_rates()
         monitor = StatsMonitor(
-            rates, alpha=1.0, drift_threshold=0.2, hysteresis_ticks=2,
+            rates, alpha=1.0, hysteresis_ticks=2,
             publish_cooldown=0.0,
         )
         monitor.observe_rate("A", 500.0)
@@ -81,7 +81,7 @@ class TestDriftDetection:
         """Once published, the estimate IS the published rate -- the same
         observations must not re-publish forever."""
         monitor = StatsMonitor(
-            make_rates(), alpha=1.0, drift_threshold=0.2, hysteresis_ticks=1,
+            make_rates(), alpha=1.0, hysteresis_ticks=1,
             publish_cooldown=0.0,
         )
         monitor.observe_rate("A", 500.0)
@@ -93,7 +93,7 @@ class TestDriftDetection:
 
     def test_publish_cooldown_rate_limits(self):
         monitor = StatsMonitor(
-            make_rates(), alpha=1.0, drift_threshold=0.1, hysteresis_ticks=1,
+            make_rates(), alpha=1.0, hysteresis_ticks=1,
             publish_cooldown=5.0,
         )
         monitor.observe_rate("A", 300.0)

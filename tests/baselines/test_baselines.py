@@ -55,16 +55,6 @@ class TestBestStaticTree:
         assert isinstance(tree, Leaf)
         assert n == 1
 
-    def test_reuse_view_can_win(self):
-        streams = {
-            "A": StreamSpec("A", 0, 100.0),
-            "B": StreamSpec("B", 1, 100.0),
-        }
-        rates = RateModel(streams)
-        q = Query("q", ["A", "B"], sink=0, predicates=[JoinPredicate("A", "B", 0.001)])
-        tree, _ = best_static_tree(q, rates, {frozenset({"A", "B"}): [3]})
-        assert isinstance(tree, Leaf)  # reusing the whole view has no volume
-
     def test_reusable_views_signature_filtering(self, small_net):
         streams = {"A": StreamSpec("A", 0, 10.0), "B": StreamSpec("B", 1, 10.0)}
         rates = RateModel(streams)
@@ -150,11 +140,6 @@ class TestRelaxation:
             rel_total += deployment_cost(RelaxationPlanner(net, rates).plan(q), costs, rates)
             rnd_total += deployment_cost(rnd.plan(q), costs, rates)
         assert rel_total < rnd_total
-
-    def test_invalid_iterations(self):
-        net, _, _, rates = _env(7)
-        with pytest.raises(ValueError):
-            RelaxationPlanner(net, rates, iterations=0)
 
     def test_pins_reused_leaf_near_sink(self):
         net = line(8)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines import plan_then_deploy
 from repro.baselines.plan_then_deploy import deploy_time_reuse_variants
 from repro.query.plan import Join, Leaf
 
@@ -54,10 +55,11 @@ class TestDeployTimeReuseVariants:
         assert frozenset({"A", "B"}) in sources
         assert frozenset({"C", "D"}) in sources
 
-    def test_cap_respected(self):
+    def test_cap_respected(self, monkeypatch):
+        monkeypatch.setattr(plan_then_deploy, "REUSE_VARIANT_CAP", 2)
         a, b, c, d = (Leaf.of(x) for x in "ABCD")
         tree = Join(Join(a, b), Join(c, d))
         reusable = {frozenset({"A", "B"}): [1], frozenset({"C", "D"}): [2],
                     frozenset({"A", "B", "C", "D"}): [3]}
-        variants = deploy_time_reuse_variants(tree, reusable, cap=2)
+        variants = deploy_time_reuse_variants(tree, reusable)
         assert len(variants) <= 2

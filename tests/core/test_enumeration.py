@@ -159,5 +159,5 @@ class TestTreesWithReuse:
 
     def test_connected_only_filters(self):
         q = _chain_query(["A", "B", "C"])
-        trees = trees_with_reuse(q, [], connected_only=True)
+        trees = trees_with_reuse(q, [])
         assert all(tree_is_connected(q, t) for t in trees)

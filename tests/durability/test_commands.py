@@ -15,10 +15,9 @@ from repro.commands import declared_commands
 from repro.durability import DurabilityConfig
 from repro.durability.harness import (
     SCENARIOS,
-    _fleet_digest,
     _fleet_env,
-    _service_digest,
     _service_env,
+    digest,
     run_steps,
 )
 from repro.durability.journal import COMMAND_KINDS, JOURNAL_FILE, scan_journal
@@ -120,9 +119,9 @@ def test_service_command_round_trips(name, tmp_path):
     assert len(recorded) == before + 1
     for rec in recorded:
         _replay_command(twin, rec)
-    assert _service_digest(twin) == _service_digest(original)
     # Replaying through the declared methods journals the same records.
     assert payloads(twin) == payloads(original)
+    assert digest(twin) == digest(original)
 
 
 def fleet_calls(fleet, queries):
@@ -165,8 +164,8 @@ def test_fleet_command_round_trips(name, tmp_path):
     assert ("tenant" in recorded[-1]["data"]) == (recorded[-1]["kind"] == "cmd_submit")
     for rec in recorded:
         _replay_command(twin, rec)
-    assert _fleet_digest(twin) == _fleet_digest(original)
     assert payloads(twin) == payloads(original)
+    assert digest(twin) == digest(original)
 
 
 def test_tick_records_its_resolved_time(tmp_path):

@@ -25,7 +25,7 @@ class TestServiceMatrix:
     def report(self, tmp_path_factory):
         scenario = service_scenario()
         return crash_restart_matrix(
-            scenario, tmp_path_factory.mktemp("service-matrix"), extra_ticks=4
+            scenario, tmp_path_factory.mktemp("service-matrix")
         )
 
     def test_every_point_converges(self, report):
@@ -79,7 +79,7 @@ class TestFleetMatrix:
     def report(self, tmp_path_factory):
         scenario = fleet_scenario()
         return crash_restart_matrix(
-            scenario, tmp_path_factory.mktemp("fleet-matrix"), extra_ticks=4
+            scenario, tmp_path_factory.mktemp("fleet-matrix")
         )
 
     def test_every_point_converges(self, report):
@@ -116,7 +116,7 @@ class TestLayeredMatrix:
     @pytest.fixture(scope="class")
     def report(self, tmp_path_factory):
         return crash_restart_matrix(
-            layered_scenario(), tmp_path_factory.mktemp("layered-matrix"), extra_ticks=4
+            layered_scenario(), tmp_path_factory.mktemp("layered-matrix")
         )
 
     def test_every_point_converges_with_clean_invariants(self, report):
@@ -154,7 +154,7 @@ def test_a_limited_matrix_restores_a_snapshot(scenario, tmp_path):
     records, _ = scan_journal(tmp_path / "probe" / JOURNAL_FILE)
     points = default_crash_points(records, limit=6)
     assert len(points) == 6
-    report = crash_restart_matrix(scenario, tmp_path / "matrix", points=points, extra_ticks=4)
+    report = crash_restart_matrix(scenario, tmp_path / "matrix", points=points)
     assert report["converged"]
     assert any(p["recovery"]["snapshot_lsn"] > 0 for p in report["points"])
 

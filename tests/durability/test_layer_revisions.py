@@ -34,7 +34,7 @@ from repro.fleet.tenancy import PendingSubmit, WeightedFairScheduler
 from repro.query.stream import StreamSpec
 from repro.resilience.degradation import QUARANTINE_TICKS, ResilienceConfig, ResilientControl
 from repro.resilience.faults import FaultInjector, FaultPlan, NodeCrash
-from repro.resilience.policy import BreakerState
+from repro.resilience.policy import RECOVERY_TIME, BreakerState
 from repro.resources.manager import ResourceManager
 from repro.service import StreamQueryService
 
@@ -147,7 +147,7 @@ def test_every_resilience_change_shows_in_the_next_snapshot(tmp_path, monkeypatc
     assert control.revision == revision
     check(service, "resilience", lambda: [control._record_failure(node, now) for _ in range(3)])
     assert board.states()[node] is BreakerState.OPEN  # a trip
-    check(service, "resilience", lambda: board.allow(node, now + board.recovery_time))
+    check(service, "resilience", lambda: board.allow(node, now + RECOVERY_TIME))
     assert board.states()[node] is BreakerState.HALF_OPEN  # a half-open probe
     check(service, "resilience", lambda: board.record_success(node, now))  # the probe closes
 

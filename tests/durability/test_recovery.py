@@ -41,8 +41,8 @@ class TestServiceRecovery:
         assert report.journal_drop["dropped_lines"] == 0
         # The recovered twin must keep making the same decisions the
         # baseline makes over the next ticks.
-        want = digest(scenario, baseline, extra_ticks=4)
-        assert digest(scenario, recovered, extra_ticks=4) == want
+        want = digest(baseline)
+        assert digest(recovered) == want
 
     def test_recovery_updates_instruments(self, scenario, tmp_path):
         state_dir = tmp_path / "state"
@@ -81,8 +81,8 @@ class TestServiceRecovery:
         )
         assert len(report.snapshots_rejected) == 1
         assert report.snapshot_lsn < snaps[-1]["lsn"]
-        want = digest(scenario, baseline, extra_ticks=3)
-        assert digest(scenario, recovered, extra_ticks=3) == want
+        want = digest(baseline)
+        assert digest(recovered) == want
 
     def test_torn_journal_tail_is_quarantined_and_reported(
         self, scenario, tmp_path
@@ -147,8 +147,8 @@ class TestLayeredRecovery:
         assert report.snapshot_lsn == snaps[-1]["lsn"]
         assert not report.snapshots_rejected
         assert "rng" not in recovered.faults.capture()
-        want = digest(scenario, baseline, extra_ticks=4)
-        assert digest(scenario, recovered, extra_ticks=4) == want
+        want = digest(baseline)
+        assert digest(recovered) == want
 
 
 class TestFleetRecovery:
@@ -168,8 +168,8 @@ class TestFleetRecovery:
         )
         assert report.scope == "fleet"
         assert recovered.check_invariants() == []
-        want = digest(scenario, baseline, extra_ticks=4)
-        assert digest(scenario, recovered, extra_ticks=4) == want
+        want = digest(baseline)
+        assert digest(recovered) == want
 
     def test_scope_mismatch_is_rejected(self, scenario, tmp_path):
         service = service_scenario()

@@ -125,8 +125,8 @@ def test_a_delta_with_a_bad_base_is_rejected_and_recovery_converges(
     recovered, report = recover(state_dir, lambda: scenario.factory(state_dir))
     assert report.snapshots_rejected[0] == {"file": delta.name, "reason": reason}
     assert report.snapshot_lsn == (lsn_of(base) if fallback else 0)
-    want = digest(scenario, baseline, extra_ticks=4)
-    assert digest(scenario, recovered, extra_ticks=4) == want
+    want = digest(baseline)
+    assert digest(recovered) == want
 
 
 def test_the_read_paths_encode_nothing(tmp_path, monkeypatch):
@@ -156,6 +156,30 @@ def test_the_read_paths_encode_nothing(tmp_path, monkeypatch):
     assert all(entry["valid"] for entry in list_snapshots(state_dir))
     assert inspect_state_dir(state_dir)["recovery"]["snapshot_lsn"] == lsn_of(newest)
     assert calls == []
+
+
+def test_inspecting_parses_each_snapshot_once(tmp_path, monkeypatch):
+    """``repro recover``'s report reads, parses and checks each snapshot
+    file once, also the base the newest one refers to (a copy of the
+    layered crash matrix's probe)."""
+    scenario = layered_scenario()
+    probe = tmp_path / "probe"
+    run_steps(scenario, scenario.factory(probe))
+    copy = tmp_path / "copy"
+    shutil.copytree(probe, copy)
+    files = sorted(copy.glob("snapshot-*.json"))
+    assert len(files) > 1 and refers_to(files[-1])
+    parsed = []
+
+    def counted(path):
+        parsed.append(path.name)
+        return parse(path)
+
+    parse = snapshot_module._parse
+    monkeypatch.setattr(snapshot_module, "_parse", counted)
+    report = inspect_state_dir(copy)
+    assert report["recovery"]["snapshot_lsn"] == lsn_of(files[-1])
+    assert sorted(parsed) == [path.name for path in files]
 
 
 def test_a_reference_out_of_its_place_fails_the_file(tmp_path):

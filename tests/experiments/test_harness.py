@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.experiments.harness import average_curves, cumulative_costs, run_incremental
+from repro.experiments import reporting
 from repro.experiments.reporting import format_series_table, format_summary
-from repro.hierarchy import AdvertisementIndex
 from repro.workload import WorkloadParams, build_world, world_seeds
 
 
@@ -56,15 +56,6 @@ class TestRunIncremental:
         assert all(b >= a - 1e-9 for a, b in zip(curve, curve[1:]))
         assert curve[-1] == pytest.approx(state.total_cost())
 
-    def test_ads_kept_in_sync(self, env):
-        optimizer = env.optimizer("bottom-up", max_cs=8)
-        state = env.fresh_state()
-        ads = AdvertisementIndex(env.hierarchy(8))
-        for name, spec in env.rates.streams.items():
-            ads.advertise_base(name, spec.source)
-        run_incremental(optimizer, env.workload, state, ads)
-        assert set(ads.views()) == set(state.advertised_views())
-
     def test_cumulative_costs_helper(self, env):
         curve = cumulative_costs(env, "top-down", max_cs=8, reuse=True)
         assert len(curve) == len(env.workload)
@@ -99,8 +90,9 @@ class TestReporting:
         assert "a" in table and "b" in table
         assert table.count("\n") >= 6
 
-    def test_long_axis_subsampled(self):
-        table = format_series_table(self._result(100), max_rows=8)
+    def test_long_axis_subsampled(self, monkeypatch):
+        monkeypatch.setattr(reporting, "MAX_TABLE_ROWS", 8)
+        table = format_series_table(self._result(100))
         lines = table.splitlines()
         assert len(lines) <= 12
         assert lines[-1].startswith("99")  # last point kept

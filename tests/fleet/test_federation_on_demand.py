@@ -23,8 +23,8 @@ from repro.adaptive import AdaptivityConfig
 from repro.durability.journal import canonical_json
 from repro.durability.state import placement_to_doc
 from repro.fleet import Tenant
-from repro.lab.runner import run_lab
-from repro.lab.spec import load_scenario, scenario_candidates
+from repro.lab.runner import CandidateRun
+from repro.lab.spec import build_scenario, load_scenario, scenario_candidates
 from repro.query.deployment import DeploymentState
 from repro.workload import drift_timeline
 
@@ -129,7 +129,13 @@ def test_sharded_twins_plan_as_under_eager_import(twin_world, seed):
 def test_fleet_reuse_scenario_plans_as_under_eager_import():
     spec = load_scenario(SCENARIO_DIR / "fleet_reuse.json")
     (candidate,) = [c for c in scenario_candidates(spec) if c.mode == "fleet"]
-    assert_same_decisions(lambda: run_lab(spec, [candidate]).run(candidate.name).plane)
+
+    def drive():
+        run = CandidateRun(candidate, build_scenario(spec))
+        run.drive()
+        return run.plane
+
+    assert_same_decisions(drive)
 
 
 def test_a_shard_imports_only_what_a_query_it_plans_can_read(fleet_env):

@@ -18,8 +18,6 @@ class TestTenantRecords:
             Tenant("t", weight=0.0)
         with pytest.raises(AdmissionError):
             Tenant("t", quota=0)
-        with pytest.raises(AdmissionError):
-            Tenant("t", max_queue=-1)
 
     def test_directory_rejects_duplicates(self):
         directory = TenantDirectory([Tenant("a")])
@@ -102,19 +100,6 @@ class TestFleetTenancy:
         decision = fleet.submit(workload.queries[0])
         assert decision.admitted
         assert decision.tenant == "only"
-
-    def test_tenant_backlog_bound_rejects(self, fleet_env):
-        fleet = build_fleet(
-            fleet_env, num_shards=1, budget=1,
-            tenants=[Tenant("t", max_queue=1)],
-        )
-        _, _, workload, _ = fleet_env
-        assert fleet.submit(workload.queries[0].renamed("a"), tenant="t").admitted
-        queued = fleet.submit(workload.queries[1].renamed("b"), tenant="t")
-        assert queued.status is repro.AdmissionStatus.QUEUED
-        overflow = fleet.submit(workload.queries[2].renamed("c"), tenant="t")
-        assert overflow.rejected
-        assert "backlog full" in overflow.decision.reason
 
     def test_overload_admit_rate_proportional_to_weights(self, fleet_env):
         """Acceptance: under 2x overload, admits follow the 3:1 weights."""

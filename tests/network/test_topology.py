@@ -198,12 +198,6 @@ class TestMultiDomainTransitStub:
         stub_costs = [l.cost for l in net.links() if l.kind == "stub"]
         assert min(inter_costs) > max(stub_costs)
 
-    def test_by_size_with_domains(self):
-        params = TransitStubParams(transit_domains=2)
-        net = transit_stub_by_size(150, seed=4, params=params)
-        assert net.num_nodes == 150
-        assert net.is_connected()
-
     def test_invalid_domains(self):
         with pytest.raises(ValueError):
             transit_stub(TransitStubParams(transit_domains=0), seed=0)

@@ -264,25 +264,19 @@ class TelemetryScraper:
     Args:
         store: Destination store.
         cadence: Minimum ticks between scrapes (1.0 = every tick).
-        include_wall_clock: Keep series named in
-            :data:`WALL_CLOCK_SERIES` instead of dropping them.
-        drop: Extra metric names to skip.
+
+    Series named in :data:`WALL_CLOCK_SERIES` are never scraped.
     """
 
     def __init__(
         self,
         store: TimeSeriesStore,
         cadence: float = 1.0,
-        include_wall_clock: bool = False,
-        drop: Iterable[str] = (),
     ) -> None:
         if cadence <= 0:
             raise ValueError("cadence must be positive")
         self.store = store
         self.cadence = cadence
-        self._drop = set(drop)
-        if not include_wall_clock:
-            self._drop |= WALL_CLOCK_SERIES
         self._registries: list[tuple[str, "MetricRegistry"]] = []
         self._sources: list[tuple[str, Callable[[], Mapping[str, float]]]] = []
         self._last_scrape: float | None = None
@@ -328,7 +322,7 @@ class TelemetryScraper:
             appended += self._scrape_registry(scope, registry, now)
         for scope, source in self._sources:
             for metric, value in sorted(source().items()):
-                if metric in self._drop or value is None:
+                if metric in WALL_CLOCK_SERIES or value is None:
                     continue
                 self.store.append(scoped_name(scope, metric), now, float(value))
                 appended += 1
@@ -342,7 +336,7 @@ class TelemetryScraper:
 
         appended = 0
         for name in registry.names():
-            if name in self._drop:
+            if name in WALL_CLOCK_SERIES:
                 continue
             instrument = registry.get(name)
             base = scoped_name(scope, name)

@@ -3,8 +3,7 @@
 import json
 from types import SimpleNamespace
 
-import pytest
-
+from repro.obs import flight
 from repro.obs.flight import BUNDLE_KIND, FlightRecorder
 from repro.obs.tracer import Span
 
@@ -16,15 +15,14 @@ def hop(trace_id, send=1.0, deliver=1.1, src=0, dst=1, kind="deploy"):
 
 
 class TestFlightRecorder:
-    def test_ring_buffer_caps_entries(self):
-        rec = FlightRecorder(capacity=3)
+    def test_ring_buffer_caps_entries(self, monkeypatch):
+        monkeypatch.setattr(flight, "CAPACITY", 3)
+        rec = FlightRecorder()
         for i in range(5):
             rec.record("event", float(i), "svc", n=i)
         assert len(rec.entries()) == 3
         assert [e["n"] for e in rec.entries()] == [2, 3, 4]
         assert rec.recorded_total == 5
-        with pytest.raises(ValueError):
-            FlightRecorder(capacity=0)
 
     def test_record_tick_extracts_report_fields(self):
         rec = FlightRecorder()
@@ -55,8 +53,10 @@ class TestFlightRecorder:
         assert n == 3
         assert rec.trace_ids() == ["t-1", "t-2"]
 
-    def test_bundle_freezes_and_is_bounded(self):
-        rec = FlightRecorder(capacity=8, max_bundles=2)
+    def test_bundle_freezes_and_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(flight, "CAPACITY", 8)
+        monkeypatch.setattr(flight, "MAX_BUNDLES", 2)
+        rec = FlightRecorder()
         rec.record_hops("svc", [hop("t-1")])
         doc = rec.bundle("breaker_open", 5.0, scope="svc", context={"opens": 1})
         assert doc["kind"] == BUNDLE_KIND

@@ -14,6 +14,13 @@ from repro.obs.rules import (
 from repro.obs.timeseries import TimeSeriesStore
 
 
+def _engine(store, rules):
+    engine = RulesEngine(store)
+    for rule in rules:
+        engine.add(rule)
+    return engine
+
+
 def make_store(**series):
     store = TimeSeriesStore()
     for name, points in series.items():
@@ -26,7 +33,7 @@ class TestLifecycle:
     def test_pending_firing_resolved_inactive(self):
         store = TimeSeriesStore()
         rule = ThresholdRule("r", "x", ">", 10.0, for_ticks=2.0)
-        engine = RulesEngine(store, [rule])
+        engine = _engine(store, [rule])
 
         store.append("x", 1.0, 5.0)
         assert engine.evaluate(1.0) == []
@@ -65,7 +72,7 @@ class TestLifecycle:
         into the second."""
         store = TimeSeriesStore()
         rule = ThresholdRule("r", "x", ">", 10.0, for_ticks=2.0)
-        engine = RulesEngine(store, [rule])
+        engine = _engine(store, [rule])
 
         # episode one: breach at t=1, fire at t=3, clear at t=4
         for t in (1.0, 2.0, 3.0):
@@ -103,7 +110,7 @@ class TestLifecycle:
         swallowed re-entry would undercount alerts."""
         store = TimeSeriesStore()
         rule = ThresholdRule("r", "x", ">", 10.0, for_ticks=1.0)
-        engine = RulesEngine(store, [rule])
+        engine = _engine(store, [rule])
         pattern = [20.0, 20.0, 5.0, 20.0, 20.0, 5.0]
         for i, value in enumerate(pattern, start=1):
             store.append("x", float(i), value)
@@ -120,7 +127,7 @@ class TestLifecycle:
         decayed to INACTIVE, the rule still re-enters cleanly."""
         store = TimeSeriesStore()
         rule = ThresholdRule("r", "x", ">", 10.0, for_ticks=0.0)
-        engine = RulesEngine(store, [rule])
+        engine = _engine(store, [rule])
         store.append("x", 1.0, 20.0)
         engine.evaluate(1.0)
         assert rule.state is RuleState.FIRING
@@ -138,7 +145,7 @@ class TestLifecycle:
     def test_pending_unbreach_goes_straight_inactive(self):
         store = TimeSeriesStore()
         rule = ThresholdRule("r", "x", ">", 10.0, for_ticks=3.0)
-        engine = RulesEngine(store, [rule])
+        engine = _engine(store, [rule])
         store.append("x", 1.0, 20.0)
         engine.evaluate(1.0)
         assert rule.state is RuleState.PENDING
@@ -150,7 +157,7 @@ class TestLifecycle:
     def test_for_ticks_zero_fires_immediately(self):
         store = TimeSeriesStore()
         rule = ThresholdRule("r", "x", ">", 0.0)
-        engine = RulesEngine(store, [rule])
+        engine = _engine(store, [rule])
         store.append("x", 1.0, 1.0)
         events = engine.evaluate(1.0)
         assert rule.state is RuleState.FIRING
@@ -160,7 +167,7 @@ class TestLifecycle:
     def test_engine_history_and_firing(self):
         store = TimeSeriesStore()
         rule = ThresholdRule("r", "x", ">", 0.0)
-        engine = RulesEngine(store, [rule])
+        engine = _engine(store, [rule])
         store.append("x", 1.0, 1.0)
         engine.evaluate(1.0)
         assert engine.firing() == [rule]
@@ -229,13 +236,13 @@ class TestRuleTypes:
         assert store.last("sum_ab") == 7.0
         # derived series is immediately visible to alert rules
         alert = ThresholdRule("r", "sum_ab", ">", 5.0)
-        engine = RulesEngine(store, [alert])
+        engine = _engine(store, [alert])
         events = engine.evaluate(1.0)
         assert [e["to"] for e in events] == ["firing"]
 
     def test_duplicate_rule_names_raise(self):
         store = TimeSeriesStore()
-        engine = RulesEngine(store, [ThresholdRule("r", "x", ">", 1.0)])
+        engine = _engine(store, [ThresholdRule("r", "x", ">", 1.0)])
         with pytest.raises(ValueError):
             engine.add(ThresholdRule("r", "y", "<", 1.0))
 
@@ -263,5 +270,5 @@ class TestDefaultPack:
         # A reporting queue-depth gauge keeps the liveness absence rule
         # quiet; nothing else has data, so no rule transitions.
         store = make_store(**{"service.service_queue_depth": [(1.0, 0.0)]})
-        engine = RulesEngine(store, default_rule_pack(["service"]))
+        engine = _engine(store, default_rule_pack(["service"]))
         assert engine.evaluate(1.0) == []

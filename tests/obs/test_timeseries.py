@@ -134,16 +134,10 @@ class TestTelemetryScraper:
         assert "service_planning_seconds" in WALL_CLOCK_SERIES
 
         store = TimeSeriesStore()
-        scraper = TelemetryScraper(store, include_wall_clock=False)
+        scraper = TelemetryScraper(store)
         scraper.register("svc", registry)
         scraper.scrape(1.0)
         assert store.names() == []
-
-        kept = TimeSeriesStore()
-        keeper = TelemetryScraper(kept, include_wall_clock=True)
-        keeper.register("svc", registry)
-        keeper.scrape(1.0)
-        assert "svc.service_planning_seconds_count" in kept.names()
 
     def test_register_is_idempotent_and_sources_plug_in(self):
         registry, counts, *_ = self._registry()

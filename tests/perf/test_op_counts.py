@@ -221,7 +221,7 @@ def _case_durability_overhead() -> OpProfiler:
             durability=DurabilityConfig(state_dir=tmp, snapshot_interval=10)
         )
         prof = _churn(service.submit, service.tick, workload)
-        prof.count("journal_records", service.durability.journal.records_total)
+        prof.count("journal_records", service.durability.journal.lsn)
         prof.count("snapshots", service.durability.snapshots_total)
     return prof
 

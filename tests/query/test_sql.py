@@ -169,12 +169,6 @@ class TestWindowClause:
         q = parse_query("SELECT A.x FROM A, B WHERE A.k = B.k window 3", "q", 0)
         assert q.window == 3.0
 
-    def test_window_conflict_rejected(self):
-        with pytest.raises(SqlError, match="both"):
-            parse_query(
-                "SELECT A.x FROM A, B WHERE A.k = B.k WINDOW 2", "q", 0, window=1.0
-            )
-
     def test_nonpositive_window_rejected(self):
         with pytest.raises(SqlError, match="positive"):
             parse_query("SELECT A.x FROM A WINDOW 0", "q", 0)

@@ -145,7 +145,5 @@ class TestWorkloadWindows:
             repro.WorkloadParams(window_range=(0.0, 1.0))
 
     def test_sql_window_passthrough(self):
-        q = repro.parse_query(
-            "SELECT A.x FROM A, B WHERE A.k = B.k", "q", 0, window=1.5
-        )
+        q = repro.parse_query("SELECT A.x FROM A, B WHERE A.k = B.k WINDOW 1.5", "q", 0)
         assert q.window == 1.5

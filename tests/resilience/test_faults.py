@@ -13,9 +13,9 @@ from repro.resilience.faults import (
     FaultInjector,
     FaultPlan,
     NodeCrash,
-    Partition,
     StaleStatistics,
 )
+from repro.resilience import faults
 
 
 class TestFaultPlanValidation:
@@ -30,10 +30,6 @@ class TestFaultPlanValidation:
     def test_slowdown_factor_below_one_rejected(self):
         with pytest.raises(FaultInjectionError):
             FaultPlan([CoordinatorSlowdown(time=1.0, node=0, duration=2.0, factor=0.5)])
-
-    def test_overlapping_partition_groups_rejected(self):
-        with pytest.raises(FaultInjectionError):
-            FaultPlan([Partition(time=1.0, duration=2.0, groups=((0, 1), (1, 2)))])
 
     def test_events_sorted_by_time(self):
         plan = FaultPlan([
@@ -62,23 +58,20 @@ class TestFaultPlanGenerate:
         victims = {e.node for e in plan.of_kind(NodeCrash)}
         assert victims.isdisjoint(protected)
 
-    def test_event_mix_matches_request(self):
-        plan = FaultPlan.generate(
-            range(8), seed=1, duration=20.0,
-            crashes=2, outages=3, slowdowns=1,
-            stale_windows=1, partitions=1,
-        )
+    def test_event_mix_matches_request(self, monkeypatch):
+        monkeypatch.setattr(faults, "OUTAGES", 3)
+        monkeypatch.setattr(faults, "SLOWDOWNS", 1)
+        plan = FaultPlan.generate(range(8), seed=1, duration=20.0, crashes=2)
         assert len(plan.of_kind(NodeCrash)) == 2
         assert len(plan.of_kind(CoordinatorOutage)) == 3
         assert len(plan.of_kind(CoordinatorSlowdown)) == 1
         assert len(plan.of_kind(StaleStatistics)) == 1
-        assert len(plan.of_kind(Partition)) == 1
 
-    def test_focus_aims_outages_and_slowdowns(self):
+    def test_focus_aims_outages_and_slowdowns(self, monkeypatch):
+        monkeypatch.setattr(faults, "OUTAGES", 5)
+        monkeypatch.setattr(faults, "SLOWDOWNS", 5)
         focus = {5, 9}
-        plan = FaultPlan.generate(
-            range(16), seed=4, duration=30.0, outages=5, slowdowns=5, focus=focus
-        )
+        plan = FaultPlan.generate(range(16), seed=4, duration=30.0, focus=focus)
         hit = {e.node for e in plan.of_kind(CoordinatorOutage)}
         hit |= {e.node for e in plan.of_kind(CoordinatorSlowdown)}
         assert hit <= focus
@@ -99,7 +92,7 @@ class TestFaultPlanGenerate:
 
 class TestSerialization:
     def test_round_trip(self):
-        plan = FaultPlan.generate(range(12), seed=7, duration=25.0, partitions=1)
+        plan = FaultPlan.generate(range(12), seed=7, duration=25.0)
         text = repro.fault_plan_to_json(plan)
         doc = json.loads(text)
         assert doc["kind"] == "repro.fault_plan"
@@ -122,6 +115,13 @@ class TestSerialization:
         doc = {"kind": "repro.fault_plan", "seed": 0,
                "events": [{"kind": "meteor_strike", "time": 1.0}]}
         with pytest.raises(FaultInjectionError):
+            repro.fault_plan_from_json(json.dumps(doc))
+
+    def test_a_partition_event_is_an_unknown_kind(self):
+        doc = {"kind": "repro.fault_plan",
+               "events": [{"kind": "partition", "time": 1.0, "duration": 2.0,
+                           "groups": [[0, 1], [2, 3]]}]}
+        with pytest.raises(FaultInjectionError, match="unknown fault event kind 'partition'"):
             repro.fault_plan_from_json(json.dumps(doc))
 
 
@@ -152,19 +152,6 @@ class TestInjectorWindows:
         assert not inj.statistics_frozen(2.0)
         assert inj.statistics_frozen(4.0)
         assert not inj.statistics_frozen(5.5)
-
-    def test_partition_separates_groups(self):
-        inj = FaultInjector(
-            FaultPlan([Partition(time=1.0, duration=5.0, groups=((0, 1), (2, 3)))])
-        )
-        assert inj.partitioned(0, 2, 3.0)
-        assert not inj.partitioned(0, 1, 3.0)
-        assert not inj.partitioned(0, 2, 7.0)
-        # nodes outside every group stay connected to everyone
-        assert not inj.partitioned(0, 9, 3.0)
-        # unreachable() honors partitions relative to the observer
-        assert inj.unreachable(2, 3.0, observer=0)
-        assert not inj.unreachable(2, 3.0, observer=3)
 
 
 class TestInjectorEvents:

@@ -98,13 +98,3 @@ class TestProfiles:
                 assert caps[node].cpu == 4000.0
             else:
                 assert caps[node].cpu == 500.0
-
-    def test_heterogeneous_jitter_is_seeded(self):
-        net = repro.transit_stub_by_size(32, seed=47)
-        profile = HeterogeneousFleetProfile(jitter=0.3, seed=11)
-        first = profile.capacities(net)
-        assert first == profile.capacities(net)
-        assert first != HeterogeneousFleetProfile(jitter=0.3, seed=12).capacities(net)
-        base = HeterogeneousFleetProfile().capacities(net)
-        for node, cap in first.items():
-            assert 0.7 * base[node].cpu <= cap.cpu <= 1.3 * base[node].cpu

@@ -251,9 +251,7 @@ def queries(draw):
         "q", names, sink=0, predicates=predicates, filters=filters,
         allow_cross_products=True, window=draw(st.floats(0.05, 4.0)),
     )
-    footprint = OperatorFootprint(
-        RateModel(streams), bytes_per_tuple=draw(st.floats(0.1, 64.0))
-    )
+    footprint = OperatorFootprint(RateModel(streams))
     return PlacementConstraint(query, footprint, capacities={}, base_loads={})
 
 

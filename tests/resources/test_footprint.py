@@ -6,7 +6,7 @@ from repro.core.cost import RateModel
 from repro.query.plan import Join, Leaf
 from repro.query.query import JoinPredicate, Query
 from repro.query.stream import StreamSpec
-from repro.resources import OperatorFootprint
+from repro.resources import OperatorFootprint, footprint
 from tests.resources.reference_ledger import plan_loads
 
 
@@ -43,22 +43,18 @@ class TestJoinLoad:
         assert load.memory == pytest.approx((in_left + in_right) * query.window)
         assert load.bandwidth == pytest.approx(in_left + in_right + out)
 
-    def test_bytes_per_tuple_scales_memory_only(self):
+    def test_bytes_per_tuple_scales_memory_only(self, monkeypatch):
         rates, query = _model()
         one = OperatorFootprint(rates).join_load(
             query, frozenset({"A"}), frozenset({"B"})
         )
-        four = OperatorFootprint(rates, bytes_per_tuple=4.0).join_load(
+        monkeypatch.setattr(footprint, "BYTES_PER_TUPLE", 4.0)
+        four = OperatorFootprint(rates).join_load(
             query, frozenset({"A"}), frozenset({"B"})
         )
         assert four.memory == pytest.approx(4.0 * one.memory)
         assert four.cpu == one.cpu
         assert four.bandwidth == one.bandwidth
-
-    def test_rejects_non_positive_bytes_per_tuple(self):
-        rates, _ = _model()
-        with pytest.raises(ValueError):
-            OperatorFootprint(rates, bytes_per_tuple=0.0)
 
     def test_tracks_rate_model_updates(self):
         rates, query = _model()

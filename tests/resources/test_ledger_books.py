@@ -86,7 +86,6 @@ def assert_reports_match(ledger: ResourceLedger, reference: ReferenceLedger) -> 
             caps, bound, extra
         )
     assert ledger.summary() == reference.summary(caps)
-    assert ledger.summary(top=2) == reference.summary(caps, top=2)
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,7 @@ from repro.query.plan import Join, Leaf
 from repro.query.query import JoinPredicate, Query
 from repro.query.stream import StreamSpec
 from repro.runtime import simulate_deployment
+from repro.runtime import dataplane
 from repro.runtime.dataplane import run_dataplane
 from repro.serialization import causal_trace_to_json
 from repro.workload import WorkloadParams, generate_workload
@@ -44,13 +45,14 @@ def env():
 
 
 class TestDataPlanePropagation:
-    def test_data_plane_traces_repeat(self, env):
+    def test_data_plane_traces_repeat(self, env, monkeypatch):
+        monkeypatch.setattr(dataplane, "RATE_SCALE", 0.2)
         net, rates, _, _, deployment = env
 
         def run():
             tracer = CausalTracer()
             with causal_tracing(tracer):
-                run_dataplane(net, deployment, rates, duration=5.0, rate_scale=0.2, seed=1)
+                run_dataplane(net, deployment, rates, duration=5.0, seed=1)
             return tracer
 
         first = run()

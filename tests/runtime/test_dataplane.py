@@ -10,6 +10,7 @@ from repro.core.cost import RateModel
 from repro.query.plan import Join, Leaf
 from repro.query.query import JoinPredicate, Query
 from repro.query.stream import Filter, StreamSpec
+from repro.runtime import dataplane
 from repro.runtime.dataplane import run_dataplane
 
 
@@ -71,9 +72,10 @@ class TestTwoWayJoin:
         source_a = next(c for c in filtered.components if c.label == "source A")
         assert source_a.emitted < source_a.received  # filter dropped tuples
 
-    def test_rate_scale(self):
+    def test_rate_scale(self, monkeypatch):
+        monkeypatch.setattr(dataplane, "RATE_SCALE", 0.5)
         net, rates, q, d = _two_way_setup()
-        report = run_dataplane(net, d, rates, duration=30.0, seed=6, rate_scale=0.5)
+        report = run_dataplane(net, d, rates, duration=30.0, seed=6)
         assert report.measured_rates["A"] == pytest.approx(30.0, rel=0.3)
 
     def test_reused_view_rejected(self):

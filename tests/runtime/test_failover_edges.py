@@ -45,16 +45,6 @@ class TestSingletonClusterCollapse:
 
 
 class TestSinkDeath:
-    def test_sink_failure_marks_queries_failed_not_redeployed(self, system):
-        net, hierarchy, workload, rates, engine, optimizer = system
-        query = workload.queries[0]
-        engine.deploy(optimizer.plan(query, engine.state))
-        report = fail_node(hierarchy, query.sink, engine=engine, optimizer=optimizer)
-        assert query.name in report.affected_queries
-        assert query.name in report.failed_queries
-        assert query.name not in report.redeployed
-        assert hierarchy.invariant_violations() == []
-
     def test_an_endpoint_alone_makes_a_query_affected(self, system):
         net, hierarchy, workload, rates, engine, optimizer = system
         for query in workload:

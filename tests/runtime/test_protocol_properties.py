@@ -66,15 +66,6 @@ class TestTimelineInvariants:
             lower = non_root + timeline.tasks + 2 * timeline.operators_deployed
             assert timeline.messages >= lower
 
-    def test_start_time_offsets_timeline(self, env):
-        net, hierarchy, workload, rates = env
-        optimizer = repro.BottomUpOptimizer(hierarchy, rates)
-        d = optimizer.plan(workload.queries[1])
-        a = simulate_deployment(net, d, start_time=0.0)
-        b = simulate_deployment(net, d, start_time=100.0)
-        assert b.submit_time == 100.0
-        assert b.duration == pytest.approx(a.duration)
-
     def test_bu_visit_entries_carry_no_compute(self, env):
         """Bottom-Up climb entries delegate compute to planning; their
         recorded plan counts reflect only that visit's own search."""

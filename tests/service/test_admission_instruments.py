@@ -4,7 +4,7 @@ import pytest
 
 import repro
 from repro.obs import MetricRegistry
-from repro.service import AdmissionController
+from repro.service import AdmissionController, admission
 
 
 @pytest.fixture(scope="module")
@@ -50,10 +50,11 @@ class TestBindInstruments:
         controller.bind_instruments(registry)  # must not raise on re-declare
         assert registry.names().count("admission_queue_depth") == 1
 
-    def test_custom_buckets(self):
+    def test_custom_buckets(self, monkeypatch):
+        monkeypatch.setattr(admission, "QUEUE_WAIT_BUCKETS", (1.0, 10.0))
         controller = AdmissionController(budget=1)
         registry = MetricRegistry()
-        controller.bind_instruments(registry, buckets=(1.0, 10.0))
+        controller.bind_instruments(registry)
         assert registry.get("admission_queue_wait_ticks").bounds == (1.0, 10.0)
 
 

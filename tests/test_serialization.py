@@ -1,5 +1,7 @@
 """Round-trip tests for network/query/workload serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -104,12 +106,11 @@ class TestWorkloadRoundTrip:
             )
             assert ca == pytest.approx(cb)
 
-    def test_external_network_supported(self, workload):
-        text = workload_to_json(workload, include_network=False)
+    def test_a_document_without_a_network_is_refused(self, workload):
+        doc = json.loads(workload_to_json(workload))
+        del doc["network"]
         with pytest.raises(ValueError, match="no embedded network"):
-            workload_from_json(text)
-        restored = workload_from_json(text, network=workload.network)
-        assert len(restored) == len(workload)
+            workload_from_json(json.dumps(doc))
 
     def test_wrong_kind_rejected(self):
         with pytest.raises(ValueError, match="not a serialized workload"):

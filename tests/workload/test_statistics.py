@@ -8,6 +8,7 @@ from repro.core.cost import RateModel, deployment_cost
 from repro.query.query import JoinPredicate, Query
 from repro.query.stream import StreamSpec
 from repro.workload.statistics import (
+    MIN_SELECTIVITY,
     StatisticsCollector,
     estimate_statistics,
     simulate_observation,
@@ -66,11 +67,11 @@ class TestCollector:
         assert est.selectivities[frozenset("AB")] == pytest.approx(0.5)
 
     def test_no_collision_uses_floor(self):
-        collector = StatisticsCollector({"A": 0, "B": 1}, min_selectivity=1e-5)
+        collector = StatisticsCollector({"A": 0, "B": 1})
         collector.observe("A", {"k": 1})
         collector.observe("B", {"k": 2})
         est = collector.estimate(1.0)
-        assert est.selectivities[frozenset("AB")] == 1e-5
+        assert est.selectivities[frozenset("AB")] == MIN_SELECTIVITY
 
     def test_unshared_attribute_gives_no_estimate(self):
         collector = StatisticsCollector({"A": 0, "B": 1})

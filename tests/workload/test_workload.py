@@ -166,7 +166,7 @@ class TestNetworkMonitoringScenario:
     def test_structure(self):
         from repro.workload.scenarios import network_monitoring_scenario
 
-        sc = network_monitoring_scenario(seed=1)
+        sc = network_monitoring_scenario()
         assert set(sc.streams) == {"NETFLOW", "SNMP", "ALERTS", "SYSLOG"}
         assert len(sc.queries) == 4
         assert sc.network.is_connected()
@@ -184,7 +184,7 @@ class TestNetworkMonitoringScenario:
         """The SOC's NETFLOW x ALERTS view serves triage and NOC too."""
         from repro.workload.scenarios import network_monitoring_scenario
 
-        sc = network_monitoring_scenario(seed=2)
+        sc = network_monitoring_scenario()
         soc = sc.queries[0]
         for later in sc.queries[2:]:
             sub = frozenset({"NETFLOW", "ALERTS"})
@@ -195,7 +195,7 @@ class TestNetworkMonitoringScenario:
         from repro.query.deployment import DeploymentState
         from repro.workload.scenarios import network_monitoring_scenario
 
-        sc = network_monitoring_scenario(seed=3)
+        sc = network_monitoring_scenario()
         totals = {}
         for reuse in (False, True):
             state = DeploymentState(
@@ -211,7 +211,7 @@ class TestNetworkMonitoringScenario:
         import repro
         from repro.workload.scenarios import network_monitoring_scenario
 
-        sc = network_monitoring_scenario(seed=4)
+        sc = network_monitoring_scenario()
         hierarchy = repro.build_hierarchy(sc.network, max_cs=6, seed=0)
         for name in ("top-down", "bottom-up"):
             optimizer = repro.make_optimizer(
