@@ -9,9 +9,10 @@ process.
 :class:`CircuitBreaker` is the classic three-state machine (CLOSED ->
 OPEN after :data:`FAILURE_THRESHOLD` consecutive failures -> HALF_OPEN
 after :data:`RECOVERY_TIME`, where up to :data:`HALF_OPEN_PROBES` trial
-calls decide between closing and re-opening).  A :class:`BreakerBoard` keys breakers
-by node so the service can gate each coordinator independently and spot
-*flapping* nodes (breakers that re-opened often) for quarantine.
+calls decide between closing and re-opening).  A :class:`BreakerBoard`
+keys breakers by node so the service can gate each coordinator
+independently and spot *flapping* nodes (breakers that re-opened often)
+for quarantine.
 
 Everything is deterministic under a fixed seed and a fixed call
 sequence; nothing reads wall-clock time.
