@@ -3,8 +3,8 @@
 Once the re-optimization policy approves a migration, the
 :class:`Migrator` executes it in two halves:
 
-1. **The cutover protocol**, replayed on the discrete-event simulator
-   the deployment protocol already uses.  The query's sink acts as the
+1. **The cutover protocol**, timed the way the deployment protocol is
+   (:mod:`repro.runtime.protocol`).  The query's sink acts as the
    migration coordinator and drives each *moved* operator (the
    :class:`~repro.adaptive.diff.MigrationDiff` already excluded kept
    operators and reused views) through three barriered phases:
@@ -12,15 +12,16 @@ Once the re-optimization policy approves a migration, the
    * *pause*: the coordinator asks every old host to pause its
      operator; a paused operator stops emitting while in-flight tuples
      drain (:data:`DRAIN_SECONDS`), then the host acknowledges;
-   * *transfer*: once every operator is paused, each old host ships the
-     operator's serialized window state to the new host (transmission
-     time proportional to the state size); new hosts acknowledge
-     receipt to the coordinator;
+   * *transfer*: once every operator is paused, the coordinator asks
+     each old host to ship the operator's serialized window state to
+     the new host (transmission time proportional to the state size);
+     new hosts acknowledge receipt to the coordinator;
    * *resume*: once every state arrived, the coordinator resumes the
      rebuilt operators on their new hosts and collects final acks.
 
-   Like the deployment protocol, the cutover delivers every message
-   exactly once; it times the migration.
+   Every message is delivered exactly once, so each barrier is the
+   latest of one round trip per moved operator, and a cutover sends 7
+   messages per moved operator.
 
 2. **The atomic swap** in the control plane: undeploy the old
    deployment, deploy the candidate, re-sync derived-stream
@@ -32,25 +33,15 @@ Once the re-optimization policy approves a migration, the
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import DeploymentError
 from repro.network.graph import Network
-from repro.obs.tracer import current_causal
-from repro.adaptive.diff import MigrationDiff, OperatorMove
+from repro.obs.tracer import count, current_causal
+from repro.adaptive.diff import MigrationDiff
 from repro.query.deployment import Deployment
-from repro.runtime.messages import (
-    PauseAck,
-    PauseCommand,
-    ResumeAck,
-    ResumeCommand,
-    StateAck,
-    StateChunk,
-    TransferCommand,
-)
-from repro.runtime.simulator import SimNode, Simulator
+from repro.runtime.protocol import _Event, _Replay
 
 #: Virtual time a pausing operator waits for in-flight tuples to clear
 #: before acknowledging.
@@ -91,80 +82,9 @@ class CutoverTimeline:
         return self.completed - self.started
 
 
-class _CutoverContext:
-    def __init__(
-        self,
-        query_name: str,
-        moves: list[OperatorMove],
-        coordinator: int,
-    ) -> None:
-        self.query_name = query_name
-        self.moves = moves
-        self.coordinator = coordinator
-        self.acks: Counter[type] = Counter()
-        self.pause_done_time: float | None = None
-        self.transfer_done_time: float | None = None
-        self.finish_time: float | None = None
-
-
-class _CutoverActor(SimNode):
-    """One actor per physical node; plays coordinator/old-host/new-host
-    as the message flow demands (a node can be all three at once)."""
-
-    def __init__(self, node_id: int, ctx: _CutoverContext) -> None:
-        super().__init__(node_id)
-        self.ctx = ctx
-
-    # -- coordinator phase transitions ---------------------------------
-    def begin(self) -> None:
-        """Issue the pause commands (called on the coordinator)."""
-        ctx = self.ctx
-        for move in ctx.moves:
-            self.send(move.old_node, PauseCommand(ctx.query_name, move.label))
-
-    def _phase_done(self, ack) -> bool:
-        """Count one ack; whether it completes its phase (the barrier)."""
-        self.ctx.acks[type(ack)] += 1
-        return self.ctx.acks[type(ack)] == len(self.ctx.moves)
-
-    # -- message handling ----------------------------------------------
-    def on_message(self, src: int, message) -> None:
-        assert self.sim is not None
-        ctx = self.ctx
-        label = message.operator_label
-        if isinstance(message, PauseCommand):
-            ack = PauseAck(ctx.query_name, label)
-            self.sim.schedule(DRAIN_SECONDS, lambda: self.send(ctx.coordinator, ack))
-        elif isinstance(message, PauseAck):
-            if self._phase_done(message):
-                ctx.pause_done_time = self.sim.now
-                for move in ctx.moves:
-                    self.send(
-                        move.old_node,
-                        TransferCommand(
-                            ctx.query_name, move.label, move.new_node, move.state_bytes
-                        ),
-                    )
-        elif isinstance(message, TransferCommand):
-            self.send(
-                message.dest,
-                StateChunk(ctx.query_name, label, message.nbytes),
-                extra_delay=message.nbytes * SECONDS_PER_BYTE,
-            )
-        elif isinstance(message, StateChunk):
-            self.send(ctx.coordinator, StateAck(ctx.query_name, label))
-        elif isinstance(message, StateAck):
-            if self._phase_done(message):
-                ctx.transfer_done_time = self.sim.now
-                for move in ctx.moves:
-                    self.send(move.new_node, ResumeCommand(ctx.query_name, move.label))
-        elif isinstance(message, ResumeCommand):
-            self.send(ctx.coordinator, ResumeAck(ctx.query_name, label))
-        elif isinstance(message, ResumeAck):
-            if self._phase_done(message):
-                ctx.finish_time = self.sim.now
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unexpected message {message!r}")
+def _barrier(acks: list[_Event]) -> _Event:
+    """The ack that completes a phase: the last one delivered."""
+    return max(acks, key=lambda ack: ack.key)
 
 
 @dataclass
@@ -180,8 +100,8 @@ class MigrationOutcome:
         operators_moved: Operators that changed nodes (0 on abort).
         bytes_moved: Window state shipped (0 on abort).
         rolled_back: Whether a failed candidate install was rolled back.
-        timeline: The simulated cutover (``None`` when cutover
-            simulation is disabled or nothing physically moved).
+        timeline: The timed cutover (``None`` when nothing physically
+            moved).
     """
 
     query: str
@@ -219,8 +139,7 @@ class Migrator:
             state ships at :data:`SECONDS_PER_BYTE`.
 
     Under ``with causal_tracing(tracer):`` every cutover forms one
-    causal tree rooted at ``migrate:<query name>``; with none installed
-    the cutover is byte-identical to an untraced build.
+    causal tree rooted at ``migrate:<query name>``.
     """
 
     def __init__(self, network: Network) -> None:
@@ -242,39 +161,51 @@ class Migrator:
         coordinator: int,
         start_time: float = 0.0,
     ) -> CutoverTimeline:
-        """Replay the cutover protocol; return its timeline."""
+        """Time the cutover protocol; return its timeline."""
         if not diff.moved:
             return CutoverTimeline(
                 query_name=diff.query,
                 started=start_time,
                 completed=start_time,
             )
-        ctx = _CutoverContext(diff.query, diff.moved, coordinator)
-        sim = Simulator(self.network)
-        for node in self.network.nodes():
-            sim.register(_CutoverActor(node, ctx))
-        sim.now = start_time
-        actor = sim.node(coordinator)
-        assert isinstance(actor, _CutoverActor)
-        trace = current_causal()
-        if trace is not None:
-            trace.new_trace(
+        tracer = current_causal()
+        root = None
+        if tracer is not None:
+            root = tracer.new_trace(
                 f"migrate:{diff.query}",
                 node=coordinator,
                 operators=len(diff.moved),
                 state_bytes=diff.total_state_bytes,
             )
-        sim.schedule(0.0, actor.begin)
-        if trace is not None:
-            trace.activate(None)
-        sim.run()
+        replay, c = _Replay(self.network), coordinator
+        begin, acks = _Event(start_time, root), []
+        for move in diff.moved:
+            pause = replay.send(begin, "PauseCommand", c, move.old_node)
+            drained = pause.later(DRAIN_SECONDS)
+            acks.append(replay.send(drained, "PauseAck", move.old_node, c))
+        paused, acks = _barrier(acks), []
+        for move in diff.moved:
+            command = replay.send(paused, "TransferCommand", c, move.old_node)
+            chunk = replay.send(
+                command, "StateChunk", move.old_node, move.new_node,
+                extra=move.state_bytes * SECONDS_PER_BYTE,
+            )
+            acks.append(replay.send(chunk, "StateAck", move.new_node, c))
+        transferred, acks = _barrier(acks), []
+        for move in diff.moved:
+            resume = replay.send(transferred, "ResumeCommand", c, move.new_node)
+            acks.append(replay.send(resume, "ResumeAck", move.new_node, c))
+        resumed = _barrier(acks)
+        count("messages", len(replay.hops))
+        if tracer is not None:
+            replay.record()
         return CutoverTimeline(
             query_name=diff.query,
             started=start_time,
-            completed=ctx.finish_time,
-            pause_done=ctx.pause_done_time,
-            transfer_done=ctx.transfer_done_time,
-            messages=sim.messages_delivered,
+            completed=resumed.time,
+            pause_done=paused.time,
+            transfer_done=transferred.time,
+            messages=len(replay.hops),
             bytes_moved=diff.total_state_bytes,
             operators_moved=len(diff.moved),
         )

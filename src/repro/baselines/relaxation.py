@@ -62,7 +62,7 @@ class RelaxationPlanner:
 
     def _cost_space(self) -> np.ndarray:
         if self._coords is None or self._coords[0] != self.network.version:
-            coords = embed_network(self.network, dim=DIMENSIONS, metric="cost")
+            coords = embed_network(self.network, dim=DIMENSIONS)
             self._coords = (self.network.version, coords)
         return self._coords[1]
 

@@ -50,23 +50,15 @@ def classical_mds(distances: np.ndarray, dim: int = 3) -> np.ndarray:
     return coords
 
 
-def embed_network(network: Network, dim: int = 3, metric: str = "cost") -> np.ndarray:
+def embed_network(network: Network, dim: int = 3) -> np.ndarray:
     """Embed a network's nodes into a ``dim``-dimensional cost space.
 
     Args:
-        network: Network to embed.
+        network: Network to embed (its traversal-cost matrix).
         dim: Embedding dimensionality (the paper's Relaxation setup
             uses 3).
-        metric: ``"cost"`` to embed the traversal-cost matrix or
-            ``"delay"`` for the latency matrix.
 
     Returns:
         ``(num_nodes, dim)`` coordinates indexed by node id.
     """
-    if metric == "cost":
-        matrix = network.cost_matrix()
-    elif metric == "delay":
-        matrix = network.delay_matrix()
-    else:
-        raise ValueError(f"unknown metric {metric!r}; expected 'cost' or 'delay'")
-    return classical_mds(matrix, dim=dim)
+    return classical_mds(network.cost_matrix(), dim=dim)

@@ -1,17 +1,16 @@
-"""Distributed causal tracing for the message-passing runtime.
+"""Distributed causal tracing for the runtime's protocols.
 
 The span tracer (:mod:`repro.obs.tracer`) covers *in-process* work --
 one optimizer call, one service tick.  This module covers the part the
 paper's deployment-time claims actually hinge on: the
 coordinator-to-coordinator *message hops* the hierarchy produces.  A
 hop is a :class:`~repro.obs.tracer.Span` that also carries W3C-style
-ids (``trace_id``, ``span_id``, ``parent_id``) and rides on its
-:mod:`repro.runtime.messages` message; the
-:class:`~repro.runtime.simulator.Simulator` propagates it through
-``send`` and through scheduled continuations, and each hop is linked
-under its cause as it is recorded, so planning, deployment and
-migration activity forms one span tree per query across coordinators
-(:attr:`CausalTracer.roots`).
+ids (``trace_id``, ``span_id``, ``parent_id``).  The deployment
+protocol (:func:`~repro.runtime.protocol.simulate_deployment`) and the
+migration cutover (:meth:`~repro.adaptive.migrate.Migrator.simulate_cutover`)
+record each message as a hop under the hop that caused it, so planning,
+deployment and migration activity forms one span tree per query across
+coordinators (:attr:`CausalTracer.roots`).
 
 A hop span is named after the message kind and runs from the virtual
 send to the delivery.  Its tags:
@@ -26,19 +25,16 @@ send to the delivery.  Its tags:
 Its counters are ``link_delay`` and ``deliveries``.
 
 The tracer is opt-in: it is a channel of the one instrumentation
-context (:func:`~repro.obs.tracer.causal_tracing`), and a simulator
-built with none installed takes the exact pre-tracing fast path, with
-messages carrying ``trace=None`` (excluded from equality and repr), so
-untraced behavior is byte-identical.  Trees render and serialize like
-any span tree; :meth:`CausalTracer.to_dict` (flat hop records per
-trace) and :meth:`CausalTracer.chrome_trace` (Chrome
+context (:func:`~repro.obs.tracer.causal_tracing`); with none installed
+nothing is recorded and the timelines are the same.  Trees render and
+serialize like any span tree; :meth:`CausalTracer.to_dict` (flat hop
+records per trace) and :meth:`CausalTracer.chrome_trace` (Chrome
 ``chrome://tracing`` / Perfetto trace-event format) export them all.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from repro.obs.tracer import Span
 
@@ -71,13 +67,10 @@ class CausalTracer:
     """Collects causal message-hop trees across a simulation.
 
     Install it around the run with ``with causal_tracing(tracer):``;
-    every :class:`~repro.runtime.simulator.Simulator` built inside
-    records into it.  Open a root with :meth:`new_trace` before kicking
-    off the protocol so every hop lands in one tree
-    (:func:`~repro.runtime.protocol.simulate_deployment` and
-    :meth:`~repro.adaptive.migrate.Migrator.simulate_cutover` do).  All
-    ids are drawn from deterministic counters -- two identical runs
-    produce identical traces.
+    every deployment protocol and cutover timed inside opens a root with
+    :meth:`new_trace` and records its hops under it.  All ids are drawn
+    from deterministic counters -- two identical runs produce identical
+    traces.
 
     Attributes:
         hops: Every hop span, in record order.
@@ -88,36 +81,8 @@ class CausalTracer:
     def __init__(self) -> None:
         self.hops: list[Span] = []
         self.roots: list[Span] = []
-        self._active: Span | None = None
         self._next_trace = 0
         self._next_span = 0
-
-    # ------------------------------------------------------------------
-    # Context management
-    # ------------------------------------------------------------------
-    def activate(self, span: Span | None) -> Span | None:
-        """Make ``span`` the active cause; returns the previous one."""
-        prev = self._active
-        self._active = span
-        return prev
-
-    def bind(self, action: Callable[[], Any]) -> Callable[[], Any]:
-        """Close ``action`` over the current cause.
-
-        The simulator wraps every scheduled callback with this, so
-        local work (planning compute, drain timers) keeps its causal
-        parent across virtual time.
-        """
-        span = self._active
-
-        def bound() -> Any:
-            prev = self.activate(span)
-            try:
-                return action()
-            finally:
-                self.activate(prev)
-
-        return bound
 
     # ------------------------------------------------------------------
     # Recording
@@ -150,7 +115,7 @@ class CausalTracer:
         return span
 
     def new_trace(self, name: str, node: int = -1, **tags: Any) -> Span:
-        """Open a new causal tree; returns (and activates) its root.
+        """Open a new causal tree; returns its root.
 
         Args:
             name: Root label (``deploy:q3``, ``migrate:q7``).
@@ -159,49 +124,18 @@ class CausalTracer:
         """
         root = self._record(name, node, node, 0.0, None, **tags)
         root.end = 0.0
-        self._active = root
         return root
 
     def record_hop(
         self, kind: str, src: int, dst: int, time: float, parent: Span | None = None,
         link_cost: float = 0.0, link_delay: float = 0.0, **tags: Any,
     ) -> Span:
-        """Record a delivered synthetic hop (submission-chain relays,
-        flow edges).
-
-        The hop parents under ``parent`` (default: the active cause; a
-        fresh root when neither exists).
-        """
-        cause = parent if parent is not None else self._active
-        span = self._record(kind, src, dst, time, cause, link_cost, link_delay, **tags)
+        """Record a delivered hop under ``parent`` (a fresh root when
+        ``None``); it arrives ``link_delay`` after ``time``."""
+        span = self._record(kind, src, dst, time, parent, link_cost, link_delay, **tags)
         span.end = time + link_delay
         span.incr("deliveries")
         return span
-
-    # -- simulator hook points -----------------------------------------
-    def on_send(
-        self, sim, src: int, dst: int, message: Any, link_delay: float,
-    ) -> tuple[Any, Span]:
-        """Record one :meth:`Simulator.send` under the active cause;
-        returns the message stamped with its hop."""
-        span = self._record(
-            type(message).__name__, src, dst, sim.now, self._active,
-            self._link_cost(sim, src, dst), link_delay,
-        )
-        if hasattr(message, "trace"):
-            message = dataclasses.replace(message, trace=span)
-        return message, span
-
-    @staticmethod
-    def _link_cost(sim, src: int, dst: int) -> float:
-        if src == dst or src < 0 or dst < 0:
-            return 0.0
-        return float(sim.network.cost_matrix()[src, dst])
-
-    def on_deliver(self, span: Span, now: float) -> None:
-        """Record the delivery of a sent hop."""
-        span.incr("deliveries")
-        span.end = now
 
     # -- data-flow accounting ------------------------------------------
     def record_flows(self, deployment, costs, rates, parent: Span | None = None) -> list[Span]:

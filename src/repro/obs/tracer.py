@@ -19,9 +19,9 @@ hooks, which report to whatever the caller installed in the current
   through :func:`~repro.perf.profiler.profiled`); op counts are the
   work actually done, pinned exactly by ``tests/perf/test_op_counts.py``
   and recorded per candidate by the scenario lab;
-* the *causal* channel -- every :class:`~repro.runtime.simulator.Simulator`
-  built under :func:`causal_tracing` records its message hops into that
-  :class:`~repro.obs.causal.CausalTracer`.
+* the *causal* channel -- every deployment protocol and migration
+  cutover timed under :func:`causal_tracing` records its message hops
+  into that :class:`~repro.obs.causal.CausalTracer`.
 
 The first two stay separate on purpose, and one name means different
 things on each: ``trees_enumerated`` is the nominal tree count on a

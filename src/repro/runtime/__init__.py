@@ -1,16 +1,14 @@
 """IFLOW-like runtime substrate (the Emulab-prototype substitution).
 
 The paper's prototype experiments (Figures 10 and 11) ran IFLOW on a
-32-node Emulab testbed.  We reproduce the measured quantities with a
-discrete-event simulation:
+32-node Emulab testbed.  We reproduce the measured quantities:
 
-* :mod:`repro.runtime.events` / :mod:`repro.runtime.simulator` -- a
-  classic event-queue simulator with message-passing nodes whose
-  delivery delays come from the network's delay matrix.
-* :mod:`repro.runtime.messages` -- the protocol message vocabulary.
-* :mod:`repro.runtime.protocol` -- replays an optimizer's planning
-  *task trace* as protocol traffic plus per-coordinator computation
-  time, yielding the query *deployment time* Figure 10 measures.
+* :mod:`repro.runtime.protocol` -- times an optimizer's planning *task
+  trace* as protocol traffic plus per-coordinator computation time,
+  yielding the query *deployment time* Figure 10 measures.
+* :mod:`repro.runtime.events` / :mod:`repro.runtime.simulator` -- an
+  event-queue simulator with message-passing nodes, on which the
+  tuple-level data plane (:mod:`repro.runtime.dataplane`) runs.
 * :mod:`repro.runtime.engine` -- the flow engine: deploys/undeploys
   query plans, tracks instantaneous cost and per-link utilization.
 
@@ -23,13 +21,6 @@ under capacity.
 
 from repro.runtime.events import Event, EventQueue
 from repro.runtime.simulator import SimNode, Simulator
-from repro.runtime.messages import (
-    Advertisement,
-    DeployAck,
-    DeployCommand,
-    PlanRequest,
-    QuerySubmit,
-)
 from repro.runtime.protocol import DeploymentTimeline, simulate_deployment
 from repro.runtime.engine import FlowEngine
 from repro.runtime.failover import FailureReport, backup_coordinator, fail_node
@@ -40,11 +31,6 @@ __all__ = [
     "EventQueue",
     "Simulator",
     "SimNode",
-    "QuerySubmit",
-    "PlanRequest",
-    "DeployCommand",
-    "DeployAck",
-    "Advertisement",
     "DeploymentTimeline",
     "simulate_deployment",
     "FlowEngine",

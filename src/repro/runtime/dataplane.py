@@ -377,7 +377,7 @@ def run_dataplane(
         src = components[leaf]
         assert isinstance(src, _Source)
         src.start(sim, until=duration)
-    sim.run(max_events=5_000_000)
+    sim.run()
 
     measured: dict[str, float] = {}
     predicted: dict[str, float] = {}

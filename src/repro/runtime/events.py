@@ -47,9 +47,5 @@ class EventQueue:
             raise IndexError("event queue is empty")
         return heapq.heappop(self._heap)
 
-    def peek_time(self) -> float | None:
-        """Time of the earliest event, or None when empty."""
-        return self._heap[0].time if self._heap else None
-
     def __bool__(self) -> bool:
         return bool(self._heap)

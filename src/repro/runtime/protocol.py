@@ -1,11 +1,11 @@
-"""Deployment-protocol simulation: how long does deploying a query take?
+"""Deployment-protocol timing: how long does deploying a query take?
 
 Reproduces what Figure 10 measures on Emulab.  Both hierarchical
 algorithms leave a *task trace* in their deployment stats: one entry per
 planning task with the coordinator node that ran it, the number of
 plan/assignment combinations it examined, the task that spawned it, and
-the physical nodes it instantiated operators on.  This module replays
-that trace as protocol traffic on the discrete-event simulator:
+the physical nodes it instantiated operators on.  This module times
+that trace as protocol traffic:
 
 1. the sink sends the query to the trace's first coordinator;
 2. each coordinator "computes" for ``plans x seconds_per_plan``
@@ -22,20 +22,19 @@ every query, while Bottom-Up's trace stops climbing as soon as all
 sources are local -- the mechanism behind the paper's ~70% deployment
 time advantage for Bottom-Up.
 
-Every protocol message is delivered exactly once (the paper's protocol
-runs over reliable links): the simulation times a deployment, it does
-not model message loss.
+Every message is delivered once, one shortest-path delay after it is
+sent (reliable links, no queueing), so the timeline is a critical path
+computed directly; :mod:`repro.adaptive.migrate` times its cutover the
+same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.network.graph import Network
-from repro.obs.tracer import current_causal
+from repro.obs.tracer import count, current_causal
 from repro.query.deployment import Deployment
-from repro.runtime.messages import DeployAck, DeployCommand, PlanRequest, QuerySubmit
-from repro.runtime.simulator import SimNode, Simulator
 
 DEFAULT_SECONDS_PER_PLAN = 2e-5
 """Calibrated coordinator search speed: seconds per (tree, assignment)
@@ -72,82 +71,62 @@ class DeploymentTimeline:
         return self.completed_time - self.submit_time
 
 
-@dataclass
-class _TaskDone:
-    query_name: str
-    task_index: int
-    trace: object | None = field(default=None, compare=False, repr=False)
+class _Event:
+    """One moment of a protocol run: a delivery or the end of local work.
+
+    ``key`` orders events the way a discrete-event queue processes them
+    (by time, ties in scheduling order): ``(time, key of the event that
+    scheduled it, its rank among that event's schedulings)``.  ``cause``
+    is the causal parent of what is sent here: the hop delivered here
+    (an index into :attr:`_Replay.hops`) or a span.
+    """
+
+    __slots__ = ("time", "key", "cause", "scheduled")
+
+    def __init__(self, time: float, cause, by: "_Event | None" = None) -> None:
+        self.time, self.cause, self.scheduled = time, cause, 0
+        self.key = (time, (), 0)
+        if by is not None:
+            self.key, by.scheduled = (time, by.key, by.scheduled), by.scheduled + 1
+
+    def later(self, seconds: float) -> "_Event":
+        """The end of ``seconds`` of local work started here."""
+        return _Event(self.time + seconds, self.cause, self)
 
 
-class _Context:
-    def __init__(self, deployment: Deployment, seconds_per_plan: float) -> None:
-        trace = deployment.stats.get("task_trace")
-        if not trace:
-            raise ValueError(
-                "deployment has no task trace; only hierarchical optimizers "
-                "(top-down / bottom-up) can be protocol-simulated"
+class _Replay:
+    """The messages of one protocol run.
+
+    A message sent at ``t`` over a path of delay ``d`` (exactly 0.0 from
+    a node to itself) arrives at ``(t + d) + extra``, ``extra`` being its
+    transmission time.
+    """
+
+    def __init__(self, network: Network) -> None:
+        self.network = network
+        self.hops: list[tuple] = []
+
+    def send(self, at: _Event, kind: str, src: int, dst: int, extra: float = 0.0) -> _Event:
+        """Send a ``kind`` message at ``at``; returns its delivery."""
+        delay = self.network.path_delay(src, dst) if src != dst else 0.0
+        arrival = _Event((at.time + delay) + extra, len(self.hops), at)
+        self.hops.append((arrival.key[1:], kind, src, dst, at.time, delay, arrival.time, at.cause))
+        return arrival
+
+    def record(self) -> None:
+        """Record every message as a hop of the installed causal tracer,
+        under its cause, in the order an event queue would send them."""
+        tracer, costs = current_causal(), self.network.cost_matrix()
+        spans = [None] * len(self.hops)
+        for n in sorted(range(len(self.hops)), key=lambda n: self.hops[n][0]):
+            _, kind, src, dst, sent, delay, arrived, cause = self.hops[n]
+            spans[n] = tracer.record_hop(
+                kind, src, dst, time=sent,
+                parent=spans[cause] if isinstance(cause, int) else cause,
+                link_cost=float(costs[src, dst]) if src != dst else 0.0,
+                link_delay=delay,
             )
-        self.query = deployment.query
-        self.trace = trace
-        self.seconds_per_plan = seconds_per_plan
-        self.children: dict[int, list[int]] = {i: [] for i in range(len(trace))}
-        for idx, entry in enumerate(trace):
-            parent = entry["parent"]
-            if parent >= 0:
-                self.children[parent].append(idx)
-        self.expected_acks = sum(len(e.get("deploy_nodes", ())) for e in trace)
-        self.expected_tasks = len(trace)
-        self.acked = 0
-        self.tasks_done = 0
-        self.finish_time: float | None = None
-        self.compute_seconds = sum(
-            e["plans"] * seconds_per_plan for e in trace
-        )
-
-    @property
-    def complete(self) -> bool:
-        return (
-            self.acked >= self.expected_acks
-            and self.tasks_done >= self.expected_tasks
-        )
-
-
-class _ProtocolActor(SimNode):
-    """One actor per physical node; coordinators and operator hosts alike."""
-
-    def __init__(self, node_id: int, ctx: _Context) -> None:
-        super().__init__(node_id)
-        self.ctx = ctx
-
-    def on_message(self, src: int, message) -> None:
-        assert self.sim is not None
-        ctx = self.ctx
-        if isinstance(message, (QuerySubmit, PlanRequest)):
-            task_index = 0 if isinstance(message, QuerySubmit) else message.task_index
-            entry = ctx.trace[task_index]
-
-            def finish_planning() -> None:
-                for child in ctx.children[task_index]:
-                    self.send(ctx.trace[child]["node"], PlanRequest(ctx.query.name, child))
-                for j, op_node in enumerate(entry.get("deploy_nodes", ())):
-                    self.send(op_node, DeployCommand(ctx.query.name, f"task{task_index}.{j}"))
-                self.send(ctx.query.sink, _TaskDone(ctx.query.name, task_index))
-
-            self.sim.schedule(entry["plans"] * ctx.seconds_per_plan, finish_planning)
-        elif isinstance(message, DeployCommand):
-            # Operator instantiation is local and fast; ack to the sink.
-            self.send(
-                ctx.query.sink, DeployAck(message.query_name, message.operator_label)
-            )
-        elif isinstance(message, (DeployAck, _TaskDone)):
-            if isinstance(message, DeployAck):
-                ctx.acked += 1
-            else:
-                ctx.tasks_done += 1
-            if ctx.complete and ctx.finish_time is None:
-                ctx.finish_time = self.sim.now
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unexpected message {message!r}")
+            spans[n].end = arrived
 
 
 def simulate_deployment(
@@ -156,8 +135,8 @@ def simulate_deployment(
     seconds_per_plan: float = DEFAULT_SECONDS_PER_PLAN,
     rates=None,
 ) -> DeploymentTimeline:
-    """Replay a deployment's planning protocol, submitted at virtual
-    time 0; return its timeline.
+    """Time a deployment's planning protocol, submitted at virtual time
+    0; return its timeline.
 
     Args:
         network: The physical network (provides message delays).
@@ -171,22 +150,22 @@ def simulate_deployment(
 
     Under ``with causal_tracing(tracer):`` the whole deployment -- the
     submission relay and every protocol message -- lands
-    in one causal tree rooted at ``deploy:<query name>``.  With none
-    installed the simulation is byte-identical to an untraced build.
+    in one causal tree rooted at ``deploy:<query name>``.
 
     Raises:
         ValueError: If the deployment carries no task trace.
     """
-    ctx = _Context(deployment, seconds_per_plan)
-    sim = Simulator(network)
-    for node in network.nodes():
-        sim.register(_ProtocolActor(node, ctx))
-
+    trace = deployment.stats.get("task_trace")
+    if not trace:
+        raise ValueError(
+            "deployment has no task trace; only hierarchical optimizers "
+            "(top-down / bottom-up) can be protocol-simulated"
+        )
     sink = deployment.query.sink
-    trace = current_causal()
+    tracer = current_causal()
     root = None
-    if trace is not None:
-        root = trace.new_trace(
+    if tracer is not None:
+        root = tracer.new_trace(
             f"deploy:{deployment.query.name}",
             node=sink,
             optimizer=deployment.stats.get("algorithm"),
@@ -195,46 +174,48 @@ def simulate_deployment(
     # The submission is relayed hop by hop along the sink's coordinator
     # chain (Top-Down climbs to the root; Bottom-Up stops at its leaf
     # cluster's coordinator), ending at the first planning task's node.
-    chain = list(deployment.stats.get("submit_chain") or [ctx.trace[0]["node"]])
-    if chain[-1] != ctx.trace[0]["node"]:  # pragma: no cover - defensive
-        chain.append(ctx.trace[0]["node"])
-    hops = [sink] + chain
-    delay = 0.0
-    relay_parent = root
-    for a, b in zip(hops[:-1], hops[1:]):
+    chain = [sink, *(deployment.stats.get("submit_chain") or [trace[0]["node"]])]
+    delay, relays, relay_parent = 0.0, 0, root
+    for a, b in zip(chain[:-1], chain[1:]):
         if a != b:
             hop_delay = network.path_delay(a, b)
             delay += hop_delay
-            sim.messages_delivered += 1
-            if trace is not None:
-                relay_parent = trace.record_hop(
+            relays += 1
+            if tracer is not None:
+                relay_parent = tracer.record_hop(
                     "QuerySubmit", a, b, time=delay - hop_delay,
                     parent=relay_parent,
                     link_cost=float(network.cost_matrix()[a, b]),
                     link_delay=hop_delay, relay=True,
                 )
-    if trace is not None:
-        # The first planning task is caused by the last relay hop.
-        trace.activate(relay_parent)
-    sim.schedule(
-        delay,
-        lambda: sim.node(ctx.trace[0]["node"]).on_message(
-            sink, QuerySubmit(deployment.query.name, sink)
-        ),
-    )
-    if trace is not None:
-        trace.activate(None)
-    sim.run()
-    if trace is not None and rates is not None:
-        trace.record_flows(deployment, network.cost_matrix(), rates, parent=root)
-    if ctx.finish_time is None:  # pragma: no cover - defensive
-        raise RuntimeError("protocol simulation never completed")
+    # One pass over the trace: a task's parent precedes it.
+    children: list[list[int]] = [[] for _ in trace]
+    for i, entry in enumerate(trace):
+        if entry["parent"] >= 0:
+            children[entry["parent"]].append(i)
+    replay = _Replay(network)
+    received = {0: _Event(delay, relay_parent)}
+    at_sink: list[float] = []
+    for i, entry in enumerate(trace):
+        node = entry["node"]
+        planned = received.pop(i).later(entry["plans"] * seconds_per_plan)
+        for child in children[i]:
+            received[child] = replay.send(planned, "PlanRequest", node, trace[child]["node"])
+        for op_node in entry.get("deploy_nodes", ()):
+            placed = replay.send(planned, "DeployCommand", node, op_node)
+            at_sink.append(replay.send(placed, "DeployAck", op_node, sink).time)
+        at_sink.append(replay.send(planned, "_TaskDone", node, sink).time)
+    count("messages", len(replay.hops))
+    if tracer is not None:
+        replay.record()
+        if rates is not None:
+            tracer.record_flows(deployment, network.cost_matrix(), rates, parent=root)
     return DeploymentTimeline(
         query_name=deployment.query.name,
         submit_time=0.0,
-        completed_time=ctx.finish_time,
-        compute_seconds=ctx.compute_seconds,
-        messages=sim.messages_delivered,
-        tasks=ctx.expected_tasks,
-        operators_deployed=ctx.expected_acks,
+        completed_time=max(at_sink),
+        compute_seconds=sum(e["plans"] * seconds_per_plan for e in trace),
+        messages=relays + len(replay.hops),
+        tasks=len(trace),
+        operators_deployed=sum(len(e.get("deploy_nodes", ())) for e in trace),
     )

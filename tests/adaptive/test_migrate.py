@@ -83,8 +83,9 @@ class TestCutoverProtocol:
         )
         assert timeline.operators_moved == 2
         assert timeline.bytes_moved == pytest.approx(diff.total_state_bytes)
-        # pause + 2x(command, ack) per phase per operator, at minimum
-        assert timeline.messages >= 12
+        # pause command and ack, transfer command, state chunk and ack,
+        # resume command and ack
+        assert timeline.messages == 7 * len(diff.moved)
 
     def test_noop_diff_commits_instantly(self):
         net, rates, query = make_world()

@@ -100,13 +100,8 @@ class TestClassicalMds:
             classical_mds(np.zeros((3, 3)), dim=0)
 
     def test_embed_network_metrics(self):
-        net = ring(8)
-        c = embed_network(net, dim=2, metric="cost")
-        d = embed_network(net, dim=2, metric="delay")
+        c = embed_network(ring(8), dim=2)
         assert c.shape == (8, 2)
-        assert d.shape == (8, 2)
-        with pytest.raises(ValueError, match="unknown metric"):
-            embed_network(net, metric="hops")
 
     def test_stress_zero_for_perfect_embedding(self):
         rng = np.random.default_rng(1)

@@ -9,9 +9,9 @@ from repro.core.cost import deployment_cost
 from repro.hierarchy import build_hierarchy
 from repro.network.topology import transit_stub_by_size
 from repro.obs import CausalTracer, Span, causal_tracing
+from repro.adaptive.diff import MigrationDiff, OperatorMove
+from repro.adaptive.migrate import Migrator
 from repro.runtime import simulate_deployment
-from repro.runtime.messages import DeployCommand
-from repro.runtime.simulator import Simulator, SimNode
 from repro.serialization import causal_trace_to_json, chrome_trace_to_json
 from repro.workload import WorkloadParams, generate_workload
 
@@ -34,7 +34,7 @@ class TestSpanIds:
     def test_child_links_and_counts_hops(self):
         tracer = CausalTracer()
         root = tracer.new_trace("deploy:q")
-        child = tracer.record_hop("QuerySubmit", 0, 1, time=0.0)
+        child = tracer.record_hop("QuerySubmit", 0, 1, time=0.0, parent=root)
         grandchild = tracer.record_hop("PlanRequest", 1, 2, time=0.0, parent=child)
         assert child.trace_id == grandchild.trace_id == root.trace_id
         assert child.parent_id == root.span_id
@@ -64,7 +64,7 @@ class TestCausalTracerUnits:
     def test_record_hop_parents_under_active_context(self):
         tracer = CausalTracer()
         root = tracer.new_trace("deploy:q", node=3, est_cost=12.5)
-        hop = tracer.record_hop("QuerySubmit", 3, 5, time=0.0, link_delay=0.01)
+        hop = tracer.record_hop("QuerySubmit", 3, 5, time=0.0, parent=root, link_delay=0.01)
         assert hop.trace_id == root.trace_id
         assert hop.parent_id == root.span_id
         assert hop.end == pytest.approx(0.01)
@@ -78,8 +78,8 @@ class TestCausalTracerUnits:
 
     def test_span_tree_carries_hop_tags(self):
         tracer = CausalTracer()
-        tracer.new_trace("deploy:q", node=3)
-        tracer.record_hop("QuerySubmit", 3, 5, time=0.0, link_cost=4.0)
+        root = tracer.new_trace("deploy:q", node=3)
+        tracer.record_hop("QuerySubmit", 3, 5, time=0.0, parent=root, link_cost=4.0)
         (tree,) = tracer.roots
         assert tree.name == "deploy:q"
         (child,) = tree.children
@@ -89,67 +89,28 @@ class TestCausalTracerUnits:
         assert child.tags["link_cost"] == 4.0
         assert tree.render()
 
-    def test_nothing_installed_records_nothing(self):
-        net = transit_stub_by_size(16, seed=1)
+    def test_nothing_installed_records_nothing(self, env):
+        net, rates, deployment = env
         tracer = CausalTracer()
         with causal_tracing(tracer):
             pass
-        # A simulator built after the install ended is untraced.
-        received = []
-
-        class Sink(SimNode):
-            def on_message(self, src, message):
-                received.append(message)
-
-        sim = Simulator(net)
-        for node in net.nodes():
-            sim.register(Sink(node))
-        sim.send(0, 5, DeployCommand("q", "op1"))
-        sim.run()
-        assert received == [DeployCommand("q", "op1")]
-        assert received[0].trace is None
+        # A deployment timed after the install ended is untraced.
+        simulate_deployment(net, deployment, rates=rates)
         assert tracer.hops == [] and tracer.roots == []
 
 
 class TestSimulatorIntegration:
-    def make_sim(self, net, tracer):
-        with causal_tracing(tracer):
-            sim = Simulator(net)
-
-        class Sink(SimNode):
-            def on_message(self, src, message):
-                pass
-
-        for node in net.nodes():
-            sim.register(Sink(node))
-        return sim
-
-    def test_on_send_stamps_messages_and_records_cost(self):
-        net = transit_stub_by_size(16, seed=1)
-        tracer = CausalTracer()
-        sim = self.make_sim(net, tracer)
-        root = tracer.new_trace("deploy:q", node=0)
-        sim.send(0, 5, DeployCommand("q", "op1"))
-        sim.run()
-        (root_hop, hop) = tracer.hops
-        assert hop.name == "DeployCommand"
-        assert hop.trace_id == root.trace_id
-        assert hop.tags["link_cost"] == pytest.approx(float(net.cost_matrix()[0, 5]))
-        assert hop.counters["link_delay"] == pytest.approx(net.path_delay(0, 5))
-        assert hop.counters["deliveries"] == 1
-        assert hop.end == pytest.approx(hop.start + hop.counters["link_delay"])
-
     def test_identical_sends_are_sibling_hops_under_the_cause(self):
         net = transit_stub_by_size(16, seed=1)
+        move = OperatorMove(None, old_node=5, new_node=6, state_tuples=0.0, state_bytes=0.0)
         tracer = CausalTracer()
-        sim = self.make_sim(net, tracer)
-        root = tracer.new_trace("deploy:q", node=0)
-        sim.send(0, 5, DeployCommand("q", "op1"))
-        sim.send(0, 5, DeployCommand("q", "op1"))  # same payload, new message
-        sim.run()
-        _, first, second = tracer.hops
+        with causal_tracing(tracer):
+            Migrator(net).simulate_cutover(MigrationDiff("q", [move, move]), coordinator=0)
+        (root,) = tracer.roots
+        first, second = root.children  # the two pause commands
+        assert first.name == second.name == "PauseCommand"
         assert first.parent_id == second.parent_id == root.span_id
-        assert root.children == [first, second]
+        assert (first.start, first.end) == (second.start, second.end)
         assert first.counters["deliveries"] == second.counters["deliveries"] == 1
 
 

@@ -60,11 +60,14 @@ class TestTimelineInvariants:
         for query in workload.queries[:5]:
             d = optimizer.plan(query)
             timeline = simulate_deployment(net, d)
-            # at least: one plan-request per non-root task, one done per
-            # task, one command+ack per deploy target
-            non_root = sum(1 for e in d.stats["task_trace"] if e["parent"] >= 0)
-            lower = non_root + timeline.tasks + 2 * timeline.operators_deployed
-            assert timeline.messages >= lower
+            # one hop per relay, then per task: a plan request to each
+            # child, a command and an ack per deploy target, one done
+            chain = [query.sink, *d.stats["submit_chain"]]
+            relays = sum(a != b for a, b in zip(chain, chain[1:]))
+            trace = d.stats["task_trace"]
+            requests = sum(e["parent"] >= 0 for e in trace)  # one per child task
+            per_task = sum(2 * len(e["deploy_nodes"]) + 1 for e in trace)
+            assert timeline.messages == relays + requests + per_task
 
     def test_bu_visit_entries_carry_no_compute(self, env):
         """Bottom-Up climb entries delegate compute to planning; their

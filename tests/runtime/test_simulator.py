@@ -3,6 +3,7 @@
 import pytest
 
 from repro.runtime.events import Event, EventQueue
+from repro.runtime import simulator
 from repro.runtime.simulator import SimNode, Simulator
 from tests.network.shapes import line, ring
 
@@ -35,11 +36,6 @@ class TestEventQueue:
         with pytest.raises(ValueError):
             EventQueue().push(-1.0, lambda: None)
 
-    def test_peek_time(self):
-        q = EventQueue()
-        assert q.peek_time() is None
-        q.push(5.0, lambda: None)
-        assert q.peek_time() == 5.0
 
 
 class _Recorder(SimNode):
@@ -68,8 +64,7 @@ class TestSimulator:
         sim.register(recv)
         sim.send(0, 2, "hello")
         sim.run()
-        assert recv.received[0][0] == pytest.approx(0.02)
-        assert sim.messages_delivered == 1
+        assert [t for t, _, _ in recv.received] == [pytest.approx(0.02)]
 
     def test_request_response_round_trip(self):
         net = line(2, delay=0.005)
@@ -100,18 +95,6 @@ class TestSimulator:
         sim.run()
         assert fired == [0.5]
 
-    def test_run_until(self):
-        net = line(2)
-        sim = Simulator(net)
-        fired = []
-        sim.schedule(1.0, lambda: fired.append(1))
-        sim.schedule(3.0, lambda: fired.append(3))
-        sim.run(until=2.0)
-        assert fired == [1]
-        assert sim.now == 2.0
-        sim.run()
-        assert fired == [1, 3]
-
     def test_duplicate_registration_rejected(self):
         net = line(2)
         sim = Simulator(net)
@@ -126,7 +109,8 @@ class TestSimulator:
         with pytest.raises(KeyError):
             sim.send(0, 1, "x")
 
-    def test_runaway_guard(self):
+    def test_runaway_guard(self, monkeypatch):
+        monkeypatch.setattr(simulator, "MAX_EVENTS", 100)
         net = ring(3)
         sim = Simulator(net)
 
@@ -139,4 +123,4 @@ class TestSimulator:
         sim.register(Bouncer(2))
         sim.send(0, 1, "go")
         with pytest.raises(RuntimeError, match="runaway"):
-            sim.run(max_events=100)
+            sim.run()
