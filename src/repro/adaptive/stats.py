@@ -131,6 +131,9 @@ class StatsMonitor:
         }
         self._published = {name: spec.rate for name, spec in rates.streams.items()}
         self._breaches: dict[str, int] = {name: 0 for name in self._estimators}
+        # Breaching streams at the last check; those whose drift moved since.
+        self._breaching: dict[str, StreamDrift] = {}
+        self._moved: set[str] = set(self._estimators)
         self._last_publish: float | None = None
         self.publications = 0
         self.streams_published = 0
@@ -147,7 +150,9 @@ class StatsMonitor:
         if rate < 0:
             raise ObservationError(f"negative rate sample for {stream!r}: {rate}")
         before = estimator.value
-        self.revision += estimator.update(rate) != before
+        if estimator.update(rate) != before:
+            self.revision += 1
+            self._moved.add(stream)
         return estimator.value
 
     def observe_rates(self, samples: Mapping[str, float]) -> None:
@@ -155,18 +160,10 @@ class StatsMonitor:
         for stream, rate in samples.items():
             self.observe_rate(stream, rate)
 
-    def drifted(self) -> list[StreamDrift]:
-        """Streams currently past the drift threshold (pre-hysteresis)."""
-        out: list[StreamDrift] = []
-        for name, estimator in self._estimators.items():
-            drift = StreamDrift(
-                stream=name,
-                published=self._published[name],
-                observed=estimator.value,  # type: ignore[arg-type]
-            )
-            if drift.relative_change >= DRIFT_THRESHOLD:
-                out.append(drift)
-        return out
+    def _drift(self, name: str) -> StreamDrift | None:
+        """The stream's drift when past the threshold (pre-hysteresis)."""
+        drift = StreamDrift(name, self._published[name], self._estimators[name].value)
+        return drift if drift.relative_change >= DRIFT_THRESHOLD else None
 
     # ------------------------------------------------------------------
     # Publication
@@ -179,9 +176,15 @@ class StatsMonitor:
         control-loop tick.  On publication the drifted streams' EWMA
         estimates are swapped into the rate model (other streams keep
         their published rates) and the published drifts are returned;
-        otherwise an empty list.
+        otherwise an empty list.  Only the streams whose estimate or
+        published rate moved since the last check are re-derived.
         """
-        breaching = {d.stream: d for d in self.drifted()}
+        breaching = self._breaching
+        for name in self._moved:
+            breaching.pop(name, None)
+            if (drift := self._drift(name)) is not None:
+                breaching[name] = drift
+        self._moved.clear()
         # A publication below follows a streak that grew here.
         for name, streak in self._breaches.items():
             self._breaches[name] = streak + 1 if name in breaching else 0
@@ -210,6 +213,7 @@ class StatsMonitor:
         for drift in firing:
             self._published[drift.stream] = drift.observed
             self._breaches[drift.stream] = 0
+            self._moved.add(drift.stream)
         self._last_publish = now
         self.publications += 1
         self.streams_published += len(firing)
@@ -243,6 +247,7 @@ class StatsMonitor:
             return revived
 
         self._estimators = {name: estimator(e) for name, e in doc["estimators"]}
+        self._moved = set(self._estimators)
         self._published = dict(doc["published"])
         self._breaches = dict(doc["breaches"])
         self._last_publish = doc["last_publish"]
@@ -260,6 +265,6 @@ class StatsMonitor:
         return {
             "streams_monitored": len(self._estimators),
             "publications": self.publications,
-            "drifting_now": sorted(d.stream for d in self.drifted()),
+            "drifting_now": sorted(filter(self._drift, self._estimators)),
         }
 

@@ -1,7 +1,8 @@
 """Declarative recording and alerting rules over a TimeSeriesStore.
 
 The Prometheus half the fleet was missing: :class:`RulesEngine` walks a
-list of rules every evaluation tick.  *Recording* rules
+list of rules every evaluation tick and re-derives those whose readings
+may have moved.  *Recording* rules
 (:class:`RecordingRule`) sum the ``last``/``delta`` aggregates of their
 series and write the total back into the store as a new series;
 *alerting* rules (:class:`ThresholdRule`, :class:`AbsenceRule`,
@@ -26,9 +27,11 @@ capacity.
 from __future__ import annotations
 
 import enum
+import math
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.obs.timeseries import TimeSeriesStore, scoped_name
+from repro.obs.tracer import count
 
 _OPS: dict[str, Callable[[float, float], bool]] = {
     ">": lambda a, b: a > b,
@@ -61,6 +64,8 @@ class AlertRule:
     """
 
     kind = "alert"
+    #: ``(series, span)`` per reading (:meth:`RulesEngine._stands`); None: moves with time.
+    reads: list[tuple[str, float | None]] | None = None
 
     def __init__(
         self,
@@ -79,6 +84,7 @@ class AlertRule:
         self.resolved_at: float | None = None
         self.last_value: float | None = None
         self.fire_count = 0
+        self._seen: int | None = None  # see RulesEngine._stands
 
     # -- subclass API --------------------------------------------------
     def value(self, store: TimeSeriesStore, now: float) -> float | None:
@@ -183,6 +189,10 @@ class ThresholdRule(AlertRule):
         self.window = window
         self.activate_series = activate_series
         self.activate_at = activate_at
+        span = window if window is not None or aggregate == "last" else math.inf
+        self.reads = [(series, span)]
+        if activate_series is not None:
+            self.reads.append((activate_series, None))
         self._store: TimeSeriesStore | None = None
         self._now = 0.0
 
@@ -255,6 +265,8 @@ class BurnRateRule(AlertRule):
         self.objective = objective
         self.max_burn = max_burn
         self.window = window
+        span = math.inf if window is None else window
+        self.reads = [(s, span) for s in (good_series, total_series)]
 
     def value(self, store: TimeSeriesStore, now: float) -> float | None:
         good = store.delta(self.good_series, self.window, now)
@@ -289,6 +301,8 @@ class RecordingRule:
         self.series = [series] if isinstance(series, str) else list(series)
         self.aggregate = aggregate
         self.last_value: float | None = None
+        self.reads = [(s, None if aggregate == "last" else math.inf) for s in self.series]
+        self._seen: int | None = None
 
     def evaluate(self, store: TimeSeriesStore, now: float) -> None:
         values = [
@@ -338,16 +352,33 @@ class RulesEngine:
             self.alerts.append(rule)
 
     def evaluate(self, now: float) -> list[dict[str, Any]]:
-        """Run every rule at virtual time ``now``; returns transitions."""
-        for rule in self.recording:
-            rule.evaluate(self.store, now)
-        transitions: list[dict[str, Any]] = []
-        for rule in self.alerts:
-            event = rule.evaluate(self.store, now)
+        """Run every rule at virtual time ``now`` unless it :meth:`_stands`;
+        returns transitions."""
+        store, transitions, evaluated = self.store, [], 0
+        for rule in [*self.recording, *self.alerts]:
+            if self._stands(rule, rule._seen, now):
+                if isinstance(rule, RecordingRule) and rule.last_value is not None:
+                    store.append(rule.name, now, rule.last_value)
+                continue
+            clock = store.changes
+            event = rule.evaluate(store, now)
+            evaluated += 1
+            rule._seen = clock if self._stands(rule, clock, now) else None
             if event is not None:
                 transitions.append(event)
+        count("rules_evaluated", evaluated)
         self.events.extend(transitions)
         return transitions
+
+    def _stands(self, rule: AlertRule | RecordingRule, seen: int | None, now: float) -> bool:
+        """Whether evaluating ``rule`` at ``now`` gives what it gave when the
+        store's change clock read ``seen``: no reading moved since (a span
+        is a window, ``None`` the newest value alone, ``inf`` the whole
+        ring), and the rule is not in a state that moves with time alone."""
+        timed = (RuleState.PENDING, RuleState.RESOLVED)
+        if seen is None or rule.reads is None or getattr(rule, "state", None) in timed:
+            return False
+        return not any(self.store.moved(s, seen, span, now) for s, span in rule.reads)
 
     def firing(self) -> list[AlertRule]:
         """Alert rules currently in the FIRING state."""

@@ -86,7 +86,7 @@ class Telemetry:
         self._hop_cursors: dict[Any, int] = {}
         self._service_registries: dict[str, Any] = {}  # scope -> registry
         self._breaker_totals: dict[str, float] = {}
-        self.ticks_observed = 0
+        self._breaker_seen = -1  # the store's change clock at the last check
 
     # ------------------------------------------------------------------
     # Binding
@@ -136,7 +136,6 @@ class Telemetry:
         return self._observe(now, force=force)
 
     def _observe(self, now: float, force: bool = False) -> list[dict[str, Any]]:
-        self.ticks_observed += 1
         if not force and not self.scraper.due(now):
             return []
         self.scraper.scrape(now, force=True)
@@ -146,7 +145,7 @@ class Telemetry:
             self.recorder.record_event(
                 event.get("labels", {}).get("scope", ""), now, event
             )
-        for scope, delta in self._breaker_opens(now):
+        for scope, delta in self._breaker_opens():
             self.recorder.bundle(
                 "breaker_open",
                 now,
@@ -185,12 +184,16 @@ class Telemetry:
             opens = registry.get(_BREAKER_METRIC)
             if opens is not None:
                 self._breaker_totals[scope] = opens.value
+        self._breaker_seen = -1
 
-    def _breaker_opens(self, now: float) -> list[tuple[str, float]]:
+    def _breaker_opens(self) -> list[tuple[str, float]]:
         """Scopes whose breaker-open counter grew since the last scrape."""
         opened: list[tuple[str, float]] = []
+        seen, self._breaker_seen = self._breaker_seen, self.store.changes
         for scope in self.scraper.scopes():
             series = scoped_name(scope, _BREAKER_METRIC)
+            if not self.store.moved(series, seen):
+                continue
             value = self.store.last(series)
             if value is None:
                 continue

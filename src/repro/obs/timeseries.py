@@ -24,6 +24,7 @@ stores.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from itertools import takewhile
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
@@ -56,6 +57,11 @@ PROCESS_SERIES: frozenset[str] = frozenset(
 SCRAPED_QUANTILES: tuple[tuple[str, float], ...] = (("p50", 0.50), ("p95", 0.95))
 
 
+def _same(a: float, b: float) -> bool:
+    """Equal to the bit as far as any reading tells (``-0.0`` is not ``0.0``)."""
+    return a == b and bool(a or math.copysign(1.0, a) == math.copysign(1.0, b))
+
+
 def scoped_name(scope: str, metric: str) -> str:
     """The store series name of ``metric`` scraped under ``scope``."""
     return f"{scope}.{metric}" if scope else metric
@@ -85,6 +91,11 @@ class TimeSeriesStore:
         self._marks: deque[float] = deque(maxlen=capacity)
         self._marked = 0
         self._held: dict[str, list] = {}
+        # The change clock; series -> (clock, time) of its newest value
+        # change (a first sample is one); held series the next mark changes.
+        self.changes = 0
+        self._changed: dict[str, tuple[int, float]] = {}
+        self._due: dict[str, None] = {}
 
     # ------------------------------------------------------------------
     # Recording and lookup
@@ -94,21 +105,46 @@ class TimeSeriesStore:
         ring = self._ring(series)
         if ring is None:
             ring = self._series[series] = deque(maxlen=self.capacity)
+        if not ring or not _same(ring[-1][1], float(value)):
+            self.changes += 1
+            self._changed[series] = (self.changes, float(time))
         ring.append((float(time), float(value)))
+        if series in self._held and not _same(self._held[series][0], float(value)):
+            self._due[series] = None  # the next mark brings the held value back
 
     def hold(self, series: str, value: float) -> bool:
         """Carry ``value`` forward: one ``(time, value)`` sample per
         :meth:`mark` until the next ``hold``.  True if newly held."""
+        value, entry = float(value), self._held.get(series)
+        if entry is not None and _same(entry[0], value):
+            return False  # carried already; the ring is paid on read
         if self._ring(series) is None:  # paid up: earlier marks keep the old value
             self._series[series] = deque(maxlen=self.capacity)
-        newly = series not in self._held
-        self._held[series] = [float(value), self._marked]
-        return newly
+        self._due[series] = None  # the next mark changes its value
+        self._held[series] = [value, self._marked]
+        return entry is None
 
     def mark(self, now: float) -> None:
         """Stamp one sample of every held series at ``now``."""
         self._marks.append(float(now))
         self._marked += 1
+        for series in self._due:
+            self.changes += 1
+            self._changed[series] = (self.changes, float(now))
+        self._due.clear()
+
+    def moved(self, name: str, since: int, span: float | None = None, now: float = 0.0) -> bool:
+        """Whether a reading of ``name`` may differ from the one taken when
+        :attr:`changes` read ``since``: the value changed since or, read
+        over ``span`` up to ``now``, that window no longer holds two samples
+        or more, all newer than the newest change and none after ``now``."""
+        stamp, changed_at = self._changed.get(name, (0, None))
+        if stamp > since:
+            return True
+        if span is None or changed_at is None:  # never sampled: reads None
+            return False
+        ring, start = self._ring(name), now - span
+        return changed_at >= start or len(ring) < 2 or ring[-2][0] < start or ring[-1][0] > now
 
     def _ring(self, name: str) -> deque[tuple[float, float]] | None:
         """The series' ring with every sample it is owed appended."""
@@ -194,15 +230,6 @@ class TimeSeriesStore:
     def to_dict(self) -> dict[str, list[list[float]]]:
         """JSON-ready ``{series: [[time, value], ...]}``, sorted by name."""
         return {name: [[t, v] for t, v in self._ring(name)] for name in self.names()}
-
-    @classmethod
-    def from_dict(cls, doc: Mapping[str, Iterable[Sequence[float]]]) -> "TimeSeriesStore":
-        """Rebuild a store from :meth:`to_dict` output."""
-        store = cls()
-        for name, points in doc.items():
-            for point in points:
-                store.append(name, point[0], point[1])
-        return store
 
 
 class TelemetryScraper:

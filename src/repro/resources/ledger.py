@@ -106,6 +106,9 @@ class ResourceLedger:
         # rebuild), and the capacities they were computed under.
         self._utils: dict[int, float] | None = None
         self._utils_capacities: dict[int, NodeCapacity] = {}
+        # The tracked nodes over ``_over_bound`` (None = filter again).
+        self._over: dict[int, float] | None = None
+        self._over_bound = 1.0
         # Nodes re-summed since the last rebuild of ``_utils`` (a reset).
         self._moved = ChangeFeed()
         # The live record keys as a frozenset; None = rebuild on demand.
@@ -261,8 +264,12 @@ class ResourceLedger:
             self._loads.pop(node, None)
         if self._utils is not None:
             if node in self._utils and node in self.capacities:
-                self._utils[node] = total.utilization(self.capacities[node])
+                ratio = self._utils[node] = total.utilization(self.capacities[node])
                 self._moved.touch(node)
+                if self._over is not None:
+                    self._over.pop(node, None)
+                    if ratio > self._over_bound + 1e-9:
+                        self._over[node] = ratio
             else:
                 # The tracked set may change: rebuild, in node order.
                 self._utils = None
@@ -301,6 +308,7 @@ class ResourceLedger:
                 for node in sorted(set(self.capacities) | set(loads))
             }
             self._moved.reset()
+            self._over = None
         return self._utils
 
     def utilization_changes(
@@ -326,18 +334,23 @@ class ResourceLedger:
         """Nodes exceeding ``bound``, optionally with ``extra`` load added.
 
         Returns ``[(node, projected_utilization), ...]`` sorted hottest
-        first; empty means the (projected) load is feasible.
+        first; empty means the (projected) load is feasible.  Those over
+        the bound last asked for are kept as ratios are re-summed.
         """
         utils = self._settled_utils()
+        if self._over is None or bound != self._over_bound:
+            self._over_bound = bound
+            self._over = {node: util for node, util in utils.items() if util > bound + 1e-9}
+        over = self._over
         if extra:
             # Only the nodes ``extra`` names are re-priced.
-            utils = utils | {
+            over = over | {
                 node: (self._loads.get(node, ZERO_LOAD) + load).utilization(
                     self.capacity(node)
                 )
                 for node, load in extra.items()
             }
-        out = [(node, util) for node, util in utils.items() if util > bound + 1e-9]
+        out = [(node, util) for node, util in over.items() if util > bound + 1e-9]
         return sorted(out, key=lambda item: (-item[1], item[0]))
 
     def hot_nodes(self, k: int) -> list[tuple[int, float]]:

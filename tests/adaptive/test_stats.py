@@ -1,10 +1,16 @@
 """StatsMonitor: EWMA convergence, drift hysteresis, publication."""
 
+import json
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.adaptive.stats import EwmaEstimator, StatsMonitor
 from repro.core.cost import RateModel
 from repro.query.stream import StreamSpec
+
+from tests.adaptive.reference_stats import EagerStatsMonitor
 
 
 def make_rates():
@@ -46,7 +52,7 @@ class TestEwmaEstimator:
 class TestDriftDetection:
     def test_no_observations_no_drift(self):
         monitor = StatsMonitor(make_rates())
-        assert monitor.drifted() == []
+        assert monitor.summary()["drifting_now"] == []
         assert monitor.maybe_publish(1.0) == []
 
     def test_single_tick_spike_does_not_publish(self):
@@ -117,3 +123,54 @@ class TestDriftDetection:
         summary = monitor.summary()
         assert summary["streams_monitored"] == 2
         assert summary["publications"] == 1
+
+
+# ----------------------------------------------------------------------
+# The incremental drift check against the eager one
+# ----------------------------------------------------------------------
+#: One step: ``("sample", stream, rate)``, ``("check", ticks)`` (advance
+#: the clock, then run one drift check) or ``("restore",)`` (capture and
+#: restore into a fresh monitor, as crash recovery does).
+_STEPS = st.one_of(
+    st.tuples(
+        st.just("sample"),
+        st.sampled_from(["A", "B"]),
+        # Around the threshold of either stream's catalog rate, and far past it.
+        st.sampled_from([100.0, 115.0, 121.0, 79.0, 40.0, 47.0, 49.0, 31.0, 500.0, 0.0]),
+    ),
+    st.tuples(st.just("check"), st.sampled_from([0.0, 1.0, 3.0])),
+    st.tuples(st.just("restore")),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    alpha=st.sampled_from([0.3, 1.0]),
+    hysteresis=st.integers(1, 3),
+    cooldown=st.sampled_from([0.0, 2.0, 5.0]),
+    steps=st.lists(_STEPS, max_size=40),
+)
+def test_the_drift_check_is_the_eager_check(alpha, hysteresis, cooldown, steps):
+    """Every check publishes what a check that re-derives every stream
+    publishes, and leaves the same streaks, counts, revision and rates."""
+
+    def build(cls):
+        return cls(make_rates(), alpha=alpha, hysteresis_ticks=hysteresis, publish_cooldown=cooldown)
+
+    monitor, eager = build(StatsMonitor), build(EagerStatsMonitor)
+    now = 0.0
+    for step in steps:
+        if step[0] == "sample":
+            assert monitor.observe_rate(*step[1:]) == eager.observe_rate(*step[1:])
+        elif step[0] == "check":
+            now += step[1]
+            assert repr(monitor.maybe_publish(now)) == repr(eager.maybe_publish(now))
+        else:
+            doc = json.loads(json.dumps(monitor.capture()))
+            monitor, eager = build(StatsMonitor), build(EagerStatsMonitor)
+            monitor.restore(doc)
+            eager.restore(json.loads(json.dumps(doc)))
+        assert json.dumps(monitor.capture()) == json.dumps(eager.capture())
+        assert monitor.revision == eager.revision
+        assert monitor.rates.streams == eager.rates.streams
+        assert monitor.summary()["drifting_now"] == sorted(d.stream for d in eager.drifted())

@@ -11,11 +11,15 @@ updated, appended and scraped:
 * pinned cases for the rules of the lazy path (which value a mark
   belongs to, what survives ``capacity``, what enters a feed);
 * a derandomized hypothesis state machine over instruments, sources,
-  direct appends and scrapes, comparing every read after every rule;
+  direct appends, scrapes and rule evaluations, comparing every read,
+  every rule's state and every evaluation's transitions after every
+  rule against the eager pair and the eager :class:`RulesEngine` (which
+  re-runs every rule on every evaluation);
 * a bound on the feed of a registry nobody reads.
 """
 
 import copy
+import json
 from collections import Counter
 
 import hypothesis.strategies as st
@@ -29,6 +33,7 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
+from repro.obs import rules as shipped_rules
 from repro.obs.metrics import MetricRegistry
 from repro.obs.timeseries import TelemetryScraper, TimeSeriesStore
 from repro.perf.profiler import profiled
@@ -191,20 +196,82 @@ _SOURCE_KEYS = ("k0", "k1", _DROPPED)
 _DURATIONS = (None, 0.0, 2.0, 100.0)
 
 
-class Pair:
-    """One shipped scraper + store and their eager twins, fed alike."""
+def rule_set(rules, scope: str) -> list:
+    """One rule of each kind and reading, built from ``rules`` (the
+    shipped module or the reference) over the series a pair scrapes
+    under ``scope``: rules that pend, fire and resolve, windowed and
+    whole-ring deltas, a source series that stops being sampled, a
+    series that never appears, and rules over a recorded series."""
+    s = (scope + ".") if scope else ""
+    return [
+        rules.RecordingRule("rec.sum", [s + "c0", s + "g0", "direct.x"]),
+        rules.RecordingRule("rec.delta", ["direct.y", s + "c1", "never.seen"], aggregate="delta"),
+        rules.ThresholdRule("g0_high", s + "g0", ">", 1.0, for_ticks=2.0),
+        rules.ThresholdRule("g1_low", s + "g1", "<", 0.0),
+        rules.ThresholdRule(
+            "c0_moved", s + "c0", ">", 0.0, aggregate="delta", window=2.0, for_ticks=1.0
+        ),
+        rules.ThresholdRule("c1_ring", s + "c1", ">=", 3.0, aggregate="delta"),
+        rules.ThresholdRule("k0_recent", "src.k0", ">", 2.0, window=2.0),
+        rules.ThresholdRule("k0_high", "src.k0", ">", 2.0),
+        rules.ThresholdRule(
+            "h0_slow", s + "h0_p95", ">", 1.0, for_ticks=1.0,
+            activate_series=s + "h0_count", activate_at=2.0,
+        ),
+        rules.ThresholdRule("rec_moved", "rec.sum", "!=", 0.0, aggregate="delta", window=3.0),
+        rules.ThresholdRule("never", "never.seen", ">", 0.0, aggregate="delta", window=2.0),
+        rules.AbsenceRule("k1_stalled", "src.k1", stale_after=2.0, for_ticks=1.0),
+        rules.BurnRateRule(
+            "burn", s + "c0", s + "c1", objective=0.5, max_burn=1.0, window=3.0, for_ticks=1.0
+        ),
+        rules.BurnRateRule("burn_ring", "direct.x", "direct.y", objective=0.5, max_burn=0.5),
+    ]
 
-    def __init__(self, cadence: float) -> None:
+
+def _text(doc) -> str:
+    """Bit-exact comparison form (``-0.0`` is not ``0.0``, NaN is NaN)."""
+    return json.dumps(doc, sort_keys=True)
+
+
+class Pair:
+    """One shipped scraper + store + rules engine and their eager twins,
+    fed alike."""
+
+    def __init__(self, cadence: float, scope: str) -> None:
         self.store = TimeSeriesStore(capacity=_CAPACITY)
         self.scraper = TelemetryScraper(self.store, cadence=cadence)
         self.ref_store = reference.TimeSeriesStore(capacity=_CAPACITY)
         self.ref_scraper = reference.TelemetryScraper(self.ref_store, cadence=cadence)
+        self.engine = shipped_rules.RulesEngine(self.store)
+        self.ref_engine = reference.RulesEngine(self.ref_store)
+        for rule in rule_set(shipped_rules, scope):
+            self.engine.add(rule)
+        for rule in rule_set(reference, scope):
+            self.ref_engine.add(rule)
 
     def both(self, method: str, *args, **kwargs):
         got = getattr(self.scraper, method)(*args, **kwargs)
         want = getattr(self.ref_scraper, method)(*args, **kwargs)
         assert got == want, (method, args, got, want)
         return got
+
+    def evaluate(self, now: float, seen: Counter) -> None:
+        """Evaluate both engines: the same transitions, bit for bit."""
+        with profiled() as prof:
+            got = self.engine.evaluate(now)
+        want = self.ref_engine.evaluate(now)
+        assert _text(got) == _text(want), (now, got, want)
+        rules = len(self.ref_engine.recording) + len(self.ref_engine.alerts)
+        seen["rules_skipped"] += rules - prof.ops.get("rules_evaluated", 0)
+        for event in want:
+            seen[f"to_{event['to']}"] += 1
+        ring = self.ref_store.series("c1") or self.ref_store.series("a.c1")
+        seen["whole_ring_delta_evicting"] += len(ring) == _CAPACITY
+        # A series a 2-wide window rule reads, sampled before and not since.
+        windowed = [s for s in ("src.k0", "c0", "a.c0") if self.ref_store.series(s)]
+        seen["window_emptied_alone"] += any(
+            not self.ref_store.window(s, 2.0, now) for s in windowed
+        )
 
 
 class TelemetryFeedMachine(RuleBasedStateMachine):
@@ -224,8 +291,8 @@ class TelemetryFeedMachine(RuleBasedStateMachine):
         self.registries[0].histogram("h0")
         self.now = 0.0
         self.source: dict[str, float | None] = {}
-        self.every = Pair(cadence=1.0)
-        self.third = Pair(cadence=3.0)
+        self.every = Pair(cadence=1.0, scope="a")
+        self.third = Pair(cadence=3.0, scope="")
         self.pairs = [self.every, self.third]
         self.every.both("register", "a", self.registries[0])
         self.every.both("add_source", "src", lambda: dict(self.source))
@@ -251,7 +318,7 @@ class TelemetryFeedMachine(RuleBasedStateMachine):
     @rule(
         reg=st.integers(0, 1),
         name=st.sampled_from(["g0", "g1", _DROPPED]),
-        value=st.sampled_from([0.0, 1.0, 2.5, -1.0, -2.5]),
+        value=st.sampled_from([0.0, -0.0, 1.0, 2.5, -1.0, -2.5]),
     )
     def move_gauge(self, reg, name, value):
         self._declare(reg, name).set(value)
@@ -295,11 +362,25 @@ class TelemetryFeedMachine(RuleBasedStateMachine):
 
     # -- scrapes -------------------------------------------------------
     def _scrape(self, force: bool) -> None:
+        # As the telemetry pipeline does: rules evaluate after each scrape.
         for pair in self.pairs:
             self.seen["first_scrape"] += any(
                 cursor is None for *_, cursor in pair.scraper._registries
             )
+            due = force or pair.scraper.due(self.now)
             pair.both("scrape", self.now, force=force)
+            if due:
+                pair.evaluate(self.now, self.seen)
+
+    @rule()
+    def let_time_pass(self):
+        # No scrape: windowed readings lose their older samples.
+        self.now += 2.5
+
+    @rule(data=st.data())
+    def evaluate_without_a_scrape(self, data):
+        # Time moved with no sample: windows lose their old samples.
+        data.draw(st.sampled_from(self.pairs)).evaluate(self.now, self.seen)
 
     @rule()
     def tick(self):
@@ -359,7 +440,8 @@ class TelemetryFeedMachine(RuleBasedStateMachine):
                             name, duration, now
                         ), (name, duration, now)
                 assert again.window(name) == want.series(name)
-            assert got.to_dict() == want.to_dict()
+            assert _text(got.to_dict()) == _text(want.to_dict())
+            assert _text(pair.engine.snapshot()) == _text(pair.ref_engine.snapshot())
 
 
 #: Derandomized: the same examples every run, so the mechanisms the test
@@ -376,5 +458,7 @@ def test_lazy_telemetry_matches_the_eager_pair_after_every_rule():
         "first_scrape", "late_registrations", "declared_mid_run",
         "first_observe_after_a_scrape", "count_same", "count_moved", "source_none",
         "double_scrapes", "carried_past_capacity", "left_unread_9_marks",
+        "rules_skipped", "to_pending", "to_firing", "to_resolved", "to_inactive",
+        "whole_ring_delta_evicting", "window_emptied_alone",
     ):
         assert seen[mechanism], f"no example exercised {mechanism}: {dict(seen)}"

@@ -70,7 +70,10 @@ class TestTimeSeriesStore:
         store.append("a", 1.0, 1.0)
         doc = store.to_dict()
         assert list(doc) == ["a", "b"]  # sorted for determinism
-        rebuilt = TimeSeriesStore.from_dict(doc)
+        rebuilt = TimeSeriesStore()
+        for name, points in doc.items():
+            for t, v in points:
+                rebuilt.append(name, t, v)
         assert rebuilt.to_dict() == doc
 
 

@@ -192,7 +192,8 @@ def _case_telemetry_overhead() -> OpProfiler:
 
     The pipeline only reads instruments, so its planner op counts
     (plans, probes, ticks) match the bare service's exactly.
-    ``telemetry_series_held`` is what the scrapes re-read.
+    ``telemetry_series_held`` is what the scrapes re-read, and
+    ``rules_evaluated`` the rules re-derived because a reading moved.
     """
     from repro.obs.telemetry import TelemetryConfig
 
@@ -367,6 +368,7 @@ PINS: dict[str, dict[str, int]] = {
         **_CHURN_NO_RESUBMIT,
         "flow_prices_summed": 111,
         "telemetry_series_held": 148,
+        "rules_evaluated": 71,  # of 30 ticks x 9 rules
         "telemetry_samples": 444,
         "telemetry_series": 16,
     },
@@ -413,7 +415,7 @@ class TestLayersAddNoPlannerWork:
                 "telemetry_overhead",
                 {
                     "flow_prices_summed", "telemetry_series_held",
-                    "telemetry_samples", "telemetry_series",
+                    "telemetry_samples", "telemetry_series", "rules_evaluated",
                 },
                 False,
                 id="telemetry_overhead",
@@ -455,7 +457,7 @@ class TestLabWrapperAddsNoPlannerWork:
     #: What only the wrapper reads: its scrapes and the cost gauge.
     LAB_ONLY = {
         "telemetry_samples", "telemetry_series", "telemetry_series_held",
-        "flow_prices_summed",
+        "flow_prices_summed", "rules_evaluated",
     }
 
     @staticmethod

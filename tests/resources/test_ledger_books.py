@@ -10,7 +10,8 @@ prices everything on every call):
   hash seed);
 * a hypothesis state machine over the whole command surface of a
   service under tight capacities with adaptivity, asserting exact
-  equality after every command;
+  equality after every command (the violating set the ledger keeps
+  first, as the command's re-sums left it);
 * a work-count gate: idle ticks price nothing and a submit prices at
   most its own joins, so an O(live) regression fails without a clock.
 """
@@ -59,6 +60,17 @@ def assert_books_match(ledger: ResourceLedger, reference: ReferenceLedger) -> No
     for node in want:
         assert ledger.queries_on(node) == reference.queries_on(node)
     assert_reports_match(ledger, reference)
+
+
+def assert_kept_violations_match(ledger: ResourceLedger, reference: ReferenceLedger) -> None:
+    """The violating set the ledger keeps for the bound it was last asked
+    about, as every re-sum since left it, against the full filter: with
+    and without extra load on a hot node and on one it never met."""
+    caps, bound = ledger.capacities, ledger._over_bound
+    hot = [node for node, _ in reference.hot_nodes(caps, 1)]
+    extra = {node: Load(cpu=25.0) for node in [*hot, 10_000]}
+    assert ledger.violations(bound) == reference.violations(caps, bound)
+    assert ledger.violations(bound, extra) == reference.violations(caps, bound, extra)
 
 
 def assert_reports_match(ledger: ResourceLedger, reference: ReferenceLedger) -> None:
@@ -276,6 +288,31 @@ class TestReads:
         assert after != before
         assert_books_match(ledger, reference)
 
+    def test_kept_violations_follow_loads_and_capacity_edits(self, books, abc_rates):
+        """The violating set kept for a bound moves with each re-sum and
+        is filtered again when the ratios are rebuilt (a capacity edit)."""
+        state, _, ledger, reference = books
+        state.apply(left_deep("q"))
+        load = load_of(ledger, HUB)
+        ledger.capacities[HUB] = NodeCapacity(cpu=load.cpu * 4, memory=load.memory * 4)
+
+        def check(violating: bool) -> None:
+            want = reference.violations(ledger.capacities, 0.5)
+            assert ledger.violations(0.5) == want and bool(want) is violating
+
+        check(False)
+        streams = abc_rates.streams
+        streams["A"] = StreamSpec("A", 0, streams["A"].rate * 10)
+        abc_rates.update_streams(streams)  # HUB re-summed past half
+        check(True)
+        ledger.capacities[HUB] = ledger.capacities[HUB].scaled(100.0)
+        check(False)
+        ledger.capacities[HUB] = ledger.capacities[HUB].scaled(0.01)
+        check(True)
+        state.undeploy("q")
+        check(False)
+        assert_books_match(ledger, reference)
+
     def test_node_loads_hands_out_a_private_dict(self, books):
         state, _, ledger, reference = books
         state.apply(left_deep("q"))
@@ -451,6 +488,9 @@ class LedgerMachine(RuleBasedStateMachine):
 
     @invariant()
     def books_match_the_reference(self):
+        # First, before a read of another bound rebuilds the kept set.
+        assert_kept_violations_match(self.ledger, self.reference)
+        self.seen["violations_kept"] += bool(self.ledger.violations(self.ledger._over_bound))
         assert_books_match(self.ledger, self.reference)
         self.seen["orphans"] += orphaned(self.service.engine.state)
 
@@ -503,6 +543,7 @@ def test_service_books_match_the_reference_after_every_command():
     for mechanism in (
         "shed", "readmitted", "publications", "migrations", "failovers", "orphans",
         "capacity_edits", "restores", "gauges_nonzero", "reapplies", "bursts",
+        "violations_kept",
     ):
         assert seen[mechanism], f"no example exercised {mechanism}: {dict(seen)}"
 
