@@ -9,7 +9,8 @@ on every scrape.  Both must be the same function of what was declared,
 updated, appended and scraped:
 
 * pinned cases for the rules of the lazy path (which value a mark
-  belongs to, what survives ``capacity``, what enters a feed);
+  belongs to, what survives ``capacity``, what enters a feed, what
+  counts as a change to the rules engine);
 * a derandomized hypothesis state machine over instruments, sources,
   direct appends, scrapes and rule evaluations, comparing every read,
   every rule's state and every evaluation's transitions after every
@@ -179,6 +180,57 @@ class TestFeedScraper:
         assert prof.ops["telemetry_series_held"] == 0
         assert scraper.summary()["samples"] == 6
         assert store.window("s.h_count") == [(1.0, 0.0), (2.0, 0.0)]
+
+
+class TestRulesReadWhatMoved:
+    """Pinned cases of what counts as a change, each run against the
+    eager engine over an eager store fed the same samples."""
+
+    @staticmethod
+    def run(rules, steps) -> None:
+        """``steps``: ``(now, "hold", series, value)``, ``(now, "append",
+        series, value)`` or ``(now, "mark")``; the eager store appends what
+        is held at each mark, and both engines evaluate after every step
+        but a hold."""
+        store, ref_store, held = TimeSeriesStore(), reference.TimeSeriesStore(), {}
+        engine, ref_engine = shipped_rules.RulesEngine(store), reference.RulesEngine(ref_store)
+        for rule in rules(shipped_rules):
+            engine.add(rule)
+        for rule in rules(reference):
+            ref_engine.add(rule)
+        for now, op, *args in steps:
+            if op == "hold":
+                store.hold(*args)
+                held[args[0]] = args[1]
+                continue
+            if op == "append":
+                store.append(args[0], now, args[1])
+                ref_store.append(args[0], now, args[1])
+            else:
+                store.mark(now)
+                for series, value in held.items():
+                    ref_store.append(series, now, value)
+            assert _text(engine.evaluate(now)) == _text(ref_engine.evaluate(now)), now
+            assert _text(engine.snapshot()) == _text(ref_engine.snapshot()), now
+            assert _text(store.to_dict()) == _text(ref_store.to_dict()), now
+
+    def test_a_zero_that_changes_sign_is_a_change(self):
+        def rules(m):
+            return [m.ThresholdRule("h", "h", "<", -1.0), m.ThresholdRule("a", "a", "<", -1.0)]
+
+        self.run(rules, [
+            (1.0, "hold", "h", 0.0), (1.0, "mark"), (1.0, "append", "a", 0.0),
+            (2.0, "hold", "h", -0.0), (2.0, "mark"), (2.0, "append", "a", -0.0),
+        ])
+
+    def test_the_mark_after_an_append_brings_the_held_value_back(self):
+        def rules(m):
+            return [m.ThresholdRule("high", "h", ">", 5.0)]
+
+        # Fires on the appended 9.0, resolves when the next mark samples 1.0.
+        self.run(rules, [
+            (1.0, "hold", "h", 1.0), (1.0, "mark"), (1.5, "append", "h", 9.0), (2.0, "mark"),
+        ])
 
 
 # ----------------------------------------------------------------------
