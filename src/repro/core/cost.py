@@ -89,6 +89,32 @@ class RateModel:
         self._version += 1
         return True
 
+    def capture(self) -> dict:
+        """The catalog, :attr:`version` and ``reuse_rate_inflation``.  The
+        memoized view rates are derived: not kept."""
+        return {
+            "streams": [
+                {"name": spec.name, "source": spec.source, "rate": spec.rate}
+                for spec in self._streams.values()
+            ],
+            "version": self._version,
+            "reuse_rate_inflation": self.reuse_rate_inflation,
+        }
+
+    def restore(self, doc: dict) -> None:
+        """Assign a :meth:`capture` document in place; clears the memo.
+
+        The version is the document's, as a network's is: a snapshot
+        memo that kept a section under it would take it as current, so a
+        restore goes into a pristine controller (recovery's), whose memo
+        is fresh."""
+        self._streams = {
+            s["name"]: StreamSpec(s["name"], s["source"], s["rate"]) for s in doc["streams"]
+        }
+        self.reuse_rate_inflation = doc["reuse_rate_inflation"]
+        self._version = doc["version"]
+        self._cache.clear()
+
     def stream(self, name: str) -> StreamSpec:
         """Spec of one base stream."""
         try:

@@ -5,12 +5,14 @@ A snapshot holds every piece of control-plane state that influences
 **their own section** with one pair of methods, ``capture() -> dict |
 None`` and ``restore(doc)``, next to the fields the section describes
 (``docs/durability.md`` has the table); :func:`capture_service` /
-:func:`capture_fleet` walk ``controller.layers()`` and nothing here
-reads a layer's fields.  This module keeps the **formats** the sections
-share (signature, plan, placement, deployment, operator, flow and
-view-key documents, RNG state) and the codecs of the **core structures**
-every layer stands on: deployment state, plan cache (in LRU order),
-network, hierarchy and rate model.
+:func:`capture_fleet` walk ``controller.layers()``.  The network and
+the rate model every layer stands on own their sections the same way
+(:meth:`~repro.network.graph.Network.capture`,
+:meth:`~repro.core.cost.RateModel.capture`), and nothing here reads a
+private field of another object.  This module keeps the **formats** the
+sections share (signature, plan, placement, deployment, operator, flow
+and view-key documents) and the codecs of the deployment state, the
+plan cache (its public entries, in LRU order) and the hierarchy.
 
 :func:`restore_service` / :func:`restore_fleet` assign a document back
 into a *pristine* controller built by the same deterministic factory,
@@ -54,8 +56,14 @@ from repro.errors import StateMismatchError
 from repro.hierarchy.hierarchy import Cluster
 from repro.query.plan import Join, Leaf, PlanNode
 from repro.query.query import JoinPredicate, ViewSignature
-from repro.query.stream import Filter, StreamSpec
-from repro.serialization import _query_from_dict, _query_to_dict, network_fields
+from repro.query.stream import Filter
+from repro.serialization import (
+    _query_from_dict,
+    _query_to_dict,
+    filter_to_dict,
+    jsonable,
+    predicate_to_dict,
+)
 
 STATE_VERSION = 1
 
@@ -129,19 +137,6 @@ def _fragment(to_doc, *args: Any) -> Fragment:
     return Fragment(canonical_json(to_doc(*args)))
 
 
-def _jsonable(value: Any) -> Any:
-    """Best-effort conversion of stats payloads to JSON-ready values."""
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(str(v) for v in value)
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return repr(value)
-
-
 # ----------------------------------------------------------------------
 # Signatures, plans, placements, deployments
 # ----------------------------------------------------------------------
@@ -150,24 +145,10 @@ def sig_to_doc(sig: ViewSignature) -> dict[str, Any]:
     return {
         "sources": sorted(sig.sources),
         "predicates": sorted(
-            (
-                {
-                    "left": p.left,
-                    "right": p.right,
-                    "selectivity": p.selectivity,
-                    "left_attr": p.left_attr,
-                    "right_attr": p.right_attr,
-                }
-                for p in sig.predicates
-            ),
-            key=lambda d: (d["left"], d["right"]),
+            map(predicate_to_dict, sig.predicates), key=lambda d: (d["left"], d["right"])
         ),
         "filters": sorted(
-            (
-                {"stream": f.stream, "predicate": f.predicate, "selectivity": f.selectivity}
-                for f in sig.filters
-            ),
-            key=lambda d: (d["stream"], d["predicate"]),
+            map(filter_to_dict, sig.filters), key=lambda d: (d["stream"], d["predicate"])
         ),
         "window": sig.window,
     }
@@ -222,7 +203,7 @@ def deployment_to_doc(deployment) -> dict[str, Any]:
         "query": _query_to_dict(deployment.query),
         "plan": plan_to_doc(deployment.plan),
         "placement": placement_to_doc(deployment.plan, deployment.placement),
-        "stats": _jsonable(dict(deployment.stats)),
+        "stats": jsonable(dict(deployment.stats)),
     }
 
 
@@ -382,50 +363,8 @@ def restore_deployment_state(state, doc: dict[str, Any]) -> None:
 
 
 # ----------------------------------------------------------------------
-# Network / hierarchy / rates (shared infrastructure, restored in place)
-# and RNG state
+# Hierarchy (shared infrastructure, restored in place)
 # ----------------------------------------------------------------------
-def capture_network(network, memo: FragmentMemo) -> Fragment:
-    """Capture topology + version of a :class:`~repro.network.graph.Network`.
-
-    Every mutator of the network bumps its version, so the text is kept
-    for as long as the version stands.
-    """
-    return Fragment(memo.text(network, network._version, _network_to_doc, network))
-
-
-def _network_to_doc(network) -> dict[str, Any]:
-    return {**network_fields(network), "version": network._version}
-
-
-def restore_network(network, doc: dict[str, Any]) -> None:
-    """Restore a network *in place* (everything holds references to it)."""
-    from repro.network.graph import Link
-
-    adj: dict[int, set[int]] = {n["id"]: set() for n in doc["nodes"]}
-    if sorted(adj) != list(range(len(doc["nodes"]))):
-        raise ValueError("snapshot node ids must be contiguous from 0")
-    kinds = {n["id"]: n["kind"] for n in doc["nodes"]}
-    links = {}
-    for entry in doc["links"]:
-        link = Link(
-            u=entry["u"],
-            v=entry["v"],
-            cost=entry["cost"],
-            delay=entry["delay"],
-            bandwidth=float("inf") if entry["bandwidth"] is None else entry["bandwidth"],
-            kind=entry["kind"],
-        )
-        links[(link.u, link.v)] = link
-        adj[link.u].add(link.v)
-        adj[link.v].add(link.u)
-    network._adj = adj
-    network._node_kind = kinds
-    network._links = links
-    network._version = doc["version"]
-    network._cost_cache = network._delay_cache = None
-
-
 def capture_hierarchy(hierarchy) -> dict[str, Any]:
     """Capture the cluster tree, preserving each level's list order."""
     positions: dict[int, int] = {}
@@ -484,43 +423,6 @@ def _restore_cluster(cdoc) -> Cluster:
     return cluster
 
 
-def capture_rates(rates) -> dict[str, Any]:
-    """Capture a :class:`~repro.core.cost.RateModel` (catalog + version)."""
-    return {
-        "streams": [
-            {"name": spec.name, "source": spec.source, "rate": spec.rate}
-            for spec in rates._streams.values()
-        ],
-        "version": rates._version,
-        "reuse_rate_inflation": rates.reuse_rate_inflation,
-    }
-
-
-def restore_rates(rates, doc: dict[str, Any]) -> None:
-    """Restore the shared rate model in place; clears the rate cache.
-
-    The version is the file's, as the network's is: a memo that kept a
-    section under it would take it as current, so a restore goes into a
-    pristine controller (recovery's), whose memo is fresh."""
-    rates._streams = {
-        s["name"]: StreamSpec(s["name"], s["source"], s["rate"])
-        for s in doc["streams"]
-    }
-    rates.reuse_rate_inflation = doc["reuse_rate_inflation"]
-    rates._version = doc["version"]
-    rates._cache.clear()
-
-
-def capture_rng(rng) -> dict[str, Any]:
-    """The bit-generator state dict of a numpy Generator (JSON-safe)."""
-    return rng.bit_generator.state
-
-
-def restore_rng(rng, doc: dict[str, Any]) -> None:
-    """Inverse of :func:`capture_rng`."""
-    rng.bit_generator.state = doc
-
-
 # ----------------------------------------------------------------------
 # Plan cache
 # ----------------------------------------------------------------------
@@ -531,7 +433,7 @@ def _cache_entry_to_doc(key, entry) -> dict[str, Any]:
         "topology_epoch": key[2],
         "plan": plan_to_doc(entry.plan),
         "placement": placement_to_doc(entry.plan, entry.placement),
-        "stats": _jsonable(dict(entry.stats)),
+        "stats": jsonable(dict(entry.stats)),
     }
 
 
@@ -550,7 +452,7 @@ def _cache_entries(cache, memo: FragmentMemo) -> Fragment:
     # A cached plan is frozen; its text also reads the key it is under.
     return _array(
         memo.text(entry, key, _cache_entry_to_doc, key, entry)
-        for key, entry in cache._entries.items()  # LRU order
+        for key, entry in cache.entries()  # LRU order
     )
 
 
@@ -632,10 +534,12 @@ def _restore_layers(controller, doc: dict[str, Any]) -> None:
 
 def _capture_shared(controller, memo: FragmentMemo) -> dict[str, Any]:
     hierarchy, rates = controller.hierarchy, controller.rates
+    network = controller.network
     doc = {
-        "network": capture_network(controller.network, memo),
+        # Every mutator of the network bumps its version.
+        "network": Fragment(memo.text(network, network.version, network.capture)),
         "rates": memo.section(
-            rates, (rates.version, rates.reuse_rate_inflation), _fragment, capture_rates, rates
+            rates, (rates.version, rates.reuse_rate_inflation), _fragment, rates.capture
         ),
         # Every edit of the cluster tree ends in ``reindex()``: a new revision.
         "hierarchy": None
@@ -661,8 +565,8 @@ def _place(doc: dict[str, Any], at: tuple) -> None:
 
 
 def _restore_shared(controller, doc: dict[str, Any]) -> None:
-    restore_network(controller.network, doc["network"])
-    restore_rates(controller.rates, doc["rates"])
+    controller.network.restore(doc["network"])
+    controller.rates.restore(doc["rates"])
     if doc.get("hierarchy") is not None and controller.hierarchy is not None:
         restore_hierarchy(controller.hierarchy, doc["hierarchy"])
 

@@ -27,8 +27,9 @@ class Link:
         v: The other endpoint.
         cost: Traversal cost per unit of data shipped across the link.
         delay: One-way propagation delay in seconds.
-        bandwidth: Link bandwidth in data units per second (used only by
-            the runtime simulator; ``inf`` means uncapacitated).
+        bandwidth: Link bandwidth in data units per second, as a network
+            document gives it (``inf``, uncapacitated, unless it names
+            one); no planner or simulator reads it.
         kind: Free-form tag, e.g. ``"stub"``, ``"transit"``,
             ``"stub-transit"`` -- useful for assertions about generated
             topologies.
@@ -176,16 +177,17 @@ class Network:
         v: int,
         cost: float,
         delay: float = 0.001,
-        bandwidth: float = float("inf"),
         kind: str = "",
     ) -> Link:
-        """Add an undirected link; raises if one already exists."""
+        """Add an undirected, uncapacitated link; raises if one already
+        exists.  A bounded bandwidth comes only from a document
+        (:meth:`restore`)."""
         self._check_node(u)
         self._check_node(v)
         key = _canonical(u, v)
         if key in self._links:
             raise ValueError(f"link between {u} and {v} already exists")
-        link = Link(key[0], key[1], cost=cost, delay=delay, bandwidth=bandwidth, kind=kind)
+        link = Link(key[0], key[1], cost=cost, delay=delay, kind=kind)
         self._links[key] = link
         self._adj[u].add(v)
         self._adj[v].add(u)
@@ -254,6 +256,60 @@ class Network:
         clone._node_kind = dict(self._node_kind)
         clone._links = dict(self._links)
         return clone
+
+    # ------------------------------------------------------------------
+    # Document (a manifest's and a snapshot's network section)
+    # ------------------------------------------------------------------
+    def capture(self) -> dict:
+        """``nodes`` (ids, kinds) and ``links`` (all attributes, an
+        unbounded bandwidth as ``None``) in id and endpoint order, and
+        the ``version``.  The shortest-path caches are derived: not kept.
+        """
+        return {
+            "nodes": [{"id": node, "kind": self._node_kind[node]} for node in self.nodes()],
+            "links": [
+                {
+                    "u": link.u,
+                    "v": link.v,
+                    "cost": link.cost,
+                    "delay": link.delay,
+                    "bandwidth": link.bandwidth if link.bandwidth != float("inf") else None,
+                    "kind": link.kind,
+                }
+                for link in self.links()
+            ],
+            "version": self._version,
+        }
+
+    def restore(self, doc: dict) -> None:
+        """Assign a :meth:`capture` document *in place* (planners, engines
+        and routing policies hold references to the network) and clear
+        the caches.  Every field is required; only a ``None`` bandwidth is
+        unbounded.  Nothing is assigned unless the whole document reads.
+        """
+        adj: dict[int, set[int]] = {node["id"]: set() for node in doc["nodes"]}
+        if sorted(adj) != list(range(len(doc["nodes"]))):
+            raise ValueError("network node ids must be contiguous from 0")
+        kinds = {node["id"]: node["kind"] for node in doc["nodes"]}
+        links = {}
+        for entry in doc["links"]:
+            bandwidth = entry["bandwidth"]
+            link = Link(
+                u=entry["u"],
+                v=entry["v"],
+                cost=entry["cost"],
+                delay=entry["delay"],
+                bandwidth=float("inf") if bandwidth is None else bandwidth,
+                kind=entry["kind"],
+            )
+            if (link.u, link.v) in links:
+                raise ValueError(f"link between {link.u} and {link.v} already exists")
+            links[(link.u, link.v)] = link
+            adj[link.u].add(link.v)
+            adj[link.v].add(link.u)
+        self._adj, self._node_kind, self._links = adj, kinds, links
+        self._version = doc["version"]
+        self._cost_cache = self._delay_cache = None
 
     def to_networkx(self):
         """Export as a :class:`networkx.Graph` (cost/delay as edge attrs)."""

@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.durability.state import capture_rng, restore_rng
 from repro.errors import (
     CoordinatorTimeout,
     CoordinatorUnreachable,
@@ -487,7 +486,7 @@ class ResilientControl:
             "fallbacks_total": self.fallbacks_total,
             "parked_total": self.parked_total,
             "quarantined_total": self.quarantined_total,
-            "rng": capture_rng(self.rng),
+            "rng": self.rng.bit_generator.state,
             "breakers": self.breakers.capture(),
         }
 
@@ -503,7 +502,7 @@ class ResilientControl:
         self.fallbacks_total = doc["fallbacks_total"]
         self.parked_total = doc["parked_total"]
         self.quarantined_total = doc["quarantined_total"]
-        restore_rng(self.rng, doc["rng"])
+        self.rng.bit_generator.state = doc["rng"]
         self.breakers.restore(doc["breakers"])
 
     # ------------------------------------------------------------------

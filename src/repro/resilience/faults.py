@@ -36,8 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Union
 
-from repro.durability.state import _jsonable
 from repro.errors import FaultInjectionError
+from repro.serialization import jsonable
 from repro.utils import SeedLike, as_generator
 
 
@@ -370,7 +370,7 @@ class FaultInjector:
         return {
             "crashed": sorted(self.crashed),
             "cursor": self._cursor,
-            "applied": _jsonable(list(self.applied)),
+            "applied": jsonable(list(self.applied)),
         }
 
     def restore(self, doc: dict[str, Any]) -> None:

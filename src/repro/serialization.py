@@ -36,60 +36,69 @@ def _load(text: str, kind: str, what: str) -> dict[str, Any]:
     return doc
 
 
+def jsonable(value: Any) -> Any:
+    """Best-effort conversion of stats payloads to JSON-ready values."""
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, (set, frozenset)):
+        return sorted(str(v) for v in value)
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    return repr(value)
+
+
 # ----------------------------------------------------------------------
 # Network
 # ----------------------------------------------------------------------
-def network_fields(network: Network) -> dict[str, Any]:
-    """A network's ``nodes`` (ids, kinds) and ``links`` (all attributes,
-    an unbounded bandwidth as ``None``), in id and endpoint order: the
-    fields a manifest and a snapshot section share."""
-    return {
-        "nodes": [
-            {"id": node, "kind": network.node_kind(node)} for node in network.nodes()
-        ],
-        "links": [
-            {
-                "u": link.u,
-                "v": link.v,
-                "cost": link.cost,
-                "delay": link.delay,
-                "bandwidth": link.bandwidth if link.bandwidth != float("inf") else None,
-                "kind": link.kind,
-            }
-            for link in network.links()
-        ],
-    }
-
-
 def network_to_json(network: Network) -> str:
-    """Serialize a network (nodes, kinds, links with all attributes)."""
-    doc = {"kind": "repro.network", "version": FORMAT_VERSION, **network_fields(network)}
+    """Serialize a network: :meth:`Network.capture` under this format's
+    envelope (a manifest's ``version`` is the format's, not the
+    network's)."""
+    fields = network.capture()
+    del fields["version"]
+    doc = {"kind": "repro.network", "version": FORMAT_VERSION, **fields}
     return json.dumps(doc, indent=2)
 
 
 def network_from_json(text: str) -> Network:
-    """Rebuild a network serialized by :func:`network_to_json`."""
+    """Rebuild a network serialized by :func:`network_to_json`.
+
+    Its version is the one building it node by node and link by link
+    would give: one per node and link.
+    """
     doc = _load(text, "repro.network", "network")
     net = Network()
-    for node in sorted(doc["nodes"], key=lambda n: n["id"]):
-        created = net.add_node(kind=node.get("kind", ""))
-        if created != node["id"]:
-            raise ValueError("serialized node ids must be contiguous from 0")
-    for link in doc["links"]:
-        net.add_link(
-            link["u"],
-            link["v"],
-            cost=link["cost"],
-            delay=link.get("delay", 0.001),
-            bandwidth=link.get("bandwidth") or float("inf"),
-            kind=link.get("kind", ""),
-        )
+    net.restore(
+        {
+            "nodes": doc["nodes"],
+            "links": doc["links"],
+            "version": len(doc["nodes"]) + len(doc["links"]),
+        }
+    )
     return net
 
 
 # ----------------------------------------------------------------------
 # Queries
 # ----------------------------------------------------------------------
+def predicate_to_dict(predicate: JoinPredicate) -> dict[str, Any]:
+    """A join predicate's document (a query's, a view signature's)."""
+    return {
+        "left": predicate.left,
+        "right": predicate.right,
+        "selectivity": predicate.selectivity,
+        "left_attr": predicate.left_attr,
+        "right_attr": predicate.right_attr,
+    }
+
+
+def filter_to_dict(flt: Filter) -> dict[str, Any]:
+    """A filter's document (a query's, a view signature's)."""
+    return {"stream": flt.stream, "predicate": flt.predicate, "selectivity": flt.selectivity}
+
+
 def _query_to_dict(query: Query) -> dict[str, Any]:
     return {
         "name": query.name,
@@ -98,20 +107,8 @@ def _query_to_dict(query: Query) -> dict[str, Any]:
         "window": query.window,
         "allow_cross_products": query.allow_cross_products,
         "projection": list(query.projection),
-        "predicates": [
-            {
-                "left": p.left,
-                "right": p.right,
-                "selectivity": p.selectivity,
-                "left_attr": p.left_attr,
-                "right_attr": p.right_attr,
-            }
-            for p in query.predicates
-        ],
-        "filters": [
-            {"stream": f.stream, "predicate": f.predicate, "selectivity": f.selectivity}
-            for f in query.filters
-        ],
+        "predicates": [predicate_to_dict(p) for p in query.predicates],
+        "filters": [filter_to_dict(f) for f in query.filters],
     }
 
 

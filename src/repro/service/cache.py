@@ -133,6 +133,11 @@ class PlanCache:
         self.invalidations += len(stale)
         return len(stale)
 
+    def entries(self) -> Iterable[tuple[CacheKey, CachedPlan]]:
+        """Every ``(key, entry)`` pair, least recently used first: what
+        :meth:`restore` takes back."""
+        return self._entries.items()
+
     def restore(self, entries: Iterable[tuple[CacheKey, CachedPlan]]) -> None:
         """Replace the contents with captured ``(key, entry)`` pairs,
         least recently used first (crash recovery; counters untouched)."""

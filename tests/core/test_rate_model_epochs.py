@@ -69,3 +69,20 @@ class TestNoOpUpdate:
         rates.update_streams(rates.streams)
         service.tick()
         assert service.statistics_epoch == before
+
+
+class TestDocument:
+    def test_restore_takes_the_documents_version_and_drops_the_memo(self):
+        """The memoized view rates are derived: a document of the same
+        version with other rates must not read them."""
+        from repro.query.query import Query
+
+        model = make_model()
+        query = Query("q", ["A", "B"], sink=0, allow_cross_products=True)
+        before = model.rate_for(query, {"A", "B"})
+        doc = model.capture()
+        doc["streams"][0]["rate"] *= 2
+        model.restore(doc)
+        assert model.version == 0 and model.stream("A").rate == 200.0
+        assert model.rate_for(query, {"A", "B"}) == 2 * before
+        assert model.capture() == doc

@@ -10,14 +10,14 @@ the shipped capture only works this way for the first snapshot of a
 process.
 
 The per-value documents (signatures, plans, placements, deployments,
-producers) and the shared infrastructure's sections (rates, hierarchy,
-RNG state) are the shipped functions: they are formats
-``repro.durability.state`` still owns.  The layers' sections (admission,
-resilience, adaptivity, resources, faults, and the fleet's scheduler,
-router, tenants and federation) are encoded here from the layers'
-private fields, the way the shipped codec did before every layer got
-its own ``capture()`` -- so a layer's ``capture()`` is checked against
-what it replaced, not against itself.
+producers) and the hierarchy's section are the shipped functions: they
+are formats ``repro.durability.state`` still owns.  The network's, the
+rate model's and the plan cache's sections, the RNG state and the
+layers' sections (admission, resilience, adaptivity, resources, faults,
+and the fleet's scheduler, router, tenants and federation) are encoded
+here from the owners' private fields, the way the shipped codec did
+before each owner got its own ``capture()`` -- so an owner's
+``capture()`` is checked against what it replaced, not against itself.
 """
 
 from __future__ import annotations
@@ -30,17 +30,14 @@ from repro.adaptive.stats import EwmaEstimator
 from repro.durability.snapshot import SNAPSHOT_KIND, SNAPSHOT_VERSION
 from repro.durability.state import (
     STATE_VERSION,
-    _jsonable,
     _producer_to_doc,
     capture_hierarchy,
-    capture_rates,
-    capture_rng,
     deployment_to_doc,
     placement_to_doc,
     plan_to_doc,
     sig_to_doc,
 )
-from repro.serialization import _query_to_dict
+from repro.serialization import _query_to_dict, jsonable
 from tests.fleet.reference_federation import imports_of
 
 
@@ -153,6 +150,18 @@ def capture_network(network) -> dict[str, Any]:
     }
 
 
+def capture_rates(rates) -> dict[str, Any]:
+    """Capture a :class:`~repro.core.cost.RateModel` (catalog + version)."""
+    return {
+        "streams": [
+            {"name": spec.name, "source": spec.source, "rate": spec.rate}
+            for spec in rates._streams.values()
+        ],
+        "version": rates._version,
+        "reuse_rate_inflation": rates.reuse_rate_inflation,
+    }
+
+
 
 def _capture_cache(cache) -> dict[str, Any]:
     return {
@@ -163,7 +172,7 @@ def _capture_cache(cache) -> dict[str, Any]:
                 "topology_epoch": key[2],
                 "plan": plan_to_doc(entry.plan),
                 "placement": placement_to_doc(entry.plan, entry.placement),
-                "stats": _jsonable(dict(entry.stats)),
+                "stats": jsonable(dict(entry.stats)),
             }
             for key, entry in cache._entries.items()  # LRU order
         ],
@@ -208,7 +217,7 @@ def _capture_resilience(control) -> dict[str, Any]:
         "fallbacks_total": control.fallbacks_total,
         "parked_total": control.parked_total,
         "quarantined_total": control.quarantined_total,
-        "rng": capture_rng(control.rng),
+        "rng": control.rng.bit_generator.state,
         "breakers": [
             [
                 node,
@@ -286,7 +295,7 @@ def _capture_faults(injector) -> dict[str, Any] | None:
     return {
         "crashed": sorted(injector.crashed),
         "cursor": injector._cursor,
-        "applied": _jsonable(list(injector.applied)),
+        "applied": jsonable(list(injector.applied)),
     }
 
 

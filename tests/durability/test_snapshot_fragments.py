@@ -48,6 +48,7 @@ from hypothesis.stateful import (
 import repro
 import repro.durability.state as state_module
 from repro.adaptive import AdaptivityConfig
+from repro.core.cost import RateModel
 from repro.durability import DurabilityConfig, load_latest
 from repro.durability.journal import canonical_json
 from repro.durability.snapshot import MIN_REFERENCED, _load_one, _parse
@@ -397,7 +398,11 @@ def test_fleet_snapshots_are_the_reference_bytes_after_every_command():
 _WALKS = ("operator_records", "flows", "deployments")
 #: The builders of a hierarchy's cluster document, a rate model's
 #: document and a plan cache's entries (a call visits every cached plan).
-_BUILDERS = ("capture_hierarchy", "capture_rates", "_cache_entries")
+_BUILDERS = (
+    (state_module, "capture_hierarchy"),
+    (RateModel, "capture"),
+    (state_module, "_cache_entries"),
+)
 
 
 class WalkSpy:
@@ -415,8 +420,8 @@ class WalkSpy:
             monkeypatch.setattr(
                 DeploymentState, name, property(spy) if isinstance(member, property) else spy
             )
-        for name in _BUILDERS:
-            monkeypatch.setattr(state_module, name, self._spy(name, getattr(state_module, name)))
+        for owner, name in _BUILDERS:
+            monkeypatch.setattr(owner, name, self._spy(name, getattr(owner, name)))
         snapshot = plane.durability.snapshot
 
         def counted_snapshot(time):
@@ -442,7 +447,7 @@ class WalkSpy:
 
     def built(self, hierarchy, rates, *caches) -> list[int]:
         """The builds of each owner's section since the last ``built``."""
-        owners = [("capture_hierarchy", hierarchy), ("capture_rates", rates)]
+        owners = [("capture_hierarchy", hierarchy), ("capture", rates)]
         owners += [("_cache_entries", cache) for cache in caches]
         return [self.calls.pop((id(owner), name), 0) for name, owner in owners]
 

@@ -102,6 +102,43 @@ class TestNetworkMutation:
         assert clone.link(0, 1).cost == 50.0
 
 
+class TestDocument:
+    def test_capture_restore_round_trips_in_place(self):
+        net, twin = ring(4), Network()
+        twin.restore(net.capture())
+        assert twin.capture() == net.capture()
+        assert twin.version == net.version
+        assert np.array_equal(twin.cost_matrix(), net.cost_matrix())
+
+    def test_restore_drops_the_matrices_of_the_same_version(self):
+        """The caches are derived: a document of the version they were
+        built at, with other costs and delays, must not read them."""
+        net = line(3)
+        net.cost_matrix(), net.delay_matrix()
+        doc = net.capture()
+        for link in doc["links"]:
+            link["cost"], link["delay"] = 5.0, 0.5
+        net.restore(doc)
+        assert net.cost_matrix()[0, 2] == 10.0
+        assert net.delay_matrix()[0, 2] == 1.0
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda doc: doc["nodes"].pop(0), "contiguous from 0"),
+            (lambda doc: doc["links"].append(dict(doc["links"][0])), "already exists"),
+        ],
+        ids=("node-gap", "duplicate-link"),
+    )
+    def test_a_bad_document_is_refused_and_assigns_nothing(self, edit, error):
+        net = line(3)
+        doc = net.capture()
+        edit(doc)
+        with pytest.raises(ValueError, match=error):
+            net.restore(doc)
+        assert net.capture() == line(3).capture()
+
+
 class TestMatrices:
     def test_cost_matrix_line(self):
         net = line(4, cost=2.0)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import repro
+from repro.durability.journal import canonical_json
+from repro.network.graph import Network
 from repro.serialization import (
     network_from_json,
     network_to_json,
@@ -37,6 +39,34 @@ class TestNetworkRoundTrip:
         restored = network_from_json(network_to_json(net))
         sample = restored.links()[0]
         assert sample.bandwidth == float("inf")
+
+    def test_a_zero_bandwidth_link_stays_zero(self):
+        """Only a ``None`` bandwidth reads as unbounded, in a manifest and
+        in a snapshot's network section alike (one decoder for both)."""
+        link = {"cost": 1.0, "delay": 0.001, "kind": ""}
+        manifest = network_from_json(json.dumps({
+            "kind": "repro.network",
+            "version": 1,
+            "nodes": [{"id": node, "kind": ""} for node in range(3)],
+            "links": [
+                {"u": 0, "v": 1, **link, "bandwidth": 0.0},
+                {"u": 1, "v": 2, **link, "bandwidth": None},
+            ],
+        }))
+        assert manifest.link(0, 1).bandwidth == 0.0
+        section = Network()
+        section.restore(json.loads(canonical_json(manifest.capture())))
+        for restored in (manifest, network_from_json(network_to_json(manifest)), section):
+            assert restored.link(0, 1).bandwidth == 0.0
+            assert restored.link(1, 2).bandwidth == float("inf")
+            # One version step per node and link, as building it would take.
+            assert restored.version == 5
+
+    def test_a_manifest_link_without_a_field_is_refused(self):
+        doc = json.loads(network_to_json(repro.transit_stub_by_size(16, seed=1)))
+        del doc["links"][0]["delay"]
+        with pytest.raises(KeyError, match="delay"):
+            network_from_json(json.dumps(doc))
 
     def test_wrong_kind_rejected(self):
         with pytest.raises(ValueError, match="not a serialized network"):
