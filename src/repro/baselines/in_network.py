@@ -31,7 +31,10 @@ from repro.network.graph import Network
 from repro.query.deployment import Deployment, DeploymentState
 from repro.query.plan import Leaf, PlanNode
 from repro.query.query import Query
-from repro.utils import SeedLike, as_generator
+from repro.utils import as_generator
+
+#: Seed of the zone clustering's k-means.
+ZONE_SEED = 0
 
 
 class InNetworkPlanner:
@@ -42,7 +45,6 @@ class InNetworkPlanner:
         rates: Rate model over the stream catalog.
         reuse: Let advertised views participate in the plan phase.
         zones: Number of network zones (paper comparison: 5).
-        seed: RNG seed for the zone clustering.
     """
 
     name = "in-network"
@@ -53,7 +55,6 @@ class InNetworkPlanner:
         rates: RateModel,
         reuse: bool = True,
         zones: int = 5,
-        seed: SeedLike = 0,
     ) -> None:
         if zones < 1:
             raise ValueError("need at least one zone")
@@ -65,7 +66,7 @@ class InNetworkPlanner:
         from repro.network.embedding import classical_mds
 
         coords = classical_mds(costs, dim=min(3, max(1, network.num_nodes - 1)))
-        groups = kmeans(coords, self.zones, seed=as_generator(seed))
+        groups = kmeans(coords, self.zones, seed=as_generator(ZONE_SEED))
         self.zone_members: list[list[int]] = groups
         self.zone_reps: list[int] = [choose_medoid(g, costs) for g in groups]
 

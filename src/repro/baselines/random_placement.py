@@ -14,6 +14,9 @@ from repro.query.deployment import Deployment, DeploymentState
 from repro.query.query import Query
 from repro.utils import SeedLike, as_generator
 
+#: Seed of each planner's placement RNG (``None``: fresh entropy).
+SEED: SeedLike = None
+
 
 class RandomPlacement:
     """Volume-optimal static plan, operators on uniformly random nodes.
@@ -21,15 +24,17 @@ class RandomPlacement:
     Args:
         network: The physical network.
         rates: Rate model over the stream catalog.
-        seed: RNG seed; each :meth:`plan` call draws fresh placements.
+
+    Each :meth:`plan` call draws fresh placements from an RNG seeded
+    :data:`SEED` at construction.
     """
 
     name = "random"
 
-    def __init__(self, network: Network, rates: RateModel, seed: SeedLike = None) -> None:
+    def __init__(self, network: Network, rates: RateModel) -> None:
         self.network = network
         self.rates = rates
-        self._rng = as_generator(seed)
+        self._rng = as_generator(SEED)
 
     def plan(self, query: Query, state: DeploymentState | None = None) -> Deployment:
         """Fix the static tree, scatter its operators randomly."""

@@ -3,7 +3,7 @@
 Installed as the ``repro`` console script::
 
     repro figures fig2 fig7          # regenerate selected paper figures
-    repro figures --all              # regenerate every figure
+    repro figures                    # regenerate every figure
     repro demo quickstart            # run a built-in demo end to end
     repro bounds -k 4 -n 1000 --max-cs 10
     repro plan "SELECT A.x FROM A, B WHERE A.k = B.k" --nodes 32 --sink 5
@@ -14,7 +14,10 @@ Installed as the ``repro`` console script::
     repro dash --once --json                          # telemetry control tower
 
 Everything the CLI does is also available as a library call; the CLI is
-a thin veneer for kicking the tires.
+a thin veneer for kicking the tires.  The drills that run a control
+plane (``serve``, ``metrics``, ``chaos``, ``fleet``, ``resources``,
+``adapt``, ``trace``) map their flags onto a :mod:`repro.lab` scenario
+and build it, and their control plane, as ``repro lab`` does.
 """
 
 from __future__ import annotations
@@ -24,6 +27,20 @@ import math
 import os
 import sys
 from typing import Sequence
+
+from repro.durability import DurabilityConfig
+from repro.lab.candidate import Candidate
+from repro.lab.spec import (
+    BuiltScenario,
+    CapacitySpec,
+    ScenarioError,
+    ScenarioSpec,
+    TenantSpec,
+    TopologySpec,
+    TraceSpec,
+    WorkloadSpec,
+    build_scenario,
+)
 
 FIGURES = {
     "fig2": ("figure02_motivation", {}),
@@ -53,7 +70,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     import repro.experiments as experiments
     from repro.experiments.reporting import print_result
 
-    names = list(FIGURES) if args.all or not args.names else args.names
+    names = args.names or list(FIGURES)
     unknown = [n for n in names if n not in FIGURES]
     if unknown:
         print(f"unknown figure(s): {', '.join(unknown)}; choose from {', '.join(FIGURES)}")
@@ -137,96 +154,35 @@ def _fail(message: str) -> int:
     return 2
 
 
-class _UsageError(Exception):
-    """A flag value the shared builders refuse; :func:`main` reports it."""
-
-
 # ----------------------------------------------------------------------
-# The world every service-driving subcommand builds, built once
+# The scenario every control-plane drill runs, built by the lab
 # ----------------------------------------------------------------------
-def _world(args, workload=None):
-    """The :class:`~repro.workload.World` a subcommand runs on.
-
-    Generated from ``--nodes --streams --queries --seed`` unless a
-    loaded ``workload`` (``serve --trace``) brings its own network; the
-    one hierarchy is ``--max-cs``'s.
-    """
-    from repro.workload import World, WorkloadParams, build_world
-
-    hierarchy_seeds = {args.max_cs: 0}
-    if workload is not None:
-        return World.of(workload, hierarchy_seeds)
-    seed = args.seed or 0
-    try:
-        params = WorkloadParams(num_streams=args.streams, num_queries=args.queries,
-                                joins_per_query=(2, min(4, args.streams - 1)))
-        return build_world(args.nodes, params, network_seed=seed,
-                           workload_seed=seed, hierarchy_seeds=hierarchy_seeds)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-
-
-def _planner(world, args, ads=True, **kwargs):
-    """``(ads, optimizer)``: the ``--algorithm`` planner over a fresh
-    advertisement index that knows every base stream (``ads=False``:
-    no shared index, the planner reads the deployment state alone)."""
-    import repro
-
-    index = None
-    if ads:
-        index = repro.AdvertisementIndex(world.hierarchy())
-        for stream, spec in world.rates.streams.items():
-            index.advertise_base(stream, spec.source)
-        kwargs["ads"] = index
-    return index, world.optimizer(args.algorithm, **kwargs)
-
-
-def _service(world, args, ads=True, **layers):
-    """A lifecycle service over ``world``; ``layers`` are the service's
-    own keyword arguments (admission, cache, resilience, ...)."""
-    from repro.service import StreamQueryService
-
-    index, optimizer = _planner(world, args, ads=ads)
-    return StreamQueryService(
-        optimizer,
-        world.network,
-        world.rates,
-        hierarchy=world.hierarchy(),
-        ads=index,
-        **layers,
+def _spec(args, **sections):
+    """The :class:`~repro.lab.spec.ScenarioSpec` the world flags
+    describe (``--nodes --streams --queries --max-cs --seed``, and the
+    churn trace's ``--lifetime --arrivals --repeats`` where the drill
+    takes them), with the drill's own spec ``sections``."""
+    lifetime = getattr(args, "lifetime", 5.0)
+    if lifetime <= 0:  # a scenario file's "forever"; a drill's queries retire
+        raise ScenarioError("--lifetime must be positive")
+    return ScenarioSpec(
+        name=args.command,
+        seed=args.seed or 0,
+        topology=TopologySpec(nodes=args.nodes, max_cs=args.max_cs),
+        workload=WorkloadSpec(streams=args.streams, queries=args.queries,
+                              joins=(2, min(4, args.streams - 1))),
+        trace=TraceSpec(lifetime=lifetime,
+                        arrivals_per_tick=getattr(args, "arrivals", 2),
+                        repeats=getattr(args, "repeats", 1)),
+        **sections,
     )
 
 
-def _churn(world, args):
-    """The churn trace ``--lifetime --arrivals --repeats`` describe."""
-    from repro.service import churn_trace
-
-    try:
-        return churn_trace(
-            world.workload,
-            lifetime=args.lifetime,
-            # ``metrics`` has no --arrivals flag; it replays at the default.
-            arrivals_per_tick=getattr(args, "arrivals", 2),
-            repeats=args.repeats,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-
-
-def _durability(args):
-    """``--state-dir`` as a durability config (``None`` when omitted)."""
-    if not args.state_dir:
-        return None
-    from repro.durability import DurabilityConfig
-
-    return DurabilityConfig(state_dir=args.state_dir)
-
-
-def _print_replay(report, world, args) -> None:
+def _print_replay(report, built, args) -> None:
     """The two replay summary lines serve / fleet / resources share."""
     s = report.summary
     print(f"  trace: {s['submitted']} submissions over {report.ticks} ticks "
-          f"({args.repeats}x {len(world.workload)} queries, lifetime {args.lifetime})")
+          f"({args.repeats}x {len(built.env.workload)} queries, lifetime {args.lifetime})")
     print(f"  admitted {s['admitted']}  rejected {s['rejected']}  "
           f"deployed {s['deployed_total']}  retired {s['retired_total']}")
 
@@ -248,9 +204,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import pathlib
 
     import repro
-    from repro.service import AdmissionController, PlanCache
+    from repro.workload import World
 
-    workload = None
+    spec = _spec(args)
     if args.trace:
         path = pathlib.Path(args.trace)
         if not path.is_file():
@@ -259,29 +215,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             workload = repro.workload_from_json(path.read_text())
         except (ValueError, KeyError, AttributeError, TypeError) as exc:
             return _fail(f"{path} is not a workload manifest: {exc}")
-    world = _world(args, workload)
-    try:
-        admission = AdmissionController(
-            budget=args.budget,
-            max_queue=args.max_queue,
-            max_per_tick=args.per_tick,
-        )
-        cache = PlanCache(capacity=args.cache_capacity)
-    except ValueError as exc:
-        return _fail(str(exc))
-    service = _service(
-        world,
-        args,
-        admission=admission,
-        cache=cache,
-        durability=_durability(args),
-    )
-    report = service.replay(_churn(world, args))
+        # The manifest brings its own network in place of a generated one.
+        built = BuiltScenario(spec, World.of(workload, {args.max_cs: 0}))
+    else:
+        built = build_scenario(spec)
+    service = Candidate(
+        name="serve",
+        algorithm=args.algorithm,
+        budget=args.budget,
+        max_queue=args.max_queue,
+        max_per_tick=args.per_tick,
+    ).build(built, durability=args.durability)
+    report = service.replay(built.events)
 
     s = report.summary
     print(f"query lifecycle service: {args.algorithm} "
-          f"on {len(world.network.nodes())} nodes")
-    _print_replay(report, world, args)
+          f"on {len(built.network.nodes())} nodes")
+    _print_replay(report, built, args)
     print(f"  plan cache: {s['cache_hits']} hits / {s['cache_misses']} misses "
           f"(hit rate {s['cache_hit_rate']:.1%}), {s['plans_computed']} plans computed")
     planning = service.registry.get("service_planning_seconds")
@@ -309,54 +259,33 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_tenants(specs):
-    """Parse ``name:weight[:quota]`` CLI tenant specs."""
-    from repro.fleet import Tenant
-
-    tenants = []
-    for spec in specs or ():
-        parts = spec.split(":")
-        if not parts[0]:
-            raise ValueError(f"tenant spec {spec!r} has no name")
-        weight = float(parts[1]) if len(parts) > 1 and parts[1] else 1.0
-        quota = int(parts[2]) if len(parts) > 2 and parts[2] else None
-        tenants.append(Tenant(parts[0], weight=weight, quota=quota))
-    return tenants
-
-
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    import itertools
     import json
 
-    import repro
-    from repro.fleet import FleetController
-
-    world = _world(args)
-    try:
-        tenants = _parse_tenants(args.tenant)
-        fleet = FleetController(
-            args.shards,
-            world.network,
-            world.rates,
-            world.hierarchy(),
-            algorithm=args.algorithm,
-            policy=args.policy,
-            budget=args.budget,
-            max_queue=args.max_queue,
-            max_per_tick=args.per_tick,
-            tenants=tenants,
-            federation=not args.no_federation,
-            durability=_durability(args),
-        )
-    except (ValueError, repro.ReproError) as exc:
-        return _fail(str(exc))
-    trace = _churn(world, args)
-    tenant_for = None
-    if tenants:
-        cycle = itertools.cycle([t.name for t in tenants])
-        assigned = {event.query.name: next(cycle) for event in trace}
-        tenant_for = lambda event: assigned[event.query.name]  # noqa: E731
-    report = fleet.replay(trace, tenant_for=tenant_for)
+    tenants = []
+    for text in args.tenant or ():  # NAME:WEIGHT[:QUOTA]
+        name, weight, quota = (text.split(":") + ["", ""])[:3]
+        if not name:
+            return _fail(f"tenant spec {text!r} has no name")
+        try:
+            tenants.append(TenantSpec(name, float(weight) if weight else 1.0,
+                                      int(quota) if quota else None))
+        except ValueError as exc:
+            return _fail(str(exc))
+    built = build_scenario(_spec(args, tenants=tenants))
+    fleet = Candidate(
+        name="fleet",
+        mode="fleet",
+        algorithm=args.algorithm,
+        budget=args.budget,
+        shards=args.shards,
+        policy=args.policy,
+        max_per_tick=args.per_tick,
+        max_queue=args.max_queue,
+        federation=not args.no_federation,
+        tenants=bool(tenants),
+    ).build(built, durability=args.durability)
+    report = fleet.replay(built.events)
 
     violations = fleet.check_invariants()
     s = report.summary
@@ -372,8 +301,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         return 0 if not violations else 1
 
     print(f"fleet control plane: {fleet.num_shards} shards "
-          f"({fleet.router.policy.name} routing) on {len(world.network.nodes())} nodes")
-    _print_replay(report, world, args)
+          f"({fleet.router.policy.name} routing) on {len(built.network.nodes())} nodes")
+    _print_replay(report, built, args)
     print(f"  plan caches: {s['cache_hits']} hits / {s['cache_misses']} misses, "
           f"{s['plans_computed']} plans computed")
     print(f"  throughput: {_per_second(s['deployed_total'], report)} deployments/s wall-clock")
@@ -402,48 +331,31 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     return 0
 
 
-def _capacity_profile(args, network):
-    """Build the ``{node: NodeCapacity}`` map a CLI run asked for."""
-    import repro
-
-    profile = args.capacity_profile
-    if profile == "unbounded":
-        return None
-    if profile == "uniform":
-        return repro.uniform_capacities(
-            network, cpu=args.cpu, memory=args.memory, bandwidth=args.bandwidth
-        )
-    if profile == "hotspot":
-        return repro.HotspotProfile(
-            cpu=args.cpu,
-            memory=args.memory,
-            bandwidth=args.bandwidth,
-            weak_fraction=args.weak_fraction,
-            seed=args.seed or 0,
-        ).capacities(network)
-    if profile == "heterogeneous":
-        return repro.HeterogeneousFleetProfile().capacities(network)
-    raise ValueError(f"unknown capacity profile {profile!r}")
-
-
 def _cmd_resources(args: argparse.Namespace) -> int:
     import json
 
-    from repro.resources import ResourceConfig
-
-    world = _world(args)
-    try:
-        config = ResourceConfig(
-            capacities=_capacity_profile(args, world.network),
-            utilization_bound=args.utilization_bound,
-            load_weight=args.load_weight,
-        )
-    except ValueError as exc:
-        return _fail(str(exc))
-    service = _service(world, args, resources=config)
-    report = service.replay(_churn(world, args))
+    capacity = CapacitySpec(
+        profile=args.capacity_profile,
+        cpu=args.cpu,
+        memory=args.memory,
+        bandwidth=args.bandwidth,
+        weak_fraction=args.weak_fraction,
+        seed=args.seed or 0,
+        bound=args.utilization_bound,
+    )
+    built = build_scenario(_spec(args, capacity=capacity))
+    # The budget is the admission controller's stock one.
+    service = Candidate(
+        name="resources",
+        algorithm=args.algorithm,
+        budget=16,
+        resources=True,
+        load_weight=args.load_weight,
+    ).build(built)
+    report = service.replay(built.events)
 
     manager = service.resources
+    config = manager.config
     resources = manager.summary()
     ledger = resources["ledger"]
     # Infeasible fleet: capacity never recovered enough to run every
@@ -453,7 +365,7 @@ def _cmd_resources(args: argparse.Namespace) -> int:
         payload = {
             "capacity_profile": args.capacity_profile,
             "algorithm": args.algorithm,
-            "nodes": len(world.network.nodes()),
+            "nodes": len(built.network.nodes()),
             "ticks": report.ticks,
             "infeasible": infeasible,
             "resources": resources,
@@ -468,8 +380,8 @@ def _cmd_resources(args: argparse.Namespace) -> int:
 
     s = report.summary
     print(f"resource-aware placement: {args.algorithm} on "
-          f"{len(world.network.nodes())} nodes, profile {args.capacity_profile}")
-    _print_replay(report, world, args)
+          f"{len(built.network.nodes())} nodes, profile {args.capacity_profile}")
+    _print_replay(report, built, args)
     if manager.constrained:
         print(f"  bound {config.utilization_bound:g} "
               f"(load weight {config.load_weight:g}): "
@@ -507,14 +419,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import Tracer, tracing
     from repro.serialization import explanation_to_json, trace_to_json
 
-    world = _world(args)
+    built = build_scenario(_spec(args))
+    world = built.env
     queries = list(world.workload)
     if not 0 <= args.query < len(queries):
         return _fail(f"--query must be in [0, {len(queries) - 1}]")
+    optimizer = Candidate(name="trace", algorithm=args.algorithm).build(built).optimizer
     if args.causal or args.chrome:
-        return _cmd_trace_causal(args, world, queries[args.query])
+        return _cmd_trace_causal(args, world, optimizer, queries[args.query])
     tracer = Tracer()
-    _ads, optimizer = _planner(world, args)
     query = queries[args.query]
     with tracing(tracer):
         deployment = optimizer.plan(query, None, explain=True)
@@ -536,7 +449,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace_causal(args, world, query) -> int:
+def _cmd_trace_causal(args, world, optimizer, query) -> int:
     """``repro trace --causal``: one deployment's causal hop tree."""
     from repro.obs import CausalTracer, causal_tracing
     from repro.runtime import simulate_deployment
@@ -547,7 +460,6 @@ def _cmd_trace_causal(args, world, query) -> int:
                      "(top-down / bottom-up); only their deployments replay as "
                      "protocol traffic")
     network, rates = world.network, world.rates
-    _ads, optimizer = _planner(world, args)
     deployment = optimizer.plan(query, None)
     causal = CausalTracer()
     with causal_tracing(causal):
@@ -653,7 +565,7 @@ def _cmd_lab(args: argparse.Namespace) -> int:
         run_lab,
     )
     from repro.lab.report import lab_to_json
-    from repro.lab.spec import ScenarioError, list_scenarios, load_scenario
+    from repro.lab.spec import list_scenarios, load_scenario
 
     if args.lab_command == "list":
         rows = list_scenarios(args.directory)
@@ -699,13 +611,7 @@ def _cmd_lab(args: argparse.Namespace) -> int:
         spec = load_scenario(args.scenario)
     except OSError as exc:
         return _fail(f"cannot read {args.scenario}: {exc}")
-    except ScenarioError as exc:
-        return _fail(str(exc))
-    try:
-        result = run_lab(spec)
-    except ScenarioError as exc:
-        return _fail(str(exc))
-    envelope = result.envelope()
+    envelope = run_lab(spec).envelope()
     report = LabReport(envelope)
     if not args.quiet:
         print(render_lab_terminal(report), end="")
@@ -723,11 +629,9 @@ def _cmd_lab(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     import json
 
-    from repro.service import AdmissionController
-
-    world = _world(args)
-    service = _service(world, args, admission=AdmissionController(budget=args.budget))
-    service.replay(_churn(world, args))
+    built = build_scenario(_spec(args))
+    service = Candidate(name="metrics", algorithm=args.algorithm, budget=args.budget).build(built)
+    service.replay(built.events)
     if args.format == "json":
         print(json.dumps(service.registry.snapshot(), indent=2))
     else:
@@ -849,18 +753,17 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         return _cmd_chaos_crash(args)
 
     import repro
-    from repro.resilience import FaultInjector, FaultPlan, ResilienceConfig
+    from repro.resilience import FaultPlan
     from repro.resilience.faults import (
         CoordinatorOutage,
         CoordinatorSlowdown,
         NodeCrash,
         StaleStatistics,
     )
-    from repro.service import AdmissionController
 
-    world = _world(args)
+    built = build_scenario(_spec(args))
     network, workload, rates, hierarchy = (
-        world.network, world.workload, world.rates, world.hierarchy()
+        built.network, built.env.workload, built.rates, built.hierarchy()
     )
 
     if args.plan:
@@ -895,15 +798,16 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print(repro.fault_plan_to_json(plan))
         return 0
 
-    faults = FaultInjector(plan)
-    service = _service(
-        world,
-        args,
-        admission=AdmissionController(budget=args.budget),
-        resilience=ResilienceConfig(),
-        faults=faults,
-    )
-    report = service.replay(_churn(world, args))
+    built.spec.faults = plan.to_dict()  # armed by the candidate's injector
+    service = Candidate(
+        name="chaos",
+        algorithm=args.algorithm,
+        budget=args.budget,
+        resilience=True,
+        faults=True,
+    ).build(built)
+    faults = service.faults
+    report = service.replay(built.events)
     # Keep ticking past the trace so every scripted fault fires.
     while service.clock < args.duration:
         service.tick()
@@ -958,19 +862,28 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 def _cmd_adapt(args: argparse.Namespace) -> int:
     import json
 
-    from repro.adaptive import AdaptivityConfig
     from repro.core.cost import RateModel, deployment_cost
-    from repro.service import AdmissionController
     from repro.workload import drift_timeline
 
-    world = _world(args)
-    network, rates = world.network, world.rates
-    if args.stream is not None and args.stream not in rates.streams:
-        return _fail(f"unknown stream {args.stream!r} "
-                     f"(catalog: {', '.join(sorted(rates.streams))})")
+    def build(adaptivity):
+        # Each twin gets its own world: the adaptive loop publishes
+        # revised statistics into its rate model, which must not leak
+        # to the static control.
+        built = build_scenario(_spec(args))
+        service = Candidate(
+            name="adaptive" if adaptivity else "static",
+            algorithm=args.algorithm,
+            budget=len(built.env.workload.queries),
+            adaptivity=adaptivity,
+        ).build(built)
+        for query in built.env.workload:
+            service.submit(query)
+        return built.network, service
+
+    (network, adaptive), (_, static) = build(True), build(False)
     try:
         timeline = drift_timeline(
-            rates.streams,
+            static.rates.streams,
             kind=args.drift,
             stream=args.stream,
             at=args.at,
@@ -981,29 +894,6 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         return _fail(str(exc))
-
-    config = AdaptivityConfig(
-        horizon=args.horizon, bytes_per_tuple=args.bytes_per_tuple,
-        publish_cooldown=2.0, query_cooldown=2.0, max_migrations_per_tick=4,
-    )
-
-    def build(adaptivity):
-        # Each twin gets its own world: the adaptive loop publishes
-        # revised statistics into its rate model, which must not leak
-        # to the static control.
-        twin = _world(args)
-        service = _service(
-            twin,
-            args,
-            ads=False,
-            admission=AdmissionController(budget=len(twin.workload.queries)),
-            adaptivity=adaptivity,
-        )
-        for query in twin.workload:
-            service.submit(query)
-        return service
-
-    adaptive, static = build(config), build(None)
     costs = network.cost_matrix()
     ticks, migrations = [], []
     for tick in range(1, args.ticks + 1):
@@ -1091,7 +981,7 @@ _REPLAY_FLAGS = {
                         help="submission-queue bound (default unbounded)"),
     "--per-tick": dict(type=int, default=None,
                        help="max queue admissions per tick"),
-    "--state-dir": dict(default=None, metavar="DIR",
+    "--state-dir": dict(dest="durability", type=DurabilityConfig, metavar="DIR",
                         help="durable mode: journal every command and cut "
                              "periodic snapshots into DIR (opt-in; default "
                              "is fully in-memory)"),
@@ -1104,8 +994,8 @@ def _json_flag(parser, what: str) -> None:
 
 def _world_args(parser, queries, algorithms=HIERARCHICAL, algorithm_help=None,
                 max_cs=8, seed=None, seed_help=None, replay=()) -> None:
-    """Declare the flags :func:`_world` reads (``--nodes --streams
-    --queries --max-cs --algorithm --seed``) with this subcommand's
+    """Declare the flags :func:`_spec` reads (``--nodes --streams
+    --queries --max-cs --seed``) and ``--algorithm`` with this subcommand's
     defaults and planner choices, plus the ``replay`` flags it takes."""
     parser.add_argument("--nodes", type=int, default=32)
     parser.add_argument("--streams", type=int, default=8)
@@ -1135,8 +1025,8 @@ def build_parser() -> argparse.ArgumentParser:
         return subparser
 
     figures = subcommand("figures", _cmd_figures, "regenerate paper figures")
-    figures.add_argument("names", nargs="*", help=f"figures to run ({', '.join(FIGURES)})")
-    figures.add_argument("--all", action="store_true", help="run every figure")
+    figures.add_argument("names", nargs="*",
+                         help=f"figures to run ({', '.join(FIGURES)}; default: all)")
     figures.add_argument("--seed", type=int, default=None)
 
     demo = subcommand("demo", _cmd_demo, "run a built-in demo")
@@ -1162,7 +1052,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="workload JSON (from repro.workload_to_json); "
                             "omit to generate one")
     _world_args(serve, queries=20, algorithms=ALGORITHMS, replay=_REPLAY_FLAGS)
-    serve.add_argument("--cache-capacity", type=int, default=256)
 
     fleet = subcommand("fleet", _cmd_fleet,
                        "run the sharded multi-tenant fleet control plane "
@@ -1280,8 +1169,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("--factor", 6.0, "rate multiplier after the step/ramp"),
         ("--period", 24.0, "oscillation period (--drift periodic)"),
         ("--amplitude", 0.5, "oscillation amplitude (--drift periodic)"),
-        ("--horizon", 30.0, "ticks a migration's saving is amortized over"),
-        ("--bytes-per-tuple", 16.0, "window-state size per buffered tuple"),
     ):
         adapt.add_argument(flag, type=float, default=default, help=text)
     adapt.add_argument("--emit-timeline", action="store_true",
@@ -1361,7 +1248,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except ScenarioError as exc:
+        # A flag value the scenario or its control plane refuses.
         return _fail(str(exc))
     except BrokenPipeError:
         # The reader closed the pipe (``repro ... | head``).  Point stdout

@@ -73,7 +73,9 @@ class BottomUpOptimizer:
         ads: Advertisement index (auto-created with base streams when
             omitted).
         reuse: Consider advertised derived views while planning.
-        resources: Optional :class:`~repro.resources.ResourceManager`;
+
+    Attributes:
+        resources: The bound :class:`~repro.resources.ResourceManager`;
             same contract as on
             :class:`~repro.core.top_down.TopDownOptimizer` -- bounded /
             bi-criteria placement when constrained, byte-identical
@@ -88,12 +90,11 @@ class BottomUpOptimizer:
         rates: RateModel,
         ads: AdvertisementIndex | None = None,
         reuse: bool = True,
-        resources=None,
     ) -> None:
         self.hierarchy = hierarchy
         self.rates = rates
         self.reuse = reuse
-        self.resources = resources
+        self.resources = None
         if ads is None:
             ads = AdvertisementIndex(hierarchy)
             for name, spec in rates.streams.items():

@@ -78,15 +78,17 @@ class TopDownOptimizer:
         ads: Advertisement index (auto-created, with every base stream
             advertised at its source, when omitted).
         reuse: Consider advertised derived views while planning.
-        resources: Optional :class:`~repro.resources.ResourceManager`.
-            When set (and constrained), every placement is optimized
-            under its utilization bound / bi-criteria objective and
-            jointly validated; trees with no feasible assignment are
-            skipped and an
+
+    Attributes:
+        resources: The :class:`~repro.resources.ResourceManager` a
+            service arming the resource layer binds here (``None``
+            until then).  When set (and constrained), every placement
+            is optimized under its utilization bound / bi-criteria
+            objective and jointly validated; trees with no feasible
+            assignment are skipped and an
             :class:`~repro.errors.InfeasiblePlacementError` is raised
-            when nothing survives.  Services arming the resource layer
-            wire this automatically.  ``None`` (the default) keeps
-            planning byte-identical to a build without the package.
+            when nothing survives.  ``None`` keeps planning
+            byte-identical to a build without the package.
     """
 
     name = "top-down"
@@ -97,12 +99,11 @@ class TopDownOptimizer:
         rates: RateModel,
         ads: AdvertisementIndex | None = None,
         reuse: bool = True,
-        resources=None,
     ) -> None:
         self.hierarchy = hierarchy
         self.rates = rates
         self.reuse = reuse
-        self.resources = resources
+        self.resources = None
         if ads is None:
             ads = AdvertisementIndex(hierarchy)
             for name, spec in rates.streams.items():

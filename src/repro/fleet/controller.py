@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from repro.adaptive.diff import diff_deployments
 from repro.adaptive.migrate import Migrator
@@ -847,23 +847,20 @@ class FleetController:
         events: Iterable[SubmitEvent],
         drain: bool = True,
         max_ticks: int = 100_000,
-        tenant_for: Callable[[SubmitEvent], str | None] | None = None,
     ) -> FleetReplayReport:
         """Replay a workload trace through the fleet.
 
         Same driver contract as the single service's ``replay``:
         submissions land at their tick, the fleet ticks through gaps
         and, with ``drain``, keeps ticking until every backlog is empty
-        and every finite-lifetime query retired.  ``tenant_for`` maps an
-        event to a tenant name (``None`` = untenanted submission).
+        and every finite-lifetime query retired.  Each event is
+        submitted for its own ``tenant``.
         """
         decisions, ticks, wall = drive_trace(
             self,
             events,
             lambda event: self.submit(
-                event.query,
-                lifetime=event.lifetime,
-                tenant=tenant_for(event) if tenant_for else None,
+                event.query, lifetime=event.lifetime, tenant=event.tenant
             ),
             drain,
             max_ticks,

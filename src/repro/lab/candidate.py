@@ -1,14 +1,16 @@
 """Candidate configurations: the strategies a scenario compares.
 
 A :class:`Candidate` names one way to run the control plane -- planner
-choice plus the opt-in layer toggles (resilience, adaptivity, resources,
-fleet sharding, tenancy) -- and knows how to build a fully configured
-:class:`~repro.service.service.StreamQueryService` or
+choice plus the opt-in layer toggles (resilience, faults, adaptivity,
+resources, fleet sharding, tenancy) -- and knows how to build a fully
+configured :class:`~repro.service.service.StreamQueryService` or
 :class:`~repro.fleet.controller.FleetController` on top of a
 :class:`~repro.lab.spec.BuiltScenario`.  The scenario supplies the
 *environment* (network, workload, capacities, faults); the candidate
 only decides which machinery reacts to it, so every candidate in a
-panel faces byte-identical conditions.
+panel faces byte-identical conditions.  The CLI drills (``repro serve``,
+``fleet``, ``resources``, ``chaos``, ``adapt``, ``metrics``, ``trace``)
+build their control planes here too.
 
 Roles make reports self-describing: the ``baseline`` candidate anchors
 deltas, and when a panel also names a ``ceiling``, the report computes
@@ -36,7 +38,9 @@ class Candidate:
         name: Panel-unique slug (becomes the report column).
         mode: ``service`` (one control plane) or ``fleet`` (sharded).
         role: ``baseline`` / ``ceiling`` / ``contender``; see module doc.
-        algorithm: Planner (``top-down`` / ``bottom-up`` / ``exhaustive``).
+        algorithm: Planner, any name
+            :func:`~repro.core.optimizer.make_optimizer` knows
+            (``top-down``, ``bottom-up``, ``optimal``, ...).
         ads: Advertisement-driven view reuse.  Like ``bench_fleet``'s
             no-ads control, disabling ads also disables planner reuse --
             otherwise planners reuse straight from the deployment state
@@ -47,13 +51,17 @@ class Candidate:
         shards / policy / federation: Fleet shape; ignored in service
             mode.
         resilience: Arm the resilience layer (breakers, retry, parking).
-        faults: Arm the scenario's :class:`FaultPlan` (requires the
-            spec to carry one).
-        adaptivity: Arm the drift-reacting migration loop.
+        faults: Arm a :class:`FaultInjector` over the scenario's
+            :class:`FaultPlan` (requires the spec to carry one); a
+            fleet's shards share the one injector.
+        adaptivity: Arm the drift-reacting migration loop, tuned as
+            ``repro adapt`` runs it.
         resources: Arm capacity-aware planning against the scenario's
             capacity profile (requires ``spec.capacity``).  A scenario
             with a capacity profile takes service candidates only.
         utilization_bound: Override of the capacity profile's bound.
+        load_weight: Bi-criteria weight on projected utilization
+            (``repro resources --load-weight``).
         tenants: Route submissions through the scenario's tenant mix
             (fleet mode only).
         description: One-liner for reports.
@@ -75,6 +83,7 @@ class Candidate:
     adaptivity: bool = False
     resources: bool = False
     utilization_bound: float | None = None
+    load_weight: float = 0.0
     tenants: bool = False
     description: str = ""
 
@@ -102,29 +111,75 @@ class Candidate:
         return asdict(self)
 
     # ------------------------------------------------------------------
-    def build(self, built: BuiltScenario, telemetry=None):
+    def build(self, built: BuiltScenario, telemetry=None, durability=None):
         """Instantiate this candidate's control plane on a scenario.
 
-        Each candidate must be handed its *own* :class:`BuiltScenario`
-        (control planes mutate clocks and rate models); the runner
-        rebuilds the scenario per candidate from the spec's seed.
+        ``telemetry`` and ``durability`` (a
+        :class:`~repro.durability.DurabilityConfig`) arm those layers of
+        the plane.  Each candidate must be handed its *own*
+        :class:`BuiltScenario` (control planes mutate clocks and rate
+        models); the runner rebuilds the scenario per candidate from the
+        spec's seed.
+
+        Raises:
+            ScenarioError: The scenario lacks what a toggle needs, or a
+                layer refuses this candidate's settings (a budget below
+                1, a negative load weight, ...).
         """
-        if self.mode == "fleet" and built.capacities is not None:
+        spec = built.spec
+        if self.mode == "fleet" and spec.capacity is not None:
             # The capacity audit's ledger books one service's deployments.
             raise ScenarioError(
                 f"candidate {self.name!r}: a fleet does not arm the resource "
                 "layer, so it cannot run a scenario with a capacity profile"
             )
-        if self.resources and built.capacities is None:
+        if self.resources and spec.capacity is None:
             raise ScenarioError(
                 f"candidate {self.name!r} asks for resources but the "
                 "scenario has no capacity profile"
             )
-        if self.faults and built.spec.faults is None:
+        if self.faults and spec.faults is None:
             raise ScenarioError(
                 f"candidate {self.name!r} asks for faults but the "
                 "scenario has no fault plan"
             )
+        try:
+            if self.mode == "fleet":
+                return self._build_fleet(built, telemetry, durability)
+            return self._build_service(built, telemetry, durability)
+        except ValueError as exc:
+            raise ScenarioError(f"candidate {self.name!r}: {exc}") from None
+
+    def _layers(self, built: BuiltScenario) -> dict[str, Any]:
+        """The service layers this candidate arms, as keyword arguments."""
+        layers: dict[str, Any] = {}
+        if self.resilience:
+            from repro.resilience.degradation import ResilienceConfig
+
+            layers["resilience"] = ResilienceConfig()
+        if self.faults:
+            from repro.resilience.faults import FaultInjector
+
+            layers["faults"] = FaultInjector(built.fault_plan())
+        if self.adaptivity:
+            from repro.adaptive.loop import AdaptivityConfig
+
+            # The one adaptive tuning: scenarios and drills run tens of
+            # ticks, so the stock multi-tick cooldowns would leave the
+            # loop no room to act before the run ends.
+            layers["adaptivity"] = AdaptivityConfig(
+                horizon=30.0,
+                bytes_per_tuple=16.0,
+                publish_cooldown=2.0,
+                query_cooldown=2.0,
+                max_migrations_per_tick=4,
+            )
+        return layers
+
+    def _build_service(self, built, telemetry, durability):
+        from repro.hierarchy import AdvertisementIndex
+        from repro.service import AdmissionController, StreamQueryService
+
         resources = None
         if self.resources:
             from repro.resources import ResourceConfig
@@ -133,40 +188,10 @@ class Candidate:
             if bound is None:
                 bound = built.spec.capacity.bound
             resources = ResourceConfig(
-                capacities=built.capacities, utilization_bound=bound
+                capacities=built.capacities,
+                utilization_bound=bound,
+                load_weight=self.load_weight,
             )
-        resilience = None
-        if self.resilience:
-            from repro.resilience.degradation import ResilienceConfig
-
-            resilience = ResilienceConfig()
-        adaptivity = None
-        if self.adaptivity:
-            from repro.adaptive.loop import AdaptivityConfig
-
-            # The adapt drill's snappier settings: lab scenarios run
-            # tens of ticks, so the stock multi-tick cooldowns would
-            # leave the loop no room to act before the run ends.
-            adaptivity = AdaptivityConfig(
-                alpha=0.5,
-                publish_cooldown=2.0,
-                query_cooldown=2.0,
-                max_migrations_per_tick=4,
-            )
-        faults = built.fault_plan() if self.faults else None
-
-        if self.mode == "fleet":
-            return self._build_fleet(built, telemetry, resilience, adaptivity, faults)
-        return self._build_service(
-            built, telemetry, resources, resilience, adaptivity, faults
-        )
-
-    def _build_service(
-        self, built, telemetry, resources, resilience, adaptivity, faults
-    ):
-        from repro.hierarchy import AdvertisementIndex
-        from repro.service import AdmissionController, StreamQueryService
-
         hierarchy = built.hierarchy()
         index = AdvertisementIndex(hierarchy) if self.ads else None
         optimizer = built.env.optimizer(
@@ -186,23 +211,15 @@ class Candidate:
                 max_queue=self.max_queue,
                 max_per_tick=self.max_per_tick,
             ),
-            resilience=resilience,
-            faults=faults,
-            adaptivity=adaptivity,
             telemetry=telemetry,
+            durability=durability,
             resources=resources,
+            **self._layers(built),
         )
 
-    def _build_fleet(self, built, telemetry, resilience, adaptivity, faults):
+    def _build_fleet(self, built, telemetry, durability):
         from repro.fleet import FleetController, Tenant
 
-        service_kwargs: dict[str, Any] = {}
-        if resilience is not None:
-            service_kwargs["resilience"] = resilience
-        if faults is not None:
-            service_kwargs["faults"] = faults
-        if adaptivity is not None:
-            service_kwargs["adaptivity"] = adaptivity
         tenants = None
         if self.tenants:
             tenants = [
@@ -221,8 +238,9 @@ class Candidate:
             max_per_tick=self.max_per_tick,
             tenants=tenants,
             federation=self.federation,
-            service_kwargs=service_kwargs or None,
+            service_kwargs=self._layers(built) or None,
             telemetry=telemetry,
+            durability=durability,
         )
 
 

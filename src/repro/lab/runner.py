@@ -153,7 +153,13 @@ class CandidateRun:
         for t in range(1, horizon + 1):
             now = float(t)
             while idx < len(events) and events[idx].time <= now:
-                self.submit(events[idx].query, lifetime=events[idx].lifetime)
+                event = events[idx]
+                if self.candidate.tenants:  # a fleet over the tenant mix
+                    self.plane.submit(
+                        event.query, lifetime=event.lifetime, tenant=event.tenant
+                    )
+                else:
+                    self.submit(event.query, lifetime=event.lifetime)
                 idx += 1
             self.tick(now)
 

@@ -9,18 +9,17 @@ that environment.
 
 Specs are plain data: they load from JSON or TOML files
 (:func:`load_scenario`), round-trip through :meth:`ScenarioSpec.to_dict`,
-and build deterministically -- :func:`build_scenario` derives every
-random draw from ``spec.seed`` through the same
-:func:`repro.workload.world_seeds` / :func:`repro.workload.build_world`
-machinery the paper figures use, so two builds of one spec are
-identical object-for-object and two *runs* produce byte-identical
-envelopes.
+and build deterministically -- :func:`build_scenario` seeds the network
+and the workload with ``spec.seed`` and the hierarchy with 0, the world
+the CLI drills (``repro serve``, ``fleet``, ``chaos``, ...) run on, so
+two builds of one spec are identical object-for-object and two *runs*
+produce byte-identical envelopes.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -29,7 +28,7 @@ from repro.resilience.faults import FaultPlan
 from repro.service.service import SubmitEvent, churn_trace
 from repro.workload.generator import WorkloadParams
 from repro.workload.scenarios import DriftTimeline, drift_timeline
-from repro.workload.world import World, build_world, world_seeds
+from repro.workload.world import World, build_world
 
 SCENARIO_KIND = "repro.scenario"
 SCENARIO_VERSION = 1
@@ -37,8 +36,8 @@ SCENARIO_VERSION = 1
 #: Trace modes the runner understands.
 TRACE_MODES = ("churn", "twin_burst")
 
-#: Capacity profiles (mirrors ``repro resources --capacity-profile``).
-CAPACITY_PROFILES = ("uniform", "hotspot", "heterogeneous")
+#: Capacity profiles (those of ``repro resources --capacity-profile``).
+CAPACITY_PROFILES = ("unbounded", "uniform", "hotspot", "heterogeneous")
 
 
 class ScenarioError(ReproError):
@@ -123,7 +122,14 @@ class TraceSpec:
 
 @dataclass(frozen=True)
 class CapacitySpec:
-    """Node-capacity profile (the resource layer's supply side)."""
+    """Node-capacity profile (the resource layer's supply side).
+
+    ``unbounded`` arms the resource layer with no capacities;
+    ``heterogeneous`` is :class:`HeterogeneousFleetProfile`'s stock
+    fleet, whatever the per-node figures; ``uniform`` and ``hotspot``
+    take ``cpu`` / ``memory`` / ``bandwidth`` (``hotspot`` also its weak
+    share, scale and ``seed``).
+    """
 
     profile: str = "uniform"
     cpu: float = 1000.0
@@ -143,13 +149,15 @@ class CapacitySpec:
         if self.bound <= 0:
             raise ScenarioError("capacity.bound must be positive")
 
-    def capacities(self, network) -> dict[int, Any]:
-        from repro.resources.capacity import NodeCapacity, uniform_capacities
+    def capacities(self, network) -> dict[int, Any] | None:
+        from repro.resources.capacity import uniform_capacities
         from repro.workload.profiles import (
             HeterogeneousFleetProfile,
             HotspotProfile,
         )
 
+        if self.profile == "unbounded":
+            return None
         if self.profile == "hotspot":
             return HotspotProfile(
                 cpu=self.cpu,
@@ -160,15 +168,7 @@ class CapacitySpec:
                 seed=self.seed,
             ).capacities(network)
         if self.profile == "heterogeneous":
-            transit = NodeCapacity(
-                cpu=self.cpu * 4, memory=self.memory * 4, bandwidth=self.bandwidth * 4
-            )
-            stub = NodeCapacity(
-                cpu=self.cpu, memory=self.memory, bandwidth=self.bandwidth
-            )
-            return HeterogeneousFleetProfile(
-                by_kind={"transit": transit, "stub": stub}
-            ).capacities(network)
+            return HeterogeneousFleetProfile().capacities(network)
         return uniform_capacities(
             network, cpu=self.cpu, memory=self.memory, bandwidth=self.bandwidth
         )
@@ -203,8 +203,9 @@ class ScenarioSpec:
 
     Attributes:
         name: Scenario slug (used in report titles and file names).
-        seed: Master seed; topology, workload and hierarchy derive from
-            it (the fault plan and capacity profile carry their own).
+        seed: Seeds the network and the workload; the hierarchy is
+            seeded 0 (the fault plan and capacity profile carry their
+            own seeds).
         ticks: Virtual ticks the runner drives (the runner extends past
             this only to flush the trace's scripted submissions).
         description: One-line human summary for ``repro lab list``.
@@ -214,7 +215,8 @@ class ScenarioSpec:
             :func:`repro.workload.scenarios.drift_timeline`.
         faults: A :meth:`FaultPlan.to_dict` document, armed only on
             candidates that ask for it.
-        tenants: Tenant mix for fleet candidates that ask for it.
+        tenants: Tenant mix for fleet candidates that ask for it; the
+            trace's submissions take the tenants round-robin.
         capacity: Capacity profile; also prices the read-only audit
             ledger every candidate's summary reports against.
         candidates: Optional embedded candidate panel (list of dicts,
@@ -349,7 +351,9 @@ def load_scenario(path: str | Path) -> ScenarioSpec:
 # ----------------------------------------------------------------------
 @dataclass
 class BuiltScenario:
-    """One materialized scenario environment (per candidate).
+    """One materialized scenario environment (per candidate): the
+    ``spec`` on the world ``env``, with the trace, drift timeline and
+    capacities the spec derives from that world.
 
     Every candidate gets its *own* build -- control planes mutate their
     clocks, rate models and deployment states, so sharing objects across
@@ -359,9 +363,15 @@ class BuiltScenario:
 
     spec: ScenarioSpec
     env: World
-    events: list[SubmitEvent]
-    timeline: DriftTimeline | None
-    capacities: dict[int, Any] | None
+    events: list[SubmitEvent] = field(init=False)
+    timeline: DriftTimeline | None = field(init=False)
+    capacities: dict[int, Any] | None = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.events = _build_trace(self.spec, self.env)
+        self.timeline = _build_timeline(self.spec, self.env)
+        capacity = self.spec.capacity
+        self.capacities = capacity.capacities(self.network) if capacity else None
 
     @property
     def network(self):
@@ -375,7 +385,7 @@ class BuiltScenario:
         return self.env.hierarchy(self.spec.topology.max_cs)
 
     def fault_plan(self) -> FaultPlan | None:
-        """A fresh injector-ready plan (fault injectors pop state)."""
+        """A fresh plan decoded from ``spec.faults`` (``None``: none)."""
         if self.spec.faults is None:
             return None
         return FaultPlan.from_dict(self.spec.faults)
@@ -385,25 +395,32 @@ def _build_trace(spec: ScenarioSpec, env: World) -> list[SubmitEvent]:
     trace = spec.trace
     lifetime = trace.effective_lifetime()
     if trace.mode == "churn":
-        return churn_trace(
+        events = churn_trace(
             env.workload,
             lifetime=lifetime,
             arrivals_per_tick=trace.arrivals_per_tick,
             repeats=trace.repeats,
         )
-    # twin_burst: originals at tick 1, reuse twins at tick 2.
-    num_nodes = env.network.num_nodes
-    events = [
-        SubmitEvent(time=1.0, query=q, lifetime=lifetime)
-        for q in env.workload
+    else:
+        # twin_burst: originals at tick 1, reuse twins at tick 2.
+        num_nodes = env.network.num_nodes
+        events = [
+            SubmitEvent(time=1.0, query=q, lifetime=lifetime)
+            for q in env.workload
+        ]
+        for query in env.workload:
+            twin = query.renamed(
+                query.name + trace.twin_suffix,
+                sink=(query.sink + trace.sink_shift) % num_nodes,
+            )
+            events.append(SubmitEvent(time=2.0, query=twin, lifetime=lifetime))
+    if not spec.tenants:
+        return events
+    # Round-robin over the tenant mix, in trace order.
+    return [
+        replace(event, tenant=spec.tenants[i % len(spec.tenants)].name)
+        for i, event in enumerate(events)
     ]
-    for query in env.workload:
-        twin = query.renamed(
-            query.name + trace.twin_suffix,
-            sink=(query.sink + trace.sink_shift) % num_nodes,
-        )
-        events.append(SubmitEvent(time=2.0, query=twin, lifetime=lifetime))
-    return events
 
 
 def _build_timeline(spec: ScenarioSpec, env: World) -> DriftTimeline | None:
@@ -422,22 +439,23 @@ def _build_timeline(spec: ScenarioSpec, env: World) -> DriftTimeline | None:
 
 
 def build_scenario(spec: ScenarioSpec) -> BuiltScenario:
-    """Materialize a spec into a fresh, fully seeded environment."""
-    env = build_world(
-        spec.topology.nodes,
-        spec.workload.params(),
-        **world_seeds(spec.seed, (spec.topology.max_cs,)),
-    )
-    capacities = (
-        spec.capacity.capacities(env.network) if spec.capacity else None
-    )
-    return BuiltScenario(
-        spec=spec,
-        env=env,
-        events=_build_trace(spec, env),
-        timeline=_build_timeline(spec, env),
-        capacities=capacities,
-    )
+    """Materialize a spec into a fresh, fully seeded environment: the
+    network and the workload seeded ``spec.seed``, the hierarchy 0.
+
+    Raises:
+        ScenarioError: The spec describes no world (too few streams for
+            its joins, a drift event the catalog refuses, ...).
+    """
+    try:
+        return BuiltScenario(spec, build_world(
+            spec.topology.nodes,
+            spec.workload.params(),
+            network_seed=spec.seed,
+            workload_seed=spec.seed,
+            hierarchy_seeds={spec.topology.max_cs: 0},
+        ))
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
 
 
 def list_scenarios(directory: str | Path) -> list[dict[str, Any]]:

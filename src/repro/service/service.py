@@ -77,11 +77,15 @@ class SubmitEvent:
         time: Tick at which the query is submitted.
         query: The query itself.
         lifetime: Ticks the query stays deployed (``None`` = forever).
+        tenant: Tenant the query is submitted for, read by a fleet's
+            :meth:`~repro.fleet.controller.FleetController.replay`
+            (``None`` = untenanted; a service has no tenants).
     """
 
     time: float
     query: Query
     lifetime: float | None = None
+    tenant: str | None = None
 
 
 @dataclass

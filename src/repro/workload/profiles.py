@@ -11,13 +11,13 @@ and seeded, so a scenario is fully reproducible from its parameters.
   capacity-aware planner: a capacity-blind planner happily piles
   operators onto the cheap-to-reach weak nodes and overloads them.
 * :class:`HeterogeneousFleetProfile` -- capacities keyed by the
-  network's node kinds (transit routers beefy, stub nodes modest), with
-  optional seeded jitter so no two nodes are exactly alike.
+  network's node kinds (transit routers beefy, stub nodes modest).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping
 
 from repro.network.graph import Network
@@ -70,27 +70,24 @@ class HotspotProfile:
         }
 
 
+#: The heterogeneous fleet's ``{kind: NodeCapacity}`` over the network's
+#: :meth:`~repro.network.graph.Network.node_kind` values (transit-stub
+#: networks use ``"transit"`` / ``"stub"``); kinds not listed are
+#: unbounded.
+FLEET_BY_KIND: Mapping[str, NodeCapacity] = MappingProxyType({
+    "transit": NodeCapacity(cpu=4000.0, memory=4000.0, bandwidth=4000.0),
+    "stub": NodeCapacity(cpu=500.0, memory=500.0, bandwidth=500.0),
+})
+
+
 @dataclass(frozen=True)
 class HeterogeneousFleetProfile:
-    """Capacities keyed by node kind; every node of a kind alike.
-
-    Attributes:
-        by_kind: ``{kind: NodeCapacity}`` over the network's
-            :meth:`~repro.network.graph.Network.node_kind` values
-            (transit-stub networks use ``"transit"`` / ``"stub"``);
-            kinds not listed are unbounded.
-    """
-
-    by_kind: Mapping[str, NodeCapacity] = field(
-        default_factory=lambda: {
-            "transit": NodeCapacity(cpu=4000.0, memory=4000.0, bandwidth=4000.0),
-            "stub": NodeCapacity(cpu=500.0, memory=500.0, bandwidth=500.0),
-        }
-    )
+    """Capacities keyed by node kind (:data:`FLEET_BY_KIND`); every
+    node of a kind alike."""
 
     def capacities(self, network: Network) -> dict[int, NodeCapacity]:
         """The capacity map for ``network``."""
         return {
-            node: self.by_kind.get(network.node_kind(node), NodeCapacity())
+            node: FLEET_BY_KIND.get(network.node_kind(node), NodeCapacity())
             for node in sorted(network.nodes())
         }

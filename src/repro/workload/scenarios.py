@@ -344,6 +344,9 @@ def drift_timeline(
     """
     if stream is None:
         stream = min(streams, key=lambda name: streams[name].rate)
+    elif stream not in streams:
+        raise ValueError(f"unknown stream {stream!r} "
+                         f"(catalog: {', '.join(sorted(streams))})")
     if kind in ("step", "ramp") and factor <= 0:
         raise ValueError(f"drift factor must be positive, got {factor}")
     if kind == "step":

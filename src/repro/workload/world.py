@@ -93,7 +93,9 @@ def build_world(
 def world_seeds(seed: SeedLike, max_cs_values: Sequence[int] = (32,)) -> dict[str, Any]:
     """:func:`build_world`'s seeds drawn from one master seed: the
     network's, the workload's, then one hierarchy seed per
-    ``max_cs_values`` entry, as the paper figures and the lab draw them."""
+    ``max_cs_values`` entry, as the paper figures draw them (the lab
+    and the CLI drills seed the network and the workload with their one
+    seed and the hierarchy with 0)."""
     rng = as_generator(seed)
     network, workload, *hierarchies = (
         int(rng.integers(0, 2**31)) for _ in range(2 + len(max_cs_values))

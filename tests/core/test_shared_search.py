@@ -540,9 +540,8 @@ def _plan_all(optimizer_cls, seed, constrained, swap_search=None):
     net, hierarchy, rates = world.network, world.hierarchy(), world.rates
     if swap_search is not None:
         swap_search(partial(ReferenceTreeSearch, rates))
-    optimizer = optimizer_cls(
-        hierarchy, rates, resources=_capped(net, rates) if constrained else None,
-    )
+    optimizer = optimizer_cls(hierarchy, rates)
+    optimizer.resources = _capped(net, rates) if constrained else None
     state = DeploymentState(net.cost_matrix(), rates.rate, rates.source)
     out = []
     with tracing(Tracer(clock=_ticking_clock())):

@@ -112,3 +112,19 @@ class TestBuilding:
         built = tiny_built()
         with pytest.raises(ScenarioError, match="no fault plan"):
             Candidate(name="f", faults=True).build(built)
+
+
+class TestFaults:
+    @pytest.mark.parametrize("mode", ["service", "fleet"])
+    def test_an_armed_fault_plan_is_applied(self, mode):
+        crash = {"kind": "node_crash", "time": 1.0, "node": 15}
+        built = tiny_built(faults={"events": [crash]})
+        plane = Candidate(name="f", mode=mode, shards=2, faults=True).build(built)
+        services = plane.shards if mode == "fleet" else [plane]
+        # Faults arm the resilience layer; a fleet's shards share the
+        # one injector.
+        assert all(s.resilience is not None for s in services)
+        assert {id(s.faults) for s in services} == {id(services[0].faults)}
+        plane.tick(1.0)
+        applied = services[0].faults.applied
+        assert [(e["kind"], e["time"], e["node"]) for e in applied] == [("crash", 1.0, 15)]

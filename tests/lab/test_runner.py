@@ -10,6 +10,7 @@ from repro.lab.report import lab_to_json
 from repro.lab.runner import ENVELOPE_KIND, LAB_SCOPE
 from repro.lab.spec import (
     ScenarioSpec,
+    TenantSpec,
     TopologySpec,
     TraceSpec,
     WorkloadSpec,
@@ -116,6 +117,23 @@ class TestDriving:
         calm = run_lab(flat).run("reuse").metrics()["final_cost"]
         # same deployments, 5x input rates => strictly costlier system
         assert drifted > calm
+
+    def test_a_tenant_fleet_submits_each_event_for_its_tenant(self):
+        spec = tiny_spec(
+            ticks=6,
+            topology=TopologySpec(nodes=24, max_cs=4),
+            workload=WorkloadSpec(streams=6, queries=6, joins=(2, 3)),
+            tenants=[TenantSpec("gold", weight=3.0), TenantSpec("bronze")],
+            candidates=[{"name": "tenants", "mode": "fleet", "shards": 2,
+                         "tenants": True}],
+        )
+        run = run_lab(spec).run("tenants")
+        assert run.metrics()["deployed_total"] == 6
+        totals = run.plane.tenant_summary()
+        assert sum(t.get("rejected", 0) for t in totals.values()) == 0
+        # Round-robin over the tenant mix, in trace order.
+        assert [e.tenant for e in build_scenario(spec).events] == ["gold", "bronze"] * 3
+        assert {name: t["admitted"] for name, t in totals.items()} == {"gold": 3, "bronze": 3}
 
 
 class TestHeadlineReproduction:

@@ -105,10 +105,8 @@ def _plan_all(name, world, constrained):
     """Plan and apply every query; the number planned and of them reusing
     a deployed view."""
     network, rates = world.network, world.rates
-    optimizer = repro.make_optimizer(
-        name, network, rates, hierarchy=world.hierarchy(),
-        resources=_capped(network, rates) if constrained else None,
-    )
+    optimizer = repro.make_optimizer(name, network, rates, hierarchy=world.hierarchy())
+    optimizer.resources = _capped(network, rates) if constrained else None
     state = DeploymentState(network.cost_matrix(), rates.rate, rates.source)
     planned = reusing = 0
     for query in world.workload:

@@ -479,9 +479,7 @@ class TestLabWrapperAddsNoPlannerWork:
             topology=TopologySpec(nodes=world.network.num_nodes, max_cs=6),
             workload=WorkloadSpec(streams=10, queries=10),
         )
-        return BuiltScenario(
-            spec=spec, env=world, events=[], timeline=None, capacities=None
-        )
+        return BuiltScenario(spec=spec, env=world)
 
     def test_wrapper_does_the_planes_planner_work(self):
         from repro.lab.candidate import Candidate

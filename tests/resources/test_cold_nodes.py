@@ -185,7 +185,8 @@ def _plan_all(optimizer_cls, seed, regime, load_weight, cls):
             base_loads=base_loads, load_weight=load_weight,
         )
     )
-    optimizer = optimizer_cls(hierarchy, rates, resources=resources)
+    optimizer = optimizer_cls(hierarchy, rates)
+    optimizer.resources = resources
     state = DeploymentState(net.cost_matrix(), rates.rate, rates.source)
     out = []
     with tracing(Tracer(clock=_ticking_clock())), profiled() as prof:

@@ -30,7 +30,7 @@ def usage_error(argv, capsys) -> str:
           for cmd in ("serve", "fleet", "resources", "metrics")],
         *[[cmd, *BASE, "--arrivals", "0"]
           for cmd in ("serve", "fleet", "resources")],
-        ["serve", *BASE, "--cache-capacity", "0"],
+        ["serve", *BASE, "--lifetime", "0"],
         ["serve", *BASE, "--nodes", "2"],
         ["serve", *BASE, "--streams", "1"],
         ["dash", "--once", "--nodes", "3"],
